@@ -10,8 +10,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use bench::merge_ref::{merge_streams_heap, merge_streams_linear};
 use bora::checksum::crc32c_bitwise_reference;
-use bora::{crc32c, merge_streams_heap, merge_streams_linear, BoraBag, StreamOptions};
+use bora::{crc32c, BoraBag, StreamOptions};
 use ros_msgs::sensor_msgs::Imu;
 use ros_msgs::{MessageDescriptor, RosMessage, Time};
 use rosbag::reader::MessageRecord;

@@ -13,8 +13,9 @@
 //! resident footprint pinned to the readahead window instead of the
 //! result size.
 
+use crate::merge_ref::{merge_streams_heap, merge_streams_linear};
 use bora::container::FUSE_DELIVERY_NS;
-use bora::{merge_streams_heap, merge_streams_linear, BoraBag, StreamOptions};
+use bora::{BoraBag, StreamOptions};
 use ros_msgs::sensor_msgs::Imu;
 use ros_msgs::{MessageDescriptor, RosMessage, Time};
 use rosbag::reader::MessageRecord;

@@ -16,6 +16,7 @@
 
 pub mod env;
 pub mod experiments;
+pub mod merge_ref;
 pub mod report;
 
 pub use env::{Platform, ScaleConfig};

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use bora::error::BoraResult;
-use bora::{BoraBag, BufferPool, StreamOptions, TailMessage};
+use bora::{BoraBag, MessageStream, StreamOptions, TailMessage};
 use ros_msgs::Time;
 use rosbag::MessageRecord;
 use simfs::{IoCtx, Storage};
@@ -23,27 +23,27 @@ use crate::store::GenHandle;
 
 /// An immutable, epoch-stamped view of an ingest root.
 pub struct Snapshot<S: Storage> {
-    storage: S,
+    /// The pinned generation's container, opened once when the snapshot
+    /// was taken; every stream borrows it. It carries the store's shared
+    /// page pool, so a hot topic stays hot across epochs until compaction
+    /// invalidates its generation.
+    bag: BoraBag<S>,
+    /// Keeps the generation's files alive while `bag` reads them.
     gen: Arc<GenHandle>,
     sealed: Vec<Arc<SealedBatch>>,
     memtable: BTreeMap<String, Vec<IngestMessage>>,
     epoch: u64,
-    /// Shared page cache for container-lane reads (see `bora::bufpool`);
-    /// snapshots of the same store share one pool, so a hot topic stays
-    /// hot across epochs until compaction invalidates its generation.
-    pool: Option<Arc<BufferPool>>,
 }
 
-impl<S: Storage + Clone> Snapshot<S> {
+impl<S: Storage> Snapshot<S> {
     pub(crate) fn new(
-        storage: S,
+        bag: BoraBag<S>,
         gen: Arc<GenHandle>,
         sealed: Vec<Arc<SealedBatch>>,
         memtable: BTreeMap<String, Vec<IngestMessage>>,
         epoch: u64,
-        pool: Option<Arc<BufferPool>>,
     ) -> Self {
-        Snapshot { storage, gen, sealed, memtable, epoch, pool }
+        Snapshot { bag, gen, sealed, memtable, epoch }
     }
 
     /// The store epoch this snapshot observes. Messages appended after
@@ -61,16 +61,16 @@ impl<S: Storage + Clone> Snapshot<S> {
         &self.gen.root
     }
 
-    /// All topics visible to this snapshot: compacted, sealed, or still
-    /// in the memtable.
-    pub fn topics(&self, ctx: &mut IoCtx) -> BoraResult<Vec<String>> {
-        let bag = self.open_bag(ctx)?;
-        let mut set: BTreeSet<String> = bag.meta().topics.iter().map(|t| t.topic.clone()).collect();
+    /// All topics visible to this snapshot — compacted, sealed, or still
+    /// in the memtable — sorted.
+    pub fn topics(&self) -> Vec<String> {
+        let mut set: BTreeSet<String> =
+            self.bag.meta().topics.iter().map(|t| t.topic.clone()).collect();
         for b in &self.sealed {
             set.extend(b.topics.keys().cloned());
         }
         set.extend(self.memtable.keys().cloned());
-        Ok(set.into_iter().collect())
+        set.into_iter().collect()
     }
 
     /// Topic → ROS datatype for every *compacted* topic. A topic that so
@@ -78,25 +78,30 @@ impl<S: Storage + Clone> Snapshot<S> {
     /// recorded datatype yet and is simply absent — the query layer then
     /// treats its payloads as opaque and field paths read as null until
     /// the next compaction lands the topic in a generation container.
-    pub fn datatypes(&self, ctx: &mut IoCtx) -> BoraResult<HashMap<String, String>> {
-        let bag = self.open_bag(ctx)?;
-        Ok(bag.meta().topics.iter().map(|t| (t.topic.clone(), t.datatype.clone())).collect())
+    pub fn datatypes(&self) -> HashMap<String, String> {
+        self.bag.meta().datatypes()
+    }
+
+    /// Stream `topics` in global time order, optionally bounded to a
+    /// half-open `[start, end)` range: the generation container's lanes
+    /// with the sealed + memtable messages riding them as tails. A topic
+    /// the recording has not produced yet is empty, not an error (it may
+    /// start existing one epoch later); dropping its empty lane cannot
+    /// change the merge output.
+    pub fn stream(
+        &self,
+        topics: &[&str],
+        range: Option<(Time, Time)>,
+        ctx: &mut IoCtx,
+    ) -> BoraResult<MessageStream<'_, S>> {
+        let (topics, tails) = self.known_lanes(topics);
+        self.bag.stream_topics_with_tails(&topics, tails, range, StreamOptions::default(), ctx)
     }
 
     /// Read whole topics in global time order — the mid-recording
-    /// equivalent of `BoraBag::read_topics`. A topic the recording has
-    /// not produced yet is empty, not an error (it may start existing
-    /// one epoch later); dropping its empty lane cannot change the merge
-    /// output.
+    /// equivalent of `BoraBag::read_topics`.
     pub fn read_topics(&self, topics: &[&str], ctx: &mut IoCtx) -> BoraResult<Vec<MessageRecord>> {
-        let sp = bora_obs::span("ingest.snapshot_read");
-        let bag = self.open_bag(ctx)?;
-        let (topics, tails) = self.known_lanes(&bag, topics);
-        let out = bag
-            .stream_topics_with_tails(&topics, tails, None, StreamOptions::default(), ctx)?
-            .collect_records(ctx);
-        sp.end();
-        out
+        self.collect(topics, None, ctx)
     }
 
     /// Read a half-open `[start, end)` time range across topics.
@@ -107,18 +112,17 @@ impl<S: Storage + Clone> Snapshot<S> {
         end: Time,
         ctx: &mut IoCtx,
     ) -> BoraResult<Vec<MessageRecord>> {
+        self.collect(topics, Some((start, end)), ctx)
+    }
+
+    fn collect(
+        &self,
+        topics: &[&str],
+        range: Option<(Time, Time)>,
+        ctx: &mut IoCtx,
+    ) -> BoraResult<Vec<MessageRecord>> {
         let sp = bora_obs::span("ingest.snapshot_read");
-        let bag = self.open_bag(ctx)?;
-        let (topics, tails) = self.known_lanes(&bag, topics);
-        let out = bag
-            .stream_topics_with_tails(
-                &topics,
-                tails,
-                Some((start, end)),
-                StreamOptions::default(),
-                ctx,
-            )?
-            .collect_records(ctx);
+        let out = self.stream(topics, range, ctx)?.collect_records(ctx);
         sp.end();
         out
     }
@@ -127,26 +131,14 @@ impl<S: Storage + Clone> Snapshot<S> {
     /// tail). Relative lane order is preserved, so the `(time, lane)`
     /// tie-break among surviving lanes — the only ones that can emit —
     /// is unchanged.
-    fn known_lanes<'t>(
-        &self,
-        bag: &BoraBag<S>,
-        topics: &[&'t str],
-    ) -> (Vec<&'t str>, Vec<Vec<TailMessage>>) {
+    fn known_lanes<'t>(&self, topics: &[&'t str]) -> (Vec<&'t str>, Vec<Vec<TailMessage>>) {
         let tails = self.tails_for(topics);
         topics
             .iter()
             .zip(tails)
-            .filter(|(t, tail)| bag.meta().topic(t).is_some() || !tail.is_empty())
+            .filter(|(t, tail)| self.bag.meta().topic(t).is_some() || !tail.is_empty())
             .map(|(t, tail)| (*t, tail))
             .unzip()
-    }
-
-    fn open_bag(&self, ctx: &mut IoCtx) -> BoraResult<BoraBag<S>> {
-        let bag = BoraBag::open(self.storage.clone(), &self.gen.root, ctx)?;
-        Ok(match &self.pool {
-            Some(p) => bag.with_pool(Arc::clone(p)),
-            None => bag,
-        })
     }
 
     /// One tail per requested topic: sealed batches in seal order, then
@@ -316,6 +308,6 @@ mod tests {
         st.seal(&mut ctx).unwrap();
         st.append("/c", Time::from_nanos(3), b"3", &mut ctx).unwrap();
         let snap = st.snapshot(&mut ctx).unwrap();
-        assert_eq!(snap.topics(&mut ctx).unwrap(), vec!["/a", "/b", "/c"]);
+        assert_eq!(snap.topics(), vec!["/a", "/b", "/c"]);
     }
 }

@@ -44,6 +44,7 @@ use bora::manifest::{Manifest, ManifestEntry};
 use bora::meta::{ContainerMeta, TopicMeta};
 use bora::time_index::{TimeIndex, DEFAULT_WINDOW_NS};
 use bora::topic_index::{decode_entries, encode_entries, TopicIndexEntry, ENTRY_SIZE};
+use bora::BoraBag;
 use parking_lot::Mutex;
 use ros_msgs::wire::{WireRead, WireWrite};
 use ros_msgs::Time;
@@ -780,17 +781,21 @@ impl<S: Storage + Clone> IngestStore<S> {
     /// The snapshot never observes later appends, seals, or compactions,
     /// and keeps its generation's files alive until dropped.
     pub fn snapshot(&self, ctx: &mut IoCtx) -> BoraResult<Snapshot<S>> {
-        let st = &mut *self.inner.lock();
-        st.gc_retired(&self.storage, self.pool.as_ref(), ctx);
-        bora_obs::gauge("snapshot.epochs").set(st.epoch as i64);
-        Ok(Snapshot::new(
-            self.storage.clone(),
-            Arc::clone(&st.gen),
-            st.sealed.clone(),
-            st.memtable.clone(),
-            st.epoch,
-            self.pool.clone(),
-        ))
+        let (gen, sealed, memtable, epoch) = {
+            let st = &mut *self.inner.lock();
+            st.gc_retired(&self.storage, self.pool.as_ref(), ctx);
+            bora_obs::gauge("snapshot.epochs").set(st.epoch as i64);
+            (Arc::clone(&st.gen), st.sealed.clone(), st.memtable.clone(), st.epoch)
+        };
+        // Opened with the state lock released: `gen` already pins the
+        // generation's files, so appenders never wait on this I/O and a
+        // concurrent compaction cannot delete what is being opened.
+        let bag = BoraBag::open(self.storage.clone(), &gen.root, ctx)?;
+        let bag = match &self.pool {
+            Some(p) => bag.with_pool(Arc::clone(p)),
+            None => bag,
+        };
+        Ok(Snapshot::new(bag, gen, sealed, memtable, epoch))
     }
 }
 

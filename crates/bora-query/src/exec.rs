@@ -3,10 +3,11 @@
 //! A [`Cursor`] interprets a [`Logical`] plan one output row at a time,
 //! so the serve layer can stream results in bounded chunks instead of
 //! materializing the result set. The source is either a zero-copy
-//! [`MessageStream`] over a container (scan pushdown applies — the
-//! stream's time range comes from the optimizer, and the pushed filter
-//! is evaluated against the shared-slice payload before any copy), or a
-//! pre-merged record vector (ingest snapshots, cluster-shipped rows).
+//! [`MessageStream`] over a container or a live ingest snapshot (scan
+//! pushdown applies — the stream's time range comes from the optimizer,
+//! and the pushed filter is evaluated against the shared-slice payload
+//! before any copy), or a pre-merged record vector (the oracle tests'
+//! in-memory seam).
 //!
 //! [`run_naive`] is the oracle: a deliberately simple interpretation of
 //! the *statement* (no plan, no optimizer, no streaming) that the
@@ -719,6 +720,31 @@ impl Prepared {
         self.query.explain
     }
 
+    /// The optimizer's pushed-down `[start, end)` scan range as stream
+    /// bounds, clamped to what a [`Time`] can carry.
+    pub fn scan_range(&self) -> Option<(Time, Time)> {
+        self.plan.scan.range.map(|(lo, hi)| {
+            (Time::from_nanos(lo.min(MAX_TIME_NS)), Time::from_nanos(hi.min(MAX_TIME_NS)))
+        })
+    }
+
+    /// Open a cursor over an already-built merge — the one executor
+    /// entry every source shares (a container, or a live ingest
+    /// snapshot's container + tails). The caller builds `stream` over
+    /// the plan's scan topics that the source has, bounded by
+    /// [`Prepared::scan_range`]; `datatypes` maps topic → ROS datatype
+    /// for field access (a topic without one reads its fields as null).
+    pub fn cursor_stream<'a, S: Storage>(
+        &self,
+        stream: MessageStream<'a, S>,
+        datatypes: HashMap<String, String>,
+        partial: bool,
+        ctx: &'a mut IoCtx,
+    ) -> QueryResult<Cursor<'a, S>> {
+        let virt0 = ctx.elapsed_ns();
+        Cursor::new(self.plan.clone(), datatypes, Feed::Bag { stream, ctx, virt0 }, partial)
+    }
+
     /// Open a cursor over a container. The optimizer's time range and
     /// topic pruning feed straight into the stream's coarse-time-index
     /// candidate selection; FROM topics absent from the container are
@@ -729,8 +755,7 @@ impl Prepared {
         partial: bool,
         ctx: &'a mut IoCtx,
     ) -> QueryResult<Cursor<'a, S>> {
-        let datatypes: HashMap<String, String> =
-            bag.meta().topics.iter().map(|t| (t.topic.clone(), t.datatype.clone())).collect();
+        let datatypes = bag.meta().datatypes();
         let present: Vec<&str> = self
             .plan
             .scan
@@ -739,18 +764,16 @@ impl Prepared {
             .map(String::as_str)
             .filter(|t| datatypes.contains_key(*t))
             .collect();
-        let range = self.plan.scan.range.map(|(lo, hi)| {
-            (Time::from_nanos(lo.min(MAX_TIME_NS)), Time::from_nanos(hi.min(MAX_TIME_NS)))
-        });
+        let (range, opts) = (self.scan_range(), StreamOptions::default());
+        // [`Prepared::cursor_stream`], with `ExecStats::virt_ns` counted
+        // from before the stream is built (its per-topic tag lookups).
         let virt0 = ctx.elapsed_ns();
-        let stream = bag
-            .stream_topics_with_tails(&present, Vec::new(), range, StreamOptions::default(), ctx)
-            .map_err(QueryError::from)?;
+        let stream = bag.stream_topics_with_tails(&present, Vec::new(), range, opts, ctx)?;
         Cursor::new(self.plan.clone(), datatypes, Feed::Bag { stream, ctx, virt0 }, partial)
     }
 
-    /// Open a cursor over pre-merged records (ingest snapshot reads,
-    /// or the oracle's input). Records must already be in merge order.
+    /// Open a cursor over pre-merged records (the oracle tests' and
+    /// benches' in-memory seam). Records must already be in merge order.
     pub fn cursor_records(
         &self,
         records: Vec<MessageRecord>,

@@ -263,22 +263,20 @@ impl<C: Connection> ServeClient<C> {
         topics: &[&str],
         range: Option<(Time, Time)>,
     ) -> ClientResult<ReadStream<'_, C>> {
-        let topics: Vec<String> = topics.iter().map(|t| (*t).to_owned()).collect();
-        // Lead with READ_STREAM2 so the server may ship LZ-compressed
-        // chunks. A server that predates the opcode answers BadRequest,
-        // and `fetch` transparently reissues the plain READ_STREAM — one
-        // wasted round trip per stream against an old peer, compressed
-        // chunks everywhere else.
-        let req =
-            Request::ReadStream2 { container: container.into(), topics: topics.clone(), range };
-        let fallback = Request::ReadStream { container: container.into(), topics, range };
+        // READ_STREAM2 lets the server ship LZ-compressed chunks; both
+        // ends ship together (see the `proto` module doc), so there is no
+        // older peer to probe for.
+        let req = Request::ReadStream2 {
+            container: container.into(),
+            topics: topics.iter().map(|t| (*t).to_owned()).collect(),
+            range,
+        };
         self.send_stream_req(&req)?;
         Ok(ReadStream {
             client: self,
             buffer: std::collections::VecDeque::new(),
             done: false,
             received: 0,
-            fallback: Some(fallback),
         })
     }
 
@@ -457,11 +455,6 @@ pub struct ReadStream<'a, C: Connection> {
     buffer: std::collections::VecDeque<WireMessage>,
     done: bool,
     received: u64,
-    /// Plain `READ_STREAM` to reissue if the server rejects the leading
-    /// `READ_STREAM2` as an unknown opcode (old peer). Cleared on the
-    /// first successful frame so a genuine mid-stream `BadRequest` is
-    /// surfaced, not swallowed by a pointless retry.
-    fallback: Option<Request>,
 }
 
 impl<C: Connection> ReadStream<'_, C> {
@@ -470,73 +463,37 @@ impl<C: Connection> ReadStream<'_, C> {
         self.received
     }
 
-    /// Pull the next frame off the connection into `buffer`; flips `done`
-    /// on any terminal frame (`StreamEnd`, error, overload) or transport
-    /// failure (the connection is desynchronized then — nothing left to
-    /// drain).
+    /// Pull the next frame off the connection into `buffer`. Only a chunk
+    /// keeps the stream open: `StreamEnd`, an error or overload frame, an
+    /// undecodable frame and a transport failure (the connection is
+    /// desynchronized then — nothing left to drain) all flip `done`.
     fn fetch(&mut self) -> ClientResult<()> {
         // Every chunk of this stream echoes the request's seq; stale
         // frames from earlier requests are discarded inside.
-        let payload = match self.client.recv_matching(self.client.seq) {
-            Ok(p) => p,
+        let chunk =
+            self.client.recv_matching(self.client.seq).and_then(|payload| match Response::decode(
+                &payload,
+            )
+            .map_err(ClientError::Proto)?
+            {
+                Response::StreamChunk(msgs) => Ok(Some(msgs)),
+                Response::StreamChunkLz(frame) => {
+                    crate::proto::decompress_chunk(&frame).map(Some).map_err(ClientError::Proto)
+                }
+                Response::StreamEnd { .. } => Ok(None),
+                Response::Error { code, message } => Err(ClientError::Server { code, message }),
+                Response::Overloaded => Err(ClientError::Overloaded),
+                other => Err(unexpected("READ_STREAM", &other)),
+            });
+        match chunk {
+            Ok(Some(msgs)) => self.buffer.extend(msgs),
+            Ok(None) => self.done = true,
             Err(e) => {
                 self.done = true;
                 return Err(e);
             }
-        };
-        match Response::decode(&payload) {
-            Ok(Response::StreamChunk(msgs)) => {
-                self.fallback = None;
-                self.buffer.extend(msgs);
-                Ok(())
-            }
-            Ok(Response::StreamChunkLz(frame)) => {
-                self.fallback = None;
-                match crate::proto::decompress_chunk(&frame) {
-                    Ok(msgs) => {
-                        self.buffer.extend(msgs);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        self.done = true;
-                        Err(ClientError::Proto(e))
-                    }
-                }
-            }
-            Ok(Response::StreamEnd { .. }) => {
-                self.done = true;
-                Ok(())
-            }
-            Ok(Response::Error { code, message }) => {
-                if code == ErrorCode::BadRequest {
-                    if let Some(req) = self.fallback.take() {
-                        // Old server rejecting READ_STREAM2: downgrade to
-                        // the plain stream and keep iterating.
-                        return match self.client.send_stream_req(&req) {
-                            Ok(()) => Ok(()),
-                            Err(e) => {
-                                self.done = true;
-                                Err(e)
-                            }
-                        };
-                    }
-                }
-                self.done = true;
-                Err(ClientError::Server { code, message })
-            }
-            Ok(Response::Overloaded) => {
-                self.done = true;
-                Err(ClientError::Overloaded)
-            }
-            Ok(other) => {
-                self.done = true;
-                Err(unexpected("READ_STREAM", &other))
-            }
-            Err(e) => {
-                self.done = true;
-                Err(ClientError::Proto(e))
-            }
         }
+        Ok(())
     }
 }
 
@@ -1162,12 +1119,14 @@ mod tests {
 
     struct ScriptedConn {
         steps: Arc<Mutex<VecDeque<Step>>>,
+        sends: Arc<AtomicU32>,
         pending: bool,
         broken: bool,
     }
 
     impl Connection for ScriptedConn {
         fn send_frame(&mut self, _payload: &[u8]) -> std::io::Result<()> {
+            self.sends.fetch_add(1, Ordering::SeqCst);
             self.pending = true;
             Ok(())
         }
@@ -1194,10 +1153,12 @@ mod tests {
         }
     }
 
-    /// Hands every connection the same shared script; counts connects.
+    /// Hands every connection the same shared script; counts connects
+    /// and request frames sent.
     struct ScriptedTransport {
         steps: Arc<Mutex<VecDeque<Step>>>,
         connects: AtomicU32,
+        sends: Arc<AtomicU32>,
     }
 
     impl ScriptedTransport {
@@ -1205,6 +1166,7 @@ mod tests {
             ScriptedTransport {
                 steps: Arc::new(Mutex::new(steps.into())),
                 connects: AtomicU32::new(0),
+                sends: Arc::default(),
             }
         }
     }
@@ -1213,7 +1175,12 @@ mod tests {
         type Conn = ScriptedConn;
         fn connect(&self) -> std::io::Result<ScriptedConn> {
             self.connects.fetch_add(1, Ordering::SeqCst);
-            Ok(ScriptedConn { steps: Arc::clone(&self.steps), pending: false, broken: false })
+            Ok(ScriptedConn {
+                steps: Arc::clone(&self.steps),
+                sends: Arc::clone(&self.sends),
+                pending: false,
+                broken: false,
+            })
         }
     }
 
@@ -1395,23 +1362,24 @@ mod tests {
     }
 
     #[test]
-    fn read_stream_falls_back_on_old_server() {
+    fn read_stream_surfaces_bad_request_without_reissuing() {
         let msgs =
             vec![WireMessage { topic: "/imu".into(), time: Time::new(1, 0), data: vec![7; 8] }];
-        // An old server rejects READ_STREAM2 with BadRequest; the client
-        // must reissue the plain READ_STREAM and keep iterating.
+        // A first-frame BadRequest is the server's real answer: it must
+        // surface once, not be swallowed and reissued as a different op.
+        // The chunk scripted behind it would be consumed by a reissue.
         let t = ScriptedTransport::new(vec![
             server_err(ErrorCode::BadRequest),
             Step::Reply(Response::StreamChunk(msgs.clone())),
-            Step::Reply(Response::StreamEnd { messages: 1 }),
         ]);
         let mut c = ServeClient::new(t.connect().unwrap());
-        let got: Vec<WireMessage> =
-            c.read_stream("/c", &["/imu"]).unwrap().map(|r| r.unwrap()).collect();
-        assert_eq!(got, msgs);
+        let results: Vec<_> = c.read_stream("/c", &["/imu"]).unwrap().collect();
+        assert_eq!(results.len(), 1);
+        assert!(matches!(results[0], Err(ClientError::Server { code: ErrorCode::BadRequest, .. })));
+        assert_eq!(t.sends.load(Ordering::SeqCst), 1, "exactly one request frame was sent");
+        assert_eq!(t.steps.lock().unwrap().len(), 1, "nothing was read past the error");
 
-        // A BadRequest *after* the stream started is a real error, not a
-        // downgrade cue — it must surface, not trigger a blind retry.
+        // Mid-stream it is just as terminal.
         let t = ScriptedTransport::new(vec![
             Step::Reply(Response::StreamChunk(msgs.clone())),
             server_err(ErrorCode::BadRequest),

@@ -95,9 +95,9 @@ pub const CORR_LEN: usize = 1 + 4;
 /// `READ_STREAM2`: identical fields to `READ_STREAM`, but the request
 /// opcode doubles as a capability bit — a client that sends it declares
 /// it can decode [`Response::StreamChunkLz`] frames, so the server is
-/// free to ship each chunk LZ-compressed. An old server answers the
-/// unknown opcode with a clean `BadRequest` error, which is the client's
-/// cue to fall back to plain `READ_STREAM` (see `ServeClient`).
+/// free to ship each chunk LZ-compressed. `ServeClient` always sends it
+/// (both ends ship together, so there is no older server to probe for);
+/// plain `READ_STREAM` stays for peers that want uncompressed chunks.
 const OP_READ_STREAM2: u8 = 0x12;
 
 /// `QUERY`: execute a `bora-query` statement against a container and

@@ -1,17 +1,25 @@
 //! The query server: a bounded request queue feeding a worker pool.
 //!
 //! ```text
-//!  client conns ──▶ submit() ──try_send──▶ [bounded queue] ──▶ worker 0..N
-//!                      │                                          │
-//!                      │ full? ◀── Response::Overloaded           ├─ HandleCache (pinned LRU)
-//!                      └──────── reply channel ◀──────────────────┘
+//!  transport ──▶ submit_streamed_framed ──try_send──▶ [bounded queue] ──▶ worker 0..N
+//!                      │  (control ops answered inline)                    │
+//!                      │ full? ◀── Response::Overloaded            Source{pinned handle | snapshot}
+//!                      │                                                   │
+//!                      └──────── reply channel ◀──────────────────── scan / cursor
 //! ```
 //!
-//! Backpressure is explicit: `submit` never blocks on a full queue — it
+//! Backpressure is explicit: submitting never blocks on a full queue — it
 //! sheds the request with [`Response::Overloaded`] so the client decides
 //! whether to retry. The control-plane ops (`STATS`, `SHUTDOWN`) bypass
 //! the queue entirely, which is what makes an overloaded server
 //! observable: you can always ask it how overloaded it is.
+//!
+//! Every read op reaches the one k-way merge the same way: a worker opens
+//! a `Source` (a static container's pinned cache handle, or a live
+//! root's MVCC snapshot — "a static container is a snapshot with empty
+//! tails"), builds one `MessageStream` over it, and either `scan`s it
+//! into message batches (`READ`, `READ_STREAM`, `READ_STREAM2` differ
+//! only in their sink) or hands it to a query cursor (`QUERY`).
 //!
 //! Workers register with a [`simfs::ConcurrencyGauge`], so on cost-model
 //! backends each request's virtual I/O time reflects how many workers
@@ -23,15 +31,15 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use bora::{BoraError, BufferPool, StreamOptions};
-use bora_ingest::IngestStore;
+use bora::{BoraError, BoraResult, BufferPool, MessageStream};
+use bora_ingest::{IngestStore, Snapshot};
 use bora_obs::TraceContext;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use ros_msgs::Time;
 use simfs::{ConcurrencyGauge, IoCtx, Storage};
 
-use crate::cache::HandleCache;
+use crate::cache::{HandleCache, PinnedBag};
 use crate::metrics::Metrics;
 use crate::proto::{
     compress_chunk, ContainerStat, ErrorCode, MetricsReport, PingInfo, Request, Response,
@@ -127,7 +135,7 @@ struct Shared<S: Storage> {
 }
 
 /// A running bora-serve instance. Cheap to share via `Arc`; transports
-/// call [`Server::submit`] once per decoded request.
+/// call [`Server::submit_streamed_framed`] once per decoded request.
 pub struct Server<S: Storage> {
     shared: Arc<Shared<S>>,
     tx: Sender<Job>,
@@ -174,174 +182,48 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
         })
     }
 
-    /// Handle one request to completion. Control-plane ops answer inline;
-    /// data ops go through the bounded queue and may come back
-    /// [`Response::Overloaded`].
+    /// Handle one single-response request to completion: the last (only)
+    /// frame of [`Server::submit_streamed`].
     pub fn submit(&self, req: Request) -> Response {
-        self.submit_traced(req, None)
+        let mut last = None;
+        self.submit_streamed(req, &mut |resp| {
+            last = Some(resp);
+            true
+        });
+        last.expect("submit_streamed emits a terminal frame on every path")
     }
 
-    /// [`Server::submit`] carrying the client's trace context, if the
-    /// transport decoded one: the worker adopts it, so every server-side
-    /// span of this request parents under the client's span.
-    pub fn submit_traced(&self, req: Request, tctx: Option<TraceContext>) -> Response {
-        self.submit_framed(req, tctx, None)
+    /// [`Server::submit_streamed_framed`] for a request that arrived with
+    /// no trace context and no deadline budget.
+    pub fn submit_streamed(&self, req: Request, emit: &mut dyn FnMut(Response) -> bool) -> bool {
+        self.submit_streamed_framed(req, None, None, emit)
     }
 
-    /// [`Server::submit_traced`] carrying the client's deadline budget,
-    /// if the transport decoded one. Control-plane ops ignore it (they
-    /// answer inline and must stay reachable under overload); data ops
-    /// carry it to the worker, which sheds the job if its queue wait
-    /// already exceeded the budget — the client has given up or is about
-    /// to, so doing the work would burn a worker on a dead request.
-    pub fn submit_framed(
-        &self,
-        req: Request,
-        tctx: Option<TraceContext>,
-        deadline_ns: Option<u64>,
-    ) -> Response {
-        match req {
-            Request::Stats => Response::Stats(self.stats()),
-            // METRICS is control-plane for the same reason PING is: the
-            // telemetry poller must see an overloaded node, not be shed
-            // by it.
-            Request::Metrics => Response::Metrics(self.metrics_report()),
-            // PING answers inline for the same reason STATS does: the
-            // health tracker must hear from an overloaded server, and the
-            // queue depth in the reply is the overload signal itself.
-            Request::Ping => Response::Pong(self.ping()),
-            // TRACE drains the process-wide span buffers; like STATS it
-            // answers inline so a wedged pool can still be profiled. With
-            // tracing disabled the document is just empty.
-            Request::Trace => {
-                Response::Trace(bora_obs::chrome_trace(&bora_obs::drain(), bora_obs::dropped()))
-            }
-            Request::Shutdown => {
-                self.begin_shutdown();
-                Response::ShuttingDown
-            }
-            // A streamed read through the single-response API degrades
-            // to a buffered read: aggregate the chunk frames. Byte-wise
-            // the result is identical to `Request::Read` over the same
-            // query — the pipeline is the same, only the framing differs.
-            req @ (Request::ReadStream { .. } | Request::ReadStream2 { .. }) => {
-                let mut messages: Vec<WireMessage> = Vec::new();
-                let mut out = Response::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "worker exited before replying".into(),
-                };
-                self.submit_streamed_framed(req, tctx, deadline_ns, &mut |resp| {
-                    match resp {
-                        Response::StreamChunk(mut chunk) => messages.append(&mut chunk),
-                        Response::StreamChunkLz(frame) => {
-                            match crate::proto::decompress_chunk(&frame) {
-                                Ok(mut chunk) => messages.append(&mut chunk),
-                                Err(e) => {
-                                    out = Response::Error {
-                                        code: ErrorCode::Corrupt,
-                                        message: e.to_string(),
-                                    };
-                                    return false;
-                                }
-                            }
-                        }
-                        Response::StreamEnd { .. } => {
-                            out = Response::Read(std::mem::take(&mut messages));
-                        }
-                        other => out = other,
-                    }
-                    true
-                });
-                out
-            }
-            // A query through the single-response API degrades the same
-            // way: collect the frames, fold them into the one response
-            // that answers what was asked (rows for a plain query, the
-            // plan for EXPLAIN).
-            req @ Request::Query { .. } => {
-                let mut frames = Vec::new();
-                self.submit_streamed_framed(req, tctx, deadline_ns, &mut |resp| {
-                    frames.push(resp);
-                    true
-                });
-                fold_query_frames(frames)
-            }
-            req => {
-                if self.is_shutting_down() {
-                    return Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "server is shutting down".into(),
-                    };
-                }
-                // Appends shed *before* reads: the queue admits them only
-                // while less than half full, so a recording robot under a
-                // write burst backs off while analysts' queries still land.
-                if matches!(req, Request::Append { .. })
-                    && self.tx.len() >= (self.queue_capacity / 2).max(1)
-                {
-                    self.shared.metrics.record_shed();
-                    bora_obs::counter("serve.append_shed").inc();
-                    return Response::Overloaded;
-                }
-                let (reply_tx, reply_rx) = channel::bounded(1);
-                let job = Job::Work {
-                    req,
-                    reply: reply_tx,
-                    submitted: Instant::now(),
-                    tctx,
-                    submitted_ns: obs_now(),
-                    deadline_ns,
-                };
-                match self.tx.try_send(job) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        self.shared.metrics.record_shed();
-                        return Response::Overloaded;
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        return Response::Error {
-                            code: ErrorCode::ShuttingDown,
-                            message: "worker pool stopped".into(),
-                        };
-                    }
-                }
-                reply_rx.recv().unwrap_or(Response::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "worker exited before replying".into(),
-                })
-            }
-        }
-    }
-
-    /// Handle one request, delivering every response frame through `emit`.
+    /// Handle one request, delivering every response frame through `emit`
+    /// — the one way into the server; transports call it once per decoded
+    /// frame.
     ///
-    /// For single-response ops this is exactly [`Server::submit`] plus one
-    /// `emit` call. For [`Request::ReadStream`] it emits zero or more
-    /// [`Response::StreamChunk`] frames followed by a terminal frame
-    /// ([`Response::StreamEnd`] on success, an error/overload response
-    /// otherwise). The reply channel is bounded ([`STREAM_WINDOW`]): a
-    /// transport that is slow to `emit` throttles the worker's merge loop.
+    /// Control-plane ops answer inline with one frame. Data ops go through
+    /// the bounded queue (and may come back [`Response::Overloaded`]): a
+    /// single-response op emits one frame; `READ_STREAM`/`READ_STREAM2`
+    /// emit zero or more chunk frames and `QUERY` a schema frame and row
+    /// chunks, each followed by a terminal frame (`StreamEnd`/`QueryEnd`
+    /// on success, an error/overload response otherwise). The reply
+    /// channel is bounded ([`STREAM_WINDOW`]): a transport that is slow to
+    /// `emit` throttles the worker's merge loop.
+    ///
+    /// `tctx` is the client's trace context, if the transport decoded one:
+    /// the worker adopts it, so every server-side span of this request
+    /// parents under the client's span. `deadline_ns` is the client's
+    /// deadline budget, if any. Control-plane ops ignore it (they must
+    /// stay reachable under overload); a worker sheds a data op whose
+    /// queue wait already exceeded the budget — the client has given up or
+    /// is about to, so doing the work would burn a worker on a dead
+    /// request.
     ///
     /// Returns `false` once `emit` does — the transport lost its client —
     /// at which point the in-flight stream is aborted server-side (the
     /// worker's next send fails and it drops the cache pin).
-    pub fn submit_streamed(&self, req: Request, emit: &mut dyn FnMut(Response) -> bool) -> bool {
-        self.submit_streamed_traced(req, None, emit)
-    }
-
-    /// [`Server::submit_streamed`] carrying the client's trace context;
-    /// see [`Server::submit_traced`].
-    pub fn submit_streamed_traced(
-        &self,
-        req: Request,
-        tctx: Option<TraceContext>,
-        emit: &mut dyn FnMut(Response) -> bool,
-    ) -> bool {
-        self.submit_streamed_framed(req, tctx, None, emit)
-    }
-
-    /// [`Server::submit_streamed_traced`] carrying the client's deadline
-    /// budget; see [`Server::submit_framed`].
     pub fn submit_streamed_framed(
         &self,
         req: Request,
@@ -349,17 +231,43 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
         deadline_ns: Option<u64>,
         emit: &mut dyn FnMut(Response) -> bool,
     ) -> bool {
-        if !matches!(
-            req,
-            Request::ReadStream { .. } | Request::ReadStream2 { .. } | Request::Query { .. }
-        ) {
-            return emit(self.submit_framed(req, tctx, deadline_ns));
-        }
+        let req = match req {
+            Request::Stats => return emit(Response::Stats(self.stats())),
+            // METRICS is control-plane for the same reason PING is: the
+            // telemetry poller must see an overloaded node, not be shed
+            // by it.
+            Request::Metrics => return emit(Response::Metrics(self.metrics_report())),
+            // PING answers inline for the same reason STATS does: the
+            // health tracker must hear from an overloaded server, and the
+            // queue depth in the reply is the overload signal itself.
+            Request::Ping => return emit(Response::Pong(self.ping())),
+            // TRACE drains the process-wide span buffers; like STATS it
+            // answers inline so a wedged pool can still be profiled. With
+            // tracing disabled the document is just empty.
+            Request::Trace => {
+                return emit(Response::Trace(bora_obs::chrome_trace(
+                    &bora_obs::drain(),
+                    bora_obs::dropped(),
+                )))
+            }
+            Request::Shutdown => {
+                self.begin_shutdown();
+                return emit(Response::ShuttingDown);
+            }
+            data_op => data_op,
+        };
         if self.is_shutting_down() {
-            return emit(Response::Error {
-                code: ErrorCode::ShuttingDown,
-                message: "server is shutting down".into(),
-            });
+            return emit(shutting_down("server is shutting down"));
+        }
+        // Appends shed *before* reads: the queue admits them only while
+        // less than half full, so a recording robot under a write burst
+        // backs off while analysts' queries still land.
+        if matches!(req, Request::Append { .. })
+            && self.tx.len() >= (self.queue_capacity / 2).max(1)
+        {
+            self.shared.metrics.record_shed();
+            bora_obs::counter("serve.append_shed").inc();
+            return emit(Response::Overloaded);
         }
         let (reply_tx, reply_rx) = channel::bounded(STREAM_WINDOW);
         let job = Job::Work {
@@ -377,26 +285,15 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
                 return emit(Response::Overloaded);
             }
             Err(TrySendError::Disconnected(_)) => {
-                return emit(Response::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "worker pool stopped".into(),
-                });
+                return emit(shutting_down("worker pool stopped"));
             }
         }
         loop {
-            let resp = match reply_rx.recv() {
-                Ok(resp) => resp,
-                Err(_) => {
-                    // Worker died mid-stream without a terminal frame.
-                    return emit(Response::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "worker exited mid-stream".into(),
-                    });
-                }
+            let Ok(resp) = reply_rx.recv() else {
+                return emit(shutting_down("worker exited before its terminal frame"));
             };
-            // Query streams interleave schema and row-chunk frames before
-            // their terminal QueryEnd; treating any of them as terminal
-            // would stop the drain with the worker still producing.
+            // Stream chunks and a query's schema / row-chunk frames precede
+            // the terminal frame; every other response is one.
             let terminal = !matches!(
                 resp,
                 Response::StreamChunk(_)
@@ -540,6 +437,10 @@ fn obs_now() -> u64 {
     }
 }
 
+fn shutting_down(message: &str) -> Response {
+    Response::Error { code: ErrorCode::ShuttingDown, message: message.into() }
+}
+
 fn worker_loop<S: Storage + Clone>(shared: &Shared<S>, rx: &Receiver<Job>) {
     // Lane convention: pid 0 is the client; servers are `server_id + 1`.
     bora_obs::set_thread_node(shared.server_id + 1);
@@ -550,20 +451,6 @@ fn worker_loop<S: Storage + Clone>(shared: &Shared<S>, rx: &Receiver<Job>) {
                 (req, reply, submitted, tctx, submitted_ns, deadline_ns)
             }
         };
-        // Control-plane ops never reach the queue (submit answers them
-        // inline); seeing one here means a transport bypassed submit.
-        // They must not hit the metrics table, whose op names are
-        // data-plane only.
-        if matches!(
-            req,
-            Request::Stats | Request::Metrics | Request::Trace | Request::Ping | Request::Shutdown
-        ) {
-            let _ = reply.send(Response::Error {
-                code: ErrorCode::BadRequest,
-                message: "control op routed to worker".into(),
-            });
-            continue;
-        }
         // Everything this request records now parents under the client's
         // span (a no-op guard when the request carried no context).
         let _trace = bora_obs::adopt_context(tctx);
@@ -591,28 +478,15 @@ fn worker_loop<S: Storage + Clone>(shared: &Shared<S>, rx: &Receiver<Job>) {
                 continue;
             }
         }
-        let container = req.container().map(str::to_owned).unwrap_or_default();
         let active = shared.gauge.enter();
         let mut ctx = active.ctx();
         let op = req.op_name();
         let sp = bora_obs::span(span_name(op));
-        // Streaming ops: chunk frames go out on `reply` as the merge
-        // yields; the terminal frame (StreamEnd or error) is returned
-        // and sent below, *after* the metrics record — so a client
-        // that has consumed the stream is guaranteed to see the op
-        // counted by a subsequent STATS.
-        let resp = match req {
-            Request::ReadStream { ref container, ref topics, range } => {
-                handle_stream(shared, container, topics, range, false, &reply, &mut ctx)
-            }
-            Request::ReadStream2 { ref container, ref topics, range } => {
-                handle_stream(shared, container, topics, range, true, &reply, &mut ctx)
-            }
-            Request::Query { ref container, ref sql, partial } => {
-                handle_query(shared, container, sql, partial, &reply, &mut ctx)
-            }
-            other => Some(handle(shared, other, &mut ctx)),
-        };
+        // Chunk frames go out on `reply` as the merge yields; the
+        // terminal (or only) frame is returned and sent below, *after*
+        // the metrics record — so a client that has seen the op complete
+        // is guaranteed to see it counted by a subsequent STATS.
+        let resp = handle(shared, &req, &reply, &mut ctx);
         sp.end_virt(ctx.elapsed_ns());
         drop(active);
         let wall_ns = submitted.elapsed().as_nanos() as u64;
@@ -625,7 +499,7 @@ fn worker_loop<S: Storage + Clone>(shared: &Shared<S>, rx: &Receiver<Job>) {
             ring.push_back(SlowOpEntry {
                 trace_id: tctx.map(|c| c.trace_id).unwrap_or(0),
                 op: op.to_owned(),
-                container,
+                container: req.container().unwrap_or_default().to_owned(),
                 wall_ns: wall_ns - queue_wait_ns,
                 queue_wait_ns,
                 server_id: shared.server_id,
@@ -664,7 +538,7 @@ fn ingest_for<S: Storage + Clone>(
     shared: &Shared<S>,
     container: &str,
     ctx: &mut IoCtx,
-) -> Result<Option<Arc<IngestStore<S>>>, BoraError> {
+) -> BoraResult<Option<Arc<IngestStore<S>>>> {
     if let Some(st) = shared.ingests.lock().get(container) {
         return Ok(Some(Arc::clone(st)));
     }
@@ -684,208 +558,279 @@ fn ingest_for<S: Storage + Clone>(
     Ok(Some(Arc::clone(reg.entry(container.to_owned()).or_insert(opened))))
 }
 
-/// Serve a read over a live ingest root from an MVCC snapshot, chunked
-/// into stream frames. The snapshot materializes the merge (memtable and
-/// sealed segments are memory-resident anyway); byte-wise the result is
-/// identical to the same query against the compacted container.
-fn stream_snapshot<S: Storage + Clone>(
-    store: &IngestStore<S>,
-    topics: &[String],
-    range: Option<(Time, Time)>,
-    lz: bool,
-    reply: &Sender<Response>,
+/// The live ingest store behind a write op (`APPEND`, `SEAL`).
+fn live_store<S: Storage + Clone>(
+    shared: &Shared<S>,
+    container: &str,
     ctx: &mut IoCtx,
-) -> Result<Option<Response>, BoraError> {
-    let snap = store.snapshot(ctx)?;
-    let refs: Vec<&str> = topics.iter().map(String::as_str).collect();
-    let records = match range {
-        Some((start, end)) => snap.read_time_range(&refs, start, end, ctx)?,
-        None => snap.read_topics(&refs, ctx)?,
-    };
-    let total = records.len() as u64;
+) -> BoraResult<Arc<IngestStore<S>>> {
+    ingest_for(shared, container, ctx)?
+        .ok_or_else(|| BoraError::NotAContainer(format!("{container}: not a live ingest root")))
+}
+
+/// What a read op reads from: a static container through its pinned
+/// cache handle, or a live ingest root through an MVCC snapshot. A
+/// static container is a snapshot with empty tails, so both answer the
+/// same questions and feed the same merge. They differ in one place —
+/// what a request for a topic the source lacks gets:
+///
+/// | op                          | static root    | live root |
+/// |-----------------------------|----------------|-----------|
+/// | `READ`, `READ_STREAM{,2}`   | `UnknownTopic` | empty     |
+/// | `QUERY`                     | skipped        | skipped   |
+///
+/// A recording may start producing the topic one epoch later, so on a
+/// live root its absence is not an error. And a topic a live root holds
+/// only in its tail (not yet compacted) has no recorded datatype, so a
+/// query reads its message fields as null.
+///
+/// The pin (or the snapshot's generation handle) lives as long as the
+/// `Source`, so a burst of opens for other containers — or a compaction —
+/// cannot pull the files out from under an in-flight stream.
+enum Source<'c, S: Storage> {
+    Static(PinnedBag<'c, S>),
+    Live(Snapshot<S>),
+}
+
+impl<'c, S: Storage + Clone> Source<'c, S> {
+    fn open(shared: &'c Shared<S>, container: &str, ctx: &mut IoCtx) -> BoraResult<Self> {
+        Ok(match ingest_for(shared, container, ctx)? {
+            Some(store) => Source::Live(store.snapshot(ctx)?),
+            None => Source::Static(shared.cache.get_or_open(&shared.storage, container, ctx)?),
+        })
+    }
+
+    /// Every topic the source holds, sorted.
+    fn topics(&self) -> Vec<String> {
+        match self {
+            Source::Static(pinned) => {
+                pinned.bag().topics().into_iter().map(str::to_owned).collect()
+            }
+            Source::Live(snap) => snap.topics(),
+        }
+    }
+
+    /// Topic → ROS datatype, for query field access.
+    fn datatypes(&self) -> HashMap<String, String> {
+        match self {
+            Source::Static(pinned) => pinned.bag().meta().datatypes(),
+            Source::Live(snap) => snap.datatypes(),
+        }
+    }
+
+    /// The one k-way merge over `topics`, optionally time-bounded.
+    fn stream(
+        &self,
+        topics: &[&str],
+        range: Option<(Time, Time)>,
+        ctx: &mut IoCtx,
+    ) -> BoraResult<MessageStream<'_, S>> {
+        match self {
+            Source::Static(pinned) => pinned.bag().stream_topics_with_tails(
+                topics,
+                Vec::new(),
+                range,
+                Default::default(),
+                ctx,
+            ),
+            Source::Live(snap) => snap.stream(topics, range, ctx),
+        }
+    }
+}
+
+/// Drain `stream` in batches of at most [`STREAM_CHUNK_MSGS`] messages,
+/// handing each to `sink` (which empties it). Returns the message total,
+/// or `None` when `sink` reported its receiver gone — the stream is
+/// aborted, and the virtual time already spent is still folded into `ctx`
+/// so metrics stay honest.
+fn scan<S: Storage>(
+    mut stream: MessageStream<'_, S>,
+    ctx: &mut IoCtx,
+    sink: &mut dyn FnMut(&mut Vec<WireMessage>, &mut IoCtx) -> bool,
+) -> BoraResult<Option<u64>> {
     let mut batch: Vec<WireMessage> = Vec::with_capacity(STREAM_CHUNK_MSGS);
-    for rec in records {
-        batch.push(WireMessage::from(rec));
-        if batch.len() >= STREAM_CHUNK_MSGS
-            && reply.send(chunk_frame(std::mem::take(&mut batch), lz, ctx)).is_err()
-        {
+    let mut total = 0u64;
+    while let Some(msg) = stream.next_msg(ctx)? {
+        batch.push(WireMessage::from(msg.to_record()));
+        total += 1;
+        if batch.len() >= STREAM_CHUNK_MSGS && !sink(&mut batch, ctx) {
+            stream.charge_into(ctx);
             return Ok(None);
         }
     }
-    if !batch.is_empty() && reply.send(chunk_frame(batch, lz, ctx)).is_err() {
+    if !batch.is_empty() && !sink(&mut batch, ctx) {
         return Ok(None);
     }
-    Ok(Some(Response::StreamEnd { messages: total }))
+    Ok(Some(total))
 }
 
-/// Encode one outgoing stream batch in the encoding the client
-/// negotiated: `READ_STREAM2` clients get LZ chunk frames (with the
-/// codec's raw fallback for incompressible batches), plain clients get
-/// the classic chunk.
-fn chunk_frame(batch: Vec<WireMessage>, lz: bool, ctx: &mut IoCtx) -> Response {
-    if lz {
-        bora_obs::counter("serve.stream_chunk_lz").inc();
-        compress_chunk(&batch, ctx)
-    } else {
-        Response::StreamChunk(batch)
-    }
-}
-
-/// Run a [`Request::ReadStream`], sending chunk frames on `reply` as the
-/// k-way merge yields messages. The terminal frame ([`Response::StreamEnd`]
-/// or an error) is *returned*, not sent: the worker loop sends it after
-/// recording metrics, so the op is counted before any client can observe
-/// stream completion. `None` means the receiver disappeared mid-stream
-/// (client hung up, or `submit_streamed` returned early) and there is
-/// nobody left to send a terminal frame to.
-///
-/// The cache pin (`pinned`) is held for the whole stream: a burst of
-/// opens for other containers cannot evict the handle under an in-flight
-/// stream. On hang-up the stream is aborted — the pin drops, and the
-/// virtual time already spent is still folded into `ctx` so metrics stay
-/// honest.
-fn handle_stream<S: Storage + Clone>(
+/// Run one data-plane op. Chunk frames of a streamed answer are sent on
+/// `reply` as they are produced; the terminal (or only) frame is
+/// *returned*, so the worker loop can record the op before any client
+/// observes its completion. `None` means the receiver disappeared
+/// mid-stream (client hung up) and there is nobody left to answer.
+fn handle<S: Storage + Clone>(
     shared: &Shared<S>,
-    container: &str,
-    topics: &[String],
-    range: Option<(Time, Time)>,
-    lz: bool,
+    req: &Request,
     reply: &Sender<Response>,
     ctx: &mut IoCtx,
 ) -> Option<Response> {
-    let result = (|| -> Result<Option<Response>, BoraError> {
-        if let Some(store) = ingest_for(shared, container, ctx)? {
-            return stream_snapshot(&store, topics, range, lz, reply, ctx);
-        }
-        let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
-        let refs: Vec<&str> = topics.iter().map(String::as_str).collect();
-        let opts = StreamOptions::default();
-        let mut stream = match range {
-            Some((start, end)) => pinned.bag().stream_topics_time(&refs, start, end, opts, ctx)?,
-            None => pinned.bag().stream_topics(&refs, opts, ctx)?,
-        };
-        let mut batch: Vec<WireMessage> = Vec::with_capacity(STREAM_CHUNK_MSGS);
-        let mut total = 0u64;
-        while let Some(msg) = stream.next_msg(ctx)? {
-            batch.push(WireMessage::from(msg.to_record()));
-            total += 1;
-            if batch.len() >= STREAM_CHUNK_MSGS
-                && reply.send(chunk_frame(std::mem::take(&mut batch), lz, ctx)).is_err()
-            {
-                stream.charge_into(ctx);
-                return Ok(None);
+    let result = (|| -> BoraResult<Option<Response>> {
+        Ok(Some(match req {
+            // The three metadata ops describe a *committed* container, so
+            // they go straight to the handle cache: a live root has nothing
+            // committed to describe (it answers `NotAContainer`), and a
+            // static one should not pay `Source::open`'s live-root probe.
+            Request::Open { container }
+            | Request::Meta { container }
+            | Request::Stat { container } => {
+                let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
+                let meta = pinned.bag().meta();
+                match req {
+                    Request::Open { .. } => {
+                        Response::Opened { stat: stat_of(meta), cached: pinned.was_hit }
+                    }
+                    Request::Meta { .. } => Response::Meta(meta.encode()),
+                    _ => Response::Stat(stat_of(meta)),
+                }
             }
-        }
-        if !batch.is_empty() && reply.send(chunk_frame(batch, lz, ctx)).is_err() {
-            return Ok(None);
-        }
-        Ok(Some(Response::StreamEnd { messages: total }))
+            Request::Topics { container } => {
+                Response::Topics(Source::open(shared, container, ctx)?.topics())
+            }
+            Request::Append { container, messages } => {
+                let store = live_store(shared, container, ctx)?;
+                for m in messages {
+                    store.append(&m.topic, m.time, &m.data, ctx)?;
+                }
+                // The ack promises durability for the whole batch, so any
+                // frames still parked in a group-commit buffer go down now.
+                store.flush_wal(ctx)?;
+                Response::Appended { appended: messages.len() as u64, epoch: store.epoch() }
+            }
+            Request::Seal { container, compact } => {
+                let store = live_store(shared, container, ctx)?;
+                store.seal(ctx)?;
+                if *compact {
+                    store.compact(ctx)?;
+                }
+                Response::Sealed {
+                    epoch: store.epoch(),
+                    sealed_segments: store.stat().sealed_batches as u32,
+                }
+            }
+            Request::Read { container, topics, range } => {
+                let source = Source::open(shared, container, ctx)?;
+                let stream = source.stream(&strs(topics), *range, ctx)?;
+                let mut messages = Vec::with_capacity(stream.remaining() as usize);
+                scan(stream, ctx, &mut |batch, _| {
+                    messages.append(batch);
+                    true
+                })?;
+                Response::Read(messages)
+            }
+            Request::ReadStream { container, topics, range }
+            | Request::ReadStream2 { container, topics, range } => {
+                // The `READ_STREAM2` opcode is the client declaring it
+                // decodes LZ chunk frames (with the codec's raw fallback
+                // for incompressible batches); plain clients get the
+                // classic chunk.
+                let lz = matches!(req, Request::ReadStream2 { .. });
+                let source = Source::open(shared, container, ctx)?;
+                let stream = source.stream(&strs(topics), *range, ctx)?;
+                let sent = scan(stream, ctx, &mut |batch, ctx| {
+                    let batch = std::mem::take(batch);
+                    let frame = if lz {
+                        bora_obs::counter("serve.stream_chunk_lz").inc();
+                        compress_chunk(&batch, ctx)
+                    } else {
+                        Response::StreamChunk(batch)
+                    };
+                    reply.send(frame).is_ok()
+                })?;
+                match sent {
+                    Some(messages) => Response::StreamEnd { messages },
+                    None => return Ok(None),
+                }
+            }
+            Request::Query { container, sql, partial } => {
+                // A statement that fails to compile — or is found at fault
+                // at execution time (partial mode on a non-aggregate
+                // statement) — answers `BadQuery` with the caret rendering:
+                // the client's mistake, the connection stays usable.
+                // Storage failures mid-scan keep their wire categories (and
+                // the eviction policy below), so retry layers treat a query
+                // exactly like a read of the same container.
+                return query(shared, container, sql, *partial, reply, ctx).or_else(|e| {
+                    match e.into_storage() {
+                        Ok(storage) => Err(storage),
+                        Err(statement) => {
+                            bora_obs::counter("serve.bad_query").inc();
+                            Ok(Some(Response::Error {
+                                code: ErrorCode::BadQuery,
+                                message: statement.render_caret(sql),
+                            }))
+                        }
+                    }
+                });
+            }
+            Request::Stats
+            | Request::Metrics
+            | Request::Trace
+            | Request::Ping
+            | Request::Shutdown => {
+                unreachable!("control ops are answered inline by submit_streamed_framed")
+            }
+        }))
     })();
-    match result {
-        Ok(terminal) => terminal,
-        Err(e) => {
-            if matches!(e, BoraError::ChecksumMismatch { .. }) && shared.cache.invalidate(container)
-            {
-                bora_obs::counter("serve.evict_checksum").inc();
-            }
-            Some(error_response(e))
+    result.unwrap_or_else(|e| {
+        // A checksum failure means the cached handle (and its quarantine
+        // state) may be poisoned or the medium changed under us: evict so
+        // the next request reopens and re-verifies from scratch instead
+        // of serving from a suspect handle.
+        if matches!(e, BoraError::ChecksumMismatch { .. })
+            && req.container().is_some_and(|root| shared.cache.invalidate(root))
+        {
+            bora_obs::counter("serve.evict_checksum").inc();
         }
-    }
+        Some(error_response(e))
+    })
 }
 
-/// Run a [`Request::Query`], sending the schema frame and row chunks on
-/// `reply` as the cursor yields; the terminal frame ([`Response::QueryEnd`]
-/// or an error) is *returned*, like [`handle_stream`]. A statement that
-/// fails to compile answers [`ErrorCode::BadQuery`] with the caret
-/// rendering — the client's mistake, the connection stays usable.
-/// Storage failures mid-scan keep their existing wire categories (and
-/// the checksum eviction policy) so retry layers treat a query exactly
-/// like a read of the same container.
-fn handle_query<S: Storage + Clone>(
+fn strs(topics: &[String]) -> Vec<&str> {
+    topics.iter().map(String::as_str).collect()
+}
+
+/// Run a [`Request::Query`]: the schema frame and row chunks go out on
+/// `reply` as the cursor yields, the terminal [`Response::QueryEnd`] is
+/// returned. `EXPLAIN` renders the plan without executing; `EXPLAIN
+/// ANALYZE` executes and streams rows like a plain query, then annotates
+/// the plan with the observed operator counts in the terminal frame.
+/// `None` means the client hung up mid-stream.
+fn query<S: Storage + Clone>(
     shared: &Shared<S>,
     container: &str,
     sql: &str,
     partial: bool,
     reply: &Sender<Response>,
     ctx: &mut IoCtx,
-) -> Option<Response> {
+) -> bora_query::QueryResult<Option<Response>> {
     // Compile before touching storage.
-    let p = match bora_query::prepare(sql) {
-        Ok(p) => p,
-        Err(e) => {
-            bora_obs::counter("serve.bad_query").inc();
-            return Some(Response::Error {
-                code: ErrorCode::BadQuery,
-                message: e.render_caret(sql),
-            });
-        }
-    };
-    let result = (|| -> Result<Option<Response>, bora_query::QueryError> {
-        if let Some(store) = ingest_for(shared, container, ctx)? {
-            // Live root: execute over an MVCC snapshot, with the plan's
-            // pushed-down time range and topic set shaping the snapshot
-            // read. Datatypes come from the pinned generation's meta; a
-            // topic still tail-only has none yet and its fields read as
-            // null until the next compaction.
-            let snap = store.snapshot(ctx)?;
-            let datatypes = snap.datatypes(ctx)?;
-            let refs: Vec<&str> = p.plan.scan.topics.iter().map(String::as_str).collect();
-            let records = match p.plan.scan.range {
-                Some((lo, hi)) => snap.read_time_range(
-                    &refs,
-                    Time::from_nanos(lo.min(bora_query::MAX_TIME_NS)),
-                    Time::from_nanos(hi.min(bora_query::MAX_TIME_NS)),
-                    ctx,
-                )?,
-                None => snap.read_topics(&refs, ctx)?,
-            };
-            let mut cur = p.cursor_records(records, datatypes, partial)?;
-            drain_query(&p, &mut cur, reply)
-        } else {
-            let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
-            let mut cur = p.cursor_bag(pinned.bag(), partial, ctx)?;
-            drain_query(&p, &mut cur, reply)
-        }
-    })();
-    match result {
-        Ok(terminal) => terminal,
-        Err(e) => Some(match e.into_storage() {
-            Ok(be) => {
-                if matches!(be, BoraError::ChecksumMismatch { .. })
-                    && shared.cache.invalidate(container)
-                {
-                    bora_obs::counter("serve.evict_checksum").inc();
-                }
-                error_response(be)
-            }
-            // Semantic failures surfaced at execution time (partial mode
-            // on a non-aggregate statement, a bad wire blob) are still
-            // the statement's fault.
-            Err(qe) => {
-                bora_obs::counter("serve.bad_query").inc();
-                Response::Error { code: ErrorCode::BadQuery, message: qe.render_caret(sql) }
-            }
-        }),
-    }
-}
-
-/// Stream one prepared query's answer: schema frame, then row chunks.
-/// `EXPLAIN` renders the plan without executing; `EXPLAIN ANALYZE`
-/// executes and streams rows like a plain query, then annotates the
-/// plan with the observed operator counts in the terminal frame. `None`
-/// means the client hung up mid-stream.
-fn drain_query<S: Storage>(
-    p: &bora_query::Prepared,
-    cur: &mut bora_query::Cursor<'_, S>,
-    reply: &Sender<Response>,
-) -> Result<Option<Response>, bora_query::QueryError> {
+    let p = bora_query::prepare(sql)?;
+    let source = Source::open(shared, container, ctx)?;
+    // FROM topics the source lacks are skipped (a fleet query runs over
+    // heterogeneous containers).
+    let held = source.topics();
+    let topics: Vec<&str> =
+        strs(&p.plan.scan.topics).into_iter().filter(|t| held.iter().any(|h| h == t)).collect();
+    let stream = source.stream(&topics, p.scan_range(), ctx)?;
+    let mut cur = p.cursor_stream(stream, source.datatypes(), partial, ctx)?;
     if reply.send(Response::QuerySchema(cur.columns())).is_err() {
         return Ok(None);
     }
     if p.explain_mode() == bora_query::ExplainMode::Plan {
         return Ok(Some(Response::QueryEnd {
             rows: 0,
-            explain: bora_query::explain_text(p, None),
+            explain: bora_query::explain_text(&p, None),
         }));
     }
     let mut batch: Vec<bora_query::Row> = Vec::with_capacity(QUERY_CHUNK_ROWS);
@@ -907,183 +852,10 @@ fn drain_query<S: Storage>(
         return Ok(None);
     }
     let explain = match p.explain_mode() {
-        bora_query::ExplainMode::Analyze => bora_query::explain_text(p, Some(&cur.stats())),
+        bora_query::ExplainMode::Analyze => bora_query::explain_text(&p, Some(&cur.stats())),
         _ => String::new(),
     };
     Ok(Some(Response::QueryEnd { rows: total, explain }))
-}
-
-/// Fold a query's frame stream into the one response the single-frame
-/// API can carry: all row chunks re-encoded as one blob for a plain
-/// query, the terminal [`Response::QueryEnd`] when the statement was an
-/// EXPLAIN variant (the plan is what was asked for). Errors and
-/// overload frames pass through.
-fn fold_query_frames(frames: Vec<Response>) -> Response {
-    let mut rows: Vec<bora_query::Row> = Vec::new();
-    let mut out = Response::Error {
-        code: ErrorCode::ShuttingDown,
-        message: "worker exited before replying".into(),
-    };
-    for resp in frames {
-        match resp {
-            Response::QuerySchema(_) => {}
-            Response::QueryChunk(blob) => match bora_query::decode_rows(&blob) {
-                Ok(mut r) => rows.append(&mut r),
-                Err(e) => {
-                    return Response::Error { code: ErrorCode::Corrupt, message: e.to_string() }
-                }
-            },
-            Response::QueryEnd { rows: n, explain } => {
-                out = if explain.is_empty() {
-                    Response::QueryChunk(bora_query::encode_rows(&rows))
-                } else {
-                    Response::QueryEnd { rows: n, explain }
-                };
-            }
-            other => out = other,
-        }
-    }
-    out
-}
-
-fn handle<S: Storage + Clone>(shared: &Shared<S>, req: Request, ctx: &mut IoCtx) -> Response {
-    let container = req.container().map(str::to_owned);
-    let result = (|| -> Result<Response, BoraError> {
-        match &req {
-            Request::Open { container } => {
-                let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
-                Ok(Response::Opened { stat: stat_of(pinned.bag().meta()), cached: pinned.was_hit })
-            }
-            Request::Topics { container } => {
-                if let Some(store) = ingest_for(shared, container, ctx)? {
-                    let mut topics = store.snapshot(ctx)?.topics(ctx)?;
-                    topics.sort();
-                    return Ok(Response::Topics(topics));
-                }
-                let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
-                let mut topics: Vec<String> =
-                    pinned.bag().topics().into_iter().map(str::to_owned).collect();
-                topics.sort();
-                Ok(Response::Topics(topics))
-            }
-            Request::Append { container, messages } => {
-                let store = ingest_for(shared, container, ctx)?.ok_or_else(|| {
-                    BoraError::NotAContainer(format!("{container}: not a live ingest root"))
-                })?;
-                for m in messages {
-                    store.append(&m.topic, m.time, &m.data, ctx)?;
-                }
-                // The ack promises durability for the whole batch, so any
-                // frames still parked in a group-commit buffer go down now.
-                store.flush_wal(ctx)?;
-                Ok(Response::Appended { appended: messages.len() as u64, epoch: store.epoch() })
-            }
-            Request::Seal { container, compact } => {
-                let store = ingest_for(shared, container, ctx)?.ok_or_else(|| {
-                    BoraError::NotAContainer(format!("{container}: not a live ingest root"))
-                })?;
-                store.seal(ctx)?;
-                if *compact {
-                    store.compact(ctx)?;
-                }
-                Ok(Response::Sealed {
-                    epoch: store.epoch(),
-                    sealed_segments: store.stat().sealed_batches as u32,
-                })
-            }
-            Request::Meta { container } => {
-                let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
-                Ok(Response::Meta(pinned.bag().meta().encode()))
-            }
-            Request::Read { container, topics, range } => {
-                if let Some(store) = ingest_for(shared, container, ctx)? {
-                    let snap = store.snapshot(ctx)?;
-                    let refs: Vec<&str> = topics.iter().map(String::as_str).collect();
-                    let records = match range {
-                        Some((start, end)) => snap.read_time_range(&refs, *start, *end, ctx)?,
-                        None => snap.read_topics(&refs, ctx)?,
-                    };
-                    return Ok(Response::Read(records.into_iter().map(Into::into).collect()));
-                }
-                let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
-                let refs: Vec<&str> = topics.iter().map(String::as_str).collect();
-                let records = match range {
-                    Some((start, end)) => {
-                        pinned.bag().read_topics_time(&refs, *start, *end, ctx)?
-                    }
-                    None => pinned.bag().read_topics(&refs, ctx)?,
-                };
-                Ok(Response::Read(records.into_iter().map(Into::into).collect()))
-            }
-            // Normally routed to `handle_stream` by the worker loop; if
-            // one lands here anyway (future transports), serve it as a
-            // buffered read — the result bytes are identical.
-            Request::ReadStream { container, topics, range }
-            | Request::ReadStream2 { container, topics, range } => {
-                let refs: Vec<&str> = topics.iter().map(String::as_str).collect();
-                if let Some(store) = ingest_for(shared, container, ctx)? {
-                    let snap = store.snapshot(ctx)?;
-                    let records = match range {
-                        Some((start, end)) => snap.read_time_range(&refs, *start, *end, ctx)?,
-                        None => snap.read_topics(&refs, ctx)?,
-                    };
-                    return Ok(Response::Read(records.into_iter().map(Into::into).collect()));
-                }
-                let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
-                let opts = StreamOptions::default();
-                let stream = match range {
-                    Some((start, end)) => {
-                        pinned.bag().stream_topics_time(&refs, *start, *end, opts, ctx)?
-                    }
-                    None => pinned.bag().stream_topics(&refs, opts, ctx)?,
-                };
-                let records = stream.collect_records(ctx)?;
-                Ok(Response::Read(records.into_iter().map(Into::into).collect()))
-            }
-            Request::Stat { container } => {
-                let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
-                Ok(Response::Stat(stat_of(pinned.bag().meta())))
-            }
-            // Normally routed to `handle_query` by the worker loop; if
-            // one lands here anyway (future transports), drain the frames
-            // into memory and fold them to one response.
-            Request::Query { container, sql, partial } => {
-                let (tx, rx) = channel::unbounded();
-                let terminal = handle_query(shared, container, sql, *partial, &tx, ctx);
-                drop(tx);
-                let mut frames: Vec<Response> = rx.try_iter().collect();
-                frames.extend(terminal);
-                Ok(fold_query_frames(frames))
-            }
-            // Unreachable: worker_loop filters control-plane ops before
-            // dispatching here.
-            Request::Stats
-            | Request::Metrics
-            | Request::Trace
-            | Request::Ping
-            | Request::Shutdown => Ok(Response::Error {
-                code: ErrorCode::BadRequest,
-                message: "control op routed to worker".into(),
-            }),
-        }
-    })();
-    match result {
-        Ok(resp) => resp,
-        Err(e) => {
-            // A checksum failure means the cached handle (and its
-            // quarantine state) may be poisoned or the medium changed
-            // under us: evict so the next request reopens and re-verifies
-            // from scratch instead of serving from a suspect handle.
-            if matches!(e, BoraError::ChecksumMismatch { .. }) {
-                if let Some(root) = &container {
-                    if shared.cache.invalidate(root) {
-                        bora_obs::counter("serve.evict_checksum").inc();
-                    }
-                }
-            }
-            error_response(e)
-        }
-    }
 }
 
 fn stat_of(meta: &bora::ContainerMeta) -> ContainerStat {

@@ -87,7 +87,7 @@ pub use block::{BlockCodec, BlockMap, BlockParams, BlockWriter};
 pub use borafs::{BoraFs, BoraFsOptions};
 pub use bufpool::{BufferPool, PageRef, PoolStats};
 pub use checksum::{crc32c, Crc32c};
-pub use container::{merge_streams_heap, merge_streams_linear, BoraBag};
+pub use container::BoraBag;
 pub use error::{BoraError, BoraResult};
 pub use fsck::{FsckReport, FsckState, RepairOutcome};
 pub use manifest::{Manifest, ManifestEntry};

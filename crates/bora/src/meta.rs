@@ -5,6 +5,8 @@
 //! the bag's time range. Reading it is a single small sequential read;
 //! BORA's open never scans message data.
 
+use std::collections::HashMap;
+
 use ros_msgs::wire::{WireRead, WireWrite};
 use ros_msgs::Time;
 
@@ -57,6 +59,12 @@ impl ContainerMeta {
 
     pub fn topic(&self, name: &str) -> Option<&TopicMeta> {
         self.topics.iter().find(|t| t.topic == name)
+    }
+
+    /// Topic → ROS datatype, the map the query layer decodes message
+    /// fields by.
+    pub fn datatypes(&self) -> HashMap<String, String> {
+        self.topics.iter().map(|t| (t.topic.clone(), t.datatype.clone())).collect()
     }
 
     pub fn encode(&self) -> Vec<u8> {

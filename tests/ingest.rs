@@ -43,6 +43,32 @@ fn stream_all<C: bora_serve::Connection>(
     client.read_stream(container, &TOPICS).unwrap().collect::<Result<Vec<_>, _>>().unwrap()
 }
 
+/// The one-`Source` contract on a live root, whatever layer the bytes
+/// sit in: the streamed and the buffered time-range read both equal the
+/// `[start, end)` slice of `all`, and a topic the recording has not
+/// produced (yet) reads empty rather than failing.
+fn assert_ranged_reads_agree<C: bora_serve::Connection>(
+    client: &mut ServeClient<C>,
+    all: &[WireMessage],
+    state: &str,
+) {
+    let (start, end) = (Time::from_nanos(20), Time::from_nanos(53));
+    let want: Vec<WireMessage> =
+        all.iter().filter(|m| m.time >= start && m.time < end).cloned().collect();
+    assert!(!want.is_empty() && want.len() < all.len(), "range must cut the script");
+    let streamed: Vec<WireMessage> = client
+        .read_stream_time(ROOT, &TOPICS, start, end)
+        .unwrap()
+        .collect::<Result<_, _>>()
+        .unwrap();
+    assert_eq!(streamed, want, "{state}: streamed range read");
+    assert_eq!(client.read_time(ROOT, &TOPICS, start, end).unwrap(), want, "{state}: buffered");
+    assert!(client.read(ROOT, &["/never"]).unwrap().is_empty(), "{state}: unseen topic, READ");
+    let unseen: Vec<WireMessage> =
+        client.read_stream(ROOT, &["/never"]).unwrap().collect::<Result<_, _>>().unwrap();
+    assert!(unseen.is_empty(), "{state}: unseen topic, READ_STREAM");
+}
+
 #[test]
 fn mid_ingest_stream_is_byte_identical_across_seal_and_compaction() {
     let fs = Arc::new(MemStorage::new());
@@ -70,16 +96,19 @@ fn mid_ingest_stream_is_byte_identical_across_seal_and_compaction() {
     for pair in live.windows(2) {
         assert!(pair[0].time <= pair[1].time, "stream must stay chronological");
     }
+    assert_ranged_reads_agree(&mut client, &live, "memtable");
 
     // Seal: same bytes, now served from sealed segments.
     let (_, pending) = client.seal(ROOT, false).unwrap();
     assert_eq!(pending, 1, "one sealed batch awaiting compaction");
     assert_eq!(stream_all(&mut client, ROOT), live);
+    assert_ranged_reads_agree(&mut client, &live, "sealed");
 
     // Compact: same bytes, now served from the committed container.
     let (_, pending) = client.seal(ROOT, true).unwrap();
     assert_eq!(pending, 0, "compaction drained the sealed backlog");
     assert_eq!(stream_all(&mut client, ROOT), live);
+    assert_ranged_reads_agree(&mut client, &live, "compacted");
 
     // Buffered `Read` over the same query agrees with the stream frames.
     let buffered = client.read(ROOT, &TOPICS).unwrap();
@@ -87,6 +116,104 @@ fn mid_ingest_stream_is_byte_identical_across_seal_and_compaction() {
 
     // Topics through the wire see the live/compacted union.
     assert_eq!(client.topics(ROOT).unwrap(), vec!["/cam".to_owned(), "/imu".to_owned()]);
+    server.shutdown();
+}
+
+/// `QUERY` over a live root runs the same cursor over the same merge as
+/// over a static container: whatever layer the messages sit in, the rows
+/// equal the reference interpreter's over everything appended so far.
+#[test]
+fn live_root_query_matches_the_oracle_in_every_state() {
+    use bora_query::{encode_rows, run_naive};
+    use bora_serve::{ClientError, ErrorCode};
+    use rosbag::MessageRecord;
+
+    // Live roots record no datatypes, so the statements stick to the
+    // builtin columns.
+    const WINDOWED: &str = "SELECT window, count(), max(size) FROM '/imu', '/cam' WINDOW 500ms";
+    const RANGED: &str =
+        "SELECT time, topic, size FROM '/imu', '/cam' WHERE time >= 1.25 AND time < 1.95";
+    // Timestamps are unique across topics, so time order is merge order.
+    let record = |topic: &str, ms: u64, len: usize| MessageRecord {
+        conn_id: 0,
+        topic: topic.to_owned(),
+        time: Time::from_nanos(ms * 1_000_000),
+        data: vec![ms as u8; len],
+    };
+    let ticks = |from: u64, to: u64| -> Vec<MessageRecord> {
+        (from..to)
+            .flat_map(|i| {
+                let imu = record("/imu", 1_000 + i * 100, 6);
+                let cam = (i % 2 == 0).then(|| record("/cam", 1_030 + i * 100, 11));
+                std::iter::once(imu).chain(cam)
+            })
+            .collect()
+    };
+    let wire = |records: &[MessageRecord]| -> Vec<WireMessage> {
+        records.iter().cloned().map(WireMessage::from).collect()
+    };
+
+    let fs = Arc::new(MemStorage::new());
+    let mut ctx = IoCtx::new();
+    drop(IngestStore::create(Arc::clone(&fs), ROOT, cfg(), &mut ctx).unwrap());
+    let server = Server::start(Arc::clone(&fs), ServerConfig::default());
+    let transport = MemTransport::new(Arc::clone(&server));
+    let mut client = ServeClient::connect(&transport).unwrap();
+
+    // Rows of both statements, each checked against the oracle run over
+    // `appended`.
+    type Client = ServeClient<bora_serve::transport::MemConnection>;
+    let check = |client: &mut Client, appended: &[MessageRecord], state: &str| -> [Vec<u8>; 2] {
+        [WINDOWED, RANGED].map(|sql| {
+            let stmt = bora_query::parse(sql).unwrap().stmt;
+            let (columns, want) = run_naive(&stmt, appended, &Default::default()).unwrap();
+            assert!(!want.is_empty(), "{state}: {sql} selects nothing");
+            let got = client.query(ROOT, sql).unwrap();
+            assert_eq!(got.columns, columns, "{state}: {sql}");
+            assert_eq!(encode_rows(&got.rows), encode_rows(&want), "{state}: {sql}");
+            encode_rows(&got.rows)
+        })
+    };
+
+    let mut appended = ticks(0, 12);
+    client.append(ROOT, wire(&appended)).unwrap();
+    let in_memtable = check(&mut client, &appended, "memtable only");
+
+    client.seal(ROOT, false).unwrap();
+    assert_eq!(check(&mut client, &appended, "sealed"), in_memtable);
+
+    // Compact, then keep recording: the merge now spans the generation
+    // container and a fresh tail. The tail lies past RANGED's window, so
+    // that statement's rows are the same in all three states.
+    client.seal(ROOT, true).unwrap();
+    let tail = ticks(12, 18);
+    client.append(ROOT, wire(&tail)).unwrap();
+    appended.extend(tail);
+    let spanning = check(&mut client, &appended, "generation + tail");
+    assert_ne!(spanning[0], in_memtable[0], "the tail must show up in the windowed counts");
+    assert_eq!(spanning[1], in_memtable[1]);
+
+    // The executor really scanned the live root.
+    let analyzed = client.query(ROOT, &format!("EXPLAIN ANALYZE {RANGED}")).unwrap();
+    assert_eq!(encode_rows(&analyzed.rows), spanning[1]);
+    let scanned: u64 = analyzed
+        .explain
+        .lines()
+        .find(|line| line.contains("Scan topics="))
+        .and_then(|line| line.split("rows=").nth(1))
+        .map(|rest| rest.chars().take_while(char::is_ascii_digit).collect::<String>())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no scan row count in:\n{}", analyzed.explain));
+    assert!(scanned > 0, "{}", analyzed.explain);
+
+    // A malformed statement is the client's fault; the connection lives.
+    match client.query(ROOT, "SELECT FROM '/imu'") {
+        Err(ClientError::Server { code: ErrorCode::BadQuery, message }) => {
+            assert!(message.contains('^'), "no caret in: {message}");
+        }
+        other => panic!("expected BadQuery, got {other:?}"),
+    }
+    assert_eq!(encode_rows(&client.query(ROOT, RANGED).unwrap().rows), spanning[1]);
     server.shutdown();
 }
 

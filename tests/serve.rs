@@ -127,10 +127,22 @@ fn unknown_container_and_topic_map_to_typed_errors() {
         Err(ClientError::Server { code: ErrorCode::NotAContainer, .. }) => {}
         other => panic!("expected NotAContainer, got {other:?}"),
     }
-    match client.read(&roots[0], &["/no/such/topic"]) {
+    // A static container that lacks a requested topic: both read ops say
+    // so, while a query skips the absent topic and answers from the ones
+    // that exist (a fleet query runs over heterogeneous containers).
+    match client.read(&roots[0], &["/imu", "/no/such/topic"]) {
         Err(ClientError::Server { code: ErrorCode::UnknownTopic, .. }) => {}
         other => panic!("expected UnknownTopic, got {other:?}"),
     }
+    let streamed: Vec<_> =
+        client.read_stream(&roots[0], &["/imu", "/no/such/topic"]).unwrap().collect();
+    match streamed.as_slice() {
+        [Err(ClientError::Server { code: ErrorCode::UnknownTopic, .. })] => {}
+        other => panic!("expected one UnknownTopic, got {other:?}"),
+    }
+    let imu = client.read(&roots[0], &["/imu"]).unwrap().len() as i64;
+    let counted = client.query(&roots[0], "SELECT count() FROM '/imu', '/no/such/topic'").unwrap();
+    assert_eq!(counted.rows, vec![vec![bora_query::Value::Int(imu)]]);
     // The connection survives server-side errors.
     assert!(!client.topics(&roots[0]).unwrap().is_empty());
     server.shutdown();
@@ -440,13 +452,23 @@ fn server_evicts_cached_handle_on_checksum_failure() {
     let byte = fs.read_at(&data, 0, 1, &mut ctx).unwrap()[0];
     fs.write_at(&data, 0, &[byte ^ 0xFF], &mut ctx).unwrap();
 
-    let evicted_before = bora_obs::counter("serve.evict_checksum").get();
-    match client.read(&roots[0], &["/imu"]) {
-        Err(ClientError::Server { code: ErrorCode::ChecksumMismatch, .. }) => {}
-        other => panic!("expected ChecksumMismatch, got {other:?}"),
-    }
+    // Every read op reaches the one eviction site: each failure evicts the
+    // handle it opened, exactly once (this is the only test in the binary
+    // that corrupts data, so the process-wide counter is ours).
+    let evictions = bora_obs::counter("serve.evict_checksum");
+    let evicted_before = evictions.get();
+    let expect_eviction = |op: &str, failure: Option<ClientError>, nth: u64| {
+        match failure {
+            Some(ClientError::Server { code: ErrorCode::ChecksumMismatch, .. }) => {}
+            other => panic!("{op}: expected ChecksumMismatch, got {other:?}"),
+        }
+        assert_eq!(evictions.get(), evicted_before + nth, "{op} evicts exactly once");
+    };
+    expect_eviction("READ", client.read(&roots[0], &["/imu"]).err(), 1);
+    let streamed = client.read_stream(&roots[0], &["/imu"]).unwrap().find_map(Result::err);
+    expect_eviction("READ_STREAM", streamed, 2);
+    expect_eviction("QUERY", client.query(&roots[0], "SELECT count() FROM '/imu'").err(), 3);
     assert_eq!(client.stats().unwrap().cache_len, 0, "poisoned handle must be evicted");
-    assert!(bora_obs::counter("serve.evict_checksum").get() > evicted_before);
 
     // Restore the medium: the service recovers on a fresh handle. Had the
     // poisoned handle survived in the cache, it would keep /imu

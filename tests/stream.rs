@@ -10,7 +10,8 @@
 
 use proptest::prelude::*;
 
-use bora::{merge_streams_heap, merge_streams_linear, BoraBag, OrganizerOptions, StreamOptions};
+use bench::merge_ref::{merge_streams_heap, merge_streams_linear};
+use bora::{BoraBag, OrganizerOptions, StreamOptions};
 use ros_msgs::sensor_msgs::Imu;
 use ros_msgs::{MessageDescriptor, RosMessage, Time};
 use rosbag::{BagWriter, BagWriterOptions};
