@@ -3,8 +3,8 @@
 //! The load-bearing numbers:
 //! * `span_disabled` — the cost every instrumented call site pays when
 //!   tracing is off (one relaxed atomic load; the PR's budget is ≤5ns);
-//! * `encode_untraced` vs `encode_traced` — what the trace header adds
-//!   to a wire frame (and that its absence adds nothing);
+//! * `encode_untraced` vs `encode_traced` — what a trace context in the
+//!   request header adds to a wire frame;
 //! * `windowed_record` / `windowed_snapshot` — the SLO tracker's
 //!   per-sample and per-evaluation cost;
 //! * `hist_merge` — the bucket-wise fold the cluster aggregation does
@@ -63,12 +63,16 @@ fn bench_trace_header(c: &mut Criterion) {
         topics: vec!["/imu".into(), "/tf".into()],
         range: None,
     };
-    group.bench_function("encode_untraced", |b| b.iter(|| black_box(&req).encode_traced(None)));
+    group.bench_function("encode_untraced", |b| {
+        b.iter(|| black_box(&req).encode_framed(None, None))
+    });
     let ctx = TraceContext { trace_id: 0x1234, parent_span: 0x5678, sampled: true };
-    group.bench_function("encode_traced", |b| b.iter(|| black_box(&req).encode_traced(Some(ctx))));
-    let traced = req.encode_traced(Some(ctx));
+    group.bench_function("encode_traced", |b| {
+        b.iter(|| black_box(&req).encode_framed(Some(ctx), None))
+    });
+    let traced = req.encode_framed(Some(ctx), None);
     group.bench_function("decode_traced", |b| {
-        b.iter(|| Request::decode_traced(black_box(&traced)).unwrap())
+        b.iter(|| Request::decode_framed(black_box(&traced)).unwrap())
     });
     group.finish();
 }

@@ -33,10 +33,11 @@ fn bench_codec(c: &mut Criterion) {
         topics: vec!["/camera/depth/image".into(), "/imu".into(), "/tf".into()],
         range: Some((Time::new(10, 0), Time::new(20, 0))),
     };
-    let req_bytes = req.encode();
-    group.bench_function("request_encode", |b| b.iter(|| black_box(&req).encode()));
+    let req_bytes = req.encode_framed(None, None);
+    group
+        .bench_function("request_encode", |b| b.iter(|| black_box(&req).encode_framed(None, None)));
     group.bench_function("request_decode", |b| {
-        b.iter(|| Request::decode(black_box(&req_bytes)).unwrap())
+        b.iter(|| Request::decode_framed(black_box(&req_bytes)).unwrap())
     });
 
     for &messages in &[16usize, 256] {

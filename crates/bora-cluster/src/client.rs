@@ -15,7 +15,7 @@
 //!   to a replica and the first answer wins. `cluster.hedge.issued` /
 //!   `cluster.hedge.wins` export the win rate via bora-obs;
 //! * **streaming failover** — [`ClusterStream`] resumes a broken
-//!   `READ_STREAM` on a replica by re-issuing the query and skipping the
+//!   `READ_STREAM2` on a replica by re-issuing the query and skipping the
 //!   messages already delivered. The server-side merge order is
 //!   deterministic (`(time, lane)` tie-break), so the resumed stream is
 //!   byte-identical to an unbroken one;
@@ -24,15 +24,14 @@
 //!   the same merge shape the server uses per container.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use bora_serve::{
-    ClientError, ClientResult, Connection, ErrorCode, MetricsReport, PingInfo, ProtoError,
-    QueryReply, Request, Response, RetryBudget, RetryBudgetConfig, ServeClient, StatsSnapshot,
-    Transport, WireMessage,
+    ClientError, ClientResult, Connection, ErrorCode, MetricsReport, PingInfo, QueryReply,
+    ReadStream, RetryBudget, RetryBudgetConfig, ServeClient, StatsSnapshot, Transport, WireMessage,
 };
 use crossbeam::channel::{self, RecvTimeoutError};
 use ros_msgs::Time;
@@ -129,13 +128,18 @@ impl<T: Transport> NodeEndpoint<T> {
         }
     }
 
-    fn lease(&self) -> ClientResult<ServeClient<T::Conn>> {
-        let mut client = match self.pool.lock().unwrap().pop() {
-            Some(c) => c,
-            None => ServeClient::new(self.transport.connect()?),
-        };
+    /// A client on a fresh connection, stamping this endpoint's deadline.
+    fn connect(&self) -> ClientResult<ServeClient<T::Conn>> {
+        let mut client = ServeClient::new(self.transport.connect()?);
         client.set_deadline(self.deadline);
         Ok(client)
+    }
+
+    fn lease(&self) -> ClientResult<ServeClient<T::Conn>> {
+        match self.pool.lock().unwrap().pop() {
+            Some(c) => Ok(c),
+            None => self.connect(),
+        }
     }
 
     fn release(&self, client: ServeClient<T::Conn>) {
@@ -197,6 +201,19 @@ pub fn should_failover(e: &ClientError) -> bool {
 /// whether the fault is caught router-side or node-side.
 fn bad_query(e: bora_query::QueryError) -> ClientError {
     ClientError::Server { code: ErrorCode::BadQuery, message: e.to_string() }
+}
+
+/// `READ`, whole or time-ranged — what every read route sends a node.
+fn read_on<C: Connection>(
+    c: &mut ServeClient<C>,
+    container: &str,
+    topics: &[&str],
+    range: Option<(Time, Time)>,
+) -> ClientResult<Vec<WireMessage>> {
+    match range {
+        Some((start, end)) => c.read_time(container, topics, start, end),
+        None => c.read(container, topics),
+    }
 }
 
 fn no_nodes(container: &str) -> ClientError {
@@ -459,13 +476,15 @@ where
     ) -> ClientResult<Vec<WireMessage>> {
         let _sp = bora_obs::span("cluster.read");
         if self.cfg.hedge.is_some() {
-            return self.read_hedged(container, topics, range);
+            // A hedge needs a second replica to race; without one the
+            // read falls through to plain failover.
+            let eps = self.ordered(container);
+            if eps.len() >= 2 {
+                return self.read_hedged(&eps, container, topics, range);
+            }
         }
         let started = Instant::now();
-        let out = self.with_failover(container, |c| match range {
-            Some((s, e)) => c.read_time(container, topics, s, e),
-            None => c.read(container, topics),
-        });
+        let out = self.with_failover(container, |c| read_on(c, container, topics, range));
         if out.is_ok() {
             self.note_read_latency(started.elapsed());
         }
@@ -485,30 +504,18 @@ where
         h.min_threshold.max(Duration::from_nanos((h.factor * ewma) as u64))
     }
 
-    /// Hedged read: issue to the first candidate; if no answer within
-    /// the adaptive threshold, issue the identical read to the second
-    /// and take whichever returns first. Replicas hold identical data
+    /// Hedged read over at least two candidates: issue to the first; if
+    /// no answer within the adaptive threshold, issue the identical read
+    /// to the second and take whichever returns first. Replicas hold identical data
     /// and the read path is deterministic, so both answers are equal —
     /// the hedge trades duplicate work for tail latency only.
     fn read_hedged(
         &self,
+        eps: &[Arc<NodeEndpoint<T>>],
         container: &str,
         topics: &[&str],
         range: Option<(Time, Time)>,
     ) -> ClientResult<Vec<WireMessage>> {
-        let eps = self.ordered(container);
-        if eps.len() < 2 {
-            let started = Instant::now();
-            let out = self.with_failover(container, |c| match range {
-                Some((s, e)) => c.read_time(container, topics, s, e),
-                None => c.read(container, topics),
-            });
-            if out.is_ok() {
-                self.note_read_latency(started.elapsed());
-            }
-            return out;
-        }
-
         let (tx, rx) = channel::unbounded();
         // Legs run on their own threads: each adopts the read's context so
         // its spans (and the server's) stay in the trace tree, and the
@@ -528,10 +535,7 @@ where
                 let started = Instant::now();
                 let res = ep.attempt(&mut |c: &mut ServeClient<T::Conn>| {
                     let ts: Vec<&str> = topics.iter().map(String::as_str).collect();
-                    match range {
-                        Some((s, e)) => c.read_time(&container, &ts, s, e),
-                        None => c.read(&container, &ts),
-                    }
+                    read_on(c, &container, &ts, range)
                 });
                 let won = res.is_ok()
                     && winner
@@ -643,12 +647,8 @@ where
             container: container.to_owned(),
             topics: topics.iter().map(|t| (*t).to_owned()).collect(),
             range,
-            buffer: VecDeque::new(),
             skip: 0,
             fetched: 0,
-            yielded: 0,
-            done: false,
-            deadline: self.cfg.deadline,
             budget: self.budget.clone(),
         };
         stream.connect_next()?;
@@ -817,7 +817,12 @@ where
 
 // ----------------------------------------------------------------- stream
 
-/// A cluster-routed `READ_STREAM` with mid-stream failover.
+/// One node's stream, on a connection of its own.
+type NodeStream<T> = ReadStream<<T as Transport>::Conn, ServeClient<<T as Transport>::Conn>>;
+
+/// A cluster-routed `READ_STREAM2` with mid-stream failover: the policy
+/// (replica walk, breaker, retry budget, resume) over one
+/// [`ReadStream`] per (re)issue, each on a fresh connection it owns.
 ///
 /// If the serving node dies mid-stream, the identical query is re-issued
 /// to the next replica and the first `fetched` messages of the re-issue
@@ -827,20 +832,15 @@ where
 pub struct ClusterStream<T: Transport> {
     eps: Vec<Arc<NodeEndpoint<T>>>,
     cursor: usize,
-    current: Option<(Arc<NodeEndpoint<T>>, T::Conn)>,
+    /// The serving node and its stream; `None` once the stream is over.
+    current: Option<(Arc<NodeEndpoint<T>>, NodeStream<T>)>,
     container: String,
     topics: Vec<String>,
     range: Option<(Time, Time)>,
-    buffer: VecDeque<WireMessage>,
     /// Messages of the current (re-issued) stream still to discard.
     skip: u64,
-    /// Unique messages pulled into `buffer` over the stream's lifetime.
+    /// Messages handed to the consumer over the stream's lifetime.
     fetched: u64,
-    /// Messages handed to the consumer.
-    yielded: u64,
-    done: bool,
-    /// Deadline budget stamped on each (re-)issued stream request.
-    deadline: Option<Duration>,
     /// The owning client's shared retry budget: each mid-stream failover
     /// spends a token, so a flapping network cannot turn one stream into
     /// an unbounded reconnect storm.
@@ -849,50 +849,36 @@ pub struct ClusterStream<T: Transport> {
 
 impl<T: Transport> ClusterStream<T> {
     pub fn received(&self) -> u64 {
-        self.yielded
+        self.fetched
     }
 
     fn connect_next(&mut self) -> ClientResult<()> {
-        let req = Request::ReadStream {
-            container: self.container.clone(),
-            topics: self.topics.clone(),
-            range: self.range,
-        };
+        let topics: Vec<&str> = self.topics.iter().map(String::as_str).collect();
         let mut last: Option<ClientError> = None;
-        while self.cursor < self.eps.len() {
-            let ep = Arc::clone(&self.eps[self.cursor]);
+        while let Some(ep) = self.eps.get(self.cursor).map(Arc::clone) {
             self.cursor += 1;
-            // Propagate whatever span is open at (re)connect time — for a
-            // mid-stream failover that is still the caller's span, so the
-            // resumed stream stays in the same trace tree.
-            let deadline_ns =
-                self.deadline.map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-            match ep.transport.connect() {
-                Ok(mut conn) => {
-                    match conn
-                        .send_frame(&req.encode_framed(bora_obs::current_context(), deadline_ns))
-                    {
-                        Ok(()) => {
-                            self.skip = self.fetched;
-                            self.current = Some((ep, conn));
-                            return Ok(());
-                        }
-                        Err(e) => {
-                            ep.breaker.lock().unwrap().on_failure();
-                            last = Some(e.into());
-                        }
-                    }
+            // The request carries whatever span is open at (re)connect
+            // time — for a mid-stream failover that is still the caller's
+            // span, so the resumed stream stays in the same trace tree.
+            match ep
+                .connect()
+                .and_then(|c| ReadStream::open(c, &self.container, &topics, self.range))
+            {
+                Ok(stream) => {
+                    self.skip = self.fetched;
+                    self.current = Some((ep, stream));
+                    return Ok(());
                 }
                 Err(e) => {
                     ep.breaker.lock().unwrap().on_failure();
-                    last = Some(e.into());
+                    last = Some(e);
                 }
             }
         }
         Err(last.unwrap_or_else(|| no_nodes(&self.container)))
     }
 
-    fn failover(&mut self) -> Option<ClientError> {
+    fn failover(&mut self) -> ClientResult<()> {
         if let Some((ep, _)) = self.current.take() {
             ep.breaker.lock().unwrap().on_failure();
         }
@@ -902,86 +888,14 @@ impl<T: Transport> ClusterStream<T> {
         if let Some(b) = &self.budget {
             if !b.lock().unwrap().try_spend() {
                 bora_obs::counter("cluster.retry_budget_denied").inc();
-                return Some(ClientError::Io(std::io::Error::other(format!(
+                return Err(ClientError::Io(std::io::Error::other(format!(
                     "retry budget exhausted resuming stream of {}",
                     self.container
                 ))));
             }
         }
         bora_obs::counter("cluster.failover").inc();
-        self.connect_next().err()
-    }
-
-    /// Pull frames until the buffer has a message, the stream ends, or
-    /// an unrecoverable error surfaces.
-    fn fill(&mut self) -> Option<ClientError> {
-        loop {
-            if self.done || !self.buffer.is_empty() {
-                return None;
-            }
-            let Some((_, conn)) = self.current.as_mut() else {
-                return Some(no_nodes(&self.container));
-            };
-            let frame = match conn.recv_frame() {
-                Ok(f) => f,
-                Err(_) => {
-                    if let Some(e) = self.failover() {
-                        return Some(e);
-                    }
-                    continue;
-                }
-            };
-            match Response::decode(&frame) {
-                Ok(Response::StreamChunk(msgs)) => {
-                    for m in msgs {
-                        if self.skip > 0 {
-                            self.skip -= 1;
-                        } else {
-                            self.fetched += 1;
-                            self.buffer.push_back(m);
-                        }
-                    }
-                }
-                Ok(Response::StreamEnd { .. }) => {
-                    if let Some((ep, _)) = self.current.take() {
-                        ep.breaker.lock().unwrap().on_success();
-                    }
-                    if let Some(b) = &self.budget {
-                        b.lock().unwrap().on_success();
-                    }
-                    self.done = true;
-                }
-                Ok(Response::Overloaded) => {
-                    if let Some(e) = self.failover() {
-                        return Some(e);
-                    }
-                }
-                Ok(Response::Error { code, message }) => {
-                    let err = ClientError::Server { code, message };
-                    if should_failover(&err) {
-                        if let Some(e) = self.failover() {
-                            return Some(e);
-                        }
-                    } else {
-                        self.done = true;
-                        return Some(err);
-                    }
-                }
-                Ok(other) => {
-                    self.done = true;
-                    return Some(ClientError::Proto(ProtoError(format!(
-                        "unexpected response in READ_STREAM: {other:?}"
-                    ))));
-                }
-                Err(_) => {
-                    // Undecodable frame: treat as a desynchronized
-                    // stream, same as a transport fault.
-                    if let Some(e) = self.failover() {
-                        return Some(e);
-                    }
-                }
-            }
-        }
+        self.connect_next()
     }
 }
 
@@ -989,21 +903,44 @@ impl<T: Transport> Iterator for ClusterStream<T> {
     type Item = ClientResult<WireMessage>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if let Some(m) = self.buffer.pop_front() {
-            self.yielded += 1;
-            return Some(Ok(m));
+        loop {
+            let (ep, stream) = self.current.as_mut()?;
+            match stream.next() {
+                Some(Ok(_)) if self.skip > 0 => self.skip -= 1,
+                Some(Ok(m)) => {
+                    self.fetched += 1;
+                    return Some(Ok(m));
+                }
+                None => {
+                    ep.breaker.lock().unwrap().on_success();
+                    if let Some(b) = &self.budget {
+                        b.lock().unwrap().on_success();
+                    }
+                    self.current = None;
+                }
+                // A transport fault, a desynchronized stream, an overloaded
+                // or failing node: resume on the next replica.
+                Some(Err(e)) if should_failover(&e) => {
+                    if let Err(e) = self.failover() {
+                        return Some(Err(e));
+                    }
+                }
+                Some(Err(e)) => {
+                    self.current = None;
+                    return Some(Err(e));
+                }
+            }
         }
-        if self.done {
-            return None;
+    }
+}
+
+impl<T: Transport> Drop for ClusterStream<T> {
+    fn drop(&mut self) {
+        // Dropped mid-stream: hang up instead of draining what the node
+        // would still send.
+        if let Some((_, stream)) = self.current.take() {
+            stream.abandon();
         }
-        if let Some(e) = self.fill() {
-            self.done = true;
-            return Some(Err(e));
-        }
-        self.buffer.pop_front().map(|m| {
-            self.yielded += 1;
-            Ok(m)
-        })
     }
 }
 

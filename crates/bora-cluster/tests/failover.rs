@@ -1,4 +1,4 @@
-//! Failover integration: a node dies **mid-`READ_STREAM`** and the
+//! Failover integration: a node dies **mid-`READ_STREAM2`** and the
 //! client must deliver a byte-identical result by resuming on a
 //! replica, counting the hop in `cluster.failover`; afterwards `heal`
 //! re-replicates what the death left under-replicated.

@@ -1,5 +1,5 @@
 //! [`WindowedHistogram`]: a sliding-window exponential histogram built as
-//! a ring of time-sliced [`ExpHistogram`]-shaped slots.
+//! a ring of time-sliced [`crate::ExpHistogram`]-shaped slots.
 //!
 //! The cumulative histograms in [`crate::registry`] answer "what happened
 //! since process start"; SLO questions need "what is the p99 *right

@@ -3,7 +3,7 @@
 //! The plan is deliberately linear — Scan → Join → Filter → Sample →
 //! Aggregate → Project → Limit — because the language has no subqueries
 //! and at most one join. [`crate::explain`] renders it as a tree for
-//! `EXPLAIN`; [`crate::optimize`] rewrites the scan node in place
+//! `EXPLAIN`; [`mod@crate::optimize`] rewrites the scan node in place
 //! (time-range and predicate pushdown); [`crate::exec`] interprets it.
 //!
 //! All semantic validation lives here, so the parser stays purely

@@ -10,6 +10,8 @@
 //! container, structural corruption, bad request) surface immediately —
 //! retrying them would only hide a bug.
 
+use std::borrow::BorrowMut;
+use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 use ros_msgs::Time;
@@ -94,15 +96,14 @@ pub type ClientResult<T> = Result<T, ClientError>;
 /// A connected bora-serve client.
 pub struct ServeClient<C: Connection> {
     conn: C,
-    /// Budget stamped on each outgoing request ([`Request::encode_framed`]
-    /// deadline prefix); `None` sends deadline-free requests.
+    /// Budget stamped into each outgoing request's header; `None` sends
+    /// no deadline.
     deadline: Option<Duration>,
-    /// Correlation sequence of the most recent request on this
-    /// connection. Every request is stamped (`proto::wrap_corr`) and the
-    /// server echoes the seq on each frame of its answer, so a stale
-    /// frame — a duplicate or reordered leftover from an earlier
-    /// request — is discarded instead of being mistaken for the current
-    /// response (or worse, an append ack).
+    /// Seq of the most recent request on this connection. The server
+    /// echoes it on each frame of its answer, so a stale frame — a
+    /// duplicate or reordered leftover from an earlier request — is
+    /// discarded instead of being mistaken for the current response (or
+    /// worse, an append ack).
     seq: u32,
 }
 
@@ -119,7 +120,7 @@ impl<C: Connection> ServeClient<C> {
     /// Set the deadline budget stamped on every subsequent request. The
     /// server sheds a request whose budget was already spent in its
     /// queue, answering [`ErrorCode::DeadlineExceeded`] instead of doing
-    /// dead work. `None` (the default) sends no deadline header.
+    /// dead work. `None` (the default) sends no deadline.
     pub fn set_deadline(&mut self, deadline: Option<Duration>) {
         self.deadline = deadline;
     }
@@ -130,48 +131,45 @@ impl<C: Connection> ServeClient<C> {
         self.conn.set_timeout(timeout)
     }
 
-    fn deadline_ns(&self) -> Option<u64> {
-        self.deadline.map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-    }
+    // The one exchange every op is a form of: `send` a request under the
+    // next seq, then `recv` its answer frames — one for most ops, several
+    // for a stream or a query.
 
-    /// Advance and return the correlation seq for one outgoing request.
-    fn next_seq(&mut self) -> u32 {
+    /// Stamp `req` with the next seq, the caller's open span (server-side
+    /// spans parent under it) and the deadline budget, and send it. A
+    /// request the wire cannot carry fails here, before any byte is sent.
+    fn send(&mut self, req: &Request) -> ClientResult<()> {
         self.seq = self.seq.wrapping_add(1);
-        self.seq
+        let deadline_ns = self.deadline.map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+        let frame = req
+            .encode_seq(self.seq, bora_obs::current_context(), deadline_ns)
+            .map_err(ClientError::Proto)?;
+        Ok(self.conn.send_frame(&frame)?)
     }
 
-    /// Receive the next frame belonging to request `seq`, discarding
-    /// stale frames (leftovers of an earlier request that the network
-    /// duplicated or reordered). Uncorrelated frames are passed through:
-    /// a plain peer never stales by construction (strict one-in-one-out).
-    fn recv_matching(&mut self, seq: u32) -> ClientResult<Vec<u8>> {
+    /// The next frame answering the request in flight, with its size on
+    /// the wire after the seq. Stale frames (leftovers of an earlier
+    /// request that the network duplicated or reordered) are discarded; a
+    /// frame without a seq is an error, never the answer; the server's
+    /// error and overload frames become their [`ClientError`]s.
+    fn recv(&mut self) -> ClientResult<(Response, usize)> {
         loop {
-            let payload = self.conn.recv_frame()?;
-            match crate::proto::peel_corr(&payload) {
-                (Some(got), inner) if got == seq => return Ok(inner.to_vec()),
-                (Some(_), _) => continue,
-                (None, _) => return Ok(payload),
+            let frame = self.conn.recv_frame()?;
+            let (seq, body) = crate::proto::split_seq(&frame).map_err(ClientError::Proto)?;
+            if seq != self.seq {
+                continue;
             }
+            return match Response::decode(body).map_err(ClientError::Proto)? {
+                Response::Error { code, message } => Err(ClientError::Server { code, message }),
+                Response::Overloaded => Err(ClientError::Overloaded),
+                resp => Ok((resp, body.len())),
+            };
         }
     }
 
     fn roundtrip(&mut self, req: &Request) -> ClientResult<Response> {
-        // With tracing on, requests carry the caller's span context so
-        // server-side spans parent under it; with tracing off,
-        // `current_context()` is `None` and the bytes are exactly the
-        // untraced encoding. Likewise the deadline prefix only appears
-        // when a budget is set.
-        let seq = self.next_seq();
-        self.conn.send_frame(&crate::proto::wrap_corr(
-            seq,
-            &req.encode_framed(bora_obs::current_context(), self.deadline_ns()),
-        ))?;
-        let payload = self.recv_matching(seq)?;
-        match Response::decode(&payload).map_err(ClientError::Proto)? {
-            Response::Error { code, message } => Err(ClientError::Server { code, message }),
-            Response::Overloaded => Err(ClientError::Overloaded),
-            resp => Ok(resp),
-        }
+        self.send(req)?;
+        Ok(self.recv()?.0)
     }
 
     /// Pull a container into the server's handle cache; `cached` in the
@@ -230,20 +228,19 @@ impl<C: Connection> ServeClient<C> {
         }
     }
 
-    /// Issue a `READ_STREAM` and iterate messages as chunk frames arrive,
+    /// Issue a `READ_STREAM2` and iterate messages as chunk frames arrive,
     /// instead of waiting for the full result set like [`ServeClient::read`].
     ///
     /// The iterator borrows the client exclusively (the protocol allows
     /// one request in flight per connection). Dropping it mid-stream
     /// drains the remaining frames so the connection stays
-    /// request/response aligned — and tells the server to stop producing:
-    /// transports propagate the hang-up and the worker aborts the merge.
+    /// request/response aligned.
     pub fn read_stream(
         &mut self,
         container: &str,
         topics: &[&str],
-    ) -> ClientResult<ReadStream<'_, C>> {
-        self.read_stream_inner(container, topics, None)
+    ) -> ClientResult<ReadStream<C, &mut Self>> {
+        ReadStream::open(self, container, topics, None)
     }
 
     /// Time-ranged variant of [`ServeClient::read_stream`].
@@ -253,42 +250,8 @@ impl<C: Connection> ServeClient<C> {
         topics: &[&str],
         start: Time,
         end: Time,
-    ) -> ClientResult<ReadStream<'_, C>> {
-        self.read_stream_inner(container, topics, Some((start, end)))
-    }
-
-    fn read_stream_inner(
-        &mut self,
-        container: &str,
-        topics: &[&str],
-        range: Option<(Time, Time)>,
-    ) -> ClientResult<ReadStream<'_, C>> {
-        // READ_STREAM2 lets the server ship LZ-compressed chunks; both
-        // ends ship together (see the `proto` module doc), so there is no
-        // older peer to probe for.
-        let req = Request::ReadStream2 {
-            container: container.into(),
-            topics: topics.iter().map(|t| (*t).to_owned()).collect(),
-            range,
-        };
-        self.send_stream_req(&req)?;
-        Ok(ReadStream {
-            client: self,
-            buffer: std::collections::VecDeque::new(),
-            done: false,
-            received: 0,
-        })
-    }
-
-    /// Send one streaming request (no response is read here — the
-    /// [`ReadStream`] pulls the answer frames).
-    fn send_stream_req(&mut self, req: &Request) -> ClientResult<()> {
-        let seq = self.next_seq();
-        self.conn.send_frame(&crate::proto::wrap_corr(
-            seq,
-            &req.encode_framed(bora_obs::current_context(), self.deadline_ns()),
-        ))?;
-        Ok(())
+    ) -> ClientResult<ReadStream<C, &mut Self>> {
+        ReadStream::open(self, container, topics, Some((start, end)))
     }
 
     /// Execute a `bora-query` statement server-side and collect the
@@ -316,13 +279,12 @@ impl<C: Connection> ServeClient<C> {
         sql: &str,
         partial: bool,
     ) -> ClientResult<QueryReply> {
-        let req = Request::Query { container: container.into(), sql: sql.into(), partial };
-        self.send_stream_req(&req)?;
+        self.send(&Request::Query { container: container.into(), sql: sql.into(), partial })?;
         let mut reply = QueryReply::default();
         loop {
-            let payload = self.recv_matching(self.seq)?;
-            reply.wire_bytes += payload.len() as u64;
-            match Response::decode(&payload).map_err(ClientError::Proto)? {
+            let (resp, wire_bytes) = self.recv()?;
+            reply.wire_bytes += wire_bytes as u64;
+            match resp {
                 Response::QuerySchema(cols) => reply.columns = cols,
                 Response::QueryChunk(blob) => {
                     let rows = bora_query::decode_rows(&blob)
@@ -334,10 +296,6 @@ impl<C: Connection> ServeClient<C> {
                     reply.explain = explain;
                     return Ok(reply);
                 }
-                Response::Error { code, message } => {
-                    return Err(ClientError::Server { code, message })
-                }
-                Response::Overloaded => return Err(ClientError::Overloaded),
                 other => return Err(unexpected("QUERY", &other)),
             }
         }
@@ -443,24 +401,55 @@ pub struct QueryReply {
 
 // ----------------------------------------------------------------- stream
 
-/// An in-flight `READ_STREAM`: yields messages as the server's merge
-/// produces them. Created by [`ServeClient::read_stream`].
+/// An in-flight `READ_STREAM2`: yields messages as the server's merge
+/// produces them. Created by [`ServeClient::read_stream`], which lends it
+/// the client, or by [`ReadStream::open`] over a client it owns.
 ///
 /// The first error is terminal — after yielding `Err` the iterator is
 /// exhausted. On drop, any frames still owed by the server are drained
-/// (and discarded) so the next request on this connection does not read a
-/// stale stream frame as its answer.
-pub struct ReadStream<'a, C: Connection> {
-    client: &'a mut ServeClient<C>,
+/// (and discarded): the next request on this connection does not have to
+/// wade through them, and the worker producing them is not left blocked
+/// on a client that stopped reading.
+pub struct ReadStream<C: Connection, B: BorrowMut<ServeClient<C>>> {
+    client: B,
     buffer: std::collections::VecDeque<WireMessage>,
     done: bool,
     received: u64,
+    _conn: PhantomData<C>,
 }
 
-impl<C: Connection> ReadStream<'_, C> {
+impl<C: Connection, B: BorrowMut<ServeClient<C>>> ReadStream<C, B> {
+    /// Send the stream request on `client` (no response is read here —
+    /// the iterator pulls the answer frames).
+    pub fn open(
+        mut client: B,
+        container: &str,
+        topics: &[&str],
+        range: Option<(Time, Time)>,
+    ) -> ClientResult<Self> {
+        client.borrow_mut().send(&Request::ReadStream2 {
+            container: container.into(),
+            topics: topics.iter().map(|t| (*t).to_owned()).collect(),
+            range,
+        })?;
+        Ok(ReadStream {
+            client,
+            buffer: std::collections::VecDeque::new(),
+            done: false,
+            received: 0,
+            _conn: PhantomData,
+        })
+    }
+
     /// Messages yielded so far.
     pub fn received(&self) -> u64 {
         self.received
+    }
+
+    /// Drop the stream without draining it, for an owner that drops the
+    /// client with it: closing the connection is what stops the server.
+    pub fn abandon(mut self) {
+        self.done = true;
     }
 
     /// Pull the next frame off the connection into `buffer`. Only a chunk
@@ -468,23 +457,14 @@ impl<C: Connection> ReadStream<'_, C> {
     /// undecodable frame and a transport failure (the connection is
     /// desynchronized then — nothing left to drain) all flip `done`.
     fn fetch(&mut self) -> ClientResult<()> {
-        // Every chunk of this stream echoes the request's seq; stale
-        // frames from earlier requests are discarded inside.
-        let chunk =
-            self.client.recv_matching(self.client.seq).and_then(|payload| match Response::decode(
-                &payload,
-            )
-            .map_err(ClientError::Proto)?
-            {
-                Response::StreamChunk(msgs) => Ok(Some(msgs)),
-                Response::StreamChunkLz(frame) => {
-                    crate::proto::decompress_chunk(&frame).map(Some).map_err(ClientError::Proto)
-                }
-                Response::StreamEnd { .. } => Ok(None),
-                Response::Error { code, message } => Err(ClientError::Server { code, message }),
-                Response::Overloaded => Err(ClientError::Overloaded),
-                other => Err(unexpected("READ_STREAM", &other)),
-            });
+        let chunk = self.client.borrow_mut().recv().and_then(|(resp, _)| match resp {
+            Response::StreamChunk(msgs) => Ok(Some(msgs)),
+            Response::StreamChunkLz(frame) => {
+                crate::proto::decompress_chunk(&frame).map(Some).map_err(ClientError::Proto)
+            }
+            Response::StreamEnd { .. } => Ok(None),
+            other => Err(unexpected("READ_STREAM2", &other)),
+        });
         match chunk {
             Ok(Some(msgs)) => self.buffer.extend(msgs),
             Ok(None) => self.done = true,
@@ -497,7 +477,7 @@ impl<C: Connection> ReadStream<'_, C> {
     }
 }
 
-impl<C: Connection> Iterator for ReadStream<'_, C> {
+impl<C: Connection, B: BorrowMut<ServeClient<C>>> Iterator for ReadStream<C, B> {
     type Item = ClientResult<WireMessage>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -516,7 +496,7 @@ impl<C: Connection> Iterator for ReadStream<'_, C> {
     }
 }
 
-impl<C: Connection> Drop for ReadStream<'_, C> {
+impl<C: Connection, B: BorrowMut<ServeClient<C>>> Drop for ReadStream<C, B> {
     fn drop(&mut self) {
         // Abandoned mid-stream: swallow the remaining frames. Bounded by
         // what the server still produces — which is little, because the
@@ -884,6 +864,7 @@ impl<T: Transport> RetryClient<T> {
                             if let Some(b) = self.budget.as_mut() {
                                 b.on_success();
                             }
+                            self.next_retry = 0;
                             return Ok(v);
                         }
                         Err(e) => e,
@@ -935,31 +916,20 @@ impl<T: Transport> RetryClient<T> {
         }
     }
 
-    fn run_reset<R>(
-        &mut self,
-        op: impl FnMut(&mut ServeClient<T::Conn>) -> ClientResult<R>,
-    ) -> ClientResult<R> {
-        let out = self.run(op);
-        if out.is_ok() {
-            self.next_retry = 0;
-        }
-        out
-    }
-
     pub fn open(&mut self, container: &str) -> ClientResult<(ContainerStat, bool)> {
-        self.run_reset(|c| c.open(container))
+        self.run(|c| c.open(container))
     }
 
     pub fn topics(&mut self, container: &str) -> ClientResult<Vec<String>> {
-        self.run_reset(|c| c.topics(container))
+        self.run(|c| c.topics(container))
     }
 
     pub fn meta(&mut self, container: &str) -> ClientResult<Vec<u8>> {
-        self.run_reset(|c| c.meta(container))
+        self.run(|c| c.meta(container))
     }
 
     pub fn read(&mut self, container: &str, topics: &[&str]) -> ClientResult<Vec<WireMessage>> {
-        self.run_reset(|c| c.read(container, topics))
+        self.run(|c| c.read(container, topics))
     }
 
     pub fn read_time(
@@ -969,7 +939,7 @@ impl<T: Transport> RetryClient<T> {
         start: Time,
         end: Time,
     ) -> ClientResult<Vec<WireMessage>> {
-        self.run_reset(|c| c.read_time(container, topics, start, end))
+        self.run(|c| c.read_time(container, topics, start, end))
     }
 
     /// A streamed read collected to completion, with retry. The stream is
@@ -982,7 +952,7 @@ impl<T: Transport> RetryClient<T> {
         container: &str,
         topics: &[&str],
     ) -> ClientResult<Vec<WireMessage>> {
-        self.run_reset(|c| {
+        self.run(|c| {
             let mut out = Vec::new();
             for m in c.read_stream(container, topics)? {
                 out.push(m?);
@@ -999,7 +969,7 @@ impl<T: Transport> RetryClient<T> {
         start: Time,
         end: Time,
     ) -> ClientResult<Vec<WireMessage>> {
-        self.run_reset(|c| {
+        self.run(|c| {
             let mut out = Vec::new();
             for m in c.read_stream_time(container, topics, start, end)? {
                 out.push(m?);
@@ -1014,31 +984,31 @@ impl<T: Transport> RetryClient<T> {
     /// surfaces immediately — resending a statement that cannot parse
     /// would only repeat the failure.
     pub fn query(&mut self, container: &str, sql: &str) -> ClientResult<QueryReply> {
-        self.run_reset(|c| c.query(container, sql))
+        self.run(|c| c.query(container, sql))
     }
 
     /// Fragment-mode variant of [`RetryClient::query`]; see
     /// [`ServeClient::query_partial`].
     pub fn query_partial(&mut self, container: &str, sql: &str) -> ClientResult<QueryReply> {
-        self.run_reset(|c| c.query_partial(container, sql))
+        self.run(|c| c.query_partial(container, sql))
     }
 
     pub fn stat(&mut self, container: &str) -> ClientResult<ContainerStat> {
-        self.run_reset(|c| c.stat(container))
+        self.run(|c| c.stat(container))
     }
 
     pub fn stats(&mut self) -> ClientResult<StatsSnapshot> {
-        self.run_reset(|c| c.stats())
+        self.run(|c| c.stats())
     }
 
     pub fn metrics(&mut self) -> ClientResult<MetricsReport> {
-        self.run_reset(|c| c.metrics())
+        self.run(|c| c.metrics())
     }
 
     /// Health probe. Not retried beyond the policy's normal schedule: a
     /// probe that needs retries is itself the health signal.
     pub fn ping(&mut self) -> ClientResult<PingInfo> {
-        self.run_reset(|c| c.ping())
+        self.run(|c| c.ping())
     }
 
     /// Shutdown is not retried: a lost response is indistinguishable from
@@ -1112,7 +1082,10 @@ mod tests {
     /// What a scripted connection does for one request.
     #[derive(Clone)]
     enum Step {
+        /// Answer under the seq of the request in flight.
         Reply(Response),
+        /// Deliver these bytes as a frame, whatever they are.
+        Raw(Vec<u8>),
         /// Fail the recv with an I/O error (connection is then unusable).
         Break,
     }
@@ -1120,13 +1093,16 @@ mod tests {
     struct ScriptedConn {
         steps: Arc<Mutex<VecDeque<Step>>>,
         sends: Arc<AtomicU32>,
+        /// Seq of the last request sent.
+        seq: u32,
         pending: bool,
         broken: bool,
     }
 
     impl Connection for ScriptedConn {
-        fn send_frame(&mut self, _payload: &[u8]) -> std::io::Result<()> {
+        fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
             self.sends.fetch_add(1, Ordering::SeqCst);
+            self.seq = crate::proto::split_seq(payload).expect("requests open with a seq").0;
             self.pending = true;
             Ok(())
         }
@@ -1144,7 +1120,8 @@ mod tests {
                 return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "dead conn"));
             }
             match self.steps.lock().unwrap().pop_front() {
-                Some(Step::Reply(resp)) => Ok(resp.encode()),
+                Some(Step::Reply(resp)) => Ok(resp.encode_seq(self.seq).unwrap()),
+                Some(Step::Raw(frame)) => Ok(frame),
                 Some(Step::Break) | None => {
                     self.broken = true;
                     Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "scripted break"))
@@ -1178,6 +1155,7 @@ mod tests {
             Ok(ScriptedConn {
                 steps: Arc::clone(&self.steps),
                 sends: Arc::clone(&self.sends),
+                seq: 0,
                 pending: false,
                 broken: false,
             })
@@ -1341,6 +1319,54 @@ mod tests {
         assert!(matches!(c.topics("/c"), Err(ClientError::DeadlineExceeded { .. })));
         assert_eq!(t.steps.lock().unwrap().len(), 1, "no request was sent");
         assert_eq!(t.connects.load(Ordering::SeqCst), 0, "no connection was made");
+    }
+
+    // ------------------------------------------------------- the envelope
+
+    #[test]
+    fn stale_frames_are_skipped_and_short_frames_are_errors() {
+        let topics = |name: &str| Response::Topics(vec![name.into()]);
+        // A duplicate of request 1's answer surfaces during request 2:
+        // skipped, not returned.
+        let t = ScriptedTransport::new(vec![
+            Step::Reply(topics("/first")),
+            Step::Raw(topics("/first").encode_seq(1).unwrap()),
+            Step::Reply(topics("/second")),
+        ]);
+        let mut c = ServeClient::new(t.connect().unwrap());
+        assert_eq!(c.topics("/c").unwrap(), vec!["/first".to_owned()]);
+        assert_eq!(c.topics("/c").unwrap(), vec!["/second".to_owned()]);
+
+        // A bare response (what a peer without the envelope would send)
+        // reads as some other seq: skipped too, never taken for the answer.
+        let t = ScriptedTransport::new(vec![
+            Step::Raw(topics("/bare").encode()),
+            Step::Reply(topics("/real")),
+        ]);
+        let mut c = ServeClient::new(t.connect().unwrap());
+        assert_eq!(c.topics("/c").unwrap(), vec!["/real".to_owned()]);
+
+        // A frame too short to hold a seq is a protocol error, once; the
+        // answer behind it is still there for whoever keeps reading.
+        for short in [vec![1, 0, 0], vec![]] {
+            let t = ScriptedTransport::new(vec![Step::Raw(short), Step::Reply(topics("/real"))]);
+            let mut c = ServeClient::new(t.connect().unwrap());
+            assert!(matches!(c.topics("/c"), Err(ClientError::Proto(_))));
+            assert_eq!(t.steps.lock().unwrap().len(), 1, "nothing was read past the bad frame");
+        }
+    }
+
+    #[test]
+    fn oversized_request_fields_fail_before_any_byte_is_sent() {
+        let t = ScriptedTransport::new(vec![Step::Reply(Response::Read(vec![]))]);
+        let mut c = ServeClient::new(t.connect().unwrap());
+        let topic = "t".repeat(70_000);
+        assert!(matches!(c.read("/c", &[&topic]), Err(ClientError::Proto(_))));
+        assert!(matches!(c.read_stream("/c", &[&topic]).err(), Some(ClientError::Proto(_))));
+        assert!(matches!(c.topics(&topic), Err(ClientError::Proto(_))));
+        assert_eq!(t.sends.load(Ordering::SeqCst), 0, "no request frame was sent");
+        // The connection was never touched, so it is still usable.
+        assert_eq!(c.read("/c", &["/imu"]).unwrap(), vec![]);
     }
 
     // ---------------------------------------------- compressed streaming

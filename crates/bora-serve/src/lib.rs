@@ -63,9 +63,9 @@ pub use client::{
     RetryBudgetConfig, RetryClient, RetryPolicy, ServeClient,
 };
 pub use proto::{
-    compress_chunk, decompress_chunk, peel_corr, wrap_corr, ContainerStat, ErrorCode,
-    MetricsReport, OpSummary, PingInfo, ProtoError, Request, Response, SlowOpEntry, StatsSnapshot,
-    WireMessage, CORR_LEN, DEADLINE_LEN, METRICS_REPORT_VERSION, OP_CORR, TRACE_CTX_LEN,
+    compress_chunk, decompress_chunk, split_seq, ContainerStat, ErrorCode, MetricsReport,
+    OpSummary, PingInfo, ProtoError, Request, Response, SlowOpEntry, StatsSnapshot, WireMessage,
+    METRICS_REPORT_VERSION,
 };
 pub use server::{Server, ServerConfig};
 pub use transport::{

@@ -1,24 +1,49 @@
 //! The bora-serve wire protocol: length-prefixed binary frames.
 //!
 //! Every message travels as one frame: a little-endian `u32` payload
-//! length followed by the payload. The first payload byte is the opcode;
-//! the rest is the operation's fields in fixed little-endian layouts
-//! (strings are `u16` length + UTF-8, lists are `u16` count + elements).
-//! There is no versioning handshake — both ends of a deployment ship
-//! together — but unknown opcodes and truncated payloads decode to
-//! [`ProtoError`] rather than panicking, so a malformed client cannot
-//! take a worker down.
+//! length followed by the payload. Every payload, in both directions,
+//! opens with the same envelope:
 //!
-//! The protocol is request/response with one extension: a `READ_STREAM`
-//! request is answered by a *sequence* of frames — zero or more
-//! [`Response::StreamChunk`]s as the server's k-way merge yields
-//! messages, closed by a [`Response::StreamEnd`] (or a terminal
-//! [`Response::Error`]). Everything else stays one-request/one-response,
-//! and one outstanding request per connection keeps the backpressure
-//! story honest: stream frames are produced no faster than the transport
-//! accepts them, and a client that wants parallelism opens more
-//! connections, which the server's bounded queue then sheds explicitly
-//! via [`Response::Overloaded`].
+//! ```text
+//! request:   seq u32 | flags u8 | [deadline_ns u64] | [trace_id u64, parent_span u64] | opcode u8 | fields
+//! response:  seq u32 | opcode u8 | fields
+//! ```
+//!
+//! * `seq` is the client's per-connection request counter; the server
+//!   echoes it on every frame it sends in answer (all chunks of a stream
+//!   carry the request's seq). A client discards a frame whose seq is not
+//!   the one in flight — a duplicated or reordered response surfacing
+//!   after its request was lost would otherwise be read as the answer to
+//!   the *next* request, and an ack credited to an append the server never
+//!   saw. A frame too short to hold a seq is a [`ProtoError`].
+//! * `flags` bit 0 says a deadline budget follows: *relative* nanoseconds
+//!   remaining at send time, not a timestamp, so no clock synchronisation
+//!   is assumed — the server measures its own queue wait against it and
+//!   sheds work whose budget is already spent. Bit 1 says a trace context
+//!   follows and bit 2 is that context's `sampled` bit; any other bit (or
+//!   bit 2 without bit 1) is rejected. [`Request::encode_framed`] is the
+//!   only writer of this header ([`Request::encode_seq`] is the same
+//!   bytes behind their `seq`) and [`Request::decode_framed`] its only
+//!   reader.
+//! * the rest is the operation's fields in fixed little-endian layouts
+//!   (strings are `u16` length + UTF-8, lists are `u16` count + elements).
+//!
+//! There is no versioning handshake and no optional part — both ends of a
+//! deployment ship together — but unknown opcodes, unknown flag bits and
+//! truncated payloads decode to [`ProtoError`] rather than panicking, so
+//! a malformed client cannot take a worker down.
+//!
+//! The protocol is request/response with two extensions: a `READ_STREAM2`
+//! request is answered by a *sequence* of frames — zero or more chunks
+//! ([`Response::StreamChunkLz`] or plain [`Response::StreamChunk`], the
+//! server's choice per chunk) as its k-way merge yields messages, closed
+//! by a [`Response::StreamEnd`] (or a terminal [`Response::Error`]) — and
+//! `QUERY` likewise streams a schema frame and row chunks. Everything
+//! else stays one-request/one-response, and one outstanding request per
+//! connection keeps the backpressure story honest: stream frames are
+//! produced no faster than the transport accepts them, and a client that
+//! wants parallelism opens more connections, which the server's bounded
+//! queue then sheds explicitly via [`Response::Overloaded`].
 
 use bora::block::{decode_frame, encode_frame};
 use bora::BlockCodec;
@@ -43,61 +68,20 @@ const OP_STAT: u8 = 0x05;
 const OP_STATS: u8 = 0x06;
 const OP_SHUTDOWN: u8 = 0x07;
 const OP_TRACE: u8 = 0x08;
-const OP_READ_STREAM: u8 = 0x09;
 const OP_PING: u8 = 0x0A;
 const OP_APPEND: u8 = 0x0B;
 const OP_SEAL: u8 = 0x0C;
 const OP_METRICS: u8 = 0x0D;
 
-/// Optional trace-context prefix on a request payload: a client that is
-/// tracing wraps the inner request as
-/// `[0x0F, trace_id u64, parent_span u64, flags u8, inner payload…]`
-/// (flags bit 0 = sampled). Untraced clients send the bare request, so
-/// the untraced encoding is byte-identical to the pre-trace protocol —
-/// old clients talk to new servers and vice versa. An old server sees
-/// `0x0F` as an unknown opcode and answers with a clean [`ProtoError`]
-/// error, which is why traced clients only prepend the header when a
-/// context is actually present.
-const OP_TRACE_CTX: u8 = 0x0F;
+// Request header flag bits (see the module doc).
+const FLAG_DEADLINE: u8 = 1 << 0;
+const FLAG_TRACE: u8 = 1 << 1;
+const FLAG_SAMPLED: u8 = 1 << 2;
 
-/// Bytes a trace-context prefix adds to a request payload.
-pub const TRACE_CTX_LEN: usize = 1 + 8 + 8 + 1;
-
-/// Optional deadline prefix on a request payload: a client with a
-/// per-request budget wraps the (possibly trace-wrapped) payload as
-/// `[0x10, budget_ns u64, inner payload…]`. The budget is *relative*
-/// nanoseconds remaining at send time, not an absolute timestamp, so
-/// no clock synchronisation is assumed — the server measures its own
-/// queue wait against it and sheds work whose budget is already spent.
-/// Like the trace prefix, the header is only prepended when a deadline
-/// is actually set, so deadline-free traffic stays byte-identical to
-/// the pre-deadline protocol.
-const OP_DEADLINE: u8 = 0x10;
-
-/// Bytes a deadline prefix adds to a request payload.
-pub const DEADLINE_LEN: usize = 1 + 8;
-
-/// Correlation prefix, outermost on both directions of the wire:
-/// `[0x11, seq u32, inner payload…]`. The client stamps every request
-/// with a per-connection sequence number and the server echoes it on
-/// every frame it sends in answer (all chunks of a stream carry the
-/// request's seq). This is what lets a client *reject* a stale frame —
-/// a duplicated or reordered response surfacing after its request was
-/// lost would otherwise be read as the answer to the *next* request,
-/// and an ack credited to an append the server never saw. Uncorrelated
-/// requests get uncorrelated responses, so plain peers interoperate
-/// unchanged.
-pub const OP_CORR: u8 = 0x11;
-
-/// Bytes a correlation prefix adds to a payload.
-pub const CORR_LEN: usize = 1 + 4;
-
-/// `READ_STREAM2`: identical fields to `READ_STREAM`, but the request
-/// opcode doubles as a capability bit — a client that sends it declares
-/// it can decode [`Response::StreamChunkLz`] frames, so the server is
-/// free to ship each chunk LZ-compressed. `ServeClient` always sends it
-/// (both ends ship together, so there is no older server to probe for);
-/// plain `READ_STREAM` stays for peers that want uncompressed chunks.
+/// `READ_STREAM2`, the one streamed read: `READ`'s fields, answered by
+/// chunk frames the server may ship LZ-compressed
+/// ([`Response::StreamChunkLz`]) or plain ([`Response::StreamChunk`]).
+/// (`0x09` was the plain-chunks-only `READ_STREAM`, retired.)
 const OP_READ_STREAM2: u8 = 0x12;
 
 /// `QUERY`: execute a `bora-query` statement against a container and
@@ -109,24 +93,12 @@ const OP_READ_STREAM2: u8 = 0x12;
 /// [`ErrorCode::BadQuery`] and the connection stays usable.
 const OP_QUERY: u8 = 0x13;
 
-/// Wrap `inner` in a correlation prefix carrying `seq`.
-pub fn wrap_corr(seq: u32, inner: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(CORR_LEN + inner.len());
-    buf.push(OP_CORR);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(inner);
-    buf
-}
-
-/// Split a payload into its correlation seq (if prefixed) and the inner
-/// bytes. Payloads without the prefix — plain peers, pre-correlation
-/// traffic — come back as `(None, payload)` untouched.
-pub fn peel_corr(payload: &[u8]) -> (Option<u32>, &[u8]) {
-    if payload.len() >= CORR_LEN && payload[0] == OP_CORR {
-        let seq = u32::from_le_bytes(payload[1..CORR_LEN].try_into().unwrap());
-        (Some(seq), &payload[CORR_LEN..])
-    } else {
-        (None, payload)
+/// Split a received frame payload into the seq it opens with and the
+/// rest. A frame too short to hold one is not an answer to anything.
+pub fn split_seq(payload: &[u8]) -> ProtoResult<(u32, &[u8])> {
+    match payload.split_first_chunk::<4>() {
+        Some((seq, rest)) => Ok((u32::from_le_bytes(*seq), rest)),
+        None => Err(ProtoError(format!("{}-byte frame holds no seq", payload.len()))),
     }
 }
 
@@ -137,9 +109,13 @@ pub fn peel_corr(payload: &[u8]) -> (Option<u32>, &[u8]) {
 /// header. Compression cost is charged to `ctx` like any other
 /// storage-layer compression.
 pub fn compress_chunk(messages: &[WireMessage], ctx: &mut IoCtx) -> Response {
-    let mut w = Writer { buf: Vec::new() };
+    let mut w = Writer::default();
     w.msgs(messages);
-    Response::StreamChunkLz(encode_frame(BlockCodec::Lzss, &w.buf, ctx))
+    Response::StreamChunkLz(encode_frame(
+        BlockCodec::Lzss,
+        &w.finish().expect("topic names fit a u16 length prefix"),
+        ctx,
+    ))
 }
 
 /// Decode a [`Response::StreamChunkLz`] frame back into its message
@@ -204,15 +180,11 @@ pub enum Request {
     Meta { container: String },
     /// Read messages of `topics`, optionally restricted to `[start, end]`.
     Read { container: String, topics: Vec<String>, range: Option<(Time, Time)> },
-    /// Like `Read`, but answered with a sequence of
-    /// [`Response::StreamChunk`] frames written as the server-side merge
-    /// yields messages, closed by [`Response::StreamEnd`]. The worker's
-    /// cache pin is held for the stream's whole lifetime.
-    ReadStream { container: String, topics: Vec<String>, range: Option<(Time, Time)> },
-    /// Like `ReadStream`, but announces that this client decodes
-    /// [`Response::StreamChunkLz`] — the server may answer with
-    /// compressed chunk frames (it still may send plain `StreamChunk`s;
-    /// the capability is permission, not obligation).
+    /// Like `Read`, but answered with a sequence of chunk frames
+    /// ([`Response::StreamChunkLz`] or [`Response::StreamChunk`]) written
+    /// as the server-side merge yields messages, closed by
+    /// [`Response::StreamEnd`]. The worker's cache pin is held for the
+    /// stream's whole lifetime.
     ReadStream2 { container: String, topics: Vec<String>, range: Option<(Time, Time)> },
     /// Append live messages to an ingest root (`bora-ingest`). Messages
     /// must be per-topic chronological; the whole batch is acked as a
@@ -476,13 +448,13 @@ pub enum Response {
     /// `bora::ContainerMeta::decode`, reusing the container's own format.
     Meta(Vec<u8>),
     Read(Vec<WireMessage>),
-    /// One batch of a `READ_STREAM` answer; more frames follow.
+    /// One batch of a `READ_STREAM2` answer; more frames follow.
     StreamChunk(Vec<WireMessage>),
     /// One batch of a `READ_STREAM2` answer, carried as a
     /// `bora::block` frame wrapping the plain chunk body. Decode with
     /// [`decompress_chunk`]; produce with [`compress_chunk`].
     StreamChunkLz(Vec<u8>),
-    /// Terminal frame of a `READ_STREAM` answer: total messages streamed.
+    /// Terminal frame of a `READ_STREAM2` answer: total messages streamed.
     StreamEnd {
         messages: u64,
     },
@@ -546,13 +518,30 @@ type ProtoResult<T> = Result<T, ProtoError>;
 
 // ---------------------------------------------------------------- encoding
 
+#[derive(Default)]
 struct Writer {
     buf: Vec<u8>,
+    /// A string or list was too long for its `u16` length prefix; the
+    /// buffer is unusable (see [`Writer::finish`]).
+    overflow: bool,
 }
 
 impl Writer {
-    fn new(op: u8) -> Self {
-        Writer { buf: vec![op] }
+    /// The encoded bytes, unless a length did not fit its prefix — a
+    /// wrapped prefix would ship a frame whose tail parses as something
+    /// else.
+    fn finish(self) -> ProtoResult<Vec<u8>> {
+        if self.overflow {
+            return Err(ProtoError("a string or list exceeds its u16 length prefix".into()));
+        }
+        Ok(self.buf)
+    }
+    /// A `u16` length or count prefix.
+    fn len16(&mut self, n: usize) {
+        match u16::try_from(n) {
+            Ok(n) => self.u16(n),
+            Err(_) => self.overflow = true,
+        }
     }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -571,9 +560,14 @@ impl Writer {
         self.u32(t.nsec);
     }
     fn str(&mut self, s: &str) {
-        debug_assert!(s.len() <= u16::MAX as usize, "string field too long");
-        self.u16(s.len() as u16);
+        self.len16(s.len());
         self.buf.extend_from_slice(s.as_bytes());
+    }
+    fn strs(&mut self, list: &[String]) {
+        self.len16(list.len());
+        for s in list {
+            self.str(s);
+        }
     }
     fn bytes(&mut self, b: &[u8]) {
         self.u32(b.len() as u32);
@@ -656,6 +650,17 @@ impl<'a> Reader<'a> {
         let raw = self.take(len)?;
         String::from_utf8(raw.to_vec()).map_err(|_| ProtoError("non-UTF8 string field".into()))
     }
+    fn strs(&mut self) -> ProtoResult<Vec<String>> {
+        let n = self.u16()? as usize;
+        (0..n).map(|_| self.str()).collect()
+    }
+    fn flag(&mut self, what: &str) -> ProtoResult<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            v => Err(ProtoError(format!("bad {what} marker {v}"))),
+        }
+    }
     fn bytes(&mut self) -> ProtoResult<Vec<u8>> {
         let len = self.u32()? as usize;
         Ok(self.take(len)?.to_vec())
@@ -718,7 +723,6 @@ impl Request {
             | Request::Topics { container }
             | Request::Meta { container }
             | Request::Read { container, .. }
-            | Request::ReadStream { container, .. }
             | Request::ReadStream2 { container, .. }
             | Request::Append { container, .. }
             | Request::Seal { container, .. }
@@ -739,9 +743,7 @@ impl Request {
             Request::Topics { .. } => "topics",
             Request::Meta { .. } => "meta",
             Request::Read { .. } => "read",
-            // Same op as ReadStream under a different chunk encoding, so
-            // both share one metrics/SLO key.
-            Request::ReadStream { .. } | Request::ReadStream2 { .. } => "read_stream",
+            Request::ReadStream2 { .. } => "read_stream",
             Request::Append { .. } => "append",
             Request::Seal { .. } => "seal",
             Request::Query { .. } => "query",
@@ -754,34 +756,41 @@ impl Request {
         }
     }
 
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w;
+    /// The request header (see the module doc), then opcode and fields.
+    fn write(&self, w: &mut Writer, ctx: Option<TraceContext>, deadline_ns: Option<u64>) {
+        let mut flags = 0;
+        if deadline_ns.is_some() {
+            flags |= FLAG_DEADLINE;
+        }
+        if let Some(c) = ctx {
+            flags |= FLAG_TRACE | if c.sampled { FLAG_SAMPLED } else { 0 };
+        }
+        w.u8(flags);
+        if let Some(budget) = deadline_ns {
+            w.u64(budget);
+        }
+        if let Some(c) = ctx {
+            w.u64(c.trace_id);
+            w.u64(c.parent_span);
+        }
         match self {
             Request::Open { container } => {
-                w = Writer::new(OP_OPEN);
+                w.u8(OP_OPEN);
                 w.str(container);
             }
             Request::Topics { container } => {
-                w = Writer::new(OP_TOPICS);
+                w.u8(OP_TOPICS);
                 w.str(container);
             }
             Request::Meta { container } => {
-                w = Writer::new(OP_META);
+                w.u8(OP_META);
                 w.str(container);
             }
             Request::Read { container, topics, range }
-            | Request::ReadStream { container, topics, range }
             | Request::ReadStream2 { container, topics, range } => {
-                w = Writer::new(match self {
-                    Request::Read { .. } => OP_READ,
-                    Request::ReadStream { .. } => OP_READ_STREAM,
-                    _ => OP_READ_STREAM2,
-                });
+                w.u8(if matches!(self, Request::Read { .. }) { OP_READ } else { OP_READ_STREAM2 });
                 w.str(container);
-                w.u16(topics.len() as u16);
-                for t in topics {
-                    w.str(t);
-                }
+                w.strs(topics);
                 match range {
                     Some((start, end)) => {
                         w.u8(1);
@@ -792,83 +801,106 @@ impl Request {
                 }
             }
             Request::Append { container, messages } => {
-                w = Writer::new(OP_APPEND);
+                w.u8(OP_APPEND);
                 w.str(container);
                 w.msgs(messages);
             }
             Request::Seal { container, compact } => {
-                w = Writer::new(OP_SEAL);
+                w.u8(OP_SEAL);
                 w.str(container);
                 w.u8(*compact as u8);
             }
             Request::Query { container, sql, partial } => {
-                w = Writer::new(OP_QUERY);
+                w.u8(OP_QUERY);
                 w.str(container);
                 // u32 length: query text has no natural u16 bound.
                 w.bytes(sql.as_bytes());
                 w.u8(*partial as u8);
             }
             Request::Stat { container } => {
-                w = Writer::new(OP_STAT);
+                w.u8(OP_STAT);
                 w.str(container);
             }
-            Request::Stats => w = Writer::new(OP_STATS),
-            Request::Metrics => w = Writer::new(OP_METRICS),
-            Request::Trace => w = Writer::new(OP_TRACE),
-            Request::Ping => w = Writer::new(OP_PING),
-            Request::Shutdown => w = Writer::new(OP_SHUTDOWN),
+            Request::Stats => w.u8(OP_STATS),
+            Request::Metrics => w.u8(OP_METRICS),
+            Request::Trace => w.u8(OP_TRACE),
+            Request::Ping => w.u8(OP_PING),
+            Request::Shutdown => w.u8(OP_SHUTDOWN),
         }
-        w.buf
     }
 
-    pub fn decode(payload: &[u8]) -> ProtoResult<Request> {
+    /// Encode header, opcode and fields — everything of the frame payload
+    /// after its `seq`. `ctx` is the caller's trace context (server-side
+    /// spans parent under it), `deadline_ns` the budget left for this
+    /// request.
+    ///
+    /// # Panics
+    /// If a string or list is too long for its `u16` length prefix; a
+    /// sender of outside input uses [`Request::encode_seq`], which
+    /// returns that as an error.
+    pub fn encode_framed(&self, ctx: Option<TraceContext>, deadline_ns: Option<u64>) -> Vec<u8> {
+        let mut w = Writer::default();
+        self.write(&mut w, ctx, deadline_ns);
+        w.finish().expect("request field fits its u16 length prefix")
+    }
+
+    /// The whole frame payload: `seq`, then [`Request::encode_framed`]'s
+    /// bytes. Fails, instead of shipping a wrapped length prefix, when a
+    /// name is longer than 65 535 bytes or a list has more entries.
+    pub fn encode_seq(
+        &self,
+        seq: u32,
+        ctx: Option<TraceContext>,
+        deadline_ns: Option<u64>,
+    ) -> ProtoResult<Vec<u8>> {
+        let mut w = Writer::default();
+        w.u32(seq);
+        self.write(&mut w, ctx, deadline_ns);
+        w.finish()
+    }
+
+    /// Decode what [`Request::encode_framed`] wrote: the request, its
+    /// trace context and its deadline budget.
+    #[allow(clippy::type_complexity)]
+    pub fn decode_framed(
+        payload: &[u8],
+    ) -> ProtoResult<(Request, Option<TraceContext>, Option<u64>)> {
         let mut r = Reader::new(payload);
+        let flags = r.u8()?;
+        if flags & !(FLAG_DEADLINE | FLAG_TRACE | FLAG_SAMPLED) != 0
+            || flags & (FLAG_TRACE | FLAG_SAMPLED) == FLAG_SAMPLED
+        {
+            return Err(ProtoError(format!("bad request header flags {flags:#04x}")));
+        }
+        let deadline_ns = if flags & FLAG_DEADLINE != 0 { Some(r.u64()?) } else { None };
+        let ctx = if flags & FLAG_TRACE != 0 {
+            let (trace_id, parent_span) = (r.u64()?, r.u64()?);
+            Some(TraceContext { trace_id, parent_span, sampled: flags & FLAG_SAMPLED != 0 })
+        } else {
+            None
+        };
         let op = r.u8()?;
         let req = match op {
             OP_OPEN => Request::Open { container: r.str()? },
             OP_TOPICS => Request::Topics { container: r.str()? },
             OP_META => Request::Meta { container: r.str()? },
-            OP_READ | OP_READ_STREAM | OP_READ_STREAM2 => {
+            OP_READ | OP_READ_STREAM2 => {
                 let container = r.str()?;
-                let n = r.u16()? as usize;
-                let mut topics = Vec::with_capacity(n);
-                for _ in 0..n {
-                    topics.push(r.str()?);
-                }
-                let range = match r.u8()? {
-                    0 => None,
-                    1 => Some((r.time()?, r.time()?)),
-                    v => return Err(ProtoError(format!("bad range marker {v}"))),
-                };
-                match op {
-                    OP_READ => Request::Read { container, topics, range },
-                    OP_READ_STREAM => Request::ReadStream { container, topics, range },
-                    _ => Request::ReadStream2 { container, topics, range },
+                let topics = r.strs()?;
+                let range = if r.flag("range")? { Some((r.time()?, r.time()?)) } else { None };
+                if op == OP_READ {
+                    Request::Read { container, topics, range }
+                } else {
+                    Request::ReadStream2 { container, topics, range }
                 }
             }
-            OP_APPEND => {
-                let container = r.str()?;
-                Request::Append { container, messages: r.msgs()? }
-            }
-            OP_SEAL => {
-                let container = r.str()?;
-                let compact = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    v => return Err(ProtoError(format!("bad compact marker {v}"))),
-                };
-                Request::Seal { container, compact }
-            }
+            OP_APPEND => Request::Append { container: r.str()?, messages: r.msgs()? },
+            OP_SEAL => Request::Seal { container: r.str()?, compact: r.flag("compact")? },
             OP_QUERY => {
                 let container = r.str()?;
                 let sql = String::from_utf8(r.bytes()?)
                     .map_err(|_| ProtoError("query text is not UTF-8".into()))?;
-                let partial = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    v => return Err(ProtoError(format!("bad partial marker {v}"))),
-                };
-                Request::Query { container, sql, partial }
+                Request::Query { container, sql, partial: r.flag("partial")? }
             }
             OP_STAT => Request::Stat { container: r.str()? },
             OP_STATS => Request::Stats,
@@ -879,147 +911,72 @@ impl Request {
             other => return Err(ProtoError(format!("unknown request opcode {other:#04x}"))),
         };
         r.finish()?;
-        Ok(req)
-    }
-
-    /// Encode with an optional trace-context prefix. With `ctx: None`
-    /// the output is byte-identical to [`Request::encode`] — a client
-    /// that isn't tracing is indistinguishable from one that predates
-    /// tracing, which is what keeps old servers compatible.
-    pub fn encode_traced(&self, ctx: Option<TraceContext>) -> Vec<u8> {
-        let Some(c) = ctx else { return self.encode() };
-        let inner = self.encode();
-        let mut buf = Vec::with_capacity(TRACE_CTX_LEN + inner.len());
-        buf.push(OP_TRACE_CTX);
-        buf.extend_from_slice(&c.trace_id.to_le_bytes());
-        buf.extend_from_slice(&c.parent_span.to_le_bytes());
-        buf.push(c.sampled as u8);
-        buf.extend_from_slice(&inner);
-        buf
-    }
-
-    /// Decode a request payload, peeling the optional trace-context
-    /// prefix. Plain payloads (old clients) decode to `(req, None)`.
-    pub fn decode_traced(payload: &[u8]) -> ProtoResult<(Request, Option<TraceContext>)> {
-        if payload.first() != Some(&OP_TRACE_CTX) {
-            return Ok((Request::decode(payload)?, None));
-        }
-        if payload.len() < TRACE_CTX_LEN {
-            return Err(ProtoError("truncated trace-context header".into()));
-        }
-        let trace_id = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-        let parent_span = u64::from_le_bytes(payload[9..17].try_into().unwrap());
-        let flags = payload[17];
-        if flags & !1 != 0 {
-            return Err(ProtoError(format!("unknown trace-context flags {flags:#04x}")));
-        }
-        let ctx = TraceContext { trace_id, parent_span, sampled: flags & 1 != 0 };
-        Ok((Request::decode(&payload[TRACE_CTX_LEN..])?, Some(ctx)))
-    }
-
-    /// Encode with both optional prefixes: the deadline header is the
-    /// *outermost* layer, wrapping the (possibly trace-wrapped) payload.
-    /// With both `None` the output is byte-identical to
-    /// [`Request::encode`].
-    pub fn encode_framed(&self, ctx: Option<TraceContext>, deadline_ns: Option<u64>) -> Vec<u8> {
-        let inner = self.encode_traced(ctx);
-        let Some(budget) = deadline_ns else { return inner };
-        let mut buf = Vec::with_capacity(DEADLINE_LEN + inner.len());
-        buf.push(OP_DEADLINE);
-        buf.extend_from_slice(&budget.to_le_bytes());
-        buf.extend_from_slice(&inner);
-        buf
-    }
-
-    /// Decode a request payload, peeling the optional deadline prefix
-    /// and then the optional trace-context prefix. Plain payloads (old
-    /// clients) decode to `(req, None, None)`.
-    #[allow(clippy::type_complexity)]
-    pub fn decode_framed(
-        payload: &[u8],
-    ) -> ProtoResult<(Request, Option<TraceContext>, Option<u64>)> {
-        if payload.first() != Some(&OP_DEADLINE) {
-            let (req, ctx) = Request::decode_traced(payload)?;
-            return Ok((req, ctx, None));
-        }
-        if payload.len() < DEADLINE_LEN {
-            return Err(ProtoError("truncated deadline header".into()));
-        }
-        let budget_ns = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-        let (req, ctx) = Request::decode_traced(&payload[DEADLINE_LEN..])?;
-        Ok((req, ctx, Some(budget_ns)))
+        Ok((req, ctx, deadline_ns))
     }
 }
 
 impl Response {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w;
+    fn write(&self, w: &mut Writer) {
         match self {
             Response::Opened { stat, cached } => {
-                w = Writer::new(OP_OK_OPEN);
+                w.u8(OP_OK_OPEN);
                 w.stat(stat);
                 w.u8(*cached as u8);
             }
             Response::Topics(topics) => {
-                w = Writer::new(OP_OK_TOPICS);
-                w.u16(topics.len() as u16);
-                for t in topics {
-                    w.str(t);
-                }
+                w.u8(OP_OK_TOPICS);
+                w.strs(topics);
             }
             Response::Meta(bytes) => {
-                w = Writer::new(OP_OK_META);
+                w.u8(OP_OK_META);
                 w.bytes(bytes);
             }
             Response::Read(messages) => {
-                w = Writer::new(OP_OK_READ);
+                w.u8(OP_OK_READ);
                 w.msgs(messages);
             }
             Response::StreamChunk(messages) => {
-                w = Writer::new(OP_OK_STREAM_CHUNK);
+                w.u8(OP_OK_STREAM_CHUNK);
                 w.msgs(messages);
             }
             Response::StreamChunkLz(frame) => {
-                w = Writer::new(OP_OK_STREAM_CHUNK_LZ);
+                w.u8(OP_OK_STREAM_CHUNK_LZ);
                 w.bytes(frame);
             }
             Response::StreamEnd { messages } => {
-                w = Writer::new(OP_OK_STREAM_END);
+                w.u8(OP_OK_STREAM_END);
                 w.u64(*messages);
             }
             Response::QuerySchema(cols) => {
-                w = Writer::new(OP_OK_QUERY_SCHEMA);
-                w.u16(cols.len() as u16);
-                for c in cols {
-                    w.str(c);
-                }
+                w.u8(OP_OK_QUERY_SCHEMA);
+                w.strs(cols);
             }
             Response::QueryChunk(blob) => {
-                w = Writer::new(OP_OK_QUERY_CHUNK);
+                w.u8(OP_OK_QUERY_CHUNK);
                 w.bytes(blob);
             }
             Response::QueryEnd { rows, explain } => {
-                w = Writer::new(OP_OK_QUERY_END);
+                w.u8(OP_OK_QUERY_END);
                 w.u64(*rows);
                 w.bytes(explain.as_bytes());
             }
             Response::Appended { appended, epoch } => {
-                w = Writer::new(OP_OK_APPENDED);
+                w.u8(OP_OK_APPENDED);
                 w.u64(*appended);
                 w.u64(*epoch);
             }
             Response::Sealed { epoch, sealed_segments } => {
-                w = Writer::new(OP_OK_SEALED);
+                w.u8(OP_OK_SEALED);
                 w.u64(*epoch);
                 w.u32(*sealed_segments);
             }
             Response::Stat(stat) => {
-                w = Writer::new(OP_OK_STAT);
+                w.u8(OP_OK_STAT);
                 w.stat(stat);
             }
             Response::Stats(s) => {
-                w = Writer::new(OP_OK_STATS);
-                w.u16(s.ops.len() as u16);
+                w.u8(OP_OK_STATS);
+                w.len16(s.ops.len());
                 for (name, op) in &s.ops {
                     w.str(name);
                     w.u64(op.count);
@@ -1040,26 +997,26 @@ impl Response {
                 w.u32(s.cache_capacity);
             }
             Response::Metrics(m) => {
-                w = Writer::new(OP_OK_METRICS);
+                w.u8(OP_OK_METRICS);
                 w.u32(m.version);
                 w.u32(m.server_id);
                 w.u64(m.uptime_ns);
-                w.u16(m.counters.len() as u16);
+                w.len16(m.counters.len());
                 for (name, v) in &m.counters {
                     w.str(name);
                     w.u64(*v);
                 }
-                w.u16(m.gauges.len() as u16);
+                w.len16(m.gauges.len());
                 for (name, v) in &m.gauges {
                     w.str(name);
                     w.i64(*v);
                 }
-                w.u16(m.hists.len() as u16);
+                w.len16(m.hists.len());
                 for (name, h) in &m.hists {
                     w.str(name);
                     w.hist(h);
                 }
-                w.u16(m.slow_ops.len() as u16);
+                w.len16(m.slow_ops.len());
                 for s in &m.slow_ops {
                     w.u64(s.trace_id);
                     w.str(&s.op);
@@ -1070,24 +1027,47 @@ impl Response {
                 }
             }
             Response::Trace(json) => {
-                w = Writer::new(OP_OK_TRACE);
+                w.u8(OP_OK_TRACE);
                 w.bytes(json.as_bytes());
             }
             Response::Pong(p) => {
-                w = Writer::new(OP_OK_PONG);
+                w.u8(OP_OK_PONG);
                 w.u32(p.server_id);
                 w.u64(p.uptime_ns);
                 w.u32(p.queue_depth);
             }
-            Response::ShuttingDown => w = Writer::new(OP_OK_SHUTDOWN),
+            Response::ShuttingDown => w.u8(OP_OK_SHUTDOWN),
             Response::Error { code, message } => {
-                w = Writer::new(OP_ERROR);
+                w.u8(OP_ERROR);
                 w.u8(*code as u8);
-                w.str(message);
+                // An error text may quote client input (a query statement)
+                // of any length: cut it to what the prefix can count.
+                w.str(&message[..message.floor_char_boundary(u16::MAX as usize)]);
             }
-            Response::Overloaded => w = Writer::new(OP_OVERLOADED),
+            Response::Overloaded => w.u8(OP_OVERLOADED),
         }
-        w.buf
+    }
+
+    /// Opcode and fields — everything of the frame payload after its
+    /// `seq`.
+    ///
+    /// # Panics
+    /// If a name or list is too long for its `u16` length prefix; the
+    /// serve loop uses [`Response::encode_seq`], which returns that as an
+    /// error.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::default();
+        self.write(&mut w);
+        w.finish().expect("response field fits its u16 length prefix")
+    }
+
+    /// The whole frame payload: the request's `seq`, then
+    /// [`Response::encode`]'s bytes.
+    pub fn encode_seq(&self, seq: u32) -> ProtoResult<Vec<u8>> {
+        let mut w = Writer::default();
+        w.u32(seq);
+        self.write(&mut w);
+        w.finish()
     }
 
     pub fn decode(payload: &[u8]) -> ProtoResult<Response> {
@@ -1099,27 +1079,13 @@ impl Response {
                 let cached = r.u8()? != 0;
                 Response::Opened { stat, cached }
             }
-            OP_OK_TOPICS => {
-                let n = r.u16()? as usize;
-                let mut topics = Vec::with_capacity(n);
-                for _ in 0..n {
-                    topics.push(r.str()?);
-                }
-                Response::Topics(topics)
-            }
+            OP_OK_TOPICS => Response::Topics(r.strs()?),
             OP_OK_META => Response::Meta(r.bytes()?),
             OP_OK_READ => Response::Read(r.msgs()?),
             OP_OK_STREAM_CHUNK => Response::StreamChunk(r.msgs()?),
             OP_OK_STREAM_CHUNK_LZ => Response::StreamChunkLz(r.bytes()?),
             OP_OK_STREAM_END => Response::StreamEnd { messages: r.u64()? },
-            OP_OK_QUERY_SCHEMA => {
-                let n = r.u16()? as usize;
-                let mut cols = Vec::with_capacity(n);
-                for _ in 0..n {
-                    cols.push(r.str()?);
-                }
-                Response::QuerySchema(cols)
-            }
+            OP_OK_QUERY_SCHEMA => Response::QuerySchema(r.strs()?),
             OP_OK_QUERY_CHUNK => Response::QueryChunk(r.bytes()?),
             OP_OK_QUERY_END => {
                 let rows = r.u64()?;
@@ -1246,136 +1212,178 @@ pub fn frame_len(header: [u8; FRAME_HEADER_LEN]) -> ProtoResult<usize> {
 mod tests {
     use super::*;
 
-    fn roundtrip_req(req: Request) {
-        assert_eq!(Request::decode(&req.encode()).unwrap(), req);
-    }
-
     fn roundtrip_resp(resp: Response) {
         assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
     }
 
+    /// Every `Request` variant, with and without its optional parts.
+    fn every_request() -> Vec<Request> {
+        let (container, topics) = (String::from("/c/hs0"), vec!["/imu".into(), "/cam".into()]);
+        let range = Some((Time::new(3, 14), Time::new(10, 0)));
+        vec![
+            Request::Open { container: container.clone() },
+            Request::Topics { container: "".into() },
+            Request::Meta { container: container.clone() },
+            Request::Read { container: container.clone(), topics: topics.clone(), range },
+            Request::Read { container: container.clone(), topics: vec![], range: None },
+            Request::ReadStream2 { container: container.clone(), topics, range },
+            Request::ReadStream2 { container: container.clone(), topics: vec![], range: None },
+            Request::Append {
+                container: "/live".into(),
+                messages: vec![
+                    WireMessage { topic: "/imu".into(), time: Time::new(3, 14), data: vec![1, 2] },
+                    WireMessage { topic: "/cam".into(), time: Time::new(3, 15), data: vec![] },
+                ],
+            },
+            Request::Append { container: "/live".into(), messages: vec![] },
+            Request::Seal { container: "/live".into(), compact: true },
+            Request::Seal { container: "/live".into(), compact: false },
+            Request::Query {
+                container: container.clone(),
+                sql: "SELECT count() FROM '/imu' WHERE time >= 1.0".into(),
+                partial: true,
+            },
+            Request::Query { container: container.clone(), sql: "".into(), partial: false },
+            Request::Stat { container },
+            Request::Stats,
+            Request::Metrics,
+            Request::Trace,
+            Request::Ping,
+            Request::Shutdown,
+        ]
+    }
+
+    const CTX: TraceContext =
+        TraceContext { trace_id: 0xDEAD_BEEF_0042, parent_span: 77, sampled: true };
+
+    /// Every header a request can carry: {no deadline, deadline} × {no
+    /// context, sampled, unsampled}.
+    fn every_header() -> Vec<(Option<TraceContext>, Option<u64>)> {
+        let ctxs = [None, Some(CTX), Some(TraceContext { sampled: false, ..CTX })];
+        ctxs.into_iter().flat_map(|c| [(c, None), (c, Some(1_500_000))]).collect()
+    }
+
     #[test]
-    fn request_roundtrips() {
-        roundtrip_req(Request::Open { container: "/c/hs0".into() });
-        roundtrip_req(Request::Topics { container: "".into() });
-        roundtrip_req(Request::Meta { container: "/c".into() });
-        roundtrip_req(Request::Read {
-            container: "/c/hs0".into(),
-            topics: vec!["/camera/depth".into(), "/imu".into()],
-            range: Some((Time::new(3, 14), Time::new(10, 0))),
-        });
-        roundtrip_req(Request::Read { container: "/c".into(), topics: vec![], range: None });
-        roundtrip_req(Request::ReadStream {
-            container: "/c/hs0".into(),
-            topics: vec!["/imu".into()],
-            range: Some((Time::new(1, 0), Time::new(2, 0))),
-        });
-        roundtrip_req(Request::ReadStream { container: "/c".into(), topics: vec![], range: None });
-        roundtrip_req(Request::ReadStream2 {
-            container: "/c/hs0".into(),
-            topics: vec!["/imu".into(), "/cam".into()],
-            range: Some((Time::new(1, 0), Time::new(2, 0))),
-        });
-        roundtrip_req(Request::ReadStream2 { container: "/c".into(), topics: vec![], range: None });
-        roundtrip_req(Request::Append {
-            container: "/live".into(),
-            messages: vec![
-                WireMessage { topic: "/imu".into(), time: Time::new(3, 14), data: vec![1, 2] },
-                WireMessage { topic: "/cam".into(), time: Time::new(3, 15), data: vec![] },
-            ],
-        });
-        roundtrip_req(Request::Append { container: "/live".into(), messages: vec![] });
-        roundtrip_req(Request::Seal { container: "/live".into(), compact: true });
-        roundtrip_req(Request::Seal { container: "/live".into(), compact: false });
-        roundtrip_req(Request::Query {
-            container: "/c/hs0".into(),
-            sql: "SELECT count() FROM '/imu' WHERE time >= 1.0".into(),
-            partial: true,
-        });
-        roundtrip_req(Request::Query { container: "/c".into(), sql: "".into(), partial: false });
+    fn every_request_roundtrips_under_every_header() {
+        for req in every_request() {
+            for (ctx, deadline) in every_header() {
+                let bytes = req.encode_framed(ctx, deadline);
+                assert_eq!(Request::decode_framed(&bytes).unwrap(), (req.clone(), ctx, deadline));
+            }
+        }
         // Query text is u32-length-prefixed: no u16 ceiling on statements.
-        roundtrip_req(Request::Query {
+        let long = Request::Query {
             container: "/c".into(),
             sql: format!("SELECT time FROM '/t' WHERE {}", "x.y > 1 AND ".repeat(10_000)),
             partial: false,
-        });
-        roundtrip_req(Request::Stat { container: "/c".into() });
-        roundtrip_req(Request::Stats);
-        roundtrip_req(Request::Metrics);
-        roundtrip_req(Request::Trace);
-        roundtrip_req(Request::Ping);
-        roundtrip_req(Request::Shutdown);
+        };
+        let bytes = long.encode_framed(Some(CTX), Some(9));
+        assert_eq!(Request::decode_framed(&bytes).unwrap(), (long, Some(CTX), Some(9)));
     }
 
     #[test]
-    fn trace_context_prefix_roundtrips() {
-        let req =
-            Request::Read { container: "/c/hs0".into(), topics: vec!["/imu".into()], range: None };
-        let ctx = TraceContext { trace_id: 0xDEAD_BEEF_0042, parent_span: 77, sampled: true };
-        let traced = req.encode_traced(Some(ctx));
-        assert_eq!(Request::decode_traced(&traced).unwrap(), (req.clone(), Some(ctx)));
-        // Unsampled bit travels too.
-        let off = TraceContext { sampled: false, ..ctx };
-        let (r2, c2) = Request::decode_traced(&req.encode_traced(Some(off))).unwrap();
-        assert_eq!((r2, c2), (req.clone(), Some(off)));
-        // No context → byte-identical to the pre-trace encoding, and
-        // decode_traced accepts it (old client → new server).
-        assert_eq!(req.encode_traced(None), req.encode());
-        assert_eq!(Request::decode_traced(&req.encode()).unwrap(), (req.clone(), None));
-        // Plain decode rejects the prefixed form the way an old server
-        // would reject any unknown opcode: an error, not a panic.
-        assert!(Request::decode(&traced).is_err());
-        // Malformed prefixes error cleanly.
-        assert!(Request::decode_traced(&[0x0F, 1, 2]).is_err());
-        let mut bad_flags = req.encode_traced(Some(ctx));
-        bad_flags[17] = 0xFE;
-        assert!(Request::decode_traced(&bad_flags).is_err());
+    fn header_layout_is_flags_then_deadline_then_context() {
+        let req = Request::Ping;
+        assert_eq!(req.encode_framed(None, None), [0, OP_PING]);
+        let both = req.encode_framed(Some(CTX), Some(42));
+        assert_eq!(both[0], FLAG_DEADLINE | FLAG_TRACE | FLAG_SAMPLED);
+        assert_eq!(both[1..9], 42u64.to_le_bytes());
+        assert_eq!(both[9..17], CTX.trace_id.to_le_bytes());
+        assert_eq!(both[17..25], CTX.parent_span.to_le_bytes());
+        assert_eq!(both[25..], [OP_PING]);
+        // The header changes nothing after it.
+        let read = Request::Read { container: "/c".into(), topics: vec!["/t".into()], range: None };
+        let (plain, traced) = (read.encode_framed(None, None), read.encode_framed(Some(CTX), None));
+        assert_eq!(traced[0], FLAG_TRACE | FLAG_SAMPLED);
+        assert_eq!(traced[17..], plain[1..]);
     }
 
     #[test]
-    fn deadline_prefix_roundtrips() {
-        let req =
-            Request::Read { container: "/c/hs0".into(), topics: vec!["/imu".into()], range: None };
-        let ctx = TraceContext { trace_id: 7, parent_span: 8, sampled: true };
-        // Deadline alone.
-        let framed = req.encode_framed(None, Some(1_500_000));
-        assert_eq!(Request::decode_framed(&framed).unwrap(), (req.clone(), None, Some(1_500_000)));
-        // Deadline wrapping a trace context (deadline is outermost).
-        let both = req.encode_framed(Some(ctx), Some(42));
-        assert_eq!(both[0], 0x10);
-        assert_eq!(both[DEADLINE_LEN], 0x0F);
-        assert_eq!(Request::decode_framed(&both).unwrap(), (req.clone(), Some(ctx), Some(42)));
-        // Trace context alone stays the pure trace encoding.
-        assert_eq!(req.encode_framed(Some(ctx), None), req.encode_traced(Some(ctx)));
-        // Neither prefix → byte-identical to the bare encoding, and
-        // decode_framed accepts old-client payloads.
-        assert_eq!(req.encode_framed(None, None), req.encode());
-        assert_eq!(Request::decode_framed(&req.encode()).unwrap(), (req.clone(), None, None));
-        // Truncated deadline header errors cleanly, as does a deadline
-        // prefix wrapping garbage.
-        assert!(Request::decode_framed(&[0x10, 1, 2]).is_err());
-        assert!(Request::decode_framed(&[0x10, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF]).is_err());
-        // Plain decode rejects the prefixed form (old server behaviour).
-        assert!(Request::decode(&framed).is_err());
+    fn truncated_payloads_and_unknown_flags_are_typed_errors() {
+        for req in every_request() {
+            for (ctx, deadline) in every_header() {
+                let bytes = req.encode_framed(ctx, deadline);
+                for cut in 0..bytes.len() {
+                    assert!(
+                        Request::decode_framed(&bytes[..cut]).is_err(),
+                        "{req:?}: {cut}-byte prefix of {} decoded",
+                        bytes.len()
+                    );
+                }
+                // Each undefined bit alone, all of them, and `sampled`
+                // without a context to be the sampled bit of.
+                for bad in [8u8, 16, 32, 64, 128, 0xF8, FLAG_SAMPLED] {
+                    let mut flagged = bytes.clone();
+                    flagged[0] = if bad == FLAG_SAMPLED { bad } else { flagged[0] | bad };
+                    assert!(Request::decode_framed(&flagged).is_err(), "flags {:#04x}", flagged[0]);
+                }
+                let mut trailing = bytes;
+                trailing.push(0);
+                assert!(Request::decode_framed(&trailing).is_err());
+            }
+        }
     }
 
     #[test]
-    fn corr_prefix_roundtrips() {
-        let inner = Request::Ping.encode();
-        let framed = wrap_corr(0xDEAD_BEEF, &inner);
-        assert_eq!(framed[0], OP_CORR);
-        assert_eq!(framed.len(), CORR_LEN + inner.len());
-        assert_eq!(peel_corr(&framed), (Some(0xDEAD_BEEF), &inner[..]));
-        // Unprefixed payloads pass through untouched — plain peers.
-        assert_eq!(peel_corr(&inner), (None, &inner[..]));
-        // A response's opcode space (0x8x/0xEx) can never be mistaken
-        // for the prefix, and a short 0x11 frame is not peeled.
-        assert_eq!(peel_corr(&[OP_CORR, 1]), (None, &[OP_CORR, 1][..]));
-        let resp = Response::Pong(PingInfo::default()).encode();
-        assert_eq!(peel_corr(&resp).0, None);
-        // Seq wraps with the u32 — stamping is cheap and unbounded.
-        let w = wrap_corr(u32::MAX, &inner);
-        assert_eq!(peel_corr(&w).0, Some(u32::MAX));
+    fn retired_opcodes_are_unknown() {
+        // Plain READ_STREAM and the three former prefixes, where an
+        // opcode goes: rejected like any opcode nobody speaks.
+        let read = Request::Read { container: "/c".into(), topics: vec![], range: None };
+        for op in [0x09, 0x0F, 0x10, 0x11] {
+            let mut bytes = read.encode_framed(None, None);
+            bytes[1] = op;
+            let err = Request::decode_framed(&bytes).unwrap_err();
+            assert!(err.0.contains("unknown request opcode"), "{op:#04x}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_frame_opens_with_its_seq() {
+        let req = Request::Stat { container: "/c".into() };
+        let framed = req.encode_seq(0xDEAD_BEEF, Some(CTX), Some(7)).unwrap();
+        let (seq, rest) = split_seq(&framed).unwrap();
+        assert_eq!((seq, rest), (0xDEAD_BEEF, &req.encode_framed(Some(CTX), Some(7))[..]));
+        let resp = Response::Pong(PingInfo::default());
+        let framed = resp.encode_seq(u32::MAX).unwrap();
+        assert_eq!(split_seq(&framed).unwrap(), (u32::MAX, &resp.encode()[..]));
+        // A frame too short to hold a seq is an error, never an answer.
+        for short in [&[][..], &[1], &[1, 2, 3]] {
+            assert!(split_seq(short).is_err());
+        }
+        assert_eq!(split_seq(&[1, 0, 0, 0]).unwrap(), (1, &[][..]));
+    }
+
+    #[test]
+    fn lengths_past_their_u16_prefix_are_rejected_not_wrapped() {
+        let long = "t".repeat(70_000);
+        let fits = "t".repeat(u16::MAX as usize);
+        let read = |container: &str, topics: Vec<String>| Request::Read {
+            container: container.into(),
+            topics,
+            range: None,
+        };
+        assert!(read("/c", vec![fits.clone()]).encode_seq(1, None, None).is_ok());
+        assert!(read("/c", vec![long.clone()]).encode_seq(1, None, None).is_err());
+        assert!(read(&long, vec![]).encode_seq(1, None, None).is_err());
+        assert!(read("/c", vec![String::new(); 65_536]).encode_seq(1, None, None).is_err());
+        let append = Request::Append {
+            container: "/live".into(),
+            messages: vec![WireMessage {
+                topic: long.clone(),
+                time: Time::new(1, 0),
+                data: vec![],
+            }],
+        };
+        assert!(append.encode_seq(1, None, None).is_err());
+        // Responses too: a column name can be as long as a query's text.
+        assert!(Response::QuerySchema(vec![long.clone()]).encode_seq(1).is_err());
+        // An error text is cut to fit (on a character boundary) instead.
+        let message = format!("{}é", "x".repeat(u16::MAX as usize - 1));
+        let resp = Response::Error { code: ErrorCode::BadQuery, message: message.clone() };
+        let Response::Error { message: cut, .. } = Response::decode(&resp.encode()).unwrap() else {
+            panic!("expected an error response")
+        };
+        assert_eq!(cut, message[..u16::MAX as usize - 1]);
     }
 
     #[test]
@@ -1508,13 +1516,11 @@ mod tests {
             .collect();
         let resp = compress_chunk(&msgs, &mut ctx);
         let Response::StreamChunkLz(frame) = &resp else { panic!("expected lz chunk") };
-        let mut plain = Writer { buf: Vec::new() };
-        plain.msgs(&msgs);
+        let plain = Response::StreamChunk(msgs.clone()).encode().len();
         assert!(
-            frame.len() < plain.buf.len() / 2,
-            "mostly-zero batch must compress ≥2x: {} vs {}",
-            frame.len(),
-            plain.buf.len()
+            frame.len() < plain / 2,
+            "mostly-zero batch must compress ≥2x: {} vs {plain}",
+            frame.len()
         );
         assert_eq!(decompress_chunk(frame).unwrap(), msgs);
         roundtrip_resp(resp);
@@ -1586,14 +1592,12 @@ mod tests {
 
     #[test]
     fn malformed_frames_error_cleanly() {
-        assert!(Request::decode(&[]).is_err());
-        assert!(Request::decode(&[0x42]).is_err(), "unknown opcode");
+        assert!(Request::decode_framed(&[]).is_err());
+        assert!(Request::decode_framed(&[0, 0x42]).is_err(), "unknown opcode");
         // OPEN with a length prefix pointing past the end.
-        assert!(Request::decode(&[OP_OPEN, 0xFF, 0xFF, b'x']).is_err());
-        // Valid request with trailing garbage.
-        let mut buf = Request::Stats.encode();
-        buf.push(0);
-        assert!(Request::decode(&buf).is_err());
+        assert!(Request::decode_framed(&[0, OP_OPEN, 0xFF, 0xFF, b'x']).is_err());
+        assert!(Response::decode(&[]).is_err());
+        assert!(Response::decode(&[0x42]).is_err(), "unknown opcode");
         // Oversized frame header.
         assert!(frame_len((MAX_FRAME_LEN + 1).to_le_bytes()).is_err());
         assert_eq!(frame_len(17u32.to_le_bytes()).unwrap(), 17);

@@ -18,8 +18,8 @@
 //! a `Source` (a static container's pinned cache handle, or a live
 //! root's MVCC snapshot — "a static container is a snapshot with empty
 //! tails"), builds one `MessageStream` over it, and either `scan`s it
-//! into message batches (`READ`, `READ_STREAM`, `READ_STREAM2` differ
-//! only in their sink) or hands it to a query cursor (`QUERY`).
+//! into message batches (`READ` and `READ_STREAM2` differ only in their
+//! sink) or hands it to a query cursor (`QUERY`).
 //!
 //! Workers register with a [`simfs::ConcurrencyGauge`], so on cost-model
 //! backends each request's virtual I/O time reflects how many workers
@@ -205,11 +205,11 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
     ///
     /// Control-plane ops answer inline with one frame. Data ops go through
     /// the bounded queue (and may come back [`Response::Overloaded`]): a
-    /// single-response op emits one frame; `READ_STREAM`/`READ_STREAM2`
-    /// emit zero or more chunk frames and `QUERY` a schema frame and row
+    /// single-response op emits one frame; `READ_STREAM2` emits zero or
+    /// more chunk frames and `QUERY` a schema frame and row
     /// chunks, each followed by a terminal frame (`StreamEnd`/`QueryEnd`
     /// on success, an error/overload response otherwise). The reply
-    /// channel is bounded ([`STREAM_WINDOW`]): a transport that is slow to
+    /// channel is bounded (`STREAM_WINDOW`): a transport that is slow to
     /// `emit` throttles the worker's merge loop.
     ///
     /// `tctx` is the client's trace context, if the transport decoded one:
@@ -576,7 +576,7 @@ fn live_store<S: Storage + Clone>(
 ///
 /// | op                          | static root    | live root |
 /// |-----------------------------|----------------|-----------|
-/// | `READ`, `READ_STREAM{,2}`   | `UnknownTopic` | empty     |
+/// | `READ`, `READ_STREAM2`      | `UnknownTopic` | empty     |
 /// | `QUERY`                     | skipped        | skipped   |
 ///
 /// A recording may start producing the topic one epoch later, so on a
@@ -728,23 +728,15 @@ fn handle<S: Storage + Clone>(
                 })?;
                 Response::Read(messages)
             }
-            Request::ReadStream { container, topics, range }
-            | Request::ReadStream2 { container, topics, range } => {
-                // The `READ_STREAM2` opcode is the client declaring it
-                // decodes LZ chunk frames (with the codec's raw fallback
-                // for incompressible batches); plain clients get the
-                // classic chunk.
-                let lz = matches!(req, Request::ReadStream2 { .. });
+            Request::ReadStream2 { container, topics, range } => {
                 let source = Source::open(shared, container, ctx)?;
                 let stream = source.stream(&strs(topics), *range, ctx)?;
+                // Every chunk goes out as an LZ frame; the codec's raw
+                // fallback covers incompressible batches.
                 let sent = scan(stream, ctx, &mut |batch, ctx| {
-                    let batch = std::mem::take(batch);
-                    let frame = if lz {
-                        bora_obs::counter("serve.stream_chunk_lz").inc();
-                        compress_chunk(&batch, ctx)
-                    } else {
-                        Response::StreamChunk(batch)
-                    };
+                    bora_obs::counter("serve.stream_chunk_lz").inc();
+                    let frame = compress_chunk(batch, ctx);
+                    batch.clear();
                     reply.send(frame).is_ok()
                 })?;
                 match sent {

@@ -16,7 +16,7 @@ use std::time::Duration;
 use crossbeam::channel::{self, Receiver, Sender};
 use simfs::Storage;
 
-use crate::proto::{frame, frame_len, Request, Response, FRAME_HEADER_LEN};
+use crate::proto::{frame, frame_len, split_seq, Request, Response, FRAME_HEADER_LEN};
 use crate::server::Server;
 
 /// One bidirectional framed byte stream.
@@ -90,20 +90,17 @@ where
             Ok(p) => p,
             Err(_) => return, // peer gone (EOF) or transport failure
         };
-        // Correlation first: a stamped request gets its seq echoed on
-        // every frame of the answer, so the client can tell this
-        // response from a stale duplicate of an earlier one.
-        let (corr, framed) = crate::proto::peel_corr(&payload);
-        let respond = |resp: &Response| match corr {
-            Some(seq) => crate::proto::wrap_corr(seq, &resp.encode()),
-            None => resp.encode(),
-        };
-        // Framed decode: a request may carry the client's deadline budget
-        // and/or trace context as prefixes; plain frames (old clients)
-        // decode with `None` and the server behaves exactly as before.
+        // The seq a request opens with is echoed on every frame of its
+        // answer, so the client can tell this response from a stale
+        // duplicate of an earlier one. A frame too short to hold one is
+        // not this protocol: there is nothing to echo, so hang up.
+        let Ok((seq, framed)) = split_seq(&payload) else { return };
+        // `false` once the peer is gone (or a frame cannot be encoded).
+        let mut send =
+            |resp: &Response| resp.encode_seq(seq).is_ok_and(|f| conn.send_frame(&f).is_ok());
         match Request::decode_framed(framed) {
             // Streaming-aware dispatch: a single-response op emits exactly
-            // one frame; READ_STREAM emits chunk frames as the server's
+            // one frame; READ_STREAM2 emits chunk frames as the server's
             // merge yields, with the transport's own send acting as the
             // final backpressure stage. A failed send drops the emit
             // closure's `true`, which tells the server to abort the
@@ -112,7 +109,7 @@ where
                 let mut final_resp = false;
                 let ok = server.submit_streamed_framed(req, tctx, deadline_ns, &mut |resp| {
                     final_resp = matches!(resp, Response::ShuttingDown);
-                    conn.send_frame(&respond(&resp)).is_ok()
+                    send(&resp)
                 });
                 if !ok || final_resp || server.is_shutting_down() {
                     return;
@@ -126,7 +123,7 @@ where
                     code: crate::proto::ErrorCode::BadRequest,
                     message: e.to_string(),
                 };
-                if conn.send_frame(&respond(&resp)).is_err() {
+                if !send(&resp) {
                     return;
                 }
             }

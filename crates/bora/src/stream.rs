@@ -15,8 +15,8 @@
 //!   caller's request, which reproduces the old merge's (and the baseline
 //!   reader's) first-requested-wins order for simultaneous timestamps
 //!   while staying a total, deterministic tie-break.
-//! * **Shared-slice payloads** — a [`StreamMessage`] is a `(Arc<[u8]>`
-//!   block, range)` pair plus an interned `Arc<str>` topic name: delivery
+//! * **Shared-slice payloads** — a [`StreamMessage`] is an (`Arc<[u8]>`
+//!   block, range) pair plus an interned `Arc<str>` topic name: delivery
 //!   is pointer arithmetic, and `stream.bytes_copied` stays at ~0 until a
 //!   consumer explicitly materializes ([`StreamMessage::to_record`]).
 //! * **Parallel prefetch** — cursor fills run on a small scoped-thread

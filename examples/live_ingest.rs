@@ -15,7 +15,7 @@
 //!
 //! This example starts a server over a live ingest root, streams appends
 //! through the batching writer while a concurrent analyst runs a
-//! mid-recording `READ_STREAM` query, then seals + compacts and shows the
+//! mid-recording `READ_STREAM2` query, then seals + compacts and shows the
 //! mid-recording answer was a byte-identical prefix of the final one.
 
 use std::sync::Arc;

@@ -4,8 +4,9 @@
 //! The crate-level tests pin the ring's placement math (proptests) and
 //! the failover state machine (fault injection); this file covers the
 //! seams between crates: `bora::multi` swarm fan-out routed through
-//! [`ClusterBackend`], the cluster-level k-way merged stream, and an
-//! elastic join resharding live data without disturbing readers.
+//! [`ClusterBackend`], the cluster-level k-way merged stream (before and
+//! after a node dies mid-stream), and an elastic join resharding live
+//! data without disturbing readers.
 
 use bora::{SwarmBackend, SwarmSpec};
 use bora_cluster::{
@@ -139,6 +140,79 @@ fn merged_stream_is_chronological_and_matches_materialized_reads() {
         assert!((*time, *lane) >= last, "merge emitted out of (time, lane) order");
         last = (*time, *lane);
     }
+    cluster.shutdown();
+}
+
+/// Cluster streams ride the one stream op (`READ_STREAM2`, LZ chunks) and
+/// deliver exactly what `read` does, per container and merged — before a
+/// node dies, across its death mid-stream (the resume on a replica skips
+/// exactly the messages already delivered), and after.
+#[test]
+fn cluster_streams_match_reads_across_a_mid_stream_node_kill() {
+    use bora_chaos::{ChaosState, ChaosTransport, Partition};
+    use bora_cluster::ClusterClient;
+    use bora_serve::{MemTransport, WireMessage};
+    use std::sync::Arc;
+
+    let staging = MemStorage::new();
+    let roots = stage_fleet(&staging, 3, 200);
+    let refs: Vec<&str> = roots.iter().map(String::as_str).collect();
+    let cluster = start_cluster(&staging, &roots, 3);
+    // A partition is what cuts a stream mid-flight here: the in-process
+    // transport buffers a node's whole answer, so killing the node alone
+    // would still deliver it.
+    let chaos = Arc::new(ChaosState::new(7));
+    let endpoints = cluster.node_ids().into_iter().map(|id| {
+        let mem = MemTransport::new(Arc::clone(&cluster.node(id).unwrap().server));
+        let t = ChaosTransport::new(mem, id, Arc::clone(&chaos));
+        (id, t.with_frame_timeout(std::time::Duration::from_millis(50)))
+    });
+    let client = ClusterClient::new(cluster.ring(), endpoints, ClusterClientConfig::default());
+
+    let expected: Vec<Vec<WireMessage>> =
+        roots.iter().map(|r| client.read(r, &TOPICS).unwrap()).collect();
+    let mut merged_expected: Vec<(Time, usize, &WireMessage)> = Vec::new();
+    for (lane, msgs) in expected.iter().enumerate() {
+        merged_expected.extend(msgs.iter().map(|m| (m.time, lane, m)));
+    }
+    merged_expected.sort_by_key(|(t, lane, _)| (*t, *lane));
+    let check_streams = |when: &str| {
+        for (root, want) in roots.iter().zip(&expected) {
+            let got: Vec<WireMessage> =
+                client.read_stream(root, &TOPICS).unwrap().collect::<Result<_, _>>().unwrap();
+            assert_eq!(&got, want, "{root} streamed {when}");
+        }
+        let merged: Vec<WireMessage> = client
+            .read_stream_multi(&refs, &TOPICS, None)
+            .unwrap()
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(merged.len(), merged_expected.len());
+        for (got, (_, _, want)) in merged.iter().zip(&merged_expected) {
+            assert_eq!(&got, want, "merged stream {when}");
+        }
+    };
+
+    check_streams("before the kill");
+    // The nodes served those streams as LZ chunks.
+    for id in cluster.node_ids() {
+        let report = client.node_metrics(id).unwrap();
+        assert!(report.counter("serve.stream_chunk_lz") > 0, "node {id} sent no LZ chunk");
+    }
+
+    // Kill robot 0's owner 70 messages in — past two 32-message chunks.
+    let owner = client.owner(&roots[0]).unwrap();
+    let failovers = bora_obs::counter("cluster.failover").get();
+    let mut stream = client.read_stream(&roots[0], &TOPICS).unwrap();
+    let mut got: Vec<WireMessage> = stream.by_ref().take(70).collect::<Result<_, _>>().unwrap();
+    chaos.set_partition(Some(Partition::full([owner])));
+    cluster.kill(owner);
+    got.extend(stream.by_ref().collect::<Result<Vec<_>, _>>().unwrap());
+    assert_eq!(stream.received(), 200);
+    assert_eq!(got, expected[0], "the resumed stream must continue the broken one exactly");
+    assert!(bora_obs::counter("cluster.failover").get() > failovers, "no failover was counted");
+
+    check_streams("after the kill");
     cluster.shutdown();
 }
 

@@ -1,8 +1,9 @@
 //! Fleet-wide observability, end to end: trace context crossing the
 //! wire, server-side spans parenting under the originating client span,
-//! hedged losers and abandoned failover attempts marked cancelled, the
-//! untraced path staying byte-identical, and the cluster telemetry
-//! plane aggregating per-node registries.
+//! hedged losers and abandoned failover attempts marked cancelled, a
+//! resumed cluster stream staying in its caller's trace, the untraced
+//! path staying span-free, and the cluster telemetry plane aggregating
+//! per-node registries.
 //!
 //! Tracing state is process-wide; every test that touches it serializes
 //! on one lock (same idiom as `tests/obs.rs`).
@@ -15,7 +16,7 @@ use bora_cluster::{
     ClusterClientConfig, ClusterTelemetry, ClusterTierConfig, HedgeConfig, LocalCluster, RingConfig,
 };
 use bora_obs::SpanEvent;
-use bora_serve::{Request, TRACE_CTX_LEN};
+use bora_serve::Request;
 use ros_msgs::sensor_msgs::Imu;
 use ros_msgs::Time;
 use rosbag::{BagWriter, BagWriterOptions};
@@ -184,22 +185,71 @@ fn server_spans_parent_under_client_roots_across_hedge_and_failover() {
     }
 }
 
-/// With tracing disabled there is no sampling, no context, no spans —
-/// and the bytes on the wire are exactly the untraced encoding.
+/// A cluster stream that loses its node mid-flight resumes on a replica
+/// inside the same trace: the request re-issued on the fresh connection
+/// carries the span open at resume time, so both nodes' `serve.read_stream`
+/// spans parent under the one caller span.
 #[test]
-fn untraced_path_is_byte_identical_and_span_free() {
+fn resumed_cluster_stream_stays_in_the_callers_trace() {
+    use bora_chaos::{ChaosState, ChaosTransport, Partition};
+    use bora_cluster::ClusterClient;
+    use bora_serve::MemTransport;
+    use std::sync::Arc;
+
+    let _guard = trace_lock();
+    let (staging, roots) = stage(1);
+    let cluster = three_node_cluster(&staging, &roots);
+    // A partition is what cuts a stream mid-flight here: the in-process
+    // transport buffers a node's whole answer, so killing the node alone
+    // would still deliver it.
+    let chaos = Arc::new(ChaosState::new(1));
+    let endpoints = cluster.node_ids().into_iter().map(|id| {
+        let mem = MemTransport::new(Arc::clone(&cluster.node(id).unwrap().server));
+        let t = ChaosTransport::new(mem, id, Arc::clone(&chaos));
+        (id, t.with_frame_timeout(Duration::from_millis(50)))
+    });
+    let client = ClusterClient::new(cluster.ring(), endpoints, ClusterClientConfig::default());
+    let expected = client.read(&roots[0], &["/imu"]).unwrap();
+    let owner = client.owner(&roots[0]).unwrap();
+
+    bora_obs::set_enabled(true);
+    bora_obs::drain();
+    let caller = bora_obs::span("cluster.test_stream");
+    let mut stream = client.read_stream(&roots[0], &["/imu"]).unwrap();
+    // 40 messages are two chunks; the first is in hand when the owner goes.
+    let mut got: Vec<_> = stream.by_ref().take(8).collect::<Result<_, _>>().unwrap();
+    chaos.set_partition(Some(Partition::full([owner])));
+    cluster.kill(owner);
+    got.extend(stream.collect::<Result<Vec<_>, _>>().unwrap());
+    drop(caller);
+    bora_obs::set_enabled(false);
+    let events = bora_obs::drain();
+    cluster.shutdown();
+
+    assert_eq!(got, expected, "the resumed stream must continue the broken one exactly");
+    let caller = events.iter().find(|e| e.name == "cluster.test_stream").unwrap();
+    let served: Vec<&SpanEvent> = events.iter().filter(|e| e.name == "serve.read_stream").collect();
+    let mut nodes: Vec<u32> = served.iter().map(|e| e.node).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    assert_eq!(nodes.len(), 2, "the stream was served by the owner, then a replica: {nodes:?}");
+    for ev in served {
+        assert_eq!(ev.trace_id, caller.trace_id, "node {} left the trace", ev.node);
+        assert_eq!(
+            ev.parent_span, caller.span_id,
+            "node {} span is not the caller's child",
+            ev.node
+        );
+    }
+}
+
+/// With tracing disabled there is no sampling, no context, no spans.
+#[test]
+fn untraced_path_is_span_free() {
     let _guard = trace_lock();
     bora_obs::set_enabled(false);
     bora_obs::drain();
-
-    // Wire level: encode_traced(None) is the identity.
-    let req = Request::Read {
-        container: "/fleet/m0".into(),
-        topics: vec!["/imu".into()],
-        range: Some((Time::new(1, 0), Time::new(2, 0))),
-    };
-    assert_eq!(req.encode_traced(None), req.encode(), "untraced frames must not change");
-    assert_eq!(req.encode_traced(bora_obs::current_context()), req.encode());
+    assert_eq!(bora_obs::current_context(), None);
 
     // End to end: a full query mix with tracing off records nothing.
     let (staging, roots) = stage(1);
@@ -211,28 +261,26 @@ fn untraced_path_is_byte_identical_and_span_free() {
     assert!(bora_obs::drain().is_empty(), "tracing off must record no spans");
 }
 
-/// Compatibility both ways: a plain frame (old client) decodes on a
-/// traced server with no context, and a new client with tracing off
-/// emits frames an old server's plain decoder accepts.
+/// One envelope for traced and untraced requests: the two encodings of a
+/// request differ only in the header, and decode to the same request.
 #[test]
-fn plain_and_traced_peers_interoperate() {
-    let req = Request::Topics { container: "/fleet/m1".into() };
-
-    // Old client → new server: no context, same request.
-    let (decoded, ctx) = Request::decode_traced(&req.encode()).unwrap();
-    assert_eq!(decoded, req);
-    assert_eq!(ctx, None);
-
-    // New client (tracing off) → old server: the plain decoder accepts
-    // the frame because it IS the plain frame.
-    assert_eq!(Request::decode(&req.encode_traced(None)).unwrap(), req);
-
-    // A traced frame is exactly header + plain frame, so the header cost
-    // is fixed and the inner bytes stay canonical.
+fn traced_and_untraced_frames_differ_only_in_the_header() {
+    let req = Request::Read {
+        container: "/fleet/m0".into(),
+        topics: vec!["/imu".into()],
+        range: Some((Time::new(1, 0), Time::new(2, 0))),
+    };
     let ctx = bora_obs::TraceContext { trace_id: 7, parent_span: 9, sampled: true };
-    let traced = req.encode_traced(Some(ctx));
-    assert_eq!(traced.len(), req.encode().len() + TRACE_CTX_LEN);
-    assert_eq!(&traced[TRACE_CTX_LEN..], req.encode().as_slice());
+    let (plain, traced) = (req.encode_framed(None, None), req.encode_framed(Some(ctx), None));
+
+    // flags u8, then — traced only — trace_id u64 and parent_span u64.
+    assert_eq!(traced.len(), plain.len() + 16);
+    assert_eq!(plain[0], 0);
+    assert_ne!(traced[0], 0);
+    assert_eq!(traced[17..], plain[1..], "everything after the header is the same bytes");
+
+    assert_eq!(Request::decode_framed(&plain).unwrap(), (req.clone(), None, None));
+    assert_eq!(Request::decode_framed(&traced).unwrap(), (req, Some(ctx), None));
 }
 
 /// A context with the sampling bit off crosses the wire but must not
@@ -245,7 +293,7 @@ fn unsampled_context_is_carried_but_not_adopted() {
 
     let off = bora_obs::TraceContext { trace_id: 42, parent_span: 43, sampled: false };
     let req = Request::Stats;
-    let (_, decoded) = Request::decode_traced(&req.encode_traced(Some(off))).unwrap();
+    let (_, decoded, _) = Request::decode_framed(&req.encode_framed(Some(off), None)).unwrap();
     assert_eq!(decoded, Some(off), "the bit travels; the receiver decides");
 
     // Adoption filters it: spans recorded under it are fresh roots, not

@@ -1,7 +1,7 @@
 //! Live-ingest integration: the full serve stack over an ingest root.
 //!
 //! The acceptance property: a query issued mid-ingest over
-//! `OP_READ_STREAM` — while messages still sit in the WAL and memtable —
+//! `READ_STREAM2` — while messages still sit in the WAL and memtable —
 //! returns **byte-identical** results to the same query after seal and
 //! compaction, including across a power cut injected between the seal
 //! and the compaction.
@@ -35,7 +35,7 @@ fn script(n: u64) -> Vec<(&'static str, Time, Vec<u8>)> {
     out
 }
 
-/// Collect a full `READ_STREAM` answer as wire messages.
+/// Collect a full `READ_STREAM2` answer as wire messages.
 fn stream_all<C: bora_serve::Connection>(
     client: &mut ServeClient<C>,
     container: &str,
@@ -66,7 +66,7 @@ fn assert_ranged_reads_agree<C: bora_serve::Connection>(
     assert!(client.read(ROOT, &["/never"]).unwrap().is_empty(), "{state}: unseen topic, READ");
     let unseen: Vec<WireMessage> =
         client.read_stream(ROOT, &["/never"]).unwrap().collect::<Result<_, _>>().unwrap();
-    assert!(unseen.is_empty(), "{state}: unseen topic, READ_STREAM");
+    assert!(unseen.is_empty(), "{state}: unseen topic, READ_STREAM2");
 }
 
 #[test]

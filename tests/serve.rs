@@ -404,14 +404,17 @@ fn client_hangup_mid_stream_aborts_server_side() {
     // the worker's next send aborts the merge.
     let mut frames = 0u32;
     let completed = server.submit_streamed(
-        Request::ReadStream {
+        Request::ReadStream2 {
             container: roots[0].clone(),
             topics: vec!["/imu".into()],
             range: None,
         },
         &mut |resp| {
             frames += 1;
-            assert!(matches!(resp, Response::StreamChunk(_) | Response::StreamEnd { .. }));
+            assert!(matches!(
+                resp,
+                Response::StreamChunk(_) | Response::StreamChunkLz(_) | Response::StreamEnd { .. }
+            ));
             false // client gone after the first frame
         },
     );
@@ -429,6 +432,47 @@ fn client_hangup_mid_stream_aborts_server_side() {
         other => panic!("server unhealthy after aborted stream: {other:?}"),
     }
 
+    server.shutdown();
+}
+
+/// The opcodes this protocol retired — plain `READ_STREAM` and the three
+/// former request prefixes — are unknown opcodes now: `BadRequest` under
+/// the request's seq, and the connection keeps serving.
+#[test]
+fn retired_opcodes_answer_bad_request_and_keep_the_connection() {
+    use bora_serve::{split_seq, Connection, ErrorCode, Request, Response, Transport};
+
+    let fs = Arc::new(MemStorage::new());
+    let roots = build_containers(&*fs, 1);
+    let server = Server::start(Arc::clone(&fs), ServerConfig::default());
+    let mut conn = MemTransport::new(Arc::clone(&server)).connect().unwrap();
+
+    let read = Request::Read { container: roots[0].clone(), topics: vec![], range: None };
+    for (seq, op) in [(1u32, 0x09u8), (2, 0x0F), (3, 0x10), (4, 0x11)] {
+        let mut frame = read.encode_seq(seq, None, None).unwrap();
+        frame[5] = op; // seq u32 | flags u8 | opcode
+        conn.send_frame(&frame).unwrap();
+        let answer = conn.recv_frame().unwrap();
+        let (echoed, body) = split_seq(&answer).unwrap();
+        assert_eq!(echoed, seq);
+        match Response::decode(body).unwrap() {
+            Response::Error { code: ErrorCode::BadRequest, message } => {
+                assert!(message.contains("unknown request opcode"), "{op:#04x}: {message}")
+            }
+            other => panic!("{op:#04x} answered {other:?}"),
+        }
+    }
+    // A frame that was a whole request before the envelope (bare opcode
+    // first) is malformed too, not misread as something else.
+    conn.send_frame(&[&9u32.to_le_bytes()[..], &[0x0A]].concat()).unwrap();
+    let answer = conn.recv_frame().unwrap();
+    assert!(matches!(
+        Response::decode(split_seq(&answer).unwrap().1).unwrap(),
+        Response::Error { code: ErrorCode::BadRequest, .. }
+    ));
+
+    let mut client = ServeClient::new(conn);
+    assert!(client.stat(&roots[0]).unwrap().messages > 0, "connection unusable after bad frames");
     server.shutdown();
 }
 
@@ -466,7 +510,7 @@ fn server_evicts_cached_handle_on_checksum_failure() {
     };
     expect_eviction("READ", client.read(&roots[0], &["/imu"]).err(), 1);
     let streamed = client.read_stream(&roots[0], &["/imu"]).unwrap().find_map(Result::err);
-    expect_eviction("READ_STREAM", streamed, 2);
+    expect_eviction("READ_STREAM2", streamed, 2);
     expect_eviction("QUERY", client.query(&roots[0], "SELECT count() FROM '/imu'").err(), 3);
     assert_eq!(client.stats().unwrap().cache_len, 0, "poisoned handle must be evicted");
 
