@@ -6,7 +6,12 @@
 //! * `pool_miss_evict` — the cold path at a full budget: fill, clock
 //!   sweep, insert (steady-state eviction cost);
 //! * `encode_lzss` / `encode_raw_fallback` — the compaction/organizer
-//!   write cost per 64 KiB block, compressible vs incompressible;
+//!   write cost per 64 KiB block, compressible vs incompressible. The
+//!   second reads ~0.56 ms where it read ~1.1 ms before the encoder's
+//!   search was bounded: an incompressible block costs half a match
+//!   search, a copy and a CRC, not a full LZSS pass that is then thrown
+//!   away. It will drop in steps as `PROBE_DIVISOR` grows — ~65 µs with
+//!   a one-window probe, not a typo when it happens;
 //! * `decode_lzss` / `decode_raw` — the cursor-fill cost per block (CRC
 //!   verify + decompress), i.e. what a pool *miss* pays over a hit;
 //! * `stream_chunk_lz_roundtrip` — one compressed wire chunk through

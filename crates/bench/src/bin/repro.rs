@@ -16,6 +16,8 @@
 //!   --quick             alias for --tiny
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::time::Instant;
 

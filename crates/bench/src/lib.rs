@@ -14,6 +14,8 @@
 //! cargo run --release -p bench --bin repro -- all
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod env;
 pub mod experiments;
 pub mod merge_ref;

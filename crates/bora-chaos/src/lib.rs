@@ -36,6 +36,8 @@
 //! # let _ = chaotic;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod scenario;
 pub mod transport;

@@ -592,6 +592,11 @@ impl Harness {
                 self.read_static();
             }
         }
+        // One read with every replica cut off. Whether a flapped read
+        // above fails is a race between its hedge legs; this one cannot
+        // succeed, so "some op failed" does not hang on that race.
+        self.state.set_partition(Some(Partition::full(replicas)));
+        self.read_static();
         self.state.set_rules(Vec::new());
         self.success_rounds();
     }

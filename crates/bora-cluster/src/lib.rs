@@ -56,6 +56,8 @@
 //! cluster.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod cluster;
 pub mod health;

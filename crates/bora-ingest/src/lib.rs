@@ -40,6 +40,8 @@
 //! assert_eq!(again[0].time, msgs[0].time);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod layout;
 pub mod segment;
 pub mod snapshot;

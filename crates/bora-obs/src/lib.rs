@@ -40,6 +40,8 @@
 //! assert!(json.contains("demo.inner"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 pub mod hist;
 pub mod registry;

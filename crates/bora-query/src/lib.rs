@@ -51,6 +51,8 @@
 //! assert_eq!(rows[0][0], bora_query::Value::Int(10));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod distrib;
 pub mod error;

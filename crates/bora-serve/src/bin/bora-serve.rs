@@ -13,6 +13,8 @@
 //! Containers are mounted at `/c/bag0 … /c/bag{N-1}`. Stop the server
 //! with the protocol's `SHUTDOWN` op (`ServeClient::shutdown`).
 
+#![forbid(unsafe_code)]
+
 use std::net::SocketAddr;
 use std::process::exit;
 use std::sync::Arc;

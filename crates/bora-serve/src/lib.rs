@@ -50,6 +50,8 @@
 //! client.shutdown().unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod client;
 pub mod metrics;

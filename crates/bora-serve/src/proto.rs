@@ -45,7 +45,7 @@
 //! wants parallelism opens more connections, which the server's bounded
 //! queue then sheds explicitly via [`Response::Overloaded`].
 
-use bora::block::{decode_frame, encode_frame};
+use bora::block::{decode_frame, encode_frame_in_place};
 use bora::BlockCodec;
 use bora_obs::{HistSummary, TraceContext, BUCKETS};
 use ros_msgs::Time;
@@ -109,13 +109,36 @@ pub fn split_seq(payload: &[u8]) -> ProtoResult<(u32, &[u8])> {
 /// header. Compression cost is charged to `ctx` like any other
 /// storage-layer compression.
 pub fn compress_chunk(messages: &[WireMessage], ctx: &mut IoCtx) -> Response {
-    let mut w = Writer::default();
-    w.msgs(messages);
-    Response::StreamChunkLz(encode_frame(
-        BlockCodec::Lzss,
-        &w.finish().expect("topic names fit a u16 length prefix"),
-        ctx,
-    ))
+    chunk_frame(messages.iter().map(|m| (m.topic.as_str(), m.time, m.data.as_slice())), ctx)
+}
+
+/// [`compress_chunk`] over borrowed `(topic, time, payload)` triples: the
+/// server's stream sink feeds it pool-page slices, so a payload is copied
+/// once — into the buffer that, when the batch does not compress, *is*
+/// the frame (`bora::block::encode_frame_in_place`).
+pub(crate) fn chunk_frame<'a>(
+    messages: impl ExactSizeIterator<Item = (&'a str, Time, &'a [u8])> + Clone,
+    ctx: &mut IoCtx,
+) -> Response {
+    // Sized once, exactly: a 640 KB image chunk grown by doubling is a
+    // dozen reallocations whose page faults vary from run to run. Per
+    // message: u16 topic length, two u32 of time, u32 payload length.
+    let len = bora::block::FRAME_HEADER_LEN
+        + 4
+        + messages
+            .clone()
+            .map(|(topic, _, payload)| 14 + topic.len() + payload.len())
+            .sum::<usize>();
+    let mut buf = Vec::with_capacity(len);
+    buf.resize(bora::block::FRAME_HEADER_LEN, 0);
+    let mut w = Writer { buf, overflow: false };
+    w.u32(messages.len() as u32);
+    for (topic, time, payload) in messages {
+        w.msg(topic, time, payload);
+    }
+    let body = w.finish().expect("topic names fit a u16 length prefix");
+    debug_assert_eq!(body.len(), len);
+    Response::StreamChunkLz(encode_frame_in_place(BlockCodec::Lzss, body, ctx))
 }
 
 /// Decode a [`Response::StreamChunkLz`] frame back into its message
@@ -580,12 +603,15 @@ impl Writer {
         self.time(s.start);
         self.time(s.end);
     }
+    fn msg(&mut self, topic: &str, time: Time, payload: &[u8]) {
+        self.str(topic);
+        self.time(time);
+        self.bytes(payload);
+    }
     fn msgs(&mut self, msgs: &[WireMessage]) {
         self.u32(msgs.len() as u32);
         for m in msgs {
-            self.str(&m.topic);
-            self.time(m.time);
-            self.bytes(&m.data);
+            self.msg(&m.topic, m.time, &m.data);
         }
     }
     fn i64(&mut self, v: i64) {
@@ -1191,14 +1217,6 @@ impl Response {
     }
 }
 
-/// Wrap a payload in a length-prefixed frame.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
-}
-
 /// Parse a frame header, validating the length bound.
 pub fn frame_len(header: [u8; FRAME_HEADER_LEN]) -> ProtoResult<usize> {
     let len = u32::from_le_bytes(header);
@@ -1551,6 +1569,22 @@ mod tests {
         let Response::StreamChunkLz(mut long) = compress_chunk(&msgs, &mut ctx) else { panic!() };
         long.push(0);
         assert!(decompress_chunk(&long).is_err());
+    }
+
+    #[test]
+    fn hostile_chunk_header_cannot_make_the_client_allocate() {
+        // A server (or a bit flip) controls the frame header, which the
+        // CRC does not cover: a few dozen stored bytes with a valid CRC
+        // under an `unc_len` of 4 GiB must be a typed error, not a
+        // reservation.
+        let mut ctx = IoCtx::new();
+        let msgs =
+            vec![WireMessage { topic: "/t".into(), time: Time::new(1, 0), data: vec![0; 200] }];
+        let Response::StreamChunkLz(mut frame) = compress_chunk(&msgs, &mut ctx) else { panic!() };
+        assert_eq!(frame[0], BlockCodec::Lzss.id());
+        frame[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decompress_chunk(&frame).unwrap_err();
+        assert!(err.0.contains("bad compressed chunk"), "{err}");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use bora::{BoraError, BoraResult, BufferPool, MessageStream};
+use bora::{BoraError, BoraResult, BufferPool, MessageStream, StreamMessage};
 use bora_ingest::{IngestStore, Snapshot};
 use bora_obs::TraceContext;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
@@ -42,8 +42,8 @@ use simfs::{ConcurrencyGauge, IoCtx, Storage};
 use crate::cache::{HandleCache, PinnedBag};
 use crate::metrics::Metrics;
 use crate::proto::{
-    compress_chunk, ContainerStat, ErrorCode, MetricsReport, PingInfo, Request, Response,
-    SlowOpEntry, StatsSnapshot, WireMessage, METRICS_REPORT_VERSION,
+    chunk_frame, ContainerStat, ErrorCode, MetricsReport, PingInfo, Request, Response, SlowOpEntry,
+    StatsSnapshot, WireMessage, METRICS_REPORT_VERSION,
 };
 
 /// Messages per [`Response::StreamChunk`] frame. Small enough that the
@@ -639,19 +639,20 @@ impl<'c, S: Storage + Clone> Source<'c, S> {
 }
 
 /// Drain `stream` in batches of at most [`STREAM_CHUNK_MSGS`] messages,
-/// handing each to `sink` (which empties it). Returns the message total,
-/// or `None` when `sink` reported its receiver gone — the stream is
-/// aborted, and the virtual time already spent is still folded into `ctx`
-/// so metrics stay honest.
+/// handing each to `sink` (which empties it). The messages are still the
+/// stream's shared slices — what to copy, and where to, is the sink's
+/// business. Returns the message total, or `None` when `sink` reported
+/// its receiver gone — the stream is aborted, and the virtual time
+/// already spent is still folded into `ctx` so metrics stay honest.
 fn scan<S: Storage>(
     mut stream: MessageStream<'_, S>,
     ctx: &mut IoCtx,
-    sink: &mut dyn FnMut(&mut Vec<WireMessage>, &mut IoCtx) -> bool,
+    sink: &mut dyn FnMut(&mut Vec<StreamMessage>, &mut IoCtx) -> bool,
 ) -> BoraResult<Option<u64>> {
-    let mut batch: Vec<WireMessage> = Vec::with_capacity(STREAM_CHUNK_MSGS);
+    let mut batch: Vec<StreamMessage> = Vec::with_capacity(STREAM_CHUNK_MSGS);
     let mut total = 0u64;
     while let Some(msg) = stream.next_msg(ctx)? {
-        batch.push(WireMessage::from(msg.to_record()));
+        batch.push(msg);
         total += 1;
         if batch.len() >= STREAM_CHUNK_MSGS && !sink(&mut batch, ctx) {
             stream.charge_into(ctx);
@@ -723,7 +724,7 @@ fn handle<S: Storage + Clone>(
                 let stream = source.stream(&strs(topics), *range, ctx)?;
                 let mut messages = Vec::with_capacity(stream.remaining() as usize);
                 scan(stream, ctx, &mut |batch, _| {
-                    messages.append(batch);
+                    messages.extend(batch.drain(..).map(|m| WireMessage::from(m.to_record())));
                     true
                 })?;
                 Response::Read(messages)
@@ -732,10 +733,15 @@ fn handle<S: Storage + Clone>(
                 let source = Source::open(shared, container, ctx)?;
                 let stream = source.stream(&strs(topics), *range, ctx)?;
                 // Every chunk goes out as an LZ frame; the codec's raw
-                // fallback covers incompressible batches.
+                // fallback covers incompressible batches. The payloads'
+                // one copy — pool page to frame buffer — is counted like
+                // any other materialisation.
                 let sent = scan(stream, ctx, &mut |batch, ctx| {
                     bora_obs::counter("serve.stream_chunk_lz").inc();
-                    let frame = compress_chunk(batch, ctx);
+                    bora_obs::counter("stream.bytes_copied")
+                        .add(batch.iter().map(|m| m.payload().len() as u64).sum());
+                    let frame =
+                        chunk_frame(batch.iter().map(|m| (&*m.topic, m.time, m.payload())), ctx);
                     batch.clear();
                     reply.send(frame).is_ok()
                 })?;

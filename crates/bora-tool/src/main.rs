@@ -24,6 +24,8 @@
 //! All storage goes through `simfs::LocalStorage`, i.e. real files —
 //! except `top`, which speaks the bora-serve wire protocol.
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::exit;
 

@@ -17,10 +17,19 @@
 //! * The frame CRC covers the **stored** payload bytes, so a torn or
 //!   bit-flipped block surfaces as a typed
 //!   [`BoraError::ChecksumMismatch`] *before* any decompression runs.
+//!   The 13 header bytes are *not* under it: a damaged codec tag or
+//!   length fails the checks that follow it, and an LZSS frame whose
+//!   `unc_len` exceeds what its stored bytes could expand to (9x) is
+//!   [`BoraError::Corrupt`] before a byte is reserved for it.
 //! * The per-frame codec tag lets an incompressible block fall back to
 //!   raw storage even inside an LZSS container (LZSS can expand
 //!   adversarial input; the fallback bounds every frame at
-//!   `unc_len + FRAME_HEADER_LEN`).
+//!   `unc_len + FRAME_HEADER_LEN`). The encoder decides early: once a
+//!   half of the block has produced no saving it stops searching and
+//!   stores the block raw, so image blocks cost half a search, not a
+//!   whole one. A block whose first half is noise and which only then
+//!   turns compressible is stored raw too — at most half of
+//!   `block_size` bytes that a full pass would have shrunk.
 //! * The `blocks` map file carries the physical frame lengths (prefix
 //!   sums give frame offsets) plus each block's first message timestamp,
 //!   delta-encoded as varints — random logical access costs one map
@@ -204,25 +213,55 @@ impl BlockMap {
 /// Encode one frame: compress (with raw fallback when compression does
 /// not pay), CRC the stored bytes, prepend the header.
 pub fn encode_frame(codec: BlockCodec, logical: &[u8], ctx: &mut IoCtx) -> Vec<u8> {
-    let (stored_codec, stored) = match codec {
-        BlockCodec::None => (BlockCodec::None, std::borrow::Cow::Borrowed(logical)),
+    let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + logical.len());
+    buf.resize(FRAME_HEADER_LEN, 0);
+    buf.extend_from_slice(logical);
+    encode_frame_in_place(codec, buf, ctx)
+}
+
+/// [`encode_frame`] for a caller that assembled the logical bytes itself,
+/// behind [`FRAME_HEADER_LEN`] bytes it left for the header. A frame
+/// stored raw is that same buffer with the header filled in — no copy;
+/// only a frame that compresses is a new (smaller) allocation.
+///
+/// The LZSS search is [`rosbag::compress::compress_bounded`]: it stops
+/// after half of the bytes when they do not compress, so a raw verdict
+/// costs half of a search and one CRC pass.
+///
+/// # Panics
+/// If `buf` is shorter than the header it reserves.
+pub fn encode_frame_in_place(codec: BlockCodec, mut buf: Vec<u8>, ctx: &mut IoCtx) -> Vec<u8> {
+    let logical = &buf[FRAME_HEADER_LEN..];
+    let unc_len = logical.len() as u32;
+    let packed = match codec {
+        BlockCodec::None => None,
         BlockCodec::Lzss => {
             ctx.charge_ns(logical.len() as u64 * cpu::COMPRESS_BYTE_NS);
-            let packed = rosbag::compress::compress(logical);
-            if packed.len() < logical.len() {
-                (BlockCodec::Lzss, std::borrow::Cow::Owned(packed))
-            } else {
-                (BlockCodec::None, std::borrow::Cow::Borrowed(logical))
-            }
+            rosbag::compress::compress_bounded(logical)
         }
     };
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + stored.len());
-    out.push(stored_codec.id());
-    out.extend_from_slice(&(logical.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(stored.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32c(&stored).to_le_bytes());
-    out.extend_from_slice(&stored);
-    out
+    match packed {
+        Some(packed) => {
+            let mut out = Vec::with_capacity(FRAME_HEADER_LEN + packed.len());
+            out.extend_from_slice(&frame_header(BlockCodec::Lzss, unc_len, &packed));
+            out.extend_from_slice(&packed);
+            out
+        }
+        None => {
+            let header = frame_header(BlockCodec::None, unc_len, logical);
+            buf[..FRAME_HEADER_LEN].copy_from_slice(&header);
+            buf
+        }
+    }
+}
+
+fn frame_header(codec: BlockCodec, unc_len: u32, stored: &[u8]) -> [u8; FRAME_HEADER_LEN] {
+    let mut h = [0u8; FRAME_HEADER_LEN];
+    h[0] = codec.id();
+    h[1..5].copy_from_slice(&unc_len.to_le_bytes());
+    h[5..9].copy_from_slice(&(stored.len() as u32).to_le_bytes());
+    h[9..13].copy_from_slice(&crc32c(stored).to_le_bytes());
+    h
 }
 
 /// Decode one frame starting at `frame[0]`, verifying the stored-byte CRC
@@ -255,9 +294,12 @@ pub fn decode_frame(frame: &[u8], path: &str, ctx: &mut IoCtx) -> BoraResult<(Ve
             stored.to_vec()
         }
         BlockCodec::Lzss => {
+            // `unc_len` is not under the CRC; `decompress` bounds it by
+            // what `stored` can expand to before reserving anything.
+            let logical = rosbag::compress::decompress(stored, unc_len)
+                .map_err(|e| BoraError::Corrupt(format!("{path}: block decompress: {e}")))?;
             ctx.charge_ns(unc_len as u64 * cpu::DECOMPRESS_BYTE_NS);
-            rosbag::compress::decompress(stored, unc_len)
-                .map_err(|e| BoraError::Corrupt(format!("{path}: block decompress: {e}")))?
+            logical
         }
     };
     Ok((logical, total))
@@ -473,6 +515,17 @@ mod tests {
         }
     }
 
+    /// PRNG-ish bytes LZSS cannot shrink.
+    fn lcg_noise(len: usize) -> Vec<u8> {
+        let mut x = 0x1234_5678u32;
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn empty_topic() {
         roundtrip(BlockCodec::Lzss, 64, &[]);
@@ -492,19 +545,72 @@ mod tests {
     fn incompressible_block_falls_back_to_raw() {
         // PRNG-ish bytes LZSS cannot shrink: the frame must store them
         // raw (codec tag 0) and stay within header + unc_len.
-        let mut x = 0x1234_5678u32;
-        let data: Vec<u8> = (0..4096)
-            .map(|_| {
-                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-                (x >> 24) as u8
-            })
-            .collect();
+        let data = lcg_noise(4096);
         let mut ctx = IoCtx::new();
         let frame = encode_frame(BlockCodec::Lzss, &data, &mut ctx);
         assert_eq!(frame[0], BlockCodec::None.id());
         assert_eq!(frame.len(), FRAME_HEADER_LEN + data.len());
         let (back, _) = decode_frame(&frame, "t/data", &mut ctx).unwrap();
         assert_eq!(back, data);
+    }
+
+    #[test]
+    fn noise_first_block_is_stored_raw() {
+        // The bounded search's documented price: a block whose first
+        // half is noise is stored raw although the rest of it is zeros.
+        // Raw means exactly header + bytes, never more.
+        let mut data = lcg_noise(32 << 10);
+        data.resize(64 << 10, 0);
+        assert!(rosbag::compress::compress(&data).len() < data.len() * 3 / 4);
+        let mut ctx = IoCtx::new();
+        let frame = encode_frame(BlockCodec::Lzss, &data, &mut ctx);
+        assert_eq!(frame[0], BlockCodec::None.id());
+        assert_eq!(frame.len(), FRAME_HEADER_LEN + data.len());
+        assert_eq!(decode_frame(&frame, "t/data", &mut ctx).unwrap().0, data);
+    }
+
+    #[test]
+    fn in_place_raw_frame_is_the_callers_buffer() {
+        let mut ctx = IoCtx::new();
+        for (data, codec) in [
+            (lcg_noise(5000), BlockCodec::Lzss),
+            (vec![7u8; 5000], BlockCodec::None),
+            (vec![7u8; 5000], BlockCodec::Lzss),
+            (Vec::new(), BlockCodec::Lzss),
+        ] {
+            let mut buf = vec![0xEE; FRAME_HEADER_LEN];
+            buf.extend_from_slice(&data);
+            let before = buf.as_ptr();
+            let frame = encode_frame_in_place(codec, buf, &mut ctx);
+            assert_eq!(frame, encode_frame(codec, &data, &mut ctx));
+            if frame[0] == BlockCodec::None.id() {
+                assert_eq!(frame.as_ptr(), before, "a raw frame must not be copied");
+            }
+            assert_eq!(decode_frame(&frame, "t/data", &mut ctx).unwrap(), (data, frame.len()));
+        }
+    }
+
+    #[test]
+    fn oversized_unc_len_is_corrupt_before_allocating() {
+        // The header is not under the CRC: a frame whose stored bytes
+        // check out but whose `unc_len` claims 4 GiB must be refused
+        // without reserving 4 GiB first.
+        let mut ctx = IoCtx::new();
+        let mut frame = encode_frame(BlockCodec::Lzss, &[7u8; 100], &mut ctx);
+        assert_eq!(frame[0], BlockCodec::Lzss.id());
+        let stored = frame.len() - FRAME_HEADER_LEN;
+        assert!(stored <= 16);
+        frame[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
+        match decode_frame(&frame, "t/data", &mut ctx) {
+            Err(BoraError::Corrupt(msg)) => assert!(msg.contains("t/data"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // One past what the stored bytes could expand to is refused too;
+        // an honest length that merely disagrees is a decode error.
+        frame[1..5].copy_from_slice(&(9 * stored as u32 + 1).to_le_bytes());
+        assert!(matches!(decode_frame(&frame, "t/data", &mut ctx), Err(BoraError::Corrupt(_))));
+        frame[1..5].copy_from_slice(&99u32.to_le_bytes());
+        assert!(matches!(decode_frame(&frame, "t/data", &mut ctx), Err(BoraError::Corrupt(_))));
     }
 
     #[test]

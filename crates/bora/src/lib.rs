@@ -65,6 +65,8 @@
 //! assert_eq!(msgs.len(), 10);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod block;
 pub mod borafs;
 pub mod bufpool;

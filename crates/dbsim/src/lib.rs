@@ -26,6 +26,8 @@
 //! The filesystem baseline (plain bag append) lives in the `bench` crate's
 //! Fig. 2 harness.
 
+#![forbid(unsafe_code)]
+
 pub mod btree;
 pub mod engine;
 pub mod hash_index;

@@ -22,6 +22,8 @@
 //! PLFS maps *byte extents* while BORA maps *message semantics* (topics,
 //! timestamps).
 
+#![forbid(unsafe_code)]
+
 pub mod interval;
 
 use std::collections::HashMap;

@@ -32,6 +32,8 @@
 //! assert_eq!(back.linear_acceleration.z, 9.81);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod geometry_msgs;
 pub mod md5;
 pub mod msg;

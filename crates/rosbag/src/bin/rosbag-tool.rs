@@ -9,6 +9,8 @@
 //! rosbag-tool decompress <in.bag> <out.bag>     rewrite with raw chunks
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::path::Path;
 use std::process::exit;
 

@@ -33,6 +33,8 @@
 //! All I/O goes through [`simfs::Storage`], so the same code runs on the
 //! in-memory, timed single-node, PVFS, and Lustre backends.
 
+#![forbid(unsafe_code)]
+
 pub mod compress;
 pub mod error;
 pub mod index;

@@ -3,14 +3,16 @@
 //! The build container cannot reach crates.io, so the workspace vendors
 //! the slice of criterion's API its benches use: `Criterion`,
 //! `benchmark_group` / `bench_function` / `bench_with_input`,
-//! `BenchmarkId`, `Bencher::iter`, and the `criterion_group!` /
-//! `criterion_main!` macros.
+//! `BenchmarkId`, `Bencher::iter`, `Throughput::Bytes`, and the
+//! `criterion_group!` / `criterion_main!` macros.
 //!
 //! Measurement is deliberately simple: when the binary is invoked with
 //! `--bench` (as `cargo bench` does) each benchmark runs for a fixed
 //! wall-clock budget and reports min/mean per-iteration time. Under
 //! `cargo test` (no `--bench` flag) every benchmark runs a single
 //! iteration as a smoke test, keeping the tier-1 suite fast.
+
+#![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 
@@ -51,6 +53,12 @@ impl IntoBenchmarkId for String {
     fn into_id(self) -> String {
         self
     }
+}
+
+/// Work done by one iteration, so a row can be read as a rate.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    Bytes(u64),
 }
 
 /// Per-iteration timer handle passed to benchmark closures.
@@ -96,7 +104,7 @@ impl Default for Criterion {
 
 impl Criterion {
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { criterion: self, name: name.into(), sample_size: 100 }
+        BenchmarkGroup { criterion: self, name: name.into(), sample_size: 100, throughput: None }
     }
 
     pub fn bench_function<F: FnMut(&mut Bencher)>(
@@ -105,7 +113,7 @@ impl Criterion {
         f: F,
     ) -> &mut Self {
         let name = id.into_id();
-        run_one(self.measure, None, &name, 100, f);
+        run_one(self.measure, None, &name, 100, None, f);
         self
     }
 }
@@ -115,6 +123,7 @@ pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
     sample_size: usize,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -125,13 +134,21 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Work per iteration of the benchmarks that follow; measured rows
+    /// then also report a rate.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
+        self
+    }
+
     pub fn bench_function<F: FnMut(&mut Bencher)>(
         &mut self,
         id: impl IntoBenchmarkId,
         f: F,
     ) -> &mut Self {
         let name = id.into_id();
-        run_one(self.criterion.measure, Some(&self.name), &name, self.sample_size, f);
+        let (measure, t) = (self.criterion.measure, self.throughput);
+        run_one(measure, Some(&self.name), &name, self.sample_size, t, f);
         self
     }
 
@@ -142,7 +159,8 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let name = id.into_id();
-        run_one(self.criterion.measure, Some(&self.name), &name, self.sample_size, |b| f(b, input));
+        let (measure, t) = (self.criterion.measure, self.throughput);
+        run_one(measure, Some(&self.name), &name, self.sample_size, t, |b| f(b, input));
         self
     }
 
@@ -154,6 +172,7 @@ fn run_one<F: FnMut(&mut Bencher)>(
     group: Option<&str>,
     name: &str,
     sample_size: usize,
+    throughput: Option<Throughput>,
     mut f: F,
 ) {
     let full_name = match group {
@@ -165,10 +184,10 @@ fn run_one<F: FnMut(&mut Bencher)>(
     let budget = Duration::from_millis((sample_size as u64 * 2).clamp(20, 500));
     let mut bencher = Bencher { measure, budget, samples: Vec::new() };
     f(&mut bencher);
-    report(&full_name, measure, &bencher.samples);
+    report(&full_name, measure, throughput, &bencher.samples);
 }
 
-fn report(name: &str, measured: bool, samples: &[u64]) {
+fn report(name: &str, measured: bool, throughput: Option<Throughput>, samples: &[u64]) {
     if samples.is_empty() {
         println!("{name:<50} (no samples)");
         return;
@@ -176,8 +195,13 @@ fn report(name: &str, measured: bool, samples: &[u64]) {
     let min = *samples.iter().min().unwrap();
     let mean = samples.iter().sum::<u64>() / samples.len() as u64;
     if measured {
+        let rate = match throughput {
+            // bytes/ns = GB/s; quoted at the mean, like criterion does.
+            Some(Throughput::Bytes(n)) => format!("  {:>8.1} MB/s", n as f64 * 1e3 / mean as f64),
+            None => String::new(),
+        };
         println!(
-            "{name:<50} min {:>12}  mean {:>12}  ({} iters)",
+            "{name:<50} min {:>12}  mean {:>12}  ({} iters){rate}",
             fmt_ns(min),
             fmt_ns(mean),
             samples.len()

@@ -7,6 +7,8 @@
 //! std primitives; a poisoned std lock is recovered transparently, which
 //! matches parking_lot's no-poisoning semantics.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::sync::{self, MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 

@@ -16,6 +16,8 @@
 //! * Fewer default cases (64) — generation dominates runtime without
 //!   shrinking, and the suites here also cap cases explicitly.
 
+#![forbid(unsafe_code)]
+
 pub mod arbitrary;
 pub mod collection;
 pub mod sample;

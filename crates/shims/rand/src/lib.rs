@@ -11,6 +11,8 @@
 //! in this workspace treats the RNG as an arbitrary deterministic source,
 //! and determinism per seed is preserved across runs and platforms.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Core RNG interface (the `RngCore` subset the workspace calls).

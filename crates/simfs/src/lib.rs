@@ -32,6 +32,8 @@
 //! declared process count. Real wall-clock benches live in the `bench`
 //! crate's Criterion suites.
 
+#![forbid(unsafe_code)]
+
 pub mod clock;
 pub mod cluster;
 pub mod device;

@@ -20,6 +20,8 @@
 //! * [`amr`] — a second family (warehouse AMR: lidar, odometry, GPS,
 //!   compressed video) exercising the structured-data-dominant regime.
 
+#![forbid(unsafe_code)]
+
 //! * [`querymix`] — skewed (hot/cold) query streams against a set of
 //!   containers, driving the `bora-serve` serving-layer experiments.
 

@@ -6,6 +6,8 @@
 //! `EXPERIMENTS.md` for the paper-vs-measured record of every table and
 //! figure.
 
+#![forbid(unsafe_code)]
+
 pub use bora;
 pub use bora_serve;
 pub use dbsim;
