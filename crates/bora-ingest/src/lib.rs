@@ -11,8 +11,9 @@
 //! * **Seal** ([`segment`]) — the memtable freezes into per-topic sorted
 //!   segment files, committed atomically by a fsynced seal marker.
 //! * **Compaction** ([`store`]) — sealed batches merge LSM-style into the
-//!   next container generation using the staged-manifest commit protocol,
-//!   so `bora fsck` accepts every committed generation and a power cut at
+//!   next container generation, written by the organizer's own
+//!   `bora::writer` and its staged-manifest commit protocol, so
+//!   `bora fsck` accepts every committed generation and a power cut at
 //!   any instant loses at most un-fsynced appends.
 //! * **MVCC snapshots** ([`snapshot`]) — readers pin an epoch-stamped
 //!   view {generation, sealed batches, frozen memtable} and stream it

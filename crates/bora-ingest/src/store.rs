@@ -12,6 +12,14 @@
 //!            consumed seg/seal files deleted after the rename
 //! ```
 //!
+//! A generation is an ordinary container and is written like every other
+//! one: a topic at a time through `bora::writer` (`TopicWriter` for the
+//! files, `ContainerWriter` for the staged commit, with the `.ingest`
+//! marker as its extra root file). What compaction takes from the old
+//! generation it first checks against that generation's MANIFEST, so
+//! damage stops the compaction with a typed error instead of being
+//! copied under a new, valid commit record.
+//!
 //! Every arrow is individually crash-atomic: a power cut mid-append leaves
 //! a torn WAL tail (truncated on recovery, counter `wal.torn_tail`); one
 //! mid-seal leaves segments without a marker (discarded — the WAL still
@@ -35,15 +43,16 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use bora::block::{read_logical, BlockCodec, BlockParams, BlockWriter};
+use bora::block::{read_logical, BlockCodec, BlockParams};
 use bora::bufpool::BufferPool;
 use bora::checksum::crc32c;
 use bora::error::{BoraError, BoraResult};
-use bora::layout::{manifest_path, meta_path, rel_path, staging_path, TopicPaths, META_FILE};
-use bora::manifest::{Manifest, ManifestEntry};
+use bora::layout::{meta_path, rel_path, TopicPaths};
+use bora::manifest::Manifest;
 use bora::meta::{ContainerMeta, TopicMeta};
-use bora::time_index::{TimeIndex, DEFAULT_WINDOW_NS};
-use bora::topic_index::{decode_entries, encode_entries, TopicIndexEntry, ENTRY_SIZE};
+use bora::time_index::DEFAULT_WINDOW_NS;
+use bora::topic_index::{decode_entries, TopicIndexEntry, ENTRY_SIZE};
+use bora::writer::ContainerWriter;
 use bora::BoraBag;
 use parking_lot::Mutex;
 use ros_msgs::wire::{WireRead, WireWrite};
@@ -280,13 +289,15 @@ impl<S: Storage> IngestStore<S> {
         storage.mkdir_all(&wal_dir(&root), ctx)?;
         storage.mkdir_all(&seg_dir(&root), ctx)?;
         storage.mkdir_all(&gen_dir(&root), ctx)?;
-        let meta = ContainerMeta {
-            window_ns: cfg.window_ns,
-            block: cfg.block,
-            ..ContainerMeta::default()
-        };
         let marker = GenMarker { generation: 0, last_seal_seq: 0, last_wal_seq: 0 };
-        let g0 = commit_generation(&storage, &root, &meta, &marker, &BTreeMap::new(), ctx)?;
+        let g0 = gen_root(&root, 0);
+        stage_generation(&storage, &g0, &cfg, ctx)?.commit(
+            &storage,
+            Vec::new(),
+            0,
+            Some((GEN_MARKER, &marker.encode())),
+            ctx,
+        )?;
         storage.append(&mp, &cfg.encode(), ctx)?;
         storage.flush(&mp, ctx)?;
         let gen =
@@ -636,91 +647,77 @@ impl<S: Storage> IngestStore<S> {
             return Ok(st.gen.generation);
         }
         let old = Arc::clone(&st.gen);
-        let old_meta = ContainerMeta::decode(&self.storage.read_all(&meta_path(&old.root), ctx)?)?;
+        // Everything taken from the old generation is checked against its
+        // MANIFEST first: a damaged byte must stop the compaction, not be
+        // copied under a fresh, valid commit record. Block frames carry
+        // their own CRCs and are verified as `read_logical` decodes them.
+        let old_manifest = Manifest::load(&self.storage, &old.root, ctx)?
+            .ok_or_else(|| BoraError::Corrupt(format!("{}: no MANIFEST", old.root)))?;
+        let verified = |path: &str, bytes: Vec<u8>| -> BoraResult<Vec<u8>> {
+            old_manifest.verify(rel_path(&old.root, path).unwrap_or(path), &bytes)?;
+            Ok(bytes)
+        };
+        let mp = meta_path(&old.root);
+        let old_meta = ContainerMeta::decode(&verified(&mp, self.storage.read_all(&mp, ctx)?)?)?;
         let mut topics: BTreeSet<String> =
             old_meta.topics.iter().map(|t| t.topic.clone()).collect();
         for b in &st.sealed {
             topics.extend(b.topics.keys().cloned());
         }
-        let mut topic_files: TopicFiles = BTreeMap::new();
-        let mut topic_meta = Vec::with_capacity(topics.len());
-        let mut bytes_written = 0u64;
-        let (mut start, mut end, mut any) = (Time::MAX, Time::ZERO, false);
+        let new_root = gen_root(&self.root, old.generation + 1);
+        let container = stage_generation(&self.storage, &new_root, &self.cfg, ctx)?;
+        let mut finished = Vec::with_capacity(topics.len());
         for topic in &topics {
-            let paths = TopicPaths::new(&old.root, topic);
-            let (mut data, mut entries) = if old_meta.topic(topic).is_some() {
+            let tm = old_meta.topic(topic);
+            let identity = tm
+                .cloned()
+                .unwrap_or_else(|| TopicMeta { topic: topic.clone(), ..TopicMeta::default() });
+            let mut w = container.topic(&self.storage, identity, ctx)?;
+            if tm.is_some() {
+                let paths = TopicPaths::new(&old.root, topic);
                 // `read_logical` transparently de-frames a blocked old
                 // generation, so compaction works across a codec change
                 // in either direction.
-                (
-                    read_logical(&self.storage, &paths, ctx)?,
-                    decode_entries(&self.storage.read_all(&paths.index, ctx)?)?,
-                )
-            } else {
-                (Vec::new(), Vec::new())
-            };
+                let mut data = read_logical(&self.storage, &paths, ctx)?;
+                if old_meta.block.is_none() {
+                    data = verified(&paths.data, data)?;
+                }
+                let index = verified(&paths.index, self.storage.read_all(&paths.index, ctx)?)?;
+                for e in decode_entries(&index)? {
+                    let payload = usize::try_from(e.offset)
+                        .ok()
+                        .and_then(|off| data.get(off..off.checked_add(e.len as usize)?))
+                        .ok_or_else(|| {
+                            BoraError::Corrupt(format!(
+                                "{}: entry {}+{} outside the topic's {} data bytes",
+                                paths.index,
+                                e.offset,
+                                e.len,
+                                data.len()
+                            ))
+                        })?;
+                    w.push(&self.storage, e.time, payload, ctx)?;
+                }
+            }
             for b in &st.sealed {
-                if let Some(msgs) = b.topics.get(topic) {
-                    for m in msgs {
-                        entries.push(TopicIndexEntry {
-                            time: m.time,
-                            offset: data.len() as u64,
-                            len: m.data.len() as u32,
-                        });
-                        data.extend_from_slice(&m.data);
-                    }
+                for m in b.topics.get(topic).into_iter().flatten() {
+                    w.push(&self.storage, m.time, &m.data, ctx)?;
                 }
             }
-            if let (Some(first), Some(last)) = (entries.first(), entries.last()) {
-                any = true;
-                start = start.min(first.time);
-                end = end.max(last.time);
-            }
-            let index = encode_entries(&entries);
-            let tindex = TimeIndex::build(&entries, self.cfg.window_ns).encode();
-            let tm = old_meta.topic(topic);
-            topic_meta.push(TopicMeta {
-                topic: topic.clone(),
-                datatype: tm.map(|t| t.datatype.clone()).unwrap_or_default(),
-                md5sum: tm.map(|t| t.md5sum.clone()).unwrap_or_default(),
-                definition: tm.map(|t| t.definition.clone()).unwrap_or_default(),
-                message_count: entries.len() as u64,
-                bytes: data.len() as u64,
-            });
-            // Index entries keep logical offsets; only the staged `data`
-            // bytes change representation when block framing is on.
-            let (data, blocks) = match self.cfg.block {
-                Some(params) => {
-                    let mut w = BlockWriter::new(params);
-                    for e in &entries {
-                        let (off, end) = (e.offset as usize, e.end() as usize);
-                        w.push(e.time, &data[off..end], ctx);
-                    }
-                    let (framed, map, _, _) = w.finish(ctx);
-                    (framed, Some(map.encode()))
-                }
-                None => (data, None),
-            };
-            bytes_written +=
-                (data.len() + index.len() + tindex.len() + blocks.as_ref().map_or(0, Vec::len))
-                    as u64;
-            topic_files.insert(topic.clone(), (data, index, tindex, blocks));
+            finished.push(w.finish(&self.storage, ctx)?);
         }
-        let (start, end) = if any { (start, end) } else { (Time::ZERO, Time::ZERO) };
+        let bytes_written: u64 = finished.iter().flat_map(|t| &t.files).map(|f| f.len).sum();
         let last_seal_seq = st.sealed.last().expect("non-empty").seal_seq;
         let last_wal_seq =
             st.sealed.iter().map(|b| b.last_wal_seq).fold(old.last_wal_seq, u64::max);
-        let meta = ContainerMeta {
-            topics: topic_meta,
-            start_time: start,
-            end_time: end,
-            window_ns: self.cfg.window_ns,
-            source_bag_len: bytes_written,
-            block: self.cfg.block,
-        };
         let marker = GenMarker { generation: old.generation + 1, last_seal_seq, last_wal_seq };
-        let new_root =
-            commit_generation(&self.storage, &self.root, &meta, &marker, &topic_files, ctx)?;
+        container.commit(
+            &self.storage,
+            finished,
+            bytes_written,
+            Some((GEN_MARKER, &marker.encode())),
+            ctx,
+        )?;
         // Committed: the consumed seg/seal files are redundant now.
         for b in &st.sealed {
             for topic in b.topics.keys() {
@@ -799,64 +796,16 @@ impl<S: Storage + Clone> IngestStore<S> {
     }
 }
 
-/// Per-topic `(data, index, tindex, blocks)` container file bytes, keyed
-/// by topic; `blocks` is the encoded block map when the generation is
-/// block-framed.
-type TopicFiles = BTreeMap<String, (Vec<u8>, Vec<u8>, Vec<u8>, Option<Vec<u8>>)>;
-
-/// Build and atomically commit one generation container under
-/// `<root>/gen/`: files first, `.bora` and `.ingest`, MANIFEST last,
-/// fsync, one rename.
-fn commit_generation<S: Storage>(
+/// Stage a generation container at `gen_root` in the root's configured
+/// format. The compactor replaces each file whole, so every file is one
+/// append.
+fn stage_generation<S: Storage>(
     storage: &S,
-    root: &str,
-    meta: &ContainerMeta,
-    marker: &GenMarker,
-    topic_files: &TopicFiles,
+    gen_root: &str,
+    cfg: &IngestConfig,
     ctx: &mut IoCtx,
-) -> BoraResult<String> {
-    let dst = gen_root(root, marker.generation);
-    let stage = staging_path(&dst);
-    if storage.exists(&stage, ctx) {
-        storage.remove_dir_all(&stage, ctx)?;
-    }
-    storage.mkdir_all(&stage, ctx)?;
-    let mut entries: Vec<ManifestEntry> = Vec::new();
-    for (topic, (data, index, tindex, blocks)) in topic_files {
-        let paths = TopicPaths::new(&stage, topic);
-        storage.mkdir_all(&paths.dir, ctx)?;
-        let mut files = vec![(&paths.data, data), (&paths.index, index), (&paths.tindex, tindex)];
-        if let Some(map) = blocks {
-            files.push((&paths.blocks, map));
-        }
-        for (path, bytes) in files {
-            storage.append(path, bytes, ctx)?;
-            let rel = rel_path(&stage, path).expect("staged file under stage root").to_owned();
-            entries.push(ManifestEntry {
-                path: rel,
-                len: bytes.len() as u64,
-                crc32c: crc32c(bytes),
-            });
-        }
-    }
-    let meta_bytes = meta.encode();
-    storage.append(&meta_path(&stage), &meta_bytes, ctx)?;
-    entries.push(ManifestEntry {
-        path: META_FILE.to_owned(),
-        len: meta_bytes.len() as u64,
-        crc32c: crc32c(&meta_bytes),
-    });
-    let marker_bytes = marker.encode();
-    storage.append(&format!("{stage}/{GEN_MARKER}"), &marker_bytes, ctx)?;
-    entries.push(ManifestEntry {
-        path: GEN_MARKER.to_owned(),
-        len: marker_bytes.len() as u64,
-        crc32c: crc32c(&marker_bytes),
-    });
-    Manifest::new(entries)?.store(storage, &stage, ctx)?;
-    storage.flush(&manifest_path(&stage), ctx)?;
-    storage.rename(&stage, &dst, ctx)?;
-    Ok(dst)
+) -> BoraResult<ContainerWriter> {
+    ContainerWriter::begin(storage, gen_root, cfg.block, cfg.window_ns, usize::MAX, ctx)
 }
 
 fn load_gen_marker<S: Storage>(
@@ -1072,6 +1021,60 @@ mod tests {
         // The committed generation verifies clean, blocks file included.
         let report = bora::fsck::check(&fs, "/live/gen/C00000002", &mut ctx).unwrap();
         assert!(report.is_clean(), "{report:?}");
+    }
+
+    /// create → 50 appends → seal → compact, then one flipped bit at
+    /// `index_byte` of generation 1's `imu/index`: the next compaction
+    /// must refuse to carry the damage into generation 2.
+    fn damaged_generation_stops_compaction(block: Option<BlockParams>, index_byte: u64) {
+        let fs = MemStorage::new();
+        let mut ctx = IoCtx::new();
+        let cfg = IngestConfig { wal_shards: 2, group_commit: 2, window_ns: 1_000, block };
+        let st = IngestStore::create(&fs, "/live", cfg, &mut ctx).unwrap();
+        for i in 0..50u64 {
+            st.append("/imu", Time::from_nanos(i * 10), &[(i % 5) as u8; 48], &mut ctx).unwrap();
+        }
+        st.seal(&mut ctx).unwrap();
+        assert_eq!(st.compact(&mut ctx).unwrap(), 1);
+
+        let index = "/live/gen/C00000001/imu/index";
+        let byte = fs.read_at(index, index_byte, 1, &mut ctx).unwrap()[0];
+        fs.write_at(index, index_byte, &[byte ^ 0x10], &mut ctx).unwrap();
+
+        st.append("/imu", Time::from_nanos(500), &[9; 48], &mut ctx).unwrap();
+        let seal = st.seal(&mut ctx).unwrap().unwrap();
+        match st.compact(&mut ctx) {
+            Err(BoraError::ChecksumMismatch { path, .. }) => assert_eq!(path, "imu/index"),
+            other => panic!("expected ChecksumMismatch, got {other:?}"),
+        }
+        // Nothing was committed and nothing consumed.
+        let s = st.stat();
+        assert_eq!((s.generation, s.sealed_batches, s.sealed_messages), (1, 1, 1));
+        assert!(!fs.exists("/live/gen/C00000002", &mut ctx));
+        assert!(fs.exists(&segment_path("/live", seal, "/imu"), &mut ctx));
+        assert!(fs.exists(&seal_marker_path("/live", seal), &mut ctx));
+
+        // The store is still usable, and a reader is told the same thing.
+        st.append("/imu", Time::from_nanos(510), &[9; 48], &mut ctx).unwrap();
+        st.seal(&mut ctx).unwrap().unwrap();
+        let snap = st.snapshot(&mut ctx).unwrap();
+        match snap.read_topics(&["/imu"], &mut ctx) {
+            Err(BoraError::ChecksumMismatch { path, .. }) => assert_eq!(path, "imu/index"),
+            other => panic!("expected ChecksumMismatch, got {:?}", other.map(|m| m.len())),
+        }
+    }
+
+    #[test]
+    fn damaged_generation_v1_is_not_laundered_into_the_next() {
+        // Inside entry 3's time field: still a well-formed index.
+        damaged_generation_stops_compaction(None, 3 * 20 + 2);
+    }
+
+    #[test]
+    fn damaged_generation_blocked_is_a_typed_error_not_a_panic() {
+        // A high byte of entry 3's offset field: far outside the data.
+        let block = Some(BlockParams { codec: BlockCodec::Lzss, block_size: 256 });
+        damaged_generation_stops_compaction(block, 3 * 20 + 8 + 3);
     }
 
     #[test]

@@ -305,23 +305,20 @@ pub fn decode_frame(frame: &[u8], path: &str, ctx: &mut IoCtx) -> BoraResult<(Ve
     Ok((logical, total))
 }
 
-/// Streaming writer for one topic's block-framed `data` file: payloads go
-/// in logically, full frames come out physically. The organizer's
-/// distributors and the ingest compactor both drive one of these per
-/// topic; the caller flushes [`BlockWriter::take_output`] to storage at
-/// its own write-buffer cadence.
+/// The framer of one topic's block-framed `data` file: payloads go in
+/// logically, whole frames come out physically, appended to a buffer the
+/// caller owns, and [`BlockWriter::finish`] hands back the `blocks` map.
+/// [`crate::writer::TopicWriter`] is the one driver — it keeps the
+/// pending output, the running file CRC and the physical length, exactly
+/// as it does for a raw v1 `data` file.
 pub struct BlockWriter {
     params: BlockParams,
     /// Pending logical bytes of the current (unfinished) block.
     buf: Vec<u8>,
     /// Timestamp owning the current block's first logical byte.
     cur_first: Option<Time>,
-    /// Encoded frames not yet taken by the caller.
-    out: Vec<u8>,
     entries: Vec<BlockEntry>,
     logical_len: u64,
-    phys_len: u64,
-    crc: crate::checksum::Crc32c,
 }
 
 impl BlockWriter {
@@ -330,17 +327,14 @@ impl BlockWriter {
             params,
             buf: Vec::with_capacity(params.block_size as usize),
             cur_first: None,
-            out: Vec::new(),
             entries: Vec::new(),
             logical_len: 0,
-            phys_len: 0,
-            crc: crate::checksum::Crc32c::new(),
         }
     }
 
-    /// Append one message payload; frames drain into the output buffer as
-    /// blocks fill. Messages may span block boundaries.
-    pub fn push(&mut self, time: Time, payload: &[u8], ctx: &mut IoCtx) {
+    /// Append one message payload; a frame is appended to `out` for every
+    /// block it fills. Messages may span block boundaries.
+    pub fn push(&mut self, time: Time, payload: &[u8], out: &mut Vec<u8>, ctx: &mut IoCtx) {
         if self.cur_first.is_none() {
             self.cur_first = Some(time);
         }
@@ -351,7 +345,7 @@ impl BlockWriter {
         while self.buf.len() >= bs {
             let rest = self.buf.split_off(bs);
             let full = std::mem::replace(&mut self.buf, rest);
-            self.emit(&full, ctx);
+            self.emit(&full, out, ctx);
             drained = true;
         }
         // Any remainder after a drain is a tail of *this* payload (the
@@ -361,42 +355,29 @@ impl BlockWriter {
         }
     }
 
-    fn emit(&mut self, logical: &[u8], ctx: &mut IoCtx) {
+    fn emit(&mut self, logical: &[u8], out: &mut Vec<u8>, ctx: &mut IoCtx) {
         let frame = encode_frame(self.params.codec, logical, ctx);
         self.entries.push(BlockEntry {
-            phys_off: self.phys_len,
+            phys_off: self.entries.last().map_or(0, |e| e.phys_off + e.frame_len as u64),
             frame_len: frame.len() as u32,
             first_time: self.cur_first.expect("block has at least one byte"),
         });
-        self.phys_len += frame.len() as u64;
-        self.crc.update(&frame);
-        self.out.extend_from_slice(&frame);
+        out.extend_from_slice(&frame);
     }
 
-    /// Encoded frames accumulated since the last take (drain for append).
-    pub fn take_output(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.out)
-    }
-
-    pub fn pending_output(&self) -> usize {
-        self.out.len()
-    }
-
-    /// Flush the final partial block and return the finished topic:
-    /// remaining frame bytes, the encoded `blocks` map, and the physical
-    /// (len, crc32c) the MANIFEST records for the `data` file.
-    pub fn finish(mut self, ctx: &mut IoCtx) -> (Vec<u8>, BlockMap, u64, u32) {
+    /// Append the final partial block's frame to `out` and return the
+    /// finished topic's `blocks` map.
+    pub fn finish(mut self, out: &mut Vec<u8>, ctx: &mut IoCtx) -> BlockMap {
         if !self.buf.is_empty() {
             let tail = std::mem::take(&mut self.buf);
-            self.emit(&tail, ctx);
+            self.emit(&tail, out, ctx);
         }
-        let map = BlockMap {
+        BlockMap {
             codec: self.params.codec,
             block_size: self.params.block_size,
             logical_len: self.logical_len,
             entries: self.entries,
-        };
-        (self.out, map, self.phys_len, self.crc.finish())
+        }
     }
 }
 
@@ -488,15 +469,14 @@ mod tests {
     fn roundtrip(codec: BlockCodec, block_size: u32, payloads: &[Vec<u8>]) {
         let mut ctx = IoCtx::new();
         let mut w = BlockWriter::new(BlockParams { codec, block_size });
-        let mut logical = Vec::new();
+        let (mut logical, mut frames) = (Vec::new(), Vec::new());
         for (i, p) in payloads.iter().enumerate() {
-            w.push(Time::new(i as u32, 0), p, &mut ctx);
+            w.push(Time::new(i as u32, 0), p, &mut frames, &mut ctx);
             logical.extend_from_slice(p);
         }
-        let (frames, map, phys_len, _crc) = w.finish(&mut ctx);
-        assert_eq!(phys_len, frames.len() as u64);
+        let map = w.finish(&mut frames, &mut ctx);
         assert_eq!(map.logical_len, logical.len() as u64);
-        assert_eq!(map.phys_len(), phys_len);
+        assert_eq!(map.phys_len(), frames.len() as u64);
         let decoded = decode_frames(&frames, "t/data", &mut ctx).unwrap();
         assert_eq!(decoded, logical, "codec {codec:?} bs {block_size}");
         // Map round-trips, and per-block random access agrees.
@@ -642,10 +622,11 @@ mod tests {
         // mid-message-1, so its first_time is message 1's stamp.
         let mut ctx = IoCtx::new();
         let mut w = BlockWriter::new(BlockParams { codec: BlockCodec::None, block_size: 10 });
+        let mut frames = Vec::new();
         for i in 0..4u32 {
-            w.push(Time::new(i, 0), &[i as u8; 8], &mut ctx);
+            w.push(Time::new(i, 0), &[i as u8; 8], &mut frames, &mut ctx);
         }
-        let (_, map, ..) = w.finish(&mut ctx);
+        let map = w.finish(&mut frames, &mut ctx);
         // 32 logical bytes → blocks at 0..10 (msg0), 10..20 (msg1),
         // 20..30 (msg2), 30..32 (msg3).
         let firsts: Vec<u32> = map.entries.iter().map(|e| e.first_time.sec).collect();

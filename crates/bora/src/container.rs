@@ -11,7 +11,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use ros_msgs::Time;
@@ -21,7 +20,7 @@ use simfs::{IoCtx, Storage};
 
 use crate::block::{decode_frame, BlockMap, BlockParams};
 use crate::bufpool::BufferPool;
-use crate::checksum::{crc32c, Crc32c};
+use crate::checksum::Crc32c;
 use crate::error::{BoraError, BoraResult};
 use crate::layout::{meta_path, rel_path, TopicPaths};
 use crate::manifest::Manifest;
@@ -288,26 +287,12 @@ impl<S: Storage> BoraBag<S> {
         ctx: &mut IoCtx,
     ) -> BoraResult<Vec<u8>> {
         let bytes = self.storage.read_all(path, ctx)?;
-        let (Some(manifest), Some(rel)) = (self.manifest.as_ref(), rel_path(&self.root, path))
-        else {
-            return Ok(bytes);
-        };
-        let Some(entry) = manifest.entry(rel) else {
-            return Ok(bytes);
-        };
-        let t0 = Instant::now();
-        let actual = crc32c(&bytes);
-        bora_obs::histogram("verify.latency_ns").record(t0.elapsed().as_nanos() as u64);
-        if bytes.len() as u64 != entry.len || actual != entry.crc32c {
-            bora_obs::counter("verify.checksum_fail").inc();
-            if let Some(t) = topic {
-                self.damaged.lock().insert(t.to_owned());
-            }
-            return Err(BoraError::ChecksumMismatch {
-                path: rel.to_owned(),
-                expected: entry.crc32c,
-                actual,
-            });
+        if let (Some(manifest), Some(rel)) = (self.manifest.as_ref(), rel_path(&self.root, path)) {
+            manifest.verify(rel, &bytes).inspect_err(|_| {
+                if let Some(t) = topic {
+                    self.quarantine(t);
+                }
+            })?;
         }
         Ok(bytes)
     }

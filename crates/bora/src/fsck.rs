@@ -1,8 +1,8 @@
 //! `bora fsck` — container verification and repair.
 //!
-//! The commit protocol (see [`crate::organizer::duplicate`]) admits
-//! exactly three observable states for a container root, and the checker
-//! classifies into them:
+//! The commit protocol (see [`crate::writer`]) admits exactly three
+//! observable states for a container root, and the checker classifies
+//! into them:
 //!
 //! ```text
 //!            ┌─ root missing, staging present ──────────▶ Torn
@@ -15,10 +15,13 @@
 //! * **Torn** → roll *back* (delete the staging debris; the duplication
 //!   never happened) or, when the source bag is available, roll *forward*
 //!   (delete debris, re-run the duplication).
-//! * **Corrupt** → re-duplicate only the damaged topics from the source
-//!   bag, then re-verify against the original MANIFEST — repaired content
-//!   must be byte-identical to what was committed, or the repair
-//!   escalates to a full re-duplication.
+//! * **Corrupt** → rebuild only the damaged topics from the source bag —
+//!   through the same [`crate::writer::TopicWriter`] the organizer used,
+//!   in the format the container's own `.bora` records — then re-verify
+//!   against the original MANIFEST: repaired content must be
+//!   byte-identical to what was committed, or the repair escalates to a
+//!   full re-duplication (which keeps the container's format too,
+//!   wherever `.bora` can still be trusted to say what it was).
 //! * **Clean** → nothing to do (repair is idempotent); stale staging
 //!   debris next to a committed container is swept either way.
 
@@ -28,10 +31,9 @@ use crate::checksum::crc32c;
 use crate::error::{BoraError, BoraResult};
 use crate::layout::{decode_topic, meta_path, staging_path, TopicPaths, MANIFEST_FILE, META_FILE};
 use crate::manifest::Manifest;
-use crate::meta::ContainerMeta;
+use crate::meta::{ContainerMeta, TopicMeta};
 use crate::organizer::{duplicate, OrganizerOptions};
-use crate::time_index::TimeIndex;
-use crate::topic_index::{encode_entries, TopicIndexEntry};
+use crate::writer::TopicWriter;
 
 /// Verdict for one container root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,36 +269,38 @@ pub fn repair<S: Storage, B: Storage>(
                     "{root}: corrupt and no source bag to repair from"
                 )));
             };
-            let topics = match damaged_topics(&report) {
-                Some(t) if report.has_manifest => t,
-                // MANIFEST/meta damage, structural-only container, or an
-                // undecodable path: per-topic repair can't be trusted.
-                _ => {
-                    return full_rebuild(storage, root, src, src_path, opts, ctx);
-                }
+            // A repaired container keeps its own format: wherever `.bora`
+            // is not itself among the damage and still decodes, its block
+            // parameters and window width replace the caller's.
+            let meta = if report.damages.iter().any(|d| d.rel_path == META_FILE) {
+                None
+            } else {
+                storage
+                    .read_all(&meta_path(root), ctx)
+                    .ok()
+                    .and_then(|b| ContainerMeta::decode(&b).ok())
             };
-            let window_ns = match storage
-                .read_all(&meta_path(root), ctx)
-                .map_err(BoraError::from)
-                .and_then(|b| ContainerMeta::decode(&b))
+            let opts = &match &meta {
+                Some(m) => OrganizerOptions { block: m.block, window_ns: m.window_ns, ..*opts },
+                None => *opts,
+            };
+            // MANIFEST/meta damage, a structural-only container, or an
+            // undecodable path: per-topic repair can't be trusted.
+            if let (Some(meta), Some(topics), true) =
+                (&meta, damaged_topics(&report), report.has_manifest)
             {
-                Ok(meta) => meta.window_ns,
-                // Meta verified Clean would have landed here with it in
-                // `topics`; unreadable meta forces the full path.
-                Err(_) => return full_rebuild(storage, root, src, src_path, opts, ctx),
-            };
-            let n = topics.len();
-            for topic in &topics {
-                rebuild_topic(storage, root, src, src_path, topic, window_ns, ctx)?;
+                for topic in &topics {
+                    rebuild_topic(storage, root, src, src_path, topic, meta, ctx)?;
+                }
+                // Repaired content must match the committed MANIFEST byte
+                // for byte; anything less and we re-duplicate the whole
+                // thing.
+                if check(storage, root, ctx)?.state == FsckState::Clean {
+                    bora_obs::counter("fsck.repaired").add(topics.len() as u64);
+                    return Ok(RepairOutcome::RepairedTopics(topics.len()));
+                }
             }
-            // Repaired content must match the committed MANIFEST byte for
-            // byte; anything less and we re-duplicate the whole thing.
-            let after = check(storage, root, ctx)?;
-            if after.state != FsckState::Clean {
-                return full_rebuild(storage, root, src, src_path, opts, ctx);
-            }
-            bora_obs::counter("fsck.repaired").add(n as u64);
-            Ok(RepairOutcome::RepairedTopics(n))
+            full_rebuild(storage, root, src, src_path, opts, ctx)
         }
     }
 }
@@ -345,39 +349,40 @@ fn ensure_clean<S: Storage>(storage: &S, root: &str, ctx: &mut IoCtx) -> BoraRes
     Ok(())
 }
 
-/// Rebuild one topic's `data`/`index`/`tindex` from the source bag,
-/// reproducing exactly what the organizer wrote for it.
+/// Rebuild one topic's files from the source bag through the writer
+/// the organizer used, in the container's own format (`meta.block`,
+/// `meta.window_ns`) — so they reproduce exactly what was committed.
 fn rebuild_topic<S: Storage, B: Storage>(
     storage: &S,
     root: &str,
     src: &B,
     src_path: &str,
     topic: &str,
-    window_ns: u64,
+    meta: &ContainerMeta,
     ctx: &mut IoCtx,
 ) -> BoraResult<()> {
     let reader = rosbag::BagReader::open(src, src_path, ctx)?;
     let msgs = reader.read_messages(&[topic], ctx)?;
     let paths = TopicPaths::new(root, topic);
-    storage.mkdir_all(&paths.dir, ctx)?;
-    for f in [&paths.data, &paths.index, &paths.tindex] {
+    for f in [&paths.data, &paths.blocks, &paths.index, &paths.tindex] {
         if storage.exists(f, ctx) {
             storage.remove_file(f, ctx)?;
         }
     }
-    let mut entries = Vec::with_capacity(msgs.len());
-    let mut data = Vec::new();
+    // One append per file, as the damaged ones are replaced in place.
+    let mut w = TopicWriter::create(
+        storage,
+        root,
+        TopicMeta { topic: topic.to_owned(), ..TopicMeta::default() },
+        meta.block,
+        meta.window_ns,
+        usize::MAX,
+        ctx,
+    )?;
     for m in &msgs {
-        entries.push(TopicIndexEntry {
-            time: m.time,
-            offset: data.len() as u64,
-            len: m.data.len() as u32,
-        });
-        data.extend_from_slice(&m.data);
+        w.push(storage, m.time, &m.data, ctx)?;
     }
-    storage.append(&paths.data, &data, ctx)?;
-    storage.append(&paths.index, &encode_entries(&entries), ctx)?;
-    storage.append(&paths.tindex, &TimeIndex::build(&entries, window_ns).encode(), ctx)?;
+    w.finish(storage, ctx)?;
     Ok(())
 }
 

@@ -19,8 +19,9 @@
 //! The three mechanisms of the paper map to these modules:
 //!
 //! * [`organizer`] — the **data organizer** (Fig. 6): one scanner thread
-//!   reads the bag once; a pool of distributor threads appends messages to
-//!   per-topic files and builds the indices.
+//!   reads the bag once; a pool of distributor threads feeds each topic's
+//!   messages to its [`writer::TopicWriter`], the one place that lays out
+//!   `data` / `index` / `tindex` (and `blocks`) and commits a container.
 //! * [`tag`] — the **tag manager**: a hash table topic → back-end path,
 //!   rebuilt from a directory listing every time a container is opened
 //!   (Table I shows why that is cheap).
@@ -84,6 +85,7 @@ pub mod stream;
 pub mod tag;
 pub mod time_index;
 pub mod topic_index;
+pub mod writer;
 
 pub use block::{BlockCodec, BlockMap, BlockParams, BlockWriter};
 pub use borafs::{BoraFs, BoraFsOptions};

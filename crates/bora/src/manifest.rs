@@ -63,6 +63,28 @@ impl Manifest {
             .map(|i| &self.entries[i])
     }
 
+    /// Check `bytes`, read from the file at root-relative `rel_path`,
+    /// against its commit record: length and CRC32C must both match, or
+    /// the read is a typed [`BoraError::ChecksumMismatch`]. A path the
+    /// MANIFEST does not list has nothing to be checked against.
+    pub fn verify(&self, rel_path: &str, bytes: &[u8]) -> BoraResult<()> {
+        let Some(entry) = self.entry(rel_path) else {
+            return Ok(());
+        };
+        let t0 = std::time::Instant::now();
+        let actual = crc32c(bytes);
+        bora_obs::histogram("verify.latency_ns").record(t0.elapsed().as_nanos() as u64);
+        if bytes.len() as u64 != entry.len || actual != entry.crc32c {
+            bora_obs::counter("verify.checksum_fail").inc();
+            return Err(BoraError::ChecksumMismatch {
+                path: rel_path.to_owned(),
+                expected: entry.crc32c,
+                actual,
+            });
+        }
+        Ok(())
+    }
+
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.put_u32(MANIFEST_MAGIC);

@@ -22,7 +22,7 @@ const META_VERSION: u32 = 1;
 const META_VERSION_BLOCKS: u32 = 2;
 
 /// Metadata for one topic stored in the container.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TopicMeta {
     pub topic: String,
     pub datatype: String,

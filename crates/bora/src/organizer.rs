@@ -13,16 +13,23 @@
 //! 3. Messages are handed to a pool of **distributor threads** over
 //!    bounded channels, sharded by connection so each topic is owned by
 //!    exactly one thread (preserving per-topic chronology).
-//! 4. Each distributor appends payloads to its topics' `data` files,
-//!    accumulates the fine-grain index, and on completion writes the
-//!    `index` and `tindex` (coarse time index) files.
+//! 4. Each distributor pushes a message into its topic's
+//!    [`crate::writer::TopicWriter`], which batches payloads into appends
+//!    to the `data` file, accumulates the fine-grain index, and on
+//!    completion writes the `index` and `tindex` (coarse time index)
+//!    files.
+//!
+//! How those files are laid out and how the container becomes visible
+//! (staging directory, MANIFEST last, one rename) is [`crate::writer`]'s
+//! business, shared with the recorder, `fsck` repair and the ingest
+//! compactor; the organizer's own part is steps 1–3 and the clock.
 //!
 //! The virtual-clock accounting mirrors the paper's observation that the
 //! organizer is a *one-time* cost (Fig. 9): the caller is charged the scan
 //! time plus the slowest distributor (distributors contend with each other
 //! for the device).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crossbeam::channel;
 use ros_msgs::Time;
@@ -31,17 +38,11 @@ use rosbag::BagReader;
 use simfs::device::cpu;
 use simfs::{IoCtx, Storage};
 
-use crate::block::{BlockParams, BlockWriter};
-use crate::checksum::{crc32c, Crc32c};
+use crate::block::BlockParams;
 use crate::error::{BoraError, BoraResult};
-use crate::layout::{
-    encode_topic, manifest_path, meta_path, staging_path, TopicPaths, BLOCKS_FILE, DATA_FILE,
-    INDEX_FILE, META_FILE, TINDEX_FILE,
-};
-use crate::manifest::{Manifest, ManifestEntry};
-use crate::meta::{ContainerMeta, TopicMeta};
-use crate::time_index::{TimeIndex, DEFAULT_WINDOW_NS};
-use crate::topic_index::{encode_entries, TopicIndexEntry};
+use crate::meta::TopicMeta;
+use crate::time_index::DEFAULT_WINDOW_NS;
+use crate::writer::{ContainerWriter, FinishedTopic, TopicWriter};
 
 /// Tuning knobs for the organizer.
 #[derive(Debug, Clone, Copy)]
@@ -88,12 +89,8 @@ pub struct OrganizeReport {
 
 struct DistributorResult {
     ctx: IoCtx,
-    /// conn_id → (entries, payload bytes).
-    per_conn: HashMap<u32, (Vec<TopicIndexEntry>, u64)>,
-    /// Commit records (root-relative path, length, CRC32C) for every file
-    /// this distributor wrote, accumulated as a streaming digest so
-    /// nothing is re-read to build the MANIFEST.
-    files: Vec<ManifestEntry>,
+    /// The shard's topics, by connection id.
+    topics: Vec<(u32, FinishedTopic)>,
 }
 
 /// Lightweight metadata-only bag open: bag header + index section
@@ -160,29 +157,31 @@ pub fn duplicate<SS: Storage, DS: Storage>(
     let (conns, mut chunk_infos, src_len) = read_bag_metadata(src, src_path, &mut scan_ctx)?;
     chunk_infos.sort_by_key(|c| c.chunk_pos);
 
-    // Crash-atomic commit protocol: the whole container is built under a
-    // staging sibling, `<root>.staging`, and becomes visible only through
-    // the final rename. A crash at any earlier point leaves staging
-    // debris (which a later attempt or `fsck` rolls back) and no
-    // `<root>` at all — `open` can never see a half-built container.
+    // Staged under `<root>.staging` and committed with one rename — see
+    // [`crate::writer`]. One writer per topic, created here so that the
+    // directory creation lands on the caller's clock, then sharded by
+    // connection so each topic is owned by exactly one distributor.
     if dst.exists(dst_root, ctx) {
         return Err(BoraError::Fs(simfs::FsError::AlreadyExists(dst_root.to_owned())));
     }
-    let stage = staging_path(dst_root);
-    if dst.exists(&stage, ctx) {
-        dst.remove_dir_all(&stage, ctx)?;
-    }
-    dst.mkdir_all(&stage, ctx)?;
-    let topic_paths: HashMap<u32, TopicPaths> =
-        conns.iter().map(|c| (c.conn_id, TopicPaths::new(&stage, &c.topic))).collect();
-    let topic_dirs: HashMap<u32, String> =
-        conns.iter().map(|c| (c.conn_id, encode_topic(&c.topic))).collect();
-    for p in topic_paths.values() {
-        dst.mkdir_all(&p.dir, ctx)?;
+    let container =
+        ContainerWriter::begin(dst, dst_root, opts.block, opts.window_ns, opts.write_buffer, ctx)?;
+    let mut shard_writers: Vec<BTreeMap<u32, TopicWriter>> =
+        (0..n_threads).map(|_| BTreeMap::new()).collect();
+    for c in &conns {
+        let meta = TopicMeta {
+            topic: c.topic.clone(),
+            datatype: c.datatype.clone(),
+            md5sum: c.md5sum.clone(),
+            definition: c.definition.clone(),
+            ..TopicMeta::default()
+        };
+        shard_writers[c.conn_id as usize % n_threads]
+            .insert(c.conn_id, container.topic(dst, meta, ctx)?);
     }
 
     // Phase 1+2: scanner thread parses chunks and shards messages to
-    // distributors; distributors append to topic files and build indices.
+    // distributors; distributors feed their topics' writers.
     let mut senders: Vec<channel::Sender<(u32, Time, Vec<u8>)>> = Vec::with_capacity(n_threads);
     let mut receivers = Vec::with_capacity(n_threads);
     for _ in 0..n_threads {
@@ -191,131 +190,27 @@ pub fn duplicate<SS: Storage, DS: Storage>(
         receivers.push(rx);
     }
 
-    let shard_conns: Vec<Vec<u32>> = {
-        let mut shards = vec![Vec::new(); n_threads];
-        for c in &conns {
-            shards[c.conn_id as usize % n_threads].push(c.conn_id);
-        }
-        shards
-    };
-
-    let (dist_results, scan_ctx) = crossbeam::thread::scope(|scope| -> BoraResult<_> {
-        let topic_paths = &topic_paths;
-        let topic_dirs = &topic_dirs;
+    let (mut dist_results, scan_ctx) = crossbeam::thread::scope(|scope| -> BoraResult<_> {
         let mut handles = Vec::with_capacity(n_threads);
-        for (shard, rx) in receivers.into_iter().enumerate() {
-            let my_conns = shard_conns[shard].clone();
+        for (mut writers, rx) in shard_writers.into_iter().zip(receivers) {
             handles.push(scope.spawn(move |_| -> BoraResult<DistributorResult> {
                 // Each distributor's clock runs uncontended; the caller
                 // serializes their device time below (one device services
                 // the total byte volume no matter how many threads feed it).
                 let mut dctx = IoCtx::with_concurrency(1);
-                let mut per_conn: HashMap<u32, (Vec<TopicIndexEntry>, u64)> =
-                    my_conns.iter().map(|&c| (c, (Vec::new(), 0))).collect();
-                // Per-topic write buffers: batch payloads into large
-                // appends (offsets are assigned from the running length).
-                let mut buffers: HashMap<u32, Vec<u8>> =
-                    my_conns.iter().map(|&c| (c, Vec::new())).collect();
-                // Streaming per-data-file digest: folded in as payloads
-                // are buffered, so the MANIFEST costs no extra reads.
-                let mut crcs: HashMap<u32, Crc32c> =
-                    my_conns.iter().map(|&c| (c, Crc32c::new())).collect();
-                // Block-framed mode: a BlockWriter per topic turns the
-                // logical payload stream into compressed frames; index
-                // offsets stay logical either way.
-                let mut blockw: HashMap<u32, BlockWriter> = match opts.block {
-                    Some(bp) => my_conns.iter().map(|&c| (c, BlockWriter::new(bp))).collect(),
-                    None => HashMap::new(),
-                };
                 for (conn_id, time, payload) in rx.iter() {
-                    let slot = per_conn.get_mut(&conn_id).expect("sharded conn");
-                    slot.0.push(TopicIndexEntry {
-                        time,
-                        offset: slot.1,
-                        len: payload.len() as u32,
-                    });
-                    slot.1 += payload.len() as u64;
+                    let w = writers.get_mut(&conn_id).ok_or_else(|| {
+                        BoraError::Corrupt(format!("message on unknown connection {conn_id}"))
+                    })?;
                     dctx.charge_ns(cpu::INDEX_ENTRY_NS);
-                    if opts.block.is_some() {
-                        let w = blockw.get_mut(&conn_id).expect("sharded conn");
-                        w.push(time, &payload, &mut dctx);
-                        if w.pending_output() >= opts.write_buffer {
-                            let frames = w.take_output();
-                            dst.append(&topic_paths[&conn_id].data, &frames, &mut dctx)?;
-                        }
-                        continue;
-                    }
-                    crcs.get_mut(&conn_id).expect("sharded conn").update(&payload);
-                    let buf = buffers.get_mut(&conn_id).expect("sharded conn");
-                    buf.extend_from_slice(&payload);
-                    if buf.len() >= opts.write_buffer {
-                        dst.append(&topic_paths[&conn_id].data, buf, &mut dctx)?;
-                        buf.clear();
-                    }
+                    w.push(dst, time, &payload, &mut dctx)?;
                 }
                 // Channel closed: flush remainders, persist indices.
-                // conn → (physical data len, physical data crc, map bytes)
-                let mut block_files: HashMap<u32, (u64, u32, Vec<u8>)> = HashMap::new();
-                if opts.block.is_some() {
-                    for &conn_id in &my_conns {
-                        let w = blockw.remove(&conn_id).expect("sharded conn");
-                        let (tail, map, phys_len, phys_crc) = w.finish(&mut dctx);
-                        dst.append(&topic_paths[&conn_id].data, &tail, &mut dctx)?;
-                        let map_bytes = map.encode();
-                        dst.append(&topic_paths[&conn_id].blocks, &map_bytes, &mut dctx)?;
-                        block_files.insert(conn_id, (phys_len, phys_crc, map_bytes));
-                    }
-                } else {
-                    for (&conn_id, buf) in &buffers {
-                        if !buf.is_empty() {
-                            dst.append(&topic_paths[&conn_id].data, buf, &mut dctx)?;
-                        }
-                        // Topics with zero messages still need their files.
-                        if buf.is_empty() && per_conn[&conn_id].1 == 0 {
-                            dst.append(&topic_paths[&conn_id].data, &[], &mut dctx)?;
-                        }
-                    }
+                let mut topics = Vec::with_capacity(writers.len());
+                for (conn_id, w) in writers {
+                    topics.push((conn_id, w.finish(dst, &mut dctx)?));
                 }
-                let mut files = Vec::with_capacity(my_conns.len() * 4);
-                for (&conn_id, (entries, bytes)) in &per_conn {
-                    let paths = &topic_paths[&conn_id];
-                    let dir = &topic_dirs[&conn_id];
-                    let index_bytes = encode_entries(entries);
-                    dst.append(&paths.index, &index_bytes, &mut dctx)?;
-                    let tindex = TimeIndex::build(entries, opts.window_ns);
-                    let tindex_bytes = tindex.encode();
-                    dst.append(&paths.tindex, &tindex_bytes, &mut dctx)?;
-                    match block_files.get(&conn_id) {
-                        Some((phys_len, phys_crc, map_bytes)) => {
-                            files.push(ManifestEntry {
-                                path: format!("{dir}/{DATA_FILE}"),
-                                len: *phys_len,
-                                crc32c: *phys_crc,
-                            });
-                            files.push(ManifestEntry {
-                                path: format!("{dir}/{BLOCKS_FILE}"),
-                                len: map_bytes.len() as u64,
-                                crc32c: crc32c(map_bytes),
-                            });
-                        }
-                        None => files.push(ManifestEntry {
-                            path: format!("{dir}/{DATA_FILE}"),
-                            len: *bytes,
-                            crc32c: crcs[&conn_id].finish(),
-                        }),
-                    }
-                    files.push(ManifestEntry {
-                        path: format!("{dir}/{INDEX_FILE}"),
-                        len: index_bytes.len() as u64,
-                        crc32c: crc32c(&index_bytes),
-                    });
-                    files.push(ManifestEntry {
-                        path: format!("{dir}/{TINDEX_FILE}"),
-                        len: tindex_bytes.len() as u64,
-                        crc32c: crc32c(&tindex_bytes),
-                    });
-                }
-                Ok(DistributorResult { ctx: dctx, per_conn, files })
+                Ok(DistributorResult { ctx: dctx, topics })
             }));
         }
 
@@ -365,61 +260,18 @@ pub fn duplicate<SS: Storage, DS: Storage>(
     })
     .expect("organizer scope failed")?;
 
-    // Assemble metadata.
-    let mut start_time = Time::MAX;
-    let mut end_time = Time::ZERO;
-    for ci in &chunk_infos {
-        start_time = start_time.min(ci.start_time);
-        end_time = end_time.max(ci.end_time);
-    }
-    let mut merged: HashMap<u32, (u64, u64)> = HashMap::new(); // conn → (count, bytes)
-    for r in &dist_results {
-        for (&conn, (entries, bytes)) in &r.per_conn {
-            let e = merged.entry(conn).or_default();
-            e.0 += entries.len() as u64;
-            e.1 += bytes;
-        }
-    }
-    let topics: Vec<TopicMeta> = conns
+    // Metadata lists topics in the bag's connection order.
+    let mut finished: HashMap<u32, FinishedTopic> =
+        dist_results.iter_mut().flat_map(|r| r.topics.drain(..)).collect();
+    let topics = conns
         .iter()
         .map(|c| {
-            let (count, bytes) = merged.get(&c.conn_id).copied().unwrap_or((0, 0));
-            TopicMeta {
-                topic: c.topic.clone(),
-                datatype: c.datatype.clone(),
-                md5sum: c.md5sum.clone(),
-                definition: c.definition.clone(),
-                message_count: count,
-                bytes,
-            }
+            finished.remove(&c.conn_id).ok_or_else(|| {
+                BoraError::Corrupt(format!("connection {} is listed twice", c.conn_id))
+            })
         })
-        .collect();
-    let messages: u64 = topics.iter().map(|t| t.message_count).sum();
-    let payload_bytes: u64 = topics.iter().map(|t| t.bytes).sum();
-    let meta = ContainerMeta {
-        topics,
-        start_time: if messages > 0 { start_time } else { Time::ZERO },
-        end_time: if messages > 0 { end_time } else { Time::ZERO },
-        window_ns: opts.window_ns,
-        source_bag_len: src_len,
-        block: opts.block,
-    };
-    let meta_bytes = meta.encode();
-    dst.append(&meta_path(&stage), &meta_bytes, ctx)?;
-
-    // MANIFEST goes last inside staging, then one rename commits the
-    // container. Everything before the rename is invisible to `open`.
-    let mut entries: Vec<ManifestEntry> =
-        dist_results.iter().flat_map(|r| r.files.iter().cloned()).collect();
-    entries.push(ManifestEntry {
-        path: META_FILE.to_owned(),
-        len: meta_bytes.len() as u64,
-        crc32c: crc32c(&meta_bytes),
-    });
-    let manifest = Manifest::new(entries)?;
-    manifest.store(dst, &stage, ctx)?;
-    dst.flush(&manifest_path(&stage), ctx)?;
-    dst.rename(&stage, dst_root, ctx)?;
+        .collect::<BoraResult<Vec<_>>>()?;
+    let meta = container.commit(dst, topics, src_len, None, ctx)?;
 
     // Charge the caller: scan + the distributors' *summed* device time.
     // The destination is one device (or one striped array): threads
@@ -439,8 +291,8 @@ pub fn duplicate<SS: Storage, DS: Storage>(
     sp.end_virt(ctx.elapsed_ns() - virt0);
     Ok(OrganizeReport {
         topics: conns.len(),
-        messages,
-        payload_bytes,
+        messages: meta.message_count(),
+        payload_bytes: meta.data_bytes(),
         scan_ns: scan_ctx.elapsed_ns(),
         distribute_ns,
     })
@@ -481,6 +333,7 @@ pub fn copy_container<SS: Storage, DS: Storage>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::meta::ContainerMeta;
     use ros_msgs::sensor_msgs::{CameraInfo, Imu};
     use ros_msgs::RosMessage;
     use rosbag::{BagWriter, BagWriterOptions};

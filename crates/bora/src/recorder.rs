@@ -3,27 +3,29 @@
 //! manipulate bag data in an online way").
 //!
 //! [`BoraRecorder`] subscribes like `rosbag record` but writes *directly*
-//! into a container: per-topic appends, fine-grain index entries, and
-//! incremental coarse time windows, with no bag-to-container duplication
-//! step afterwards. The resulting container is indistinguishable from one
-//! produced by the offline organizer (tested below), so all of BORA-Lib
-//! works on it unchanged.
+//! into a container, with no bag-to-container duplication step
+//! afterwards. It drives the same [`crate::writer`] as the offline
+//! organizer — per-topic files through a [`TopicWriter`], the container
+//! staged under `<root>.staging` and committed MANIFEST-last with one
+//! rename — so a recorded container is byte-identical per topic to an
+//! organized one (tested below), verifies on read, is `fsck`-Clean, and a
+//! recorder that dies before [`BoraRecorder::close`] leaves only staging
+//! debris, never a half-written root.
 //!
 //! The trade-off the paper anticipates is write-side: recording scatters
-//! appends across topic files instead of one log, so the recorder keeps
-//! per-topic write buffers to preserve recording throughput.
+//! appends across topic files instead of one log, so each topic's bytes
+//! are batched into appends of [`RecorderOptions::write_buffer`].
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use ros_msgs::{MessageDescriptor, RosMessage, Time};
 use simfs::device::cpu;
 use simfs::{IoCtx, Storage};
 
 use crate::error::{BoraError, BoraResult};
-use crate::layout::{meta_path, TopicPaths};
 use crate::meta::{ContainerMeta, TopicMeta};
-use crate::time_index::{TimeIndex, DEFAULT_WINDOW_NS};
-use crate::topic_index::{encode_entries, TopicIndexEntry};
+use crate::time_index::DEFAULT_WINDOW_NS;
+use crate::writer::{ContainerWriter, TopicWriter};
 
 /// Options for online recording.
 #[derive(Debug, Clone, Copy)]
@@ -39,24 +41,13 @@ impl Default for RecorderOptions {
     }
 }
 
-struct TopicState {
-    meta: TopicMeta,
-    paths: TopicPaths,
-    entries: Vec<TopicIndexEntry>,
-    buffer: Vec<u8>,
-    written: u64,
-}
-
 /// Records messages straight into a BORA container.
 pub struct BoraRecorder<S> {
     storage: S,
-    root: String,
-    opts: RecorderOptions,
-    topics: HashMap<String, TopicState>,
-    start: Time,
-    end: Time,
+    container: ContainerWriter,
+    /// By topic name: the order `.bora` lists them in.
+    topics: BTreeMap<String, TopicWriter>,
     messages: u64,
-    closed: bool,
 }
 
 impl<S: Storage> BoraRecorder<S> {
@@ -70,17 +61,10 @@ impl<S: Storage> BoraRecorder<S> {
         if storage.exists(root, ctx) {
             return Err(BoraError::Fs(simfs::FsError::AlreadyExists(root.to_owned())));
         }
-        storage.mkdir_all(root, ctx)?;
-        Ok(BoraRecorder {
-            storage,
-            root: root.to_owned(),
-            opts,
-            topics: HashMap::new(),
-            start: Time::MAX,
-            end: Time::ZERO,
-            messages: 0,
-            closed: false,
-        })
+        // Live recording stays plain v1 layout: no block framing.
+        let container =
+            ContainerWriter::begin(&storage, root, None, opts.window_ns, opts.write_buffer, ctx)?;
+        Ok(BoraRecorder { storage, container, topics: BTreeMap::new(), messages: 0 })
     }
 
     /// Subscribe a topic (idempotent).
@@ -93,25 +77,15 @@ impl<S: Storage> BoraRecorder<S> {
         if self.topics.contains_key(topic) {
             return Ok(());
         }
-        let paths = TopicPaths::new(&self.root, topic);
-        self.storage.mkdir_all(&paths.dir, ctx)?;
-        self.topics.insert(
-            topic.to_owned(),
-            TopicState {
-                meta: TopicMeta {
-                    topic: topic.to_owned(),
-                    datatype: desc.datatype.clone(),
-                    md5sum: desc.md5sum.clone(),
-                    definition: desc.definition.clone(),
-                    message_count: 0,
-                    bytes: 0,
-                },
-                paths,
-                entries: Vec::new(),
-                buffer: Vec::new(),
-                written: 0,
-            },
-        );
+        let meta = TopicMeta {
+            topic: topic.to_owned(),
+            datatype: desc.datatype.clone(),
+            md5sum: desc.md5sum.clone(),
+            definition: desc.definition.clone(),
+            ..TopicMeta::default()
+        };
+        let writer = self.container.topic(&self.storage, meta, ctx)?;
+        self.topics.insert(topic.to_owned(), writer);
         Ok(())
     }
 
@@ -124,35 +98,15 @@ impl<S: Storage> BoraRecorder<S> {
         payload: &[u8],
         ctx: &mut IoCtx,
     ) -> BoraResult<()> {
-        if self.closed {
-            return Err(BoraError::Corrupt("recorder already closed".into()));
-        }
-        let st =
+        let w =
             self.topics.get_mut(topic).ok_or_else(|| BoraError::UnknownTopic(topic.to_owned()))?;
-        if let Some(last) = st.entries.last() {
-            if time < last.time {
-                return Err(BoraError::Corrupt(format!(
-                    "{topic}: out-of-order stamp {time} after {}",
-                    last.time
-                )));
-            }
+        if let Some(last) = w.last_time().filter(|last| time < *last) {
+            return Err(BoraError::Corrupt(format!(
+                "{topic}: out-of-order stamp {time} after {last}"
+            )));
         }
-        st.entries.push(TopicIndexEntry {
-            time,
-            offset: st.written + st.buffer.len() as u64,
-            len: payload.len() as u32,
-        });
-        st.buffer.extend_from_slice(payload);
-        st.meta.message_count += 1;
-        st.meta.bytes += payload.len() as u64;
         ctx.charge_ns(cpu::INDEX_ENTRY_NS);
-        if st.buffer.len() >= self.opts.write_buffer {
-            st.written += st.buffer.len() as u64;
-            self.storage.append(&st.paths.data, &st.buffer, ctx)?;
-            st.buffer.clear();
-        }
-        self.start = self.start.min(time);
-        self.end = self.end.max(time);
+        w.push(&self.storage, time, payload, ctx)?;
         self.messages += 1;
         Ok(())
     }
@@ -175,37 +129,15 @@ impl<S: Storage> BoraRecorder<S> {
         self.messages
     }
 
-    /// Finish: flush buffers, write per-topic indices and the container
-    /// metadata. The container is then openable by [`crate::BoraBag`].
-    pub fn close(mut self, ctx: &mut IoCtx) -> BoraResult<ContainerMeta> {
-        if self.closed {
-            return Err(BoraError::Corrupt("recorder already closed".into()));
+    /// Finish: flush every topic, write its indices, and commit. Only now
+    /// does `root` exist, openable by [`crate::BoraBag`].
+    pub fn close(self, ctx: &mut IoCtx) -> BoraResult<ContainerMeta> {
+        let mut finished = Vec::with_capacity(self.topics.len());
+        for w in self.topics.into_values() {
+            finished.push(w.finish(&self.storage, ctx)?);
         }
-        self.closed = true;
-        let mut topics: Vec<&mut TopicState> = self.topics.values_mut().collect();
-        topics.sort_by(|a, b| a.meta.topic.cmp(&b.meta.topic));
-        let mut metas = Vec::with_capacity(topics.len());
-        for st in topics {
-            // Flush data remainder (also materializes empty topics).
-            self.storage.append(&st.paths.data, &st.buffer, ctx)?;
-            st.written += st.buffer.len() as u64;
-            st.buffer.clear();
-            self.storage.append(&st.paths.index, &encode_entries(&st.entries), ctx)?;
-            let tindex = TimeIndex::build(&st.entries, self.opts.window_ns);
-            self.storage.append(&st.paths.tindex, &tindex.encode(), ctx)?;
-            metas.push(st.meta.clone());
-        }
-        let meta = ContainerMeta {
-            topics: metas,
-            start_time: if self.messages > 0 { self.start } else { Time::ZERO },
-            end_time: if self.messages > 0 { self.end } else { Time::ZERO },
-            window_ns: self.opts.window_ns,
-            source_bag_len: 0, // no source bag: recorded online
-            block: None,       // live recording stays plain v1 layout
-        };
-        self.storage.append(&meta_path(&self.root), &meta.encode(), ctx)?;
-        self.storage.flush(&meta_path(&self.root), ctx)?;
-        Ok(meta)
+        // No source bag: recorded online.
+        self.container.commit(&self.storage, finished, 0, None, ctx)
     }
 }
 
@@ -281,10 +213,56 @@ mod tests {
             assert_eq!(x.data, y.data);
         }
         // Byte-identical topic files too.
-        assert_eq!(
-            fs.read_all("/online/imu/data", &mut ctx).unwrap(),
-            fs.read_all("/offline/imu/data", &mut ctx).unwrap()
-        );
+        for file in ["data", "index", "tindex"] {
+            assert_eq!(
+                fs.read_all(&format!("/online/imu/{file}"), &mut ctx).unwrap(),
+                fs.read_all(&format!("/offline/imu/{file}"), &mut ctx).unwrap(),
+                "imu/{file}"
+            );
+        }
+    }
+
+    fn record_imu<'a>(fs: &'a MemStorage, n: u32, ctx: &mut IoCtx) -> BoraRecorder<&'a MemStorage> {
+        let mut rec = BoraRecorder::create(fs, "/c", RecorderOptions::default(), ctx).unwrap();
+        for i in 0..n {
+            let (t, imu) = imu_at(i);
+            rec.record_ros_message("/imu", t, &imu, ctx).unwrap();
+        }
+        rec
+    }
+
+    #[test]
+    fn recorded_container_is_committed_and_verified() {
+        let fs = MemStorage::new();
+        let mut ctx = IoCtx::new();
+        record_imu(&fs, 100, &mut ctx).close(&mut ctx).unwrap();
+        assert!(!fs.exists("/c.staging", &mut ctx));
+        let report = crate::fsck::check(&fs, "/c", &mut ctx).unwrap();
+        assert!(report.is_clean() && report.has_manifest, "{report:?}");
+
+        // A flipped byte is a typed error on read, not served.
+        let byte = fs.read_at("/c/imu/data", 33, 1, &mut ctx).unwrap()[0];
+        fs.write_at("/c/imu/data", 33, &[byte ^ 0x08], &mut ctx).unwrap();
+        let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
+        assert!(bag.has_manifest());
+        match bag.read_topic("/imu", &mut ctx) {
+            Err(BoraError::ChecksumMismatch { path, .. }) => assert_eq!(path, "imu/data"),
+            other => panic!("expected ChecksumMismatch, got {:?}", other.map(|m| m.len())),
+        }
+    }
+
+    #[test]
+    fn dropped_recorder_leaves_only_staging_debris() {
+        let fs = MemStorage::new();
+        let mut ctx = IoCtx::new();
+        drop(record_imu(&fs, 100, &mut ctx));
+        assert!(!fs.exists("/c", &mut ctx), "no root before close");
+        let report = crate::fsck::check(&fs, "/c", &mut ctx).unwrap();
+        assert_eq!(report.state, crate::FsckState::Torn);
+        let outcome =
+            crate::fsck::repair::<_, MemStorage>(&fs, "/c", None, &Default::default(), &mut ctx);
+        assert_eq!(outcome.unwrap(), crate::RepairOutcome::RolledBack);
+        assert!(!fs.exists("/c.staging", &mut ctx) && !fs.exists("/c", &mut ctx));
     }
 
     #[test]

@@ -55,12 +55,12 @@ fn write_blocks(
 ) -> (Vec<u8>, BlockMap, Vec<u8>) {
     let mut ctx = IoCtx::new();
     let mut w = BlockWriter::new(BlockParams { codec, block_size });
-    let mut logical = Vec::new();
+    let (mut logical, mut frames) = (Vec::new(), Vec::new());
     for (i, p) in payloads.iter().enumerate() {
-        w.push(Time::new(i as u32, 0), p, &mut ctx);
+        w.push(Time::new(i as u32, 0), p, &mut frames, &mut ctx);
         logical.extend_from_slice(p);
     }
-    let (frames, map, _phys_len, _crc) = w.finish(&mut ctx);
+    let map = w.finish(&mut frames, &mut ctx);
     (frames, map, logical)
 }
 

@@ -10,6 +10,7 @@
 //! debris that fsck classifies as Torn; repair rolls forward from the
 //! source bag to a container byte-identical to an uncrashed capture.
 
+use bora::block::{BlockCodec, BlockParams};
 use bora::{fsck, BoraBag, BoraError, FsckState, Manifest, OrganizerOptions, RepairOutcome};
 use proptest::prelude::*;
 use ros_msgs::{md5, sensor_msgs::Imu, Time};
@@ -148,6 +149,65 @@ fn rollback_without_source_leaves_no_debris() {
     assert_eq!(outcome, RepairOutcome::RolledBack);
     assert!(!disk.exists(&format!("{DST}.staging"), &mut ctx), "debris swept");
     assert!(!disk.exists(DST, &mut ctx), "rollback does not invent a container");
+}
+
+/// Per-topic repair of a block-framed container: one flipped byte in
+/// `rel` must be repaired in place, in the container's own format, even
+/// though the caller (like `bora-tool fsck --repair`) passes default —
+/// v1 — organizer options.
+fn block_framed_repair_keeps_the_format(rel: &str) {
+    let fs = MemStorage::new();
+    let mut ctx = IoCtx::new();
+    fs.append(SRC, &source_bag_bytes(40), &mut ctx).unwrap();
+    let block = Some(BlockParams { codec: BlockCodec::Lzss, block_size: 4096 });
+    let opts = OrganizerOptions { block, ..OrganizerOptions::default() };
+    bora::organizer::duplicate(&fs, SRC, &fs, DST, &opts, &mut ctx).unwrap();
+    let reference = container_digest(&fs, DST, &mut ctx);
+
+    let full = format!("{DST}/{rel}");
+    let offset = fs.len(&full, &mut ctx).unwrap() / 2;
+    let byte = fs.read_at(&full, offset, 1, &mut ctx).unwrap()[0];
+    fs.write_at(&full, offset, &[byte ^ 0x04], &mut ctx).unwrap();
+    assert_eq!(fsck::check(&fs, DST, &mut ctx).unwrap().state, FsckState::Corrupt);
+
+    let outcome =
+        fsck::repair(&fs, DST, Some((&fs, SRC)), &OrganizerOptions::default(), &mut ctx).unwrap();
+    assert_eq!(outcome, RepairOutcome::RepairedTopics(1));
+    assert_eq!(container_digest(&fs, DST, &mut ctx), reference);
+    assert_eq!(BoraBag::open(&fs, DST, &mut ctx).unwrap().meta().block, block);
+    assert!(fsck::check(&fs, DST, &mut ctx).unwrap().is_clean());
+}
+
+#[test]
+fn block_framed_repair_of_damaged_data() {
+    block_framed_repair_keeps_the_format("imu/data");
+}
+
+#[test]
+fn block_framed_repair_of_damaged_blocks_map() {
+    block_framed_repair_keeps_the_format("imu/blocks");
+}
+
+/// Where per-topic repair is not possible (here: the MANIFEST is damaged)
+/// the full rebuild keeps the format `.bora` records, too.
+#[test]
+fn block_framed_repair_by_full_rebuild_keeps_the_format() {
+    let fs = MemStorage::new();
+    let mut ctx = IoCtx::new();
+    fs.append(SRC, &source_bag_bytes(40), &mut ctx).unwrap();
+    let block = Some(BlockParams { codec: BlockCodec::Lzss, block_size: 4096 });
+    let opts = OrganizerOptions { block, window_ns: 500_000_000, ..OrganizerOptions::default() };
+    bora::organizer::duplicate(&fs, SRC, &fs, DST, &opts, &mut ctx).unwrap();
+    let reference = container_digest(&fs, DST, &mut ctx);
+
+    let manifest = format!("{DST}/MANIFEST");
+    let byte = fs.read_at(&manifest, 9, 1, &mut ctx).unwrap()[0];
+    fs.write_at(&manifest, 9, &[byte ^ 0x80], &mut ctx).unwrap();
+
+    let outcome =
+        fsck::repair(&fs, DST, Some((&fs, SRC)), &OrganizerOptions::default(), &mut ctx).unwrap();
+    assert_eq!(outcome, RepairOutcome::RolledForward);
+    assert_eq!(container_digest(&fs, DST, &mut ctx), reference);
 }
 
 /// Build a committed container and return its manifest-relative paths.
