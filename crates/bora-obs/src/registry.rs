@@ -81,6 +81,8 @@ struct Inner {
     counters: HashMap<String, Counter>,
     gauges: HashMap<String, Gauge>,
     hists: HashMap<String, Histogram>,
+    /// By-name lookups served so far ([`Registry::lookups`]).
+    lookups: u64,
 }
 
 /// A metrics registry. Most code uses the process-wide [`global`] one;
@@ -99,19 +101,32 @@ impl Registry {
     /// Get-or-create the counter `name`.
     pub fn counter(&self, name: &str) -> Counter {
         let mut g = self.inner.lock();
+        g.lookups += 1;
         g.counters.entry(name.to_owned()).or_default().clone()
     }
 
     /// Get-or-create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut g = self.inner.lock();
+        g.lookups += 1;
         g.gauges.entry(name.to_owned()).or_default().clone()
     }
 
     /// Get-or-create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
         let mut g = self.inner.lock();
+        g.lookups += 1;
         g.hists.entry(name.to_owned()).or_default().clone()
+    }
+
+    /// How many times a metric has been looked up by name
+    /// ([`Registry::counter`], [`Registry::gauge`], [`Registry::histogram`]).
+    /// Each lookup is this lock, a `String` and a hash — the cost the
+    /// module's "resolve once, record many" rule exists to avoid — so a
+    /// test can pin a hot path to a lookup count that does not grow with
+    /// the messages it moves.
+    pub fn lookups(&self) -> u64 {
+        self.inner.lock().lookups
     }
 
     /// Sorted point-in-time copy of every registered metric.
@@ -297,6 +312,8 @@ mod tests {
         assert_eq!(r.gauge("g").get(), -5);
         r.histogram("h").record(100);
         assert_eq!(r.histogram("h").snapshot().count, 1);
+        // Seven lookups by name above; recording through a handle is none.
+        assert_eq!(r.lookups(), 7);
     }
 
     #[test]

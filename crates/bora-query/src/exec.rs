@@ -4,21 +4,31 @@
 //! so the serve layer can stream results in bounded chunks instead of
 //! materializing the result set. The source is either a zero-copy
 //! [`MessageStream`] over a container or a live ingest snapshot (scan
-//! pushdown applies — the stream's time range comes from the optimizer,
-//! and the pushed filter is evaluated against the shared-slice payload
-//! before any copy), or a pre-merged record vector (the oracle tests'
-//! in-memory seam).
+//! pushdown applies — the stream's time range comes from the optimizer),
+//! or a pre-merged record vector (the oracle tests' in-memory seam).
+//!
+//! **Bind, then scan.** Opening a cursor is the one moment that holds
+//! both the plan and the source's topic → datatype map, so that is when
+//! every path of the plan is *bound* (`Exprs::lower`): to `time` /
+//! `topic` / `size`, or — once per scan topic — to an [`Accessor`] that
+//! reads the field where it lies in the payload, or to a constant `Null`.
+//! A scanned row is then a `Msg` view — `(time_ns, &topic, &payload)` —
+//! of the message the feed just pulled: nothing is decoded, and nothing
+//! is allocated unless a string is read. Only a join keeps messages,
+//! shared and owned, in its buffers.
 //!
 //! [`run_naive`] is the oracle: a deliberately simple interpretation of
-//! the *statement* (no plan, no optimizer, no streaming) that the
-//! property tests compare every plan execution against.
+//! the *statement* (no optimizer, no streaming, no accessors — it reads a
+//! field by decoding the whole message, [`decode_field`]) that the
+//! property tests compare every plan execution against. The two share
+//! the comparison / boolean evaluator (`eval`), the projection and the
+//! aggregate fold (`Groups`); they differ in how a path is read
+//! (`ReadField`) and in everything around the evaluator.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
-use bora::{BoraBag, MessageStream, StreamOptions};
-use ros_msgs::msg::AnyMessage;
+use bora::{BoraBag, MessageStream, StreamMessage, StreamOptions};
 use ros_msgs::Time;
 use rosbag::reader::MessageRecord;
 use simfs::{IoCtx, MemStorage, Storage};
@@ -26,136 +36,195 @@ use simfs::{IoCtx, MemStorage, Storage};
 use crate::ast::{ExplainMode, Expr, Query, SelectStmt, Side};
 use crate::error::{QueryError, QueryResult};
 use crate::optimize::{optimize, PlanOptions};
-use crate::plan::{AggItem, AggSpec, Logical, PlanItems};
-use crate::value::{compare, extract_field, CmpOp, Row, Value};
+use crate::plan::{AggItem, AggNode, AggSpec, JoinNode, Logical, PlanItems};
+use crate::value::{compare, decode_field, Accessor, CmpOp, Row, Value};
 
 /// Largest timestamp a [`Time`] can carry, in ns — pushdown ranges are
 /// clamped here before conversion so `u64::MAX` sentinels can't wrap.
 pub const MAX_TIME_NS: u64 = u32::MAX as u64 * 1_000_000_000 + 999_999_999;
 
 /// The one canonical ns→seconds conversion. Everything that surfaces a
-/// `time` value (executor, oracle, window starts) must use this so the
-/// equivalence tests compare identical floats.
+/// time as a value (the `time` builtin, window starts, `header.stamp`)
+/// must use this so the equivalence tests compare identical floats.
 pub fn ns_to_secs(ns: u64) -> f64 {
     ns as f64 * 1e-9
 }
 
 // ------------------------------------------------------------ messages
 
-/// One message flowing through the pipeline. Payload access is
-/// zero-copy for stream sources; field access decodes lazily and caches
-/// the decoded message (a join pairing a message many times decodes it
-/// once).
-struct QMsg {
+/// One message as the evaluator sees it: a view of wherever it lives.
+#[derive(Clone, Copy)]
+struct Msg<'m> {
     time_ns: u64,
-    src: QMsgSrc,
-    decoded: Option<Option<AnyMessage>>,
+    topic: &'m str,
+    payload: &'m [u8],
+    /// Position of `topic` among the plan's scan topics: which of a bound
+    /// path's per-topic accessors reads this payload.
+    lane: usize,
 }
 
-enum QMsgSrc {
-    Stream(bora::StreamMessage),
+/// A message the cursor owns: the one its feed last pulled, or one a join
+/// buffer shares between the pairs it is part of.
+struct Held {
+    lane: usize,
+    src: Pulled,
+}
+
+/// What a feed yields: a shared slice of a stream's block, or a record.
+enum Pulled {
+    Stream(StreamMessage),
     Record(MessageRecord),
 }
 
-impl QMsg {
-    fn topic(&self) -> &str {
-        match &self.src {
-            QMsgSrc::Stream(m) => &m.topic,
-            QMsgSrc::Record(r) => &r.topic,
-        }
+impl Held {
+    fn view(&self) -> Msg<'_> {
+        let (time, topic, payload) = match &self.src {
+            Pulled::Stream(m) => (m.time, &*m.topic, m.payload()),
+            Pulled::Record(r) => (r.time, r.topic.as_str(), r.data.as_slice()),
+        };
+        Msg { time_ns: time.as_nanos(), topic, payload, lane: self.lane }
     }
-
-    fn payload(&self) -> &[u8] {
-        match &self.src {
-            QMsgSrc::Stream(m) => m.payload(),
-            QMsgSrc::Record(r) => &r.data,
-        }
-    }
-
-    fn field(&mut self, parts: &[String], datatypes: &HashMap<String, String>) -> Value {
-        if self.decoded.is_none() {
-            let d = datatypes
-                .get(self.topic())
-                .and_then(|dt| AnyMessage::decode(dt, self.payload()).ok());
-            self.decoded = Some(d);
-        }
-        match self.decoded.as_ref().unwrap() {
-            Some(m) => extract_field(m, parts),
-            None => Value::Null,
-        }
-    }
-}
-
-/// Shared handle: join buffers and emitted pairs alias the same message
-/// (and its decode cache) without copying the payload.
-type MsgRef = Rc<RefCell<QMsg>>;
-
-fn msg_ref(m: QMsg) -> MsgRef {
-    Rc::new(RefCell::new(m))
 }
 
 /// One pipeline row: a single message, or a joined (left, right) pair.
-enum InRow {
-    Single(MsgRef),
-    Pair(MsgRef, MsgRef),
+#[derive(Clone, Copy)]
+enum InRow<'m> {
+    Single(Msg<'m>),
+    Pair(Msg<'m>, Msg<'m>),
 }
 
-impl InRow {
-    fn time_ns(&self) -> u64 {
-        match self {
-            InRow::Single(m) => m.borrow().time_ns,
-            // Pair rows are only grouped globally (WINDOW+JOIN is
-            // rejected at plan time), so any representative time works.
-            InRow::Pair(l, _) => l.borrow().time_ns,
+impl<'m> InRow<'m> {
+    fn msg(&self, side: Side) -> &Msg<'m> {
+        match (self, side) {
+            (InRow::Single(m), _) | (InRow::Pair(m, _), Side::None | Side::Left) => m,
+            (InRow::Pair(_, r), Side::Right) => r,
         }
     }
 }
 
 // ---------------------------------------------------------- evaluation
 
-/// Evaluate an expression against a pipeline row. Total: unknown
-/// fields are `Null`, failed comparisons are `false`.
-fn eval(e: &Expr, row: &InRow, datatypes: &HashMap<String, String>) -> Value {
-    match e {
-        Expr::Lit(v) => v.clone(),
-        Expr::Path { side, parts, .. } => {
-            let m = match (row, side) {
-                (InRow::Single(m), _) => m,
-                (InRow::Pair(_, r), Side::Right) => r,
-                (InRow::Pair(l, _), _) => l,
-            };
-            path_value(m, parts, datatypes)
+/// How a message field is read — the one thing the cursor and the oracle
+/// do differently.
+trait ReadField {
+    fn read(&self, m: &Msg<'_>) -> Value;
+}
+
+/// The cursor's reader: the path bound once per scan lane. `None` is a
+/// constant `Null` (no datatype, no model of it, or no such field).
+struct Bound(Vec<Option<Accessor>>);
+
+impl ReadField for Bound {
+    fn read(&self, m: &Msg<'_>) -> Value {
+        match self.0.get(m.lane) {
+            Some(Some(a)) => a.read(m.payload),
+            _ => Value::Null,
         }
-        Expr::Cmp { op, lhs, rhs } => {
-            let a = eval(lhs, row, datatypes);
-            let b = eval(rhs, row, datatypes);
-            Value::Bool(compare(*op, &a, &b))
-        }
-        Expr::And(a, b) => {
-            Value::Bool(eval(a, row, datatypes).truthy() && eval(b, row, datatypes).truthy())
-        }
-        Expr::Or(a, b) => {
-            Value::Bool(eval(a, row, datatypes).truthy() || eval(b, row, datatypes).truthy())
-        }
-        Expr::Not(x) => Value::Bool(!eval(x, row, datatypes).truthy()),
-        // Unreachable: the planner rejects aggregates outside the
-        // SELECT list and never evaluates items through here in
-        // aggregate mode.
-        Expr::Agg { .. } => Value::Null,
     }
 }
 
-fn path_value(m: &MsgRef, parts: &[String], datatypes: &HashMap<String, String>) -> Value {
-    let mut m = m.borrow_mut();
-    if parts.len() == 1 {
-        match parts[0].as_str() {
-            "time" => return Value::Float(ns_to_secs(m.time_ns)),
-            "topic" => return Value::Str(m.topic().to_owned()),
-            "size" => return Value::Int(m.payload().len() as i64),
-            _ => {}
+/// The oracle's reader: look the topic's datatype up and decode the
+/// whole message, every time.
+struct Decoded<'a> {
+    parts: &'a [String],
+    datatypes: &'a HashMap<String, String>,
+}
+
+impl ReadField for Decoded<'_> {
+    fn read(&self, m: &Msg<'_>) -> Value {
+        decode_field(self.datatypes.get(m.topic).map(String::as_str), m.payload, self.parts)
+    }
+}
+
+/// An [`Expr`] with its paths resolved: builtins to themselves, message
+/// fields to an `F`.
+enum Ev<F> {
+    Lit(Value),
+    Time(Side),
+    Topic(Side),
+    Size(Side),
+    Field(Side, F),
+    Cmp { op: CmpOp, lhs: Box<Ev<F>>, rhs: Box<Ev<F>> },
+    And(Box<Ev<F>>, Box<Ev<F>>),
+    Or(Box<Ev<F>>, Box<Ev<F>>),
+    Not(Box<Ev<F>>),
+}
+
+impl<F> Ev<F> {
+    fn lower<'e>(e: &'e Expr, field: &mut impl FnMut(&'e [String]) -> F) -> Ev<F> {
+        let mut sub = |e: &'e Expr| Box::new(Ev::lower(e, field));
+        match e {
+            Expr::Lit(v) => Ev::Lit(v.clone()),
+            Expr::Path { side, parts, .. } => match parts.as_slice() {
+                [b] if b == "time" => Ev::Time(*side),
+                [b] if b == "topic" => Ev::Topic(*side),
+                [b] if b == "size" => Ev::Size(*side),
+                _ => Ev::Field(*side, field(parts)),
+            },
+            Expr::Cmp { op, lhs, rhs } => Ev::Cmp { op: *op, lhs: sub(lhs), rhs: sub(rhs) },
+            Expr::And(a, b) => Ev::And(sub(a), sub(b)),
+            Expr::Or(a, b) => Ev::Or(sub(a), sub(b)),
+            Expr::Not(x) => Ev::Not(sub(x)),
+            // Unreachable: the planner rejects aggregates outside the
+            // SELECT list and lowers their arguments, never the calls.
+            Expr::Agg { .. } => Ev::Lit(Value::Null),
         }
     }
-    m.field(parts, datatypes)
+}
+
+/// Evaluate an expression against a pipeline row. Total: unknown
+/// fields are `Null`, failed comparisons are `false`.
+fn eval<F: ReadField>(e: &Ev<F>, row: &InRow<'_>) -> Value {
+    match e {
+        Ev::Lit(v) => v.clone(),
+        Ev::Time(s) => Value::Float(ns_to_secs(row.msg(*s).time_ns)),
+        Ev::Topic(s) => Value::Str(row.msg(*s).topic.to_owned()),
+        Ev::Size(s) => Value::Int(row.msg(*s).payload.len() as i64),
+        Ev::Field(s, f) => f.read(row.msg(*s)),
+        Ev::Cmp { op, lhs, rhs } => Value::Bool(compare(*op, &eval(lhs, row), &eval(rhs, row))),
+        Ev::And(a, b) => Value::Bool(eval(a, row).truthy() && eval(b, row).truthy()),
+        Ev::Or(a, b) => Value::Bool(eval(a, row).truthy() || eval(b, row).truthy()),
+        Ev::Not(x) => Value::Bool(!eval(x, row).truthy()),
+    }
+}
+
+/// Every expression of a plan, lowered with one field resolver.
+struct Exprs<F> {
+    pushed: Option<Ev<F>>,
+    filter: Option<Ev<F>>,
+    /// The projection (`SELECT *` is its three builtins); empty for an
+    /// aggregate plan.
+    items: Vec<Ev<F>>,
+    /// One per [`AggSpec`]; `None` for `count()`.
+    agg_args: Vec<Option<Ev<F>>>,
+}
+
+impl<F> Exprs<F> {
+    fn lower<'e>(plan: &'e Logical, mut field: impl FnMut(&'e [String]) -> F) -> Exprs<F> {
+        let mut ev = |e: &'e Expr| Ev::lower(e, &mut field);
+        Exprs {
+            pushed: plan.scan.pushed_filter.as_ref().map(&mut ev),
+            filter: plan.filter.as_ref().map(&mut ev),
+            items: match &plan.items {
+                // `SELECT *` with JOIN is a plan error: no side needed.
+                PlanItems::Star => {
+                    vec![Ev::Time(Side::None), Ev::Topic(Side::None), Ev::Size(Side::None)]
+                }
+                PlanItems::Exprs(items) => items.iter().map(&mut ev).collect(),
+                PlanItems::Aggs(_) => Vec::new(),
+            },
+            agg_args: plan
+                .agg
+                .iter()
+                .flat_map(|a| &a.specs)
+                .map(|s| s.arg.as_ref().map(&mut ev))
+                .collect(),
+        }
+    }
+}
+
+fn project<F: ReadField>(items: &[Ev<F>], row: &InRow<'_>) -> Row {
+    items.iter().map(|e| eval(e, row)).collect()
 }
 
 // ---------------------------------------------------------- aggregates
@@ -298,6 +367,59 @@ pub fn partial_columns(specs: &[AggSpec]) -> Vec<String> {
     cols
 }
 
+/// The aggregate fold: rows in, per-window [`AggState`]s out. The group
+/// of the previous row stays out of the map together with the time span
+/// that shares its key, so a row inside that span costs neither a
+/// division nor a map lookup — one of each per window on a time-ordered
+/// scan, and still right on any other order (a revisited key is taken
+/// back out of the map).
+struct Groups<'p> {
+    agg: &'p AggNode,
+    parked: BTreeMap<u64, Vec<AggState>>,
+    key: u64,
+    /// Times whose window key is `key`; empty before the first row.
+    span: std::ops::Range<u64>,
+    states: Vec<AggState>,
+}
+
+impl<'p> Groups<'p> {
+    fn new(agg: &'p AggNode) -> Self {
+        Groups { agg, parked: BTreeMap::new(), key: 0, span: 0..0, states: Vec::new() }
+    }
+
+    fn fold<F: ReadField>(&mut self, args: &[Option<Ev<F>>], row: &InRow<'_>) {
+        // Pair rows are only grouped globally (WINDOW+JOIN is rejected
+        // at plan time), so any representative time works.
+        let t = row.msg(Side::Left).time_ns;
+        if !self.span.contains(&t) {
+            self.park();
+            // No WINDOW is one window as wide as time itself.
+            let w = self.agg.window_ns.map_or(u64::MAX, |w| w.max(1));
+            self.key = t / w;
+            self.span = self.key * w..(self.key * w).saturating_add(w);
+            self.states = self
+                .parked
+                .remove(&self.key)
+                .unwrap_or_else(|| self.agg.specs.iter().map(AggState::new).collect());
+        }
+        for (st, arg) in self.states.iter_mut().zip(args) {
+            st.update(arg.as_ref().map(|a| eval(a, row)));
+        }
+    }
+
+    fn park(&mut self) {
+        if !self.span.is_empty() {
+            self.parked.insert(self.key, std::mem::take(&mut self.states));
+        }
+    }
+
+    /// Every group, in window order.
+    fn finish(mut self) -> BTreeMap<u64, Vec<AggState>> {
+        self.park();
+        self.parked
+    }
+}
+
 // ------------------------------------------------------------- cursor
 
 /// Per-operator counters surfaced by `EXPLAIN ANALYZE` and the
@@ -339,23 +461,27 @@ enum Feed<'a, S: Storage> {
 }
 
 impl<S: Storage> Feed<'_, S> {
-    fn next(&mut self) -> QueryResult<Option<QMsg>> {
-        match self {
-            Feed::Bag { stream, ctx, .. } => match stream.next_msg(ctx) {
-                Ok(Some(m)) => Ok(Some(QMsg {
-                    time_ns: m.time.as_nanos(),
-                    src: QMsgSrc::Stream(m),
-                    decoded: None,
-                })),
-                Ok(None) => Ok(None),
-                Err(e) => Err(QueryError::from(e)),
-            },
-            Feed::Records(it) => Ok(it.next().map(|r| QMsg {
-                time_ns: r.time.as_nanos(),
-                src: QMsgSrc::Record(r),
-                decoded: None,
-            })),
+    /// Pull the next message into `slot` (in place: a message is moved
+    /// once), counted, its lane its topic's place among the scan `topics`;
+    /// `None` at the end.
+    fn pull(
+        &mut self,
+        topics: &[String],
+        stats: &mut ExecStats,
+        slot: &mut Option<Held>,
+    ) -> QueryResult<()> {
+        let src = match self {
+            Feed::Bag { stream, ctx, .. } => stream.next_msg(ctx)?.map(Pulled::Stream),
+            Feed::Records(it) => it.next().map(Pulled::Record),
+        };
+        *slot = src.map(|src| Held { lane: usize::MAX, src });
+        if let Some(held) = slot {
+            let m = held.view();
+            stats.scanned += 1;
+            stats.scan_bytes += m.payload.len() as u64;
+            held.lane = topics.iter().position(|t| t == m.topic).unwrap_or(usize::MAX);
         }
+        Ok(())
     }
 
     fn virt_elapsed(&mut self) -> u64 {
@@ -369,39 +495,44 @@ impl<S: Storage> Feed<'_, S> {
     }
 }
 
-struct JoinState {
+/// The join's buffers over message handles `M`: shared owned messages in
+/// a cursor, plain views in the oracle.
+struct JoinState<M> {
     left_topic: String,
     within: u64,
-    left: VecDeque<MsgRef>,
-    right: VecDeque<MsgRef>,
-    pairs: VecDeque<(MsgRef, MsgRef)>,
+    left: VecDeque<(u64, M)>,
+    right: VecDeque<(u64, M)>,
+    pairs: VecDeque<(M, M)>,
 }
 
-impl JoinState {
-    /// Admit one merged-stream message: evict expired partners, pair it
-    /// with every surviving opposite-side message, buffer it. Pairs come
-    /// out in merge order at the arrival of the later member — the
-    /// oracle implements the identical procedure.
-    fn push(&mut self, m: MsgRef) {
-        let t = m.borrow().time_ns;
-        let horizon = t.saturating_sub(self.within);
-        while self.left.front().is_some_and(|x| x.borrow().time_ns < horizon) {
-            self.left.pop_front();
+impl<M: Clone> JoinState<M> {
+    fn new(j: &JoinNode) -> Self {
+        JoinState {
+            left_topic: j.left.clone(),
+            within: j.within_ns,
+            left: VecDeque::new(),
+            right: VecDeque::new(),
+            pairs: VecDeque::new(),
         }
-        while self.right.front().is_some_and(|x| x.borrow().time_ns < horizon) {
-            self.right.pop_front();
-        }
-        let is_left = m.borrow().topic() == self.left_topic;
-        if is_left {
-            for r in &self.right {
-                self.pairs.push_back((Rc::clone(&m), Rc::clone(r)));
+    }
+
+    /// Admit one merged-stream message (`m`, seen as `view`): evict
+    /// expired partners, pair it with every surviving opposite-side
+    /// message, buffer it. Pairs come out in merge order at the arrival
+    /// of the later member — the oracle runs the identical procedure.
+    fn push(&mut self, view: &Msg<'_>, m: M) {
+        let horizon = view.time_ns.saturating_sub(self.within);
+        for side in [&mut self.left, &mut self.right] {
+            while side.front().is_some_and(|x| x.0 < horizon) {
+                side.pop_front();
             }
-            self.left.push_back(m);
+        }
+        if view.topic == self.left_topic {
+            self.pairs.extend(self.right.iter().map(|(_, r)| (m.clone(), r.clone())));
+            self.left.push_back((view.time_ns, m));
         } else {
-            for l in &self.left {
-                self.pairs.push_back((Rc::clone(l), Rc::clone(&m)));
-            }
-            self.right.push_back(m);
+            self.pairs.extend(self.left.iter().map(|(_, l)| (l.clone(), m.clone())));
+            self.right.push_back((view.time_ns, m));
         }
     }
 }
@@ -412,9 +543,14 @@ impl JoinState {
 /// streams.
 pub struct Cursor<'a, S: Storage> {
     plan: Logical,
-    datatypes: HashMap<String, String>,
+    /// The plan's expressions, bound to the source's datatypes.
+    exprs: Exprs<Bound>,
     feed: Feed<'a, S>,
-    join: Option<JoinState>,
+    /// The message last pulled; a non-join row is a view of it.
+    cur: Option<Held>,
+    join: Option<JoinState<Rc<Held>>>,
+    /// The pair last popped; a join row is a view of it.
+    pair: Option<(Rc<Held>, Rc<Held>)>,
     /// Emit partial (distributed) aggregate rows instead of final values.
     partial: bool,
     sample_seen: u64,
@@ -429,25 +565,26 @@ pub struct Cursor<'a, S: Storage> {
 impl<'a, S: Storage> Cursor<'a, S> {
     fn new(
         plan: Logical,
-        datatypes: HashMap<String, String>,
+        datatypes: &HashMap<String, String>,
         feed: Feed<'a, S>,
         partial: bool,
     ) -> QueryResult<Self> {
         if partial && plan.agg.is_none() {
             return Err(QueryError::plan("partial execution requires an aggregate query"));
         }
-        let join = plan.join.as_ref().map(|j| JoinState {
-            left_topic: j.left.clone(),
-            within: j.within_ns,
-            left: VecDeque::new(),
-            right: VecDeque::new(),
-            pairs: VecDeque::new(),
+        // Bind: each path once per scan lane, against that lane's datatype.
+        let lanes: Vec<Option<&String>> =
+            plan.scan.topics.iter().map(|t| datatypes.get(t)).collect();
+        let exprs = Exprs::lower(&plan, |parts| {
+            Bound(lanes.iter().map(|dt| Accessor::bind(dt.as_ref()?, parts)).collect())
         });
         Ok(Cursor {
+            join: plan.join.as_ref().map(JoinState::new),
             plan,
-            datatypes,
+            exprs,
             feed,
-            join,
+            cur: None,
+            pair: None,
             partial,
             sample_seen: 0,
             agged: None,
@@ -490,7 +627,7 @@ impl<'a, S: Storage> Cursor<'a, S> {
             }
             self.agged.as_mut().unwrap().next()
         } else {
-            self.next_match()?.map(|r| self.project(&r))
+            self.next_match(|exprs, row| project(&exprs.items, row))?
         };
         match row {
             Some(r) => {
@@ -530,48 +667,40 @@ impl<'a, S: Storage> Cursor<'a, S> {
         self.stats.wall_us = self.started.elapsed().as_micros() as u64;
     }
 
-    /// Rows surviving scan(+pushed filter) → join → filter → sample.
-    fn next_match(&mut self) -> QueryResult<Option<InRow>> {
+    /// Hand `f` the next row surviving scan(+pushed filter) → join →
+    /// filter → sample, a view of the message (or pair) this cursor holds
+    /// until the next call; `None` when the feed is dry.
+    fn next_match<R>(
+        &mut self,
+        f: impl FnOnce(&Exprs<Bound>, &InRow<'_>) -> R,
+    ) -> QueryResult<Option<R>> {
         loop {
-            let candidate = if let Some(join) = &mut self.join {
-                if let Some((l, r)) = join.pairs.pop_front() {
-                    self.stats.joined += 1;
-                    InRow::Pair(l, r)
-                } else {
-                    match self.feed.next()? {
-                        None => return Ok(None),
-                        Some(m) => {
-                            self.stats.scanned += 1;
-                            self.stats.scan_bytes += m.payload().len() as u64;
-                            join.push(msg_ref(m));
-                            continue;
-                        }
-                    }
-                }
-            } else {
-                match self.feed.next()? {
-                    None => return Ok(None),
-                    Some(m) => {
-                        self.stats.scanned += 1;
-                        self.stats.scan_bytes += m.payload().len() as u64;
-                        let m = msg_ref(m);
-                        // Pushed predicate runs against the zero-copy
-                        // payload, before any materialization.
-                        if let Some(p) = &self.plan.scan.pushed_filter {
-                            if !eval(p, &InRow::Single(Rc::clone(&m)), &self.datatypes).truthy() {
-                                self.stats.pushed_dropped += 1;
-                                continue;
-                            }
-                        }
-                        InRow::Single(m)
-                    }
-                }
-            };
-            if let Some(f) = &self.plan.filter {
-                if !eval(f, &candidate, &self.datatypes).truthy() {
-                    self.stats.filtered_out += 1;
+            if let Some(join) = &mut self.join {
+                self.pair = join.pairs.pop_front();
+                if self.pair.is_none() {
+                    self.feed.pull(&self.plan.scan.topics, &mut self.stats, &mut self.cur)?;
+                    let Some(m) = self.cur.take().map(Rc::new) else { return Ok(None) };
+                    join.push(&m.view(), Rc::clone(&m));
                     continue;
                 }
+                self.stats.joined += 1;
+            } else {
+                self.feed.pull(&self.plan.scan.topics, &mut self.stats, &mut self.cur)?;
+            }
+            let row = match (&self.pair, &self.cur) {
+                (Some((l, r)), _) => InRow::Pair(l.view(), r.view()),
+                (None, Some(m)) => InRow::Single(m.view()),
+                (None, None) => return Ok(None),
+            };
+            // The pushed predicate is the whole filter of a non-join
+            // plan, moved to the scan; its drops are counted apart.
+            if self.exprs.pushed.as_ref().is_some_and(|p| !eval(p, &row).truthy()) {
+                self.stats.pushed_dropped += 1;
+                continue;
+            }
+            if self.exprs.filter.as_ref().is_some_and(|f| !eval(f, &row).truthy()) {
+                self.stats.filtered_out += 1;
+                continue;
             }
             if let Some(n) = self.plan.sample_every {
                 let idx = self.sample_seen;
@@ -581,47 +710,15 @@ impl<'a, S: Storage> Cursor<'a, S> {
                     continue;
                 }
             }
-            return Ok(Some(candidate));
-        }
-    }
-
-    fn project(&self, row: &InRow) -> Row {
-        match &self.plan.items {
-            PlanItems::Star => match row {
-                InRow::Single(m) => {
-                    let m = m.borrow();
-                    vec![
-                        Value::Float(ns_to_secs(m.time_ns)),
-                        Value::Str(m.topic().to_owned()),
-                        Value::Int(m.payload().len() as i64),
-                    ]
-                }
-                // Unreachable: `SELECT *` with JOIN is a plan error.
-                InRow::Pair(..) => Vec::new(),
-            },
-            PlanItems::Exprs(items) => {
-                items.iter().map(|e| eval(e, row, &self.datatypes)).collect()
-            }
-            // Aggregate items never reach project().
-            PlanItems::Aggs(_) => Vec::new(),
+            return Ok(Some(f(&self.exprs, &row)));
         }
     }
 
     fn drain_aggregate(&mut self) -> QueryResult<Vec<Row>> {
         let agg = self.plan.agg.clone().unwrap();
-        let mut groups: BTreeMap<u64, Vec<AggState>> = BTreeMap::new();
-        while let Some(row) = self.next_match()? {
-            let key = match agg.window_ns {
-                Some(w) => row.time_ns() / w.max(1),
-                None => 0,
-            };
-            let states =
-                groups.entry(key).or_insert_with(|| agg.specs.iter().map(AggState::new).collect());
-            for (st, spec) in states.iter_mut().zip(&agg.specs) {
-                let v = spec.arg.as_ref().map(|a| eval(a, &row, &self.datatypes));
-                st.update(v);
-            }
-        }
+        let mut groups = Groups::new(&agg);
+        while self.next_match(|exprs, row| groups.fold(&exprs.agg_args, row))?.is_some() {}
+        let groups = groups.finish();
         self.stats.groups = groups.len() as u64;
         let mut rows = Vec::with_capacity(groups.len());
         for (key, states) in &groups {
@@ -640,12 +737,7 @@ impl<'a, S: Storage> Cursor<'a, S> {
 }
 
 /// Project one finished group through the plan's aggregate items.
-fn finalize_group(
-    plan: &Logical,
-    agg: &crate::plan::AggNode,
-    key: u64,
-    states: &[AggState],
-) -> Row {
+fn finalize_group(plan: &Logical, agg: &AggNode, key: u64, states: &[AggState]) -> Row {
     let PlanItems::Aggs(items) = &plan.items else {
         return Vec::new();
     };
@@ -742,7 +834,7 @@ impl Prepared {
         ctx: &'a mut IoCtx,
     ) -> QueryResult<Cursor<'a, S>> {
         let virt0 = ctx.elapsed_ns();
-        Cursor::new(self.plan.clone(), datatypes, Feed::Bag { stream, ctx, virt0 }, partial)
+        Cursor::new(self.plan.clone(), &datatypes, Feed::Bag { stream, ctx, virt0 }, partial)
     }
 
     /// Open a cursor over a container. The optimizer's time range and
@@ -769,7 +861,7 @@ impl Prepared {
         // from before the stream is built (its per-topic tag lookups).
         let virt0 = ctx.elapsed_ns();
         let stream = bag.stream_topics_with_tails(&present, Vec::new(), range, opts, ctx)?;
-        Cursor::new(self.plan.clone(), datatypes, Feed::Bag { stream, ctx, virt0 }, partial)
+        Cursor::new(self.plan.clone(), &datatypes, Feed::Bag { stream, ctx, virt0 }, partial)
     }
 
     /// Open a cursor over pre-merged records (the oracle tests' and
@@ -792,14 +884,15 @@ impl Prepared {
                 None => true,
             })
             .collect();
-        Cursor::new(self.plan.clone(), datatypes, Feed::Records(filtered.into_iter()), partial)
+        Cursor::new(self.plan.clone(), &datatypes, Feed::Records(filtered.into_iter()), partial)
     }
 }
 
 // ------------------------------------------------------------- oracle
 
 /// Reference interpreter: executes the *statement* directly over a
-/// record list with no planner, optimizer, or streaming involved. The
+/// record list with no optimizer, streaming or bound accessor involved —
+/// every field read decodes the whole message ([`decode_field`]). The
 /// property tests assert `plan(bag) == naive(records)` for random
 /// queries; divergence means the clever path broke.
 pub fn run_naive(
@@ -807,48 +900,28 @@ pub fn run_naive(
     records: &[MessageRecord],
     datatypes: &HashMap<String, String>,
 ) -> QueryResult<(Vec<String>, Vec<Row>)> {
-    // Reuse the planner for validation + column names only.
+    // Reuse the planner for validation + column names only: unoptimized,
+    // its filter is the statement's WHERE and nothing is pushed.
     let plan = Logical::from_stmt(stmt)?;
-    let topics = &plan.scan.topics;
-
-    // 1. Select relevant topics, preserving caller order.
-    let mut rows: Vec<InRow> = Vec::new();
-    match &plan.join {
-        None => {
-            for r in records {
-                if topics.contains(&r.topic) {
-                    rows.push(InRow::Single(msg_ref(QMsg {
-                        time_ns: r.time.as_nanos(),
-                        src: QMsgSrc::Record(r.clone()),
-                        decoded: None,
-                    })));
-                }
-            }
-        }
-        Some(j) => {
-            let mut js = JoinState {
-                left_topic: j.left.clone(),
-                within: j.within_ns,
-                left: VecDeque::new(),
-                right: VecDeque::new(),
-                pairs: VecDeque::new(),
-            };
-            for r in records {
-                if r.topic == j.left || r.topic == j.right {
-                    js.push(msg_ref(QMsg {
-                        time_ns: r.time.as_nanos(),
-                        src: QMsgSrc::Record(r.clone()),
-                        decoded: None,
-                    }));
-                }
-            }
-            rows.extend(js.pairs.into_iter().map(|(l, r)| InRow::Pair(l, r)));
-        }
+    let exprs = Exprs::lower(&plan, |parts| Decoded { parts, datatypes });
+    fn view(r: &MessageRecord) -> Msg<'_> {
+        Msg { time_ns: r.time.as_nanos(), topic: &r.topic, payload: &r.data, lane: 0 }
     }
 
+    // 1. Select relevant topics, preserving caller order.
+    let scanned = records.iter().filter(|r| plan.scan.topics.contains(&r.topic)).map(view);
+    let mut rows: Vec<InRow<'_>> = match &plan.join {
+        None => scanned.map(InRow::Single).collect(),
+        Some(j) => {
+            let mut js = JoinState::new(j);
+            scanned.for_each(|m| js.push(&m, m));
+            js.pairs.into_iter().map(|(l, r)| InRow::Pair(l, r)).collect()
+        }
+    };
+
     // 2. WHERE.
-    if let Some(f) = &stmt.where_expr {
-        rows.retain(|r| eval(f, r, datatypes).truthy());
+    if let Some(f) = &exprs.filter {
+        rows.retain(|r| eval(f, r).truthy());
     }
 
     // 3. SAMPLE EVERY n.
@@ -862,41 +935,14 @@ pub fn run_naive(
     }
 
     // 4. Aggregate or project.
-    let mut out: Vec<Row> = match (&plan.agg, &plan.items) {
-        (Some(agg), PlanItems::Aggs(_)) => {
-            let mut groups: BTreeMap<u64, Vec<AggState>> = BTreeMap::new();
-            for r in &rows {
-                let key = match agg.window_ns {
-                    Some(w) => r.time_ns() / w.max(1),
-                    None => 0,
-                };
-                let states = groups
-                    .entry(key)
-                    .or_insert_with(|| agg.specs.iter().map(AggState::new).collect());
-                for (st, spec) in states.iter_mut().zip(&agg.specs) {
-                    st.update(spec.arg.as_ref().map(|a| eval(a, r, datatypes)));
-                }
-            }
+    let mut out: Vec<Row> = match &plan.agg {
+        Some(agg) => {
+            let mut groups = Groups::new(agg);
+            rows.iter().for_each(|r| groups.fold(&exprs.agg_args, r));
+            let groups = groups.finish();
             groups.iter().map(|(key, states)| finalize_group(&plan, agg, *key, states)).collect()
         }
-        _ => rows
-            .iter()
-            .map(|r| match &plan.items {
-                PlanItems::Star => match r {
-                    InRow::Single(m) => {
-                        let m = m.borrow();
-                        vec![
-                            Value::Float(ns_to_secs(m.time_ns)),
-                            Value::Str(m.topic().to_owned()),
-                            Value::Int(m.payload().len() as i64),
-                        ]
-                    }
-                    InRow::Pair(..) => Vec::new(),
-                },
-                PlanItems::Exprs(items) => items.iter().map(|e| eval(e, r, datatypes)).collect(),
-                PlanItems::Aggs(_) => Vec::new(),
-            })
-            .collect(),
+        None => rows.iter().map(|r| project(&exprs.items, r)).collect(),
     };
 
     // 5. LIMIT.
@@ -980,6 +1026,43 @@ mod tests {
             let q = crate::parser::parse(sql).unwrap();
             let (_, slow) = run_naive(&q.stmt, &recs, &dts).unwrap();
             assert_eq!(fast, slow, "{sql}");
+        }
+    }
+
+    /// `header.stamp` and `time` are both seconds of the same nanosecond
+    /// count: a message stamped at its record time satisfies
+    /// `header.stamp = time` at every instant, not at the ~60 % where
+    /// `sec + nsec * 1e-9` and `ns * 1e-9` happen to round alike.
+    #[test]
+    fn stamp_equals_time_at_every_instant() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut nsec = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % 1_000_000_000) as u32
+        };
+        // The `hs` mission's range, then a real ROS epoch.
+        let secs = (100..150).cycle().take(600).chain((0..600).map(|i| 1_305_031_102 + i / 4));
+        let mut times: Vec<Time> = secs.map(|sec| Time { sec, nsec: nsec() }).collect();
+        times.sort();
+        let recs: Vec<MessageRecord> = times
+            .iter()
+            .map(|&time| {
+                let mut imu = Imu::default();
+                imu.header.stamp = time;
+                MessageRecord { conn_id: 0, topic: "/imu".into(), time, data: imu.to_bytes() }
+            })
+            .collect();
+        let dts = HashMap::from([("/imu".to_owned(), Imu::DATATYPE.to_owned())]);
+        for sql in [
+            "SELECT count() FROM '/imu' WHERE header.stamp = time",
+            "SELECT count() FROM '/imu' WHERE header.stamp >= time AND header.stamp <= time",
+        ] {
+            let all = vec![vec![Value::Int(recs.len() as i64)]];
+            assert_eq!(run(sql, &recs, &dts), all, "cursor: {sql}");
+            let q = crate::parser::parse(sql).unwrap();
+            assert_eq!(run_naive(&q.stmt, &recs, &dts).unwrap().1, all, "run_naive: {sql}");
         }
     }
 

@@ -1,14 +1,31 @@
-//! Runtime values and field extraction.
+//! Runtime values and the two readers of a message field.
 //!
-//! A query row is a `Vec<Value>`. Message fields are resolved against
-//! the decoded [`AnyMessage`] for the topic's datatype (carried by the
-//! container metadata); three builtins — `time`, `topic`, `size` — are
-//! always available without decoding the payload. Unknown fields
-//! evaluate to [`Value::Null`] rather than erroring: a fleet query must
-//! be runnable over a mixed bag where only some topics carry the field.
+//! A query row is a `Vec<Value>`. Three builtins — `time`, `topic`,
+//! `size` — never look at the payload; every other path names a field of
+//! the topic's datatype (carried by the container metadata), and there
+//! are two ways to read one:
+//!
+//! * [`Accessor`] — what a cursor uses. [`Accessor::bind`] resolves a
+//!   path against a datatype *once*; [`Accessor::read`] then checks the
+//!   payload with the datatype's walk (`ros_msgs::AnyMessage::walker`:
+//!   the byte strings `decode` accepts, no others, nothing built) and
+//!   reads the one field where it lies.
+//! * [`decode_field`] — what the oracle (`run_naive`) uses: decode the
+//!   whole message into an [`AnyMessage`], then [`extract_field`]. Slow,
+//!   obviously right, and the only caller of `AnyMessage::decode` in this
+//!   crate.
+//!
+//! The two vocabularies are the same by test, not by construction
+//! (`tests/prop_accessor.rs` compares them bit for bit over valid and
+//! mutilated payloads): a path either reader does not know, a datatype
+//! without a model, and a payload its decoder rejects all read as
+//! [`Value::Null`] rather than erroring — a fleet query must be runnable
+//! over a mixed bag where only some topics carry the field.
 
 use ros_msgs::msg::AnyMessage;
-use ros_msgs::Time;
+use ros_msgs::{RosMessage, Time, WireRead};
+
+use crate::exec::ns_to_secs;
 
 /// One cell of a result row.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,10 +145,117 @@ pub fn compare(op: CmpOp, a: &Value, b: &Value) -> bool {
     }
 }
 
-/// Seconds-as-f64 view of a timestamp — what the `time` builtin yields
-/// and what window starts are reported in.
+/// Seconds-as-f64 view of a stamp inside a message (`header.stamp`),
+/// through [`ns_to_secs`] like the `time` builtin and window starts: a
+/// message stamped at its record time compares equal to `time`.
 pub fn time_to_value(t: Time) -> Value {
-    Value::Float(t.sec as f64 + t.nsec as f64 * 1e-9)
+    Value::Float(ns_to_secs(t.as_nanos()))
+}
+
+/// Where a bound field lies in a payload its walk accepted.
+#[derive(Debug, Clone, Copy)]
+enum At {
+    /// Offset from the payload's start: the leading header's own fields
+    /// and the element count of a headerless array message.
+    Start(usize),
+    /// Offset from the walk's `body` (the end of the leading header).
+    Body(usize),
+    /// `.1` bytes past the end of the string that starts at `body + .0`.
+    PastStr(usize, usize),
+}
+
+/// Wire type of a bound field, and with it the [`Value`] it reads as.
+#[derive(Debug, Clone, Copy)]
+enum Ty {
+    U32,
+    F64,
+    Stamp,
+    Str,
+}
+
+/// A field path bound to one datatype: the datatype's walk plus where
+/// the field lies once the walk has accepted a payload.
+#[derive(Debug, Clone, Copy)]
+pub struct Accessor {
+    walk: ros_msgs::Walk,
+    at: At,
+    ty: Ty,
+}
+
+impl Accessor {
+    /// Bind `parts` for messages of `datatype`. `None` — a constant
+    /// `Null` — for a datatype `AnyMessage::decode` keeps opaque and for a
+    /// path outside [`extract_field`]'s vocabulary; the table below is
+    /// that vocabulary, path for path.
+    pub fn bind(datatype: &str, parts: &[String]) -> Option<Accessor> {
+        use ros_msgs::sensor_msgs::{CameraInfo, Image, Imu};
+        use ros_msgs::{tf2_msgs::TfMessage, visualization_msgs::MarkerArray};
+        let walk = AnyMessage::walker(datatype)?;
+        let path: Vec<&str> = parts.iter().map(String::as_str).collect();
+        let axis = |c: &str, of: &str| (c.len() == 1).then(|| of.find(c)).flatten();
+        let (at, ty) = match (datatype, path.as_slice()) {
+            (Imu::DATATYPE | Image::DATATYPE | CameraInfo::DATATYPE, ["header", f]) => match *f {
+                "seq" => (At::Start(0), Ty::U32),
+                "stamp" => (At::Start(4), Ty::Stamp),
+                "frame_id" => (At::Start(12), Ty::Str),
+                _ => return None,
+            },
+            (Imu::DATATYPE, ["orientation", c]) => (At::Body(8 * axis(c, "xyzw")?), Ty::F64),
+            (Imu::DATATYPE, ["angular_velocity", c]) => {
+                (At::Body(104 + 8 * axis(c, "xyz")?), Ty::F64)
+            }
+            (Imu::DATATYPE, ["linear_acceleration", c]) => {
+                (At::Body(200 + 8 * axis(c, "xyz")?), Ty::F64)
+            }
+            (Image::DATATYPE | CameraInfo::DATATYPE, ["height"]) => (At::Body(0), Ty::U32),
+            (Image::DATATYPE | CameraInfo::DATATYPE, ["width"]) => (At::Body(4), Ty::U32),
+            (Image::DATATYPE, ["encoding"]) | (CameraInfo::DATATYPE, ["distortion_model"]) => {
+                (At::Body(8), Ty::Str)
+            }
+            (Image::DATATYPE, ["step"]) => (At::PastStr(8, 1), Ty::U32),
+            (TfMessage::DATATYPE, ["transforms"]) | (MarkerArray::DATATYPE, ["markers"]) => {
+                (At::Start(0), Ty::U32)
+            }
+            _ => return None,
+        };
+        Some(Accessor { walk, at, ty })
+    }
+
+    /// Read the field out of `payload`: `Null` unless the walk accepts
+    /// it, else one little-endian read (a string is copied out). No
+    /// message is built, and nothing is allocated for a number.
+    pub fn read(&self, payload: &[u8]) -> Value {
+        self.try_read(payload).unwrap_or(Value::Null)
+    }
+
+    fn try_read(&self, p: &[u8]) -> Option<Value> {
+        let body = (self.walk)(p)?;
+        let at = match self.at {
+            At::Start(o) => o,
+            At::Body(o) => body + o,
+            At::PastStr(s, o) => {
+                let mut cur = p.get(body + s..)?;
+                cur.get_str().ok()?;
+                p.len() - cur.len() + o
+            }
+        };
+        let mut cur = p.get(at..)?;
+        Some(match self.ty {
+            Ty::U32 => Value::Int(cur.get_u32().ok()? as i64),
+            Ty::F64 => Value::Float(cur.get_f64().ok()?),
+            Ty::Stamp => time_to_value(cur.get_time().ok()?),
+            Ty::Str => Value::Str(cur.get_str().ok()?.to_owned()),
+        })
+    }
+}
+
+/// The oracle's reader: decode the whole message, then [`extract_field`].
+/// `Null` for a topic without a datatype and for a payload that does not
+/// decode.
+pub fn decode_field(datatype: Option<&str>, payload: &[u8], parts: &[String]) -> Value {
+    datatype
+        .and_then(|dt| AnyMessage::decode(dt, payload).ok())
+        .map_or(Value::Null, |m| extract_field(&m, parts))
 }
 
 /// Resolve a non-builtin field path against a decoded message. Unknown

@@ -29,6 +29,14 @@
 //!   to the honest sequential sum), mirroring how the organizer charges
 //!   its distributors.
 //!
+//! Per-message bookkeeping is a handle, never a name: the stream resolves
+//! `stream.merge.heap_ops` once, when it is built, and `to_record` keeps
+//! `stream.bytes_copied` in a process-wide `OnceLock` — a by-name
+//! `bora_obs::counter(..)` is a global lock, a `String` and a hash, which
+//! per message was ~75 of a warm `next_msg`'s ~175 ns. What still looks a
+//! name up here does so once per fill (`stream.prefetch.queue_depth`);
+//! `tests/metric_lookups.rs` holds the line.
+//!
 //! Full-topic streams still honor the commit manifest: each cursor folds
 //! the chunks it fetches into a running CRC32C and compares against the
 //! manifest entry when the file's last chunk arrives, so a corrupt topic
@@ -38,7 +46,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use ros_msgs::Time;
 use rosbag::reader::MessageRecord;
@@ -109,7 +117,11 @@ impl StreamMessage {
     /// the copy is counted in the `stream.bytes_copied` metric so the
     /// zero-copy claim is measurable, not asserted).
     pub fn to_record(&self) -> MessageRecord {
-        bora_obs::counter("stream.bytes_copied").add(self.len as u64);
+        // Resolved once per process: this runs for every message of every
+        // materializing read, and a lookup by name is a lock, a `String`
+        // and a hash.
+        static BYTES_COPIED: OnceLock<bora_obs::Counter> = OnceLock::new();
+        BYTES_COPIED.get_or_init(|| bora_obs::counter("stream.bytes_copied")).add(self.len as u64);
         MessageRecord {
             conn_id: self.conn_id,
             topic: (*self.topic).to_owned(),
@@ -312,6 +324,9 @@ pub struct MessageStream<'a, S: Storage> {
     /// `ceil(log2 k)` for the merge's per-message CPU charge (0 for k<=1).
     log_k: u64,
     stats: StreamStats,
+    /// `stream.merge.heap_ops`, resolved when the stream is built and
+    /// recorded through for every message it delivers.
+    heap_ops: bora_obs::Counter,
     /// Accumulated prefetch cost: per fill pass, the slowest pool
     /// thread's sum of cursor-clock deltas (the whole sum when fills ran
     /// inline). This is what `charge_into` puts on the consumer's clock.
@@ -384,6 +399,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
             base_concurrency: ctx.concurrency,
             log_k: if k > 1 { (usize::BITS - (k - 1).leading_zeros()) as u64 } else { 0 },
             stats: StreamStats::default(),
+            heap_ops: bora_obs::counter("stream.merge.heap_ops"),
             io_ns: 0,
             charged: false,
             done: false,
@@ -525,7 +541,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         // matching the old single-stream fast path).
         ctx.charge_ns(FUSE_DELIVERY_NS + self.log_k * cpu::SORT_ELEMENT_NS);
         self.stats.heap_ops += 1;
-        bora_obs::counter("stream.merge.heap_ops").inc();
+        self.heap_ops.inc();
         self.stats.delivered += 1;
         Ok(Some(msg))
     }

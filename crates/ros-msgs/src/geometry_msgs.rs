@@ -213,6 +213,17 @@ geometry_msgs/Transform transform
     }
 }
 
+impl TransformStamped {
+    /// Advance `cur` past one stamped transform without building it: the
+    /// bytes [`TransformStamped::deserialize`] accepts, and only those.
+    pub fn skip(cur: &mut &[u8]) -> Option<()> {
+        Header::skip(cur)?;
+        cur.get_str().ok()?; // child_frame_id
+        cur.take(56).ok()?; // transform: Vector3 + Quaternion
+        Some(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -45,7 +45,7 @@ pub mod time;
 pub mod visualization_msgs;
 pub mod wire;
 
-pub use msg::{AnyMessage, MessageDescriptor, RosMessage};
+pub use msg::{AnyMessage, MessageDescriptor, RosMessage, Walk};
 pub use time::{RosDuration, Time};
 pub use wire::{WireError, WireRead, WireWrite};
 

@@ -71,6 +71,15 @@ impl MessageDescriptor {
     }
 }
 
+/// A walk of one datatype's wire form: [`AnyMessage::decode`] without the
+/// message. It returns `Some(body)` for exactly the byte strings `decode`
+/// accepts — every length prefix in bounds, every string UTF-8, every
+/// enum a known constant, no byte left over — allocates nothing and
+/// builds nothing. `body` is the offset of the first field after the
+/// message's leading `Header` (0 for a type without one); a caller that
+/// holds it can read any field of the fixed layout in place.
+pub type Walk = fn(&[u8]) -> Option<usize>;
+
 /// A dynamically typed message: any of the concrete types the BORA
 /// workloads use, or an opaque payload for types this crate does not model.
 ///
@@ -109,6 +118,20 @@ impl AnyMessage {
                 AnyMessage::MarkerArray(visualization_msgs::MarkerArray::from_bytes(bytes)?)
             }
             other => AnyMessage::Opaque { datatype: other.to_owned(), bytes: bytes.to_vec() },
+        })
+    }
+
+    /// The [`Walk`] of `datatype`'s wire form, `None` for a type
+    /// [`AnyMessage::decode`] keeps opaque.
+    pub fn walker(datatype: &str) -> Option<Walk> {
+        use crate::{sensor_msgs, tf2_msgs, visualization_msgs};
+        Some(match datatype {
+            sensor_msgs::Image::DATATYPE => sensor_msgs::Image::walk,
+            sensor_msgs::CameraInfo::DATATYPE => sensor_msgs::CameraInfo::walk,
+            sensor_msgs::Imu::DATATYPE => sensor_msgs::Imu::walk,
+            tf2_msgs::TfMessage::DATATYPE => tf2_msgs::TfMessage::walk,
+            visualization_msgs::MarkerArray::DATATYPE => visualization_msgs::MarkerArray::walk,
+            _ => return None,
         })
     }
 
@@ -154,6 +177,19 @@ where
         out.push(read_one(cur)?);
     }
     Ok(out)
+}
+
+/// [`read_seq`] without the `Vec`: the same count check, `skip_one` in
+/// place of `read_one` — `Some` exactly when `read_seq` would be `Ok`.
+pub fn skip_seq(cur: &mut &[u8], mut skip_one: impl FnMut(&mut &[u8]) -> Option<()>) -> Option<()> {
+    let n = cur.get_u32().ok()? as usize;
+    if n > cur.remaining() {
+        return None;
+    }
+    for _ in 0..n {
+        skip_one(cur)?;
+    }
+    Some(())
 }
 
 #[cfg(test)]

@@ -69,6 +69,23 @@ uint8[] data
     }
 }
 
+impl Image {
+    /// [`AnyMessage::walker`](crate::AnyMessage::walker)'s walk of an
+    /// image: `height` at `body`, `width` at `body + 4`, the `encoding`
+    /// string at `body + 8`, `step` one byte past its end. The pixel
+    /// bytes are counted, never touched.
+    pub fn walk(bytes: &[u8]) -> Option<usize> {
+        let mut cur = bytes;
+        Header::skip(&mut cur)?;
+        let body = bytes.len() - cur.len();
+        cur.take(8).ok()?; // height, width
+        cur.get_str().ok()?; // encoding
+        cur.take(5).ok()?; // is_bigendian, step
+        let data = cur.get_u32().ok()? as usize;
+        (cur.len() == data).then_some(body)
+    }
+}
+
 /// `sensor_msgs/RegionOfInterest` — sub-window of a camera image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RegionOfInterest {
@@ -227,6 +244,22 @@ sensor_msgs/RegionOfInterest roi
     }
 }
 
+impl CameraInfo {
+    /// [`AnyMessage::walker`](crate::AnyMessage::walker)'s walk of a
+    /// calibration: `height` at `body`, `width` at `body + 4`, the
+    /// `distortion_model` string at `body + 8`.
+    pub fn walk(bytes: &[u8]) -> Option<usize> {
+        let mut cur = bytes;
+        Header::skip(&mut cur)?;
+        let body = bytes.len() - cur.len();
+        cur.take(8).ok()?; // height, width
+        cur.get_str().ok()?; // distortion_model
+        let nd = cur.get_u32().ok()? as usize;
+        // D, then K + R + P (30 float64), binning (8), roi (17).
+        (cur.len() == nd.checked_mul(8)?.checked_add(30 * 8 + 8 + 17)?).then_some(body)
+    }
+}
+
 /// `sensor_msgs/Imu` — inertial measurement. The paper highlights that an
 /// IMU message carries several 3x3 float64 covariance arrays, a structure
 /// time-series databases could not represent (Section II.B).
@@ -299,6 +332,18 @@ float64[9] linear_acceleration_covariance
 
     fn wire_len(&self) -> usize {
         self.header.wire_len() + 32 + 72 + 24 + 72 + 24 + 72
+    }
+}
+
+impl Imu {
+    /// [`AnyMessage::walker`](crate::AnyMessage::walker)'s walk of an
+    /// inertial measurement: after the header all 37 `float64`s lie at
+    /// constant offsets — `orientation` at `body`, `angular_velocity` at
+    /// `body + 104`, `linear_acceleration` at `body + 200`.
+    pub fn walk(bytes: &[u8]) -> Option<usize> {
+        let mut cur = bytes;
+        Header::skip(&mut cur)?;
+        (cur.len() == 32 + 72 + 24 + 72 + 24 + 72).then(|| bytes.len() - cur.len())
     }
 }
 

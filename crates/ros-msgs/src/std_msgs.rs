@@ -36,6 +36,17 @@ string frame_id
     }
 }
 
+impl Header {
+    /// Advance `cur` past one header without building it: the bytes
+    /// [`Header::deserialize`] accepts, and only those. `seq` is at 0,
+    /// `stamp` at 4 and the `frame_id` string at 12 of what was skipped.
+    pub fn skip(cur: &mut &[u8]) -> Option<()> {
+        cur.take(12).ok()?;
+        cur.get_str().ok()?;
+        Some(())
+    }
+}
+
 /// `std_msgs/ColorRGBA` — used by visualization markers.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ColorRgba {

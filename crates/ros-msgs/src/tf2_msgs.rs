@@ -1,7 +1,7 @@
 //! `tf2_msgs/TFMessage` — the `/tf` transform stream.
 
 use crate::geometry_msgs::TransformStamped;
-use crate::msg::{read_seq, RosMessage};
+use crate::msg::{read_seq, skip_seq, RosMessage};
 use crate::wire::{WireError, WireWrite};
 
 /// `tf2_msgs/TFMessage`: a batch of stamped transforms. The `/tf` topic in
@@ -31,6 +31,17 @@ geometry_msgs/TransformStamped[] transforms
 
     fn wire_len(&self) -> usize {
         4 + self.transforms.iter().map(|t| t.wire_len()).sum::<usize>()
+    }
+}
+
+impl TfMessage {
+    /// [`AnyMessage::walker`](crate::AnyMessage::walker)'s walk of a
+    /// transform batch: the `transforms` count is the `u32` at `body`
+    /// (= 0, there is no header); every element is stepped over.
+    pub fn walk(bytes: &[u8]) -> Option<usize> {
+        let mut cur = bytes;
+        skip_seq(&mut cur, TransformStamped::skip)?;
+        cur.is_empty().then_some(0)
     }
 }
 

@@ -5,7 +5,7 @@
 //! structured messages interleaved with the large image stream.
 
 use crate::geometry_msgs::{Point, Pose, Vector3};
-use crate::msg::{read_seq, RosMessage};
+use crate::msg::{read_seq, skip_seq, RosMessage};
 use crate::std_msgs::{ColorRgba, Header};
 use crate::time::RosDuration;
 use crate::wire::{WireError, WireRead, WireWrite};
@@ -28,8 +28,9 @@ pub enum MarkerType {
 }
 
 impl MarkerType {
-    pub fn from_i32(v: i32) -> Result<Self, WireError> {
-        Ok(match v {
+    /// The kind whose ROS constant is `v`, if there is one.
+    pub fn known(v: i32) -> Option<Self> {
+        Some(match v {
             0 => MarkerType::Arrow,
             1 => MarkerType::Cube,
             2 => MarkerType::Sphere,
@@ -38,8 +39,12 @@ impl MarkerType {
             5 => MarkerType::LineList,
             8 => MarkerType::Points,
             9 => MarkerType::TextViewFacing,
-            other => return Err(WireError::Invalid(format!("unknown marker type {other}"))),
+            _ => return None,
         })
+    }
+
+    pub fn from_i32(v: i32) -> Result<Self, WireError> {
+        Self::known(v).ok_or_else(|| WireError::Invalid(format!("unknown marker type {v}")))
     }
 }
 
@@ -54,13 +59,18 @@ pub enum MarkerAction {
 }
 
 impl MarkerAction {
-    pub fn from_i32(v: i32) -> Result<Self, WireError> {
-        Ok(match v {
+    /// The action whose ROS constant is `v`, if there is one.
+    pub fn known(v: i32) -> Option<Self> {
+        Some(match v {
             0 => MarkerAction::Add,
             1 => MarkerAction::Modify,
             2 => MarkerAction::Delete,
-            other => return Err(WireError::Invalid(format!("unknown marker action {other}"))),
+            _ => return None,
         })
+    }
+
+    pub fn from_i32(v: i32) -> Result<Self, WireError> {
+        Self::known(v).ok_or_else(|| WireError::Invalid(format!("unknown marker action {v}")))
     }
 }
 
@@ -156,6 +166,24 @@ string text
     }
 }
 
+impl Marker {
+    /// Advance `cur` past one marker without building it: the bytes
+    /// [`Marker::deserialize`] accepts, and only those.
+    pub fn skip(cur: &mut &[u8]) -> Option<()> {
+        Header::skip(cur)?;
+        cur.get_str().ok()?; // ns
+        cur.take(4).ok()?; // id
+        MarkerType::known(cur.get_i32().ok()?)?;
+        MarkerAction::known(cur.get_i32().ok()?)?;
+        // pose, scale, color, lifetime, frame_locked
+        cur.take(56 + 24 + 16 + 8 + 1).ok()?;
+        skip_seq(cur, |c| c.take(24).ok().map(drop))?; // points
+        skip_seq(cur, |c| c.take(16).ok().map(drop))?; // colors
+        cur.get_str().ok()?; // text
+        Some(())
+    }
+}
+
 /// `visualization_msgs/MarkerArray`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MarkerArray {
@@ -181,6 +209,17 @@ visualization_msgs/Marker[] markers
 
     fn wire_len(&self) -> usize {
         4 + self.markers.iter().map(|m| m.wire_len()).sum::<usize>()
+    }
+}
+
+impl MarkerArray {
+    /// [`AnyMessage::walker`](crate::AnyMessage::walker)'s walk of a
+    /// marker batch: the `markers` count is the `u32` at `body` (= 0,
+    /// there is no header); every element is stepped over.
+    pub fn walk(bytes: &[u8]) -> Option<usize> {
+        let mut cur = bytes;
+        skip_seq(&mut cur, Marker::skip)?;
+        cur.is_empty().then_some(0)
     }
 }
 

@@ -179,11 +179,17 @@ pub trait WireRead<'a> {
         Ok(self.get_u8()? != 0)
     }
 
+    /// `u32` byte-length prefix + UTF-8 bytes, borrowed from the input:
+    /// what [`WireRead::get_string`] accepts, without the `String`.
+    #[inline]
+    fn get_str(&mut self) -> Result<&'a str, WireError> {
+        let len = self.get_u32()? as usize;
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::BadUtf8)
+    }
+
     #[inline]
     fn get_string(&mut self) -> Result<String, WireError> {
-        let len = self.get_u32()? as usize;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes).map(str::to_owned).map_err(|_| WireError::BadUtf8)
+        self.get_str().map(str::to_owned)
     }
 
     #[inline]

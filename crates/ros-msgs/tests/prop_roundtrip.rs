@@ -1,6 +1,9 @@
 //! Property-based round-trip tests for the wire format: for every message
 //! type, `deserialize(serialize(m)) == m` and `serialize` produces exactly
-//! `wire_len()` bytes, for arbitrary field values.
+//! `wire_len()` bytes, for arbitrary field values. A type with a walk
+//! (`AnyMessage::walker`) is walked too: the walk accepts the message,
+//! rejects it one byte short and one byte long, and agrees with the
+//! decoder on junk.
 
 use proptest::prelude::*;
 use ros_msgs::geometry_msgs::{Point, Pose, Quaternion, Transform, TransformStamped, Vector3};
@@ -8,7 +11,7 @@ use ros_msgs::sensor_msgs::{CameraInfo, Image, Imu, RegionOfInterest};
 use ros_msgs::std_msgs::{ColorRgba, Header};
 use ros_msgs::tf2_msgs::TfMessage;
 use ros_msgs::visualization_msgs::{Marker, MarkerArray, MarkerType};
-use ros_msgs::{RosMessage, Time};
+use ros_msgs::{AnyMessage, RosMessage, Time};
 
 fn arb_time() -> impl Strategy<Value = Time> {
     (any::<u32>(), 0u32..1_000_000_000).prop_map(|(sec, nsec)| Time { sec, nsec })
@@ -81,6 +84,11 @@ fn assert_roundtrip<M: RosMessage + std::fmt::Debug>(m: &M) {
     assert_eq!(bytes.len(), m.wire_len(), "wire_len mismatch");
     let back = M::from_bytes(&bytes).expect("deserialize");
     assert_eq!(back.to_bytes(), bytes, "re-serialization differs");
+    if let Some(walk) = AnyMessage::walker(M::DATATYPE) {
+        assert!(walk(&bytes).is_some(), "walk rejects a valid {}", M::DATATYPE);
+        assert_eq!(walk(&bytes[..bytes.len() - 1]), None, "walk accepts a cut {}", M::DATATYPE);
+        assert_eq!(walk(&[&bytes[..], &[0]].concat()), None, "walk accepts a trailing byte");
+    }
 }
 
 proptest! {
@@ -164,14 +172,21 @@ proptest! {
         assert_roundtrip(&MarkerArray { markers });
     }
 
-    /// Decoding arbitrary junk must never panic — it may only error.
+    /// Decoding arbitrary junk must never panic — it may only error, and
+    /// the type's walk must reject exactly what its decoder rejects.
     #[test]
     fn decode_junk_never_panics(junk in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = Imu::from_bytes(&junk);
-        let _ = Image::from_bytes(&junk);
-        let _ = CameraInfo::from_bytes(&junk);
-        let _ = TfMessage::from_bytes(&junk);
-        let _ = MarkerArray::from_bytes(&junk);
-        let _ = Header::from_bytes(&junk);
+        fn decodes<M: RosMessage>(junk: &[u8]) {
+            let decoded = M::from_bytes(junk).is_ok();
+            if let Some(walk) = AnyMessage::walker(M::DATATYPE) {
+                assert_eq!(walk(junk).is_some(), decoded, "{}", M::DATATYPE);
+            }
+        }
+        decodes::<Imu>(&junk);
+        decodes::<Image>(&junk);
+        decodes::<CameraInfo>(&junk);
+        decodes::<TfMessage>(&junk);
+        decodes::<MarkerArray>(&junk);
+        decodes::<Header>(&junk);
     }
 }

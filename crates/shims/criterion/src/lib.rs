@@ -3,8 +3,8 @@
 //! The build container cannot reach crates.io, so the workspace vendors
 //! the slice of criterion's API its benches use: `Criterion`,
 //! `benchmark_group` / `bench_function` / `bench_with_input`,
-//! `BenchmarkId`, `Bencher::iter`, `Throughput::Bytes`, and the
-//! `criterion_group!` / `criterion_main!` macros.
+//! `BenchmarkId`, `Bencher::iter`, `Throughput::{Bytes, Elements}`, and
+//! the `criterion_group!` / `criterion_main!` macros.
 //!
 //! Measurement is deliberately simple: when the binary is invoked with
 //! `--bench` (as `cargo bench` does) each benchmark runs for a fixed
@@ -59,6 +59,8 @@ impl IntoBenchmarkId for String {
 #[derive(Debug, Clone, Copy)]
 pub enum Throughput {
     Bytes(u64),
+    /// Items (rows, messages) per iteration; printed as elements/s.
+    Elements(u64),
 }
 
 /// Per-iteration timer handle passed to benchmark closures.
@@ -198,6 +200,9 @@ fn report(name: &str, measured: bool, throughput: Option<Throughput>, samples: &
         let rate = match throughput {
             // bytes/ns = GB/s; quoted at the mean, like criterion does.
             Some(Throughput::Bytes(n)) => format!("  {:>8.1} MB/s", n as f64 * 1e3 / mean as f64),
+            Some(Throughput::Elements(n)) => {
+                format!("  {:>8.2} Melem/s", n as f64 * 1e3 / mean as f64)
+            }
             None => String::new(),
         };
         println!(
@@ -211,9 +216,17 @@ fn report(name: &str, measured: bool, throughput: Option<Throughput>, samples: &
         if let Ok(path) = std::env::var("BENCH_JSON") {
             use std::io::Write;
             if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(&path) {
+                // A row with a declared element count also states its rate.
+                let rate = match throughput {
+                    Some(Throughput::Elements(n)) => format!(
+                        ",\"elements\":{n},\"elem_per_s\":{:.0}",
+                        n as f64 * 1e9 / mean as f64
+                    ),
+                    _ => String::new(),
+                };
                 let _ = writeln!(
                     f,
-                    "{{\"name\":\"{}\",\"min_ns\":{min},\"mean_ns\":{mean},\"iters\":{}}}",
+                    "{{\"name\":\"{}\",\"min_ns\":{min},\"mean_ns\":{mean},\"iters\":{}{rate}}}",
                     name.replace('\\', "\\\\").replace('"', "\\\""),
                     samples.len()
                 );
