@@ -10,11 +10,14 @@
 //!   before it replays.
 //! * **Seal** ([`segment`]) — the memtable freezes into per-topic sorted
 //!   segment files, committed atomically by a fsynced seal marker.
-//! * **Compaction** ([`store`]) — sealed batches merge LSM-style into the
-//!   next container generation, written by the organizer's own
-//!   `bora::writer` and its staged-manifest commit protocol, so
-//!   `bora fsck` accepts every committed generation and a power cut at
-//!   any instant loses at most un-fsynced appends.
+//! * **Compaction** ([`store`]) — sealed batches merge into the next
+//!   container generation, written by the organizer's own `bora::writer`
+//!   and its staged-manifest commit protocol, so `bora fsck` accepts
+//!   every committed generation and a power cut at any instant loses at
+//!   most un-fsynced appends. Appends are per-topic chronological, so a
+//!   generation is a byte prefix of the next: a compaction resumes each
+//!   topic's verified files and pushes only what was sealed, off the
+//!   store lock — it holds up nothing but another compaction.
 //! * **MVCC snapshots** ([`snapshot`]) — readers pin an epoch-stamped
 //!   view {generation, sealed batches, frozen memtable} and stream it
 //!   through `bora`'s k-way merge; results are byte-identical no matter

@@ -7,18 +7,30 @@
 //! append ──► WAL shard (group-committed) + memtable
 //! seal   ──► per-topic .seg files, then one .seal marker (the commit),
 //!            then WAL reset; the frozen memtable becomes a SealedBatch
-//! compact ─► generation g+1: full container rewrite (old gen ++ sealed
-//!            batches) under .staging, MANIFEST last, one rename commits;
-//!            consumed seg/seal files deleted after the rename
+//! compact ─► generation g+1 under .staging: each topic of generation g
+//!            resumed (its verified bytes appended as they are), the
+//!            sealed batches pushed behind; MANIFEST last, one rename
+//!            commits; then the in-memory swap; then the consumed
+//!            seg/seal files are deleted, best-effort
 //! ```
 //!
 //! A generation is an ordinary container and is written like every other
 //! one: a topic at a time through `bora::writer` (`TopicWriter` for the
 //! files, `ContainerWriter` for the staged commit, with the `.ingest`
-//! marker as its extra root file). What compaction takes from the old
-//! generation it first checks against that generation's MANIFEST, so
-//! damage stops the compaction with a typed error instead of being
-//! copied under a new, valid commit record.
+//! marker as its extra root file). Because appends are per-topic
+//! chronological, the old generation's topic is always a prefix of the
+//! new one's, so compaction *resumes* it (`TopicWriter::resume`) instead
+//! of reading it back and writing it again — and the generation it
+//! commits is byte-identical to the one a rewrite would. What it takes
+//! from the old generation it first checks against that generation's
+//! MANIFEST, so damage stops the compaction with a typed error instead
+//! of being copied under a new, valid commit record.
+//!
+//! A compaction's input is immutable (a pinned generation, sealed
+//! batches) and its output a staged directory, so it holds the state
+//! lock only to pin the one and to swap in the other. Appends, seals and
+//! snapshots go on while it builds; a second compaction waits on a mutex
+//! of its own.
 //!
 //! Every arrow is individually crash-atomic: a power cut mid-append leaves
 //! a torn WAL tail (truncated on recovery, counter `wal.torn_tail`); one
@@ -43,15 +55,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use bora::block::{read_logical, BlockCodec, BlockParams};
+use bora::block::{BlockCodec, BlockParams};
 use bora::bufpool::BufferPool;
 use bora::checksum::crc32c;
 use bora::error::{BoraError, BoraResult};
-use bora::layout::{meta_path, rel_path, TopicPaths};
+use bora::layout::{meta_path, TopicPaths, META_FILE};
 use bora::manifest::Manifest;
 use bora::meta::{ContainerMeta, TopicMeta};
 use bora::time_index::DEFAULT_WINDOW_NS;
-use bora::topic_index::{decode_entries, TopicIndexEntry, ENTRY_SIZE};
+use bora::topic_index::{TopicIndexEntry, ENTRY_SIZE};
 use bora::writer::ContainerWriter;
 use bora::BoraBag;
 use parking_lot::Mutex;
@@ -239,27 +251,15 @@ struct IngestState {
 }
 
 impl IngestState {
-    fn gc_retired<S: Storage>(
-        &mut self,
-        storage: &S,
-        pool: Option<&Arc<BufferPool>>,
-        ctx: &mut IoCtx,
-    ) {
-        self.retired.retain(|h| {
-            if Arc::strong_count(h) == 1 {
-                if storage.exists(&h.root, ctx) {
-                    let _ = storage.remove_dir_all(&h.root, ctx);
-                }
-                // The generation's files are gone; drop its cached pages
-                // so the budget goes back to live data.
-                if let Some(p) = pool {
-                    p.invalidate_prefix(&h.root);
-                }
-                false
-            } else {
-                true
-            }
-        });
+    /// Retired generations no snapshot pins any more, taken off the list.
+    /// Handles are only ever cloned under the state lock, so what is
+    /// returned can never be pinned again and its files can be deleted
+    /// after the lock is released.
+    fn take_unpinned(&mut self) -> Vec<Arc<GenHandle>> {
+        let (unpinned, pinned) =
+            std::mem::take(&mut self.retired).into_iter().partition(|h| Arc::strong_count(h) == 1);
+        self.retired = pinned;
+        unpinned
     }
 }
 
@@ -272,6 +272,9 @@ pub struct IngestStore<S: Storage> {
     /// Shared page cache handed to every snapshot's container reads.
     pool: Option<Arc<BufferPool>>,
     inner: Mutex<IngestState>,
+    /// Held for the whole of a compaction, so that there is one at a
+    /// time; taken before `inner`, never while holding it.
+    compacting: Mutex<()>,
 }
 
 impl<S: Storage> IngestStore<S> {
@@ -321,6 +324,7 @@ impl<S: Storage> IngestStore<S> {
                 epoch: 1,
                 last_time: BTreeMap::new(),
             }),
+            compacting: Mutex::new(()),
         })
     }
 
@@ -510,6 +514,7 @@ impl<S: Storage> IngestStore<S> {
                 epoch: 1,
                 last_time,
             }),
+            compacting: Mutex::new(()),
         })
     }
 
@@ -633,73 +638,76 @@ impl<S: Storage> IngestStore<S> {
         Ok(Some(seal_seq))
     }
 
-    /// Merge every sealed batch into a new container generation — a full
-    /// LSM-style rewrite committed with the staged-manifest protocol, so
-    /// a power cut at any point leaves either the old or the new
-    /// generation, never a mix. Returns the current generation number
-    /// (unchanged when there was nothing to compact).
+    /// Merge the sealed batches into a new container generation,
+    /// committed with the staged-manifest protocol, so a power cut at any
+    /// point leaves either the old or the new generation, never a mix.
+    /// Returns the current generation number (unchanged when there was
+    /// nothing to compact).
+    ///
+    /// Appends are per-topic chronological, so the old generation is a
+    /// byte prefix of the new one: each carried topic is *resumed*
+    /// ([`bora::writer::TopicWriter::resume`] — old files verified against
+    /// the old MANIFEST, full frames appended as they are) and only the
+    /// sealed messages are pushed. The result is byte-identical to writing
+    /// the whole root again.
+    ///
+    /// The state lock is taken twice, briefly: to pin the input (the
+    /// current generation and the batches sealed so far, both immutable)
+    /// and, after the commit rename, to swap the new generation in.
+    /// Appends, seals and snapshots proceed in between — a batch sealed
+    /// meanwhile stays for the next compaction; a second `compact` waits
+    /// for this one. The consumed `.seg` / `.seal` files are removed after
+    /// the swap, best-effort: the compaction is committed by then, and a
+    /// file that will not go is debris [`IngestStore::open`] sweeps.
     pub fn compact(&self, ctx: &mut IoCtx) -> BoraResult<u64> {
         let sp = bora_obs::span("ingest.compact");
-        let st = &mut *self.inner.lock();
-        st.gc_retired(&self.storage, self.pool.as_ref(), ctx);
-        if st.sealed.is_empty() {
+        let _one_at_a_time = self.compacting.lock();
+        let (old, batches) = {
+            let st = self.inner.lock();
+            (Arc::clone(&st.gen), st.sealed.clone())
+        };
+        if batches.is_empty() {
             sp.end();
-            return Ok(st.gen.generation);
+            return Ok(old.generation);
         }
-        let old = Arc::clone(&st.gen);
-        // Everything taken from the old generation is checked against its
-        // MANIFEST first: a damaged byte must stop the compaction, not be
-        // copied under a fresh, valid commit record. Block frames carry
-        // their own CRCs and are verified as `read_logical` decodes them.
+        // A damaged byte must stop the compaction, not be copied under a
+        // fresh, valid commit record: everything taken from the old
+        // generation is checked against its MANIFEST first.
         let old_manifest = Manifest::load(&self.storage, &old.root, ctx)?
             .ok_or_else(|| BoraError::Corrupt(format!("{}: no MANIFEST", old.root)))?;
-        let verified = |path: &str, bytes: Vec<u8>| -> BoraResult<Vec<u8>> {
-            old_manifest.verify(rel_path(&old.root, path).unwrap_or(path), &bytes)?;
-            Ok(bytes)
-        };
-        let mp = meta_path(&old.root);
-        let old_meta = ContainerMeta::decode(&verified(&mp, self.storage.read_all(&mp, ctx)?)?)?;
-        let mut topics: BTreeSet<String> =
-            old_meta.topics.iter().map(|t| t.topic.clone()).collect();
-        for b in &st.sealed {
-            topics.extend(b.topics.keys().cloned());
+        let from = (old.root.as_str(), &old_manifest);
+        let old_meta = ContainerMeta::decode(&old_manifest.read_committed(
+            &self.storage,
+            &old.root,
+            META_FILE,
+            ctx,
+        )?)?;
+        if old_meta.block != self.cfg.block {
+            return Err(BoraError::Corrupt(format!(
+                "{}: written with block {:?}, the root's config says {:?}",
+                meta_path(&old.root),
+                old_meta.block,
+                self.cfg.block
+            )));
+        }
+        let mut topics: BTreeSet<&str> = old_meta.topics.iter().map(|t| &*t.topic).collect();
+        for b in &batches {
+            topics.extend(b.topics.keys().map(String::as_str));
         }
         let new_root = gen_root(&self.root, old.generation + 1);
         let container = stage_generation(&self.storage, &new_root, &self.cfg, ctx)?;
         let mut finished = Vec::with_capacity(topics.len());
-        for topic in &topics {
-            let tm = old_meta.topic(topic);
-            let identity = tm
-                .cloned()
-                .unwrap_or_else(|| TopicMeta { topic: topic.clone(), ..TopicMeta::default() });
-            let mut w = container.topic(&self.storage, identity, ctx)?;
-            if tm.is_some() {
-                let paths = TopicPaths::new(&old.root, topic);
-                // `read_logical` transparently de-frames a blocked old
-                // generation, so compaction works across a codec change
-                // in either direction.
-                let mut data = read_logical(&self.storage, &paths, ctx)?;
-                if old_meta.block.is_none() {
-                    data = verified(&paths.data, data)?;
+        let mut adopted = 0;
+        for topic in topics {
+            let mut w = match old_meta.topic(topic) {
+                Some(tm) => container.resume_topic(&self.storage, tm.clone(), from, ctx)?,
+                None => {
+                    let identity = TopicMeta { topic: topic.to_owned(), ..TopicMeta::default() };
+                    container.topic(&self.storage, identity, ctx)?
                 }
-                let index = verified(&paths.index, self.storage.read_all(&paths.index, ctx)?)?;
-                for e in decode_entries(&index)? {
-                    let payload = usize::try_from(e.offset)
-                        .ok()
-                        .and_then(|off| data.get(off..off.checked_add(e.len as usize)?))
-                        .ok_or_else(|| {
-                            BoraError::Corrupt(format!(
-                                "{}: entry {}+{} outside the topic's {} data bytes",
-                                paths.index,
-                                e.offset,
-                                e.len,
-                                data.len()
-                            ))
-                        })?;
-                    w.push(&self.storage, e.time, payload, ctx)?;
-                }
-            }
-            for b in &st.sealed {
+            };
+            adopted += w.data_len();
+            for b in &batches {
                 for m in b.topics.get(topic).into_iter().flatten() {
                     w.push(&self.storage, m.time, &m.data, ctx)?;
                 }
@@ -707,9 +715,8 @@ impl<S: Storage> IngestStore<S> {
             finished.push(w.finish(&self.storage, ctx)?);
         }
         let bytes_written: u64 = finished.iter().flat_map(|t| &t.files).map(|f| f.len).sum();
-        let last_seal_seq = st.sealed.last().expect("non-empty").seal_seq;
-        let last_wal_seq =
-            st.sealed.iter().map(|b| b.last_wal_seq).fold(old.last_wal_seq, u64::max);
+        let last_seal_seq = batches.last().expect("non-empty").seal_seq;
+        let last_wal_seq = batches.iter().map(|b| b.last_wal_seq).fold(old.last_wal_seq, u64::max);
         let marker = GenMarker { generation: old.generation + 1, last_seal_seq, last_wal_seq };
         container.commit(
             &self.storage,
@@ -718,34 +725,53 @@ impl<S: Storage> IngestStore<S> {
             Some((GEN_MARKER, &marker.encode())),
             ctx,
         )?;
-        // Committed: the consumed seg/seal files are redundant now.
-        for b in &st.sealed {
-            for topic in b.topics.keys() {
-                let p = segment_path(&self.root, b.seal_seq, topic);
-                if self.storage.exists(&p, ctx) {
-                    self.storage.remove_file(&p, ctx)?;
-                }
-            }
-            let p = seal_marker_path(&self.root, b.seal_seq);
-            if self.storage.exists(&p, ctx) {
-                self.storage.remove_file(&p, ctx)?;
-            }
-        }
-        st.sealed.clear();
+        // Committed. Swap before anything else can fail: from here on the
+        // new generation is what `open` would find.
         let new_gen = Arc::new(GenHandle {
             generation: marker.generation,
             root: new_root,
             last_seal_seq,
             last_wal_seq,
         });
-        let retired = std::mem::replace(&mut st.gen, new_gen);
-        st.retired.push(retired);
         drop(old);
-        st.gc_retired(&self.storage, self.pool.as_ref(), ctx);
-        st.epoch += 1;
+        let unpinned = {
+            let st = &mut *self.inner.lock();
+            // Seals only push, and no other compaction ran: the pinned
+            // batches are still the front of the list.
+            st.sealed.drain(..batches.len());
+            let retired = std::mem::replace(&mut st.gen, new_gen);
+            st.retired.push(retired);
+            st.epoch += 1;
+            st.take_unpinned()
+        };
+        for b in &batches {
+            let segs = b.topics.keys().map(|topic| segment_path(&self.root, b.seal_seq, topic));
+            for p in segs.chain([seal_marker_path(&self.root, b.seal_seq)]) {
+                if self.storage.exists(&p, ctx) {
+                    let _ = self.storage.remove_file(&p, ctx);
+                }
+            }
+        }
+        self.remove_generations(unpinned, ctx);
         bora_obs::counter("compact.bytes").add(bytes_written);
+        bora_obs::counter("compact.adopted_bytes").add(adopted);
         sp.end();
         Ok(marker.generation)
+    }
+
+    /// Delete retired generations nothing pins any more (see
+    /// [`IngestState::take_unpinned`]); without the state lock.
+    fn remove_generations(&self, gens: Vec<Arc<GenHandle>>, ctx: &mut IoCtx) {
+        for h in gens {
+            if self.storage.exists(&h.root, ctx) {
+                let _ = self.storage.remove_dir_all(&h.root, ctx);
+            }
+            // The generation's files are gone; drop its cached pages so
+            // the budget goes back to live data.
+            if let Some(p) = &self.pool {
+                p.invalidate_prefix(&h.root);
+            }
+        }
     }
 
     /// Current point-in-time counters.
@@ -778,12 +804,13 @@ impl<S: Storage + Clone> IngestStore<S> {
     /// The snapshot never observes later appends, seals, or compactions,
     /// and keeps its generation's files alive until dropped.
     pub fn snapshot(&self, ctx: &mut IoCtx) -> BoraResult<Snapshot<S>> {
-        let (gen, sealed, memtable, epoch) = {
+        let (gen, sealed, memtable, epoch, unpinned) = {
             let st = &mut *self.inner.lock();
-            st.gc_retired(&self.storage, self.pool.as_ref(), ctx);
             bora_obs::gauge("snapshot.epochs").set(st.epoch as i64);
-            (Arc::clone(&st.gen), st.sealed.clone(), st.memtable.clone(), st.epoch)
+            let unpinned = st.take_unpinned();
+            (Arc::clone(&st.gen), st.sealed.clone(), st.memtable.clone(), st.epoch, unpinned)
         };
+        self.remove_generations(unpinned, ctx);
         // Opened with the state lock released: `gen` already pins the
         // generation's files, so appenders never wait on this I/O and a
         // concurrent compaction cannot delete what is being opened.
@@ -821,9 +848,10 @@ fn load_gen_marker<S: Storage>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bora::block::BlockMap;
     use simfs::MemStorage;
 
-    fn store<'a>(fs: &'a MemStorage, ctx: &mut IoCtx) -> IngestStore<&'a MemStorage> {
+    fn store<S: Storage>(fs: S, ctx: &mut IoCtx) -> IngestStore<S> {
         IngestStore::create(
             fs,
             "/live",
@@ -1004,7 +1032,7 @@ mod tests {
         }
         st.seal(&mut ctx).unwrap();
         st.compact(&mut ctx).unwrap();
-        // Second round exercises re-framing an already-blocked old gen.
+        // Second round resumes an already-blocked old generation.
         for i in 40..50u64 {
             let payload = vec![7u8; 48];
             st.append("/imu", Time::from_nanos(i * 10), &payload, &mut ctx).unwrap();
@@ -1024,9 +1052,14 @@ mod tests {
     }
 
     /// create → 50 appends → seal → compact, then one flipped bit at
-    /// `index_byte` of generation 1's `imu/index`: the next compaction
+    /// `byte` of generation 1's `imu/<file>` (`byte` is given the file's
+    /// bytes and its `blocks` map, when it has one): the next compaction
     /// must refuse to carry the damage into generation 2.
-    fn damaged_generation_stops_compaction(block: Option<BlockParams>, index_byte: u64) {
+    fn damaged_generation_stops_compaction(
+        block: Option<BlockParams>,
+        file: &str,
+        byte: impl Fn(&[u8], Option<&BlockMap>) -> u64,
+    ) {
         let fs = MemStorage::new();
         let mut ctx = IoCtx::new();
         let cfg = IngestConfig { wal_shards: 2, group_commit: 2, window_ns: 1_000, block };
@@ -1037,14 +1070,21 @@ mod tests {
         st.seal(&mut ctx).unwrap();
         assert_eq!(st.compact(&mut ctx).unwrap(), 1);
 
-        let index = "/live/gen/C00000001/imu/index";
-        let byte = fs.read_at(index, index_byte, 1, &mut ctx).unwrap()[0];
-        fs.write_at(index, index_byte, &[byte ^ 0x10], &mut ctx).unwrap();
+        let path = format!("/live/gen/C00000001/imu/{file}");
+        let map = block.map(|_| {
+            BlockMap::decode(&fs.read_all("/live/gen/C00000001/imu/blocks", &mut ctx).unwrap())
+                .unwrap()
+        });
+        let at = byte(&fs.read_all(&path, &mut ctx).unwrap(), map.as_ref());
+        let old = fs.read_at(&path, at, 1, &mut ctx).unwrap()[0];
+        fs.write_at(&path, at, &[old ^ 0x10], &mut ctx).unwrap();
 
         st.append("/imu", Time::from_nanos(500), &[9; 48], &mut ctx).unwrap();
         let seal = st.seal(&mut ctx).unwrap().unwrap();
         match st.compact(&mut ctx) {
-            Err(BoraError::ChecksumMismatch { path, .. }) => assert_eq!(path, "imu/index"),
+            Err(BoraError::ChecksumMismatch { path, .. }) => {
+                assert_eq!(path, format!("imu/{file}"))
+            }
             other => panic!("expected ChecksumMismatch, got {other:?}"),
         }
         // Nothing was committed and nothing consumed.
@@ -1059,22 +1099,110 @@ mod tests {
         st.seal(&mut ctx).unwrap().unwrap();
         let snap = st.snapshot(&mut ctx).unwrap();
         match snap.read_topics(&["/imu"], &mut ctx) {
-            Err(BoraError::ChecksumMismatch { path, .. }) => assert_eq!(path, "imu/index"),
-            other => panic!("expected ChecksumMismatch, got {:?}", other.map(|m| m.len())),
+            Err(BoraError::ChecksumMismatch { path, .. }) => {
+                assert_eq!(path, format!("imu/{file}"))
+            }
+            Err(BoraError::Corrupt(_)) if file == "data" => {}
+            other => panic!("expected a typed error, got {:?}", other.map(|m| m.len())),
         }
     }
+
+    const LZSS_256: Option<BlockParams> =
+        Some(BlockParams { codec: BlockCodec::Lzss, block_size: 256 });
 
     #[test]
     fn damaged_generation_v1_is_not_laundered_into_the_next() {
         // Inside entry 3's time field: still a well-formed index.
-        damaged_generation_stops_compaction(None, 3 * 20 + 2);
+        damaged_generation_stops_compaction(None, "index", |_, _| 3 * 20 + 2);
+        damaged_generation_stops_compaction(None, "data", |_, _| 100);
     }
 
     #[test]
     fn damaged_generation_blocked_is_a_typed_error_not_a_panic() {
         // A high byte of entry 3's offset field: far outside the data.
-        let block = Some(BlockParams { codec: BlockCodec::Lzss, block_size: 256 });
-        damaged_generation_stops_compaction(block, 3 * 20 + 8 + 3);
+        damaged_generation_stops_compaction(LZSS_256, "index", |_, _| 3 * 20 + 8 + 3);
+    }
+
+    #[test]
+    fn damaged_generation_adopted_frames_are_held_to_the_manifest() {
+        use bora::block::FRAME_HEADER_LEN;
+        // 2 400 logical bytes: nine full frames, which the next
+        // compaction would append as they are, and a partial one.
+        let frame = |map: Option<&BlockMap>, i: usize| map.unwrap().entries[i];
+        // A stored byte of an adopted frame: under that frame's CRC,
+        // which adoption no longer computes.
+        damaged_generation_stops_compaction(LZSS_256, "data", |_, map| {
+            assert_eq!(map.unwrap().entries.len(), 10);
+            frame(map, 4).phys_off + FRAME_HEADER_LEN as u64
+        });
+        // An adopted frame's `unc_len`: under no frame CRC at all.
+        damaged_generation_stops_compaction(LZSS_256, "data", |_, map| frame(map, 4).phys_off + 1);
+        // The partial frame, which is decoded.
+        damaged_generation_stops_compaction(LZSS_256, "data", |data, map| {
+            assert_eq!(frame(map, 9).phys_off + frame(map, 9).frame_len as u64, data.len() as u64);
+            data.len() as u64 - 1
+        });
+        // A frame length in `blocks`: what decides which bytes are adopted.
+        damaged_generation_stops_compaction(LZSS_256, "blocks", |blocks, _| {
+            blocks.len() as u64 - 4
+        });
+    }
+
+    #[test]
+    fn generation_written_with_another_block_config_is_corrupt() {
+        let fs = MemStorage::new();
+        let mut ctx = IoCtx::new();
+        let st = store(&fs, &mut ctx);
+        st.append("/imu", Time::from_nanos(1), b"one", &mut ctx).unwrap();
+        st.seal(&mut ctx).unwrap();
+        assert_eq!(st.compact(&mut ctx).unwrap(), 1);
+        let cfg = IngestConfig { block: LZSS_256, ..st.config() };
+        drop(st);
+        // No API does this: the config is written once, by `create`.
+        fs.remove_file("/live/.boraingest", &mut ctx).unwrap();
+        fs.append("/live/.boraingest", &cfg.encode(), &mut ctx).unwrap();
+
+        let fs = simfs::FaultyStorage::new(fs);
+        let st = IngestStore::open(&fs, "/live", &mut ctx).unwrap();
+        st.append("/imu", Time::from_nanos(2), b"two", &mut ctx).unwrap();
+        st.seal(&mut ctx).unwrap();
+        let before = fs.mutations();
+        match st.compact(&mut ctx) {
+            Err(BoraError::Corrupt(msg)) => assert!(msg.contains(".bora"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(fs.mutations(), before, "nothing may be written");
+        assert_eq!((st.stat().generation, st.stat().sealed_batches), (1, 1));
+    }
+
+    #[test]
+    fn failed_cleanup_does_not_wedge_compaction() {
+        use simfs::{FaultRule, FaultyStorage};
+        let fs = FaultyStorage::new(MemStorage::new());
+        let mut ctx = IoCtx::new();
+        let st = store(&fs, &mut ctx);
+        st.append("/imu", Time::from_nanos(1), b"one", &mut ctx).unwrap();
+        st.seal(&mut ctx).unwrap();
+        fs.inject(FaultRule {
+            path_contains: Some(".seg".into()),
+            max_failures: Some(1),
+            ..FaultRule::default()
+        });
+        // The fault hits the clean-up of a compaction that is committed.
+        assert_eq!(st.compact(&mut ctx).unwrap(), 1);
+        assert_eq!((st.stat().generation, st.stat().sealed_batches), (1, 0));
+        st.append("/imu", Time::from_nanos(2), b"two", &mut ctx).unwrap();
+        st.seal(&mut ctx).unwrap();
+        assert_eq!(st.compact(&mut ctx).unwrap(), 2);
+        let read = |st: &IngestStore<&FaultyStorage<MemStorage>>, ctx: &mut IoCtx| {
+            let msgs = st.snapshot(ctx).unwrap().read_topics(&["/imu"], ctx).unwrap();
+            msgs.into_iter().map(|m| m.data).collect::<Vec<_>>()
+        };
+        assert_eq!(read(&st, &mut ctx), [b"one".to_vec(), b"two".to_vec()]);
+        drop(st);
+        let st = IngestStore::open(&fs, "/live", &mut ctx).unwrap();
+        assert_eq!((st.stat().generation, st.stat().sealed_batches), (2, 0));
+        assert_eq!(read(&st, &mut ctx), [b"one".to_vec(), b"two".to_vec()]);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! construction, WAL replay, seal ordering, or compaction offsets shows
 //! up as a mismatch.
 
+use bora::block::{BlockCodec, BlockParams};
 use bora_ingest::{IngestConfig, IngestStore};
 use proptest::prelude::*;
+use proptest::sample::select;
 use ros_msgs::Time;
 use simfs::{IoCtx, MemStorage};
 
@@ -74,10 +76,15 @@ proptest! {
     fn interleaved_ops_match_materialized_oracle(
         ops in prop::collection::vec(op_strategy(), 1..48),
         pin_at in 0usize..48,
+        // Framed, every compaction after a topic's first resumes it.
+        block in select(vec![
+            None,
+            Some(BlockParams { codec: BlockCodec::Lzss, block_size: 32 }),
+        ]),
     ) {
         let fs = MemStorage::new();
         let mut ctx = IoCtx::new();
-        let cfg = IngestConfig { wal_shards: 2, group_commit: 3, window_ns: 500, block: None };
+        let cfg = IngestConfig { wal_shards: 2, group_commit: 3, window_ns: 500, block };
         let mut st = IngestStore::create(&fs, "/live", cfg, &mut ctx).unwrap();
 
         // One oracle lane per topic, in append order.

@@ -8,9 +8,15 @@
 //! are an exact prefix of the appended sequence. Re-appending the lost
 //! suffix and finishing the workload then yields reads byte-identical to
 //! an uncrashed run, proving the replay path converges.
+//!
+//! The sweep runs over a plain root and over a block-framed one (LZSS,
+//! 16-byte blocks), where the script's second compaction and the one that
+//! converges resume a generation: full frames appended as they are, the
+//! partial last frame decoded and carried on.
 
 use std::collections::BTreeMap;
 
+use bora::block::{BlockCodec, BlockParams};
 use bora_ingest::{IngestConfig, IngestStore};
 use ros_msgs::Time;
 use rosbag::MessageRecord;
@@ -19,10 +25,12 @@ use simfs::{FaultyStorage, IoCtx, MemStorage, PowerCutSchedule, Storage};
 const ROOT: &str = "/live";
 const TOPICS: [&str; 2] = ["/imu", "/cam"];
 
-fn cfg() -> IngestConfig {
+const LZSS_16: Option<BlockParams> = Some(BlockParams { codec: BlockCodec::Lzss, block_size: 16 });
+
+fn cfg(block: Option<BlockParams>) -> IngestConfig {
     // group_commit = 1: every acked append is durable, so the durability
     // frontier is exact and the sweep's prefix assertion is strict.
-    IngestConfig { wal_shards: 2, group_commit: 1, window_ns: 1_000, block: None }
+    IngestConfig { wal_shards: 2, group_commit: 1, window_ns: 1_000, block }
 }
 
 /// The full workload as (topic, time, payload) in append order.
@@ -39,10 +47,10 @@ fn script() -> Vec<(&'static str, Time, Vec<u8>)> {
 
 /// Fresh disk with an already-created (empty) ingest root, so the sweep
 /// exercises append/seal/compact rather than bootstrap.
-fn fresh_disk() -> MemStorage {
+fn fresh_disk(block: Option<BlockParams>) -> MemStorage {
     let fs = MemStorage::new();
     let mut ctx = IoCtx::new();
-    IngestStore::create(&fs, ROOT, cfg(), &mut ctx).unwrap();
+    IngestStore::create(&fs, ROOT, cfg(block), &mut ctx).unwrap();
     fs
 }
 
@@ -72,8 +80,17 @@ fn read_all<S: Storage + Clone>(
 
 #[test]
 fn every_crash_point_recovers_and_converges() {
+    sweep_every_crash_point(None);
+}
+
+#[test]
+fn every_crash_point_recovers_and_converges_lzss_blocks() {
+    sweep_every_crash_point(LZSS_16);
+}
+
+fn sweep_every_crash_point(block: Option<BlockParams>) {
     // Probe run: size the sweep and fix the reference read.
-    let probe = FaultyStorage::new(fresh_disk());
+    let probe = FaultyStorage::new(fresh_disk(block));
     let mut ctx = IoCtx::new();
     run_workload(&probe, &mut ctx).unwrap();
     let total = probe.mutations();
@@ -86,7 +103,7 @@ fn every_crash_point_recovers_and_converges() {
 
     let mut mid_seal_or_compact = 0u64;
     for cut in PowerCutSchedule::sweep(total) {
-        let faulty = FaultyStorage::new(fresh_disk());
+        let faulty = FaultyStorage::new(fresh_disk(block));
         let mut ctx = IoCtx::new();
         faulty.arm_power_cut(cut);
         run_workload(&faulty, &mut ctx).expect_err("armed cut must abort the workload");
@@ -158,7 +175,7 @@ fn cut_between_seal_and_compact_preserves_sealed_batch() {
     let mut ctx = IoCtx::new();
 
     // Count mutations up to the end of the first seal.
-    let probe = FaultyStorage::new(fresh_disk());
+    let probe = FaultyStorage::new(fresh_disk(None));
     {
         let st = IngestStore::open(&probe, ROOT, &mut ctx).unwrap();
         for (topic, time, data) in script().into_iter().take(5) {
@@ -176,7 +193,7 @@ fn cut_between_seal_and_compact_preserves_sealed_batch() {
     // Re-run with compaction, cutting at every point from "seal just
     // committed" through mid-compaction.
     for extra in 0..6u64 {
-        let faulty = FaultyStorage::new(fresh_disk());
+        let faulty = FaultyStorage::new(fresh_disk(None));
         faulty.arm_power_cut(simfs::PowerCut {
             after_mutations: after_seal + extra,
             torn_bytes: Some(1),

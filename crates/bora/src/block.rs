@@ -184,15 +184,19 @@ impl BlockMap {
         let mut entries = Vec::with_capacity(count.min(1 << 20));
         let (mut phys_off, mut prev_time) = (0u64, 0u64);
         for _ in 0..count {
-            let frame_len = cur.varint()?;
-            let delta = cur.varint()?;
-            prev_time += delta;
+            // Frame lengths decide which bytes of `data` a reader slices:
+            // nothing here may wrap or truncate.
+            let frame_len = u32::try_from(cur.varint()?)
+                .map_err(|_| BoraError::Corrupt("blocks map frame length overflows".into()))?;
+            prev_time = prev_time
+                .checked_add(cur.varint()?)
+                .ok_or_else(|| BoraError::Corrupt("blocks map timestamp overflows".into()))?;
             entries.push(BlockEntry {
                 phys_off,
-                frame_len: frame_len as u32,
+                frame_len,
                 first_time: Time::from_nanos(prev_time),
             });
-            phys_off += frame_len;
+            phys_off += frame_len as u64;
         }
         if cur.pos != bytes.len() {
             return Err(BoraError::Corrupt("trailing bytes in blocks map".into()));
@@ -311,6 +315,18 @@ pub fn decode_frame(frame: &[u8], path: &str, ctx: &mut IoCtx) -> BoraResult<(Ve
 /// [`crate::writer::TopicWriter`] is the one driver — it keeps the
 /// pending output, the running file CRC and the physical length, exactly
 /// as it does for a raw v1 `data` file.
+///
+/// **The framing is a function of the logical byte stream alone.** Frames
+/// are cut at fixed multiples of `block_size` and [`encode_frame`] is
+/// deterministic, so a frame depends only on the `block_size` logical
+/// bytes it covers and on the timestamp of the message owning its first
+/// byte — not on how the bytes were split into `push` calls, and not on
+/// how many sittings wrote them. Every *full* frame of a finished file is
+/// therefore the frame any longer stream with the same prefix produces,
+/// and the framer's whole state after a prefix is (the finished frames'
+/// map entries, the logical bytes of the partial last block, the
+/// timestamp owning its first byte): [`BlockWriter::resume`] rebuilds it
+/// from a finished topic's files.
 pub struct BlockWriter {
     params: BlockParams,
     /// Pending logical bytes of the current (unfinished) block.
@@ -332,10 +348,40 @@ impl BlockWriter {
         }
     }
 
+    /// Continue a finished topic: `full` are the map entries of its full
+    /// frames (kept as they are — their bytes are already in `data`),
+    /// `tail` the logical bytes of its final partial block (empty when the
+    /// topic ended on a block boundary) and `tail_first_time` that block's
+    /// `first_time`. The next [`BlockWriter::push`] behaves exactly as if
+    /// this writer had framed the whole prefix itself.
+    ///
+    /// # Panics
+    /// If `tail` does not fit inside one block — the caller decoded it
+    /// from a frame and checked its length against the `blocks` map.
+    pub fn resume(
+        params: BlockParams,
+        full: Vec<BlockEntry>,
+        mut tail: Vec<u8>,
+        tail_first_time: Time,
+    ) -> Self {
+        let block_size = params.block_size as usize;
+        assert!(tail.len() < block_size, "a partial block is shorter than a block");
+        tail.reserve(block_size - tail.len());
+        BlockWriter {
+            params,
+            cur_first: (!tail.is_empty()).then_some(tail_first_time),
+            logical_len: (full.len() * block_size + tail.len()) as u64,
+            buf: tail,
+            entries: full,
+        }
+    }
+
     /// Append one message payload; a frame is appended to `out` for every
     /// block it fills. Messages may span block boundaries.
     pub fn push(&mut self, time: Time, payload: &[u8], out: &mut Vec<u8>, ctx: &mut IoCtx) {
-        if self.cur_first.is_none() {
+        // An empty payload owns no byte: it must not claim the block that
+        // the next non-empty message opens.
+        if self.cur_first.is_none() && !payload.is_empty() {
             self.cur_first = Some(time);
         }
         self.buf.extend_from_slice(payload);
@@ -382,8 +428,7 @@ impl BlockWriter {
 }
 
 /// Read a whole block-framed `data` file back to logical bytes by
-/// scanning its self-describing frames (no map needed — the ingest
-/// compactor uses this on old generations).
+/// scanning its self-describing frames (no map needed).
 pub fn decode_frames(data: &[u8], path: &str, ctx: &mut IoCtx) -> BoraResult<Vec<u8>> {
     let mut out = Vec::with_capacity(data.len());
     let mut pos = 0usize;

@@ -85,6 +85,26 @@ impl Manifest {
         Ok(())
     }
 
+    /// Read the whole of the file at root-relative `rel_path` of the
+    /// container at `root` and [`Manifest::verify`] it — for a caller
+    /// that will commit the bytes again under a new MANIFEST, so a path
+    /// this one does not list is [`BoraError::Corrupt`]: bytes without a
+    /// commit record must not acquire one by being copied.
+    pub fn read_committed<S: Storage>(
+        &self,
+        storage: &S,
+        root: &str,
+        rel_path: &str,
+        ctx: &mut IoCtx,
+    ) -> BoraResult<Vec<u8>> {
+        if self.entry(rel_path).is_none() {
+            return Err(BoraError::Corrupt(format!("{rel_path}: not listed in the MANIFEST")));
+        }
+        let bytes = storage.read_all(&format!("{}/{rel_path}", root.trim_end_matches('/')), ctx)?;
+        self.verify(rel_path, &bytes)?;
+        Ok(bytes)
+    }
+
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.put_u32(MANIFEST_MAGIC);

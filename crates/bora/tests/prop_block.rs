@@ -11,16 +11,21 @@
 //! * torn (truncated) frames fail typed too;
 //! * at container level, a corrupt block quarantines its topic: the
 //!   first read reports the mismatch, later reads get `TopicDamaged`,
-//!   sibling topics keep serving.
+//!   sibling topics keep serving;
+//! * a topic's files are a function of its message sequence, not of how
+//!   many sittings wrote them: `create → push prefix → finish`, then
+//!   `resume → push suffix → finish`, equals one sitting file for file.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use proptest::sample::select;
 
 use bora::block::{decode_frame, decode_frames, FRAME_HEADER_LEN};
-use bora::{BlockCodec, BlockMap, BlockParams, BlockWriter, BoraError};
+use bora::meta::TopicMeta;
+use bora::writer::ContainerWriter;
+use bora::{BlockCodec, BlockMap, BlockParams, BlockWriter, BoraError, Manifest, ManifestEntry};
 use ros_msgs::Time;
-use simfs::IoCtx;
+use simfs::{IoCtx, MemStorage, Storage};
 
 /// Payload mix an ingest shard actually sees: runs of repetitive bytes
 /// (compressible), short counters, and PRNG-ish noise (incompressible).
@@ -64,8 +69,129 @@ fn write_blocks(
     (frames, map, logical)
 }
 
+/// How one message of the sittings test is shaped, relative to the block
+/// size and to what the topic already holds.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    Empty,
+    Small(usize),
+    /// Ends exactly on the next block boundary.
+    ToBoundary,
+    /// A block and this much more.
+    OverABlock(usize),
+}
+
+fn arb_shapes() -> impl Strategy<Value = Vec<(Shape, u64)>> {
+    let shape = prop_oneof![
+        Just(Shape::Empty),
+        (1usize..40).prop_map(Shape::Small),
+        Just(Shape::ToBoundary),
+        (0usize..70).prop_map(Shape::OverABlock),
+    ];
+    // Time steps of 0 keep equal stamps in play.
+    vec((shape, 0u64..3), 0..20)
+}
+
+/// The messages `shapes` describe at `block_size`: compressible and
+/// incompressible stretches alternate.
+fn shaped_messages(shapes: &[(Shape, u64)], block_size: usize) -> Vec<(Time, Vec<u8>)> {
+    let (mut at, mut now, mut x) = (0usize, 0u64, 0x9E37_79B9u32);
+    shapes
+        .iter()
+        .enumerate()
+        .map(|(i, (shape, dt))| {
+            let len = match *shape {
+                Shape::Empty => 0,
+                Shape::Small(n) => n,
+                Shape::ToBoundary => block_size - at % block_size,
+                Shape::OverABlock(extra) => block_size + extra,
+            };
+            at += len;
+            now += dt;
+            let payload = (0..len)
+                .map(|j| {
+                    x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    if i % 2 == 0 {
+                        (j % 5) as u8
+                    } else {
+                        (x >> 24) as u8
+                    }
+                })
+                .collect();
+            (Time::from_nanos(now), payload)
+        })
+        .collect()
+}
+
+/// What `finish` reports about a topic.
+type Finished = (TopicMeta, Option<(Time, Time)>, Vec<ManifestEntry>);
+
+/// One sitting of the writer: a container at `root` holding `/t`, resumed
+/// from the committed container `from` when there is one.
+fn sitting(
+    fs: &MemStorage,
+    root: &str,
+    block: Option<BlockParams>,
+    flush_at: usize,
+    from: Option<&str>,
+    msgs: &[(Time, Vec<u8>)],
+) -> Finished {
+    let ctx = &mut IoCtx::new();
+    let meta = TopicMeta { topic: "/t".into(), datatype: "x/T".into(), ..TopicMeta::default() };
+    let c = ContainerWriter::begin(fs, root, block, 4, flush_at, ctx).unwrap();
+    let mut w = match from {
+        Some(old) => {
+            let manifest = Manifest::load(fs, old, ctx).unwrap().unwrap();
+            c.resume_topic(fs, meta, (old, &manifest), ctx).unwrap()
+        }
+        None => c.topic(fs, meta, ctx).unwrap(),
+    };
+    for (time, payload) in msgs {
+        w.push(fs, *time, payload, ctx).unwrap();
+    }
+    let done = w.finish(fs, ctx).unwrap();
+    let reported = (done.meta.clone(), done.span, done.files.clone());
+    c.commit(fs, vec![done], 0, None, ctx).unwrap();
+    reported
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn resume_then_finish_equals_one_sitting(
+        shapes in arb_shapes(),
+        split in 0usize..64,
+        block in select(vec![
+            None,
+            Some(BlockParams { codec: BlockCodec::None, block_size: 16 }),
+            Some(BlockParams { codec: BlockCodec::Lzss, block_size: 16 }),
+            Some(BlockParams { codec: BlockCodec::None, block_size: 100 }),
+            Some(BlockParams { codec: BlockCodec::Lzss, block_size: 257 }),
+            Some(BlockParams { codec: BlockCodec::Lzss, block_size: 4096 }),
+        ]),
+        flush_at in select(vec![1usize, 300, usize::MAX]),
+    ) {
+        let msgs = shaped_messages(&shapes, block.map_or(64, |b| b.block_size as usize));
+        let split = split % (msgs.len() + 1);
+        let fs = MemStorage::new();
+        sitting(&fs, "/first", block, flush_at, None, &msgs[..split]);
+        let resumed = sitting(&fs, "/second", block, flush_at, Some("/first"), &msgs[split..]);
+        let whole = sitting(&fs, "/whole", block, flush_at, None, &msgs);
+
+        prop_assert_eq!(&resumed, &whole);
+        let ctx = &mut IoCtx::new();
+        let (a, b) = (
+            Manifest::load(&fs, "/second", ctx).unwrap().unwrap(),
+            Manifest::load(&fs, "/whole", ctx).unwrap().unwrap(),
+        );
+        prop_assert_eq!(&a, &b);
+        for e in a.entries() {
+            let second = fs.read_all(&format!("/second/{}", e.path), ctx).unwrap();
+            let whole = fs.read_all(&format!("/whole/{}", e.path), ctx).unwrap();
+            prop_assert!(second == whole, "{} differs", e.path);
+        }
+    }
 
     #[test]
     fn roundtrip_is_byte_identical(

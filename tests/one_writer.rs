@@ -6,7 +6,9 @@
 //!
 //! * **Differential**: the same per-topic message stream (the tiny `hs`
 //!   bag, all seven topics) through every producer that supports the
-//!   format yields byte-identical `data` / `index` / `tindex` / `blocks`.
+//!   format yields byte-identical `data` / `index` / `tindex` / `blocks`
+//!   — through the compactor in one round, and in five that each resume
+//!   the generation before.
 //! * **Golden**: the MANIFEST-order digest of `duplicate`'s output and of
 //!   generation 1 of a create → seal → compact run, and the number of
 //!   mutating storage ops each run issues, are pinned to the values the
@@ -207,21 +209,34 @@ fn assert_producers_agree(block: Option<BlockParams>) {
         assert_same_topic_files(&fs, "/org", "/rec", "recorder");
     }
 
-    // The compactor: one round, and two (the second carries generation 1
-    // over through the old-generation read path).
+    // The compactor: one round, and five — every later round resumes the
+    // generation before it. `/imu` first appears in round 3, round 4 has
+    // nothing new on the colour images, and each topic's messages keep
+    // their order, which is all the organizer's container depends on.
     let gen1 = ingest_one_round(&fs, "/live1", block, &msgs);
     assert_same_topic_files(&fs, "/org", &gen1, "compactor, one round");
-    let st = IngestStore::create(&fs, "/live2", ingest_cfg(block), ctx).unwrap();
-    for half in msgs.chunks(msgs.len() / 2 + 1) {
-        for m in half {
+    const ROUNDS: usize = 5;
+    let mut rounds: [Vec<&MessageRecord>; ROUNDS] = Default::default();
+    for (i, m) in msgs.iter().enumerate() {
+        let round = match (m.topic.as_str(), i * ROUNDS / msgs.len()) {
+            ("/imu", 0 | 1) => 2,
+            ("/camera/rgb/image_color", 3) => 4,
+            (_, round) => round,
+        };
+        rounds[round].push(m);
+    }
+    let st = IngestStore::create(&fs, "/live5", ingest_cfg(block), ctx).unwrap();
+    for (round, msgs) in rounds.iter().enumerate() {
+        assert!(msgs.iter().any(|m| m.topic == "/imu") == (round >= 2), "round {round}");
+        assert!(msgs.iter().any(|m| m.topic == "/camera/rgb/image_color") == (round != 3));
+        for m in msgs {
             st.append(&m.topic, m.time, &m.data, ctx).unwrap();
         }
         st.seal(ctx).unwrap();
-        st.compact(ctx).unwrap();
+        assert_eq!(st.compact(ctx).unwrap(), round as u64 + 1);
     }
-    let gen2 = st.snapshot(ctx).unwrap().container_root().to_owned();
-    assert!(gen2.ends_with("C00000002"), "{gen2}");
-    assert_same_topic_files(&fs, "/org", &gen2, "compactor, two rounds");
+    let gen5 = st.snapshot(ctx).unwrap().container_root().to_owned();
+    assert_same_topic_files(&fs, "/org", &gen5, "compactor, five rounds");
 
     // `fsck`: damage every topic's `data` in a copy, rebuild from the bag.
     bora::organizer::copy_container(&fs, "/org", &fs, "/fixed", ctx).unwrap();
