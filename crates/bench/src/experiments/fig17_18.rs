@@ -87,17 +87,16 @@ fn run_representatives(
 ) -> (Vec<IoCtx>, u64) {
     let mut ctxs: Vec<IoCtx> =
         (0..reps.min(robots)).map(|_| IoCtx::with_concurrency(robots as u32)).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let f = &f;
         let mut handles = Vec::new();
         for (i, ctx) in ctxs.iter_mut().enumerate() {
-            handles.push(scope.spawn(move |_| f(i, ctx)));
+            handles.push(scope.spawn(move || f(i, ctx)));
         }
         for h in handles {
             h.join().expect("representative task panicked");
         }
-    })
-    .expect("scope");
+    });
     let makespan = ctxs.iter().map(|c| c.elapsed_ns()).max().unwrap_or(0);
     (ctxs, makespan)
 }

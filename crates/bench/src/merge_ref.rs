@@ -2,9 +2,9 @@
 //!
 //! `bora`'s one merge is the incremental heap merge inside
 //! `MessageStream`. These two stand-alone versions exist for measurement
-//! and differential testing only: `ext_stream` and `stream_benches` time
-//! the linear pick against the heap pick, and `tests/stream.rs` pins the
-//! streaming merge against both.
+//! and differential testing only: `ext_stream` charges the linear pick
+//! against the heap pick on the virtual clock, and `tests/stream.rs` pins
+//! the streaming merge against both.
 
 use ros_msgs::Time;
 use rosbag::reader::MessageRecord;
@@ -53,7 +53,7 @@ pub fn merge_streams_linear(
 
 /// Binary-heap k-way merge over already-materialized streams, with the
 /// same `(time, stream-position)` tie-break as `bora::MessageStream`. Used by
-/// the merge micro-benchmarks and differential tests; the streaming path
+/// `ext_stream` and differential tests; the streaming path
 /// performs the identical merge incrementally over cursors.
 pub fn merge_streams_heap(streams: Vec<Vec<MessageRecord>>, ctx: &mut IoCtx) -> Vec<MessageRecord> {
     let k = streams.iter().filter(|s| !s.is_empty()).count();

@@ -470,10 +470,10 @@ mod tests {
         let pool = BufferPool::with_page_size(8 * 512, 128);
         let readers = 4usize;
         let per_reader = 400usize;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for r in 0..readers {
                 let pool = Arc::clone(&pool);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..per_reader {
                         let key = ((r * per_reader + i) % 23) as u64;
                         let tag = (key as u8) + 1;
@@ -487,14 +487,13 @@ mod tests {
                 });
             }
             let pool2 = Arc::clone(&pool);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..50 {
                     pool2.invalidate_prefix("/t");
                     std::thread::yield_now();
                 }
             });
-        })
-        .unwrap();
+        });
         let s = pool.stats();
         assert_eq!(s.hits + s.misses, (readers * per_reader) as u64, "lookup accounting drifted");
         assert!(s.resident_bytes <= pool.budget_bytes());

@@ -70,11 +70,10 @@ impl Crc32c {
     }
 
     /// [`Crc32c::update`] on the table-driven path whatever the CPU
-    /// offers: the reference for differential tests and the `slice8`
-    /// bench row, so it stays exercised on hosts that have the
-    /// instruction.
-    #[doc(hidden)]
-    pub fn update_slice8(&mut self, bytes: &[u8]) {
+    /// offers, so the differential tests exercise it on hosts that have
+    /// the instruction.
+    #[cfg(test)]
+    fn update_slice8(&mut self, bytes: &[u8]) {
         self.state = update_slice8(self.state, bytes);
     }
 
@@ -136,10 +135,10 @@ fn update_hw(_crc: u32, _bytes: &[u8]) -> Option<u32> {
     None
 }
 
-/// Reference byte-at-a-time update, kept for differential tests and the
-/// `bench` crate's micro-benchmark against the faster paths.
-#[doc(hidden)]
-pub fn crc32c_bitwise_reference(bytes: &[u8]) -> u32 {
+/// Reference byte-at-a-time update the differential tests hold the
+/// faster paths to.
+#[cfg(test)]
+fn crc32c_bitwise_reference(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
         crc ^= b as u32;

@@ -107,16 +107,6 @@ pub(crate) enum DataSource {
     Blocked { map: Arc<BlockMap> },
 }
 
-impl DataSource {
-    /// Total logical bytes the source exposes, when it tracks them.
-    pub(crate) fn logical_len(&self) -> Option<u64> {
-        match self {
-            DataSource::RawDirect => None,
-            DataSource::Blocked { map } => Some(map.logical_len),
-        }
-    }
-}
-
 impl<S: Storage> BoraBag<S> {
     /// BORA-assisted open (Fig. 4b): build the tag hash table from the
     /// directory listing and load the container metadata.
@@ -359,7 +349,9 @@ impl<S: Storage> BoraBag<S> {
     }
 
     /// Fetch logical range `[start, start+len)` of a topic's data file
-    /// through `src`. Pool hits cost no storage I/O and no decode.
+    /// through `src`: a v1 file by one direct `read_at` (the one place
+    /// that keeps it out of the pool — see [`DataSource`]), a block-framed
+    /// one page by page, where pool hits cost no storage I/O and no decode.
     pub(crate) fn fetch_logical(
         &self,
         paths: &TopicPaths,
@@ -368,25 +360,23 @@ impl<S: Storage> BoraBag<S> {
         len: usize,
         ctx: &mut IoCtx,
     ) -> BoraResult<Vec<u8>> {
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let page_size = match src {
+        let map = match src {
             DataSource::RawDirect => {
                 return Ok(self.storage.read_at(&paths.data, start, len, ctx)?)
             }
-            DataSource::Blocked { map } => map.block_size as u64,
+            DataSource::Blocked { map } => map,
         };
+        if len == 0 {
+            return Ok(Vec::new());
+        }
+        let page_size = map.block_size as u64;
         let mut out = Vec::with_capacity(len);
         let end = start + len as u64;
         let mut off = start;
         while off < end {
             let page = off / page_size;
             let page_start = page * page_size;
-            let bytes = match src {
-                DataSource::Blocked { map } => self.block_page(paths, map, page as usize, ctx)?,
-                DataSource::RawDirect => unreachable!(),
-            };
+            let bytes = self.block_page(paths, map, page as usize, ctx)?;
             let lo = (off - page_start) as usize;
             let hi = ((end - page_start) as usize).min(bytes.len());
             if hi <= lo {
@@ -460,14 +450,13 @@ impl<S: Storage> BoraBag<S> {
         let src = self.data_source(topic, &paths, ctx)?;
         let data = match &src {
             DataSource::RawDirect => self.verified_read_all(&paths.data, Some(topic), ctx)?,
-            _ => {
-                let total = src.logical_len().unwrap_or(0);
-                self.fetch_logical(&paths, &src, 0, total as usize, ctx).inspect_err(|e| {
+            DataSource::Blocked { map } => self
+                .fetch_logical(&paths, &src, 0, map.logical_len as usize, ctx)
+                .inspect_err(|e| {
                     if let BoraError::ChecksumMismatch { .. } = e {
                         self.quarantine(topic);
                     }
-                })?
-            }
+                })?,
         };
         Ok((index, data))
     }

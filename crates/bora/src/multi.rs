@@ -94,19 +94,18 @@ pub fn swarm_fan_out<B: SwarmBackend>(
     let n = roots.len();
     let mut slots: Vec<BoraResult<(Vec<MessageRecord>, u64)>> =
         (0..n).map(|_| Ok((Vec::new(), 0))).collect();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
         for (i, slot) in slots.iter_mut().enumerate() {
             let root = &roots[i];
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 *slot = backend.query_robot(root, spec, n as u32);
             }));
         }
         for h in handles {
             h.join().expect("swarm worker panicked");
         }
-    })
-    .expect("swarm scope failed");
+    });
 
     let mut per_robot = Vec::with_capacity(n);
     let mut makespan = 0u64;

@@ -44,6 +44,9 @@ use crate::meta::TopicMeta;
 use crate::time_index::DEFAULT_WINDOW_NS;
 use crate::writer::{ContainerWriter, FinishedTopic, TopicWriter};
 
+/// Bounded channel capacity between the scanner and each distributor.
+const CHANNEL_CAPACITY: usize = 256;
+
 /// Tuning knobs for the organizer.
 #[derive(Debug, Clone, Copy)]
 pub struct OrganizerOptions {
@@ -51,8 +54,6 @@ pub struct OrganizerOptions {
     pub distributor_threads: usize,
     /// Coarse time-index window width.
     pub window_ns: u64,
-    /// Bounded channel capacity between scanner and each distributor.
-    pub channel_capacity: usize,
     /// Per-topic write-buffer size: payloads are batched into appends of
     /// this size so the one-time capture stays within the paper's
     /// 10-51% overhead band instead of paying a device op per message.
@@ -68,7 +69,6 @@ impl Default for OrganizerOptions {
         OrganizerOptions {
             distributor_threads: 4,
             window_ns: DEFAULT_WINDOW_NS,
-            channel_capacity: 256,
             write_buffer: 1024 * 1024,
             block: None,
         }
@@ -185,15 +185,15 @@ pub fn duplicate<SS: Storage, DS: Storage>(
     let mut senders: Vec<channel::Sender<(u32, Time, Vec<u8>)>> = Vec::with_capacity(n_threads);
     let mut receivers = Vec::with_capacity(n_threads);
     for _ in 0..n_threads {
-        let (tx, rx) = channel::bounded(opts.channel_capacity);
+        let (tx, rx) = channel::bounded(CHANNEL_CAPACITY);
         senders.push(tx);
         receivers.push(rx);
     }
 
-    let (mut dist_results, scan_ctx) = crossbeam::thread::scope(|scope| -> BoraResult<_> {
+    let (mut dist_results, scan_ctx) = std::thread::scope(|scope| -> BoraResult<_> {
         let mut handles = Vec::with_capacity(n_threads);
         for (mut writers, rx) in shard_writers.into_iter().zip(receivers) {
-            handles.push(scope.spawn(move |_| -> BoraResult<DistributorResult> {
+            handles.push(scope.spawn(move || -> BoraResult<DistributorResult> {
                 // Each distributor's clock runs uncontended; the caller
                 // serializes their device time below (one device services
                 // the total byte volume no matter how many threads feed it).
@@ -257,8 +257,7 @@ pub fn duplicate<SS: Storage, DS: Storage>(
             return Err(e);
         }
         Ok((results, scan_ctx))
-    })
-    .expect("organizer scope failed")?;
+    })?;
 
     // Metadata lists topics in the bag's connection order.
     let mut finished: HashMap<u32, FinishedTopic> =

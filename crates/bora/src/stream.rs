@@ -234,12 +234,7 @@ impl TopicCursor {
                 end_idx = self.fetched + 1;
             }
             let len = (run_end - run_start) as usize;
-            let bytes = match &self.src {
-                DataSource::RawDirect => {
-                    bag.storage.read_at(&self.paths.data, run_start, len, &mut self.ctx)?
-                }
-                src => bag.fetch_logical(&self.paths, src, run_start, len, &mut self.ctx)?,
-            };
+            let bytes = bag.fetch_logical(&self.paths, &self.src, run_start, len, &mut self.ctx)?;
             if let Some((crc, expected_len, expected_crc, rel)) = self.verify.as_mut() {
                 crc.update(&bytes);
                 if end_idx == self.entries.len() {
@@ -466,9 +461,9 @@ impl<'a, S: Storage> MessageStream<'a, S> {
                 .map(|(_, c)| c)
                 .collect();
             let per = selected.len().div_ceil(pool);
-            crossbeam::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for chunk in selected.chunks_mut(per) {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         for c in chunk.iter_mut() {
                             if let Err(e) = prepare_and_fill(bag, c, range, readahead, prepare) {
                                 c.failed = Some(e);
@@ -477,8 +472,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
                         }
                     });
                 }
-            })
-            .expect("prefetch pool panicked");
+            });
         }
         // Cost of this pass = the slowest thread's share: cursors were
         // split over the pool in `per`-sized runs, so group the per-lane

@@ -132,7 +132,10 @@ impl<T> Clone for Sender<T> {
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
         if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Last sender gone: wake all blocked receivers.
+            // Last sender gone: wake all blocked receivers. Under the
+            // queue lock, or a receiver that read "senders remain" and
+            // has not begun to wait yet would sleep through this.
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             self.shared.not_empty.notify_all();
         }
     }
@@ -148,7 +151,9 @@ impl<T> Clone for Receiver<T> {
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         if self.shared.receivers.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Last receiver gone: wake all blocked senders.
+            // Last receiver gone: wake all blocked senders (under the
+            // lock, for the same reason).
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             self.shared.not_full.notify_all();
         }
     }
@@ -374,6 +379,39 @@ mod tests {
         });
         let expect: u64 = (0..100).sum::<u64>() + (0..100).map(|i| 1000 + i).sum::<u64>();
         assert_eq!(total, expect);
+    }
+
+    /// A receiver that has seen "senders remain" and is about to wait must
+    /// not miss the last sender's goodbye (nor a blocked sender the last
+    /// receiver's): a miss parks the thread forever, so each round is
+    /// given a deadline instead of a join. Both sides start off one flag,
+    /// which lands the hang-up inside the other's check-then-wait within
+    /// a few hundred rounds when the notify is not under the lock.
+    #[test]
+    fn a_disconnect_is_never_missed_by_a_thread_about_to_wait() {
+        use std::sync::atomic::AtomicBool;
+        type Side<R> = Box<dyn FnOnce() -> R + Send>;
+        for round in 0..20_000 {
+            let (tx, rx) = bounded::<u8>(1);
+            let (blocks, hang_up): (Side<bool>, Side<()>) = if round % 2 == 0 {
+                (Box::new(move || rx.recv().is_err()), Box::new(move || drop(tx)))
+            } else {
+                tx.send(0).unwrap();
+                (Box::new(move || tx.send(1).is_err()), Box::new(move || drop(rx)))
+            };
+            let started = Arc::new(AtomicBool::new(false));
+            let (flag, (done_tx, done_rx)) = (Arc::clone(&started), std::sync::mpsc::channel());
+            std::thread::spawn(move || {
+                flag.store(true, Ordering::SeqCst);
+                done_tx.send(blocks())
+            });
+            while !started.load(Ordering::SeqCst) {
+                std::hint::spin_loop();
+            }
+            hang_up();
+            let saw_disconnect = done_rx.recv_timeout(Duration::from_secs(10));
+            assert_eq!(saw_disconnect, Ok(true), "round {round}: a blocked thread was never woken");
+        }
     }
 
     #[test]

@@ -49,19 +49,18 @@ where
     let mut ctxs: Vec<IoCtx> =
         (0..n_tasks).map(|_| IoCtx::with_concurrency(n_tasks as u32)).collect();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let f = &f;
         let mut handles = Vec::with_capacity(n_tasks);
         for (i, ctx) in ctxs.iter_mut().enumerate() {
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 f(i, ctx);
             }));
         }
         for h in handles {
             h.join().expect("parallel task panicked");
         }
-    })
-    .expect("scope failed");
+    });
 
     ParallelOutcome { tasks: ctxs }
 }
