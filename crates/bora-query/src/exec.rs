@@ -13,9 +13,10 @@
 //! `topic` / `size`, or — once per scan topic — to an [`Accessor`] that
 //! reads the field where it lies in the payload, or to a constant `Null`.
 //! A scanned row is then a `Msg` view — `(time_ns, &topic, &payload)` —
-//! of the message the feed just pulled: nothing is decoded, and nothing
-//! is allocated unless a string is read. Only a join keeps messages,
-//! shared and owned, in its buffers.
+//! of the message the stream lends (`MessageStream::lend`), evaluated
+//! where it lies in its page: nothing is decoded, cloned or moved, and
+//! nothing is allocated unless a string is read. Only a join keeps
+//! messages, shared and owned, in its buffers.
 //!
 //! [`run_naive`] is the oracle: a deliberately simple interpretation of
 //! the *statement* (no optimizer, no streaming, no accessors — it reads a
@@ -63,14 +64,15 @@ struct Msg<'m> {
     lane: usize,
 }
 
-/// A message the cursor owns: the one its feed last pulled, or one a join
+/// A message the cursor owns: a record its feed yielded, or one a join
 /// buffer shares between the pairs it is part of.
 struct Held {
     lane: usize,
     src: Pulled,
 }
 
-/// What a feed yields: a shared slice of a stream's block, or a record.
+/// What a feed yields to keep: a shared slice of a stream's block, or a
+/// record.
 enum Pulled {
     Stream(StreamMessage),
     Record(MessageRecord),
@@ -461,27 +463,41 @@ enum Feed<'a, S: Storage> {
 }
 
 impl<S: Storage> Feed<'_, S> {
-    /// Pull the next message into `slot` (in place: a message is moved
-    /// once), counted, its lane its topic's place among the scan `topics`;
-    /// `None` at the end.
-    fn pull(
-        &mut self,
+    /// Pull the next message to keep (a join buffers it); `None` at the
+    /// end. `lanes` is the scan lane of each stream lane: the stream says
+    /// which of its topics a message is on, a record only its name.
+    fn pull(&mut self, topics: &[String], lanes: &[usize]) -> QueryResult<Option<Held>> {
+        Ok(match self {
+            Feed::Bag { stream, ctx, .. } => stream
+                .lend(ctx)?
+                .map(|m| Held { lane: lanes[m.lane], src: Pulled::Stream(m.own()) }),
+            Feed::Records(it) => it.next().map(|r| Held {
+                lane: topics.iter().position(|t| *t == r.topic).unwrap_or(usize::MAX),
+                src: Pulled::Record(r),
+            }),
+        })
+    }
+
+    /// Borrow the next message: what the stream lends, where it lies, or
+    /// a view of the record just moved into `slot`.
+    fn lend<'s>(
+        &'s mut self,
         topics: &[String],
-        stats: &mut ExecStats,
-        slot: &mut Option<Held>,
-    ) -> QueryResult<()> {
-        let src = match self {
-            Feed::Bag { stream, ctx, .. } => stream.next_msg(ctx)?.map(Pulled::Stream),
-            Feed::Records(it) => it.next().map(Pulled::Record),
-        };
-        *slot = src.map(|src| Held { lane: usize::MAX, src });
-        if let Some(held) = slot {
-            let m = held.view();
-            stats.scanned += 1;
-            stats.scan_bytes += m.payload.len() as u64;
-            held.lane = topics.iter().position(|t| t == m.topic).unwrap_or(usize::MAX);
+        lanes: &[usize],
+        slot: &'s mut Option<Held>,
+    ) -> QueryResult<Option<Msg<'s>>> {
+        match self {
+            Feed::Bag { stream, ctx, .. } => Ok(stream.lend(ctx)?.map(|m| Msg {
+                time_ns: m.time.as_nanos(),
+                topic: m.topic,
+                payload: m.payload,
+                lane: lanes[m.lane],
+            })),
+            Feed::Records(_) => {
+                *slot = self.pull(topics, lanes)?;
+                Ok(slot.as_ref().map(Held::view))
+            }
         }
-        Ok(())
     }
 
     fn virt_elapsed(&mut self) -> u64 {
@@ -546,7 +562,11 @@ pub struct Cursor<'a, S: Storage> {
     /// The plan's expressions, bound to the source's datatypes.
     exprs: Exprs<Bound>,
     feed: Feed<'a, S>,
-    /// The message last pulled; a non-join row is a view of it.
+    /// The scan lane of each of the feed's stream lanes (a stream runs
+    /// over the scan topics its source has).
+    lanes: Vec<usize>,
+    /// The record last pulled; a non-join row over records is a view of
+    /// it (a stream's row is a view of what the stream lends).
     cur: Option<Held>,
     join: Option<JoinState<Rc<Held>>>,
     /// The pair last popped; a join row is a view of it.
@@ -578,7 +598,16 @@ impl<'a, S: Storage> Cursor<'a, S> {
         let exprs = Exprs::lower(&plan, |parts| {
             Bound(lanes.iter().map(|dt| Accessor::bind(dt.as_ref()?, parts)).collect())
         });
+        let topics = &plan.scan.topics;
+        let lanes = match &feed {
+            Feed::Bag { stream, .. } => stream
+                .topics()
+                .map(|t| topics.iter().position(|p| p == t).unwrap_or(usize::MAX))
+                .collect(),
+            Feed::Records(_) => Vec::new(),
+        };
         Ok(Cursor {
+            lanes,
             join: plan.join.as_ref().map(JoinState::new),
             plan,
             exprs,
@@ -674,23 +703,28 @@ impl<'a, S: Storage> Cursor<'a, S> {
         &mut self,
         f: impl FnOnce(&Exprs<Bound>, &InRow<'_>) -> R,
     ) -> QueryResult<Option<R>> {
+        let topics = &self.plan.scan.topics;
         loop {
-            if let Some(join) = &mut self.join {
+            let row = if let Some(join) = &mut self.join {
                 self.pair = join.pairs.pop_front();
-                if self.pair.is_none() {
-                    self.feed.pull(&self.plan.scan.topics, &mut self.stats, &mut self.cur)?;
-                    let Some(m) = self.cur.take().map(Rc::new) else { return Ok(None) };
-                    join.push(&m.view(), Rc::clone(&m));
+                let Some((l, r)) = &self.pair else {
+                    let Some(m) = self.feed.pull(topics, &self.lanes)? else { return Ok(None) };
+                    let m = Rc::new(m);
+                    let view = m.view();
+                    self.stats.scanned += 1;
+                    self.stats.scan_bytes += view.payload.len() as u64;
+                    join.push(&view, Rc::clone(&m));
                     continue;
-                }
+                };
                 self.stats.joined += 1;
+                InRow::Pair(l.view(), r.view())
             } else {
-                self.feed.pull(&self.plan.scan.topics, &mut self.stats, &mut self.cur)?;
-            }
-            let row = match (&self.pair, &self.cur) {
-                (Some((l, r)), _) => InRow::Pair(l.view(), r.view()),
-                (None, Some(m)) => InRow::Single(m.view()),
-                (None, None) => return Ok(None),
+                let Some(m) = self.feed.lend(topics, &self.lanes, &mut self.cur)? else {
+                    return Ok(None);
+                };
+                self.stats.scanned += 1;
+                self.stats.scan_bytes += m.payload.len() as u64;
+                InRow::Single(m)
             };
             // The pushed predicate is the whole filter of a non-join
             // plan, moved to the scan; its drops are counted apart.

@@ -721,12 +721,13 @@ fn handle<S: Storage + Clone>(
             }
             Request::Read { container, topics, range } => {
                 let source = Source::open(shared, container, ctx)?;
-                let stream = source.stream(&strs(topics), *range, ctx)?;
+                let mut stream = source.stream(&strs(topics), *range, ctx)?;
+                // One reply holds every message, so each is materialised
+                // from the lent view as it passes; nothing is kept.
                 let mut messages = Vec::with_capacity(stream.remaining() as usize);
-                scan(stream, ctx, &mut |batch, _| {
-                    messages.extend(batch.drain(..).map(|m| WireMessage::from(m.to_record())));
-                    true
-                })?;
+                while let Some(m) = stream.lend(ctx)? {
+                    messages.push(WireMessage::from(m.to_record()));
+                }
                 Response::Read(messages)
             }
             Request::ReadStream2 { container, topics, range } => {

@@ -100,6 +100,17 @@ pub struct BufferPool {
     misses: AtomicU64,
     evictions: AtomicU64,
     bypasses: AtomicU64,
+    /// The process-wide metrics, resolved once: a lookup by name is a
+    /// global lock, a `String` and a hash, and a hit is a map lookup.
+    obs: PoolMetrics,
+}
+
+struct PoolMetrics {
+    hit: bora_obs::Counter,
+    miss: bora_obs::Counter,
+    evict: bora_obs::Counter,
+    bypass: bora_obs::Counter,
+    resident_bytes: bora_obs::Gauge,
 }
 
 impl BufferPool {
@@ -119,6 +130,13 @@ impl BufferPool {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
+            obs: PoolMetrics {
+                hit: bora_obs::counter("pool.hit"),
+                miss: bora_obs::counter("pool.miss"),
+                evict: bora_obs::counter("pool.evict"),
+                bypass: bora_obs::counter("pool.bypass"),
+                resident_bytes: bora_obs::gauge("pool.resident_bytes"),
+            },
         })
     }
 
@@ -176,14 +194,14 @@ impl BufferPool {
                     data: Arc::clone(&f.data),
                 };
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                bora_obs::counter("pool.hit").inc();
+                self.obs.hit.inc();
                 return Ok((page, true));
             }
         }
         // Miss: do the I/O (and any decode) unlocked, then insert.
         let bytes: Arc<[u8]> = Arc::from(fill()?);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        bora_obs::counter("pool.miss").inc();
+        self.obs.miss.inc();
         let mut shard = self.shards[si].lock();
         if let Some(&slot) = shard.map.get(&key) {
             // A racing fill landed first; serve its copy.
@@ -206,7 +224,7 @@ impl BufferPool {
             // it would overrun the budget no matter what gets evicted, so
             // serve it uncached — the budget stays a hard ceiling.
             self.bypasses.fetch_add(1, Ordering::Relaxed);
-            bora_obs::counter("pool.bypass").inc();
+            self.obs.bypass.inc();
             return Ok((
                 PageRef {
                     pool: Arc::clone(self),
@@ -222,7 +240,7 @@ impl BufferPool {
             // Every frame pinned: serve the bytes uncached rather than
             // blow the budget.
             self.bypasses.fetch_add(1, Ordering::Relaxed);
-            bora_obs::counter("pool.bypass").inc();
+            self.obs.bypass.inc();
             return Ok((
                 PageRef {
                     pool: Arc::clone(self),
@@ -235,7 +253,7 @@ impl BufferPool {
             ));
         }
         shard.resident_bytes += need;
-        bora_obs::gauge("pool.resident_bytes").add(need as i64);
+        self.obs.resident_bytes.add(need as i64);
         let slot = match shard.free.pop() {
             Some(s) => {
                 let epoch = shard.frames[s].epoch;
@@ -300,9 +318,9 @@ impl BufferPool {
             shard.map.remove(&key);
             shard.free.push(i);
             shard.resident_bytes -= freed;
-            bora_obs::gauge("pool.resident_bytes").add(-(freed as i64));
+            self.obs.resident_bytes.add(-(freed as i64));
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            bora_obs::counter("pool.evict").inc();
+            self.obs.evict.inc();
         }
         true
     }
@@ -325,9 +343,9 @@ impl BufferPool {
                     f.data = Arc::from(Vec::new());
                     shard.free.push(slot);
                     shard.resident_bytes -= freed;
-                    bora_obs::gauge("pool.resident_bytes").add(-(freed as i64));
+                    self.obs.resident_bytes.add(-(freed as i64));
                     self.evictions.fetch_add(1, Ordering::Relaxed);
-                    bora_obs::counter("pool.evict").inc();
+                    self.obs.evict.inc();
                 }
             }
         }
@@ -352,7 +370,7 @@ impl Drop for BufferPool {
     fn drop(&mut self) {
         let resident: u64 = self.shards.iter().map(|s| s.lock().resident_bytes).sum();
         if resident > 0 {
-            bora_obs::gauge("pool.resident_bytes").add(-(resident as i64));
+            self.obs.resident_bytes.add(-(resident as i64));
         }
     }
 }

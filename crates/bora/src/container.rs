@@ -28,7 +28,9 @@ use crate::meta::ContainerMeta;
 use crate::stream::{MessageStream, StreamOptions, TailMessage};
 use crate::tag::TagManager;
 use crate::time_index::TimeIndex;
-use crate::topic_index::{decode_entries, is_chronological, TopicIndexEntry};
+use crate::topic_index::{
+    decode_entries, is_chronological, slice_time_range, TopicIndexEntry, ENTRY_SIZE,
+};
 
 /// Per-message delivery cost through the ROS-Lib/FUSE front end.
 ///
@@ -93,6 +95,7 @@ impl<S: Clone> Clone for BoraBag<S> {
 
 /// How a topic's `data` file is physically read — resolved once per
 /// cursor/bulk read by [`BoraBag::data_source`].
+#[derive(Default)]
 pub(crate) enum DataSource {
     /// v1 file: direct `read_at`, exactly the pre-pool path. v1 data
     /// files are deliberately **never** pooled: their only integrity
@@ -101,6 +104,7 @@ pub(crate) enum DataSource {
     /// that check vacuously pass over memory while the medium rots.
     /// Block-framed files carry a per-frame CRC verified at every fill,
     /// so they pool safely.
+    #[default]
     RawDirect,
     /// Block-framed file: frames decode per block, through the pool when
     /// one is attached.
@@ -319,22 +323,26 @@ impl<S: Storage> BoraBag<S> {
     }
 
     /// One decoded page of a block-framed topic (logical block `page`),
-    /// through the pool when attached: on a pool hit no storage read and
-    /// no decompression runs at all.
-    fn block_page(
+    /// through the pool when attached: on a pool hit no storage read, no
+    /// decompression and no allocation runs at all.
+    pub(crate) fn block_page(
         &self,
         paths: &TopicPaths,
         map: &BlockMap,
         page: usize,
         ctx: &mut IoCtx,
     ) -> BoraResult<Arc<[u8]>> {
-        let e = map.entries[page];
-        let rel = rel_path(&self.root, &paths.data).unwrap_or(&paths.data).to_owned();
-        let storage = &self.storage;
-        let data_path = &paths.data;
-        let fill = move |ctx: &mut IoCtx| -> BoraResult<Vec<u8>> {
-            let frame = storage.read_at(data_path, e.phys_off, e.frame_len as usize, ctx)?;
-            let (logical, _) = decode_frame(&frame, &rel, ctx)?;
+        let Some(&e) = map.entries.get(page) else {
+            return Err(BoraError::Corrupt(format!(
+                "{}: page {page} of a block map of {}",
+                paths.data,
+                map.entries.len()
+            )));
+        };
+        let fill = |ctx: &mut IoCtx| -> BoraResult<Vec<u8>> {
+            let frame = self.storage.read_at(&paths.data, e.phys_off, e.frame_len as usize, ctx)?;
+            let rel = rel_path(&self.root, &paths.data).unwrap_or(&paths.data);
+            let (logical, _) = decode_frame(&frame, rel, ctx)?;
             // Every block decode is counted: `EXPLAIN ANALYZE` and the
             // pushdown experiments read the delta of this counter to
             // prove how many decodes a time-range restriction skipped.
@@ -348,27 +356,17 @@ impl<S: Storage> BoraBag<S> {
         }
     }
 
-    /// Fetch logical range `[start, start+len)` of a topic's data file
-    /// through `src`: a v1 file by one direct `read_at` (the one place
-    /// that keeps it out of the pool — see [`DataSource`]), a block-framed
-    /// one page by page, where pool hits cost no storage I/O and no decode.
-    pub(crate) fn fetch_logical(
+    /// Copy logical range `[start, start+len)` of a block-framed topic's
+    /// data out of its pages — the bulk read's path; a stream cursor
+    /// queues the pages themselves.
+    fn fetch_logical(
         &self,
         paths: &TopicPaths,
-        src: &DataSource,
+        map: &BlockMap,
         start: u64,
         len: usize,
         ctx: &mut IoCtx,
     ) -> BoraResult<Vec<u8>> {
-        let map = match src {
-            DataSource::RawDirect => {
-                return Ok(self.storage.read_at(&paths.data, start, len, ctx)?)
-            }
-            DataSource::Blocked { map } => map,
-        };
-        if len == 0 {
-            return Ok(Vec::new());
-        }
         let page_size = map.block_size as u64;
         let mut out = Vec::with_capacity(len);
         let end = start + len as u64;
@@ -416,22 +414,58 @@ impl<S: Storage> BoraBag<S> {
     pub fn load_index(&self, topic: &str, ctx: &mut IoCtx) -> BoraResult<Vec<TopicIndexEntry>> {
         self.check_not_damaged(topic)?;
         let paths = self.tags.lookup(topic, ctx)?.clone();
-        let bytes = self.verified_read_all(&paths.index, Some(topic), ctx)?;
-        let entries = decode_entries(&bytes)?;
-        ctx.charge_ns(entries.len() as u64 * cpu::INDEX_ENTRY_NS);
-        Ok(entries)
+        self.load_entries(topic, &paths, None, ctx)
     }
 
     /// Load one topic's coarse time index.
     pub fn load_time_index(&self, topic: &str, ctx: &mut IoCtx) -> BoraResult<TimeIndex> {
         self.check_not_damaged(topic)?;
+        let paths = self.tags.lookup(topic, ctx)?.clone();
+        self.time_index_at(topic, &paths, ctx)
+    }
+
+    fn time_index_at(
+        &self,
+        topic: &str,
+        paths: &TopicPaths,
+        ctx: &mut IoCtx,
+    ) -> BoraResult<TimeIndex> {
         let sp = bora_obs::span("bora.tindex.load");
         let v0 = ctx.elapsed_ns();
-        let paths = self.tags.lookup(topic, ctx)?.clone();
         let bytes = self.verified_read_all(&paths.tindex, Some(topic), ctx)?;
         let tindex = TimeIndex::decode(&bytes)?;
         sp.end_virt(ctx.elapsed_ns() - v0);
         Ok(tindex)
+    }
+
+    /// The index entries of `topic` a read needs: all of them (the whole,
+    /// verified `index` file), or those inside `range` — window arithmetic
+    /// on the coarse time index narrows the topic to a candidate entry
+    /// range, one contiguous read covers the candidates, and a fine
+    /// timestamp filter finishes the job.
+    pub(crate) fn load_entries(
+        &self,
+        topic: &str,
+        paths: &TopicPaths,
+        range: Option<(Time, Time)>,
+        ctx: &mut IoCtx,
+    ) -> BoraResult<Vec<TopicIndexEntry>> {
+        let Some((start, end)) = range else {
+            let entries =
+                decode_entries(&self.verified_read_all(&paths.index, Some(topic), ctx)?)?;
+            ctx.charge_ns(entries.len() as u64 * cpu::INDEX_ENTRY_NS);
+            return Ok(entries);
+        };
+        let tindex = self.time_index_at(topic, paths, ctx)?;
+        let Some((first, last)) = tindex.candidate_entries(start, end) else {
+            return Ok(Vec::new());
+        };
+        let count = (last - first) as usize;
+        let at = first as u64 * ENTRY_SIZE as u64;
+        let bytes = self.storage.read_at(&paths.index, at, count * ENTRY_SIZE, ctx)?;
+        let candidates = decode_entries(&bytes)?;
+        ctx.charge_ns(count as u64 * cpu::INDEX_ENTRY_NS);
+        Ok(slice_time_range(&candidates, start, end).to_vec())
     }
 
     /// Bulk-read one topic: the whole `data` file in one sequential read
@@ -447,11 +481,10 @@ impl<S: Storage> BoraBag<S> {
             let bytes = self.verified_read_all(&paths.index, Some(topic), ctx)?;
             decode_entries(&bytes)?
         };
-        let src = self.data_source(topic, &paths, ctx)?;
-        let data = match &src {
+        let data = match self.data_source(topic, &paths, ctx)? {
             DataSource::RawDirect => self.verified_read_all(&paths.data, Some(topic), ctx)?,
             DataSource::Blocked { map } => self
-                .fetch_logical(&paths, &src, 0, map.logical_len as usize, ctx)
+                .fetch_logical(&paths, &map, 0, map.logical_len as usize, ctx)
                 .inspect_err(|e| {
                     if let BoraError::ChecksumMismatch { .. } = e {
                         self.quarantine(topic);

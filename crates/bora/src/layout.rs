@@ -69,7 +69,7 @@ pub fn decode_topic(dir: &str) -> String {
 }
 
 /// Paths of one topic's files inside a container.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TopicPaths {
     pub dir: String,
     pub data: String,

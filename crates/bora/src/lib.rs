@@ -99,7 +99,7 @@ pub use meta::ContainerMeta;
 pub use multi::{swarm_fan_out, LocalBackend, SwarmBackend, SwarmQuery, SwarmResult, SwarmSpec};
 pub use organizer::{duplicate, OrganizeReport, OrganizerOptions};
 pub use recorder::{BoraRecorder, RecorderOptions};
-pub use stream::{MessageStream, StreamMessage, StreamOptions, StreamStats, TailMessage};
+pub use stream::{Lent, MessageStream, StreamMessage, StreamOptions, StreamStats, TailMessage};
 pub use tag::TagManager;
 pub use time_index::TimeIndex;
 pub use topic_index::TopicIndexEntry;

@@ -5,11 +5,18 @@
 //! file holds one test and nothing else, so that it runs in its own
 //! process and the global registry's lookup count
 //! ([`bora_obs::Registry::lookups`]) moves for this test's reads alone.
-//! It streams more than 10 000 small messages three ways — `next_msg`,
-//! `collect_records` (every message through `StreamMessage::to_record`)
-//! and a served `READ` — and requires the number of by-name lookups to
-//! be bounded by what happens per page, per fill and per request, never
-//! by the number of messages.
+//! It streams more than 10 000 small messages three ways — `next_msg`
+//! (and `lend` under it), `collect_records` (every message through
+//! `to_record`) and a served `READ` — and requires the number of by-name
+//! lookups to be bounded by what happens per fill and per request, never
+//! by the number of messages — nor, since the pool resolves its own
+//! counters when it is built, by the number of pages.
+//!
+//! Being alone in its process also makes the process-wide counters
+//! exact here: `stream.merge.heap_ops` counts heap operations that
+//! happened (none on a single lane), `stream.bytes_copied` stays put
+//! until something materialises, and `stream.bytes_stitched` is the
+//! payload bytes of the messages that straddle two pages.
 
 use std::sync::Arc;
 
@@ -35,17 +42,20 @@ fn lookups_by_name_do_not_grow_with_messages() {
     }
     w.close(&mut ctx).unwrap();
     // Block-framed, so the reads page through the pool like the served
-    // workloads do (one `pool.hit` / `pool.miss` lookup per 64 KiB page).
+    // workloads do.
     let opts = OrganizerOptions { block: Some(BlockParams::default()), ..Default::default() };
     bora::duplicate(&*fs, "/l.bag", &*fs, "/c", &opts, &mut ctx).unwrap();
 
     let registry = bora_obs::registry::global();
     let copied = bora_obs::counter("stream.bytes_copied");
     let heap_ops = bora_obs::counter("stream.merge.heap_ops");
-    let bag = BoraBag::open(Arc::clone(&fs), "/c", &mut ctx).unwrap();
+    let stitched = bora_obs::counter("stream.bytes_stitched");
+    let pool = bora::BufferPool::new(8 << 20);
+    let bag = BoraBag::open(Arc::clone(&fs), "/c", &mut ctx).unwrap().with_pool(pool);
 
-    // 1. The merge itself.
-    let (lookups0, heap0) = (registry.lookups(), heap_ops.get());
+    // 1. The merge itself, owned. The two topics alternate, so nearly
+    // every message displaces the lead: one heap operation each, no more.
+    let (lookups0, heap0, copied0) = (registry.lookups(), heap_ops.get(), copied.get());
     let mut stream = bag
         .stream_topics_with_tails(&TOPICS, Vec::new(), None, StreamOptions::default(), &mut ctx)
         .unwrap();
@@ -54,8 +64,30 @@ fn lookups_by_name_do_not_grow_with_messages() {
         n += 1;
     }
     assert_eq!(n, MESSAGES);
-    assert_eq!(heap_ops.get() - heap0, MESSAGES as u64, "heap ops are still counted per message");
+    let ops = heap_ops.get() - heap0;
+    assert_eq!(ops, stream.stats().heap_ops);
+    assert!(ops <= MESSAGES as u64 && ops > MESSAGES as u64 / 2, "{ops} heap ops");
     let next_msg = registry.lookups() - lookups0;
+
+    // The same merge lent, one lane: the lead is never challenged, the
+    // heap never touched. Nothing so far has copied a payload, except
+    // the ones that lie across a page boundary.
+    let (heap0, stitched0) = (heap_ops.get(), stitched.get());
+    let mut stream = bag.stream_topics(&TOPICS[..1], StreamOptions::default(), &mut ctx).unwrap();
+    let (mut n, mut straddlers, mut at) = (0u32, 0u64, 0u64);
+    while let Some(m) = stream.lend(&mut ctx).unwrap() {
+        let end = at + m.payload.len() as u64;
+        if at >> 16 != (end - 1) >> 16 {
+            straddlers += end - at;
+        }
+        (n, at) = (n + 1, end);
+    }
+    assert_eq!(n, MESSAGES / 2);
+    assert_eq!(heap_ops.get() - heap0, 0, "a single lane costs no heap operation");
+    assert!(straddlers > 0, "{at} bytes of /wind cross no 64 KiB boundary");
+    assert_eq!(stitched.get() - stitched0, straddlers);
+    assert_eq!(stream.stats().bytes_stitched, straddlers);
+    assert_eq!(copied.get(), copied0, "neither lend nor next_msg materialises");
 
     // 2. The materializing drain: every message through `to_record`.
     let (lookups0, copied0) = (registry.lookups(), copied.get());

@@ -6,12 +6,16 @@
 //! linear-scan merge — byte-for-byte, including the order of simultaneous
 //! timestamps — and the properties the materializing path never had:
 //! peak resident bytes bounded by the readahead window, and payload
-//! delivery without copies.
+//! delivery without copies. On block-framed containers the cursor queues
+//! pool pages and lends slices of them: lent, owned and materialised
+//! drains must agree for every page size from "every message straddles"
+//! to "none does", with live tails and time ranges, and the one copy left
+//! (a straddler's stitch) is counted exactly.
 
 use proptest::prelude::*;
 
 use bench::merge_ref::{merge_streams_heap, merge_streams_linear};
-use bora::{BoraBag, OrganizerOptions, StreamOptions};
+use bora::{BlockParams, BoraBag, OrganizerOptions, StreamOptions, TailMessage};
 use ros_msgs::sensor_msgs::Imu;
 use ros_msgs::{MessageDescriptor, RosMessage, Time};
 use rosbag::{BagWriter, BagWriterOptions};
@@ -35,6 +39,19 @@ fn arb_colliding_events() -> impl Strategy<Value = Vec<Event>> {
 }
 
 fn build_container(fs: &MemStorage, events: &[Event]) {
+    build_container_with(fs, events, None);
+}
+
+fn payload((_, ns, seed): Event) -> Vec<u8> {
+    let mut imu = Imu::default();
+    imu.header.seq = seed as u32;
+    imu.header.stamp = Time::from_nanos(ns);
+    imu.linear_acceleration.x = seed as f64;
+    imu.to_bytes()
+}
+
+/// [`build_container`], block-framed when `block` says so.
+fn build_container_with(fs: &MemStorage, events: &[Event], block: Option<BlockParams>) {
     let mut ctx = IoCtx::new();
     let mut w = BagWriter::create(
         fs,
@@ -45,16 +62,93 @@ fn build_container(fs: &MemStorage, events: &[Event]) {
     .unwrap();
     let desc = MessageDescriptor::of::<Imu>();
     let conns: Vec<u32> = TOPICS.iter().map(|t| w.add_connection(t, &desc)).collect();
-    for &(ti, ns, seed) in events {
-        let mut imu = Imu::default();
-        imu.header.seq = seed as u32;
-        imu.header.stamp = Time::from_nanos(ns);
-        imu.linear_acceleration.x = seed as f64;
-        w.write_message(conns[ti], Time::from_nanos(ns), &imu.to_bytes(), &mut ctx).unwrap();
+    for &e in events {
+        w.write_message(conns[e.0], Time::from_nanos(e.1), &payload(e), &mut ctx).unwrap();
     }
     w.close(&mut ctx).unwrap();
-    bora::organizer::duplicate(fs, "/p.bag", fs, "/c", &OrganizerOptions::default(), &mut ctx)
-        .unwrap();
+    let opts = OrganizerOptions { block, ..Default::default() };
+    bora::organizer::duplicate(fs, "/p.bag", fs, "/c", &opts, &mut ctx).unwrap();
+}
+
+/// One delivered message: (topic, time, payload).
+type Seen = (String, Time, Vec<u8>);
+
+/// What a stream over [`TOPICS`] of a container holding `stored` plus the
+/// live tails `live` must deliver within `range`, and how many payload
+/// bytes of it lie across a `page`-byte boundary of their `data` file:
+/// chronological, simultaneous timestamps in topic order, a topic's own
+/// messages in the order they were written.
+fn expected(
+    stored: &[Event],
+    live: &[Event],
+    range: Option<(Time, Time)>,
+    page: u64,
+) -> (Vec<Seen>, u64) {
+    let within = |ns: u64| {
+        let t = Time::from_nanos(ns);
+        range.is_none_or(|(start, end)| t >= start && t < end)
+    };
+    let mut offsets = [0u64; TOPICS.len()];
+    let mut straddling = 0;
+    for &e in stored {
+        let (at, len) = (offsets[e.0], payload(e).len() as u64);
+        offsets[e.0] += len;
+        if within(e.1) && at / page != (at + len - 1) / page {
+            straddling += len;
+        }
+    }
+    let mut all: Vec<Event> = stored.iter().chain(live).copied().filter(|e| within(e.1)).collect();
+    all.sort_by_key(|e| (e.1, e.0)); // stable: a topic's own order survives
+    let seen = all.iter().map(|&e| (TOPICS[e.0].to_owned(), Time::from_nanos(e.1), payload(e)));
+    (seen.collect(), straddling)
+}
+
+/// Drain a fresh stream three ways — lent, owned, materialised — holding
+/// each to `want`; returns the lent drain's stats.
+fn drain_three_ways(
+    bag: &BoraBag<&MemStorage>,
+    live: &[Event],
+    range: Option<(Time, Time)>,
+    opts: &StreamOptions,
+    want: &[Seen],
+) -> bora::StreamStats {
+    let mut ctx = IoCtx::new();
+    let open = |ctx: &mut IoCtx| {
+        let tail = |lane| {
+            let of_lane = live.iter().filter(move |e| e.0 == lane);
+            of_lane.map(|&e| TailMessage { time: Time::from_nanos(e.1), data: payload(e).into() })
+        };
+        let tails = (0..TOPICS.len()).map(|lane| tail(lane).collect()).collect();
+        bag.stream_topics_with_tails(&TOPICS, tails, range, opts.clone(), ctx).unwrap()
+    };
+
+    let mut stream = open(&mut ctx);
+    assert_eq!(stream.remaining() as usize, want.len());
+    let mut lent: Vec<Seen> = Vec::new();
+    while let Some(m) = stream.lend(&mut ctx).unwrap() {
+        assert_eq!(&**m.topic, TOPICS[m.lane], "the lane is the topic's place in the request");
+        lent.push((m.topic.to_string(), m.time, m.payload.to_vec()));
+        assert_eq!(stream.remaining() as usize, want.len() - lent.len());
+    }
+    assert_eq!(lent, want, "lent");
+    let stats = stream.stats();
+    assert_eq!(stats.delivered as usize, want.len());
+
+    let mut stream = open(&mut ctx);
+    let mut owned = Vec::new();
+    while let Some(m) = stream.next_msg(&mut ctx).unwrap() {
+        owned.push(m);
+        assert_eq!(stream.remaining() as usize, want.len() - owned.len());
+    }
+    // Kept across every later pull, and still the bytes they were.
+    let owned: Vec<Seen> =
+        owned.iter().map(|m| (m.topic.to_string(), m.time, m.payload().to_vec())).collect();
+    assert_eq!(owned, want, "owned");
+
+    let records = open(&mut ctx).collect_records(&mut ctx).unwrap();
+    let records: Vec<Seen> = records.into_iter().map(|r| (r.topic, r.time, r.data)).collect();
+    assert_eq!(records, want, "materialised");
+    stats
 }
 
 proptest! {
@@ -134,6 +228,91 @@ proptest! {
             prop_assert_eq!(&*m.topic, r.topic.as_str());
             prop_assert_eq!(m.time, r.time);
             prop_assert_eq!(m.payload(), r.data.as_slice());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Page-backed cursors and lent delivery: for every page size from
+    /// "every message straddles" to "none does", any readahead, any
+    /// prefetch pool, with or without a time range, with or without live
+    /// tails, the lent, the owned and the materialised drain are the
+    /// expected sequence — times, topics, payloads and tie order — and
+    /// `remaining()` is exact after every pull. The stitched bytes are
+    /// exactly the straddlers', and what the cursors hold stays within
+    /// the window plus the pages at its two ends.
+    #[test]
+    fn lent_owned_and_materialised_agree_on_block_framed_containers(
+        events in arb_colliding_events(),
+        block_size in prop::sample::select(vec![64u32, 256, 4096, 65536]),
+        readahead in 1024usize..16384,
+        threads in 1usize..5,
+        (ranged, a, b) in (any::<bool>(), 0u64..45_000_000_000, 0u64..45_000_000_000),
+        (tailed, live_from) in (any::<bool>(), 0usize..150),
+    ) {
+        let range = ranged.then(|| (Time::from_nanos(a.min(b)), Time::from_nanos(a.max(b))));
+        // The events from `live_from` on have not been compacted yet: the
+        // stream gets them as tails, newer than anything in the container.
+        let live_from = if tailed { live_from.min(events.len()) } else { events.len() };
+        let (stored, live) = events.split_at(live_from);
+        let fs = MemStorage::new();
+        let block = BlockParams { block_size, ..Default::default() };
+        build_container_with(&fs, stored, Some(block));
+        let mut ctx = IoCtx::new();
+        let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
+
+        let (want, straddling) = expected(stored, live, range, block_size as u64);
+        let opts = StreamOptions { readahead_bytes: readahead, prefetch_threads: threads };
+        let stats = drain_three_ways(&bag, live, range, &opts, &want);
+        prop_assert_eq!(stats.bytes_stitched, straddling);
+        // Per lane: a window, the run that may overshoot it by another
+        // (plus a message), and the partly used page at either end.
+        let message = payload(events[0]).len();
+        let per_lane = 2 * readahead + message + 2 * block_size as usize;
+        prop_assert!(
+            stats.peak_resident_bytes <= TOPICS.len() * per_lane,
+            "peak resident {} of {} per lane", stats.peak_resident_bytes, per_lane
+        );
+    }
+}
+
+/// The lane that won last keeps the lead without a heap operation while
+/// its next timestamp sorts before the runner-up's. Long runs from one
+/// lane, runs that end in a tie with every other lane and runs that start
+/// in one: the order is the one the heap alone would give, and the heap
+/// was in fact skipped.
+#[test]
+fn long_runs_and_cross_lane_ties_merge_in_heap_order() {
+    let mut events: Vec<Event> = Vec::new();
+    for round in 0..9u64 {
+        let t0 = round * 100;
+        // A run of 40 on one lane; every lane ties with its first and
+        // its last message, and lane 3 shadows every fifth one.
+        events.extend((0..40).map(|i| ((round % 3) as usize, t0 + i, i as u8)));
+        events.extend((0..4).flat_map(|lane| [(lane, t0, 0xAA), (lane, t0 + 39, 0xBB)]));
+        events.extend((0..40).step_by(5).map(|i| (3, t0 + i, 0xCC)));
+    }
+    for e in events.iter_mut() {
+        e.1 *= 1_000_000_000;
+    }
+    events.sort_by_key(|e| e.1);
+    for block in [None, Some(BlockParams { block_size: 4096, ..Default::default() })] {
+        let fs = MemStorage::new();
+        build_container_with(&fs, &events, block);
+        let mut ctx = IoCtx::new();
+        let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
+        let (want, _) = expected(&events, &[], None, u64::MAX);
+        for readahead in [2048, 1 << 20] {
+            let opts = StreamOptions { readahead_bytes: readahead, prefetch_threads: 2 };
+            let stats = drain_three_ways(&bag, &[], None, &opts, &want);
+            assert!(
+                stats.heap_ops * 2 < stats.delivered,
+                "{} heap operations for {} messages",
+                stats.heap_ops,
+                stats.delivered
+            );
         }
     }
 }

@@ -18,10 +18,20 @@
 //!    ledger at the repo root, one row per benchmark id, every row with
 //!    its rate.
 //! 5. *One audited `unsafe`*: `crates/bora/src/checksum.rs`.
+//! 6. *The read core lends*: in non-test `bora/src/stream.rs` the merge
+//!    heap is touched by `lend` (and `new`) alone and `next_msg` goes
+//!    through `lend`; a cursor does not copy pool pages (`fetch_logical`
+//!    is not called, and nothing between `DataSource::Blocked { map }`
+//!    and the page push builds an `Arc` from bytes); and the file has no
+//!    more code lines than before it lent.
 
 use std::path::Path;
 
 const CHECKSUM: &str = "crates/bora/src/checksum.rs";
+const STREAM: &str = "crates/bora/src/stream.rs";
+/// Code lines of `stream.rs` — non-blank, not a `//` comment, before
+/// `#[cfg(test)]` — at the commit before the read core lent (9928b0e).
+const STREAM_CODE_LINES: usize = 466;
 
 /// Where a source guard looks and what it refuses to find there.
 struct SourceGuard {
@@ -104,6 +114,47 @@ fn source_violations(path: &str, source: &str) -> Vec<String> {
     found
 }
 
+/// Guard 6 over the text of `stream.rs`.
+fn stream_violations(source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    let code = source.lines().enumerate().take_while(|(_, l)| !l.contains("#[cfg(test)]"));
+    let code: Vec<(usize, &str)> = code
+        .map(|(i, l)| (i + 1, l.trim()))
+        .filter(|(_, l)| !l.is_empty() && !l.starts_with("//"))
+        .collect();
+    let mut flag = |line: usize, what: &str| {
+        found.push(format!("the read core lends: {STREAM}:{line}: {what}"))
+    };
+    // The function a line is in: the last `fn` header at or above it.
+    let mut current = "";
+    let (mut next_msg_lends, mut page_arm) = (false, false);
+    for &(i, line) in &code {
+        let header = ["fn ", "pub fn ", "pub(crate) fn "].iter().find_map(|p| line.strip_prefix(p));
+        if let Some(header) = header {
+            current = header.split(['(', '<']).next().unwrap_or("");
+        }
+        if line.contains("self.heap") && !["lend", "new"].contains(&current) {
+            flag(i, "the merge heap is `lend`'s alone");
+        }
+        next_msg_lends |= current == "next_msg" && line.contains("self.lend(");
+        if line.contains("fetch_logical(") {
+            flag(i, "a cursor queues pages, it does not copy them out");
+        }
+        page_arm |= line.contains("DataSource::Blocked { map }");
+        if page_arm && line.contains("Arc::from(") {
+            flag(i, "a page is queued as the pool holds it");
+        }
+        page_arm &= !line.contains("blocks.push_back(");
+    }
+    if !next_msg_lends {
+        flag(0, "`next_msg` is `lend`, then own");
+    }
+    if code.len() > STREAM_CODE_LINES {
+        flag(0, &format!("{} code lines, {STREAM_CODE_LINES} before it lent", code.len()));
+    }
+    found
+}
+
 /// `"key":<number>` in a ledger row — a flat JSON object per line, as
 /// the criterion shim writes it.
 fn num(row: &str, key: &str) -> Option<f64> {
@@ -177,6 +228,7 @@ fn the_tree_holds_every_guard() {
         files += 1;
     });
     assert!(files > 100, "the walk saw only {files} files under crates/");
+    found.extend(stream_violations(&std::fs::read_to_string(root.join(STREAM)).unwrap()));
     let manifest = std::fs::read_to_string(root.join("crates/bench/Cargo.toml")).unwrap();
     found.extend(ledger_violations(&manifest, |f| std::fs::read_to_string(root.join(f)).ok()));
     assert!(found.is_empty(), "{} violation(s):\n{}", found.len(), found.join("\n"));
@@ -221,6 +273,40 @@ fn every_source_guard_fires() {
     for (guard, path, source, fires) in cases {
         let fired = source_violations(path, source).iter().any(|v| v.starts_with(guard));
         assert_eq!(fired, fires, "{guard} on {path}: {source}");
+    }
+}
+
+#[test]
+fn the_read_core_guard_fires() {
+    let good = "impl M {\n    pub(crate) fn new() {\n        stream.heap.push(k);\n    }\n    \
+                pub fn lend(&mut self) {\n        self.heap.pop();\n    }\n    \
+                pub fn next_msg(&mut self) {\n        self.lend(ctx)\n    }\n    \
+                fn fill(&mut self) {\n        match src {\n            \
+                DataSource::RawDirect => blocks.push_back(Block { data: Arc::from(bytes) }),\n            \
+                DataSource::Blocked { map } => {\n                blocks.push_back(Block { data });\n            }\n        }\n    }\n}\n\
+                #[cfg(test)]\nfn t() { self.heap.clear(); bag.fetch_logical(a); }\n";
+    assert_eq!(stream_violations(good), Vec::<String>::new());
+    for (from, to, what) in [
+        ("self.lend(ctx)", "self.heap.pop()", "`lend`'s alone"),
+        ("self.lend(ctx)", "self.pop_merged(ctx)", "then own"),
+        (
+            "blocks.push_back(Block { data });",
+            "blocks.push_back(Block { data: Arc::from(v) });",
+            "as the pool holds it",
+        ),
+        (
+            "DataSource::Blocked { map } => {",
+            "DataSource::Blocked { map } => {\nlet v = bag.fetch_logical(map);",
+            "does not copy",
+        ),
+        (
+            "impl M {",
+            &format!("impl M {{\n{}", "    const X: u8 = 0;\n".repeat(STREAM_CODE_LINES)),
+            "code lines",
+        ),
+    ] {
+        let bad = good.replacen(from, to, 1);
+        assert!(stream_violations(&bad).iter().any(|v| v.contains(what)), "{what}:\n{bad}");
     }
 }
 
