@@ -1,10 +1,11 @@
 //! Reference k-way merges over already-materialized per-topic streams.
 //!
-//! `bora`'s one merge is the incremental heap merge inside
-//! `MessageStream`. These two stand-alone versions exist for measurement
-//! and differential testing only: `ext_stream` charges the linear pick
-//! against the heap pick on the virtual clock, and `tests/stream.rs` pins
-//! the streaming merge against both.
+//! `bora`'s one merge is `bora::stream::Merge`, which `MessageStream`
+//! and the cluster router's merged stream both drive. These two
+//! stand-alone versions exist for measurement and differential testing
+//! only: `ext_stream` charges the linear pick against the heap pick on
+//! the virtual clock, and `tests/stream.rs` pins the streaming merge
+//! against both and the bare `Merge` against the heap one.
 
 use ros_msgs::Time;
 use rosbag::reader::MessageRecord;

@@ -19,16 +19,17 @@
 //!   messages already delivered. The server-side merge order is
 //!   deterministic (`(time, lane)` tie-break), so the resumed stream is
 //!   byte-identical to an unbroken one;
-//! * **cluster-wide merge** — [`MergedStream`] k-way heap-merges the
-//!   per-container streams of many nodes into one chronological stream,
-//!   the same merge shape the server uses per container.
+//! * **cluster-wide merge** — [`MergedStream`] k-way merges the
+//!   per-container streams of many nodes into one chronological stream
+//!   with [`bora::stream::Merge`], the merge a node runs over a
+//!   container's topics.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+use bora::stream::Merge;
 use bora_serve::{
     ClientError, ClientResult, Connection, ErrorCode, MetricsReport, PingInfo, QueryReply,
     ReadStream, RetryBudget, RetryBudgetConfig, ServeClient, StatsSnapshot, Transport, WireMessage,
@@ -223,6 +224,35 @@ fn no_nodes(container: &str) -> ClientError {
     ))
 }
 
+/// The failover/retry token bucket a client, its clones and its streams
+/// share (see [`ClusterClientConfig::retry_budget`]); empty when no
+/// budget is configured.
+#[derive(Clone)]
+struct SharedBudget(Option<Arc<Mutex<RetryBudget>>>);
+
+impl SharedBudget {
+    /// Spend a token on a failover hop: `false` — counted as
+    /// `cluster.retry_budget_denied` — when the bucket is empty and the
+    /// caller must give up, otherwise `true` and the hop counts as
+    /// `cluster.failover`.
+    fn failover(&self) -> bool {
+        if let Some(b) = &self.0 {
+            if !b.lock().unwrap().try_spend() {
+                bora_obs::counter("cluster.retry_budget_denied").inc();
+                return false;
+            }
+        }
+        bora_obs::counter("cluster.failover").inc();
+        true
+    }
+
+    fn on_success(&self) {
+        if let Some(b) = &self.0 {
+            b.lock().unwrap().on_success();
+        }
+    }
+}
+
 /// The router. Cheap to share per thread via its own instance — all
 /// state (pools, breakers, EWMA) lives behind `Arc`, so `clone` yields a
 /// handle onto the same cluster view.
@@ -233,10 +263,9 @@ pub struct ClusterClient<T: Transport> {
     /// EWMA of successful read wall latency, nanoseconds.
     ewma_ns: Arc<Mutex<f64>>,
     rr: Arc<AtomicUsize>,
-    /// Shared failover/retry token bucket (see
-    /// [`ClusterClientConfig::retry_budget`]); shared across clones so
-    /// every handle onto the cluster draws from one budget.
-    budget: Option<Arc<Mutex<RetryBudget>>>,
+    /// Shared across clones, so every handle onto the cluster draws from
+    /// one budget.
+    budget: SharedBudget,
 }
 
 impl<T: Transport> Clone for ClusterClient<T> {
@@ -268,7 +297,8 @@ where
             .into_iter()
             .map(|(id, t)| (id, Arc::new(NodeEndpoint::new(id, t, cfg.breaker, cfg.deadline))))
             .collect();
-        let budget = cfg.retry_budget.map(|b| Arc::new(Mutex::new(RetryBudget::new(b))));
+        let budget =
+            SharedBudget(cfg.retry_budget.map(|b| Arc::new(Mutex::new(RetryBudget::new(b)))));
         ClusterClient {
             ring,
             nodes,
@@ -282,25 +312,10 @@ where
     /// `(tokens banked, retries denied)` of the shared retry budget, if
     /// one is configured.
     pub fn retry_budget_stats(&self) -> Option<(f64, u64)> {
-        self.budget.as_ref().map(|b| {
+        self.budget.0.as_ref().map(|b| {
             let b = b.lock().unwrap();
             (b.tokens(), b.denied())
         })
-    }
-
-    /// Spend one budget token for a failover hop; `true` when allowed
-    /// (or no budget is configured).
-    fn try_spend_budget(&self) -> bool {
-        match &self.budget {
-            None => true,
-            Some(b) => b.lock().unwrap().try_spend(),
-        }
-    }
-
-    fn budget_on_success(&self) {
-        if let Some(b) = &self.budget {
-            b.lock().unwrap().on_success();
-        }
     }
 
     pub fn ring(&self) -> Arc<RwLock<Ring>> {
@@ -350,15 +365,11 @@ where
                 if !ignore_breaker && !ep.breaker.lock().unwrap().allow() {
                     continue;
                 }
-                if attempted {
-                    // Every hop beyond the first spends a budget token:
-                    // with the bucket empty the first error surfaces
-                    // instead of every caller walking the replica set.
-                    if !self.try_spend_budget() {
-                        bora_obs::counter("cluster.retry_budget_denied").inc();
-                        return Err(last.unwrap_or_else(|| no_nodes(container)));
-                    }
-                    bora_obs::counter("cluster.failover").inc();
+                // Every hop beyond the first spends a budget token: with
+                // the bucket empty the first error surfaces instead of
+                // every caller walking the replica set.
+                if attempted && !self.budget.failover() {
+                    return Err(last.unwrap_or_else(|| no_nodes(container)));
                 }
                 attempted = true;
                 // One span per attempt: in a merged trace, failover shows
@@ -369,7 +380,7 @@ where
                 match ep.attempt(&mut op) {
                     Ok(v) => {
                         sp.end();
-                        self.budget_on_success();
+                        self.budget.on_success();
                         return Ok(v);
                     }
                     Err(e) if should_failover(&e) => {
@@ -563,23 +574,21 @@ where
         match first {
             Some((_, lat, Ok(v))) => {
                 self.note_read_latency(lat);
-                self.budget_on_success();
+                self.budget.on_success();
                 Ok(v)
             }
             Some((_, _, Err(e))) if !should_failover(&e) => Err(e),
             Some((_, _, Err(e))) => {
                 // Primary failed fast: this is a failover, not a hedge,
                 // so it spends a retry-budget token like any other hop.
-                if !self.try_spend_budget() {
-                    bora_obs::counter("cluster.retry_budget_denied").inc();
+                if !self.budget.failover() {
                     return Err(e);
                 }
-                bora_obs::counter("cluster.failover").inc();
                 spawn_read(Arc::clone(&eps[1]), 1);
                 let (_, lat, res) = rx.recv().expect("hedge leg sender alive");
                 if res.is_ok() {
                     self.note_read_latency(lat);
-                    self.budget_on_success();
+                    self.budget.on_success();
                 }
                 res
             }
@@ -599,7 +608,7 @@ where
                                 bora_obs::counter("cluster.hedge.wins").inc();
                             }
                             self.note_read_latency(lat);
-                            self.budget_on_success();
+                            self.budget.on_success();
                             return Ok(v);
                         }
                         Err(e) => {
@@ -657,8 +666,10 @@ where
 
     /// One chronological stream over many containers: a per-container
     /// [`ClusterStream`] per lane, k-way merged by `(time, lane)` — the
-    /// same heap merge the server applies across a container's topic
-    /// lanes, lifted to the cluster level.
+    /// same [`Merge`] a server applies across a container's topic lanes,
+    /// lifted to the cluster level. This is the way to read many
+    /// containers at once; [`ClusterClient::read`] per container gives
+    /// them one by one.
     pub fn read_stream_multi(
         &self,
         containers: &[&str],
@@ -844,7 +855,7 @@ pub struct ClusterStream<T: Transport> {
     /// The owning client's shared retry budget: each mid-stream failover
     /// spends a token, so a flapping network cannot turn one stream into
     /// an unbounded reconnect storm.
-    budget: Option<Arc<Mutex<RetryBudget>>>,
+    budget: SharedBudget,
 }
 
 impl<T: Transport> ClusterStream<T> {
@@ -885,16 +896,12 @@ impl<T: Transport> ClusterStream<T> {
         // A stream resume is a retry like any other: it spends from the
         // client's shared budget, and an empty bucket ends the stream
         // with an error instead of hammering the surviving replicas.
-        if let Some(b) = &self.budget {
-            if !b.lock().unwrap().try_spend() {
-                bora_obs::counter("cluster.retry_budget_denied").inc();
-                return Err(ClientError::Io(std::io::Error::other(format!(
-                    "retry budget exhausted resuming stream of {}",
-                    self.container
-                ))));
-            }
+        if !self.budget.failover() {
+            return Err(ClientError::Io(std::io::Error::other(format!(
+                "retry budget exhausted resuming stream of {}",
+                self.container
+            ))));
         }
-        bora_obs::counter("cluster.failover").inc();
         self.connect_next()
     }
 }
@@ -913,9 +920,7 @@ impl<T: Transport> Iterator for ClusterStream<T> {
                 }
                 None => {
                     ep.breaker.lock().unwrap().on_success();
-                    if let Some(b) = &self.budget {
-                        b.lock().unwrap().on_success();
-                    }
+                    self.budget.on_success();
                     self.current = None;
                 }
                 // A transport fault, a desynchronized stream, an overloaded
@@ -946,34 +951,34 @@ impl<T: Transport> Drop for ClusterStream<T> {
 
 // ------------------------------------------------------------ k-way merge
 
-/// Chronological k-way heap merge over per-container cluster streams.
+/// Chronological k-way merge over per-container cluster streams.
 ///
-/// Each lane is a [`ClusterStream`] (so lanes fail over independently);
-/// the heap orders by `(time, lane index)` — the stable tie-break that
-/// makes the merged order deterministic across runs and across node
-/// deaths.
+/// Each lane is a [`ClusterStream`] (so lanes fail over independently),
+/// merged by a node's own [`Merge`]: `(time, lane index)` order — the
+/// stable tie-break that makes the merged order deterministic across runs
+/// and across node deaths — and the lead lane's heap skip.
+///
+/// A lane that fails ends the merge: the consumer gets every message
+/// the lanes delivered before the failure, then the error, then `None`.
 pub struct MergedStream<T: Transport> {
     lanes: Vec<ClusterStream<T>>,
     heads: Vec<Option<WireMessage>>,
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    failed: bool,
+    merge: Merge,
+    /// A lane's error, held back until the message it followed is out.
+    failed: Option<ClientError>,
 }
 
 impl<T: Transport> MergedStream<T> {
     fn new(mut lanes: Vec<ClusterStream<T>>) -> ClientResult<Self> {
-        let mut heads = Vec::with_capacity(lanes.len());
-        let mut heap = BinaryHeap::with_capacity(lanes.len());
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            match lane.next() {
-                Some(Ok(m)) => {
-                    heap.push(Reverse((m.time.as_nanos(), i)));
-                    heads.push(Some(m));
-                }
-                Some(Err(e)) => return Err(e),
-                None => heads.push(None),
-            }
-        }
-        Ok(MergedStream { lanes, heads, heap, failed: false })
+        let heads: Vec<_> =
+            lanes.iter_mut().map(|l| l.next().transpose()).collect::<Result<_, _>>()?;
+        let merge = Merge::new(heads.iter().map(|h| h.as_ref().map(|m| m.time.as_nanos())));
+        Ok(MergedStream { lanes, heads, merge, failed: None })
+    }
+
+    /// Heap operations the merge has performed (see [`Merge::heap_ops`]).
+    pub fn heap_ops(&self) -> u64 {
+        self.merge.heap_ops()
     }
 }
 
@@ -981,21 +986,22 @@ impl<T: Transport> Iterator for MergedStream<T> {
     type Item = ClientResult<WireMessage>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
+        if let Some(e) = self.failed.take() {
+            return Some(Err(e));
         }
-        let Reverse((_, lane)) = self.heap.pop()?;
-        let out = self.heads[lane].take().expect("heap entry implies a head");
-        match self.lanes[lane].next() {
-            Some(Ok(m)) => {
-                self.heap.push(Reverse((m.time.as_nanos(), lane)));
-                self.heads[lane] = Some(m);
+        let lane = self.merge.pick()?;
+        let out = self.heads[lane].take().expect("a picked lane has a head");
+        match self.lanes[lane].next().transpose() {
+            Ok(head) => {
+                self.merge.advance(lane, head.as_ref().map(|m| m.time.as_nanos()));
+                self.heads[lane] = head;
             }
-            Some(Err(e)) => {
-                self.failed = true;
-                return Some(Err(e));
+            // `out` arrived intact and sorts before everything still
+            // queued: it goes out now, the error on the next call.
+            Err(e) => {
+                self.merge.end();
+                self.failed = Some(e);
             }
-            None => {}
         }
         Some(Ok(out))
     }

@@ -16,14 +16,13 @@
 //!   `Io`/`ChecksumMismatch` errors, hedges slow reads against a replica
 //!   (adaptive EWMA threshold, win rate exported via bora-obs), resumes
 //!   broken `READ_STREAM2`s on a replica byte-identically, and k-way
-//!   heap-merges multi-container streams cluster-wide;
+//!   merges multi-container streams cluster-wide with the node's own
+//!   `bora::stream::Merge`;
 //! * [`health`] — per-node circuit breakers, count-based for
 //!   determinism;
 //! * [`cluster`] — the in-process control plane: N servers over
 //!   independent fault-injectable storage, provisioning, and
 //!   re-replication of under-replicated containers after node death;
-//! * [`swarm`] — routes `bora::SwarmQuery` fan-outs through the router,
-//!   so multi-robot queries survive node loss too;
 //! * [`telemetry`] — the observability plane: scrapes every node's
 //!   `METRICS` registry snapshot, folds them into one cluster view
 //!   (counters summed, histograms merged bucket-wise so cluster
@@ -62,7 +61,6 @@ pub mod client;
 pub mod cluster;
 pub mod health;
 pub mod ring;
-pub mod swarm;
 pub mod telemetry;
 
 pub use client::{
@@ -72,7 +70,6 @@ pub use client::{
 pub use cluster::{ClusterTierConfig, HealReport, LocalCluster, LocalNode};
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use ring::{hash_key, MigrationPlan, Move, NodeId, Ring, RingConfig};
-pub use swarm::{swarm_query, ClusterBackend};
 pub use telemetry::{
     aggregate_reports, render_top, scrape_to_json, AggregatedMetrics, ClusterScrape,
     ClusterTelemetry, PoolScrape,

@@ -78,7 +78,6 @@ pub mod fsck;
 pub mod layout;
 pub mod manifest;
 pub mod meta;
-pub mod multi;
 pub mod organizer;
 pub mod recorder;
 pub mod stream;
@@ -96,7 +95,6 @@ pub use error::{BoraError, BoraResult};
 pub use fsck::{FsckReport, FsckState, RepairOutcome};
 pub use manifest::{Manifest, ManifestEntry};
 pub use meta::ContainerMeta;
-pub use multi::{swarm_fan_out, LocalBackend, SwarmBackend, SwarmQuery, SwarmResult, SwarmSpec};
 pub use organizer::{duplicate, OrganizeReport, OrganizerOptions};
 pub use recorder::{BoraRecorder, RecorderOptions};
 pub use stream::{Lent, MessageStream, StreamMessage, StreamOptions, StreamStats, TailMessage};

@@ -10,15 +10,16 @@
 //!   fetches the `data` file in runs of consecutive index entries capped
 //!   by a readahead window ([`StreamOptions::readahead_bytes`]), so peak
 //!   resident bytes are ~`k × readahead`, not the result size.
-//! * **Heap merge** — a binary heap over `(time, lane)` keys picks the
-//!   next message in O(log k); `lane` is the topic's position in the
-//!   caller's request, which reproduces the old merge's (and the baseline
-//!   reader's) first-requested-wins order for simultaneous timestamps
-//!   while staying a total, deterministic tie-break. The lane that won
-//!   last stays out of the heap and keeps winning while its next key
-//!   still sorts before the heap's top, so a run of messages from one
+//! * **Heap merge** — [`Merge`], a binary heap over `(time, lane)` keys,
+//!   picks the next message in O(log k); `lane` is the topic's position
+//!   in the caller's request, which reproduces the old merge's (and the
+//!   baseline reader's) first-requested-wins order for simultaneous
+//!   timestamps while staying a total, deterministic tie-break. The lane
+//!   that won last stays out of the heap and keeps winning while its next
+//!   key still sorts before the heap's top, so a run of messages from one
 //!   lane — and all of a single-topic stream — costs no heap operation.
-//! * **Lent messages** — [`MessageStream::lend`] is the merge: the
+//!   The cluster router merges per-container streams with the same type.
+//! * **Lent messages** — [`MessageStream::lend`] drives the merge: the
 //!   consumer borrows the winning lane's front message ([`Lent`]) until
 //!   its next pull. A consumer that must keep a message longer calls
 //!   [`MessageStream::next_msg`] ("lend, then own"): a [`StreamMessage`]
@@ -44,8 +45,8 @@
 //!   to the honest sequential sum), mirroring how the organizer charges
 //!   its distributors.
 //!
-//! Per-message bookkeeping is a handle, never a name: the stream resolves
-//! `stream.merge.heap_ops` once, when it is built, publishes its
+//! Per-message bookkeeping is a field or a handle, never a name: the
+//! stream publishes its `stream.merge.heap_ops` and
 //! `stream.bytes_stitched` once, when its clocks are folded
 //! ([`MessageStream::charge_into`]), and `to_record` keeps
 //! `stream.bytes_copied` in a process-wide `OnceLock` — a by-name
@@ -201,6 +202,70 @@ pub struct StreamStats {
     pub bytes_stitched: u64,
 }
 
+/// The `(time, lane)` k-way merge: which lane's head comes next. Lanes
+/// are numbered from 0 and keyed by their head's time in nanoseconds; a
+/// tie goes to the lower lane. The lane that won last — the lead — is
+/// kept out of the heap with the key of its next head and wins again,
+/// without a heap operation, while that key sorts before the heap's top.
+///
+/// A driver [`pick`](Merge::pick)s a lane, consumes its head, and reports
+/// the lane's next key with [`advance`](Merge::advance) before it picks
+/// again. [`MessageStream`] drives one over topic cursors, the cluster
+/// router one over per-container streams.
+pub struct Merge {
+    /// One key per lane with a head, other than the lead.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// The lane that won last and its next key, from `advance` until the
+    /// next `pick`.
+    lead: Option<(u64, usize)>,
+    heap_ops: u64,
+}
+
+impl Merge {
+    /// A merge over lanes whose first keys are `heads`, in lane order
+    /// (`None`: the lane is empty).
+    pub fn new(heads: impl IntoIterator<Item = Option<u64>>) -> Self {
+        let keys = heads.into_iter().enumerate().filter_map(|(lane, t)| Some(Reverse((t?, lane))));
+        let mut heap: BinaryHeap<_> = keys.collect();
+        Merge { lead: heap.pop().map(|Reverse(key)| key), heap, heap_ops: 0 }
+    }
+
+    /// The lane whose head is next, or `None` once every lane is dry.
+    #[inline]
+    pub fn pick(&mut self) -> Option<usize> {
+        match self.lead.take() {
+            Some(key) if self.heap.peek().is_none_or(|top| key < top.0) => Some(key.1),
+            lead => {
+                self.heap.extend(lead.map(Reverse));
+                let Reverse((_, lane)) = self.heap.pop()?;
+                self.heap_ops += 1;
+                Some(lane)
+            }
+        }
+    }
+
+    /// The lane just picked has `next` as its head's key now (`None`: it
+    /// is dry).
+    #[inline]
+    pub fn advance(&mut self, lane: usize, next: Option<u64>) {
+        self.lead = next.map(|t| (t, lane));
+    }
+
+    /// Every lane is dry from now on: a driver whose lane failed ends
+    /// the merge with it.
+    pub fn end(&mut self) {
+        (self.heap, self.lead) = (BinaryHeap::new(), None);
+    }
+
+    /// Heap operations so far: a lead displaced (its push and the
+    /// winner's pop) or, once a lane ran dry, the pop alone. A pick the
+    /// lead wins costs none, so this is the number of picks whose lane
+    /// differs from the one before.
+    pub fn heap_ops(&self) -> u64 {
+        self.heap_ops
+    }
+}
+
 /// Fetched bytes a cursor holds: one pool page of a block-framed topic,
 /// or one `read_at` run of a v1 one.
 #[derive(Debug)]
@@ -260,10 +325,8 @@ struct TopicCursor {
 
 impl TopicCursor {
     fn peek_time(&self) -> Option<Time> {
-        self.entries
-            .get(self.next)
-            .map(|e| e.time)
-            .or_else(|| self.tail.get(self.tail_next).map(|m| m.time))
+        let entry = self.entries.get(self.next).map(|e| e.time);
+        entry.or_else(|| self.tail.get(self.tail_next).map(|m| m.time))
     }
 
     /// Fetched bytes the merge has not passed yet. Of a block-framed
@@ -317,9 +380,8 @@ impl TopicCursor {
                 // One buffer per run, folded into the whole-file CRC of a
                 // verifying stream, checked when the last chunk lands.
                 DataSource::RawDirect => {
-                    let len = (run_end - run_start) as usize;
-                    let bytes =
-                        bag.storage.read_at(&self.paths.data, run_start, len, &mut self.ctx)?;
+                    let (path, len) = (&self.paths.data, (run_end - run_start) as usize);
+                    let bytes = bag.storage.read_at(path, run_start, len, &mut self.ctx)?;
                     if let Some((crc, expected_len, expected_crc, rel)) = self.verify.as_mut() {
                         crc.update(&bytes);
                         if end_idx == self.entries.len() {
@@ -353,14 +415,11 @@ impl TopicCursor {
                         let start = page * page_size;
                         let data =
                             bag.block_page(&self.paths, map, page as usize, &mut self.ctx)?;
-                        if data.len() as u64 != (map.logical_len - start).min(page_size) {
-                            return corrupt(format!(
-                                "{}: page {page} holds {} bytes",
-                                self.paths.data,
-                                data.len()
-                            ));
+                        let (path, len) = (&self.paths.data, data.len() as u64);
+                        if len != (map.logical_len - start).min(page_size) {
+                            return corrupt(format!("{path}: page {page} holds {len} bytes"));
                         }
-                        at = start + data.len() as u64;
+                        at = start + len;
                         self.blocks.push_back(Block { start, data });
                     }
                 }
@@ -427,13 +486,9 @@ impl TopicCursor {
 pub struct MessageStream<'a, S: Storage> {
     bag: &'a BoraBag<S>,
     cursors: Vec<TopicCursor>,
-    /// Min-heap over `(time_ns, lane)`; one key per non-exhausted lane
-    /// other than `lead`.
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
-    /// The key of the lane that won last, while it has messages left: it
-    /// wins again without a heap operation for as long as it sorts before
-    /// the heap's top.
-    lead: Option<(u64, usize)>,
+    /// Over the cursors' next message times, lane = cursor index; emptied
+    /// when a fill fails, which ends the stream.
+    merge: Merge,
     opts: StreamOptions,
     /// The consumer's declared process concurrency; each fill pass
     /// multiplies it by the number of threads active in *that pass*.
@@ -441,8 +496,6 @@ pub struct MessageStream<'a, S: Storage> {
     /// `ceil(log2 k)` for the merge's per-message CPU charge (0 for k<=1).
     log_k: u64,
     stats: StreamStats,
-    /// `stream.merge.heap_ops`, resolved when the stream is built.
-    heap_ops: bora_obs::Counter,
     /// Accumulated prefetch cost: per fill pass, the slowest pool
     /// thread's sum of cursor-clock deltas (the whole sum when fills ran
     /// inline). This is what `charge_into` puts on the consumer's clock.
@@ -450,7 +503,6 @@ pub struct MessageStream<'a, S: Storage> {
     /// Set once the parallel prefetch clocks have been folded into a
     /// consumer ctx (idempotence for `charge_into`).
     charged: bool,
-    done: bool,
 }
 
 impl<'a, S: Storage> MessageStream<'a, S> {
@@ -502,32 +554,24 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         let mut stream = MessageStream {
             bag,
             cursors,
-            heap: BinaryHeap::with_capacity(k),
-            lead: None,
+            merge: Merge::new([]),
             opts,
             base_concurrency: ctx.concurrency,
             log_k: if k > 1 { (usize::BITS - (k - 1).leading_zeros()) as u64 } else { 0 },
             stats: StreamStats::default(),
-            heap_ops: bora_obs::counter("stream.merge.heap_ops"),
             io_ns: 0,
             charged: false,
-            done: false,
         };
         // Index load + initial fill for every cursor, on the pool.
-        let lanes: Vec<usize> = (0..stream.cursors.len()).collect();
-        stream.run_pool(&lanes, range, true)?;
-        for lane in 0..stream.cursors.len() {
-            if let Some(t) = stream.cursors[lane].peek_time() {
-                stream.heap.push(Reverse((t.as_nanos(), lane)));
-            }
-        }
-        stream.lead = stream.heap.pop().map(|Reverse(key)| key);
+        stream.run_pool(&(0..k).collect::<Vec<_>>(), range, true)?;
+        stream.merge = Merge::new(stream.cursors.iter().map(|c| c.peek_time().map(Time::as_nanos)));
         Ok(stream)
     }
 
     /// Run prepare (optionally) + fill for `lanes` (ascending) on the
-    /// scoped-thread pool, surfacing the first failure. Single-lane
-    /// batches run inline: no thread is worth spinning up for one cursor.
+    /// scoped-thread pool, surfacing the first failure, which ends the
+    /// merge. Single-lane batches run inline: no thread is worth spinning
+    /// up for one cursor.
     fn run_pool(
         &mut self,
         lanes: &[usize],
@@ -587,6 +631,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
                 if let BoraError::ChecksumMismatch { .. } = &e {
                     self.bag.quarantine(&self.cursors[lane].topic);
                 }
+                self.merge.end();
                 return Err(e);
             }
         }
@@ -596,25 +641,13 @@ impl<'a, S: Storage> MessageStream<'a, S> {
     /// Lend the next message in global time order — a view of its lane's
     /// front, valid until the next pull — or `None` when the stream is
     /// exhausted. The first `None` folds the parallel prefetch clocks
-    /// into `ctx` (makespan over topics — see module docs). This is the
-    /// one merge; every other way to drain the stream goes through it.
+    /// into `ctx` (makespan over topics — see module docs). This is what
+    /// drives the stream's [`Merge`]; every other way to drain the stream
+    /// goes through it.
     pub fn lend(&mut self, ctx: &mut IoCtx) -> BoraResult<Option<Lent<'_>>> {
-        if self.done {
+        let Some(lane) = self.merge.pick() else {
+            self.charge_into(ctx);
             return Ok(None);
-        }
-        let lane = match self.lead.take() {
-            Some(key) if self.heap.peek().is_none_or(|top| key < top.0) => key.1,
-            lead => {
-                self.heap.extend(lead.map(Reverse));
-                let Some(Reverse((_, lane))) = self.heap.pop() else {
-                    self.done = true;
-                    self.charge_into(ctx);
-                    return Ok(None);
-                };
-                self.stats.heap_ops += 1;
-                self.heap_ops.inc();
-                lane
-            }
         };
         let c = &self.cursors[lane];
         if c.next >= c.fetched && c.next < c.entries.len() {
@@ -625,11 +658,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
             let low = |c: &TopicCursor| c.fetched < c.entries.len() && c.queued_bytes() < half;
             let lanes: Vec<usize> =
                 (0..self.cursors.len()).filter(|&l| l == lane || low(&self.cursors[l])).collect();
-            if let Err(e) = self.run_pool(&lanes, None, false) {
-                self.done = true;
-                self.charge_into(ctx);
-                return Err(e);
-            }
+            self.run_pool(&lanes, None, false).inspect_err(|_| self.charge_into(ctx))?;
         }
         // Per-message consumer-side charges: one FUSE/ROS-Lib delivery
         // round trip + the paper's O(log k) pick (k<=1 merges are free,
@@ -639,7 +668,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         ctx.charge_ns(FUSE_DELIVERY_NS + self.log_k * cpu::SORT_ELEMENT_NS);
         self.stats.delivered += 1;
         let (next, msg) = self.cursors[lane].lend(lane, &mut self.stats.bytes_stitched);
-        self.lead = next.map(|t| (t.as_nanos(), lane));
+        self.merge.advance(lane, next.map(Time::as_nanos));
         Ok(Some(msg))
     }
 
@@ -651,15 +680,17 @@ impl<'a, S: Storage> MessageStream<'a, S> {
 
     /// Fold the prefetch work into `ctx`: the clock advances by the
     /// accumulated per-thread makespan of the fill passes, the per-topic
-    /// I/O stats sum, and the bytes it stitched join the process-wide
+    /// I/O stats sum, and the merge's heap operations and the bytes it
+    /// stitched join the process-wide `stream.merge.heap_ops` and
     /// `stream.bytes_stitched`. Called automatically when the stream
-    /// exhausts; call it explicitly if you abandon a stream early and
-    /// still want the consumed I/O on your clock.
+    /// exhausts or fails; call it explicitly if you abandon a stream
+    /// early and still want the consumed I/O on your clock.
     pub fn charge_into(&mut self, ctx: &mut IoCtx) {
         if self.charged {
             return;
         }
         self.charged = true;
+        bora_obs::counter("stream.merge.heap_ops").add(self.merge.heap_ops());
         bora_obs::counter("stream.bytes_stitched").add(self.stats.bytes_stitched);
         ctx.charge_ns(self.io_ns);
         for c in &self.cursors {
@@ -669,15 +700,13 @@ impl<'a, S: Storage> MessageStream<'a, S> {
 
     /// Counters so far (peak resident bytes, heap ops, ...).
     pub fn stats(&self) -> StreamStats {
-        self.stats
+        StreamStats { heap_ops: self.merge.heap_ops(), ..self.stats }
     }
 
     /// Messages remaining (exact — index entries plus queued tails).
     pub fn remaining(&self) -> u64 {
-        self.cursors
-            .iter()
-            .map(|c| (c.entries.len() - c.next) as u64 + (c.tail.len() - c.tail_next) as u64)
-            .sum()
+        let left = |c: &TopicCursor| c.entries.len() - c.next + c.tail.len() - c.tail_next;
+        self.cursors.iter().map(left).sum::<usize>() as u64
     }
 
     /// The topics the stream merges, in lane order.

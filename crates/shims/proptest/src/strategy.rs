@@ -287,8 +287,7 @@ fn parse_class(chars: &[char], pos: &mut usize) -> Option<Vec<char>> {
     let mut alphabet = Vec::new();
     while *pos < chars.len() && chars[*pos] != ']' {
         // `a-z` is a range unless `-` is the class's final character.
-        if chars[*pos + 1..].first() == Some(&'-')
-            && chars.get(*pos + 2).map_or(false, |&c| c != ']')
+        if chars[*pos + 1..].first() == Some(&'-') && chars.get(*pos + 2).is_some_and(|&c| c != ']')
         {
             let (lo, hi) = (chars[*pos], chars[*pos + 2]);
             if lo > hi {

@@ -7,15 +7,13 @@
 //!
 //! bora-serve scales one machine; this example stands up the tier above
 //! it — four in-process serve nodes behind a consistent-hash ring — and
-//! walks the cluster's whole lifecycle: provisioning, routed and swarm
-//! queries, a node death with transparent failover, self-healing
+//! walks the cluster's whole lifecycle: provisioning, routed reads of one
+//! container and of the whole fleet merged into one stream, a node death
+//! with transparent failover, self-healing
 //! re-replication, and an elastic join that moves only the minimal set
 //! of containers.
 
-use bora::SwarmSpec;
-use bora_cluster::{
-    swarm_query, ClusterClientConfig, ClusterTierConfig, LocalCluster, RingConfig, RoutePolicy,
-};
+use bora_cluster::{ClusterClientConfig, ClusterTierConfig, LocalCluster, RingConfig, RoutePolicy};
 use ros_msgs::sensor_msgs::Imu;
 use ros_msgs::Time;
 use rosbag::{BagWriter, BagWriterOptions};
@@ -72,14 +70,18 @@ fn main() {
         );
     }
 
-    // --- 4. A swarm query routed through the cluster. ---
-    let swarm = swarm_query(&client, &roots, &SwarmSpec::topics(&["/imu"])).unwrap();
-    let swarm_msgs: usize = swarm.per_robot.iter().map(Vec::len).sum();
+    // --- 4. The whole fleet as one chronological stream: every robot's
+    // container read on the node that holds it, merged by (time, robot).
+    let started = std::time::Instant::now();
+    let mut fleet = client.read_stream_multi(&root_refs, &["/imu"], None).unwrap();
+    let fleet_msgs: Vec<_> = fleet.by_ref().collect::<Result<_, _>>().unwrap();
+    assert!(fleet_msgs.windows(2).all(|w| w[0].time <= w[1].time));
     println!(
-        "swarm over {} robots: {} messages, makespan {:.2} ms",
+        "fleet stream over {} robots: {} messages in {:.2} ms, {} heap operations",
         roots.len(),
-        swarm_msgs,
-        swarm.makespan_ns as f64 / 1e6
+        fleet_msgs.len(),
+        started.elapsed().as_secs_f64() * 1e3,
+        fleet.heap_ops()
     );
 
     // --- 5. Kill a node mid-traffic: reads fail over to replicas. ---

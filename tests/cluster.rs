@@ -3,26 +3,34 @@
 //!
 //! The crate-level tests pin the ring's placement math (proptests) and
 //! the failover state machine (fault injection); this file covers the
-//! seams between crates: `bora::multi` swarm fan-out routed through
-//! [`ClusterBackend`], the cluster-level k-way merged stream (before and
-//! after a node dies mid-stream), and an elastic join resharding live
-//! data without disturbing readers.
+//! seams between crates: many containers read through the router one by
+//! one and as one k-way merged stream (before and after a node dies, and
+//! across a node cut off mid-stream), a merge that ends on a lane's error
+//! without losing what that lane delivered, and an elastic join
+//! resharding live data without disturbing readers.
 
-use bora::{SwarmBackend, SwarmSpec};
+use bora_chaos::{ChaosState, ChaosTransport, Partition};
 use bora_cluster::{
-    swarm_query, ClusterBackend, ClusterClientConfig, ClusterTierConfig, LocalCluster, RingConfig,
-    RoutePolicy,
+    ClusterClient, ClusterClientConfig, ClusterTierConfig, LocalCluster, RingConfig, RoutePolicy,
 };
+use bora_serve::{MemTransport, RetryBudgetConfig, WireMessage};
 use ros_msgs::sensor_msgs::Imu;
-use ros_msgs::Time;
+use ros_msgs::{RosMessage, Time};
 use rosbag::{BagWriter, BagWriterOptions};
 use simfs::{IoCtx, MemStorage};
+use std::sync::Arc;
 
 const TOPICS: [&str; 2] = ["/imu", "/odom"];
 
 /// Stage `robots` mission containers with distinct, recognizable content
 /// per robot (seq numbers offset by robot id), returning their roots.
-fn stage_fleet(staging: &MemStorage, robots: u32, msgs_per_robot: u32) -> Vec<String> {
+/// Robot `r`'s mission starts `r × stagger_ns` after robot 0's.
+fn stage_fleet(
+    staging: &MemStorage,
+    robots: u32,
+    msgs_per_robot: u32,
+    stagger_ns: u64,
+) -> Vec<String> {
     let mut ctx = IoCtx::new();
     let mut roots = Vec::new();
     for robot in 0..robots {
@@ -30,7 +38,9 @@ fn stage_fleet(staging: &MemStorage, robots: u32, msgs_per_robot: u32) -> Vec<St
         let mut w =
             BagWriter::create(staging, &bag, BagWriterOptions::default(), &mut ctx).unwrap();
         for tick in 0..msgs_per_robot {
-            let t = Time::from_nanos(1_000_000_000 + tick as u64 * 5_000_000);
+            let t = Time::from_nanos(
+                1_000_000_000 + robot as u64 * stagger_ns + tick as u64 * 5_000_000,
+            );
             let mut imu = Imu::default();
             imu.header.seq = robot * 1_000_000 + tick;
             imu.header.stamp = t;
@@ -43,6 +53,11 @@ fn stage_fleet(staging: &MemStorage, robots: u32, msgs_per_robot: u32) -> Vec<St
         roots.push(root);
     }
     roots
+}
+
+/// The robot a staged message came from.
+fn robot_of(m: &WireMessage) -> u32 {
+    Imu::from_bytes(&m.data).unwrap().header.seq / 1_000_000
 }
 
 fn start_cluster(
@@ -60,86 +75,102 @@ fn start_cluster(
     cluster
 }
 
-/// `bora::multi`'s swarm fan-out, rewired through the cluster router:
-/// every robot's answer must equal a directly routed read, and the
-/// whole swarm must keep answering identically after a node death.
+/// A router whose node transports run through one [`ChaosState`], so a
+/// [`Partition`] can cut a stream mid-flight: the in-process transport
+/// buffers a node's whole answer, so killing the node alone would still
+/// deliver it.
+fn chaos_client(
+    cluster: &LocalCluster<Arc<simfs::ClusterStorage>>,
+    cfg: ClusterClientConfig,
+) -> (ClusterClient<impl bora_serve::Transport + Send + Sync + 'static>, Arc<ChaosState>) {
+    let chaos = Arc::new(ChaosState::new(7));
+    let endpoints = cluster.node_ids().into_iter().map(|id| {
+        let mem = MemTransport::new(Arc::clone(&cluster.node(id).unwrap().server));
+        let t = ChaosTransport::new(mem, id, Arc::clone(&chaos));
+        (id, t.with_frame_timeout(std::time::Duration::from_millis(50)))
+    });
+    (ClusterClient::new(cluster.ring(), endpoints, cfg), chaos)
+}
+
+/// Per-container routed reads merged by `(time, lane)`: what a merged
+/// stream over them must deliver, and how many of its picks change lane
+/// — the merge's exact heap operations.
+fn merge_reads(reads: &[Vec<WireMessage>]) -> (Vec<WireMessage>, u64) {
+    let mut keyed: Vec<(Time, usize, &WireMessage)> = Vec::new();
+    for (lane, msgs) in reads.iter().enumerate() {
+        keyed.extend(msgs.iter().map(|m| (m.time, lane, m)));
+    }
+    keyed.sort_by_key(|(t, lane, _)| (*t, *lane));
+    let changes = keyed.windows(2).filter(|w| w[0].1 != w[1].1).count() as u64;
+    (keyed.into_iter().map(|(_, _, m)| m.clone()).collect(), changes)
+}
+
+/// Many containers through the router: each robot's routed read carries
+/// that robot's own content; a `read_stream_multi` over one container is
+/// that read and never touches the heap; over robots whose missions
+/// follow one another it is each robot's read in turn, at one heap
+/// operation per hand-over — the lead lane's skip, across nodes.
 #[test]
-fn swarm_fan_out_routes_through_cluster_and_survives_node_death() {
+fn fleet_reads_route_through_the_cluster_alone_and_merged() {
     let staging = MemStorage::new();
-    let roots = stage_fleet(&staging, 5, 120);
+    // 120 messages 5 ms apart: a mission lasts 0.6 s, and the next robot
+    // starts a second after the one before.
+    let roots = stage_fleet(&staging, 5, 120, 1_000_000_000);
+    let refs: Vec<&str> = roots.iter().map(String::as_str).collect();
     let cluster = start_cluster(&staging, &roots, 3);
     let client = cluster.client(ClusterClientConfig::default());
 
-    let spec = SwarmSpec::topics(&["/imu"]);
-    let swarm = swarm_query(&client, &roots, &spec).unwrap();
-    assert_eq!(swarm.per_robot.len(), roots.len());
-
-    // Each robot's lane equals the directly routed read — same messages,
-    // same order — and carries that robot's distinct content.
-    for (robot, (root, lane)) in roots.iter().zip(&swarm.per_robot).enumerate() {
-        let direct = client.read(root, &["/imu"]).unwrap();
-        assert_eq!(lane.len(), direct.len(), "robot {robot} lane length");
-        for (got, want) in lane.iter().zip(&direct) {
-            assert_eq!(got.topic, want.topic);
-            assert_eq!(got.time, want.time);
-            assert_eq!(got.data, want.data);
-        }
-        assert!(!lane.is_empty(), "robot {robot} returned no messages");
+    let mut reads = Vec::new();
+    for (robot, root) in refs.iter().enumerate() {
+        let read = client.read(root, &["/imu"]).unwrap();
+        assert_eq!(read.len(), 60, "robot {robot}");
+        assert!(read.iter().all(|m| robot_of(m) == robot as u32), "robot {robot}'s content");
+        let mut alone = client.read_stream_multi(&[root], &["/imu"], None).unwrap();
+        let streamed: Vec<WireMessage> = alone.by_ref().collect::<Result<_, _>>().unwrap();
+        assert_eq!(streamed, read, "robot {robot} streamed alone");
+        assert_eq!(alone.heap_ops(), 0, "one lane never touches the heap");
+        reads.push(read);
     }
-    assert!(swarm.makespan_ns > 0, "swarm must account wall time");
-
-    // The backend trait is public: a single-robot query through it
-    // matches the fan-out's lane for that robot.
-    let backend = ClusterBackend { client: &client };
-    let (solo, _) = backend.query_robot(&roots[0], &spec, roots.len() as u32).unwrap();
-    assert_eq!(solo.len(), swarm.per_robot[0].len());
-
-    // Kill the node holding robot 0; the identical swarm keeps working.
-    let victim = client.owner(&roots[0]).unwrap();
-    cluster.kill(victim);
-    let after = swarm_query(&client, &roots, &spec).unwrap();
-    for (robot, (before, now)) in swarm.per_robot.iter().zip(&after.per_robot).enumerate() {
-        assert_eq!(before.len(), now.len(), "robot {robot} after node death");
-        for (b, n) in before.iter().zip(now) {
-            assert_eq!(b.data, n.data, "robot {robot} bytes changed after failover");
-        }
-    }
+    let mut merged = client.read_stream_multi(&refs, &["/imu"], None).unwrap();
+    let got: Vec<WireMessage> = merged.by_ref().collect::<Result<_, _>>().unwrap();
+    assert_eq!(got, reads.concat(), "staggered missions merge robot after robot");
+    assert_eq!(merged.heap_ops(), roots.len() as u64 - 1, "one heap operation per hand-over");
     cluster.shutdown();
 }
 
 /// The cluster-level merged stream yields one chronological sequence
 /// over many containers: `(time, lane)` ordered, byte-identical to
-/// merging the per-container routed reads by the same rule.
+/// merging the per-container routed reads by the same rule, with exactly
+/// one heap operation per change of lane — and the same bytes again once
+/// robot 0's owner is dead.
 #[test]
 fn merged_stream_is_chronological_and_matches_materialized_reads() {
     let staging = MemStorage::new();
-    let roots = stage_fleet(&staging, 4, 90);
+    let roots = stage_fleet(&staging, 4, 90, 0);
     let cluster = start_cluster(&staging, &roots, 3);
     let client =
         cluster.client(ClusterClientConfig { policy: RoutePolicy::Spread, ..Default::default() });
 
     let refs: Vec<&str> = roots.iter().map(String::as_str).collect();
-    let merged: Vec<_> =
-        client.read_stream_multi(&refs, &TOPICS, None).unwrap().collect::<Result<_, _>>().unwrap();
+    let mut stream = client.read_stream_multi(&refs, &TOPICS, None).unwrap();
+    let merged: Vec<WireMessage> = stream.by_ref().collect::<Result<_, _>>().unwrap();
 
     // Expected: per-lane routed reads, k-way merged by (time, lane).
-    let mut expected = Vec::new();
-    for (lane, root) in roots.iter().enumerate() {
-        for m in client.read(root, &TOPICS).unwrap() {
-            expected.push((m.time, lane, m));
-        }
-    }
-    expected.sort_by_key(|(t, lane, _)| (*t, *lane));
+    let reads: Vec<Vec<WireMessage>> =
+        refs.iter().map(|r| client.read(r, &TOPICS).unwrap()).collect();
+    let (expected, lane_changes) = merge_reads(&reads);
+    assert_eq!(merged, expected);
+    assert!(merged.windows(2).all(|w| w[0].time <= w[1].time), "merge out of time order");
+    // Every robot ticks at the same instants, so the lanes take turns.
+    assert_eq!(lane_changes, merged.len() as u64 - 1);
+    assert_eq!(stream.heap_ops(), lane_changes);
 
-    assert_eq!(merged.len(), expected.len());
-    let mut last = (Time::from_nanos(0), 0usize);
-    for (got, (time, lane, want)) in merged.iter().zip(&expected) {
-        assert_eq!(got.time, want.time);
-        assert_eq!(got.topic, want.topic);
-        assert_eq!(got.data, want.data);
-        assert!((*time, *lane) >= last, "merge emitted out of (time, lane) order");
-        last = (*time, *lane);
-    }
+    // Kill the node holding robot 0: the identical merge keeps answering.
+    let victim = client.owner(&roots[0]).unwrap();
+    cluster.kill(victim);
+    let after: Vec<WireMessage> =
+        client.read_stream_multi(&refs, &TOPICS, None).unwrap().collect::<Result<_, _>>().unwrap();
+    assert_eq!(after, merged, "merged stream after robot 0's owner died");
     cluster.shutdown();
 }
 
@@ -149,33 +180,15 @@ fn merged_stream_is_chronological_and_matches_materialized_reads() {
 /// exactly the messages already delivered), and after.
 #[test]
 fn cluster_streams_match_reads_across_a_mid_stream_node_kill() {
-    use bora_chaos::{ChaosState, ChaosTransport, Partition};
-    use bora_cluster::ClusterClient;
-    use bora_serve::{MemTransport, WireMessage};
-    use std::sync::Arc;
-
     let staging = MemStorage::new();
-    let roots = stage_fleet(&staging, 3, 200);
+    let roots = stage_fleet(&staging, 3, 200, 0);
     let refs: Vec<&str> = roots.iter().map(String::as_str).collect();
     let cluster = start_cluster(&staging, &roots, 3);
-    // A partition is what cuts a stream mid-flight here: the in-process
-    // transport buffers a node's whole answer, so killing the node alone
-    // would still deliver it.
-    let chaos = Arc::new(ChaosState::new(7));
-    let endpoints = cluster.node_ids().into_iter().map(|id| {
-        let mem = MemTransport::new(Arc::clone(&cluster.node(id).unwrap().server));
-        let t = ChaosTransport::new(mem, id, Arc::clone(&chaos));
-        (id, t.with_frame_timeout(std::time::Duration::from_millis(50)))
-    });
-    let client = ClusterClient::new(cluster.ring(), endpoints, ClusterClientConfig::default());
+    let (client, chaos) = chaos_client(&cluster, ClusterClientConfig::default());
 
     let expected: Vec<Vec<WireMessage>> =
         roots.iter().map(|r| client.read(r, &TOPICS).unwrap()).collect();
-    let mut merged_expected: Vec<(Time, usize, &WireMessage)> = Vec::new();
-    for (lane, msgs) in expected.iter().enumerate() {
-        merged_expected.extend(msgs.iter().map(|m| (m.time, lane, m)));
-    }
-    merged_expected.sort_by_key(|(t, lane, _)| (*t, *lane));
+    let (merged_expected, _) = merge_reads(&expected);
     let check_streams = |when: &str| {
         for (root, want) in roots.iter().zip(&expected) {
             let got: Vec<WireMessage> =
@@ -187,10 +200,7 @@ fn cluster_streams_match_reads_across_a_mid_stream_node_kill() {
             .unwrap()
             .collect::<Result<_, _>>()
             .unwrap();
-        assert_eq!(merged.len(), merged_expected.len());
-        for (got, (_, _, want)) in merged.iter().zip(&merged_expected) {
-            assert_eq!(&got, want, "merged stream {when}");
-        }
+        assert_eq!(merged, merged_expected, "merged stream {when}");
     };
 
     check_streams("before the kill");
@@ -200,19 +210,70 @@ fn cluster_streams_match_reads_across_a_mid_stream_node_kill() {
         assert!(report.counter("serve.stream_chunk_lz") > 0, "node {id} sent no LZ chunk");
     }
 
-    // Kill robot 0's owner 70 messages in — past two 32-message chunks.
+    // Kill robot 0's owner 70 messages in — past two 32-message chunks —
+    // with robot 0's stream and a merged one both open on it.
     let owner = client.owner(&roots[0]).unwrap();
     let failovers = bora_obs::counter("cluster.failover").get();
     let mut stream = client.read_stream(&roots[0], &TOPICS).unwrap();
+    let mut merged = client.read_stream_multi(&refs, &TOPICS, None).unwrap();
     let mut got: Vec<WireMessage> = stream.by_ref().take(70).collect::<Result<_, _>>().unwrap();
+    let mut got_merged: Vec<WireMessage> =
+        merged.by_ref().take(3 * 70).collect::<Result<_, _>>().unwrap();
     chaos.set_partition(Some(Partition::full([owner])));
     cluster.kill(owner);
     got.extend(stream.by_ref().collect::<Result<Vec<_>, _>>().unwrap());
     assert_eq!(stream.received(), 200);
     assert_eq!(got, expected[0], "the resumed stream must continue the broken one exactly");
+    got_merged.extend(merged.collect::<Result<Vec<_>, _>>().unwrap());
+    assert_eq!(got_merged, merged_expected, "the merge must continue across the resume");
     assert!(bora_obs::counter("cluster.failover").get() > failovers, "no failover was counted");
 
     check_streams("after the kill");
+    cluster.shutdown();
+}
+
+/// A lane that fails mid-merge, with no retry budget left to resume it,
+/// ends the merged stream — after every message the lanes delivered
+/// before the failure, the failed lane's last one included: the `Err`
+/// follows exactly a `(time, lane)`-sorted prefix of the full merge, and
+/// that prefix ends on the failed lane.
+#[test]
+fn a_failed_lane_ends_the_merge_after_what_it_delivered() {
+    let staging = MemStorage::new();
+    let roots = stage_fleet(&staging, 3, 200, 0);
+    let refs: Vec<&str> = roots.iter().map(String::as_str).collect();
+    let cluster = start_cluster(&staging, &roots, 3);
+    let no_retries = RetryBudgetConfig { capacity: 0.0, ..Default::default() };
+    let cfg = ClusterClientConfig { retry_budget: Some(no_retries), ..Default::default() };
+    let (client, chaos) = chaos_client(&cluster, cfg);
+    let reads: Vec<Vec<WireMessage>> =
+        refs.iter().map(|r| client.read(r, &TOPICS).unwrap()).collect();
+    let (expected, _) = merge_reads(&reads);
+
+    // Cut off a node that serves exactly one lane (the owner serves it).
+    let owners: Vec<_> = refs.iter().map(|r| client.owner(r).unwrap()).collect();
+    let lane = (0..owners.len())
+        .find(|&l| owners.iter().filter(|&&o| o == owners[l]).count() == 1)
+        .expect("some node owns exactly one robot");
+    let denied = bora_obs::counter("cluster.retry_budget_denied").get();
+    let mut merged = client.read_stream_multi(&refs, &TOPICS, None).unwrap();
+    let mut before: Vec<WireMessage> =
+        merged.by_ref().take(3 * 40).collect::<Result<_, _>>().unwrap();
+    chaos.set_partition(Some(Partition::full([owners[lane]])));
+    let err = loop {
+        match merged.next() {
+            Some(Ok(m)) => before.push(m),
+            Some(Err(e)) => break e,
+            None => panic!("the partitioned lane never failed"),
+        }
+    };
+    assert!(bora_cluster::client::should_failover(&err), "{err}");
+    assert!(bora_obs::counter("cluster.retry_budget_denied").get() > denied, "no resume denied");
+    assert!(merged.next().is_none(), "a failed merge is over");
+    assert!(before.len() < expected.len());
+    assert_eq!(before, expected[..before.len()], "a (time, lane)-sorted prefix");
+    assert_eq!(robot_of(before.last().unwrap()), lane as u32, "the failed lane's last message");
+    chaos.set_partition(None);
     cluster.shutdown();
 }
 
@@ -222,7 +283,7 @@ fn cluster_streams_match_reads_across_a_mid_stream_node_kill() {
 #[test]
 fn join_resharding_moves_minimally_and_preserves_reads() {
     let staging = MemStorage::new();
-    let roots = stage_fleet(&staging, 8, 60);
+    let roots = stage_fleet(&staging, 8, 60, 0);
     let cluster = start_cluster(&staging, &roots, 3);
     let client = cluster.client(ClusterClientConfig::default());
 

@@ -15,11 +15,23 @@
 use proptest::prelude::*;
 
 use bench::merge_ref::{merge_streams_heap, merge_streams_linear};
+use bora::stream::Merge;
 use bora::{BlockParams, BoraBag, OrganizerOptions, StreamOptions, TailMessage};
 use ros_msgs::sensor_msgs::Imu;
 use ros_msgs::{MessageDescriptor, RosMessage, Time};
+use rosbag::reader::MessageRecord;
 use rosbag::{BagWriter, BagWriterOptions};
 use simfs::{IoCtx, MemStorage};
+use std::sync::{RwLock, RwLockReadGuard};
+
+/// `stream.bytes_copied` is one counter for the whole process: a test
+/// that materialises holds this shared, and the test that reads the
+/// counter holds it alone, so no other test's copies land in its window.
+static BYTES_COPIED: RwLock<()> = RwLock::new(());
+
+fn materialising() -> RwLockReadGuard<'static, ()> {
+    BYTES_COPIED.read().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A synthetic message event: (topic index, time-nanos, payload seed).
 type Event = (usize, u64, u8);
@@ -112,6 +124,7 @@ fn drain_three_ways(
     opts: &StreamOptions,
     want: &[Seen],
 ) -> bora::StreamStats {
+    let _copies = materialising();
     let mut ctx = IoCtx::new();
     let open = |ctx: &mut IoCtx| {
         let tail = |lane| {
@@ -164,6 +177,7 @@ proptest! {
         readahead in 256usize..16384,
         threads in 1usize..5,
     ) {
+        let _copies = materialising();
         let fs = MemStorage::new();
         build_container(&fs, &events);
         let mut ctx = IoCtx::new();
@@ -211,6 +225,7 @@ proptest! {
     ) {
         let (a, b) = bounds;
         let (start, end) = (Time::from_nanos(a.min(b)), Time::from_nanos(a.max(b)));
+        let _copies = materialising();
         let fs = MemStorage::new();
         build_container(&fs, &events);
         let mut ctx = IoCtx::new();
@@ -317,6 +332,67 @@ fn long_runs_and_cross_lane_ties_merge_in_heap_order() {
     }
 }
 
+/// Lanes for the bare merge: 1 to 5 of them, each the running sum of
+/// steps of 0 to 3 ns, so cross-lane ties, equal times within a lane and
+/// long stretches one lane wins alone are all common; any lane may be
+/// empty.
+fn arb_lanes() -> impl Strategy<Value = Vec<Vec<u64>>> {
+    let lane = prop::collection::vec(0u64..4, 0..60).prop_map(|steps| {
+        let mut t = 0;
+        steps
+            .into_iter()
+            .map(|step| {
+                t += step;
+                t
+            })
+            .collect()
+    });
+    prop::collection::vec(lane, 1..6)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// [`Merge`], driven the way both read paths drive it — pick a lane,
+    /// take its head, advance it to the next — picks lanes in exactly the
+    /// order the heap-only reference merge emits them, and spends one heap
+    /// operation per change of lane: none at all over one lane.
+    #[test]
+    fn merge_picks_in_heap_order_at_one_heap_op_per_lane_change(lanes in arb_lanes()) {
+        let record = |lane: usize, i: usize, t: u64| MessageRecord {
+            conn_id: lane as u32,
+            topic: String::new(),
+            time: Time::from_nanos(t),
+            data: (i as u32).to_le_bytes().to_vec(),
+        };
+        let streams = lanes
+            .iter()
+            .enumerate()
+            .map(|(lane, ts)| ts.iter().enumerate().map(|(i, &t)| record(lane, i, t)).collect())
+            .collect();
+        let reference = merge_streams_heap(streams, &mut IoCtx::new());
+        let want: Vec<(usize, usize)> = reference
+            .iter()
+            .map(|r| (r.conn_id as usize, u32::from_le_bytes(r.data[..].try_into().unwrap()) as usize))
+            .collect();
+
+        let mut next = vec![0; lanes.len()];
+        let mut merge = Merge::new(lanes.iter().map(|ts| ts.first().copied()));
+        let mut got = Vec::new();
+        while let Some(lane) = merge.pick() {
+            got.push((lane, next[lane]));
+            next[lane] += 1;
+            merge.advance(lane, lanes[lane].get(next[lane]).copied());
+        }
+        prop_assert_eq!(&got, &want);
+        let lane_changes = want.windows(2).filter(|w| w[0].0 != w[1].0).count() as u64;
+        prop_assert_eq!(merge.heap_ops(), lane_changes);
+        if lanes.len() == 1 {
+            prop_assert_eq!(merge.heap_ops(), 0);
+        }
+    }
+}
+
 /// Write `count` messages on each of `topics`, all at the same sequence of
 /// timestamps, with the payload encoding (topic, i) so order is checkable.
 fn build_simultaneous(fs: &MemStorage, topics: &[&str], count: u32) {
@@ -403,6 +479,7 @@ fn peak_resident_bytes_bounded_by_readahead_window() {
 /// (`to_record`) moves bytes — and the telemetry counter proves it.
 #[test]
 fn payload_access_is_zero_copy() {
+    let _alone = BYTES_COPIED.write().unwrap_or_else(|poisoned| poisoned.into_inner());
     let fs = MemStorage::new();
     build_simultaneous(&fs, &["/a", "/b"], 50);
     let mut ctx = IoCtx::new();

@@ -19,19 +19,27 @@
 //!    its rate.
 //! 5. *One audited `unsafe`*: `crates/bora/src/checksum.rs`.
 //! 6. *The read core lends*: in non-test `bora/src/stream.rs` the merge
-//!    heap is touched by `lend` (and `new`) alone and `next_msg` goes
-//!    through `lend`; a cursor does not copy pool pages (`fetch_logical`
-//!    is not called, and nothing between `DataSource::Blocked { map }`
-//!    and the page push builds an `Arc` from bytes); and the file has no
-//!    more code lines than before it lent.
+//!    heap is touched inside `impl Merge` alone, `MessageStream::lend` is
+//!    the stream's one caller of `pick`, and `next_msg` goes through
+//!    `lend`; a cursor does not copy pool pages (`fetch_logical` is not
+//!    called, and nothing between `DataSource::Blocked { map }` and the
+//!    page push builds an `Arc` from bytes); and the file has no more
+//!    code lines than when the merge became a type of its own.
+//! 7. *One merge, one multi-container read*: `BinaryHeap` is named in one
+//!    non-test source under `crates/` — `stream.rs`, whose `Merge` the
+//!    cluster router drives too — not counting `crates/bench`, whose
+//!    `merge_ref.rs` is the oracle; and the swarm backend trait, its
+//!    fan-out and its cluster implementor are gone from `crates/`,
+//!    `tests/` and `examples/`.
 
 use std::path::Path;
 
 const CHECKSUM: &str = "crates/bora/src/checksum.rs";
 const STREAM: &str = "crates/bora/src/stream.rs";
 /// Code lines of `stream.rs` — non-blank, not a `//` comment, before
-/// `#[cfg(test)]` — at the commit before the read core lent (9928b0e).
-const STREAM_CODE_LINES: usize = 466;
+/// `#[cfg(test)]` — once `Merge` held the merge for both read paths (466
+/// before the read core lent, 463 after).
+const STREAM_CODE_LINES: usize = 462;
 
 /// Where a source guard looks and what it refuses to find there.
 struct SourceGuard {
@@ -79,6 +87,13 @@ const SOURCE_GUARDS: &[SourceGuard] = &[
         non_test_only: false,
         patterns: &["Rc<RefCell"],
     },
+    SourceGuard {
+        name: "one multi-container read",
+        under: &["crates/", "tests/", "examples/"],
+        exempt: &["tests/structure.rs"],
+        non_test_only: false,
+        patterns: &["SwarmBackend", "swarm_fan_out", "ClusterBackend"],
+    },
 ];
 
 /// `unsafe` as a keyword: not part of a longer identifier (`unsafe_code`)
@@ -114,27 +129,57 @@ fn source_violations(path: &str, source: &str) -> Vec<String> {
     found
 }
 
+/// The type an item header at column 0 implements or declares methods
+/// for: `impl<'a, S: Storage> MessageStream<'a, S> {` → `MessageStream`;
+/// `""` for any other item.
+fn impl_type(line: &str) -> &str {
+    let Some(mut rest) = line.strip_prefix("impl") else { return "" };
+    if rest.starts_with('<') {
+        let mut depth = 0;
+        let close = rest.find(|c| {
+            depth += (c == '<') as i32 - (c == '>') as i32;
+            depth == 0
+        });
+        rest = close.map_or("", |at| &rest[at + 1..]);
+    }
+    let rest = rest.rsplit(" for ").next().unwrap_or("").trim_start();
+    rest.split(|c: char| !(c.is_alphanumeric() || c == '_')).next().unwrap_or("")
+}
+
+/// Whether a line reads or writes a field called `heap`, of any value.
+fn touches_heap(line: &str) -> bool {
+    line.match_indices(".heap")
+        .any(|(at, f)| !line[at + f.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_'))
+}
+
 /// Guard 6 over the text of `stream.rs`.
 fn stream_violations(source: &str) -> Vec<String> {
     let mut found = Vec::new();
     let code = source.lines().enumerate().take_while(|(_, l)| !l.contains("#[cfg(test)]"));
-    let code: Vec<(usize, &str)> = code
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with("//"))
+    let code: Vec<(usize, &str, &str)> = code
+        .map(|(i, l)| (i + 1, l, l.trim()))
+        .filter(|(_, _, l)| !l.is_empty() && !l.starts_with("//"))
         .collect();
     let mut flag = |line: usize, what: &str| {
         found.push(format!("the read core lends: {STREAM}:{line}: {what}"))
     };
-    // The function a line is in: the last `fn` header at or above it.
-    let mut current = "";
+    // The item a line is in (the last one to open at column 0) and the
+    // function (the last `fn` header at or above it).
+    let (mut item, mut current) = ("", "");
     let (mut next_msg_lends, mut page_arm) = (false, false);
-    for &(i, line) in &code {
+    for &(i, raw, line) in &code {
+        if !raw.starts_with([' ', '}']) {
+            item = impl_type(raw);
+        }
         let header = ["fn ", "pub fn ", "pub(crate) fn "].iter().find_map(|p| line.strip_prefix(p));
         if let Some(header) = header {
             current = header.split(['(', '<']).next().unwrap_or("");
         }
-        if line.contains("self.heap") && !["lend", "new"].contains(&current) {
-            flag(i, "the merge heap is `lend`'s alone");
+        if touches_heap(line) && item != "Merge" {
+            flag(i, "the merge heap is `Merge`'s alone");
+        }
+        if line.contains(".pick(") && (item, current) != ("MessageStream", "lend") {
+            flag(i, "`MessageStream::lend` is the stream's one driver of the merge");
         }
         next_msg_lends |= current == "next_msg" && line.contains("self.lend(");
         if line.contains("fetch_logical(") {
@@ -150,9 +195,26 @@ fn stream_violations(source: &str) -> Vec<String> {
         flag(0, "`next_msg` is `lend`, then own");
     }
     if code.len() > STREAM_CODE_LINES {
-        flag(0, &format!("{} code lines, {STREAM_CODE_LINES} before it lent", code.len()));
+        flag(0, &format!("{} code lines, {STREAM_CODE_LINES} with one merge", code.len()));
     }
     found
+}
+
+/// Guard 7, first half: whether `path` is a source under `crates/`, not
+/// under `crates/bench`, that names `BinaryHeap` before its tests.
+fn names_the_heap(path: &str, source: &str) -> bool {
+    let mut code = source.lines().take_while(|l| !l.contains("#[cfg(test)]"));
+    path.starts_with("crates/")
+        && !path.starts_with("crates/bench/")
+        && code.any(|l| l.contains("BinaryHeap"))
+}
+
+/// Guard 7 over the sources that name the heap: `stream.rs`, alone.
+fn one_merge_violations(heap_files: &[String]) -> Vec<String> {
+    if heap_files == [STREAM] {
+        return Vec::new();
+    }
+    vec![format!("one merge: `BinaryHeap` is named in {heap_files:?}, not in {STREAM} alone")]
 }
 
 /// `"key":<number>` in a ledger row — a flat JSON object per line, as
@@ -221,14 +283,21 @@ fn walk(dir: &Path, visit: &mut impl FnMut(&Path)) {
 fn the_tree_holds_every_guard() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut found = Vec::new();
-    let mut files = 0;
-    walk(&root.join("crates"), &mut |path| {
-        let rel = path.strip_prefix(root).unwrap().to_str().unwrap().replace('\\', "/");
-        found.extend(source_violations(&rel, &std::fs::read_to_string(path).unwrap()));
-        files += 1;
-    });
-    assert!(files > 100, "the walk saw only {files} files under crates/");
+    let (mut files, mut heap_files) = (0, Vec::new());
+    for dir in ["crates", "tests", "examples"] {
+        walk(&root.join(dir), &mut |path| {
+            let rel = path.strip_prefix(root).unwrap().to_str().unwrap().replace('\\', "/");
+            let source = std::fs::read_to_string(path).unwrap();
+            found.extend(source_violations(&rel, &source));
+            if names_the_heap(&rel, &source) {
+                heap_files.push(rel);
+            }
+            files += 1;
+        });
+    }
+    assert!(files > 150, "the walk saw only {files} files under crates/, tests/ and examples/");
     found.extend(stream_violations(&std::fs::read_to_string(root.join(STREAM)).unwrap()));
+    found.extend(one_merge_violations(&heap_files));
     let manifest = std::fs::read_to_string(root.join("crates/bench/Cargo.toml")).unwrap();
     found.extend(ledger_violations(&manifest, |f| std::fs::read_to_string(root.join(f)).ok()));
     assert!(found.is_empty(), "{} violation(s):\n{}", found.len(), found.join("\n"));
@@ -242,6 +311,7 @@ fn every_source_guard_fires() {
     let rewrite = "compaction does not rewrite";
     let decode = "decode-free executor";
     let audited = "one audited unsafe";
+    let multi = "one multi-container read";
     let store = "crates/bora-ingest/src/store.rs";
     let exec = "crates/bora-query/src/exec.rs";
     let cases = [
@@ -269,6 +339,12 @@ fn every_source_guard_fires() {
         (audited, "crates/bora/src/lib.rs", "#![deny(unsafe_code)]", false),
         (audited, store, "// safe code in crates that forbid `unsafe`", false),
         (audited, store, "let not_unsafe = 1; // unsafe { }", false),
+        (multi, "crates/bora/src/lib.rs", "pub use multi::{swarm_fan_out, SwarmBackend};", true),
+        (multi, "crates/bora-cluster/src/lib.rs", "pub use swarm::ClusterBackend;", true),
+        (multi, "tests/cluster.rs", "let b = ClusterBackend { client: &client };", true),
+        (multi, "examples/cluster_tour.rs", "#[cfg(test)]\nimpl SwarmBackend for F {}", true),
+        (multi, "tests/structure.rs", "patterns: &[\"SwarmBackend\"],", false),
+        (multi, "benchmark/src/plan.rs", "use bora::SwarmBackend;", false),
     ];
     for (guard, path, source, fires) in cases {
         let fired = source_violations(path, source).iter().any(|v| v.starts_with(guard));
@@ -278,16 +354,26 @@ fn every_source_guard_fires() {
 
 #[test]
 fn the_read_core_guard_fires() {
-    let good = "impl M {\n    pub(crate) fn new() {\n        stream.heap.push(k);\n    }\n    \
-                pub fn lend(&mut self) {\n        self.heap.pop();\n    }\n    \
-                pub fn next_msg(&mut self) {\n        self.lend(ctx)\n    }\n    \
+    let good = "pub struct Merge {\n    heap: BinaryHeap<Reverse<(u64, usize)>>,\n}\n\
+                impl Merge {\n    pub fn pick(&mut self) -> Option<usize> {\n        \
+                self.heap.pop()\n    }\n}\n\
+                impl<'a, S: Storage> MessageStream<'a, S> {\n    \
+                pub(crate) fn new() {\n        stream.merge = Merge::new(heads);\n    }\n    \
+                pub fn lend(&mut self) {\n        let lane = self.merge.pick()?;\n        \
+                self.heap_ops += 1;\n    }\n    \
+                pub fn next_msg(&mut self) {\n        self.lend(ctx)\n    }\n}\n\
+                impl TopicCursor {\n    fn lend(&mut self) {\n        self.next += 1;\n    }\n    \
                 fn fill(&mut self) {\n        match src {\n            \
                 DataSource::RawDirect => blocks.push_back(Block { data: Arc::from(bytes) }),\n            \
                 DataSource::Blocked { map } => {\n                blocks.push_back(Block { data });\n            }\n        }\n    }\n}\n\
-                #[cfg(test)]\nfn t() { self.heap.clear(); bag.fetch_logical(a); }\n";
+                #[cfg(test)]\nfn t() { self.heap.clear(); m.pick(); bag.fetch_logical(a); }\n";
     assert_eq!(stream_violations(good), Vec::<String>::new());
     for (from, to, what) in [
-        ("self.lend(ctx)", "self.heap.pop()", "`lend`'s alone"),
+        ("let lane = self.merge.pick()?;", "self.merge.heap.pop();", "`Merge`'s alone"),
+        ("stream.merge = Merge::new(heads);", "stream.heap.push(k);", "`Merge`'s alone"),
+        ("self.lend(ctx)", "self.merge.pick()", "one driver"),
+        ("self.next += 1;", "self.next = merge.pick()?;", "one driver"),
+        ("self.heap.pop()", "self.pick()", "one driver"),
         ("self.lend(ctx)", "self.pop_merged(ctx)", "then own"),
         (
             "blocks.push_back(Block { data });",
@@ -300,13 +386,30 @@ fn the_read_core_guard_fires() {
             "does not copy",
         ),
         (
-            "impl M {",
-            &format!("impl M {{\n{}", "    const X: u8 = 0;\n".repeat(STREAM_CODE_LINES)),
+            "impl Merge {",
+            &format!("impl Merge {{\n{}", "    const X: u8 = 0;\n".repeat(STREAM_CODE_LINES)),
             "code lines",
         ),
     ] {
         let bad = good.replacen(from, to, 1);
         assert!(stream_violations(&bad).iter().any(|v| v.contains(what)), "{what}:\n{bad}");
+    }
+}
+
+#[test]
+fn the_one_merge_guard_fires() {
+    let heap = "use std::collections::BinaryHeap;";
+    let client = "crates/bora-cluster/src/client.rs";
+    assert!(names_the_heap(STREAM, heap));
+    assert!(names_the_heap(client, &format!("{heap}\n#[cfg(test)]\nmod tests {{}}")));
+    assert!(!names_the_heap(client, &format!("use bora::stream::Merge;\n#[cfg(test)]\n{heap}")));
+    assert!(!names_the_heap("crates/bench/src/merge_ref.rs", heap));
+    assert!(!names_the_heap("tests/stream.rs", heap));
+
+    assert_eq!(one_merge_violations(&[STREAM.to_owned()]), Vec::<String>::new());
+    for files in [vec![], vec![STREAM, client], vec![client]] {
+        let files: Vec<String> = files.into_iter().map(str::to_owned).collect();
+        assert!(one_merge_violations(&files)[0].contains("not in"), "{files:?}");
     }
 }
 
