@@ -25,11 +25,12 @@
 //!   raw storage even inside an LZSS container (LZSS can expand
 //!   adversarial input; the fallback bounds every frame at
 //!   `unc_len + FRAME_HEADER_LEN`). The encoder decides early: once a
-//!   fifth of the block has produced no saving it stops searching and
-//!   stores the block raw, so image blocks cost a fifth of a search, not
-//!   a whole one. A block whose first fifth is noise and which only then
-//!   turns compressible is stored raw too — at most four fifths of
-//!   `block_size` bytes that a full pass would have shrunk.
+//!   sixteenth of the block has produced no saving it stops searching
+//!   and stores the block raw, so image blocks cost a sixteenth of a
+//!   search, not a whole one. A block whose first sixteenth is noise and
+//!   which only then turns compressible is stored raw too — at most
+//!   fifteen sixteenths of `block_size` bytes that a full pass would have
+//!   shrunk.
 //! * The `blocks` map file carries the physical frame lengths (prefix
 //!   sums give frame offsets) plus each block's first message timestamp,
 //!   delta-encoded as varints — random logical access costs one map
@@ -229,8 +230,8 @@ pub fn encode_frame(codec: BlockCodec, logical: &[u8], ctx: &mut IoCtx) -> Vec<u
 /// only a frame that compresses is a new (smaller) allocation.
 ///
 /// The LZSS search is [`rosbag::compress::compress_bounded`]: it stops
-/// after a fifth of the bytes when they do not compress, so a raw verdict
-/// costs a fifth of a search and one CRC pass.
+/// after a sixteenth of the bytes when they do not compress, so a raw
+/// verdict costs a sixteenth of a search and one CRC pass.
 ///
 /// # Panics
 /// If `buf` is shorter than the header it reserves.
@@ -580,12 +581,12 @@ mod tests {
     }
 
     #[test]
-    fn noise_first_fifth_block_is_stored_raw() {
+    fn noise_first_sixteenth_block_is_stored_raw() {
         // The bounded search's documented price: a block whose first
-        // fifth is noise (the first give-up check past a fifth of 64 KiB
-        // is at 16 KiB) is stored raw although the rest of it is zeros.
-        // Raw means exactly header + bytes, never more.
-        let mut data = lcg_noise(16 << 10);
+        // sixteenth is noise (the first give-up check, one window in, is
+        // a sixteenth of 64 KiB) is stored raw although the rest of it is
+        // zeros. Raw means exactly header + bytes, never more.
+        let mut data = lcg_noise(4 << 10);
         data.resize(64 << 10, 0);
         assert!(rosbag::compress::compress(&data).len() < data.len() / 2);
         let mut ctx = IoCtx::new();
@@ -594,7 +595,7 @@ mod tests {
         assert_eq!(frame.len(), FRAME_HEADER_LEN + data.len());
         assert_eq!(decode_frame(&frame, "t/data", &mut ctx).unwrap().0, data);
         // Less noise than that is searched on, and the zeros pay.
-        let mut data = lcg_noise(12 << 10);
+        let mut data = lcg_noise(2 << 10);
         data.resize(64 << 10, 0);
         let frame = encode_frame(BlockCodec::Lzss, &data, &mut ctx);
         assert_eq!(frame[0], BlockCodec::Lzss.id());
