@@ -208,7 +208,7 @@ pub struct StreamStats {
 /// kept out of the heap with the key of its next head and wins again,
 /// without a heap operation, while that key sorts before the heap's top.
 ///
-/// A driver [`pick`](Merge::pick)s a lane, consumes its head, and reports
+/// A caller [`pick`](Merge::pick)s a lane, consumes its head, and reports
 /// the lane's next key with [`advance`](Merge::advance) before it picks
 /// again. [`MessageStream`] drives one over topic cursors, the cluster
 /// router one over per-container streams.
@@ -251,7 +251,7 @@ impl Merge {
         self.lead = next.map(|t| (t, lane));
     }
 
-    /// Every lane is dry from now on: a driver whose lane failed ends
+    /// Every lane is dry from now on: a caller whose lane failed ends
     /// the merge with it.
     pub fn end(&mut self) {
         (self.heap, self.lead) = (BinaryHeap::new(), None);

@@ -64,7 +64,7 @@ fn start_cluster(
     staging: &MemStorage,
     roots: &[String],
     nodes: u32,
-) -> LocalCluster<std::sync::Arc<simfs::ClusterStorage>> {
+) -> LocalCluster<Arc<simfs::ClusterStorage>> {
     let cluster = LocalCluster::start(ClusterTierConfig {
         nodes,
         ring: RingConfig { vnodes: 64, replication: 2 },

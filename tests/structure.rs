@@ -179,7 +179,7 @@ fn stream_violations(source: &str) -> Vec<String> {
             flag(i, "the merge heap is `Merge`'s alone");
         }
         if line.contains(".pick(") && (item, current) != ("MessageStream", "lend") {
-            flag(i, "`MessageStream::lend` is the stream's one driver of the merge");
+            flag(i, "`MessageStream::lend` is the stream's one caller of `pick`");
         }
         next_msg_lends |= current == "next_msg" && line.contains("self.lend(");
         if line.contains("fetch_logical(") {
@@ -371,9 +371,9 @@ fn the_read_core_guard_fires() {
     for (from, to, what) in [
         ("let lane = self.merge.pick()?;", "self.merge.heap.pop();", "`Merge`'s alone"),
         ("stream.merge = Merge::new(heads);", "stream.heap.push(k);", "`Merge`'s alone"),
-        ("self.lend(ctx)", "self.merge.pick()", "one driver"),
-        ("self.next += 1;", "self.next = merge.pick()?;", "one driver"),
-        ("self.heap.pop()", "self.pick()", "one driver"),
+        ("self.lend(ctx)", "self.merge.pick()", "one caller"),
+        ("self.next += 1;", "self.next = merge.pick()?;", "one caller"),
+        ("self.heap.pop()", "self.pick()", "one caller"),
         ("self.lend(ctx)", "self.pop_merged(ctx)", "then own"),
         (
             "blocks.push_back(Block { data });",
