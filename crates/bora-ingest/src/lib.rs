@@ -54,5 +54,5 @@ pub mod wal;
 
 pub use segment::{IngestMessage, SealMarker, SealedBatch, Segment};
 pub use snapshot::Snapshot;
-pub use store::{GenHandle, GenMarker, IngestConfig, IngestStat, IngestStore};
+pub use store::{GenHandle, GenMarker, IngestConfig, IngestStat, IngestStore, Recovery};
 pub use wal::{WalRecord, WalShard};

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bora::checksum::crc32c;
+use bora::checksum::{decode_envelope, encode_envelope};
 use bora::error::{BoraError, BoraResult};
 use ros_msgs::wire::{WireRead, WireWrite};
 use ros_msgs::Time;
@@ -46,61 +46,45 @@ impl Segment {
     /// everything before it. The sorted entry table doubles as the
     /// segment's time index.
     pub fn encode(&self) -> Vec<u8> {
-        let payload_len: usize = self.msgs.iter().map(|m| m.data.len()).sum();
-        let mut out = Vec::with_capacity(32 + self.msgs.len() * 20 + payload_len);
-        out.put_u32(SEG_MAGIC);
-        out.put_u64(self.seal_seq);
-        out.put_string(&self.topic);
-        out.put_u32(self.msgs.len() as u32);
-        for m in &self.msgs {
-            out.put_u64(m.time.as_nanos());
-            out.put_u64(m.seq);
-            out.put_u32(m.data.len() as u32);
-        }
-        for m in &self.msgs {
-            out.extend_from_slice(&m.data);
-        }
-        let crc = crc32c(&out);
-        out.put_u32(crc);
-        out
+        encode_envelope(SEG_MAGIC, |out| {
+            let payload_len: usize = self.msgs.iter().map(|m| m.data.len()).sum();
+            out.reserve(28 + self.topic.len() + self.msgs.len() * 20 + payload_len);
+            out.put_u64(self.seal_seq);
+            out.put_string(&self.topic);
+            out.put_u32(self.msgs.len() as u32);
+            for m in &self.msgs {
+                out.put_u64(m.time.as_nanos());
+                out.put_u64(m.seq);
+                out.put_u32(m.data.len() as u32);
+            }
+            for m in &self.msgs {
+                out.put_bytes(&m.data);
+            }
+        })
     }
 
     pub fn decode(bytes: &[u8]) -> BoraResult<Self> {
-        if bytes.len() < 4 {
-            return Err(BoraError::Corrupt("segment truncated".into()));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(tail.try_into().expect("4-byte tail"));
-        if crc32c(body) != stored {
-            return Err(BoraError::Corrupt("segment checksum mismatch".into()));
-        }
-        let mut cur = body;
-        if cur.get_u32()? != SEG_MAGIC {
-            return Err(BoraError::Corrupt("segment magic mismatch".into()));
-        }
-        let seal_seq = cur.get_u64()?;
-        let topic = cur.get_string()?;
-        let n = cur.get_u32()? as usize;
-        let mut heads = Vec::with_capacity(n.min(65_536));
-        for _ in 0..n {
-            let time = Time::from_nanos(cur.get_u64()?);
-            let seq = cur.get_u64()?;
-            let len = cur.get_u32()? as usize;
-            heads.push((time, seq, len));
-        }
-        let mut msgs = Vec::with_capacity(heads.len());
-        for (time, seq, len) in heads {
-            if cur.remaining() < len {
-                return Err(BoraError::Corrupt("segment payload truncated".into()));
+        decode_envelope(bytes, SEG_MAGIC, "segment", |cur| {
+            let seal_seq = cur.get_u64()?;
+            let topic = cur.get_string()?;
+            // Time, sequence number and payload length: 20 bytes.
+            let n = cur.get_count(20)?;
+            let mut heads = Vec::with_capacity(n);
+            for _ in 0..n {
+                let time = Time::from_nanos(cur.get_u64()?);
+                let seq = cur.get_u64()?;
+                let len = cur.get_u32()? as usize;
+                heads.push((time, seq, len));
             }
-            let (data, rest) = cur.split_at(len);
-            msgs.push(IngestMessage { time, seq, data: Arc::from(data) });
-            cur = rest;
-        }
-        if cur.remaining() != 0 {
-            return Err(BoraError::Corrupt("trailing bytes in segment".into()));
-        }
-        Ok(Segment { topic, seal_seq, msgs })
+            let mut msgs = Vec::with_capacity(n);
+            for (time, seq, len) in heads {
+                let data = cur
+                    .take(len)
+                    .map_err(|_| BoraError::Corrupt("segment payload truncated".into()))?;
+                msgs.push(IngestMessage { time, seq, data: Arc::from(data) });
+            }
+            Ok(Segment { topic, seal_seq, msgs })
+        })
     }
 }
 
@@ -144,49 +128,34 @@ pub struct SealMarker {
 
 impl SealMarker {
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.put_u32(SEAL_MAGIC);
-        out.put_u64(self.seal_seq);
-        out.put_u64(self.last_wal_seq);
-        out.put_u32(self.files.len() as u32);
-        for f in &self.files {
-            out.put_string(&f.name);
-            out.put_u64(f.len);
-            out.put_u32(f.crc32c);
-        }
-        let crc = crc32c(&out);
-        out.put_u32(crc);
-        out
+        encode_envelope(SEAL_MAGIC, |out| {
+            out.put_u64(self.seal_seq);
+            out.put_u64(self.last_wal_seq);
+            out.put_u32(self.files.len() as u32);
+            for f in &self.files {
+                out.put_string(&f.name);
+                out.put_u64(f.len);
+                out.put_u32(f.crc32c);
+            }
+        })
     }
 
     pub fn decode(bytes: &[u8]) -> BoraResult<Self> {
-        if bytes.len() < 4 {
-            return Err(BoraError::Corrupt("seal marker truncated".into()));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(tail.try_into().expect("4-byte tail"));
-        if crc32c(body) != stored {
-            return Err(BoraError::Corrupt("seal marker checksum mismatch".into()));
-        }
-        let mut cur = body;
-        if cur.get_u32()? != SEAL_MAGIC {
-            return Err(BoraError::Corrupt("seal marker magic mismatch".into()));
-        }
-        let seal_seq = cur.get_u64()?;
-        let last_wal_seq = cur.get_u64()?;
-        let n = cur.get_u32()? as usize;
-        let mut files = Vec::with_capacity(n.min(65_536));
-        for _ in 0..n {
-            files.push(SealedFile {
-                name: cur.get_string()?,
-                len: cur.get_u64()?,
-                crc32c: cur.get_u32()?,
-            });
-        }
-        if cur.remaining() != 0 {
-            return Err(BoraError::Corrupt("trailing bytes in seal marker".into()));
-        }
-        Ok(SealMarker { seal_seq, last_wal_seq, files })
+        decode_envelope(bytes, SEAL_MAGIC, "seal marker", |cur| {
+            let seal_seq = cur.get_u64()?;
+            let last_wal_seq = cur.get_u64()?;
+            // Name length prefix, length and CRC: 16 bytes at least.
+            let n = cur.get_count(16)?;
+            let mut files = Vec::with_capacity(n);
+            for _ in 0..n {
+                files.push(SealedFile {
+                    name: cur.get_string()?,
+                    len: cur.get_u64()?,
+                    crc32c: cur.get_u32()?,
+                });
+            }
+            Ok(SealMarker { seal_seq, last_wal_seq, files })
+        })
     }
 }
 

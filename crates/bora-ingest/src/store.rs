@@ -57,7 +57,7 @@ use std::sync::Arc;
 
 use bora::block::{BlockCodec, BlockParams};
 use bora::bufpool::BufferPool;
-use bora::checksum::crc32c;
+use bora::checksum::{crc32c, decode_envelope, encode_envelope};
 use bora::error::{BoraError, BoraResult};
 use bora::layout::{meta_path, TopicPaths, META_FILE};
 use bora::manifest::Manifest;
@@ -107,50 +107,34 @@ impl Default for IngestConfig {
 
 impl IngestConfig {
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.put_u32(CFG_MAGIC);
-        out.put_u32(self.wal_shards as u32);
-        out.put_u64(self.group_commit);
-        out.put_u64(self.window_ns);
-        if let Some(b) = self.block {
-            out.push(b.codec.id());
-            out.put_u32(b.block_size);
-        }
-        let crc = crc32c(&out);
-        out.put_u32(crc);
-        out
+        encode_envelope(CFG_MAGIC, |out| {
+            out.put_u32(self.wal_shards as u32);
+            out.put_u64(self.group_commit);
+            out.put_u64(self.window_ns);
+            if let Some(b) = self.block {
+                out.put_u8(b.codec.id());
+                out.put_u32(b.block_size);
+            }
+        })
     }
 
     pub fn decode(bytes: &[u8]) -> BoraResult<Self> {
-        if bytes.len() < 4 {
-            return Err(BoraError::Corrupt("ingest config truncated".into()));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(tail.try_into().expect("4-byte tail"));
-        if crc32c(body) != stored {
-            return Err(BoraError::Corrupt("ingest config checksum mismatch".into()));
-        }
-        let mut cur = body;
-        if cur.get_u32()? != CFG_MAGIC {
-            return Err(BoraError::Corrupt("ingest config magic mismatch".into()));
-        }
-        let wal_shards = cur.get_u32()? as usize;
-        let group_commit = cur.get_u64()?;
-        let window_ns = cur.get_u64()?;
-        let block = if cur.remaining() == 0 {
-            None
-        } else {
-            let codec = BlockCodec::from_id(cur.get_u8()?)?;
-            let block_size = cur.get_u32()?;
-            if block_size == 0 {
-                return Err(BoraError::Corrupt("ingest config block size is zero".into()));
-            }
-            Some(BlockParams { codec, block_size })
-        };
-        if cur.remaining() != 0 {
-            return Err(BoraError::Corrupt("trailing bytes in ingest config".into()));
-        }
-        Ok(IngestConfig { wal_shards, group_commit, window_ns, block })
+        decode_envelope(bytes, CFG_MAGIC, "ingest config", |cur| {
+            let wal_shards = cur.get_u32()? as usize;
+            let group_commit = cur.get_u64()?;
+            let window_ns = cur.get_u64()?;
+            let block = if cur.remaining() == 0 {
+                None
+            } else {
+                let codec = BlockCodec::from_id(cur.get_u8()?)?;
+                let block_size = cur.get_u32()?;
+                if block_size == 0 {
+                    return Err(BoraError::Corrupt("ingest config block size is zero".into()));
+                }
+                Some(BlockParams { codec, block_size })
+            };
+            Ok(IngestConfig { wal_shards, group_commit, window_ns, block })
+        })
     }
 }
 
@@ -168,38 +152,127 @@ pub struct GenMarker {
 
 impl GenMarker {
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.put_u32(GEN_MAGIC);
-        out.put_u64(self.generation);
-        out.put_u64(self.last_seal_seq);
-        out.put_u64(self.last_wal_seq);
-        let crc = crc32c(&out);
-        out.put_u32(crc);
-        out
+        encode_envelope(GEN_MAGIC, |out| {
+            out.put_u64(self.generation);
+            out.put_u64(self.last_seal_seq);
+            out.put_u64(self.last_wal_seq);
+        })
     }
 
     pub fn decode(bytes: &[u8]) -> BoraResult<Self> {
-        if bytes.len() < 4 {
-            return Err(BoraError::Corrupt("generation marker truncated".into()));
+        decode_envelope(bytes, GEN_MAGIC, "generation marker", |cur| {
+            Ok(GenMarker {
+                generation: cur.get_u64()?,
+                last_seal_seq: cur.get_u64()?,
+                last_wal_seq: cur.get_u64()?,
+            })
+        })
+    }
+}
+
+/// What [`IngestStore::open`] recovers from a root, worked out by reading
+/// alone: `open` deletes the debris, loads the seals and replays the WAL
+/// above [`Recovery::covered_wal_seq`]; `bora-tool ingest-stat` reports
+/// the same plan without changing a byte.
+#[derive(Debug)]
+pub struct Recovery {
+    pub cfg: IngestConfig,
+    /// Root of the newest generation whose MANIFEST loads and whose
+    /// `.ingest` marker names the generation of its directory.
+    pub gen_root: String,
+    pub gen: GenMarker,
+    /// The seals above the generation's watermark that a valid marker
+    /// commits, as `(seal_seq from the file name, marker)`, ascending.
+    pub seals: Vec<(u64, SealMarker)>,
+    /// What recovery deletes: under `gen/` every other entry (superseded
+    /// generations, crashed compactions); under `seg/` the files of seals
+    /// the generation consumed or no marker commits, segment files their
+    /// marker does not list, and names that parse as neither.
+    pub debris: Vec<(String, EntryKind)>,
+}
+
+impl Recovery {
+    pub fn read<S: Storage>(storage: &S, root: &str, ctx: &mut IoCtx) -> BoraResult<Self> {
+        let root = root.trim_end_matches('/');
+        let mp = marker_path(root);
+        if !storage.exists(&mp, ctx) {
+            return Err(BoraError::NotAContainer(root.to_owned()));
         }
-        let (body, tail) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(tail.try_into().expect("4-byte tail"));
-        if crc32c(body) != stored {
-            return Err(BoraError::Corrupt("generation marker checksum mismatch".into()));
+        let cfg = IngestConfig::decode(&storage.read_all(&mp, ctx)?)?;
+
+        // The newest committed generation; everything else in gen/ is
+        // debris from crashed compactions.
+        let gdir = gen_dir(root);
+        let mut best: Option<(u64, String, GenMarker)> = None;
+        let mut debris: Vec<(String, EntryKind)> = Vec::new();
+        for e in storage.read_dir(&gdir, ctx)? {
+            let path = format!("{gdir}/{}", e.name);
+            let committed = match (parse_gen_name(&e.name), e.kind) {
+                (Some(g), EntryKind::Dir) => load_gen_marker(storage, &path, ctx)
+                    .ok()
+                    .filter(|m| m.generation == g)
+                    .map(|m| (g, m)),
+                _ => None,
+            };
+            match committed {
+                Some((g, marker)) => match best.take() {
+                    Some(prev) if prev.0 > g => {
+                        debris.push((path, EntryKind::Dir));
+                        best = Some(prev);
+                    }
+                    Some(prev) => {
+                        debris.push((prev.1, EntryKind::Dir));
+                        best = Some((g, path, marker));
+                    }
+                    None => best = Some((g, path, marker)),
+                },
+                None => debris.push((path, e.kind)),
+            }
         }
-        let mut cur = body;
-        if cur.get_u32()? != GEN_MAGIC {
-            return Err(BoraError::Corrupt("generation marker magic mismatch".into()));
+        let (_, gen_root, gen) = best.ok_or_else(|| {
+            BoraError::Corrupt(format!("ingest root {root} has no committed generation"))
+        })?;
+
+        // Committed seals above the generation's watermark.
+        let sdir = seg_dir(root);
+        let mut by_seal: BTreeMap<u64, Vec<(String, bool)>> = BTreeMap::new();
+        for e in storage.read_dir(&sdir, ctx)? {
+            match parse_seg_name(&e.name) {
+                Some((seq, topic)) => {
+                    by_seal.entry(seq).or_default().push((e.name, topic.is_none()))
+                }
+                None => debris.push((format!("{sdir}/{}", e.name), EntryKind::File)),
+            }
         }
-        let m = GenMarker {
-            generation: cur.get_u64()?,
-            last_seal_seq: cur.get_u64()?,
-            last_wal_seq: cur.get_u64()?,
-        };
-        if cur.remaining() != 0 {
-            return Err(BoraError::Corrupt("trailing bytes in generation marker".into()));
+        let mut seals = Vec::new();
+        for (seq, files) in by_seal {
+            let marker = if seq > gen.last_seal_seq && files.iter().any(|(_, m)| *m) {
+                storage
+                    .read_all(&seal_marker_path(root, seq), ctx)
+                    .ok()
+                    .and_then(|b| SealMarker::decode(&b).ok())
+            } else {
+                None
+            };
+            // Without one, consumed by the generation or never committed
+            // (the WAL still holds an uncommitted seal's records).
+            for (name, is_marker) in files {
+                let kept = marker
+                    .as_ref()
+                    .is_some_and(|m| is_marker || m.files.iter().any(|f| f.name == name));
+                if !kept {
+                    debris.push((format!("{sdir}/{name}"), EntryKind::File));
+                }
+            }
+            seals.extend(marker.map(|m| (seq, m)));
         }
-        Ok(m)
+        Ok(Recovery { cfg, gen_root, gen, seals, debris })
+    }
+
+    /// The highest WAL sequence number the generation and the committed
+    /// seals hold: recovery replays only the records above it.
+    pub fn covered_wal_seq(&self) -> u64 {
+        self.seals.iter().map(|(_, m)| m.last_wal_seq).fold(self.gen.last_wal_seq, u64::max)
     }
 }
 
@@ -341,80 +414,22 @@ impl<S: Storage> IngestStore<S> {
     pub fn open(storage: S, root: &str, ctx: &mut IoCtx) -> BoraResult<Self> {
         let sp = bora_obs::span("ingest.open");
         let root = root.trim_end_matches('/').to_owned();
-        let mp = marker_path(&root);
-        if !storage.exists(&mp, ctx) {
-            return Err(BoraError::NotAContainer(root));
-        }
-        let cfg = IngestConfig::decode(&storage.read_all(&mp, ctx)?)?;
+        let plan = Recovery::read(&storage, &root, ctx)?;
+        let covered = plan.covered_wal_seq();
+        let Recovery { cfg, gen_root: groot, gen: gmarker, seals, debris } = plan;
 
-        // 1. Pick the newest committed generation; everything else in
-        // gen/ is debris from crashed compactions.
-        let gdir = gen_dir(&root);
-        let mut best: Option<(u64, String, GenMarker)> = None;
-        let mut junk: Vec<(String, EntryKind)> = Vec::new();
-        for e in storage.read_dir(&gdir, ctx)? {
-            let path = format!("{gdir}/{}", e.name);
-            let committed = match (parse_gen_name(&e.name), e.kind) {
-                (Some(g), EntryKind::Dir) => load_gen_marker(&storage, &path, ctx)
-                    .ok()
-                    .filter(|m| m.generation == g)
-                    .map(|m| (g, m)),
-                _ => None,
-            };
-            match committed {
-                Some((g, marker)) => match best.take() {
-                    Some(prev) if prev.0 > g => {
-                        junk.push((path, EntryKind::Dir));
-                        best = Some(prev);
-                    }
-                    Some(prev) => {
-                        junk.push((prev.1, EntryKind::Dir));
-                        best = Some((g, path, marker));
-                    }
-                    None => best = Some((g, path, marker)),
-                },
-                None => junk.push((path, e.kind)),
-            }
-        }
-        let (generation, groot, gmarker) = best.ok_or_else(|| {
-            BoraError::Corrupt(format!("ingest root {root} has no committed generation"))
-        })?;
-        for (path, kind) in junk {
+        // 1. Sweep what no committed state refers to.
+        for (path, kind) in debris {
             match kind {
                 EntryKind::Dir => storage.remove_dir_all(&path, ctx)?,
                 EntryKind::File => storage.remove_file(&path, ctx)?,
             }
         }
 
-        // 2. Load committed seals above the generation's watermark.
+        // 2. Load the committed seals, each file held to its marker.
         let sdir = seg_dir(&root);
-        let mut by_seal: BTreeMap<u64, Vec<(String, bool)>> = BTreeMap::new();
-        for e in storage.read_dir(&sdir, ctx)? {
-            match parse_seg_name(&e.name) {
-                Some((seq, topic)) => {
-                    by_seal.entry(seq).or_default().push((e.name, topic.is_none()))
-                }
-                None => storage.remove_file(&format!("{sdir}/{}", e.name), ctx)?,
-            }
-        }
-        let mut sealed: Vec<Arc<SealedBatch>> = Vec::new();
-        for (seq, files) in by_seal {
-            let marker = if seq > gmarker.last_seal_seq && files.iter().any(|(_, m)| *m) {
-                storage
-                    .read_all(&seal_marker_path(&root, seq), ctx)
-                    .ok()
-                    .and_then(|b| SealMarker::decode(&b).ok())
-            } else {
-                None
-            };
-            let Some(m) = marker else {
-                // Consumed by the generation, or never committed (the
-                // WAL still holds an uncommitted seal's records).
-                for (name, _) in &files {
-                    storage.remove_file(&format!("{sdir}/{name}"), ctx)?;
-                }
-                continue;
-            };
+        let mut sealed: Vec<Arc<SealedBatch>> = Vec::with_capacity(seals.len());
+        for (seal_seq, m) in seals {
             let mut topics = BTreeMap::new();
             for f in &m.files {
                 let bytes = storage.read_all(&format!("{sdir}/{}", f.name), ctx)?;
@@ -424,18 +439,8 @@ impl<S: Storage> IngestStore<S> {
                 let seg = Segment::decode(&bytes)?;
                 topics.insert(seg.topic, seg.msgs);
             }
-            for (name, is_marker) in &files {
-                if !is_marker && !m.files.iter().any(|f| &f.name == name) {
-                    storage.remove_file(&format!("{sdir}/{name}"), ctx)?;
-                }
-            }
-            sealed.push(Arc::new(SealedBatch {
-                seal_seq: seq,
-                last_wal_seq: m.last_wal_seq,
-                topics,
-            }));
+            sealed.push(Arc::new(SealedBatch { seal_seq, last_wal_seq: m.last_wal_seq, topics }));
         }
-        let covered = sealed.iter().map(|b| b.last_wal_seq).fold(gmarker.last_wal_seq, u64::max);
 
         // 3. Recover WAL shards and replay uncovered records.
         let mut shards: Vec<WalShard> =
@@ -492,7 +497,7 @@ impl<S: Storage> IngestStore<S> {
         let next_seal_seq =
             sealed.iter().map(|b| b.seal_seq).fold(gmarker.last_seal_seq, u64::max) + 1;
         let gen = Arc::new(GenHandle {
-            generation,
+            generation: gmarker.generation,
             root: groot,
             last_seal_seq: gmarker.last_seal_seq,
             last_wal_seq: gmarker.last_wal_seq,

@@ -61,11 +61,13 @@ fn decode_payload(mut cur: &[u8]) -> BoraResult<WalRecord> {
 /// byte length of that good prefix (`== bytes.len()` iff the log is whole).
 pub fn scan(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
-    let mut off = 0usize;
-    while bytes.len() - off >= FRAME_HEADER {
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
-        let Some(payload) = bytes.get(off + FRAME_HEADER..off + FRAME_HEADER + len) else {
+    let mut rest = bytes;
+    loop {
+        let mut cur = rest;
+        let (Ok(len), Ok(crc)) = (cur.get_u32(), cur.get_u32()) else {
+            break; // torn tail: not even a header
+        };
+        let Ok(payload) = cur.take(len as usize) else {
             break; // torn tail: frame extends past EOF
         };
         if crc32c(payload) != crc {
@@ -75,9 +77,9 @@ pub fn scan(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
             Ok(rec) => records.push(rec),
             Err(_) => break,
         }
-        off += FRAME_HEADER + len;
+        rest = cur;
     }
-    (records, off)
+    (records, bytes.len() - rest.len())
 }
 
 /// One shard's writer: group-commit buffer + durable-record counter.

@@ -8,6 +8,7 @@
 //! back each time.
 
 use bora::BoraError;
+use ros_msgs::WireError;
 
 /// Which stage rejected the query (or its execution).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,6 +131,12 @@ impl std::error::Error for QueryError {}
 impl From<BoraError> for QueryError {
     fn from(e: BoraError) -> Self {
         QueryError { kind: QueryErrorKind::Storage, pos: None, msg: e.to_string(), source: Some(e) }
+    }
+}
+
+impl From<WireError> for QueryError {
+    fn from(e: WireError) -> Self {
+        QueryError::wire(e.to_string())
     }
 }
 

@@ -11,6 +11,8 @@
 //! Decoding is fully bounds-checked and rejects trailing bytes — a
 //! truncated or oversized blob is a typed [`QueryError`], never a panic.
 
+use ros_msgs::wire::{WireRead, WireWrite};
+
 use crate::error::{QueryError, QueryResult};
 use crate::value::{Row, Value};
 
@@ -23,28 +25,27 @@ const TAG_STR: u8 = 4;
 /// Encode a batch of rows into one blob.
 pub fn encode_rows(rows: &[Row]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + rows.len() * 16);
-    out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+    out.put_u32(rows.len() as u32);
     for row in rows {
-        out.extend_from_slice(&(row.len() as u16).to_le_bytes());
+        out.put_u16(row.len() as u16);
         for v in row {
             match v {
-                Value::Null => out.push(TAG_NULL),
+                Value::Null => out.put_u8(TAG_NULL),
                 Value::Bool(b) => {
-                    out.push(TAG_BOOL);
-                    out.push(*b as u8);
+                    out.put_u8(TAG_BOOL);
+                    out.put_bool(*b);
                 }
                 Value::Int(i) => {
-                    out.push(TAG_INT);
-                    out.extend_from_slice(&i.to_le_bytes());
+                    out.put_u8(TAG_INT);
+                    out.put_i64(*i);
                 }
                 Value::Float(f) => {
-                    out.push(TAG_FLOAT);
-                    out.extend_from_slice(&f.to_le_bytes());
+                    out.put_u8(TAG_FLOAT);
+                    out.put_f64(*f);
                 }
                 Value::Str(s) => {
-                    out.push(TAG_STR);
-                    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    out.extend_from_slice(s.as_bytes());
+                    out.put_u8(TAG_STR);
+                    out.put_string(s);
                 }
             }
         }
@@ -52,68 +53,29 @@ pub fn encode_rows(rows: &[Row]) -> Vec<u8> {
     out
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> QueryResult<&'a [u8]> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| QueryError::wire("row blob truncated"))?;
-        let s = &self.buf[self.at..end];
-        self.at = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> QueryResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> QueryResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> QueryResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-}
-
 /// Decode a blob back into rows.
 pub fn decode_rows(bytes: &[u8]) -> QueryResult<Vec<Row>> {
-    let mut r = Reader { buf: bytes, at: 0 };
-    let n = r.u32()? as usize;
-    // A row costs at least 2 bytes — reject absurd counts before
-    // reserving memory for them.
-    if n > bytes.len() / 2 + 1 {
-        return Err(QueryError::wire(format!("row count {n} exceeds blob size")));
-    }
+    let mut cur = bytes;
+    // A row costs at least its 2-byte cell count, a cell its 1-byte tag.
+    let n = cur.get_count(2)?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
-        let cells = r.u16()? as usize;
-        let mut row = Vec::with_capacity(cells);
+        let cells = cur.get_u16()? as usize;
+        let mut row = Vec::with_capacity(cur.fits(cells, 1)?);
         for _ in 0..cells {
-            let v = match r.u8()? {
+            let v = match cur.get_u8()? {
                 TAG_NULL => Value::Null,
-                TAG_BOOL => Value::Bool(r.u8()? != 0),
-                TAG_INT => Value::Int(i64::from_le_bytes(r.take(8)?.try_into().unwrap())),
-                TAG_FLOAT => Value::Float(f64::from_le_bytes(r.take(8)?.try_into().unwrap())),
-                TAG_STR => {
-                    let len = r.u32()? as usize;
-                    let s = std::str::from_utf8(r.take(len)?)
-                        .map_err(|_| QueryError::wire("non-UTF8 string cell"))?;
-                    Value::Str(s.to_owned())
-                }
+                TAG_BOOL => Value::Bool(cur.get_bool()?),
+                TAG_INT => Value::Int(cur.get_i64()?),
+                TAG_FLOAT => Value::Float(cur.get_f64()?),
+                TAG_STR => Value::Str(cur.get_string()?),
                 t => return Err(QueryError::wire(format!("unknown cell tag {t}"))),
             };
             row.push(v);
         }
         rows.push(row);
     }
-    if r.at != bytes.len() {
+    if cur.remaining() != 0 {
         return Err(QueryError::wire("trailing bytes after last row"));
     }
     Ok(rows)

@@ -48,7 +48,8 @@
 use bora::block::{decode_frame, encode_frame_in_place};
 use bora::BlockCodec;
 use bora_obs::{HistSummary, TraceContext, BUCKETS};
-use ros_msgs::Time;
+use ros_msgs::wire::{WireRead, WireWrite};
+use ros_msgs::{Time, WireError};
 use rosbag::MessageRecord;
 use simfs::IoCtx;
 
@@ -96,9 +97,10 @@ const OP_QUERY: u8 = 0x13;
 /// Split a received frame payload into the seq it opens with and the
 /// rest. A frame too short to hold one is not an answer to anything.
 pub fn split_seq(payload: &[u8]) -> ProtoResult<(u32, &[u8])> {
-    match payload.split_first_chunk::<4>() {
-        Some((seq, rest)) => Ok((u32::from_le_bytes(*seq), rest)),
-        None => Err(ProtoError(format!("{}-byte frame holds no seq", payload.len()))),
+    let mut rest = payload;
+    match rest.get_u32() {
+        Ok(seq) => Ok((seq, rest)),
+        Err(_) => Err(ProtoError(format!("{}-byte frame holds no seq", payload.len()))),
     }
 }
 
@@ -132,7 +134,7 @@ pub(crate) fn chunk_frame<'a>(
     let mut buf = Vec::with_capacity(len);
     buf.resize(bora::block::FRAME_HEADER_LEN, 0);
     let mut w = Writer { buf, overflow: false };
-    w.u32(messages.len() as u32);
+    w.put_u32(messages.len() as u32);
     for (topic, time, payload) in messages {
         w.msg(topic, time, payload);
     }
@@ -157,7 +159,7 @@ pub fn decompress_chunk(frame: &[u8]) -> ProtoResult<Vec<WireMessage>> {
             frame.len() - used
         )));
     }
-    let mut r = Reader::new(&body);
+    let mut r = &body[..];
     let messages = r.msgs()?;
     r.finish()?;
     Ok(messages)
@@ -537,16 +539,33 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+impl From<WireError> for ProtoError {
+    fn from(e: WireError) -> Self {
+        ProtoError(e.to_string())
+    }
+}
+
 type ProtoResult<T> = Result<T, ProtoError>;
 
 // ---------------------------------------------------------------- encoding
 
+/// The protocol's own layer over [`WireWrite`]: `u16`-prefixed strings
+/// and lists, and the composite fields several messages share.
 #[derive(Default)]
 struct Writer {
     buf: Vec<u8>,
     /// A string or list was too long for its `u16` length prefix; the
     /// buffer is unusable (see [`Writer::finish`]).
     overflow: bool,
+}
+
+impl WireWrite for Writer {
+    fn put_u8(&mut self, v: u8) {
+        self.buf.push(v);
+    }
+    fn put_bytes(&mut self, v: &[u8]) {
+        self.buf.extend_from_slice(v);
+    }
 }
 
 impl Writer {
@@ -562,184 +581,140 @@ impl Writer {
     /// A `u16` length or count prefix.
     fn len16(&mut self, n: usize) {
         match u16::try_from(n) {
-            Ok(n) => self.u16(n),
+            Ok(n) => self.put_u16(n),
             Err(_) => self.overflow = true,
         }
     }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn time(&mut self, t: Time) {
-        self.u32(t.sec);
-        self.u32(t.nsec);
-    }
     fn str(&mut self, s: &str) {
         self.len16(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put_bytes(s.as_bytes());
     }
-    fn strs(&mut self, list: &[String]) {
-        self.len16(list.len());
-        for s in list {
-            self.str(s);
+    fn list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.len16(items.len());
+        for it in items {
+            item(self, it);
         }
     }
-    fn bytes(&mut self, b: &[u8]) {
-        self.u32(b.len() as u32);
-        self.buf.extend_from_slice(b);
+    fn strs(&mut self, list: &[String]) {
+        self.list(list, |w, s| w.str(s));
     }
     fn stat(&mut self, s: &ContainerStat) {
-        self.u32(s.topics);
-        self.u64(s.messages);
-        self.u64(s.data_bytes);
-        self.time(s.start);
-        self.time(s.end);
+        self.put_u32(s.topics);
+        self.put_u64(s.messages);
+        self.put_u64(s.data_bytes);
+        self.put_time(s.start);
+        self.put_time(s.end);
     }
     fn msg(&mut self, topic: &str, time: Time, payload: &[u8]) {
         self.str(topic);
-        self.time(time);
-        self.bytes(payload);
+        self.put_time(time);
+        self.put_byte_array(payload);
     }
     fn msgs(&mut self, msgs: &[WireMessage]) {
-        self.u32(msgs.len() as u32);
+        self.put_u32(msgs.len() as u32);
         for m in msgs {
             self.msg(&m.topic, m.time, &m.data);
         }
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
     /// Histogram with sparse buckets: exact count/sum/min, then
     /// `(index, value)` pairs for the non-zero buckets only — a typical
     /// latency histogram occupies a dozen of the 64.
     fn hist(&mut self, h: &HistSummary) {
-        self.u64(h.count);
-        self.u64(h.sum);
-        self.u64(h.min);
+        self.put_u64(h.count);
+        self.put_u64(h.sum);
+        self.put_u64(h.min);
         let nonzero = h.buckets.iter().filter(|&&b| b != 0).count();
-        self.u8(nonzero as u8);
+        self.put_u8(nonzero as u8);
         for (i, &b) in h.buckets.iter().enumerate() {
             if b != 0 {
-                self.u8(i as u8);
-                self.u64(b);
+                self.put_u8(i as u8);
+                self.put_u64(b);
             }
         }
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> ProtoResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(ProtoError(format!(
-                "truncated frame: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> ProtoResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-    fn u16(&mut self) -> ProtoResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    fn u32(&mut self) -> ProtoResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> ProtoResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn time(&mut self) -> ProtoResult<Time> {
-        Ok(Time { sec: self.u32()?, nsec: self.u32()? })
-    }
+/// What [`Writer`] writes, read back over [`WireRead`]. Every list count
+/// is checked against the bytes left before anything is reserved for it.
+trait ProtoRead<'a>: WireRead<'a> {
     fn str(&mut self) -> ProtoResult<String> {
-        let len = self.u16()? as usize;
+        let len = self.get_u16()? as usize;
         let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| ProtoError("non-UTF8 string field".into()))
+        std::str::from_utf8(raw)
+            .map(str::to_owned)
+            .map_err(|_| ProtoError("non-UTF8 string field".into()))
+    }
+    /// A `u16`-counted list of items of at least `min_size` bytes each.
+    fn list<T>(
+        &mut self,
+        min_size: usize,
+        mut item: impl FnMut(&mut Self) -> ProtoResult<T>,
+    ) -> ProtoResult<Vec<T>> {
+        let n = self.get_u16()? as usize;
+        let mut items = Vec::with_capacity(self.fits(n, min_size)?);
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
     }
     fn strs(&mut self) -> ProtoResult<Vec<String>> {
-        let n = self.u16()? as usize;
-        (0..n).map(|_| self.str()).collect()
+        self.list(2, |r| r.str())
     }
     fn flag(&mut self, what: &str) -> ProtoResult<bool> {
-        match self.u8()? {
+        match self.get_u8()? {
             0 => Ok(false),
             1 => Ok(true),
             v => Err(ProtoError(format!("bad {what} marker {v}"))),
         }
     }
-    fn bytes(&mut self) -> ProtoResult<Vec<u8>> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
     fn stat(&mut self) -> ProtoResult<ContainerStat> {
         Ok(ContainerStat {
-            topics: self.u32()?,
-            messages: self.u64()?,
-            data_bytes: self.u64()?,
-            start: self.time()?,
-            end: self.time()?,
+            topics: self.get_u32()?,
+            messages: self.get_u64()?,
+            data_bytes: self.get_u64()?,
+            start: self.get_time()?,
+            end: self.get_time()?,
         })
     }
     fn msgs(&mut self) -> ProtoResult<Vec<WireMessage>> {
-        let n = self.u32()? as usize;
-        let mut messages = Vec::with_capacity(n.min(1 << 20));
+        // Topic length, time and payload length: 14 bytes at least.
+        let n = self.get_count(14)?;
+        let mut messages = Vec::with_capacity(n);
         for _ in 0..n {
             messages.push(WireMessage {
                 topic: self.str()?,
-                time: self.time()?,
-                data: self.bytes()?,
+                time: self.get_time()?,
+                data: self.get_byte_array()?,
             });
         }
         Ok(messages)
     }
-    fn i64(&mut self) -> ProtoResult<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
     fn hist(&mut self) -> ProtoResult<HistSummary> {
         let mut h = HistSummary {
-            count: self.u64()?,
-            sum: self.u64()?,
-            min: self.u64()?,
+            count: self.get_u64()?,
+            sum: self.get_u64()?,
+            min: self.get_u64()?,
             buckets: [0; BUCKETS],
         };
-        let nonzero = self.u8()? as usize;
+        let nonzero = self.get_u8()? as usize;
         for _ in 0..nonzero {
-            let idx = self.u8()? as usize;
+            let idx = self.get_u8()? as usize;
             if idx >= BUCKETS {
                 return Err(ProtoError(format!("histogram bucket index {idx} out of range")));
             }
-            h.buckets[idx] = self.u64()?;
+            h.buckets[idx] = self.get_u64()?;
         }
         Ok(h)
     }
-    fn finish(self) -> ProtoResult<()> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtoError(format!("{} trailing bytes after payload", self.buf.len() - self.pos)))
+    fn finish(&self) -> ProtoResult<()> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(ProtoError(format!("{n} trailing bytes after payload"))),
         }
     }
 }
+
+impl<'a> ProtoRead<'a> for &'a [u8] {}
 
 impl Request {
     /// The container a data-plane request targets, if any.
@@ -791,67 +766,69 @@ impl Request {
         if let Some(c) = ctx {
             flags |= FLAG_TRACE | if c.sampled { FLAG_SAMPLED } else { 0 };
         }
-        w.u8(flags);
+        w.put_u8(flags);
         if let Some(budget) = deadline_ns {
-            w.u64(budget);
+            w.put_u64(budget);
         }
         if let Some(c) = ctx {
-            w.u64(c.trace_id);
-            w.u64(c.parent_span);
+            w.put_u64(c.trace_id);
+            w.put_u64(c.parent_span);
         }
         match self {
             Request::Open { container } => {
-                w.u8(OP_OPEN);
+                w.put_u8(OP_OPEN);
                 w.str(container);
             }
             Request::Topics { container } => {
-                w.u8(OP_TOPICS);
+                w.put_u8(OP_TOPICS);
                 w.str(container);
             }
             Request::Meta { container } => {
-                w.u8(OP_META);
+                w.put_u8(OP_META);
                 w.str(container);
             }
             Request::Read { container, topics, range }
             | Request::ReadStream2 { container, topics, range } => {
-                w.u8(if matches!(self, Request::Read { .. }) { OP_READ } else { OP_READ_STREAM2 });
+                let op =
+                    if matches!(self, Request::Read { .. }) { OP_READ } else { OP_READ_STREAM2 };
+                w.put_u8(op);
                 w.str(container);
                 w.strs(topics);
                 match range {
                     Some((start, end)) => {
-                        w.u8(1);
-                        w.time(*start);
-                        w.time(*end);
+                        w.put_u8(1);
+                        w.put_time(*start);
+                        w.put_time(*end);
                     }
-                    None => w.u8(0),
+                    None => w.put_u8(0),
                 }
             }
             Request::Append { container, messages } => {
-                w.u8(OP_APPEND);
+                w.put_u8(OP_APPEND);
                 w.str(container);
                 w.msgs(messages);
             }
             Request::Seal { container, compact } => {
-                w.u8(OP_SEAL);
+                w.put_u8(OP_SEAL);
                 w.str(container);
-                w.u8(*compact as u8);
+                w.put_u8(*compact as u8);
             }
             Request::Query { container, sql, partial } => {
-                w.u8(OP_QUERY);
+                w.put_u8(OP_QUERY);
                 w.str(container);
                 // u32 length: query text has no natural u16 bound.
-                w.bytes(sql.as_bytes());
-                w.u8(*partial as u8);
+                w.put_string(sql);
+                w.put_u8(*partial as u8);
             }
             Request::Stat { container } => {
-                w.u8(OP_STAT);
+                w.put_u8(OP_STAT);
                 w.str(container);
             }
-            Request::Stats => w.u8(OP_STATS),
-            Request::Metrics => w.u8(OP_METRICS),
-            Request::Trace => w.u8(OP_TRACE),
-            Request::Ping => w.u8(OP_PING),
-            Request::Shutdown => w.u8(OP_SHUTDOWN),
+            Request::Stats => w.put_u8(OP_STATS),
+            Request::Metrics => w.put_u8(OP_METRICS),
+            Request::Trace => w.put_u8(OP_TRACE),
+            Request::Ping => w.put_u8(OP_PING),
+            Request::Shutdown => w.put_u8(OP_SHUTDOWN),
         }
     }
 
@@ -880,7 +857,7 @@ impl Request {
         deadline_ns: Option<u64>,
     ) -> ProtoResult<Vec<u8>> {
         let mut w = Writer::default();
-        w.u32(seq);
+        w.put_u32(seq);
         self.write(&mut w, ctx, deadline_ns);
         w.finish()
     }
@@ -891,21 +868,21 @@ impl Request {
     pub fn decode_framed(
         payload: &[u8],
     ) -> ProtoResult<(Request, Option<TraceContext>, Option<u64>)> {
-        let mut r = Reader::new(payload);
-        let flags = r.u8()?;
+        let mut r = payload;
+        let flags = r.get_u8()?;
         if flags & !(FLAG_DEADLINE | FLAG_TRACE | FLAG_SAMPLED) != 0
             || flags & (FLAG_TRACE | FLAG_SAMPLED) == FLAG_SAMPLED
         {
             return Err(ProtoError(format!("bad request header flags {flags:#04x}")));
         }
-        let deadline_ns = if flags & FLAG_DEADLINE != 0 { Some(r.u64()?) } else { None };
+        let deadline_ns = if flags & FLAG_DEADLINE != 0 { Some(r.get_u64()?) } else { None };
         let ctx = if flags & FLAG_TRACE != 0 {
-            let (trace_id, parent_span) = (r.u64()?, r.u64()?);
+            let (trace_id, parent_span) = (r.get_u64()?, r.get_u64()?);
             Some(TraceContext { trace_id, parent_span, sampled: flags & FLAG_SAMPLED != 0 })
         } else {
             None
         };
-        let op = r.u8()?;
+        let op = r.get_u8()?;
         let req = match op {
             OP_OPEN => Request::Open { container: r.str()? },
             OP_TOPICS => Request::Topics { container: r.str()? },
@@ -913,7 +890,8 @@ impl Request {
             OP_READ | OP_READ_STREAM2 => {
                 let container = r.str()?;
                 let topics = r.strs()?;
-                let range = if r.flag("range")? { Some((r.time()?, r.time()?)) } else { None };
+                let range =
+                    if r.flag("range")? { Some((r.get_time()?, r.get_time()?)) } else { None };
                 if op == OP_READ {
                     Request::Read { container, topics, range }
                 } else {
@@ -924,9 +902,7 @@ impl Request {
             OP_SEAL => Request::Seal { container: r.str()?, compact: r.flag("compact")? },
             OP_QUERY => {
                 let container = r.str()?;
-                let sql = String::from_utf8(r.bytes()?)
-                    .map_err(|_| ProtoError("query text is not UTF-8".into()))?;
-                Request::Query { container, sql, partial: r.flag("partial")? }
+                Request::Query { container, sql: r.get_string()?, partial: r.flag("partial")? }
             }
             OP_STAT => Request::Stat { container: r.str()? },
             OP_STATS => Request::Stats,
@@ -945,132 +921,127 @@ impl Response {
     fn write(&self, w: &mut Writer) {
         match self {
             Response::Opened { stat, cached } => {
-                w.u8(OP_OK_OPEN);
+                w.put_u8(OP_OK_OPEN);
                 w.stat(stat);
-                w.u8(*cached as u8);
+                w.put_u8(*cached as u8);
             }
             Response::Topics(topics) => {
-                w.u8(OP_OK_TOPICS);
+                w.put_u8(OP_OK_TOPICS);
                 w.strs(topics);
             }
             Response::Meta(bytes) => {
-                w.u8(OP_OK_META);
-                w.bytes(bytes);
+                w.put_u8(OP_OK_META);
+                w.put_byte_array(bytes);
             }
             Response::Read(messages) => {
-                w.u8(OP_OK_READ);
+                w.put_u8(OP_OK_READ);
                 w.msgs(messages);
             }
             Response::StreamChunk(messages) => {
-                w.u8(OP_OK_STREAM_CHUNK);
+                w.put_u8(OP_OK_STREAM_CHUNK);
                 w.msgs(messages);
             }
             Response::StreamChunkLz(frame) => {
-                w.u8(OP_OK_STREAM_CHUNK_LZ);
-                w.bytes(frame);
+                w.put_u8(OP_OK_STREAM_CHUNK_LZ);
+                w.put_byte_array(frame);
             }
             Response::StreamEnd { messages } => {
-                w.u8(OP_OK_STREAM_END);
-                w.u64(*messages);
+                w.put_u8(OP_OK_STREAM_END);
+                w.put_u64(*messages);
             }
             Response::QuerySchema(cols) => {
-                w.u8(OP_OK_QUERY_SCHEMA);
+                w.put_u8(OP_OK_QUERY_SCHEMA);
                 w.strs(cols);
             }
             Response::QueryChunk(blob) => {
-                w.u8(OP_OK_QUERY_CHUNK);
-                w.bytes(blob);
+                w.put_u8(OP_OK_QUERY_CHUNK);
+                w.put_byte_array(blob);
             }
             Response::QueryEnd { rows, explain } => {
-                w.u8(OP_OK_QUERY_END);
-                w.u64(*rows);
-                w.bytes(explain.as_bytes());
+                w.put_u8(OP_OK_QUERY_END);
+                w.put_u64(*rows);
+                w.put_string(explain);
             }
             Response::Appended { appended, epoch } => {
-                w.u8(OP_OK_APPENDED);
-                w.u64(*appended);
-                w.u64(*epoch);
+                w.put_u8(OP_OK_APPENDED);
+                w.put_u64(*appended);
+                w.put_u64(*epoch);
             }
             Response::Sealed { epoch, sealed_segments } => {
-                w.u8(OP_OK_SEALED);
-                w.u64(*epoch);
-                w.u32(*sealed_segments);
+                w.put_u8(OP_OK_SEALED);
+                w.put_u64(*epoch);
+                w.put_u32(*sealed_segments);
             }
             Response::Stat(stat) => {
-                w.u8(OP_OK_STAT);
+                w.put_u8(OP_OK_STAT);
                 w.stat(stat);
             }
             Response::Stats(s) => {
-                w.u8(OP_OK_STATS);
-                w.len16(s.ops.len());
-                for (name, op) in &s.ops {
+                w.put_u8(OP_OK_STATS);
+                w.list(&s.ops, |w, (name, op)| {
                     w.str(name);
-                    w.u64(op.count);
-                    w.u64(op.wall_min_ns);
-                    w.u64(op.wall_mean_ns);
-                    w.u64(op.wall_p99_ns);
-                    w.u64(op.virt_mean_ns);
-                }
-                w.u64(s.shed);
-                w.u32(s.queue_depth);
-                w.u32(s.queue_capacity);
-                w.u64(s.queue_wait_mean_ns);
-                w.u64(s.queue_wait_p99_ns);
-                w.u64(s.cache_hits);
-                w.u64(s.cache_misses);
-                w.u64(s.cache_evictions);
-                w.u32(s.cache_len);
-                w.u32(s.cache_capacity);
+                    w.put_u64(op.count);
+                    w.put_u64(op.wall_min_ns);
+                    w.put_u64(op.wall_mean_ns);
+                    w.put_u64(op.wall_p99_ns);
+                    w.put_u64(op.virt_mean_ns);
+                });
+                w.put_u64(s.shed);
+                w.put_u32(s.queue_depth);
+                w.put_u32(s.queue_capacity);
+                w.put_u64(s.queue_wait_mean_ns);
+                w.put_u64(s.queue_wait_p99_ns);
+                w.put_u64(s.cache_hits);
+                w.put_u64(s.cache_misses);
+                w.put_u64(s.cache_evictions);
+                w.put_u32(s.cache_len);
+                w.put_u32(s.cache_capacity);
             }
             Response::Metrics(m) => {
-                w.u8(OP_OK_METRICS);
-                w.u32(m.version);
-                w.u32(m.server_id);
-                w.u64(m.uptime_ns);
-                w.len16(m.counters.len());
-                for (name, v) in &m.counters {
+                w.put_u8(OP_OK_METRICS);
+                w.put_u32(m.version);
+                w.put_u32(m.server_id);
+                w.put_u64(m.uptime_ns);
+                w.list(&m.counters, |w, (name, v)| {
                     w.str(name);
-                    w.u64(*v);
-                }
-                w.len16(m.gauges.len());
-                for (name, v) in &m.gauges {
+                    w.put_u64(*v);
+                });
+                w.list(&m.gauges, |w, (name, v)| {
                     w.str(name);
-                    w.i64(*v);
-                }
-                w.len16(m.hists.len());
-                for (name, h) in &m.hists {
+                    w.put_i64(*v);
+                });
+                w.list(&m.hists, |w, (name, h)| {
                     w.str(name);
                     w.hist(h);
-                }
-                w.len16(m.slow_ops.len());
-                for s in &m.slow_ops {
-                    w.u64(s.trace_id);
+                });
+                w.list(&m.slow_ops, |w, s| {
+                    w.put_u64(s.trace_id);
                     w.str(&s.op);
                     w.str(&s.container);
-                    w.u64(s.wall_ns);
-                    w.u64(s.queue_wait_ns);
-                    w.u32(s.server_id);
-                }
+                    w.put_u64(s.wall_ns);
+                    w.put_u64(s.queue_wait_ns);
+                    w.put_u32(s.server_id);
+                });
             }
             Response::Trace(json) => {
-                w.u8(OP_OK_TRACE);
-                w.bytes(json.as_bytes());
+                w.put_u8(OP_OK_TRACE);
+                w.put_string(json);
             }
             Response::Pong(p) => {
-                w.u8(OP_OK_PONG);
-                w.u32(p.server_id);
-                w.u64(p.uptime_ns);
-                w.u32(p.queue_depth);
+                w.put_u8(OP_OK_PONG);
+                w.put_u32(p.server_id);
+                w.put_u64(p.uptime_ns);
+                w.put_u32(p.queue_depth);
             }
-            Response::ShuttingDown => w.u8(OP_OK_SHUTDOWN),
+            Response::ShuttingDown => w.put_u8(OP_OK_SHUTDOWN),
             Response::Error { code, message } => {
-                w.u8(OP_ERROR);
-                w.u8(*code as u8);
+                w.put_u8(OP_ERROR);
+                w.put_u8(*code as u8);
                 // An error text may quote client input (a query statement)
                 // of any length: cut it to what the prefix can count.
                 w.str(&message[..message.floor_char_boundary(u16::MAX as usize)]);
             }
-            Response::Overloaded => w.u8(OP_OVERLOADED),
+            Response::Overloaded => w.put_u8(OP_OVERLOADED),
         }
     }
 
@@ -1091,121 +1062,85 @@ impl Response {
     /// [`Response::encode`]'s bytes.
     pub fn encode_seq(&self, seq: u32) -> ProtoResult<Vec<u8>> {
         let mut w = Writer::default();
-        w.u32(seq);
+        w.put_u32(seq);
         self.write(&mut w);
         w.finish()
     }
 
     pub fn decode(payload: &[u8]) -> ProtoResult<Response> {
-        let mut r = Reader::new(payload);
-        let op = r.u8()?;
+        let mut r = payload;
+        let op = r.get_u8()?;
         let resp = match op {
-            OP_OK_OPEN => {
-                let stat = r.stat()?;
-                let cached = r.u8()? != 0;
-                Response::Opened { stat, cached }
-            }
+            OP_OK_OPEN => Response::Opened { stat: r.stat()?, cached: r.get_bool()? },
             OP_OK_TOPICS => Response::Topics(r.strs()?),
-            OP_OK_META => Response::Meta(r.bytes()?),
+            OP_OK_META => Response::Meta(r.get_byte_array()?),
             OP_OK_READ => Response::Read(r.msgs()?),
             OP_OK_STREAM_CHUNK => Response::StreamChunk(r.msgs()?),
-            OP_OK_STREAM_CHUNK_LZ => Response::StreamChunkLz(r.bytes()?),
-            OP_OK_STREAM_END => Response::StreamEnd { messages: r.u64()? },
+            OP_OK_STREAM_CHUNK_LZ => Response::StreamChunkLz(r.get_byte_array()?),
+            OP_OK_STREAM_END => Response::StreamEnd { messages: r.get_u64()? },
             OP_OK_QUERY_SCHEMA => Response::QuerySchema(r.strs()?),
-            OP_OK_QUERY_CHUNK => Response::QueryChunk(r.bytes()?),
-            OP_OK_QUERY_END => {
-                let rows = r.u64()?;
-                let explain = String::from_utf8(r.bytes()?)
-                    .map_err(|_| ProtoError("explain text is not UTF-8".into()))?;
-                Response::QueryEnd { rows, explain }
-            }
-            OP_OK_APPENDED => Response::Appended { appended: r.u64()?, epoch: r.u64()? },
-            OP_OK_SEALED => Response::Sealed { epoch: r.u64()?, sealed_segments: r.u32()? },
+            OP_OK_QUERY_CHUNK => Response::QueryChunk(r.get_byte_array()?),
+            OP_OK_QUERY_END => Response::QueryEnd { rows: r.get_u64()?, explain: r.get_string()? },
+            OP_OK_APPENDED => Response::Appended { appended: r.get_u64()?, epoch: r.get_u64()? },
+            OP_OK_SEALED => Response::Sealed { epoch: r.get_u64()?, sealed_segments: r.get_u32()? },
             OP_OK_STAT => Response::Stat(r.stat()?),
             OP_OK_STATS => {
-                let n = r.u16()? as usize;
-                let mut ops = Vec::with_capacity(n);
-                for _ in 0..n {
+                // A name's length prefix and five counters: 42 bytes.
+                let ops = r.list(42, |r| {
                     let name = r.str()?;
                     let op = OpSummary {
-                        count: r.u64()?,
-                        wall_min_ns: r.u64()?,
-                        wall_mean_ns: r.u64()?,
-                        wall_p99_ns: r.u64()?,
-                        virt_mean_ns: r.u64()?,
+                        count: r.get_u64()?,
+                        wall_min_ns: r.get_u64()?,
+                        wall_mean_ns: r.get_u64()?,
+                        wall_p99_ns: r.get_u64()?,
+                        virt_mean_ns: r.get_u64()?,
                     };
-                    ops.push((name, op));
-                }
+                    Ok((name, op))
+                })?;
                 Response::Stats(StatsSnapshot {
                     ops,
-                    shed: r.u64()?,
-                    queue_depth: r.u32()?,
-                    queue_capacity: r.u32()?,
-                    queue_wait_mean_ns: r.u64()?,
-                    queue_wait_p99_ns: r.u64()?,
-                    cache_hits: r.u64()?,
-                    cache_misses: r.u64()?,
-                    cache_evictions: r.u64()?,
-                    cache_len: r.u32()?,
-                    cache_capacity: r.u32()?,
+                    shed: r.get_u64()?,
+                    queue_depth: r.get_u32()?,
+                    queue_capacity: r.get_u32()?,
+                    queue_wait_mean_ns: r.get_u64()?,
+                    queue_wait_p99_ns: r.get_u64()?,
+                    cache_hits: r.get_u64()?,
+                    cache_misses: r.get_u64()?,
+                    cache_evictions: r.get_u64()?,
+                    cache_len: r.get_u32()?,
+                    cache_capacity: r.get_u32()?,
                 })
             }
-            OP_OK_METRICS => {
-                let version = r.u32()?;
-                let server_id = r.u32()?;
-                let uptime_ns = r.u64()?;
-                let nc = r.u16()? as usize;
-                let mut counters = Vec::with_capacity(nc);
-                for _ in 0..nc {
-                    counters.push((r.str()?, r.u64()?));
-                }
-                let ng = r.u16()? as usize;
-                let mut gauges = Vec::with_capacity(ng);
-                for _ in 0..ng {
-                    gauges.push((r.str()?, r.i64()?));
-                }
-                let nh = r.u16()? as usize;
-                let mut hists = Vec::with_capacity(nh);
-                for _ in 0..nh {
-                    hists.push((r.str()?, r.hist()?));
-                }
-                let ns = r.u16()? as usize;
-                let mut slow_ops = Vec::with_capacity(ns);
-                for _ in 0..ns {
-                    slow_ops.push(SlowOpEntry {
-                        trace_id: r.u64()?,
+            // Minimum entry sizes: a name's length prefix and a counter; and
+            // three histogram totals and a bucket count; a slow op's ids,
+            // times and two length prefixes.
+            OP_OK_METRICS => Response::Metrics(MetricsReport {
+                version: r.get_u32()?,
+                server_id: r.get_u32()?,
+                uptime_ns: r.get_u64()?,
+                counters: r.list(10, |r| Ok((r.str()?, r.get_u64()?)))?,
+                gauges: r.list(10, |r| Ok((r.str()?, r.get_i64()?)))?,
+                hists: r.list(27, |r| Ok((r.str()?, r.hist()?)))?,
+                slow_ops: r.list(32, |r| {
+                    Ok(SlowOpEntry {
+                        trace_id: r.get_u64()?,
                         op: r.str()?,
                         container: r.str()?,
-                        wall_ns: r.u64()?,
-                        queue_wait_ns: r.u64()?,
-                        server_id: r.u32()?,
-                    });
-                }
-                Response::Metrics(MetricsReport {
-                    version,
-                    server_id,
-                    uptime_ns,
-                    counters,
-                    gauges,
-                    hists,
-                    slow_ops,
-                })
-            }
-            OP_OK_TRACE => {
-                let raw = r.bytes()?;
-                Response::Trace(
-                    String::from_utf8(raw)
-                        .map_err(|_| ProtoError("non-UTF8 trace document".into()))?,
-                )
-            }
+                        wall_ns: r.get_u64()?,
+                        queue_wait_ns: r.get_u64()?,
+                        server_id: r.get_u32()?,
+                    })
+                })?,
+            }),
+            OP_OK_TRACE => Response::Trace(r.get_string()?),
             OP_OK_PONG => Response::Pong(PingInfo {
-                server_id: r.u32()?,
-                uptime_ns: r.u64()?,
-                queue_depth: r.u32()?,
+                server_id: r.get_u32()?,
+                uptime_ns: r.get_u64()?,
+                queue_depth: r.get_u32()?,
             }),
             OP_OK_SHUTDOWN => Response::ShuttingDown,
             OP_ERROR => {
-                let code = ErrorCode::from_u8(r.u8()?)
+                let code = ErrorCode::from_u8(r.get_u8()?)
                     .ok_or_else(|| ProtoError("unknown error code".into()))?;
                 Response::Error { code, message: r.str()? }
             }
@@ -1435,12 +1370,12 @@ mod tests {
         assert_eq!(report.hist("serve.op.read.wall_ns").unwrap().count, 3);
         roundtrip_resp(Response::Metrics(MetricsReport::default()));
         // A sparse histogram with an out-of-range bucket index is rejected.
-        let mut r = super::Reader::new(&[
+        let mut r: &[u8] = &[
             0, 0, 0, 0, 0, 0, 0, 0, // count
             0, 0, 0, 0, 0, 0, 0, 0, // sum
             0, 0, 0, 0, 0, 0, 0, 0, // min
             1, 64, 1, 0, 0, 0, 0, 0, 0, 0, // one bucket at index 64 (out of range)
-        ]);
+        ];
         assert!(r.hist().is_err());
     }
 

@@ -29,10 +29,9 @@
 use std::path::Path;
 use std::process::exit;
 
-use bora::checksum::crc32c;
-use bora::{BoraBag, OrganizerOptions};
+use bora::{BoraBag, BoraError, OrganizerOptions};
+use bora_ingest::{layout, wal, Recovery};
 use bora_obs::json_string;
-use ros_msgs::wire::WireRead;
 use ros_msgs::Time;
 use simfs::{IoCtx, LocalStorage, Storage};
 
@@ -536,90 +535,65 @@ fn top_demo() -> bora_cluster::ClusterScrape {
 }
 
 // -------------------------------------------------------------- ingest-stat
-//
-// The tool parses the ingest root's on-disk formats directly instead of
-// linking `bora-ingest` (keeping the operator CLI's dependency tree
-// shallow). Every format is CRC32C-trailed, so a layout drift between
-// the two shows up as "unreadable", never as silently wrong numbers.
-// Constants mirror `crates/bora-ingest`.
-
-const INGEST_CFG_MAGIC: u32 = 0x42_49_4E_31; // "BIN1" — .boraingest
-const INGEST_GEN_MAGIC: u32 = 0x42_49_47_31; // "BIG1" — gen/C*/.ingest
-const INGEST_SEAL_MAGIC: u32 = 0x42_53_4C_31; // "BSL1" — seg/*.seal
-
-/// Verify a CRC-trailed, magic-prefixed marker; return the body after
-/// the magic.
-fn checked_marker(bytes: &[u8], magic: u32) -> Option<Vec<u8>> {
-    if bytes.len() < 8 {
-        return None;
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 4);
-    if crc32c(body) != u32::from_le_bytes(tail.try_into().ok()?) {
-        return None;
-    }
-    let mut cur = body;
-    if cur.get_u32().ok()? != magic {
-        return None;
-    }
-    Some(cur.to_vec())
-}
 
 /// Everything `ingest-stat` reports, gathered once and rendered as
 /// either the human table or `--json`.
 struct IngestStats {
     root: String,
-    wal_shards: usize,
-    group_commit: u64,
-    window_ns: u64,
-    generation: u64,
-    gen_seal: u64,
-    gen_wal: u64,
-    staging: usize,
+    /// What recovery would open: config, generation, committed seals and
+    /// the debris it would sweep.
+    plan: Recovery,
     seals: usize,
     seg_files: usize,
-    lag_seals: usize,
-    lag_files: usize,
     durable: u64,
     active: u64,
     active_segments: usize,
     torn_shards: usize,
-    /// Block framing from the config trailer: `(codec name, block size)`
-    /// when compaction writes block-framed generations, `None` for v1.
-    block: Option<(String, u32)>,
     /// Buffer-pool numbers scraped from a serving node (`--node <addr>`);
     /// `None` when the stat ran purely against the on-disk root.
     pool: Option<bora_cluster::PoolScrape>,
 }
 
 impl IngestStats {
+    fn staging(&self) -> usize {
+        self.plan.debris.iter().filter(|(p, _)| p.ends_with(".staging")).count()
+    }
+
+    fn lag_files(&self) -> usize {
+        self.plan.seals.iter().map(|(_, m)| m.files.len()).sum()
+    }
+
     fn print_text(&self) {
+        let (cfg, gen) = (&self.plan.cfg, &self.plan.gen);
         println!("ingest root:    {}", self.root);
         println!(
             "config:         {} wal shard(s), group commit {}, \
              time window {} s",
-            self.wal_shards,
-            self.group_commit,
-            self.window_ns as f64 / 1e9
+            cfg.wal_shards,
+            cfg.group_commit,
+            cfg.window_ns as f64 / 1e9
         );
-        match &self.block {
-            Some((codec, bs)) => println!("blocks:         {codec} codec, {bs} B blocks"),
+        match cfg.block {
+            Some(b) => println!("blocks:         {} codec, {} B blocks", b.codec, b.block_size),
             None => println!("blocks:         off (v1 data files)"),
         }
         println!(
             "generation:     {} (compacted through seal {}, wal seq {}){}",
-            self.generation,
-            self.gen_seal,
-            self.gen_wal,
-            if self.staging > 0 {
-                format!("  [{} staging debris]", self.staging)
-            } else {
-                String::new()
+            gen.generation,
+            gen.last_seal_seq,
+            gen.last_wal_seq,
+            match self.staging() {
+                0 => String::new(),
+                n => format!("  [{n} staging debris]"),
             }
         );
         println!(
             "sealed:         {} seal marker(s), {} segment file(s) on disk; \
              compaction lag: {} seal(s) / {} segment file(s) pending",
-            self.seals, self.seg_files, self.lag_seals, self.lag_files
+            self.seals,
+            self.seg_files,
+            self.plan.seals.len(),
+            self.lag_files()
         );
         println!(
             "wal depth:      {} durable record(s); {} unsealed -> \
@@ -647,10 +621,13 @@ impl IngestStats {
     /// One flat JSON object — stable key set, no derived strings, so CI
     /// can assert on it without parsing the human table.
     fn to_json(&self) -> String {
-        let block_json = match &self.block {
-            Some((codec, bs)) => {
-                format!("{{\"codec\":{},\"block_size\":{}}}", json_string(codec), bs)
-            }
+        let (cfg, gen) = (&self.plan.cfg, &self.plan.gen);
+        let block_json = match cfg.block {
+            Some(b) => format!(
+                "{{\"codec\":{},\"block_size\":{}}}",
+                json_string(&b.codec.to_string()),
+                b.block_size
+            ),
             None => "null".into(),
         };
         let pool_json = match &self.pool {
@@ -675,17 +652,17 @@ impl IngestStats {
              \"wal_unsealed_records\":{},\"active_segments\":{},\"torn_wal_shards\":{},\
              \"block\":{block_json},\"pool\":{pool_json}}}",
             json_string(&self.root),
-            self.wal_shards,
-            self.group_commit,
-            self.window_ns,
-            self.generation,
-            self.gen_seal,
-            self.gen_wal,
-            self.staging,
+            cfg.wal_shards,
+            cfg.group_commit,
+            cfg.window_ns,
+            gen.generation,
+            gen.last_seal_seq,
+            gen.last_wal_seq,
+            self.staging(),
             self.seals,
             self.seg_files,
-            self.lag_seals,
-            self.lag_files,
+            self.plan.seals.len(),
+            self.lag_files(),
             self.durable,
             self.active,
             self.active_segments,
@@ -694,159 +671,57 @@ impl IngestStats {
     }
 }
 
+/// Read a live ingest root the way recovery would, without writing to it:
+/// the generation and seals it would open, and the WAL records it would
+/// replay on top.
 fn ingest_stat(
     fs: &LocalStorage,
     root: &str,
     shown: &str,
     ctx: &mut IoCtx,
 ) -> Result<IngestStats, String> {
-    let marker = format!("{root}/.boraingest");
-    if !fs.exists(&marker, ctx) {
-        return Err(format!("{shown}: not a live ingest root (no .boraingest marker)"));
-    }
-    let raw = fs.read_all(&marker, ctx).map_err(|e| e.to_string())?;
-    let cfg = checked_marker(&raw, INGEST_CFG_MAGIC)
-        .ok_or_else(|| format!("{shown}: corrupt .boraingest marker"))?;
-    let mut cur = cfg.as_slice();
-    let wal_shards = cur.get_u32().map_err(|e| e.to_string())? as usize;
-    let group_commit = cur.get_u64().map_err(|e| e.to_string())?;
-    let window_ns = cur.get_u64().map_err(|e| e.to_string())?;
-    // Optional block-framing trailer (codec id + block size), mirroring
-    // `bora_ingest::IngestConfig`: absent on pre-block roots.
-    let block = if cur.is_empty() {
-        None
-    } else {
-        let codec = match cur.get_u8().map_err(|e| e.to_string())? {
-            0 => "none",
-            1 => "lzss",
-            other => return Err(format!("{shown}: unknown block codec id {other}")),
-        };
-        let bs = cur.get_u32().map_err(|e| e.to_string())?;
-        Some((codec.to_owned(), bs))
-    };
-
-    // Newest committed generation: its marker is the compaction watermark.
-    let gdir = format!("{root}/gen");
-    let mut newest: Option<(u64, u64, u64)> = None; // (generation, seal, wal)
-    let mut staging = 0usize;
-    if fs.exists(&gdir, ctx) {
-        for e in fs.read_dir(&gdir, ctx).map_err(|e| e.to_string())? {
-            if e.name.ends_with(".staging") {
-                staging += 1;
-                continue;
-            }
-            if e.name.strip_prefix('C').and_then(|n| n.parse::<u64>().ok()).is_none() {
-                continue;
-            }
-            let mpath = format!("{gdir}/{}/.ingest", e.name);
-            if !fs.exists(&mpath, ctx) {
-                continue;
-            }
-            let Ok(raw) = fs.read_all(&mpath, ctx) else { continue };
-            let Some(body) = checked_marker(&raw, INGEST_GEN_MAGIC) else { continue };
-            let mut cur = body.as_slice();
-            let (Ok(g), Ok(seal), Ok(wal)) = (cur.get_u64(), cur.get_u64(), cur.get_u64()) else {
-                continue;
-            };
-            if newest.is_none_or(|(best, ..)| g > best) {
-                newest = Some((g, seal, wal));
-            }
+    let plan = Recovery::read(fs, root, ctx).map_err(|e| match e {
+        BoraError::NotAContainer(_) => {
+            format!("{shown}: not a live ingest root (no .boraingest marker)")
+        }
+        e => format!("{shown}: {e}"),
+    })?;
+    let (mut seals, mut seg_files) = (0, 0);
+    for e in fs.read_dir(&layout::seg_dir(root), ctx).map_err(|e| e.to_string())? {
+        match layout::parse_seg_name(&e.name) {
+            Some((_, None)) => seals += 1,
+            Some((_, Some(_))) => seg_files += 1,
+            None => {}
         }
     }
-    let (generation, gen_seal, gen_wal) =
-        newest.ok_or_else(|| format!("{shown}: no committed generation under gen/"))?;
-
-    // Sealed segments: a `.seal` marker commits a batch; batches newer
-    // than the generation watermark are the compaction lag.
-    let sdir = format!("{root}/seg");
-    let mut seg_files = 0usize;
-    let mut seals = 0usize;
-    let mut lag_seals = 0usize;
-    let mut lag_files = 0usize;
-    let mut sealed_wal = gen_wal; // highest WAL seq covered by gen ∪ seals
-    if fs.exists(&sdir, ctx) {
-        for e in fs.read_dir(&sdir, ctx).map_err(|e| e.to_string())? {
-            if e.name.ends_with(".seg") {
-                seg_files += 1;
-                continue;
-            }
-            let Some(stem) = e.name.strip_suffix(".seal") else { continue };
-            if stem.parse::<u64>().is_err() {
-                continue;
-            }
-            let Ok(raw) = fs.read_all(&format!("{sdir}/{}", e.name), ctx) else { continue };
-            let Some(body) = checked_marker(&raw, INGEST_SEAL_MAGIC) else { continue };
-            let mut cur = body.as_slice();
-            let (Ok(seal_seq), Ok(last_wal), Ok(nfiles)) =
-                (cur.get_u64(), cur.get_u64(), cur.get_u32())
-            else {
-                continue;
-            };
-            seals += 1;
-            if seal_seq > gen_seal {
-                lag_seals += 1;
-                lag_files += nfiles as usize;
-                sealed_wal = sealed_wal.max(last_wal);
-            }
-        }
-    }
-
-    // WAL depth: durable CRC-valid frames per shard. Records with a
-    // sequence above the sealed coverage are what recovery would replay
-    // into the active (in-memory) segments on the next open.
-    let mut durable = 0u64;
-    let mut active = 0u64;
-    let mut torn_shards = 0usize;
+    // WAL depth: the records recovery keeps. Those above what the
+    // generation and the seals cover replay into the active segments.
+    let covered = plan.covered_wal_seq();
+    let (mut durable, mut active, mut torn_shards) = (0, 0, 0);
     let mut active_topics = std::collections::BTreeSet::new();
-    for k in 0..wal_shards.max(1) {
-        let p = format!("{root}/wal/shard-{k}.wal");
-        if !fs.exists(&p, ctx) {
+    for k in 0..plan.cfg.wal_shards.max(1) {
+        let path = layout::wal_shard_path(root, k);
+        if !fs.exists(&path, ctx) {
             continue;
         }
-        let bytes = fs.read_all(&p, ctx).map_err(|e| e.to_string())?;
-        let mut off = 0usize;
-        while bytes.len() - off >= 8 {
-            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
-            let Some(payload) = bytes.get(off + 8..off + 8 + len) else { break };
-            if crc32c(payload) != crc {
-                break;
-            }
-            let mut cur = payload;
-            let (Ok(seq), Ok(_time), Ok(topic)) = (cur.get_u64(), cur.get_u64(), cur.get_string())
-            else {
-                break;
-            };
-            durable += 1;
-            if seq > sealed_wal {
-                active += 1;
-                active_topics.insert(topic);
-            }
-            off += 8 + len;
-        }
-        if off < bytes.len() {
-            torn_shards += 1;
+        let bytes = fs.read_all(&path, ctx).map_err(|e| e.to_string())?;
+        let (records, good_len) = wal::scan(&bytes);
+        torn_shards += (good_len < bytes.len()) as usize;
+        durable += records.len() as u64;
+        for r in records.into_iter().filter(|r| r.seq > covered) {
+            active += 1;
+            active_topics.insert(r.topic);
         }
     }
-
     Ok(IngestStats {
         root: shown.to_owned(),
-        wal_shards,
-        group_commit,
-        window_ns,
-        generation,
-        gen_seal,
-        gen_wal,
-        staging,
+        plan,
         seals,
         seg_files,
-        lag_seals,
-        lag_files,
         durable,
         active,
         active_segments: active_topics.len(),
         torn_shards,
-        block,
         pool: None,
     })
 }

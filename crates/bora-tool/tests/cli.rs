@@ -259,6 +259,89 @@ fn ingest_stat_json_has_the_schema_ci_depends_on() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every file under `dir`, path and bytes, in path order.
+fn tree(dir: &std::path::Path, out: &mut Vec<(PathBuf, Vec<u8>)>) {
+    let mut entries: Vec<_> = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            tree(&path, out);
+        } else {
+            out.push((path.clone(), std::fs::read(&path).unwrap()));
+        }
+    }
+}
+
+#[test]
+fn ingest_stat_reports_what_recovery_opens_and_writes_nothing() {
+    use bora_ingest::{GenMarker, IngestConfig, IngestStore};
+
+    let dir = workdir("ingest-recovery");
+    let root = dir.join("live");
+    let fs = LocalStorage::new(&dir).unwrap();
+    let mut ctx = IoCtx::new();
+    let cfg =
+        IngestConfig { wal_shards: 1, group_commit: 1, window_ns: 1_000_000_000, block: None };
+    let store = IngestStore::create(fs, "/live", cfg, &mut ctx).unwrap();
+    for i in 0..4u64 {
+        store.append("/imu", Time::from_nanos(i * 10), &[i as u8; 4], &mut ctx).unwrap();
+    }
+    store.seal(&mut ctx).unwrap().expect("messages to seal");
+    assert_eq!(store.compact(&mut ctx).unwrap(), 1);
+    store.append("/imu", Time::from_nanos(100), b"tail", &mut ctx).unwrap();
+    drop(store);
+
+    // Debris recovery sweeps: a valid marker for generation 2 in a
+    // directory without a MANIFEST; generation 1's MANIFEST beside a
+    // marker that names generation 4 in the directory of generation 3; a
+    // segment no seal commits; a torn WAL tail.
+    let gen = root.join("gen");
+    let marker = |generation| GenMarker { generation, last_seal_seq: 9, last_wal_seq: 99 };
+    std::fs::create_dir(gen.join("C00000002")).unwrap();
+    std::fs::write(gen.join("C00000002/.ingest"), marker(2).encode()).unwrap();
+    std::fs::create_dir(gen.join("C00000003")).unwrap();
+    std::fs::copy(gen.join("C00000001/MANIFEST"), gen.join("C00000003/MANIFEST")).unwrap();
+    std::fs::write(gen.join("C00000003/.ingest"), marker(4).encode()).unwrap();
+    std::fs::write(root.join("seg/00000007-imu.seg"), b"never sealed").unwrap();
+    let wal = root.join("wal/shard-0.wal");
+    let mut torn = std::fs::read(&wal).unwrap();
+    torn.extend_from_slice(&[9, 0, 0, 0, 1]);
+    std::fs::write(&wal, torn).unwrap();
+
+    let mut before = Vec::new();
+    tree(&root, &mut before);
+    let out = tool().arg("ingest-stat").arg(&root).arg("--json").output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let json = String::from_utf8_lossy(&out.stdout).into_owned();
+    let text = tool().arg("ingest-stat").arg(&root).output().unwrap();
+    let text = String::from_utf8_lossy(&text.stdout).into_owned();
+    let mut after = Vec::new();
+    tree(&root, &mut after);
+    assert!(before == after, "ingest-stat changed the root");
+
+    for key in [
+        "\"generation\":1,",
+        "\"compacted_seal\":1,",
+        "\"seal_markers\":0,",
+        "\"segment_files\":1,",
+        "\"lag_seals\":0,",
+        "\"wal_durable_records\":1,",
+        "\"wal_unsealed_records\":1,",
+        "\"torn_wal_shards\":1,",
+    ] {
+        assert!(json.contains(key), "missing {key} in {json}");
+    }
+    assert!(text.contains("generation:     1 (compacted through seal 1"), "{text}");
+
+    // Recovery agrees: it opens generation 1 and replays the one record.
+    let store = IngestStore::open(LocalStorage::new(&dir).unwrap(), "/live", &mut ctx).unwrap();
+    let s = store.stat();
+    assert_eq!((s.generation, s.active_messages, s.sealed_batches), (1, 1, 0));
+    assert!(!gen.join("C00000002").exists() && !gen.join("C00000003").exists());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn top_demo_renders_table_and_json() {
     let out = tool().args(["top", "--demo"]).output().unwrap();

@@ -40,6 +40,7 @@
 //! exactly one buffer-pool page ([`crate::bufpool`]): the cursor fill
 //! path decompresses a frame straight into the pool page that serves it.
 
+use ros_msgs::wire::{WireRead, WireWrite};
 use ros_msgs::Time;
 use simfs::device::cpu;
 use simfs::{IoCtx, Storage};
@@ -150,12 +151,12 @@ impl BlockMap {
 
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(32 + self.entries.len() * 4);
-        out.extend_from_slice(&BLOCKS_MAGIC.to_le_bytes());
-        out.extend_from_slice(&BLOCKS_VERSION.to_le_bytes());
-        out.push(self.codec.id());
-        out.extend_from_slice(&self.block_size.to_le_bytes());
-        out.extend_from_slice(&self.logical_len.to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
+        out.put_u32(BLOCKS_MAGIC);
+        out.put_u32(BLOCKS_VERSION);
+        out.put_u8(self.codec.id());
+        out.put_u32(self.block_size);
+        out.put_u64(self.logical_len);
+        out.put_u32(self.entries.len() as u32);
         let mut prev_time = 0u64;
         for e in &self.entries {
             put_varint(&mut out, e.frame_len as u64);
@@ -167,30 +168,31 @@ impl BlockMap {
     }
 
     pub fn decode(bytes: &[u8]) -> BoraResult<Self> {
-        let mut cur = Cursor { bytes, pos: 0 };
-        if cur.u32()? != BLOCKS_MAGIC {
+        let mut cur = bytes;
+        if cur.get_u32()? != BLOCKS_MAGIC {
             return Err(BoraError::Corrupt("blocks map magic mismatch".into()));
         }
-        let ver = cur.u32()?;
+        let ver = cur.get_u32()?;
         if ver != BLOCKS_VERSION {
             return Err(BoraError::Corrupt(format!("unsupported blocks map version {ver}")));
         }
-        let codec = BlockCodec::from_id(cur.u8()?)?;
-        let block_size = cur.u32()?;
+        let codec = BlockCodec::from_id(cur.get_u8()?)?;
+        let block_size = cur.get_u32()?;
         if block_size == 0 {
             return Err(BoraError::Corrupt("blocks map has zero block size".into()));
         }
-        let logical_len = cur.u64()?;
-        let count = cur.u32()? as usize;
-        let mut entries = Vec::with_capacity(count.min(1 << 20));
+        let logical_len = cur.get_u64()?;
+        // Two varints of at least one byte each per block.
+        let count = cur.get_count(2)?;
+        let mut entries = Vec::with_capacity(count);
         let (mut phys_off, mut prev_time) = (0u64, 0u64);
         for _ in 0..count {
             // Frame lengths decide which bytes of `data` a reader slices:
             // nothing here may wrap or truncate.
-            let frame_len = u32::try_from(cur.varint()?)
+            let frame_len = u32::try_from(get_varint(&mut cur)?)
                 .map_err(|_| BoraError::Corrupt("blocks map frame length overflows".into()))?;
             prev_time = prev_time
-                .checked_add(cur.varint()?)
+                .checked_add(get_varint(&mut cur)?)
                 .ok_or_else(|| BoraError::Corrupt("blocks map timestamp overflows".into()))?;
             entries.push(BlockEntry {
                 phys_off,
@@ -199,7 +201,7 @@ impl BlockMap {
             });
             phys_off += frame_len as u64;
         }
-        if cur.pos != bytes.len() {
+        if cur.remaining() != 0 {
             return Err(BoraError::Corrupt("trailing bytes in blocks map".into()));
         }
         let expect_blocks = logical_len.div_ceil(block_size as u64) as usize;
@@ -277,15 +279,15 @@ pub fn decode_frame(frame: &[u8], path: &str, ctx: &mut IoCtx) -> BoraResult<(Ve
     if frame.len() < FRAME_HEADER_LEN {
         return Err(BoraError::Corrupt(format!("{path}: truncated block frame header")));
     }
-    let codec = BlockCodec::from_id(frame[0])?;
-    let unc_len = u32::from_le_bytes(frame[1..5].try_into().unwrap()) as usize;
-    let phys_len = u32::from_le_bytes(frame[5..9].try_into().unwrap()) as usize;
-    let expected = u32::from_le_bytes(frame[9..13].try_into().unwrap());
+    let mut cur = frame;
+    let codec = BlockCodec::from_id(cur.get_u8()?)?;
+    let unc_len = cur.get_u32()? as usize;
+    let phys_len = cur.get_u32()? as usize;
+    let expected = cur.get_u32()?;
+    let stored = cur
+        .take(phys_len)
+        .map_err(|_| BoraError::Corrupt(format!("{path}: truncated block frame payload")))?;
     let total = FRAME_HEADER_LEN + phys_len;
-    if frame.len() < total {
-        return Err(BoraError::Corrupt(format!("{path}: truncated block frame payload")));
-    }
-    let stored = &frame[FRAME_HEADER_LEN..total];
     let actual = crc32c(stored);
     if actual != expected {
         bora_obs::counter("verify.checksum_fail").inc();
@@ -456,56 +458,26 @@ pub fn read_logical<S: Storage>(
     }
 }
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7F) as u8;
+/// LEB128: seven bits a byte, low group first, high bit set on all but
+/// the last byte.
+fn put_varint(out: &mut impl WireWrite, mut v: u64) {
+    while v >= 0x80 {
+        out.put_u8(v as u8 | 0x80);
         v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
     }
+    out.put_u8(v as u8);
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> BoraResult<&[u8]> {
-        if self.pos + n > self.bytes.len() {
-            return Err(BoraError::Corrupt("truncated blocks map".into()));
+fn get_varint<'a>(cur: &mut impl WireRead<'a>) -> BoraResult<u64> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let b = cur.get_u8()?;
+        v |= ((b & 0x7F) as u64) << shift;
+        if b & 0x80 == 0 {
+            return Ok(v);
         }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
     }
-
-    fn u8(&mut self) -> BoraResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> BoraResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> BoraResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn varint(&mut self) -> BoraResult<u64> {
-        let mut v = 0u64;
-        for shift in (0..64).step_by(7) {
-            let b = self.u8()?;
-            v |= ((b & 0x7F) as u64) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-        }
-        Err(BoraError::Corrupt("varint overruns 64 bits".into()))
-    }
+    Err(BoraError::Corrupt("varint overruns 64 bits".into()))
 }
 
 #[cfg(test)]

@@ -17,6 +17,13 @@
 //! reference the hardware path is tested against, byte for byte. The
 //! streaming form lets the organizer fold each buffered append into a
 //! running digest without re-reading what it just wrote.
+//!
+//! [`encode_envelope`] and [`decode_envelope`] are the one CRC32C-trailed
+//! file envelope; every small self-describing file is sealed in it.
+
+use ros_msgs::wire::{WireRead, WireWrite};
+
+use crate::error::{BoraError, BoraResult};
 
 const POLY: u32 = 0x82F6_3B78; // CRC-32C, reflected
 
@@ -162,6 +169,45 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
     c.finish()
 }
 
+/// Seal a small self-describing file — the MANIFEST, an ingest root's
+/// `.boraingest`, a generation's `.ingest`, a `.seal` marker, a `.seg`
+/// segment — in the envelope they share: `magic u32 | body | crc32c u32`,
+/// the trailer covering everything before it. `body` appends the body.
+pub fn encode_envelope(magic: u32, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.put_u32(magic);
+    body(&mut out);
+    let crc = crc32c(&out);
+    out.put_u32(crc);
+    out
+}
+
+/// Open what [`encode_envelope`] sealed: check the trailer, then the
+/// magic, then let `body` decode the body, which it must consume whole.
+/// `what` names the file in the [`BoraError::Corrupt`] a damaged one is
+/// (`"{what} checksum mismatch"`, `"trailing bytes in {what}"`, ...).
+pub fn decode_envelope<'a, T>(
+    bytes: &'a [u8],
+    magic: u32,
+    what: &str,
+    body: impl FnOnce(&mut &'a [u8]) -> BoraResult<T>,
+) -> BoraResult<T> {
+    let Some((mut cur, trailer)) = bytes.split_last_chunk::<4>() else {
+        return Err(BoraError::Corrupt(format!("{what} truncated")));
+    };
+    if crc32c(cur) != u32::from_le_bytes(*trailer) {
+        return Err(BoraError::Corrupt(format!("{what} checksum mismatch")));
+    }
+    if cur.get_u32()? != magic {
+        return Err(BoraError::Corrupt(format!("{what} magic mismatch")));
+    }
+    let value = body(&mut cur)?;
+    if cur.remaining() != 0 {
+        return Err(BoraError::Corrupt(format!("trailing bytes in {what}")));
+    }
+    Ok(value)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,6 +285,35 @@ mod tests {
                 assert_eq!(split.finish(), expected, "split, len {len} align {align}");
             }
         }
+    }
+
+    #[test]
+    fn envelope_round_trips_and_names_each_failure() {
+        let sealed = encode_envelope(0x4142_4344, |out| out.put_string("body"));
+        assert_eq!(&sealed[..4], &0x4142_4344u32.to_le_bytes());
+        assert_eq!(crc32c(&sealed[..sealed.len() - 4]).to_le_bytes(), sealed[sealed.len() - 4..]);
+        let open = |bytes: &[u8], magic| {
+            decode_envelope(bytes, magic, "thing", |cur| Ok(cur.get_string()?))
+        };
+        assert_eq!(open(&sealed, 0x4142_4344).unwrap(), "body");
+        let err = |r: BoraResult<String>| match r {
+            Err(BoraError::Corrupt(m)) => m,
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        assert_eq!(err(open(&sealed[..3], 0x4142_4344)), "thing truncated");
+        assert_eq!(err(open(&sealed, 7)), "thing magic mismatch");
+        for pos in 0..sealed.len() {
+            let mut bad = sealed.clone();
+            bad[pos] ^= 0x08;
+            assert_eq!(err(open(&bad, 0x4142_4344)), "thing checksum mismatch", "flip at {pos}");
+        }
+        let long = encode_envelope(0x4142_4344, |out| {
+            out.put_string("body");
+            out.push(0);
+        });
+        assert_eq!(err(open(&long, 0x4142_4344)), "trailing bytes in thing");
+        let short = encode_envelope(0x4142_4344, |out| out.put_u32(9));
+        assert!(matches!(open(&short, 0x4142_4344), Err(BoraError::Wire(_))));
     }
 
     #[test]

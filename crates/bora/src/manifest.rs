@@ -17,7 +17,7 @@
 use ros_msgs::wire::{WireRead, WireWrite};
 use simfs::{IoCtx, Storage};
 
-use crate::checksum::crc32c;
+use crate::checksum::{crc32c, decode_envelope, encode_envelope};
 use crate::error::{BoraError, BoraResult};
 use crate::layout::manifest_path;
 
@@ -105,52 +105,38 @@ impl Manifest {
         Ok(bytes)
     }
 
+    /// The entries in the checksum envelope, so MANIFEST damage is
+    /// distinguishable from data damage.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.put_u32(MANIFEST_MAGIC);
-        out.put_u32(MANIFEST_VERSION);
-        out.put_u32(self.entries.len() as u32);
-        for e in &self.entries {
-            out.put_string(&e.path);
-            out.put_u64(e.len);
-            out.put_u32(e.crc32c);
-        }
-        // Self-checksum over everything above, so MANIFEST damage is
-        // distinguishable from data damage.
-        let self_crc = crc32c(&out);
-        out.put_u32(self_crc);
-        out
+        encode_envelope(MANIFEST_MAGIC, |out| {
+            out.put_u32(MANIFEST_VERSION);
+            out.put_u32(self.entries.len() as u32);
+            for e in &self.entries {
+                out.put_string(&e.path);
+                out.put_u64(e.len);
+                out.put_u32(e.crc32c);
+            }
+        })
     }
 
     pub fn decode(bytes: &[u8]) -> BoraResult<Self> {
-        if bytes.len() < 4 {
-            return Err(BoraError::Corrupt("manifest truncated".into()));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 4);
-        let stored_crc = u32::from_le_bytes(tail.try_into().expect("4-byte tail"));
-        if crc32c(body) != stored_crc {
-            return Err(BoraError::Corrupt("manifest self-checksum mismatch".into()));
-        }
-        let mut cur = body;
-        if cur.get_u32()? != MANIFEST_MAGIC {
-            return Err(BoraError::Corrupt("manifest magic mismatch".into()));
-        }
-        let ver = cur.get_u32()?;
-        if ver != MANIFEST_VERSION {
-            return Err(BoraError::Corrupt(format!("unsupported manifest version {ver}")));
-        }
-        let n = cur.get_u32()? as usize;
-        let mut entries = Vec::with_capacity(n.min(65_536));
-        for _ in 0..n {
-            entries.push(ManifestEntry {
-                path: cur.get_string()?,
-                len: cur.get_u64()?,
-                crc32c: cur.get_u32()?,
-            });
-        }
-        if cur.remaining() != 0 {
-            return Err(BoraError::Corrupt("trailing bytes in manifest".into()));
-        }
+        let entries = decode_envelope(bytes, MANIFEST_MAGIC, "manifest", |cur| {
+            let ver = cur.get_u32()?;
+            if ver != MANIFEST_VERSION {
+                return Err(BoraError::Corrupt(format!("unsupported manifest version {ver}")));
+            }
+            // Path length prefix, length and CRC: 16 bytes at least.
+            let n = cur.get_count(16)?;
+            let mut entries = Vec::with_capacity(n);
+            for _ in 0..n {
+                entries.push(ManifestEntry {
+                    path: cur.get_string()?,
+                    len: cur.get_u64()?,
+                    crc32c: cur.get_u32()?,
+                });
+            }
+            Ok(entries)
+        })?;
         Manifest::new(entries)
     }
 

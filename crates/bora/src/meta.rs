@@ -104,8 +104,9 @@ impl ContainerMeta {
         let end_time = cur.get_time()?;
         let window_ns = cur.get_u64()?;
         let source_bag_len = cur.get_u64()?;
-        let n = cur.get_u32()? as usize;
-        let mut topics = Vec::with_capacity(n.min(4096));
+        // Four string length prefixes and two counters: 32 bytes at least.
+        let n = cur.get_count(32)?;
+        let mut topics = Vec::with_capacity(n);
         for _ in 0..n {
             topics.push(TopicMeta {
                 topic: cur.get_string()?,

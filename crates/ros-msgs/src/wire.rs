@@ -211,6 +211,26 @@ pub trait WireRead<'a> {
         let nsec = self.get_u32()?;
         Ok(RosDuration { sec, nsec })
     }
+
+    /// `n`, if `n` elements of at least `min_size` bytes each fit in what
+    /// is left, else [`WireError::BadLength`]. A decoder checks an element
+    /// count with this before reserving memory for it: a count the input
+    /// cannot hold would fail on truncation later anyway, but only after
+    /// the reservation.
+    #[inline]
+    fn fits(&self, n: usize, min_size: usize) -> Result<usize, WireError> {
+        if n.saturating_mul(min_size) > self.remaining() {
+            return Err(WireError::BadLength(n as u64));
+        }
+        Ok(n)
+    }
+
+    /// A `u32` element count, checked by [`WireRead::fits`].
+    #[inline]
+    fn get_count(&mut self, min_size: usize) -> Result<usize, WireError> {
+        let n = self.get_u32()? as usize;
+        self.fits(n, min_size)
+    }
 }
 
 impl<'a> WireRead<'a> for &'a [u8] {
@@ -303,6 +323,23 @@ mod tests {
         buf.put_time(t);
         let mut cur: &[u8] = &buf;
         assert_eq!(cur.get_time().unwrap(), t);
+    }
+
+    #[test]
+    fn counts_the_input_cannot_hold_are_rejected() {
+        let mut buf = Vec::new();
+        buf.put_u32(3);
+        buf.put_bytes(&[0; 12]);
+        let mut cur: &[u8] = &buf;
+        assert_eq!(cur.fits(3, 4), Ok(3));
+        assert_eq!(cur.get_count(4), Ok(3));
+        let mut cur: &[u8] = &buf;
+        assert_eq!(cur.get_count(5), Err(WireError::BadLength(3)));
+        let mut huge = u32::MAX.to_le_bytes().to_vec();
+        huge.extend_from_slice(&[0; 64]);
+        let mut cur: &[u8] = &huge;
+        assert_eq!(cur.get_count(1), Err(WireError::BadLength(u32::MAX as u64)));
+        assert_eq!((&[][..]).fits(usize::MAX, 2), Err(WireError::BadLength(u64::MAX)));
     }
 
     #[test]

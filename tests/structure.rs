@@ -31,10 +31,16 @@
 //!    `merge_ref.rs` is the oracle; and the swarm backend trait, its
 //!    fan-out and its cluster implementor are gone from `crates/`,
 //!    `tests/` and `examples/`.
+//! 8. *One byte codec*: under `crates/`, no non-test source outside
+//!    `ros-msgs/src/wire.rs` implements a byte cursor, and none outside
+//!    `bora/src/checksum.rs` checks a CRC32C trailer; `bora-tool` names
+//!    no format magic and no ingest file name — it reads an ingest root
+//!    through `bora-ingest` alone.
 
 use std::path::Path;
 
 const CHECKSUM: &str = "crates/bora/src/checksum.rs";
+const WIRE: &str = "crates/ros-msgs/src/wire.rs";
 const STREAM: &str = "crates/bora/src/stream.rs";
 /// Code lines of `stream.rs` — non-blank, not a `//` comment, before
 /// `#[cfg(test)]` — once `Merge` held the merge for both read paths (466
@@ -93,6 +99,27 @@ const SOURCE_GUARDS: &[SourceGuard] = &[
         exempt: &["tests/structure.rs"],
         non_test_only: false,
         patterns: &["SwarmBackend", "swarm_fan_out", "ClusterBackend"],
+    },
+    SourceGuard {
+        name: "one byte codec",
+        under: &["crates/"],
+        exempt: &[WIRE],
+        non_test_only: true,
+        patterns: &["fn take(&mut self"],
+    },
+    SourceGuard {
+        name: "one byte codec",
+        under: &["crates/"],
+        exempt: &[CHECKSUM],
+        non_test_only: true,
+        patterns: &["crc32c(body)", "len() - 4)", "split_last_chunk::<4>"],
+    },
+    SourceGuard {
+        name: "one byte codec",
+        under: &["crates/bora-tool/src/"],
+        exempt: &[],
+        non_test_only: true,
+        patterns: &["_MAGIC", "shard-", ".seal\""],
     },
 ];
 
@@ -312,6 +339,8 @@ fn every_source_guard_fires() {
     let decode = "decode-free executor";
     let audited = "one audited unsafe";
     let multi = "one multi-container read";
+    let codec = "one byte codec";
+    let tool = "crates/bora-tool/src/main.rs";
     let store = "crates/bora-ingest/src/store.rs";
     let exec = "crates/bora-query/src/exec.rs";
     let cases = [
@@ -345,6 +374,25 @@ fn every_source_guard_fires() {
         (multi, "examples/cluster_tour.rs", "#[cfg(test)]\nimpl SwarmBackend for F {}", true),
         (multi, "tests/structure.rs", "patterns: &[\"SwarmBackend\"],", false),
         (multi, "benchmark/src/plan.rs", "use bora::SwarmBackend;", false),
+        (codec, "crates/bora-serve/src/proto.rs", "    fn take(&mut self, n: usize) -> R {", true),
+        (codec, "crates/bora/src/block.rs", "fn take(&mut self, n: usize) -> Res<&[u8]>", true),
+        (codec, WIRE, "    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError>;", false),
+        (codec, "crates/bora/src/block.rs", "#[cfg(test)]\nfn take(&mut self, n: usize) {}", false),
+        (codec, store, "if crc32c(body) != stored {", true),
+        (codec, "crates/bora/src/manifest.rs", "let (b, t) = bytes.split_at(b.len() - 4);", true),
+        (codec, tool, "let (body, tail) = bytes.split_last_chunk::<4>()?;", true),
+        (codec, CHECKSUM, "if crc32c(body) != u32::from_le_bytes(*trailer) {", false),
+        (codec, tool, "const INGEST_SEAL_MAGIC: u32 = 0x42_53_4C_31;", true),
+        (codec, tool, "let p = format!(\"{root}/wal/shard-{k}.wal\");", true),
+        (codec, tool, "let Some(stem) = e.name.strip_suffix(\".seal\") else { continue };", true),
+        (codec, tool, "store.seal(ctx)?; let p = layout::wal_shard_path(root, k);", false),
+        (
+            codec,
+            "crates/bora-ingest/src/layout.rs",
+            "format!(\"{}/wal/shard-{shard}.wal\", r)",
+            false,
+        ),
+        (codec, tool, "#[cfg(test)]\nconst GEN_MAGIC: u32 = 0;", false),
     ];
     for (guard, path, source, fires) in cases {
         let fired = source_violations(path, source).iter().any(|v| v.starts_with(guard));
