@@ -25,12 +25,12 @@
 //!   raw storage even inside an LZSS container (LZSS can expand
 //!   adversarial input; the fallback bounds every frame at
 //!   `unc_len + FRAME_HEADER_LEN`). The encoder decides early: once a
-//!   sixteenth of the block has produced no saving it stops searching
-//!   and stores the block raw, so image blocks cost a sixteenth of a
-//!   search, not a whole one. A block whose first sixteenth is noise and
-//!   which only then turns compressible is stored raw too — at most
-//!   fifteen sixteenths of `block_size` bytes that a full pass would have
-//!   shrunk.
+//!   window (4 KiB) of the block has produced no saving it stops
+//!   searching and stores the block raw, so an image block costs one
+//!   window of a search, not a whole one. A block whose first window is
+//!   noise and which only then turns compressible is stored raw too — at
+//!   most `block_size` less one window of bytes that a full pass would
+//!   have shrunk.
 //! * The `blocks` map file carries the physical frame lengths (prefix
 //!   sums give frame offsets) plus each block's first message timestamp,
 //!   delta-encoded as varints — random logical access costs one map
@@ -232,8 +232,8 @@ pub fn encode_frame(codec: BlockCodec, logical: &[u8], ctx: &mut IoCtx) -> Vec<u
 /// only a frame that compresses is a new (smaller) allocation.
 ///
 /// The LZSS search is [`rosbag::compress::compress_bounded`]: it stops
-/// after a sixteenth of the bytes when they do not compress, so a raw
-/// verdict costs a sixteenth of a search and one CRC pass.
+/// after the first window (4 KiB) of bytes that do not compress, so a raw
+/// verdict costs one window of a search and one CRC pass.
 ///
 /// # Panics
 /// If `buf` is shorter than the header it reserves.
@@ -553,19 +553,21 @@ mod tests {
     }
 
     #[test]
-    fn noise_first_sixteenth_block_is_stored_raw() {
+    fn noise_first_window_block_is_stored_raw() {
         // The bounded search's documented price: a block whose first
-        // sixteenth is noise (the first give-up check, one window in, is
-        // a sixteenth of 64 KiB) is stored raw although the rest of it is
-        // zeros. Raw means exactly header + bytes, never more.
-        let mut data = lcg_noise(4 << 10);
-        data.resize(64 << 10, 0);
-        assert!(rosbag::compress::compress(&data).len() < data.len() / 2);
+        // window (4 KiB, the first give-up check) is noise is stored raw
+        // although the rest of it is zeros, however large the block. Raw
+        // means exactly header + bytes, never more.
         let mut ctx = IoCtx::new();
-        let frame = encode_frame(BlockCodec::Lzss, &data, &mut ctx);
-        assert_eq!(frame[0], BlockCodec::None.id());
-        assert_eq!(frame.len(), FRAME_HEADER_LEN + data.len());
-        assert_eq!(decode_frame(&frame, "t/data", &mut ctx).unwrap().0, data);
+        for block_size in [64 << 10, 640 << 10] {
+            let mut data = lcg_noise(4 << 10);
+            data.resize(block_size, 0);
+            assert!(rosbag::compress::compress(&data).len() < data.len() / 2);
+            let frame = encode_frame(BlockCodec::Lzss, &data, &mut ctx);
+            assert_eq!(frame[0], BlockCodec::None.id());
+            assert_eq!(frame.len(), FRAME_HEADER_LEN + data.len());
+            assert_eq!(decode_frame(&frame, "t/data", &mut ctx).unwrap().0, data);
+        }
         // Less noise than that is searched on, and the zeros pay.
         let mut data = lcg_noise(2 << 10);
         data.resize(64 << 10, 0);

@@ -13,8 +13,8 @@
 //!
 //! A caller that stores the input raw whenever compression does not pay
 //! (`bora::block::encode_frame`) uses [`compress_bounded`]: the same
-//! encoder, but it stops searching once a sixteenth of the input has
-//! gone by without the output getting ahead of it.
+//! encoder, but it stops searching once a window of input has gone by
+//! without the output getting ahead of it.
 
 use crate::error::{BagError, BagResult};
 
@@ -33,14 +33,6 @@ const MAX_CHAIN: usize = 32;
 /// encoder has not seen everything a match could point back to, so a
 /// shorter stride would judge input on a dictionary still filling up.
 const GIVE_UP_STRIDE: usize = WINDOW + 1;
-/// [`compress_bounded`] does not give up before `len / PROBE_DIVISOR`
-/// input bytes are behind it: input is judged on its first sixteenth —
-/// one window of a 64 KiB block — not on less. A noisy prefix shorter
-/// than that (a binary header, an image ahead of small messages) does
-/// not cost the rest of the input its compression, and incompressible
-/// input costs a sixteenth of a full search, not all of it. (Was 2, then
-/// 5; ROADMAP item 2(a) walks it down to one window.)
-const PROBE_DIVISOR: usize = 16;
 /// No stream decodes to more than this many times its own length: the
 /// densest group is a flag byte and eight two-byte matches of
 /// [`MAX_MATCH`] bytes each — 144 bytes out of 17.
@@ -104,13 +96,12 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 /// [`compress`], unless that would not shrink `data`: `None` when the
 /// output is not shorter than the input — or as soon as it is clear
 /// enough that it will not be. Each time another window (4096 bytes) of
-/// input has been consumed, and once a sixteenth of the input is behind
-/// it, the encoder gives up if it has emitted at least as many bytes as
-/// it has read, so input that does not compress costs a sixteenth of a
-/// full pass (one window, when it is no longer than sixteen). `Some`
-/// bytes are exactly [`compress`]'s.
+/// input has been consumed, the encoder gives up if it has emitted at
+/// least as many bytes as it has read, so input that does not compress
+/// costs one window of a full pass, however long it is. `Some` bytes are
+/// exactly [`compress`]'s.
 ///
-/// The price: input whose first sixteenth is noise and which compresses
+/// The price: input whose first window is noise and which compresses
 /// only later is reported as `None` although the full pass would have
 /// won.
 pub fn compress_bounded(data: &[u8]) -> Option<Vec<u8>> {
@@ -127,7 +118,6 @@ fn lzss(data: &[u8], bounded: bool) -> Option<Vec<u8>> {
     let mut flags_pos = 0usize;
     let mut flag_bit = 8u8;
     let mut next_check = GIVE_UP_STRIDE;
-    let judge_from = data.len() / PROBE_DIVISOR;
 
     while i < data.len() {
         if flag_bit == 8 {
@@ -190,7 +180,7 @@ fn lzss(data: &[u8], bounded: bool) -> Option<Vec<u8>> {
         flag_bit += 1;
 
         if bounded && i >= next_check {
-            if out.len() >= i && i >= judge_from {
+            if out.len() >= i {
                 return None;
             }
             next_check += GIVE_UP_STRIDE;
@@ -530,19 +520,17 @@ mod tests {
     }
 
     #[test]
-    fn bounded_gives_up_after_a_sixteenth_of_the_input_is_noise() {
-        // The documented trade: a sixteenth of the input (one window of
-        // 64 KiB) is noise, the rest a full pass would shrink to almost
-        // nothing. The bounded encoder declines.
-        let data = [noise(4 << 10, 11), vec![0u8; 60 << 10]].concat();
-        assert!(compress(&data).len() < data.len() / 3);
-        assert!(compress_bounded(&data).is_none());
-        // Half a window of noise is not a sixteenth of 64 KiB: searched on.
+    fn bounded_gives_up_after_a_window_of_noise() {
+        // The documented trade: the first window of the input is noise,
+        // the rest a full pass would shrink to almost nothing. The bounded
+        // encoder declines, however long the rest is.
+        for len in [64 << 10, 640 << 10] {
+            let data = [noise(4 << 10, 11), vec![0u8; len - (4 << 10)]].concat();
+            assert!(compress(&data).len() < data.len() / 3);
+            assert!(compress_bounded(&data).is_none(), "{len}");
+        }
+        // Half a window of noise is not a window: searched on.
         let data = [noise(2 << 10, 11), vec![0u8; 62 << 10]].concat();
-        assert_eq!(compress_bounded(&data).unwrap(), compress(&data));
-        // Nor is one window of 80 KiB: the first check past a sixteenth
-        // (5 KiB) is at two windows, and by then the zeros have paid.
-        let data = [noise(4 << 10, 11), vec![0u8; 76 << 10]].concat();
         assert_eq!(compress_bounded(&data).unwrap(), compress(&data));
         // It is all of an input no longer than a window, though.
         assert!(compress_bounded(&noise(GIVE_UP_STRIDE, 11)).is_none());
