@@ -12,6 +12,9 @@
 //!   [`Partition`]s, all decided by a splitmix64 stream keyed off the
 //!   seed and the [`simfs::LogicalClock`] event order, never off wall
 //!   time;
+//! * [`ThrottledTransport`] is an in-process link of bounded bandwidth,
+//!   capped on the serving side so a slow link pushes back on the
+//!   server's reply window as a socket would;
 //! * [`run_scenario`] drives a live 3-node [`bora_cluster::LocalCluster`]
 //!   through composite failure scripts ([`Scenario`]) while invariant
 //!   checkers assert that no acked append is lost, reads stay
@@ -40,6 +43,7 @@
 
 pub mod fault;
 pub mod scenario;
+pub mod throttle;
 pub mod transport;
 
 pub use fault::{
@@ -48,4 +52,5 @@ pub use fault::{
 pub use scenario::{
     run_scenario, Scenario, ScenarioReport, INGEST_ROOT, LIVE_TOPIC, STATIC_ROOT, STATIC_TOPICS,
 };
+pub use throttle::ThrottledTransport;
 pub use transport::{ChaosConnection, ChaosTransport, DEFAULT_FRAME_TIMEOUT};

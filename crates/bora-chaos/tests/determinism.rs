@@ -54,6 +54,7 @@ fn label(res: Result<String, ClientError>) -> String {
         Err(ClientError::Server { code, .. }) => format!("server:{code:?}"),
         Err(ClientError::Overloaded) => "overloaded".into(),
         Err(ClientError::DeadlineExceeded { .. }) => "deadline".into(),
+        Err(ClientError::StreamCount { received, sent }) => format!("count:{received}/{sent}"),
     }
 }
 

@@ -1,0 +1,141 @@
+//! The codec of each `READ_STREAM2` chunk, as a client sees it on the
+//! wire: a stream LZ-codes its chunks only when its link pays for it.
+//!
+//! Over the in-process transport the link is faster than the encoder, so
+//! the server LZ-codes only its probes — every 4th chunk, chunk 0 first.
+//! Over a link capped at 2 MB/s on the serving side the same stream turns
+//! to LZ, and back to raw when the cap is lifted mid-stream. Either way
+//! the messages delivered are `READ`'s, byte for byte.
+
+use std::io;
+use std::sync::{Arc, Mutex};
+
+use bora_chaos::ThrottledTransport;
+use bora_serve::{
+    split_seq, Connection, MemTransport, Response, ServeClient, Server, ServerConfig, Transport,
+    WireMessage,
+};
+use ros_msgs::sensor_msgs::Imu;
+use ros_msgs::Time;
+use simfs::{IoCtx, MemStorage};
+
+const ROOT: &str = "/c/codec";
+/// Messages per chunk the server sends.
+const CHUNK: usize = 32;
+
+/// The tests run one at a time. Each stream judges its link by its own
+/// timings, and a sibling test building its container is CPU load those
+/// timings would carry: with the connection thread starved of CPU, raw
+/// and LZ cost the worker alike, and a few chunks may go either way.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// A server over one container of `chunks` chunks of IMU messages, which
+/// LZ-code well.
+fn serve(chunks: usize) -> Arc<Server<Arc<MemStorage>>> {
+    let fs = Arc::new(MemStorage::new());
+    let mut ctx = IoCtx::new();
+    let options = rosbag::BagWriterOptions::default();
+    let mut w = rosbag::BagWriter::create(&*fs, "/stage.bag", options, &mut ctx).unwrap();
+    for i in 0..(chunks * CHUNK) as u32 {
+        let mut imu = Imu::default();
+        imu.header.seq = i;
+        imu.header.stamp = Time::new(1 + i / 100, i % 100 * 10_000_000);
+        w.write_ros_message("/imu", imu.header.stamp, &imu, &mut ctx).unwrap();
+    }
+    w.close(&mut ctx).unwrap();
+    bora::duplicate(&*fs, "/stage.bag", &*fs, ROOT, &Default::default(), &mut ctx).unwrap();
+    Server::start(fs, ServerConfig::default())
+}
+
+/// A client connection that notes, for every stream chunk it receives,
+/// whether the chunk is LZ-coded (its block frame's codec byte).
+struct Tap<C> {
+    inner: C,
+    lz: Arc<Mutex<Vec<bool>>>,
+}
+
+impl<C: Connection> Connection for Tap<C> {
+    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
+        self.inner.send_frame(payload)
+    }
+
+    fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
+        let frame = self.inner.recv_frame()?;
+        let resp = split_seq(&frame).and_then(|(_, rest)| Response::decode(rest));
+        if let Ok(Response::StreamChunkLz(chunk)) = resp {
+            self.lz.lock().unwrap().push(chunk[0] == bora::BlockCodec::Lzss.id());
+        }
+        Ok(frame)
+    }
+}
+
+fn tapped<C: Connection>(inner: C) -> (ServeClient<Tap<C>>, Arc<Mutex<Vec<bool>>>) {
+    let lz = Arc::new(Mutex::new(Vec::new()));
+    (ServeClient::new(Tap { inner, lz: Arc::clone(&lz) }), lz)
+}
+
+fn lz_positions(lz: &[bool]) -> Vec<usize> {
+    (0..lz.len()).filter(|&k| lz[k]).collect()
+}
+
+#[test]
+fn a_fast_link_lz_codes_the_probes_alone() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let server = serve(201);
+    let (mut c, lz) = tapped(MemTransport::new(Arc::clone(&server)).connect().unwrap());
+    let read = c.read(ROOT, &["/imu"]).unwrap();
+    let streamed: Vec<WireMessage> =
+        c.read_stream(ROOT, &["/imu"]).unwrap().collect::<Result<_, _>>().unwrap();
+    assert_eq!(streamed, read);
+    let lz = lz.lock().unwrap();
+    assert_eq!(lz.len(), 201);
+    // Chunks 0, 4, 8, …: the probe count is ⌈chunks / 4⌉.
+    assert_eq!(lz_positions(&lz), (0..201).step_by(4).collect::<Vec<_>>());
+    server.shutdown();
+}
+
+#[test]
+fn a_slow_link_turns_the_stream_to_lz_and_a_lifted_cap_back_to_raw() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    const THROTTLED: usize = 200;
+    const LIFTED: usize = 160;
+    let server = serve(THROTTLED + LIFTED);
+    let mut plain = ServeClient::connect(&MemTransport::new(Arc::clone(&server))).unwrap();
+    let read = plain.read(ROOT, &["/imu"]).unwrap();
+
+    let link = ThrottledTransport::new(Arc::clone(&server), 2_000_000);
+    let (mut c, lz) = tapped(link.connect().unwrap());
+    let mut streamed = Vec::with_capacity(read.len());
+    for m in c.read_stream(ROOT, &["/imu"]).unwrap() {
+        streamed.push(m.unwrap());
+        if streamed.len() == THROTTLED * CHUNK {
+            link.set_rate(0);
+        }
+    }
+    assert_eq!(streamed, read);
+    let lz = lz.lock().unwrap();
+    assert_eq!(lz.len(), THROTTLED + LIFTED);
+
+    // Every chunk up to the lift left under the cap. Once LZ has proved
+    // itself, raw ships only as a probe.
+    let throttled = &lz[..THROTTLED];
+    let eighth = lz_positions(throttled)[7];
+    let after = &throttled[eighth + 1..];
+    let coded = after.iter().filter(|&&lz| lz).count();
+    assert!(
+        coded >= after.len() * 3 / 4,
+        "{coded} of {} chunks after the 8th LZ one LZ-coded: {:?}",
+        after.len(),
+        lz_positions(throttled)
+    );
+    // Lifted: the probes of raw see a fast link again, and raw returns.
+    let tail = &lz[lz.len() - LIFTED / 2..];
+    let raw = tail.iter().filter(|&&lz| !lz).count();
+    assert!(
+        raw >= tail.len() * 3 / 4,
+        "{raw} of the last {} chunks raw: {:?}",
+        tail.len(),
+        lz_positions(&lz[THROTTLED..])
+    );
+    server.shutdown();
+}

@@ -924,8 +924,12 @@ impl<T: Transport> Iterator for ClusterStream<T> {
                     self.current = None;
                 }
                 // A transport fault, a desynchronized stream, an overloaded
-                // or failing node: resume on the next replica.
-                Some(Err(e)) if should_failover(&e) => {
+                // or failing node: resume on the next replica. A lost or
+                // repeated chunk shows only at the end, after messages
+                // past it were handed out: that stream ends with its error.
+                Some(Err(e))
+                    if should_failover(&e) && !matches!(e, ClientError::StreamCount { .. }) =>
+                {
                     if let Err(e) = self.failover() {
                         return Some(Err(e));
                     }

@@ -46,6 +46,12 @@ pub enum ClientError {
         /// Rendering of the last underlying failure, if any attempt ran.
         last_error: String,
     },
+    /// A `READ_STREAM2` answer's chunks held `received` messages where its
+    /// `StreamEnd` counts `sent`: a chunk was lost or repeated on the way.
+    /// Every chunk carries the request's seq, so nothing else notices.
+    /// Retrying the whole read is safe; resuming it is not, since the
+    /// messages already handed out cannot be taken back.
+    StreamCount { received: u64, sent: u64 },
 }
 
 impl std::fmt::Display for ClientError {
@@ -61,6 +67,9 @@ impl std::fmt::Display for ClientError {
                 f,
                 "deadline {deadline:?} exceeded after {elapsed:?} (last error: {last_error})"
             ),
+            ClientError::StreamCount { received, sent } => {
+                write!(f, "stream delivered {received} messages but the server sent {sent}")
+            }
         }
     }
 }
@@ -75,7 +84,10 @@ impl ClientError {
     /// timeout), which reconnecting fixes.
     pub fn is_transient(&self) -> bool {
         match self {
-            ClientError::Io(_) | ClientError::Proto(_) | ClientError::Overloaded => true,
+            ClientError::Io(_)
+            | ClientError::Proto(_)
+            | ClientError::Overloaded
+            | ClientError::StreamCount { .. } => true,
             ClientError::Server { code, .. } => code.is_transient(),
             // The wall-clock budget is spent; retrying cannot un-spend it.
             ClientError::DeadlineExceeded { .. } => false,
@@ -415,6 +427,8 @@ pub struct ReadStream<C: Connection, B: BorrowMut<ServeClient<C>>> {
     buffer: std::collections::VecDeque<WireMessage>,
     done: bool,
     received: u64,
+    /// Messages decoded from chunks so far, checked against `StreamEnd`.
+    decoded: u64,
     _conn: PhantomData<C>,
 }
 
@@ -437,6 +451,7 @@ impl<C: Connection, B: BorrowMut<ServeClient<C>>> ReadStream<C, B> {
             buffer: std::collections::VecDeque::new(),
             done: false,
             received: 0,
+            decoded: 0,
             _conn: PhantomData,
         })
     }
@@ -455,18 +470,27 @@ impl<C: Connection, B: BorrowMut<ServeClient<C>>> ReadStream<C, B> {
     /// Pull the next frame off the connection into `buffer`. Only a chunk
     /// keeps the stream open: `StreamEnd`, an error or overload frame, an
     /// undecodable frame and a transport failure (the connection is
-    /// desynchronized then — nothing left to drain) all flip `done`.
+    /// desynchronized then — nothing left to drain) all flip `done`. A
+    /// `StreamEnd` whose count is not the messages decoded is
+    /// [`ClientError::StreamCount`].
     fn fetch(&mut self) -> ClientResult<()> {
+        let decoded = self.decoded;
         let chunk = self.client.borrow_mut().recv().and_then(|(resp, _)| match resp {
             Response::StreamChunk(msgs) => Ok(Some(msgs)),
             Response::StreamChunkLz(frame) => {
                 crate::proto::decompress_chunk(&frame).map(Some).map_err(ClientError::Proto)
             }
-            Response::StreamEnd { .. } => Ok(None),
+            Response::StreamEnd { messages } if messages == decoded => Ok(None),
+            Response::StreamEnd { messages } => {
+                Err(ClientError::StreamCount { received: decoded, sent: messages })
+            }
             other => Err(unexpected("READ_STREAM2", &other)),
         });
         match chunk {
-            Ok(Some(msgs)) => self.buffer.extend(msgs),
+            Ok(Some(msgs)) => {
+                self.decoded += msgs.len() as u64;
+                self.buffer.extend(msgs);
+            }
             Ok(None) => self.done = true,
             Err(e) => {
                 self.done = true;
@@ -1387,6 +1411,47 @@ mod tests {
         assert_eq!(got, msgs);
     }
 
+    /// A chunk lost or repeated on the way still carries the request's
+    /// seq, so only the end frame's count can tell: the stream yields
+    /// what arrived, then an error naming both counts.
+    #[test]
+    fn a_lost_or_repeated_chunk_ends_the_stream_with_both_counts() {
+        let chunks: Vec<Vec<WireMessage>> = (0..3u32)
+            .map(|c| {
+                (0..32u32)
+                    .map(|i| WireMessage {
+                        topic: "/imu".into(),
+                        time: Time::new(c * 32 + i, 0),
+                        data: vec![c as u8; 16],
+                    })
+                    .collect()
+            })
+            .collect();
+        let chunk = |c: usize| {
+            Step::Reply(crate::proto::compress_chunk(&chunks[c], &mut simfs::IoCtx::new()))
+        };
+        let end = Step::Reply(Response::StreamEnd { messages: 96 });
+        for (script, received) in [
+            (vec![chunk(0), chunk(2), end.clone()], 64),
+            (vec![chunk(0), chunk(1), chunk(1), chunk(2), end.clone()], 128),
+        ] {
+            let t = ScriptedTransport::new(script);
+            let mut c = ServeClient::new(t.connect().unwrap());
+            let results: Vec<_> = c.read_stream("/c", &["/imu"]).unwrap().collect();
+            let (last, delivered) = results.split_last().unwrap();
+            assert_eq!(delivered.iter().filter(|r| r.is_ok()).count() as u64, received);
+            let err = last.as_ref().unwrap_err();
+            assert!(
+                matches!(err, ClientError::StreamCount { received: r, sent: 96 } if *r == received),
+                "{err}"
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("stream delivered {received} messages but the server sent 96")
+            );
+        }
+    }
+
     #[test]
     fn read_stream_surfaces_bad_request_without_reissuing() {
         let msgs =
@@ -1447,7 +1512,7 @@ mod tests {
             c.read_stream("/c", &["/imu"]).unwrap().map(|r| r.unwrap()).collect();
         assert_eq!(streamed.len(), 200);
         assert_eq!(streamed, buffered, "compressed stream must be byte-identical");
-        // The server really did ship LZ chunks to this READ_STREAM2 peer.
+        // The server LZ-coded some chunks of it: chunk 0 is an LZ probe.
         let report = c.metrics().unwrap();
         assert!(report.counter("serve.stream_chunk_lz") > 0, "no LZ chunk was sent");
         server.shutdown();

@@ -131,8 +131,9 @@ impl Metrics {
     /// scrape's payload. Same handles `STATS` reads; see module docs.
     ///
     /// The per-op recorders live in this server's private registry, but
-    /// subsystems the server *uses* (buffer pool `pool.*`, stream
-    /// compression `serve.stream_chunk_lz`, shed/evict counters) record
+    /// subsystems the server *uses* (buffer pool `pool.*`, the stream
+    /// chunks the server LZ-coded `serve.stream_chunk_lz` — raw ones are
+    /// not counted — shed/evict counters) record
     /// into the process-wide `bora_obs` registry — one pool, one set of
     /// numbers. The scrape is the union of both; on a (by-convention
     /// impossible) name collision, the private registry wins. Multiple

@@ -34,16 +34,21 @@
 //! a malformed client cannot take a worker down.
 //!
 //! The protocol is request/response with two extensions: a `READ_STREAM2`
-//! request is answered by a *sequence* of frames — zero or more chunks
-//! ([`Response::StreamChunkLz`] or plain [`Response::StreamChunk`], the
-//! server's choice per chunk) as its k-way merge yields messages, closed
-//! by a [`Response::StreamEnd`] (or a terminal [`Response::Error`]) — and
-//! `QUERY` likewise streams a schema frame and row chunks. Everything
-//! else stays one-request/one-response, and one outstanding request per
-//! connection keeps the backpressure story honest: stream frames are
-//! produced no faster than the transport accepts them, and a client that
-//! wants parallelism opens more connections, which the server's bounded
-//! queue then sheds explicitly via [`Response::Overloaded`].
+//! request is answered by a *sequence* of frames — zero or more
+//! [`Response::StreamChunkLz`] chunks as its k-way merge yields messages,
+//! closed by a [`Response::StreamEnd`] (or a terminal [`Response::Error`])
+//! — and `QUERY` likewise streams a schema frame and row chunks. Each
+//! stream chunk is one `bora::block` frame whose codec the server picks
+//! per chunk from what that stream measures — LZ where the link is
+//! slower than the encoder, raw (`BlockCodec::None`, still CRC-checked)
+//! where it is not; no byte of the request asks for either. The client
+//! decodes both, and a plain [`Response::StreamChunk`] too, which no
+//! server sends. Everything else stays one-request/one-response, and one
+//! outstanding request per connection keeps the backpressure story
+//! honest: stream frames are produced no faster than the transport
+//! accepts them, and a client that wants parallelism opens more
+//! connections, which the server's bounded queue then sheds explicitly
+//! via [`Response::Overloaded`].
 
 use bora::block::{decode_frame, encode_frame_in_place};
 use bora::BlockCodec;
@@ -80,9 +85,9 @@ const FLAG_TRACE: u8 = 1 << 1;
 const FLAG_SAMPLED: u8 = 1 << 2;
 
 /// `READ_STREAM2`, the one streamed read: `READ`'s fields, answered by
-/// chunk frames the server may ship LZ-compressed
-/// ([`Response::StreamChunkLz`]) or plain ([`Response::StreamChunk`]).
-/// (`0x09` was the plain-chunks-only `READ_STREAM`, retired.)
+/// [`Response::StreamChunkLz`] frames, each LZ-coded or raw as the
+/// stream's measurements choose. (`0x09` was the plain-chunks-only
+/// `READ_STREAM`, retired.)
 const OP_READ_STREAM2: u8 = 0x12;
 
 /// `QUERY`: execute a `bora-query` statement against a container and
@@ -111,15 +116,22 @@ pub fn split_seq(payload: &[u8]) -> ProtoResult<(u32, &[u8])> {
 /// header. Compression cost is charged to `ctx` like any other
 /// storage-layer compression.
 pub fn compress_chunk(messages: &[WireMessage], ctx: &mut IoCtx) -> Response {
-    chunk_frame(messages.iter().map(|m| (m.topic.as_str(), m.time, m.data.as_slice())), ctx)
+    chunk_frame(
+        messages.iter().map(|m| (m.topic.as_str(), m.time, m.data.as_slice())),
+        BlockCodec::Lzss,
+        ctx,
+    )
 }
 
-/// [`compress_chunk`] over borrowed `(topic, time, payload)` triples: the
-/// server's stream sink feeds it pool-page slices, so a payload is copied
-/// once — into the buffer that, when the batch does not compress, *is*
-/// the frame (`bora::block::encode_frame_in_place`).
+/// A [`Response::StreamChunkLz`] of `codec` over borrowed `(topic, time,
+/// payload)` triples: the server's stream sink feeds it pool-page slices,
+/// so a payload is copied once — into the buffer that, when the batch is
+/// sent raw or does not compress, *is* the frame
+/// (`bora::block::encode_frame_in_place`). A [`BlockCodec::None`] frame
+/// skips the encoder and keeps the frame's CRC32C.
 pub(crate) fn chunk_frame<'a>(
     messages: impl ExactSizeIterator<Item = (&'a str, Time, &'a [u8])> + Clone,
+    codec: BlockCodec,
     ctx: &mut IoCtx,
 ) -> Response {
     // Sized once, exactly: a 640 KB image chunk grown by doubling is a
@@ -140,7 +152,7 @@ pub(crate) fn chunk_frame<'a>(
     }
     let body = w.finish().expect("topic names fit a u16 length prefix");
     debug_assert_eq!(body.len(), len);
-    Response::StreamChunkLz(encode_frame_in_place(BlockCodec::Lzss, body, ctx))
+    Response::StreamChunkLz(encode_frame_in_place(codec, body, ctx))
 }
 
 /// Decode a [`Response::StreamChunkLz`] frame back into its message
@@ -186,7 +198,8 @@ const OP_OK_METRICS: u8 = 0x8E;
 /// wire chunks inherit its per-frame raw fallback (incompressible
 /// batches cost 13 bytes of header, not a blow-up) and its checksum —
 /// a bit-flipped chunk decodes to a typed error, never to garbage
-/// messages.
+/// messages. A chunk the server chose to send raw is the same frame
+/// with codec tag 0.
 const OP_OK_STREAM_CHUNK_LZ: u8 = 0x8F;
 const OP_OK_QUERY_SCHEMA: u8 = 0x93;
 const OP_OK_QUERY_CHUNK: u8 = 0x94;
@@ -205,9 +218,9 @@ pub enum Request {
     Meta { container: String },
     /// Read messages of `topics`, optionally restricted to `[start, end]`.
     Read { container: String, topics: Vec<String>, range: Option<(Time, Time)> },
-    /// Like `Read`, but answered with a sequence of chunk frames
-    /// ([`Response::StreamChunkLz`] or [`Response::StreamChunk`]) written
-    /// as the server-side merge yields messages, closed by
+    /// Like `Read`, but answered with a sequence of
+    /// [`Response::StreamChunkLz`] frames written as the server-side merge
+    /// yields messages, closed by
     /// [`Response::StreamEnd`]. The worker's cache pin is held for the
     /// stream's whole lifetime.
     ReadStream2 { container: String, topics: Vec<String>, range: Option<(Time, Time)> },
@@ -473,11 +486,15 @@ pub enum Response {
     /// `bora::ContainerMeta::decode`, reusing the container's own format.
     Meta(Vec<u8>),
     Read(Vec<WireMessage>),
-    /// One batch of a `READ_STREAM2` answer; more frames follow.
+    /// One batch of a `READ_STREAM2` answer as owned messages; more
+    /// frames follow. Clients decode it; the server sends
+    /// [`Response::StreamChunkLz`] instead, raw or LZ-coded.
     StreamChunk(Vec<WireMessage>),
     /// One batch of a `READ_STREAM2` answer, carried as a
-    /// `bora::block` frame wrapping the plain chunk body. Decode with
-    /// [`decompress_chunk`]; produce with [`compress_chunk`].
+    /// `bora::block` frame wrapping the plain chunk body — LZ-coded or
+    /// raw, as the frame's codec byte says. Decode with
+    /// [`decompress_chunk`]; [`compress_chunk`] produces the LZ-coded
+    /// form.
     StreamChunkLz(Vec<u8>),
     /// Terminal frame of a `READ_STREAM2` answer: total messages streamed.
     StreamEnd {

@@ -29,9 +29,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use bora::{BoraError, BoraResult, BufferPool, MessageStream, StreamMessage};
+use bora::{BlockCodec, BoraError, BoraResult, BufferPool, MessageStream, StreamMessage};
 use bora_ingest::{IngestStore, Snapshot};
 use bora_obs::TraceContext;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
@@ -46,9 +46,9 @@ use crate::proto::{
     StatsSnapshot, WireMessage, METRICS_REPORT_VERSION,
 };
 
-/// Messages per [`Response::StreamChunk`] frame. Small enough that the
-/// first result reaches the client while the merge is still running,
-/// large enough that framing overhead stays negligible.
+/// Messages per `READ_STREAM2` chunk ([`Response::StreamChunkLz`]).
+/// Small enough that the first result reaches the client while the merge
+/// is still running, large enough that framing overhead stays negligible.
 const STREAM_CHUNK_MSGS: usize = 32;
 
 /// Rows per [`Response::QueryChunk`] frame. Query rows are a few scalar
@@ -61,6 +61,27 @@ const QUERY_CHUNK_ROWS: usize = 64;
 /// of end-to-end backpressure — a slow client throttles the merge instead
 /// of buffering the whole result set in memory.
 const STREAM_WINDOW: usize = 4;
+
+/// A stream ships every `PROBE_EVERY`-th chunk in the codec it is not
+/// using, so it keeps measuring both and follows a link that changes
+/// speed mid-stream.
+const PROBE_EVERY: usize = 4;
+
+/// Chunks a stream's costs look back over. Both modes are judged over
+/// the same span, so a burst of load on the host lands on both alike;
+/// a link that changes speed has turned the span over within this many
+/// chunks.
+const COST_SPAN: usize = 32;
+
+/// LZ counts as the cheaper mode only below this share of raw's cost.
+/// An LZ chunk also spends CPU the worker's clock does not see — the
+/// client's decode, and the drain it leaves a CPU-starved connection —
+/// so at a near tie raw, which costs neither, ships.
+const LZ_SHARE: f64 = 0.75;
+
+/// Chunks of a mode a cost needs before it is compared: the first waits
+/// of a stream are the window filling, not drains.
+const MIN_SAMPLES: usize = 3;
 
 /// Entries kept in the slow-op ring; older entries are dropped. Bounded
 /// so an hour of pathological latency costs fixed memory, sized so the
@@ -665,6 +686,84 @@ fn scan<S: Storage>(
     Ok(Some(total))
 }
 
+/// The codec of each chunk of one `READ_STREAM2` stream, raw or LZ,
+/// chosen from what the stream itself measures: there is no option, and
+/// no byte of the request, that asks for either.
+///
+/// A chunk's cost is nanoseconds per logical (payload) byte: the
+/// worker's time building its frame plus its share of the worker's
+/// waits on the reply window. A wait is the drain of the frame at the
+/// head of the window — the one the connection is writing, sent
+/// `STREAM_WINDOW + 1` frames earlier, behind the `STREAM_WINDOW` that
+/// are queued — so it is charged to that frame. A mode's cost is the
+/// median over its chunks among the last [`COST_SPAN`]. The cheaper mode
+/// ships, and every [`PROBE_EVERY`]-th chunk, chunk 0 first, probes the
+/// other. Raw counts as the cheaper until both modes have
+/// [`MIN_SAMPLES`] drained chunks, so chunks 0 and 1 try LZ and raw.
+/// Where the link is faster than the encoder, LZ ships on chunks 0, 4,
+/// 8, … alone; where it is slower, raw does, once LZ has proved it.
+#[derive(Default)]
+struct ChunkCodec {
+    /// Chunks picked and sent so far.
+    chunks: usize,
+    /// The last [`COST_SPAN`] chunks, at their index modulo the span.
+    recent: [SentChunk; COST_SPAN],
+}
+
+#[derive(Default, Clone, Copy)]
+struct SentChunk {
+    codec: BlockCodec,
+    /// Logical bytes.
+    bytes: u64,
+    /// Build time, plus the drain once charged.
+    ns: u64,
+    drained: bool,
+}
+
+impl ChunkCodec {
+    fn pick(&self) -> BlockCodec {
+        let lz_cheaper = matches!(
+            (self.cost(BlockCodec::Lzss), self.cost(BlockCodec::None)),
+            (Some(lz), Some(raw)) if lz < raw * LZ_SHARE
+        );
+        // A probe ships the mode that is not the cheaper one.
+        if lz_cheaper != self.chunks.is_multiple_of(PROBE_EVERY) {
+            BlockCodec::Lzss
+        } else {
+            BlockCodec::None
+        }
+    }
+
+    /// The lower median ns per byte of `codec`'s drained recent chunks;
+    /// `None` below [`MIN_SAMPLES`] of them.
+    fn cost(&self, codec: BlockCodec) -> Option<f64> {
+        let mut costs = [0f64; COST_SPAN];
+        let mut n = 0;
+        for c in self.recent.iter().filter(|c| c.drained && c.codec == codec) {
+            costs[n] = c.ns as f64 / c.bytes.max(1) as f64;
+            n += 1;
+        }
+        if n < MIN_SAMPLES {
+            return None;
+        }
+        Some(*costs[..n].select_nth_unstable_by((n - 1) / 2, f64::total_cmp).1)
+    }
+
+    /// Account the chunk just sent: `bytes` logical bytes as `codec`,
+    /// built in `build`, its send blocked for `wait`.
+    fn record(&mut self, codec: BlockCodec, bytes: u64, build: Duration, wait: Duration) {
+        let k = self.chunks;
+        if let Some(head) = k.checked_sub(STREAM_WINDOW + 1) {
+            let head = &mut self.recent[head % COST_SPAN];
+            head.ns += wait.as_nanos() as u64;
+            head.drained = true;
+        }
+        self.recent[k % COST_SPAN] =
+            SentChunk { codec, bytes, ns: build.as_nanos() as u64, drained: false };
+        self.chunks += 1;
+    }
+}
+
 /// Run one data-plane op. Chunk frames of a streamed answer are sent on
 /// `reply` as they are produced; the terminal (or only) frame is
 /// *returned*, so the worker loop can record the op before any client
@@ -733,18 +832,29 @@ fn handle<S: Storage + Clone>(
             Request::ReadStream2 { container, topics, range } => {
                 let source = Source::open(shared, container, ctx)?;
                 let stream = source.stream(&strs(topics), *range, ctx)?;
-                // Every chunk goes out as an LZ frame; the codec's raw
-                // fallback covers incompressible batches. The payloads'
-                // one copy — pool page to frame buffer — is counted like
-                // any other materialisation.
+                // Each chunk is one block frame, LZ-coded or raw as this
+                // stream's own measurements pick. The payloads' one copy
+                // — pool page to frame buffer — is counted like any other
+                // materialisation.
+                let mut codec = ChunkCodec::default();
                 let sent = scan(stream, ctx, &mut |batch, ctx| {
-                    bora_obs::counter("serve.stream_chunk_lz").inc();
-                    bora_obs::counter("stream.bytes_copied")
-                        .add(batch.iter().map(|m| m.payload().len() as u64).sum());
-                    let frame =
-                        chunk_frame(batch.iter().map(|m| (&*m.topic, m.time, m.payload())), ctx);
+                    let bytes = batch.iter().map(|m| m.payload().len() as u64).sum();
+                    bora_obs::counter("stream.bytes_copied").add(bytes);
+                    let mode = codec.pick();
+                    if mode == BlockCodec::Lzss {
+                        bora_obs::counter("serve.stream_chunk_lz").inc();
+                    }
+                    let started = Instant::now();
+                    let frame = chunk_frame(
+                        batch.iter().map(|m| (&*m.topic, m.time, m.payload())),
+                        mode,
+                        ctx,
+                    );
                     batch.clear();
-                    reply.send(frame).is_ok()
+                    let built = Instant::now();
+                    let sent = reply.send(frame).is_ok();
+                    codec.record(mode, bytes, built - started, built.elapsed());
+                    sent
                 })?;
                 match sent {
                     Some(messages) => Response::StreamEnd { messages },
@@ -880,4 +990,88 @@ fn error_response(e: BoraError) -> Response {
         BoraError::Fs(_) => ErrorCode::Io,
     };
     Response::Error { code, message: e.to_string() }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Drive a policy whose chunk `k`, sent as `codec`, costs
+    /// `cost(k, codec)` = (build, drain) ns per byte, and return the
+    /// chunks that went out LZ-coded.
+    fn lz_chunks(chunks: usize, cost: impl Fn(usize, BlockCodec) -> (u64, u64)) -> Vec<usize> {
+        let mut codec = ChunkCodec::default();
+        let mut sent: Vec<BlockCodec> = Vec::new();
+        for k in 0..chunks {
+            let mode = codec.pick();
+            // This send waits for the frame at the window's head to drain.
+            let head = k.checked_sub(STREAM_WINDOW + 1);
+            let wait = head.map_or(0, |h| cost(h, sent[h]).1 * 1000);
+            let build = Duration::from_nanos(cost(k, mode).0 * 1000);
+            codec.record(mode, 1000, build, Duration::from_nanos(wait));
+            sent.push(mode);
+        }
+        (0..chunks).filter(|&k| sent[k] == BlockCodec::Lzss).collect()
+    }
+
+    fn probes(chunks: usize) -> Vec<usize> {
+        (0..chunks).step_by(PROBE_EVERY).collect()
+    }
+
+    /// LZ builds at 20 ns/B and drains in 5; raw costs 1 + 1.
+    fn fast(_: usize, codec: BlockCodec) -> (u64, u64) {
+        if codec == BlockCodec::Lzss {
+            (20, 5)
+        } else {
+            (1, 1)
+        }
+    }
+
+    #[test]
+    fn a_fast_link_gets_lz_on_every_fourth_chunk_alone() {
+        assert_eq!(lz_chunks(80, fast), probes(80));
+    }
+
+    #[test]
+    fn a_slow_link_gets_raw_on_every_fourth_chunk_alone() {
+        // Draining costs 500 ns/B raw, a quarter of that LZ-coded: once
+        // LZ has three drained chunks, raw ships only as a probe.
+        let lz = lz_chunks(80, |_, c| if c == BlockCodec::Lzss { (20, 125) } else { (1, 500) });
+        assert_eq!(lz[..4], [0, 4, 8, 12]);
+        // LZ's third drain is its chunk 8's, charged at chunk 13's send.
+        let settled: Vec<usize> = (14..80).filter(|k| k % 4 != 0).collect();
+        assert_eq!(lz[4..], settled);
+    }
+
+    #[test]
+    fn a_hiccup_or_a_burst_of_load_moves_no_choice() {
+        // One chunk of each mode stalls for 4 ms.
+        let hiccup = |k, c| if k == 30 || k == 44 { (4000, 1) } else { fast(k, c) };
+        assert_eq!(lz_chunks(80, hiccup), probes(80));
+        // Every chunk from 40 to 69 waits 50x its cost: both modes alike.
+        let burst = |k, c| {
+            let (build, drain) = fast(k, c);
+            if (40..70).contains(&k) {
+                (build, 50 * (build + drain))
+            } else {
+                (build, drain)
+            }
+        };
+        assert_eq!(lz_chunks(120, burst), probes(120));
+    }
+
+    #[test]
+    fn a_link_that_speeds_up_turns_the_stream_back_to_raw() {
+        let lz = lz_chunks(160, |k, c| match (k < 60, c) {
+            (true, BlockCodec::Lzss) => (20, 125),
+            (true, _) => (1, 500),
+            (false, c) => fast(k, c),
+        });
+        // Within a span of the change, LZ ships on the probes alone.
+        let tail: Vec<usize> = lz.into_iter().filter(|&k| k >= 60 + COST_SPAN).collect();
+        assert_eq!(
+            tail,
+            probes(160).into_iter().filter(|&k| k >= 60 + COST_SPAN).collect::<Vec<_>>()
+        );
+    }
 }

@@ -140,6 +140,19 @@ pub struct MemConnection {
     timeout: Option<Duration>,
 }
 
+impl MemConnection {
+    /// Two ends of one in-process connection, client end first. Each
+    /// direction is an unbounded channel: a send never waits for the peer.
+    pub fn pair() -> (MemConnection, MemConnection) {
+        let (client_tx, server_rx) = channel::unbounded();
+        let (server_tx, client_rx) = channel::unbounded();
+        (
+            MemConnection { tx: client_tx, rx: client_rx, timeout: None },
+            MemConnection { tx: server_tx, rx: server_rx, timeout: None },
+        )
+    }
+}
+
 impl Connection for MemConnection {
     fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
         self.tx.send(payload.to_vec()).map_err(|_| eof())
@@ -177,17 +190,13 @@ impl<S: Storage + Clone + Send + Sync + 'static> Transport for MemTransport<S> {
     type Conn = MemConnection;
 
     fn connect(&self) -> io::Result<MemConnection> {
-        let (client_tx, server_rx) = channel::unbounded();
-        let (server_tx, client_rx) = channel::unbounded();
+        let (client, mut served) = MemConnection::pair();
         let server = Arc::clone(&self.server);
         std::thread::Builder::new()
             .name("bora-serve-mem-conn".into())
-            .spawn(move || {
-                let mut conn = MemConnection { tx: server_tx, rx: server_rx, timeout: None };
-                serve_connection(&server, &mut conn);
-            })
+            .spawn(move || serve_connection(&server, &mut served))
             .map_err(io::Error::other)?;
-        Ok(MemConnection { tx: client_tx, rx: client_rx, timeout: None })
+        Ok(client)
     }
 }
 

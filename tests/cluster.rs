@@ -9,11 +9,11 @@
 //! without losing what that lane delivered, and an elastic join
 //! resharding live data without disturbing readers.
 
-use bora_chaos::{ChaosState, ChaosTransport, Partition};
+use bora_chaos::{ChaosRule, ChaosState, ChaosTransport, NetFault, Partition};
 use bora_cluster::{
     ClusterClient, ClusterClientConfig, ClusterTierConfig, LocalCluster, RingConfig, RoutePolicy,
 };
-use bora_serve::{MemTransport, RetryBudgetConfig, WireMessage};
+use bora_serve::{ClientError, MemTransport, RetryBudgetConfig, WireMessage};
 use ros_msgs::sensor_msgs::Imu;
 use ros_msgs::{RosMessage, Time};
 use rosbag::{BagWriter, BagWriterOptions};
@@ -204,7 +204,7 @@ fn cluster_streams_match_reads_across_a_mid_stream_node_kill() {
     };
 
     check_streams("before the kill");
-    // The nodes served those streams as LZ chunks.
+    // Every node LZ-coded chunks of those streams: chunk 0 is an LZ probe.
     for id in cluster.node_ids() {
         let report = client.node_metrics(id).unwrap();
         assert!(report.counter("serve.stream_chunk_lz") > 0, "node {id} sent no LZ chunk");
@@ -274,6 +274,32 @@ fn a_failed_lane_ends_the_merge_after_what_it_delivered() {
     assert_eq!(before, expected[..before.len()], "a (time, lane)-sorted prefix");
     assert_eq!(robot_of(before.last().unwrap()), lane as u32, "the failed lane's last message");
     chaos.set_partition(None);
+    cluster.shutdown();
+}
+
+/// A chunk lost on the way shows only in the stream's end frame, after
+/// the messages behind it were handed out: the cluster stream ends with
+/// the count error instead of resuming on a replica at `fetched`, which
+/// would paper over the gap.
+#[test]
+fn a_lost_chunk_ends_a_cluster_stream_with_its_count() {
+    let staging = MemStorage::new();
+    let roots = stage_fleet(&staging, 1, 200, 0);
+    let cluster = start_cluster(&staging, &roots, 3);
+    let (client, chaos) = chaos_client(&cluster, ClusterClientConfig::default());
+    let expected = client.read(&roots[0], &TOPICS).unwrap();
+    assert_eq!(expected.len(), 200, "seven chunks");
+    // Event `at` is the request, `at + 1` the first chunk: drop the second.
+    let at = chaos.events();
+    chaos.set_rules(vec![ChaosRule::new(NetFault::Drop).on_recv().window(at + 2, at + 3)]);
+    let mut results: Vec<_> = client.read_stream(&roots[0], &TOPICS).unwrap().collect();
+    assert_eq!(chaos.faults_injected(), 1);
+    let last = results.pop().unwrap();
+    let delivered: Vec<WireMessage> = results.into_iter().map(Result::unwrap).collect();
+    assert_eq!(delivered.len(), 200 - 32, "no replica filled the gap");
+    assert_eq!(delivered[..32], expected[..32]);
+    assert_eq!(delivered[32..], expected[64..]);
+    assert!(matches!(last, Err(ClientError::StreamCount { received: 168, sent: 200 })), "{last:?}");
     cluster.shutdown();
 }
 

@@ -36,12 +36,19 @@
 //!    `bora/src/checksum.rs` checks a CRC32C trailer; `bora-tool` names
 //!    no format magic and no ingest file name — it reads an ingest root
 //!    through `bora-ingest` alone.
+//! 9. *One codec choice*: a stream chunk's codec is measured, not asked
+//!    for. In non-test source under `crates/`, `chunk_frame` is called
+//!    from `compress_chunk` in `proto.rs` and from one site in
+//!    `server.rs`, the stream's policy, alone; `bora-serve` reads no
+//!    environment variable, and `ServerConfig` has no codec field.
 
 use std::path::Path;
 
 const CHECKSUM: &str = "crates/bora/src/checksum.rs";
 const WIRE: &str = "crates/ros-msgs/src/wire.rs";
 const STREAM: &str = "crates/bora/src/stream.rs";
+const PROTO: &str = "crates/bora-serve/src/proto.rs";
+const SERVER: &str = "crates/bora-serve/src/server.rs";
 /// Code lines of `stream.rs` — non-blank, not a `//` comment, before
 /// `#[cfg(test)]` — once `Merge` held the merge for both read paths (466
 /// before the read core lent, 463 after).
@@ -227,6 +234,48 @@ fn stream_violations(source: &str) -> Vec<String> {
     found
 }
 
+/// Guard 9 over one file: calls of `chunk_frame`, environment reads in
+/// `bora-serve` and the fields of `ServerConfig`.
+fn codec_choice_violations(path: &str, source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    let (mut current, mut in_config, mut calls) = ("", false, 0);
+    for (i, line) in source.lines().take_while(|l| !l.contains("#[cfg(test)]")).enumerate() {
+        let mut flag =
+            |what: &str| found.push(format!("one codec choice: {path}:{}: {what}: {line}", i + 1));
+        let code = line.trim_start();
+        let header = ["fn ", "pub fn ", "pub(crate) fn "].iter().find_map(|p| code.strip_prefix(p));
+        if let Some(header) = header {
+            current = header.split(['(', '<']).next().unwrap_or("");
+        }
+        if line.contains("chunk_frame(") && header.is_none() && path.starts_with("crates/") {
+            calls += 1;
+            let allowed = match path {
+                PROTO => current == "compress_chunk",
+                SERVER => calls == 1,
+                _ => false,
+            };
+            if !allowed {
+                flag("`chunk_frame` is called by `compress_chunk` and the stream's policy alone");
+            }
+        }
+        if path.starts_with("crates/bora-serve/")
+            && (line.contains("env::var") || line.contains("var_os("))
+        {
+            flag("bora-serve reads no environment variable");
+        }
+        in_config |= line.starts_with("pub struct ServerConfig");
+        let field = code.to_ascii_lowercase();
+        if in_config
+            && ["codec", "lz", "compress"].iter().any(|w| field.contains(w))
+            && !code.starts_with("//")
+        {
+            flag("`ServerConfig` has no codec field");
+        }
+        in_config &= !line.starts_with('}');
+    }
+    found
+}
+
 /// Guard 7, first half: whether `path` is a source under `crates/`, not
 /// under `crates/bench`, that names `BinaryHeap` before its tests.
 fn names_the_heap(path: &str, source: &str) -> bool {
@@ -316,6 +365,7 @@ fn the_tree_holds_every_guard() {
             let rel = path.strip_prefix(root).unwrap().to_str().unwrap().replace('\\', "/");
             let source = std::fs::read_to_string(path).unwrap();
             found.extend(source_violations(&rel, &source));
+            found.extend(codec_choice_violations(&rel, &source));
             if names_the_heap(&rel, &source) {
                 heap_files.push(rel);
             }
@@ -441,6 +491,53 @@ fn the_read_core_guard_fires() {
     ] {
         let bad = good.replacen(from, to, 1);
         assert!(stream_violations(&bad).iter().any(|v| v.contains(what)), "{what}:\n{bad}");
+    }
+}
+
+#[test]
+fn the_one_codec_choice_guard_fires() {
+    let compress = "pub fn compress_chunk(m: &[WireMessage]) -> Response {\n    \
+                    chunk_frame(m.iter(), BlockCodec::Lzss, ctx)\n}\n";
+    let define =
+        "pub(crate) fn chunk_frame<'a>(\n    messages: impl Iterator,\n) -> Response {\n}\n";
+    let sink = "fn handle() {\n    let frame = chunk_frame(batch.iter(), codec.pick(), ctx);\n}\n";
+    let config = "pub struct ServerConfig {\n    pub workers: usize,\n    \
+                  /// Ops slower than this are logged.\n    pub slow_op_threshold_ns: u64,\n}\n";
+    let client = "crates/bora-serve/src/client.rs";
+    let cases = [
+        (PROTO, format!("{compress}{define}"), false),
+        (SERVER, format!("{config}{sink}"), false),
+        (
+            SERVER,
+            format!("{sink}#[cfg(test)]\nfn t() {{ chunk_frame(b, BlockCodec::None, c); }}"),
+            false,
+        ),
+        (
+            "crates/bora-tool/src/main.rs",
+            "let v = std::env::var(\"BORA_POOL_BYTES\");".into(),
+            false,
+        ),
+        ("crates/bora-serve/src/bin/bora-serve.rs", "let mut it = std::env::args();".into(), false),
+        ("tests/serve.rs", "let f = chunk_frame(b, BlockCodec::None, c);".into(), false),
+        (
+            PROTO,
+            format!("{compress}fn read_chunk() {{\n    chunk_frame(m, BlockCodec::None, c)\n}}\n"),
+            true,
+        ),
+        (SERVER, format!("{sink}{sink}"), true),
+        (client, "let f = chunk_frame(b, BlockCodec::None, c);".into(), true),
+        (SERVER, "let lz = std::env::var(\"BORA_WIRE_LZ\").is_ok();".into(), true),
+        (client, "if std::env::var_os(\"BORA_RAW\").is_some() {}".into(), true),
+        (
+            SERVER,
+            config.replace("pub workers", "pub stream_codec: BlockCodec,\n    pub workers"),
+            true,
+        ),
+        (SERVER, config.replace("pub workers", "pub lz_chunks: bool,\n    pub workers"), true),
+    ];
+    for (path, source, fires) in cases {
+        let found = codec_choice_violations(path, &source);
+        assert_eq!(!found.is_empty(), fires, "{path}: {source}\n{found:?}");
     }
 }
 
