@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use bora::{BoraFs, BoraFsOptions};
 use rosbag::BagWriterOptions;
 use simfs::{ClusterConfig, ClusterStorage, DeviceModel, IoCtx, MemStorage, Storage, TimedStorage};
 use workloads::tum::{generate_bag, GenOptions, TumBag};
@@ -135,20 +134,6 @@ pub fn setup_bag(platform: Platform, gb: f64, scales: &ScaleConfig) -> BagEnv {
     .expect("bora duplicate");
 
     BagEnv { platform, bag_path, container_root, bag, duplicate_ns: dup_ctx.elapsed_ns() }
-}
-
-/// Mount a BoraFs pair (front/back) on a platform — used by experiments
-/// that exercise the front-end path.
-pub fn mount_borafs(platform: &Platform) -> BoraFs<Arc<dyn Storage>> {
-    let mut ctx = IoCtx::new();
-    BoraFs::mount(
-        Arc::clone(&platform.storage),
-        "/mnt/bora",
-        "/backend/bora",
-        BoraFsOptions::default(),
-        &mut ctx,
-    )
-    .expect("mount")
 }
 
 #[cfg(test)]

@@ -3,13 +3,6 @@
 
 pub mod ablations;
 pub mod common;
-pub mod ext_cluster;
-pub mod ext_crash;
-pub mod ext_ingest;
-pub mod ext_pool;
-pub mod ext_query;
-pub mod ext_stream;
-pub mod extensions;
 pub mod fig10;
 pub mod fig11_12;
 pub mod fig13_14;
@@ -19,7 +12,6 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig9;
 pub mod open21g;
-pub mod serve;
 pub mod table1;
 pub mod table2;
 pub mod table4;
@@ -151,69 +143,6 @@ pub fn registry() -> Vec<Experiment> {
             paper_ref: "DESIGN §5.4",
             description: "Ablation: cluster data-server count",
             run: ablations::run_stripe,
-        },
-        Experiment {
-            id: "ext_amr",
-            paper_ref: "extension",
-            description: "Extension: BORA on a structured-data-dominant AMR mission",
-            run: extensions::run_amr,
-        },
-        Experiment {
-            id: "ext_compression",
-            paper_ref: "extension",
-            description: "Extension: LZSS chunk compression through the pipeline",
-            run: extensions::run_compression,
-        },
-        Experiment {
-            id: "ext_serve",
-            paper_ref: "extension",
-            description:
-                "Extension: bora-serve query service — open amortization vs per-query open",
-            run: serve::run,
-        },
-        Experiment {
-            id: "ext_crash",
-            paper_ref: "extension",
-            description:
-                "Extension: crash-consistent commit — power-cut sweep, fsck verify + repair",
-            run: ext_crash::run,
-        },
-        Experiment {
-            id: "ext_stream",
-            paper_ref: "extension",
-            description:
-                "Extension: streaming pipeline — heap vs linear k-way merge, parallel prefetch",
-            run: ext_stream::run,
-        },
-        Experiment {
-            id: "ext_cluster",
-            paper_ref: "extension",
-            description:
-                "Extension: bora-cluster — sharded/replicated serving: scaling, hedging, node-kill",
-            run: ext_cluster::run,
-        },
-        Experiment {
-            id: "ext_ingest",
-            paper_ref: "extension",
-            description:
-                "Extension: bora-ingest live write path — append throughput, query-during-ingest, \
-                 power-cut sweep",
-            run: ext_ingest::run,
-        },
-        Experiment {
-            id: "ext_pool",
-            paper_ref: "extension",
-            description:
-                "Extension: global buffer pool + compressed topic blocks — cold/hot scans, \
-                 budget sweep, heal traffic",
-            run: ext_pool::run,
-        },
-        Experiment {
-            id: "ext_query",
-            paper_ref: "extension",
-            description: "Extension: bora-query — pushdown selectivity sweep, distributed partial \
-                 aggregation wire cost",
-            run: ext_query::run,
         },
         Experiment {
             id: "open21g",

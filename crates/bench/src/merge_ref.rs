@@ -2,32 +2,22 @@
 //!
 //! `bora`'s one merge is `bora::stream::Merge`, which `MessageStream`
 //! and the cluster router's merged stream both drive. These two
-//! stand-alone versions exist for measurement and differential testing
-//! only: `ext_stream` charges the linear pick against the heap pick on
-//! the virtual clock, and `tests/stream.rs` pins the streaming merge
-//! against both and the bare `Merge` against the heap one.
+//! stand-alone versions are the oracle of the differential tests:
+//! `tests/stream.rs` pins the streaming merge against both and the bare
+//! `Merge` against the heap one.
 
 use ros_msgs::Time;
 use rosbag::reader::MessageRecord;
-use simfs::device::cpu;
-use simfs::IoCtx;
 
 /// The retired linear-scan merge, kept as a reference implementation:
-/// differential tests pin the streaming heap merge against it, and the
-/// `ext_stream` experiment measures its O(N·k) pick (every output message
-/// scans all k cursors) against the heap's O(N log k) — charged honestly
-/// as N·k here, which the old in-line version understated as N·log k.
-pub fn merge_streams_linear(
-    mut streams: Vec<Vec<MessageRecord>>,
-    ctx: &mut IoCtx,
-) -> Vec<MessageRecord> {
+/// every output message scans all k cursors for the earliest head.
+pub fn merge_streams_linear(mut streams: Vec<Vec<MessageRecord>>) -> Vec<MessageRecord> {
     streams.retain(|s| !s.is_empty());
     match streams.len() {
         0 => Vec::new(),
         1 => streams.pop().unwrap(),
-        k => {
+        _ => {
             let total: usize = streams.iter().map(Vec::len).sum();
-            ctx.charge_ns(total as u64 * k as u64 * cpu::SORT_ELEMENT_NS);
             let mut out = Vec::with_capacity(total);
             let mut cursors = vec![0usize; streams.len()];
             loop {
@@ -53,16 +43,10 @@ pub fn merge_streams_linear(
 }
 
 /// Binary-heap k-way merge over already-materialized streams, with the
-/// same `(time, stream-position)` tie-break as `bora::MessageStream`. Used by
-/// `ext_stream` and differential tests; the streaming path
-/// performs the identical merge incrementally over cursors.
-pub fn merge_streams_heap(streams: Vec<Vec<MessageRecord>>, ctx: &mut IoCtx) -> Vec<MessageRecord> {
-    let k = streams.iter().filter(|s| !s.is_empty()).count();
+/// same `(time, stream-position)` tie-break as `bora::MessageStream`. The
+/// streaming path performs the identical merge incrementally over cursors.
+pub fn merge_streams_heap(streams: Vec<Vec<MessageRecord>>) -> Vec<MessageRecord> {
     let total: usize = streams.iter().map(Vec::len).sum();
-    if k > 1 {
-        let logk = (usize::BITS - (k - 1).leading_zeros()) as u64;
-        ctx.charge_ns(total as u64 * logk * cpu::SORT_ELEMENT_NS);
-    }
     let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
         std::collections::BinaryHeap::with_capacity(streams.len());
     let mut cursors = vec![0usize; streams.len()];

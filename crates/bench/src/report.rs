@@ -119,11 +119,6 @@ pub fn ms(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1e6)
 }
 
-/// Format virtual nanoseconds as microseconds (sub-millisecond effects).
-pub fn us(ns: u64) -> String {
-    format!("{:.2} µs", ns as f64 / 1e3)
-}
-
 /// Format a speedup ratio.
 pub fn speedup(base_ns: u64, ours_ns: u64) -> String {
     if ours_ns == 0 {

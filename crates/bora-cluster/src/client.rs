@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use bora::stream::Merge;
 use bora_serve::{
     ClientError, ClientResult, Connection, ErrorCode, MetricsReport, PingInfo, QueryReply,
-    ReadStream, RetryBudget, RetryBudgetConfig, ServeClient, StatsSnapshot, Transport, WireMessage,
+    ReadStream, RetryBudget, RetryBudgetConfig, ServeClient, Transport, WireMessage,
 };
 use crossbeam::channel::{self, RecvTimeoutError};
 use ros_msgs::Time;
@@ -704,8 +704,7 @@ where
     /// `EXPLAIN` renders the router's plan without executing anything;
     /// `EXPLAIN ANALYZE` executes and appends one line per fragment
     /// (container, rows shipped, wire bytes). The reply's `wire_bytes`
-    /// sums the response payload bytes of every fragment — the number
-    /// the `ext_query` experiment compares against a row-shipping plan.
+    /// sums the response payload bytes of every fragment.
     pub fn query_multi(&self, containers: &[&str], sql: &str) -> ClientResult<QueryReply> {
         let _sp = bora_obs::span("cluster.query");
         let p = bora_query::prepare(sql).map_err(bad_query)?;
@@ -784,12 +783,6 @@ where
     /// Probe every node; the per-node result doubles as liveness.
     pub fn ping_all(&self) -> Vec<(NodeId, ClientResult<PingInfo>)> {
         self.nodes.iter().map(|(id, ep)| (*id, ep.attempt(&mut |c| c.ping()))).collect()
-    }
-
-    /// One node's `STATS` snapshot (virtual-time accounting lives here).
-    pub fn node_stats(&self, node: NodeId) -> ClientResult<StatsSnapshot> {
-        let ep = self.nodes.get(&node).ok_or_else(|| no_nodes(&format!("node {node}")))?;
-        ep.attempt(&mut |c| c.stats())
     }
 
     /// One node's full `METRICS` scrape (registry + slow-op tail) — what

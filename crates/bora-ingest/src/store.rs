@@ -53,6 +53,7 @@
 //! three feed the same `(time, lane)` k-way merge in `bora::stream`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 
 use bora::block::{BlockCodec, BlockParams};
@@ -559,32 +560,53 @@ impl<S: Storage> IngestStore<S> {
     /// merge lane sorted and the memtable/segment/container read paths
     /// byte-identical.
     pub fn append(&self, topic: &str, time: Time, data: &[u8], ctx: &mut IoCtx) -> BoraResult<u64> {
+        self.append_batch([(topic, time, data)], ctx).map(|seqs| seqs.start)
+    }
+
+    /// Append a batch of `(topic, time, payload)` messages under one lock,
+    /// all or nothing: every message is checked against its topic's
+    /// high-water mark — earlier messages of the same batch included —
+    /// before any is applied, so an out-of-order message rejects the
+    /// whole batch and leaves the store as it was. Returns the WAL
+    /// sequence numbers the batch took.
+    pub fn append_batch<'m, I>(&self, batch: I, ctx: &mut IoCtx) -> BoraResult<Range<u64>>
+    where
+        I: IntoIterator<Item = (&'m str, Time, &'m [u8])>,
+        I::IntoIter: Clone,
+    {
+        let batch = batch.into_iter();
         let mut st = self.inner.lock();
-        if let Some(last) = st.last_time.get(topic) {
-            if time < *last {
+        let mut high: BTreeMap<&str, Time> = BTreeMap::new();
+        for (topic, time, _) in batch.clone() {
+            let last = high.get(topic).or_else(|| st.last_time.get(topic));
+            if let Some(last) = last.filter(|last| time < **last) {
                 return Err(BoraError::Corrupt(format!(
                     "out-of-order append on {topic}: {} < high-water {}",
                     time.as_nanos(),
                     last.as_nanos()
                 )));
             }
+            high.insert(topic, time);
         }
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        let rec = WalRecord { seq, topic: topic.to_owned(), time, data: data.to_vec() };
-        let shard = shard_of(topic, self.cfg.wal_shards.max(1));
-        st.shards[shard].append(&rec);
-        if st.shards[shard].buffered_records() >= self.cfg.group_commit.max(1) {
-            st.shards[shard].sync(&self.storage, ctx)?;
+        let first = st.next_seq;
+        for (topic, time, data) in batch {
+            let seq = st.next_seq;
+            st.next_seq += 1;
+            let rec = WalRecord { seq, topic: topic.to_owned(), time, data: data.to_vec() };
+            let shard = shard_of(topic, self.cfg.wal_shards.max(1));
+            st.shards[shard].append(&rec);
+            if st.shards[shard].buffered_records() >= self.cfg.group_commit.max(1) {
+                st.shards[shard].sync(&self.storage, ctx)?;
+            }
+            st.memtable.entry(topic.to_owned()).or_default().push(IngestMessage {
+                time,
+                seq,
+                data: rec.data.into(),
+            });
+            st.last_time.insert(topic.to_owned(), time);
+            st.epoch += 1;
         }
-        st.memtable.entry(topic.to_owned()).or_default().push(IngestMessage {
-            time,
-            seq,
-            data: rec.data.into(),
-        });
-        st.last_time.insert(topic.to_owned(), time);
-        st.epoch += 1;
-        Ok(seq)
+        Ok(first..st.next_seq)
     }
 
     /// Force-sync every WAL shard (one fsync per non-empty shard).
@@ -923,6 +945,25 @@ mod tests {
         // Equal timestamps are fine; other topics are independent.
         st.append("/imu", Time::from_nanos(500), b"c", &mut ctx).unwrap();
         st.append("/gps", Time::from_nanos(100), b"d", &mut ctx).unwrap();
+    }
+
+    #[test]
+    fn a_rejected_batch_applies_nothing() {
+        let fs = MemStorage::new();
+        let mut ctx = IoCtx::new();
+        let st = store(&fs, &mut ctx);
+        let batch = [10, 20, 5].map(|ns| ("/a", Time::from_nanos(ns), &b"x"[..]));
+        assert!(st.append_batch(batch, &mut ctx).is_err());
+        assert_eq!(st.stat().active_messages, 0);
+        let snap = st.snapshot(&mut ctx).unwrap();
+        assert!(snap.read_topics(&["/a"], &mut ctx).unwrap().is_empty());
+        // Nothing reached the WAL, and the high-water mark did not move.
+        st.flush_wal(&mut ctx).unwrap();
+        drop(snap);
+        drop(st);
+        let st = IngestStore::open(&fs, "/live", &mut ctx).unwrap();
+        assert_eq!(st.stat().active_messages, 0);
+        assert_eq!(st.append("/a", Time::from_nanos(5), b"y", &mut ctx).unwrap(), 1);
     }
 
     #[test]

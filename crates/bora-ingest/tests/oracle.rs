@@ -187,3 +187,35 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 }
+
+/// However often the store seals, what it reads back is what was
+/// appended: one script sealed every 64, 256 or 1024 appends (and never)
+/// reads equal to the script, after the seals and after a compaction.
+#[test]
+fn seal_cadence_never_changes_what_a_read_returns() {
+    let script: Vec<Msg> = (0..600u64)
+        .flat_map(|i| (0..TOPICS.len()).map(move |lane| (lane, i * 1_000 + lane as u64)))
+        .map(|(lane, t)| (lane, t, vec![(t % 251) as u8; 16 + lane * 8]))
+        .collect();
+    for seal_every in [64, 256, 1024, usize::MAX] {
+        let fs = MemStorage::new();
+        let ctx = &mut IoCtx::new();
+        let cfg =
+            IngestConfig { wal_shards: 4, group_commit: 16, window_ns: 1_000_000, block: None };
+        let st = IngestStore::create(&fs, "/live", cfg, ctx).unwrap();
+        let mut seals = 0;
+        for (i, (lane, t, data)) in script.iter().enumerate() {
+            st.append(TOPICS[*lane], Time::from_nanos(*t), data, ctx).unwrap();
+            if (i + 1) % seal_every == 0 {
+                st.seal(ctx).unwrap();
+                seals += 1;
+            }
+        }
+        assert_eq!(seals, script.len() / seal_every, "seal every {seal_every}");
+        assert_eq!(st.stat().sealed_batches, seals);
+        assert_eq!(read_as_tuples(&st, ctx), script, "sealed every {seal_every}");
+        st.seal(ctx).unwrap();
+        st.compact(ctx).unwrap();
+        assert_eq!(read_as_tuples(&st, ctx), script, "compacted, sealed every {seal_every}");
+    }
+}

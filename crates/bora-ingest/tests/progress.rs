@@ -11,6 +11,8 @@
 //! stress run of an appender, a sealer / compactor and a reader that must
 //! end equal to the materialised oracle.
 
+use std::sync::atomic::Ordering::SeqCst;
+use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -220,16 +222,25 @@ fn concurrent_appender_compactor_and_reader_end_equal_to_the_oracle() {
     let fs = MemStorage::new();
     let ctx = &mut IoCtx::new();
     let st = IngestStore::create(&fs, ROOT, cfg(), ctx).unwrap();
-    let appended = std::sync::atomic::AtomicU64::new(0);
-    let done = |at: &std::sync::atomic::AtomicU64| at.load(std::sync::atomic::Ordering::SeqCst);
+    let appended = AtomicU64::new(0);
+    let done = |at: &AtomicU64| at.load(SeqCst);
+    // Set by the compactor after its first seal and by the reader after
+    // its first read: the appender holds its last message until both
+    // have had a turn, so neither can find the script already finished.
+    let (sealed_once, read_once) = (AtomicBool::new(false), AtomicBool::new(false));
 
     let (seals, reads) = std::thread::scope(|scope| {
         let appender = scope.spawn(|| {
             let ctx = &mut IoCtx::new();
             for i in 0..MESSAGES {
+                if i + 1 == MESSAGES {
+                    while !(sealed_once.load(SeqCst) && read_once.load(SeqCst)) {
+                        std::thread::yield_now();
+                    }
+                }
                 let (topic, time, data) = message(i);
                 st.append(topic, time, &data, ctx).unwrap();
-                appended.store(i + 1, std::sync::atomic::Ordering::SeqCst);
+                appended.store(i + 1, SeqCst);
                 // A seeded stutter, so that the other two get turns at
                 // different points from one run of the loop to the next.
                 if i.wrapping_mul(0x9E37_79B9).is_multiple_of(7) {
@@ -243,6 +254,7 @@ fn concurrent_appender_compactor_and_reader_end_equal_to_the_oracle() {
             while done(&appended) < MESSAGES {
                 if st.seal(ctx).unwrap().is_some() {
                     seals += 1;
+                    sealed_once.store(true, SeqCst);
                     if seals.is_multiple_of(2) {
                         st.compact(ctx).unwrap();
                     }
@@ -263,6 +275,7 @@ fn concurrent_appender_compactor_and_reader_end_equal_to_the_oracle() {
                 assert_eq!(got, as_read(0..got.len() as u64));
                 longest = got.len();
                 reads += 1;
+                read_once.store(true, SeqCst);
             }
             reads
         });

@@ -18,7 +18,7 @@
 //! A fragment is just canonical SQL — the AST's `Display` — so the wire
 //! protocol needs no second query encoding.
 
-use crate::ast::{ExplainMode, Expr, Item, Items, Query, Side};
+use crate::ast::{ExplainMode, Query};
 
 /// The statement a node executes in partial-aggregate mode: original
 /// query minus EXPLAIN and LIMIT (the router limits after the merge).
@@ -32,29 +32,6 @@ pub fn partial_fragment(q: &Query) -> String {
 /// query minus EXPLAIN (per-container LIMIT stays as a row-count cap).
 pub fn rowship_query(q: &Query) -> String {
     Query { explain: ExplainMode::None, stmt: q.stmt.clone() }.to_string()
-}
-
-/// The row-shipping *baseline* for an aggregate query: select the raw
-/// inputs the aggregation would consume (`time` plus every aggregate
-/// argument) and move them to the router instead of partial states. The
-/// `ext_query` experiment runs both and compares wire bytes.
-pub fn rowship_fragment(q: &Query) -> String {
-    let mut stmt = q.stmt.clone();
-    stmt.limit = None;
-    stmt.window_ns = None;
-    let mut items: Vec<Item> = vec![Item {
-        expr: Expr::Path { side: Side::None, parts: vec!["time".into()], pos: 0 },
-        alias: None,
-    }];
-    if let Items::List(list) = &q.stmt.items {
-        for it in list {
-            if let Expr::Agg { arg: Some(a), .. } = &it.expr {
-                items.push(Item { expr: (**a).clone(), alias: None });
-            }
-        }
-    }
-    stmt.items = Items::List(items);
-    Query { explain: ExplainMode::None, stmt }.to_string()
 }
 
 #[cfg(test)]
@@ -72,16 +49,6 @@ mod tests {
         assert!(!f.contains("LIMIT") && !f.contains("EXPLAIN"), "{f}");
         assert!(f.contains("WINDOW 1s") && f.contains("WHERE time < 9.0"), "{f}");
         // Fragments must re-parse — they travel as SQL.
-        parse(&f).unwrap();
-    }
-
-    #[test]
-    fn rowship_fragment_selects_aggregate_inputs() {
-        let q =
-            parse("SELECT window, count(), mean(angular_velocity.x) FROM '/imu' WINDOW 1s LIMIT 2")
-                .unwrap();
-        let f = super::rowship_fragment(&q);
-        assert_eq!(f, "SELECT time, angular_velocity.x FROM '/imu'");
         parse(&f).unwrap();
     }
 }

@@ -424,9 +424,9 @@ impl<'p> Groups<'p> {
 
 // ------------------------------------------------------------- cursor
 
-/// Per-operator counters surfaced by `EXPLAIN ANALYZE` and the
-/// experiments. Counter deltas (`block.decode`, `pool.hit`) are process
-/// globals — meaningful in a single-query process (CLI, experiments),
+/// Per-operator counters surfaced by `EXPLAIN ANALYZE` and the query
+/// benchmarks. Counter deltas (`block.decode`, `pool.hit`) are process
+/// globals — meaningful in a single-query process (CLI, benchmark),
 /// racy under parallel tests, which is why only serial contexts assert
 /// on them.
 #[derive(Debug, Clone, Copy, Default)]

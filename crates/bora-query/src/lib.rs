@@ -66,7 +66,7 @@ pub mod value;
 pub mod wire;
 
 pub use ast::{AggFunc, ExplainMode, Query, SelectStmt};
-pub use distrib::{partial_fragment, rowship_fragment, rowship_query};
+pub use distrib::{partial_fragment, rowship_query};
 pub use error::{QueryError, QueryErrorKind, QueryResult};
 pub use exec::{
     merge_partials, ns_to_secs, partial_columns, prepare, prepare_with, run_naive, Cursor,

@@ -21,7 +21,7 @@ use crate::plan::Logical;
 use crate::value::{CmpOp, Value};
 
 /// Knobs for [`optimize`]. `pushdown: false` keeps the plan naive — the
-/// experiments and property tests compare both modes.
+/// pushdown tests and property tests compare both modes.
 #[derive(Debug, Clone)]
 pub struct PlanOptions {
     pub pushdown: bool,

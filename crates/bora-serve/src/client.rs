@@ -405,9 +405,7 @@ pub struct QueryReply {
     pub rows_total: u64,
     /// Rendered plan for `EXPLAIN` / `EXPLAIN ANALYZE`, empty otherwise.
     pub explain: String,
-    /// Total response payload bytes this query's frames carried — the
-    /// measure the distributed-aggregation experiment compares against a
-    /// row-shipping plan.
+    /// Total response payload bytes this query's frames carried.
     pub wire_bytes: u64,
 }
 

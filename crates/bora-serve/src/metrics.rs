@@ -196,6 +196,10 @@ fn merge_snapshots(base: MetricsSnapshot, wins: MetricsSnapshot) -> MetricsSnaps
 mod tests {
     use super::*;
 
+    fn op<'a>(snap: &'a StatsSnapshot, name: &str) -> Option<&'a OpSummary> {
+        snap.ops.iter().find(|(n, _)| n == name).map(|(_, s)| s)
+    }
+
     #[test]
     fn summaries_aggregate() {
         let m = Metrics::new();
@@ -207,12 +211,12 @@ mod tests {
         let snap = m.snapshot_into(StatsSnapshot::default());
         assert_eq!(snap.shed, 1);
         assert_eq!(snap.total_requests(), 3);
-        let read = snap.op("read").unwrap();
+        let read = op(&snap, "read").unwrap();
         assert_eq!(read.count, 2);
         assert_eq!(read.wall_min_ns, 100);
         assert_eq!(read.wall_mean_ns, 200);
         assert_eq!(read.virt_mean_ns, 20);
-        assert!(snap.op("stats").is_none());
+        assert!(op(&snap, "stats").is_none());
     }
 
     #[test]
@@ -294,7 +298,7 @@ mod tests {
         }
         m.record("read", 1 << 20, 0);
         let snap = m.snapshot_into(StatsSnapshot::default());
-        let p99 = snap.op("read").unwrap().wall_p99_ns;
+        let p99 = op(&snap, "read").unwrap().wall_p99_ns;
         // Rank 99 of 100 falls in the 1µs bucket; the 1ms outlier is p100.
         assert_eq!(p99, 1023);
         // All-equal distribution: p99 == the one bucket's ceiling.
@@ -302,7 +306,7 @@ mod tests {
         for _ in 0..10 {
             m2.record("open", 7, 0);
         }
-        assert_eq!(m2.snapshot_into(StatsSnapshot::default()).op("open").unwrap().wall_p99_ns, 7);
+        assert_eq!(op(&m2.snapshot_into(StatsSnapshot::default()), "open").unwrap().wall_p99_ns, 7);
     }
 
     #[test]
@@ -311,7 +315,7 @@ mod tests {
         m.record("meta", 0, 0);
         m.record("meta", u64::MAX, u64::MAX);
         let s = m.snapshot_into(StatsSnapshot::default());
-        assert_eq!(s.op("meta").unwrap().count, 2);
-        assert_eq!(s.op("meta").unwrap().wall_p99_ns, u64::MAX);
+        assert_eq!(op(&s, "meta").unwrap().count, 2);
+        assert_eq!(op(&s, "meta").unwrap().wall_p99_ns, u64::MAX);
     }
 }

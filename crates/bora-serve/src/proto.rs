@@ -349,10 +349,6 @@ impl StatsSnapshot {
             self.cache_hits as f64 / total as f64
         }
     }
-
-    pub fn op(&self, name: &str) -> Option<&OpSummary> {
-        self.ops.iter().find(|(n, _)| n == name).map(|(_, s)| s)
-    }
 }
 
 /// Layout version of [`MetricsReport`]; bumped whenever the encoding

@@ -799,9 +799,8 @@ fn handle<S: Storage + Clone>(
             }
             Request::Append { container, messages } => {
                 let store = live_store(shared, container, ctx)?;
-                for m in messages {
-                    store.append(&m.topic, m.time, &m.data, ctx)?;
-                }
+                let batch = messages.iter().map(|m| (m.topic.as_str(), m.time, &m.data[..]));
+                store.append_batch(batch, ctx)?;
                 // The ack promises durability for the whole batch, so any
                 // frames still parked in a group-commit buffer go down now.
                 store.flush_wal(ctx)?;

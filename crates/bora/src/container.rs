@@ -38,9 +38,7 @@ use crate::topic_index::{
 /// receive messages one by one through the FUSE interposition layer, and a
 /// FUSE 2.x read round trip costs tens of microseconds. This is why the
 /// paper's measured wins are 1.5-11x rather than unbounded — BORA
-/// eliminates the *seek and scan* work, not the per-message delivery. The
-/// bulk [`BoraBag::read_topic_raw`] path bypasses ROS-Lib and does not pay
-/// it.
+/// eliminates the *seek and scan* work, not the per-message delivery.
 pub const FUSE_DELIVERY_NS: u64 = 60_000;
 
 /// An opened BORA container.
@@ -94,7 +92,7 @@ impl<S: Clone> Clone for BoraBag<S> {
 }
 
 /// How a topic's `data` file is physically read — resolved once per
-/// cursor/bulk read by [`BoraBag::data_source`].
+/// cursor by [`BoraBag::data_source`].
 #[derive(Default)]
 pub(crate) enum DataSource {
     /// v1 file: direct `read_at`, exactly the pre-pool path. v1 data
@@ -170,9 +168,9 @@ impl<S: Storage> BoraBag<S> {
         })
     }
 
-    /// Attach a shared buffer pool: subsequent data-file reads (bulk and
-    /// streaming) page through it, so hot topics are served from memory
-    /// across handles, workers, and connections.
+    /// Attach a shared buffer pool: subsequent data-file reads page
+    /// through it, so hot topics are served from memory across handles,
+    /// workers, and connections.
     pub fn with_pool(mut self, pool: Arc<BufferPool>) -> Self {
         self.pool = Some(pool);
         self
@@ -344,8 +342,8 @@ impl<S: Storage> BoraBag<S> {
             let rel = rel_path(&self.root, &paths.data).unwrap_or(&paths.data);
             let (logical, _) = decode_frame(&frame, rel, ctx)?;
             // Every block decode is counted: `EXPLAIN ANALYZE` and the
-            // pushdown experiments read the delta of this counter to
-            // prove how many decodes a time-range restriction skipped.
+            // pushdown test read the delta of this counter to prove how
+            // many decodes a time-range restriction skipped.
             bora_obs::counter("block.decode").inc();
             bora_obs::counter("block.decode_bytes").add(logical.len() as u64);
             Ok(logical)
@@ -354,39 +352,6 @@ impl<S: Storage> BoraBag<S> {
             Some(pool) => Ok(pool.get_or_fill(&paths.data, page as u64, || fill(ctx))?.0.bytes()),
             None => Ok(Arc::from(fill(ctx)?)),
         }
-    }
-
-    /// Copy logical range `[start, start+len)` of a block-framed topic's
-    /// data out of its pages — the bulk read's path; a stream cursor
-    /// queues the pages themselves.
-    fn fetch_logical(
-        &self,
-        paths: &TopicPaths,
-        map: &BlockMap,
-        start: u64,
-        len: usize,
-        ctx: &mut IoCtx,
-    ) -> BoraResult<Vec<u8>> {
-        let page_size = map.block_size as u64;
-        let mut out = Vec::with_capacity(len);
-        let end = start + len as u64;
-        let mut off = start;
-        while off < end {
-            let page = off / page_size;
-            let page_start = page * page_size;
-            let bytes = self.block_page(paths, map, page as usize, ctx)?;
-            let lo = (off - page_start) as usize;
-            let hi = ((end - page_start) as usize).min(bytes.len());
-            if hi <= lo {
-                return Err(BoraError::Corrupt(format!(
-                    "{}: read past end of page {page}",
-                    paths.data
-                )));
-            }
-            out.extend_from_slice(&bytes[lo..hi]);
-            off = page_start + hi as u64;
-        }
-        Ok(out)
     }
 
     pub fn root(&self) -> &str {
@@ -466,32 +431,6 @@ impl<S: Storage> BoraBag<S> {
         let candidates = decode_entries(&bytes)?;
         ctx.charge_ns(count as u64 * cpu::INDEX_ENTRY_NS);
         Ok(slice_time_range(&candidates, start, end).to_vec())
-    }
-
-    /// Bulk-read one topic: the whole `data` file in one sequential read
-    /// plus its index. This is the raw form analytics pipelines want.
-    pub fn read_topic_raw(
-        &self,
-        topic: &str,
-        ctx: &mut IoCtx,
-    ) -> BoraResult<(Vec<TopicIndexEntry>, Vec<u8>)> {
-        self.check_not_damaged(topic)?;
-        let paths = self.tags.lookup(topic, ctx)?.clone();
-        let index = {
-            let bytes = self.verified_read_all(&paths.index, Some(topic), ctx)?;
-            decode_entries(&bytes)?
-        };
-        let data = match self.data_source(topic, &paths, ctx)? {
-            DataSource::RawDirect => self.verified_read_all(&paths.data, Some(topic), ctx)?,
-            DataSource::Blocked { map } => self
-                .fetch_logical(&paths, &map, 0, map.logical_len as usize, ctx)
-                .inspect_err(|e| {
-                    if let BoraError::ChecksumMismatch { .. } = e {
-                        self.quarantine(topic);
-                    }
-                })?,
-        };
-        Ok((index, data))
     }
 
     /// Stream every message of the selected topics in global time order:
@@ -814,12 +753,12 @@ mod tests {
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
         assert!(bag.has_manifest());
         assert!(matches!(
-            bag.read_topic_raw("/imu", &mut ctx),
+            bag.read_topic("/imu", &mut ctx),
             Err(BoraError::ChecksumMismatch { .. })
         ));
         // The topic is now quarantined; the sibling topic still serves.
-        assert!(matches!(bag.read_topic_raw("/imu", &mut ctx), Err(BoraError::TopicDamaged(_))));
-        assert!(bag.read_topic_raw("/camera/rgb/camera_info", &mut ctx).is_ok());
+        assert!(matches!(bag.read_topic("/imu", &mut ctx), Err(BoraError::TopicDamaged(_))));
+        assert!(bag.read_topic("/camera/rgb/camera_info", &mut ctx).is_ok());
         assert_eq!(bag.damaged_topics(), vec!["/imu".to_owned()]);
     }
 

@@ -182,8 +182,8 @@ fn record(conn_id: u32, topic: &str, time: Time, payload: &[u8]) -> MessageRecor
     MessageRecord { conn_id, topic: topic.to_owned(), time, data: payload.to_vec() }
 }
 
-/// Counters a finished (or in-flight) stream exposes for tests, the
-/// `ext_stream` experiment, and the serve layer's metrics.
+/// Counters a finished (or in-flight) stream exposes for tests and the
+/// serve layer's metrics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamStats {
     /// Messages yielded so far.

@@ -262,4 +262,43 @@ mod tests {
         // (50 + 15) Hz x 2 s, within rounding.
         assert!((128..=132).contains(&msgs.len()), "got {}", msgs.len());
     }
+
+    /// The mission's four analyses — three whole topics and the
+    /// dock-approach window — return the same messages, in the same
+    /// order, through the baseline reader and through a BORA container.
+    #[test]
+    fn bora_and_rosbag_return_the_same_messages() {
+        let fs = MemStorage::new();
+        let mut ctx = IoCtx::new();
+        let opts = AmrOptions { duration_s: 40.0, ..small() };
+        generate_amr_bag(&fs, "/amr.bag", &opts, &mut ctx).unwrap();
+        let dup = bora::OrganizerOptions::default();
+        bora::organizer::duplicate(&fs, "/amr.bag", &fs, "/c", &dup, &mut ctx).unwrap();
+        let baseline = BagReader::open(&fs, "/amr.bag", &mut ctx).unwrap();
+        let ours = bora::BoraBag::open(&fs, "/c", &mut ctx).unwrap();
+
+        let (s, e) = dock_window(Time::new(1_000, 0));
+        let cases = [
+            (vec![topic::ODOM], None),
+            (vec![topic::SCAN], None),
+            (vec![topic::GPS], None),
+            (dock_approach_topics(), Some((s, e))),
+        ];
+        for (topics, window) in cases {
+            let (want, got) = match window {
+                None => (
+                    baseline.read_messages(&topics, &mut ctx).unwrap(),
+                    ours.read_topics(&topics, &mut ctx).unwrap(),
+                ),
+                Some((s, e)) => (
+                    baseline.read_messages_time(&topics, s, e, &mut ctx).unwrap(),
+                    ours.read_topics_time(&topics, s, e, &mut ctx).unwrap(),
+                ),
+            };
+            assert!(!want.is_empty(), "{topics:?} selects nothing");
+            let key = |m: &rosbag::MessageRecord| (m.topic.clone(), m.time, m.data.clone());
+            let want: Vec<_> = want.iter().map(key).collect();
+            assert_eq!(got.iter().map(key).collect::<Vec<_>>(), want, "{topics:?} {window:?}");
+        }
+    }
 }

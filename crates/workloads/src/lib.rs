@@ -23,7 +23,7 @@
 #![forbid(unsafe_code)]
 
 //! * [`querymix`] — skewed (hot/cold) query streams against a set of
-//!   containers, driving the `bora-serve` serving-layer experiments.
+//!   containers, driving the serving benchmark and tests.
 
 pub mod amr;
 pub mod apps;

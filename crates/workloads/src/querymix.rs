@@ -1,4 +1,5 @@
-//! Query-mix generator for the serving workload (`ext_serve`).
+//! Query-mix generator for serving workloads: the wall-clock benchmark's
+//! `window_mix` and the serve tests' request mix.
 //!
 //! Post-mission analysis traffic is *skewed*: most queries land on the
 //! few containers recorded recently (yesterday's missions under active

@@ -305,3 +305,24 @@ fn ingest_client_batches_writes() {
     assert_eq!(expected, sent, "every staged message reached the store exactly once");
     server.shutdown();
 }
+
+/// An `APPEND` batch is all or nothing: one out-of-order message rejects
+/// the batch, and none of its earlier messages is stored.
+#[test]
+fn a_rejected_append_batch_leaves_nothing_behind() {
+    let fs = Arc::new(MemStorage::new());
+    let mut ctx = IoCtx::new();
+    drop(IngestStore::create(Arc::clone(&fs), ROOT, cfg(), &mut ctx).unwrap());
+    let server = Server::start(Arc::clone(&fs), ServerConfig::default());
+    let transport = MemTransport::new(Arc::clone(&server));
+    let mut client = ServeClient::connect(&transport).unwrap();
+
+    let batch = [10, 20, 5].map(|ns| WireMessage {
+        topic: "/a".into(),
+        time: Time::from_nanos(ns),
+        data: vec![1],
+    });
+    assert!(client.append(ROOT, batch.to_vec()).is_err());
+    assert!(client.read(ROOT, &["/a"]).unwrap().is_empty());
+    server.shutdown();
+}

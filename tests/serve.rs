@@ -268,6 +268,63 @@ fn retry_client_completes_query_mix_under_transient_faults() {
     server.shutdown();
 }
 
+/// `STATS` accounts for every request a client made, op by op: a skewed
+/// mix of metadata queries, windowed reads and full reads over three
+/// containers, after one `OPEN` each.
+#[test]
+fn stats_account_for_every_request_of_a_query_mix() {
+    use ros_msgs::Time;
+    use std::collections::BTreeMap;
+    use workloads::querymix::{self, QueryKind, QueryMixOptions};
+
+    let fs = Arc::new(MemStorage::new());
+    let roots = build_containers(&*fs, 3);
+    let mut ctx = IoCtx::new();
+    let probe = BoraBag::open(&*fs, &roots[0], &mut ctx).unwrap();
+    let mut topics: Vec<String> = probe.topics().into_iter().map(str::to_owned).collect();
+    topics.sort();
+    let (start, end) = probe.time_range();
+    let span = (end.as_nanos() - start.as_nanos()) as f64;
+    let opts =
+        QueryMixOptions { containers: roots.len(), hot_set: 1, queries: 60, ..Default::default() };
+    let mix = querymix::generate(&opts);
+
+    let config = ServerConfig { cache_capacity: 2, ..ServerConfig::default() };
+    let server = Server::start(Arc::clone(&fs), config);
+    let transport = MemTransport::new(Arc::clone(&server));
+    let mut client = ServeClient::connect(&transport).unwrap();
+    let mut want: BTreeMap<&str, u64> = BTreeMap::new();
+    for root in &roots {
+        client.open(root).unwrap();
+        *want.entry("open").or_default() += 1;
+    }
+    for q in &mix {
+        let root = &roots[q.container];
+        let topic = [topics[q.topic_index % topics.len()].as_str()];
+        let op = match q.kind {
+            QueryKind::Topics => client.topics(root).map(|_| "topics"),
+            QueryKind::Stat => client.stat(root).map(|_| "stat"),
+            QueryKind::ReadWindow => {
+                let from = start.as_nanos() + (span * q.window_start) as u64;
+                let to = from + (span * q.window_frac) as u64;
+                let (from, to) = (Time::from_nanos(from), Time::from_nanos(to));
+                client.read_time(root, &topic, from, to).map(|_| "read")
+            }
+            QueryKind::ReadFull => client.read(root, &topic).map(|_| "read"),
+        };
+        *want.entry(op.unwrap()).or_default() += 1;
+    }
+    assert_eq!(want.len(), 4, "the mix must hold both metadata ops and reads: {want:?}");
+
+    let snap = client.stats().unwrap();
+    server.shutdown();
+    let got: BTreeMap<&str, u64> =
+        snap.ops.iter().filter(|(_, o)| o.count > 0).map(|(n, o)| (n.as_str(), o.count)).collect();
+    assert_eq!(got, want);
+    assert_eq!(snap.total_requests(), (roots.len() + mix.len()) as u64);
+    assert_eq!(snap.shed, 0);
+}
+
 #[test]
 fn streaming_read_is_byte_identical_to_buffered_read() {
     let fs = Arc::new(MemStorage::new());
@@ -309,7 +366,8 @@ fn streaming_read_is_byte_identical_to_buffered_read() {
     // The streamed result is chunked on the wire; metrics must have seen
     // the op under its own name.
     let snap = client.stats().unwrap();
-    assert!(snap.op("read_stream").map(|o| o.count).unwrap_or(0) >= 2);
+    let streamed_ops = snap.ops.iter().find(|(n, _)| n == "read_stream").map(|(_, o)| o.count);
+    assert!(streamed_ops.unwrap_or(0) >= 2);
 
     server.shutdown();
 }

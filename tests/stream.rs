@@ -188,8 +188,8 @@ proptest! {
             .iter()
             .map(|t| bag.read_topic(t, &mut ctx).unwrap())
             .collect();
-        let linear = merge_streams_linear(per_topic.clone(), &mut ctx);
-        let heap = merge_streams_heap(per_topic, &mut ctx);
+        let linear = merge_streams_linear(per_topic.clone());
+        let heap = merge_streams_heap(per_topic);
         prop_assert_eq!(linear.len(), events.len());
         prop_assert_eq!(heap.len(), linear.len());
 
@@ -370,7 +370,7 @@ proptest! {
             .enumerate()
             .map(|(lane, ts)| ts.iter().enumerate().map(|(i, &t)| record(lane, i, t)).collect())
             .collect();
-        let reference = merge_streams_heap(streams, &mut IoCtx::new());
+        let reference = merge_streams_heap(streams);
         let want: Vec<(usize, usize)> = reference
             .iter()
             .map(|r| (r.conn_id as usize, u32::from_le_bytes(r.data[..].try_into().unwrap()) as usize))

@@ -41,6 +41,9 @@
 //!    from `compress_chunk` in `proto.rs` and from one site in
 //!    `server.rs`, the stream's policy, alone; `bora-serve` reads no
 //!    environment variable, and `ServerConfig` has no codec field.
+//! 10. *`repro` reproduces the paper*: `registry()` holds no `ext_` id,
+//!     and no CI step runs `repro` on one. A fact an extension checked is
+//!     a test; a kernel is timed by the wall-clock benchmark.
 
 use std::path::Path;
 
@@ -53,6 +56,8 @@ const SERVER: &str = "crates/bora-serve/src/server.rs";
 /// `#[cfg(test)]` — once `Merge` held the merge for both read paths (466
 /// before the read core lent, 463 after).
 const STREAM_CODE_LINES: usize = 462;
+const REGISTRY: &str = "crates/bench/src/experiments/mod.rs";
+const CI: &str = ".github/workflows/ci.yml";
 
 /// Where a source guard looks and what it refuses to find there.
 struct SourceGuard {
@@ -343,6 +348,14 @@ fn ledger_violations(manifest: &str, read: impl Fn(&str) -> Option<String>) -> V
     found
 }
 
+/// Guard 10 over the registry's source and the CI workflow.
+fn paper_only_violations(registry: &str, ci: &str) -> Vec<String> {
+    let ids = registry.lines().filter(|l| l.contains("id: \"ext_"));
+    let steps =
+        ci.lines().filter(|l| l.split_once("repro --").is_some_and(|(_, a)| a.contains("ext_")));
+    ids.chain(steps).map(|l| format!("paper experiments only: {}", l.trim())).collect()
+}
+
 fn walk(dir: &Path, visit: &mut impl FnMut(&Path)) {
     let mut entries: Vec<_> = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).collect();
     entries.sort();
@@ -377,6 +390,8 @@ fn the_tree_holds_every_guard() {
     found.extend(one_merge_violations(&heap_files));
     let manifest = std::fs::read_to_string(root.join("crates/bench/Cargo.toml")).unwrap();
     found.extend(ledger_violations(&manifest, |f| std::fs::read_to_string(root.join(f)).ok()));
+    let read = |f: &str| std::fs::read_to_string(root.join(f)).unwrap();
+    found.extend(paper_only_violations(&read(REGISTRY), &read(CI)));
     assert!(found.is_empty(), "{} violation(s):\n{}", found.len(), found.join("\n"));
 }
 
@@ -585,4 +600,18 @@ fn one_bench_story_fires() {
     ] {
         assert!(with(ledger).iter().any(|v| v.contains(what)), "{what}: {ledger}");
     }
+}
+
+#[test]
+fn the_paper_experiments_guard_fires() {
+    let registry = "Experiment {\n    id: \"fig10\",\n},\nExperiment {\n    id: \"ext_pool\",\n},";
+    let ci = "- name: Table I\n  run: cargo run -p bench --bin repro -- --tiny table1\n";
+    assert_eq!(
+        paper_only_violations(&registry.replace("ext_pool", "fig11"), ci),
+        Vec::<String>::new()
+    );
+    assert_eq!(paper_only_violations(registry, ci), ["paper experiments only: id: \"ext_pool\","]);
+    let step = "  run: BORA_POOL_BYTES=8 cargo run --release -p bench --bin repro -- ext_pool\n";
+    let found = paper_only_violations("", &format!("{ci}{step}"));
+    assert!(found.len() == 1 && found[0].ends_with("repro -- ext_pool"), "{found:?}");
 }
