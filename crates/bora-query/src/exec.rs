@@ -1,32 +1,57 @@
-//! Pull-based plan execution.
+//! Plan execution, a batch at a time.
 //!
-//! A [`Cursor`] interprets a [`Logical`] plan one output row at a time,
-//! so the serve layer can stream results in bounded chunks instead of
-//! materializing the result set. The source is either a zero-copy
-//! [`MessageStream`] over a container or a live ingest snapshot (scan
-//! pushdown applies — the stream's time range comes from the optimizer),
-//! or a pre-merged record vector (the oracle tests' in-memory seam).
+//! A [`Cursor`] interprets a [`Logical`] plan over batches of up to
+//! `BATCH` rows and hands out one result row per call, so the serve
+//! layer can stream results in bounded chunks instead of materializing
+//! the result set. The source is either a zero-copy [`MessageStream`]
+//! over a container or a live ingest snapshot (scan pushdown applies —
+//! the stream's time range comes from the optimizer), or a pre-merged
+//! record vector (the oracle tests' in-memory seam).
 //!
 //! **Bind, then scan.** Opening a cursor is the one moment that holds
 //! both the plan and the source's topic → datatype map, so that is when
 //! every path of the plan is *bound* (`Exprs::lower`): to `time` /
-//! `topic` / `size`, or — once per scan topic — to an [`Accessor`] that
-//! reads the field where it lies in the payload, or to a constant `Null`.
-//! A scanned row is then a `Msg` view — `(time_ns, &topic, &payload)` —
-//! of the message the stream lends (`MessageStream::lend`), evaluated
-//! where it lies in its page: nothing is decoded, cloned or moved, and
-//! nothing is allocated unless a string is read. Only a join keeps
-//! messages, shared and owned, in its buffers.
+//! `topic` / `size`, or to a column of the batch read, once per scan
+//! topic, by an [`Accessor`] — or by nothing, a constant `Null`.
+//!
+//! **Gather.** A batch fills from the messages the stream lends
+//! (`MessageStream::lend`), the records of a record feed, or the pairs a
+//! join has buffered. For each message it records time, lane and size,
+//! walks the payload once with its lane's walk, and reads every bound
+//! path at the offset that walk found into a typed column with a null
+//! mask. Nothing is decoded and nothing is kept: the message goes back
+//! before the next one is lent. Only a join holds messages, shared and
+//! owned, in its buffers.
+//!
+//! **Evaluate.** Each lowered expression runs over the whole batch into
+//! a column: a literal is one value for every row, a comparison is one
+//! loop over a column and a literal (or two columns), `AND`/`OR`/`NOT`
+//! combine masks. The pushed and residual filters and `SAMPLE EVERY`
+//! leave a selection vector, and the projection reads the rows it names.
+//! With a `LIMIT`, a batch gathers no more rows than the limit still
+//! needs, so a cursor scans exactly the messages a row-at-a-time one did.
+//!
+//! **Aggregate.** A merge delivers times in order, so the selected rows
+//! of one window are a run whose end is a binary search
+//! (`partition_point`) on the time column, and `count`/`mean`/`min`/
+//! `max` fold each run in row order: a mean adds the same values in the
+//! same order as a row-at-a-time fold, so every result is bit-identical.
 //!
 //! [`run_naive`] is the oracle: a deliberately simple interpretation of
-//! the *statement* (no optimizer, no streaming, no accessors — it reads a
-//! field by decoding the whole message, [`decode_field`]) that the
-//! property tests compare every plan execution against. The two share
-//! the comparison / boolean evaluator (`eval`), the projection and the
-//! aggregate fold (`Groups`); they differ in how a path is read
-//! (`ReadField`) and in everything around the evaluator.
+//! the *statement* (no optimizer, no streaming, no batches, no accessors
+//! — it reads a field by decoding the whole message, [`decode_field`])
+//! that the property tests compare every plan execution against. Only
+//! it runs the row-at-a-time evaluator (`eval`), the projection
+//! (`project`) and the per-row aggregate fold (`Groups::fold_row`) —
+//! `tests/structure.rs` holds them there. It shares with the cursor what
+//! should exist once: the lowered expressions (`Ev`), the join's
+//! buffers, the window groups and the aggregate states.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Range;
 use std::rc::Rc;
 
 use bora::{BoraBag, MessageStream, StreamMessage, StreamOptions};
@@ -38,7 +63,7 @@ use crate::ast::{ExplainMode, Expr, Query, SelectStmt, Side};
 use crate::error::{QueryError, QueryResult};
 use crate::optimize::{optimize, PlanOptions};
 use crate::plan::{AggItem, AggNode, AggSpec, JoinNode, Logical, PlanItems};
-use crate::value::{compare, decode_field, Accessor, CmpOp, Row, Value};
+use crate::value::{compare, decode_field, Accessor, CmpOp, Kind, Read, Row, Value};
 
 /// Largest timestamp a [`Time`] can carry, in ns — pushdown ranges are
 /// clamped here before conversion so `u64::MAX` sentinels can't wrap.
@@ -51,21 +76,33 @@ pub fn ns_to_secs(ns: u64) -> f64 {
     ns as f64 * 1e-9
 }
 
+/// Rows a cursor gathers before it evaluates: enough that what a batch
+/// pays once (an evaluation per expression, a search per window) is
+/// nothing per row, few enough that its columns stay in cache.
+const BATCH: usize = 256;
+
 // ------------------------------------------------------------ messages
 
-/// One message as the evaluator sees it: a view of wherever it lives.
+/// One message as the executor sees it: a view of wherever it lives.
 #[derive(Clone, Copy)]
 struct Msg<'m> {
     time_ns: u64,
     topic: &'m str,
     payload: &'m [u8],
-    /// Position of `topic` among the plan's scan topics: which of a bound
-    /// path's per-topic accessors reads this payload.
+    /// Position of `topic` among the cursor's lanes (the plan's scan
+    /// topics first): which of a bound path's accessors reads this
+    /// payload.
     lane: usize,
 }
 
-/// A message the cursor owns: a record its feed yielded, or one a join
-/// buffer shares between the pairs it is part of.
+impl<'m> Msg<'m> {
+    fn of_record(r: &'m MessageRecord, lane: usize) -> Msg<'m> {
+        Msg { time_ns: r.time.as_nanos(), topic: &r.topic, payload: &r.data, lane }
+    }
+}
+
+/// A message the cursor owns: one a join buffer shares between the
+/// pairs it is part of.
 struct Held {
     lane: usize,
     src: Pulled,
@@ -80,15 +117,19 @@ enum Pulled {
 
 impl Held {
     fn view(&self) -> Msg<'_> {
-        let (time, topic, payload) = match &self.src {
-            Pulled::Stream(m) => (m.time, &*m.topic, m.payload()),
-            Pulled::Record(r) => (r.time, r.topic.as_str(), r.data.as_slice()),
-        };
-        Msg { time_ns: time.as_nanos(), topic, payload, lane: self.lane }
+        match &self.src {
+            Pulled::Stream(m) => Msg {
+                time_ns: m.time.as_nanos(),
+                topic: &m.topic,
+                payload: m.payload(),
+                lane: self.lane,
+            },
+            Pulled::Record(r) => Msg::of_record(r, self.lane),
+        }
     }
 }
 
-/// One pipeline row: a single message, or a joined (left, right) pair.
+/// One oracle row: a single message, or a joined (left, right) pair.
 #[derive(Clone, Copy)]
 enum InRow<'m> {
     Single(Msg<'m>),
@@ -104,42 +145,24 @@ impl<'m> InRow<'m> {
     }
 }
 
-// ---------------------------------------------------------- evaluation
+// --------------------------------------------------------- expressions
 
-/// How a message field is read — the one thing the cursor and the oracle
-/// do differently.
-trait ReadField {
-    fn read(&self, m: &Msg<'_>) -> Value;
-}
-
-/// The cursor's reader: the path bound once per scan lane. `None` is a
-/// constant `Null` (no datatype, no model of it, or no such field).
-struct Bound(Vec<Option<Accessor>>);
-
-impl ReadField for Bound {
-    fn read(&self, m: &Msg<'_>) -> Value {
-        match self.0.get(m.lane) {
-            Some(Some(a)) => a.read(m.payload),
-            _ => Value::Null,
-        }
-    }
-}
-
-/// The oracle's reader: look the topic's datatype up and decode the
-/// whole message, every time.
+/// The oracle's field reader: look the topic's datatype up and decode
+/// the whole message, every time.
 struct Decoded<'a> {
     parts: &'a [String],
     datatypes: &'a HashMap<String, String>,
 }
 
-impl ReadField for Decoded<'_> {
+impl Decoded<'_> {
     fn read(&self, m: &Msg<'_>) -> Value {
         decode_field(self.datatypes.get(m.topic).map(String::as_str), m.payload, self.parts)
     }
 }
 
 /// An [`Expr`] with its paths resolved: builtins to themselves, message
-/// fields to an `F`.
+/// fields to an `F` — a batch column's index in a cursor, a [`Decoded`]
+/// reader in the oracle.
 enum Ev<F> {
     Lit(Value),
     Time(Side),
@@ -153,7 +176,7 @@ enum Ev<F> {
 }
 
 impl<F> Ev<F> {
-    fn lower<'e>(e: &'e Expr, field: &mut impl FnMut(&'e [String]) -> F) -> Ev<F> {
+    fn lower<'e>(e: &'e Expr, field: &mut impl FnMut(Side, &'e [String]) -> F) -> Ev<F> {
         let mut sub = |e: &'e Expr| Box::new(Ev::lower(e, field));
         match e {
             Expr::Lit(v) => Ev::Lit(v.clone()),
@@ -161,7 +184,7 @@ impl<F> Ev<F> {
                 [b] if b == "time" => Ev::Time(*side),
                 [b] if b == "topic" => Ev::Topic(*side),
                 [b] if b == "size" => Ev::Size(*side),
-                _ => Ev::Field(*side, field(parts)),
+                _ => Ev::Field(*side, field(*side, parts)),
             },
             Expr::Cmp { op, lhs, rhs } => Ev::Cmp { op: *op, lhs: sub(lhs), rhs: sub(rhs) },
             Expr::And(a, b) => Ev::And(sub(a), sub(b)),
@@ -174,9 +197,9 @@ impl<F> Ev<F> {
     }
 }
 
-/// Evaluate an expression against a pipeline row. Total: unknown
-/// fields are `Null`, failed comparisons are `false`.
-fn eval<F: ReadField>(e: &Ev<F>, row: &InRow<'_>) -> Value {
+/// The oracle's evaluator: one expression against one row. Total:
+/// unknown fields are `Null`, failed comparisons are `false`.
+fn eval(e: &Ev<Decoded<'_>>, row: &InRow<'_>) -> Value {
     match e {
         Ev::Lit(v) => v.clone(),
         Ev::Time(s) => Value::Float(ns_to_secs(row.msg(*s).time_ns)),
@@ -202,7 +225,7 @@ struct Exprs<F> {
 }
 
 impl<F> Exprs<F> {
-    fn lower<'e>(plan: &'e Logical, mut field: impl FnMut(&'e [String]) -> F) -> Exprs<F> {
+    fn lower<'e>(plan: &'e Logical, mut field: impl FnMut(Side, &'e [String]) -> F) -> Exprs<F> {
         let mut ev = |e: &'e Expr| Ev::lower(e, &mut field);
         Exprs {
             pushed: plan.scan.pushed_filter.as_ref().map(&mut ev),
@@ -225,8 +248,249 @@ impl<F> Exprs<F> {
     }
 }
 
-fn project<F: ReadField>(items: &[Ev<F>], row: &InRow<'_>) -> Row {
+/// The oracle's projection of one row.
+fn project(items: &[Ev<Decoded<'_>>], row: &InRow<'_>) -> Row {
     items.iter().map(|e| eval(e, row)).collect()
+}
+
+// ------------------------------------------------------------- columns
+
+/// One expression's value on every row of a batch. A typed column
+/// carries its null mask in its rows (`None` is a null).
+#[derive(Clone)]
+enum Col {
+    /// The same on every row: a literal, or a path no lane binds.
+    Const(Value),
+    /// A comparison or a boolean; never null.
+    Bool(Vec<bool>),
+    Int(Vec<Option<i64>>),
+    Float(Vec<Option<f64>>),
+    /// Strings, and a path whose lanes read different kinds.
+    Values(Vec<Value>),
+}
+
+impl Col {
+    /// The empty column of a path bound by `accessors`, one per lane.
+    fn of_field(accessors: &[Option<Accessor>]) -> Col {
+        let mut kinds = accessors.iter().flatten().map(Accessor::kind);
+        let Some(kind) = kinds.next() else { return Col::Const(Value::Null) };
+        match kind {
+            _ if kinds.any(|k| k != kind) => Col::Values(Vec::new()),
+            Kind::Int => Col::Int(Vec::new()),
+            Kind::Float => Col::Float(Vec::new()),
+            Kind::Str => Col::Values(Vec::new()),
+        }
+    }
+
+    fn clear(&mut self) {
+        match self {
+            Col::Const(_) => {}
+            Col::Bool(v) => v.clear(),
+            Col::Int(v) => v.clear(),
+            Col::Float(v) => v.clear(),
+            Col::Values(v) => v.clear(),
+        }
+    }
+
+    /// Append one row's read; `None` is a null.
+    fn push(&mut self, read: Option<Read<'_>>) {
+        match self {
+            Col::Int(v) => v.push(if let Some(Read::Int(x)) = read { Some(x) } else { None }),
+            Col::Float(v) => v.push(if let Some(Read::Float(x)) = read { Some(x) } else { None }),
+            Col::Values(v) => v.push(read.map_or(Value::Null, Read::value)),
+            Col::Const(_) | Col::Bool(_) => {}
+        }
+    }
+
+    /// Row `i` as a value.
+    fn value(&self, i: usize) -> Value {
+        match self {
+            Col::Const(v) => v.clone(),
+            Col::Bool(v) => Value::Bool(v[i]),
+            Col::Int(v) => v[i].map_or(Value::Null, Value::Int),
+            Col::Float(v) => v[i].map_or(Value::Null, Value::Float),
+            Col::Values(v) => v[i].clone(),
+        }
+    }
+
+    /// Row `i` as [`Value::as_f64`] sees it.
+    fn num(&self, i: usize) -> Option<f64> {
+        match self {
+            Col::Const(v) => v.as_f64(),
+            Col::Int(v) => v[i].map(|x| x as f64),
+            Col::Float(v) => v[i],
+            Col::Values(v) => v[i].as_f64(),
+            Col::Bool(_) => None,
+        }
+    }
+
+    fn is_null(&self, i: usize) -> bool {
+        match self {
+            Col::Const(v) => v.is_null(),
+            Col::Bool(_) => false,
+            Col::Int(v) => v[i].is_none(),
+            Col::Float(v) => v[i].is_none(),
+            Col::Values(v) => v[i].is_null(),
+        }
+    }
+
+    /// Whether every row is a number or a null: `compare` on two such
+    /// columns is a float comparison of their [`Col::num`]s.
+    fn numeric(&self) -> bool {
+        match self {
+            Col::Int(_) | Col::Float(_) => true,
+            Col::Const(v) => v.is_null() || v.as_f64().is_some(),
+            _ => false,
+        }
+    }
+
+    /// The rows that are `Bool(true)`: what a filter keeps.
+    fn truthy(&self, n: usize) -> Vec<bool> {
+        match self {
+            Col::Bool(v) => v.clone(),
+            Col::Const(v) => vec![v.truthy(); n],
+            Col::Values(v) => v.iter().map(Value::truthy).collect(),
+            _ => vec![false; n],
+        }
+    }
+}
+
+/// `compare(op, a[i], b[i])` on every row, in one loop per shape.
+fn compare_cols(op: CmpOp, a: &Col, b: &Col, n: usize) -> Vec<bool> {
+    match (a, b) {
+        (Col::Const(x), Col::Const(y)) => vec![compare(op, x, y); n],
+        // `field > 4.2`, `time >= 119.2`: the literal stays a float of
+        // seconds, compared as `compare` compares it.
+        (Col::Float(x), Col::Const(c)) if c.as_f64().is_some() => {
+            fn each(x: &[Option<f64>], y: f64, f: impl Fn(f64, f64) -> bool) -> Vec<bool> {
+                x.iter().map(|x| x.is_some_and(|x| f(x, y))).collect()
+            }
+            let y = c.as_f64().unwrap_or_default();
+            // `op.holds(x.partial_cmp(&y))`, spelled so that a NaN is
+            // unordered: it satisfies no operator, `!=` included.
+            match op {
+                CmpOp::Eq => each(x, y, |x, y| x == y),
+                CmpOp::Ne => each(x, y, |x, y| matches!(x.partial_cmp(&y), Some(o) if o.is_ne())),
+                CmpOp::Lt => each(x, y, |x, y| x < y),
+                CmpOp::Le => each(x, y, |x, y| x <= y),
+                CmpOp::Gt => each(x, y, |x, y| x > y),
+                CmpOp::Ge => each(x, y, |x, y| x >= y),
+            }
+        }
+        _ if a.numeric() && b.numeric() => (0..n)
+            .map(|i| match (a.num(i), b.num(i)) {
+                (Some(x), Some(y)) => op.holds(x.partial_cmp(&y)),
+                _ => false,
+            })
+            .collect(),
+        _ => (0..n).map(|i| compare(op, &a.value(i), &b.value(i))).collect(),
+    }
+}
+
+/// A path's accessor on each lane; `None` reads as null.
+type Lanes = Vec<Option<Accessor>>;
+
+/// Which message of a row a path reads: a join's right one is slot 1,
+/// every other is slot 0.
+fn slot(side: Side) -> usize {
+    usize::from(side == Side::Right)
+}
+
+/// What a row's message is, besides its fields.
+#[derive(Clone, Copy)]
+struct Head {
+    time_ns: u64,
+    lane: u32,
+    size: u32,
+}
+
+/// One message of each of a batch's rows, column by column.
+struct Slot {
+    heads: Vec<Head>,
+    /// One column per path bound on this side of the row.
+    fields: Vec<Col>,
+}
+
+/// Up to [`BATCH`] gathered rows.
+struct Batch {
+    slots: [Slot; 2],
+    /// Each slot's `time` column, made when first asked for.
+    secs: [OnceCell<Col>; 2],
+    /// `accessors[s][f]`: how field `f` of slot `s` is read.
+    accessors: [Vec<Lanes>; 2],
+    /// The topic of each lane.
+    topics: Vec<String>,
+}
+
+impl Batch {
+    fn new(accessors: [Vec<Lanes>; 2], topics: Vec<String>) -> Batch {
+        let slot = |a: &Vec<Lanes>| Slot {
+            heads: Vec::with_capacity(BATCH),
+            fields: a.iter().map(|lanes| Col::of_field(lanes)).collect(),
+        };
+        let slots = [slot(&accessors[0]), slot(&accessors[1])];
+        Batch { slots, secs: Default::default(), accessors, topics }
+    }
+
+    fn len(&self) -> usize {
+        self.slots[0].heads.len()
+    }
+
+    fn clear(&mut self) {
+        for s in &mut self.slots {
+            s.heads.clear();
+            s.fields.iter_mut().for_each(Col::clear);
+        }
+        self.secs.iter_mut().for_each(|c| drop(c.take()));
+    }
+
+    /// Gather one message into slot `s`: its time, lane and size, then
+    /// every path bound on that side, read where the lane's walk — run
+    /// once — found the payload's fields.
+    #[inline]
+    fn push(&mut self, s: usize, m: &Msg<'_>) {
+        let slot = &mut self.slots[s];
+        let (lane, size) = (m.lane as u32, m.payload.len() as u32);
+        slot.heads.push(Head { time_ns: m.time_ns, lane, size });
+        let mut body = None;
+        for (col, lanes) in slot.fields.iter_mut().zip(&self.accessors[s]) {
+            let read = lanes.get(m.lane).and_then(Option::as_ref).and_then(|a| {
+                let body = *body.get_or_insert_with(|| a.walk(m.payload));
+                a.read_at(m.payload, body?)
+            });
+            col.push(read);
+        }
+    }
+
+    /// `e` on every row; a path's column is the batch's own.
+    fn column(&self, e: &Ev<usize>) -> Cow<'_, Col> {
+        let n = self.len();
+        let heads = |s: &Side| self.slots[slot(*s)].heads.iter();
+        // `a AND b`, or with `or` set `a OR b`, of two masks.
+        let both = |a: &Ev<usize>, b: &Ev<usize>, or: bool| {
+            let (a, b) = (self.column(a).truthy(n), self.column(b).truthy(n));
+            Col::Bool(a.iter().zip(&b).map(|(&a, &b)| a & b | or & (a | b)).collect())
+        };
+        Cow::Owned(match e {
+            Ev::Lit(v) => Col::Const(v.clone()),
+            Ev::Time(s) => {
+                return Cow::Borrowed(self.secs[slot(*s)].get_or_init(|| {
+                    Col::Float(heads(s).map(|h| Some(ns_to_secs(h.time_ns))).collect())
+                }))
+            }
+            Ev::Topic(s) => Col::Values(
+                heads(s).map(|h| Value::Str(self.topics[h.lane as usize].clone())).collect(),
+            ),
+            Ev::Size(s) => Col::Int(heads(s).map(|h| Some(h.size.into())).collect()),
+            Ev::Field(s, f) => return Cow::Borrowed(&self.slots[slot(*s)].fields[*f]),
+            Ev::Cmp { op, lhs, rhs } => {
+                Col::Bool(compare_cols(*op, &self.column(lhs), &self.column(rhs), n))
+            }
+            Ev::And(a, b) => both(a, b, false),
+            Ev::Or(a, b) => both(a, b, true),
+            Ev::Not(x) => Col::Bool(self.column(x).truthy(n).into_iter().map(|t| !t).collect()),
+        })
+    }
 }
 
 // ---------------------------------------------------------- aggregates
@@ -369,18 +633,18 @@ pub fn partial_columns(specs: &[AggSpec]) -> Vec<String> {
     cols
 }
 
-/// The aggregate fold: rows in, per-window [`AggState`]s out. The group
-/// of the previous row stays out of the map together with the time span
-/// that shares its key, so a row inside that span costs neither a
-/// division nor a map lookup — one of each per window on a time-ordered
-/// scan, and still right on any other order (a revisited key is taken
-/// back out of the map).
+/// The aggregate's groups: per-window [`AggState`]s. The current group
+/// stays out of the map together with the time span that shares its
+/// key, so the rows of one window reach it without a division or a map
+/// lookup — one of each per window on a time-ordered scan, and still
+/// right on any other order (a revisited key is taken back out of the
+/// map).
 struct Groups<'p> {
     agg: &'p AggNode,
     parked: BTreeMap<u64, Vec<AggState>>,
     key: u64,
     /// Times whose window key is `key`; empty before the first row.
-    span: std::ops::Range<u64>,
+    span: Range<u64>,
     states: Vec<AggState>,
 }
 
@@ -389,23 +653,52 @@ impl<'p> Groups<'p> {
         Groups { agg, parked: BTreeMap::new(), key: 0, span: 0..0, states: Vec::new() }
     }
 
-    fn fold<F: ReadField>(&mut self, args: &[Option<Ev<F>>], row: &InRow<'_>) {
+    /// Make the group of time `t` the current one.
+    fn enter(&mut self, t: u64) {
+        if self.span.contains(&t) {
+            return;
+        }
+        self.park();
+        // No WINDOW is one window as wide as time itself.
+        let w = self.agg.window_ns.map_or(u64::MAX, |w| w.max(1));
+        self.key = t / w;
+        self.span = self.key * w..(self.key * w).saturating_add(w);
+        self.states = self
+            .parked
+            .remove(&self.key)
+            .unwrap_or_else(|| self.agg.specs.iter().map(AggState::new).collect());
+    }
+
+    /// The oracle's fold: one row.
+    fn fold_row(&mut self, args: &[Option<Ev<Decoded<'_>>>], row: &InRow<'_>) {
         // Pair rows are only grouped globally (WINDOW+JOIN is rejected
         // at plan time), so any representative time works.
-        let t = row.msg(Side::Left).time_ns;
-        if !self.span.contains(&t) {
-            self.park();
-            // No WINDOW is one window as wide as time itself.
-            let w = self.agg.window_ns.map_or(u64::MAX, |w| w.max(1));
-            self.key = t / w;
-            self.span = self.key * w..(self.key * w).saturating_add(w);
-            self.states = self
-                .parked
-                .remove(&self.key)
-                .unwrap_or_else(|| self.agg.specs.iter().map(AggState::new).collect());
-        }
+        self.enter(row.msg(Side::Left).time_ns);
         for (st, arg) in self.states.iter_mut().zip(args) {
             st.update(arg.as_ref().map(|a| eval(a, row)));
+        }
+    }
+
+    /// The cursor's fold: the rows `sel` of a batch whose (left)
+    /// messages are `heads`, one run per window. On a merge the times
+    /// are sorted, and a run ends where a binary search finds its
+    /// window's end.
+    fn fold_batch(&mut self, args: &[Option<Cow<'_, Col>>], heads: &[Head], sel: &[usize]) {
+        let time = |r: usize| heads[r].time_ns;
+        let sorted = heads.is_sorted_by_key(|h| h.time_ns);
+        let mut rest = sel;
+        while let Some(&first) = rest.first() {
+            self.enter(time(first));
+            let span = &self.span;
+            let run = if sorted {
+                rest.partition_point(|&r| time(r) < span.end)
+            } else {
+                rest.iter().take_while(|&&r| span.contains(&time(r))).count()
+            };
+            for (st, arg) in self.states.iter_mut().zip(args) {
+                fold_run(st, arg.as_deref(), &rest[..run]);
+            }
+            rest = &rest[run..];
         }
     }
 
@@ -420,6 +713,71 @@ impl<'p> Groups<'p> {
         self.park();
         self.parked
     }
+}
+
+/// Fold the rows `rows` of `arg` (`None`: `count()`) into `st` in row
+/// order — what [`AggState::update`] does a row at a time, as one loop
+/// over a typed column where there is one.
+fn fold_run(st: &mut AggState, arg: Option<&Col>, rows: &[usize]) {
+    let Some(col) = arg else {
+        if let AggState::Count(n) = st {
+            *n += rows.len() as u64;
+        }
+        return;
+    };
+    match (st, col) {
+        (AggState::Count(n), c) => *n += rows.iter().filter(|&&r| !c.is_null(r)).count() as u64,
+        (st, Col::Float(x)) if folds_floats(st) => {
+            // A run of a selection vector is most often a slice.
+            match (rows.first(), rows.last()) {
+                (Some(&a), Some(&b)) if b - a + 1 == rows.len() => fold_floats(st, &x[a..=b]),
+                _ => fold_floats(st, rows.iter().map(|&r| &x[r])),
+            }
+        }
+        (AggState::Mean { sum, n }, c) => {
+            for f in rows.iter().filter_map(|&r| c.num(r)) {
+                *sum += f;
+                *n += 1;
+            }
+        }
+        (st, c) => rows.iter().for_each(|&r| st.update(Some(c.value(r)))),
+    }
+}
+
+/// Whether `st` takes a float run as floats: all but a `min`/`max` that
+/// holds a value of another kind (which `AggState::update` compares).
+fn folds_floats(st: &AggState) -> bool {
+    match st {
+        AggState::Min(Some(v)) | AggState::Max(Some(v)) => matches!(v, Value::Float(_)),
+        _ => true,
+    }
+}
+
+/// `mean`, `min` or `max` over a float run: a mean adds in row order; an
+/// extreme is replaced by a row that is not null when it is empty or the
+/// row compares strictly before (`min`) or after (`max`) it — so a NaN
+/// met first is kept, and a NaN met later is not taken.
+fn fold_floats<'x>(st: &mut AggState, xs: impl IntoIterator<Item = &'x Option<f64>>) {
+    let xs = xs.into_iter().flatten().copied();
+    let (cur, want) = match st {
+        AggState::Mean { sum, n } => {
+            for f in xs {
+                *sum += f;
+                *n += 1;
+            }
+            return;
+        }
+        AggState::Min(cur) => (cur, Ordering::Less),
+        AggState::Max(cur) => (cur, Ordering::Greater),
+        AggState::Count(_) => return,
+    };
+    let mut m = cur.as_ref().and_then(Value::as_f64);
+    for x in xs {
+        if m.is_none_or(|m| x.partial_cmp(&m) == Some(want)) {
+            m = Some(x);
+        }
+    }
+    *cur = m.map(Value::Float);
 }
 
 // ------------------------------------------------------------- cursor
@@ -447,14 +805,35 @@ pub struct ExecStats {
     pub groups: u64,
     /// Rows returned to the caller.
     pub rows_out: u64,
-    /// Delta of the global `block.decode` counter across execution.
+    /// Delta of the global `block.decode` counter since the
+    /// [`ExecMark`] — from before the scan's stream was built.
     pub block_decodes: u64,
-    /// Delta of the global `pool.hit` counter across execution.
+    /// Delta of the global `pool.hit` counter since the [`ExecMark`].
     pub pool_hits: u64,
     /// Virtual I/O+CPU nanoseconds charged to the scan's `IoCtx`.
     pub virt_ns: u64,
     /// Wall-clock microseconds spent inside the cursor.
     pub wall_us: u64,
+}
+
+/// The process counters [`ExecStats`] reports deltas of, read before a
+/// scan's stream is built: building one fills its first readahead
+/// window, and those decodes are the query's too. [`Prepared::cursor_bag`]
+/// takes its own; a caller of [`Prepared::cursor_stream`] takes one
+/// before it builds the stream and hands it to [`Cursor::since`].
+#[derive(Debug, Clone, Copy)]
+pub struct ExecMark {
+    decodes: u64,
+    pool_hits: u64,
+}
+
+impl ExecMark {
+    pub fn now() -> ExecMark {
+        ExecMark {
+            decodes: bora_obs::counter("block.decode").get(),
+            pool_hits: bora_obs::counter("pool.hit").get(),
+        }
+    }
 }
 
 enum Feed<'a, S: Storage> {
@@ -464,40 +843,34 @@ enum Feed<'a, S: Storage> {
 
 impl<S: Storage> Feed<'_, S> {
     /// Pull the next message to keep (a join buffers it); `None` at the
-    /// end. `lanes` is the scan lane of each stream lane: the stream says
-    /// which of its topics a message is on, a record only its name.
+    /// end. `lanes` is the cursor lane of each stream lane: the stream
+    /// says which of its topics a message is on, a record only its name.
     fn pull(&mut self, topics: &[String], lanes: &[usize]) -> QueryResult<Option<Held>> {
         Ok(match self {
             Feed::Bag { stream, ctx, .. } => stream
                 .lend(ctx)?
                 .map(|m| Held { lane: lanes[m.lane], src: Pulled::Stream(m.own()) }),
-            Feed::Records(it) => it.next().map(|r| Held {
-                lane: topics.iter().position(|t| *t == r.topic).unwrap_or(usize::MAX),
-                src: Pulled::Record(r),
-            }),
+            Feed::Records(it) => {
+                it.next().map(|r| Held { lane: record_lane(topics, &r), src: Pulled::Record(r) })
+            }
         })
     }
 
-    /// Borrow the next message: what the stream lends, where it lies, or
-    /// a view of the record just moved into `slot`.
-    fn lend<'s>(
-        &'s mut self,
+    /// Lend the next message to `f`: where the stream lends it, or the
+    /// next record; `None` at the end.
+    fn lend<R>(
+        &mut self,
         topics: &[String],
         lanes: &[usize],
-        slot: &'s mut Option<Held>,
-    ) -> QueryResult<Option<Msg<'s>>> {
-        match self {
-            Feed::Bag { stream, ctx, .. } => Ok(stream.lend(ctx)?.map(|m| Msg {
-                time_ns: m.time.as_nanos(),
-                topic: m.topic,
-                payload: m.payload,
-                lane: lanes[m.lane],
-            })),
-            Feed::Records(_) => {
-                *slot = self.pull(topics, lanes)?;
-                Ok(slot.as_ref().map(Held::view))
-            }
-        }
+        f: impl FnOnce(&Msg<'_>) -> R,
+    ) -> QueryResult<Option<R>> {
+        Ok(match self {
+            Feed::Bag { stream, ctx, .. } => stream.lend(ctx)?.map(|m| {
+                let lane = lanes[m.lane];
+                f(&Msg { time_ns: m.time.as_nanos(), topic: m.topic, payload: m.payload, lane })
+            }),
+            Feed::Records(it) => it.next().map(|r| f(&Msg::of_record(&r, record_lane(topics, &r)))),
+        })
     }
 
     fn virt_elapsed(&mut self) -> u64 {
@@ -509,6 +882,12 @@ impl<S: Storage> Feed<'_, S> {
             Feed::Records(_) => 0,
         }
     }
+}
+
+/// A record's lane: its topic's position among the scan topics, which
+/// [`Prepared::cursor_records`] has filtered it to.
+fn record_lane(topics: &[String], r: &MessageRecord) -> usize {
+    topics.iter().position(|t| *t == r.topic).unwrap_or(usize::MAX)
 }
 
 /// The join's buffers over message handles `M`: shared owned messages in
@@ -554,30 +933,28 @@ impl<M: Clone> JoinState<M> {
 }
 
 /// A running query: pull rows with [`Cursor::next_row`], then read
-/// [`Cursor::stats`]. Aggregate plans buffer internally (they must see
-/// all input before the first group row comes out); everything else
-/// streams.
+/// [`Cursor::stats`]. Aggregate plans drain the feed before the first
+/// row (they must see all input before a group is final); everything
+/// else streams a batch at a time.
 pub struct Cursor<'a, S: Storage> {
     plan: Logical,
-    /// The plan's expressions, bound to the source's datatypes.
-    exprs: Exprs<Bound>,
+    /// The plan's expressions, their paths bound to the batch's columns.
+    exprs: Exprs<usize>,
     feed: Feed<'a, S>,
-    /// The scan lane of each of the feed's stream lanes (a stream runs
+    /// The cursor lane of each of the feed's stream lanes (a stream runs
     /// over the scan topics its source has).
     lanes: Vec<usize>,
-    /// The record last pulled; a non-join row over records is a view of
-    /// it (a stream's row is a view of what the stream lends).
-    cur: Option<Held>,
+    batch: Batch,
     join: Option<JoinState<Rc<Held>>>,
-    /// The pair last popped; a join row is a view of it.
-    pair: Option<(Rc<Held>, Rc<Held>)>,
     /// Emit partial (distributed) aggregate rows instead of final values.
     partial: bool,
     sample_seen: u64,
-    agged: Option<std::vec::IntoIter<Row>>,
+    /// Rows made and not yet returned: a batch's, or every group's.
+    out: std::vec::IntoIter<Row>,
+    /// Whether an aggregate has drained its feed.
+    drained: bool,
     stats: ExecStats,
-    decode0: u64,
-    pool0: u64,
+    mark: ExecMark,
     started: std::time::Instant,
     done: bool,
 }
@@ -588,41 +965,62 @@ impl<'a, S: Storage> Cursor<'a, S> {
         datatypes: &HashMap<String, String>,
         feed: Feed<'a, S>,
         partial: bool,
+        mark: ExecMark,
     ) -> QueryResult<Self> {
         if partial && plan.agg.is_none() {
             return Err(QueryError::plan("partial execution requires an aggregate query"));
         }
-        // Bind: each path once per scan lane, against that lane's datatype.
-        let lanes: Vec<Option<&String>> =
-            plan.scan.topics.iter().map(|t| datatypes.get(t)).collect();
-        let exprs = Exprs::lower(&plan, |parts| {
-            Bound(lanes.iter().map(|dt| Accessor::bind(dt.as_ref()?, parts)).collect())
+        // Bind: each distinct path of a side once per scan lane, against
+        // that lane's datatype.
+        let dts: Vec<Option<&String>> = plan.scan.topics.iter().map(|t| datatypes.get(t)).collect();
+        let mut bound: [Vec<(&[String], Lanes)>; 2] = Default::default();
+        let exprs = Exprs::lower(&plan, |side, parts| {
+            let fields = &mut bound[slot(side)];
+            fields.iter().position(|(p, _)| *p == parts).unwrap_or_else(|| {
+                let lanes = dts.iter().map(|dt| Accessor::bind(dt.as_ref()?, parts)).collect();
+                fields.push((parts, lanes));
+                fields.len() - 1
+            })
         });
-        let topics = &plan.scan.topics;
+        let accessors = bound.map(|fields| fields.into_iter().map(|(_, lanes)| lanes).collect());
+        // A stream topic outside the scan topics (a caller's choice)
+        // gets a lane of its own that reads every field as null.
+        let mut topics = plan.scan.topics.clone();
         let lanes = match &feed {
             Feed::Bag { stream, .. } => stream
                 .topics()
-                .map(|t| topics.iter().position(|p| p == t).unwrap_or(usize::MAX))
+                .map(|t| {
+                    topics.iter().position(|p| p == t).unwrap_or_else(|| {
+                        topics.push(t.to_owned());
+                        topics.len() - 1
+                    })
+                })
                 .collect(),
             Feed::Records(_) => Vec::new(),
         };
         Ok(Cursor {
             lanes,
+            batch: Batch::new(accessors, topics),
             join: plan.join.as_ref().map(JoinState::new),
             plan,
             exprs,
             feed,
-            cur: None,
-            pair: None,
             partial,
             sample_seen: 0,
-            agged: None,
+            out: Vec::new().into_iter(),
+            drained: false,
             stats: ExecStats::default(),
-            decode0: bora_obs::counter("block.decode").get(),
-            pool0: bora_obs::counter("pool.hit").get(),
+            mark,
             started: std::time::Instant::now(),
             done: false,
         })
+    }
+
+    /// Count [`ExecStats::block_decodes`] and `pool_hits` from `mark`,
+    /// taken before the stream this cursor reads was built.
+    pub fn since(mut self, mark: ExecMark) -> Self {
+        self.mark = mark;
+        self
     }
 
     /// Output column names (partial mode has its own shape).
@@ -636,36 +1034,23 @@ impl<'a, S: Storage> Cursor<'a, S> {
 
     /// Next row after filter/sample/aggregate/project/limit, or `None`.
     pub fn next_row(&mut self) -> QueryResult<Option<Row>> {
-        if self.done {
-            return Ok(None);
-        }
-        // LIMIT applies to final rows only; partial fragments ship
-        // everything and the router limits after the merge.
-        if !self.partial {
-            if let Some(n) = self.plan.limit {
-                if self.stats.rows_out >= n {
-                    self.finish();
-                    return Ok(None);
-                }
+        loop {
+            if self.done {
+                return Ok(None);
             }
-        }
-        let row = if self.plan.agg.is_some() {
-            if self.agged.is_none() {
-                let rows = self.drain_aggregate()?;
-                self.agged = Some(rows.into_iter());
-            }
-            self.agged.as_mut().unwrap().next()
-        } else {
-            self.next_match(|exprs, row| project(&exprs.items, row))?
-        };
-        match row {
-            Some(r) => {
-                self.stats.rows_out += 1;
-                Ok(Some(r))
-            }
-            None => {
+            // LIMIT applies to final rows only; partial fragments ship
+            // everything and the router limits after the merge.
+            if !self.partial && self.plan.limit.is_some_and(|n| self.stats.rows_out >= n) {
                 self.finish();
-                Ok(None)
+                return Ok(None);
+            }
+            if let Some(r) = self.out.next() {
+                self.stats.rows_out += 1;
+                return Ok(Some(r));
+            }
+            if !self.refill()? {
+                self.finish();
+                return Ok(None);
             }
         }
     }
@@ -691,67 +1076,119 @@ impl<'a, S: Storage> Cursor<'a, S> {
         self.done = true;
         self.stats.virt_ns = self.feed.virt_elapsed();
         self.stats.block_decodes =
-            bora_obs::counter("block.decode").get().saturating_sub(self.decode0);
-        self.stats.pool_hits = bora_obs::counter("pool.hit").get().saturating_sub(self.pool0);
+            bora_obs::counter("block.decode").get().saturating_sub(self.mark.decodes);
+        self.stats.pool_hits =
+            bora_obs::counter("pool.hit").get().saturating_sub(self.mark.pool_hits);
         self.stats.wall_us = self.started.elapsed().as_micros() as u64;
     }
 
-    /// Hand `f` the next row surviving scan(+pushed filter) → join →
-    /// filter → sample, a view of the message (or pair) this cursor holds
-    /// until the next call; `None` when the feed is dry.
-    fn next_match<R>(
-        &mut self,
-        f: impl FnOnce(&Exprs<Bound>, &InRow<'_>) -> R,
-    ) -> QueryResult<Option<R>> {
-        let topics = &self.plan.scan.topics;
-        loop {
-            let row = if let Some(join) = &mut self.join {
-                self.pair = join.pairs.pop_front();
-                let Some((l, r)) = &self.pair else {
-                    let Some(m) = self.feed.pull(topics, &self.lanes)? else { return Ok(None) };
-                    let m = Rc::new(m);
-                    let view = m.view();
-                    self.stats.scanned += 1;
-                    self.stats.scan_bytes += view.payload.len() as u64;
-                    join.push(&view, Rc::clone(&m));
-                    continue;
-                };
-                self.stats.joined += 1;
-                InRow::Pair(l.view(), r.view())
-            } else {
-                let Some(m) = self.feed.lend(topics, &self.lanes, &mut self.cur)? else {
-                    return Ok(None);
-                };
-                self.stats.scanned += 1;
-                self.stats.scan_bytes += m.payload.len() as u64;
-                InRow::Single(m)
-            };
-            // The pushed predicate is the whole filter of a non-join
-            // plan, moved to the scan; its drops are counted apart.
-            if self.exprs.pushed.as_ref().is_some_and(|p| !eval(p, &row).truthy()) {
-                self.stats.pushed_dropped += 1;
-                continue;
+    /// Make the next rows: every group of an aggregate, or the rows of
+    /// the next batch (perhaps none); `false` once there are no more.
+    fn refill(&mut self) -> QueryResult<bool> {
+        if self.plan.agg.is_some() {
+            if self.drained {
+                return Ok(false);
             }
-            if self.exprs.filter.as_ref().is_some_and(|f| !eval(f, &row).truthy()) {
-                self.stats.filtered_out += 1;
-                continue;
-            }
-            if let Some(n) = self.plan.sample_every {
-                let idx = self.sample_seen;
-                self.sample_seen += 1;
-                if !idx.is_multiple_of(n) {
-                    self.stats.sampled_out += 1;
-                    continue;
-                }
-            }
-            return Ok(Some(f(&self.exprs, &row)));
+            self.drained = true;
+            self.out = self.aggregate()?.into_iter();
+            return Ok(true);
         }
+        // A row comes from at most one message or pair, so a batch no
+        // larger than what the LIMIT still needs scans nothing a
+        // row-at-a-time cursor would not.
+        let left = self.plan.limit.map_or(u64::MAX, |n| n - self.stats.rows_out);
+        self.gather(left.min(BATCH as u64) as usize)?;
+        if self.batch.len() == 0 {
+            return Ok(false);
+        }
+        let sel = self.select();
+        if !sel.is_empty() {
+            let items: Vec<_> = self.exprs.items.iter().map(|e| self.batch.column(e)).collect();
+            let rows: Vec<Row> =
+                sel.iter().map(|&i| items.iter().map(|c| c.value(i)).collect()).collect();
+            self.out = rows.into_iter();
+        }
+        Ok(true)
     }
 
-    fn drain_aggregate(&mut self) -> QueryResult<Vec<Row>> {
+    /// Gather up to `cap` rows — messages, or a join's pairs — into the
+    /// batch; fewer means the feed is dry.
+    fn gather(&mut self, cap: usize) -> QueryResult<()> {
+        let (batch, stats, topics) = (&mut self.batch, &mut self.stats, &self.plan.scan.topics);
+        batch.clear();
+        let Some(join) = &mut self.join else {
+            while batch.len() < cap {
+                if self.feed.lend(topics, &self.lanes, |m| batch.push(0, m))?.is_none() {
+                    break;
+                }
+            }
+            stats.scanned += batch.len() as u64;
+            stats.scan_bytes += batch.slots[0].heads.iter().map(|h| u64::from(h.size)).sum::<u64>();
+            return Ok(());
+        };
+        while batch.len() < cap {
+            if let Some((l, r)) = join.pairs.pop_front() {
+                stats.joined += 1;
+                batch.push(0, &l.view());
+                batch.push(1, &r.view());
+                continue;
+            }
+            let Some(m) = self.feed.pull(topics, &self.lanes)? else { break };
+            let m = Rc::new(m);
+            let view = m.view();
+            stats.scanned += 1;
+            stats.scan_bytes += view.payload.len() as u64;
+            join.push(&view, Rc::clone(&m));
+        }
+        Ok(())
+    }
+
+    /// The batch's rows that pass the pushed filter, the residual filter
+    /// and `SAMPLE EVERY`, in order; the others are counted where they
+    /// dropped out.
+    fn select(&mut self) -> Vec<usize> {
+        let n = self.batch.len();
+        let mut sel: Vec<usize> = (0..n).collect();
+        // The pushed predicate is the whole filter of a non-join plan,
+        // moved to the scan; its drops are counted apart.
+        for (e, dropped) in [
+            (&self.exprs.pushed, &mut self.stats.pushed_dropped),
+            (&self.exprs.filter, &mut self.stats.filtered_out),
+        ] {
+            if let Some(e) = e {
+                let keep = self.batch.column(e).truthy(n);
+                let before = sel.len();
+                sel.retain(|&i| keep[i]);
+                *dropped += (before - sel.len()) as u64;
+            }
+        }
+        if let Some(k) = self.plan.sample_every {
+            let (before, seen) = (sel.len(), &mut self.sample_seen);
+            sel.retain(|_| {
+                *seen += 1;
+                (*seen - 1).is_multiple_of(k)
+            });
+            self.stats.sampled_out += (before - sel.len()) as u64;
+        }
+        sel
+    }
+
+    fn aggregate(&mut self) -> QueryResult<Vec<Row>> {
         let agg = self.plan.agg.clone().unwrap();
         let mut groups = Groups::new(&agg);
-        while self.next_match(|exprs, row| groups.fold(&exprs.agg_args, row))?.is_some() {}
+        loop {
+            self.gather(BATCH)?;
+            let sel = self.select();
+            if !sel.is_empty() {
+                let args: Vec<Option<_>> = (self.exprs.agg_args.iter())
+                    .map(|a| a.as_ref().map(|e| self.batch.column(e)))
+                    .collect();
+                groups.fold_batch(&args, &self.batch.slots[0].heads, &sel);
+            }
+            if self.batch.len() < BATCH {
+                break;
+            }
+        }
         let groups = groups.finish();
         self.stats.groups = groups.len() as u64;
         let mut rows = Vec::with_capacity(groups.len());
@@ -860,6 +1297,8 @@ impl Prepared {
     /// the plan's scan topics that the source has, bounded by
     /// [`Prepared::scan_range`]; `datatypes` maps topic → ROS datatype
     /// for field access (a topic without one reads its fields as null).
+    /// Block decodes and pool hits count from here unless the caller
+    /// hands the cursor an earlier [`ExecMark`] ([`Cursor::since`]).
     pub fn cursor_stream<'a, S: Storage>(
         &self,
         stream: MessageStream<'a, S>,
@@ -867,8 +1306,9 @@ impl Prepared {
         partial: bool,
         ctx: &'a mut IoCtx,
     ) -> QueryResult<Cursor<'a, S>> {
-        let virt0 = ctx.elapsed_ns();
-        Cursor::new(self.plan.clone(), &datatypes, Feed::Bag { stream, ctx, virt0 }, partial)
+        let (virt0, mark) = (ctx.elapsed_ns(), ExecMark::now());
+        let feed = Feed::Bag { stream, ctx, virt0 };
+        Cursor::new(self.plan.clone(), &datatypes, feed, partial, mark)
     }
 
     /// Open a cursor over a container. The optimizer's time range and
@@ -891,11 +1331,13 @@ impl Prepared {
             .filter(|t| datatypes.contains_key(*t))
             .collect();
         let (range, opts) = (self.scan_range(), StreamOptions::default());
-        // [`Prepared::cursor_stream`], with `ExecStats::virt_ns` counted
-        // from before the stream is built (its per-topic tag lookups).
-        let virt0 = ctx.elapsed_ns();
+        // [`Prepared::cursor_stream`], with the virtual time, the block
+        // decodes and the pool hits counted from before the stream is
+        // built (its tag lookups and its first readahead window).
+        let (virt0, mark) = (ctx.elapsed_ns(), ExecMark::now());
         let stream = bag.stream_topics_with_tails(&present, Vec::new(), range, opts, ctx)?;
-        Cursor::new(self.plan.clone(), &datatypes, Feed::Bag { stream, ctx, virt0 }, partial)
+        let feed = Feed::Bag { stream, ctx, virt0 };
+        Cursor::new(self.plan.clone(), &datatypes, feed, partial, mark)
     }
 
     /// Open a cursor over pre-merged records (the oracle tests' and
@@ -918,17 +1360,19 @@ impl Prepared {
                 None => true,
             })
             .collect();
-        Cursor::new(self.plan.clone(), &datatypes, Feed::Records(filtered.into_iter()), partial)
+        let feed = Feed::Records(filtered.into_iter());
+        Cursor::new(self.plan.clone(), &datatypes, feed, partial, ExecMark::now())
     }
 }
 
 // ------------------------------------------------------------- oracle
 
 /// Reference interpreter: executes the *statement* directly over a
-/// record list with no optimizer, streaming or bound accessor involved —
-/// every field read decodes the whole message ([`decode_field`]). The
-/// property tests assert `plan(bag) == naive(records)` for random
-/// queries; divergence means the clever path broke.
+/// record list with no optimizer, streaming, batch or bound accessor
+/// involved, a row at a time — every field read decodes the whole
+/// message ([`decode_field`]). The property tests assert `plan(bag) ==
+/// naive(records)` for random queries; divergence means the clever path
+/// broke.
 pub fn run_naive(
     stmt: &SelectStmt,
     records: &[MessageRecord],
@@ -937,13 +1381,10 @@ pub fn run_naive(
     // Reuse the planner for validation + column names only: unoptimized,
     // its filter is the statement's WHERE and nothing is pushed.
     let plan = Logical::from_stmt(stmt)?;
-    let exprs = Exprs::lower(&plan, |parts| Decoded { parts, datatypes });
-    fn view(r: &MessageRecord) -> Msg<'_> {
-        Msg { time_ns: r.time.as_nanos(), topic: &r.topic, payload: &r.data, lane: 0 }
-    }
-
+    let exprs = Exprs::lower(&plan, |_, parts| Decoded { parts, datatypes });
     // 1. Select relevant topics, preserving caller order.
-    let scanned = records.iter().filter(|r| plan.scan.topics.contains(&r.topic)).map(view);
+    let scanned = records.iter().filter(|r| plan.scan.topics.contains(&r.topic));
+    let scanned = scanned.map(|r| Msg::of_record(r, 0));
     let mut rows: Vec<InRow<'_>> = match &plan.join {
         None => scanned.map(InRow::Single).collect(),
         Some(j) => {
@@ -972,7 +1413,7 @@ pub fn run_naive(
     let mut out: Vec<Row> = match &plan.agg {
         Some(agg) => {
             let mut groups = Groups::new(agg);
-            rows.iter().for_each(|r| groups.fold(&exprs.agg_args, r));
+            rows.iter().for_each(|r| groups.fold_row(&exprs.agg_args, r));
             let groups = groups.finish();
             groups.iter().map(|(key, states)| finalize_group(&plan, agg, *key, states)).collect()
         }
@@ -1097,6 +1538,40 @@ mod tests {
             assert_eq!(run(sql, &recs, &dts), all, "cursor: {sql}");
             let q = crate::parser::parse(sql).unwrap();
             assert_eq!(run_naive(&q.stmt, &recs, &dts).unwrap().1, all, "run_naive: {sql}");
+        }
+    }
+
+    /// The typed fast paths — float comparisons against a literal and
+    /// the `min`/`max`/`mean` folds — mean what `compare` and
+    /// `AggState::update` mean on NaNs, signed zeros and infinities, bit
+    /// for bit, across batch edges.
+    #[test]
+    fn typed_paths_agree_with_compare_on_odd_floats() {
+        let odd = [f64::NAN, -0.0, 0.0, 1.5, f64::INFINITY, -2.0, f64::NEG_INFINITY, 0.25];
+        let recs: Vec<MessageRecord> = (0..700u32)
+            .map(|i| {
+                let mut imu = Imu::default();
+                imu.angular_velocity.x = odd[(i as usize * 7 + i as usize / 3) % odd.len()];
+                let time = Time::new(i / 10, (i % 10) * 100_000_000);
+                MessageRecord { conn_id: 0, topic: "/imu".into(), time, data: imu.to_bytes() }
+            })
+            .collect();
+        let dts = HashMap::from([("/imu".to_owned(), Imu::DATATYPE.to_owned())]);
+        let agg = "count(angular_velocity.x), mean(angular_velocity.x), \
+                   min(angular_velocity.x), max(angular_velocity.x)";
+        for sql in [
+            format!("SELECT window, {agg} FROM '/imu' WINDOW 3s"),
+            format!("SELECT {agg} FROM '/imu' WHERE time >= 26.0"),
+            "SELECT time FROM '/imu' WHERE angular_velocity.x != 0.0".to_owned(),
+            "SELECT time FROM '/imu' WHERE angular_velocity.x = 0.0".to_owned(),
+            "SELECT time FROM '/imu' WHERE angular_velocity.x <= 1.5".to_owned(),
+            "SELECT time FROM '/imu' WHERE NOT (angular_velocity.x > 0.0)".to_owned(),
+            "SELECT time, angular_velocity.x FROM '/imu' WHERE angular_velocity.x >= 0".to_owned(),
+        ] {
+            let fast = run(&sql, &recs, &dts);
+            let q = crate::parser::parse(&sql).unwrap();
+            let (_, slow) = run_naive(&q.stmt, &recs, &dts).unwrap();
+            assert!(crate::encode_rows(&fast) == crate::encode_rows(&slow), "{sql}");
         }
     }
 

@@ -24,7 +24,8 @@
 //! Execution is pull-based ([`Cursor`]) over the existing k-way merge
 //! streams, which is what lets the serve layer stream result rows in
 //! bounded chunks, and what makes MVCC snapshots and quarantine checks
-//! apply to queries for free.
+//! apply to queries for free. Underneath, the cursor gathers, filters
+//! and aggregates a batch of messages at a time, in typed columns.
 //!
 //! ```
 //! use bora::OrganizerOptions;
@@ -70,7 +71,7 @@ pub use distrib::{partial_fragment, rowship_query};
 pub use error::{QueryError, QueryErrorKind, QueryResult};
 pub use exec::{
     merge_partials, ns_to_secs, partial_columns, prepare, prepare_with, run_naive, Cursor,
-    ExecStats, Prepared, MAX_TIME_NS,
+    ExecMark, ExecStats, Prepared, MAX_TIME_NS,
 };
 pub use explain::{explain_json, explain_text};
 pub use optimize::{optimize, PlanOptions};

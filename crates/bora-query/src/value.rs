@@ -6,10 +6,13 @@
 //! are two ways to read one:
 //!
 //! * [`Accessor`] — what a cursor uses. [`Accessor::bind`] resolves a
-//!   path against a datatype *once*; [`Accessor::read`] then checks the
+//!   path against a datatype *once*; [`Accessor::walk`] then checks the
 //!   payload with the datatype's walk (`ros_msgs::AnyMessage::walker`:
 //!   the byte strings `decode` accepts, no others, nothing built) and
-//!   reads the one field where it lies.
+//!   [`Accessor::read_at`] reads the one field where it lies. Every path
+//!   bound for one datatype shares its walk, so a cursor walks a message
+//!   once and reads each of its fields at the offset that walk found;
+//!   [`Accessor::read`] is the two in one.
 //! * [`decode_field`] — what the oracle (`run_naive`) uses: decode the
 //!   whole message into an [`AnyMessage`], then [`extract_field`]. Slow,
 //!   obviously right, and the only caller of `AnyMessage::decode` in this
@@ -132,16 +135,25 @@ pub fn compare(op: CmpOp, a: &Value, b: &Value) -> bool {
             _ => None,
         },
     };
-    match ord {
-        None => false,
-        Some(o) => match op {
-            CmpOp::Eq => o == std::cmp::Ordering::Equal,
-            CmpOp::Ne => o != std::cmp::Ordering::Equal,
-            CmpOp::Lt => o == std::cmp::Ordering::Less,
-            CmpOp::Le => o != std::cmp::Ordering::Greater,
-            CmpOp::Gt => o == std::cmp::Ordering::Greater,
-            CmpOp::Ge => o != std::cmp::Ordering::Less,
-        },
+    op.holds(ord)
+}
+
+impl CmpOp {
+    /// Whether an ordering satisfies the operator; an unordered pair
+    /// (`None`: a NaN, a null, mismatched types) satisfies none.
+    pub fn holds(self, ord: Option<std::cmp::Ordering>) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        match ord {
+            None => false,
+            Some(o) => match self {
+                CmpOp::Eq => o == Equal,
+                CmpOp::Ne => o != Equal,
+                CmpOp::Lt => o == Less,
+                CmpOp::Le => o != Greater,
+                CmpOp::Gt => o == Greater,
+                CmpOp::Ge => o != Less,
+            },
+        }
     }
 }
 
@@ -171,6 +183,33 @@ enum Ty {
     F64,
     Stamp,
     Str,
+}
+
+/// The kind of [`Value`] a bound field reads as when it is not null.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    Int,
+    Float,
+    Str,
+}
+
+/// One field read where it lies: a number, or a string borrowed from
+/// the payload.
+#[derive(Debug, Clone, Copy)]
+pub enum Read<'p> {
+    Int(i64),
+    Float(f64),
+    Str(&'p str),
+}
+
+impl Read<'_> {
+    pub fn value(self) -> Value {
+        match self {
+            Read::Int(v) => Value::Int(v),
+            Read::Float(v) => Value::Float(v),
+            Read::Str(s) => Value::Str(s.to_owned()),
+        }
+    }
 }
 
 /// A field path bound to one datatype: the datatype's walk plus where
@@ -225,11 +264,30 @@ impl Accessor {
     /// it, else one little-endian read (a string is copied out). No
     /// message is built, and nothing is allocated for a number.
     pub fn read(&self, payload: &[u8]) -> Value {
-        self.try_read(payload).unwrap_or(Value::Null)
+        self.walk(payload)
+            .and_then(|body| self.read_at(payload, body))
+            .map_or(Value::Null, Read::value)
     }
 
-    fn try_read(&self, p: &[u8]) -> Option<Value> {
-        let body = (self.walk)(p)?;
+    /// The datatype's walk: where the leading header ends in `payload`,
+    /// or `None` when the decoder would reject it. Every accessor bound
+    /// for one datatype walks alike.
+    pub fn walk(&self, payload: &[u8]) -> Option<usize> {
+        (self.walk)(payload)
+    }
+
+    /// What the field reads as.
+    pub fn kind(&self) -> Kind {
+        match self.ty {
+            Ty::U32 => Kind::Int,
+            Ty::F64 | Ty::Stamp => Kind::Float,
+            Ty::Str => Kind::Str,
+        }
+    }
+
+    /// Read the field of a payload the walk accepted, `body` being what
+    /// the walk returned; `None` where the field does not fit.
+    pub fn read_at<'p>(&self, p: &'p [u8], body: usize) -> Option<Read<'p>> {
         let at = match self.at {
             At::Start(o) => o,
             At::Body(o) => body + o,
@@ -241,10 +299,10 @@ impl Accessor {
         };
         let mut cur = p.get(at..)?;
         Some(match self.ty {
-            Ty::U32 => Value::Int(cur.get_u32().ok()? as i64),
-            Ty::F64 => Value::Float(cur.get_f64().ok()?),
-            Ty::Stamp => time_to_value(cur.get_time().ok()?),
-            Ty::Str => Value::Str(cur.get_str().ok()?.to_owned()),
+            Ty::U32 => Read::Int(cur.get_u32().ok()? as i64),
+            Ty::F64 => Read::Float(cur.get_f64().ok()?),
+            Ty::Stamp => Read::Float(ns_to_secs(cur.get_time().ok()?.as_nanos())),
+            Ty::Str => Read::Str(cur.get_str().ok()?),
         })
     }
 }

@@ -1,0 +1,292 @@
+//! Batch boundaries: the cursor gathers up to 256 rows before it
+//! evaluates anything, so every window, range, filter, sample and limit
+//! can end inside a batch, on its last row or on the first row of the
+//! next. `prop_query` draws at most 100 events and never crosses one.
+//!
+//! Here a few hundred to 1 500 messages over three topics — two `Imu`
+//! topics and one whose datatype the query layer does not model, so every
+//! path reads null on it — run statements whose edges are placed on and
+//! beside the 256-row edges of their scan: time ranges from the scan's own
+//! timestamps, windows 2.55 / 2.56 / 2.57 s wide over messages 10 ms
+//! apart, `SAMPLE EVERY` 255 / 256 / 257, `LIMIT` 255 / 256 / 257, a
+//! `JOIN`, and a string path (`header.frame_id`). Each statement runs
+//! through a record feed and through a block-framed container with
+//! 512-byte blocks, where messages straddle blocks, and must return
+//! [`run_naive`]'s rows byte for byte (`encode_rows`). With a `LIMIT`, the
+//! cursor must also scan exactly what a row-at-a-time cursor scans: the
+//! shortest prefix of its scan on which the oracle reaches the limit.
+
+use std::collections::HashMap;
+
+use bora::{BlockCodec, BlockParams, BoraBag, BufferPool, OrganizerOptions};
+use bora_query::{encode_rows, parse, prepare, run_naive, Cursor, Prepared};
+use ros_msgs::msg::MessageDescriptor;
+use ros_msgs::sensor_msgs::Imu;
+use ros_msgs::{RosMessage, Time};
+use rosbag::reader::MessageRecord;
+use rosbag::{BagWriter, BagWriterOptions};
+use simfs::{IoCtx, MemStorage, Storage};
+
+const IMU: &str = "/imu";
+const IMU2: &str = "/imu2";
+/// No datatype the query layer models: every path on it is null.
+const RAW: &str = "/raw";
+const RAW_TYPE: &str = "bench_msgs/Raw";
+/// Message `i` lies at `(i + 1) * STEP_NS`.
+const STEP_NS: u64 = 10_000_000;
+const FRAMES: [&str; 4] = ["imu_link", "base", "", "imu_link_2"];
+
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn unit(&mut self) -> f64 {
+        (self.next() >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// `n` messages, 10 ms apart, on the three topics at random.
+fn mission(n: u64, seed: u64) -> Vec<MessageRecord> {
+    let mut rng = Rng(seed);
+    (0..n)
+        .map(|i| {
+            let time = Time::from_nanos((i + 1) * STEP_NS);
+            let (topic, data) = match rng.next() % 5 {
+                0 => (RAW, (0..rng.next() % 48).map(|_| rng.next() as u8).collect()),
+                k => {
+                    let mut imu = Imu::default();
+                    imu.header.seq = i as u32;
+                    imu.header.stamp = time;
+                    imu.header.frame_id = FRAMES[(rng.next() % 4) as usize].into();
+                    imu.angular_velocity.x = rng.unit() * 2.0 - 1.0;
+                    imu.linear_acceleration.y = 9.81 * rng.unit();
+                    (if k < 3 { IMU } else { IMU2 }, imu.to_bytes())
+                }
+            };
+            MessageRecord { conn_id: 0, topic: topic.to_owned(), time, data }
+        })
+        .collect()
+}
+
+/// The datatypes the record feed and the oracle see: none for `/raw`.
+fn datatypes() -> HashMap<String, String> {
+    [IMU, IMU2].iter().map(|t| ((*t).to_owned(), Imu::DATATYPE.to_owned())).collect()
+}
+
+/// The mission in a block-framed container of 512-byte LZSS blocks.
+fn container<'f>(fs: &'f MemStorage, records: &[MessageRecord]) -> BoraBag<&'f MemStorage> {
+    let ctx = &mut IoCtx::new();
+    let mut w = BagWriter::create(fs, "/m.bag", BagWriterOptions::default(), ctx).unwrap();
+    let raw = MessageDescriptor {
+        datatype: RAW_TYPE.into(),
+        md5sum: "0".repeat(32),
+        definition: "uint8[] data\n".into(),
+    };
+    let mut conns = HashMap::new();
+    for r in records {
+        let conn = *conns.entry(r.topic.clone()).or_insert_with(|| {
+            let desc = if r.topic == RAW { raw.clone() } else { MessageDescriptor::of::<Imu>() };
+            w.add_connection(&r.topic, &desc)
+        });
+        w.write_message(conn, r.time, &r.data, ctx).unwrap();
+    }
+    w.close(ctx).unwrap();
+    let block = Some(BlockParams { codec: BlockCodec::Lzss, block_size: 512 });
+    let opts = OrganizerOptions { block, ..Default::default() };
+    bora::duplicate(fs, "/m.bag", fs, "/c", &opts, ctx).unwrap();
+    BoraBag::open(fs, "/c", ctx).unwrap().with_pool(BufferPool::new(1 << 20))
+}
+
+/// A time in seconds as a literal that parses back to the same `f64`.
+fn secs(ns: u64) -> String {
+    format!("{:?}", bora_query::ns_to_secs(ns))
+}
+
+/// Statements whose edges fall on and beside the batch edges of their
+/// scans over `records`, each with its `LIMIT` clause apart.
+fn statements(records: &[MessageRecord]) -> Vec<(String, String)> {
+    let times = |topics: &[&str]| -> Vec<u64> {
+        let scan = records.iter().filter(|r| topics.contains(&r.topic.as_str()));
+        scan.map(|r| r.time.as_nanos()).collect()
+    };
+    let all = times(&[IMU, IMU2, RAW]);
+    let imu = times(&[IMU]);
+    let agg = "count(), count(angular_velocity.x), mean(angular_velocity.x), \
+               min(header.seq), max(linear_acceleration.y)";
+    let mut out: Vec<(String, &str)> = Vec::new();
+    // Windows of 255, 256 and 257 rows of the full scan, and wider.
+    for w in ["2550ms", "2560ms", "2570ms", "1s", "5120ms"] {
+        out.push((format!("SELECT window, {agg} FROM '/imu', '/imu2', '/raw' WINDOW {w}"), ""));
+        out.push((format!("SELECT window, {agg} FROM '/imu' WINDOW {w}"), ""));
+    }
+    // Ranges from, to and between the scan's own times at its batch
+    // edges: inclusive and exclusive, each on the edge and one beside.
+    for (from, scan) in [("'/imu', '/imu2', '/raw'", &all), ("'/imu'", &imu)] {
+        for k in [255, 256, 257, 511, 512, 513] {
+            let Some(&t) = scan.get(k) else { continue };
+            let (t, end) = (secs(t), secs(scan.get(k + 300).copied().unwrap_or(u64::MAX / 4)));
+            out.push((format!("SELECT {agg} FROM {from} WHERE time >= {t} AND time < {end}"), ""));
+            out.push((
+                format!("SELECT window, {agg} FROM {from} WHERE time > {t} WINDOW 2560ms"),
+                "",
+            ));
+            out.push((
+                format!("SELECT time, topic, angular_velocity.x FROM {from} WHERE time <= {t}"),
+                "",
+            ));
+            out.push((format!("SELECT * FROM {from} WHERE time < {t} OR time > {end}"), ""));
+        }
+    }
+    // Field and string filters, which drop rows at random inside batches.
+    for filter in [
+        "angular_velocity.x > 0.25",
+        "NOT (header.seq >= 700) AND linear_acceleration.y < 7.0",
+        "header.frame_id = 'base' OR size < 24",
+        "header.frame_id != 'imu_link' AND header.frame_id >= ''",
+        "topic = '/raw' OR angular_velocity.x <= 0.1",
+    ] {
+        let from = "'/imu', '/imu2', '/raw'";
+        out.push((
+            format!("SELECT time, topic, size, header.frame_id FROM {from} WHERE {filter}"),
+            "",
+        ));
+        out.push((format!("SELECT window, {agg} FROM {from} WHERE {filter} WINDOW 2560ms"), ""));
+    }
+    // Decimation with periods at the batch size.
+    for n in [7, 255, 256, 257] {
+        out.push((
+            format!("SELECT time, header.seq FROM '/imu', '/imu2', '/raw' SAMPLE EVERY {n}"),
+            "",
+        ));
+        out.push((
+            format!("SELECT window, {agg} FROM '/imu', '/raw' SAMPLE EVERY {n} WINDOW 2560ms"),
+            "",
+        ));
+    }
+    // A string column, all null on `/raw`, through the aggregates.
+    out.push((
+        "SELECT window, min(header.frame_id), max(header.frame_id), count(header.frame_id) \
+         FROM '/imu', '/raw' WINDOW 2560ms"
+            .into(),
+        "",
+    ));
+    // Limits at, before and after a batch edge.
+    for limit in [" LIMIT 1", " LIMIT 255", " LIMIT 256", " LIMIT 257", " LIMIT 513"] {
+        let from = "'/imu', '/imu2', '/raw'";
+        out.push((format!("SELECT * FROM {from}"), limit));
+        out.push((
+            format!("SELECT time, header.frame_id FROM {from} WHERE linear_acceleration.y > 1.5"),
+            limit,
+        ));
+        out.push((format!("SELECT time, header.seq FROM {from} SAMPLE EVERY 3"), limit));
+        out.push((format!("SELECT window, count() FROM {from} WINDOW 2560ms"), limit));
+        out.push((
+            "SELECT left.time, right.time, left.header.frame_id, right.angular_velocity.x \
+             FROM '/imu' JOIN '/imu2' WITHIN 25ms"
+                .into(),
+            limit,
+        ));
+    }
+    // Joins, one of them against the topic that reads null.
+    out.push((
+        "SELECT left.time, right.size, right.header.seq FROM '/imu' JOIN '/raw' WITHIN 20ms \
+         WHERE left.angular_velocity.x > 0.0"
+            .into(),
+        "",
+    ));
+    out.push((
+        "SELECT count(), mean(left.angular_velocity.x), max(right.header.frame_id) \
+         FROM '/imu2' JOIN '/imu' WITHIN 40ms"
+            .into(),
+        "",
+    ));
+    out.into_iter().map(|(sql, limit)| (sql, limit.to_owned())).collect()
+}
+
+/// The scan of `p` over `records`: its topics, within its pushed range.
+fn scan<'r>(p: &Prepared, records: &'r [MessageRecord]) -> Vec<&'r MessageRecord> {
+    let (topics, range) = (&p.plan.scan.topics, p.plan.scan.range);
+    let in_range = |t: u64| range.is_none_or(|(lo, hi)| t >= lo && t < hi);
+    records.iter().filter(|r| topics.contains(&r.topic) && in_range(r.time.as_nanos())).collect()
+}
+
+/// What a row-at-a-time cursor scans to answer `sql` with `LIMIT n`:
+/// the shortest prefix of the scan on which the oracle reaches `n` rows,
+/// or the whole scan.
+fn scanned_by_rows(
+    sql: &str,
+    n: usize,
+    scan: &[&MessageRecord],
+    dts: &HashMap<String, String>,
+) -> u64 {
+    let stmt = parse(sql).unwrap().stmt;
+    let rows = |k: usize| {
+        let prefix: Vec<MessageRecord> = scan[..k].iter().map(|r| (*r).clone()).collect();
+        run_naive(&stmt, &prefix, dts).unwrap().1.len()
+    };
+    if rows(scan.len()) < n {
+        return scan.len() as u64;
+    }
+    let (mut lo, mut hi) = (0, scan.len());
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if rows(mid) >= n {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo as u64
+}
+
+/// Drain `cur`, check its columns and rows, and return what it scanned.
+fn answer<S: Storage>(
+    source: &str,
+    sql: &str,
+    mut cur: Cursor<'_, S>,
+    columns: &[String],
+    want: &[u8],
+) -> u64 {
+    assert_eq!(cur.columns(), columns, "{source}: {sql}");
+    let rows = cur.collect_rows().unwrap();
+    assert!(encode_rows(&rows) == want, "{source} differs from the oracle: {sql}");
+    cur.stats().scanned
+}
+
+fn check(records: &[MessageRecord]) {
+    let dts = datatypes();
+    let fs = MemStorage::new();
+    let bag = container(&fs, records);
+    let statements = statements(records);
+    assert!(statements.len() > 60, "{} statements", statements.len());
+    for (body, limit) in &statements {
+        let sql = format!("{body}{limit}");
+        let p = prepare(&sql).unwrap_or_else(|e| panic!("{sql}\n{e}"));
+        let (columns, want) = run_naive(&p.query.stmt, records, &dts).unwrap();
+        let want = encode_rows(&want);
+        let records_cur = p.cursor_records(records.to_vec(), dts.clone(), false).unwrap();
+        let ctx = &mut IoCtx::new();
+        let bag_cur = p.cursor_bag(&bag, false, ctx).unwrap();
+        let scanned = [
+            answer("records", &sql, records_cur, &columns, &want),
+            answer("container", &sql, bag_cur, &columns, &want),
+        ];
+        if let (Some(n), None) = (p.plan.limit, &p.plan.agg) {
+            let expect = scanned_by_rows(body, n as usize, &scan(&p, records), &dts);
+            assert_eq!(scanned, [expect, expect], "scanned: {sql}");
+        }
+    }
+}
+
+#[test]
+fn rows_cross_batch_edges_exactly_as_the_oracle_reads_them() {
+    for (n, seed) in [(300, 0x9E37_79B9_7F4A_7C15), (767, 0xB0BA_CAFE), (1_500, 0x5EED)] {
+        check(&mission(n, seed));
+    }
+}

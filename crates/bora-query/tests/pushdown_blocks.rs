@@ -2,7 +2,8 @@
 //! decodes only the blocks its range reaches, and never changes a row.
 //!
 //! Decodes are counted by the process-wide `block.decode` counter, read
-//! around the whole query, so this file holds one test and nothing else.
+//! around the whole query and by the cursor's own `ExecStats`, so this
+//! file holds one test and nothing else.
 
 use bora::{BlockCodec, BlockParams, BoraBag, OrganizerOptions};
 use bora_query::{prepare_with, ExecStats, PlanOptions, Row};
@@ -72,6 +73,10 @@ fn a_pushed_time_range_decodes_only_the_blocks_it_reaches() {
         // Pushed, the scan reads the selected messages and decodes the
         // blocks that hold them: 381 for the whole topic, 4 for 1 %.
         assert_eq!((on.scanned, on_blocks), (to - from, blocks_spanned(from, to)), "{sql}");
+        // `ExecStats` counts the same decodes, the stream's first
+        // readahead window included: 381 / 191 / 39 / 4.
+        assert_eq!(on.block_decodes, on_blocks, "{sql}");
+        assert_eq!(off.block_decodes, off_blocks, "{sql}");
         // Unpushed, it decodes every block and filters afterwards.
         assert_eq!((off.scanned, off.pushed_dropped), (MESSAGES, 0), "{sql}");
         assert_eq!(off_blocks, blocks_spanned(0, MESSAGES), "{sql}");

@@ -930,8 +930,10 @@ fn query<S: Storage + Clone>(
     let held = source.topics();
     let topics: Vec<&str> =
         strs(&p.plan.scan.topics).into_iter().filter(|t| held.iter().any(|h| h == t)).collect();
+    // Count block decodes from before the stream's first fill.
+    let mark = bora_query::ExecMark::now();
     let stream = source.stream(&topics, p.scan_range(), ctx)?;
-    let mut cur = p.cursor_stream(stream, source.datatypes(), partial, ctx)?;
+    let mut cur = p.cursor_stream(stream, source.datatypes(), partial, ctx)?.since(mark);
     if reply.send(Response::QuerySchema(cur.columns())).is_err() {
         return Ok(None);
     }

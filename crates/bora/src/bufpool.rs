@@ -1,13 +1,14 @@
 //! Global byte-budgeted buffer pool.
 //!
 //! One [`BufferPool`] serves every serve worker, stream cursor, and
-//! snapshot read of a process: pages are keyed by `(file path, page
-//! number)`, the byte budget is a single knob (`BORA_POOL_BYTES`), and
-//! eviction is a per-shard clock sweep (the postgrust-sql
-//! `buffer_pool.rs` design the ROADMAP names). A page holds one
-//! buffer-pool-sized slice of a raw `data` file, or one *decoded* block
-//! of a block-framed topic ([`crate::block`]) — decompression lands
-//! directly in the frame that later hits serve it.
+//! snapshot read of a process: pages are keyed by `(file, page
+//! number)`, a file being its path interned once per open topic
+//! ([`file_id`], held by `TopicPaths`); the byte budget is a single
+//! knob (`BORA_POOL_BYTES`), and eviction is a per-shard clock sweep
+//! (the postgrust-sql `buffer_pool.rs` design the ROADMAP names). A
+//! page holds one buffer-pool-sized slice of a raw `data` file, or one
+//! *decoded* block of a block-framed topic ([`crate::block`]) —
+//! decompression lands directly in the frame that later hits serve it.
 //!
 //! Concurrency model:
 //!
@@ -30,11 +31,11 @@
 //! `pool.evict`, `pool.resident_bytes`, `pool.budget_bytes`), which the
 //! serve layer's OP_METRICS scrape already ships to `bora-tool top`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use crate::error::BoraResult;
 
@@ -44,9 +45,44 @@ pub const POOL_BYTES_ENV: &str = "BORA_POOL_BYTES";
 pub const DEFAULT_POOL_BYTES: u64 = 64 * 1024 * 1024;
 const SHARDS: usize = 8;
 
+/// A file as the pool keys it: its path, interned by [`file_id`].
+pub type FileId = u32;
+
+/// A page's key: its file and its page number.
+type Key = (FileId, u64);
+
+/// Every path interned so far, both ways. Entries are never removed —
+/// an id stays valid for as long as anything holds it — so the table
+/// grows by one path per distinct data file a process opens.
+#[derive(Default)]
+struct Files {
+    ids: HashMap<Arc<str>, FileId>,
+    names: Vec<Arc<str>>,
+}
+
+static FILES: LazyLock<RwLock<Files>> = LazyLock::new(Default::default);
+
+/// The pool's id of the file at `path`: the same for every caller that
+/// names the same path. A topic interns its data file once, when it is
+/// opened; a page lookup then hashes two integers and allocates nothing.
+pub fn file_id(path: &str) -> FileId {
+    if let Some(&id) = FILES.read().ids.get(path) {
+        return id;
+    }
+    let mut files = FILES.write();
+    if let Some(&id) = files.ids.get(path) {
+        return id;
+    }
+    let id = FileId::try_from(files.names.len()).expect("fewer than 2^32 interned files");
+    let name: Arc<str> = Arc::from(path);
+    files.names.push(Arc::clone(&name));
+    files.ids.insert(name, id);
+    id
+}
+
 #[derive(Debug)]
 struct Frame {
-    key: (Arc<str>, u64),
+    key: Key,
     data: Arc<[u8]>,
     pins: u32,
     /// Clock-sweep reference bit: set on hit, cleared by the hand.
@@ -59,7 +95,7 @@ struct Frame {
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<(Arc<str>, u64), usize>,
+    map: HashMap<Key, usize>,
     frames: Vec<Frame>,
     free: Vec<usize>,
     hand: usize,
@@ -158,11 +194,10 @@ impl BufferPool {
         self.page_size
     }
 
-    fn shard_of(&self, key: &(Arc<str>, u64)) -> usize {
+    fn shard_of(&self, key: &Key) -> usize {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.0.hash(&mut h);
-        key.1.hash(&mut h);
+        key.hash(&mut h);
         (h.finish() as usize) % self.shards.len()
     }
 
@@ -178,7 +213,21 @@ impl BufferPool {
     where
         F: FnOnce() -> BoraResult<Vec<u8>>,
     {
-        let key: (Arc<str>, u64) = (Arc::from(file), page_no);
+        self.get_or_fill_file(file_id(file), page_no, fill)
+    }
+
+    /// [`BufferPool::get_or_fill`] for a file already interned
+    /// ([`file_id`]): what an open topic calls.
+    pub fn get_or_fill_file<F>(
+        self: &Arc<Self>,
+        file: FileId,
+        page_no: u64,
+        fill: F,
+    ) -> BoraResult<(PageRef, bool)>
+    where
+        F: FnOnce() -> BoraResult<Vec<u8>>,
+    {
+        let key: Key = (file, page_no);
         let si = self.shard_of(&key);
         {
             let mut shard = self.shards[si].lock();
@@ -258,7 +307,7 @@ impl BufferPool {
             Some(s) => {
                 let epoch = shard.frames[s].epoch;
                 shard.frames[s] = Frame {
-                    key: key.clone(),
+                    key,
                     data: Arc::clone(&bytes),
                     pins: 1,
                     referenced: true,
@@ -269,7 +318,7 @@ impl BufferPool {
             }
             None => {
                 shard.frames.push(Frame {
-                    key: key.clone(),
+                    key,
                     data: Arc::clone(&bytes),
                     pins: 1,
                     referenced: true,
@@ -314,7 +363,7 @@ impl BufferPool {
             f.live = false;
             f.epoch += 1;
             f.data = Arc::from(Vec::new());
-            let key = f.key.clone();
+            let key = f.key;
             shard.map.remove(&key);
             shard.free.push(i);
             shard.resident_bytes -= freed;
@@ -330,10 +379,14 @@ impl BufferPool {
     /// place, re-fetched, or checksum-evicted) so stale pages can't
     /// outlive the handle cache's generation bump.
     pub fn invalidate_prefix(&self, path_prefix: &str) {
+        let files = FILES.read();
+        let ids = files.names.iter().enumerate().filter(|(_, p)| p.starts_with(path_prefix));
+        let ids: HashSet<FileId> = ids.map(|(id, _)| id as FileId).collect();
+        drop(files);
         for shard in &self.shards {
             let mut shard = shard.lock();
-            let victims: Vec<(Arc<str>, u64)> =
-                shard.map.keys().filter(|(p, _)| p.starts_with(path_prefix)).cloned().collect();
+            let victims: Vec<Key> =
+                shard.map.keys().filter(|k| ids.contains(&k.0)).copied().collect();
             for key in victims {
                 if let Some(slot) = shard.map.remove(&key) {
                     let f = &mut shard.frames[slot];
@@ -465,6 +518,19 @@ mod tests {
         assert_eq!(&bytes[..3], &[5, 5, 5], "Arc keeps evicted bytes alive");
         let (_p, hit) = pool.get_or_fill("/x", 0, || fill_page(6, 60)).unwrap();
         assert!(!hit, "invalidated page must refill");
+    }
+
+    #[test]
+    fn a_path_is_one_file_id_and_one_key() {
+        let (a, b) = (file_id("/ids/a/data"), file_id("/ids/b/data"));
+        assert_ne!(a, b);
+        assert_eq!(file_id("/ids/a/data"), a);
+        assert_eq!(crate::layout::TopicPaths::new("/ids", "/a").data_id, a);
+        let pool = BufferPool::new(1 << 20);
+        pool.get_or_fill("/ids/a/data", 3, || fill_page(1, 10)).unwrap();
+        let (page, hit) = pool.get_or_fill_file(a, 3, || fill_page(2, 10)).unwrap();
+        assert!(hit && page[0] == 1);
+        assert!(!pool.get_or_fill_file(b, 3, || fill_page(3, 10)).unwrap().1);
     }
 
     #[test]

@@ -349,7 +349,9 @@ impl<S: Storage> BoraBag<S> {
             Ok(logical)
         };
         match &self.pool {
-            Some(pool) => Ok(pool.get_or_fill(&paths.data, page as u64, || fill(ctx))?.0.bytes()),
+            Some(pool) => {
+                Ok(pool.get_or_fill_file(paths.data_id, page as u64, || fill(ctx))?.0.bytes())
+            }
             None => Ok(Arc::from(fill(ctx)?)),
         }
     }

@@ -7,6 +7,8 @@
 //! required on open, matching the paper's "BORA quickly parses the
 //! sub-directories of a bag on the back-end" description.
 
+use crate::bufpool::{file_id, FileId};
+
 /// Name of the container metadata file in the container root.
 pub const META_FILE: &str = ".bora";
 /// Name of the commit manifest file in the container root.
@@ -76,26 +78,29 @@ pub struct TopicPaths {
     pub index: String,
     pub tindex: String,
     pub blocks: String,
+    /// `data` as the buffer pool keys its pages, interned here, once per
+    /// open topic.
+    pub data_id: FileId,
 }
 
 impl TopicPaths {
     /// Compute the paths for `topic` under `container_root`.
     pub fn new(container_root: &str, topic: &str) -> Self {
         let dir = format!("{}/{}", container_root.trim_end_matches('/'), encode_topic(topic));
-        TopicPaths {
-            data: format!("{dir}/{DATA_FILE}"),
-            index: format!("{dir}/{INDEX_FILE}"),
-            tindex: format!("{dir}/{TINDEX_FILE}"),
-            blocks: format!("{dir}/{BLOCKS_FILE}"),
-            dir,
-        }
+        Self::in_dir(dir)
     }
 
     /// Reconstruct from an already-listed directory component.
     pub fn from_dir(container_root: &str, dir_name: &str) -> Self {
         let dir = format!("{}/{}", container_root.trim_end_matches('/'), dir_name);
+        Self::in_dir(dir)
+    }
+
+    fn in_dir(dir: String) -> Self {
+        let data = format!("{dir}/{DATA_FILE}");
         TopicPaths {
-            data: format!("{dir}/{DATA_FILE}"),
+            data_id: file_id(&data),
+            data,
             index: format!("{dir}/{INDEX_FILE}"),
             tindex: format!("{dir}/{TINDEX_FILE}"),
             blocks: format!("{dir}/{BLOCKS_FILE}"),

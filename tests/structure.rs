@@ -44,6 +44,10 @@
 //! 10. *`repro` reproduces the paper*: `registry()` holds no `ext_` id,
 //!     and no CI step runs `repro` on one. A fact an extension checked is
 //!     a test; a kernel is timed by the wall-clock benchmark.
+//! 11. *One executor path*: in non-test `bora-query/src/exec.rs` the
+//!     per-row evaluator (`eval`), projection (`project`) and aggregate
+//!     fold (`fold_row`) are called only from the oracle — `run_naive` and
+//!     those three themselves. A cursor evaluates a batch at a time.
 
 use std::path::Path;
 
@@ -57,6 +61,9 @@ const SERVER: &str = "crates/bora-serve/src/server.rs";
 /// before the read core lent, 463 after).
 const STREAM_CODE_LINES: usize = 462;
 const REGISTRY: &str = "crates/bench/src/experiments/mod.rs";
+const EXEC: &str = "crates/bora-query/src/exec.rs";
+/// The row-at-a-time functions of `exec.rs`, which only the oracle runs.
+const PER_ROW: [&str; 3] = ["eval", "project", "fold_row"];
 const CI: &str = ".github/workflows/ci.yml";
 
 /// Where a source guard looks and what it refuses to find there.
@@ -281,6 +288,40 @@ fn codec_choice_violations(path: &str, source: &str) -> Vec<String> {
     found
 }
 
+/// Guard 11 over the text of `exec.rs`: each call of a per-row function
+/// and the function it is in, which must be the oracle's.
+fn one_executor_violations(source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    let mut current = "";
+    for (i, line) in source.lines().take_while(|l| !l.contains("#[cfg(test)]")).enumerate() {
+        let code = line.split("//").next().unwrap_or("");
+        let trimmed = code.trim_start();
+        let header =
+            ["fn ", "pub fn ", "pub(crate) fn "].iter().find_map(|p| trimmed.strip_prefix(p));
+        if let Some(header) = header {
+            current = header.split(['(', '<']).next().unwrap_or("");
+            continue;
+        }
+        // An item ends at a `}` in column 0.
+        if code.starts_with('}') {
+            current = "";
+        }
+        let ident = |c: char| c.is_alphanumeric() || c == '_';
+        let calls = PER_ROW.iter().filter(|f| {
+            code.match_indices(&format!("{f}(")).any(|(at, _)| !code[..at].ends_with(ident))
+        });
+        for f in calls {
+            if current != "run_naive" && !PER_ROW.contains(&current) {
+                found.push(format!(
+                    "one executor path: {EXEC}:{}: `{f}` is called from `{current}`, not the oracle",
+                    i + 1
+                ));
+            }
+        }
+    }
+    found
+}
+
 /// Guard 7, first half: whether `path` is a source under `crates/`, not
 /// under `crates/bench`, that names `BinaryHeap` before its tests.
 fn names_the_heap(path: &str, source: &str) -> bool {
@@ -387,6 +428,7 @@ fn the_tree_holds_every_guard() {
     }
     assert!(files > 150, "the walk saw only {files} files under crates/, tests/ and examples/");
     found.extend(stream_violations(&std::fs::read_to_string(root.join(STREAM)).unwrap()));
+    found.extend(one_executor_violations(&std::fs::read_to_string(root.join(EXEC)).unwrap()));
     found.extend(one_merge_violations(&heap_files));
     let manifest = std::fs::read_to_string(root.join("crates/bench/Cargo.toml")).unwrap();
     found.extend(ledger_violations(&manifest, |f| std::fs::read_to_string(root.join(f)).ok()));
@@ -614,4 +656,51 @@ fn the_paper_experiments_guard_fires() {
     let step = "  run: BORA_POOL_BYTES=8 cargo run --release -p bench --bin repro -- ext_pool\n";
     let found = paper_only_violations("", &format!("{ci}{step}"));
     assert!(found.len() == 1 && found[0].ends_with("repro -- ext_pool"), "{found:?}");
+}
+
+#[test]
+fn the_one_executor_guard_fires() {
+    let oracle = "pub fn run_naive(stmt: &SelectStmt) -> Rows {\n    \
+                  rows.retain(|r| eval(f, r).truthy());\n    \
+                  rows.iter().for_each(|r| groups.fold_row(&exprs.agg_args, r));\n    \
+                  rows.iter().map(|r| project(&exprs.items, r)).collect()\n}\n\
+                  fn eval(e: &Ev<Decoded<'_>>, row: &InRow<'_>) -> Value {\n    \
+                  Value::Bool(!eval(x, row).truthy())\n}\n\
+                  fn project(items: &[Ev<Decoded<'_>>], row: &InRow<'_>) -> Row {\n    \
+                  items.iter().map(|e| eval(e, row)).collect()\n}\n\
+                  impl<'p> Groups<'p> {\n    \
+                  fn fold_row(&mut self, args: &[Arg], row: &InRow<'_>) {\n        \
+                  st.update(arg.as_ref().map(|a| eval(a, row)));\n    }\n\n    \
+                  fn fold_batch(&mut self, args: &[Arg], sel: &[usize]) {\n        \
+                  fold_run(st, arg.as_deref(), &rest[..run]);\n    }\n}\n";
+    let cursor = "impl<'a, S: Storage> Cursor<'a, S> {\n    \
+                  fn refill(&mut self) -> QueryResult<bool> {\n        \
+                  let items: Vec<_> = self.exprs.items.iter().map(|e| self.batch.column(e)).collect();\n    \
+                  }\n}\n\
+                  #[cfg(test)]\nfn t() { eval(e, &row); project(i, &row); g.fold_row(a, &row); }\n";
+    let good = format!("{oracle}{cursor}");
+    assert_eq!(one_executor_violations(&good), Vec::<String>::new());
+    assert_eq!(
+        one_executor_violations("fn fold_batch() {\n    retrieval(x); reproject(y);\n}\n"),
+        Vec::<String>::new()
+    );
+    for (to, what) in [
+        ("let items: Vec<_> = self.exprs.items.iter().map(|e| eval(e, &row)).collect();", "`eval`"),
+        ("self.out = vec![project(&self.exprs.items, &row)].into_iter();", "`project`"),
+        ("groups.fold_row(&self.exprs.agg_args, &row);", "`fold_row`"),
+    ] {
+        let bad = good.replacen(
+            "let items: Vec<_> = self.exprs.items.iter().map(|e| self.batch.column(e)).collect();",
+            to,
+            1,
+        );
+        let found = one_executor_violations(&bad);
+        assert!(
+            found.iter().any(|v| v.contains(what) && v.contains("`refill`")),
+            "{what}: {found:?}"
+        );
+    }
+    // A per-row call outside any function is not the oracle's either.
+    let stray = good.replace("}\nfn eval(", "}\nconst X: Value = eval(LIT, ROW);\nfn eval(");
+    assert!(one_executor_violations(&stray).iter().any(|v| v.contains("from ``")), "stray");
 }
