@@ -60,12 +60,13 @@ struct Throttled {
 }
 
 impl Connection for Throttled {
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
+    fn send_frame(&mut self, parts: &[&[u8]]) -> io::Result<()> {
         let rate = self.bytes_per_s.load(Ordering::Relaxed);
         if rate > 0 {
-            std::thread::sleep(Duration::from_secs_f64(payload.len() as f64 / rate as f64));
+            let len: usize = parts.iter().map(|p| p.len()).sum();
+            std::thread::sleep(Duration::from_secs_f64(len as f64 / rate as f64));
         }
-        self.inner.send_frame(payload)
+        self.inner.send_frame(parts)
     }
 
     fn recv_frame(&mut self) -> io::Result<Vec<u8>> {

@@ -79,38 +79,42 @@ pub struct ChaosConnection<C: Connection> {
 }
 
 impl<C: Connection> Connection for ChaosConnection<C> {
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
+    fn send_frame(&mut self, parts: &[&[u8]]) -> io::Result<()> {
+        // A fault may hold, repeat or cut the frame: it works on one
+        // buffer.
+        let payload = parts.concat();
+        let payload = &payload[..];
         match self.state.decide(self.node, Direction::Send) {
             None => {
                 if let Some(held) = self.held_send.take() {
-                    self.inner.send_frame(payload)?;
-                    return self.inner.send_frame(&held);
+                    self.inner.send_frame(&[payload])?;
+                    return self.inner.send_frame(&[&held]);
                 }
-                self.inner.send_frame(payload)
+                self.inner.send_frame(&[payload])
             }
             // Silent loss: the caller believes the request is in flight
             // and discovers otherwise when its recv times out.
             Some(NetFault::Drop) => Ok(()),
             Some(NetFault::Delay { ms }) => {
                 std::thread::sleep(Duration::from_millis(ms));
-                self.inner.send_frame(payload)
+                self.inner.send_frame(&[payload])
             }
             Some(NetFault::Duplicate) => {
-                self.inner.send_frame(payload)?;
-                self.inner.send_frame(payload)
+                self.inner.send_frame(&[payload])?;
+                self.inner.send_frame(&[payload])
             }
             Some(NetFault::Reorder) => match self.held_send.take() {
                 // Two adjacent reorders: flush in swapped order.
                 Some(held) => {
-                    self.inner.send_frame(payload)?;
-                    self.inner.send_frame(&held)
+                    self.inner.send_frame(&[payload])?;
+                    self.inner.send_frame(&[&held])
                 }
                 None => {
                     self.held_send = Some(payload.to_vec());
                     Ok(())
                 }
             },
-            Some(NetFault::Truncate) => self.inner.send_frame(&payload[..payload.len() / 2]),
+            Some(NetFault::Truncate) => self.inner.send_frame(&[&payload[..payload.len() / 2]]),
         }
     }
 

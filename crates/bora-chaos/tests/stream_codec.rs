@@ -2,7 +2,8 @@
 //! wire: a stream LZ-codes its chunks only when its link pays for it.
 //!
 //! Over the in-process transport the link is faster than the encoder, so
-//! the server LZ-codes only its probes — every 4th chunk, chunk 0 first.
+//! the server LZ-codes only its probes — chunks 0, 4 and 8 while it
+//! gathers its first comparisons, then every 16th.
 //! Over a link capped at 2 MB/s on the serving side the same stream turns
 //! to LZ, and back to raw when the cap is lifted mid-stream. Either way
 //! the messages delivered are `READ`'s, byte for byte.
@@ -55,8 +56,8 @@ struct Tap<C> {
 }
 
 impl<C: Connection> Connection for Tap<C> {
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.inner.send_frame(payload)
+    fn send_frame(&mut self, parts: &[&[u8]]) -> io::Result<()> {
+        self.inner.send_frame(parts)
     }
 
     fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
@@ -89,8 +90,10 @@ fn a_fast_link_lz_codes_the_probes_alone() {
     assert_eq!(streamed, read);
     let lz = lz.lock().unwrap();
     assert_eq!(lz.len(), 201);
-    // Chunks 0, 4, 8, …: the probe count is ⌈chunks / 4⌉.
-    assert_eq!(lz_positions(&lz), (0..201).step_by(4).collect::<Vec<_>>());
+    // Chunks 0, 4, 8, then 16, 32, …: min(⌈n/4⌉, ⌈n/16⌉ + 2) of n chunks.
+    let probes: Vec<usize> = [0, 4, 8].into_iter().chain((16..201).step_by(16)).collect();
+    assert_eq!(probes.len(), 15);
+    assert_eq!(lz_positions(&lz), probes);
     server.shutdown();
 }
 

@@ -156,27 +156,28 @@ impl<C: Connection> ServeClient<C> {
         let frame = req
             .encode_seq(self.seq, bora_obs::current_context(), deadline_ns)
             .map_err(ClientError::Proto)?;
-        Ok(self.conn.send_frame(&frame)?)
+        Ok(self.conn.send_frame(&[&frame])?)
     }
 
-    /// The next frame answering the request in flight, with its size on
-    /// the wire after the seq. Stale frames (leftovers of an earlier
-    /// request that the network duplicated or reordered) are discarded; a
-    /// frame without a seq is an error, never the answer; the server's
-    /// error and overload frames become their [`ClientError`]s.
-    fn recv(&mut self) -> ClientResult<(Response, usize)> {
+    /// Hand `read` the body (after its seq) of the next frame answering
+    /// the request in flight, where it lies in the received buffer. Stale
+    /// frames (leftovers of an earlier request that the network
+    /// duplicated or reordered) are discarded; a frame without a seq is
+    /// an error, never the answer.
+    fn recv_with<T>(&mut self, read: impl FnOnce(&[u8]) -> ClientResult<T>) -> ClientResult<T> {
         loop {
             let frame = self.conn.recv_frame()?;
             let (seq, body) = crate::proto::split_seq(&frame).map_err(ClientError::Proto)?;
-            if seq != self.seq {
-                continue;
+            if seq == self.seq {
+                return read(body);
             }
-            return match Response::decode(body).map_err(ClientError::Proto)? {
-                Response::Error { code, message } => Err(ClientError::Server { code, message }),
-                Response::Overloaded => Err(ClientError::Overloaded),
-                resp => Ok((resp, body.len())),
-            };
         }
+    }
+
+    /// The next response answering the request in flight, with its size
+    /// on the wire after the seq.
+    fn recv(&mut self) -> ClientResult<(Response, usize)> {
+        self.recv_with(|body| Ok((answer(Response::decode(body))?, body.len())))
     }
 
     fn roundtrip(&mut self, req: &Request) -> ClientResult<Response> {
@@ -389,6 +390,16 @@ impl<C: Connection> ServeClient<C> {
     }
 }
 
+/// A decoded response as its caller sees it: the server's error and
+/// overload frames become their [`ClientError`]s.
+fn answer(decoded: Result<Response, ProtoError>) -> ClientResult<Response> {
+    match decoded.map_err(ClientError::Proto)? {
+        Response::Error { code, message } => Err(ClientError::Server { code, message }),
+        Response::Overloaded => Err(ClientError::Overloaded),
+        resp => Ok(resp),
+    }
+}
+
 fn unexpected(op: &str, resp: &Response) -> ClientError {
     ClientError::Proto(ProtoError(format!("unexpected response to {op}: {resp:?}")))
 }
@@ -465,24 +476,28 @@ impl<C: Connection, B: BorrowMut<ServeClient<C>>> ReadStream<C, B> {
         self.done = true;
     }
 
-    /// Pull the next frame off the connection into `buffer`. Only a chunk
-    /// keeps the stream open: `StreamEnd`, an error or overload frame, an
-    /// undecodable frame and a transport failure (the connection is
-    /// desynchronized then — nothing left to drain) all flip `done`. A
-    /// `StreamEnd` whose count is not the messages decoded is
-    /// [`ClientError::StreamCount`].
+    /// Pull the next frame off the connection into `buffer`. A chunk frame
+    /// is decoded where it lies in the received buffer
+    /// ([`crate::proto::stream_chunk`]), so its messages are the one copy
+    /// of its bytes. Only a chunk keeps the stream open: `StreamEnd`, an
+    /// error or overload frame, an undecodable frame and a transport
+    /// failure (the connection is desynchronized then — nothing left to
+    /// drain) all flip `done`. A `StreamEnd` whose count is not the
+    /// messages decoded is [`ClientError::StreamCount`].
     fn fetch(&mut self) -> ClientResult<()> {
         let decoded = self.decoded;
-        let chunk = self.client.borrow_mut().recv().and_then(|(resp, _)| match resp {
-            Response::StreamChunk(msgs) => Ok(Some(msgs)),
-            Response::StreamChunkLz(frame) => {
-                crate::proto::decompress_chunk(&frame).map(Some).map_err(ClientError::Proto)
+        let chunk = self.client.borrow_mut().recv_with(|body| {
+            if let Some(msgs) = crate::proto::stream_chunk(body).map_err(ClientError::Proto)? {
+                return Ok(Some(msgs));
             }
-            Response::StreamEnd { messages } if messages == decoded => Ok(None),
-            Response::StreamEnd { messages } => {
-                Err(ClientError::StreamCount { received: decoded, sent: messages })
+            match answer(Response::decode(body))? {
+                Response::StreamChunk(msgs) => Ok(Some(msgs)),
+                Response::StreamEnd { messages } if messages == decoded => Ok(None),
+                Response::StreamEnd { messages } => {
+                    Err(ClientError::StreamCount { received: decoded, sent: messages })
+                }
+                other => Err(unexpected("READ_STREAM2", &other)),
             }
-            other => Err(unexpected("READ_STREAM2", &other)),
         });
         match chunk {
             Ok(Some(msgs)) => {
@@ -1044,6 +1059,7 @@ impl<T: Transport> RetryClient<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bora::BlockCodec;
     use std::collections::VecDeque;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::{Arc, Mutex};
@@ -1122,9 +1138,10 @@ mod tests {
     }
 
     impl Connection for ScriptedConn {
-        fn send_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
+        fn send_frame(&mut self, parts: &[&[u8]]) -> std::io::Result<()> {
             self.sends.fetch_add(1, Ordering::SeqCst);
-            self.seq = crate::proto::split_seq(payload).expect("requests open with a seq").0;
+            let payload = parts.concat();
+            self.seq = crate::proto::split_seq(&payload).expect("requests open with a seq").0;
             self.pending = true;
             Ok(())
         }
@@ -1409,6 +1426,50 @@ mod tests {
         assert_eq!(got, msgs);
     }
 
+    /// A raw chunk is decoded where it lies in the received frame, with
+    /// every check of the copying decoders: a flipped body byte fails the
+    /// CRC, a trailing byte or a length that does not fit the frame fails
+    /// the framing, and each is a typed error, never messages.
+    #[test]
+    fn a_damaged_raw_chunk_is_a_proto_error_never_messages() {
+        let msgs: Vec<WireMessage> = (0..32)
+            .map(|i| WireMessage { topic: "/imu".into(), time: Time::new(i, 0), data: vec![9; 40] })
+            .collect();
+        let triples = msgs.iter().map(|m| (m.topic.as_str(), m.time, m.data.as_slice()));
+        let chunk = crate::proto::chunk_frame(triples, BlockCodec::None, &mut simfs::IoCtx::new());
+        let Response::StreamChunkLz(frame) = &chunk else { panic!("a chunk frame") };
+        assert_eq!(frame[0], BlockCodec::None.id());
+        // seq u32 | opcode u8 | frame length u32 | frame
+        let good = chunk.encode_seq(1).unwrap();
+        let set_len = |bytes: &mut Vec<u8>, len: usize| {
+            bytes[5..9].copy_from_slice(&(len as u32).to_le_bytes());
+        };
+        let mut flipped = good.clone();
+        flipped[9 + bora::block::FRAME_HEADER_LEN + 100] ^= 0x01;
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut short = good.clone();
+        set_len(&mut short, frame.len() + 1);
+        let mut shorter = good.clone();
+        set_len(&mut shorter, frame.len() - 1);
+        let end = Step::Reply(Response::StreamEnd { messages: 32 });
+
+        let t = ScriptedTransport::new(vec![Step::Raw(good), end.clone()]);
+        let mut c = ServeClient::new(t.connect().unwrap());
+        let got: Vec<WireMessage> =
+            c.read_stream("/c", &["/imu"]).unwrap().map(|r| r.unwrap()).collect();
+        assert_eq!(got, msgs);
+        for (what, bytes) in
+            [("flipped", flipped), ("trailing", trailing), ("short", short), ("shorter", shorter)]
+        {
+            let t = ScriptedTransport::new(vec![Step::Raw(bytes), end.clone()]);
+            let mut c = ServeClient::new(t.connect().unwrap());
+            let results: Vec<_> = c.read_stream("/c", &["/imu"]).unwrap().collect();
+            assert_eq!(results.len(), 1, "{what}: no message before the error");
+            assert!(matches!(results[0], Err(ClientError::Proto(_))), "{what}: {:?}", results[0]);
+        }
+    }
+
     /// A chunk lost or repeated on the way still carries the request's
     /// seq, so only the end frame's count can tell: the stream yields
     /// what arrived, then an error naming both counts.
@@ -1522,7 +1583,7 @@ mod tests {
     fn set_timeout_default_is_loudly_unsupported() {
         struct NoTimeoutConn;
         impl Connection for NoTimeoutConn {
-            fn send_frame(&mut self, _payload: &[u8]) -> std::io::Result<()> {
+            fn send_frame(&mut self, _parts: &[&[u8]]) -> std::io::Result<()> {
                 Ok(())
             }
             fn recv_frame(&mut self) -> std::io::Result<Vec<u8>> {

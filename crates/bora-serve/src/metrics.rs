@@ -133,7 +133,9 @@ impl Metrics {
     /// The per-op recorders live in this server's private registry, but
     /// subsystems the server *uses* (buffer pool `pool.*`, the stream
     /// chunks the server LZ-coded `serve.stream_chunk_lz` — raw ones are
-    /// not counted — shed/evict counters) record
+    /// not counted; on a link faster than the encoder a stream of n
+    /// chunks LZ-codes only its min(⌈n/4⌉, ⌈n/16⌉ + 2) probes —
+    /// shed/evict counters) record
     /// into the process-wide `bora_obs` registry — one pool, one set of
     /// numbers. The scrape is the union of both; on a (by-convention
     /// impossible) name collision, the private registry wins. Multiple

@@ -43,14 +43,27 @@
 //! slower than the encoder, raw (`BlockCodec::None`, still CRC-checked)
 //! where it is not; no byte of the request asks for either. The client
 //! decodes both, and a plain [`Response::StreamChunk`] too, which no
-//! server sends. Everything else stays one-request/one-response, and one
+//! server sends.
+//!
+//! A raw chunk's payload bytes are copied once on each side. The worker
+//! copies each from its pool page into the chunk's frame buffer
+//! (`chunk_frame`, which [`compress_chunk`] wraps); a raw frame *is* that
+//! buffer, and the connection writes it behind its 9-byte head
+//! ([`Response::encode_parts`]) and the length prefix in one vectored
+//! write. The client's transport
+//! reads the frame into a buffer of its length, with no zero-fill ahead
+//! of it; [`stream_chunk`] checks the chunk where it lies (CRC32C over
+//! the stored bytes, lengths, no trailing byte), and the one copy is into
+//! the owned [`WireMessage`]s the client hands out. An LZ-coded chunk adds
+//! the codec's passes: the encoder writes a new frame, the decoder a new
+//! logical buffer. Everything else stays one-request/one-response, and one
 //! outstanding request per connection keeps the backpressure story
 //! honest: stream frames are produced no faster than the transport
 //! accepts them, and a client that wants parallelism opens more
 //! connections, which the server's bounded queue then sheds explicitly
 //! via [`Response::Overloaded`].
 
-use bora::block::{decode_frame, encode_frame_in_place};
+use bora::block::{decode_frame_in_place, encode_frame_in_place};
 use bora::BlockCodec;
 use bora_obs::{HistSummary, TraceContext, BUCKETS};
 use ros_msgs::wire::{WireRead, WireWrite};
@@ -158,12 +171,14 @@ pub(crate) fn chunk_frame<'a>(
 /// Decode a [`Response::StreamChunkLz`] frame back into its message
 /// batch. The frame's CRC32C is verified over the stored bytes before
 /// any decompression, so a corrupted chunk surfaces as a [`ProtoError`],
-/// never as silently wrong messages.
+/// never as silently wrong messages. A raw frame's messages are read
+/// where they lie in `frame`; each is copied once, into its own
+/// [`WireMessage`].
 pub fn decompress_chunk(frame: &[u8]) -> ProtoResult<Vec<WireMessage>> {
     // Client-side wall-clock work: the virtual-cost model meters the
     // server, so the charge sink here is a throwaway.
     let mut ctx = IoCtx::new();
-    let (body, used) = decode_frame(frame, "stream-chunk", &mut ctx)
+    let (body, used) = decode_frame_in_place(frame, "stream-chunk", &mut ctx)
         .map_err(|e| ProtoError(format!("bad compressed chunk: {e}")))?;
     if used != frame.len() {
         return Err(ProtoError(format!(
@@ -175,6 +190,24 @@ pub fn decompress_chunk(frame: &[u8]) -> ProtoResult<Vec<WireMessage>> {
     let messages = r.msgs()?;
     r.finish()?;
     Ok(messages)
+}
+
+/// The messages of a stream chunk, decoded where the chunk lies in a
+/// received frame: `body` is the frame's payload after its seq. `None`
+/// when `body` is not a [`Response::StreamChunkLz`] — decode it with
+/// [`Response::decode`]. The checks are that decoder's and
+/// [`decompress_chunk`]'s: a short length, trailing bytes or a CRC
+/// failure is a [`ProtoError`].
+pub fn stream_chunk(body: &[u8]) -> ProtoResult<Option<Vec<WireMessage>>> {
+    let mut r = body;
+    if r.first() != Some(&OP_OK_STREAM_CHUNK_LZ) {
+        return Ok(None);
+    }
+    r.get_u8()?;
+    let len = r.get_u32()? as usize;
+    let frame = r.take(len)?;
+    r.finish()?;
+    decompress_chunk(frame).map(Some)
 }
 
 // Response opcodes (request opcode | 0x80, errors in 0xE0+).
@@ -931,7 +964,9 @@ impl Request {
 }
 
 impl Response {
-    fn write(&self, w: &mut Writer) {
+    /// Opcode and fields into `w`, but for a stream chunk's frame, which
+    /// is returned to follow the head as it lies.
+    fn write<'a>(&'a self, w: &mut Writer) -> &'a [u8] {
         match self {
             Response::Opened { stat, cached } => {
                 w.put_u8(OP_OK_OPEN);
@@ -956,7 +991,8 @@ impl Response {
             }
             Response::StreamChunkLz(frame) => {
                 w.put_u8(OP_OK_STREAM_CHUNK_LZ);
-                w.put_byte_array(frame);
+                w.put_u32(frame.len() as u32);
+                return frame;
             }
             Response::StreamEnd { messages } => {
                 w.put_u8(OP_OK_STREAM_END);
@@ -1056,6 +1092,7 @@ impl Response {
             }
             Response::Overloaded => w.put_u8(OP_OVERLOADED),
         }
+        &[]
     }
 
     /// Opcode and fields — everything of the frame payload after its
@@ -1067,17 +1104,28 @@ impl Response {
     /// error.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::default();
-        self.write(&mut w);
+        let tail = self.write(&mut w);
+        w.put_bytes(tail);
         w.finish().expect("response field fits its u16 length prefix")
     }
 
     /// The whole frame payload: the request's `seq`, then
-    /// [`Response::encode`]'s bytes.
+    /// [`Response::encode`]'s bytes — [`Response::encode_parts`] joined.
     pub fn encode_seq(&self, seq: u32) -> ProtoResult<Vec<u8>> {
+        let (mut head, tail) = self.encode_parts(seq)?;
+        head.extend_from_slice(tail);
+        Ok(head)
+    }
+
+    /// [`Response::encode_seq`]'s bytes in two parts, to be written back
+    /// to back: a head (`seq`, opcode, fields) and a tail borrowed from
+    /// `self` — a stream chunk's frame, which so crosses to the transport
+    /// as the worker built it; empty for every other response.
+    pub fn encode_parts(&self, seq: u32) -> ProtoResult<(Vec<u8>, &[u8])> {
         let mut w = Writer::default();
         w.put_u32(seq);
-        self.write(&mut w);
-        w.finish()
+        let tail = self.write(&mut w);
+        Ok((w.finish()?, tail))
     }
 
     pub fn decode(payload: &[u8]) -> ProtoResult<Response> {
@@ -1172,6 +1220,15 @@ pub fn frame_len(header: [u8; FRAME_HEADER_LEN]) -> ProtoResult<usize> {
         return Err(ProtoError(format!("frame length {len} exceeds maximum {MAX_FRAME_LEN}")));
     }
     Ok(len as usize)
+}
+
+/// The header of a `len`-byte payload — [`frame_len`]'s inverse, with
+/// the same bound: a longer payload has no header a peer would accept.
+pub fn frame_prefix(len: usize) -> ProtoResult<[u8; FRAME_HEADER_LEN]> {
+    match u32::try_from(len) {
+        Ok(n) if n <= MAX_FRAME_LEN => Ok(n.to_le_bytes()),
+        _ => Err(ProtoError(format!("frame length {len} exceeds maximum {MAX_FRAME_LEN}"))),
+    }
 }
 
 #[cfg(test)]
@@ -1520,6 +1577,28 @@ mod tests {
     }
 
     #[test]
+    fn a_reply_in_parts_is_its_encode_seq() {
+        let msgs =
+            vec![WireMessage { topic: "/t".into(), time: Time::new(1, 0), data: vec![3; 90] }];
+        let chunk = compress_chunk(&msgs, &mut IoCtx::new());
+        let Response::StreamChunkLz(frame) = &chunk else { panic!("a chunk frame") };
+        let (head, tail) = chunk.encode_parts(9).unwrap();
+        assert_eq!((head.len(), tail.as_ptr()), (9, frame.as_ptr()), "the frame is borrowed");
+        assert_eq!([head, tail.to_vec()].concat(), chunk.encode_seq(9).unwrap());
+        for resp in [Response::StreamEnd { messages: 1 }, Response::Read(msgs.clone())] {
+            let (head, tail) = resp.encode_parts(9).unwrap();
+            assert!(tail.is_empty());
+            assert_eq!(head, resp.encode_seq(9).unwrap());
+        }
+        // The chunk reads back where it lies; any other reply is not one.
+        let body = chunk.encode();
+        assert_eq!(stream_chunk(&body).unwrap(), Some(msgs));
+        assert_eq!(stream_chunk(&Response::StreamEnd { messages: 1 }.encode()).unwrap(), None);
+        assert_eq!(stream_chunk(&[]).unwrap(), None);
+        assert!(stream_chunk(&body[..body.len() - 1]).is_err());
+    }
+
+    #[test]
     fn hostile_chunk_header_cannot_make_the_client_allocate() {
         // A server (or a bit flip) controls the frame header, which the
         // CRC does not cover: a few dozen stored bytes with a valid CRC
@@ -1580,8 +1659,14 @@ mod tests {
         assert!(Request::decode_framed(&[0, OP_OPEN, 0xFF, 0xFF, b'x']).is_err());
         assert!(Response::decode(&[]).is_err());
         assert!(Response::decode(&[0x42]).is_err(), "unknown opcode");
-        // Oversized frame header.
+        // Oversized frame header, read or written.
         assert!(frame_len((MAX_FRAME_LEN + 1).to_le_bytes()).is_err());
         assert_eq!(frame_len(17u32.to_le_bytes()).unwrap(), 17);
+        let max = MAX_FRAME_LEN as usize;
+        assert_eq!(frame_prefix(max).unwrap(), MAX_FRAME_LEN.to_le_bytes());
+        assert_eq!(frame_len(frame_prefix(17).unwrap()).unwrap(), 17);
+        for over in [max + 1, u32::MAX as usize, u32::MAX as usize + 1] {
+            assert!(frame_prefix(over).is_err(), "{over}");
+        }
     }
 }

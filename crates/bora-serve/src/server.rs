@@ -65,13 +65,17 @@ const STREAM_WINDOW: usize = 4;
 /// A stream ships every `PROBE_EVERY`-th chunk in the codec it is not
 /// using, so it keeps measuring both and follows a link that changes
 /// speed mid-stream.
-const PROBE_EVERY: usize = 4;
+const PROBE_EVERY: usize = 16;
 
-/// Chunks a stream's costs look back over. Both modes are judged over
-/// the same span, so a burst of load on the host lands on both alike;
-/// a link that changes speed has turned the span over within this many
-/// chunks.
-const COST_SPAN: usize = 32;
+/// The probe period until the stream has [`MIN_PAIRS`] pairs to
+/// compare: its first chunks probe densely, so a slow link turns a stream
+/// to LZ by chunk 11.
+const WARM_UP_PROBE_EVERY: usize = 4;
+
+/// Chunks a stream's costs look back over; a link that changes speed has
+/// turned the span over within this many chunks. Four probe periods: the
+/// span always holds [`MIN_PAIRS`] drained pairs.
+const COST_SPAN: usize = 4 * PROBE_EVERY;
 
 /// LZ counts as the cheaper mode only below this share of raw's cost.
 /// An LZ chunk also spends CPU the worker's clock does not see — the
@@ -79,9 +83,9 @@ const COST_SPAN: usize = 32;
 /// so at a near tie raw, which costs neither, ships.
 const LZ_SHARE: f64 = 0.75;
 
-/// Chunks of a mode a cost needs before it is compared: the first waits
-/// of a stream are the window filling, not drains.
-const MIN_SAMPLES: usize = 3;
+/// Drained pairs the comparison needs before it decides: one pair is one
+/// hiccup away from either answer.
+const MIN_PAIRS: usize = 3;
 
 /// Entries kept in the slow-op ring; older entries are dropped. Bounded
 /// so an hour of pathological latency costs fixed memory, sized so the
@@ -695,19 +699,33 @@ fn scan<S: Storage>(
 /// waits on the reply window. A wait is the drain of the frame at the
 /// head of the window — the one the connection is writing, sent
 /// `STREAM_WINDOW + 1` frames earlier, behind the `STREAM_WINDOW` that
-/// are queued — so it is charged to that frame. A mode's cost is the
-/// median over its chunks among the last [`COST_SPAN`]. The cheaper mode
+/// are queued — so it is charged to that frame.
+///
+/// The modes are compared pair by pair: two chunks sent back to back in
+/// different modes — a probe and each of its neighbours — drain back to
+/// back, so a burst of load on the host lands on both alike. LZ is the
+/// cheaper mode when, in most drained pairs among the last
+/// [`COST_SPAN`] chunks, the LZ chunk costs under [`LZ_SHARE`] of the raw
+/// one. (A mode's median over the span does not do: one probe in 16 puts
+/// the probed mode's samples half a span behind the other's, and a burst
+/// of 30 chunks moved one median and not the other.) The cheaper mode
 /// ships, and every [`PROBE_EVERY`]-th chunk, chunk 0 first, probes the
-/// other. Raw counts as the cheaper until both modes have
-/// [`MIN_SAMPLES`] drained chunks, so chunks 0 and 1 try LZ and raw.
-/// Where the link is faster than the encoder, LZ ships on chunks 0, 4,
-/// 8, … alone; where it is slower, raw does, once LZ has proved it.
-#[derive(Default)]
+/// other. Until [`MIN_PAIRS`] pairs have drained, raw counts as the
+/// cheaper and every [`WARM_UP_PROBE_EVERY`]-th chunk probes. Where the
+/// link is faster than the encoder, LZ ships on chunks 0, 4, 8, then 16,
+/// 32, 48, … alone — min(⌈n/4⌉, ⌈n/16⌉ + 2) of a stream's n chunks;
+/// where it is slower, LZ ships from chunk 11 on, and raw on the probes.
 struct ChunkCodec {
     /// Chunks picked and sent so far.
     chunks: usize,
     /// The last [`COST_SPAN`] chunks, at their index modulo the span.
     recent: [SentChunk; COST_SPAN],
+}
+
+impl Default for ChunkCodec {
+    fn default() -> Self {
+        ChunkCodec { chunks: 0, recent: [SentChunk::default(); COST_SPAN] }
+    }
 }
 
 #[derive(Default, Clone, Copy)]
@@ -720,33 +738,41 @@ struct SentChunk {
     drained: bool,
 }
 
+impl SentChunk {
+    fn ns_per_byte(&self) -> f64 {
+        self.ns as f64 / self.bytes.max(1) as f64
+    }
+}
+
 impl ChunkCodec {
     fn pick(&self) -> BlockCodec {
-        let lz_cheaper = matches!(
-            (self.cost(BlockCodec::Lzss), self.cost(BlockCodec::None)),
-            (Some(lz), Some(raw)) if lz < raw * LZ_SHARE
-        );
+        let (every, lz_cheaper) = match self.lz_cheaper() {
+            Some(lz_cheaper) => (PROBE_EVERY, lz_cheaper),
+            None => (WARM_UP_PROBE_EVERY, false),
+        };
         // A probe ships the mode that is not the cheaper one.
-        if lz_cheaper != self.chunks.is_multiple_of(PROBE_EVERY) {
+        if lz_cheaper != self.chunks.is_multiple_of(every) {
             BlockCodec::Lzss
         } else {
             BlockCodec::None
         }
     }
 
-    /// The lower median ns per byte of `codec`'s drained recent chunks;
-    /// `None` below [`MIN_SAMPLES`] of them.
-    fn cost(&self, codec: BlockCodec) -> Option<f64> {
-        let mut costs = [0f64; COST_SPAN];
-        let mut n = 0;
-        for c in self.recent.iter().filter(|c| c.drained && c.codec == codec) {
-            costs[n] = c.ns as f64 / c.bytes.max(1) as f64;
-            n += 1;
+    /// Whether LZ costs under [`LZ_SHARE`] of raw in most drained pairs of
+    /// adjacent recent chunks sent in different modes; `None` below
+    /// [`MIN_PAIRS`] such pairs.
+    fn lz_cheaper(&self) -> Option<bool> {
+        let (mut pairs, mut lz_wins) = (0, 0);
+        for k in self.chunks.saturating_sub(COST_SPAN) + 1..self.chunks {
+            let (a, b) = (self.recent[(k - 1) % COST_SPAN], self.recent[k % COST_SPAN]);
+            if a.codec == b.codec || !(a.drained && b.drained) {
+                continue;
+            }
+            let (lz, raw) = if a.codec == BlockCodec::Lzss { (a, b) } else { (b, a) };
+            pairs += 1;
+            lz_wins += usize::from(lz.ns_per_byte() < raw.ns_per_byte() * LZ_SHARE);
         }
-        if n < MIN_SAMPLES {
-            return None;
-        }
-        Some(*costs[..n].select_nth_unstable_by((n - 1) / 2, f64::total_cmp).1)
+        (pairs >= MIN_PAIRS).then_some(2 * lz_wins > pairs)
     }
 
     /// Account the chunk just sent: `bytes` logical bytes as `codec`,
@@ -1015,8 +1041,11 @@ mod tests {
         (0..chunks).filter(|&k| sent[k] == BlockCodec::Lzss).collect()
     }
 
+    /// The chunks a stream of `chunks` probes with while raw is the
+    /// cheaper mode: every fourth until the third pair has drained (chunks
+    /// 4 and 5, charged by chunk 10's send), then every sixteenth.
     fn probes(chunks: usize) -> Vec<usize> {
-        (0..chunks).step_by(PROBE_EVERY).collect()
+        (0..chunks).filter(|&k| k % PROBE_EVERY == 0 || k < 11 && k % 4 == 0).collect()
     }
 
     /// LZ builds at 20 ns/B and drains in 5; raw costs 1 + 1.
@@ -1029,41 +1058,50 @@ mod tests {
     }
 
     #[test]
-    fn a_fast_link_gets_lz_on_every_fourth_chunk_alone() {
-        assert_eq!(lz_chunks(80, fast), probes(80));
+    fn a_fast_link_gets_lz_on_the_probes_alone() {
+        let lz = lz_chunks(200, fast);
+        assert_eq!(lz, probes(200));
+        assert_eq!(lz[..6], [0, 4, 8, 16, 32, 48]);
+        // min(⌈n/4⌉, ⌈n/16⌉ + 2) of a stream's n chunks.
+        for n in [1, 5, 9, 13, 16, 17, 64, 201, 1817] {
+            assert_eq!(lz_chunks(n, fast).len(), n.div_ceil(4).min(n.div_ceil(16) + 2), "{n}");
+        }
     }
 
     #[test]
-    fn a_slow_link_gets_raw_on_every_fourth_chunk_alone() {
+    fn a_slow_link_gets_raw_on_every_sixteenth_chunk_alone() {
         // Draining costs 500 ns/B raw, a quarter of that LZ-coded: once
-        // LZ has three drained chunks, raw ships only as a probe.
-        let lz = lz_chunks(80, |_, c| if c == BlockCodec::Lzss { (20, 125) } else { (1, 500) });
-        assert_eq!(lz[..4], [0, 4, 8, 12]);
-        // LZ's third drain is its chunk 8's, charged at chunk 13's send.
-        let settled: Vec<usize> = (14..80).filter(|k| k % 4 != 0).collect();
-        assert_eq!(lz[4..], settled);
+        // three pairs have drained, raw ships only as a probe.
+        let lz = lz_chunks(120, |_, c| if c == BlockCodec::Lzss { (20, 125) } else { (1, 500) });
+        assert_eq!(lz[..3], [0, 4, 8]);
+        // The third pair is chunks 4 and 5, charged by chunk 10's send.
+        let settled: Vec<usize> = (11..120).filter(|k| k % PROBE_EVERY != 0).collect();
+        assert_eq!(lz[3..], settled);
     }
 
     #[test]
     fn a_hiccup_or_a_burst_of_load_moves_no_choice() {
-        // One chunk of each mode stalls for 4 ms.
-        let hiccup = |k, c| if k == 30 || k == 44 { (4000, 1) } else { fast(k, c) };
-        assert_eq!(lz_chunks(80, hiccup), probes(80));
-        // Every chunk from 40 to 69 waits 50x its cost: both modes alike.
-        let burst = |k, c| {
-            let (build, drain) = fast(k, c);
-            if (40..70).contains(&k) {
-                (build, 50 * (build + drain))
-            } else {
-                (build, drain)
-            }
-        };
-        assert_eq!(lz_chunks(120, burst), probes(120));
+        // A raw chunk beside a probe and a probe stall for 4 ms each.
+        let hiccup = |k, c| if k == 31 || k == 48 { (4000, 1) } else { fast(k, c) };
+        assert_eq!(lz_chunks(120, hiccup), probes(120));
+        // Every chunk from 40 on, for 30 and for 60 chunks, waits 50x its
+        // cost: both modes alike.
+        for end in [70, 100] {
+            let burst = |k, c| {
+                let (build, drain) = fast(k, c);
+                if (40..end).contains(&k) {
+                    (build, 50 * (build + drain))
+                } else {
+                    (build, drain)
+                }
+            };
+            assert_eq!(lz_chunks(200, burst), probes(200), "burst to {end}");
+        }
     }
 
     #[test]
     fn a_link_that_speeds_up_turns_the_stream_back_to_raw() {
-        let lz = lz_chunks(160, |k, c| match (k < 60, c) {
+        let lz = lz_chunks(240, |k, c| match (k < 60, c) {
             (true, BlockCodec::Lzss) => (20, 125),
             (true, _) => (1, 500),
             (false, c) => fast(k, c),
@@ -1072,7 +1110,7 @@ mod tests {
         let tail: Vec<usize> = lz.into_iter().filter(|&k| k >= 60 + COST_SPAN).collect();
         assert_eq!(
             tail,
-            probes(160).into_iter().filter(|&k| k >= 60 + COST_SPAN).collect::<Vec<_>>()
+            probes(240).into_iter().filter(|&k| k >= 60 + COST_SPAN).collect::<Vec<_>>()
         );
     }
 }

@@ -1,11 +1,12 @@
 //! Transports: how frames travel between client and server.
 //!
 //! Both ends speak [`Connection`] — blocking, one length-prefixed frame
-//! at a time. [`MemTransport`] carries frames over in-process crossbeam
-//! channels (deterministic: tests and benches exercise the full protocol
-//! stack with no sockets, no ports, no timing flakes). [`TcpTransport`]
-//! carries the same bytes over `std::net` — the shape a robot fleet's
-//! analysis cluster would deploy.
+//! at a time, sent from parts and received whole. [`MemTransport`]
+//! carries frames over in-process crossbeam channels (deterministic:
+//! tests and benches exercise the full protocol stack with no sockets,
+//! no ports, no timing flakes). [`TcpTransport`] carries the same bytes
+//! over `std::net` — the shape a robot fleet's analysis cluster would
+//! deploy.
 
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -16,12 +17,18 @@ use std::time::Duration;
 use crossbeam::channel::{self, Receiver, Sender};
 use simfs::Storage;
 
-use crate::proto::{frame_len, split_seq, Request, Response, FRAME_HEADER_LEN};
+use crate::proto::{
+    frame_len, frame_prefix, split_seq, ErrorCode, Request, Response, FRAME_HEADER_LEN,
+    MAX_FRAME_LEN,
+};
 use crate::server::Server;
 
 /// One bidirectional framed byte stream.
 pub trait Connection: Send {
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()>;
+    /// Send one frame whose payload is `parts`, back to back. A transport
+    /// takes them as they lie: it joins them only where it must hand the
+    /// peer one buffer.
+    fn send_frame(&mut self, parts: &[&[u8]]) -> io::Result<()>;
     /// Blocks for the next frame; `ErrorKind::UnexpectedEof` when the
     /// peer hung up.
     fn recv_frame(&mut self) -> io::Result<Vec<u8>>;
@@ -95,9 +102,7 @@ where
         // duplicate of an earlier one. A frame too short to hold one is
         // not this protocol: there is nothing to echo, so hang up.
         let Ok((seq, framed)) = split_seq(&payload) else { return };
-        // `false` once the peer is gone (or a frame cannot be encoded).
-        let mut send =
-            |resp: &Response| resp.encode_seq(seq).is_ok_and(|f| conn.send_frame(&f).is_ok());
+        let mut send = |resp: &Response| send_reply(conn, seq, resp);
         match Request::decode_framed(framed) {
             // Streaming-aware dispatch: a single-response op emits exactly
             // one frame; READ_STREAM2 emits chunk frames as the server's
@@ -119,16 +124,33 @@ where
             // connection — one bad client frame should not force a
             // reconnect.
             Err(e) => {
-                let resp = Response::Error {
-                    code: crate::proto::ErrorCode::BadRequest,
-                    message: e.to_string(),
-                };
+                let resp = Response::Error { code: ErrorCode::BadRequest, message: e.to_string() };
                 if !send(&resp) {
                     return;
                 }
             }
         }
     }
+}
+
+/// Send `resp`, the answer to request `seq`, as one frame: its head and
+/// then, for a stream chunk, the frame the worker built, as it lies
+/// ([`Response::encode_parts`]). A reply longer than [`MAX_FRAME_LEN`] is
+/// not written at all — its peer would refuse the length, take that for
+/// a broken link and ask again — and a permanent `BadRequest` naming the
+/// limit goes in its place. `false` once the peer is gone, or when the
+/// reply cannot be encoded.
+fn send_reply<C: Connection>(conn: &mut C, seq: u32, resp: &Response) -> bool {
+    let Ok((head, tail)) = resp.encode_parts(seq) else { return false };
+    let len = head.len() + tail.len();
+    if frame_prefix(len).is_err() {
+        let message = format!(
+            "a {len}-byte reply exceeds the {MAX_FRAME_LEN}-byte frame limit; \
+             READ_STREAM2 sends a read in 32-message chunks"
+        );
+        return send_reply(conn, seq, &Response::Error { code: ErrorCode::BadRequest, message });
+    }
+    conn.send_frame(&[&head, tail]).is_ok()
 }
 
 // ---------------------------------------------------------- mem transport
@@ -154,8 +176,9 @@ impl MemConnection {
 }
 
 impl Connection for MemConnection {
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        self.tx.send(payload.to_vec()).map_err(|_| eof())
+    fn send_frame(&mut self, parts: &[&[u8]]) -> io::Result<()> {
+        // The peer receives one owned buffer: the parts' one join.
+        self.tx.send(parts.concat()).map_err(|_| eof())
     }
     fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
         match self.timeout {
@@ -215,22 +238,16 @@ impl TcpConnection {
 }
 
 impl Connection for TcpConnection {
-    fn send_frame(&mut self, payload: &[u8]) -> io::Result<()> {
-        // Prefix and payload go down in one vectored write: no copy to
-        // join them, and no 4-byte packet of its own ahead of every
-        // response. The loop is `write_all` for two slices.
-        let prefix = (payload.len() as u32).to_le_bytes();
-        let mut slices = [IoSlice::new(&prefix), IoSlice::new(payload)];
-        let mut rest = &mut slices[..];
-        while !rest.is_empty() {
-            match self.stream.write_vectored(rest) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => IoSlice::advance_slices(&mut rest, n),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
+    fn send_frame(&mut self, parts: &[&[u8]]) -> io::Result<()> {
+        // Prefix and parts go down in one vectored write: no copy to join
+        // them, and no 4-byte packet of its own ahead of every response.
+        let len = parts.iter().map(|p| p.len()).sum();
+        let prefix =
+            frame_prefix(len).map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let mut slices: Vec<IoSlice> = Vec::with_capacity(1 + parts.len());
+        slices.push(IoSlice::new(&prefix));
+        slices.extend(parts.iter().map(|p| IoSlice::new(p)));
+        write_all_vectored(&mut self.stream, &mut slices)
     }
 
     fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
@@ -242,10 +259,29 @@ impl Connection for TcpConnection {
         let mut header = [0u8; FRAME_HEADER_LEN];
         self.stream.read_exact(&mut header)?;
         let len = frame_len(header).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let mut payload = vec![0u8; len];
-        self.stream.read_exact(&mut payload)?;
+        // Into reserved capacity: the bytes land once, with no zero-fill
+        // ahead of them.
+        let mut payload = Vec::with_capacity(len);
+        (&mut self.stream).take(len as u64).read_to_end(&mut payload)?;
+        if payload.len() < len {
+            return Err(eof());
+        }
         Ok(payload)
     }
+}
+
+/// `write_all` for a list of slices: a short vectored write goes on from
+/// the byte it stopped at.
+fn write_all_vectored(w: &mut impl Write, mut rest: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Client-side TCP transport.
@@ -327,4 +363,132 @@ where
             }
         })?;
     Ok(TcpListenerHandle { addr: local, acceptor: Some(acceptor) })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{chunk_frame, compress_chunk, WireMessage};
+    use crate::{ClientError, ServeClient};
+    use bora::BlockCodec;
+    use ros_msgs::Time;
+    use simfs::IoCtx;
+
+    /// A chunk of 32 messages of about `bytes` payload bytes in all, raw
+    /// and LZ-coded.
+    fn chunks(bytes: usize) -> [Response; 2] {
+        let msgs: Vec<WireMessage> = (0..32)
+            .map(|i| WireMessage {
+                topic: "/cam".into(),
+                time: Time::new(i, 0),
+                data: (0..bytes.div_ceil(32)).map(|j| (j % 251 + i as usize) as u8).collect(),
+            })
+            .collect();
+        let ctx = &mut IoCtx::new();
+        let triples = msgs.iter().map(|m| (m.topic.as_str(), m.time, m.data.as_slice()));
+        [chunk_frame(triples, BlockCodec::None, ctx), compress_chunk(&msgs, ctx)]
+    }
+
+    #[test]
+    fn a_reply_over_the_frame_limit_is_a_permanent_bad_request() {
+        let (client, mut served) = MemConnection::pair();
+        // One byte over: seq, opcode and the frame's length are 9 bytes.
+        // The zero-filled frame is never read, so its pages are never
+        // touched.
+        let frame = vec![0u8; MAX_FRAME_LEN as usize - 8];
+        assert!(send_reply(&mut served, 1, &Response::StreamChunkLz(frame)));
+        let mut c = ServeClient::new(client);
+        match c.stat("/c") {
+            Err(e @ ClientError::Server { code: ErrorCode::BadRequest, .. }) => {
+                assert!(!e.is_transient());
+                let text = e.to_string();
+                assert!(text.contains(&format!("{MAX_FRAME_LEN}-byte frame limit")), "{text}");
+                assert!(text.contains("READ_STREAM2"), "{text}");
+            }
+            other => panic!("expected a BadRequest, got {other:?}"),
+        }
+    }
+
+    /// What a reply's frame must be on the wire: the length prefix, then
+    /// `Response::encode_seq`'s bytes.
+    fn joined(seq: u32, resp: &Response) -> Vec<u8> {
+        let payload = resp.encode_seq(seq).unwrap();
+        [&(payload.len() as u32).to_le_bytes()[..], &payload].concat()
+    }
+
+    const SIZES: [usize; 3] = [1024, 64 * 1024 + 1, 640 * 1024];
+
+    #[test]
+    fn a_tcp_frame_sent_in_parts_is_the_joined_bytes() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let reader = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            listener.accept().unwrap().0.read_to_end(&mut got).unwrap();
+            got
+        });
+        let mut conn = TcpConnection::new(TcpStream::connect(addr).unwrap());
+        let mut expected = Vec::new();
+        for (seq, bytes) in (1..).zip(SIZES) {
+            for resp in chunks(bytes) {
+                assert!(send_reply(&mut conn, seq, &resp));
+                expected.extend(joined(seq, &resp));
+            }
+        }
+        drop(conn);
+        assert_eq!(reader.join().unwrap(), expected);
+    }
+
+    /// Takes at most 7 bytes a write, so every vectored write of a frame
+    /// is short, most of them inside a part and some across two.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(7);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_vectored_writes_go_on_from_the_byte_they_stopped_at() {
+        for (seq, bytes) in (1..).zip(SIZES) {
+            for resp in chunks(bytes) {
+                let (head, tail) = resp.encode_parts(seq).unwrap();
+                let prefix = frame_prefix(head.len() + tail.len()).unwrap();
+                let mut out = Trickle(Vec::new());
+                let mut slices = [IoSlice::new(&prefix), IoSlice::new(&head), IoSlice::new(tail)];
+                write_all_vectored(&mut out, &mut slices).unwrap();
+                assert_eq!(out.0, joined(seq, &resp));
+            }
+        }
+    }
+
+    #[test]
+    fn tcp_recv_takes_a_whole_frame_or_fails() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = TcpConnection::new(listener.accept().unwrap().0);
+        let payload: Vec<u8> = (0..70_000u32).map(|i| i as u8).collect();
+        writer.write_all(&(payload.len() as u32).to_le_bytes()).unwrap();
+        writer.write_all(&payload).unwrap();
+        writer.write_all(&0u32.to_le_bytes()).unwrap();
+        assert_eq!(conn.recv_frame().unwrap(), payload);
+        assert_eq!(conn.recv_frame().unwrap(), Vec::<u8>::new());
+        // A header past the limit is refused before anything is reserved.
+        writer.write_all(&(MAX_FRAME_LEN + 1).to_le_bytes()).unwrap();
+        assert_eq!(conn.recv_frame().unwrap_err().kind(), io::ErrorKind::InvalidData);
+        // A frame cut short by the peer hanging up is UnexpectedEof.
+        let mut conn = TcpConnection::new({
+            let mut writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            writer.write_all(&100u32.to_le_bytes()).unwrap();
+            writer.write_all(&[7; 50]).unwrap();
+            listener.accept().unwrap().0
+        });
+        assert_eq!(conn.recv_frame().unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    }
 }

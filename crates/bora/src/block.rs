@@ -40,6 +40,8 @@
 //! exactly one buffer-pool page ([`crate::bufpool`]): the cursor fill
 //! path decompresses a frame straight into the pool page that serves it.
 
+use std::borrow::Cow;
+
 use ros_msgs::wire::{WireRead, WireWrite};
 use ros_msgs::Time;
 use simfs::device::cpu;
@@ -275,7 +277,20 @@ fn frame_header(codec: BlockCodec, unc_len: u32, stored: &[u8]) -> [u8; FRAME_HE
 /// before any decompression. `path` labels the [`BoraError::ChecksumMismatch`]
 /// (container-relative, like manifest verification failures). Returns the
 /// logical bytes and the physical frame length consumed.
+///
+/// The owned form of [`decode_frame_in_place`].
 pub fn decode_frame(frame: &[u8], path: &str, ctx: &mut IoCtx) -> BoraResult<(Vec<u8>, usize)> {
+    decode_frame_in_place(frame, path, ctx).map(|(logical, used)| (logical.into_owned(), used))
+}
+
+/// [`decode_frame`] for a caller that only reads the logical bytes: a raw
+/// frame's are borrowed from `frame` itself — no copy — and only an LZSS
+/// frame's are a new buffer. The checks and errors are the same.
+pub fn decode_frame_in_place<'a>(
+    frame: &'a [u8],
+    path: &str,
+    ctx: &mut IoCtx,
+) -> BoraResult<(Cow<'a, [u8]>, usize)> {
     if frame.len() < FRAME_HEADER_LEN {
         return Err(BoraError::Corrupt(format!("{path}: truncated block frame header")));
     }
@@ -298,7 +313,7 @@ pub fn decode_frame(frame: &[u8], path: &str, ctx: &mut IoCtx) -> BoraResult<(Ve
             if stored.len() != unc_len {
                 return Err(BoraError::Corrupt(format!("{path}: raw block length mismatch")));
             }
-            stored.to_vec()
+            Cow::Borrowed(stored)
         }
         BlockCodec::Lzss => {
             // `unc_len` is not under the CRC; `decompress` bounds it by
@@ -306,7 +321,7 @@ pub fn decode_frame(frame: &[u8], path: &str, ctx: &mut IoCtx) -> BoraResult<(Ve
             let logical = rosbag::compress::decompress(stored, unc_len)
                 .map_err(|e| BoraError::Corrupt(format!("{path}: block decompress: {e}")))?;
             ctx.charge_ns(unc_len as u64 * cpu::DECOMPRESS_BYTE_NS);
-            logical
+            Cow::Owned(logical)
         }
     };
     Ok((logical, total))
@@ -594,6 +609,14 @@ mod tests {
                 assert_eq!(frame.as_ptr(), before, "a raw frame must not be copied");
             }
             assert_eq!(decode_frame(&frame, "t/data", &mut ctx).unwrap(), (data, frame.len()));
+            // Decoded in place, a raw frame's logical bytes are its own.
+            let (logical, used) = decode_frame_in_place(&frame, "t/data", &mut ctx).unwrap();
+            assert_eq!(used, frame.len());
+            let raw = frame[0] == BlockCodec::None.id();
+            assert_eq!(matches!(logical, Cow::Borrowed(_)), raw);
+            if raw {
+                assert_eq!(logical.as_ptr(), frame[FRAME_HEADER_LEN..].as_ptr());
+            }
         }
     }
 

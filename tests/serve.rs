@@ -509,7 +509,7 @@ fn retired_opcodes_answer_bad_request_and_keep_the_connection() {
     for (seq, op) in [(1u32, 0x09u8), (2, 0x0F), (3, 0x10), (4, 0x11)] {
         let mut frame = read.encode_seq(seq, None, None).unwrap();
         frame[5] = op; // seq u32 | flags u8 | opcode
-        conn.send_frame(&frame).unwrap();
+        conn.send_frame(&[&frame]).unwrap();
         let answer = conn.recv_frame().unwrap();
         let (echoed, body) = split_seq(&answer).unwrap();
         assert_eq!(echoed, seq);
@@ -522,7 +522,7 @@ fn retired_opcodes_answer_bad_request_and_keep_the_connection() {
     }
     // A frame that was a whole request before the envelope (bare opcode
     // first) is malformed too, not misread as something else.
-    conn.send_frame(&[&9u32.to_le_bytes()[..], &[0x0A]].concat()).unwrap();
+    conn.send_frame(&[&9u32.to_le_bytes()[..], &[0x0A]]).unwrap();
     let answer = conn.recv_frame().unwrap();
     assert!(matches!(
         Response::decode(split_seq(&answer).unwrap().1).unwrap(),

@@ -48,6 +48,15 @@
 //!     per-row evaluator (`eval`), projection (`project`) and aggregate
 //!     fold (`fold_row`) are called only from the oracle — `run_naive` and
 //!     those three themselves. A cursor evaluates a batch at a time.
+//! 12. *One wire path*: `Connection` declares one send method and one
+//!     receive method; in non-test `transport.rs` one call sends a frame
+//!     and none joins a reply (`encode_seq`). The client's chunk path is
+//!     `proto::stream_chunk`, which reads the chunk where it lies: non-test
+//!     `client.rs` calls it and names neither `get_byte_array`, the
+//!     copying `decode_frame` nor `StreamChunkLz` (a chunk decoded into
+//!     that variant is a copy of its frame), and `stream_chunk` and
+//!     `decompress_chunk` in `proto.rs` call neither `get_byte_array`,
+//!     `decode_frame` nor `to_vec`.
 
 use std::path::Path;
 
@@ -65,6 +74,10 @@ const EXEC: &str = "crates/bora-query/src/exec.rs";
 /// The row-at-a-time functions of `exec.rs`, which only the oracle runs.
 const PER_ROW: [&str; 3] = ["eval", "project", "fold_row"];
 const CI: &str = ".github/workflows/ci.yml";
+const TRANSPORT: &str = "crates/bora-serve/src/transport.rs";
+const CLIENT: &str = "crates/bora-serve/src/client.rs";
+/// What the client's chunk path may not call: each copies a whole frame.
+const FRAME_COPIES: [&str; 2] = ["get_byte_array", "decode_frame("];
 
 /// Where a source guard looks and what it refuses to find there.
 struct SourceGuard {
@@ -322,6 +335,73 @@ fn one_executor_violations(source: &str) -> Vec<String> {
     found
 }
 
+/// Guard 12 over one file: the methods `Connection` declares and the
+/// serve loop's sends in `transport.rs`, what `client.rs` calls on the
+/// way to a chunk's messages, and what `proto.rs`'s chunk decoders call.
+fn one_wire_path_violations(path: &str, source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    let lines = source.lines().take_while(|l| !l.contains("#[cfg(test)]")).enumerate();
+    fn code(line: &str) -> &str {
+        line.split("//").next().unwrap_or("")
+    }
+    let mut flag =
+        |i: usize, what: &str| found.push(format!("one wire path: {path}:{}: {what}", i + 1));
+    match path {
+        TRANSPORT => {
+            let (mut in_trait, mut sends, mut recvs, mut send_calls) = (false, 0, 0, 0);
+            for (i, line) in lines {
+                let code = code(line);
+                in_trait |= code.starts_with("pub trait Connection");
+                let method = code.trim_start();
+                sends += usize::from(in_trait && method.starts_with("fn send"));
+                recvs += usize::from(in_trait && method.starts_with("fn recv"));
+                in_trait &= !code.starts_with('}');
+                send_calls += code.matches(".send_frame(").count();
+                if code.contains("encode_seq(") {
+                    flag(i, "the serve loop sends a reply in parts, never joined");
+                }
+            }
+            if (sends, recvs) != (1, 1) {
+                flag(0, &format!("`Connection` declares {sends} send and {recvs} receive methods"));
+            }
+            if send_calls != 1 {
+                flag(0, &format!("{send_calls} calls send a frame, not one"));
+            }
+        }
+        CLIENT => {
+            let mut chunk_path = false;
+            for (i, line) in lines {
+                let code = code(line);
+                chunk_path |= code.contains("stream_chunk(");
+                if FRAME_COPIES.iter().chain(&["StreamChunkLz"]).any(|c| code.contains(c)) {
+                    flag(i, "the client reads a chunk where it lies");
+                }
+            }
+            if !chunk_path {
+                flag(0, "the client's chunk path is `stream_chunk`");
+            }
+        }
+        PROTO => {
+            let mut current = "";
+            for (i, line) in lines {
+                let code = code(line);
+                let item = code.strip_prefix("pub fn ").or_else(|| code.strip_prefix("fn "));
+                if let Some(item) = item {
+                    current = item.split(['(', '<']).next().unwrap_or("");
+                } else if code.starts_with('}') {
+                    current = "";
+                }
+                let decoder = ["stream_chunk", "decompress_chunk"].contains(&current);
+                if decoder && FRAME_COPIES.iter().chain(&["to_vec"]).any(|c| code.contains(c)) {
+                    flag(i, "a chunk decoder copies no frame");
+                }
+            }
+        }
+        _ => {}
+    }
+    found
+}
+
 /// Guard 7, first half: whether `path` is a source under `crates/`, not
 /// under `crates/bench`, that names `BinaryHeap` before its tests.
 fn names_the_heap(path: &str, source: &str) -> bool {
@@ -420,6 +500,7 @@ fn the_tree_holds_every_guard() {
             let source = std::fs::read_to_string(path).unwrap();
             found.extend(source_violations(&rel, &source));
             found.extend(codec_choice_violations(&rel, &source));
+            found.extend(one_wire_path_violations(&rel, &source));
             if names_the_heap(&rel, &source) {
                 heap_files.push(rel);
             }
@@ -703,4 +784,60 @@ fn the_one_executor_guard_fires() {
     // A per-row call outside any function is not the oracle's either.
     let stray = good.replace("}\nfn eval(", "}\nconst X: Value = eval(LIT, ROW);\nfn eval(");
     assert!(one_executor_violations(&stray).iter().any(|v| v.contains("from ``")), "stray");
+}
+
+#[test]
+fn the_one_wire_path_guard_fires() {
+    let connection = "pub trait Connection: Send {\n    \
+                      fn send_frame(&mut self, parts: &[&[u8]]) -> io::Result<()>;\n    \
+                      fn recv_frame(&mut self) -> io::Result<Vec<u8>>;\n    \
+                      fn set_timeout(&mut self, t: Option<Duration>) -> io::Result<()> {\n    }\n}\n";
+    let send =
+        "fn send_reply<C: Connection>(conn: &mut C, seq: u32, resp: &Response) -> bool {\n    \
+                let (head, tail) = resp.encode_parts(seq)?;\n    \
+                conn.send_frame(&[&head, tail]).is_ok()\n}\n";
+    let fetch = "fn fetch(&mut self) -> ClientResult<()> {\n    \
+                 // not a `StreamChunkLz` decoded by `Response::decode`\n    \
+                 if let Some(msgs) = crate::proto::stream_chunk(body)? {}\n}\n";
+    let decoder = "pub fn decompress_chunk(frame: &[u8]) -> ProtoResult<Vec<WireMessage>> {\n    \
+                   let (body, used) = decode_frame_in_place(frame, \"c\", &mut ctx)?;\n}\n\
+                   pub fn stream_chunk(body: &[u8]) -> ProtoResult<Option<Vec<WireMessage>>> {\n    \
+                   let frame = r.take(len)?;\n}\n\
+                   fn msgs(&mut self) -> ProtoResult<Vec<WireMessage>> {\n    \
+                   data: self.get_byte_array()?,\n}\n";
+    let tests = "#[cfg(test)]\nfn t() { conn.send_frame(&f); resp.encode_seq(1); x.to_vec(); }\n";
+    let cases = [
+        (TRANSPORT, format!("{connection}{send}{tests}"), false),
+        (CLIENT, format!("{fetch}{tests}Response::StreamChunkLz(f) => get_byte_array()"), false),
+        (PROTO, decoder.to_owned(), false),
+        ("crates/bora-serve/src/server.rs", "let f = decode_frame(b, c, x);".to_owned(), false),
+        (
+            TRANSPORT,
+            connection.replace("    fn recv_frame", "    fn send_parts(&mut self);\n    fn recv_frame")
+                + send,
+            true,
+        ),
+        (TRANSPORT, connection.replace("    fn recv_frame(&mut self) -> io::Result<Vec<u8>>;\n", "") + send, true),
+        (TRANSPORT, format!("{connection}{send}{send}"), true),
+        (
+            TRANSPORT,
+            format!("{connection}{}", send.replace("resp.encode_parts(seq)?", "(resp.encode_seq(seq)?, &[][..])")),
+            true,
+        ),
+        (CLIENT, fetch.replace("crate::proto::stream_chunk(body)?", "None"), true),
+        (
+            CLIENT,
+            format!("{fetch}fn recv() {{\n    Response::StreamChunkLz(frame) => decompress_chunk(&frame),\n}}\n"),
+            true,
+        ),
+        (CLIENT, format!("{fetch}fn f() {{ let data = r.get_byte_array()?; }}\n"), true),
+        (CLIENT, format!("{fetch}fn f() {{ let (b, _) = decode_frame(f, p, c)?; }}\n"), true),
+        (PROTO, decoder.replace("decode_frame_in_place(", "decode_frame("), true),
+        (PROTO, decoder.replace("r.take(len)?", "r.get_byte_array()?"), true),
+        (PROTO, decoder.replace("r.take(len)?", "r.take(len)?.to_vec()"), true),
+    ];
+    for (path, source, fires) in cases {
+        let found = one_wire_path_violations(path, &source);
+        assert_eq!(!found.is_empty(), fires, "{path}: {source}\n{found:?}");
+    }
 }

@@ -1,0 +1,171 @@
+//! What receiving a stream costs the client, in bytes allocated: a raw
+//! chunk's payload is copied once on the client, into the messages it
+//! hands out.
+//!
+//! A counting global allocator tallies the bytes allocated on the thread
+//! that turned it on; the server's threads (acceptor, connection,
+//! workers) allocate uncounted. Receiving a raw stream over TCP may
+//! allocate each frame's bytes once (the receive buffer), the messages'
+//! own bytes, and a constant per message. A client that copies each frame
+//! twice more — out of the receive buffer into a `Response`, and out of
+//! that into a buffer of logical bytes — allocates about three frames
+//! plus the payload, and fails here.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use bora_serve::{
+    spawn_tcp_listener, Connection, ServeClient, Server, ServerConfig, TcpConnection, TcpTransport,
+    Transport, WireMessage,
+};
+use ros_msgs::{MessageDescriptor, Time};
+use simfs::{IoCtx, MemStorage};
+
+struct Counting;
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note(bytes: usize) {
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
+        }
+    });
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counting
+// touches only const-initialised thread-locals, which never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    /// A grown buffer counts the bytes it grew by.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size.saturating_sub(layout.size()));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `f`'s value and the bytes allocated on this thread while it ran.
+fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    BYTES.with(|b| b.set(0));
+    COUNTING.with(|on| on.set(true));
+    let out = f();
+    COUNTING.with(|on| on.set(false));
+    (out, BYTES.with(Cell::get))
+}
+
+const ROOT: &str = "/c/noise";
+const TOPIC: &str = "/noise";
+const MESSAGES: u32 = 4000;
+/// Bytes a message may cost the client beyond its own: its slot in the
+/// chunk's `Vec<WireMessage>` and in the caller's.
+const PER_MESSAGE: u64 = 256;
+
+/// A container of one topic of 1 KiB noise messages: no chunk of it
+/// LZ-codes, so every chunk on the wire is raw.
+fn serve() -> Arc<Server<Arc<MemStorage>>> {
+    let fs = Arc::new(MemStorage::new());
+    let ctx = &mut IoCtx::new();
+    let options = rosbag::BagWriterOptions::default();
+    let mut w = rosbag::BagWriter::create(&*fs, "/noise.bag", options, ctx).unwrap();
+    let desc = MessageDescriptor {
+        datatype: "test_msgs/Noise".into(),
+        md5sum: "0".repeat(32),
+        definition: "uint8[] data\n".into(),
+    };
+    let conn = w.add_connection(TOPIC, &desc);
+    let mut x = 0x2545_f491_u32;
+    for i in 0..MESSAGES {
+        let data: Vec<u8> = (0..1024)
+            .map(|_| {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                (x >> 24) as u8
+            })
+            .collect();
+        w.write_message(conn, Time::new(1 + i / 100, i % 100 * 10_000_000), &data, ctx).unwrap();
+    }
+    w.close(ctx).unwrap();
+    bora::duplicate(&*fs, "/noise.bag", &*fs, ROOT, &Default::default(), ctx).unwrap();
+    Server::start(fs, ServerConfig::default())
+}
+
+/// A client connection that adds up the frames it receives, and the
+/// stream chunks among them that are LZ-coded.
+struct Tally {
+    inner: TcpConnection,
+    bytes: Arc<AtomicU64>,
+    lz_chunks: Arc<AtomicU64>,
+}
+
+impl Connection for Tally {
+    fn send_frame(&mut self, parts: &[&[u8]]) -> io::Result<()> {
+        self.inner.send_frame(parts)
+    }
+
+    fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
+        let frame = self.inner.recv_frame()?;
+        self.bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
+        // seq u32 | opcode u8 | frame length u32 | block frame: codec u8 …
+        if frame.get(4) == Some(&0x8F) && frame.get(9) != Some(&bora::BlockCodec::None.id()) {
+            self.lz_chunks.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(frame)
+    }
+}
+
+#[test]
+fn a_raw_stream_costs_the_client_one_copy_of_its_frames() {
+    let server = serve();
+    let listener = spawn_tcp_listener(Arc::clone(&server), "127.0.0.1:0".parse().unwrap()).unwrap();
+    let (bytes, lz_chunks) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let inner = TcpTransport::new(listener.addr()).connect().unwrap();
+    let tally = Tally { inner, bytes: Arc::clone(&bytes), lz_chunks: Arc::clone(&lz_chunks) };
+    let mut client = ServeClient::new(tally);
+    let read = |c: &mut ServeClient<Tally>| -> Vec<WireMessage> {
+        c.read_stream(ROOT, &[TOPIC]).unwrap().collect::<Result<_, _>>().unwrap()
+    };
+    // The first stream opens the container and fills the pool.
+    let first = read(&mut client);
+    bytes.store(0, Ordering::Relaxed);
+
+    let (msgs, allocated) = allocated(|| read(&mut client));
+    assert_eq!(msgs, first);
+    assert_eq!(msgs.len(), MESSAGES as usize);
+    assert_eq!(lz_chunks.load(Ordering::Relaxed), 0, "every chunk is raw");
+    let frames = bytes.load(Ordering::Relaxed);
+    let owned: u64 = msgs.iter().map(|m| (m.data.capacity() + m.topic.capacity()) as u64).sum();
+    let budget = frames + owned + PER_MESSAGE * msgs.len() as u64;
+    println!(
+        "allocated {allocated} B receiving {frames} B of frames into {owned} B of messages \
+         ({:.2} frames + messages; budget {budget} B)",
+        allocated.saturating_sub(owned) as f64 / frames as f64
+    );
+    assert!(
+        allocated <= budget,
+        "allocated {allocated} B > {frames} B of frames + {owned} B of messages + \
+         {PER_MESSAGE} B per message"
+    );
+    drop(client);
+    server.shutdown();
+}
