@@ -213,11 +213,13 @@ impl BufferPool {
     where
         F: FnOnce() -> BoraResult<Vec<u8>>,
     {
-        self.get_or_fill_file(file_id(file), page_no, fill)
+        self.get_or_fill_file(file_id(file), page_no, || fill().map(Arc::from))
     }
 
     /// [`BufferPool::get_or_fill`] for a file already interned
-    /// ([`file_id`]): what an open topic calls.
+    /// ([`file_id`]): what an open topic calls. `fill` hands over the
+    /// page itself, so a fill that builds it from borrowed bytes copies
+    /// them once.
     pub fn get_or_fill_file<F>(
         self: &Arc<Self>,
         file: FileId,
@@ -225,7 +227,7 @@ impl BufferPool {
         fill: F,
     ) -> BoraResult<(PageRef, bool)>
     where
-        F: FnOnce() -> BoraResult<Vec<u8>>,
+        F: FnOnce() -> BoraResult<Arc<[u8]>>,
     {
         let key: Key = (file, page_no);
         let si = self.shard_of(&key);
@@ -248,7 +250,7 @@ impl BufferPool {
             }
         }
         // Miss: do the I/O (and any decode) unlocked, then insert.
-        let bytes: Arc<[u8]> = Arc::from(fill()?);
+        let bytes = fill()?;
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.obs.miss.inc();
         let mut shard = self.shards[si].lock();
@@ -528,9 +530,9 @@ mod tests {
         assert_eq!(crate::layout::TopicPaths::new("/ids", "/a").data_id, a);
         let pool = BufferPool::new(1 << 20);
         pool.get_or_fill("/ids/a/data", 3, || fill_page(1, 10)).unwrap();
-        let (page, hit) = pool.get_or_fill_file(a, 3, || fill_page(2, 10)).unwrap();
+        let (page, hit) = pool.get_or_fill_file(a, 3, || fill_page(2, 10).map(Arc::from)).unwrap();
         assert!(hit && page[0] == 1);
-        assert!(!pool.get_or_fill_file(b, 3, || fill_page(3, 10)).unwrap().1);
+        assert!(!pool.get_or_fill_file(b, 3, || fill_page(3, 10).map(Arc::from)).unwrap().1);
     }
 
     #[test]

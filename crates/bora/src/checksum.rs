@@ -8,6 +8,20 @@
 //! everywhere else: other architectures, and x86_64 parts older than
 //! Nehalem.
 //!
+//! One chain of `crc32` instructions runs at the instruction's latency,
+//! three cycles per eight bytes, although a core can start one every
+//! cycle. So the hardware path runs three independent chains over three
+//! consecutive stretches — 8 KiB each while 24 KiB remain, then 256 B
+//! each, then one chain over the last words — and joins them: a chain's
+//! register after `n` more zero bytes is a linear map of the register,
+//! four byte-table lookups, so `crc(a ‖ b) = shift_n(crc(a)) ^ crc₀(b)`.
+//! The shift tables are built at compile time from the GF(2) matrix of
+//! one zero bit; the design is Intel's (Gopal et al., "Fast CRC
+//! Computation for iSCSI Polynomial Using CRC32 Instruction", 2011), as
+//! in Mark Adler's `crc32c.c`. On a 2.1 GHz x86_64 host, one pinned
+//! core, `crc32c` over a hot 64 KiB buffer went from ~7.0 to ~17.5 GB/s
+//! and over 57 MB from ~6.4 to ~17 GB/s.
+//!
 //! The software path is slice-by-8 over eight 256-entry tables for the
 //! reflected polynomial `0x82F63B78`, all built at compile time. Each
 //! iteration folds eight input bytes with eight independent table lookups
@@ -108,6 +122,76 @@ fn update_slice8(mut crc: u32, bytes: &[u8]) -> u32 {
     crc
 }
 
+/// Bytes per lane of the long and of the short three-lane stretch.
+const LONG: usize = 8192;
+const SHORT: usize = 256;
+
+/// `mat` (column `i` is the image of bit `i`) applied to `vec` over GF(2).
+const fn gf2_times(mat: &[u32; 32], mut vec: u32) -> u32 {
+    let (mut sum, mut i) = (0, 0);
+    while vec != 0 {
+        if vec & 1 != 0 {
+            sum ^= mat[i];
+        }
+        vec >>= 1;
+        i += 1;
+    }
+    sum
+}
+
+const fn gf2_square(mat: &[u32; 32]) -> [u32; 32] {
+    let mut square = [0u32; 32];
+    let mut n = 0;
+    while n < 32 {
+        square[n] = gf2_times(mat, mat[n]);
+        n += 1;
+    }
+    square
+}
+
+/// What `len` zero bytes (a power of two) do to a CRC register, as four
+/// byte tables: the register's byte `k` indexes `tables[k]`, and the four
+/// lookups XOR to the register after the zeros. Built from the matrix of
+/// one zero bit — shift right, bring in the polynomial for a set low bit —
+/// squared to one zero byte, then once per doubling of `len`.
+const fn shift_tables(len: usize) -> [[u32; 256]; 4] {
+    assert!(len.is_power_of_two());
+    let mut op = [0u32; 32];
+    op[0] = POLY;
+    let mut n = 1;
+    while n < 32 {
+        op[n] = 1 << (n - 1);
+        n += 1;
+    }
+    let mut squarings = 3 + len.trailing_zeros();
+    while squarings > 0 {
+        op = gf2_square(&op);
+        squarings -= 1;
+    }
+    let mut tables = [[0u32; 256]; 4];
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 0;
+        while k < 4 {
+            tables[k][i] = gf2_times(&op, (i as u32) << (8 * k));
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
+}
+
+static SHIFT_LONG: [[u32; 256]; 4] = shift_tables(LONG);
+static SHIFT_SHORT: [[u32; 256]; 4] = shift_tables(SHORT);
+
+/// The register `crc` after the zero bytes `tables` were built for.
+fn shift(tables: &[[u32; 256]; 4], crc: u32) -> u32 {
+    tables[0][(crc & 0xFF) as usize]
+        ^ tables[1][((crc >> 8) & 0xFF) as usize]
+        ^ tables[2][((crc >> 16) & 0xFF) as usize]
+        ^ tables[3][(crc >> 24) as usize]
+}
+
 /// The SSE4.2 `crc32` instruction over `bytes`, or `None` where the CPU
 /// (or the target) has none.
 #[cfg(target_arch = "x86_64")]
@@ -115,12 +199,42 @@ fn update_slice8(mut crc: u32, bytes: &[u8]) -> u32 {
 fn update_hw(crc: u32, bytes: &[u8]) -> Option<u32> {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
 
+    fn word(chunk: &[u8]) -> u64 {
+        u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"))
+    }
+
+    /// Three chains over each `3 × STRIDE` bytes of `bytes` — the first
+    /// from `crc`, the other two from zero — joined as
+    /// `shift(shift(a) ^ b) ^ c`; `bytes` keeps the rest.
     #[target_feature(enable = "sse4.2")]
-    fn sse42(crc: u32, bytes: &[u8]) -> u32 {
+    fn lanes<const STRIDE: usize>(
+        mut crc: u32,
+        bytes: &mut &[u8],
+        tables: &[[u32; 256]; 4],
+    ) -> u32 {
+        while let Some((block, rest)) = bytes.split_at_checked(3 * STRIDE) {
+            let (a, bc) = block.split_at(STRIDE);
+            let (b, c) = bc.split_at(STRIDE);
+            let (mut x, mut y, mut z) = (crc as u64, 0u64, 0u64);
+            for ((a, b), c) in a.chunks_exact(8).zip(b.chunks_exact(8)).zip(c.chunks_exact(8)) {
+                x = _mm_crc32_u64(x, word(a));
+                y = _mm_crc32_u64(y, word(b));
+                z = _mm_crc32_u64(z, word(c));
+            }
+            crc = shift(tables, shift(tables, x as u32) ^ y as u32) ^ z as u32;
+            *bytes = rest;
+        }
+        crc
+    }
+
+    #[target_feature(enable = "sse4.2")]
+    fn sse42(crc: u32, mut bytes: &[u8]) -> u32 {
+        let crc = lanes::<LONG>(crc, &mut bytes, &SHIFT_LONG);
+        let crc = lanes::<SHORT>(crc, &mut bytes, &SHIFT_SHORT);
         let mut chunks = bytes.chunks_exact(8);
         let mut crc = crc as u64;
         for chunk in &mut chunks {
-            crc = _mm_crc32_u64(crc, u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+            crc = _mm_crc32_u64(crc, word(chunk));
         }
         let mut crc = crc as u32;
         for &b in chunks.remainder() {
@@ -283,6 +397,81 @@ mod tests {
                     rest = tail;
                 }
                 assert_eq!(split.finish(), expected, "split, len {len} align {align}");
+            }
+        }
+    }
+
+    /// The three-lane loops run only from 3 × 256 bytes on, and their
+    /// long form from 3 × 8 KiB: every length here sits on or beside one
+    /// of those edges, or runs through both loops and the word tail, at
+    /// every start alignment, and is split by `update` calls that cut
+    /// inside a stride. Slice-by-8 (held to the bitwise reference above)
+    /// is the reference.
+    #[test]
+    fn three_lanes_agree_with_slice8_on_and_beside_every_stride() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let data: Vec<u8> = (0..200 * 1024 + 8).map(|_| next() as u8).collect();
+        let (long, short) = (3 * LONG, 3 * SHORT);
+        let mut lens = vec![short - 1, short, short + 1, long - 1, long, long + 1];
+        lens.extend((0..=8).map(|k| long + short + k));
+        lens.extend([long + short - 1, 2 * long + 5 * short + 7, 64 * 1024 + 13, 200 * 1024]);
+        for len in lens {
+            for align in 0..8 {
+                let bytes = &data[align..align + len];
+                let mut reference = Crc32c::new();
+                reference.update_slice8(bytes);
+                let expected = reference.finish();
+                assert_eq!(crc32c(bytes), expected, "len {len} align {align}");
+                let mut split = Crc32c::new();
+                let mut rest = bytes;
+                while !rest.is_empty() {
+                    // Mostly cuts inside a long stretch, sometimes tiny.
+                    let cut = match next() % 4 {
+                        0 => 1 + next() as usize % 16,
+                        _ => 1 + next() as usize % (2 * long),
+                    };
+                    let (head, tail) = rest.split_at(cut.min(rest.len()));
+                    split.update(head);
+                    rest = tail;
+                }
+                assert_eq!(split.finish(), expected, "split, len {len} align {align}");
+            }
+        }
+    }
+
+    /// Each shift table is the register after its stride of zero bytes:
+    /// every entry is pinned through the 32 one-bit registers (the shift
+    /// is linear), and random whole registers go through all four tables.
+    #[test]
+    fn shift_tables_are_slice8_over_their_zero_bytes() {
+        let mut x = 0x6A09_E667_F3BC_C908u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u32
+        };
+        for (tables, len) in [(&SHIFT_LONG, LONG), (&SHIFT_SHORT, SHORT)] {
+            let zeros = vec![0u8; len];
+            let image: Vec<u32> = (0..32).map(|bit| update_slice8(1 << bit, &zeros)).collect();
+            for (k, table) in tables.iter().enumerate() {
+                for (i, &entry) in table.iter().enumerate() {
+                    let register = (i as u32) << (8 * k);
+                    let expected = (0..32)
+                        .filter(|bit| register >> bit & 1 != 0)
+                        .fold(0, |acc, bit| acc ^ image[bit]);
+                    assert_eq!(entry, expected, "{len}-byte table {k}, entry {i}");
+                }
+            }
+            for _ in 0..64 {
+                let register = next();
+                assert_eq!(shift(tables, register), update_slice8(register, &zeros), "{len}");
             }
         }
     }

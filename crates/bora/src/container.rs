@@ -18,7 +18,7 @@ use rosbag::reader::MessageRecord;
 use simfs::device::cpu;
 use simfs::{IoCtx, Storage};
 
-use crate::block::{decode_frame, BlockMap, BlockParams};
+use crate::block::{decode_frame_in_place, BlockMap, BlockParams};
 use crate::bufpool::BufferPool;
 use crate::checksum::Crc32c;
 use crate::error::{BoraError, BoraResult};
@@ -337,22 +337,25 @@ impl<S: Storage> BoraBag<S> {
                 map.entries.len()
             )));
         };
-        let fill = |ctx: &mut IoCtx| -> BoraResult<Vec<u8>> {
+        // A raw frame's logical bytes are borrowed from the read and
+        // copied once, into the page; an LZSS frame's decode into a
+        // buffer first.
+        let fill = |ctx: &mut IoCtx| -> BoraResult<Arc<[u8]>> {
             let frame = self.storage.read_at(&paths.data, e.phys_off, e.frame_len as usize, ctx)?;
             let rel = rel_path(&self.root, &paths.data).unwrap_or(&paths.data);
-            let (logical, _) = decode_frame(&frame, rel, ctx)?;
+            let (logical, _) = decode_frame_in_place(&frame, rel, ctx)?;
             // Every block decode is counted: `EXPLAIN ANALYZE` and the
             // pushdown test read the delta of this counter to prove how
             // many decodes a time-range restriction skipped.
             bora_obs::counter("block.decode").inc();
             bora_obs::counter("block.decode_bytes").add(logical.len() as u64);
-            Ok(logical)
+            Ok(Arc::from(logical))
         };
         match &self.pool {
             Some(pool) => {
                 Ok(pool.get_or_fill_file(paths.data_id, page as u64, || fill(ctx))?.0.bytes())
             }
-            None => Ok(Arc::from(fill(ctx)?)),
+            None => fill(ctx),
         }
     }
 

@@ -1,6 +1,6 @@
-//! What receiving a stream costs the client, in bytes allocated: a raw
-//! chunk's payload is copied once on the client, into the messages it
-//! hands out.
+//! What a stream costs in bytes allocated: a raw chunk's payload is
+//! copied once on the client, into the messages it hands out, and a raw
+//! block frame once on a pool fill, into the page.
 //!
 //! A counting global allocator tallies the bytes allocated on the thread
 //! that turned it on; the server's threads (acceptor, connection,
@@ -9,7 +9,10 @@
 //! own bytes, and a constant per message. A client that copies each frame
 //! twice more — out of the receive buffer into a `Response`, and out of
 //! that into a buffer of logical bytes — allocates about three frames
-//! plus the payload, and fails here.
+//! plus the payload, and fails here. A cold scan of a block-framed topic
+//! may allocate each stored frame (the storage read) and each page's
+//! logical bytes once; a fill that copies them a second time on the way
+//! into the pool fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,12 +20,14 @@ use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bora::layout::TopicPaths;
+use bora::{BlockParams, BoraBag, BufferPool, OrganizerOptions, StreamOptions};
 use bora_serve::{
     spawn_tcp_listener, Connection, ServeClient, Server, ServerConfig, TcpConnection, TcpTransport,
     Transport, WireMessage,
 };
 use ros_msgs::{MessageDescriptor, Time};
-use simfs::{IoCtx, MemStorage};
+use simfs::{IoCtx, MemStorage, Storage};
 
 struct Counting;
 
@@ -78,17 +83,19 @@ fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64) {
 const ROOT: &str = "/c/noise";
 const TOPIC: &str = "/noise";
 const MESSAGES: u32 = 4000;
+/// 16 KiB messages in the block-framed scan: 4 MiB, 64 pages of 64 KiB.
+const PAGE_MESSAGES: u32 = 256;
 /// Bytes a message may cost the client beyond its own: its slot in the
 /// chunk's `Vec<WireMessage>` and in the caller's.
 const PER_MESSAGE: u64 = 256;
+/// Bytes a pool page may cost a scan beyond its frame and its own bytes.
+const PER_PAGE: u64 = 512;
 
-/// A container of one topic of 1 KiB noise messages: no chunk of it
-/// LZ-codes, so every chunk on the wire is raw.
-fn serve() -> Arc<Server<Arc<MemStorage>>> {
-    let fs = Arc::new(MemStorage::new());
-    let ctx = &mut IoCtx::new();
+/// `/noise.bag`: one topic of `messages` noise messages of `size` bytes,
+/// which neither a stream chunk nor a block frame can LZ-code.
+fn noise_bag(fs: &MemStorage, messages: u32, size: usize, ctx: &mut IoCtx) {
     let options = rosbag::BagWriterOptions::default();
-    let mut w = rosbag::BagWriter::create(&*fs, "/noise.bag", options, ctx).unwrap();
+    let mut w = rosbag::BagWriter::create(fs, "/noise.bag", options, ctx).unwrap();
     let desc = MessageDescriptor {
         datatype: "test_msgs/Noise".into(),
         md5sum: "0".repeat(32),
@@ -96,8 +103,8 @@ fn serve() -> Arc<Server<Arc<MemStorage>>> {
     };
     let conn = w.add_connection(TOPIC, &desc);
     let mut x = 0x2545_f491_u32;
-    for i in 0..MESSAGES {
-        let data: Vec<u8> = (0..1024)
+    for i in 0..messages {
+        let data: Vec<u8> = (0..size)
             .map(|_| {
                 x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
                 (x >> 24) as u8
@@ -106,6 +113,13 @@ fn serve() -> Arc<Server<Arc<MemStorage>>> {
         w.write_message(conn, Time::new(1 + i / 100, i % 100 * 10_000_000), &data, ctx).unwrap();
     }
     w.close(ctx).unwrap();
+}
+
+/// A container of 1 KiB noise messages: every chunk on the wire is raw.
+fn serve() -> Arc<Server<Arc<MemStorage>>> {
+    let fs = Arc::new(MemStorage::new());
+    let ctx = &mut IoCtx::new();
+    noise_bag(&fs, MESSAGES, 1024, ctx);
     bora::duplicate(&*fs, "/noise.bag", &*fs, ROOT, &Default::default(), ctx).unwrap();
     Server::start(fs, ServerConfig::default())
 }
@@ -168,4 +182,60 @@ fn a_raw_stream_costs_the_client_one_copy_of_its_frames() {
     );
     drop(client);
     server.shutdown();
+}
+
+#[test]
+fn a_cold_raw_page_costs_one_copy_of_its_bytes() {
+    let fs = MemStorage::new();
+    let ctx = &mut IoCtx::new();
+    noise_bag(&fs, PAGE_MESSAGES, 16 << 10, ctx);
+    let blocked = OrganizerOptions { block: Some(BlockParams::default()), ..Default::default() };
+    bora::duplicate(&fs, "/noise.bag", &fs, ROOT, &blocked, ctx).unwrap();
+    let paths = TopicPaths::new(ROOT, TOPIC);
+    let (frames, index) = (fs.len(&paths.data, ctx).unwrap(), fs.len(&paths.index, ctx).unwrap());
+    let pool = BufferPool::new(64 << 20);
+    let bag = BoraBag::open(&fs, ROOT, ctx).unwrap().with_pool(Arc::clone(&pool));
+    // On this thread alone: fills run inline on the consumer.
+    let opts = StreamOptions { prefetch_threads: 1, ..Default::default() };
+    let scan = |ctx: &mut IoCtx| {
+        let mut stream = bag.stream_topics(&[TOPIC], opts.clone(), ctx).unwrap();
+        let (mut msgs, mut digest) = (0u32, bora::Crc32c::new());
+        while let Some(m) = stream.lend(ctx).unwrap() {
+            msgs += 1;
+            digest.update(m.payload);
+        }
+        (msgs, digest.finish())
+    };
+    // The bag reads its block map once; the pool starts cold again.
+    let (warm_up, _) = allocated(|| scan(ctx));
+    pool.invalidate_prefix(ROOT);
+    let before = pool.stats();
+
+    let (cold, cold_bytes) = allocated(|| scan(ctx));
+    let filled = pool.stats();
+    let (warm, warm_bytes) = allocated(|| scan(ctx));
+    assert_eq!((warm_up.0, cold, warm), (PAGE_MESSAGES, warm_up, warm_up));
+    let (pages, logical) = (filled.misses - before.misses, filled.resident_bytes);
+    assert_eq!(pages, 64);
+    assert_eq!(frames, logical + pages * bora::block::FRAME_HEADER_LEN as u64, "all stored raw");
+    assert_eq!(filled.evictions + filled.bypasses, before.evictions + before.bypasses);
+    assert_eq!(pool.stats().misses, filled.misses, "the rescan is warm");
+    // What both scans allocate — the topic's index, read and decoded,
+    // and the stream — does not grow with the pages.
+    let budget = warm_bytes + frames + logical + PER_PAGE * pages;
+    println!(
+        "cold scan: {cold_bytes} B for {frames} B of frames into {logical} B of {pages} pages \
+         ({:.2} pages beside the frames and the warm scan; budget {budget} B); \
+         warm rescan: {warm_bytes} B",
+        (cold_bytes - warm_bytes - frames) as f64 / logical as f64
+    );
+    assert!(
+        cold_bytes <= budget,
+        "cold scan allocated {cold_bytes} B > the warm scan's {warm_bytes} B + {frames} B of \
+         frames + {logical} B of pages + {PER_PAGE} B per page"
+    );
+    assert!(
+        warm_bytes <= 3 * index + 4096,
+        "the warm rescan allocated {warm_bytes} B, more than its {index} B index read and decoded"
+    );
 }
