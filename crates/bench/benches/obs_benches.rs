@@ -10,14 +10,17 @@
 //! * `hist_merge` — the bucket-wise fold the cluster aggregation does
 //!   once per histogram per node per scrape;
 //! * `metrics_scrape` — one full OP_METRICS roundtrip against a served
-//!   node (the telemetry poller's unit of work).
+//!   node (the telemetry poller's unit of work), after a warm-up of data
+//!   ops has put samples in its op histograms.
 
 use std::sync::Arc;
 
 use bora_obs::{ExpHistogram, TraceContext, WindowedHistogram};
 use bora_serve::{MemTransport, Request, ServeClient, Server, ServerConfig};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use simfs::MemStorage;
+use ros_msgs::{sensor_msgs::Imu, Time};
+use rosbag::{BagWriter, BagWriterOptions};
+use simfs::{IoCtx, MemStorage};
 use std::hint::black_box;
 
 fn bench_span(c: &mut Criterion) {
@@ -113,14 +116,34 @@ fn bench_scrape(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs_scrape");
     group.sample_size(30);
 
+    // A small organised container for the warm-up's data ops.
     let fs = Arc::new(MemStorage::new());
+    let mut ctx = IoCtx::new();
+    let mut w = BagWriter::create(&*fs, "/m.bag", BagWriterOptions::default(), &mut ctx).unwrap();
+    for i in 0..64u32 {
+        let mut imu = Imu::default();
+        imu.header.stamp = Time::new(i, 0);
+        w.write_ros_message("/imu", Time::new(i, 0), &imu, &mut ctx).unwrap();
+    }
+    w.close(&mut ctx).unwrap();
+    bora::duplicate(&*fs, "/m.bag", &*fs, "/c/m", &Default::default(), &mut ctx).unwrap();
+
     let server = Server::start(Arc::clone(&fs), ServerConfig::default());
     let transport = MemTransport::new(Arc::clone(&server));
     let mut client = ServeClient::connect(&transport).unwrap();
-    // Put real content in the registry so the report is representative.
-    for _ in 0..256 {
-        let _ = client.stats();
+    // Put real content in the registry so the report is representative:
+    // data ops are recorded (a scrape, control-plane, is not), so each
+    // of these seven op histograms holds 32 samples.
+    for _ in 0..32 {
+        client.open("/c/m").unwrap();
+        client.topics("/c/m").unwrap();
+        client.meta("/c/m").unwrap();
+        client.stat("/c/m").unwrap();
+        client.read("/c/m", &["/imu"]).unwrap();
+        client.read_stream("/c/m", &["/imu"]).unwrap().for_each(|m| drop(m.unwrap()));
+        client.query("/c/m", "SELECT count() FROM '/imu'").unwrap();
     }
+    assert_eq!(client.stats().unwrap().total_requests(), 7 * 32);
     group.bench_function("metrics_scrape", |b| b.iter(|| client.metrics().unwrap()));
     group.finish();
     client.shutdown().unwrap();

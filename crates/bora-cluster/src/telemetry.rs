@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use bora_obs::HistSummary;
-use bora_serve::{MetricsReport, SlowOpEntry, Transport, METRICS_REPORT_VERSION};
+use bora_serve::{MetricsReport, Op, SlowOpEntry, Transport, METRICS_REPORT_VERSION};
 
 use crate::client::ClusterClient;
 use crate::ring::NodeId;
@@ -186,23 +186,16 @@ fn fmt_dur_ns(ns: u64) -> String {
 /// The op-latency rows (`(label, hist)` per node per op, cluster rows
 /// labelled `*`) behind [`render_top`], exposed for tests.
 fn op_rows(scrape: &ClusterScrape) -> Vec<(String, String, HistSummary)> {
-    const PREFIX: &str = "serve.op.";
-    const SUFFIX: &str = ".wall_ns";
+    let nodes = scrape.reports.iter().map(|(id, r)| (id.to_string(), &r.hists));
     let mut rows = Vec::new();
-    let mut push = |label: &str, report_hists: &[(String, HistSummary)]| {
-        for (name, h) in report_hists {
-            if h.count == 0 {
-                continue;
-            }
-            if let Some(op) = name.strip_prefix(PREFIX).and_then(|rest| rest.strip_suffix(SUFFIX)) {
-                rows.push((label.to_owned(), op.to_owned(), *h));
+    for (label, hists) in nodes.chain([("*".to_owned(), &scrape.aggregate.hists)]) {
+        for op in Op::ALL {
+            let wall = hists.iter().find(|(name, h)| name == op.wall_metric() && h.count > 0);
+            if let Some((_, h)) = wall {
+                rows.push((label.clone(), op.name().to_owned(), *h));
             }
         }
-    };
-    for (id, r) in &scrape.reports {
-        push(&id.to_string(), &r.hists);
     }
-    push("*", &scrape.aggregate.hists);
     rows
 }
 
@@ -234,16 +227,13 @@ pub struct PoolScrape {
 
 impl PoolScrape {
     pub fn from_report(r: &MetricsReport) -> Option<Self> {
-        let gauge =
-            |name: &str| r.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v.max(0) as u64);
-        let counter =
-            |name: &str| r.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v).unwrap_or(0);
+        let gauge = |name: &str| r.gauge(name).map(|v| v.max(0) as u64);
         Some(PoolScrape {
             budget_bytes: gauge("pool.budget_bytes")?,
             resident_bytes: gauge("pool.resident_bytes").unwrap_or(0),
-            hits: counter("pool.hit"),
-            misses: counter("pool.miss"),
-            evictions: counter("pool.evict"),
+            hits: r.counter("pool.hit"),
+            misses: r.counter("pool.miss"),
+            evictions: r.counter("pool.evict"),
             uptime_ns: r.uptime_ns,
         })
     }

@@ -12,23 +12,21 @@
 //! entry is pinned the cache admits the newcomer anyway (transiently
 //! exceeding capacity) rather than stalling the pool — capacity bounds
 //! the *idle* footprint, pins bound the in-flight one.
+//!
+//! The cache counts into a [`Registry`] — the server's own, so its hits,
+//! misses, evictions, length and capacity are in every `METRICS` scrape
+//! (and so in `STATS`) under the `serve.cache_*` names of
+//! [`crate::metrics`].
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use bora::{BoraBag, BoraResult, BufferPool};
+use bora_obs::{Counter, Gauge, Registry};
 use parking_lot::Mutex;
 use simfs::{IoCtx, Storage};
 
-/// Counters exposed through `STATS`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub len: u32,
-    pub capacity: u32,
-}
+use crate::metrics::{CACHE_CAPACITY, CACHE_EVICTIONS, CACHE_HITS, CACHE_LEN, CACHE_MISSES};
 
 struct Entry<S> {
     bag: BoraBag<S>,
@@ -50,9 +48,6 @@ struct Inner<S> {
     preferred: HashSet<String>,
     tick: u64,
     next_generation: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 /// Thread-safe pinned LRU of `BoraBag` handles, keyed by container root.
@@ -63,6 +58,11 @@ pub struct HandleCache<S> {
     /// workers' data reads draw on ONE byte budget (`BORA_POOL_BYTES`)
     /// instead of per-handle buffers.
     pool: Option<Arc<BufferPool>>,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    /// Entries held, set whenever an entry comes or goes.
+    len: Gauge,
 }
 
 /// A cache lease: clones of the bag handle are cheap (`Arc`-backed tag
@@ -98,20 +98,28 @@ impl<S> Drop for PinnedBag<'_, S> {
 }
 
 impl<S: Storage + Clone> HandleCache<S> {
+    /// A cache that counts into a registry of its own.
     pub fn new(capacity: usize) -> Self {
+        Self::in_registry(capacity, &Registry::new())
+    }
+
+    /// A cache that counts into `registry`.
+    pub fn in_registry(capacity: usize, registry: &Registry) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
+        registry.gauge(CACHE_CAPACITY).set(capacity as i64);
         HandleCache {
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
                 preferred: HashSet::new(),
                 tick: 0,
                 next_generation: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
             }),
             capacity,
             pool: None,
+            hits: registry.counter(CACHE_HITS),
+            misses: registry.counter(CACHE_MISSES),
+            evictions: registry.counter(CACHE_EVICTIONS),
+            len: registry.gauge(CACHE_LEN),
         }
     }
 
@@ -143,7 +151,7 @@ impl<S: Storage + Clone> HandleCache<S> {
                 e.pins += 1;
                 e.touched = tick;
                 let (bag, generation) = (e.bag.clone(), e.generation);
-                inner.hits += 1;
+                self.hits.inc();
                 return Ok(PinnedBag {
                     cache: self,
                     root: root.to_owned(),
@@ -152,7 +160,7 @@ impl<S: Storage + Clone> HandleCache<S> {
                     was_hit: true,
                 });
             }
-            inner.misses += 1;
+            self.misses.inc();
         }
         // Open outside the lock: a cold open is the slow path, and other
         // workers must keep hitting the cache while it runs. Two racing
@@ -177,6 +185,7 @@ impl<S: Storage + Clone> HandleCache<S> {
         entry.touched = tick;
         let (bag, generation) = (entry.bag.clone(), entry.generation);
         self.evict_excess(&mut inner);
+        self.len.set(inner.entries.len() as i64);
         Ok(PinnedBag { cache: self, root: root.to_owned(), generation, bag, was_hit: false })
     }
 
@@ -188,7 +197,10 @@ impl<S: Storage + Clone> HandleCache<S> {
         if let Some(pool) = &self.pool {
             pool.invalidate_prefix(root);
         }
-        self.inner.lock().entries.remove(root).is_some()
+        let mut inner = self.inner.lock();
+        let removed = inner.entries.remove(root).is_some();
+        self.len.set(inner.entries.len() as i64);
+        removed
     }
 
     /// Replace the preferred (owned) container set. Preferred entries are
@@ -202,17 +214,6 @@ impl<S: Storage + Clone> HandleCache<S> {
     /// pin is released when a client abandons a stream mid-flight.
     pub fn pins(&self, root: &str) -> u32 {
         self.inner.lock().entries.get(root).map(|e| e.pins).unwrap_or(0)
-    }
-
-    pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock();
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            len: inner.entries.len() as u32,
-            capacity: self.capacity as u32,
-        }
     }
 
     /// Evict least-recently-touched unpinned entries down to capacity,
@@ -229,7 +230,7 @@ impl<S: Storage + Clone> HandleCache<S> {
             match victim {
                 Some((k, preferred)) => {
                     inner.entries.remove(&k);
-                    inner.evictions += 1;
+                    self.evictions.inc();
                     if !preferred && !inner.preferred.is_empty() {
                         bora_obs::counter("serve.evict_replica").inc();
                     }
@@ -246,6 +247,17 @@ mod tests {
     use super::*;
     use simfs::MemStorage;
     use std::sync::Arc;
+
+    /// Hits, misses, evictions and length, as `registry` holds them.
+    fn counts(registry: &Registry) -> (u64, u64, u64, i64) {
+        let count = |name| registry.counter(name).get();
+        (
+            count(CACHE_HITS),
+            count(CACHE_MISSES),
+            count(CACHE_EVICTIONS),
+            registry.gauge(CACHE_LEN).get(),
+        )
+    }
 
     fn make_containers(n: usize) -> Arc<MemStorage> {
         use ros_msgs::{sensor_msgs::Imu, Time};
@@ -277,7 +289,8 @@ mod tests {
     #[test]
     fn hit_miss_eviction_accounting() {
         let fs = make_containers(3);
-        let cache: HandleCache<Arc<MemStorage>> = HandleCache::new(2);
+        let registry = Registry::new();
+        let cache: HandleCache<Arc<MemStorage>> = HandleCache::in_registry(2, &registry);
         let mut ctx = IoCtx::new();
 
         assert!(!cache.get_or_open(&fs, "/c/bag0", &mut ctx).unwrap().was_hit);
@@ -285,8 +298,8 @@ mod tests {
         assert!(!cache.get_or_open(&fs, "/c/bag1", &mut ctx).unwrap().was_hit);
         // Third distinct container evicts the LRU (bag0: touched earlier).
         assert!(!cache.get_or_open(&fs, "/c/bag2", &mut ctx).unwrap().was_hit);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.evictions, s.len), (1, 3, 1, 2));
+        assert_eq!(counts(&registry), (1, 3, 1, 2));
+        assert_eq!(registry.gauge(CACHE_CAPACITY).get(), 2);
         // bag0 was evicted → miss again.
         assert!(!cache.get_or_open(&fs, "/c/bag0", &mut ctx).unwrap().was_hit);
     }
@@ -294,7 +307,8 @@ mod tests {
     #[test]
     fn pinned_entries_survive_eviction_pressure() {
         let fs = make_containers(3);
-        let cache: HandleCache<Arc<MemStorage>> = HandleCache::new(1);
+        let registry = Registry::new();
+        let cache: HandleCache<Arc<MemStorage>> = HandleCache::in_registry(1, &registry);
         let mut ctx = IoCtx::new();
 
         let pinned = cache.get_or_open(&fs, "/c/bag0", &mut ctx).unwrap();
@@ -311,13 +325,14 @@ mod tests {
         drop(pinned);
         // Unpinned now: the next distinct open can evict it.
         let _other = cache.get_or_open(&fs, "/c/bag1", &mut ctx).unwrap();
-        assert!(cache.stats().evictions > 0);
+        assert!(counts(&registry).2 > 0);
     }
 
     #[test]
     fn preferred_entries_outlive_replica_entries() {
         let fs = make_containers(4);
-        let cache: HandleCache<Arc<MemStorage>> = HandleCache::new(2);
+        let registry = Registry::new();
+        let cache: HandleCache<Arc<MemStorage>> = HandleCache::in_registry(2, &registry);
         cache.set_preferred(["/c/bag0".to_owned()]);
         let mut ctx = IoCtx::new();
 
@@ -337,16 +352,18 @@ mod tests {
         cache.set_preferred(["/c/bag2".to_owned(), "/c/bag3".to_owned()]);
         cache.get_or_open(&fs, "/c/bag2", &mut ctx).unwrap();
         cache.get_or_open(&fs, "/c/bag3", &mut ctx).unwrap();
-        assert_eq!(cache.stats().len, 2);
+        assert_eq!(counts(&registry).3, 2);
     }
 
     #[test]
     fn invalidate_forces_reopen() {
         let fs = make_containers(1);
-        let cache: HandleCache<Arc<MemStorage>> = HandleCache::new(2);
+        let registry = Registry::new();
+        let cache: HandleCache<Arc<MemStorage>> = HandleCache::in_registry(2, &registry);
         let mut ctx = IoCtx::new();
         let pinned = cache.get_or_open(&fs, "/c/bag0", &mut ctx).unwrap();
         assert!(cache.invalidate("/c/bag0"));
+        assert_eq!(counts(&registry).3, 0, "the length follows an invalidation");
         assert!(!cache.invalidate("/c/bag0"), "second invalidate is a no-op");
         // The pinned clone still works after invalidation.
         assert_eq!(pinned.bag().topics(), vec!["/imu"]);

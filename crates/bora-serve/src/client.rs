@@ -16,9 +16,9 @@ use std::time::{Duration, Instant};
 
 use ros_msgs::Time;
 
+use crate::metrics::StatsSnapshot;
 use crate::proto::{
-    ContainerStat, ErrorCode, MetricsReport, PingInfo, ProtoError, Request, Response,
-    StatsSnapshot, WireMessage,
+    ContainerStat, ErrorCode, MetricsReport, PingInfo, ProtoError, Request, Response, WireMessage,
 };
 use crate::transport::{Connection, Transport};
 
@@ -346,11 +346,10 @@ impl<C: Connection> ServeClient<C> {
         }
     }
 
+    /// Server-wide summary (`STATS`): a [`ServeClient::metrics`] scrape,
+    /// projected.
     pub fn stats(&mut self) -> ClientResult<StatsSnapshot> {
-        match self.roundtrip(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(unexpected("STATS", &other)),
-        }
+        self.metrics().map(|r| StatsSnapshot::from(&r))
     }
 
     /// Health probe: server id, uptime, live queue depth. Control-plane,
@@ -1034,8 +1033,9 @@ impl<T: Transport> RetryClient<T> {
         self.run(|c| c.stat(container))
     }
 
+    /// See [`ServeClient::stats`].
     pub fn stats(&mut self) -> ClientResult<StatsSnapshot> {
-        self.run(|c| c.stats())
+        self.metrics().map(|r| StatsSnapshot::from(&r))
     }
 
     pub fn metrics(&mut self) -> ClientResult<MetricsReport> {

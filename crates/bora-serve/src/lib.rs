@@ -13,16 +13,17 @@
 //!   explicit [`proto::Response::Overloaded`] instead of queuing without
 //!   bound or blocking the transport;
 //! * a hand-rolled length-prefixed binary protocol ([`proto`]) carries
-//!   `OPEN`/`TOPICS`/`META`/`READ`/`STAT`/`STATS`/`SHUTDOWN` over either
+//!   `OPEN`/`TOPICS`/`META`/`READ`/`STAT`/`METRICS`/`SHUTDOWN` over either
 //!   in-process channels ([`transport::MemTransport`], deterministic, for
 //!   tests and benches) or real TCP ([`transport::TcpTransport`] and the
 //!   `bora-serve` binary);
 //! * per-op latency/count metrics ([`metrics`], backed by the shared
 //!   `bora-obs` histograms and including the queue-wait vs service-time
-//!   split) are served from the control plane (`STATS` skips the data
-//!   queue), so an overloaded server can still be observed; with
-//!   `BORA_TRACE=1` the `TRACE` op additionally drains the process's
-//!   span buffers as a Chrome trace JSON document.
+//!   split) are served from the control plane (`METRICS` skips the data
+//!   queue), so an overloaded server can still be observed;
+//!   [`ServeClient::stats`] is the `STATS` summary view of that one
+//!   scrape. With `BORA_TRACE=1` the `TRACE` op additionally drains the
+//!   process's span buffers as a Chrome trace JSON document.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -59,15 +60,15 @@ pub mod proto;
 pub mod server;
 pub mod transport;
 
-pub use cache::{CacheStats, HandleCache, PinnedBag};
+pub use cache::{HandleCache, PinnedBag};
 pub use client::{
     ClientError, ClientResult, IngestBatching, IngestClient, QueryReply, ReadStream, RetryBudget,
     RetryBudgetConfig, RetryClient, RetryPolicy, ServeClient,
 };
+pub use metrics::{Op, OpSummary, StatsSnapshot};
 pub use proto::{
-    compress_chunk, decompress_chunk, split_seq, ContainerStat, ErrorCode, MetricsReport,
-    OpSummary, PingInfo, ProtoError, Request, Response, SlowOpEntry, StatsSnapshot, WireMessage,
-    METRICS_REPORT_VERSION,
+    compress_chunk, decompress_chunk, split_seq, ContainerStat, ErrorCode, MetricsReport, PingInfo,
+    ProtoError, Request, Response, SlowOpEntry, WireMessage, METRICS_REPORT_VERSION,
 };
 pub use server::{Server, ServerConfig};
 pub use transport::{

@@ -71,6 +71,8 @@ use ros_msgs::{Time, WireError};
 use rosbag::MessageRecord;
 use simfs::IoCtx;
 
+use crate::metrics::Op;
+
 /// Frame length prefix size (little-endian u32).
 pub const FRAME_HEADER_LEN: usize = 4;
 
@@ -84,7 +86,8 @@ const OP_TOPICS: u8 = 0x02;
 const OP_META: u8 = 0x03;
 const OP_READ: u8 = 0x04;
 const OP_STAT: u8 = 0x05;
-const OP_STATS: u8 = 0x06;
+// 0x06 was `STATS`, retired: `ServeClient::stats` projects a `METRICS`
+// scrape.
 const OP_SHUTDOWN: u8 = 0x07;
 const OP_TRACE: u8 = 0x08;
 const OP_PING: u8 = 0x0A;
@@ -216,7 +219,6 @@ const OP_OK_TOPICS: u8 = 0x82;
 const OP_OK_META: u8 = 0x83;
 const OP_OK_READ: u8 = 0x84;
 const OP_OK_STAT: u8 = 0x85;
-const OP_OK_STATS: u8 = 0x86;
 const OP_OK_SHUTDOWN: u8 = 0x87;
 const OP_OK_TRACE: u8 = 0x88;
 const OP_OK_STREAM_CHUNK: u8 = 0x89;
@@ -275,8 +277,6 @@ pub enum Request {
     Query { container: String, sql: String, partial: bool },
     /// Summary numbers for one container.
     Stat { container: String },
-    /// Server-wide metrics snapshot.
-    Stats,
     /// Drain the server's span buffers as a Chrome trace JSON document.
     /// Control-plane (skips the data queue); empty unless the server runs
     /// with tracing enabled (`BORA_TRACE=1`).
@@ -330,57 +330,6 @@ pub struct WireMessage {
 impl From<MessageRecord> for WireMessage {
     fn from(m: MessageRecord) -> Self {
         WireMessage { topic: m.topic, time: m.time, data: m.data }
-    }
-}
-
-/// Latency summary for one op kind inside a [`StatsSnapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OpSummary {
-    pub count: u64,
-    /// Wall-clock nanoseconds, measured submit → response.
-    pub wall_min_ns: u64,
-    pub wall_mean_ns: u64,
-    pub wall_p99_ns: u64,
-    /// Virtual nanoseconds charged by the storage cost model.
-    pub virt_mean_ns: u64,
-}
-
-/// Server-wide metrics snapshot (`STATS`).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    /// Summaries keyed by op name (`open`, `topics`, `meta`, `read`,
-    /// `stat`), sorted by name for deterministic encoding.
-    pub ops: Vec<(String, OpSummary)>,
-    /// Requests rejected with [`Response::Overloaded`].
-    pub shed: u64,
-    /// Requests sitting in the queue right now.
-    pub queue_depth: u32,
-    /// Bound of the request queue.
-    pub queue_capacity: u32,
-    /// Mean time requests spent parked in the queue before a worker took
-    /// them (the queue-wait share of `wall_mean_ns`).
-    pub queue_wait_mean_ns: u64,
-    pub queue_wait_p99_ns: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_evictions: u64,
-    pub cache_len: u32,
-    pub cache_capacity: u32,
-}
-
-impl StatsSnapshot {
-    /// Total completed requests across all ops.
-    pub fn total_requests(&self) -> u64 {
-        self.ops.iter().map(|(_, s)| s.count).sum()
-    }
-
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
     }
 }
 
@@ -555,7 +504,6 @@ pub enum Response {
         sealed_segments: u32,
     },
     Stat(ContainerStat),
-    Stats(StatsSnapshot),
     /// Full registry scrape (see [`Request::Metrics`]).
     Metrics(MetricsReport),
     /// Chrome `trace_event` JSON text drained from the server's span
@@ -775,32 +723,25 @@ impl Request {
             | Request::Seal { container, .. }
             | Request::Query { container, .. }
             | Request::Stat { container } => Some(container),
-            Request::Stats
-            | Request::Metrics
-            | Request::Trace
-            | Request::Ping
-            | Request::Shutdown => None,
+            Request::Metrics | Request::Trace | Request::Ping | Request::Shutdown => None,
         }
     }
 
-    /// Human-readable op name, used as the metrics key.
-    pub fn op_name(&self) -> &'static str {
-        match self {
-            Request::Open { .. } => "open",
-            Request::Topics { .. } => "topics",
-            Request::Meta { .. } => "meta",
-            Request::Read { .. } => "read",
-            Request::ReadStream2 { .. } => "read_stream",
-            Request::Append { .. } => "append",
-            Request::Seal { .. } => "seal",
-            Request::Query { .. } => "query",
-            Request::Stat { .. } => "stat",
-            Request::Stats => "stats",
-            Request::Metrics => "metrics",
-            Request::Trace => "trace",
-            Request::Ping => "ping",
-            Request::Shutdown => "shutdown",
-        }
+    /// The data op this request is — its metrics key, span and slow-op
+    /// name — or `None` for a control-plane op, which is never recorded.
+    pub fn op(&self) -> Option<Op> {
+        Some(match self {
+            Request::Open { .. } => Op::Open,
+            Request::Topics { .. } => Op::Topics,
+            Request::Meta { .. } => Op::Meta,
+            Request::Read { .. } => Op::Read,
+            Request::ReadStream2 { .. } => Op::ReadStream,
+            Request::Append { .. } => Op::Append,
+            Request::Seal { .. } => Op::Seal,
+            Request::Query { .. } => Op::Query,
+            Request::Stat { .. } => Op::Stat,
+            Request::Metrics | Request::Trace | Request::Ping | Request::Shutdown => return None,
+        })
     }
 
     /// The request header (see the module doc), then opcode and fields.
@@ -870,7 +811,6 @@ impl Request {
                 w.put_u8(OP_STAT);
                 w.str(container);
             }
-            Request::Stats => w.put_u8(OP_STATS),
             Request::Metrics => w.put_u8(OP_METRICS),
             Request::Trace => w.put_u8(OP_TRACE),
             Request::Ping => w.put_u8(OP_PING),
@@ -951,7 +891,6 @@ impl Request {
                 Request::Query { container, sql: r.get_string()?, partial: r.flag("partial")? }
             }
             OP_STAT => Request::Stat { container: r.str()? },
-            OP_STATS => Request::Stats,
             OP_METRICS => Request::Metrics,
             OP_TRACE => Request::Trace,
             OP_PING => Request::Ping,
@@ -1024,27 +963,6 @@ impl Response {
             Response::Stat(stat) => {
                 w.put_u8(OP_OK_STAT);
                 w.stat(stat);
-            }
-            Response::Stats(s) => {
-                w.put_u8(OP_OK_STATS);
-                w.list(&s.ops, |w, (name, op)| {
-                    w.str(name);
-                    w.put_u64(op.count);
-                    w.put_u64(op.wall_min_ns);
-                    w.put_u64(op.wall_mean_ns);
-                    w.put_u64(op.wall_p99_ns);
-                    w.put_u64(op.virt_mean_ns);
-                });
-                w.put_u64(s.shed);
-                w.put_u32(s.queue_depth);
-                w.put_u32(s.queue_capacity);
-                w.put_u64(s.queue_wait_mean_ns);
-                w.put_u64(s.queue_wait_p99_ns);
-                w.put_u64(s.cache_hits);
-                w.put_u64(s.cache_misses);
-                w.put_u64(s.cache_evictions);
-                w.put_u32(s.cache_len);
-                w.put_u32(s.cache_capacity);
             }
             Response::Metrics(m) => {
                 w.put_u8(OP_OK_METRICS);
@@ -1145,33 +1063,6 @@ impl Response {
             OP_OK_APPENDED => Response::Appended { appended: r.get_u64()?, epoch: r.get_u64()? },
             OP_OK_SEALED => Response::Sealed { epoch: r.get_u64()?, sealed_segments: r.get_u32()? },
             OP_OK_STAT => Response::Stat(r.stat()?),
-            OP_OK_STATS => {
-                // A name's length prefix and five counters: 42 bytes.
-                let ops = r.list(42, |r| {
-                    let name = r.str()?;
-                    let op = OpSummary {
-                        count: r.get_u64()?,
-                        wall_min_ns: r.get_u64()?,
-                        wall_mean_ns: r.get_u64()?,
-                        wall_p99_ns: r.get_u64()?,
-                        virt_mean_ns: r.get_u64()?,
-                    };
-                    Ok((name, op))
-                })?;
-                Response::Stats(StatsSnapshot {
-                    ops,
-                    shed: r.get_u64()?,
-                    queue_depth: r.get_u32()?,
-                    queue_capacity: r.get_u32()?,
-                    queue_wait_mean_ns: r.get_u64()?,
-                    queue_wait_p99_ns: r.get_u64()?,
-                    cache_hits: r.get_u64()?,
-                    cache_misses: r.get_u64()?,
-                    cache_evictions: r.get_u64()?,
-                    cache_len: r.get_u32()?,
-                    cache_capacity: r.get_u32()?,
-                })
-            }
             // Minimum entry sizes: a name's length prefix and a counter; and
             // three histogram totals and a bucket count; a slow op's ids,
             // times and two length prefixes.
@@ -1268,7 +1159,6 @@ mod tests {
             },
             Request::Query { container: container.clone(), sql: "".into(), partial: false },
             Request::Stat { container },
-            Request::Stats,
             Request::Metrics,
             Request::Trace,
             Request::Ping,
@@ -1349,15 +1239,18 @@ mod tests {
 
     #[test]
     fn retired_opcodes_are_unknown() {
-        // Plain READ_STREAM and the three former prefixes, where an
-        // opcode goes: rejected like any opcode nobody speaks.
+        // STATS, plain READ_STREAM and the three former prefixes, where
+        // an opcode goes: rejected like any opcode nobody speaks.
         let read = Request::Read { container: "/c".into(), topics: vec![], range: None };
-        for op in [0x09, 0x0F, 0x10, 0x11] {
+        for op in [0x06, 0x09, 0x0F, 0x10, 0x11] {
             let mut bytes = read.encode_framed(None, None);
             bytes[1] = op;
             let err = Request::decode_framed(&bytes).unwrap_err();
             assert!(err.0.contains("unknown request opcode"), "{op:#04x}: {err}");
         }
+        // And `OK_STATS`, where a response opcode goes.
+        let err = Response::decode(&[0x86]).unwrap_err();
+        assert!(err.0.contains("unknown response opcode"), "{err}");
     }
 
     #[test]
@@ -1485,31 +1378,6 @@ mod tests {
         roundtrip_resp(Response::Appended { appended: 17, epoch: 930 });
         roundtrip_resp(Response::Sealed { epoch: 931, sealed_segments: 3 });
         roundtrip_resp(Response::Stat(stat));
-        roundtrip_resp(Response::Stats(StatsSnapshot {
-            ops: vec![
-                (
-                    "open".into(),
-                    OpSummary {
-                        count: 3,
-                        wall_min_ns: 10,
-                        wall_mean_ns: 20,
-                        wall_p99_ns: 30,
-                        virt_mean_ns: 40,
-                    },
-                ),
-                ("read".into(), OpSummary::default()),
-            ],
-            shed: 9,
-            queue_depth: 2,
-            queue_capacity: 64,
-            queue_wait_mean_ns: 1_234,
-            queue_wait_p99_ns: 8_191,
-            cache_hits: 100,
-            cache_misses: 4,
-            cache_evictions: 1,
-            cache_len: 3,
-            cache_capacity: 4,
-        }));
         roundtrip_resp(Response::Trace("{\"traceEvents\":[]}".into()));
         roundtrip_resp(Response::Pong(PingInfo {
             server_id: 3,
@@ -1646,9 +1514,15 @@ mod tests {
             Request::Seal { container: "/live".into(), compact: false }.container(),
             Some("/live")
         );
-        assert_eq!(Request::Stats.container(), None);
+        assert_eq!(Request::Metrics.container(), None);
         assert_eq!(Request::Ping.container(), None);
         assert_eq!(Request::Shutdown.container(), None);
+        // A data request has an op; a control request has neither.
+        for req in every_request() {
+            assert_eq!(req.op().is_some(), req.container().is_some(), "{req:?}");
+        }
+        let stream = Request::ReadStream2 { container: "/c".into(), topics: vec![], range: None };
+        assert_eq!(stream.op(), Some(Op::ReadStream));
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //!
 //! Backpressure is explicit: submitting never blocks on a full queue — it
 //! sheds the request with [`Response::Overloaded`] so the client decides
-//! whether to retry. The control-plane ops (`STATS`, `SHUTDOWN`) bypass
-//! the queue entirely, which is what makes an overloaded server
-//! observable: you can always ask it how overloaded it is.
+//! whether to retry. The control-plane ops (`METRICS`, `PING`, `TRACE`,
+//! `SHUTDOWN`) bypass the queue entirely, which is what makes an
+//! overloaded server observable: you can always ask it how overloaded it
+//! is. `STATS` is a view of that same scrape ([`Server::stats`],
+//! `ServeClient::stats`), not an op of its own.
 //!
 //! Every read op reaches the one k-way merge the same way: a worker opens
 //! a `Source` (a static container's pinned cache handle, or a live
@@ -40,10 +42,10 @@ use ros_msgs::Time;
 use simfs::{ConcurrencyGauge, IoCtx, Storage};
 
 use crate::cache::{HandleCache, PinnedBag};
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Op, StatsSnapshot};
 use crate::proto::{
     chunk_frame, ContainerStat, ErrorCode, MetricsReport, PingInfo, Request, Response, SlowOpEntry,
-    StatsSnapshot, WireMessage, METRICS_REPORT_VERSION,
+    WireMessage, METRICS_REPORT_VERSION,
 };
 
 /// Messages per `READ_STREAM2` chunk ([`Response::StreamChunkLz`]).
@@ -124,6 +126,7 @@ impl Default for ServerConfig {
 enum Job {
     Work {
         req: Request,
+        op: Op,
         reply: Sender<Response>,
         submitted: Instant,
         /// Trace context the client sent, if any; the worker adopts it so
@@ -172,16 +175,20 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
     /// Start the worker pool over `storage`.
     pub fn start(storage: S, config: ServerConfig) -> Arc<Self> {
         assert!(config.workers > 0, "need at least one worker");
-        let (tx, rx) = channel::bounded::<Job>(config.queue_capacity.max(1));
+        let queue_capacity = config.queue_capacity.max(1);
+        let (tx, rx) = channel::bounded::<Job>(queue_capacity);
+        let metrics = Metrics::new(queue_capacity);
         // One byte-budgeted pool for the whole process (sized by
         // `BORA_POOL_BYTES`): every handle the cache opens and every
         // ingest snapshot shares it, so total page memory has a single
         // knob regardless of how many containers are hot.
+        let cache = HandleCache::in_registry(config.cache_capacity, metrics.registry())
+            .with_pool(BufferPool::from_env());
         let shared = Arc::new(Shared {
             storage,
-            cache: HandleCache::new(config.cache_capacity).with_pool(BufferPool::from_env()),
+            cache,
             ingests: Mutex::new(HashMap::new()),
-            metrics: Metrics::new(),
+            metrics,
             gauge: ConcurrencyGauge::new(),
             shutting_down: AtomicBool::new(false),
             server_id: config.server_id,
@@ -199,12 +206,7 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
                     .expect("spawn worker")
             })
             .collect();
-        Arc::new(Server {
-            shared,
-            tx,
-            queue_capacity: config.queue_capacity.max(1),
-            workers: Mutex::new(workers),
-        })
+        Arc::new(Server { shared, tx, queue_capacity, workers: Mutex::new(workers) })
     }
 
     /// Handle one single-response request to completion: the last (only)
@@ -256,30 +258,27 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
         deadline_ns: Option<u64>,
         emit: &mut dyn FnMut(Response) -> bool,
     ) -> bool {
-        let req = match req {
-            Request::Stats => return emit(Response::Stats(self.stats())),
-            // METRICS is control-plane for the same reason PING is: the
-            // telemetry poller must see an overloaded node, not be shed
-            // by it.
-            Request::Metrics => return emit(Response::Metrics(self.metrics_report())),
-            // PING answers inline for the same reason STATS does: the
-            // health tracker must hear from an overloaded server, and the
-            // queue depth in the reply is the overload signal itself.
-            Request::Ping => return emit(Response::Pong(self.ping())),
-            // TRACE drains the process-wide span buffers; like STATS it
-            // answers inline so a wedged pool can still be profiled. With
-            // tracing disabled the document is just empty.
-            Request::Trace => {
-                return emit(Response::Trace(bora_obs::chrome_trace(
-                    &bora_obs::drain(),
-                    bora_obs::dropped(),
-                )))
-            }
-            Request::Shutdown => {
-                self.begin_shutdown();
-                return emit(Response::ShuttingDown);
-            }
-            data_op => data_op,
+        let Some(op) = req.op() else {
+            return emit(match req {
+                // METRICS answers inline: the telemetry poller must see an
+                // overloaded node, not be shed by it.
+                Request::Metrics => Response::Metrics(self.metrics_report()),
+                // PING answers inline for the same reason: the health
+                // tracker must hear from an overloaded server, and the
+                // queue depth in the reply is the overload signal itself.
+                Request::Ping => Response::Pong(self.ping()),
+                // TRACE drains the process-wide span buffers; it answers
+                // inline so a wedged pool can still be profiled. With
+                // tracing disabled the document is just empty.
+                Request::Trace => {
+                    Response::Trace(bora_obs::chrome_trace(&bora_obs::drain(), bora_obs::dropped()))
+                }
+                Request::Shutdown => {
+                    self.begin_shutdown();
+                    Response::ShuttingDown
+                }
+                data_op => unreachable!("{data_op:?} has an op"),
+            });
         };
         if self.is_shutting_down() {
             return emit(shutting_down("server is shutting down"));
@@ -297,6 +296,7 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
         let (reply_tx, reply_rx) = channel::bounded(STREAM_WINDOW);
         let job = Job::Work {
             req,
+            op,
             reply: reply_tx,
             submitted: Instant::now(),
             tctx,
@@ -355,27 +355,17 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
         self.shared.cache.set_preferred(roots);
     }
 
-    /// Current metrics, including live queue depth and cache counters.
+    /// Current summary, live queue depth and cache numbers included: the
+    /// view of [`Server::metrics_report`] that `ServeClient::stats` reads
+    /// over the wire.
     pub fn stats(&self) -> StatsSnapshot {
-        let cache = self.shared.cache.stats();
-        let base = StatsSnapshot {
-            queue_depth: self.tx.len() as u32,
-            queue_capacity: self.queue_capacity as u32,
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_evictions: cache.evictions,
-            cache_len: cache.len,
-            cache_capacity: cache.capacity,
-            ..StatsSnapshot::default()
-        };
-        self.shared.metrics.snapshot_into(base)
+        StatsSnapshot::from(&self.metrics_report())
     }
 
     /// Versioned scrape payload (`METRICS`): the node's full metric
-    /// registry plus its slow-op tail. Reads the same handles `STATS`
-    /// does, so the two views can never disagree.
+    /// registry, the queue's depth right now, plus its slow-op tail.
     pub fn metrics_report(&self) -> MetricsReport {
-        let snap = self.shared.metrics.registry_snapshot();
+        let snap = self.shared.metrics.registry_snapshot(self.tx.len());
         MetricsReport {
             version: METRICS_REPORT_VERSION,
             server_id: self.shared.server_id,
@@ -387,10 +377,10 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
         }
     }
 
-    /// Set (or update) a latency objective for `op_name`; see
+    /// Set (or update) a latency objective for `op`; see
     /// [`Metrics::set_slo_target`].
-    pub fn set_slo_target(&self, op_name: &str, target: bora_obs::SloTarget) {
-        self.shared.metrics.set_slo_target(op_name, target);
+    pub fn set_slo_target(&self, op: Op, target: bora_obs::SloTarget) {
+        self.shared.metrics.set_slo_target(op, target);
     }
 
     /// Evaluate every registered SLO over its current window.
@@ -470,10 +460,10 @@ fn worker_loop<S: Storage + Clone>(shared: &Shared<S>, rx: &Receiver<Job>) {
     // Lane convention: pid 0 is the client; servers are `server_id + 1`.
     bora_obs::set_thread_node(shared.server_id + 1);
     while let Ok(job) = rx.recv() {
-        let (req, reply, submitted, tctx, submitted_ns, deadline_ns) = match job {
+        let (req, op, reply, submitted, tctx, submitted_ns, deadline_ns) = match job {
             Job::Poison => return,
-            Job::Work { req, reply, submitted, tctx, submitted_ns, deadline_ns } => {
-                (req, reply, submitted, tctx, submitted_ns, deadline_ns)
+            Job::Work { req, op, reply, submitted, tctx, submitted_ns, deadline_ns } => {
+                (req, op, reply, submitted, tctx, submitted_ns, deadline_ns)
             }
         };
         // Everything this request records now parents under the client's
@@ -505,12 +495,11 @@ fn worker_loop<S: Storage + Clone>(shared: &Shared<S>, rx: &Receiver<Job>) {
         }
         let active = shared.gauge.enter();
         let mut ctx = active.ctx();
-        let op = req.op_name();
-        let sp = bora_obs::span(span_name(op));
+        let sp = bora_obs::span(op.span());
         // Chunk frames go out on `reply` as the merge yields; the
         // terminal (or only) frame is returned and sent below, *after*
         // the metrics record — so a client that has seen the op complete
-        // is guaranteed to see it counted by a subsequent STATS.
+        // is guaranteed to see it counted by a subsequent scrape.
         let resp = handle(shared, &req, &reply, &mut ctx);
         sp.end_virt(ctx.elapsed_ns());
         drop(active);
@@ -523,7 +512,7 @@ fn worker_loop<S: Storage + Clone>(shared: &Shared<S>, rx: &Receiver<Job>) {
             }
             ring.push_back(SlowOpEntry {
                 trace_id: tctx.map(|c| c.trace_id).unwrap_or(0),
-                op: op.to_owned(),
+                op: op.name().to_owned(),
                 container: req.container().unwrap_or_default().to_owned(),
                 wall_ns: wall_ns - queue_wait_ns,
                 queue_wait_ns,
@@ -535,22 +524,6 @@ fn worker_loop<S: Storage + Clone>(shared: &Shared<S>, rx: &Receiver<Job>) {
         if let Some(resp) = resp {
             let _ = reply.send(resp);
         }
-    }
-}
-
-/// Static span name for a data-plane op (span names must be `'static`).
-fn span_name(op: &str) -> &'static str {
-    match op {
-        "open" => "serve.open",
-        "topics" => "serve.topics",
-        "meta" => "serve.meta",
-        "read" => "serve.read",
-        "read_stream" => "serve.read_stream",
-        "query" => "serve.query",
-        "append" => "serve.append",
-        "seal" => "serve.seal",
-        "stat" => "serve.stat",
-        _ => "serve.other",
     }
 }
 
@@ -907,11 +880,7 @@ fn handle<S: Storage + Clone>(
                     }
                 });
             }
-            Request::Stats
-            | Request::Metrics
-            | Request::Trace
-            | Request::Ping
-            | Request::Shutdown => {
+            Request::Metrics | Request::Trace | Request::Ping | Request::Shutdown => {
                 unreachable!("control ops are answered inline by submit_streamed_framed")
             }
         }))

@@ -105,7 +105,8 @@ fn main() {
         mid.len()
     );
 
-    // --- 6. What the server saw. ---
+    // --- 6. What the server saw: `stats()`, the `STATS` view of one
+    // `METRICS` scrape. ---
     let snap = analyst.stats().expect("stats");
     for (op, s) in &snap.ops {
         if s.count > 0 {

@@ -18,6 +18,7 @@ use bora_cluster::{
     ClusterClientConfig, ClusterTelemetry, ClusterTierConfig, HedgeConfig, LocalCluster, RingConfig,
 };
 use bora_obs::SloTarget;
+use bora_serve::Op;
 use ros_msgs::sensor_msgs::Imu;
 use ros_msgs::Time;
 use rosbag::{BagWriter, BagWriterOptions};
@@ -66,8 +67,8 @@ fn main() {
     // their p99 under 50ms, opens under 10ms.
     for id in cluster.node_ids() {
         let node = cluster.node(id).unwrap();
-        node.server.set_slo_target("read", SloTarget::p99(50_000_000));
-        node.server.set_slo_target("open", SloTarget::p99(10_000_000));
+        node.server.set_slo_target(Op::Read, SloTarget::p99(50_000_000));
+        node.server.set_slo_target(Op::Open, SloTarget::p99(10_000_000));
     }
 
     // --- 3. Traffic: hedged reads, plus one injected node death so the

@@ -11,7 +11,9 @@
 //! this example stands up a server over three containers, runs a skewed
 //! query mix through concurrent clients on the in-process transport, then
 //! repeats a few queries over real TCP, and finally reads the server's
-//! own STATS to show the cache doing its job.
+//! own numbers — `stats()`, the `STATS` view of one `METRICS` scrape — to
+//! show the cache doing its job. It asserts that the cache both hit and
+//! evicted, so a run that exits 0 is that claim checked.
 
 use std::sync::Arc;
 
@@ -52,7 +54,7 @@ fn main() {
 
     // --- 2. Start the service: 4 workers, bounded queue, 2-slot cache. ---
     // The cache is deliberately smaller than the container count so the
-    // STATS below show both hits and evictions.
+    // numbers below show both hits and evictions.
     let server = Server::start(
         Arc::clone(&fs),
         ServerConfig {
@@ -64,7 +66,15 @@ fn main() {
     );
     let transport = MemTransport::new(Arc::clone(&server));
 
-    // --- 3. Concurrent clients, 90% of traffic on day2 (the hot one). ---
+    // --- 3. A cold sweep, one container at a time: nothing is pinned
+    // between requests, so the third open evicts the first. Then
+    // concurrent clients, 90% of traffic on day2 (the hot one); their
+    // reads pin handles, so whether the cold tail evicts is up to timing.
+    let mut sweeper = ServeClient::connect(&transport).expect("connect");
+    for day in 0..3 {
+        let (_, cached) = sweeper.open(&format!("/missions/day{day}")).expect("open");
+        assert!(!cached, "day{day} opens cold");
+    }
     std::thread::scope(|scope| {
         for worker in 0..4 {
             let transport = &transport;
@@ -100,8 +110,11 @@ fn main() {
         .expect("windowed read");
     println!("window [105 s, 106 s): {} messages", window.len());
 
-    // --- 5. What the server saw: per-op latency and cache behaviour. ---
+    // --- 5. What the server saw: per-op latency and cache behaviour,
+    // read over TCP as a `METRICS` scrape and projected. ---
     let snap = tcp_client.stats().expect("stats");
+    assert!(snap.cache_hits > 0, "the hot container must hit the cache: {snap:?}");
+    assert!(snap.cache_evictions > 0, "a 2-slot cache over 3 containers must evict: {snap:?}");
     println!(
         "served {} requests | cache: {} hits / {} misses / {} evictions (hit rate {:.0}%)",
         snap.total_requests(),

@@ -292,7 +292,7 @@ fn unsampled_context_is_carried_but_not_adopted() {
     bora_obs::drain();
 
     let off = bora_obs::TraceContext { trace_id: 42, parent_span: 43, sampled: false };
-    let req = Request::Stats;
+    let req = Request::Metrics;
     let (_, decoded, _) = Request::decode_framed(&req.encode_framed(Some(off), None)).unwrap();
     assert_eq!(decoded, Some(off), "the bit travels; the receiver decides");
 

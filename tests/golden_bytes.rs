@@ -14,13 +14,13 @@ use bora_ingest::{IngestConfig, IngestStore};
 use bora_obs::{HistSummary, TraceContext};
 use bora_query::{encode_rows, Value};
 use bora_serve::{
-    compress_chunk, ContainerStat, ErrorCode, MetricsReport, OpSummary, PingInfo, Request,
-    Response, SlowOpEntry, StatsSnapshot, WireMessage, METRICS_REPORT_VERSION,
+    compress_chunk, ContainerStat, ErrorCode, MetricsReport, PingInfo, Request, Response,
+    SlowOpEntry, WireMessage, METRICS_REPORT_VERSION,
 };
 use ros_msgs::{md5, Time};
 use simfs::{IoCtx, MemStorage, Storage};
 
-const WIRE_DIGEST: &str = "f0e9369360494bb9ff4e6db380e6438c";
+const WIRE_DIGEST: &str = "12d8189d89a2dd2717118cac3489a398";
 const INGEST_DIGEST: &str = "9b72df858c38beefdd6e3c5e4f018aa8";
 
 /// Appends `bytes` behind its length, so two encodings can never run into
@@ -58,7 +58,6 @@ fn every_request() -> Vec<Request> {
             partial: true,
         },
         Request::Stat { container: c },
-        Request::Stats,
         Request::Metrics,
         Request::Trace,
         Request::Ping,
@@ -110,31 +109,6 @@ fn every_response() -> Vec<Response> {
         Response::Appended { appended: 17, epoch: 930 },
         Response::Sealed { epoch: 931, sealed_segments: 3 },
         Response::Stat(stat),
-        Response::Stats(StatsSnapshot {
-            ops: vec![
-                (
-                    "open".into(),
-                    OpSummary {
-                        count: 3,
-                        wall_min_ns: 10,
-                        wall_mean_ns: 20,
-                        wall_p99_ns: 30,
-                        virt_mean_ns: 40,
-                    },
-                ),
-                ("read".into(), OpSummary::default()),
-            ],
-            shed: 9,
-            queue_depth: 2,
-            queue_capacity: 64,
-            queue_wait_mean_ns: 1_234,
-            queue_wait_p99_ns: 8_191,
-            cache_hits: 100,
-            cache_misses: 4,
-            cache_evictions: 1,
-            cache_len: 3,
-            cache_capacity: 4,
-        }),
         Response::Metrics(MetricsReport {
             version: METRICS_REPORT_VERSION,
             server_id: 2,

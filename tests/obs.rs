@@ -141,7 +141,7 @@ fn serve_trace_op_returns_chrome_json_with_request_spans() {
     assert!(json.contains("\"serve.open\""));
     assert!(json.contains("\"serve.read\""));
 
-    // Queue-wait telemetry rides the existing STATS op.
+    // Queue-wait telemetry rides the METRICS scrape `stats()` projects.
     let snap = client.stats().unwrap();
     assert!(snap.queue_wait_p99_ns >= snap.queue_wait_mean_ns);
 

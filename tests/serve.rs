@@ -493,7 +493,7 @@ fn client_hangup_mid_stream_aborts_server_side() {
     server.shutdown();
 }
 
-/// The opcodes this protocol retired — plain `READ_STREAM` and the three
+/// The opcodes this protocol retired — `STATS`, plain `READ_STREAM` and the three
 /// former request prefixes — are unknown opcodes now: `BadRequest` under
 /// the request's seq, and the connection keeps serving.
 #[test]
@@ -506,7 +506,7 @@ fn retired_opcodes_answer_bad_request_and_keep_the_connection() {
     let mut conn = MemTransport::new(Arc::clone(&server)).connect().unwrap();
 
     let read = Request::Read { container: roots[0].clone(), topics: vec![], range: None };
-    for (seq, op) in [(1u32, 0x09u8), (2, 0x0F), (3, 0x10), (4, 0x11)] {
+    for (seq, op) in [(1u32, 0x06u8), (2, 0x09), (3, 0x0F), (4, 0x10), (5, 0x11)] {
         let mut frame = read.encode_seq(seq, None, None).unwrap();
         frame[5] = op; // seq u32 | flags u8 | opcode
         conn.send_frame(&[&frame]).unwrap();

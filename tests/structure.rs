@@ -57,6 +57,15 @@
 //!     that variant is a copy of its frame), and `stream_chunk` and
 //!     `decompress_chunk` in `proto.rs` call neither `get_byte_array`,
 //!     `decode_frame` nor `to_vec`.
+//! 13. *One observation path*: `STATS` is a view of `METRICS`. Non-test
+//!     `bora-serve` source has no `Stats` request or response variant,
+//!     no `STATS` opcode and no `snapshot_into`, and builds a
+//!     `StatsSnapshot` in one place: `impl From<&MetricsReport> for
+//!     StatsSnapshot` in `metrics.rs`. The data ops' names stay in one
+//!     table: each op key literal is written once, in `metrics.rs`; no
+//!     source writes a `serve.<op>` span name, and only `metrics.rs` a
+//!     `serve.op.` metric name — `bora-cluster`'s `telemetry.rs`, which
+//!     renders the op rows, neither.
 
 use std::path::Path;
 
@@ -78,6 +87,24 @@ const TRANSPORT: &str = "crates/bora-serve/src/transport.rs";
 const CLIENT: &str = "crates/bora-serve/src/client.rs";
 /// What the client's chunk path may not call: each copies a whole frame.
 const FRAME_COPIES: [&str; 2] = ["get_byte_array", "decode_frame("];
+const SERVE_SRC: &str = "crates/bora-serve/src/";
+const METRICS: &str = "crates/bora-serve/src/metrics.rs";
+const TELEMETRY: &str = "crates/bora-cluster/src/telemetry.rs";
+/// The data ops' metric keys, as `metrics.rs`'s op table declares them.
+const OP_KEYS: [&str; 9] =
+    ["append", "meta", "open", "query", "read", "read_stream", "seal", "stat", "topics"];
+/// What the retired `STATS` wire op and its second builder were made of.
+const STATS_OP: [&str; 7] = [
+    "OP_STATS",
+    "OP_OK_STATS",
+    "Request::Stats",
+    "Response::Stats",
+    "Self::Stats",
+    "Stats(StatsSnapshot)",
+    "snapshot_into",
+];
+/// The one `StatsSnapshot` builder's header.
+const PROJECTION: &str = "impl From<&MetricsReport> for StatsSnapshot {";
 
 /// Where a source guard looks and what it refuses to find there.
 struct SourceGuard {
@@ -402,6 +429,63 @@ fn one_wire_path_violations(path: &str, source: &str) -> Vec<String> {
     found
 }
 
+/// Guard 13 over one file: `STATS` as a wire op or a second
+/// `StatsSnapshot` builder in `bora-serve`, and op names written outside
+/// the op table there or in the cluster's `telemetry.rs`.
+fn one_observation_path_violations(path: &str, source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    if !path.starts_with(SERVE_SRC) && path != TELEMETRY {
+        return found;
+    }
+    let mut flag = |i: usize, what: &str| {
+        found.push(format!("one observation path: {path}:{}: {what}", i + 1))
+    };
+    let (mut keys, mut header) = ([0usize; OP_KEYS.len()], "");
+    for (i, line) in source.lines().take_while(|l| !l.contains("#[cfg(test)]")).enumerate() {
+        let code = line.split("//").next().unwrap_or("");
+        if path == TELEMETRY {
+            if code.contains("\"serve.op.") || code.contains(".wall_ns\"") {
+                flag(i, "the op rows read the op table's metric names");
+            }
+            continue;
+        }
+        let item = code.trim();
+        if STATS_OP.iter().any(|p| code.contains(p))
+            || item == "Stats,"
+            || item.starts_with("Stats(")
+        {
+            flag(i, "`STATS` is a view of `METRICS`, not a wire op");
+        }
+        if code.starts_with("impl") {
+            header = code;
+        }
+        // A literal, not the type's declaration, an `impl` or a return type.
+        let literal = code.match_indices("StatsSnapshot {").any(|(at, _)| {
+            !matches!(code[..at].split_whitespace().last(), Some("struct" | "impl" | "->" | "for"))
+        });
+        let builds = literal
+            || code.contains("StatsSnapshot::default()")
+            || code.contains(" for StatsSnapshot");
+        if builds && !(path == METRICS && header == PROJECTION) {
+            flag(i, "a `StatsSnapshot` is built from a `MetricsReport`, in one place");
+        }
+        for (n, key) in keys.iter_mut().zip(OP_KEYS) {
+            *n += code.matches(&format!("\"{key}\"")).count();
+            if code.contains(&format!("\"serve.{key}\"")) {
+                flag(i, "span names come from the op table");
+            }
+        }
+        if path != METRICS && code.contains("\"serve.op.") {
+            flag(i, "op metric names come from the op table");
+        }
+    }
+    let want = usize::from(path == METRICS);
+    for (n, key) in keys.into_iter().zip(OP_KEYS).filter(|(n, _)| *n != want) {
+        flag(0, &format!("the op key \"{key}\" is written {n} times, not {want}"));
+    }
+    found
+}
+
 /// Guard 7, first half: whether `path` is a source under `crates/`, not
 /// under `crates/bench`, that names `BinaryHeap` before its tests.
 fn names_the_heap(path: &str, source: &str) -> bool {
@@ -501,6 +585,7 @@ fn the_tree_holds_every_guard() {
             found.extend(source_violations(&rel, &source));
             found.extend(codec_choice_violations(&rel, &source));
             found.extend(one_wire_path_violations(&rel, &source));
+            found.extend(one_observation_path_violations(&rel, &source));
             if names_the_heap(&rel, &source) {
                 heap_files.push(rel);
             }
@@ -838,6 +923,67 @@ fn the_one_wire_path_guard_fires() {
     ];
     for (path, source, fires) in cases {
         let found = one_wire_path_violations(path, &source);
+        assert_eq!(!found.is_empty(), fires, "{path}: {source}\n{found:?}");
+    }
+}
+
+#[test]
+fn the_one_observation_path_guard_fires() {
+    let table = "data_ops! {\n    Append => \"append\",\n    Meta => \"meta\",\n    \
+                 Open => \"open\",\n    Query => \"query\",\n    Read => \"read\",\n    \
+                 ReadStream => \"read_stream\",\n    Seal => \"seal\",\n    \
+                 Stat => \"stat\",\n    Topics => \"topics\",\n}\n";
+    let projection = format!(
+        "pub struct StatsSnapshot {{\n    pub shed: u64,\n}}\n{PROJECTION}\n    \
+         fn from(r: &MetricsReport) -> Self {{\n        \
+         StatsSnapshot {{ shed: r.counter(SHED) }}\n    }}\n}}\n"
+    );
+    let metrics = format!("{table}{projection}");
+    let tests = "#[cfg(test)]\nfn t() { let r = Request::Stats; let o = \"read\"; \
+                 let s = StatsSnapshot::default(); }\n";
+    let proto = "pub enum Request {\n    Stat { container: String },\n    Metrics,\n}\n";
+    let rows = "fn op_rows() {\n    for op in Op::ALL {\n        \
+                let wall = hists.iter().find(|(n, _)| n == op.wall_metric());\n    }\n}\n";
+    let cases = [
+        (METRICS, format!("{metrics}{tests}"), false),
+        (PROTO, format!("{proto}{tests}"), false),
+        (
+            SERVER,
+            "impl StatsSnapshot {\n}\npub fn stats(&self) -> StatsSnapshot {\n    \
+             StatsSnapshot::from(&self.metrics_report())\n}\n"
+                .to_owned(),
+            false,
+        ),
+        (TELEMETRY, format!("{rows}{tests}const W: &str = \"serve.op.read.wall_ns\";\n"), false),
+        ("crates/bora-tool/src/main.rs", "let op = \"read\";\n".to_owned(), false),
+        (PROTO, proto.replace("    Metrics,", "    Stats,\n    Metrics,"), true),
+        (PROTO, "Request::Stats => w.put_u8(OP_STATS),\n".to_owned(), true),
+        (PROTO, "    Stats(StatsSnapshot),\n".to_owned(), true),
+        (
+            SERVER,
+            "let base = StatsSnapshot { shed: 0, ..StatsSnapshot::default() };\n".to_owned(),
+            true,
+        ),
+        (SERVER, "self.shared.metrics.snapshot_into(base)\n".to_owned(), true),
+        (METRICS, format!("{metrics}impl Default for StatsSnapshot {{\n}}\n"), true),
+        (
+            METRICS,
+            format!(
+                "{table}{}",
+                projection.replace(PROJECTION, "impl From<&Metrics> for StatsSnapshot {")
+            ),
+            true,
+        ),
+        (METRICS, format!("{}{projection}", table.replace("    Seal => \"seal\",\n", "")), true),
+        (METRICS, format!("{metrics}const OP_NAMES: [&str; 1] = [\"read\"];\n"), true),
+        (SERVER, "match op {\n    \"read_stream\" => \"serve.read_stream\",\n}\n".to_owned(), true),
+        (SERVER, "let sp = bora_obs::span(\"serve.query\");\n".to_owned(), true),
+        (SERVER, "let name = format!(\"serve.op.{op}.wall_ns\");\n".to_owned(), true),
+        (TELEMETRY, format!("{rows}const PREFIX: &str = \"serve.op.\";\n"), true),
+        (TELEMETRY, format!("{rows}const SUFFIX: &str = \".wall_ns\";\n"), true),
+    ];
+    for (path, source, fires) in cases {
+        let found = one_observation_path_violations(path, &source);
         assert_eq!(!found.is_empty(), fires, "{path}: {source}\n{found:?}");
     }
 }
