@@ -1,17 +1,23 @@
 //! The codec of each `READ_STREAM2` chunk, as a client sees it on the
 //! wire: a stream LZ-codes its chunks only when its link pays for it.
 //!
-//! Over the in-process transport the link is faster than the encoder, so
-//! the server LZ-codes only its probes — chunks 0, 4 and 8 while it
-//! gathers its first comparisons, then every 16th.
-//! Over a link capped at 2 MB/s on the serving side the same stream turns
-//! to LZ, and back to raw when the cap is lifted mid-stream. Either way
-//! the messages delivered are `READ`'s, byte for byte.
+//! A stream ships raw, and probes nothing, until a send blocks on its
+//! full reply window. Over the in-process transport the link is faster
+//! than the encoder, so at most one warm-up round's three probes go
+//! LZ-coded, none before a blocked send. Over a link capped at 2 MB/s on
+//! the serving side the same stream turns to LZ, and when the cap is
+//! lifted mid-stream its codec re-opens a round and returns to raw — for
+//! one server's own client and for a cluster stream alike. Either way the
+//! messages delivered are `READ`'s, byte for byte.
 
 use std::io;
 use std::sync::{Arc, Mutex};
 
+use std::sync::RwLock;
+
 use bora_chaos::ThrottledTransport;
+use bora_cluster::{ClusterClient, ClusterClientConfig, Ring, RingConfig};
+use bora_serve::metrics::STREAM_CODEC_REOPENS;
 use bora_serve::{
     split_seq, Connection, MemTransport, Response, ServeClient, Server, ServerConfig, Transport,
     WireMessage,
@@ -23,6 +29,10 @@ use simfs::{IoCtx, MemStorage};
 const ROOT: &str = "/c/codec";
 /// Messages per chunk the server sends.
 const CHUNK: usize = 32;
+/// Frames a stream's reply window holds: no send before chunk
+/// `WINDOW + 1`'s — the window full, the connection writing one more —
+/// can block.
+const WINDOW: usize = 4;
 
 /// The tests run one at a time. Each stream judges its link by its own
 /// timings, and a sibling test building its container is CPU load those
@@ -90,10 +100,14 @@ fn a_fast_link_lz_codes_the_probes_alone() {
     assert_eq!(streamed, read);
     let lz = lz.lock().unwrap();
     assert_eq!(lz.len(), 201);
-    // Chunks 0, 4, 8, then 16, 32, …: min(⌈n/4⌉, ⌈n/16⌉ + 2) of n chunks.
-    let probes: Vec<usize> = [0, 4, 8].into_iter().chain((16..201).step_by(16)).collect();
-    assert_eq!(probes.len(), 15);
-    assert_eq!(lz_positions(&lz), probes);
+    // None, or a prefix of the one round a blocked send opens: chunks
+    // b + 1, b + 5 and b + 9 after the first blocked send b.
+    let probes = lz_positions(&lz);
+    assert!(probes.len() <= 3, "LZ-coded chunks {probes:?}");
+    if let Some(&first) = probes.first() {
+        assert!(first > WINDOW, "chunk {first} LZ-coded before a send could block");
+        assert!(probes.iter().enumerate().all(|(j, &k)| k == first + 4 * j), "{probes:?}");
+    }
     server.shutdown();
 }
 
@@ -140,5 +154,33 @@ fn a_slow_link_turns_the_stream_to_lz_and_a_lifted_cap_back_to_raw() {
         tail.len(),
         lz_positions(&lz[THROTTLED..])
     );
+    // Raw's return took a re-opened round: LZ's wait fell below its
+    // encode surcharge.
+    let reopens = server.metrics_report().counter(STREAM_CODEC_REOPENS);
+    println!("{reopens} re-opened rounds");
+    assert!(reopens >= 1, "the codec never re-opened a round");
+    server.shutdown();
+}
+
+/// A cluster stream is `ServeClient`'s stream plus a failover policy:
+/// behind a slow link its chunks arrive LZ-coded and decode to `READ`'s
+/// messages.
+#[test]
+fn a_cluster_stream_over_a_slow_link_decodes_lz_chunks() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let server = serve(40);
+    let ring = Arc::new(RwLock::new(Ring::with_nodes(RingConfig::default(), 1)));
+    let link = ThrottledTransport::new(Arc::clone(&server), 2_000_000);
+    let client = ClusterClient::new(ring, [(0, link)], ClusterClientConfig::default());
+    let read = client.read(ROOT, &["/imu"]).unwrap();
+    let lz = bora_obs::counter("serve.stream_chunk_lz");
+    let before = lz.get();
+    let streamed: Vec<WireMessage> =
+        client.read_stream(ROOT, &["/imu"]).unwrap().collect::<Result<_, _>>().unwrap();
+    assert_eq!(streamed, read);
+    // The window blocks behind the cap, so at least the warm-up round's
+    // probes went LZ-coded.
+    let coded = lz.get() - before;
+    assert!(coded >= 3, "{coded} of 40 chunks LZ-coded");
     server.shutdown();
 }

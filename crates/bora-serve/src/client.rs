@@ -1570,10 +1570,10 @@ mod tests {
         let streamed: Vec<WireMessage> =
             c.read_stream("/c", &["/imu"]).unwrap().map(|r| r.unwrap()).collect();
         assert_eq!(streamed.len(), 200);
-        assert_eq!(streamed, buffered, "compressed stream must be byte-identical");
-        // The server LZ-coded some chunks of it: chunk 0 is an LZ probe.
-        let report = c.metrics().unwrap();
-        assert!(report.counter("serve.stream_chunk_lz") > 0, "no LZ chunk was sent");
+        // Raw or LZ-coded as the stream measured its link; LZ-coded chunks
+        // reach this client behind a slow link in bora-chaos's
+        // `stream_codec` tests.
+        assert_eq!(streamed, buffered, "the stream must be byte-identical");
         server.shutdown();
     }
 

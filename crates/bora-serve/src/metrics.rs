@@ -117,6 +117,10 @@ pub const CACHE_EVICTIONS: &str = "serve.cache_evictions";
 pub const CACHE_LEN: &str = "serve.cache_len";
 /// Gauge: the cache's capacity.
 pub const CACHE_CAPACITY: &str = "serve.cache_capacity";
+/// Counter: warm-up rounds a `READ_STREAM2` stream's codec re-opened
+/// after its first, each when the shipped mode's wait crossed LZ's
+/// encode surcharge.
+pub const STREAM_CODEC_REOPENS: &str = "serve.stream_codec_reopens";
 
 /// Latency summary for one op kind inside a [`StatsSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -220,6 +224,7 @@ pub struct Metrics {
     queue_wait: Histogram,
     shed: Counter,
     queue_depth: Gauge,
+    codec_reopens: Counter,
     slo: SloTracker,
 }
 
@@ -238,6 +243,7 @@ impl Metrics {
             queue_wait: registry.histogram(QUEUE_WAIT),
             shed: registry.counter(SHED),
             queue_depth: registry.gauge(QUEUE_DEPTH),
+            codec_reopens: registry.counter(STREAM_CODEC_REOPENS),
             slo: SloTracker::per_second_minute(),
             registry,
         }
@@ -267,6 +273,11 @@ impl Metrics {
         self.shed.inc();
     }
 
+    /// Count one warm-up round a stream's codec re-opened.
+    pub fn record_codec_reopen(&self) {
+        self.codec_reopens.inc();
+    }
+
     /// Set (or update) the latency objective for one op; its wall
     /// samples start feeding the op's sliding window.
     pub fn set_slo_target(&self, op: Op, target: SloTarget) {
@@ -285,8 +296,9 @@ impl Metrics {
     /// The per-op recorders live in this server's private registry, but
     /// subsystems the server *uses* (buffer pool `pool.*`, the stream
     /// chunks the server LZ-coded `serve.stream_chunk_lz` — raw ones are
-    /// not counted; on a link faster than the encoder a stream of n
-    /// chunks LZ-codes only its min(⌈n/4⌉, ⌈n/16⌉ + 2) probes —
+    /// not counted; a stream whose reply window never fills LZ-codes
+    /// none, and one on a link faster than the encoder only its warm-up
+    /// round's three probes —
     /// shed/evict counters) record
     /// into the process-wide `bora_obs` registry — one pool, one set of
     /// numbers. The scrape is the union of both; on a (by-convention

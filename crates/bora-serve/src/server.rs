@@ -64,20 +64,19 @@ const QUERY_CHUNK_ROWS: usize = 64;
 /// of buffering the whole result set in memory.
 const STREAM_WINDOW: usize = 4;
 
-/// A stream ships every `PROBE_EVERY`-th chunk in the codec it is not
-/// using, so it keeps measuring both and follows a link that changes
-/// speed mid-stream.
-const PROBE_EVERY: usize = 16;
-
-/// The probe period until the stream has [`MIN_PAIRS`] pairs to
-/// compare: its first chunks probe densely, so a slow link turns a stream
-/// to LZ by chunk 11.
+/// The probe period of a warm-up round: every 4th chunk of the round
+/// ships in the mode the stream is not shipping, so the round holds
+/// [`MIN_PAIRS`] drained pairs ten chunks after it opens.
 const WARM_UP_PROBE_EVERY: usize = 4;
 
-/// Chunks a stream's costs look back over; a link that changes speed has
-/// turned the span over within this many chunks. Four probe periods: the
-/// span always holds [`MIN_PAIRS`] drained pairs.
-const COST_SPAN: usize = 4 * PROBE_EVERY;
+/// Drained chunks of the shipped mode whose median wait the closed
+/// codec watches: more than a hiccup, fewer than a link change lasts.
+const WATCH_CHUNKS: usize = 16;
+
+/// Chunks a stream's costs look back over: the watched chunks and the
+/// window's undrained ones behind them. A link that changes speed has
+/// turned the stream's choice within this many chunks.
+const COST_SPAN: usize = 2 * WATCH_CHUNKS;
 
 /// LZ counts as the cheaper mode only below this share of raw's cost.
 /// An LZ chunk also spends CPU the worker's clock does not see — the
@@ -669,36 +668,62 @@ fn scan<S: Storage>(
 ///
 /// A chunk's cost is nanoseconds per logical (payload) byte: the
 /// worker's time building its frame plus its share of the worker's
-/// waits on the reply window. A wait is the drain of the frame at the
-/// head of the window — the one the connection is writing, sent
-/// `STREAM_WINDOW + 1` frames earlier, behind the `STREAM_WINDOW` that
-/// are queued — so it is charged to that frame.
+/// waits on the reply window. A send that finds the window full blocks
+/// until the frame at the head of the window drains — the one the
+/// connection is writing, sent `STREAM_WINDOW + 1` frames earlier,
+/// behind the `STREAM_WINDOW` that are queued — so its wait is charged
+/// to that frame. A send that does not block charges it nothing.
 ///
-/// The modes are compared pair by pair: two chunks sent back to back in
-/// different modes — a probe and each of its neighbours — drain back to
-/// back, so a burst of load on the host lands on both alike. LZ is the
-/// cheaper mode when, in most drained pairs among the last
-/// [`COST_SPAN`] chunks, the LZ chunk costs under [`LZ_SHARE`] of the raw
-/// one. (A mode's median over the span does not do: one probe in 16 puts
-/// the probed mode's samples half a span behind the other's, and a burst
-/// of 30 chunks moved one median and not the other.) The cheaper mode
-/// ships, and every [`PROBE_EVERY`]-th chunk, chunk 0 first, probes the
-/// other. Until [`MIN_PAIRS`] pairs have drained, raw counts as the
-/// cheaper and every [`WARM_UP_PROBE_EVERY`]-th chunk probes. Where the
-/// link is faster than the encoder, LZ ships on chunks 0, 4, 8, then 16,
-/// 32, 48, … alone — min(⌈n/4⌉, ⌈n/16⌉ + 2) of a stream's n chunks;
-/// where it is slower, LZ ships from chunk 11 on, and raw on the probes.
+/// Raw ships, and nothing is probed, until the stream's first blocked
+/// send: a window that never fills has nothing for LZ to save. That
+/// send opens a warm-up round, in which every [`WARM_UP_PROBE_EVERY`]-th
+/// chunk probes the mode not shipped. The modes are compared pair by
+/// pair: two chunks sent back to back in different modes — a probe and
+/// each of its neighbours — drain back to back, so a burst of load on
+/// the host lands on both alike. Once [`MIN_PAIRS`] of the round's pairs
+/// have drained, LZ ships if in most of them the LZ chunk cost under
+/// [`LZ_SHARE`] of the raw one, raw otherwise, and probing closes. The
+/// round also measures LZ's encode surcharge: the median, over its
+/// pairs, of the LZ chunk's build cost less the raw one's.
+///
+/// While probing is closed the codec watches the shipped mode's median
+/// wait over its last [`WATCH_CHUNKS`] drained chunks, and re-opens one
+/// round when that wait crosses the surcharge: above it with raw shipped
+/// (LZ could now pay), below it with LZ shipped (raw could now be
+/// cheaper). A stream whose first block is chunk b's send probes chunks
+/// b + 1, b + 5 and b + 9, and ships its choice from chunk b + 11 on: on
+/// loopback and the in-process transport, those three are its only LZ
+/// chunks; behind a slow link, every chunk after them is.
 struct ChunkCodec {
     /// Chunks picked and sent so far.
     chunks: usize,
     /// The last [`COST_SPAN`] chunks, at their index modulo the span.
     recent: [SentChunk; COST_SPAN],
+    /// The mode every chunk but a round's probes ships in.
+    shipped: BlockCodec,
+    probing: Probing,
 }
 
 impl Default for ChunkCodec {
     fn default() -> Self {
-        ChunkCodec { chunks: 0, recent: [SentChunk::default(); COST_SPAN] }
+        ChunkCodec {
+            chunks: 0,
+            recent: [SentChunk::default(); COST_SPAN],
+            shipped: BlockCodec::None,
+            probing: Probing::Unblocked,
+        }
     }
+}
+
+#[derive(Clone, Copy)]
+enum Probing {
+    /// No send of the stream has blocked yet.
+    Unblocked,
+    /// A warm-up round is open; it opened at chunk `start`.
+    Round { start: usize },
+    /// The round that decided closed at chunk `since`, having measured
+    /// LZ's encode surcharge at `surcharge` ns per logical byte.
+    Closed { since: usize, surcharge: f64 },
 }
 
 #[derive(Default, Clone, Copy)]
@@ -706,60 +731,122 @@ struct SentChunk {
     codec: BlockCodec,
     /// Logical bytes.
     bytes: u64,
-    /// Build time, plus the drain once charged.
-    ns: u64,
-    drained: bool,
+    build_ns: u64,
+    /// The wait charged to it once it drained.
+    wait_ns: u64,
 }
 
 impl SentChunk {
-    fn ns_per_byte(&self) -> f64 {
-        self.ns as f64 / self.bytes.max(1) as f64
+    fn per_byte(&self, ns: u64) -> f64 {
+        ns as f64 / self.bytes.max(1) as f64
+    }
+
+    fn cost(&self) -> f64 {
+        self.per_byte(self.build_ns + self.wait_ns)
     }
 }
 
 impl ChunkCodec {
     fn pick(&self) -> BlockCodec {
-        let (every, lz_cheaper) = match self.lz_cheaper() {
-            Some(lz_cheaper) => (PROBE_EVERY, lz_cheaper),
-            None => (WARM_UP_PROBE_EVERY, false),
-        };
-        // A probe ships the mode that is not the cheaper one.
-        if lz_cheaper != self.chunks.is_multiple_of(every) {
-            BlockCodec::Lzss
-        } else {
-            BlockCodec::None
-        }
-    }
-
-    /// Whether LZ costs under [`LZ_SHARE`] of raw in most drained pairs of
-    /// adjacent recent chunks sent in different modes; `None` below
-    /// [`MIN_PAIRS`] such pairs.
-    fn lz_cheaper(&self) -> Option<bool> {
-        let (mut pairs, mut lz_wins) = (0, 0);
-        for k in self.chunks.saturating_sub(COST_SPAN) + 1..self.chunks {
-            let (a, b) = (self.recent[(k - 1) % COST_SPAN], self.recent[k % COST_SPAN]);
-            if a.codec == b.codec || !(a.drained && b.drained) {
-                continue;
+        match self.probing {
+            // A probe ships the mode that is not shipped.
+            Probing::Round { start }
+                if (self.chunks - start).is_multiple_of(WARM_UP_PROBE_EVERY) =>
+            {
+                match self.shipped {
+                    BlockCodec::Lzss => BlockCodec::None,
+                    BlockCodec::None => BlockCodec::Lzss,
+                }
             }
-            let (lz, raw) = if a.codec == BlockCodec::Lzss { (a, b) } else { (b, a) };
-            pairs += 1;
-            lz_wins += usize::from(lz.ns_per_byte() < raw.ns_per_byte() * LZ_SHARE);
+            _ => self.shipped,
         }
-        (pairs >= MIN_PAIRS).then_some(2 * lz_wins > pairs)
     }
 
     /// Account the chunk just sent: `bytes` logical bytes as `codec`,
-    /// built in `build`, its send blocked for `wait`.
-    fn record(&mut self, codec: BlockCodec, bytes: u64, build: Duration, wait: Duration) {
+    /// built in `build`; `wait` is how long its send blocked on a full
+    /// window, `None` if it did not block. Returns whether this re-opened
+    /// probing.
+    fn record(
+        &mut self,
+        codec: BlockCodec,
+        bytes: u64,
+        build: Duration,
+        wait: Option<Duration>,
+    ) -> bool {
         let k = self.chunks;
         if let Some(head) = k.checked_sub(STREAM_WINDOW + 1) {
-            let head = &mut self.recent[head % COST_SPAN];
-            head.ns += wait.as_nanos() as u64;
-            head.drained = true;
+            self.recent[head % COST_SPAN].wait_ns = wait.map_or(0, |w| w.as_nanos() as u64);
         }
-        self.recent[k % COST_SPAN] =
-            SentChunk { codec, bytes, ns: build.as_nanos() as u64, drained: false };
+        let build_ns = build.as_nanos() as u64;
+        self.recent[k % COST_SPAN] = SentChunk { codec, bytes, build_ns, wait_ns: 0 };
         self.chunks += 1;
+        let open = match self.probing {
+            Probing::Unblocked => wait.is_some(),
+            Probing::Round { start } => {
+                if let Some((lz_cheaper, surcharge)) = self.verdict(start) {
+                    self.shipped = if lz_cheaper { BlockCodec::Lzss } else { BlockCodec::None };
+                    self.probing = Probing::Closed { since: self.chunks, surcharge };
+                }
+                false
+            }
+            Probing::Closed { since, surcharge } => self.watched_wait(since).is_some_and(|wait| {
+                if self.shipped == BlockCodec::Lzss {
+                    wait < surcharge
+                } else {
+                    wait > surcharge
+                }
+            }),
+        };
+        let reopen = open && matches!(self.probing, Probing::Closed { .. });
+        if open {
+            self.probing = Probing::Round { start: self.chunks };
+        }
+        reopen
+    }
+
+    /// Chunks whose wait has been charged: all but the last
+    /// `STREAM_WINDOW + 1`, whose sends have not yet waited for them.
+    fn drained(&self) -> usize {
+        self.chunks.saturating_sub(STREAM_WINDOW + 1)
+    }
+
+    /// The verdict of the round opened at chunk `start`, once
+    /// [`MIN_PAIRS`] of its pairs — adjacent chunks sent in different
+    /// modes, the chunk before the round included — have drained: whether
+    /// LZ cost under [`LZ_SHARE`] of raw in most of them, and LZ's
+    /// median build surcharge over raw, in ns per logical byte. A round
+    /// decides ten chunks after it opens, well within the span.
+    fn verdict(&self, start: usize) -> Option<(bool, f64)> {
+        let mut surcharges = Vec::new();
+        let mut lz_wins = 0;
+        for k in start..self.drained() {
+            let (a, b) = (self.recent[(k - 1) % COST_SPAN], self.recent[k % COST_SPAN]);
+            if a.codec == b.codec {
+                continue;
+            }
+            let (lz, raw) = if a.codec == BlockCodec::Lzss { (a, b) } else { (b, a) };
+            lz_wins += usize::from(lz.cost() < raw.cost() * LZ_SHARE);
+            surcharges.push(lz.per_byte(lz.build_ns) - raw.per_byte(raw.build_ns));
+        }
+        if surcharges.len() < MIN_PAIRS {
+            return None;
+        }
+        let pairs = surcharges.len();
+        surcharges.sort_by(f64::total_cmp);
+        Some((2 * lz_wins > pairs, surcharges[pairs / 2].max(0.0)))
+    }
+
+    /// The median wait per logical byte of the last [`WATCH_CHUNKS`]
+    /// drained chunks, all of them sent since chunk `since`; `None` until
+    /// that many have drained.
+    fn watched_wait(&self, since: usize) -> Option<f64> {
+        let first = self.drained().checked_sub(WATCH_CHUNKS).filter(|&first| first >= since)?;
+        let mut waits: [f64; WATCH_CHUNKS] = std::array::from_fn(|i| {
+            let chunk = &self.recent[(first + i) % COST_SPAN];
+            chunk.per_byte(chunk.wait_ns)
+        });
+        waits.sort_by(f64::total_cmp);
+        Some(waits[WATCH_CHUNKS / 2])
     }
 }
 
@@ -850,8 +937,18 @@ fn handle<S: Storage + Clone>(
                     );
                     batch.clear();
                     let built = Instant::now();
-                    let sent = reply.send(frame).is_ok();
-                    codec.record(mode, bytes, built - started, built.elapsed());
+                    // Only a send that finds the window full waits, and
+                    // only its wait is charged.
+                    let (sent, wait) = match reply.try_send(frame) {
+                        Ok(()) => (true, None),
+                        Err(TrySendError::Full(frame)) => {
+                            (reply.send(frame).is_ok(), Some(built.elapsed()))
+                        }
+                        Err(TrySendError::Disconnected(_)) => (false, None),
+                    };
+                    if codec.record(mode, bytes, built - started, wait) {
+                        shared.metrics.record_codec_reopen();
+                    }
                     sent
                 })?;
                 match sent {
@@ -992,29 +1089,37 @@ fn error_response(e: BoraError) -> Response {
 mod tests {
     use super::*;
 
-    /// Drive a policy whose chunk `k`, sent as `codec`, costs
-    /// `cost(k, codec)` = (build, drain) ns per byte, and return the
-    /// chunks that went out LZ-coded.
-    fn lz_chunks(chunks: usize, cost: impl Fn(usize, BlockCodec) -> (u64, u64)) -> Vec<usize> {
+    /// What a codec did over one stream: the chunks it LZ-coded, the
+    /// mode it shipped outside the probes when it picked each chunk, and
+    /// the rounds it re-opened.
+    struct Trace {
+        lz: Vec<usize>,
+        shipped: Vec<BlockCodec>,
+        reopens: usize,
+    }
+
+    /// Drive a codec whose chunk `k`, sent as `codec`, costs
+    /// `cost(k, codec)` = (build, drain) ns per byte. A send waits for the
+    /// frame at the window's head to drain, and it blocks if that wait is
+    /// not 0.
+    fn drive(chunks: usize, cost: impl Fn(usize, BlockCodec) -> (u64, u64)) -> Trace {
         let mut codec = ChunkCodec::default();
         let mut sent: Vec<BlockCodec> = Vec::new();
+        let mut trace = Trace { lz: Vec::new(), shipped: Vec::new(), reopens: 0 };
         for k in 0..chunks {
             let mode = codec.pick();
-            // This send waits for the frame at the window's head to drain.
+            trace.shipped.push(codec.shipped);
             let head = k.checked_sub(STREAM_WINDOW + 1);
             let wait = head.map_or(0, |h| cost(h, sent[h]).1 * 1000);
             let build = Duration::from_nanos(cost(k, mode).0 * 1000);
-            codec.record(mode, 1000, build, Duration::from_nanos(wait));
+            let blocked = wait > 0;
+            if codec.record(mode, 1000, build, blocked.then(|| Duration::from_nanos(wait))) {
+                trace.reopens += 1;
+            }
             sent.push(mode);
         }
-        (0..chunks).filter(|&k| sent[k] == BlockCodec::Lzss).collect()
-    }
-
-    /// The chunks a stream of `chunks` probes with while raw is the
-    /// cheaper mode: every fourth until the third pair has drained (chunks
-    /// 4 and 5, charged by chunk 10's send), then every sixteenth.
-    fn probes(chunks: usize) -> Vec<usize> {
-        (0..chunks).filter(|&k| k % PROBE_EVERY == 0 || k < 11 && k % 4 == 0).collect()
+        trace.lz = (0..chunks).filter(|&k| sent[k] == BlockCodec::Lzss).collect();
+        trace
     }
 
     /// LZ builds at 20 ns/B and drains in 5; raw costs 1 + 1.
@@ -1026,35 +1131,63 @@ mod tests {
         }
     }
 
+    /// Draining costs 500 ns/B raw, a quarter of that LZ-coded.
+    fn slow(_: usize, codec: BlockCodec) -> (u64, u64) {
+        if codec == BlockCodec::Lzss {
+            (20, 125)
+        } else {
+            (1, 500)
+        }
+    }
+
+    /// The warm-up round of a stream whose first blocked send is chunk 5's,
+    /// the first with a frame at the window's head.
+    const ROUND: [usize; 3] = [6, 10, 14];
+
     #[test]
-    fn a_fast_link_gets_lz_on_the_probes_alone() {
-        let lz = lz_chunks(200, fast);
-        assert_eq!(lz, probes(200));
-        assert_eq!(lz[..6], [0, 4, 8, 16, 32, 48]);
-        // min(⌈n/4⌉, ⌈n/16⌉ + 2) of a stream's n chunks.
-        for n in [1, 5, 9, 13, 16, 17, 64, 201, 1817] {
-            assert_eq!(lz_chunks(n, fast).len(), n.div_ceil(4).min(n.div_ceil(16) + 2), "{n}");
+    fn a_stream_that_never_blocks_ships_no_lz_chunk() {
+        for n in [1, 5, 6, 200, 1817] {
+            let trace = drive(n, |k, c| (fast(k, c).0, 0));
+            assert_eq!(trace.lz, [], "{n}");
         }
     }
 
     #[test]
-    fn a_slow_link_gets_raw_on_every_sixteenth_chunk_alone() {
-        // Draining costs 500 ns/B raw, a quarter of that LZ-coded: once
-        // three pairs have drained, raw ships only as a probe.
-        let lz = lz_chunks(120, |_, c| if c == BlockCodec::Lzss { (20, 125) } else { (1, 500) });
-        assert_eq!(lz[..3], [0, 4, 8]);
-        // The third pair is chunks 4 and 5, charged by chunk 10's send.
-        let settled: Vec<usize> = (11..120).filter(|k| k % PROBE_EVERY != 0).collect();
-        assert_eq!(lz[3..], settled);
+    fn a_fast_link_gets_lz_on_the_probes_alone() {
+        for n in [15, 200, 1817] {
+            let trace = drive(n, fast);
+            assert_eq!(trace.lz, ROUND, "{n}");
+            assert_eq!(trace.reopens, 0, "{n}");
+        }
+        // A stream that ends mid-round has shipped the probes so far.
+        assert_eq!(drive(6, fast).lz, []);
+        assert_eq!(drive(11, fast).lz, [6, 10]);
+    }
+
+    #[test]
+    fn a_slow_link_turns_the_stream_to_lz_and_ships_no_raw_chunk() {
+        let trace = drive(200, slow);
+        // The round's three pairs have drained with chunk 15's send.
+        let lz: Vec<usize> = ROUND.into_iter().chain(16..200).collect();
+        assert_eq!(trace.lz, lz);
+        assert_eq!(trace.reopens, 0);
     }
 
     #[test]
     fn a_hiccup_or_a_burst_of_load_moves_no_choice() {
-        // A raw chunk beside a probe and a probe stall for 4 ms each.
-        let hiccup = |k, c| if k == 31 || k == 48 { (4000, 1) } else { fast(k, c) };
-        assert_eq!(lz_chunks(120, hiccup), probes(120));
+        // A raw chunk beside a probe and a probe stall for 4 ms each while
+        // the round is open, and a drain stalls for 4 ms once it closed.
+        let hiccup = |k, c| match (k, fast(k, c)) {
+            (7 | 10, (_, drain)) => (4000, drain),
+            (40, (build, _)) => (build, 4000),
+            (_, cost) => cost,
+        };
+        let trace = drive(200, hiccup);
+        assert_eq!(trace.lz, ROUND);
+        assert_eq!(trace.reopens, 0);
         // Every chunk from 40 on, for 30 and for 60 chunks, waits 50x its
-        // cost: both modes alike.
+        // cost: both modes alike. The watch may re-open a round, but each
+        // round keeps raw, and only its probes go LZ-coded.
         for end in [70, 100] {
             let burst = |k, c| {
                 let (build, drain) = fast(k, c);
@@ -1064,22 +1197,28 @@ mod tests {
                     (build, drain)
                 }
             };
-            assert_eq!(lz_chunks(200, burst), probes(200), "burst to {end}");
+            let trace = drive(300, burst);
+            assert!(trace.shipped.iter().all(|&m| m == BlockCodec::None), "burst to {end}");
+            assert_eq!(trace.lz.len(), ROUND.len() * (1 + trace.reopens), "burst to {end}");
+            assert!(trace.lz.iter().all(|&k| k < end + COST_SPAN), "burst to {end}");
         }
     }
 
     #[test]
     fn a_link_that_speeds_up_turns_the_stream_back_to_raw() {
-        let lz = lz_chunks(240, |k, c| match (k < 60, c) {
-            (true, BlockCodec::Lzss) => (20, 125),
-            (true, _) => (1, 500),
-            (false, c) => fast(k, c),
-        });
-        // Within a span of the change, LZ ships on the probes alone.
-        let tail: Vec<usize> = lz.into_iter().filter(|&k| k >= 60 + COST_SPAN).collect();
-        assert_eq!(
-            tail,
-            probes(240).into_iter().filter(|&k| k >= 60 + COST_SPAN).collect::<Vec<_>>()
-        );
+        let trace = drive(240, |k, c| if k < 60 { slow(k, c) } else { fast(k, c) });
+        assert_eq!(trace.reopens, 1);
+        // Within a span of the change, raw ships.
+        assert!(trace.lz.iter().all(|&k| k < 60 + COST_SPAN), "{:?}", trace.lz);
+        assert_eq!(trace.shipped[239], BlockCodec::None);
+    }
+
+    #[test]
+    fn a_link_that_slows_down_turns_the_stream_to_lz() {
+        let trace = drive(240, |k, c| if k < 60 { fast(k, c) } else { slow(k, c) });
+        assert_eq!(trace.reopens, 1);
+        // Within a span of the change, LZ ships.
+        let tail: Vec<usize> = (60 + COST_SPAN..240).collect();
+        assert_eq!(trace.lz[trace.lz.len() - tail.len()..], tail);
     }
 }

@@ -316,6 +316,9 @@ fn unsampled_context_is_carried_but_not_adopted() {
 /// deltas reflect only the traffic in between.
 #[test]
 fn cluster_telemetry_aggregates_live_nodes_and_tracks_deltas() {
+    // Untraced, but its servers' spans would land in a traced sibling's
+    // buffer as roots of their own if tracing were on meanwhile.
+    let _guard = trace_lock();
     let (staging, roots) = stage(2);
     let cluster = three_node_cluster(&staging, &roots);
     let client = cluster.client(ClusterClientConfig::default());
