@@ -1,14 +1,16 @@
-//! The codec of each `READ_STREAM2` chunk, as a client sees it on the
-//! wire: a stream LZ-codes its chunks only when its link pays for it.
+//! The codec of each read chunk, as a client sees it on the wire: a
+//! connection LZ-codes its chunks only when its link pays for it.
 //!
-//! A stream ships raw, and probes nothing, until a send blocks on its
+//! A connection ships raw, and probes nothing, until a send blocks on a
 //! full reply window. Over the in-process transport the link is faster
 //! than the encoder, so at most one warm-up round's three probes go
 //! LZ-coded, none before a blocked send. Over a link capped at 2 MB/s on
 //! the serving side the same stream turns to LZ, and when the cap is
 //! lifted mid-stream its codec re-opens a round and returns to raw — for
-//! one server's own client and for a cluster stream alike. Either way the
-//! messages delivered are `READ`'s, byte for byte.
+//! one server's own client and for a cluster stream alike. A second
+//! stream on the connection ships what the first one chose, from its first
+//! chunk on. Either way the messages delivered are `READ`'s, byte for
+//! byte.
 
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -23,12 +25,15 @@ use bora_serve::{
     WireMessage,
 };
 use ros_msgs::sensor_msgs::Imu;
-use ros_msgs::Time;
+use ros_msgs::{MessageDescriptor, RosMessage, Time};
 use simfs::{IoCtx, MemStorage};
 
 const ROOT: &str = "/c/codec";
-/// Messages per chunk the server sends.
+/// Messages per chunk the server sends: 32 messages of [`PAYLOAD`] bytes
+/// fill both of a chunk's floors, 32 messages and one 64 KiB block.
 const CHUNK: usize = 32;
+/// Bytes of each message's payload.
+const PAYLOAD: usize = 2048;
 /// Frames a stream's reply window holds: no send before chunk
 /// `WINDOW + 1`'s — the window full, the connection writing one more —
 /// can block.
@@ -40,18 +45,26 @@ const WINDOW: usize = 4;
 /// and LZ cost the worker alike, and a few chunks may go either way.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
-/// A server over one container of `chunks` chunks of IMU messages, which
-/// LZ-code well.
+/// A server over one container of `chunks` chunks of IMU messages, each
+/// zero-padded to [`PAYLOAD`] bytes, which LZ-code well.
 fn serve(chunks: usize) -> Arc<Server<Arc<MemStorage>>> {
     let fs = Arc::new(MemStorage::new());
     let mut ctx = IoCtx::new();
     let options = rosbag::BagWriterOptions::default();
     let mut w = rosbag::BagWriter::create(&*fs, "/stage.bag", options, &mut ctx).unwrap();
+    let desc = MessageDescriptor {
+        datatype: "test_msgs/PaddedImu".into(),
+        md5sum: "0".repeat(32),
+        definition: "uint8[] data\n".into(),
+    };
+    let conn = w.add_connection("/imu", &desc);
     for i in 0..(chunks * CHUNK) as u32 {
         let mut imu = Imu::default();
         imu.header.seq = i;
         imu.header.stamp = Time::new(1 + i / 100, i % 100 * 10_000_000);
-        w.write_ros_message("/imu", imu.header.stamp, &imu, &mut ctx).unwrap();
+        let mut data = imu.to_bytes();
+        data.resize(PAYLOAD, 0);
+        w.write_message(conn, imu.header.stamp, &data, &mut ctx).unwrap();
     }
     w.close(&mut ctx).unwrap();
     bora::duplicate(&*fs, "/stage.bag", &*fs, ROOT, &Default::default(), &mut ctx).unwrap();
@@ -93,8 +106,11 @@ fn lz_positions(lz: &[bool]) -> Vec<usize> {
 fn a_fast_link_lz_codes_the_probes_alone() {
     let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let server = serve(201);
-    let (mut c, lz) = tapped(MemTransport::new(Arc::clone(&server)).connect().unwrap());
-    let read = c.read(ROOT, &["/imu"]).unwrap();
+    let transport = MemTransport::new(Arc::clone(&server));
+    // The read goes on a connection of its own: its chunks would be the
+    // tapped connection's first 201.
+    let read = ServeClient::connect(&transport).unwrap().read(ROOT, &["/imu"]).unwrap();
+    let (mut c, lz) = tapped(transport.connect().unwrap());
     let streamed: Vec<WireMessage> =
         c.read_stream(ROOT, &["/imu"]).unwrap().collect::<Result<_, _>>().unwrap();
     assert_eq!(streamed, read);
@@ -159,6 +175,53 @@ fn a_slow_link_turns_the_stream_to_lz_and_a_lifted_cap_back_to_raw() {
     let reopens = server.metrics_report().counter(STREAM_CODEC_REOPENS);
     println!("{reopens} re-opened rounds");
     assert!(reopens >= 1, "the codec never re-opened a round");
+    server.shutdown();
+}
+
+/// A connection's streams are consecutive chunks of one link, with one
+/// codec. Behind a slow link the second stream ships the LZ its first
+/// chose from its first chunk, with no raw warm-up of its own. Over the
+/// in-process transport the two streams together probe at most one
+/// round — three chunks, four apart — so the second opens none of its
+/// own once the first has probed (whether, and when, a send of the first
+/// blocks there is the scheduler's call).
+#[test]
+fn a_connections_second_stream_ships_what_its_first_chose() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    const CHUNKS: usize = 201;
+    let server = serve(CHUNKS);
+    let mem = MemTransport::new(Arc::clone(&server));
+    let read = ServeClient::connect(&mem).unwrap().read(ROOT, &["/imu"]).unwrap();
+    let twice = |conn| {
+        let (mut c, lz) = tapped(conn);
+        for _ in 0..2 {
+            let streamed: Vec<WireMessage> =
+                c.read_stream(ROOT, &["/imu"]).unwrap().collect::<Result<_, _>>().unwrap();
+            assert_eq!(streamed, read);
+        }
+        let lz = lz.lock().unwrap().clone();
+        assert_eq!(lz.len(), 2 * CHUNKS);
+        lz
+    };
+
+    let slow = twice(ThrottledTransport::new(Arc::clone(&server), 2_000_000).connect().unwrap());
+    let second = &slow[CHUNKS..];
+    // No send of the second stream can block before its chunk WINDOW + 1,
+    // so a codec of its own would ship all of these raw. Probes are four
+    // apart: a round re-opened at the boundary makes at most two raw.
+    let head = second[..=WINDOW].iter().filter(|&&lz| lz).count();
+    assert!(head > WINDOW / 2, "{head} of the second stream's first chunks LZ-coded: {second:?}");
+    let coded = second.iter().filter(|&&lz| lz).count();
+    assert!(
+        coded >= CHUNKS * 3 / 4,
+        "{coded} of the second stream's {CHUNKS} chunks LZ-coded: {:?}",
+        lz_positions(second)
+    );
+
+    let fast = twice(mem.connect().unwrap());
+    let probes = lz_positions(&fast);
+    assert!(probes.len() <= 3, "LZ-coded chunks {probes:?}");
+    assert!(probes.iter().enumerate().all(|(j, &k)| k == probes[0] + 4 * j), "{probes:?}");
     server.shutdown();
 }
 

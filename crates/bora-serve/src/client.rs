@@ -46,8 +46,8 @@ pub enum ClientError {
         /// Rendering of the last underlying failure, if any attempt ran.
         last_error: String,
     },
-    /// A `READ_STREAM2` answer's chunks held `received` messages where its
-    /// `StreamEnd` counts `sent`: a chunk was lost or repeated on the way.
+    /// A read's chunks held `received` messages where its `StreamEnd`
+    /// counts `sent`: a chunk was lost or repeated on the way.
     /// Every chunk carries the request's seq, so nothing else notices.
     /// Retrying the whole read is safe; resuming it is not, since the
     /// messages already handed out cannot be taken back.
@@ -210,10 +210,13 @@ impl<C: Connection> ServeClient<C> {
         }
     }
 
+    /// Every message of `topics`: a `READ`, collected from its chunks
+    /// (the same receive path as [`ServeClient::read_stream`]).
     pub fn read(&mut self, container: &str, topics: &[&str]) -> ClientResult<Vec<WireMessage>> {
         self.read_inner(container, topics, None)
     }
 
+    /// [`ServeClient::read`] over `[start, end]`.
     pub fn read_time(
         &mut self,
         container: &str,
@@ -230,19 +233,12 @@ impl<C: Connection> ServeClient<C> {
         topics: &[&str],
         range: Option<(Time, Time)>,
     ) -> ClientResult<Vec<WireMessage>> {
-        let req = Request::Read {
-            container: container.into(),
-            topics: topics.iter().map(|t| (*t).to_owned()).collect(),
-            range,
-        };
-        match self.roundtrip(&req)? {
-            Response::Read(messages) => Ok(messages),
-            other => Err(unexpected("READ", &other)),
-        }
+        let req = Request::Read { container: container.into(), topics: owned(topics), range };
+        ReadStream::start(self, &req)?.collect()
     }
 
     /// Issue a `READ_STREAM2` and iterate messages as chunk frames arrive,
-    /// instead of waiting for the full result set like [`ServeClient::read`].
+    /// instead of collecting them all like [`ServeClient::read`].
     ///
     /// The iterator borrows the client exclusively (the protocol allows
     /// one request in flight per connection). Dropping it mid-stream
@@ -403,6 +399,10 @@ fn unexpected(op: &str, resp: &Response) -> ClientError {
     ClientError::Proto(ProtoError(format!("unexpected response to {op}: {resp:?}")))
 }
 
+fn owned(topics: &[&str]) -> Vec<String> {
+    topics.iter().map(|t| (*t).to_owned()).collect()
+}
+
 /// Collected answer to one `QUERY`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryReply {
@@ -421,8 +421,8 @@ pub struct QueryReply {
 
 // ----------------------------------------------------------------- stream
 
-/// An in-flight `READ_STREAM2`: yields messages as the server's merge
-/// produces them. Created by [`ServeClient::read_stream`], which lends it
+/// An in-flight read: yields messages as the server's merge produces
+/// them. Created by [`ServeClient::read_stream`], which lends it
 /// the client, or by [`ReadStream::open`] over a client it owns.
 ///
 /// The first error is terminal — after yielding `Err` the iterator is
@@ -441,19 +441,22 @@ pub struct ReadStream<C: Connection, B: BorrowMut<ServeClient<C>>> {
 }
 
 impl<C: Connection, B: BorrowMut<ServeClient<C>>> ReadStream<C, B> {
-    /// Send the stream request on `client` (no response is read here —
-    /// the iterator pulls the answer frames).
+    /// Send a `READ_STREAM2` on `client` (no response is read here — the
+    /// iterator pulls the answer frames).
     pub fn open(
-        mut client: B,
+        client: B,
         container: &str,
         topics: &[&str],
         range: Option<(Time, Time)>,
     ) -> ClientResult<Self> {
-        client.borrow_mut().send(&Request::ReadStream2 {
-            container: container.into(),
-            topics: topics.iter().map(|t| (*t).to_owned()).collect(),
-            range,
-        })?;
+        let req =
+            Request::ReadStream2 { container: container.into(), topics: owned(topics), range };
+        ReadStream::start(client, &req)
+    }
+
+    /// Send `req`, a read, on `client`.
+    fn start(mut client: B, req: &Request) -> ClientResult<Self> {
+        client.borrow_mut().send(req)?;
         Ok(ReadStream {
             client,
             buffer: std::collections::VecDeque::new(),
@@ -490,12 +493,11 @@ impl<C: Connection, B: BorrowMut<ServeClient<C>>> ReadStream<C, B> {
                 return Ok(Some(msgs));
             }
             match answer(Response::decode(body))? {
-                Response::StreamChunk(msgs) => Ok(Some(msgs)),
                 Response::StreamEnd { messages } if messages == decoded => Ok(None),
                 Response::StreamEnd { messages } => {
                     Err(ClientError::StreamCount { received: decoded, sent: messages })
                 }
-                other => Err(unexpected("READ_STREAM2", &other)),
+                other => Err(unexpected("a read", &other)),
             }
         });
         match chunk {
@@ -964,10 +966,15 @@ impl<T: Transport> RetryClient<T> {
         self.run(|c| c.meta(container))
     }
 
+    /// A read collected to completion, with retry. It is retried as a
+    /// unit: if its stream breaks mid-flight, the whole read is re-issued
+    /// from the start on a fresh connection (reads are idempotent — the
+    /// cost is repeated work, never duplicated or missing messages).
     pub fn read(&mut self, container: &str, topics: &[&str]) -> ClientResult<Vec<WireMessage>> {
         self.run(|c| c.read(container, topics))
     }
 
+    /// Time-ranged variant of [`RetryClient::read`].
     pub fn read_time(
         &mut self,
         container: &str,
@@ -976,42 +983,6 @@ impl<T: Transport> RetryClient<T> {
         end: Time,
     ) -> ClientResult<Vec<WireMessage>> {
         self.run(|c| c.read_time(container, topics, start, end))
-    }
-
-    /// A streamed read collected to completion, with retry. The stream is
-    /// retried as a unit: if it breaks mid-flight the whole query is
-    /// re-issued from the start on a fresh connection (reads are
-    /// idempotent — the cost is repeated work, never duplicated or
-    /// missing messages).
-    pub fn read_streamed(
-        &mut self,
-        container: &str,
-        topics: &[&str],
-    ) -> ClientResult<Vec<WireMessage>> {
-        self.run(|c| {
-            let mut out = Vec::new();
-            for m in c.read_stream(container, topics)? {
-                out.push(m?);
-            }
-            Ok(out)
-        })
-    }
-
-    /// Time-ranged variant of [`RetryClient::read_streamed`].
-    pub fn read_streamed_time(
-        &mut self,
-        container: &str,
-        topics: &[&str],
-        start: Time,
-        end: Time,
-    ) -> ClientResult<Vec<WireMessage>> {
-        self.run(|c| {
-            let mut out = Vec::new();
-            for m in c.read_stream_time(container, topics, start, end)? {
-                out.push(m?);
-            }
-            Ok(out)
-        })
     }
 
     /// A query retried as a unit: if the stream breaks mid-flight the
@@ -1397,7 +1368,7 @@ mod tests {
 
     #[test]
     fn oversized_request_fields_fail_before_any_byte_is_sent() {
-        let t = ScriptedTransport::new(vec![Step::Reply(Response::Read(vec![]))]);
+        let t = ScriptedTransport::new(vec![Step::Reply(Response::StreamEnd { messages: 0 })]);
         let mut c = ServeClient::new(t.connect().unwrap());
         let topic = "t".repeat(70_000);
         assert!(matches!(c.read("/c", &[&topic]), Err(ClientError::Proto(_))));
@@ -1429,7 +1400,9 @@ mod tests {
     /// A raw chunk is decoded where it lies in the received frame, with
     /// every check of the copying decoders: a flipped body byte fails the
     /// CRC, a trailing byte or a length that does not fit the frame fails
-    /// the framing, and each is a typed error, never messages.
+    /// the framing, and each is a typed error, never messages — for a
+    /// stream and for a read, which collects the same chunks. A chunk
+    /// lost on the way fails the read's count.
     #[test]
     fn a_damaged_raw_chunk_is_a_proto_error_never_messages() {
         let msgs: Vec<WireMessage> = (0..32)
@@ -1454,20 +1427,31 @@ mod tests {
         set_len(&mut shorter, frame.len() - 1);
         let end = Step::Reply(Response::StreamEnd { messages: 32 });
 
-        let t = ScriptedTransport::new(vec![Step::Raw(good), end.clone()]);
+        let t = ScriptedTransport::new(vec![Step::Raw(good.clone()), end.clone()]);
         let mut c = ServeClient::new(t.connect().unwrap());
         let got: Vec<WireMessage> =
             c.read_stream("/c", &["/imu"]).unwrap().map(|r| r.unwrap()).collect();
         assert_eq!(got, msgs);
+        let t = ScriptedTransport::new(vec![Step::Raw(good), end.clone()]);
+        assert_eq!(ServeClient::new(t.connect().unwrap()).read("/c", &["/imu"]).unwrap(), msgs);
         for (what, bytes) in
             [("flipped", flipped), ("trailing", trailing), ("short", short), ("shorter", shorter)]
         {
-            let t = ScriptedTransport::new(vec![Step::Raw(bytes), end.clone()]);
+            let t = ScriptedTransport::new(vec![Step::Raw(bytes.clone()), end.clone()]);
             let mut c = ServeClient::new(t.connect().unwrap());
             let results: Vec<_> = c.read_stream("/c", &["/imu"]).unwrap().collect();
             assert_eq!(results.len(), 1, "{what}: no message before the error");
             assert!(matches!(results[0], Err(ClientError::Proto(_))), "{what}: {:?}", results[0]);
+            let t = ScriptedTransport::new(vec![Step::Raw(bytes), end.clone()]);
+            let read = ServeClient::new(t.connect().unwrap()).read("/c", &["/imu"]);
+            assert!(matches!(read, Err(ClientError::Proto(_))), "{what}: read {read:?}");
         }
+        let t = ScriptedTransport::new(vec![end]);
+        let read = ServeClient::new(t.connect().unwrap()).read("/c", &["/imu"]);
+        assert!(
+            matches!(read, Err(ClientError::StreamCount { received: 0, sent: 32 })),
+            "lost: read {read:?}"
+        );
     }
 
     /// A chunk lost or repeated on the way still carries the request's
@@ -1513,14 +1497,15 @@ mod tests {
 
     #[test]
     fn read_stream_surfaces_bad_request_without_reissuing() {
-        let msgs =
-            vec![WireMessage { topic: "/imu".into(), time: Time::new(1, 0), data: vec![7; 8] }];
+        let msgs = [WireMessage { topic: "/imu".into(), time: Time::new(1, 0), data: vec![7; 8] }];
+        let triples = msgs.iter().map(|m| (m.topic.as_str(), m.time, m.data.as_slice()));
+        let chunk = crate::proto::chunk_frame(triples, BlockCodec::None, &mut simfs::IoCtx::new());
         // A first-frame BadRequest is the server's real answer: it must
         // surface once, not be swallowed and reissued as a different op.
         // The chunk scripted behind it would be consumed by a reissue.
         let t = ScriptedTransport::new(vec![
             server_err(ErrorCode::BadRequest),
-            Step::Reply(Response::StreamChunk(msgs.clone())),
+            Step::Reply(chunk.clone()),
         ]);
         let mut c = ServeClient::new(t.connect().unwrap());
         let results: Vec<_> = c.read_stream("/c", &["/imu"]).unwrap().collect();
@@ -1530,10 +1515,7 @@ mod tests {
         assert_eq!(t.steps.lock().unwrap().len(), 1, "nothing was read past the error");
 
         // Mid-stream it is just as terminal.
-        let t = ScriptedTransport::new(vec![
-            Step::Reply(Response::StreamChunk(msgs.clone())),
-            server_err(ErrorCode::BadRequest),
-        ]);
+        let t = ScriptedTransport::new(vec![Step::Reply(chunk), server_err(ErrorCode::BadRequest)]);
         let mut c = ServeClient::new(t.connect().unwrap());
         let results: Vec<_> = c.read_stream("/c", &["/imu"]).unwrap().collect();
         assert_eq!(results.len(), 2);
@@ -1541,12 +1523,9 @@ mod tests {
         assert!(matches!(results[1], Err(ClientError::Server { code: ErrorCode::BadRequest, .. })));
     }
 
-    #[test]
-    fn stream2_matches_buffered_read_end_to_end() {
-        use crate::server::{Server, ServerConfig};
-        use crate::transport::MemTransport;
+    /// A container of 200 IMU messages under `/c`.
+    fn imu_container() -> Arc<simfs::MemStorage> {
         use ros_msgs::sensor_msgs::Imu;
-
         let fs = Arc::new(simfs::MemStorage::new());
         let mut ctx = simfs::IoCtx::new();
         let mut rec = bora::BoraRecorder::create(
@@ -1562,8 +1541,15 @@ mod tests {
             rec.record_ros_message("/imu", Time::new(100 + i, 0), &imu, &mut ctx).unwrap();
         }
         rec.close(&mut ctx).unwrap();
+        fs
+    }
 
-        let server = Server::start(fs, ServerConfig::default());
+    #[test]
+    fn stream2_matches_buffered_read_end_to_end() {
+        use crate::server::{Server, ServerConfig};
+        use crate::transport::MemTransport;
+
+        let server = Server::start(imu_container(), ServerConfig::default());
         let t = MemTransport::new(Arc::clone(&server));
         let mut c = ServeClient::new(t.connect().unwrap());
         let buffered = c.read("/c", &["/imu"]).unwrap();
@@ -1574,6 +1560,38 @@ mod tests {
         // reach this client behind a slow link in bora-chaos's
         // `stream_codec` tests.
         assert_eq!(streamed, buffered, "the stream must be byte-identical");
+        server.shutdown();
+    }
+
+    /// A read is answered by CRC-checked chunks: a payload byte flipped
+    /// on the way is a protocol error, never a message that differs from
+    /// the stored one.
+    #[test]
+    fn a_read_with_a_flipped_payload_byte_is_a_proto_error() {
+        use crate::server::{Server, ServerConfig};
+        use crate::transport::{MemConnection, MemTransport};
+
+        /// Flips the last byte of the first frame it receives: a byte of
+        /// the answer's last message's payload.
+        struct FlipFirst(MemConnection, bool);
+        impl Connection for FlipFirst {
+            fn send_frame(&mut self, parts: &[&[u8]]) -> std::io::Result<()> {
+                self.0.send_frame(parts)
+            }
+            fn recv_frame(&mut self) -> std::io::Result<Vec<u8>> {
+                let mut frame = self.0.recv_frame()?;
+                if !std::mem::replace(&mut self.1, true) {
+                    *frame.last_mut().expect("an answer frame") ^= 0x01;
+                }
+                Ok(frame)
+            }
+        }
+
+        let server = Server::start(imu_container(), ServerConfig::default());
+        let t = MemTransport::new(Arc::clone(&server));
+        let mut c = ServeClient::new(FlipFirst(t.connect().unwrap(), false));
+        let read = c.read("/c", &["/imu"]);
+        assert!(matches!(read, Err(ClientError::Proto(_))), "{read:?}");
         server.shutdown();
     }
 

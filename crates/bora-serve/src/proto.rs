@@ -33,17 +33,18 @@
 //! truncated payloads decode to [`ProtoError`] rather than panicking, so
 //! a malformed client cannot take a worker down.
 //!
-//! The protocol is request/response with two extensions: a `READ_STREAM2`
-//! request is answered by a *sequence* of frames — zero or more
+//! The protocol is request/response with two extensions: a read (`READ`
+//! or `READ_STREAM2`, which differ only in the op they are counted as) is
+//! answered by a *sequence* of frames — zero or more
 //! [`Response::StreamChunkLz`] chunks as its k-way merge yields messages,
-//! closed by a [`Response::StreamEnd`] (or a terminal [`Response::Error`])
-//! — and `QUERY` likewise streams a schema frame and row chunks. Each
-//! stream chunk is one `bora::block` frame whose codec the server picks
-//! per chunk from what that stream measures — LZ where the link is
-//! slower than the encoder, raw (`BlockCodec::None`, still CRC-checked)
-//! where it is not; no byte of the request asks for either. The client
-//! decodes both, and a plain [`Response::StreamChunk`] too, which no
-//! server sends.
+//! closed by a [`Response::StreamEnd`] carrying their count (or a
+//! terminal [`Response::Error`]) — and `QUERY` likewise streams a schema
+//! frame and row chunks. Each read chunk is one `bora::block` frame whose
+//! codec the server picks per chunk from what the connection measures —
+//! LZ where the link is slower than the encoder, raw (`BlockCodec::None`,
+//! still CRC-checked) where it is not; no byte of the request asks for
+//! either. [`Response::Read`] and [`Response::StreamChunk`], the owned
+//! message replies, still encode and decode, but no server sends them.
 //!
 //! A raw chunk's payload bytes are copied once on each side. The worker
 //! copies each from its pool page into the chunk's frame buffer
@@ -100,10 +101,11 @@ const FLAG_DEADLINE: u8 = 1 << 0;
 const FLAG_TRACE: u8 = 1 << 1;
 const FLAG_SAMPLED: u8 = 1 << 2;
 
-/// `READ_STREAM2`, the one streamed read: `READ`'s fields, answered by
+/// `READ_STREAM2`: `READ`'s fields and `READ`'s answer —
 /// [`Response::StreamChunkLz`] frames, each LZ-coded or raw as the
-/// stream's measurements choose. (`0x09` was the plain-chunks-only
-/// `READ_STREAM`, retired.)
+/// connection's measurements choose, and a [`Response::StreamEnd`]. The
+/// two opcodes differ only in the op a server counts them as. (`0x09` was
+/// the plain-chunks-only `READ_STREAM`, retired.)
 const OP_READ_STREAM2: u8 = 0x12;
 
 /// `QUERY`: execute a `bora-query` statement against a container and
@@ -139,6 +141,18 @@ pub fn compress_chunk(messages: &[WireMessage], ctx: &mut IoCtx) -> Response {
     )
 }
 
+/// Bytes a read chunk's reply frame holds before its first message: seq,
+/// opcode and frame length, the block frame's header and the message
+/// count. The server closes a chunk before it grows past
+/// [`MAX_FRAME_LEN`].
+pub(crate) const CHUNK_FRAME_BASE: usize = 4 + 1 + 4 + bora::block::FRAME_HEADER_LEN + 4;
+
+/// Bytes one message adds to a chunk's body: `u16` topic length, two
+/// `u32` of time, `u32` payload length, and the topic and payload.
+pub(crate) fn chunk_entry_len(topic: &str, payload: usize) -> usize {
+    14 + topic.len() + payload
+}
+
 /// A [`Response::StreamChunkLz`] of `codec` over borrowed `(topic, time,
 /// payload)` triples: the server's stream sink feeds it pool-page slices,
 /// so a payload is copied once — into the buffer that, when the batch is
@@ -151,13 +165,12 @@ pub(crate) fn chunk_frame<'a>(
     ctx: &mut IoCtx,
 ) -> Response {
     // Sized once, exactly: a 640 KB image chunk grown by doubling is a
-    // dozen reallocations whose page faults vary from run to run. Per
-    // message: u16 topic length, two u32 of time, u32 payload length.
+    // dozen reallocations whose page faults vary from run to run.
     let len = bora::block::FRAME_HEADER_LEN
         + 4
         + messages
             .clone()
-            .map(|(topic, _, payload)| 14 + topic.len() + payload.len())
+            .map(|(topic, _, payload)| chunk_entry_len(topic, payload.len()))
             .sum::<usize>();
     let mut buf = Vec::with_capacity(len);
     buf.resize(bora::block::FRAME_HEADER_LEN, 0);
@@ -227,7 +240,7 @@ const OP_OK_PONG: u8 = 0x8B;
 const OP_OK_APPENDED: u8 = 0x8C;
 const OP_OK_SEALED: u8 = 0x8D;
 const OP_OK_METRICS: u8 = 0x8E;
-/// A `READ_STREAM2` chunk: one `bora::block` frame (codec tag,
+/// A read's chunk: one `bora::block` frame (codec tag,
 /// uncompressed length, physical length, CRC32C) whose logical bytes are
 /// the plain `StreamChunk` body. Reusing the storage-layer frame means
 /// wire chunks inherit its per-frame raw fallback (incompressible
@@ -251,13 +264,14 @@ pub enum Request {
     Topics { container: String },
     /// Fetch the container's raw metadata (`ContainerMeta::encode` bytes).
     Meta { container: String },
-    /// Read messages of `topics`, optionally restricted to `[start, end]`.
-    Read { container: String, topics: Vec<String>, range: Option<(Time, Time)> },
-    /// Like `Read`, but answered with a sequence of
-    /// [`Response::StreamChunkLz`] frames written as the server-side merge
-    /// yields messages, closed by
+    /// Read messages of `topics`, optionally restricted to `[start, end]`:
+    /// answered with a sequence of [`Response::StreamChunkLz`] frames
+    /// written as the server-side merge yields messages, closed by
     /// [`Response::StreamEnd`]. The worker's cache pin is held for the
-    /// stream's whole lifetime.
+    /// answer's whole lifetime.
+    Read { container: String, topics: Vec<String>, range: Option<(Time, Time)> },
+    /// `Read` under the op a client that hands out messages as they
+    /// arrive is counted as (`read_stream`); the same answer.
     ReadStream2 { container: String, topics: Vec<String>, range: Option<(Time, Time)> },
     /// Append live messages to an ingest root (`bora-ingest`). Messages
     /// must be per-topic chronological; the whole batch is acked as a
@@ -319,7 +333,7 @@ pub struct ContainerStat {
     pub end: Time,
 }
 
-/// One message returned by `READ`.
+/// One message of a read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireMessage {
     pub topic: String,
@@ -463,18 +477,20 @@ pub enum Response {
     /// Raw `ContainerMeta::encode` bytes; the client decodes them with
     /// `bora::ContainerMeta::decode`, reusing the container's own format.
     Meta(Vec<u8>),
+    /// A whole read's messages in one owned reply (`OK_READ`). It still
+    /// encodes and decodes, but no server sends it: a read is answered by
+    /// [`Response::StreamChunkLz`] frames and a [`Response::StreamEnd`].
     Read(Vec<WireMessage>),
-    /// One batch of a `READ_STREAM2` answer as owned messages; more
-    /// frames follow. Clients decode it; the server sends
-    /// [`Response::StreamChunkLz`] instead, raw or LZ-coded.
+    /// One batch of a read's answer as owned messages (`OK_STREAM_CHUNK`).
+    /// It still encodes and decodes, but no server sends it.
     StreamChunk(Vec<WireMessage>),
-    /// One batch of a `READ_STREAM2` answer, carried as a
+    /// One batch of a read's answer (`READ` or `READ_STREAM2`), carried as a
     /// `bora::block` frame wrapping the plain chunk body — LZ-coded or
     /// raw, as the frame's codec byte says. Decode with
     /// [`decompress_chunk`]; [`compress_chunk`] produces the LZ-coded
     /// form.
     StreamChunkLz(Vec<u8>),
-    /// Terminal frame of a `READ_STREAM2` answer: total messages streamed.
+    /// Terminal frame of a read's answer: total messages streamed.
     StreamEnd {
         messages: u64,
     },
@@ -1174,6 +1190,23 @@ mod tests {
     fn every_header() -> Vec<(Option<TraceContext>, Option<u64>)> {
         let ctxs = [None, Some(CTX), Some(TraceContext { sampled: false, ..CTX })];
         ctxs.into_iter().flat_map(|c| [(c, None), (c, Some(1_500_000))]).collect()
+    }
+
+    /// What the server counts a chunk's reply frame as is what
+    /// [`Response::encode_parts`] writes: raw exactly, LZ-coded no more.
+    #[test]
+    fn a_chunk_reply_is_its_base_and_its_entries() {
+        let payload = vec![7u8; 5000];
+        let msgs = [("/imu", 316), ("/camera/rgb/image_color", 0), ("/tf", 5000)];
+        let triples = || msgs.iter().map(|&(t, n)| (t, Time::new(1, 2), &payload[..n]));
+        let counted =
+            CHUNK_FRAME_BASE + msgs.iter().map(|&(t, n)| chunk_entry_len(t, n)).sum::<usize>();
+        for codec in [BlockCodec::None, BlockCodec::Lzss] {
+            let chunk = chunk_frame(triples(), codec, &mut IoCtx::new());
+            let (head, tail) = chunk.encode_parts(u32::MAX).unwrap();
+            let len = head.len() + tail.len();
+            assert!(len == counted || codec == BlockCodec::Lzss && len < counted, "{codec:?}");
+        }
     }
 
     #[test]

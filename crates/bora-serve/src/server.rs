@@ -20,8 +20,11 @@
 //! a `Source` (a static container's pinned cache handle, or a live
 //! root's MVCC snapshot — "a static container is a snapshot with empty
 //! tails"), builds one `MessageStream` over it, and either `scan`s it
-//! into message batches (`READ` and `READ_STREAM2` differ only in their
-//! sink) or hands it to a query cursor (`QUERY`).
+//! into chunk frames or hands it to a query cursor (`QUERY`). `READ` and
+//! `READ_STREAM2` are one op on the wire's reply side: both are answered
+//! by chunks and a `StreamEnd`, and differ only in the metrics key they
+//! are counted under. A connection's chunks share one codec choice
+//! (`ChunkCodec`), which the transport's serve loop holds.
 //!
 //! Workers register with a [`simfs::ConcurrencyGauge`], so on cost-model
 //! backends each request's virtual I/O time reflects how many workers
@@ -44,14 +47,19 @@ use simfs::{ConcurrencyGauge, IoCtx, Storage};
 use crate::cache::{HandleCache, PinnedBag};
 use crate::metrics::{Metrics, Op, StatsSnapshot};
 use crate::proto::{
-    chunk_frame, ContainerStat, ErrorCode, MetricsReport, PingInfo, Request, Response, SlowOpEntry,
-    WireMessage, METRICS_REPORT_VERSION,
+    chunk_entry_len, chunk_frame, ContainerStat, ErrorCode, MetricsReport, PingInfo, Request,
+    Response, SlowOpEntry, CHUNK_FRAME_BASE, MAX_FRAME_LEN, METRICS_REPORT_VERSION,
 };
 
-/// Messages per `READ_STREAM2` chunk ([`Response::StreamChunkLz`]).
-/// Small enough that the first result reaches the client while the merge
-/// is still running, large enough that framing overhead stays negligible.
+/// Messages a read's chunk ([`Response::StreamChunkLz`]) holds at least
+/// before it closes. Small enough that the first result reaches the
+/// client while the merge is still running.
 const STREAM_CHUNK_MSGS: usize = 32;
+
+/// Payload bytes a chunk holds at least before it closes: one stored
+/// block. A frame costs a send and a receive whatever it carries, so a
+/// chunk of small messages waits until it carries as much as one page.
+const STREAM_CHUNK_BYTES: usize = bora::block::DEFAULT_BLOCK_SIZE as usize;
 
 /// Rows per [`Response::QueryChunk`] frame. Query rows are a few scalar
 /// cells each — far smaller than raw messages — so the batch can be
@@ -127,6 +135,8 @@ enum Job {
         req: Request,
         op: Op,
         reply: Sender<Response>,
+        /// The chunk codec of the connection the request came in on.
+        codec: Arc<Mutex<ChunkCodec>>,
         submitted: Instant,
         /// Trace context the client sent, if any; the worker adopts it so
         /// its spans parent under the client's.
@@ -161,8 +171,9 @@ struct Shared<S: Storage> {
     slow_op_threshold_ns: u64,
 }
 
-/// A running bora-serve instance. Cheap to share via `Arc`; transports
-/// call [`Server::submit_streamed_framed`] once per decoded request.
+/// A running bora-serve instance. Cheap to share via `Arc`; the serve
+/// loop of every transport ([`crate::transport::serve_connection`])
+/// hands it each decoded request.
 pub struct Server<S: Storage> {
     shared: Arc<Shared<S>>,
     tx: Sender<Job>,
@@ -208,8 +219,10 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
         Arc::new(Server { shared, tx, queue_capacity, workers: Mutex::new(workers) })
     }
 
-    /// Handle one single-response request to completion: the last (only)
-    /// frame of [`Server::submit_streamed`].
+    /// Handle one request to completion and return its terminal frame,
+    /// the last of [`Server::submit_streamed`]'s: the only frame of a
+    /// single-frame op, a read's `StreamEnd`, a query's `QueryEnd`, or the
+    /// error that ended either. Chunk frames before it are dropped.
     pub fn submit(&self, req: Request) -> Response {
         let mut last = None;
         self.submit_streamed(req, &mut |resp| {
@@ -219,24 +232,32 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
         last.expect("submit_streamed emits a terminal frame on every path")
     }
 
-    /// [`Server::submit_streamed_framed`] for a request that arrived with
-    /// no trace context and no deadline budget.
+    /// Handle one request that arrived with no trace context and no
+    /// deadline budget, on a link of its own — its chunks' codec starts
+    /// fresh — delivering every response frame through `emit`, as the
+    /// serve loop does. Returns `false` once `emit` does: the in-flight
+    /// stream is then aborted server-side.
     pub fn submit_streamed(&self, req: Request, emit: &mut dyn FnMut(Response) -> bool) -> bool {
-        self.submit_streamed_framed(req, None, None, emit)
+        let codec = Arc::new(Mutex::new(ChunkCodec::default()));
+        self.submit_streamed_framed(req, None, None, &codec, emit)
     }
 
     /// Handle one request, delivering every response frame through `emit`
-    /// — the one way into the server; transports call it once per decoded
-    /// frame.
+    /// — the one way into the server; a transport calls it once per
+    /// decoded frame.
     ///
     /// Control-plane ops answer inline with one frame. Data ops go through
     /// the bounded queue (and may come back [`Response::Overloaded`]): a
-    /// single-response op emits one frame; `READ_STREAM2` emits zero or
-    /// more chunk frames and `QUERY` a schema frame and row
+    /// single-frame op emits one frame; a read (`READ` or `READ_STREAM2`)
+    /// emits zero or more chunk frames and `QUERY` a schema frame and row
     /// chunks, each followed by a terminal frame (`StreamEnd`/`QueryEnd`
     /// on success, an error/overload response otherwise). The reply
     /// channel is bounded (`STREAM_WINDOW`): a transport that is slow to
     /// `emit` throttles the worker's merge loop.
+    ///
+    /// `codec` is the link's chunk codec: the serve loop keeps one per
+    /// connection, because consecutive reads on it are consecutive chunks
+    /// of one link.
     ///
     /// `tctx` is the client's trace context, if the transport decoded one:
     /// the worker adopts it, so every server-side span of this request
@@ -250,11 +271,12 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
     /// Returns `false` once `emit` does — the transport lost its client —
     /// at which point the in-flight stream is aborted server-side (the
     /// worker's next send fails and it drops the cache pin).
-    pub fn submit_streamed_framed(
+    pub(crate) fn submit_streamed_framed(
         &self,
         req: Request,
         tctx: Option<TraceContext>,
         deadline_ns: Option<u64>,
+        codec: &Arc<Mutex<ChunkCodec>>,
         emit: &mut dyn FnMut(Response) -> bool,
     ) -> bool {
         let Some(op) = req.op() else {
@@ -297,6 +319,7 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
             req,
             op,
             reply: reply_tx,
+            codec: Arc::clone(codec),
             submitted: Instant::now(),
             tctx,
             submitted_ns: obs_now(),
@@ -316,20 +339,22 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
             let Ok(resp) = reply_rx.recv() else {
                 return emit(shutting_down("worker exited before its terminal frame"));
             };
-            // Stream chunks and a query's schema / row-chunk frames precede
+            // Read chunks and a query's schema / row-chunk frames precede
             // the terminal frame; every other response is one.
             let terminal = !matches!(
                 resp,
-                Response::StreamChunk(_)
-                    | Response::StreamChunkLz(_)
-                    | Response::QuerySchema(_)
-                    | Response::QueryChunk(_)
+                Response::StreamChunkLz(_) | Response::QuerySchema(_) | Response::QueryChunk(_)
             );
+            let drain = matches!(resp, Response::StreamChunkLz(_)).then(Instant::now);
             if !emit(resp) {
                 // Client is gone: dropping `reply_rx` makes the worker's
                 // next send fail, aborting the stream and releasing its
                 // cache pin.
                 return false;
+            }
+            // A read chunk's drain is its write: the link's price for it.
+            if let Some(started) = drain {
+                codec.lock().drain(started.elapsed());
             }
             if terminal {
                 return true;
@@ -459,10 +484,10 @@ fn worker_loop<S: Storage + Clone>(shared: &Shared<S>, rx: &Receiver<Job>) {
     // Lane convention: pid 0 is the client; servers are `server_id + 1`.
     bora_obs::set_thread_node(shared.server_id + 1);
     while let Ok(job) = rx.recv() {
-        let (req, op, reply, submitted, tctx, submitted_ns, deadline_ns) = match job {
+        let (req, op, reply, codec, submitted, tctx, submitted_ns, deadline_ns) = match job {
             Job::Poison => return,
-            Job::Work { req, op, reply, submitted, tctx, submitted_ns, deadline_ns } => {
-                (req, op, reply, submitted, tctx, submitted_ns, deadline_ns)
+            Job::Work { req, op, reply, codec, submitted, tctx, submitted_ns, deadline_ns } => {
+                (req, op, reply, codec, submitted, tctx, submitted_ns, deadline_ns)
             }
         };
         // Everything this request records now parents under the client's
@@ -499,7 +524,7 @@ fn worker_loop<S: Storage + Clone>(shared: &Shared<S>, rx: &Receiver<Job>) {
         // terminal (or only) frame is returned and sent below, *after*
         // the metrics record — so a client that has seen the op complete
         // is guaranteed to see it counted by a subsequent scrape.
-        let resp = handle(shared, &req, &reply, &mut ctx);
+        let resp = handle(shared, &req, &reply, &codec, &mut ctx);
         sp.end_virt(ctx.elapsed_ns());
         drop(active);
         let wall_ns = submitted.elapsed().as_nanos() as u64;
@@ -635,26 +660,46 @@ impl<'c, S: Storage + Clone> Source<'c, S> {
     }
 }
 
-/// Drain `stream` in batches of at most [`STREAM_CHUNK_MSGS`] messages,
-/// handing each to `sink` (which empties it). The messages are still the
-/// stream's shared slices — what to copy, and where to, is the sink's
-/// business. Returns the message total, or `None` when `sink` reported
-/// its receiver gone — the stream is aborted, and the virtual time
-/// already spent is still folded into `ctx` so metrics stay honest.
+/// Whether a read's open chunk — `msgs` messages of `payload` payload
+/// bytes, in a reply frame of `frame` bytes — closes before a message
+/// that adds `next` bytes to that frame joins it. It closes once it
+/// holds [`STREAM_CHUNK_MSGS`] messages and [`STREAM_CHUNK_BYTES`] of
+/// payload, and before `next` would take its frame past
+/// [`MAX_FRAME_LEN`], which no peer accepts. An empty chunk never closes:
+/// a message over the limit alone is a chunk of its own, which the serve
+/// loop answers with the one permanent `BadRequest`.
+fn chunk_closes(msgs: usize, payload: usize, frame: usize, next: usize) -> bool {
+    msgs > 0
+        && (msgs >= STREAM_CHUNK_MSGS && payload >= STREAM_CHUNK_BYTES
+            || frame + next > MAX_FRAME_LEN as usize)
+}
+
+/// Drain `stream` in chunks, handing each to `sink` (which empties it):
+/// the open chunk goes when [`chunk_closes`] before the next message, and
+/// at the end. The messages are still the stream's shared slices — what
+/// to copy, and where to, is the sink's business. Returns the message
+/// total, or `None` when `sink` reported its receiver gone — the stream
+/// is aborted, and the virtual time already spent is still folded into
+/// `ctx` so metrics stay honest.
 fn scan<S: Storage>(
     mut stream: MessageStream<'_, S>,
     ctx: &mut IoCtx,
     sink: &mut dyn FnMut(&mut Vec<StreamMessage>, &mut IoCtx) -> bool,
 ) -> BoraResult<Option<u64>> {
     let mut batch: Vec<StreamMessage> = Vec::with_capacity(STREAM_CHUNK_MSGS);
-    let mut total = 0u64;
+    let (mut payload, mut frame, mut total) = (0, CHUNK_FRAME_BASE, 0u64);
     while let Some(msg) = stream.next_msg(ctx)? {
+        let len = chunk_entry_len(&msg.topic, msg.payload().len());
+        if chunk_closes(batch.len(), payload, frame, len) {
+            if !sink(&mut batch, ctx) {
+                stream.charge_into(ctx);
+                return Ok(None);
+            }
+            (payload, frame) = (0, CHUNK_FRAME_BASE);
+        }
+        (payload, frame) = (payload + msg.payload().len(), frame + len);
         batch.push(msg);
         total += 1;
-        if batch.len() >= STREAM_CHUNK_MSGS && !sink(&mut batch, ctx) {
-            stream.charge_into(ctx);
-            return Ok(None);
-        }
     }
     if !batch.is_empty() && !sink(&mut batch, ctx) {
         return Ok(None);
@@ -662,21 +707,33 @@ fn scan<S: Storage>(
     Ok(Some(total))
 }
 
-/// The codec of each chunk of one `READ_STREAM2` stream, raw or LZ,
-/// chosen from what the stream itself measures: there is no option, and
-/// no byte of the request, that asks for either.
+/// The codec of each read chunk on one connection, raw or LZ, chosen
+/// from what the connection's reads themselves measure: there is no
+/// option, and no byte of a request, that asks for either. The serve loop
+/// keeps one per connection ([`Server::submit_streamed`] makes a fresh one
+/// per call), because consecutive reads on a connection are consecutive
+/// chunks of one link: a connection pays at most one warm-up round (and
+/// its re-opens), not one per short read.
 ///
 /// A chunk's cost is nanoseconds per logical (payload) byte: the
-/// worker's time building its frame plus its share of the worker's
-/// waits on the reply window. A send that finds the window full blocks
-/// until the frame at the head of the window drains — the one the
-/// connection is writing, sent `STREAM_WINDOW + 1` frames earlier,
-/// behind the `STREAM_WINDOW` that are queued — so its wait is charged
-/// to that frame. A send that does not block charges it nothing.
+/// worker's time building its frame plus the serve loop's time writing
+/// it to the connection (its drain). The drain is timed where the frame
+/// is written, so it is the link's price for that frame whether or not
+/// any send of the worker waited for it: a lone raw probe's drain does
+/// not hide in the slack a slow LZ encoder leaves the link.
 ///
-/// Raw ships, and nothing is probed, until the stream's first blocked
-/// send: a window that never fills has nothing for LZ to save. That
-/// send opens a warm-up round, in which every [`WARM_UP_PROBE_EVERY`]-th
+/// What the worker waits for is the link's pressure on it. A send that
+/// finds the window full blocks until the frame at the head of the
+/// window drains — the one the connection is writing, sent
+/// `STREAM_WINDOW + 1` frames earlier, behind the `STREAM_WINDOW` that
+/// are queued — so its wait is charged to that frame; a send that does
+/// not block charges it nothing. A read's last `STREAM_WINDOW + 1`
+/// chunks are never waited for by a send of its own: when the next read
+/// starts, they count as waited for with zero wait.
+///
+/// Raw ships, and nothing is probed, until the connection's first
+/// blocked send: a window that never fills has nothing for LZ to save.
+/// That send opens a warm-up round, in which every [`WARM_UP_PROBE_EVERY`]-th
 /// chunk probes the mode not shipped. The modes are compared pair by
 /// pair: two chunks sent back to back in different modes — a probe and
 /// each of its neighbours — drain back to back, so a burst of load on
@@ -687,16 +744,22 @@ fn scan<S: Storage>(
 /// pairs, of the LZ chunk's build cost less the raw one's.
 ///
 /// While probing is closed the codec watches the shipped mode's median
-/// wait over its last [`WATCH_CHUNKS`] drained chunks, and re-opens one
+/// wait over its last [`WATCH_CHUNKS`] waited-for chunks, and re-opens one
 /// round when that wait crosses the surcharge: above it with raw shipped
 /// (LZ could now pay), below it with LZ shipped (raw could now be
-/// cheaper). A stream whose first block is chunk b's send probes chunks
-/// b + 1, b + 5 and b + 9, and ships its choice from chunk b + 11 on: on
-/// loopback and the in-process transport, those three are its only LZ
-/// chunks; behind a slow link, every chunk after them is.
-struct ChunkCodec {
-    /// Chunks picked and sent so far.
+/// cheaper). A connection whose first block is chunk b's send probes
+/// chunks b + 1, b + 5 and — unless three pairs have drained by then —
+/// b + 9, and ships its choice from the next chunk on: on loopback and
+/// the in-process transport, those probes are its only LZ chunks; behind
+/// a slow link, every chunk after them is.
+pub(crate) struct ChunkCodec {
+    /// Chunks picked and recorded so far.
     chunks: usize,
+    /// Chunks whose drain the serve loop has reported, oldest first.
+    drains: usize,
+    /// The first chunk of the read being sent; no send of it waits for an
+    /// earlier one.
+    read_start: usize,
     /// The last [`COST_SPAN`] chunks, at their index modulo the span.
     recent: [SentChunk; COST_SPAN],
     /// The mode every chunk but a round's probes ships in.
@@ -708,6 +771,8 @@ impl Default for ChunkCodec {
     fn default() -> Self {
         ChunkCodec {
             chunks: 0,
+            drains: 0,
+            read_start: 0,
             recent: [SentChunk::default(); COST_SPAN],
             shipped: BlockCodec::None,
             probing: Probing::Unblocked,
@@ -717,7 +782,7 @@ impl Default for ChunkCodec {
 
 #[derive(Clone, Copy)]
 enum Probing {
-    /// No send of the stream has blocked yet.
+    /// No send on the connection has blocked yet.
     Unblocked,
     /// A warm-up round is open; it opened at chunk `start`.
     Round { start: usize },
@@ -732,7 +797,9 @@ struct SentChunk {
     /// Logical bytes.
     bytes: u64,
     build_ns: u64,
-    /// The wait charged to it once it drained.
+    /// The serve loop's time writing it, once reported.
+    drain_ns: u64,
+    /// The wait charged to it once a send waited for it.
     wait_ns: u64,
 }
 
@@ -742,11 +809,17 @@ impl SentChunk {
     }
 
     fn cost(&self) -> f64 {
-        self.per_byte(self.build_ns + self.wait_ns)
+        self.per_byte(self.build_ns + self.drain_ns)
     }
 }
 
 impl ChunkCodec {
+    /// A new read starts on the connection: the chunks of the last one
+    /// count as waited for.
+    fn start_read(&mut self) {
+        self.read_start = self.chunks;
+    }
+
     fn pick(&self) -> BlockCodec {
         match self.probing {
             // A probe ships the mode that is not shipped.
@@ -762,24 +835,31 @@ impl ChunkCodec {
         }
     }
 
-    /// Account the chunk just sent: `bytes` logical bytes as `codec`,
-    /// built in `build`; `wait` is how long its send blocked on a full
-    /// window, `None` if it did not block. Returns whether this re-opened
-    /// probing.
-    fn record(
-        &mut self,
-        codec: BlockCodec,
-        bytes: u64,
-        build: Duration,
-        wait: Option<Duration>,
-    ) -> bool {
-        let k = self.chunks;
-        if let Some(head) = k.checked_sub(STREAM_WINDOW + 1) {
+    /// Account the chunk about to be sent: `bytes` logical bytes as
+    /// `codec`, built in `build`. It is recorded before it is sent, since
+    /// the serve loop may write it, and report its drain, at once.
+    fn record(&mut self, codec: BlockCodec, bytes: u64, build: Duration) {
+        let build_ns = build.as_nanos() as u64;
+        let chunk = SentChunk { codec, bytes, build_ns, drain_ns: 0, wait_ns: 0 };
+        self.recent[self.chunks % COST_SPAN] = chunk;
+        self.chunks += 1;
+    }
+
+    /// The serve loop wrote the oldest chunk not yet drained, in `drain`.
+    fn drain(&mut self, drain: Duration) {
+        debug_assert!(self.drains < self.chunks, "a chunk drained before it was recorded");
+        self.recent[self.drains % COST_SPAN].drain_ns = drain.as_nanos() as u64;
+        self.drains += 1;
+    }
+
+    /// The last recorded chunk was sent; `wait` is how long its send
+    /// blocked on a full window, `None` if it did not block. Returns
+    /// whether this re-opened probing.
+    fn sent(&mut self, wait: Option<Duration>) -> bool {
+        let k = self.chunks - 1;
+        if let Some(head) = k.checked_sub(STREAM_WINDOW + 1).filter(|&h| h >= self.read_start) {
             self.recent[head % COST_SPAN].wait_ns = wait.map_or(0, |w| w.as_nanos() as u64);
         }
-        let build_ns = build.as_nanos() as u64;
-        self.recent[k % COST_SPAN] = SentChunk { codec, bytes, build_ns, wait_ns: 0 };
-        self.chunks += 1;
         let open = match self.probing {
             Probing::Unblocked => wait.is_some(),
             Probing::Round { start } => {
@@ -804,12 +884,6 @@ impl ChunkCodec {
         reopen
     }
 
-    /// Chunks whose wait has been charged: all but the last
-    /// `STREAM_WINDOW + 1`, whose sends have not yet waited for them.
-    fn drained(&self) -> usize {
-        self.chunks.saturating_sub(STREAM_WINDOW + 1)
-    }
-
     /// The verdict of the round opened at chunk `start`, once
     /// [`MIN_PAIRS`] of its pairs — adjacent chunks sent in different
     /// modes, the chunk before the round included — have drained: whether
@@ -819,7 +893,7 @@ impl ChunkCodec {
     fn verdict(&self, start: usize) -> Option<(bool, f64)> {
         let mut surcharges = Vec::new();
         let mut lz_wins = 0;
-        for k in start..self.drained() {
+        for k in start..self.drains {
             let (a, b) = (self.recent[(k - 1) % COST_SPAN], self.recent[k % COST_SPAN]);
             if a.codec == b.codec {
                 continue;
@@ -837,10 +911,13 @@ impl ChunkCodec {
     }
 
     /// The median wait per logical byte of the last [`WATCH_CHUNKS`]
-    /// drained chunks, all of them sent since chunk `since`; `None` until
-    /// that many have drained.
+    /// waited-for chunks — all but the current read's last
+    /// `STREAM_WINDOW + 1`, whose sends have not yet waited for them —
+    /// every one sent since chunk `since`; `None` until that many have
+    /// been waited for.
     fn watched_wait(&self, since: usize) -> Option<f64> {
-        let first = self.drained().checked_sub(WATCH_CHUNKS).filter(|&first| first >= since)?;
+        let waited = self.chunks.saturating_sub(STREAM_WINDOW + 1).max(self.read_start);
+        let first = waited.checked_sub(WATCH_CHUNKS).filter(|&first| first >= since)?;
         let mut waits: [f64; WATCH_CHUNKS] = std::array::from_fn(|i| {
             let chunk = &self.recent[(first + i) % COST_SPAN];
             chunk.per_byte(chunk.wait_ns)
@@ -859,6 +936,7 @@ fn handle<S: Storage + Clone>(
     shared: &Shared<S>,
     req: &Request,
     reply: &Sender<Response>,
+    codec: &Mutex<ChunkCodec>,
     ctx: &mut IoCtx,
 ) -> Option<Response> {
     let result = (|| -> BoraResult<Option<Response>> {
@@ -903,29 +981,19 @@ fn handle<S: Storage + Clone>(
                     sealed_segments: store.stat().sealed_batches as u32,
                 }
             }
-            Request::Read { container, topics, range } => {
-                let source = Source::open(shared, container, ctx)?;
-                let mut stream = source.stream(&strs(topics), *range, ctx)?;
-                // One reply holds every message, so each is materialised
-                // from the lent view as it passes; nothing is kept.
-                let mut messages = Vec::with_capacity(stream.remaining() as usize);
-                while let Some(m) = stream.lend(ctx)? {
-                    messages.push(WireMessage::from(m.to_record()));
-                }
-                Response::Read(messages)
-            }
-            Request::ReadStream2 { container, topics, range } => {
+            Request::Read { container, topics, range }
+            | Request::ReadStream2 { container, topics, range } => {
                 let source = Source::open(shared, container, ctx)?;
                 let stream = source.stream(&strs(topics), *range, ctx)?;
                 // Each chunk is one block frame, LZ-coded or raw as this
-                // stream's own measurements pick. The payloads' one copy
-                // — pool page to frame buffer — is counted like any other
-                // materialisation.
-                let mut codec = ChunkCodec::default();
+                // connection's own measurements pick. The payloads' one
+                // copy — pool page to frame buffer — is counted like any
+                // other materialisation.
+                codec.lock().start_read();
                 let sent = scan(stream, ctx, &mut |batch, ctx| {
                     let bytes = batch.iter().map(|m| m.payload().len() as u64).sum();
                     bora_obs::counter("stream.bytes_copied").add(bytes);
-                    let mode = codec.pick();
+                    let mode = codec.lock().pick();
                     if mode == BlockCodec::Lzss {
                         bora_obs::counter("serve.stream_chunk_lz").inc();
                     }
@@ -937,8 +1005,10 @@ fn handle<S: Storage + Clone>(
                     );
                     batch.clear();
                     let built = Instant::now();
+                    codec.lock().record(mode, bytes, built - started);
                     // Only a send that finds the window full waits, and
-                    // only its wait is charged.
+                    // only its wait is charged. The codec is not held
+                    // while it waits: the serve loop reports drains to it.
                     let (sent, wait) = match reply.try_send(frame) {
                         Ok(()) => (true, None),
                         Err(TrySendError::Full(frame)) => {
@@ -946,7 +1016,7 @@ fn handle<S: Storage + Clone>(
                         }
                         Err(TrySendError::Disconnected(_)) => (false, None),
                     };
-                    if codec.record(mode, bytes, built - started, wait) {
+                    if codec.lock().sent(wait) {
                         shared.metrics.record_codec_reopen();
                     }
                     sent
@@ -1101,24 +1171,45 @@ mod tests {
     /// Drive a codec whose chunk `k`, sent as `codec`, costs
     /// `cost(k, codec)` = (build, drain) ns per byte. A send waits for the
     /// frame at the window's head to drain, and it blocks if that wait is
-    /// not 0.
+    /// not 0; the serve loop reports that drain as the send unblocks.
     fn drive(chunks: usize, cost: impl Fn(usize, BlockCodec) -> (u64, u64)) -> Trace {
+        drive_reads(&[chunks], cost)
+    }
+
+    /// [`drive`] over consecutive reads of `reads[i]` chunks on one
+    /// connection. Each read has a window of its own, so no send waits
+    /// for an earlier read's frame; the serve loop writes a read's last
+    /// chunks before the next read starts.
+    fn drive_reads(reads: &[usize], cost: impl Fn(usize, BlockCodec) -> (u64, u64)) -> Trace {
         let mut codec = ChunkCodec::default();
         let mut sent: Vec<BlockCodec> = Vec::new();
         let mut trace = Trace { lz: Vec::new(), shipped: Vec::new(), reopens: 0 };
-        for k in 0..chunks {
-            let mode = codec.pick();
-            trace.shipped.push(codec.shipped);
-            let head = k.checked_sub(STREAM_WINDOW + 1);
-            let wait = head.map_or(0, |h| cost(h, sent[h]).1 * 1000);
-            let build = Duration::from_nanos(cost(k, mode).0 * 1000);
-            let blocked = wait > 0;
-            if codec.record(mode, 1000, build, blocked.then(|| Duration::from_nanos(wait))) {
-                trace.reopens += 1;
+        let ns = |n: u64| Duration::from_nanos(n * 1000);
+        let mut start = 0;
+        for &n in reads {
+            codec.start_read();
+            for k in start..start + n {
+                let mode = codec.pick();
+                trace.shipped.push(codec.shipped);
+                codec.record(mode, 1000, ns(cost(k, mode).0));
+                sent.push(mode);
+                let head = k.checked_sub(STREAM_WINDOW + 1).filter(|&h| h >= start);
+                let wait = head.map_or(0, |h| cost(h, sent[h]).1);
+                if let Some(h) = head {
+                    codec.drain(ns(cost(h, sent[h]).1));
+                }
+                if codec.sent((wait > 0).then(|| ns(wait))) {
+                    trace.reopens += 1;
+                }
             }
-            sent.push(mode);
+            let end = start + n;
+            let undrained = end.saturating_sub(STREAM_WINDOW + 1).max(start);
+            for (h, &mode) in sent.iter().enumerate().skip(undrained) {
+                codec.drain(ns(cost(h, mode).1));
+            }
+            start = end;
         }
-        trace.lz = (0..chunks).filter(|&k| sent[k] == BlockCodec::Lzss).collect();
+        trace.lz = (0..sent.len()).filter(|&k| sent[k] == BlockCodec::Lzss).collect();
         trace
     }
 
@@ -1220,5 +1311,47 @@ mod tests {
         // Within a span of the change, LZ ships.
         let tail: Vec<usize> = (60 + COST_SPAN..240).collect();
         assert_eq!(trace.lz[trace.lz.len() - tail.len()..], tail);
+    }
+
+    #[test]
+    fn a_connections_next_read_keeps_the_choice_its_reads_made() {
+        // Behind a slow link the first read turns to LZ; the next ships
+        // LZ from its first chunk, with no round of its own.
+        let trace = drive_reads(&[20, 20], slow);
+        let lz: Vec<usize> = ROUND.into_iter().chain(16..40).collect();
+        assert_eq!(trace.lz, lz);
+        assert_eq!(trace.reopens, 0);
+        // On a fast link the round closes raw, and the next read ships no
+        // LZ chunk.
+        let trace = drive_reads(&[20, 20], fast);
+        assert_eq!(trace.lz, ROUND);
+        assert_eq!(trace.reopens, 0);
+        // Reads too short for a send to wait on one of their own frames
+        // never block, so they never probe — however slow the link.
+        assert_eq!(drive_reads(&[STREAM_WINDOW + 1; 40], slow).lz, []);
+    }
+
+    #[test]
+    fn a_chunk_closes_at_its_floor_or_before_the_frame_limit() {
+        let (max, floor, base) = (MAX_FRAME_LEN as usize, STREAM_CHUNK_BYTES, CHUNK_FRAME_BASE);
+        let imu = chunk_entry_len("/imu", 316);
+        // The floor takes both: 32 messages, and one stored block.
+        assert!(!chunk_closes(31, 10 * floor, base + 10 * floor, imu));
+        assert!(!chunk_closes(STREAM_CHUNK_MSGS, floor - 1, base + floor, imu));
+        assert!(chunk_closes(STREAM_CHUNK_MSGS, floor, base + floor + 32 * 18, 0));
+        assert!(!chunk_closes(4000, floor - 1, base + floor + 4000 * 18, 0));
+        // The ceiling: a message that would take the frame one byte past
+        // the limit opens the next chunk.
+        assert!(!chunk_closes(3, 900, max - 1000, 1000));
+        assert!(chunk_closes(3, 900, max - 1000, 1001));
+        // 4K rgb8 images, 24.9 MB each: ten fit a frame, the 11th closes
+        // the chunk first — 32 of them would be 796 MB.
+        let image = chunk_entry_len("/cam", 3840 * 2160 * 3);
+        assert!(!chunk_closes(10, 0, base + 9 * image, image));
+        assert!(chunk_closes(10, 0, base + 10 * image, image));
+        // An empty chunk never closes: a message over the limit alone is a
+        // chunk of its own, which closes before the next message.
+        assert!(!chunk_closes(0, 0, base, max));
+        assert!(chunk_closes(1, max, base + chunk_entry_len("/cam", max), imu));
     }
 }

@@ -15,13 +15,14 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{self, Receiver, Sender};
+use parking_lot::Mutex;
 use simfs::Storage;
 
 use crate::proto::{
     frame_len, frame_prefix, split_seq, ErrorCode, Request, Response, FRAME_HEADER_LEN,
     MAX_FRAME_LEN,
 };
-use crate::server::Server;
+use crate::server::{ChunkCodec, Server};
 
 /// One bidirectional framed byte stream.
 pub trait Connection: Send {
@@ -86,12 +87,14 @@ fn eof() -> io::Error {
 
 /// Serve one connection until the peer hangs up or the server begins
 /// shutting down. Shared by every transport; this is the only place
-/// where bytes become [`Request`]s.
+/// where bytes become [`Request`]s. The connection's reads share one
+/// chunk codec: they are consecutive chunks of one link.
 pub fn serve_connection<S, C>(server: &Server<S>, conn: &mut C)
 where
     S: Storage + Clone + Send + Sync + 'static,
     C: Connection,
 {
+    let codec = Arc::new(Mutex::new(ChunkCodec::default()));
     loop {
         let payload = match conn.recv_frame() {
             Ok(p) => p,
@@ -104,18 +107,19 @@ where
         let Ok((seq, framed)) = split_seq(&payload) else { return };
         let mut send = |resp: &Response| send_reply(conn, seq, resp);
         match Request::decode_framed(framed) {
-            // Streaming-aware dispatch: a single-response op emits exactly
-            // one frame; READ_STREAM2 emits chunk frames as the server's
-            // merge yields, with the transport's own send acting as the
-            // final backpressure stage. A failed send drops the emit
+            // Streaming-aware dispatch: a single-frame op emits exactly
+            // one frame; a read emits chunk frames as the server's merge
+            // yields, with the transport's own send acting as the final
+            // backpressure stage. A failed send drops the emit
             // closure's `true`, which tells the server to abort the
             // in-flight stream (releasing its cache pin).
             Ok((req, tctx, deadline_ns)) => {
                 let mut final_resp = false;
-                let ok = server.submit_streamed_framed(req, tctx, deadline_ns, &mut |resp| {
-                    final_resp = matches!(resp, Response::ShuttingDown);
-                    send(&resp)
-                });
+                let ok =
+                    server.submit_streamed_framed(req, tctx, deadline_ns, &codec, &mut |resp| {
+                        final_resp = matches!(resp, Response::ShuttingDown);
+                        send(&resp)
+                    });
                 if !ok || final_resp || server.is_shutting_down() {
                     return;
                 }
@@ -138,15 +142,16 @@ where
 /// ([`Response::encode_parts`]). A reply longer than [`MAX_FRAME_LEN`] is
 /// not written at all — its peer would refuse the length, take that for
 /// a broken link and ask again — and a permanent `BadRequest` naming the
-/// limit goes in its place. `false` once the peer is gone, or when the
-/// reply cannot be encoded.
+/// limit goes in its place. A read's chunk closes before it would pass
+/// the limit, so only a chunk of one message over it gets here. `false`
+/// once the peer is gone, or when the reply cannot be encoded.
 fn send_reply<C: Connection>(conn: &mut C, seq: u32, resp: &Response) -> bool {
     let Ok((head, tail)) = resp.encode_parts(seq) else { return false };
     let len = head.len() + tail.len();
     if frame_prefix(len).is_err() {
         let message = format!(
             "a {len}-byte reply exceeds the {MAX_FRAME_LEN}-byte frame limit; \
-             READ_STREAM2 sends a read in 32-message chunks"
+             a read's chunk holds at least one message, so none larger can be served"
         );
         return send_reply(conn, seq, &Response::Error { code: ErrorCode::BadRequest, message });
     }
@@ -375,7 +380,8 @@ mod tests {
     use simfs::IoCtx;
 
     /// A chunk of 32 messages of about `bytes` payload bytes in all, raw
-    /// and LZ-coded.
+    /// and LZ-coded: below a chunk's 64 KiB floor (a read's last chunk),
+    /// just past it, and well past it.
     fn chunks(bytes: usize) -> [Response; 2] {
         let msgs: Vec<WireMessage> = (0..32)
             .map(|i| WireMessage {
@@ -403,7 +409,7 @@ mod tests {
                 assert!(!e.is_transient());
                 let text = e.to_string();
                 assert!(text.contains(&format!("{MAX_FRAME_LEN}-byte frame limit")), "{text}");
-                assert!(text.contains("READ_STREAM2"), "{text}");
+                assert!(text.contains("at least one message"), "{text}");
             }
             other => panic!("expected a BadRequest, got {other:?}"),
         }

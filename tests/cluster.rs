@@ -14,7 +14,7 @@ use bora_cluster::{
     ClusterClient, ClusterClientConfig, ClusterTierConfig, LocalCluster, RingConfig, RoutePolicy,
 };
 use bora_serve::{ClientError, MemTransport, RetryBudgetConfig, WireMessage};
-use ros_msgs::sensor_msgs::Imu;
+use ros_msgs::sensor_msgs::Image;
 use ros_msgs::{RosMessage, Time};
 use rosbag::{BagWriter, BagWriterOptions};
 use simfs::{IoCtx, MemStorage};
@@ -24,7 +24,9 @@ const TOPICS: [&str; 2] = ["/imu", "/odom"];
 
 /// Stage `robots` mission containers with distinct, recognizable content
 /// per robot (seq numbers offset by robot id), returning their roots.
-/// Robot `r`'s mission starts `r × stagger_ns` after robot 0's.
+/// Robot `r`'s mission starts `r × stagger_ns` after robot 0's. Each
+/// message is a 2 KiB image, so a stream's chunks hold 32 messages: its
+/// 64 KiB floor and its 32-message floor fall together.
 fn stage_fleet(
     staging: &MemStorage,
     robots: u32,
@@ -41,11 +43,12 @@ fn stage_fleet(
             let t = Time::from_nanos(
                 1_000_000_000 + robot as u64 * stagger_ns + tick as u64 * 5_000_000,
             );
-            let mut imu = Imu::default();
-            imu.header.seq = robot * 1_000_000 + tick;
-            imu.header.stamp = t;
-            imu.linear_acceleration.x = robot as f64;
-            w.write_ros_message(TOPICS[(tick % 2) as usize], t, &imu, &mut ctx).unwrap();
+            let mut image = Image { height: 32, width: 64, step: 64, ..Image::default() };
+            image.header.seq = robot * 1_000_000 + tick;
+            image.header.stamp = t;
+            image.encoding = "mono8".into();
+            image.data = vec![robot as u8; 2048];
+            w.write_ros_message(TOPICS[(tick % 2) as usize], t, &image, &mut ctx).unwrap();
         }
         w.close(&mut ctx).unwrap();
         let root = format!("/fleet/robot{robot}");
@@ -57,7 +60,7 @@ fn stage_fleet(
 
 /// The robot a staged message came from.
 fn robot_of(m: &WireMessage) -> u32 {
-    Imu::from_bytes(&m.data).unwrap().header.seq / 1_000_000
+    Image::from_bytes(&m.data).unwrap().header.seq / 1_000_000
 }
 
 fn start_cluster(

@@ -17,7 +17,7 @@ use bora_cluster::{
 };
 use bora_obs::SpanEvent;
 use bora_serve::Request;
-use ros_msgs::sensor_msgs::Imu;
+use ros_msgs::sensor_msgs::Image;
 use ros_msgs::Time;
 use rosbag::{BagWriter, BagWriterOptions};
 use simfs::{IoCtx, MemStorage};
@@ -28,7 +28,9 @@ fn trace_lock() -> MutexGuard<'static, ()> {
     TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Stage `n` small containers on a fresh staging filesystem.
+/// Stage `n` small containers on a fresh staging filesystem: 40 messages
+/// of 2 KiB each, so a stream's chunks hold 32 messages — its 64 KiB floor
+/// and its 32-message floor fall together.
 fn stage(n: usize) -> (MemStorage, Vec<String>) {
     let staging = MemStorage::new();
     let mut ctx = IoCtx::new();
@@ -39,10 +41,12 @@ fn stage(n: usize) -> (MemStorage, Vec<String>) {
             BagWriter::create(&staging, &bag, BagWriterOptions::default(), &mut ctx).unwrap();
         for tick in 0..40u32 {
             let t = Time::from_nanos(1_000_000_000 + tick as u64 * 5_000_000);
-            let mut imu = Imu::default();
-            imu.header.seq = tick;
-            imu.header.stamp = t;
-            w.write_ros_message("/imu", t, &imu, &mut ctx).unwrap();
+            let mut image = Image { height: 32, width: 64, step: 64, ..Image::default() };
+            image.header.seq = tick;
+            image.header.stamp = t;
+            image.encoding = "mono8".into();
+            image.data = vec![tick as u8; 2048];
+            w.write_ros_message("/imu", t, &image, &mut ctx).unwrap();
         }
         w.close(&mut ctx).unwrap();
         let root = format!("/fleet/m{i}");

@@ -1,8 +1,9 @@
 //! The frame codec on the data the wall-clock benchmark serves.
 //!
 //! `encode_frame` decides early whether a block is worth compressing
-//! (`rosbag::compress::compress_bounded`). On every 64 KiB block and every
-//! 32-message wire chunk of the `hs` data set that early verdict must be
+//! (`rosbag::compress::compress_bounded`). On every 64 KiB block, every
+//! wire chunk the server builds and every 32-message batch (the chunk of
+//! a read of 2 KiB messages) of the `hs` data set that early verdict must be
 //! the full pass's verdict — that is what keeps
 //! `stored_bytes_per_user_byte` where it was — and the served payloads
 //! must reach their frame in one counted copy.
@@ -18,8 +19,26 @@ use rosbag::{BagReader, MessageRecord};
 use simfs::{IoCtx, MemStorage};
 use workloads::tum::{self, topic, GenOptions};
 
-/// `bora-serve`'s messages per stream chunk.
+/// `bora-serve`'s floors of a read chunk: it closes once it holds this
+/// many messages and one stored block of payload (the frame limit, the
+/// other rule, is far above any chunk of `hs`).
 const STREAM_CHUNK_MSGS: usize = 32;
+
+/// `scan` cut where the server closes its chunks.
+fn server_chunks(scan: &[WireMessage]) -> Vec<&[WireMessage]> {
+    let (mut chunks, mut start, mut payload) = (Vec::new(), 0, 0);
+    for (i, m) in scan.iter().enumerate() {
+        payload += m.data.len();
+        if i + 1 - start >= STREAM_CHUNK_MSGS && payload >= DEFAULT_BLOCK_SIZE as usize {
+            chunks.push(&scan[start..=i]);
+            (start, payload) = (i + 1, 0);
+        }
+    }
+    if start < scan.len() {
+        chunks.push(&scan[start..]);
+    }
+    chunks
+}
 
 /// The benchmark's two scans: the five small topics, the two image topics.
 const SCANS: [&[&str]; 2] = [
@@ -83,13 +102,17 @@ fn verdicts_agree_on_hs(seed: u64) {
             .filter(|m| topics.contains(&m.topic.as_str()))
             .map(|m| WireMessage { topic: m.topic.clone(), time: m.time, data: m.data.clone() })
             .collect();
-        for (i, batch) in scan.chunks(STREAM_CHUNK_MSGS).enumerate() {
-            let Response::StreamChunkLz(frame) = compress_chunk(batch, ctx) else {
-                panic!("compress_chunk answers StreamChunkLz")
-            };
-            let (body, _) = decode_frame(&frame, "chunk", ctx).unwrap();
-            assert_full_pass_agrees(&frame, &body, &mut lz, &format!("{topics:?} chunk {i}"));
-            frames += 1;
+        let batches: Vec<&[WireMessage]> = scan.chunks(STREAM_CHUNK_MSGS).collect();
+        for (shape, batches) in [("chunk", server_chunks(&scan)), ("batch", batches)] {
+            for (i, batch) in batches.into_iter().enumerate() {
+                let Response::StreamChunkLz(frame) = compress_chunk(batch, ctx) else {
+                    panic!("compress_chunk answers StreamChunkLz")
+                };
+                let (body, _) = decode_frame(&frame, "chunk", ctx).unwrap();
+                let what = format!("{topics:?} {shape} {i}");
+                assert_full_pass_agrees(&frame, &body, &mut lz, &what);
+                frames += 1;
+            }
         }
     }
 

@@ -100,7 +100,7 @@ fn lookups_by_name_do_not_grow_with_messages() {
     assert_eq!(copied.get() - copied0, payload, "copied bytes are still counted in full");
     let collect = registry.lookups() - lookups0;
 
-    // 3. A served READ: one reply holding every message.
+    // 3. A served READ: the read's chunks, collected by the client.
     let server = Server::start(Arc::clone(&fs), ServerConfig::default());
     let mut client = ServeClient::connect(&MemTransport::new(Arc::clone(&server))).unwrap();
     let (lookups0, copied0) = (registry.lookups(), copied.get());

@@ -391,10 +391,10 @@ fn streamed_reads_survive_transient_faults_via_retry() {
     assert!(!healthy.is_empty());
     assert_eq!(client.read(&roots[1], &["/imu"]).unwrap().len(), healthy.len());
 
-    // A burst of transient read faults on /srv0's data: the streamed read
-    // fails mid-stream with a terminal error frame, the retry layer
-    // re-issues the whole query, and the client sees zero errors and
-    // byte-identical results.
+    // A burst of transient read faults on /srv0's data: the read — a
+    // stream collected — fails mid-stream with a terminal error frame,
+    // the retry layer re-issues the whole query, and the client sees zero
+    // errors and byte-identical results.
     fs.inject(FaultRule {
         kind: FaultKind::Reads,
         path_contains: Some("/srv0/imu".into()),
@@ -403,7 +403,7 @@ fn streamed_reads_survive_transient_faults_via_retry() {
     });
     for round in 0..4 {
         let root = &roots[round % roots.len()];
-        let streamed = client.read_streamed(root, &["/imu"]).unwrap();
+        let streamed = client.read(root, &["/imu"]).unwrap();
         assert_eq!(streamed.len(), healthy.len());
         for (s, b) in streamed.iter().zip(&healthy) {
             assert_eq!((&s.topic, s.time, &s.data), (&b.topic, b.time, &b.data));

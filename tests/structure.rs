@@ -66,6 +66,15 @@
 //!     source writes a `serve.<op>` span name, and only `metrics.rs` a
 //!     `serve.op.` metric name — `bora-cluster`'s `telemetry.rs`, which
 //!     renders the op rows, neither.
+//! 14. *One read answer*: a read is a stream. In non-test `bora-serve`
+//!     source `Response::Read(` and `Response::StreamChunk(` — the owned
+//!     message replies — appear only in `proto.rs`'s codec
+//!     (`Response::write` / `Response::decode`); `RetryClient` has no
+//!     `read_streamed*`, because `read` is the stream collected; the
+//!     client decodes message answers (`stream_chunk` /
+//!     `decompress_chunk`) in `ReadStream::fetch` alone; and a
+//!     `ChunkCodec` is built only by the serve loop (`serve_connection`,
+//!     one per connection) and `Server::submit_streamed` (one per call).
 
 use std::path::Path;
 
@@ -105,6 +114,11 @@ const STATS_OP: [&str; 7] = [
 ];
 /// The one `StatsSnapshot` builder's header.
 const PROJECTION: &str = "impl From<&MetricsReport> for StatsSnapshot {";
+/// The owned message replies no server sends and no client decodes.
+const OWNED_REPLIES: [&str; 2] = ["Response::Read(", "Response::StreamChunk("];
+/// The functions that build a `ChunkCodec`: one per connection, one per
+/// `submit_streamed` call.
+const CODEC_BUILDERS: [&str; 2] = ["serve_connection", "submit_streamed"];
 
 /// Where a source guard looks and what it refuses to find there.
 struct SourceGuard {
@@ -486,6 +500,47 @@ fn one_observation_path_violations(path: &str, source: &str) -> Vec<String> {
     found
 }
 
+/// Guard 14 over one file: the owned read replies, the client's second
+/// read path and where a `ChunkCodec` is built, in `bora-serve`.
+fn one_read_answer_violations(path: &str, source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    if !path.starts_with(SERVE_SRC) {
+        return found;
+    }
+    let mut flag =
+        |i: usize, what: &str| found.push(format!("one read answer: {path}:{}: {what}", i + 1));
+    let mut current = "";
+    for (i, line) in source.lines().take_while(|l| !l.contains("#[cfg(test)]")).enumerate() {
+        let code = line.split("//").next().unwrap_or("");
+        let trimmed = code.trim_start();
+        let header =
+            ["fn ", "pub fn ", "pub(crate) fn "].iter().find_map(|p| trimmed.strip_prefix(p));
+        if let Some(header) = header {
+            current = header.split(['(', '<']).next().unwrap_or("");
+        }
+        if OWNED_REPLIES.iter().any(|r| code.contains(r))
+            && !(path == PROTO && ["write", "decode"].contains(&current))
+        {
+            flag(i, "a read is answered by chunks: no owned message reply outside the codec");
+        }
+        if path == CLIENT && code.contains("fn read_streamed") {
+            flag(i, "`RetryClient::read` is the stream collected");
+        }
+        let decodes = ["stream_chunk(", "decompress_chunk("].iter().any(|d| code.contains(d));
+        if path == CLIENT && decodes && current != "fetch" {
+            flag(i, "message answers are decoded in `ReadStream::fetch` alone");
+        }
+        let literal = code.contains("ChunkCodec {")
+            && !code.contains("struct ChunkCodec")
+            && !trimmed.starts_with("impl")
+            && current != "default";
+        if literal || code.contains("ChunkCodec::default()") && !CODEC_BUILDERS.contains(&current) {
+            flag(i, "a connection's reads share one codec, built by its serve loop");
+        }
+    }
+    found
+}
+
 /// Guard 7, first half: whether `path` is a source under `crates/`, not
 /// under `crates/bench`, that names `BinaryHeap` before its tests.
 fn names_the_heap(path: &str, source: &str) -> bool {
@@ -586,6 +641,7 @@ fn the_tree_holds_every_guard() {
             found.extend(codec_choice_violations(&rel, &source));
             found.extend(one_wire_path_violations(&rel, &source));
             found.extend(one_observation_path_violations(&rel, &source));
+            found.extend(one_read_answer_violations(&rel, &source));
             if names_the_heap(&rel, &source) {
                 heap_files.push(rel);
             }
@@ -984,6 +1040,95 @@ fn the_one_observation_path_guard_fires() {
     ];
     for (path, source, fires) in cases {
         let found = one_observation_path_violations(path, &source);
+        assert_eq!(!found.is_empty(), fires, "{path}: {source}\n{found:?}");
+    }
+}
+
+#[test]
+fn the_one_read_answer_guard_fires() {
+    let codec = "pub(crate) fn submit_streamed_framed(&self) {\n}\n\
+                 pub fn submit_streamed(&self, req: Request) -> bool {\n    \
+                 let codec = Arc::new(Mutex::new(ChunkCodec::default()));\n}\n\
+                 pub(crate) struct ChunkCodec {\n    chunks: usize,\n}\n\
+                 impl Default for ChunkCodec {\n    fn default() -> Self {\n        \
+                 ChunkCodec { chunks: 0 }\n    }\n}\n";
+    let transport = "pub fn serve_connection<S, C>(server: &Server<S>, conn: &mut C) {\n    \
+                     let codec = Arc::new(Mutex::new(ChunkCodec::default()));\n}\n";
+    let codec_ = "fn decode(payload: &[u8]) -> ProtoResult<Response> {\n    \
+                  OP_OK_READ => Response::Read(r.msgs()?),\n    \
+                  OP_OK_STREAM_CHUNK => Response::StreamChunk(r.msgs()?),\n}\n\
+                  fn write<'a>(&'a self, w: &mut Writer) -> &'a [u8] {\n    \
+                  Response::Read(messages) => {}\n}\n";
+    let client = "fn read_inner(&mut self) -> ClientResult<Vec<WireMessage>> {\n    \
+                  ReadStream::start(self, &req)?.collect()\n}\n\
+                  fn fetch(&mut self) -> ClientResult<()> {\n    \
+                  if let Some(msgs) = crate::proto::stream_chunk(body)? {}\n}\n";
+    let tests = "#[cfg(test)]\nfn t() { Step::Reply(Response::StreamChunk(m)); \
+                 let c = ChunkCodec::default(); fn read_streamed() {} }\n";
+    let cases = [
+        (SERVER, format!("{codec}{tests}"), false),
+        (TRANSPORT, transport.to_owned(), false),
+        (PROTO, format!("{codec_}{tests}"), false),
+        (CLIENT, format!("{client}{tests}"), false),
+        ("crates/bora-cluster/src/client.rs", "fn f() { Response::Read(m) }\n".to_owned(), false),
+        (SERVER, "fn handle() {\n    Response::Read(messages)\n}\n".to_owned(), true),
+        (
+            SERVER,
+            "fn submit_streamed_framed() {\n    \
+             matches!(resp, Response::StreamChunk(_) | Response::StreamChunkLz(_))\n}\n"
+                .to_owned(),
+            true,
+        ),
+        (
+            PROTO,
+            "pub fn owned_reply(m: Vec<WireMessage>) -> Response {\n    Response::Read(m)\n}\n"
+                .to_owned(),
+            true,
+        ),
+        (
+            CLIENT,
+            client.replace(
+                "ReadStream::start(self, &req)?.collect()",
+                "match self.roundtrip(&req)? {\n    Response::Read(m) => Ok(m),\n}",
+            ),
+            true,
+        ),
+        (
+            CLIENT,
+            client.replace(
+                "if let Some",
+                "Response::StreamChunk(msgs) => Ok(Some(msgs)),\n    if let Some",
+            ),
+            true,
+        ),
+        (CLIENT, format!("{client}    pub fn read_streamed(&mut self) {{\n    }}\n"), true),
+        (CLIENT, format!("{client}    pub fn read_streamed_time(&mut self) {{\n    }}\n"), true),
+        (
+            CLIENT,
+            format!("{client}fn recv() {{\n    let m = decompress_chunk(&frame)?;\n}}\n"),
+            true,
+        ),
+        (
+            CLIENT,
+            client
+                .replace("ReadStream::start(self, &req)?.collect()", "proto::stream_chunk(&body)"),
+            true,
+        ),
+        (SERVER, codec.replace("fn submit_streamed(", "fn handle("), true),
+        (
+            SERVER,
+            format!("{codec}fn handle() {{\n    let mut codec = ChunkCodec::default();\n}}\n"),
+            true,
+        ),
+        (
+            SERVER,
+            format!("{codec}fn handle() {{\n    let c = ChunkCodec {{ chunks: 0 }};\n}}\n"),
+            true,
+        ),
+        (TRANSPORT, transport.replace("serve_connection", "serve_one"), true),
+    ];
+    for (path, source, fires) in cases {
+        let found = one_read_answer_violations(path, &source);
         assert_eq!(!found.is_empty(), fires, "{path}: {source}\n{found:?}");
     }
 }

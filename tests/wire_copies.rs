@@ -4,7 +4,8 @@
 //!
 //! A counting global allocator tallies the bytes allocated on the thread
 //! that turned it on; the server's threads (acceptor, connection,
-//! workers) allocate uncounted. Receiving a raw stream over TCP may
+//! workers) allocate uncounted. Receiving a raw stream over TCP — read
+//! as it arrives or collected by `read` — may
 //! allocate each frame's bytes once (the receive buffer), the messages'
 //! own bytes, and a constant per message. A client that copies each frame
 //! twice more — out of the receive buffer into a `Response`, and out of
@@ -156,30 +157,34 @@ fn a_raw_stream_costs_the_client_one_copy_of_its_frames() {
     let inner = TcpTransport::new(listener.addr()).connect().unwrap();
     let tally = Tally { inner, bytes: Arc::clone(&bytes), lz_chunks: Arc::clone(&lz_chunks) };
     let mut client = ServeClient::new(tally);
-    let read = |c: &mut ServeClient<Tally>| -> Vec<WireMessage> {
+    let stream = |c: &mut ServeClient<Tally>| -> Vec<WireMessage> {
         c.read_stream(ROOT, &[TOPIC]).unwrap().collect::<Result<_, _>>().unwrap()
     };
+    let read = |c: &mut ServeClient<Tally>| c.read(ROOT, &[TOPIC]).unwrap();
     // The first stream opens the container and fills the pool.
-    let first = read(&mut client);
-    bytes.store(0, Ordering::Relaxed);
+    let first = stream(&mut client);
 
-    let (msgs, allocated) = allocated(|| read(&mut client));
-    assert_eq!(msgs, first);
-    assert_eq!(msgs.len(), MESSAGES as usize);
-    assert_eq!(lz_chunks.load(Ordering::Relaxed), 0, "every chunk is raw");
-    let frames = bytes.load(Ordering::Relaxed);
-    let owned: u64 = msgs.iter().map(|m| (m.data.capacity() + m.topic.capacity()) as u64).sum();
-    let budget = frames + owned + PER_MESSAGE * msgs.len() as u64;
-    println!(
-        "allocated {allocated} B receiving {frames} B of frames into {owned} B of messages \
-         ({:.2} frames + messages; budget {budget} B)",
-        allocated.saturating_sub(owned) as f64 / frames as f64
-    );
-    assert!(
-        allocated <= budget,
-        "allocated {allocated} B > {frames} B of frames + {owned} B of messages + \
-         {PER_MESSAGE} B per message"
-    );
+    // A read is the same stream, collected: the same bound holds.
+    for (what, receive) in [("read_stream", &stream as &dyn Fn(&mut _) -> _), ("read", &read)] {
+        bytes.store(0, Ordering::Relaxed);
+        let (msgs, allocated) = allocated(|| receive(&mut client));
+        assert_eq!(msgs, first, "{what}");
+        assert_eq!(msgs.len(), MESSAGES as usize);
+        assert_eq!(lz_chunks.load(Ordering::Relaxed), 0, "every chunk is raw");
+        let frames = bytes.load(Ordering::Relaxed);
+        let owned: u64 = msgs.iter().map(|m| (m.data.capacity() + m.topic.capacity()) as u64).sum();
+        let budget = frames + owned + PER_MESSAGE * msgs.len() as u64;
+        println!(
+            "{what}: allocated {allocated} B receiving {frames} B of frames into {owned} B of \
+             messages ({:.2} frames + messages; budget {budget} B)",
+            allocated.saturating_sub(owned) as f64 / frames as f64
+        );
+        assert!(
+            allocated <= budget,
+            "{what}: allocated {allocated} B > {frames} B of frames + {owned} B of messages + \
+             {PER_MESSAGE} B per message"
+        );
+    }
     drop(client);
     server.shutdown();
 }
