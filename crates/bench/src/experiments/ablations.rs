@@ -42,8 +42,13 @@ pub fn run_window(scales: &ScaleConfig) -> Vec<Table> {
 
         let q = |secs: f64| {
             let mut qctx = IoCtx::new();
-            bag.read_topic_time(topic::IMU, t0, t0 + RosDuration::from_sec_f64(secs), &mut qctx)
-                .unwrap();
+            bag.read_topics_time(
+                &[topic::IMU],
+                t0,
+                t0 + RosDuration::from_sec_f64(secs),
+                &mut qctx,
+            )
+            .unwrap();
             qctx.elapsed_ns()
         };
         table.row(vec![
@@ -158,7 +163,7 @@ pub fn run_stripe(scales: &ScaleConfig) -> Vec<Table> {
 
         let mut octx = IoCtx::new();
         let bag = BoraBag::open(&storage, "/c", &mut octx).unwrap();
-        bag.read_topic(topic::RGB_IMAGE, &mut octx).unwrap();
+        bag.read_topics(&[topic::RGB_IMAGE], &mut octx).unwrap();
 
         table.row(vec![
             servers.to_string(),

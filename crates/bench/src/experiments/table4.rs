@@ -72,7 +72,7 @@ pub fn run(scales: &ScaleConfig) -> Vec<Table> {
     .unwrap();
     let mut qctx = IoCtx::new();
     let bag = BoraBag::open(&bora_fs, "/c", &mut qctx).unwrap();
-    bag.read_topic(topic::RGB_CAMERA_INFO, &mut qctx).unwrap();
+    bag.read_topics(&[topic::RGB_CAMERA_INFO], &mut qctx).unwrap();
     measured.row(vec!["BORA".into(), "topics + time".into(), ms(qctx.elapsed_ns())]);
     measured.note("same workload, same device model: semantics-blind middleware adds cost, semantic middleware removes it");
 

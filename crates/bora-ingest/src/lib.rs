@@ -33,11 +33,13 @@
 //! let store = IngestStore::create(&fs, "/live", IngestConfig::default(), &mut ctx).unwrap();
 //! store.append("/imu", Time::from_nanos(100), b"reading", &mut ctx).unwrap();
 //! let snap = store.snapshot(&mut ctx).unwrap();
-//! let msgs = snap.read_topics(&["/imu"], &mut ctx).unwrap();
+//! // Whole topics: the snapshot's one stream (no time range), collected.
+//! let msgs = snap.stream(&["/imu"], None, &mut ctx).unwrap().collect_records(&mut ctx).unwrap();
 //! assert_eq!(msgs[0].data, b"reading");
 //! store.seal(&mut ctx).unwrap();
 //! store.compact(&mut ctx).unwrap();
-//! let again = store.snapshot(&mut ctx).unwrap().read_topics(&["/imu"], &mut ctx).unwrap();
+//! let snap = store.snapshot(&mut ctx).unwrap();
+//! let again = snap.stream(&["/imu"], None, &mut ctx).unwrap().collect_records(&mut ctx).unwrap();
 //! // Byte-identical across the state change (conn ids are per-container
 //! // artifacts; topic, time, and payload are the message's identity).
 //! assert_eq!(again[0].data, msgs[0].data);

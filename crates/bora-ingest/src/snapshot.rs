@@ -98,13 +98,9 @@ impl<S: Storage> Snapshot<S> {
         self.bag.stream_topics_with_tails(&topics, tails, range, StreamOptions::default(), ctx)
     }
 
-    /// Read whole topics in global time order — the mid-recording
-    /// equivalent of `BoraBag::read_topics`.
-    pub fn read_topics(&self, topics: &[&str], ctx: &mut IoCtx) -> BoraResult<Vec<MessageRecord>> {
-        self.collect(topics, None, ctx)
-    }
-
-    /// Read a half-open `[start, end)` time range across topics.
+    /// Read a half-open `[start, end)` time range across topics — the
+    /// mid-recording `BoraBag::read_topics_time`. A whole-topic read is
+    /// `stream(topics, None, ctx)?.collect_records(ctx)`.
     pub fn read_time_range(
         &self,
         topics: &[&str],
@@ -112,17 +108,8 @@ impl<S: Storage> Snapshot<S> {
         end: Time,
         ctx: &mut IoCtx,
     ) -> BoraResult<Vec<MessageRecord>> {
-        self.collect(topics, Some((start, end)), ctx)
-    }
-
-    fn collect(
-        &self,
-        topics: &[&str],
-        range: Option<(Time, Time)>,
-        ctx: &mut IoCtx,
-    ) -> BoraResult<Vec<MessageRecord>> {
         let sp = bora_obs::span("ingest.snapshot_read");
-        let out = self.stream(topics, range, ctx)?.collect_records(ctx);
+        let out = self.stream(topics, Some((start, end)), ctx)?.collect_records(ctx);
         sp.end();
         out
     }
@@ -193,6 +180,11 @@ mod tests {
         }
     }
 
+    /// Whole topics: the snapshot's stream, unbounded, collected.
+    fn read(snap: &Snapshot<&MemStorage>, topics: &[&str], ctx: &mut IoCtx) -> Vec<MessageRecord> {
+        snap.stream(topics, None, ctx).unwrap().collect_records(ctx).unwrap()
+    }
+
     /// Message identity modulo `conn_id`: conn ids are assigned per
     /// container generation (and are not part of the serve wire format),
     /// so cross-layer comparisons use (topic, time, payload).
@@ -208,13 +200,13 @@ mod tests {
         fill(&st, &mut ctx);
 
         // All in memtable.
-        let a = st.snapshot(&mut ctx).unwrap().read_topics(&["/imu", "/camera"], &mut ctx).unwrap();
+        let a = read(&st.snapshot(&mut ctx).unwrap(), &["/imu", "/camera"], &mut ctx);
         st.seal(&mut ctx).unwrap();
         // All in a sealed batch.
-        let b = st.snapshot(&mut ctx).unwrap().read_topics(&["/imu", "/camera"], &mut ctx).unwrap();
+        let b = read(&st.snapshot(&mut ctx).unwrap(), &["/imu", "/camera"], &mut ctx);
         st.compact(&mut ctx).unwrap();
         // All compacted into the container.
-        let c = st.snapshot(&mut ctx).unwrap().read_topics(&["/imu", "/camera"], &mut ctx).unwrap();
+        let c = read(&st.snapshot(&mut ctx).unwrap(), &["/imu", "/camera"], &mut ctx);
         assert_eq!(a.len(), 16);
         assert_eq!(payloads(&a), payloads(&b), "memtable vs sealed");
         assert_eq!(payloads(&b), payloads(&c), "sealed vs compacted");
@@ -234,13 +226,13 @@ mod tests {
         st.compact(&mut ctx).unwrap();
         assert!(st.epoch() > pinned_epoch);
 
-        let msgs = snap.read_topics(&["/imu"], &mut ctx).unwrap();
+        let msgs = read(&snap, &["/imu"], &mut ctx);
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].data, b"early");
 
         // A fresh snapshot sees everything.
         let now = st.snapshot(&mut ctx).unwrap();
-        assert_eq!(now.read_topics(&["/imu"], &mut ctx).unwrap().len(), 2);
+        assert_eq!(read(&now, &["/imu"], &mut ctx).len(), 2);
     }
 
     #[test]
@@ -259,7 +251,7 @@ mod tests {
         st.compact(&mut ctx).unwrap();
         // Generation 1's directory survives while the snapshot lives...
         assert!(fs.exists("/live/gen/C00000001", &mut ctx));
-        assert_eq!(snap.read_topics(&["/imu"], &mut ctx).unwrap().len(), 1);
+        assert_eq!(read(&snap, &["/imu"], &mut ctx).len(), 1);
         drop(snap);
         // ...and is garbage-collected at the next snapshot/compaction.
         let _ = st.snapshot(&mut ctx).unwrap();

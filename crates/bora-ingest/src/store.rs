@@ -956,7 +956,12 @@ mod tests {
         assert!(st.append_batch(batch, &mut ctx).is_err());
         assert_eq!(st.stat().active_messages, 0);
         let snap = st.snapshot(&mut ctx).unwrap();
-        assert!(snap.read_topics(&["/a"], &mut ctx).unwrap().is_empty());
+        assert!(snap
+            .stream(&["/a"], None, &mut ctx)
+            .unwrap()
+            .collect_records(&mut ctx)
+            .unwrap()
+            .is_empty());
         // Nothing reached the WAL, and the high-water mark did not move.
         st.flush_wal(&mut ctx).unwrap();
         drop(snap);
@@ -1022,7 +1027,8 @@ mod tests {
         assert_eq!(s.active_messages, 0);
         // No duplicate replay: the compacted container holds exactly one.
         let snap = st.snapshot(&mut ctx).unwrap();
-        let msgs = snap.read_topics(&["/imu"], &mut ctx).unwrap();
+        let msgs =
+            snap.stream(&["/imu"], None, &mut ctx).unwrap().collect_records(&mut ctx).unwrap();
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].data, b"one");
     }
@@ -1087,7 +1093,8 @@ mod tests {
         st.seal(&mut ctx).unwrap();
         st.compact(&mut ctx).unwrap();
         let snap = st.snapshot(&mut ctx).unwrap();
-        let msgs = snap.read_topics(&["/imu"], &mut ctx).unwrap();
+        let msgs =
+            snap.stream(&["/imu"], None, &mut ctx).unwrap().collect_records(&mut ctx).unwrap();
         assert_eq!(msgs.len(), 50);
         for (m, e) in msgs.iter().zip(&expect) {
             assert_eq!(&m.data, e);
@@ -1144,7 +1151,7 @@ mod tests {
         st.append("/imu", Time::from_nanos(510), &[9; 48], &mut ctx).unwrap();
         st.seal(&mut ctx).unwrap().unwrap();
         let snap = st.snapshot(&mut ctx).unwrap();
-        match snap.read_topics(&["/imu"], &mut ctx) {
+        match snap.stream(&["/imu"], None, &mut ctx).and_then(|s| s.collect_records(&mut ctx)) {
             Err(BoraError::ChecksumMismatch { path, .. }) => {
                 assert_eq!(path, format!("imu/{file}"))
             }
@@ -1241,7 +1248,13 @@ mod tests {
         st.seal(&mut ctx).unwrap();
         assert_eq!(st.compact(&mut ctx).unwrap(), 2);
         let read = |st: &IngestStore<&FaultyStorage<MemStorage>>, ctx: &mut IoCtx| {
-            let msgs = st.snapshot(ctx).unwrap().read_topics(&["/imu"], ctx).unwrap();
+            let msgs = st
+                .snapshot(ctx)
+                .unwrap()
+                .stream(&["/imu"], None, ctx)
+                .unwrap()
+                .collect_records(ctx)
+                .unwrap();
             msgs.into_iter().map(|m| m.data).collect::<Vec<_>>()
         };
         assert_eq!(read(&st, &mut ctx), [b"one".to_vec(), b"two".to_vec()]);

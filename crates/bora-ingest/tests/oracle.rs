@@ -59,7 +59,9 @@ fn oracle_merge(lanes: &[Vec<(u64, Vec<u8>)>]) -> Vec<Msg> {
 fn read_as_tuples(st: &IngestStore<&MemStorage>, ctx: &mut IoCtx) -> Vec<Msg> {
     st.snapshot(ctx)
         .unwrap()
-        .read_topics(&TOPICS, ctx)
+        .stream(&TOPICS, None, ctx)
+        .unwrap()
+        .collect_records(ctx)
         .unwrap()
         .into_iter()
         .map(|m| {
@@ -176,7 +178,9 @@ proptest! {
         }
 
         let got: Vec<(usize, u64, Vec<u8>)> = snap
-            .read_topics(&TOPICS, &mut ctx)
+            .stream(&TOPICS, None, &mut ctx)
+            .unwrap()
+            .collect_records(&mut ctx)
             .unwrap()
             .into_iter()
             .map(|m| {

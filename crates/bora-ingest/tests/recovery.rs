@@ -74,7 +74,8 @@ fn read_all<S: Storage + Clone>(
     ctx: &mut IoCtx,
 ) -> Vec<(String, u64, Vec<u8>)> {
     let snap = st.snapshot(ctx).unwrap();
-    let msgs: Vec<MessageRecord> = snap.read_topics(&TOPICS, ctx).unwrap();
+    let msgs: Vec<MessageRecord> =
+        snap.stream(&TOPICS, None, ctx).unwrap().collect_records(ctx).unwrap();
     msgs.into_iter().map(|m| (m.topic, m.time.as_nanos(), m.data)).collect()
 }
 

@@ -3,10 +3,9 @@
 //! A [`Cursor`] interprets a [`Logical`] plan over batches of up to
 //! `BATCH` rows and hands out one result row per call, so the serve
 //! layer can stream results in bounded chunks instead of materializing
-//! the result set. The source is either a zero-copy [`MessageStream`]
-//! over a container or a live ingest snapshot (scan pushdown applies —
-//! the stream's time range comes from the optimizer), or a pre-merged
-//! record vector (the oracle tests' in-memory seam).
+//! the result set. Its one input is a zero-copy [`MessageStream`] over a
+//! container or a live ingest snapshot (scan pushdown applies — the
+//! stream's time range comes from the optimizer).
 //!
 //! **Bind, then scan.** Opening a cursor is the one moment that holds
 //! both the plan and the source's topic → datatype map, so that is when
@@ -15,13 +14,12 @@
 //! topic, by an [`Accessor`] — or by nothing, a constant `Null`.
 //!
 //! **Gather.** A batch fills from the messages the stream lends
-//! (`MessageStream::lend`), the records of a record feed, or the pairs a
-//! join has buffered. For each message it records time, lane and size,
-//! walks the payload once with its lane's walk, and reads every bound
-//! path at the offset that walk found into a typed column with a null
-//! mask. Nothing is decoded and nothing is kept: the message goes back
-//! before the next one is lent. Only a join holds messages, shared and
-//! owned, in its buffers.
+//! (`MessageStream::lend`) or the pairs a join has buffered. For each
+//! message it records time, lane and size, walks the payload once with
+//! its lane's walk, and reads every bound path at the offset that walk
+//! found into a typed column with a null mask. Nothing is decoded and
+//! nothing is kept: the message goes back before the next one is lent.
+//! Only a join holds messages, shared and owned, in its buffers.
 //!
 //! **Evaluate.** Each lowered expression runs over the whole batch into
 //! a column: a literal is one value for every row, a comparison is one
@@ -57,7 +55,7 @@ use std::rc::Rc;
 use bora::{BoraBag, MessageStream, StreamMessage, StreamOptions};
 use ros_msgs::Time;
 use rosbag::reader::MessageRecord;
-use simfs::{IoCtx, MemStorage, Storage};
+use simfs::{IoCtx, Storage};
 
 use crate::ast::{ExplainMode, Expr, Query, SelectStmt, Side};
 use crate::error::{QueryError, QueryResult};
@@ -96,36 +94,24 @@ struct Msg<'m> {
 }
 
 impl<'m> Msg<'m> {
-    fn of_record(r: &'m MessageRecord, lane: usize) -> Msg<'m> {
-        Msg { time_ns: r.time.as_nanos(), topic: &r.topic, payload: &r.data, lane }
+    /// The oracle's view of a record: it binds no accessor, so it reads
+    /// no lane.
+    fn of_record(r: &'m MessageRecord) -> Msg<'m> {
+        Msg { time_ns: r.time.as_nanos(), topic: &r.topic, payload: &r.data, lane: 0 }
     }
 }
 
 /// A message the cursor owns: one a join buffer shares between the
-/// pairs it is part of.
+/// pairs it is part of, a shared slice of its stream's block.
 struct Held {
     lane: usize,
-    src: Pulled,
-}
-
-/// What a feed yields to keep: a shared slice of a stream's block, or a
-/// record.
-enum Pulled {
-    Stream(StreamMessage),
-    Record(MessageRecord),
+    msg: StreamMessage,
 }
 
 impl Held {
     fn view(&self) -> Msg<'_> {
-        match &self.src {
-            Pulled::Stream(m) => Msg {
-                time_ns: m.time.as_nanos(),
-                topic: &m.topic,
-                payload: m.payload(),
-                lane: self.lane,
-            },
-            Pulled::Record(r) => Msg::of_record(r, self.lane),
-        }
+        let m = &self.msg;
+        Msg { time_ns: m.time.as_nanos(), topic: &m.topic, payload: m.payload(), lane: self.lane }
     }
 }
 
@@ -836,58 +822,38 @@ impl ExecMark {
     }
 }
 
-enum Feed<'a, S: Storage> {
-    Bag { stream: MessageStream<'a, S>, ctx: &'a mut IoCtx, virt0: u64 },
-    Records(std::vec::IntoIter<MessageRecord>),
+/// The cursor's one input: a merge, and the clock it charges.
+struct Feed<'a, S: Storage> {
+    stream: MessageStream<'a, S>,
+    ctx: &'a mut IoCtx,
+    virt0: u64,
 }
 
 impl<S: Storage> Feed<'_, S> {
     /// Pull the next message to keep (a join buffers it); `None` at the
-    /// end. `lanes` is the cursor lane of each stream lane: the stream
-    /// says which of its topics a message is on, a record only its name.
-    fn pull(&mut self, topics: &[String], lanes: &[usize]) -> QueryResult<Option<Held>> {
-        Ok(match self {
-            Feed::Bag { stream, ctx, .. } => stream
-                .lend(ctx)?
-                .map(|m| Held { lane: lanes[m.lane], src: Pulled::Stream(m.own()) }),
-            Feed::Records(it) => {
-                it.next().map(|r| Held { lane: record_lane(topics, &r), src: Pulled::Record(r) })
-            }
-        })
+    /// end. `lanes` is the cursor lane of each stream lane.
+    fn pull(&mut self, lanes: &[usize]) -> QueryResult<Option<Held>> {
+        let m = self.stream.lend(self.ctx)?;
+        Ok(m.map(|m| Held { lane: lanes[m.lane], msg: m.own() }))
     }
 
-    /// Lend the next message to `f`: where the stream lends it, or the
-    /// next record; `None` at the end.
+    /// Lend the next message to `f` where the stream lends it; `None` at
+    /// the end.
     fn lend<R>(
         &mut self,
-        topics: &[String],
         lanes: &[usize],
         f: impl FnOnce(&Msg<'_>) -> R,
     ) -> QueryResult<Option<R>> {
-        Ok(match self {
-            Feed::Bag { stream, ctx, .. } => stream.lend(ctx)?.map(|m| {
-                let lane = lanes[m.lane];
-                f(&Msg { time_ns: m.time.as_nanos(), topic: m.topic, payload: m.payload, lane })
-            }),
-            Feed::Records(it) => it.next().map(|r| f(&Msg::of_record(&r, record_lane(topics, &r)))),
-        })
+        Ok(self.stream.lend(self.ctx)?.map(|m| {
+            let lane = lanes[m.lane];
+            f(&Msg { time_ns: m.time.as_nanos(), topic: m.topic, payload: m.payload, lane })
+        }))
     }
 
     fn virt_elapsed(&mut self) -> u64 {
-        match self {
-            Feed::Bag { stream, ctx, virt0 } => {
-                stream.charge_into(ctx);
-                ctx.elapsed_ns().saturating_sub(*virt0)
-            }
-            Feed::Records(_) => 0,
-        }
+        self.stream.charge_into(self.ctx);
+        self.ctx.elapsed_ns().saturating_sub(self.virt0)
     }
-}
-
-/// A record's lane: its topic's position among the scan topics, which
-/// [`Prepared::cursor_records`] has filtered it to.
-fn record_lane(topics: &[String], r: &MessageRecord) -> usize {
-    topics.iter().position(|t| *t == r.topic).unwrap_or(usize::MAX)
 }
 
 /// The join's buffers over message handles `M`: shared owned messages in
@@ -986,18 +952,16 @@ impl<'a, S: Storage> Cursor<'a, S> {
         // A stream topic outside the scan topics (a caller's choice)
         // gets a lane of its own that reads every field as null.
         let mut topics = plan.scan.topics.clone();
-        let lanes = match &feed {
-            Feed::Bag { stream, .. } => stream
-                .topics()
-                .map(|t| {
-                    topics.iter().position(|p| p == t).unwrap_or_else(|| {
-                        topics.push(t.to_owned());
-                        topics.len() - 1
-                    })
+        let lanes = feed
+            .stream
+            .topics()
+            .map(|t| {
+                topics.iter().position(|p| p == t).unwrap_or_else(|| {
+                    topics.push(t.to_owned());
+                    topics.len() - 1
                 })
-                .collect(),
-            Feed::Records(_) => Vec::new(),
-        };
+            })
+            .collect();
         Ok(Cursor {
             lanes,
             batch: Batch::new(accessors, topics),
@@ -1114,11 +1078,11 @@ impl<'a, S: Storage> Cursor<'a, S> {
     /// Gather up to `cap` rows — messages, or a join's pairs — into the
     /// batch; fewer means the feed is dry.
     fn gather(&mut self, cap: usize) -> QueryResult<()> {
-        let (batch, stats, topics) = (&mut self.batch, &mut self.stats, &self.plan.scan.topics);
+        let (batch, stats) = (&mut self.batch, &mut self.stats);
         batch.clear();
         let Some(join) = &mut self.join else {
             while batch.len() < cap {
-                if self.feed.lend(topics, &self.lanes, |m| batch.push(0, m))?.is_none() {
+                if self.feed.lend(&self.lanes, |m| batch.push(0, m))?.is_none() {
                     break;
                 }
             }
@@ -1133,7 +1097,7 @@ impl<'a, S: Storage> Cursor<'a, S> {
                 batch.push(1, &r.view());
                 continue;
             }
-            let Some(m) = self.feed.pull(topics, &self.lanes)? else { break };
+            let Some(m) = self.feed.pull(&self.lanes)? else { break };
             let m = Rc::new(m);
             let view = m.view();
             stats.scanned += 1;
@@ -1307,7 +1271,7 @@ impl Prepared {
         ctx: &'a mut IoCtx,
     ) -> QueryResult<Cursor<'a, S>> {
         let (virt0, mark) = (ctx.elapsed_ns(), ExecMark::now());
-        let feed = Feed::Bag { stream, ctx, virt0 };
+        let feed = Feed { stream, ctx, virt0 };
         Cursor::new(self.plan.clone(), &datatypes, feed, partial, mark)
     }
 
@@ -1336,32 +1300,8 @@ impl Prepared {
         // built (its tag lookups and its first readahead window).
         let (virt0, mark) = (ctx.elapsed_ns(), ExecMark::now());
         let stream = bag.stream_topics_with_tails(&present, Vec::new(), range, opts, ctx)?;
-        let feed = Feed::Bag { stream, ctx, virt0 };
+        let feed = Feed { stream, ctx, virt0 };
         Cursor::new(self.plan.clone(), &datatypes, feed, partial, mark)
-    }
-
-    /// Open a cursor over pre-merged records (the oracle tests' and
-    /// benches' in-memory seam). Records must already be in merge order.
-    pub fn cursor_records(
-        &self,
-        records: Vec<MessageRecord>,
-        datatypes: HashMap<String, String>,
-        partial: bool,
-    ) -> QueryResult<Cursor<'static, MemStorage>> {
-        let wanted = &self.plan.scan.topics;
-        let filtered: Vec<MessageRecord> = records
-            .into_iter()
-            .filter(|r| wanted.contains(&r.topic))
-            .filter(|r| match self.plan.scan.range {
-                Some((lo, hi)) => {
-                    let t = r.time.as_nanos();
-                    t >= lo && t < hi
-                }
-                None => true,
-            })
-            .collect();
-        let feed = Feed::Records(filtered.into_iter());
-        Cursor::new(self.plan.clone(), &datatypes, feed, partial, ExecMark::now())
     }
 }
 
@@ -1384,7 +1324,7 @@ pub fn run_naive(
     let exprs = Exprs::lower(&plan, |_, parts| Decoded { parts, datatypes });
     // 1. Select relevant topics, preserving caller order.
     let scanned = records.iter().filter(|r| plan.scan.topics.contains(&r.topic));
-    let scanned = scanned.map(|r| Msg::of_record(r, 0));
+    let scanned = scanned.map(Msg::of_record);
     let mut rows: Vec<InRow<'_>> = match &plan.join {
         None => scanned.map(InRow::Single).collect(),
         Some(j) => {
@@ -1430,8 +1370,12 @@ pub fn run_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bora::OrganizerOptions;
+    use ros_msgs::msg::MessageDescriptor;
     use ros_msgs::sensor_msgs::Imu;
     use ros_msgs::RosMessage;
+    use rosbag::{BagWriter, BagWriterOptions};
+    use simfs::MemStorage;
 
     fn imu_records(n: u32) -> (Vec<MessageRecord>, HashMap<String, String>) {
         let mut recs = Vec::new();
@@ -1450,19 +1394,41 @@ mod tests {
         (recs, dts)
     }
 
-    fn run(sql: &str, recs: &[MessageRecord], dts: &HashMap<String, String>) -> Vec<Row> {
-        let p = prepare(sql).unwrap();
-        let mut c = p.cursor_records(recs.to_vec(), dts.clone(), false).unwrap();
-        c.collect_rows().unwrap()
+    /// `recs` (`Imu` payloads, in merge order) organised into a container
+    /// at `root`.
+    fn container<'f>(
+        fs: &'f MemStorage,
+        root: &str,
+        recs: &[MessageRecord],
+    ) -> BoraBag<&'f MemStorage> {
+        let ctx = &mut IoCtx::new();
+        let bag = format!("{root}.bag");
+        let mut w = BagWriter::create(fs, &bag, BagWriterOptions::default(), ctx).unwrap();
+        let mut conns = HashMap::new();
+        for r in recs {
+            let conn = *conns
+                .entry(&r.topic)
+                .or_insert_with(|| w.add_connection(&r.topic, &MessageDescriptor::of::<Imu>()));
+            w.write_message(conn, r.time, &r.data, ctx).unwrap();
+        }
+        w.close(ctx).unwrap();
+        bora::duplicate(fs, &bag, fs, root, &OrganizerOptions::default(), ctx).unwrap();
+        BoraBag::open(fs, root, ctx).unwrap()
+    }
+
+    fn run(sql: &str, recs: &[MessageRecord]) -> Vec<Row> {
+        let fs = MemStorage::new();
+        let bag = container(&fs, "/c", recs);
+        let ctx = &mut IoCtx::new();
+        prepare(sql).unwrap().cursor_bag(&bag, false, ctx).unwrap().collect_rows().unwrap()
     }
 
     #[test]
     fn filter_project_limit() {
-        let (recs, dts) = imu_records(20);
+        let (recs, _) = imu_records(20);
         let rows = run(
             "SELECT time, angular_velocity.x FROM '/imu' WHERE angular_velocity.x > 0.95 LIMIT 3",
             &recs,
-            &dts,
         );
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0][0], Value::Float(10.0));
@@ -1470,12 +1436,9 @@ mod tests {
 
     #[test]
     fn windowed_aggregate() {
-        let (recs, dts) = imu_records(10);
-        let rows = run(
-            "SELECT window, count(), mean(angular_velocity.x) FROM '/imu' WINDOW 5s",
-            &recs,
-            &dts,
-        );
+        let (recs, _) = imu_records(10);
+        let rows =
+            run("SELECT window, count(), mean(angular_velocity.x) FROM '/imu' WINDOW 5s", &recs);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0], vec![Value::Float(0.0), Value::Int(5), Value::Float(0.2)]);
         assert_eq!(rows[1][1], Value::Int(5));
@@ -1483,8 +1446,8 @@ mod tests {
 
     #[test]
     fn sample_every() {
-        let (recs, dts) = imu_records(10);
-        let rows = run("SELECT time FROM '/imu' SAMPLE EVERY 3", &recs, &dts);
+        let (recs, _) = imu_records(10);
+        let rows = run("SELECT time FROM '/imu' SAMPLE EVERY 3", &recs);
         assert_eq!(rows.len(), 4); // indices 0, 3, 6, 9
     }
 
@@ -1497,7 +1460,7 @@ mod tests {
             "SELECT window, mean(size) FROM '/imu' WHERE time > 3.0 WINDOW 7s LIMIT 2",
             "SELECT topic, size FROM '/imu' SAMPLE EVERY 4 LIMIT 5",
         ] {
-            let fast = run(sql, &recs, &dts);
+            let fast = run(sql, &recs);
             let q = crate::parser::parse(sql).unwrap();
             let (_, slow) = run_naive(&q.stmt, &recs, &dts).unwrap();
             assert_eq!(fast, slow, "{sql}");
@@ -1535,7 +1498,7 @@ mod tests {
             "SELECT count() FROM '/imu' WHERE header.stamp >= time AND header.stamp <= time",
         ] {
             let all = vec![vec![Value::Int(recs.len() as i64)]];
-            assert_eq!(run(sql, &recs, &dts), all, "cursor: {sql}");
+            assert_eq!(run(sql, &recs), all, "cursor: {sql}");
             let q = crate::parser::parse(sql).unwrap();
             assert_eq!(run_naive(&q.stmt, &recs, &dts).unwrap().1, all, "run_naive: {sql}");
         }
@@ -1568,7 +1531,7 @@ mod tests {
             "SELECT time FROM '/imu' WHERE NOT (angular_velocity.x > 0.0)".to_owned(),
             "SELECT time, angular_velocity.x FROM '/imu' WHERE angular_velocity.x >= 0".to_owned(),
         ] {
-            let fast = run(&sql, &recs, &dts);
+            let fast = run(&sql, &recs);
             let q = crate::parser::parse(&sql).unwrap();
             let (_, slow) = run_naive(&q.stmt, &recs, &dts).unwrap();
             assert!(crate::encode_rows(&fast) == crate::encode_rows(&slow), "{sql}");
@@ -1577,17 +1540,20 @@ mod tests {
 
     #[test]
     fn partials_merge_to_single_node_answer() {
-        let (recs, dts) = imu_records(20);
+        let (recs, _) = imu_records(20);
         let sql = "SELECT window, count(), mean(angular_velocity.x) FROM '/imu' WINDOW 4s";
         let p = prepare(sql).unwrap();
-        let whole =
-            p.cursor_records(recs.clone(), dts.clone(), false).unwrap().collect_rows().unwrap();
-        // Split into two "containers" and merge their partials.
+        let fs = MemStorage::new();
+        // The whole mission in one container, and split across two whose
+        // windows straddle the split.
         let (a, b) = recs.split_at(11);
-        let pa = p.cursor_records(a.to_vec(), dts.clone(), true).unwrap().collect_rows().unwrap();
-        let pb = p.cursor_records(b.to_vec(), dts.clone(), true).unwrap().collect_rows().unwrap();
-        let merged = merge_partials(&p.plan, &[pa, pb]).unwrap();
-        assert_eq!(whole, merged);
+        let [whole, a, b] = [("/w", &recs[..]), ("/a", a), ("/b", b)]
+            .map(|(root, recs)| container(&fs, root, recs));
+        let rows = |bag: &BoraBag<&MemStorage>, partial| {
+            p.cursor_bag(bag, partial, &mut IoCtx::new()).unwrap().collect_rows().unwrap()
+        };
+        let merged = merge_partials(&p.plan, &[rows(&a, true), rows(&b, true)]).unwrap();
+        assert_eq!(rows(&whole, false), merged);
     }
 
     #[test]
@@ -1614,7 +1580,7 @@ mod tests {
             ("/b".to_owned(), Imu::DATATYPE.to_owned()),
         ]);
         let sql = "SELECT left.time, right.time FROM '/a' JOIN '/b' WITHIN 600ms";
-        let rows = run(sql, &recs, &dts);
+        let rows = run(sql, &recs);
         // Each /b at i.5 pairs with /a at i (0.5s gap) and /a at i+1
         // (0.5s gap): 5 + 4 = 9 pairs.
         assert_eq!(rows.len(), 9);

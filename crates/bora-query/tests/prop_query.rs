@@ -1,19 +1,23 @@
 //! Property tests for the query compiler and executor.
 //!
-//! Random queries over random record streams, checked three ways:
+//! Random queries over random record streams, organised into a
+//! block-framed container of 512-byte blocks, checked three ways:
 //!
 //! 1. **Plan vs naive**: the planned, pushdown-optimized cursor agrees
-//!    with [`run_naive`], a direct transcription of the language
-//!    semantics that never looks at a plan.
+//!    with [`run_naive`] over the records, a direct transcription of the
+//!    language semantics that never looks at a plan.
 //! 2. **Pushdown is invisible**: planning with `pushdown: false`
 //!    produces the same rows — the optimizer may only change *work*,
-//!    never *results*. The same must hold over a real container, where
-//!    pushdown additionally drives coarse-index block skipping.
+//!    never *results*, and on this container pushdown drives the coarse
+//!    time index's block skipping.
 //! 3. **EXPLAIN ANALYZE is honest**: the `rows=` the annotated plan
 //!    reports equals the number of rows the cursor actually produced.
+//!
+//! The first also runs over an unframed (v1) container.
 
 use std::collections::HashMap;
 
+use bora::{BlockCodec, BlockParams, BoraBag, OrganizerOptions};
 use bora_query::{prepare_with, run_naive, PlanOptions, Row};
 use proptest::prelude::*;
 use ros_msgs::sensor_msgs::Imu;
@@ -106,16 +110,37 @@ fn arb_sql() -> impl Strategy<Value = String> {
         })
 }
 
-fn run_planned(
-    sql: &str,
-    pushdown: bool,
+/// `recs` organised into a container on `fs`: block-framed with small
+/// blocks when `block` is set, so a pushed time range narrows the scan
+/// through the coarse time index to the blocks it can touch.
+fn container<'f>(
+    fs: &'f MemStorage,
     recs: &[MessageRecord],
-    dts: &HashMap<String, String>,
-) -> (Vec<String>, Vec<Row>) {
+    block: Option<BlockParams>,
+) -> BoraBag<&'f MemStorage> {
+    let mut ctx = IoCtx::new();
+    let mut w = BagWriter::create(fs, "/p.bag", BagWriterOptions::default(), &mut ctx).unwrap();
+    for r in recs {
+        let imu = Imu::from_bytes(&r.data).unwrap();
+        w.write_ros_message(&r.topic, r.time, &imu, &mut ctx).unwrap();
+    }
+    w.close(&mut ctx).unwrap();
+    let opts = OrganizerOptions { block, ..Default::default() };
+    bora::duplicate(fs, "/p.bag", fs, "/c", &opts, &mut ctx).unwrap();
+    BoraBag::open(fs, "/c", &mut ctx).unwrap()
+}
+
+/// 512-byte LZSS blocks: a few messages each.
+fn small_blocks() -> Option<BlockParams> {
+    Some(BlockParams { codec: BlockCodec::Lzss, block_size: 512 })
+}
+
+fn run_planned(sql: &str, pushdown: bool, bag: &BoraBag<&MemStorage>) -> (Vec<String>, Vec<Row>) {
     let p = prepare_with(sql, &PlanOptions { pushdown }).unwrap_or_else(|e| {
         panic!("generated statement failed to plan: {sql}\n{e}");
     });
-    let mut cur = p.cursor_records(recs.to_vec(), dts.clone(), false).unwrap();
+    let ctx = &mut IoCtx::new();
+    let mut cur = p.cursor_bag(bag, false, ctx).unwrap();
     let cols = cur.columns();
     let rows = cur.collect_rows().unwrap();
     (cols, rows)
@@ -130,9 +155,11 @@ proptest! {
         sql in arb_sql(),
     ) {
         let (recs, dts) = build_records(&events);
+        let fs = MemStorage::new();
+        let bag = container(&fs, &recs, small_blocks());
 
-        let (cols_on, rows_on) = run_planned(&sql, true, &recs, &dts);
-        let (cols_off, rows_off) = run_planned(&sql, false, &recs, &dts);
+        let (cols_on, rows_on) = run_planned(&sql, true, &bag);
+        let (cols_off, rows_off) = run_planned(&sql, false, &bag);
         let p = prepare_with(&sql, &PlanOptions::default()).unwrap();
         let (cols_naive, rows_naive) = run_naive(&p.query.stmt, &recs, &dts).unwrap();
 
@@ -147,10 +174,13 @@ proptest! {
         events in arb_events(),
         sql in arb_sql(),
     ) {
-        let (recs, dts) = build_records(&events);
+        let (recs, _) = build_records(&events);
+        let fs = MemStorage::new();
+        let bag = container(&fs, &recs, small_blocks());
         let analyzed = format!("EXPLAIN ANALYZE {sql}");
         let p = prepare_with(&analyzed, &PlanOptions::default()).unwrap();
-        let mut cur = p.cursor_records(recs, dts, false).unwrap();
+        let ctx = &mut IoCtx::new();
+        let mut cur = p.cursor_bag(&bag, false, ctx).unwrap();
         let rows = cur.collect_rows().unwrap();
         let stats = cur.stats();
         prop_assert_eq!(stats.rows_out, rows.len() as u64, "{}", sql);
@@ -172,9 +202,9 @@ proptest! {
         );
     }
 
-    /// The same random queries over a *real* container: block-framed
-    /// storage, the coarse time index, and the streaming merge must not
-    /// change what a query means.
+    /// The same random queries over an unframed (v1) container: the
+    /// other data layout, its coarse time index and the streaming merge
+    /// must not change what a query means either.
     #[test]
     fn container_cursor_matches_naive(
         events in arb_events(),
@@ -186,18 +216,11 @@ proptest! {
             return Ok(());
         }
         let fs = MemStorage::new();
-        let mut ctx = IoCtx::new();
-        let mut w = BagWriter::create(&fs, "/p.bag", BagWriterOptions::default(), &mut ctx).unwrap();
-        for r in &recs {
-            let imu = Imu::from_bytes(&r.data).unwrap();
-            w.write_ros_message(&r.topic, r.time, &imu, &mut ctx).unwrap();
-        }
-        w.close(&mut ctx).unwrap();
-        bora::duplicate(&fs, "/p.bag", &fs, "/c", &Default::default(), &mut ctx).unwrap();
-        let bag = bora::BoraBag::open(&fs, "/c", &mut ctx).unwrap();
+        let bag = container(&fs, &recs, None);
 
         let p = prepare_with(&sql, &PlanOptions::default()).unwrap();
-        let mut cur = p.cursor_bag(&bag, false, &mut ctx).unwrap();
+        let ctx = &mut IoCtx::new();
+        let mut cur = p.cursor_bag(&bag, false, ctx).unwrap();
         let rows = cur.collect_rows().unwrap();
         let (_, want) = run_naive(&p.query.stmt, &recs, &dts).unwrap();
         prop_assert_eq!(rows, want, "container vs naive: {}", sql);

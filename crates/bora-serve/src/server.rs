@@ -32,13 +32,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bora::{BlockCodec, BoraError, BoraResult, BufferPool, MessageStream, StreamMessage};
 use bora_ingest::{IngestStore, Snapshot};
-use bora_obs::TraceContext;
+use bora_obs::{Counter, TraceContext};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use ros_msgs::Time;
@@ -990,12 +990,13 @@ fn handle<S: Storage + Clone>(
                 // copy — pool page to frame buffer — is counted like any
                 // other materialisation.
                 codec.lock().start_read();
+                let (copied, lz_chunks) = chunk_counters();
                 let sent = scan(stream, ctx, &mut |batch, ctx| {
                     let bytes = batch.iter().map(|m| m.payload().len() as u64).sum();
-                    bora_obs::counter("stream.bytes_copied").add(bytes);
+                    copied.add(bytes);
                     let mode = codec.lock().pick();
                     if mode == BlockCodec::Lzss {
-                        bora_obs::counter("serve.stream_chunk_lz").inc();
+                        lz_chunks.inc();
                     }
                     let started = Instant::now();
                     let frame = chunk_frame(
@@ -1063,6 +1064,17 @@ fn handle<S: Storage + Clone>(
             bora_obs::counter("serve.evict_checksum").inc();
         }
         Some(error_response(e))
+    })
+}
+
+/// The read sink's global counters, `stream.bytes_copied` and
+/// `serve.stream_chunk_lz`, resolved once per process: the sink runs per
+/// chunk, and a lookup by name is a lock, a `String` and a hash. `METRICS`
+/// and the benchmark's probe read them by name.
+fn chunk_counters() -> &'static (Counter, Counter) {
+    static COUNTERS: OnceLock<(Counter, Counter)> = OnceLock::new();
+    COUNTERS.get_or_init(|| {
+        (bora_obs::counter("stream.bytes_copied"), bora_obs::counter("serve.stream_chunk_lz"))
     })
 }
 

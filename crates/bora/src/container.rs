@@ -452,19 +452,6 @@ impl<S: Storage> BoraBag<S> {
         MessageStream::new(self, topics, Vec::new(), None, opts, ctx)
     }
 
-    /// Time-bounded stream over the selected topics, narrowed per topic
-    /// by the coarse-grain time index before any data-file byte moves.
-    pub fn stream_topics_time<'a>(
-        &'a self,
-        topics: &[&str],
-        start: Time,
-        end: Time,
-        opts: StreamOptions,
-        ctx: &mut IoCtx,
-    ) -> BoraResult<MessageStream<'a, S>> {
-        MessageStream::new(self, topics, Vec::new(), Some((start, end)), opts, ctx)
-    }
-
     /// Stream `topics` with live-ingest tails merged in: `tails[i]` holds
     /// topic `i`'s in-memory messages (sealed segments + memtable, in
     /// append order) that are *newer* than the topic's container entries.
@@ -482,12 +469,6 @@ impl<S: Storage> BoraBag<S> {
         ctx: &mut IoCtx,
     ) -> BoraResult<MessageStream<'a, S>> {
         MessageStream::new(self, topics, tails, range, opts, ctx)
-    }
-
-    /// Read every message of one topic, in time order, delivered through
-    /// the ROS-Lib front end (per-message FUSE round trip charged).
-    pub fn read_topic(&self, topic: &str, ctx: &mut IoCtx) -> BoraResult<Vec<MessageRecord>> {
-        self.stream_topics(&[topic], StreamOptions::default(), ctx)?.collect_records(ctx)
     }
 
     /// `bag.read_messages(topics=[...])`, BORA style (Fig. 7): one
@@ -513,23 +494,12 @@ impl<S: Storage> BoraBag<S> {
     ) -> BoraResult<Vec<MessageRecord>> {
         let sp = bora_obs::span("bora.read_topics_time");
         let v0 = ctx.elapsed_ns();
+        let range = Some((start, end));
         let out = self
-            .stream_topics_time(topics, start, end, StreamOptions::default(), ctx)?
+            .stream_topics_with_tails(topics, Vec::new(), range, StreamOptions::default(), ctx)?
             .collect_records(ctx);
         sp.end_virt(ctx.elapsed_ns() - v0);
         out
-    }
-
-    /// Time-range read of one topic.
-    pub fn read_topic_time(
-        &self,
-        topic: &str,
-        start: Time,
-        end: Time,
-        ctx: &mut IoCtx,
-    ) -> BoraResult<Vec<MessageRecord>> {
-        self.stream_topics_time(&[topic], start, end, StreamOptions::default(), ctx)?
-            .collect_records(ctx)
     }
 
     /// Container self-check: per topic, the index must be chronological,
@@ -651,7 +621,7 @@ mod tests {
         let (fs, n_imu, _) = setup();
         let mut ctx = IoCtx::new();
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
-        let bora_msgs = bag.read_topic("/imu", &mut ctx).unwrap();
+        let bora_msgs = bag.read_topics(&["/imu"], &mut ctx).unwrap();
         assert_eq!(bora_msgs.len() as u64, n_imu);
 
         let baseline = BagReader::open(&fs, "/src.bag", &mut ctx).unwrap();
@@ -713,7 +683,7 @@ mod tests {
         let (fs, ..) = setup();
         let mut ctx = IoCtx::new();
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
-        assert!(matches!(bag.read_topic("/gps", &mut ctx), Err(BoraError::UnknownTopic(_))));
+        assert!(matches!(bag.read_topics(&["/gps"], &mut ctx), Err(BoraError::UnknownTopic(_))));
     }
 
     #[test]
@@ -758,12 +728,12 @@ mod tests {
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
         assert!(bag.has_manifest());
         assert!(matches!(
-            bag.read_topic("/imu", &mut ctx),
+            bag.read_topics(&["/imu"], &mut ctx),
             Err(BoraError::ChecksumMismatch { .. })
         ));
         // The topic is now quarantined; the sibling topic still serves.
-        assert!(matches!(bag.read_topic("/imu", &mut ctx), Err(BoraError::TopicDamaged(_))));
-        assert!(bag.read_topic("/camera/rgb/camera_info", &mut ctx).is_ok());
+        assert!(matches!(bag.read_topics(&["/imu"], &mut ctx), Err(BoraError::TopicDamaged(_))));
+        assert!(bag.read_topics(&["/camera/rgb/camera_info"], &mut ctx).is_ok());
         assert_eq!(bag.damaged_topics(), vec!["/imu".to_owned()]);
     }
 
@@ -777,8 +747,8 @@ mod tests {
 
         let (bag, damaged) = BoraBag::open_degraded(&fs, "/c", &mut ctx).unwrap();
         assert_eq!(damaged, vec!["/imu".to_owned()]);
-        assert!(matches!(bag.read_topic("/imu", &mut ctx), Err(BoraError::TopicDamaged(_))));
-        let cam = bag.read_topic("/camera/rgb/camera_info", &mut ctx).unwrap();
+        assert!(matches!(bag.read_topics(&["/imu"], &mut ctx), Err(BoraError::TopicDamaged(_))));
+        let cam = bag.read_topics(&["/camera/rgb/camera_info"], &mut ctx).unwrap();
         assert_eq!(cam.len() as u64, n_cam);
     }
 
@@ -788,7 +758,7 @@ mod tests {
         let mut ctx = IoCtx::new();
         let (bag, damaged) = BoraBag::open_degraded(&fs, "/c", &mut ctx).unwrap();
         assert!(damaged.is_empty());
-        assert_eq!(bag.read_topic("/imu", &mut ctx).unwrap().len() as u64, n_imu);
+        assert_eq!(bag.read_topics(&["/imu"], &mut ctx).unwrap().len() as u64, n_imu);
     }
 
     #[test]
@@ -797,7 +767,7 @@ mod tests {
         let mut ctx = IoCtx::new();
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
         let msgs = bag
-            .read_topic_time("/imu", Time::from_sec_f64(1.0), Time::from_sec_f64(2.0), &mut ctx)
+            .read_topics_time(&["/imu"], Time::from_sec_f64(1.0), Time::from_sec_f64(2.0), &mut ctx)
             .unwrap();
         assert_eq!(msgs.len(), 10);
         for m in &msgs {

@@ -173,8 +173,9 @@ mod tests {
 
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
         assert_eq!(bag.verify(&mut ctx).unwrap(), 500);
-        let msgs =
-            bag.read_topic_time("/imu", Time::new(110, 0), Time::new(120, 0), &mut ctx).unwrap();
+        let msgs = bag
+            .read_topics_time(&["/imu"], Time::new(110, 0), Time::new(120, 0), &mut ctx)
+            .unwrap();
         assert_eq!(msgs.len(), 100);
     }
 
@@ -205,8 +206,8 @@ mod tests {
 
         let online = BoraBag::open(&fs, "/online", &mut ctx).unwrap();
         let offline = BoraBag::open(&fs, "/offline", &mut ctx).unwrap();
-        let a = online.read_topic("/imu", &mut ctx).unwrap();
-        let b = offline.read_topic("/imu", &mut ctx).unwrap();
+        let a = online.read_topics(&["/imu"], &mut ctx).unwrap();
+        let b = offline.read_topics(&["/imu"], &mut ctx).unwrap();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.time, y.time);
@@ -245,7 +246,7 @@ mod tests {
         fs.write_at("/c/imu/data", 33, &[byte ^ 0x08], &mut ctx).unwrap();
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
         assert!(bag.has_manifest());
-        match bag.read_topic("/imu", &mut ctx) {
+        match bag.read_topics(&["/imu"], &mut ctx) {
             Err(BoraError::ChecksumMismatch { path, .. }) => assert_eq!(path, "imu/data"),
             other => panic!("expected ChecksumMismatch, got {:?}", other.map(|m| m.len())),
         }
@@ -301,6 +302,6 @@ mod tests {
         rec.close(&mut ctx).unwrap();
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
         assert_eq!(bag.topics(), vec!["/quiet"]);
-        assert!(bag.read_topic("/quiet", &mut ctx).unwrap().is_empty());
+        assert!(bag.read_topics(&["/quiet"], &mut ctx).unwrap().is_empty());
     }
 }

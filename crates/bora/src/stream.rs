@@ -481,7 +481,7 @@ impl TopicCursor {
 
 /// A chronological k-way merged stream over selected topics of a
 /// [`BoraBag`]. Obtain one via [`BoraBag::stream_topics`] /
-/// [`BoraBag::stream_topics_time`]; drive it with [`MessageStream::lend`],
+/// [`BoraBag::stream_topics_with_tails`]; drive it with [`MessageStream::lend`],
 /// or [`MessageStream::next_msg`] to keep what it yields.
 pub struct MessageStream<'a, S: Storage> {
     bag: &'a BoraBag<S>,
@@ -714,8 +714,9 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         self.cursors.iter().map(|c| &*c.topic)
     }
 
-    /// Drain into owned records — the materializing compatibility path
-    /// (`read_topics` & friends are thin wrappers over this).
+    /// Drain into owned records — the materializing path behind
+    /// [`BoraBag::read_topics`], [`BoraBag::read_topics_time`] and the
+    /// ingest snapshot's `read_time_range`.
     pub fn collect_records(mut self, ctx: &mut IoCtx) -> BoraResult<Vec<MessageRecord>> {
         let mut out = Vec::with_capacity(self.remaining() as usize);
         while let Some(m) = self.lend(ctx)? {

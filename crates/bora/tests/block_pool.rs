@@ -59,7 +59,7 @@ fn scan_twice(
 ) -> [(Vec<MessageRecord>, PoolStats); 2] {
     let mut ctx = IoCtx::new();
     let bag = BoraBag::open(fs, root, &mut ctx).unwrap().with_pool(Arc::clone(pool));
-    [(); 2].map(|()| (bag.read_topic(TOPIC, &mut ctx).unwrap(), pool.stats()))
+    [(); 2].map(|()| (bag.read_topics(&[TOPIC], &mut ctx).unwrap(), pool.stats()))
 }
 
 /// Bytes of every file under `root`.

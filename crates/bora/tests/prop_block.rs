@@ -299,14 +299,14 @@ fn corrupt_block_quarantines_only_its_topic() {
     fs.write_at(data, off, &[byte ^ 0x40], &mut ctx).unwrap();
 
     let bag = bora::BoraBag::open(&fs, "/c", &mut ctx).unwrap();
-    match bag.read_topic("/imu", &mut ctx) {
+    match bag.read_topics(&["/imu"], &mut ctx) {
         Err(BoraError::ChecksumMismatch { .. }) => {}
         other => panic!("expected ChecksumMismatch, got {:?}", other.map(|_| "Ok(..)")),
     }
-    match bag.read_topic("/imu", &mut ctx) {
+    match bag.read_topics(&["/imu"], &mut ctx) {
         Err(BoraError::TopicDamaged(t)) => assert_eq!(t, "/imu"),
         other => panic!("expected TopicDamaged, got {:?}", other.map(|_| "Ok(..)")),
     }
-    let sibling = bag.read_topic("/imu2", &mut ctx).unwrap();
+    let sibling = bag.read_topics(&["/imu2"], &mut ctx).unwrap();
     assert_eq!(sibling.len(), 50, "sibling topic must keep serving");
 }

@@ -99,7 +99,7 @@ fn compressed_bag_duplicates_into_bora() {
     .unwrap();
     let bag = bora::BoraBag::open(&fs, "/bora", &mut ctx).unwrap();
     assert_eq!(bag.verify(&mut ctx).unwrap(), n);
-    let msgs = bag.read_topic("/imu", &mut ctx).unwrap();
+    let msgs = bag.read_topics(&["/imu"], &mut ctx).unwrap();
     assert_eq!(msgs.len(), 240);
 }
 

@@ -74,8 +74,9 @@ fn main() {
     .expect("import");
     let bag = BoraBag::open(&fs, "/bora/flight", &mut ctx).expect("bora open");
     let n = bag.verify(&mut ctx).expect("verify");
-    let window =
-        bag.read_topic_time("/imu", Time::new(55, 0), Time::new(60, 0), &mut ctx).expect("query");
+    let window = bag
+        .read_topics_time(&["/imu"], Time::new(55, 0), Time::new(60, 0), &mut ctx)
+        .expect("query");
     println!(
         "BORA container verified ({n} messages); [55 s, 60 s) window holds {} messages",
         window.len()

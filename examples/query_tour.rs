@@ -76,7 +76,7 @@ fn main() {
 
         // The hand-written consumer: read the topic, bucket by window.
         let mut buckets = std::collections::BTreeMap::<u64, i64>::new();
-        for m in bag.read_topic(topic, &mut ctx).unwrap() {
+        for m in bag.read_topics(&[topic], &mut ctx).unwrap() {
             *buckets.entry(m.time.as_nanos() / WINDOW_NS).or_default() += 1;
         }
         let expected: Vec<Row> = buckets
@@ -104,8 +104,8 @@ fn main() {
 
     // Hand-written: every (imu, cam) pair within the window, emitted at
     // the arrival of the later member — i.e. ordered by (later, earlier).
-    let imu = bag.read_topic("/imu", &mut ctx).unwrap();
-    let cam = bag.read_topic("/cam", &mut ctx).unwrap();
+    let imu = bag.read_topics(&["/imu"], &mut ctx).unwrap();
+    let cam = bag.read_topics(&["/cam"], &mut ctx).unwrap();
     let mut pairs = Vec::new();
     for l in &imu {
         for r in &cam {

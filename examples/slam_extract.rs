@@ -82,8 +82,8 @@ fn main() {
     // --- BORA path. ---
     let mut bora_ctx = IoCtx::new();
     let bbag = BoraBag::open(&fs, "/bora/hs", &mut bora_ctx).expect("bora open");
-    let bora_depth = bbag.read_topic(topic::DEPTH_IMAGE, &mut bora_ctx).unwrap();
-    let bora_rgb = bbag.read_topic(topic::RGB_IMAGE, &mut bora_ctx).unwrap();
+    let bora_depth = bbag.read_topics(&[topic::DEPTH_IMAGE], &mut bora_ctx).unwrap();
+    let bora_rgb = bbag.read_topics(&[topic::RGB_IMAGE], &mut bora_ctx).unwrap();
     let bora_ms = bora_ctx.elapsed().as_secs_f64() * 1e3;
 
     assert_eq!(base_depth.len(), bora_depth.len());

@@ -61,7 +61,8 @@ fn main() {
     let ours = run_parallel(robots, |robot, ctx| {
         let root = &containers[robot % containers.len()];
         let bag = BoraBag::open(&fs, root, ctx).expect("open");
-        let frames = bag.read_topic_time(topic::RGB_IMAGE, window.0, window.1, ctx).expect("query");
+        let frames =
+            bag.read_topics_time(&[topic::RGB_IMAGE], window.0, window.1, ctx).expect("query");
         assert!(!frames.is_empty());
     });
 

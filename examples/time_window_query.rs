@@ -56,7 +56,7 @@ fn main() {
         let candidates = tindex.candidate_entries(start, end).map(|(a, b)| b - a).unwrap_or(0);
 
         let mut bctx = IoCtx::new();
-        let got = bag.read_topic_time(topic::IMU, start, end, &mut bctx).unwrap();
+        let got = bag.read_topics_time(&[topic::IMU], start, end, &mut bctx).unwrap();
         let mut rctx = IoCtx::new();
         let base = reader.read_messages_time(&[topic::IMU], start, end, &mut rctx).unwrap();
         assert_eq!(got.len(), base.len());

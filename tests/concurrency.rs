@@ -44,7 +44,7 @@ fn many_threads_share_one_bora_bag() {
     let expected: Vec<(String, usize)> = TUM_TOPICS
         .iter()
         .map(|t| {
-            let n = bag.read_topic(t.name, &mut ctx).unwrap().len();
+            let n = bag.read_topics(&[t.name], &mut ctx).unwrap().len();
             (t.name.to_owned(), n)
         })
         .collect();
@@ -57,7 +57,7 @@ fn many_threads_share_one_bora_bag() {
             let mut ctx = IoCtx::new();
             for round in 0..5 {
                 let (name, n) = &expected[(worker + round) % expected.len()];
-                let msgs = bag.read_topic(name, &mut ctx).unwrap();
+                let msgs = bag.read_topics(&[name], &mut ctx).unwrap();
                 assert_eq!(msgs.len(), *n, "worker {worker} round {round} on {name}");
                 for pair in msgs.windows(2) {
                     assert!(pair[0].time <= pair[1].time);
@@ -121,7 +121,7 @@ fn concurrent_time_windows_partition_cleanly() {
         };
         handles.push(std::thread::spawn(move || {
             let mut ctx = IoCtx::new();
-            bag.read_topic_time("/imu", s, e, &mut ctx).unwrap().len()
+            bag.read_topics_time(&["/imu"], s, e, &mut ctx).unwrap().len()
         }));
     }
     let sum: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
@@ -192,7 +192,7 @@ fn serve_many_clients_all_hit_the_hot_cache() {
     let mut ctx = IoCtx::new();
     let expected_imu = BoraBag::open(Arc::clone(&fs), &roots[0], &mut ctx)
         .unwrap()
-        .read_topic("/imu", &mut ctx)
+        .read_topics(&["/imu"], &mut ctx)
         .unwrap()
         .len();
 
@@ -253,7 +253,7 @@ fn serve_evicts_when_working_set_exceeds_cache() {
     let mut ctx = IoCtx::new();
     let expected_imu = BoraBag::open(Arc::clone(&fs), &roots[0], &mut ctx)
         .unwrap()
-        .read_topic("/imu", &mut ctx)
+        .read_topics(&["/imu"], &mut ctx)
         .unwrap()
         .len();
 

@@ -75,8 +75,10 @@ fn every_crash_point_recovers_to_byte_identical_clean() {
     let total = probe.mutations();
     assert!(total > 4, "sweep needs a non-trivial capture, got {total} mutations");
     let reference = container_digest(probe.inner(), DST, &mut ctx);
-    let reference_msgs =
-        BoraBag::open(probe.inner(), DST, &mut ctx).unwrap().read_topic("/imu", &mut ctx).unwrap();
+    let reference_msgs = BoraBag::open(probe.inner(), DST, &mut ctx)
+        .unwrap()
+        .read_topics(&["/imu"], &mut ctx)
+        .unwrap();
 
     let (mut torn_seen, mut unstarted_seen) = (0u64, 0u64);
     for cut in PowerCutSchedule::sweep(total) {
@@ -122,7 +124,7 @@ fn every_crash_point_recovers_to_byte_identical_clean() {
             cut.after_mutations
         );
         let msgs =
-            BoraBag::open(disk, DST, &mut ctx).unwrap().read_topic("/imu", &mut ctx).unwrap();
+            BoraBag::open(disk, DST, &mut ctx).unwrap().read_topics(&["/imu"], &mut ctx).unwrap();
         assert_eq!(msgs.len(), reference_msgs.len());
     }
     assert!(torn_seen > 0, "the sweep must hit mid-capture crash points");

@@ -37,7 +37,7 @@ fn lifecycle_on<S: Storage>(fs: &S) {
     // Every topic: identical payload streams through both paths.
     for spec in &workloads::tum::TUM_TOPICS {
         let base = baseline.read_messages(&[spec.name], &mut ctx).unwrap();
-        let ours = bora_bag.read_topic(spec.name, &mut ctx).unwrap();
+        let ours = bora_bag.read_topics(&[spec.name], &mut ctx).unwrap();
         assert_eq!(base.len(), ours.len(), "count mismatch on {}", spec.name);
         for (a, b) in base.iter().zip(&ours) {
             assert_eq!(a.time, b.time);
@@ -173,7 +173,7 @@ fn typed_payloads_survive_the_whole_pipeline() {
     let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
 
     for spec in &workloads::tum::TUM_TOPICS {
-        let msgs = bag.read_topic(spec.name, &mut ctx).unwrap();
+        let msgs = bag.read_topics(&[spec.name], &mut ctx).unwrap();
         assert!(!msgs.is_empty(), "{} empty", spec.name);
         let m = &msgs[msgs.len() / 2];
         match spec.id {

@@ -153,7 +153,7 @@ fn silent_write_corruption_is_caught_by_manifest_crc() {
         .expect("corruption is silent; the capture itself succeeds");
 
     let bag = BoraBag::open(&inner, "/c", &mut ctx).unwrap();
-    match bag.read_topic("/imu", &mut ctx) {
+    match bag.read_topics(&["/imu"], &mut ctx) {
         Err(bora::BoraError::ChecksumMismatch { .. }) => {}
         other => panic!("expected checksum mismatch, got {other:?}"),
     }
@@ -170,7 +170,7 @@ fn silent_write_corruption_is_caught_by_manifest_crc() {
     .unwrap();
     assert!(matches!(outcome, bora::RepairOutcome::RepairedTopics(_)), "got {outcome:?}");
     let healed = BoraBag::open(&inner, "/c", &mut ctx).unwrap();
-    assert_eq!(healed.read_topic("/imu", &mut ctx).unwrap().len(), 100);
+    assert_eq!(healed.read_topics(&["/imu"], &mut ctx).unwrap().len(), 100);
 }
 
 #[test]

@@ -100,7 +100,9 @@ fn lookups_by_name_do_not_grow_with_messages() {
     assert_eq!(copied.get() - copied0, payload, "copied bytes are still counted in full");
     let collect = registry.lookups() - lookups0;
 
-    // 3. A served READ: the read's chunks, collected by the client.
+    // 3. A served READ: the read's chunks, collected by the client. The
+    // read sink resolves its two counters once per process, not per
+    // chunk: this mission's READ makes 23 by-name lookups.
     let server = Server::start(Arc::clone(&fs), ServerConfig::default());
     let mut client = ServeClient::connect(&MemTransport::new(Arc::clone(&server))).unwrap();
     let (lookups0, copied0) = (registry.lookups(), copied.get());

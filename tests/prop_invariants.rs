@@ -86,7 +86,7 @@ proptest! {
 
         for t in TOPICS {
             let base = baseline.read_messages(&[t], &mut ctx).unwrap();
-            let ours = bag.read_topic(t, &mut ctx).unwrap();
+            let ours = bag.read_topics(&[t], &mut ctx).unwrap();
             prop_assert_eq!(base.len(), ours.len());
             for (a, b) in base.iter().zip(&ours) {
                 prop_assert_eq!(a.time, b.time);

@@ -52,7 +52,7 @@ fn tcp_transport_end_to_end() {
     let roots = build_containers(&*fs, 2);
     let mut ctx = IoCtx::new();
     let direct = BoraBag::open(Arc::clone(&fs), &roots[0], &mut ctx).unwrap();
-    let expected_imu = direct.read_topic("/imu", &mut ctx).unwrap().len();
+    let expected_imu = direct.read_topics(&["/imu"], &mut ctx).unwrap().len();
     let mut expected_topics: Vec<String> = direct.topics().into_iter().map(str::to_owned).collect();
     expected_topics.sort();
     drop(direct);

@@ -186,7 +186,7 @@ proptest! {
         // Reference: per-topic reads merged by the old linear scan.
         let per_topic: Vec<Vec<rosbag::reader::MessageRecord>> = TOPICS
             .iter()
-            .map(|t| bag.read_topic(t, &mut ctx).unwrap())
+            .map(|t| bag.read_topics(&[t], &mut ctx).unwrap())
             .collect();
         let linear = merge_streams_linear(per_topic.clone());
         let heap = merge_streams_heap(per_topic);
@@ -233,7 +233,9 @@ proptest! {
 
         let reference = bag.read_topics_time(&TOPICS, start, end, &mut ctx).unwrap();
         let opts = StreamOptions { readahead_bytes: 1024, prefetch_threads: 2 };
-        let mut stream = bag.stream_topics_time(&TOPICS, start, end, opts, &mut ctx).unwrap();
+        let range = Some((start, end));
+        let mut stream =
+            bag.stream_topics_with_tails(&TOPICS, Vec::new(), range, opts, &mut ctx).unwrap();
         let mut got = Vec::new();
         while let Some(m) = stream.next_msg(&mut ctx).unwrap() {
             got.push(m);

@@ -75,6 +75,15 @@
 //!     `decompress_chunk`) in `ReadStream::fetch` alone; and a
 //!     `ChunkCodec` is built only by the serve loop (`serve_connection`,
 //!     one per connection) and `Server::submit_streamed` (one per call).
+//! 15. *One read surface*: each source has one general stream constructor
+//!     and the paper's `read_messages` pair. In non-test `container.rs`
+//!     the `pub fn`s that return a `MessageStream` or a
+//!     `Vec<MessageRecord>` are exactly `stream_topics`,
+//!     `stream_topics_with_tails`, `read_topics` and `read_topics_time`;
+//!     in non-test `snapshot.rs` exactly `stream` and `read_time_range`;
+//!     and non-test `bora-query` source has no record feed
+//!     (`cursor_records`, `Feed::Records`, `Pulled::Record`): a cursor's
+//!     one input is a `MessageStream`.
 
 use std::path::Path;
 
@@ -119,6 +128,19 @@ const OWNED_REPLIES: [&str; 2] = ["Response::Read(", "Response::StreamChunk("];
 /// The functions that build a `ChunkCodec`: one per connection, one per
 /// `submit_streamed` call.
 const CODEC_BUILDERS: [&str; 2] = ["serve_connection", "submit_streamed"];
+
+/// Each source's read surface: the `pub fn`s of a file that return a
+/// stream or owned messages.
+const READ_SURFACES: [(&str, &[&str]); 2] = [
+    (
+        "crates/bora/src/container.rs",
+        &["stream_topics", "stream_topics_with_tails", "read_topics", "read_topics_time"],
+    ),
+    ("crates/bora-ingest/src/snapshot.rs", &["stream", "read_time_range"]),
+];
+const QUERY_SRC: &str = "crates/bora-query/src/";
+/// The query cursor's retired second input.
+const RECORD_FEED: [&str; 3] = ["cursor_records", "Feed::Records", "Pulled::Record"];
 
 /// Where a source guard looks and what it refuses to find there.
 struct SourceGuard {
@@ -541,6 +563,42 @@ fn one_read_answer_violations(path: &str, source: &str) -> Vec<String> {
     found
 }
 
+/// Guard 15 over one file: a source's read surface, and the query
+/// cursor's one input.
+fn one_read_surface_violations(path: &str, source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    let code = source.lines().take_while(|l| !l.contains("#[cfg(test)]"));
+    let code: Vec<&str> = code.map(|l| l.split("//").next().unwrap_or("")).collect();
+    if path.starts_with(QUERY_SRC) {
+        for (i, line) in code.iter().enumerate() {
+            if RECORD_FEED.iter().any(|f| line.contains(f)) {
+                let at = format!("{path}:{}", i + 1);
+                found.push(format!("one read surface: {at}: a cursor reads a stream alone"));
+            }
+        }
+    }
+    let Some((_, kept)) = READ_SURFACES.iter().find(|(file, _)| *file == path) else {
+        return found;
+    };
+    // Each `pub fn`'s header, up to its body, and the names of those
+    // whose return type is a stream or owned messages.
+    let mut readers = Vec::new();
+    for (i, line) in code.iter().enumerate() {
+        let Some(rest) = line.trim_start().strip_prefix("pub fn ") else { continue };
+        let body =
+            code[i..].iter().position(|l| l.ends_with(" {")).map_or(code.len(), |k| i + k + 1);
+        let header = code[i..body].concat();
+        let returns = header.rsplit_once("->").map_or("", |(_, r)| r);
+        if returns.contains("MessageStream") || returns.contains("MessageRecord>") {
+            readers.push(rest.split(['(', '<']).next().unwrap_or(""));
+        }
+    }
+    if readers.len() != kept.len() || !kept.iter().all(|k| readers.contains(k)) {
+        found.push(format!("one read surface: {path} reads through {readers:?}, not {kept:?}"));
+    }
+    found
+}
+
 /// Guard 7, first half: whether `path` is a source under `crates/`, not
 /// under `crates/bench`, that names `BinaryHeap` before its tests.
 fn names_the_heap(path: &str, source: &str) -> bool {
@@ -642,6 +700,7 @@ fn the_tree_holds_every_guard() {
             found.extend(one_wire_path_violations(&rel, &source));
             found.extend(one_observation_path_violations(&rel, &source));
             found.extend(one_read_answer_violations(&rel, &source));
+            found.extend(one_read_surface_violations(&rel, &source));
             if names_the_heap(&rel, &source) {
                 heap_files.push(rel);
             }
@@ -1129,6 +1188,59 @@ fn the_one_read_answer_guard_fires() {
     ];
     for (path, source, fires) in cases {
         let found = one_read_answer_violations(path, &source);
+        assert_eq!(!found.is_empty(), fires, "{path}: {source}\n{found:?}");
+    }
+}
+
+#[test]
+fn the_one_read_surface_guard_fires() {
+    let [(container, _), (snapshot, _)] = READ_SURFACES;
+    let bag = "impl<S: Storage> BoraBag<S> {\n    \
+               pub fn stream_topics<'a>(\n        &'a self,\n        topics: &[&str],\n    \
+               ) -> BoraResult<MessageStream<'a, S>> {\n    }\n    \
+               pub fn stream_topics_with_tails<'a>(&'a self) -> MessageStream<'a, S> {\n    }\n    \
+               pub fn read_topics(&self) -> BoraResult<Vec<MessageRecord>> {\n    }\n    \
+               pub fn read_topics_time(\n        &self,\n        start: Time,\n    \
+               ) -> BoraResult<Vec<MessageRecord>> {\n    }\n    \
+               pub fn load_index(&self) -> BoraResult<Vec<TopicIndexEntry>> {\n    }\n}\n";
+    let snap = "impl<S: Storage> Snapshot<S> {\n    \
+                pub fn stream(&self) -> BoraResult<MessageStream<'_, S>> {\n    }\n    \
+                pub fn read_time_range(\n        &self,\n    \
+                ) -> BoraResult<Vec<MessageRecord>> {\n    }\n    \
+                fn collect(&self) -> BoraResult<Vec<MessageRecord>> {\n    }\n}\n";
+    let exec =
+        "impl Prepared {\n    pub fn cursor_bag(&self) -> QueryResult<Cursor<'a, S>> {\n    }\n}\n";
+    let tests = "#[cfg(test)]\nmod tests {\n    \
+                 pub fn read_topic(&self) -> BoraResult<Vec<MessageRecord>> {}\n    \
+                 fn f() { p.cursor_records(r) }\n}\n";
+    let read_topic =
+        "    pub fn read_topic(&self, topic: &str) -> BoraResult<Vec<MessageRecord>> {\n    }\n}\n";
+    let cases = [
+        (container, format!("{bag}{tests}"), false),
+        (snapshot, format!("{snap}{tests}"), false),
+        (EXEC, format!("{exec}{tests}"), false),
+        ("crates/bora-cluster/src/client.rs", read_topic.to_owned(), false),
+        ("crates/bench/src/oracle.rs", "fn f() { p.cursor_records(r) }\n".to_owned(), false),
+        (container, bag.replace("    }\n}\n", &format!("    }}\n{read_topic}")), true),
+        (container, bag.replace("pub fn read_topics_time(", "pub fn read_topic_time("), true),
+        (container, bag.replace("pub fn read_topics(", "fn read_topics("), true),
+        (
+            container,
+            bag.replace(
+                "pub fn load_index(&self)",
+                "pub fn stream_topics_time(&self) -> MessageStream<'_, S> {\n    }\n    \
+                 pub fn load_index(&self)",
+            ),
+            true,
+        ),
+        (snapshot, snap.replace("fn collect(", "pub fn read_topics("), true),
+        (snapshot, snap.replace("pub fn read_time_range(", "fn read_time_range("), true),
+        (EXEC, format!("{exec}fn f() {{ p.cursor_records(r) }}\n"), true),
+        ("crates/bora-query/src/distrib.rs", "    Feed::Records(it) => {}\n".to_owned(), true),
+        (EXEC, "    Pulled::Record(r) => Msg::of_record(r, self.lane),\n".to_owned(), true),
+    ];
+    for (path, source, fires) in cases {
+        let found = one_read_surface_violations(path, &source);
         assert_eq!(!found.is_empty(), fires, "{path}: {source}\n{found:?}");
     }
 }
