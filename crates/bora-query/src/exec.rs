@@ -13,12 +13,15 @@
 //! `topic` / `size`, or to a column of the batch read, once per scan
 //! topic, by an [`Accessor`] — or by nothing, a constant `Null`.
 //!
-//! **Gather.** A batch fills from the messages the stream lends
-//! (`MessageStream::lend`) or the pairs a join has buffered. For each
-//! message it records time, lane and size, walks the payload once with
-//! its lane's walk, and reads every bound path at the offset that walk
-//! found into a typed column with a null mask. Nothing is decoded and
-//! nothing is kept: the message goes back before the next one is lent.
+//! **Gather.** A batch fills from the runs the stream lends
+//! (`MessageStream::lend_run`: one merge decision for up to the room the
+//! batch has left of one lane's messages in one page) or the pairs a join
+//! has buffered (pulled a message at a time, `lend` then own). A run's
+//! heads — time, lane and size — are appended at once, and its lane's
+//! row of accessors is looked up once; then each payload is walked once
+//! with the lane's walk, and every bound path is read at the offset that
+//! walk found into a typed column with a null mask. Nothing is decoded
+//! and nothing is kept: the run goes back before the next one is lent.
 //! Only a join holds messages, shared and owned, in its buffers.
 //!
 //! **Evaluate.** Each lowered expression runs over the whole batch into
@@ -52,7 +55,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Range;
 use std::rc::Rc;
 
-use bora::{BoraBag, MessageStream, StreamMessage, StreamOptions};
+use bora::{BoraBag, MessageStream, Run, StreamMessage, StreamOptions};
 use ros_msgs::Time;
 use rosbag::reader::MessageRecord;
 use simfs::{IoCtx, Storage};
@@ -376,6 +379,23 @@ fn compare_cols(op: CmpOp, a: &Col, b: &Col, n: usize) -> Vec<bool> {
 /// A path's accessor on each lane; `None` reads as null.
 type Lanes = Vec<Option<Accessor>>;
 
+/// The accessor whose walk walks a lane's payloads: the first bound in
+/// its `row` (every accessor bound for one datatype walks alike); `None`
+/// when the lane binds no path.
+fn walker(row: &[Option<Accessor>]) -> Option<&Accessor> {
+    row.iter().flatten().next()
+}
+
+/// Append one payload's row to `fields`: each path read through its
+/// accessor in `row` (one per field; `None` reads as null) at `body`,
+/// where the lane's walk found the payload's fields.
+#[inline]
+fn read_fields(fields: &mut [Col], row: &[Option<Accessor>], payload: &[u8], body: Option<usize>) {
+    for (col, a) in fields.iter_mut().zip(row) {
+        col.push(a.as_ref().and_then(|a| a.read_at(payload, body?)));
+    }
+}
+
 /// Which message of a row a path reads: a join's right one is slot 1,
 /// every other is slot 0.
 fn slot(side: Side) -> usize {
@@ -402,19 +422,24 @@ struct Batch {
     slots: [Slot; 2],
     /// Each slot's `time` column, made when first asked for.
     secs: [OnceCell<Col>; 2],
-    /// `accessors[s][f]`: how field `f` of slot `s` is read.
-    accessors: [Vec<Lanes>; 2],
+    /// `accessors[s][lane][f]`: how field `f` of slot `s` is read on
+    /// `lane` — a lane's row, so a run resolves its accessors once.
+    accessors: [Vec<Vec<Option<Accessor>>>; 2],
     /// The topic of each lane.
     topics: Vec<String>,
 }
 
 impl Batch {
-    fn new(accessors: [Vec<Lanes>; 2], topics: Vec<String>) -> Batch {
+    /// A batch over `topics`, whose fields `fields[s][f]` are read on
+    /// each lane as that path binds there (past its lanes: as null).
+    fn new(fields: [Vec<Lanes>; 2], topics: Vec<String>) -> Batch {
         let slot = |a: &Vec<Lanes>| Slot {
             heads: Vec::with_capacity(BATCH),
             fields: a.iter().map(|lanes| Col::of_field(lanes)).collect(),
         };
-        let slots = [slot(&accessors[0]), slot(&accessors[1])];
+        let slots = [slot(&fields[0]), slot(&fields[1])];
+        let row = |f: &[Lanes], lane| f.iter().map(|l| l.get(lane).copied().flatten()).collect();
+        let accessors = fields.map(|f| (0..topics.len()).map(|lane| row(&f, lane)).collect());
         Batch { slots, secs: Default::default(), accessors, topics }
     }
 
@@ -430,21 +455,35 @@ impl Batch {
         self.secs.iter_mut().for_each(|c| drop(c.take()));
     }
 
-    /// Gather one message into slot `s`: its time, lane and size, then
-    /// every path bound on that side, read where the lane's walk — run
-    /// once — found the payload's fields.
-    #[inline]
+    /// Gather one message into slot `s` (a join's pair has two): its
+    /// time, lane and size, then every path bound on that side.
     fn push(&mut self, s: usize, m: &Msg<'_>) {
         let slot = &mut self.slots[s];
         let (lane, size) = (m.lane as u32, m.payload.len() as u32);
         slot.heads.push(Head { time_ns: m.time_ns, lane, size });
-        let mut body = None;
-        for (col, lanes) in slot.fields.iter_mut().zip(&self.accessors[s]) {
-            let read = lanes.get(m.lane).and_then(Option::as_ref).and_then(|a| {
-                let body = *body.get_or_insert_with(|| a.walk(m.payload));
-                a.read_at(m.payload, body?)
-            });
-            col.push(read);
+        let row = &self.accessors[s][m.lane];
+        let body = walker(row).and_then(|w| w.walk(m.payload));
+        read_fields(&mut slot.fields, row, m.payload, body);
+    }
+
+    /// Gather a run of one stream lane's messages, on cursor lane `lane`,
+    /// into slot 0: every head at once, then the payloads in one loop,
+    /// each walked once and read through the lane's row of accessors —
+    /// row and walk resolved once for the run.
+    fn push_run(&mut self, lane: usize, run: &Run<'_>) {
+        let (slot, row) = (&mut self.slots[0], &self.accessors[0][lane]);
+        slot.heads.extend(run.messages().map(|m| Head {
+            time_ns: m.time.as_nanos(),
+            lane: lane as u32,
+            size: m.payload.len() as u32,
+        }));
+        if slot.fields.is_empty() {
+            return;
+        }
+        let walker = walker(row);
+        for m in run.messages() {
+            let body = walker.and_then(|w| w.walk(m.payload));
+            read_fields(&mut slot.fields, row, m.payload, body);
         }
     }
 
@@ -837,19 +876,6 @@ impl<S: Storage> Feed<'_, S> {
         Ok(m.map(|m| Held { lane: lanes[m.lane], msg: m.own() }))
     }
 
-    /// Lend the next message to `f` where the stream lends it; `None` at
-    /// the end.
-    fn lend<R>(
-        &mut self,
-        lanes: &[usize],
-        f: impl FnOnce(&Msg<'_>) -> R,
-    ) -> QueryResult<Option<R>> {
-        Ok(self.stream.lend(self.ctx)?.map(|m| {
-            let lane = lanes[m.lane];
-            f(&Msg { time_ns: m.time.as_nanos(), topic: m.topic, payload: m.payload, lane })
-        }))
-    }
-
     fn virt_elapsed(&mut self) -> u64 {
         self.stream.charge_into(self.ctx);
         self.ctx.elapsed_ns().saturating_sub(self.virt0)
@@ -1082,9 +1108,9 @@ impl<'a, S: Storage> Cursor<'a, S> {
         batch.clear();
         let Some(join) = &mut self.join else {
             while batch.len() < cap {
-                if self.feed.lend(&self.lanes, |m| batch.push(0, m))?.is_none() {
-                    break;
-                }
+                let feed = &mut self.feed;
+                let Some(run) = feed.stream.lend_run(feed.ctx, cap - batch.len())? else { break };
+                batch.push_run(self.lanes[run.lane], &run);
             }
             stats.scanned += batch.len() as u64;
             stats.scan_bytes += batch.slots[0].heads.iter().map(|h| u64::from(h.size)).sum::<u64>();

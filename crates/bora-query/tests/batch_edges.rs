@@ -15,6 +15,12 @@
 //! [`run_naive`]'s rows byte for byte (`encode_rows`). With a `LIMIT`, the
 //! cursor must also scan exactly what a row-at-a-time cursor scans: the
 //! shortest prefix of its scan on which the oracle reaches the limit.
+//!
+//! The stream lends runs of one topic's messages within a page, and a
+//! batch takes at most the room it has left from each. A one-topic
+//! mission in 128 KiB pages — more than 256 messages each — makes runs
+//! longer than that room: `LIMIT 300` and its neighbours, and windows and
+//! ranges that end mid-page, are held to the oracle the same way.
 
 use std::collections::HashMap;
 
@@ -59,19 +65,32 @@ fn mission(n: u64, seed: u64) -> Vec<MessageRecord> {
             let time = Time::from_nanos((i + 1) * STEP_NS);
             let (topic, data) = match rng.next() % 5 {
                 0 => (RAW, (0..rng.next() % 48).map(|_| rng.next() as u8).collect()),
-                k => {
-                    let mut imu = Imu::default();
-                    imu.header.seq = i as u32;
-                    imu.header.stamp = time;
-                    imu.header.frame_id = FRAMES[(rng.next() % 4) as usize].into();
-                    imu.angular_velocity.x = rng.unit() * 2.0 - 1.0;
-                    imu.linear_acceleration.y = 9.81 * rng.unit();
-                    (if k < 3 { IMU } else { IMU2 }, imu.to_bytes())
-                }
+                k => (if k < 3 { IMU } else { IMU2 }, imu(i, time, &mut rng)),
             };
             MessageRecord { conn_id: 0, topic: topic.to_owned(), time, data }
         })
         .collect()
+}
+
+/// `n` messages on `/imu` alone, 10 ms apart.
+fn imu_mission(n: u64, seed: u64) -> Vec<MessageRecord> {
+    let mut rng = Rng(seed);
+    let message = |i| {
+        let time = Time::from_nanos((i + 1) * STEP_NS);
+        MessageRecord { conn_id: 0, topic: IMU.to_owned(), time, data: imu(i, time, &mut rng) }
+    };
+    (0..n).map(message).collect()
+}
+
+/// Message `i` of an `Imu` topic, at `time`.
+fn imu(i: u64, time: Time, rng: &mut Rng) -> Vec<u8> {
+    let mut imu = Imu::default();
+    imu.header.seq = i as u32;
+    imu.header.stamp = time;
+    imu.header.frame_id = FRAMES[(rng.next() % 4) as usize].into();
+    imu.angular_velocity.x = rng.unit() * 2.0 - 1.0;
+    imu.linear_acceleration.y = 9.81 * rng.unit();
+    imu.to_bytes()
 }
 
 /// The datatypes the oracle sees: none for `/raw`, whose type the query
@@ -266,15 +285,15 @@ fn answer<S: Storage>(
     cur.stats().scanned
 }
 
-fn check(records: &[MessageRecord]) {
+/// Run every statement over `records` in an unframed (v1) container and
+/// in one of `block_size`-byte blocks, against the oracle.
+fn check(records: &[MessageRecord], statements: &[(String, String)], block_size: u32) {
     let dts = datatypes();
     let fs = MemStorage::new();
     let v1 = container(&fs, "/v1", records, None);
-    let block = Some(BlockParams { codec: BlockCodec::Lzss, block_size: 512 });
+    let block = Some(BlockParams { codec: BlockCodec::Lzss, block_size });
     let framed = container(&fs, "/framed", records, block);
-    let statements = statements(records);
-    assert!(statements.len() > 60, "{} statements", statements.len());
-    for (body, limit) in &statements {
+    for (body, limit) in statements {
         let sql = format!("{body}{limit}");
         let p = prepare(&sql).unwrap_or_else(|e| panic!("{sql}\n{e}"));
         let (columns, want) = run_naive(&p.query.stmt, records, &dts).unwrap();
@@ -293,6 +312,43 @@ fn check(records: &[MessageRecord]) {
 #[test]
 fn rows_cross_batch_edges_exactly_as_the_oracle_reads_them() {
     for (n, seed) in [(300, 0x9E37_79B9_7F4A_7C15), (767, 0xB0BA_CAFE), (1_500, 0x5EED)] {
-        check(&mission(n, seed));
+        let records = mission(n, seed);
+        let statements = statements(&records);
+        assert!(statements.len() > 60, "{} statements", statements.len());
+        check(&records, &statements, 512);
     }
+}
+
+#[test]
+fn runs_longer_than_the_room_in_a_batch_are_cut_where_the_oracle_cuts() {
+    const PAGE: u32 = 128 << 10;
+    let records = imu_mission(2_000, 0xFEED);
+    let longest = records.iter().map(|r| r.data.len()).max().unwrap();
+    assert!(longest * 300 < PAGE as usize, "{longest}-byte messages: fewer than 300 a page");
+    let times: Vec<u64> = records.iter().map(|r| r.time.as_nanos()).collect();
+    let agg = "count(), mean(angular_velocity.x), min(header.seq), max(linear_acceleration.y)";
+    let mut statements: Vec<(String, &str)> = Vec::new();
+    for limit in [" LIMIT 255", " LIMIT 256", " LIMIT 257", " LIMIT 300", " LIMIT 700"] {
+        statements.push(("SELECT * FROM '/imu'".into(), limit));
+        statements.push(("SELECT time, header.seq FROM '/imu' SAMPLE EVERY 3".into(), limit));
+        statements.push((
+            "SELECT time, angular_velocity.x FROM '/imu' WHERE linear_acceleration.y > 4.5".into(),
+            limit,
+        ));
+    }
+    // Windows of 100 to 499 messages, which end inside pages of 400 and
+    // more, over the whole scan and over ranges that start and end
+    // mid-page.
+    for w in ["1s", "2550ms", "2570ms", "4990ms"] {
+        statements.push((format!("SELECT window, {agg} FROM '/imu' WINDOW {w}"), ""));
+    }
+    for (from, to) in [(100, 399), (257, 1_000), (555, 1_999), (1_000, 1_300)] {
+        let (t, end) = (secs(times[from]), secs(times[to]));
+        let range = format!("WHERE time >= {t} AND time < {end}");
+        statements.push((format!("SELECT {agg} FROM '/imu' {range}"), ""));
+        statements.push((format!("SELECT window, {agg} FROM '/imu' {range} WINDOW 1s"), ""));
+        statements.push((format!("SELECT time, header.seq FROM '/imu' {range}"), " LIMIT 300"));
+    }
+    let statements: Vec<_> = statements.into_iter().map(|(s, l)| (s, l.to_owned())).collect();
+    check(&records, &statements, PAGE);
 }

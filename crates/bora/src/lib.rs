@@ -97,7 +97,9 @@ pub use manifest::{Manifest, ManifestEntry};
 pub use meta::ContainerMeta;
 pub use organizer::{duplicate, OrganizeReport, OrganizerOptions};
 pub use recorder::{BoraRecorder, RecorderOptions};
-pub use stream::{Lent, MessageStream, StreamMessage, StreamOptions, StreamStats, TailMessage};
+pub use stream::{
+    Lent, MessageStream, Run, StreamMessage, StreamOptions, StreamStats, TailMessage,
+};
 pub use tag::TagManager;
 pub use time_index::TimeIndex;
 pub use topic_index::TopicIndexEntry;

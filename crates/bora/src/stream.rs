@@ -19,13 +19,22 @@
 //!   key still sorts before the heap's top, so a run of messages from one
 //!   lane — and all of a single-topic stream — costs no heap operation.
 //!   The cluster router merges per-container streams with the same type.
-//! * **Lent messages** — [`MessageStream::lend`] drives the merge: the
-//!   consumer borrows the winning lane's front message ([`Lent`]) until
-//!   its next pull. A consumer that must keep a message longer calls
+//! * **Lent runs** — [`MessageStream::lend_run`] drives the merge: one
+//!   pick lends the winning lane's next messages as a [`Run`], index
+//!   entries over one queued block, up to the consumer's cap, the end of
+//!   that block and the runner-up lane's head key
+//!   ([`Merge::runner_up`]) — exactly the messages the lead would win
+//!   one pick at a time without a heap operation. A straddler, an empty
+//!   payload and a tail message are runs of one. The consumer borrows
+//!   the run until its next pull; [`MessageStream::lend`] is a run of
+//!   one ([`Lent`]). A consumer that must keep a message longer calls
 //!   [`MessageStream::next_msg`] ("lend, then own"): a [`StreamMessage`]
 //!   is an (`Arc<[u8]>` block, range) pair plus an interned `Arc<str>`
 //!   topic name. Either way `stream.bytes_copied` stays at 0 until a
-//!   consumer explicitly materializes (`to_record`).
+//!   consumer explicitly materializes (`to_record`). A run is charged,
+//!   counted and advanced once, as `n` single lends would be: the
+//!   virtual clock, the fill passes, `heap_ops`, `delivered` and
+//!   `bytes_stitched` do not depend on how a consumer cuts its runs.
 //! * **Page-backed cursors** — on a block-framed topic the cursor queues
 //!   the buffer pool's own pages (no copy of them) and a payload is a
 //!   slice of its page; a payload that straddles pages is stitched into
@@ -157,19 +166,39 @@ pub struct Lent<'a> {
 impl Lent<'_> {
     /// Keep the message past the next pull: two reference bumps, no copy.
     pub fn own(&self) -> StreamMessage {
-        StreamMessage {
-            conn_id: self.conn_id,
-            topic: Arc::clone(self.topic),
-            time: self.time,
-            block: Arc::clone(self.block),
-            start: self.start,
-            len: self.payload.len(),
-        }
+        let Lent { time, topic, payload, conn_id, block, start, .. } = *self;
+        let (topic, block, len) = (Arc::clone(topic), Arc::clone(block), payload.len());
+        StreamMessage { conn_id, topic, time, block, start, len }
     }
 
     /// [`StreamMessage::to_record`], straight from the lent view.
     pub fn to_record(&self) -> MessageRecord {
         record(self.conn_id, self.topic, self.time, self.payload)
+    }
+}
+
+/// A run of one lane's messages, lent: its first message and the index
+/// entries after it whose payloads lie in the same queued block — a pool
+/// page, or a v1 topic's run buffer — borrowed from its cursor until the
+/// stream is pulled again. A straddler (lent from its stitch), an empty
+/// payload and a tail message are runs of one.
+pub struct Run<'a> {
+    /// The topic's position among the topics the stream was built over.
+    pub lane: usize,
+    first: Lent<'a>,
+    rest: &'a [TopicIndexEntry],
+    /// Data-file offset of the block's first byte.
+    base: u64,
+}
+
+impl<'a> Run<'a> {
+    /// The run's messages, in merge order.
+    pub fn messages(&self) -> impl Iterator<Item = Lent<'a>> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().map(move |e| {
+            let start = (e.offset - self.base) as usize;
+            let payload = &self.first.block[start..][..e.len as usize];
+            Lent { time: e.time, payload, start, ..self.first }
+        }))
     }
 }
 
@@ -234,7 +263,7 @@ impl Merge {
     #[inline]
     pub fn pick(&mut self) -> Option<usize> {
         match self.lead.take() {
-            Some(key) if self.heap.peek().is_none_or(|top| key < top.0) => Some(key.1),
+            Some(key) if self.runner_up().is_none_or(|top| key < top) => Some(key.1),
             lead => {
                 self.heap.extend(lead.map(Reverse));
                 let Reverse((_, lane)) = self.heap.pop()?;
@@ -249,6 +278,14 @@ impl Merge {
     #[inline]
     pub fn advance(&mut self, lane: usize, next: Option<u64>) {
         self.lead = next.map(|t| (t, lane));
+    }
+
+    /// The key of the runner-up lane's head, the heap's top: between a
+    /// `pick` and its `advance`, the picked lane's later heads that sort
+    /// before it are the ones the lane would win again without a heap
+    /// operation (`None`: no other lane has a head).
+    pub fn runner_up(&self) -> Option<(u64, usize)> {
+        self.heap.peek().map(|top| top.0)
     }
 
     /// Every lane is dry from now on: a caller whose lane failed ends
@@ -268,7 +305,6 @@ impl Merge {
 
 /// Fetched bytes a cursor holds: one pool page of a block-framed topic,
 /// or one `read_at` run of a v1 one.
-#[derive(Debug)]
 struct Block {
     /// Absolute (logical) data-file offset of `data[0]`.
     start: u64,
@@ -287,6 +323,8 @@ impl Block {
 struct TopicCursor {
     topic: Arc<str>,
     conn_id: u32,
+    /// The topic's position among the topics the stream was built over.
+    lane: usize,
     paths: Arc<TopicPaths>,
     entries: Vec<TopicIndexEntry>,
     /// Next entry to yield to the merge.
@@ -297,8 +335,10 @@ struct TopicCursor {
     /// front, and a block-framed topic's back page is what the next run
     /// continues in.
     blocks: VecDeque<Block>,
-    /// The straddling payload last lent, stitched from its pages.
+    /// The straddling payload last lent, stitched from its pages, and
+    /// the bytes stitched so far.
     stitch: Arc<[u8]>,
+    stitched: u64,
     /// In-memory messages merged after the container entries (live-ingest
     /// tails). Delivered straight from their shared payload slices — no
     /// fill, no block queue.
@@ -352,7 +392,7 @@ impl TopicCursor {
     /// Fetch runs of consecutive entries until ~`readahead` bytes are
     /// queued (always at least one entry per run, so oversized messages
     /// still stream). Every fetched entry ends up covered by `blocks`,
-    /// or the fill fails: [`TopicCursor::lend`] slices without checking.
+    /// or the fill fails: [`TopicCursor::lend_run`] slices without checking.
     fn fill<S: Storage>(&mut self, bag: &BoraBag<S>, readahead: usize) -> BoraResult<()> {
         let corrupt = |what: String| Err(BoraError::Corrupt(what));
         while self.fetched < self.entries.len() && self.queued_bytes() < readahead {
@@ -365,8 +405,7 @@ impl TopicCursor {
             }
             // A hole between entries (never produced by the organizer,
             // but defensively possible) ends the run.
-            let mut end_idx = self.fetched;
-            let mut run_end = run_start;
+            let (mut end_idx, mut run_end) = (self.fetched, run_start);
             while end_idx < self.entries.len() {
                 let e = &self.entries[end_idx];
                 if e.offset != run_end || (run_end - run_start) as usize >= readahead {
@@ -382,18 +421,13 @@ impl TopicCursor {
                 DataSource::RawDirect => {
                     let (path, len) = (&self.paths.data, (run_end - run_start) as usize);
                     let bytes = bag.storage.read_at(path, run_start, len, &mut self.ctx)?;
-                    if let Some((crc, expected_len, expected_crc, rel)) = self.verify.as_mut() {
+                    if let Some((crc, expected_len, expected, rel)) = self.verify.as_mut() {
                         crc.update(&bytes);
-                        if end_idx == self.entries.len() {
-                            let actual = crc.finish();
-                            if run_end != *expected_len || actual != *expected_crc {
-                                bora_obs::counter("verify.checksum_fail").inc();
-                                return Err(BoraError::ChecksumMismatch {
-                                    path: std::mem::take(rel),
-                                    expected: *expected_crc,
-                                    actual,
-                                });
-                            }
+                        let (actual, last) = (crc.finish(), end_idx == self.entries.len());
+                        if last && (run_end != *expected_len || actual != *expected) {
+                            bora_obs::counter("verify.checksum_fail").inc();
+                            let (path, expected) = (std::mem::take(rel), *expected);
+                            return Err(BoraError::ChecksumMismatch { path, expected, actual });
                         }
                     }
                     self.blocks.push_back(Block { start: run_start, data: Arc::from(bytes) });
@@ -411,8 +445,7 @@ impl TopicCursor {
                     let page_size = map.block_size as u64;
                     let mut at = self.blocks.back().map_or(run_start, |b| b.end().max(run_start));
                     while at < run_end {
-                        let page = at / page_size;
-                        let start = page * page_size;
+                        let (page, start) = (at / page_size, at - at % page_size);
                         let data =
                             bag.block_page(&self.paths, map, page as usize, &mut self.ctx)?;
                         let (path, len) = (&self.paths.data, data.len() as u64);
@@ -430,13 +463,17 @@ impl TopicCursor {
         Ok(())
     }
 
-    /// Lend the next message, with the time of the one after it; the
+    /// Lend the next run — the next message, and after it those of the
+    /// next `max` − 1 that were fetched, lie in the same block, have a
+    /// payload and are keyed `(time, lane)` before `bound`, up to the
+    /// first that does not — with the time of the message after it. The
     /// covering blocks must already be queued.
-    fn lend(&mut self, lane: usize, stitched: &mut u64) -> (Option<Time>, Lent<'_>) {
+    #[inline]
+    fn lend_run(&mut self, max: usize, bound: Option<(u64, usize)>) -> (Option<Time>, Run<'_>) {
         let (time, block, start, len);
+        let (mut rest, mut base) = (&[][..], 0);
         if let Some(&e) = self.entries.get(self.next) {
-            self.next += 1;
-            (time, len) = (e.time, e.len as usize);
+            (time, len, self.next) = (e.time, e.len as usize, self.next + 1);
             if len == 0 {
                 // An empty payload lies in no page (it may sit past the
                 // last one): any buffer's empty prefix is it.
@@ -446,23 +483,27 @@ impl TopicCursor {
                 let front = self.blocks.front().expect("fill covers every fetched entry");
                 let at = (e.offset - front.start) as usize;
                 if e.end() <= front.end() {
-                    (block, start) = (&front.data, at);
+                    let fits = |x: &&TopicIndexEntry| {
+                        let key = (x.time.as_nanos(), self.lane);
+                        x.len > 0 && x.end() <= front.end() && bound.is_none_or(|b| key < b)
+                    };
+                    let end = self.fetched.min((self.next - 1).saturating_add(max)).max(self.next);
+                    let n = self.entries[self.next..end].iter().take_while(fits).count();
+                    (rest, self.next) = (&self.entries[self.next..self.next + n], self.next + n);
+                    (block, start, base) = (&front.data, at, front.start);
                 } else {
                     // A straddler: the one copy left, into a buffer of
-                    // the payload's own length.
+                    // the payload's own length, from the pages it spans.
                     let mut buf: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
                     let out = Arc::get_mut(&mut buf).expect("a fresh buffer is not shared");
-                    let (mut done, mut skip) = (0, at);
-                    for b in &self.blocks {
-                        let n = (b.data.len() - skip).min(len - done);
-                        out[done..done + n].copy_from_slice(&b.data[skip..skip + n]);
-                        (done, skip) = (done + n, 0);
-                        if done == len {
-                            break;
-                        }
+                    let mut done = 0;
+                    for b in self.blocks.iter().take_while(|b| b.start < e.end()) {
+                        let from = (e.offset + done as u64 - b.start) as usize;
+                        let n = (b.data.len() - from).min(len - done);
+                        out[done..done + n].copy_from_slice(&b.data[from..from + n]);
+                        done += n;
                     }
-                    *stitched += len as u64;
-                    self.stitch = buf;
+                    (self.stitch, self.stitched) = (buf, self.stitched + len as u64);
                     (block, start) = (&self.stitch, 0);
                 }
             }
@@ -472,17 +513,17 @@ impl TopicCursor {
             self.tail_next += 1;
             (time, block, start, len) = (m.time, &m.data, 0, m.data.len());
         }
-        let payload = &block[start..start + len];
-        let lent =
-            Lent { time, topic: &self.topic, payload, conn_id: self.conn_id, lane, block, start };
-        (self.peek_time(), lent)
+        let (topic, payload, lane) = (&self.topic, &block[start..start + len], self.lane);
+        let first = Lent { time, topic, payload, conn_id: self.conn_id, lane, block, start };
+        (self.peek_time(), Run { lane, first, rest, base })
     }
 }
 
 /// A chronological k-way merged stream over selected topics of a
 /// [`BoraBag`]. Obtain one via [`BoraBag::stream_topics`] /
-/// [`BoraBag::stream_topics_with_tails`]; drive it with [`MessageStream::lend`],
-/// or [`MessageStream::next_msg`] to keep what it yields.
+/// [`BoraBag::stream_topics_with_tails`]; drive it with
+/// [`MessageStream::lend_run`] or [`MessageStream::lend`], or
+/// [`MessageStream::next_msg`] to keep what it yields.
 pub struct MessageStream<'a, S: Storage> {
     bag: &'a BoraBag<S>,
     cursors: Vec<TopicCursor>,
@@ -498,11 +539,9 @@ pub struct MessageStream<'a, S: Storage> {
     stats: StreamStats,
     /// Accumulated prefetch cost: per fill pass, the slowest pool
     /// thread's sum of cursor-clock deltas (the whole sum when fills ran
-    /// inline). This is what `charge_into` puts on the consumer's clock.
-    io_ns: u64,
-    /// Set once the parallel prefetch clocks have been folded into a
-    /// consumer ctx (idempotence for `charge_into`).
-    charged: bool,
+    /// inline). This is what `charge_into` puts on the consumer's clock;
+    /// `None` once it has (idempotence for `charge_into`).
+    io_ns: Option<u64>,
 }
 
 impl<'a, S: Storage> MessageStream<'a, S> {
@@ -523,7 +562,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         debug_assert!(tails.is_empty() || tails.len() == k, "one tail per topic");
         tails.resize_with(k, Vec::new);
         let mut cursors = Vec::with_capacity(k);
-        for (topic, mut tail) in topics.iter().zip(tails) {
+        for (lane, (topic, mut tail)) in topics.iter().zip(tails).enumerate() {
             bag.check_not_damaged(topic)?;
             // A tail-only topic stays known even when the range filter
             // empties its tail — the query legitimately selects nothing.
@@ -540,10 +579,10 @@ impl<'a, S: Storage> MessageStream<'a, S> {
                 }
                 Err(e) => return Err(e),
             };
-            let interned = bag.tags.interned_topic(topic).unwrap_or_else(|| Arc::from(*topic));
             cursors.push(TopicCursor {
-                topic: interned,
+                topic: bag.tags.interned_topic(topic).unwrap_or_else(|| Arc::from(*topic)),
                 conn_id: bag.conn_id_of(topic),
+                lane,
                 paths,
                 tail,
                 container_backed,
@@ -559,8 +598,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
             base_concurrency: ctx.concurrency,
             log_k: if k > 1 { (usize::BITS - (k - 1).leading_zeros()) as u64 } else { 0 },
             stats: StreamStats::default(),
-            io_ns: 0,
-            charged: false,
+            io_ns: Some(0),
         };
         // Index load + initial fill for every cursor, on the pool.
         stream.run_pool(&(0..k).collect::<Vec<_>>(), range, true)?;
@@ -590,16 +628,31 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         // (batched lanes are all low-water, so their fetch sizes — and
         // hence their shares — are roughly equal by construction).
         let contention = self.base_concurrency.saturating_mul(pool as u32).max(1);
-        let bag = self.bag;
-        let sp = bora_obs::span("bora.stream.prefetch");
+        let (bag, sp) = (self.bag, bora_obs::span("bora.stream.prefetch"));
+        // The unit of work a pool thread executes: load a cursor's index
+        // slice (full or time-bounded) when preparing, then fill it.
+        let load = |c: &mut TopicCursor| -> BoraResult<()> {
+            if prepare {
+                c.src = bag.data_source(&c.topic, &c.paths, &mut c.ctx)?;
+                c.entries = bag.load_entries(&c.topic, &c.paths, range, &mut c.ctx)?;
+                // Arm end-to-end verification when the manifest knows the
+                // data file and the cursor reads all of it directly;
+                // blocked sources verify per frame instead, and a time
+                // range skips it.
+                let whole = range.is_none() && matches!(c.src, DataSource::RawDirect);
+                c.verify = whole.then(|| bag.manifest_expectation(&c.paths.data)).flatten();
+            }
+            c.fill(bag, readahead)
+        };
         // One thread's share of the pass, and what it cost on its
-        // cursors' clocks.
+        // cursors' clocks. A tail-only lane has nothing on storage to load
+        // or prefetch.
         let work = |share: &mut [&mut TopicCursor]| -> u64 {
             let mut ns = 0;
-            for c in share {
+            for c in share.iter_mut().filter(|c| c.container_backed) {
                 c.ctx.concurrency = contention;
                 let t0 = c.ctx.elapsed_ns();
-                c.failed = prepare_and_fill(bag, c, range, readahead, prepare).err();
+                c.failed = load(c).err();
                 ns += c.ctx.elapsed_ns() - t0;
             }
             ns
@@ -620,7 +673,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
             })
             .unwrap_or(0)
         };
-        self.io_ns += pass_ns;
+        self.io_ns = self.io_ns.map(|ns| ns + pass_ns);
         sp.end_virt(pass_ns);
         let held = self.cursors.iter().flat_map(|c| &c.blocks);
         let resident: usize = held.map(|b| b.data.len()).sum();
@@ -638,13 +691,16 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         Ok(())
     }
 
-    /// Lend the next message in global time order — a view of its lane's
-    /// front, valid until the next pull — or `None` when the stream is
-    /// exhausted. The first `None` folds the parallel prefetch clocks
-    /// into `ctx` (makespan over topics — see module docs). This is what
-    /// drives the stream's [`Merge`]; every other way to drain the stream
-    /// goes through it.
-    pub fn lend(&mut self, ctx: &mut IoCtx) -> BoraResult<Option<Lent<'_>>> {
+    /// Lend the next run in global time order — up to `max` (at least
+    /// one) of one lane's messages, views of its front valid until the
+    /// next pull — or `None` when the stream is exhausted. The first
+    /// `None` folds the parallel prefetch clocks into `ctx` (makespan over
+    /// topics — see module docs). This is what drives the stream's
+    /// [`Merge`]: one pick per run, and every other way to drain the
+    /// stream goes through it. A run ends at `max`, at the end of its
+    /// block or of the fetched entries, and before the runner-up lane's
+    /// head, so it costs what as many [`MessageStream::lend`]s would.
+    pub fn lend_run(&mut self, ctx: &mut IoCtx, max: usize) -> BoraResult<Option<Run<'_>>> {
         let Some(lane) = self.merge.pick() else {
             self.charge_into(ctx);
             return Ok(None);
@@ -660,16 +716,23 @@ impl<'a, S: Storage> MessageStream<'a, S> {
                 (0..self.cursors.len()).filter(|&l| l == lane || low(&self.cursors[l])).collect();
             self.run_pool(&lanes, None, false).inspect_err(|_| self.charge_into(ctx))?;
         }
-        // Per-message consumer-side charges: one FUSE/ROS-Lib delivery
-        // round trip + the paper's O(log k) pick (k<=1 merges are free,
-        // matching the old single-stream fast path). The model prices
-        // the paper's merge, so a pick the lead made for free is charged
-        // like any other.
-        ctx.charge_ns(FUSE_DELIVERY_NS + self.log_k * cpu::SORT_ELEMENT_NS);
-        self.stats.delivered += 1;
-        let (next, msg) = self.cursors[lane].lend(lane, &mut self.stats.bytes_stitched);
+        let (next, run) = self.cursors[lane].lend_run(max, self.merge.runner_up());
+        // Per-message consumer-side charges, in one add: one FUSE/ROS-Lib
+        // delivery round trip + the paper's O(log k) pick (k<=1 merges
+        // are free, matching the old single-stream fast path). The model
+        // prices the paper's merge, so a pick the lead made for free is
+        // charged like any other.
+        let n = 1 + run.rest.len() as u64;
+        ctx.charge_ns(n * (FUSE_DELIVERY_NS + self.log_k * cpu::SORT_ELEMENT_NS));
+        self.stats.delivered += n;
         self.merge.advance(lane, next.map(Time::as_nanos));
-        Ok(Some(msg))
+        Ok(Some(run))
+    }
+
+    /// [`MessageStream::lend_run`] of one message: a view of the winning
+    /// lane's front, valid until the next pull; `None` when exhausted.
+    pub fn lend(&mut self, ctx: &mut IoCtx) -> BoraResult<Option<Lent<'_>>> {
+        Ok(self.lend_run(ctx, 1)?.map(|run| run.first))
     }
 
     /// [`MessageStream::lend`], then own: for a consumer that keeps the
@@ -686,13 +749,10 @@ impl<'a, S: Storage> MessageStream<'a, S> {
     /// exhausts or fails; call it explicitly if you abandon a stream
     /// early and still want the consumed I/O on your clock.
     pub fn charge_into(&mut self, ctx: &mut IoCtx) {
-        if self.charged {
-            return;
-        }
-        self.charged = true;
+        let Some(io_ns) = self.io_ns.take() else { return };
         bora_obs::counter("stream.merge.heap_ops").add(self.merge.heap_ops());
-        bora_obs::counter("stream.bytes_stitched").add(self.stats.bytes_stitched);
-        ctx.charge_ns(self.io_ns);
+        bora_obs::counter("stream.bytes_stitched").add(self.stats().bytes_stitched);
+        ctx.charge_ns(io_ns);
         for c in &self.cursors {
             ctx.absorb_stats(&c.ctx);
         }
@@ -700,7 +760,8 @@ impl<'a, S: Storage> MessageStream<'a, S> {
 
     /// Counters so far (peak resident bytes, heap ops, ...).
     pub fn stats(&self) -> StreamStats {
-        StreamStats { heap_ops: self.merge.heap_ops(), ..self.stats }
+        let bytes_stitched = self.cursors.iter().map(|c| c.stitched).sum();
+        StreamStats { heap_ops: self.merge.heap_ops(), bytes_stitched, ..self.stats }
     }
 
     /// Messages remaining (exact — index entries plus queued tails).
@@ -719,37 +780,11 @@ impl<'a, S: Storage> MessageStream<'a, S> {
     /// ingest snapshot's `read_time_range`.
     pub fn collect_records(mut self, ctx: &mut IoCtx) -> BoraResult<Vec<MessageRecord>> {
         let mut out = Vec::with_capacity(self.remaining() as usize);
-        while let Some(m) = self.lend(ctx)? {
-            out.push(m.to_record());
+        while let Some(run) = self.lend_run(ctx, usize::MAX)? {
+            out.extend(run.messages().map(|m| m.to_record()));
         }
         Ok(out)
     }
-}
-
-/// Load a cursor's index slice (full or time-bounded) and run its first
-/// fill — the unit of work a pool thread executes.
-fn prepare_and_fill<S: Storage>(
-    bag: &BoraBag<S>,
-    cursor: &mut TopicCursor,
-    range: Option<(Time, Time)>,
-    readahead: usize,
-    prepare: bool,
-) -> BoraResult<()> {
-    if !cursor.container_backed {
-        // Tail-only lane: nothing on storage to load or prefetch.
-        return Ok(());
-    }
-    if prepare {
-        cursor.src = bag.data_source(&cursor.topic, &cursor.paths, &mut cursor.ctx)?;
-        cursor.entries = bag.load_entries(&cursor.topic, &cursor.paths, range, &mut cursor.ctx)?;
-        // Arm end-to-end verification when the manifest knows the data
-        // file and the cursor reads all of it directly; blocked sources
-        // verify per frame instead, and a time range skips it.
-        if range.is_none() && matches!(cursor.src, DataSource::RawDirect) {
-            cursor.verify = bag.manifest_expectation(&cursor.paths.data);
-        }
-    }
-    cursor.fill(bag, readahead)
 }
 
 #[cfg(test)]

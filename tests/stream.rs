@@ -10,7 +10,11 @@
 //! pool pages and lends slices of them: lent, owned and materialised
 //! drains must agree for every page size from "every message straddles"
 //! to "none does", with live tails and time ranges, and the one copy left
-//! (a straddler's stitch) is counted exactly.
+//! (a straddler's stitch) is counted exactly. A drain by runs
+//! (`lend_run`, at random caps) must be the message-at-a-time drain cut
+//! into pieces: the same messages, merge decisions, stitches, fill passes
+//! and virtual time, each run one lane's, inside one block, and before the
+//! runner-up lane's head.
 
 use proptest::prelude::*;
 
@@ -54,7 +58,11 @@ fn build_container(fs: &MemStorage, events: &[Event]) {
     build_container_with(fs, events, None);
 }
 
+/// An `Imu` of the event, or — for one seed in 16 — an empty payload.
 fn payload((_, ns, seed): Event) -> Vec<u8> {
+    if seed % 16 == 7 {
+        return Vec::new();
+    }
     let mut imu = Imu::default();
     imu.header.seq = seed as u32;
     imu.header.stamp = Time::from_nanos(ns);
@@ -105,7 +113,7 @@ fn expected(
     for &e in stored {
         let (at, len) = (offsets[e.0], payload(e).len() as u64);
         offsets[e.0] += len;
-        if within(e.1) && at / page != (at + len - 1) / page {
+        if within(e.1) && len > 0 && at / page != (at + len - 1) / page {
             straddling += len;
         }
     }
@@ -115,17 +123,22 @@ fn expected(
     (seen.collect(), straddling)
 }
 
-/// Drain a fresh stream three ways — lent, owned, materialised — holding
-/// each to `want`; returns the lent drain's stats.
-fn drain_three_ways(
+/// Drain a fresh stream four ways — lent, owned, materialised, and in
+/// runs capped at random from 1 to 300 — holding each to `want`; returns
+/// the lent drain's stats and the number of runs the last drain took.
+/// The run drain must make the same merge decisions, stitches, fill
+/// passes and virtual-clock charges as the lent one, and each run must
+/// hold one lane, lie in one block (a `page`-byte page, on a block-framed
+/// container) and sort before the runner-up lane's head.
+fn drain_four_ways(
     bag: &BoraBag<&MemStorage>,
     live: &[Event],
     range: Option<(Time, Time)>,
     opts: &StreamOptions,
     want: &[Seen],
-) -> bora::StreamStats {
+    page: u64,
+) -> (bora::StreamStats, usize) {
     let _copies = materialising();
-    let mut ctx = IoCtx::new();
     let open = |ctx: &mut IoCtx| {
         let tail = |lane| {
             let of_lane = live.iter().filter(move |e| e.0 == lane);
@@ -135,10 +148,11 @@ fn drain_three_ways(
         bag.stream_topics_with_tails(&TOPICS, tails, range, opts.clone(), ctx).unwrap()
     };
 
-    let mut stream = open(&mut ctx);
+    let mut lent_ctx = IoCtx::new();
+    let mut stream = open(&mut lent_ctx);
     assert_eq!(stream.remaining() as usize, want.len());
     let mut lent: Vec<Seen> = Vec::new();
-    while let Some(m) = stream.lend(&mut ctx).unwrap() {
+    while let Some(m) = stream.lend(&mut lent_ctx).unwrap() {
         assert_eq!(&**m.topic, TOPICS[m.lane], "the lane is the topic's place in the request");
         lent.push((m.topic.to_string(), m.time, m.payload.to_vec()));
         assert_eq!(stream.remaining() as usize, want.len() - lent.len());
@@ -147,6 +161,7 @@ fn drain_three_ways(
     let stats = stream.stats();
     assert_eq!(stats.delivered as usize, want.len());
 
+    let mut ctx = IoCtx::new();
     let mut stream = open(&mut ctx);
     let mut owned = Vec::new();
     while let Some(m) = stream.next_msg(&mut ctx).unwrap() {
@@ -161,7 +176,53 @@ fn drain_three_ways(
     let records = open(&mut ctx).collect_records(&mut ctx).unwrap();
     let records: Vec<Seen> = records.into_iter().map(|r| (r.topic, r.time, r.data)).collect();
     assert_eq!(records, want, "materialised");
-    stats
+
+    let mut run_ctx = IoCtx::new();
+    let mut stream = open(&mut run_ctx);
+    let (mut ran, mut keys, mut runs) = (Vec::<Seen>::new(), Vec::new(), Vec::new());
+    let mut rng = want.len() as u64 * 0x9E37_79B9 + 1;
+    loop {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        let cap = (rng % 300 + 1) as usize;
+        let Some(run) = stream.lend_run(&mut run_ctx, cap).unwrap() else { break };
+        let msgs: Vec<_> = run.messages().collect();
+        assert!((1..=cap).contains(&msgs.len()), "{} messages for a cap of {cap}", msgs.len());
+        let lane = run.lane;
+        for pair in msgs.windows(2) {
+            assert!(!pair[0].payload.is_empty(), "an empty payload is a run of one");
+            let (end, next) = (pair[0].payload.as_ptr_range().end, pair[1].payload.as_ptr());
+            assert_eq!(end, next, "a run's payloads follow each other in one block");
+        }
+        if msgs.len() > 1 {
+            let bytes: usize = msgs.iter().map(|m| m.payload.len()).sum();
+            assert!(bytes as u64 <= page, "a run of {bytes} bytes in {page}-byte pages");
+        }
+        runs.push((keys.len(), keys.len() + msgs.len()));
+        for m in &msgs {
+            assert_eq!(m.lane, lane, "a run holds one lane");
+            keys.push((m.time, m.lane));
+            ran.push((m.topic.to_string(), m.time, m.payload.to_vec()));
+        }
+        assert_eq!(stream.remaining() as usize, want.len() - ran.len());
+    }
+    assert_eq!(ran, want, "in runs");
+    // The runner-up's head is the next message of another lane.
+    for &(start, end) in &runs {
+        let lane = keys[start].1;
+        if let Some(after) = keys[end..].iter().find(|k| k.1 != lane) {
+            assert!(keys[end - 1] < *after, "a run ends before the runner-up's head");
+        }
+    }
+    let by_runs = stream.stats();
+    assert_eq!(
+        (by_runs.heap_ops, by_runs.delivered, by_runs.bytes_stitched, by_runs.refills),
+        (stats.heap_ops, stats.delivered, stats.bytes_stitched, stats.refills),
+        "heap ops, deliveries, stitched bytes and fill passes"
+    );
+    assert_eq!(run_ctx.elapsed_ns(), lent_ctx.elapsed_ns(), "virtual time");
+    (stats, runs.len())
 }
 
 proptest! {
@@ -282,11 +343,11 @@ proptest! {
 
         let (want, straddling) = expected(stored, live, range, block_size as u64);
         let opts = StreamOptions { readahead_bytes: readahead, prefetch_threads: threads };
-        let stats = drain_three_ways(&bag, live, range, &opts, &want);
+        let (stats, _) = drain_four_ways(&bag, live, range, &opts, &want, block_size as u64);
         prop_assert_eq!(stats.bytes_stitched, straddling);
         // Per lane: a window, the run that may overshoot it by another
         // (plus a message), and the partly used page at either end.
-        let message = payload(events[0]).len();
+        let message = events.iter().map(|&e| payload(e).len()).max().unwrap_or(0);
         let per_lane = 2 * readahead + message + 2 * block_size as usize;
         prop_assert!(
             stats.peak_resident_bytes <= TOPICS.len() * per_lane,
@@ -298,8 +359,9 @@ proptest! {
 /// The lane that won last keeps the lead without a heap operation while
 /// its next timestamp sorts before the runner-up's. Long runs from one
 /// lane, runs that end in a tie with every other lane and runs that start
-/// in one: the order is the one the heap alone would give, and the heap
-/// was in fact skipped.
+/// in one: the order is the one the heap alone would give, the heap
+/// was in fact skipped, and a drain by runs took far fewer pulls than
+/// messages.
 #[test]
 fn long_runs_and_cross_lane_ties_merge_in_heap_order() {
     let mut events: Vec<Event> = Vec::new();
@@ -315,7 +377,8 @@ fn long_runs_and_cross_lane_ties_merge_in_heap_order() {
         e.1 *= 1_000_000_000;
     }
     events.sort_by_key(|e| e.1);
-    for block in [None, Some(BlockParams { block_size: 4096, ..Default::default() })] {
+    let framed = BlockParams { block_size: 4096, ..Default::default() };
+    for (block, page) in [(None, u64::MAX), (Some(framed), 4096)] {
         let fs = MemStorage::new();
         build_container_with(&fs, &events, block);
         let mut ctx = IoCtx::new();
@@ -323,13 +386,17 @@ fn long_runs_and_cross_lane_ties_merge_in_heap_order() {
         let (want, _) = expected(&events, &[], None, u64::MAX);
         for readahead in [2048, 1 << 20] {
             let opts = StreamOptions { readahead_bytes: readahead, prefetch_threads: 2 };
-            let stats = drain_three_ways(&bag, &[], None, &opts, &want);
+            let (stats, runs) = drain_four_ways(&bag, &[], None, &opts, &want, page);
             assert!(
                 stats.heap_ops * 2 < stats.delivered,
                 "{} heap operations for {} messages",
                 stats.heap_ops,
                 stats.delivered
             );
+            // Lane 3's every fifth message, the empty payloads and the
+            // page, window and cap edges cut the runs of 40: 252 to 317
+            // runs here, where one message at a time would be 504.
+            assert!(runs * 3 < stats.delivered as usize * 2, "{runs} runs for {}", stats.delivered);
         }
     }
 }
@@ -393,6 +460,75 @@ proptest! {
             prop_assert_eq!(merge.heap_ops(), 0);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Runs are single lends cut into pieces. Over an unframed container
+    /// and block-framed ones with pages of 64 to 512 bytes — runs end at
+    /// page edges, and straddlers are common — with empty payloads, ties
+    /// across lanes, live tails, time ranges and readahead windows small
+    /// enough to refill mid-stream, a drain by `lend_run` at caps of 1 to
+    /// 300 is held by `drain_four_ways` to the lent drain: the same
+    /// messages, heap operations, deliveries, stitched bytes, fill passes
+    /// and virtual time; every run one lane's, in one block, before the
+    /// runner-up's head.
+    #[test]
+    fn lend_runs_agree_with_single_lends(
+        events in arb_colliding_events(),
+        page in prop::sample::select(vec![0u32, 64, 128, 512]),
+        readahead in 256usize..4096,
+        threads in 1usize..4,
+        (ranged, a, b) in (any::<bool>(), 0u64..45_000_000_000, 0u64..45_000_000_000),
+        (tailed, live_from) in (any::<bool>(), 0usize..150),
+    ) {
+        let range = ranged.then(|| (Time::from_nanos(a.min(b)), Time::from_nanos(a.max(b))));
+        let live_from = if tailed { live_from.min(events.len()) } else { events.len() };
+        let (stored, live) = events.split_at(live_from);
+        let fs = MemStorage::new();
+        let block = (page > 0).then(|| BlockParams { block_size: page, ..Default::default() });
+        build_container_with(&fs, stored, block);
+        let mut ctx = IoCtx::new();
+        let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
+        let page = if page > 0 { page as u64 } else { u64::MAX };
+        let (want, straddling) = expected(stored, live, range, page);
+        let opts = StreamOptions { readahead_bytes: readahead, prefetch_threads: threads };
+        let (stats, _) = drain_four_ways(&bag, live, range, &opts, &want, page);
+        prop_assert_eq!(stats.bytes_stitched, straddling);
+    }
+}
+
+/// A run's bound is the runner-up's whole key, `(time, lane)`: at a tie
+/// across lanes the lower lane goes first. Lane 1's run stops before
+/// lane 0's head at the same time; lane 0's run takes its message at the
+/// time of lane 1's head and stops at the next.
+#[test]
+fn a_run_stops_at_the_runner_up_key_and_a_tie_goes_to_the_lower_lane() {
+    let lanes: [&[u64]; 2] = [&[3, 3, 4], &[1, 2, 3]];
+    let mut next = [0usize; 2];
+    let mut merge = Merge::new(lanes.iter().map(|ts| ts.first().copied()));
+    let mut runs = Vec::new();
+    while let Some(lane) = merge.pick() {
+        // What a run over the lane takes: its head, then every later key
+        // that sorts before the runner-up's.
+        let bound = merge.runner_up();
+        let ts = &lanes[lane][next[lane]..];
+        let n = 1 + ts[1..].iter().take_while(|&&t| bound.is_none_or(|b| (t, lane) < b)).count();
+        runs.push((lane, ts[..n].to_vec(), bound));
+        next[lane] += n;
+        merge.advance(lane, lanes[lane].get(next[lane]).copied());
+    }
+    assert_eq!(
+        runs,
+        [
+            (1, vec![1, 2], Some((3, 0))),
+            (0, vec![3, 3], Some((3, 1))),
+            (1, vec![3], Some((4, 0))),
+            (0, vec![4], None),
+        ]
+    );
+    assert_eq!(merge.heap_ops(), 3, "one per change of lane after the first pick");
 }
 
 /// Write `count` messages on each of `topics`, all at the same sequence of

@@ -19,9 +19,10 @@
 //!    its rate.
 //! 5. *One audited `unsafe`*: `crates/bora/src/checksum.rs`.
 //! 6. *The read core lends*: in non-test `bora/src/stream.rs` the merge
-//!    heap is touched inside `impl Merge` alone, `MessageStream::lend` is
-//!    the stream's one caller of `pick`, and `next_msg` goes through
-//!    `lend`; a cursor does not copy pool pages (`fetch_logical` is not
+//!    heap is touched inside `impl Merge` alone, `MessageStream::lend_run`
+//!    is the stream's one caller of `pick`, and `lend` (a run of one) and
+//!    `next_msg` reach the merge through it; a cursor does not copy pool
+//!    pages (`fetch_logical` is not
 //!    called, and nothing between `DataSource::Blocked { map }` and the
 //!    page push builds an `Arc` from bytes); and the file has no more
 //!    code lines than when the merge became a type of its own.
@@ -94,7 +95,8 @@ const PROTO: &str = "crates/bora-serve/src/proto.rs";
 const SERVER: &str = "crates/bora-serve/src/server.rs";
 /// Code lines of `stream.rs` — non-blank, not a `//` comment, before
 /// `#[cfg(test)]` — once `Merge` held the merge for both read paths (466
-/// before the read core lent, 463 after).
+/// before the read core lent, 463 after); held when the stream began to
+/// lend runs.
 const STREAM_CODE_LINES: usize = 462;
 const REGISTRY: &str = "crates/bench/src/experiments/mod.rs";
 const EXEC: &str = "crates/bora-query/src/exec.rs";
@@ -288,7 +290,7 @@ fn stream_violations(source: &str) -> Vec<String> {
     // The item a line is in (the last one to open at column 0) and the
     // function (the last `fn` header at or above it).
     let (mut item, mut current) = ("", "");
-    let (mut next_msg_lends, mut page_arm) = (false, false);
+    let (mut lend_runs, mut next_msg_lends, mut page_arm) = (false, false, false);
     for &(i, raw, line) in &code {
         if !raw.starts_with([' ', '}']) {
             item = impl_type(raw);
@@ -300,10 +302,12 @@ fn stream_violations(source: &str) -> Vec<String> {
         if touches_heap(line) && item != "Merge" {
             flag(i, "the merge heap is `Merge`'s alone");
         }
-        if line.contains(".pick(") && (item, current) != ("MessageStream", "lend") {
-            flag(i, "`MessageStream::lend` is the stream's one caller of `pick`");
+        if line.contains(".pick(") && (item, current) != ("MessageStream", "lend_run") {
+            flag(i, "`MessageStream::lend_run` is the stream's one caller of `pick`");
         }
-        next_msg_lends |= current == "next_msg" && line.contains("self.lend(");
+        lend_runs |=
+            (item, current) == ("MessageStream", "lend") && line.contains("self.lend_run(");
+        next_msg_lends |= current == "next_msg" && line.contains("self.lend");
         if line.contains("fetch_logical(") {
             flag(i, "a cursor queues pages, it does not copy them out");
         }
@@ -312,6 +316,9 @@ fn stream_violations(source: &str) -> Vec<String> {
             flag(i, "a page is queued as the pool holds it");
         }
         page_arm &= !line.contains("blocks.push_back(");
+    }
+    if !lend_runs {
+        flag(0, "`lend` is a run of one: it reaches the merge through `lend_run`");
     }
     if !next_msg_lends {
         flag(0, "`next_msg` is `lend`, then own");
@@ -795,10 +802,11 @@ fn the_read_core_guard_fires() {
                 self.heap.pop()\n    }\n}\n\
                 impl<'a, S: Storage> MessageStream<'a, S> {\n    \
                 pub(crate) fn new() {\n        stream.merge = Merge::new(heads);\n    }\n    \
-                pub fn lend(&mut self) {\n        let lane = self.merge.pick()?;\n        \
+                pub fn lend_run(&mut self) {\n        let lane = self.merge.pick()?;\n        \
                 self.heap_ops += 1;\n    }\n    \
+                pub fn lend(&mut self) {\n        self.lend_run(ctx, 1)\n    }\n    \
                 pub fn next_msg(&mut self) {\n        self.lend(ctx)\n    }\n}\n\
-                impl TopicCursor {\n    fn lend(&mut self) {\n        self.next += 1;\n    }\n    \
+                impl TopicCursor {\n    fn lend_run(&mut self) {\n        self.next += 1;\n    }\n    \
                 fn fill(&mut self) {\n        match src {\n            \
                 DataSource::RawDirect => blocks.push_back(Block { data: Arc::from(bytes) }),\n            \
                 DataSource::Blocked { map } => {\n                blocks.push_back(Block { data });\n            }\n        }\n    }\n}\n\
@@ -811,6 +819,14 @@ fn the_read_core_guard_fires() {
         ("self.next += 1;", "self.next = merge.pick()?;", "one caller"),
         ("self.heap.pop()", "self.pick()", "one caller"),
         ("self.lend(ctx)", "self.pop_merged(ctx)", "then own"),
+        ("self.lend_run(ctx, 1)", "self.cursors[0].lend_run(0)", "a run of one"),
+        ("self.lend_run(ctx, 1)", "self.merge.pick()", "one caller"),
+        (
+            "pub fn next_msg(&mut self) {",
+            "pub fn lend_two(&mut self) {\n        self.merge.pick();\n    }\n    \
+             pub fn next_msg(&mut self) {",
+            "one caller",
+        ),
         (
             "blocks.push_back(Block { data });",
             "blocks.push_back(Block { data: Arc::from(v) });",
