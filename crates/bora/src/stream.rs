@@ -166,9 +166,14 @@ pub struct Lent<'a> {
 impl Lent<'_> {
     /// Keep the message past the next pull: two reference bumps, no copy.
     pub fn own(&self) -> StreamMessage {
-        let Lent { time, topic, payload, conn_id, block, start, .. } = *self;
-        let (topic, block, len) = (Arc::clone(topic), Arc::clone(block), payload.len());
-        StreamMessage { conn_id, topic, time, block, start, len }
+        StreamMessage {
+            conn_id: self.conn_id,
+            topic: Arc::clone(self.topic),
+            time: self.time,
+            block: Arc::clone(self.block),
+            start: self.start,
+            len: self.payload.len(),
+        }
     }
 
     /// [`StreamMessage::to_record`], straight from the lent view.
@@ -305,6 +310,7 @@ impl Merge {
 
 /// Fetched bytes a cursor holds: one pool page of a block-framed topic,
 /// or one `read_at` run of a v1 one.
+#[derive(Debug)]
 struct Block {
     /// Absolute (logical) data-file offset of `data[0]`.
     start: u64,
@@ -323,8 +329,6 @@ impl Block {
 struct TopicCursor {
     topic: Arc<str>,
     conn_id: u32,
-    /// The topic's position among the topics the stream was built over.
-    lane: usize,
     paths: Arc<TopicPaths>,
     entries: Vec<TopicIndexEntry>,
     /// Next entry to yield to the merge.
@@ -335,10 +339,8 @@ struct TopicCursor {
     /// front, and a block-framed topic's back page is what the next run
     /// continues in.
     blocks: VecDeque<Block>,
-    /// The straddling payload last lent, stitched from its pages, and
-    /// the bytes stitched so far.
+    /// The straddling payload last lent, stitched from its pages.
     stitch: Arc<[u8]>,
-    stitched: u64,
     /// In-memory messages merged after the container entries (live-ingest
     /// tails). Delivered straight from their shared payload slices — no
     /// fill, no block queue.
@@ -405,7 +407,8 @@ impl TopicCursor {
             }
             // A hole between entries (never produced by the organizer,
             // but defensively possible) ends the run.
-            let (mut end_idx, mut run_end) = (self.fetched, run_start);
+            let mut end_idx = self.fetched;
+            let mut run_end = run_start;
             while end_idx < self.entries.len() {
                 let e = &self.entries[end_idx];
                 if e.offset != run_end || (run_end - run_start) as usize >= readahead {
@@ -421,13 +424,18 @@ impl TopicCursor {
                 DataSource::RawDirect => {
                     let (path, len) = (&self.paths.data, (run_end - run_start) as usize);
                     let bytes = bag.storage.read_at(path, run_start, len, &mut self.ctx)?;
-                    if let Some((crc, expected_len, expected, rel)) = self.verify.as_mut() {
+                    if let Some((crc, expected_len, expected_crc, rel)) = self.verify.as_mut() {
                         crc.update(&bytes);
-                        let (actual, last) = (crc.finish(), end_idx == self.entries.len());
-                        if last && (run_end != *expected_len || actual != *expected) {
-                            bora_obs::counter("verify.checksum_fail").inc();
-                            let (path, expected) = (std::mem::take(rel), *expected);
-                            return Err(BoraError::ChecksumMismatch { path, expected, actual });
+                        if end_idx == self.entries.len() {
+                            let actual = crc.finish();
+                            if run_end != *expected_len || actual != *expected_crc {
+                                bora_obs::counter("verify.checksum_fail").inc();
+                                return Err(BoraError::ChecksumMismatch {
+                                    path: std::mem::take(rel),
+                                    expected: *expected_crc,
+                                    actual,
+                                });
+                            }
                         }
                     }
                     self.blocks.push_back(Block { start: run_start, data: Arc::from(bytes) });
@@ -445,7 +453,8 @@ impl TopicCursor {
                     let page_size = map.block_size as u64;
                     let mut at = self.blocks.back().map_or(run_start, |b| b.end().max(run_start));
                     while at < run_end {
-                        let (page, start) = (at / page_size, at - at % page_size);
+                        let page = at / page_size;
+                        let start = page * page_size;
                         let data =
                             bag.block_page(&self.paths, map, page as usize, &mut self.ctx)?;
                         let (path, len) = (&self.paths.data, data.len() as u64);
@@ -469,11 +478,18 @@ impl TopicCursor {
     /// first that does not — with the time of the message after it. The
     /// covering blocks must already be queued.
     #[inline]
-    fn lend_run(&mut self, max: usize, bound: Option<(u64, usize)>) -> (Option<Time>, Run<'_>) {
+    fn lend_run(
+        &mut self,
+        lane: usize,
+        max: usize,
+        bound: Option<(u64, usize)>,
+        stitched: &mut u64,
+    ) -> (Option<Time>, Run<'_>) {
         let (time, block, start, len);
         let (mut rest, mut base) = (&[][..], 0);
         if let Some(&e) = self.entries.get(self.next) {
-            (time, len, self.next) = (e.time, e.len as usize, self.next + 1);
+            self.next += 1;
+            (time, len) = (e.time, e.len as usize);
             if len == 0 {
                 // An empty payload lies in no page (it may sit past the
                 // last one): any buffer's empty prefix is it.
@@ -483,27 +499,34 @@ impl TopicCursor {
                 let front = self.blocks.front().expect("fill covers every fetched entry");
                 let at = (e.offset - front.start) as usize;
                 if e.end() <= front.end() {
-                    let fits = |x: &&TopicIndexEntry| {
-                        let key = (x.time.as_nanos(), self.lane);
-                        x.len > 0 && x.end() <= front.end() && bound.is_none_or(|b| key < b)
-                    };
-                    let end = self.fetched.min((self.next - 1).saturating_add(max)).max(self.next);
-                    let n = self.entries[self.next..end].iter().take_while(fits).count();
-                    (rest, self.next) = (&self.entries[self.next..self.next + n], self.next + n);
-                    (block, start, base) = (&front.data, at, front.start);
+                    (block, start) = (&front.data, at);
+                    // A run of one (`lend`) scans no further entry.
+                    if max > 1 {
+                        let fits = |x: &&TopicIndexEntry| {
+                            let key = (x.time.as_nanos(), lane);
+                            x.len > 0 && x.end() <= front.end() && bound.is_none_or(|b| key < b)
+                        };
+                        let end = self.next + (max - 1).min(self.fetched - self.next);
+                        let n = self.entries[self.next..end].iter().take_while(fits).count();
+                        (rest, base) = (&self.entries[self.next..self.next + n], front.start);
+                        self.next += n;
+                    }
                 } else {
                     // A straddler: the one copy left, into a buffer of
-                    // the payload's own length, from the pages it spans.
+                    // the payload's own length.
                     let mut buf: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
                     let out = Arc::get_mut(&mut buf).expect("a fresh buffer is not shared");
-                    let mut done = 0;
-                    for b in self.blocks.iter().take_while(|b| b.start < e.end()) {
-                        let from = (e.offset + done as u64 - b.start) as usize;
-                        let n = (b.data.len() - from).min(len - done);
-                        out[done..done + n].copy_from_slice(&b.data[from..from + n]);
-                        done += n;
+                    let (mut done, mut skip) = (0, at);
+                    for b in &self.blocks {
+                        let n = (b.data.len() - skip).min(len - done);
+                        out[done..done + n].copy_from_slice(&b.data[skip..skip + n]);
+                        (done, skip) = (done + n, 0);
+                        if done == len {
+                            break;
+                        }
                     }
-                    (self.stitch, self.stitched) = (buf, self.stitched + len as u64);
+                    *stitched += len as u64;
+                    self.stitch = buf;
                     (block, start) = (&self.stitch, 0);
                 }
             }
@@ -513,8 +536,9 @@ impl TopicCursor {
             self.tail_next += 1;
             (time, block, start, len) = (m.time, &m.data, 0, m.data.len());
         }
-        let (topic, payload, lane) = (&self.topic, &block[start..start + len], self.lane);
-        let first = Lent { time, topic, payload, conn_id: self.conn_id, lane, block, start };
+        let payload = &block[start..start + len];
+        let first =
+            Lent { time, topic: &self.topic, payload, conn_id: self.conn_id, lane, block, start };
         (self.peek_time(), Run { lane, first, rest, base })
     }
 }
@@ -539,9 +563,11 @@ pub struct MessageStream<'a, S: Storage> {
     stats: StreamStats,
     /// Accumulated prefetch cost: per fill pass, the slowest pool
     /// thread's sum of cursor-clock deltas (the whole sum when fills ran
-    /// inline). This is what `charge_into` puts on the consumer's clock;
-    /// `None` once it has (idempotence for `charge_into`).
-    io_ns: Option<u64>,
+    /// inline). This is what `charge_into` puts on the consumer's clock.
+    io_ns: u64,
+    /// Set once the parallel prefetch clocks have been folded into a
+    /// consumer ctx (idempotence for `charge_into`).
+    charged: bool,
 }
 
 impl<'a, S: Storage> MessageStream<'a, S> {
@@ -562,7 +588,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         debug_assert!(tails.is_empty() || tails.len() == k, "one tail per topic");
         tails.resize_with(k, Vec::new);
         let mut cursors = Vec::with_capacity(k);
-        for (lane, (topic, mut tail)) in topics.iter().zip(tails).enumerate() {
+        for (topic, mut tail) in topics.iter().zip(tails) {
             bag.check_not_damaged(topic)?;
             // A tail-only topic stays known even when the range filter
             // empties its tail — the query legitimately selects nothing.
@@ -579,10 +605,10 @@ impl<'a, S: Storage> MessageStream<'a, S> {
                 }
                 Err(e) => return Err(e),
             };
+            let interned = bag.tags.interned_topic(topic).unwrap_or_else(|| Arc::from(*topic));
             cursors.push(TopicCursor {
-                topic: bag.tags.interned_topic(topic).unwrap_or_else(|| Arc::from(*topic)),
+                topic: interned,
                 conn_id: bag.conn_id_of(topic),
-                lane,
                 paths,
                 tail,
                 container_backed,
@@ -598,7 +624,8 @@ impl<'a, S: Storage> MessageStream<'a, S> {
             base_concurrency: ctx.concurrency,
             log_k: if k > 1 { (usize::BITS - (k - 1).leading_zeros()) as u64 } else { 0 },
             stats: StreamStats::default(),
-            io_ns: Some(0),
+            io_ns: 0,
+            charged: false,
         };
         // Index load + initial fill for every cursor, on the pool.
         stream.run_pool(&(0..k).collect::<Vec<_>>(), range, true)?;
@@ -628,31 +655,16 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         // (batched lanes are all low-water, so their fetch sizes — and
         // hence their shares — are roughly equal by construction).
         let contention = self.base_concurrency.saturating_mul(pool as u32).max(1);
-        let (bag, sp) = (self.bag, bora_obs::span("bora.stream.prefetch"));
-        // The unit of work a pool thread executes: load a cursor's index
-        // slice (full or time-bounded) when preparing, then fill it.
-        let load = |c: &mut TopicCursor| -> BoraResult<()> {
-            if prepare {
-                c.src = bag.data_source(&c.topic, &c.paths, &mut c.ctx)?;
-                c.entries = bag.load_entries(&c.topic, &c.paths, range, &mut c.ctx)?;
-                // Arm end-to-end verification when the manifest knows the
-                // data file and the cursor reads all of it directly;
-                // blocked sources verify per frame instead, and a time
-                // range skips it.
-                let whole = range.is_none() && matches!(c.src, DataSource::RawDirect);
-                c.verify = whole.then(|| bag.manifest_expectation(&c.paths.data)).flatten();
-            }
-            c.fill(bag, readahead)
-        };
+        let bag = self.bag;
+        let sp = bora_obs::span("bora.stream.prefetch");
         // One thread's share of the pass, and what it cost on its
-        // cursors' clocks. A tail-only lane has nothing on storage to load
-        // or prefetch.
+        // cursors' clocks.
         let work = |share: &mut [&mut TopicCursor]| -> u64 {
             let mut ns = 0;
-            for c in share.iter_mut().filter(|c| c.container_backed) {
+            for c in share {
                 c.ctx.concurrency = contention;
                 let t0 = c.ctx.elapsed_ns();
-                c.failed = load(c).err();
+                c.failed = prepare_and_fill(bag, c, range, readahead, prepare).err();
                 ns += c.ctx.elapsed_ns() - t0;
             }
             ns
@@ -673,7 +685,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
             })
             .unwrap_or(0)
         };
-        self.io_ns = self.io_ns.map(|ns| ns + pass_ns);
+        self.io_ns += pass_ns;
         sp.end_virt(pass_ns);
         let held = self.cursors.iter().flat_map(|c| &c.blocks);
         let resident: usize = held.map(|b| b.data.len()).sum();
@@ -716,7 +728,10 @@ impl<'a, S: Storage> MessageStream<'a, S> {
                 (0..self.cursors.len()).filter(|&l| l == lane || low(&self.cursors[l])).collect();
             self.run_pool(&lanes, None, false).inspect_err(|_| self.charge_into(ctx))?;
         }
-        let (next, run) = self.cursors[lane].lend_run(max, self.merge.runner_up());
+        // A run of one (`lend`) needs no bound, so it reads none.
+        let bound = if max > 1 { self.merge.runner_up() } else { None };
+        let stitched = &mut self.stats.bytes_stitched;
+        let (next, run) = self.cursors[lane].lend_run(lane, max, bound, stitched);
         // Per-message consumer-side charges, in one add: one FUSE/ROS-Lib
         // delivery round trip + the paper's O(log k) pick (k<=1 merges
         // are free, matching the old single-stream fast path). The model
@@ -749,10 +764,13 @@ impl<'a, S: Storage> MessageStream<'a, S> {
     /// exhausts or fails; call it explicitly if you abandon a stream
     /// early and still want the consumed I/O on your clock.
     pub fn charge_into(&mut self, ctx: &mut IoCtx) {
-        let Some(io_ns) = self.io_ns.take() else { return };
+        if self.charged {
+            return;
+        }
+        self.charged = true;
         bora_obs::counter("stream.merge.heap_ops").add(self.merge.heap_ops());
-        bora_obs::counter("stream.bytes_stitched").add(self.stats().bytes_stitched);
-        ctx.charge_ns(io_ns);
+        bora_obs::counter("stream.bytes_stitched").add(self.stats.bytes_stitched);
+        ctx.charge_ns(self.io_ns);
         for c in &self.cursors {
             ctx.absorb_stats(&c.ctx);
         }
@@ -760,8 +778,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
 
     /// Counters so far (peak resident bytes, heap ops, ...).
     pub fn stats(&self) -> StreamStats {
-        let bytes_stitched = self.cursors.iter().map(|c| c.stitched).sum();
-        StreamStats { heap_ops: self.merge.heap_ops(), bytes_stitched, ..self.stats }
+        StreamStats { heap_ops: self.merge.heap_ops(), ..self.stats }
     }
 
     /// Messages remaining (exact — index entries plus queued tails).
@@ -785,6 +802,32 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         }
         Ok(out)
     }
+}
+
+/// Load a cursor's index slice (full or time-bounded) and run its first
+/// fill — the unit of work a pool thread executes.
+fn prepare_and_fill<S: Storage>(
+    bag: &BoraBag<S>,
+    cursor: &mut TopicCursor,
+    range: Option<(Time, Time)>,
+    readahead: usize,
+    prepare: bool,
+) -> BoraResult<()> {
+    if !cursor.container_backed {
+        // Tail-only lane: nothing on storage to load or prefetch.
+        return Ok(());
+    }
+    if prepare {
+        cursor.src = bag.data_source(&cursor.topic, &cursor.paths, &mut cursor.ctx)?;
+        cursor.entries = bag.load_entries(&cursor.topic, &cursor.paths, range, &mut cursor.ctx)?;
+        // Arm end-to-end verification when the manifest knows the data
+        // file and the cursor reads all of it directly; blocked sources
+        // verify per frame instead, and a time range skips it.
+        if range.is_none() && matches!(cursor.src, DataSource::RawDirect) {
+            cursor.verify = bag.manifest_expectation(&cursor.paths.data);
+        }
+    }
+    cursor.fill(bag, readahead)
 }
 
 #[cfg(test)]

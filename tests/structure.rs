@@ -25,7 +25,7 @@
 //!    pages (`fetch_logical` is not
 //!    called, and nothing between `DataSource::Blocked { map }` and the
 //!    page push builds an `Arc` from bytes); and the file has no more
-//!    code lines than when the merge became a type of its own.
+//!    code lines than when the stream began to lend runs.
 //! 7. *One merge, one multi-container read*: `BinaryHeap` is named in one
 //!    non-test source under `crates/` — `stream.rs`, whose `Merge` the
 //!    cluster router drives too — not counting `crates/bench`, whose
@@ -94,10 +94,11 @@ const STREAM: &str = "crates/bora/src/stream.rs";
 const PROTO: &str = "crates/bora-serve/src/proto.rs";
 const SERVER: &str = "crates/bora-serve/src/server.rs";
 /// Code lines of `stream.rs` — non-blank, not a `//` comment, before
-/// `#[cfg(test)]` — once `Merge` held the merge for both read paths (466
-/// before the read core lent, 463 after); held when the stream began to
-/// lend runs.
-const STREAM_CODE_LINES: usize = 462;
+/// `#[cfg(test)]` — once the stream lent runs: 462 when `Merge` held the
+/// merge for both read paths (466 before the read core lent, 463 after),
+/// and 42 more for `Run`, `Merge::runner_up`, the cursor's run bound and
+/// `lend` as a run of one.
+const STREAM_CODE_LINES: usize = 504;
 const REGISTRY: &str = "crates/bench/src/experiments/mod.rs";
 const EXEC: &str = "crates/bora-query/src/exec.rs";
 /// The row-at-a-time functions of `exec.rs`, which only the oracle runs.
@@ -307,7 +308,7 @@ fn stream_violations(source: &str) -> Vec<String> {
         }
         lend_runs |=
             (item, current) == ("MessageStream", "lend") && line.contains("self.lend_run(");
-        next_msg_lends |= current == "next_msg" && line.contains("self.lend");
+        next_msg_lends |= current == "next_msg" && line.contains("self.lend(");
         if line.contains("fetch_logical(") {
             flag(i, "a cursor queues pages, it does not copy them out");
         }
@@ -324,7 +325,7 @@ fn stream_violations(source: &str) -> Vec<String> {
         flag(0, "`next_msg` is `lend`, then own");
     }
     if code.len() > STREAM_CODE_LINES {
-        flag(0, &format!("{} code lines, {STREAM_CODE_LINES} with one merge", code.len()));
+        flag(0, &format!("{} code lines, {STREAM_CODE_LINES} with runs", code.len()));
     }
     found
 }
@@ -819,6 +820,7 @@ fn the_read_core_guard_fires() {
         ("self.next += 1;", "self.next = merge.pick()?;", "one caller"),
         ("self.heap.pop()", "self.pick()", "one caller"),
         ("self.lend(ctx)", "self.pop_merged(ctx)", "then own"),
+        ("self.lend(ctx)", "self.lend_run(ctx, 1)", "then own"),
         ("self.lend_run(ctx, 1)", "self.cursors[0].lend_run(0)", "a run of one"),
         ("self.lend_run(ctx, 1)", "self.merge.pick()", "one caller"),
         (
