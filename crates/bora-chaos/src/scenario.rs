@@ -23,9 +23,9 @@
 //!   with nothing deferred, every container is fully replicated on live
 //!   nodes, and heal *refuses* to run from a minority reachability view.
 //! * **Breakers re-close** after the network heals and traffic resumes.
-//! * **Deadlines bound work** — no single op's wall time exceeds the
-//!   propagated per-request deadline times the replica count, plus
-//!   scheduling slack.
+//! * **Deadlines bound work** — no single op's wall time exceeds three
+//!   times its total deadline (the headroom once kept for a deadline per
+//!   replica), plus scheduling slack.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -33,10 +33,10 @@ use std::time::{Duration, Instant};
 
 use bora_cluster::{
     BreakerConfig, BreakerState, ClusterClient, ClusterClientConfig, ClusterTierConfig,
-    HedgeConfig, LocalCluster, NodeId, RingConfig, RoutePolicy,
+    HedgeConfig, LocalCluster, NodeId, RetryBudgetConfig, RingConfig, RoutePolicy,
 };
 use bora_ingest::{IngestConfig, IngestStore};
-use bora_serve::{MemTransport, RetryBudgetConfig, WireMessage};
+use bora_serve::{MemTransport, WireMessage};
 use ros_msgs::{sensor_msgs::Imu, Time};
 use rosbag::{BagWriter, BagWriterOptions};
 use simfs::{IoCtx, MemStorage};
@@ -49,12 +49,14 @@ pub const INGEST_ROOT: &str = "/c/chaos-live";
 pub const STATIC_TOPICS: [&str; 2] = ["/imu", "/odom"];
 pub const LIVE_TOPIC: &str = "/chaos";
 
-/// Per-request deadline the chaos client propagates on the wire.
+/// Total deadline of one chaos-client call; each attempt carries what
+/// remains of it on the wire.
 const DEADLINE: Duration = Duration::from_millis(800);
 /// Chaos frame timeout: how long one lost frame stalls its caller.
 const FRAME_TIMEOUT: Duration = Duration::from_millis(100);
-/// An op may burn a deadline per replica (failover walks the set) plus
-/// generous scheduling slack before we call it a deadline violation.
+/// An op may burn a total deadline (every attempt and backoff of its
+/// walk) plus generous scheduling slack before we call it a deadline
+/// violation.
 const OP_WALL_SLACK: Duration = Duration::from_secs(4);
 const MSGS_PER_BATCH: u64 = 3;
 
@@ -343,7 +345,7 @@ impl Harness {
     /// Stream the static container, comparing to baseline on success.
     fn stream_static_with(&mut self, mut mid: impl FnMut(&Harness)) {
         let started = Instant::now();
-        let stream = match self.chaos.read_stream(STATIC_ROOT, &STATIC_TOPICS) {
+        let stream = match self.chaos.read_stream(STATIC_ROOT, &STATIC_TOPICS, None) {
             Ok(s) => s,
             Err(_) => {
                 self.ops_attempted += 1;

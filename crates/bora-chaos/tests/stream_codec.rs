@@ -239,7 +239,7 @@ fn a_cluster_stream_over_a_slow_link_decodes_lz_chunks() {
     let lz = bora_obs::counter("serve.stream_chunk_lz");
     let before = lz.get();
     let streamed: Vec<WireMessage> =
-        client.read_stream(ROOT, &["/imu"]).unwrap().collect::<Result<_, _>>().unwrap();
+        client.read_stream(ROOT, &["/imu"], None).unwrap().collect::<Result<_, _>>().unwrap();
     assert_eq!(streamed, read);
     // The window blocks behind the cap, so at least the warm-up round's
     // probes went LZ-coded.

@@ -11,13 +11,15 @@
 //!   join/leave moves only the minimal set of containers
 //!   ([`ring::Ring::reshard`] makes the moves explicit and
 //!   [`ring::MigrationPlan::batches`] throttles them);
-//! * [`client`] — the router: speaks the bora-serve protocol to owner
-//!   nodes, fails over to replicas on transport faults and
-//!   `Io`/`ChecksumMismatch` errors, hedges slow reads against a replica
-//!   (adaptive EWMA threshold, win rate exported via bora-obs), resumes
-//!   broken `READ_STREAM2`s on a replica byte-identically, and k-way
-//!   merges multi-container streams cluster-wide with the node's own
-//!   `bora::stream::Merge`;
+//! * [`client`] — the router and the one resilient client: speaks the
+//!   bora-serve protocol to owner nodes through one retry loop (a walk
+//!   over the replicas, up to four passes with a jittered backoff, a
+//!   shared retry budget and a total deadline) that fails over on
+//!   transport faults and `Io`/`ChecksumMismatch` errors; a read is a
+//!   stream, hedged at its first frame against a replica (adaptive EWMA
+//!   threshold, the loser abandoned, win rate exported via bora-obs),
+//!   resumed on a replica byte-identically when it breaks, and k-way
+//!   merged cluster-wide with the node's own `bora::stream::Merge`;
 //! * [`health`] — per-node circuit breakers, count-based for
 //!   determinism;
 //! * [`cluster`] — the in-process control plane: N servers over
@@ -65,7 +67,7 @@ pub mod telemetry;
 
 pub use client::{
     ClusterClient, ClusterClientConfig, ClusterStream, HedgeConfig, MergedStream, NodeEndpoint,
-    RoutePolicy,
+    RetryBudgetConfig, RoutePolicy,
 };
 pub use cluster::{ClusterTierConfig, HealReport, LocalCluster, LocalNode};
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};

@@ -7,16 +7,22 @@
 //! eagerly — killing the *process* mid-stream would race the buffer.
 //! Instead each node runs over a [`GateStorage`] that injects an `Io`
 //! fault after a calibrated number of data reads, so the owner fails
-//! *while producing* the stream, deterministically.
+//! *while producing* the stream, deterministically. The same gates count
+//! what a hedged read costs both replicas.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use bora_cluster::{
-    ClusterClientConfig, ClusterTierConfig, LocalCluster, NodeId, RingConfig, RoutePolicy,
+    ClusterClient, ClusterClientConfig, ClusterTierConfig, HedgeConfig, LocalCluster, NodeId,
+    RingConfig, RoutePolicy,
 };
-use ros_msgs::{sensor_msgs::Imu, Time};
+use bora_serve::transport::{serve_connection, MemConnection};
+use bora_serve::{Connection, Server, Transport};
+use ros_msgs::sensor_msgs::{Image, Imu};
+use ros_msgs::Time;
 use rosbag::{BagWriter, BagWriterOptions};
 use simfs::{DirEntry, FsError, FsResult, IoCtx, MemStorage, Metadata, Storage};
 
@@ -176,7 +182,7 @@ fn mid_stream_node_death_is_byte_identical_and_counted() {
 
     let failovers_before = bora_obs::counter("cluster.failover").get();
     let streamed: Vec<_> = client
-        .read_stream(ROOT, &TOPICS)
+        .read_stream(ROOT, &TOPICS, None)
         .unwrap()
         .collect::<Result<Vec<_>, _>>()
         .expect("stream must survive the owner's mid-stream death");
@@ -240,4 +246,164 @@ fn total_replica_loss_is_reported_not_healed() {
     }
     let err = cluster.heal().unwrap_err();
     assert!(err.to_string().contains("lost every replica"), "{err}");
+}
+
+/// Messages in the many-chunk container: 2 KiB images, so a chunk holds
+/// 32 of them — its 64 KiB floor and its 32-message floor fall together.
+const MANY: u32 = 1_280;
+/// The server's reply window, in chunk frames (`STREAM_WINDOW`).
+const REPLY_WINDOW: usize = 4;
+
+/// A one-topic container of `MANY` 2 KiB images: `MANY / 32` chunks.
+fn build_many_chunks() -> MemStorage {
+    let staging = MemStorage::new();
+    let mut ctx = IoCtx::new();
+    let mut w =
+        BagWriter::create(&staging, "/many.bag", BagWriterOptions::default(), &mut ctx).unwrap();
+    for i in 0..MANY {
+        let t = Time::from_nanos(1_000_000_000 + i as u64 * 1_000_000);
+        let mut image = Image { height: 32, width: 64, step: 64, ..Image::default() };
+        image.header.seq = i;
+        image.header.stamp = t;
+        image.encoding = "mono8".into();
+        image.data = vec![i as u8; 2048];
+        w.write_ros_message(TOPICS[0], t, &image, &mut ctx).unwrap();
+    }
+    w.close(&mut ctx).unwrap();
+    bora::duplicate(&staging, "/many.bag", &staging, ROOT, &Default::default(), &mut ctx).unwrap();
+    staging
+}
+
+/// Data reads of every gate once they have stopped moving: a hedge
+/// loser that is still working has not settled.
+fn settled_reads(gates: &Gates) -> u64 {
+    let total = || gates.lock().unwrap().values().map(|g| g.reads()).sum::<u64>();
+    loop {
+        let before = total();
+        std::thread::sleep(Duration::from_millis(100));
+        if total() == before {
+            return before;
+        }
+    }
+}
+
+/// Frames a link holds that its client has not received yet, and
+/// whether the client hung up.
+type Credit = Arc<(Mutex<(u32, bool)>, Condvar)>;
+
+/// An in-process link to a node that holds one undelivered frame, as a
+/// socket's buffer holds a few: a server that sends faster than its
+/// client reads waits, held to its reply window, until the client reads
+/// or hangs up — unlike `MemTransport`, which buffers a whole answer.
+struct Link(Arc<Server<Arc<GateStorage>>>);
+
+/// The link's server end: a send waits for the client to take the frame
+/// before it.
+struct Served(MemConnection, Credit);
+
+/// The link's client end.
+struct Client(MemConnection, Credit);
+
+impl Connection for Served {
+    fn send_frame(&mut self, parts: &[&[u8]]) -> std::io::Result<()> {
+        let (held, cv) = &*self.1;
+        let mut held = cv.wait_while(held.lock().unwrap(), |(n, gone)| *n > 0 && !*gone).unwrap();
+        if held.1 {
+            return Err(std::io::ErrorKind::BrokenPipe.into());
+        }
+        held.0 += 1;
+        self.0.send_frame(parts)
+    }
+    fn recv_frame(&mut self) -> std::io::Result<Vec<u8>> {
+        self.0.recv_frame()
+    }
+}
+
+impl Connection for Client {
+    fn send_frame(&mut self, parts: &[&[u8]]) -> std::io::Result<()> {
+        self.0.send_frame(parts)
+    }
+    fn recv_frame(&mut self) -> std::io::Result<Vec<u8>> {
+        let frame = self.0.recv_frame()?;
+        self.1 .0.lock().unwrap().0 -= 1;
+        self.1 .1.notify_all();
+        Ok(frame)
+    }
+}
+
+impl Drop for Client {
+    fn drop(&mut self) {
+        self.1 .0.lock().unwrap().1 = true;
+        self.1 .1.notify_all();
+    }
+}
+
+impl Transport for Link {
+    type Conn = Client;
+    fn connect(&self) -> std::io::Result<Client> {
+        let (client, served) = MemConnection::pair();
+        let credit = Credit::default();
+        let mut served = Served(served, Arc::clone(&credit));
+        let server = Arc::clone(&self.0);
+        std::thread::spawn(move || serve_connection(&server, &mut served));
+        Ok(Client(client, credit))
+    }
+}
+
+/// A hedge races two legs of one read, and the loser hangs up once its
+/// first frame is in: across both replicas a hedged read costs at most
+/// one read's data reads plus one reply window's worth, where racing
+/// whole answers costs two reads. Each node is reached over a [`Link`],
+/// so no server runs ahead of its client.
+#[test]
+fn a_hedge_loser_does_one_reply_window_of_extra_work() {
+    let staging = build_many_chunks();
+    let (cluster, gates) = start_gated_cluster(2);
+    cluster.provision(&staging, &[ROOT]).unwrap();
+    let client = |hedge| {
+        let links = cluster
+            .node_ids()
+            .into_iter()
+            .map(|id| (id, Link(cluster.node(id).unwrap().server.clone())));
+        ClusterClient::new(
+            cluster.ring(),
+            links,
+            ClusterClientConfig { hedge, ..ClusterClientConfig::default() },
+        )
+    };
+    let plain = client(None);
+    let hedged = client(Some(HedgeConfig { min_threshold: Duration::ZERO, factor: 0.0 }));
+    let owner = plain.owner(ROOT).unwrap();
+    assert_eq!(plain.replicas(ROOT).len(), 2);
+
+    // Warm both replicas' handles (a hedged read opens on both), then
+    // measure what one read costs the owner.
+    let baseline = plain.read(ROOT, &[TOPICS[0]]).unwrap();
+    assert_eq!(baseline.len(), MANY as usize);
+    assert_eq!(hedged.read(ROOT, &[TOPICS[0]]).unwrap(), baseline);
+    settled_reads(&gates);
+    let owner_gate = Arc::clone(gates.lock().unwrap().get(&owner).unwrap());
+    let before = owner_gate.reads();
+    assert_eq!(plain.read(ROOT, &[TOPICS[0]]).unwrap(), baseline);
+    let per_query = owner_gate.reads() - before;
+    assert!(per_query >= 2, "query did only {per_query} data reads; the gates can't tell");
+    // One reply window of work: what a stream reads to deliver that many
+    // chunks (its first readahead covers more), hung up on after them.
+    let before = settled_reads(&gates);
+    let mut stream = plain.read_stream(ROOT, &[TOPICS[0]], None).unwrap();
+    assert_eq!(stream.by_ref().take(REPLY_WINDOW * 32).count(), REPLY_WINDOW * 32);
+    drop(stream);
+    let window = settled_reads(&gates) - before;
+    assert!(window < per_query, "a reply window read {window} of a read's {per_query}");
+
+    let issued = bora_obs::counter("cluster.hedge.issued").get();
+    let before = settled_reads(&gates);
+    assert_eq!(hedged.read(ROOT, &[TOPICS[0]]).unwrap(), baseline);
+    let spent = settled_reads(&gates) - before;
+    assert!(bora_obs::counter("cluster.hedge.issued").get() > issued, "no hedge was issued");
+    assert!(
+        spent <= per_query + window,
+        "a hedged read cost {spent} data reads; one read costs {per_query}, a reply window {window}"
+    );
+    cluster.shutdown();
 }

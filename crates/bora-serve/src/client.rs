@@ -3,16 +3,14 @@
 //! protocol is strictly request/response); open more connections for
 //! parallelism.
 //!
-//! [`RetryClient`] wraps the same API with fault tolerance: per-request
-//! timeouts, automatic reconnect when the stream breaks or
-//! desynchronizes, and capped exponential backoff with deterministic
-//! jitter for transient errors. Permanent errors (unknown topic, not a
-//! container, structural corruption, bad request) surface immediately —
-//! retrying them would only hide a bug.
+//! This module has no retry code: a [`ServeClient`] reports every fault
+//! as a [`ClientError`], and [`ClientError::is_transient`] says whether
+//! trying again may help. Retrying is `bora-cluster`'s `ClusterClient`'s
+//! one loop — over one node, it is a retrying client of one server.
 
 use std::borrow::BorrowMut;
 use std::marker::PhantomData;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ros_msgs::Time;
 
@@ -314,7 +312,7 @@ impl<C: Connection> ServeClient<C> {
     /// every message in the batch is durable (WAL-committed) on the
     /// server; returns `(appended, epoch)`. Not idempotent — a retry
     /// after an ambiguous failure may duplicate the batch, which is why
-    /// [`RetryClient`] does not wrap it.
+    /// no client retries it.
     pub fn append(
         &mut self,
         container: &str,
@@ -465,6 +463,15 @@ impl<C: Connection, B: BorrowMut<ServeClient<C>>> ReadStream<C, B> {
             decoded: 0,
             _conn: PhantomData,
         })
+    }
+
+    /// Wait for the answer's first frame: a stream that comes back has
+    /// been answered, and one that fails failed before any message.
+    pub fn first_frame(mut self) -> ClientResult<Self> {
+        if self.buffer.is_empty() && !self.done {
+            self.fetch()?;
+        }
+        Ok(self)
     }
 
     /// Messages yielded so far.
@@ -650,383 +657,6 @@ impl<C: Connection> IngestClient<C> {
     }
 }
 
-// ------------------------------------------------------------------ retry
-
-/// Backoff and timeout tuning for [`RetryClient`].
-///
-/// Retry `k` (0-based) sleeps `min(base_delay_ms << k, max_delay_ms)`
-/// milliseconds, reduced by up to `jitter` of itself — i.e. uniform in
-/// `[delay·(1-jitter), delay]`. Jitter is drawn from a splitmix64 stream
-/// seeded with `seed`, so a given policy produces one fixed, replayable
-/// schedule: tests assert on it, and two clients with different seeds
-/// never thundering-herd in lockstep.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts, first try included; 1 disables retries.
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in milliseconds.
-    pub base_delay_ms: u64,
-    /// Cap on the un-jittered backoff.
-    pub max_delay_ms: u64,
-    /// Fraction of each delay randomized away, in `[0, 1]`.
-    pub jitter: f64,
-    /// Seed of the deterministic jitter stream.
-    pub seed: u64,
-    /// Per-attempt timeout installed on every connection
-    /// ([`Connection::set_timeout`]); `None` blocks forever.
-    pub timeout: Option<Duration>,
-    /// Total wall-clock budget for one logical request, *all* attempts
-    /// and backoff sleeps included. When set, each attempt's transport
-    /// timeout is clamped to the remaining budget, the remaining budget
-    /// is propagated on the wire (the server sheds queue-expired work),
-    /// and the client fails with [`ClientError::DeadlineExceeded`]
-    /// rather than start an attempt or sleep past the deadline. `None`
-    /// (the default) keeps the historical per-attempt-only bound.
-    pub deadline: Option<Duration>,
-    /// Token-bucket retry budget; `None` disables it, restoring pure
-    /// attempt-capped retries. See [`RetryBudgetConfig`].
-    pub retry_budget: Option<RetryBudgetConfig>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_delay_ms: 10,
-            max_delay_ms: 2_000,
-            jitter: 0.5,
-            seed: 0x5EED_B07A,
-            timeout: Some(Duration::from_secs(30)),
-            deadline: None,
-            retry_budget: Some(RetryBudgetConfig::default()),
-        }
-    }
-}
-
-/// Tuning for [`RetryBudget`].
-///
-/// The bucket starts full at `capacity` tokens; every retry spends one
-/// token, every *success* deposits `deposit_per_success` (capped at
-/// `capacity`). At the defaults the steady-state retry rate is bounded
-/// at 10% of the success rate (one banked retry per ten successes) with
-/// bursts of at most `capacity` — so a dying backend costs a bounded
-/// number of extra requests instead of `max_attempts ×` amplification
-/// from every caller at once.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryBudgetConfig {
-    /// Maximum banked tokens — the largest retry burst allowed.
-    pub capacity: f64,
-    /// Tokens earned back per successful request.
-    pub deposit_per_success: f64,
-}
-
-impl Default for RetryBudgetConfig {
-    fn default() -> Self {
-        RetryBudgetConfig { capacity: 10.0, deposit_per_success: 0.1 }
-    }
-}
-
-/// A token-bucket retry budget: retries spend, successes earn. Shared
-/// across every retry site of a client so failover cannot amplify into
-/// a retry storm — once the bucket is empty, failures surface
-/// immediately until real successes refill it.
-#[derive(Debug)]
-pub struct RetryBudget {
-    cfg: RetryBudgetConfig,
-    tokens: f64,
-    denied: u64,
-}
-
-impl RetryBudget {
-    /// A full bucket.
-    pub fn new(cfg: RetryBudgetConfig) -> Self {
-        RetryBudget { tokens: cfg.capacity, cfg, denied: 0 }
-    }
-
-    /// Spend one token for a retry; `false` (and a denial recorded) when
-    /// the bucket cannot cover it.
-    pub fn try_spend(&mut self) -> bool {
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            self.denied += 1;
-            false
-        }
-    }
-
-    /// Record a success, earning back a fraction of a token.
-    pub fn on_success(&mut self) {
-        self.tokens = (self.tokens + self.cfg.deposit_per_success).min(self.cfg.capacity);
-    }
-
-    /// Tokens currently banked.
-    pub fn tokens(&self) -> f64 {
-        self.tokens
-    }
-
-    /// Retries denied because the bucket was empty.
-    pub fn denied(&self) -> u64 {
-        self.denied
-    }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl RetryPolicy {
-    /// Un-jittered backoff before retry `k` (0-based): capped exponential.
-    pub fn raw_delay_ms(&self, retry: u32) -> u64 {
-        let factor = if retry >= 63 { u64::MAX } else { 1u64 << retry };
-        self.base_delay_ms.saturating_mul(factor).min(self.max_delay_ms)
-    }
-
-    fn jittered(&self, retry: u32, rng: &mut u64) -> u64 {
-        let raw = self.raw_delay_ms(retry);
-        // 53 uniform bits → u in [0, 1).
-        let u = (splitmix64(rng) >> 11) as f64 / (1u64 << 53) as f64;
-        raw - (raw as f64 * self.jitter.clamp(0.0, 1.0) * u) as u64
-    }
-
-    /// The full jittered schedule this policy will follow (one delay per
-    /// retry, `max_attempts - 1` entries). Deterministic in `seed`.
-    pub fn schedule(&self) -> Vec<u64> {
-        let mut rng = self.seed;
-        (0..self.max_attempts.saturating_sub(1)).map(|k| self.jittered(k, &mut rng)).collect()
-    }
-}
-
-/// A [`ServeClient`] that owns its transport and survives faults.
-///
-/// On a transient error the request is retried on the policy's backoff
-/// schedule; if the failure broke or desynchronized the stream (I/O
-/// error, timeout, undecodable response) the connection is dropped and
-/// re-established first. Requests are idempotent reads, so a retry after
-/// an ambiguous failure never duplicates side effects. Each retry
-/// increments the process-wide `serve.retries` counter.
-pub struct RetryClient<T: Transport> {
-    transport: T,
-    policy: RetryPolicy,
-    client: Option<ServeClient<T::Conn>>,
-    /// Timeout currently installed on the live connection, so deadline
-    /// clamping only re-installs when the bound actually changed.
-    installed_timeout: Option<Duration>,
-    budget: Option<RetryBudget>,
-    rng: u64,
-    next_retry: u32,
-    retries: u64,
-}
-
-impl<T: Transport> RetryClient<T> {
-    /// Wrap `transport`; the first request connects lazily.
-    pub fn new(transport: T, policy: RetryPolicy) -> Self {
-        let rng = policy.seed;
-        let budget = policy.retry_budget.map(RetryBudget::new);
-        RetryClient {
-            transport,
-            policy,
-            client: None,
-            installed_timeout: None,
-            budget,
-            rng,
-            next_retry: 0,
-            retries: 0,
-        }
-    }
-
-    /// Retries performed over this client's lifetime.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// The retry budget, if one is configured.
-    pub fn retry_budget(&self) -> Option<&RetryBudget> {
-        self.budget.as_ref()
-    }
-
-    fn client(&mut self, timeout: Option<Duration>) -> ClientResult<&mut ServeClient<T::Conn>> {
-        if let Some(client) = &mut self.client {
-            if timeout != self.installed_timeout {
-                // A draining deadline shrinks the per-attempt bound between
-                // attempts on the same connection.
-                client.set_timeout(timeout)?;
-                self.installed_timeout = timeout;
-            }
-        } else {
-            let mut conn = self.transport.connect()?;
-            if timeout.is_some() {
-                conn.set_timeout(timeout)?;
-            }
-            self.client = Some(ServeClient::new(conn));
-            self.installed_timeout = timeout;
-        }
-        Ok(self.client.as_mut().expect("just connected"))
-    }
-
-    fn run<R>(
-        &mut self,
-        mut op: impl FnMut(&mut ServeClient<T::Conn>) -> ClientResult<R>,
-    ) -> ClientResult<R> {
-        let started = Instant::now();
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            // Per-attempt bound: the policy timeout, clamped to whatever
-            // is left of the total deadline. The same bound travels on
-            // the wire so the server can shed queue-expired work.
-            let bound = match self.policy.deadline {
-                None => self.policy.timeout,
-                Some(d) => {
-                    let elapsed = started.elapsed();
-                    if elapsed >= d {
-                        return Err(ClientError::DeadlineExceeded {
-                            deadline: d,
-                            elapsed,
-                            last_error: "deadline expired before attempt".into(),
-                        });
-                    }
-                    let remaining = d - elapsed;
-                    Some(self.policy.timeout.map_or(remaining, |t| t.min(remaining)))
-                }
-            };
-            let err = match self.client(bound) {
-                Ok(c) => {
-                    c.set_deadline(bound);
-                    match op(c) {
-                        Ok(v) => {
-                            if let Some(b) = self.budget.as_mut() {
-                                b.on_success();
-                            }
-                            self.next_retry = 0;
-                            return Ok(v);
-                        }
-                        Err(e) => e,
-                    }
-                }
-                Err(e) => e,
-            };
-            // An I/O failure (including a timeout) or an undecodable
-            // response leaves request/response pairing unknown: reconnect
-            // rather than read a stale answer into the next request.
-            if matches!(err, ClientError::Io(_) | ClientError::Proto(_)) {
-                self.client = None;
-            }
-            if !err.is_transient() || attempt >= self.policy.max_attempts {
-                return Err(err);
-            }
-            // The backoff ladder keeps climbing across requests until a
-            // success resets it: a struggling server gets geometrically
-            // more breathing room, not a fresh burst per call.
-            let delay = self.policy.jittered(self.next_retry, &mut self.rng);
-            // No point sleeping into (or past) the deadline: surface the
-            // miss now, with the real failure attached.
-            if let Some(d) = self.policy.deadline {
-                let elapsed = started.elapsed();
-                if elapsed + Duration::from_millis(delay) >= d {
-                    return Err(ClientError::DeadlineExceeded {
-                        deadline: d,
-                        elapsed,
-                        last_error: err.to_string(),
-                    });
-                }
-            }
-            // An empty retry budget turns a would-be retry into an
-            // immediate failure: under a correlated outage the bucket
-            // drains once, then every caller fails fast instead of
-            // multiplying load by max_attempts.
-            if let Some(b) = self.budget.as_mut() {
-                if !b.try_spend() {
-                    bora_obs::counter("serve.retry_budget_denied").inc();
-                    return Err(err);
-                }
-            }
-            self.retries += 1;
-            bora_obs::counter("serve.retries").inc();
-            self.next_retry = (self.next_retry + 1).min(63);
-            if delay > 0 {
-                std::thread::sleep(Duration::from_millis(delay));
-            }
-        }
-    }
-
-    pub fn open(&mut self, container: &str) -> ClientResult<(ContainerStat, bool)> {
-        self.run(|c| c.open(container))
-    }
-
-    pub fn topics(&mut self, container: &str) -> ClientResult<Vec<String>> {
-        self.run(|c| c.topics(container))
-    }
-
-    pub fn meta(&mut self, container: &str) -> ClientResult<Vec<u8>> {
-        self.run(|c| c.meta(container))
-    }
-
-    /// A read collected to completion, with retry. It is retried as a
-    /// unit: if its stream breaks mid-flight, the whole read is re-issued
-    /// from the start on a fresh connection (reads are idempotent — the
-    /// cost is repeated work, never duplicated or missing messages).
-    pub fn read(&mut self, container: &str, topics: &[&str]) -> ClientResult<Vec<WireMessage>> {
-        self.run(|c| c.read(container, topics))
-    }
-
-    /// Time-ranged variant of [`RetryClient::read`].
-    pub fn read_time(
-        &mut self,
-        container: &str,
-        topics: &[&str],
-        start: Time,
-        end: Time,
-    ) -> ClientResult<Vec<WireMessage>> {
-        self.run(|c| c.read_time(container, topics, start, end))
-    }
-
-    /// A query retried as a unit: if the stream breaks mid-flight the
-    /// whole statement is re-issued on a fresh connection (queries are
-    /// idempotent reads). [`ErrorCode::BadQuery`] is permanent and
-    /// surfaces immediately — resending a statement that cannot parse
-    /// would only repeat the failure.
-    pub fn query(&mut self, container: &str, sql: &str) -> ClientResult<QueryReply> {
-        self.run(|c| c.query(container, sql))
-    }
-
-    /// Fragment-mode variant of [`RetryClient::query`]; see
-    /// [`ServeClient::query_partial`].
-    pub fn query_partial(&mut self, container: &str, sql: &str) -> ClientResult<QueryReply> {
-        self.run(|c| c.query_partial(container, sql))
-    }
-
-    pub fn stat(&mut self, container: &str) -> ClientResult<ContainerStat> {
-        self.run(|c| c.stat(container))
-    }
-
-    /// See [`ServeClient::stats`].
-    pub fn stats(&mut self) -> ClientResult<StatsSnapshot> {
-        self.metrics().map(|r| StatsSnapshot::from(&r))
-    }
-
-    pub fn metrics(&mut self) -> ClientResult<MetricsReport> {
-        self.run(|c| c.metrics())
-    }
-
-    /// Health probe. Not retried beyond the policy's normal schedule: a
-    /// probe that needs retries is itself the health signal.
-    pub fn ping(&mut self) -> ClientResult<PingInfo> {
-        self.run(|c| c.ping())
-    }
-
-    /// Shutdown is not retried: a lost response is indistinguishable from
-    /// a server that already began shutting down, and re-sending it to a
-    /// fresh connection would be a new side effect, not a retry.
-    pub fn shutdown(&mut self) -> ClientResult<()> {
-        self.client(self.policy.timeout)?.shutdown()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1035,68 +665,15 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::{Arc, Mutex};
 
-    fn policy(max_attempts: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_attempts,
-            base_delay_ms: 0, // tests must not sleep
-            max_delay_ms: 0,
-            jitter: 0.0,
-            seed: 1,
-            timeout: None,
-            deadline: None,
-            retry_budget: None,
-        }
-    }
-
-    // -------------------------------------------------- backoff schedule
-
-    #[test]
-    fn backoff_doubles_then_caps() {
-        let p = RetryPolicy {
-            max_attempts: 8,
-            base_delay_ms: 100,
-            max_delay_ms: 1_000,
-            jitter: 0.0,
-            seed: 7,
-            ..policy(8)
-        };
-        assert_eq!(p.schedule(), vec![100, 200, 400, 800, 1_000, 1_000, 1_000]);
-        // Huge shift counts saturate instead of overflowing.
-        assert_eq!(p.raw_delay_ms(63), 1_000);
-    }
-
-    #[test]
-    fn jitter_is_bounded_and_deterministic() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            base_delay_ms: 64,
-            max_delay_ms: 4_096,
-            jitter: 0.5,
-            seed: 42,
-            ..policy(10)
-        };
-        let a = p.schedule();
-        assert_eq!(a, p.schedule(), "same seed, same schedule");
-        for (k, &d) in a.iter().enumerate() {
-            let raw = p.raw_delay_ms(k as u32);
-            assert!(d <= raw, "jitter only shortens: {d} > {raw}");
-            assert!(d * 2 >= raw, "at most half removed at jitter 0.5: {d} < {raw}/2");
-        }
-        let other = RetryPolicy { seed: 43, ..p.clone() };
-        assert_ne!(a, other.schedule(), "different seed, different jitter");
-    }
-
     // -------------------------------------------------- scripted transport
 
-    /// What a scripted connection does for one request.
+    /// What a scripted connection answers next.
     #[derive(Clone)]
     enum Step {
         /// Answer under the seq of the request in flight.
         Reply(Response),
         /// Deliver these bytes as a frame, whatever they are.
         Raw(Vec<u8>),
-        /// Fail the recv with an I/O error (connection is then unusable).
-        Break,
     }
 
     struct ScriptedConn {
@@ -1104,8 +681,6 @@ mod tests {
         sends: Arc<AtomicU32>,
         /// Seq of the last request sent.
         seq: u32,
-        pending: bool,
-        broken: bool,
     }
 
     impl Connection for ScriptedConn {
@@ -1113,222 +688,40 @@ mod tests {
             self.sends.fetch_add(1, Ordering::SeqCst);
             let payload = parts.concat();
             self.seq = crate::proto::split_seq(&payload).expect("requests open with a seq").0;
-            self.pending = true;
-            Ok(())
-        }
-        // Accepted but unenforced: scripted failures come from the
-        // script, not real waits. Without this, deadline policies (which
-        // install a clamped timeout) could not be scripted at all.
-        fn set_timeout(&mut self, _timeout: Option<Duration>) -> std::io::Result<()> {
             Ok(())
         }
         fn recv_frame(&mut self) -> std::io::Result<Vec<u8>> {
-            // One send may be answered by many frames (streams), so
-            // `pending` stays set until the connection breaks.
-            assert!(self.pending, "recv without a request in flight");
-            if self.broken {
-                return Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "dead conn"));
-            }
             match self.steps.lock().unwrap().pop_front() {
                 Some(Step::Reply(resp)) => Ok(resp.encode_seq(self.seq).unwrap()),
                 Some(Step::Raw(frame)) => Ok(frame),
-                Some(Step::Break) | None => {
-                    self.broken = true;
-                    Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "scripted break"))
-                }
+                None => Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "script over")),
             }
         }
     }
 
-    /// Hands every connection the same shared script; counts connects
-    /// and request frames sent.
+    /// Hands every connection the same shared script; counts request
+    /// frames sent.
     struct ScriptedTransport {
         steps: Arc<Mutex<VecDeque<Step>>>,
-        connects: AtomicU32,
         sends: Arc<AtomicU32>,
     }
 
     impl ScriptedTransport {
         fn new(steps: Vec<Step>) -> Self {
-            ScriptedTransport {
-                steps: Arc::new(Mutex::new(steps.into())),
-                connects: AtomicU32::new(0),
-                sends: Arc::default(),
-            }
+            ScriptedTransport { steps: Arc::new(Mutex::new(steps.into())), sends: Arc::default() }
         }
     }
 
     impl Transport for ScriptedTransport {
         type Conn = ScriptedConn;
         fn connect(&self) -> std::io::Result<ScriptedConn> {
-            self.connects.fetch_add(1, Ordering::SeqCst);
-            Ok(ScriptedConn {
-                steps: Arc::clone(&self.steps),
-                sends: Arc::clone(&self.sends),
-                seq: 0,
-                pending: false,
-                broken: false,
-            })
+            let (steps, sends) = (Arc::clone(&self.steps), Arc::clone(&self.sends));
+            Ok(ScriptedConn { steps, sends, seq: 0 })
         }
     }
 
     fn server_err(code: ErrorCode) -> Step {
         Step::Reply(Response::Error { code, message: "scripted".into() })
-    }
-
-    // ------------------------------------------------------ retry behavior
-
-    #[test]
-    fn transient_errors_retry_until_success() {
-        let t = ScriptedTransport::new(vec![
-            Step::Reply(Response::Overloaded),
-            server_err(ErrorCode::Io),
-            Step::Reply(Response::Topics(vec!["/imu".into()])),
-        ]);
-        let mut c = RetryClient::new(&t, policy(5));
-        assert_eq!(c.topics("/c").unwrap(), vec!["/imu".to_owned()]);
-        assert_eq!(c.retries(), 2);
-        assert_eq!(t.connects.load(Ordering::SeqCst), 1, "server errors keep the connection");
-    }
-
-    #[test]
-    fn broken_stream_reconnects_then_succeeds() {
-        let t = ScriptedTransport::new(vec![Step::Break, Step::Reply(Response::Topics(vec![]))]);
-        let mut c = RetryClient::new(&t, policy(3));
-        assert_eq!(c.topics("/c").unwrap(), Vec::<String>::new());
-        assert_eq!(c.retries(), 1);
-        assert_eq!(t.connects.load(Ordering::SeqCst), 2, "I/O failure forces a reconnect");
-    }
-
-    #[test]
-    fn gives_up_after_max_attempts() {
-        let t = ScriptedTransport::new(vec![
-            server_err(ErrorCode::Io),
-            server_err(ErrorCode::Io),
-            server_err(ErrorCode::Io),
-            Step::Reply(Response::Topics(vec![])), // never reached
-        ]);
-        let mut c = RetryClient::new(&t, policy(3));
-        match c.topics("/c") {
-            Err(ClientError::Server { code: ErrorCode::Io, .. }) => {}
-            other => panic!("expected Io server error, got {other:?}"),
-        }
-        assert_eq!(c.retries(), 2, "3 attempts = 2 retries");
-        assert_eq!(t.steps.lock().unwrap().len(), 1, "exactly 3 requests sent");
-    }
-
-    #[test]
-    fn permanent_errors_are_not_retried() {
-        for code in [ErrorCode::UnknownTopic, ErrorCode::NotAContainer, ErrorCode::Corrupt] {
-            let t = ScriptedTransport::new(vec![
-                server_err(code),
-                Step::Reply(Response::Topics(vec![])),
-            ]);
-            let mut c = RetryClient::new(&t, policy(5));
-            match c.topics("/c") {
-                Err(ClientError::Server { code: got, .. }) => assert_eq!(got, code),
-                other => panic!("expected server error, got {other:?}"),
-            }
-            assert_eq!(c.retries(), 0, "{code:?} must not be retried");
-            assert_eq!(t.steps.lock().unwrap().len(), 1, "only one request sent");
-        }
-    }
-
-    #[test]
-    fn checksum_mismatch_is_retried() {
-        let t = ScriptedTransport::new(vec![
-            server_err(ErrorCode::ChecksumMismatch),
-            Step::Reply(Response::Topics(vec![])),
-        ]);
-        let mut c = RetryClient::new(&t, policy(3));
-        assert!(c.topics("/c").is_ok());
-        assert_eq!(c.retries(), 1);
-    }
-
-    // ------------------------------------------------------- retry budget
-
-    #[test]
-    fn retry_budget_bounds_total_retries() {
-        // Far more transient failures than the bucket can cover: the
-        // attempt cap would allow 99 retries, the budget allows 3.
-        let t = ScriptedTransport::new(vec![server_err(ErrorCode::Io); 10]);
-        let p = RetryPolicy {
-            retry_budget: Some(RetryBudgetConfig { capacity: 3.0, deposit_per_success: 0.1 }),
-            ..policy(100)
-        };
-        let mut c = RetryClient::new(&t, p);
-        match c.topics("/c") {
-            Err(ClientError::Server { code: ErrorCode::Io, .. }) => {}
-            other => panic!("expected the underlying Io error, got {other:?}"),
-        }
-        assert_eq!(c.retries(), 3, "bucket of 3 tokens = 3 retries");
-        assert_eq!(c.retry_budget().unwrap().denied(), 1);
-        assert_eq!(t.steps.lock().unwrap().len(), 6, "exactly 4 requests sent");
-    }
-
-    #[test]
-    fn retry_budget_refills_on_success() {
-        let t = ScriptedTransport::new(vec![
-            server_err(ErrorCode::Io),
-            Step::Reply(Response::Topics(vec![])),
-            server_err(ErrorCode::Io),
-            Step::Reply(Response::Topics(vec![])), // unreachable: budget empty
-        ]);
-        let p = RetryPolicy {
-            retry_budget: Some(RetryBudgetConfig { capacity: 1.0, deposit_per_success: 0.5 }),
-            ..policy(5)
-        };
-        let mut c = RetryClient::new(&t, p);
-        assert!(c.topics("/c").is_ok(), "first call retries through on the banked token");
-        assert_eq!(c.retry_budget().unwrap().tokens(), 0.5, "success earned half a token back");
-        match c.topics("/c") {
-            Err(ClientError::Server { code: ErrorCode::Io, .. }) => {}
-            other => panic!("expected fail-fast on empty bucket, got {other:?}"),
-        }
-        assert_eq!(c.retries(), 1, "no second retry: bucket below one token");
-        assert_eq!(c.retry_budget().unwrap().denied(), 1);
-    }
-
-    // --------------------------------------------------- total deadline
-
-    #[test]
-    fn deadline_cuts_backoff_short() {
-        // The first retry would sleep 10s; the 50ms total budget makes
-        // the client surface the miss immediately instead.
-        let t = ScriptedTransport::new(vec![Step::Break; 5]);
-        let p = RetryPolicy {
-            base_delay_ms: 10_000,
-            max_delay_ms: 10_000,
-            deadline: Some(Duration::from_millis(50)),
-            ..policy(5)
-        };
-        let start = Instant::now();
-        let mut c = RetryClient::new(&t, p);
-        match c.topics("/c") {
-            Err(ClientError::DeadlineExceeded { deadline, last_error, .. }) => {
-                assert_eq!(deadline, Duration::from_millis(50));
-                assert!(last_error.contains("scripted break"), "carries the real failure");
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-        assert!(start.elapsed() < Duration::from_secs(5), "did not sleep the 10s backoff");
-        assert_eq!(c.retries(), 0);
-        assert!(!ClientError::DeadlineExceeded {
-            deadline: Duration::ZERO,
-            elapsed: Duration::ZERO,
-            last_error: String::new(),
-        }
-        .is_transient());
-    }
-
-    #[test]
-    fn expired_deadline_fails_before_any_attempt() {
-        let t = ScriptedTransport::new(vec![Step::Reply(Response::Topics(vec![]))]);
-        let p = RetryPolicy { deadline: Some(Duration::ZERO), ..policy(3) };
-        let mut c = RetryClient::new(&t, p);
-        assert!(matches!(c.topics("/c"), Err(ClientError::DeadlineExceeded { .. })));
-        assert_eq!(t.steps.lock().unwrap().len(), 1, "no request was sent");
-        assert_eq!(t.connects.load(Ordering::SeqCst), 0, "no connection was made");
     }
 
     // ------------------------------------------------------- the envelope

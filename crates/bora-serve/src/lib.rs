@@ -62,8 +62,7 @@ pub mod transport;
 
 pub use cache::{HandleCache, PinnedBag};
 pub use client::{
-    ClientError, ClientResult, IngestBatching, IngestClient, QueryReply, ReadStream, RetryBudget,
-    RetryBudgetConfig, RetryClient, RetryPolicy, ServeClient,
+    ClientError, ClientResult, IngestBatching, IngestClient, QueryReply, ReadStream, ServeClient,
 };
 pub use metrics::{Op, OpSummary, StatsSnapshot};
 pub use proto::{

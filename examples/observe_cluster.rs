@@ -67,7 +67,7 @@ fn main() {
     // their p99 under 50ms, opens under 10ms.
     for id in cluster.node_ids() {
         let node = cluster.node(id).unwrap();
-        node.server.set_slo_target(Op::Read, SloTarget::p99(50_000_000));
+        node.server.set_slo_target(Op::ReadStream, SloTarget::p99(50_000_000));
         node.server.set_slo_target(Op::Open, SloTarget::p99(10_000_000));
     }
 
@@ -100,7 +100,7 @@ fn main() {
     print!("{}", bora_cluster::render_top(&scrape));
     println!(
         "\ncluster-wide reads: {} (summed over {} nodes; hedged losers included)",
-        scrape.aggregate.hist("serve.op.read.wall_ns").map(|h| h.count).unwrap_or(0),
+        scrape.aggregate.hist("serve.op.read_stream.wall_ns").map(|h| h.count).unwrap_or(0),
         scrape.aggregate.nodes,
     );
 

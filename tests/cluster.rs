@@ -11,9 +11,10 @@
 
 use bora_chaos::{ChaosRule, ChaosState, ChaosTransport, NetFault, Partition};
 use bora_cluster::{
-    ClusterClient, ClusterClientConfig, ClusterTierConfig, LocalCluster, RingConfig, RoutePolicy,
+    ClusterClient, ClusterClientConfig, ClusterTierConfig, LocalCluster, RetryBudgetConfig,
+    RingConfig, RoutePolicy,
 };
-use bora_serve::{ClientError, MemTransport, RetryBudgetConfig, WireMessage};
+use bora_serve::{ClientError, MemTransport, WireMessage};
 use ros_msgs::sensor_msgs::Image;
 use ros_msgs::{RosMessage, Time};
 use rosbag::{BagWriter, BagWriterOptions};
@@ -195,7 +196,7 @@ fn cluster_streams_match_reads_across_a_mid_stream_node_kill() {
     let check_streams = |when: &str| {
         for (root, want) in roots.iter().zip(&expected) {
             let got: Vec<WireMessage> =
-                client.read_stream(root, &TOPICS).unwrap().collect::<Result<_, _>>().unwrap();
+                client.read_stream(root, &TOPICS, None).unwrap().collect::<Result<_, _>>().unwrap();
             assert_eq!(&got, want, "{root} streamed {when}");
         }
         let merged: Vec<WireMessage> = client
@@ -212,7 +213,7 @@ fn cluster_streams_match_reads_across_a_mid_stream_node_kill() {
     // with robot 0's stream and a merged one both open on it.
     let owner = client.owner(&roots[0]).unwrap();
     let failovers = bora_obs::counter("cluster.failover").get();
-    let mut stream = client.read_stream(&roots[0], &TOPICS).unwrap();
+    let mut stream = client.read_stream(&roots[0], &TOPICS, None).unwrap();
     let mut merged = client.read_stream_multi(&refs, &TOPICS, None).unwrap();
     let mut got: Vec<WireMessage> = stream.by_ref().take(70).collect::<Result<_, _>>().unwrap();
     let mut got_merged: Vec<WireMessage> =
@@ -290,7 +291,7 @@ fn a_lost_chunk_ends_a_cluster_stream_with_its_count() {
     // Event `at` is the request, `at + 1` the first chunk: drop the second.
     let at = chaos.events();
     chaos.set_rules(vec![ChaosRule::new(NetFault::Drop).on_recv().window(at + 2, at + 3)]);
-    let mut results: Vec<_> = client.read_stream(&roots[0], &TOPICS).unwrap().collect();
+    let mut results: Vec<_> = client.read_stream(&roots[0], &TOPICS, None).unwrap().collect();
     assert_eq!(chaos.faults_injected(), 1);
     let last = results.pop().unwrap();
     let delivered: Vec<WireMessage> = results.into_iter().map(Result::unwrap).collect();

@@ -219,7 +219,7 @@ fn resumed_cluster_stream_stays_in_the_callers_trace() {
     bora_obs::set_enabled(true);
     bora_obs::drain();
     let caller = bora_obs::span("cluster.test_stream");
-    let mut stream = client.read_stream(&roots[0], &["/imu"]).unwrap();
+    let mut stream = client.read_stream(&roots[0], &["/imu"], None).unwrap();
     // 40 messages are two chunks; the first is in hand when the owner goes.
     let mut got: Vec<_> = stream.by_ref().take(8).collect::<Result<_, _>>().unwrap();
     chaos.set_partition(Some(Partition::full([owner])));
@@ -339,12 +339,12 @@ fn cluster_telemetry_aggregates_live_nodes_and_tracks_deltas() {
     // sum sees all of them regardless of placement.
     let topics_hist = first.aggregate.hist("serve.op.topics.wall_ns").unwrap();
     assert_eq!(topics_hist.count, 2, "two topics calls cluster-wide");
-    assert_eq!(first.aggregate.hist("serve.op.read.wall_ns").unwrap().count, 2);
+    assert_eq!(first.aggregate.hist("serve.op.read_stream.wall_ns").unwrap().count, 2);
     // Per-node counts split the same total.
     let per_node: u64 = first
         .reports
         .iter()
-        .filter_map(|(_, r)| r.hist("serve.op.read.wall_ns"))
+        .filter_map(|(_, r)| r.hist("serve.op.read_stream.wall_ns"))
         .map(|h| h.count)
         .sum();
     assert_eq!(per_node, 2);
@@ -357,7 +357,7 @@ fn cluster_telemetry_aggregates_live_nodes_and_tracks_deltas() {
             .deltas
             .iter()
             .flat_map(|(_, d)| d.iter())
-            .filter(|(name, _)| name == "serve.op.read.wall_ns.count")
+            .filter(|(name, _)| name == "serve.op.read_stream.wall_ns.count")
             .map(|&(_, v)| v)
             .sum()
     };

@@ -9,9 +9,10 @@
 use bora_repro::*;
 
 use bora::{BoraBag, OrganizerOptions};
+use bora_cluster::{ClusterClient, ClusterClientConfig, Ring, RingConfig};
 use bora_serve::{
-    spawn_tcp_listener, ClientError, ErrorCode, MemTransport, RetryClient, RetryPolicy,
-    ServeClient, Server, ServerConfig, TcpTransport,
+    spawn_tcp_listener, ClientError, ErrorCode, MemTransport, ServeClient, Server, ServerConfig,
+    TcpTransport,
 };
 use simfs::{FaultKind, FaultRule, FaultyStorage, IoCtx, MemStorage, Storage};
 use std::sync::Arc;
@@ -219,19 +220,23 @@ fn backend_fault_becomes_protocol_error_without_poisoning_the_cache() {
     server.shutdown();
 }
 
+/// The one resilient client over one server: a `ClusterClient` whose
+/// ring holds a single node, so its walk retries that node alone.
+fn one_node_client<S: Storage + Clone + Send + Sync + 'static>(
+    server: &Arc<Server<S>>,
+) -> ClusterClient<MemTransport<S>> {
+    let ring = Arc::new(std::sync::RwLock::new(Ring::with_nodes(RingConfig::default(), 1)));
+    let transport = MemTransport::new(Arc::clone(server));
+    ClusterClient::new(ring, [(0, transport)], ClusterClientConfig::default())
+}
+
 #[test]
 fn retry_client_completes_query_mix_under_transient_faults() {
     let fs = Arc::new(FaultyStorage::new(MemStorage::new()));
     let roots = build_containers(&*fs, 2);
 
     let server = Server::start(Arc::clone(&fs), ServerConfig::default());
-    let policy = RetryPolicy {
-        max_attempts: 10,
-        base_delay_ms: 0, // schedule shape is unit-tested; keep this test fast
-        max_delay_ms: 0,
-        ..RetryPolicy::default()
-    };
-    let mut client = RetryClient::new(MemTransport::new(Arc::clone(&server)), policy);
+    let client = one_node_client(&server);
 
     // Warm both containers while the backend is healthy: a cold open
     // under a read fault folds into NotAContainer, which is (correctly)
@@ -250,7 +255,7 @@ fn retry_client_completes_query_mix_under_transient_faults() {
         ..FaultRule::default()
     });
 
-    let global_before = bora_obs::counter("serve.retries").get();
+    let retries_before = bora_obs::counter("cluster.failover").get();
     for round in 0..4 {
         let root = &roots[round % roots.len()];
         // Zero client-visible errors across the whole mix: every call
@@ -259,10 +264,9 @@ fn retry_client_completes_query_mix_under_transient_faults() {
         assert_eq!(client.read(root, &["/imu"]).unwrap().len(), healthy);
         assert!(client.stat(root).unwrap().messages > 0);
     }
-    assert!(client.retries() > 0, "the injected faults must have forced retries");
     assert!(
-        bora_obs::counter("serve.retries").get() > global_before,
-        "retries must be visible in telemetry"
+        bora_obs::counter("cluster.failover").get() > retries_before,
+        "the injected faults must have forced retries, visible in telemetry"
     );
 
     server.shutdown();
@@ -378,13 +382,7 @@ fn streamed_reads_survive_transient_faults_via_retry() {
     let roots = build_containers(&*fs, 2);
 
     let server = Server::start(Arc::clone(&fs), ServerConfig::default());
-    let policy = RetryPolicy {
-        max_attempts: 10,
-        base_delay_ms: 0,
-        max_delay_ms: 0,
-        ..RetryPolicy::default()
-    };
-    let mut client = RetryClient::new(MemTransport::new(Arc::clone(&server)), policy);
+    let client = one_node_client(&server);
 
     // Warm handles while healthy; capture the expected bytes.
     let healthy = client.read(&roots[0], &["/imu"]).unwrap();
@@ -392,15 +390,17 @@ fn streamed_reads_survive_transient_faults_via_retry() {
     assert_eq!(client.read(&roots[1], &["/imu"]).unwrap().len(), healthy.len());
 
     // A burst of transient read faults on /srv0's data: the read — a
-    // stream collected — fails mid-stream with a terminal error frame,
-    // the retry layer re-issues the whole query, and the client sees zero
-    // errors and byte-identical results.
+    // stream collected — fails with a terminal error frame, the client's
+    // walk re-issues the query (skipping what a broken stream already
+    // delivered), and the caller sees zero errors and byte-identical
+    // results.
     fs.inject(FaultRule {
         kind: FaultKind::Reads,
         path_contains: Some("/srv0/imu".into()),
         max_failures: Some(3),
         ..FaultRule::default()
     });
+    let retries_before = bora_obs::counter("cluster.failover").get();
     for round in 0..4 {
         let root = &roots[round % roots.len()];
         let streamed = client.read(root, &["/imu"]).unwrap();
@@ -409,7 +409,10 @@ fn streamed_reads_survive_transient_faults_via_retry() {
             assert_eq!((&s.topic, s.time, &s.data), (&b.topic, b.time, &b.data));
         }
     }
-    assert!(client.retries() > 0, "the injected faults must have forced retries");
+    assert!(
+        bora_obs::counter("cluster.failover").get() > retries_before,
+        "the injected faults must have forced retries"
+    );
 
     server.shutdown();
 }

@@ -70,9 +70,9 @@
 //! 14. *One read answer*: a read is a stream. In non-test `bora-serve`
 //!     source `Response::Read(` and `Response::StreamChunk(` — the owned
 //!     message replies — appear only in `proto.rs`'s codec
-//!     (`Response::write` / `Response::decode`); `RetryClient` has no
-//!     `read_streamed*`, because `read` is the stream collected; the
-//!     client decodes message answers (`stream_chunk` /
+//!     (`Response::write` / `Response::decode`); `client.rs` has no
+//!     `read_streamed*`, because `ServeClient::read` is the stream
+//!     collected; the client decodes message answers (`stream_chunk` /
 //!     `decompress_chunk`) in `ReadStream::fetch` alone; and a
 //!     `ChunkCodec` is built only by the serve loop (`serve_connection`,
 //!     one per connection) and `Server::submit_streamed` (one per call).
@@ -85,6 +85,13 @@
 //!     and non-test `bora-query` source has no record feed
 //!     (`cursor_records`, `Feed::Records`, `Pulled::Record`): a cursor's
 //!     one input is a `MessageStream`.
+//! 16. *One resilient client*: retrying is `ClusterClient`'s walk. In
+//!     non-test source `bora-serve` names no `RetryClient` or
+//!     `RetryPolicy` and its `client.rs` never sleeps; `bora-cluster`
+//!     spends retry-budget tokens in one fn and sleeps in one place; and
+//!     the `pub fn`s of `ClusterClient` that return messages or streams
+//!     are exactly `read`, `read_stream` and `read_stream_multi` — a
+//!     collected read is the stream, hedged at its first frame.
 
 use std::path::Path;
 
@@ -141,6 +148,10 @@ const READ_SURFACES: [(&str, &[&str]); 2] = [
     ),
     ("crates/bora-ingest/src/snapshot.rs", &["stream", "read_time_range"]),
 ];
+const CLUSTER_SRC: &str = "crates/bora-cluster/src/";
+const CLUSTER_CLIENT: &str = "crates/bora-cluster/src/client.rs";
+/// The `ClusterClient` calls that return messages or streams.
+const CLUSTER_READS: [&str; 3] = ["read", "read_stream", "read_stream_multi"];
 const QUERY_SRC: &str = "crates/bora-query/src/";
 /// The query cursor's retired second input.
 const RECORD_FEED: [&str; 3] = ["cursor_records", "Feed::Records", "Pulled::Record"];
@@ -554,7 +565,7 @@ fn one_read_answer_violations(path: &str, source: &str) -> Vec<String> {
             flag(i, "a read is answered by chunks: no owned message reply outside the codec");
         }
         if path == CLIENT && code.contains("fn read_streamed") {
-            flag(i, "`RetryClient::read` is the stream collected");
+            flag(i, "`ServeClient::read` is the stream collected");
         }
         let decodes = ["stream_chunk(", "decompress_chunk("].iter().any(|d| code.contains(d));
         if path == CLIENT && decodes && current != "fetch" {
@@ -603,6 +614,87 @@ fn one_read_surface_violations(path: &str, source: &str) -> Vec<String> {
     }
     if readers.len() != kept.len() || !kept.iter().all(|k| readers.contains(k)) {
         found.push(format!("one read surface: {path} reads through {readers:?}, not {kept:?}"));
+    }
+    found
+}
+
+/// Guard 16 over the sources of `bora-serve` and `bora-cluster`, as
+/// `(path, text)`: retrying named in `bora-serve` or a sleep in its
+/// `client.rs`; the `bora-cluster` fns that spend a retry-budget token
+/// and the lines that sleep, one each; and `ClusterClient`'s read calls.
+fn one_client_violations(files: &[(&str, &str)]) -> Vec<String> {
+    let (mut found, mut spenders, mut sleeps, mut readers) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for (path, source) in files {
+        let code = source.lines().take_while(|l| !l.contains("#[cfg(test)]"));
+        let code: Vec<&str> = code.map(|l| l.split("//").next().unwrap_or("")).collect();
+        let (mut owner, mut current) = ("", "");
+        for (i, line) in code.iter().enumerate() {
+            let at = format!("{path}:{}", i + 1);
+            if line.starts_with("impl") {
+                owner = impl_type(line);
+            } else if line.starts_with('}') {
+                owner = "";
+            }
+            let trimmed = line.trim_start();
+            let header =
+                ["fn ", "pub fn ", "pub(crate) fn "].iter().find_map(|p| trimmed.strip_prefix(p));
+            if let Some(header) = header {
+                current = header.split(['(', '<']).next().unwrap_or("");
+            }
+            if path.starts_with(SERVE_SRC) {
+                if line.contains("RetryClient") || line.contains("RetryPolicy") {
+                    found.push(format!("one resilient client: {at}: `bora-serve` does not retry"));
+                }
+                if *path == CLIENT && line.contains("sleep(") {
+                    found.push(format!("one resilient client: {at}: `ServeClient` never sleeps"));
+                }
+            }
+            if !path.starts_with(CLUSTER_SRC) {
+                continue;
+            }
+            let spends = line.contains("budget.failover(")
+                || line.contains(".try_spend(") && owner != "SharedBudget";
+            let site = format!("{path}:{current}");
+            if spends && !spenders.contains(&site) {
+                spenders.push(site);
+            }
+            if line.contains("sleep(") {
+                sleeps.push(at);
+            }
+            let Some(rest) = trimmed.strip_prefix("pub fn ") else { continue };
+            if *path != CLUSTER_CLIENT || owner != "ClusterClient" {
+                continue;
+            }
+            let body =
+                code[i..].iter().position(|l| l.ends_with('{')).map_or(code.len(), |k| i + k + 1);
+            let returns = code[i..body].concat();
+            let returns = returns.rsplit_once("->").map_or("", |(_, r)| r);
+            if returns.contains("WireMessage") || returns.contains("Stream") {
+                readers.push(rest.split(['(', '<']).next().unwrap_or(""));
+            }
+        }
+    }
+    if !files.iter().any(|(p, _)| p.starts_with(CLUSTER_SRC)) {
+        return found;
+    }
+    if spenders.len() != 1 {
+        found.push(format!(
+            "one resilient client: budget tokens are spent in {spenders:?}, not one fn"
+        ));
+    }
+    if sleeps.len() != 1 {
+        found.push(format!(
+            "one resilient client: `bora-cluster` sleeps at {sleeps:?}, not one place"
+        ));
+    }
+    let surface = files.iter().any(|(p, _)| *p == CLUSTER_CLIENT);
+    if surface
+        && (readers.len() != CLUSTER_READS.len()
+            || !CLUSTER_READS.iter().all(|r| readers.contains(r)))
+    {
+        let what = format!("`ClusterClient` reads through {readers:?}, not {CLUSTER_READS:?}");
+        found.push(format!("one resilient client: {what}"));
     }
     found
 }
@@ -698,7 +790,7 @@ fn walk(dir: &Path, visit: &mut impl FnMut(&Path)) {
 fn the_tree_holds_every_guard() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut found = Vec::new();
-    let (mut files, mut heap_files) = (0, Vec::new());
+    let (mut files, mut heap_files, mut clients) = (0, Vec::new(), Vec::new());
     for dir in ["crates", "tests", "examples"] {
         walk(&root.join(dir), &mut |path| {
             let rel = path.strip_prefix(root).unwrap().to_str().unwrap().replace('\\', "/");
@@ -710,7 +802,10 @@ fn the_tree_holds_every_guard() {
             found.extend(one_read_answer_violations(&rel, &source));
             found.extend(one_read_surface_violations(&rel, &source));
             if names_the_heap(&rel, &source) {
-                heap_files.push(rel);
+                heap_files.push(rel.clone());
+            }
+            if rel.starts_with(SERVE_SRC) || rel.starts_with(CLUSTER_SRC) {
+                clients.push((rel, source));
             }
             files += 1;
         });
@@ -719,6 +814,9 @@ fn the_tree_holds_every_guard() {
     found.extend(stream_violations(&std::fs::read_to_string(root.join(STREAM)).unwrap()));
     found.extend(one_executor_violations(&std::fs::read_to_string(root.join(EXEC)).unwrap()));
     found.extend(one_merge_violations(&heap_files));
+    let clients: Vec<(&str, &str)> =
+        clients.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
+    found.extend(one_client_violations(&clients));
     let manifest = std::fs::read_to_string(root.join("crates/bench/Cargo.toml")).unwrap();
     found.extend(ledger_violations(&manifest, |f| std::fs::read_to_string(root.join(f)).ok()));
     let read = |f: &str| std::fs::read_to_string(root.join(f)).unwrap();
@@ -1260,5 +1358,57 @@ fn the_one_read_surface_guard_fires() {
     for (path, source, fires) in cases {
         let found = one_read_surface_violations(path, &source);
         assert_eq!(!found.is_empty(), fires, "{path}: {source}\n{found:?}");
+    }
+}
+
+#[test]
+fn the_one_resilient_client_guard_fires() {
+    let walk = "impl<T> ClusterClient<T> {\n    \
+                fn with_failover<R>(&self) -> ClientResult<R> {\n        \
+                if hopped && !self.budget.failover() {\n        }\n        \
+                std::thread::sleep(pause);\n    }\n    \
+                pub fn read(&self, c: &str) -> ClientResult<Vec<WireMessage>> {\n    }\n    \
+                pub fn read_stream(\n        &self,\n    \
+                ) -> ClientResult<ClusterStream<T>> {\n    }\n    \
+                pub fn read_stream_multi(&self) -> ClientResult<MergedStream<T>> {\n    }\n    \
+                pub fn topics(&self, c: &str) -> ClientResult<Vec<String>> {\n    }\n}\n\
+                impl SharedBudget {\n    fn failover(&self) -> bool {\n        \
+                b.lock().try_spend()\n    }\n}\n\
+                impl<T> ClusterStream<T> {\n    \
+                pub fn stream(&self) -> ClientResult<ClusterStream<T>> {\n    }\n}\n";
+    let tests = "#[cfg(test)]\nmod tests {\n    \
+                 fn t() { sleep(d); RetryClient::new(t, p); c.budget.failover(); }\n}\n";
+    let serve = "pub struct ServeClient<C> {\n    conn: C,\n}\n";
+    let time = "use std::time::Duration;\n";
+    let tree = |client: &str, serve: &str| -> bool {
+        let files = [
+            (CLUSTER_CLIENT, client),
+            ("crates/bora-cluster/src/telemetry.rs", time),
+            (CLIENT, serve),
+            ("crates/bora-serve/src/server.rs", time),
+        ];
+        !one_client_violations(&files).is_empty()
+    };
+    let walk_ = |from: &str, to: &str| walk.replacen(from, to, 1);
+    let hedged = "    pub fn read_hedged(&self) -> Vec<WireMessage> {\n    }\n    pub fn topics(";
+    let cases = [
+        (tree(&format!("{walk}{tests}"), &format!("{serve}{tests}")), false),
+        (!one_client_violations(&[(CLIENT, serve), ("tests/serve.rs", tests)]).is_empty(), false),
+        (tree(walk, &format!("{serve}pub struct RetryClient<T> {{\n}}\n")), true),
+        (tree(walk, &format!("{serve}pub use client::RetryPolicy;\n")), true),
+        (tree(walk, &format!("{serve}fn wait() {{\n    std::thread::sleep(d);\n}}\n")), true),
+        (
+            tree(&format!("{walk}fn metrics_all() {{\n    self.budget.failover();\n}}\n"), serve),
+            true,
+        ),
+        (tree(&format!("{walk}fn resume() {{\n    self.budget.try_spend();\n}}\n"), serve), true),
+        (tree(&walk_("        std::thread::sleep(pause);\n", ""), serve), true),
+        (tree(&format!("{walk}fn retry() {{\n    std::thread::sleep(d);\n}}\n"), serve), true),
+        (tree(&walk_("pub fn read(", "pub fn read_time("), serve), true),
+        (tree(&walk_("pub fn read_stream_multi(", "fn read_stream_multi("), serve), true),
+        (tree(&walk_("    pub fn topics(", hedged), serve), true),
+    ];
+    for (i, (fired, fires)) in cases.into_iter().enumerate() {
+        assert_eq!(fired, fires, "case {i}");
     }
 }
