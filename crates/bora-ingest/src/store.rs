@@ -592,18 +592,23 @@ impl<S: Storage> IngestStore<S> {
         for (topic, time, data) in batch {
             let seq = st.next_seq;
             st.next_seq += 1;
-            let rec = WalRecord { seq, topic: topic.to_owned(), time, data: data.to_vec() };
             let shard = shard_of(topic, self.cfg.wal_shards.max(1));
-            st.shards[shard].append(&rec);
+            st.shards[shard].append(seq, topic, time, data);
             if st.shards[shard].buffered_records() >= self.cfg.group_commit.max(1) {
                 st.shards[shard].sync(&self.storage, ctx)?;
             }
-            st.memtable.entry(topic.to_owned()).or_default().push(IngestMessage {
-                time,
-                seq,
-                data: rec.data.into(),
-            });
-            st.last_time.insert(topic.to_owned(), time);
+            // A known topic's name is looked up, not allocated.
+            let msg = IngestMessage { time, seq, data: data.into() };
+            if let Some(msgs) = st.memtable.get_mut(topic) {
+                msgs.push(msg);
+            } else {
+                st.memtable.insert(topic.to_owned(), vec![msg]);
+            }
+            if let Some(last) = st.last_time.get_mut(topic) {
+                *last = time;
+            } else {
+                st.last_time.insert(topic.to_owned(), time);
+            }
             st.epoch += 1;
         }
         Ok(first..st.next_seq)

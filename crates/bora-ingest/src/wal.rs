@@ -34,16 +34,27 @@ pub struct WalRecord {
 
 /// Encode one record as a framed WAL entry.
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(24 + rec.topic.len() + rec.data.len());
-    payload.put_u64(rec.seq);
-    payload.put_u64(rec.time.as_nanos());
-    payload.put_string(&rec.topic);
-    payload.put_byte_array(&rec.data);
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.put_u32(payload.len() as u32);
-    out.put_u32(crc32c(&payload));
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    encode_frame_into(&mut out, rec.seq, &rec.topic, rec.time, &rec.data);
     out
+}
+
+/// Append the framed WAL entry of one record, given by its borrowed
+/// parts, to `out`: the payload is written in place after room for the
+/// header, which is filled in once the payload's length and CRC are
+/// known — one copy of `data`, none of the frame.
+fn encode_frame_into(out: &mut Vec<u8>, seq: u64, topic: &str, time: Time, data: &[u8]) {
+    let start = out.len();
+    out.reserve(FRAME_HEADER + 24 + topic.len() + data.len());
+    out.put_bytes(&[0; FRAME_HEADER]);
+    out.put_u64(seq);
+    out.put_u64(time.as_nanos());
+    out.put_string(topic);
+    out.put_byte_array(data);
+    let payload = &out[start + FRAME_HEADER..];
+    let (len, crc) = (payload.len() as u32, crc32c(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
 }
 
 fn decode_payload(mut cur: &[u8]) -> BoraResult<WalRecord> {
@@ -98,9 +109,10 @@ impl WalShard {
         WalShard { path, buf: Vec::new(), buf_records: 0, durable_records: 0 }
     }
 
-    /// Buffer one record; call [`WalShard::sync`] to make it durable.
-    pub fn append(&mut self, rec: &WalRecord) {
-        self.buf.extend_from_slice(&encode_record(rec));
+    /// Buffer one record, encoded straight from its borrowed parts; call
+    /// [`WalShard::sync`] to make it durable.
+    pub fn append(&mut self, seq: u64, topic: &str, time: Time, data: &[u8]) {
+        encode_frame_into(&mut self.buf, seq, topic, time, data);
         self.buf_records += 1;
     }
 
@@ -216,7 +228,7 @@ mod tests {
         let mut ctx = IoCtx::new();
         let mut shard = WalShard::new("/w/shard-0.wal".into());
         for i in 0..5 {
-            shard.append(&rec(i, "/imu", i, b"x"));
+            shard.append(i, "/imu", Time::from_nanos(i), b"x");
         }
         assert_eq!(shard.buffered_records(), 5);
         assert_eq!(shard.durable_records, 0, "nothing durable before the group commit");
@@ -238,7 +250,7 @@ mod tests {
         let mut ctx = IoCtx::new();
         let mut shard = WalShard::new("/w/shard-0.wal".into());
         for i in 0..3 {
-            shard.append(&rec(i, "/imu", i * 10, b"data"));
+            shard.append(i, "/imu", Time::from_nanos(i * 10), b"data");
         }
         shard.sync(&fs, &mut ctx).unwrap();
         // Simulate a torn append after the good records.

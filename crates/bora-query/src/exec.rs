@@ -16,13 +16,16 @@
 //! **Gather.** A batch fills from the runs the stream lends
 //! (`MessageStream::lend_run`: one merge decision for up to the room the
 //! batch has left of one lane's messages in one page) or the pairs a join
-//! has buffered (pulled a message at a time, `lend` then own). A run's
-//! heads — time, lane and size — are appended at once, and its lane's
-//! row of accessors is looked up once; then each payload is walked once
-//! with the lane's walk, and every bound path is read at the offset that
-//! walk found into a typed column with a null mask. Nothing is decoded
-//! and nothing is kept: the run goes back before the next one is lent.
-//! Only a join holds messages, shared and owned, in its buffers.
+//! has buffered (pulled a message at a time, `lend` then own; each
+//! member gathered as a run of one). A run's heads — time, lane and size
+//! — are appended at once, and its lane's row of accessors is looked up
+//! once; then the run is read a column at a time (`Batch::fill_fields`):
+//! each payload is walked once with the lane's walk into a body column,
+//! and each bound path's typed column is filled in one loop
+//! (`Accessor::fill`), its base, offset and wire type resolved once for
+//! the run. Nothing is decoded and nothing is kept: the run goes back
+//! before the next one is lent. Only a join holds messages, shared and
+//! owned, in its buffers.
 //!
 //! **Evaluate.** Each lowered expression runs over the whole batch into
 //! a column: a literal is one value for every row, a comparison is one
@@ -64,7 +67,7 @@ use crate::ast::{ExplainMode, Expr, Query, SelectStmt, Side};
 use crate::error::{QueryError, QueryResult};
 use crate::optimize::{optimize, PlanOptions};
 use crate::plan::{AggItem, AggNode, AggSpec, JoinNode, Logical, PlanItems};
-use crate::value::{compare, decode_field, Accessor, CmpOp, Kind, Read, Row, Value};
+use crate::value::{compare, decode_field, Accessor, CmpOp, Column, Kind, Row, Value};
 
 /// Largest timestamp a [`Time`] can carry, in ns — pushdown ranges are
 /// clamped here before conversion so `u64::MAX` sentinels can't wrap.
@@ -281,12 +284,31 @@ impl Col {
         }
     }
 
-    /// Append one row's read; `None` is a null.
-    fn push(&mut self, read: Option<Read<'_>>) {
+    /// Append a path's rows for a run of payloads, `bodies` being what
+    /// their walk returned: read through the lane's accessor `a`, in one
+    /// loop, or null where the lane binds none.
+    fn fill<'p>(
+        &mut self,
+        a: Option<&Accessor>,
+        payloads: impl IntoIterator<Item = &'p [u8]>,
+        bodies: &[Option<usize>],
+    ) {
+        let Some(a) = a else { return self.nulls(bodies.len()) };
+        let out = match self {
+            Col::Int(v) => Column::Int(v),
+            Col::Float(v) => Column::Float(v),
+            Col::Values(v) => Column::Values(v),
+            Col::Const(_) | Col::Bool(_) => return,
+        };
+        a.fill(payloads, bodies, out);
+    }
+
+    /// Append `n` nulls.
+    fn nulls(&mut self, n: usize) {
         match self {
-            Col::Int(v) => v.push(if let Some(Read::Int(x)) = read { Some(x) } else { None }),
-            Col::Float(v) => v.push(if let Some(Read::Float(x)) = read { Some(x) } else { None }),
-            Col::Values(v) => v.push(read.map_or(Value::Null, Read::value)),
+            Col::Int(v) => v.resize(v.len() + n, None),
+            Col::Float(v) => v.resize(v.len() + n, None),
+            Col::Values(v) => v.resize(v.len() + n, Value::Null),
             Col::Const(_) | Col::Bool(_) => {}
         }
     }
@@ -386,16 +408,6 @@ fn walker(row: &[Option<Accessor>]) -> Option<&Accessor> {
     row.iter().flatten().next()
 }
 
-/// Append one payload's row to `fields`: each path read through its
-/// accessor in `row` (one per field; `None` reads as null) at `body`,
-/// where the lane's walk found the payload's fields.
-#[inline]
-fn read_fields(fields: &mut [Col], row: &[Option<Accessor>], payload: &[u8], body: Option<usize>) {
-    for (col, a) in fields.iter_mut().zip(row) {
-        col.push(a.as_ref().and_then(|a| a.read_at(payload, body?)));
-    }
-}
-
 /// Which message of a row a path reads: a join's right one is slot 1,
 /// every other is slot 0.
 fn slot(side: Side) -> usize {
@@ -427,6 +439,9 @@ struct Batch {
     accessors: [Vec<Vec<Option<Accessor>>>; 2],
     /// The topic of each lane.
     topics: Vec<String>,
+    /// What the lane's walk returned for each payload of the run being
+    /// gathered; reused from run to run.
+    bodies: Vec<Option<usize>>,
 }
 
 impl Batch {
@@ -440,7 +455,7 @@ impl Batch {
         let slots = [slot(&fields[0]), slot(&fields[1])];
         let row = |f: &[Lanes], lane| f.iter().map(|l| l.get(lane).copied().flatten()).collect();
         let accessors = fields.map(|f| (0..topics.len()).map(|lane| row(&f, lane)).collect());
-        Batch { slots, secs: Default::default(), accessors, topics }
+        Batch { slots, secs: Default::default(), accessors, topics, bodies: Vec::new() }
     }
 
     fn len(&self) -> usize {
@@ -456,34 +471,42 @@ impl Batch {
     }
 
     /// Gather one message into slot `s` (a join's pair has two): its
-    /// time, lane and size, then every path bound on that side.
+    /// time, lane and size, then its fields as a run of one.
     fn push(&mut self, s: usize, m: &Msg<'_>) {
-        let slot = &mut self.slots[s];
         let (lane, size) = (m.lane as u32, m.payload.len() as u32);
-        slot.heads.push(Head { time_ns: m.time_ns, lane, size });
-        let row = &self.accessors[s][m.lane];
-        let body = walker(row).and_then(|w| w.walk(m.payload));
-        read_fields(&mut slot.fields, row, m.payload, body);
+        self.slots[s].heads.push(Head { time_ns: m.time_ns, lane, size });
+        self.fill_fields(s, m.lane, || [m.payload]);
     }
 
     /// Gather a run of one stream lane's messages, on cursor lane `lane`,
-    /// into slot 0: every head at once, then the payloads in one loop,
-    /// each walked once and read through the lane's row of accessors —
-    /// row and walk resolved once for the run.
+    /// into slot 0: every head at once, then its fields.
     fn push_run(&mut self, lane: usize, run: &Run<'_>) {
-        let (slot, row) = (&mut self.slots[0], &self.accessors[0][lane]);
-        slot.heads.extend(run.messages().map(|m| Head {
+        self.slots[0].heads.extend(run.messages().map(|m| Head {
             time_ns: m.time.as_nanos(),
             lane: lane as u32,
             size: m.payload.len() as u32,
         }));
-        if slot.fields.is_empty() {
+        self.fill_fields(0, lane, || run.messages().map(|m| m.payload));
+    }
+
+    /// Gather the fields of a run of `payloads` on `lane` into slot `s`,
+    /// a column at a time: each payload walked once, with the lane's
+    /// walk, into the body column; then each bound path's column filled
+    /// in one loop through the lane's accessor for it. The lane's row of
+    /// accessors is looked up once for the run.
+    fn fill_fields<'p, I>(&mut self, s: usize, lane: usize, payloads: impl Fn() -> I)
+    where
+        I: IntoIterator<Item = &'p [u8]>,
+    {
+        let (fields, row) = (&mut self.slots[s].fields, &self.accessors[s][lane]);
+        if fields.is_empty() {
             return;
         }
-        let walker = walker(row);
-        for m in run.messages() {
-            let body = walker.and_then(|w| w.walk(m.payload));
-            read_fields(&mut slot.fields, row, m.payload, body);
+        let (bodies, walker) = (&mut self.bodies, walker(row));
+        bodies.clear();
+        bodies.extend(payloads().into_iter().map(|p| walker.and_then(|w| w.walk(p))));
+        for (col, a) in fields.iter_mut().zip(row) {
+            col.fill(a.as_ref(), payloads(), bodies);
         }
     }
 

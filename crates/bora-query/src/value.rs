@@ -6,13 +6,14 @@
 //! are two ways to read one:
 //!
 //! * [`Accessor`] — what a cursor uses. [`Accessor::bind`] resolves a
-//!   path against a datatype *once*; [`Accessor::walk`] then checks the
+//!   path against a datatype *once*; [`Accessor::walk`] then checks a
 //!   payload with the datatype's walk (`ros_msgs::AnyMessage::walker`:
 //!   the byte strings `decode` accepts, no others, nothing built) and
-//!   [`Accessor::read_at`] reads the one field where it lies. Every path
-//!   bound for one datatype shares its walk, so a cursor walks a message
-//!   once and reads each of its fields at the offset that walk found;
-//!   [`Accessor::read`] is the two in one.
+//!   [`Accessor::fill`] reads the one field where it lies, for a whole
+//!   run of walked payloads into one column. Every path bound for one
+//!   datatype shares its walk, so a cursor walks a message once and
+//!   reads each of its fields at the offset that walk found;
+//!   [`Accessor::read`] is the two in one, over a run of one.
 //! * [`decode_field`] — what the oracle (`run_naive`) uses: decode the
 //!   whole message into an [`AnyMessage`], then [`extract_field`]. Slow,
 //!   obviously right, and the only caller of `AnyMessage::decode` in this
@@ -193,23 +194,12 @@ pub enum Kind {
     Str,
 }
 
-/// One field read where it lies: a number, or a string borrowed from
-/// the payload.
-#[derive(Debug, Clone, Copy)]
-pub enum Read<'p> {
-    Int(i64),
-    Float(f64),
-    Str(&'p str),
-}
-
-impl Read<'_> {
-    pub fn value(self) -> Value {
-        match self {
-            Read::Int(v) => Value::Int(v),
-            Read::Float(v) => Value::Float(v),
-            Read::Str(s) => Value::Str(s.to_owned()),
-        }
-    }
+/// A column a run of reads is appended to, one cell per payload: typed
+/// cells of one kind (`None` is a null), or values of any kind.
+pub enum Column<'c> {
+    Int(&'c mut Vec<Option<i64>>),
+    Float(&'c mut Vec<Option<f64>>),
+    Values(&'c mut Vec<Value>),
 }
 
 /// A field path bound to one datatype: the datatype's walk plus where
@@ -261,12 +251,12 @@ impl Accessor {
     }
 
     /// Read the field out of `payload`: `Null` unless the walk accepts
-    /// it, else one little-endian read (a string is copied out). No
-    /// message is built, and nothing is allocated for a number.
+    /// it, else one little-endian read (a string is copied out) — a run
+    /// of one through [`Accessor::fill`].
     pub fn read(&self, payload: &[u8]) -> Value {
-        self.walk(payload)
-            .and_then(|body| self.read_at(payload, body))
-            .map_or(Value::Null, Read::value)
+        let mut cell = Vec::with_capacity(1);
+        self.fill([payload], &[self.walk(payload)], Column::Values(&mut cell));
+        cell.pop().unwrap_or(Value::Null)
     }
 
     /// The datatype's walk: where the leading header ends in `payload`,
@@ -285,25 +275,102 @@ impl Accessor {
         }
     }
 
-    /// Read the field of a payload the walk accepted, `body` being what
-    /// the walk returned; `None` where the field does not fit.
-    pub fn read_at<'p>(&self, p: &'p [u8], body: usize) -> Option<Read<'p>> {
-        let at = match self.at {
-            At::Start(o) => o,
-            At::Body(o) => body + o,
-            At::PastStr(s, o) => {
+    /// The one field reader: append the field of each payload of a run
+    /// to `out`, in order. `bodies[i]` is what the walk returned for
+    /// payload `i`; a payload it rejected (`None`), and a field that
+    /// does not fit, read as null. Where the field lies — its base, its
+    /// offset — and its wire type are resolved once for the run, so each
+    /// payload costs one bounds-checked little-endian load into `out`
+    /// (a string: its check and its copy), with nothing matched on the
+    /// way.
+    ///
+    /// # Panics
+    ///
+    /// When `out` is a typed column of another [`Kind`] than this
+    /// field's: a column is of its accessors' one kind, or of values.
+    pub fn fill<'p>(
+        &self,
+        payloads: impl IntoIterator<Item = &'p [u8]>,
+        bodies: &[Option<usize>],
+        out: Column<'_>,
+    ) {
+        let payloads = payloads.into_iter();
+        match self.at {
+            At::Start(o) => self.fill_at(payloads, bodies, out, move |_, _| Some(o)),
+            At::Body(o) => self.fill_at(payloads, bodies, out, move |_, body| Some(body + o)),
+            At::PastStr(s, o) => self.fill_at(payloads, bodies, out, move |p, body| {
                 let mut cur = p.get(body + s..)?;
-                cur.get_str().ok()?;
-                p.len() - cur.len() + o
+                cur.skip_str().ok()?;
+                Some(p.len() - cur.len() + o)
+            }),
+        }
+    }
+
+    /// [`Accessor::fill`] with the field's offset in a payload resolved
+    /// to `at(payload, body)`: one loop per wire type and column.
+    fn fill_at<'p>(
+        &self,
+        payloads: impl Iterator<Item = &'p [u8]>,
+        bodies: &[Option<usize>],
+        out: Column<'_>,
+        at: impl Fn(&[u8], usize) -> Option<usize>,
+    ) {
+        let run = Walked { payloads, bodies, at };
+        let u32_at = |p: &[u8], i: usize| Some(i64::from(p.get(i..)?.get_u32().ok()?));
+        let f64_at = |p: &[u8], i: usize| p.get(i..)?.get_f64().ok();
+        let secs_at =
+            |p: &[u8], i: usize| Some(ns_to_secs(p.get(i..)?.get_time().ok()?.as_nanos()));
+        match (self.ty, out) {
+            (Ty::U32, Column::Int(v)) => run.fill(v, u32_at, |x| x),
+            (Ty::F64, Column::Float(v)) => run.fill(v, f64_at, |x| x),
+            (Ty::Stamp, Column::Float(v)) => run.fill(v, secs_at, |x| x),
+            (Ty::U32, Column::Values(v)) => {
+                run.fill(v, u32_at, |x| x.map_or(Value::Null, Value::Int))
             }
-        };
-        let mut cur = p.get(at..)?;
-        Some(match self.ty {
-            Ty::U32 => Read::Int(cur.get_u32().ok()? as i64),
-            Ty::F64 => Read::Float(cur.get_f64().ok()?),
-            Ty::Stamp => Read::Float(ns_to_secs(cur.get_time().ok()?.as_nanos())),
-            Ty::Str => Read::Str(cur.get_str().ok()?),
-        })
+            (Ty::F64, Column::Values(v)) => {
+                run.fill(v, f64_at, |x| x.map_or(Value::Null, Value::Float))
+            }
+            (Ty::Stamp, Column::Values(v)) => {
+                run.fill(v, secs_at, |x| x.map_or(Value::Null, Value::Float))
+            }
+            (Ty::Str, Column::Values(v)) => run.fill(
+                v,
+                |p: &'p [u8], i: usize| p.get(i..)?.get_str().ok(),
+                |x| x.map_or(Value::Null, |s| Value::Str(s.to_owned())),
+            ),
+            (ty, _) => unreachable!("a {ty:?} field fills a column of its kind or of values"),
+        }
+    }
+}
+
+/// A run of payloads, what their walk returned, and where one field
+/// lies in each.
+struct Walked<'b, I, A> {
+    payloads: I,
+    bodies: &'b [Option<usize>],
+    at: A,
+}
+
+impl<'p, I, A> Walked<'_, I, A>
+where
+    I: Iterator<Item = &'p [u8]>,
+    A: Fn(&[u8], usize) -> Option<usize>,
+{
+    /// Append `cell(read(payload, offset))` per payload: the loop every
+    /// field of every run is read in.
+    fn fill<X, C>(
+        self,
+        out: &mut Vec<C>,
+        read: impl Fn(&'p [u8], usize) -> Option<X>,
+        cell: impl Fn(Option<X>) -> C,
+    ) {
+        let Walked { payloads, bodies, at } = self;
+        out.reserve(bodies.len());
+        let mut bodies = bodies.iter();
+        payloads.for_each(|p| {
+            let body = bodies.next().copied().flatten();
+            out.push(cell(body.and_then(|b| read(p, at(p, b)?))));
+        });
     }
 }
 

@@ -20,168 +20,21 @@
 //! suite shows; "never allocates in proportion to a length prefix" is
 //! checked as: a string it returns is no longer than the payload.
 
+mod corpus;
+
 use std::collections::HashMap;
 
 use bora_query::value::{extract_field, Accessor};
 use bora_query::{prepare, run_naive, Value};
+use corpus::{header, message, mutilations, paths, same_bits, text, DATATYPES, MUTILATIONS};
 use proptest::prelude::*;
-use ros_msgs::geometry_msgs::{Point, TransformStamped};
+use ros_msgs::geometry_msgs::TransformStamped;
 use ros_msgs::nav_msgs::Odometry;
-use ros_msgs::sensor_msgs::{CameraInfo, Image, Imu};
-use ros_msgs::std_msgs::{ColorRgba, Header};
+use ros_msgs::sensor_msgs::Image;
 use ros_msgs::tf2_msgs::TfMessage;
-use ros_msgs::visualization_msgs::{Marker, MarkerArray, MarkerType};
 use ros_msgs::{AnyMessage, RosMessage, Time};
 use rosbag::{BagReader, BagWriter, BagWriterOptions};
 use simfs::{IoCtx, MemStorage};
-
-/// Every path `extract_field` answers for some datatype, then paths it
-/// answers for none: unknown names, known prefixes cut short, known
-/// paths with a segment too many, and odd segments.
-const PATHS: &[&str] = &[
-    "angular_velocity.x",
-    "angular_velocity.y",
-    "angular_velocity.z",
-    "linear_acceleration.x",
-    "linear_acceleration.y",
-    "linear_acceleration.z",
-    "orientation.x",
-    "orientation.y",
-    "orientation.z",
-    "orientation.w",
-    "header.seq",
-    "header.frame_id",
-    "header.stamp",
-    "width",
-    "height",
-    "step",
-    "encoding",
-    "distortion_model",
-    "transforms",
-    "markers",
-    // unknown
-    "nope",
-    "header.nope",
-    "angular_velocity.w",
-    "orientation.v",
-    "data",
-    // too short
-    "header",
-    "angular_velocity",
-    "orientation",
-    // too long
-    "header.stamp.sec",
-    "angular_velocity.x.y",
-    "width.x",
-    "transforms.len",
-    "markers.0",
-    // odd segments
-    "",
-    "orientation.xy",
-    "orientation.",
-    "orientation.é",
-];
-
-/// The five modelled datatypes and one `decode` keeps opaque.
-const DATATYPES: [&str; 6] = [
-    Imu::DATATYPE,
-    Image::DATATYPE,
-    CameraInfo::DATATYPE,
-    TfMessage::DATATYPE,
-    MarkerArray::DATATYPE,
-    Odometry::DATATYPE,
-];
-
-fn paths() -> Vec<Vec<String>> {
-    PATHS.iter().map(|p| p.split('.').map(str::to_owned).collect()).collect()
-}
-
-/// Empty, ASCII and multi-byte UTF-8 strings.
-fn text(rng: &mut TestRng) -> String {
-    ["", "imu_link", "rgb8", "plumb_bob", "é", "カメラ/深度", "a\u{10348}b"][rng.below(7)]
-        .to_owned()
-}
-
-fn header(rng: &mut TestRng) -> Header {
-    Header {
-        seq: rng.next_u64() as u32,
-        stamp: Time { sec: rng.next_u64() as u32, nsec: rng.below(1_000_000_000) as u32 },
-        frame_id: text(rng),
-    }
-}
-
-/// Any bit pattern: the readers move bits, they do no arithmetic.
-fn float(rng: &mut TestRng) -> f64 {
-    f64::from_bits(rng.next_u64())
-}
-
-/// One random valid message of `datatype`, serialized. Arrays are empty
-/// about a third of the time.
-fn message(datatype: &str, rng: &mut TestRng) -> Vec<u8> {
-    match datatype {
-        Imu::DATATYPE => {
-            let mut m = Imu { header: header(rng), ..Default::default() };
-            m.orientation.x = float(rng);
-            m.orientation.w = float(rng);
-            m.angular_velocity.x = float(rng);
-            m.angular_velocity.z = float(rng);
-            m.linear_acceleration.y = float(rng);
-            m.to_bytes()
-        }
-        Image::DATATYPE => Image {
-            header: header(rng),
-            height: rng.next_u64() as u32,
-            width: rng.next_u64() as u32,
-            encoding: text(rng),
-            is_bigendian: rng.next_u64() as u8,
-            step: rng.next_u64() as u32,
-            data: (0..rng.below(3) * 7).map(|_| rng.next_u64() as u8).collect(),
-        }
-        .to_bytes(),
-        CameraInfo::DATATYPE => CameraInfo {
-            header: header(rng),
-            height: rng.next_u64() as u32,
-            width: rng.next_u64() as u32,
-            distortion_model: text(rng),
-            d: (0..rng.below(3) * 2).map(|_| float(rng)).collect(),
-            ..Default::default()
-        }
-        .to_bytes(),
-        TfMessage::DATATYPE => TfMessage {
-            transforms: (0..rng.below(3))
-                .map(|_| TransformStamped {
-                    header: header(rng),
-                    child_frame_id: text(rng),
-                    ..Default::default()
-                })
-                .collect(),
-        }
-        .to_bytes(),
-        MarkerArray::DATATYPE => MarkerArray {
-            markers: (0..rng.below(3))
-                .map(|_| Marker {
-                    header: header(rng),
-                    ns: text(rng),
-                    marker_type: MarkerType::Sphere,
-                    points: vec![Point::default(); rng.below(3)],
-                    colors: vec![ColorRgba::default(); rng.below(3)],
-                    text: text(rng),
-                    ..Default::default()
-                })
-                .collect(),
-        }
-        .to_bytes(),
-        _ => Odometry { header: header(rng), ..Default::default() }.to_bytes(),
-    }
-}
-
-/// Equality that tells `NaN` payloads and `-0.0` from `0.0` apart.
-fn same_bits(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
-}
 
 /// Both readers over one payload, every path; returns the number of
 /// comparisons made.
@@ -224,30 +77,9 @@ proptest! {
             let accessors: Vec<Option<Accessor>> =
                 paths.iter().map(|p| Accessor::bind(datatype, p)).collect();
             let valid = message(datatype, &mut rng);
-            let check = |payload: &[u8], what: &str| {
-                compare_readers(datatype, payload, &paths, &accessors, what)
-            };
-            made[0] += check(&valid, "a valid message")?;
-            for cut in 0..valid.len() {
-                made[1] += check(&valid[..cut], "a strict prefix")?;
-            }
-            for extra in [1, 2, 5] {
-                let mut longer = valid.clone();
-                longer.extend((0..extra).map(|_| rng.next_u64() as u8));
-                made[2] += check(&longer, "trailing bytes")?;
-            }
-            for at in 0..valid.len().saturating_sub(3) {
-                let past_the_end = (valid.len() - (at + 4) + 1) as u32;
-                for len in [u32::MAX, past_the_end] {
-                    let mut bent = valid.clone();
-                    bent[at..at + 4].copy_from_slice(&len.to_le_bytes());
-                    made[3] += check(&bent, "a rewritten u32")?;
-                }
-            }
-            for at in 0..valid.len() {
-                let mut bent = valid.clone();
-                bent[at] = 0xFF;
-                made[4] += check(&bent, "a byte rewritten to 0xFF")?;
+            for (class, payload) in mutilations(&valid, &mut rng) {
+                let what = MUTILATIONS[class];
+                made[class] += compare_readers(datatype, &payload, &paths, &accessors, what)?;
             }
         }
         prop_assert!(made.iter().all(|n| *n > 0), "a mutation class made no comparison: {made:?}");

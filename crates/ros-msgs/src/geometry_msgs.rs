@@ -218,7 +218,7 @@ impl TransformStamped {
     /// bytes [`TransformStamped::deserialize`] accepts, and only those.
     pub fn skip(cur: &mut &[u8]) -> Option<()> {
         Header::skip(cur)?;
-        cur.get_str().ok()?; // child_frame_id
+        cur.skip_str().ok()?; // child_frame_id
         cur.take(56).ok()?; // transform: Vector3 + Quaternion
         Some(())
     }

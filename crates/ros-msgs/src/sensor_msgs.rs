@@ -79,7 +79,7 @@ impl Image {
         Header::skip(&mut cur)?;
         let body = bytes.len() - cur.len();
         cur.take(8).ok()?; // height, width
-        cur.get_str().ok()?; // encoding
+        cur.skip_str().ok()?; // encoding
         cur.take(5).ok()?; // is_bigendian, step
         let data = cur.get_u32().ok()? as usize;
         (cur.len() == data).then_some(body)
@@ -253,7 +253,7 @@ impl CameraInfo {
         Header::skip(&mut cur)?;
         let body = bytes.len() - cur.len();
         cur.take(8).ok()?; // height, width
-        cur.get_str().ok()?; // distortion_model
+        cur.skip_str().ok()?; // distortion_model
         let nd = cur.get_u32().ok()? as usize;
         // D, then K + R + P (30 float64), binning (8), roi (17).
         (cur.len() == nd.checked_mul(8)?.checked_add(30 * 8 + 8 + 17)?).then_some(body)

@@ -42,7 +42,7 @@ impl Header {
     /// `stamp` at 4 and the `frame_id` string at 12 of what was skipped.
     pub fn skip(cur: &mut &[u8]) -> Option<()> {
         cur.take(12).ok()?;
-        cur.get_str().ok()?;
+        cur.skip_str().ok()?;
         Some(())
     }
 }

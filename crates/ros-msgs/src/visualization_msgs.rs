@@ -171,7 +171,7 @@ impl Marker {
     /// [`Marker::deserialize`] accepts, and only those.
     pub fn skip(cur: &mut &[u8]) -> Option<()> {
         Header::skip(cur)?;
-        cur.get_str().ok()?; // ns
+        cur.skip_str().ok()?; // ns
         cur.take(4).ok()?; // id
         MarkerType::known(cur.get_i32().ok()?)?;
         MarkerAction::known(cur.get_i32().ok()?)?;
@@ -179,7 +179,7 @@ impl Marker {
         cur.take(56 + 24 + 16 + 8 + 1).ok()?;
         skip_seq(cur, |c| c.take(24).ok().map(drop))?; // points
         skip_seq(cur, |c| c.take(16).ok().map(drop))?; // colors
-        cur.get_str().ok()?; // text
+        cur.skip_str().ok()?; // text
         Some(())
     }
 }

@@ -187,6 +187,22 @@ pub trait WireRead<'a> {
         std::str::from_utf8(self.take(len)?).map_err(|_| WireError::BadUtf8)
     }
 
+    /// Step over what [`WireRead::get_str`] accepts, and only that,
+    /// without making the `str`: a walk's check of a string it does not
+    /// read. An ASCII body — a frame id, an encoding name — costs one
+    /// `is_ascii` pass; any other is checked by `std::str::from_utf8`,
+    /// which is what a short ASCII string spends most of its read in.
+    #[inline]
+    fn skip_str(&mut self) -> Result<(), WireError> {
+        let len = self.get_u32()? as usize;
+        let bytes = self.take(len)?;
+        if bytes.is_ascii() || std::str::from_utf8(bytes).is_ok() {
+            Ok(())
+        } else {
+            Err(WireError::BadUtf8)
+        }
+    }
+
     #[inline]
     fn get_string(&mut self) -> Result<String, WireError> {
         self.get_str().map(str::to_owned)
@@ -314,6 +330,55 @@ mod tests {
         buf.put_bytes(&[0xFF, 0xFE]);
         let mut cur: &[u8] = &buf;
         assert_eq!(cur.get_string(), Err(WireError::BadUtf8));
+    }
+
+    /// `get_str` and `skip_str` accept exactly the bodies
+    /// `std::str::from_utf8` accepts, and consume the same bytes; both
+    /// refuse a length prefix the input cannot hold, and a cut prefix.
+    #[test]
+    fn strings_are_accepted_exactly_as_from_utf8_accepts_them() {
+        let bodies: [&[u8]; 20] = [
+            b"",
+            b"imu_link",
+            b"base_link_camera_rgb_optical_frame/with/a/long/ascii/tail",
+            b"\x7f\x00\x01",
+            "é".as_bytes(),
+            "カメラ/深度".as_bytes(),
+            "a\u{10348}b".as_bytes(),
+            "imu_link_é".as_bytes(),
+            &[0xFF],
+            b"imu_link\xFF",
+            &[0x80],
+            b"ab\xBFcd",
+            &[0xC3],
+            &[0xE3, 0x82],
+            &[0xF0, 0x90, 0x8D],
+            b"imu_link_0123456\xE3\x82",
+            &[0xC0, 0xAF],
+            &[0xED, 0xA0, 0x80],
+            &[0xF4, 0x90, 0x80, 0x80],
+            &[0xF8, 0x88, 0x80, 0x80, 0x80],
+        ];
+        for body in bodies {
+            let want = std::str::from_utf8(body).ok();
+            let mut buf = Vec::new();
+            buf.put_byte_array(body);
+            buf.put_u8(0xAB);
+            let (mut got, mut skip): (&[u8], &[u8]) = (&buf, &buf);
+            assert_eq!(got.get_str().ok(), want, "get_str {body:?}");
+            assert_eq!(skip.skip_str().is_ok(), want.is_some(), "skip_str {body:?}");
+            if want.is_some() {
+                assert_eq!((got, skip), (&[0xAB][..], &[0xAB][..]), "{body:?}");
+            } else {
+                let mut again: &[u8] = &buf;
+                assert_eq!(again.skip_str(), Err(WireError::BadUtf8), "{body:?}");
+            }
+            // Every cut of the frame: the prefix, then the body, short.
+            for cut in 0..4 + body.len() {
+                let (mut get, mut skip): (&[u8], &[u8]) = (&buf[..cut], &buf[..cut]);
+                assert!(get.get_str().is_err() && skip.skip_str().is_err(), "{body:?}[..{cut}]");
+            }
+        }
     }
 
     #[test]

@@ -84,16 +84,20 @@ fn main() {
         fleet.heap_ops()
     );
 
-    // --- 5. Kill a node mid-traffic: reads fail over to replicas. ---
-    let victim = client.owner(&roots[0]).unwrap();
-    let before = client.read(&roots[0], &["/imu"]).unwrap();
+    // --- 5. Kill a node mid-traffic: reads fail over to replicas. An
+    // owner-first client starts every read on the owner — the victim —
+    // where the spreading router above may start on the survivor.
+    let owner_first =
+        cluster.client(ClusterClientConfig { policy: RoutePolicy::Primary, ..Default::default() });
+    let victim = owner_first.owner(&roots[0]).unwrap();
+    let before = owner_first.read(&roots[0], &["/imu"]).unwrap();
     cluster.kill(victim);
-    let after = client.read(&roots[0], &["/imu"]).unwrap();
+    let failovers = bora_obs::counter("cluster.failover").get();
+    let after = owner_first.read(&roots[0], &["/imu"]).unwrap();
+    let hops = bora_obs::counter("cluster.failover").get() - failovers;
     assert_eq!(before, after);
-    println!(
-        "killed node {victim}; reads identical through failover ({} hops so far)",
-        bora_obs::counter("cluster.failover").get()
-    );
+    assert!(hops >= 1, "the read after the kill started on a live node: no failover");
+    println!("killed node {victim}; the next read failed over {hops} time(s), identical answer");
 
     // --- 6. Heal: drop the dead node, re-replicate what it held. ---
     let report = cluster.heal().unwrap();

@@ -48,7 +48,11 @@
 //! 11. *One executor path*: in non-test `bora-query/src/exec.rs` the
 //!     per-row evaluator (`eval`), projection (`project`) and aggregate
 //!     fold (`fold_row`) are called only from the oracle — `run_naive` and
-//!     those three themselves. A cursor evaluates a batch at a time.
+//!     those three themselves. A cursor evaluates a batch at a time, and
+//!     gathers a column at a time: nothing calls a per-message field
+//!     reader (`read_fields`, `Accessor::read_at`), payloads are walked
+//!     in `Batch::fill_fields` alone, and both `Batch::push` (the join's
+//!     message, a run of one) and `Batch::push_run` gather through it.
 //! 12. *One wire path*: `Connection` declares one send method and one
 //!     receive method; in non-test `transport.rs` one call sends a frame
 //!     and none joins a reply (`encode_seq`). The client's chunk path is
@@ -110,6 +114,11 @@ const REGISTRY: &str = "crates/bench/src/experiments/mod.rs";
 const EXEC: &str = "crates/bora-query/src/exec.rs";
 /// The row-at-a-time functions of `exec.rs`, which only the oracle runs.
 const PER_ROW: [&str; 3] = ["eval", "project", "fold_row"];
+/// The retired per-message field readers: a row's fields read one by one.
+const PER_MESSAGE_READS: [&str; 2] = ["read_fields", "read_at"];
+/// The one column fill of `exec.rs`, and the gathers that go through it.
+const COLUMN_FILL: &str = "fill_fields";
+const GATHERS: [&str; 2] = ["push", "push_run"];
 const CI: &str = ".github/workflows/ci.yml";
 const TRANSPORT: &str = "crates/bora-serve/src/transport.rs";
 const CLIENT: &str = "crates/bora-serve/src/client.rs";
@@ -384,10 +393,12 @@ fn codec_choice_violations(path: &str, source: &str) -> Vec<String> {
 }
 
 /// Guard 11 over the text of `exec.rs`: each call of a per-row function
-/// and the function it is in, which must be the oracle's.
+/// and the function it is in, which must be the oracle's; each call of a
+/// per-message field reader; each walk outside the column fill; and the
+/// gathers that do not go through it.
 fn one_executor_violations(source: &str) -> Vec<String> {
     let mut found = Vec::new();
-    let mut current = "";
+    let (mut current, mut filled) = ("", Vec::new());
     for (i, line) in source.lines().take_while(|l| !l.contains("#[cfg(test)]")).enumerate() {
         let code = line.split("//").next().unwrap_or("");
         let trimmed = code.trim_start();
@@ -402,10 +413,10 @@ fn one_executor_violations(source: &str) -> Vec<String> {
             current = "";
         }
         let ident = |c: char| c.is_alphanumeric() || c == '_';
-        let calls = PER_ROW.iter().filter(|f| {
+        let called = |f: &str| {
             code.match_indices(&format!("{f}(")).any(|(at, _)| !code[..at].ends_with(ident))
-        });
-        for f in calls {
+        };
+        for f in PER_ROW.into_iter().filter(|f| called(f)) {
             if current != "run_naive" && !PER_ROW.contains(&current) {
                 found.push(format!(
                     "one executor path: {EXEC}:{}: `{f}` is called from `{current}`, not the oracle",
@@ -413,6 +424,27 @@ fn one_executor_violations(source: &str) -> Vec<String> {
                 ));
             }
         }
+        for f in PER_MESSAGE_READS.into_iter().filter(|f| called(f)) {
+            found.push(format!(
+                "one executor path: {EXEC}:{}: `{f}` in `{current}` reads a message's fields one \
+                 by one; a batch gathers a column at a time",
+                i + 1
+            ));
+        }
+        if code.contains(".walk(") && current != COLUMN_FILL {
+            found.push(format!(
+                "one executor path: {EXEC}:{}: `{current}` walks a payload outside `{COLUMN_FILL}`",
+                i + 1
+            ));
+        }
+        if code.contains(&format!("self.{COLUMN_FILL}(")) {
+            filled.push(current);
+        }
+    }
+    for g in GATHERS.into_iter().filter(|g| !filled.contains(g)) {
+        found.push(format!(
+            "one executor path: {EXEC}: `{g}` does not gather through `{COLUMN_FILL}`"
+        ));
     }
     found
 }
@@ -1070,17 +1102,24 @@ fn the_one_executor_guard_fires() {
                   st.update(arg.as_ref().map(|a| eval(a, row)));\n    }\n\n    \
                   fn fold_batch(&mut self, args: &[Arg], sel: &[usize]) {\n        \
                   fold_run(st, arg.as_deref(), &rest[..run]);\n    }\n}\n";
+    let batch = "impl Batch {\n    \
+                 fn push(&mut self, s: usize, m: &Msg<'_>) {\n        \
+                 self.fill_fields(s, m.lane, || [m.payload]);\n    }\n\n    \
+                 fn push_run(&mut self, lane: usize, run: &Run<'_>) {\n        \
+                 self.fill_fields(0, lane, || run.messages().map(|m| m.payload));\n    }\n\n    \
+                 fn fill_fields<'p, I>(&mut self, s: usize, lane: usize, payloads: impl Fn() -> I) {\n        \
+                 bodies.extend(payloads().into_iter().map(|p| walker.and_then(|w| w.walk(p))));\n        \
+                 col.fill(a.as_ref(), payloads(), bodies);\n    }\n}\n";
     let cursor = "impl<'a, S: Storage> Cursor<'a, S> {\n    \
                   fn refill(&mut self) -> QueryResult<bool> {\n        \
                   let items: Vec<_> = self.exprs.items.iter().map(|e| self.batch.column(e)).collect();\n    \
                   }\n}\n\
-                  #[cfg(test)]\nfn t() { eval(e, &row); project(i, &row); g.fold_row(a, &row); }\n";
-    let good = format!("{oracle}{cursor}");
+                  #[cfg(test)]\nfn t() { eval(e, &row); project(i, &row); g.fold_row(a, &row); \
+                  read_fields(f, r, p, b); a.read_at(p, b); a.walk(p); }\n";
+    let good = format!("{oracle}{batch}{cursor}");
     assert_eq!(one_executor_violations(&good), Vec::<String>::new());
-    assert_eq!(
-        one_executor_violations("fn fold_batch() {\n    retrieval(x); reproject(y);\n}\n"),
-        Vec::<String>::new()
-    );
+    let lookalikes = "fn fold_batch() {\n    retrieval(x); reproject(y); reread_at(z);\n}\n";
+    assert_eq!(one_executor_violations(&format!("{lookalikes}{good}")), Vec::<String>::new());
     for (to, what) in [
         ("let items: Vec<_> = self.exprs.items.iter().map(|e| eval(e, &row)).collect();", "`eval`"),
         ("self.out = vec![project(&self.exprs.items, &row)].into_iter();", "`project`"),
@@ -1100,6 +1139,27 @@ fn the_one_executor_guard_fires() {
     // A per-row call outside any function is not the oracle's either.
     let stray = good.replace("}\nfn eval(", "}\nconst X: Value = eval(LIT, ROW);\nfn eval(");
     assert!(one_executor_violations(&stray).iter().any(|v| v.contains("from ``")), "stray");
+    // A gather that reads a message's fields one by one, or walks its
+    // payloads itself, instead of filling columns.
+    let run_fill = "self.fill_fields(0, lane, || run.messages().map(|m| m.payload));";
+    let one_fill = "self.fill_fields(s, m.lane, || [m.payload]);";
+    for (from, to, what) in [
+        (run_fill, "read_fields(&mut slot.fields, row, m.payload, body);", "`read_fields`"),
+        (one_fill, "col.push(a.read_at(m.payload, body?));", "`read_at`"),
+        (run_fill, "let body = walker.and_then(|w| w.walk(m.payload));", "walks a payload"),
+        (one_fill, "self.fill(s, m.lane, || [m.payload]);", "`push` does not gather"),
+        (
+            run_fill,
+            "self.fill_fields(0, lane, || run.messages().map(|m| m.payload));\n        \
+                    read_fields(&mut slot.fields, row, m.payload, body);",
+            "`read_fields`",
+        ),
+    ] {
+        let found = one_executor_violations(&good.replacen(from, to, 1));
+        assert!(found.iter().any(|v| v.contains(what)), "{what}: {found:?}");
+    }
+    let found = one_executor_violations(&good.replacen(run_fill, "", 1));
+    assert!(found.iter().any(|v| v.contains("`push_run` does not gather")), "{found:?}");
 }
 
 #[test]
