@@ -214,7 +214,8 @@ impl<C: Connection> ServeClient<C> {
         self.read_inner(container, topics, None)
     }
 
-    /// [`ServeClient::read`] over `[start, end]`.
+    /// [`ServeClient::read`] over `[start, end)`: a message at `end` is
+    /// not read.
     pub fn read_time(
         &mut self,
         container: &str,
@@ -801,8 +802,7 @@ mod tests {
         let msgs: Vec<WireMessage> = (0..32)
             .map(|i| WireMessage { topic: "/imu".into(), time: Time::new(i, 0), data: vec![9; 40] })
             .collect();
-        let triples = msgs.iter().map(|m| (m.topic.as_str(), m.time, m.data.as_slice()));
-        let chunk = crate::proto::chunk_frame(triples, BlockCodec::None, &mut simfs::IoCtx::new());
+        let chunk = crate::proto::tests::chunk_of(&msgs, BlockCodec::None);
         let Response::StreamChunkLz(frame) = &chunk else { panic!("a chunk frame") };
         assert_eq!(frame[0], BlockCodec::None.id());
         // seq u32 | opcode u8 | frame length u32 | frame
@@ -891,8 +891,7 @@ mod tests {
     #[test]
     fn read_stream_surfaces_bad_request_without_reissuing() {
         let msgs = [WireMessage { topic: "/imu".into(), time: Time::new(1, 0), data: vec![7; 8] }];
-        let triples = msgs.iter().map(|m| (m.topic.as_str(), m.time, m.data.as_slice()));
-        let chunk = crate::proto::chunk_frame(triples, BlockCodec::None, &mut simfs::IoCtx::new());
+        let chunk = crate::proto::tests::chunk_of(&msgs, BlockCodec::None);
         // A first-frame BadRequest is the server's real answer: it must
         // surface once, not be swallowed and reissued as a different op.
         // The chunk scripted behind it would be consumed by a reissue.

@@ -47,9 +47,10 @@
 //! message replies, still encode and decode, but no server sends them.
 //!
 //! A raw chunk's payload bytes are copied once on each side. The worker
-//! copies each from its pool page into the chunk's frame buffer
-//! (`chunk_frame`, which [`compress_chunk`] wraps); a raw frame *is* that
-//! buffer, and the connection writes it behind its 9-byte head
+//! copies each from its pool page into the open chunk's frame buffer as
+//! the stream lends it (`OpenChunk`, which [`compress_chunk`] fills from
+//! its slice); a raw frame *is* that buffer, and the connection writes it
+//! behind its 9-byte head
 //! ([`Response::encode_parts`]) and the length prefix in one vectored
 //! write. The client's transport
 //! reads the frame into a buffer of its length, with no zero-fill ahead
@@ -134,54 +135,114 @@ pub fn split_seq(payload: &[u8]) -> ProtoResult<(u32, &[u8])> {
 /// header. Compression cost is charged to `ctx` like any other
 /// storage-layer compression.
 pub fn compress_chunk(messages: &[WireMessage], ctx: &mut IoCtx) -> Response {
-    chunk_frame(
-        messages.iter().map(|m| (m.topic.as_str(), m.time, m.data.as_slice())),
-        BlockCodec::Lzss,
-        ctx,
-    )
+    let entries = messages.iter().map(|m| chunk_entry_len(&m.topic, m.data.len())).sum();
+    let mut chunk = OpenChunk::with_capacity(entries);
+    for m in messages {
+        chunk.push(&m.topic, m.time, &m.data);
+    }
+    chunk.finish(BlockCodec::Lzss, ctx)
 }
+
+/// Messages a read's chunk ([`Response::StreamChunkLz`]) holds at least
+/// before it closes. Small enough that the first result reaches the
+/// client while the merge is still running.
+const STREAM_CHUNK_MSGS: usize = 32;
+
+/// Payload bytes a chunk holds at least before it closes: one stored
+/// block. A frame costs a send and a receive whatever it carries, so a
+/// chunk of small messages waits until it carries as much as one page.
+const STREAM_CHUNK_BYTES: usize = bora::block::DEFAULT_BLOCK_SIZE as usize;
 
 /// Bytes a read chunk's reply frame holds before its first message: seq,
 /// opcode and frame length, the block frame's header and the message
 /// count. The server closes a chunk before it grows past
 /// [`MAX_FRAME_LEN`].
-pub(crate) const CHUNK_FRAME_BASE: usize = 4 + 1 + 4 + bora::block::FRAME_HEADER_LEN + 4;
+const CHUNK_FRAME_BASE: usize = 4 + 1 + 4 + CHUNK_HEAD;
+
+/// Bytes an open chunk's buffer holds before its first message: room for
+/// the block frame's header, and the message count.
+const CHUNK_HEAD: usize = bora::block::FRAME_HEADER_LEN + 4;
 
 /// Bytes one message adds to a chunk's body: `u16` topic length, two
 /// `u32` of time, `u32` payload length, and the topic and payload.
-pub(crate) fn chunk_entry_len(topic: &str, payload: usize) -> usize {
+fn chunk_entry_len(topic: &str, payload: usize) -> usize {
     14 + topic.len() + payload
 }
 
-/// A [`Response::StreamChunkLz`] of `codec` over borrowed `(topic, time,
-/// payload)` triples: the server's stream sink feeds it pool-page slices,
-/// so a payload is copied once — into the buffer that, when the batch is
-/// sent raw or does not compress, *is* the frame
-/// (`bora::block::encode_frame_in_place`). A [`BlockCodec::None`] frame
-/// skips the encoder and keeps the frame's CRC32C.
-pub(crate) fn chunk_frame<'a>(
-    messages: impl ExactSizeIterator<Item = (&'a str, Time, &'a [u8])> + Clone,
-    codec: BlockCodec,
-    ctx: &mut IoCtx,
-) -> Response {
-    // Sized once, exactly: a 640 KB image chunk grown by doubling is a
-    // dozen reallocations whose page faults vary from run to run.
-    let len = bora::block::FRAME_HEADER_LEN
-        + 4
-        + messages
-            .clone()
-            .map(|(topic, _, payload)| chunk_entry_len(topic, payload.len()))
-            .sum::<usize>();
-    let mut buf = Vec::with_capacity(len);
-    buf.resize(bora::block::FRAME_HEADER_LEN, 0);
-    let mut w = Writer { buf, overflow: false };
-    w.put_u32(messages.len() as u32);
-    for (topic, time, payload) in messages {
-        w.msg(topic, time, payload);
+/// Whether a read's open chunk — `msgs` messages of `payload` payload
+/// bytes, in a reply frame of `frame` bytes — closes before a message
+/// that adds `next` bytes to that frame joins it. It closes once it
+/// holds [`STREAM_CHUNK_MSGS`] messages and [`STREAM_CHUNK_BYTES`] of
+/// payload, and before `next` would take its frame past
+/// [`MAX_FRAME_LEN`], which no peer accepts. An empty chunk never closes:
+/// a message over the limit alone is a chunk of its own, which the serve
+/// loop answers with the one permanent `BadRequest`.
+fn chunk_closes(msgs: usize, payload: usize, frame: usize, next: usize) -> bool {
+    msgs > 0
+        && (msgs >= STREAM_CHUNK_MSGS && payload >= STREAM_CHUNK_BYTES
+            || frame + next > MAX_FRAME_LEN as usize)
+}
+
+/// A read chunk being built, the one place a chunk frame is laid out:
+/// each pushed message goes straight into the buffer that, when the
+/// chunk is sent raw or does not compress, *is* the frame
+/// (`bora::block::encode_frame_in_place`). The server's scan pushes the
+/// pool-page slices the stream lends, so a payload is copied once, and
+/// the chunk's own length is its frame's.
+pub(crate) struct OpenChunk {
+    w: Writer,
+    msgs: usize,
+    payload: usize,
+}
+
+impl OpenChunk {
+    /// An empty chunk with room for `entries` bytes of messages.
+    fn with_capacity(entries: usize) -> Self {
+        let mut buf = Vec::with_capacity(CHUNK_HEAD + entries);
+        buf.resize(CHUNK_HEAD, 0);
+        OpenChunk { w: Writer { buf, overflow: false }, msgs: 0, payload: 0 }
     }
-    let body = w.finish().expect("topic names fit a u16 length prefix");
-    debug_assert_eq!(body.len(), len);
-    Response::StreamChunkLz(encode_frame_in_place(codec, body, ctx))
+
+    /// A read's first chunk, sized from the floor and its first message:
+    /// room for as many messages like it as the chunk holds at least. A
+    /// buffer grown by doubling from the floor would copy each byte of a
+    /// chunk of images about 1.5 more times.
+    pub(crate) fn first(topic: &str, payload: usize) -> Self {
+        let like = STREAM_CHUNK_MSGS.max(STREAM_CHUNK_BYTES.div_ceil(payload.max(1)));
+        Self::with_capacity((like * chunk_entry_len(topic, payload)).min(MAX_FRAME_LEN as usize))
+    }
+
+    /// The chunk, if it closes ([`chunk_closes`]) before a message of
+    /// `topic` with `payload` bytes joins it. The next chunk then opens in
+    /// its place, sized from it with one message of its average to spare.
+    pub(crate) fn close_before(&mut self, topic: &str, payload: usize) -> Option<OpenChunk> {
+        let (len, next) = (self.w.buf.len(), chunk_entry_len(topic, payload));
+        if !chunk_closes(self.msgs, self.payload, CHUNK_FRAME_BASE - CHUNK_HEAD + len, next) {
+            return None;
+        }
+        let entries = len - CHUNK_HEAD;
+        Some(std::mem::replace(self, OpenChunk::with_capacity(entries + entries / self.msgs)))
+    }
+
+    pub(crate) fn push(&mut self, topic: &str, time: Time, payload: &[u8]) {
+        self.w.msg(topic, time, payload);
+        self.msgs += 1;
+        self.payload += payload.len();
+    }
+
+    /// Payload bytes pushed so far.
+    pub(crate) fn payload(&self) -> usize {
+        self.payload
+    }
+
+    /// The chunk as a [`Response::StreamChunkLz`] of `codec`: a
+    /// [`BlockCodec::None`] frame skips the encoder and keeps the frame's
+    /// CRC32C.
+    pub(crate) fn finish(self, codec: BlockCodec, ctx: &mut IoCtx) -> Response {
+        let mut body = self.w.finish().expect("topic names fit a u16 length prefix");
+        body[CHUNK_HEAD - 4..CHUNK_HEAD].copy_from_slice(&(self.msgs as u32).to_le_bytes());
+        Response::StreamChunkLz(encode_frame_in_place(codec, body, ctx))
+    }
 }
 
 /// Decode a [`Response::StreamChunkLz`] frame back into its message
@@ -264,7 +325,7 @@ pub enum Request {
     Topics { container: String },
     /// Fetch the container's raw metadata (`ContainerMeta::encode` bytes).
     Meta { container: String },
-    /// Read messages of `topics`, optionally restricted to `[start, end]`:
+    /// Read messages of `topics`, optionally restricted to `[start, end)`:
     /// answered with a sequence of [`Response::StreamChunkLz`] frames
     /// written as the server-side merge yields messages, closed by
     /// [`Response::StreamEnd`]. The worker's cache pin is held for the
@@ -1139,8 +1200,18 @@ pub fn frame_prefix(len: usize) -> ProtoResult<[u8; FRAME_HEADER_LEN]> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A chunk of `messages` sent as `codec`, built as the server's scan
+    /// builds one.
+    pub(crate) fn chunk_of(messages: &[WireMessage], codec: BlockCodec) -> Response {
+        let mut chunk = OpenChunk::with_capacity(0);
+        for m in messages {
+            chunk.push(&m.topic, m.time, &m.data);
+        }
+        chunk.finish(codec, &mut IoCtx::new())
+    }
 
     fn roundtrip_resp(resp: Response) {
         assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
@@ -1198,15 +1269,42 @@ mod tests {
     fn a_chunk_reply_is_its_base_and_its_entries() {
         let payload = vec![7u8; 5000];
         let msgs = [("/imu", 316), ("/camera/rgb/image_color", 0), ("/tf", 5000)];
-        let triples = || msgs.iter().map(|&(t, n)| (t, Time::new(1, 2), &payload[..n]));
         let counted =
             CHUNK_FRAME_BASE + msgs.iter().map(|&(t, n)| chunk_entry_len(t, n)).sum::<usize>();
         for codec in [BlockCodec::None, BlockCodec::Lzss] {
-            let chunk = chunk_frame(triples(), codec, &mut IoCtx::new());
+            let mut chunk = OpenChunk::with_capacity(0);
+            for &(topic, n) in &msgs {
+                chunk.push(topic, Time::new(1, 2), &payload[..n]);
+            }
+            let chunk = chunk.finish(codec, &mut IoCtx::new());
             let (head, tail) = chunk.encode_parts(u32::MAX).unwrap();
             let len = head.len() + tail.len();
             assert!(len == counted || codec == BlockCodec::Lzss && len < counted, "{codec:?}");
         }
+    }
+
+    #[test]
+    fn a_chunk_closes_at_its_floor_or_before_the_frame_limit() {
+        let (max, floor, base) = (MAX_FRAME_LEN as usize, STREAM_CHUNK_BYTES, CHUNK_FRAME_BASE);
+        let imu = chunk_entry_len("/imu", 316);
+        // The floor takes both: 32 messages, and one stored block.
+        assert!(!chunk_closes(31, 10 * floor, base + 10 * floor, imu));
+        assert!(!chunk_closes(STREAM_CHUNK_MSGS, floor - 1, base + floor, imu));
+        assert!(chunk_closes(STREAM_CHUNK_MSGS, floor, base + floor + 32 * 18, 0));
+        assert!(!chunk_closes(4000, floor - 1, base + floor + 4000 * 18, 0));
+        // The ceiling: a message that would take the frame one byte past
+        // the limit opens the next chunk.
+        assert!(!chunk_closes(3, 900, max - 1000, 1000));
+        assert!(chunk_closes(3, 900, max - 1000, 1001));
+        // 4K rgb8 images, 24.9 MB each: ten fit a frame, the 11th closes
+        // the chunk first — 32 of them would be 796 MB.
+        let image = chunk_entry_len("/cam", 3840 * 2160 * 3);
+        assert!(!chunk_closes(10, 0, base + 9 * image, image));
+        assert!(chunk_closes(10, 0, base + 10 * image, image));
+        // An empty chunk never closes: a message over the limit alone is a
+        // chunk of its own, which closes before the next message.
+        assert!(!chunk_closes(0, 0, base, max));
+        assert!(chunk_closes(1, max, base + chunk_entry_len("/cam", max), imu));
     }
 
     #[test]

@@ -19,12 +19,14 @@
 //! Every read op reaches the one k-way merge the same way: a worker opens
 //! a `Source` (a static container's pinned cache handle, or a live
 //! root's MVCC snapshot — "a static container is a snapshot with empty
-//! tails"), builds one `MessageStream` over it, and either `scan`s it
-//! into chunk frames or hands it to a query cursor (`QUERY`). `READ` and
-//! `READ_STREAM2` are one op on the wire's reply side: both are answered
-//! by chunks and a `StreamEnd`, and differ only in the metrics key they
-//! are counted under. A connection's chunks share one codec choice
-//! (`ChunkCodec`), which the transport's serve loop holds.
+//! tails"), builds one `MessageStream` over it, and either `scan`s it —
+//! each run the stream lends goes from its pool page straight into the
+//! open chunk's frame, with no message owned on the way — or hands it to
+//! a query cursor (`QUERY`). `READ` and `READ_STREAM2` are one op on the
+//! wire's reply side: both are answered by chunks and a `StreamEnd`, and
+//! differ only in the metrics key they are counted under. A connection's
+//! chunks share one codec choice (`ChunkCodec`), which the transport's
+//! serve loop holds.
 //!
 //! Workers register with a [`simfs::ConcurrencyGauge`], so on cost-model
 //! backends each request's virtual I/O time reflects how many workers
@@ -36,7 +38,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bora::{BlockCodec, BoraError, BoraResult, BufferPool, MessageStream, StreamMessage};
+use bora::{BlockCodec, BoraError, BoraResult, BufferPool, MessageStream};
 use bora_ingest::{IngestStore, Snapshot};
 use bora_obs::{Counter, TraceContext};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
@@ -47,23 +49,13 @@ use simfs::{ConcurrencyGauge, IoCtx, Storage};
 use crate::cache::{HandleCache, PinnedBag};
 use crate::metrics::{Metrics, Op, StatsSnapshot};
 use crate::proto::{
-    chunk_entry_len, chunk_frame, ContainerStat, ErrorCode, MetricsReport, PingInfo, Request,
-    Response, SlowOpEntry, CHUNK_FRAME_BASE, MAX_FRAME_LEN, METRICS_REPORT_VERSION,
+    ContainerStat, ErrorCode, MetricsReport, OpenChunk, PingInfo, Request, Response, SlowOpEntry,
+    METRICS_REPORT_VERSION,
 };
-
-/// Messages a read's chunk ([`Response::StreamChunkLz`]) holds at least
-/// before it closes. Small enough that the first result reaches the
-/// client while the merge is still running.
-const STREAM_CHUNK_MSGS: usize = 32;
-
-/// Payload bytes a chunk holds at least before it closes: one stored
-/// block. A frame costs a send and a receive whatever it carries, so a
-/// chunk of small messages waits until it carries as much as one page.
-const STREAM_CHUNK_BYTES: usize = bora::block::DEFAULT_BLOCK_SIZE as usize;
 
 /// Rows per [`Response::QueryChunk`] frame. Query rows are a few scalar
 /// cells each — far smaller than raw messages — so the batch can be
-/// larger than [`STREAM_CHUNK_MSGS`] at the same framing overhead.
+/// larger than a read chunk's 32 messages at the same framing overhead.
 const QUERY_CHUNK_ROWS: usize = 64;
 
 /// Bound of a streaming reply channel: how many frames the worker may run
@@ -422,7 +414,9 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
     pub fn cache_pins(&self, container: &str) -> u32 {
         self.shared.cache.pins(container)
     }
+}
 
+impl<S: Storage> Server<S> {
     /// Stop accepting data requests and tell every worker to exit once the
     /// queue drains. Idempotent; does not join (see [`Server::shutdown`]).
     pub fn begin_shutdown(&self) {
@@ -452,17 +446,8 @@ impl<S: Storage> Drop for Server<S> {
         // Last Arc going away with workers possibly parked in `recv`:
         // poison and join so no worker thread outlives the server. The
         // blocking sends terminate because workers only ever drain the
-        // queue. Idempotent after an explicit `shutdown()`.
-        self.shared.shutting_down.store(true, Ordering::SeqCst);
-        let n = self.workers.lock().len();
-        for _ in 0..n {
-            if self.tx.send(Job::Poison).is_err() {
-                break;
-            }
-        }
-        for h in self.workers.lock().drain(..) {
-            let _ = h.join();
-        }
+        // queue. A no-op after an explicit `shutdown()`.
+        self.shutdown();
     }
 }
 
@@ -484,11 +469,9 @@ fn worker_loop<S: Storage + Clone>(shared: &Shared<S>, rx: &Receiver<Job>) {
     // Lane convention: pid 0 is the client; servers are `server_id + 1`.
     bora_obs::set_thread_node(shared.server_id + 1);
     while let Ok(job) = rx.recv() {
-        let (req, op, reply, codec, submitted, tctx, submitted_ns, deadline_ns) = match job {
-            Job::Poison => return,
-            Job::Work { req, op, reply, codec, submitted, tctx, submitted_ns, deadline_ns } => {
-                (req, op, reply, codec, submitted, tctx, submitted_ns, deadline_ns)
-            }
+        let Job::Work { req, op, reply, codec, submitted, tctx, submitted_ns, deadline_ns } = job
+        else {
+            return;
         };
         // Everything this request records now parents under the client's
         // span (a no-op guard when the request carried no context).
@@ -660,51 +643,37 @@ impl<'c, S: Storage + Clone> Source<'c, S> {
     }
 }
 
-/// Whether a read's open chunk — `msgs` messages of `payload` payload
-/// bytes, in a reply frame of `frame` bytes — closes before a message
-/// that adds `next` bytes to that frame joins it. It closes once it
-/// holds [`STREAM_CHUNK_MSGS`] messages and [`STREAM_CHUNK_BYTES`] of
-/// payload, and before `next` would take its frame past
-/// [`MAX_FRAME_LEN`], which no peer accepts. An empty chunk never closes:
-/// a message over the limit alone is a chunk of its own, which the serve
-/// loop answers with the one permanent `BadRequest`.
-fn chunk_closes(msgs: usize, payload: usize, frame: usize, next: usize) -> bool {
-    msgs > 0
-        && (msgs >= STREAM_CHUNK_MSGS && payload >= STREAM_CHUNK_BYTES
-            || frame + next > MAX_FRAME_LEN as usize)
-}
-
-/// Drain `stream` in chunks, handing each to `sink` (which empties it):
-/// the open chunk goes when [`chunk_closes`] before the next message, and
-/// at the end. The messages are still the stream's shared slices — what
-/// to copy, and where to, is the sink's business. Returns the message
-/// total, or `None` when `sink` reported its receiver gone — the stream
-/// is aborted, and the virtual time already spent is still folded into
-/// `ctx` so metrics stay honest.
+/// Drain `stream` a run at a time, pushing each lent message from its
+/// pool page straight into the open chunk and handing the chunk to `sink`
+/// when it closes before the next message (a run may span chunks) and at
+/// the end. How to code the frame, and where to send it, is the sink's
+/// business; it never touches the stream. Returns the message total, or
+/// `None` when `sink` reported its receiver gone — the stream is aborted,
+/// and the virtual time already spent is still folded into `ctx` so
+/// metrics stay honest.
 fn scan<S: Storage>(
     mut stream: MessageStream<'_, S>,
     ctx: &mut IoCtx,
-    sink: &mut dyn FnMut(&mut Vec<StreamMessage>, &mut IoCtx) -> bool,
+    sink: &mut dyn FnMut(OpenChunk, &mut IoCtx) -> bool,
 ) -> BoraResult<Option<u64>> {
-    let mut batch: Vec<StreamMessage> = Vec::with_capacity(STREAM_CHUNK_MSGS);
-    let (mut payload, mut frame, mut total) = (0, CHUNK_FRAME_BASE, 0u64);
-    while let Some(msg) = stream.next_msg(ctx)? {
-        let len = chunk_entry_len(&msg.topic, msg.payload().len());
-        if chunk_closes(batch.len(), payload, frame, len) {
-            if !sink(&mut batch, ctx) {
-                stream.charge_into(ctx);
-                return Ok(None);
+    let (mut chunk, mut total) = (None::<OpenChunk>, 0u64);
+    while let Some(run) = stream.lend_run(ctx, usize::MAX)? {
+        let sent = run.messages().all(|m| {
+            let open = chunk.get_or_insert_with(|| OpenChunk::first(m.topic, m.payload.len()));
+            if open.close_before(m.topic, m.payload.len()).is_some_and(|c| !sink(c, ctx)) {
+                return false;
             }
-            (payload, frame) = (0, CHUNK_FRAME_BASE);
+            open.push(m.topic, m.time, m.payload);
+            total += 1;
+            true
+        });
+        if !sent {
+            stream.charge_into(ctx);
+            return Ok(None);
         }
-        (payload, frame) = (payload + msg.payload().len(), frame + len);
-        batch.push(msg);
-        total += 1;
     }
-    if !batch.is_empty() && !sink(&mut batch, ctx) {
-        return Ok(None);
-    }
-    Ok(Some(total))
+    let sent = chunk.is_none_or(|last| sink(last, ctx));
+    Ok(sent.then_some(total))
 }
 
 /// The codec of each read chunk on one connection, raw or LZ, chosen
@@ -717,7 +686,11 @@ fn scan<S: Storage>(
 ///
 /// A chunk's cost is nanoseconds per logical (payload) byte: the
 /// worker's time building its frame plus the serve loop's time writing
-/// it to the connection (its drain). The drain is timed where the frame
+/// it to the connection (its drain). Its build is the open chunk's
+/// `finish` — the CRC, plus the encode for LZ. The payloads' copy into
+/// the frame happens before, as the stream lends them, and costs both
+/// modes the same, so it is in neither's build and LZ's measured
+/// surcharge is what it was. The drain is timed where the frame
 /// is written, so it is the link's price for that frame whether or not
 /// any send of the worker waited for it: a lone raw probe's drain does
 /// not hide in the slack a slow LZ encoder leaves the link.
@@ -991,20 +964,15 @@ fn handle<S: Storage + Clone>(
                 // other materialisation.
                 codec.lock().start_read();
                 let (copied, lz_chunks) = chunk_counters();
-                let sent = scan(stream, ctx, &mut |batch, ctx| {
-                    let bytes = batch.iter().map(|m| m.payload().len() as u64).sum();
+                let sent = scan(stream, ctx, &mut |chunk, ctx| {
+                    let bytes = chunk.payload() as u64;
                     copied.add(bytes);
                     let mode = codec.lock().pick();
                     if mode == BlockCodec::Lzss {
                         lz_chunks.inc();
                     }
                     let started = Instant::now();
-                    let frame = chunk_frame(
-                        batch.iter().map(|m| (&*m.topic, m.time, m.payload())),
-                        mode,
-                        ctx,
-                    );
-                    batch.clear();
+                    let frame = chunk.finish(mode, ctx);
                     let built = Instant::now();
                     codec.lock().record(mode, bytes, built - started);
                     // Only a send that finds the window full waits, and
@@ -1022,10 +990,8 @@ fn handle<S: Storage + Clone>(
                     }
                     sent
                 })?;
-                match sent {
-                    Some(messages) => Response::StreamEnd { messages },
-                    None => return Ok(None),
-                }
+                let Some(messages) = sent else { return Ok(None) };
+                Response::StreamEnd { messages }
             }
             Request::Query { container, sql, partial } => {
                 // A statement that fails to compile — or is found at fault
@@ -1341,29 +1307,5 @@ mod tests {
         // Reads too short for a send to wait on one of their own frames
         // never block, so they never probe — however slow the link.
         assert_eq!(drive_reads(&[STREAM_WINDOW + 1; 40], slow).lz, []);
-    }
-
-    #[test]
-    fn a_chunk_closes_at_its_floor_or_before_the_frame_limit() {
-        let (max, floor, base) = (MAX_FRAME_LEN as usize, STREAM_CHUNK_BYTES, CHUNK_FRAME_BASE);
-        let imu = chunk_entry_len("/imu", 316);
-        // The floor takes both: 32 messages, and one stored block.
-        assert!(!chunk_closes(31, 10 * floor, base + 10 * floor, imu));
-        assert!(!chunk_closes(STREAM_CHUNK_MSGS, floor - 1, base + floor, imu));
-        assert!(chunk_closes(STREAM_CHUNK_MSGS, floor, base + floor + 32 * 18, 0));
-        assert!(!chunk_closes(4000, floor - 1, base + floor + 4000 * 18, 0));
-        // The ceiling: a message that would take the frame one byte past
-        // the limit opens the next chunk.
-        assert!(!chunk_closes(3, 900, max - 1000, 1000));
-        assert!(chunk_closes(3, 900, max - 1000, 1001));
-        // 4K rgb8 images, 24.9 MB each: ten fit a frame, the 11th closes
-        // the chunk first — 32 of them would be 796 MB.
-        let image = chunk_entry_len("/cam", 3840 * 2160 * 3);
-        assert!(!chunk_closes(10, 0, base + 9 * image, image));
-        assert!(chunk_closes(10, 0, base + 10 * image, image));
-        // An empty chunk never closes: a message over the limit alone is a
-        // chunk of its own, which closes before the next message.
-        assert!(!chunk_closes(0, 0, base, max));
-        assert!(chunk_closes(1, max, base + chunk_entry_len("/cam", max), imu));
     }
 }

@@ -373,7 +373,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{chunk_frame, compress_chunk, WireMessage};
+    use crate::proto::tests::chunk_of;
+    use crate::proto::{compress_chunk, WireMessage};
     use crate::{ClientError, ServeClient};
     use bora::BlockCodec;
     use ros_msgs::Time;
@@ -390,9 +391,7 @@ mod tests {
                 data: (0..bytes.div_ceil(32)).map(|j| (j % 251 + i as usize) as u8).collect(),
             })
             .collect();
-        let ctx = &mut IoCtx::new();
-        let triples = msgs.iter().map(|m| (m.topic.as_str(), m.time, m.data.as_slice()));
-        [chunk_frame(triples, BlockCodec::None, ctx), compress_chunk(&msgs, ctx)]
+        [chunk_of(&msgs, BlockCodec::None), compress_chunk(&msgs, &mut IoCtx::new())]
     }
 
     #[test]

@@ -5,16 +5,19 @@
 //! wire chunk the server builds and every 32-message batch (the chunk of
 //! a read of 2 KiB messages) of the `hs` data set that early verdict must be
 //! the full pass's verdict — that is what keeps
-//! `stored_bytes_per_user_byte` where it was — and the served payloads
-//! must reach their frame in one counted copy.
+//! `stored_bytes_per_user_byte` where it was — the served payloads
+//! must reach their frame in one counted copy, and each served chunk must
+//! be the batch `server_chunks` cuts.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bora::block::{decode_frame, encode_frame, DEFAULT_BLOCK_SIZE, FRAME_HEADER_LEN};
 use bora::{BlockCodec, BlockParams, OrganizerOptions};
 use bora_serve::{
-    compress_chunk, MemTransport, Response, ServeClient, Server, ServerConfig, WireMessage,
+    compress_chunk, decompress_chunk, MemTransport, Request, Response, ServeClient, Server,
+    ServerConfig, WireMessage,
 };
+use ros_msgs::Time;
 use rosbag::{BagReader, MessageRecord};
 use simfs::{IoCtx, MemStorage};
 use workloads::tum::{self, topic, GenOptions};
@@ -131,12 +134,17 @@ fn early_verdict_is_the_full_pass_verdict_on_hs_seed_2() {
     verdicts_agree_on_hs(2);
 }
 
+/// Held by each test of this file that streams: the server adds every
+/// chunk's payload to the process-wide `stream.bytes_copied`, which
+/// [`streamed_scan_counts_one_copy_per_payload_byte`] reads.
+static STREAMING: Mutex<()> = Mutex::new(());
+
 /// A streamed scan copies each payload byte once on the server — pool
 /// page (or read buffer) into the chunk's frame buffer — and says so in
-/// `stream.bytes_copied`. (No other test of this file streams, so the
-/// process-wide counter is this test's own.)
+/// `stream.bytes_copied`.
 #[test]
 fn streamed_scan_counts_one_copy_per_payload_byte() {
+    let _streaming = STREAMING.lock().unwrap_or_else(|e| e.into_inner());
     let fs = Arc::new(MemStorage::new());
     let mission = hs(&fs, 0.02, 1);
     let ctx = &mut IoCtx::new();
@@ -159,5 +167,52 @@ fn streamed_scan_counts_one_copy_per_payload_byte() {
         assert_eq!(copied.get() - before, payload, "{topics:?}");
     }
     drop(client);
+    server.shutdown();
+}
+
+/// The chunks a served read answers with are the batches `server_chunks`
+/// cuts from the baseline reader's order — for both of the benchmark's
+/// scans and for a time window, whichever codec each chunk went out in.
+#[test]
+fn served_chunks_are_the_server_chunks_of_the_read() {
+    let _streaming = STREAMING.lock().unwrap_or_else(|e| e.into_inner());
+    let fs = Arc::new(MemStorage::new());
+    let mission = hs(&fs, 0.02, 1);
+    let ctx = &mut IoCtx::new();
+    let opts = OrganizerOptions { block: Some(BlockParams::default()), ..Default::default() };
+    bora::duplicate(&*fs, "/hs.bag", &*fs, "/c", &opts, ctx).unwrap();
+    let server = Server::start(Arc::clone(&fs), ServerConfig::default());
+
+    // The middle third of the recording, as `[start, end)`.
+    let (first, last) = (mission[0].time.as_nanos(), mission[mission.len() - 1].time.as_nanos());
+    let third = (last - first) / 3;
+    let window = (Time::from_nanos(first + third), Time::from_nanos(last - third));
+    let reads = [(SCANS[0], None), (SCANS[1], None), (SCANS[0], Some(window))];
+    for (topics, range) in reads {
+        let scan: Vec<WireMessage> = mission
+            .iter()
+            .filter(|m| topics.contains(&m.topic.as_str()))
+            .filter(|m| range.is_none_or(|(start, end)| start <= m.time && m.time < end))
+            .map(|m| WireMessage { topic: m.topic.clone(), time: m.time, data: m.data.clone() })
+            .collect();
+        let what = format!("{topics:?} over {range:?}");
+        let topics = topics.iter().map(|t| t.to_string()).collect();
+        let read = Request::Read { container: "/c".into(), topics, range };
+        let (mut served, mut end) = (Vec::new(), None);
+        server.submit_streamed(read, &mut |resp| {
+            match resp {
+                Response::StreamChunkLz(frame) => served.push(decompress_chunk(&frame).unwrap()),
+                other => end = Some(other),
+            }
+            true
+        });
+        assert_eq!(end, Some(Response::StreamEnd { messages: scan.len() as u64 }), "{what}");
+        let cut = server_chunks(&scan);
+        assert!(cut.len() > 1, "{what}: {} chunks", cut.len());
+        assert_eq!(served.len(), cut.len(), "{what}");
+        for (i, (got, want)) in served.iter().zip(cut).enumerate() {
+            assert_eq!(got.as_slice(), want, "{what}: chunk {i}");
+        }
+    }
     server.shutdown();
 }

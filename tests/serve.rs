@@ -8,7 +8,7 @@
 
 use bora_repro::*;
 
-use bora::{BoraBag, OrganizerOptions};
+use bora::{BlockParams, BoraBag, OrganizerOptions};
 use bora_cluster::{ClusterClient, ClusterClientConfig, Ring, RingConfig};
 use bora_serve::{
     spawn_tcp_listener, ClientError, ErrorCode, MemTransport, ServeClient, Server, ServerConfig,
@@ -373,6 +373,28 @@ fn streaming_read_is_byte_identical_to_buffered_read() {
     let streamed_ops = snap.ops.iter().find(|(n, _)| n == "read_stream").map(|(_, o)| o.count);
     assert!(streamed_ops.unwrap_or(0) >= 2);
 
+    server.shutdown();
+}
+
+/// A served time-range read is half-open, `[start, end)`, on a static
+/// container as on a live root (`tests/ingest.rs`): with `start` and `end`
+/// each a message's timestamp, the message at `start` is read and the
+/// one at `end` is not — through a v1 and a block-framed container alike.
+#[test]
+fn a_served_time_range_read_is_half_open() {
+    let fs = Arc::new(MemStorage::new());
+    let v1 = build_containers(&*fs, 1).remove(0);
+    let blocked = OrganizerOptions { block: Some(BlockParams::default()), ..Default::default() };
+    bora::duplicate(&*fs, "/hs.bag", &*fs, "/blocked", &blocked, &mut IoCtx::new()).unwrap();
+    let server = Server::start(Arc::clone(&fs), ServerConfig::default());
+    let mut client = ServeClient::connect(&MemTransport::new(Arc::clone(&server))).unwrap();
+    for root in [v1.as_str(), "/blocked"] {
+        let imu = client.read(root, &["/imu"]).unwrap();
+        let (start, end) = (imu[10].time, imu[20].time);
+        assert!(imu[9].time < start && imu[19].time < end && end < imu[21].time, "{root}");
+        let read = client.read_time(root, &["/imu"], start, end).unwrap();
+        assert_eq!(read, imu[10..20], "{root}");
+    }
     server.shutdown();
 }
 

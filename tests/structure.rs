@@ -38,10 +38,12 @@
 //!    no format magic and no ingest file name — it reads an ingest root
 //!    through `bora-ingest` alone.
 //! 9. *One codec choice*: a stream chunk's codec is measured, not asked
-//!    for. In non-test source under `crates/`, `chunk_frame` is called
-//!    from `compress_chunk` in `proto.rs` and from one site in
-//!    `server.rs`, the stream's policy, alone; `bora-serve` reads no
-//!    environment variable, and `ServerConfig` has no codec field.
+//!    for. In non-test `bora-serve` source the open chunk's `finish` —
+//!    the one `finish` that takes arguments — is called from
+//!    `compress_chunk` in `proto.rs` and from one site in `server.rs`, the
+//!    stream's policy, alone, and no non-test source under `crates/` names
+//!    the retired `chunk_frame`; `bora-serve` reads no environment
+//!    variable, and `ServerConfig` has no codec field.
 //! 10. *`repro` reproduces the paper*: `registry()` holds no `ext_` id,
 //!     and no CI step runs `repro` on one. A fact an extension checked is
 //!     a test; a kernel is timed by the wall-clock benchmark.
@@ -96,6 +98,11 @@
 //!     the `pub fn`s of `ClusterClient` that return messages or streams
 //!     are exactly `read`, `read_stream` and `read_stream_multi` — a
 //!     collected read is the stream, hedged at its first frame.
+//! 17. *One scan path*: the stream is drained by runs. Non-test
+//!     `bora-serve` source names no `StreamMessage` and calls no
+//!     `next_msg`, and `scan` in `server.rs` drains the stream with
+//!     `lend_run`: a lent message goes from its pool page into the open
+//!     chunk, and nothing owns it on the way.
 
 use std::path::Path;
 
@@ -350,8 +357,9 @@ fn stream_violations(source: &str) -> Vec<String> {
     found
 }
 
-/// Guard 9 over one file: calls of `chunk_frame`, environment reads in
-/// `bora-serve` and the fields of `ServerConfig`.
+/// Guard 9 over one file: calls of the open chunk's `finish` and names of
+/// the retired `chunk_frame`, environment reads in `bora-serve` and the
+/// fields of `ServerConfig`.
 fn codec_choice_violations(path: &str, source: &str) -> Vec<String> {
     let mut found = Vec::new();
     let (mut current, mut in_config, mut calls) = ("", false, 0);
@@ -363,7 +371,12 @@ fn codec_choice_violations(path: &str, source: &str) -> Vec<String> {
         if let Some(header) = header {
             current = header.split(['(', '<']).next().unwrap_or("");
         }
-        if line.contains("chunk_frame(") && header.is_none() && path.starts_with("crates/") {
+        // `finish(` with arguments: the open chunk's, not a `Writer`'s or
+        // a reader's `finish()`.
+        let called = code.split("//").next().unwrap_or("");
+        let finishes =
+            called.match_indices("finish(").any(|(at, f)| !called[at + f.len()..].starts_with(')'));
+        if finishes && header.is_none() && path.starts_with(SERVE_SRC) {
             calls += 1;
             let allowed = match path {
                 PROTO => current == "compress_chunk",
@@ -371,8 +384,13 @@ fn codec_choice_violations(path: &str, source: &str) -> Vec<String> {
                 _ => false,
             };
             if !allowed {
-                flag("`chunk_frame` is called by `compress_chunk` and the stream's policy alone");
+                flag(
+                    "the open chunk is finished by `compress_chunk` and the stream's policy alone",
+                );
             }
+        }
+        if called.contains("chunk_frame") && path.starts_with("crates/") {
+            flag("the open chunk is the one place a chunk frame is laid out");
         }
         if path.starts_with("crates/bora-serve/")
             && (line.contains("env::var") || line.contains("var_os("))
@@ -614,6 +632,36 @@ fn one_read_answer_violations(path: &str, source: &str) -> Vec<String> {
     found
 }
 
+/// Guard 17 over one file: the owned stream message and the
+/// message-at-a-time pull in non-test `bora-serve` source, and whether
+/// `scan` in `server.rs` drains the stream by runs.
+fn one_scan_path_violations(path: &str, source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    if !path.starts_with(SERVE_SRC) {
+        return found;
+    }
+    let (mut current, mut by_runs) = ("", false);
+    for (i, line) in source.lines().take_while(|l| !l.contains("#[cfg(test)]")).enumerate() {
+        let code = line.split("//").next().unwrap_or("");
+        let trimmed = code.trim_start();
+        let header =
+            ["fn ", "pub fn ", "pub(crate) fn "].iter().find_map(|p| trimmed.strip_prefix(p));
+        if let Some(header) = header {
+            current = header.split(['(', '<']).next().unwrap_or("");
+        }
+        if code.contains("StreamMessage") || code.contains("next_msg(") {
+            let at = format!("{path}:{}", i + 1);
+            found
+                .push(format!("one scan path: {at}: the stream lends, and nothing owns a message"));
+        }
+        by_runs |= path == SERVER && current == "scan" && code.contains(".lend_run(");
+    }
+    if path == SERVER && !by_runs {
+        found.push(format!("one scan path: {path}: `scan` drains the stream by `lend_run`"));
+    }
+    found
+}
+
 /// Guard 15 over one file: a source's read surface, and the query
 /// cursor's one input.
 fn one_read_surface_violations(path: &str, source: &str) -> Vec<String> {
@@ -832,6 +880,7 @@ fn the_tree_holds_every_guard() {
             found.extend(one_wire_path_violations(&rel, &source));
             found.extend(one_observation_path_violations(&rel, &source));
             found.extend(one_read_answer_violations(&rel, &source));
+            found.extend(one_scan_path_violations(&rel, &source));
             found.extend(one_read_surface_violations(&rel, &source));
             if names_the_heap(&rel, &source) {
                 heap_files.push(rel.clone());
@@ -983,10 +1032,11 @@ fn the_read_core_guard_fires() {
 #[test]
 fn the_one_codec_choice_guard_fires() {
     let compress = "pub fn compress_chunk(m: &[WireMessage]) -> Response {\n    \
-                    chunk_frame(m.iter(), BlockCodec::Lzss, ctx)\n}\n";
-    let define =
-        "pub(crate) fn chunk_frame<'a>(\n    messages: impl Iterator,\n) -> Response {\n}\n";
-    let sink = "fn handle() {\n    let frame = chunk_frame(batch.iter(), codec.pick(), ctx);\n}\n";
+                    chunk.finish(BlockCodec::Lzss, ctx)\n}\n";
+    let define = "impl OpenChunk {\n    \
+                  pub(crate) fn finish(self, codec: BlockCodec, ctx: &mut IoCtx) -> Response {\n        \
+                  let body = self.w.finish().expect(\"fits\");\n    }\n}\n";
+    let sink = "fn handle() {\n    let frame = chunk.finish(codec.pick(), ctx);\n}\n";
     let config = "pub struct ServerConfig {\n    pub workers: usize,\n    \
                   /// Ops slower than this are logged.\n    pub slow_op_threshold_ns: u64,\n}\n";
     let client = "crates/bora-serve/src/client.rs";
@@ -995,23 +1045,28 @@ fn the_one_codec_choice_guard_fires() {
         (SERVER, format!("{config}{sink}"), false),
         (
             SERVER,
-            format!("{sink}#[cfg(test)]\nfn t() {{ chunk_frame(b, BlockCodec::None, c); }}"),
+            format!("{sink}#[cfg(test)]\nfn t() {{ chunk.finish(BlockCodec::None, c); }}"),
             false,
         ),
+        (SERVER, format!("{sink}fn encode() {{\n    let body = w.finish()?;\n}}\n"), false),
+        (SERVER, format!("{sink}// `finish(mode, ctx)` builds the frame.\n"), false),
+        ("crates/bora/src/writer.rs", "let meta = self.finish(ctx)?;".into(), false),
         (
             "crates/bora-tool/src/main.rs",
             "let v = std::env::var(\"BORA_POOL_BYTES\");".into(),
             false,
         ),
         ("crates/bora-serve/src/bin/bora-serve.rs", "let mut it = std::env::args();".into(), false),
-        ("tests/serve.rs", "let f = chunk_frame(b, BlockCodec::None, c);".into(), false),
+        ("tests/serve.rs", "let f = chunk.finish(BlockCodec::None, c);".into(), false),
         (
             PROTO,
-            format!("{compress}fn read_chunk() {{\n    chunk_frame(m, BlockCodec::None, c)\n}}\n"),
+            format!("{compress}fn read_chunk() {{\n    chunk.finish(BlockCodec::None, c)\n}}\n"),
             true,
         ),
         (SERVER, format!("{sink}{sink}"), true),
-        (client, "let f = chunk_frame(b, BlockCodec::None, c);".into(), true),
+        (client, "let f = chunk.finish(BlockCodec::None, c);".into(), true),
+        (SERVER, "let f = chunk_frame(batch.iter(), mode, ctx);".into(), true),
+        ("crates/bora-cluster/src/client.rs", "let f = chunk_frame(b, m, c);".into(), true),
         (SERVER, "let lz = std::env::var(\"BORA_WIRE_LZ\").is_ok();".into(), true),
         (client, "if std::env::var_os(\"BORA_RAW\").is_some() {}".into(), true),
         (
@@ -1364,6 +1419,36 @@ fn the_one_read_answer_guard_fires() {
     ];
     for (path, source, fires) in cases {
         let found = one_read_answer_violations(path, &source);
+        assert_eq!(!found.is_empty(), fires, "{path}: {source}\n{found:?}");
+    }
+}
+
+#[test]
+fn the_one_scan_path_guard_fires() {
+    let scan = "fn scan<S: Storage>(mut stream: MessageStream<'_, S>) -> BoraResult<u64> {\n    \
+                while let Some(run) = stream.lend_run(ctx, usize::MAX)? {\n    }\n}\n";
+    let tests = "#[cfg(test)]\nfn t() { let m: StreamMessage = s.next_msg(c)?; }\n";
+    let cases = [
+        (SERVER, format!("{scan}{tests}"), false),
+        (
+            CLIENT,
+            "fn fetch() {\n    // Not a `StreamMessage`, nor `next_msg(ctx)`.\n}\n".into(),
+            false,
+        ),
+        (EXEC, "let m: StreamMessage = stream.next_msg(ctx)?;".into(), false),
+        (SERVER, scan.replace("stream.lend_run(ctx, usize::MAX)", "stream.next_msg(ctx)"), true),
+        (
+            SERVER,
+            format!("{scan}fn handle() {{\n    let b: Vec<StreamMessage> = vec![];\n}}\n"),
+            true,
+        ),
+        (SERVER, scan.replace("fn scan<", "fn drain<"), true),
+        (SERVER, "fn handle() {\n    let run = stream.lend_run(ctx, 64)?;\n}\n".into(), true),
+        (CLIENT, "use bora::StreamMessage;\n".into(), true),
+        (PROTO, format!("fn f() {{\n    let m = stream.next_msg(ctx)?;\n}}\n{tests}"), true),
+    ];
+    for (path, source, fires) in cases {
+        let found = one_scan_path_violations(path, &source);
         assert_eq!(!found.is_empty(), fires, "{path}: {source}\n{found:?}");
     }
 }
