@@ -15,12 +15,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use bora::{BoraBag, BoraError};
 use bora_cluster::{
     ClusterClient, ClusterClientConfig, ClusterTierConfig, HedgeConfig, LocalCluster, NodeId,
     RingConfig, RoutePolicy,
 };
 use bora_serve::transport::{serve_connection, MemConnection};
-use bora_serve::{Connection, Server, Transport};
+use bora_serve::{Connection, Server, Transport, WireMessage};
 use ros_msgs::sensor_msgs::{Image, Imu};
 use ros_msgs::Time;
 use rosbag::{BagWriter, BagWriterOptions};
@@ -230,6 +231,48 @@ fn killed_server_process_fails_over_without_streaming() {
     let failovers_before = bora_obs::counter("cluster.failover").get();
     assert_eq!(client.read(ROOT, &TOPICS).unwrap(), baseline);
     assert!(bora_obs::counter("cluster.failover").get() > failovers_before);
+
+    cluster.shutdown();
+}
+
+/// The owner's `.bora` rots on its medium after provisioning: its open
+/// fails the check against the MANIFEST, which an owner-first read takes
+/// for a fault of that replica, and the healthy one answers byte for byte.
+#[test]
+fn a_rotted_meta_file_on_the_owner_fails_over_to_the_replica() {
+    let staging = build_staging();
+    let (cluster, gates) = start_gated_cluster(3);
+    cluster.provision(&staging, &[ROOT]).unwrap();
+    let client = cluster.client(ClusterClientConfig {
+        policy: RoutePolicy::Primary,
+        hedge: None,
+        ..ClusterClientConfig::default()
+    });
+    let owner = client.replicas(ROOT)[0];
+    let owner_gate = Arc::clone(gates.lock().unwrap().get(&owner).unwrap());
+    let ctx = &mut IoCtx::new();
+    let meta = format!("{ROOT}/.bora");
+    let mut bytes = owner_gate.inner.read_all(&meta, ctx).unwrap();
+    let at = bytes.len() / 2;
+    bytes[at] ^= 0x20;
+    owner_gate.inner.remove_file(&meta, ctx).unwrap();
+    owner_gate.inner.append(&meta, &bytes, ctx).unwrap();
+    assert!(matches!(
+        BoraBag::open(&owner_gate.inner, ROOT, ctx).err(),
+        Some(BoraError::ChecksumMismatch { path, .. }) if path == ".bora"
+    ));
+
+    let expected: Vec<WireMessage> = BoraBag::open(&staging, ROOT, ctx)
+        .unwrap()
+        .read_topics(&TOPICS, ctx)
+        .unwrap()
+        .into_iter()
+        .map(WireMessage::from)
+        .collect();
+    let failovers_before = bora_obs::counter("cluster.failover").get();
+    assert_eq!(client.read(ROOT, &TOPICS).unwrap(), expected);
+    let failovers = bora_obs::counter("cluster.failover").get() - failovers_before;
+    assert!(failovers >= 1, "the owner's open failed but cluster.failover did not move");
 
     cluster.shutdown();
 }

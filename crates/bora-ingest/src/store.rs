@@ -355,7 +355,8 @@ impl<S: Storage> IngestStore<S> {
     /// Initialize a fresh ingest root. Commits an empty generation-0
     /// container first (so every snapshot has a container to open), then
     /// the `.boraingest` marker last — a crash mid-create leaves debris
-    /// but never a root that [`IngestStore::open`] accepts.
+    /// but never a root that [`IngestStore::open`] accepts — and opens
+    /// what it committed, as any later open would.
     pub fn create(storage: S, root: &str, cfg: IngestConfig, ctx: &mut IoCtx) -> BoraResult<Self> {
         let sp = bora_obs::span("ingest.create");
         let root = root.trim_end_matches('/').to_owned();
@@ -377,29 +378,8 @@ impl<S: Storage> IngestStore<S> {
         )?;
         storage.append(&mp, &cfg.encode(), ctx)?;
         storage.flush(&mp, ctx)?;
-        let gen =
-            Arc::new(GenHandle { generation: 0, root: g0, last_seal_seq: 0, last_wal_seq: 0 });
-        let shards =
-            (0..cfg.wal_shards.max(1)).map(|i| WalShard::new(wal_shard_path(&root, i))).collect();
         sp.end();
-        Ok(IngestStore {
-            storage,
-            root,
-            cfg,
-            pool: None,
-            inner: Mutex::new(IngestState {
-                shards,
-                memtable: BTreeMap::new(),
-                sealed: Vec::new(),
-                gen,
-                retired: Vec::new(),
-                next_seq: 1,
-                next_seal_seq: 1,
-                epoch: 1,
-                last_time: BTreeMap::new(),
-            }),
-            compacting: Mutex::new(()),
-        })
+        IngestStore::open(storage, &root, ctx)
     }
 
     /// Open (and recover) an existing ingest root:
@@ -705,8 +685,7 @@ impl<S: Storage> IngestStore<S> {
         // A damaged byte must stop the compaction, not be copied under a
         // fresh, valid commit record: everything taken from the old
         // generation is checked against its MANIFEST first.
-        let old_manifest = Manifest::load(&self.storage, &old.root, ctx)?
-            .ok_or_else(|| BoraError::Corrupt(format!("{}: no MANIFEST", old.root)))?;
+        let old_manifest = Manifest::load(&self.storage, &old.root, ctx)?;
         let from = (old.root.as_str(), &old_manifest);
         let old_meta = ContainerMeta::decode(&old_manifest.read_committed(
             &self.storage,
@@ -872,9 +851,8 @@ fn load_gen_marker<S: Storage>(
     gen_root: &str,
     ctx: &mut IoCtx,
 ) -> BoraResult<GenMarker> {
-    Manifest::load(storage, gen_root, ctx)?
-        .ok_or_else(|| BoraError::Corrupt(format!("{gen_root}: no MANIFEST")))?;
-    GenMarker::decode(&storage.read_all(&format!("{gen_root}/{GEN_MARKER}"), ctx)?)
+    let manifest = Manifest::load(storage, gen_root, ctx)?;
+    GenMarker::decode(&manifest.read_committed(storage, gen_root, GEN_MARKER, ctx)?)
 }
 
 #[cfg(test)]
@@ -905,6 +883,23 @@ mod tests {
         assert!(fs.exists("/live/gen/C00000000/MANIFEST", &mut ctx));
         assert!(IngestStore::is_ingest_root(&&fs, "/live", &mut ctx));
         assert!(!IngestStore::is_ingest_root(&&fs, "/elsewhere", &mut ctx));
+    }
+
+    #[test]
+    fn a_fresh_root_recovers_to_the_state_create_starts_from() {
+        let fs = MemStorage::new();
+        let mut ctx = IoCtx::new();
+        let st = store(&fs, &mut ctx);
+        assert!(!fs.exists(&wal_shard_path("/live", 0), &mut ctx), "no WAL shard written yet");
+        let inner = st.inner.lock();
+        assert_eq!((inner.next_seq, inner.next_seal_seq, inner.epoch), (1, 1, 1));
+        assert_eq!(
+            (inner.gen.generation, inner.gen.last_seal_seq, inner.gen.last_wal_seq),
+            (0, 0, 0)
+        );
+        assert!(inner.last_time.is_empty() && inner.memtable.is_empty() && inner.sealed.is_empty());
+        assert_eq!(inner.shards.len(), 2);
+        assert!(inner.shards.iter().all(|sh| sh.durable_records + sh.buffered_records() == 0));
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn a_compaction_makes_anew_only_what_was_sealed() {
 
     // Made anew: the new payloads framed, each topic's reopened partial
     // block, and the three small files, which are rebuilt whole.
-    let manifest = Manifest::load(&fs, "/live/gen/C00000002", ctx).unwrap().unwrap();
+    let manifest = Manifest::load(&fs, "/live/gen/C00000002", ctx).unwrap();
     let small_files: u64 =
         manifest.entries().iter().filter(|e| !e.path.ends_with("/data")).map(|e| e.len).sum();
     let frame = (BLOCK_SIZE as usize + FRAME_HEADER_LEN) as u64;

@@ -69,6 +69,16 @@ impl ExpHistogram {
         self.buckets[bucket_of(v)].fetch_add(1, Relaxed);
     }
 
+    /// Forget every sample: the state [`ExpHistogram::new`] starts from.
+    pub fn reset(&self) {
+        self.count.store(0, Relaxed);
+        self.sum.store(0, Relaxed);
+        self.min.store(u64::MAX, Relaxed);
+        for b in &self.buckets {
+            b.store(0, Relaxed);
+        }
+    }
+
     pub fn count(&self) -> u64 {
         self.count.load(Relaxed)
     }
@@ -192,6 +202,18 @@ mod tests {
         for p in [0.01, 0.5, 0.99, 1.0] {
             assert_eq!(s.percentile(p), 1023, "p={p}");
         }
+    }
+
+    #[test]
+    fn reset_forgets_every_sample() {
+        let h = ExpHistogram::new();
+        for v in [0, 7, 1 << 40] {
+            h.record(v);
+        }
+        h.reset();
+        assert_eq!(h.snapshot(), HistSummary::default());
+        h.record(5);
+        assert_eq!((h.count(), h.snapshot().min), (1, 5));
     }
 
     #[test]

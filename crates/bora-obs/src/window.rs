@@ -1,5 +1,5 @@
 //! [`WindowedHistogram`]: a sliding-window exponential histogram built as
-//! a ring of time-sliced [`crate::ExpHistogram`]-shaped slots.
+//! a ring of time-sliced [`crate::ExpHistogram`]s.
 //!
 //! The cumulative histograms in [`crate::registry`] answer "what happened
 //! since process start"; SLO questions need "what is the p99 *right
@@ -27,7 +27,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use crate::hist::{bucket_of, HistSummary, BUCKETS};
+use crate::hist::{ExpHistogram, HistSummary, BUCKETS};
 use crate::trace::now_ns;
 
 /// Transient epoch marker while a slot is being recycled.
@@ -35,50 +35,14 @@ const LOCKED: u64 = u64::MAX;
 
 /// One time slice of the window. Epoch is stored as `slot_index + 1`
 /// (0 = never used) so a fresh ring needs no initialization pass.
+#[derive(Default)]
 struct Slot {
     epoch: AtomicU64,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
+    hist: ExpHistogram,
 }
 
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            epoch: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    fn reset(&self) {
-        self.count.store(0, Relaxed);
-        self.sum.store(0, Relaxed);
-        self.min.store(u64::MAX, Relaxed);
-        for b in &self.buckets {
-            b.store(0, Relaxed);
-        }
-    }
-
-    fn record(&self, v: u64) {
-        self.count.fetch_add(1, Relaxed);
-        self.sum.fetch_add(v, Relaxed);
-        self.min.fetch_min(v, Relaxed);
-        self.buckets[bucket_of(v)].fetch_add(1, Relaxed);
-    }
-
-    fn merge_into(&self, acc: &mut HistSummary) {
-        acc.count = acc.count.saturating_add(self.count.load(Relaxed));
-        acc.sum = acc.sum.saturating_add(self.sum.load(Relaxed));
-        acc.min = acc.min.min(self.min.load(Relaxed));
-        for (i, b) in self.buckets.iter().enumerate() {
-            acc.buckets[i] = acc.buckets[i].saturating_add(b.load(Relaxed));
-        }
-    }
-}
+// The module docs' memory bound: an epoch beside each slot's histogram.
+const _: () = assert!(std::mem::size_of::<Slot>() == (4 + BUCKETS) * 8);
 
 /// A sliding-window histogram: the last `nslots × slot_ns` nanoseconds of
 /// samples, at slot granularity. See the module docs for semantics.
@@ -92,7 +56,7 @@ impl WindowedHistogram {
     /// must be non-zero.
     pub fn new(nslots: usize, slot_ns: u64) -> Self {
         assert!(nslots > 0 && slot_ns > 0, "window needs at least one non-empty slot");
-        WindowedHistogram { slot_ns, slots: (0..nslots).map(|_| Slot::new()).collect() }
+        WindowedHistogram { slot_ns, slots: (0..nslots).map(|_| Slot::default()).collect() }
     }
 
     /// The conventional 60 × 1 s window.
@@ -114,7 +78,7 @@ impl WindowedHistogram {
         loop {
             let cur = slot.epoch.load(Relaxed);
             if cur == epoch {
-                slot.record(v);
+                slot.hist.record(v);
                 return;
             }
             if cur == LOCKED {
@@ -128,9 +92,9 @@ impl WindowedHistogram {
             }
             // Stale slot: claim, recycle, publish, record.
             if slot.epoch.compare_exchange(cur, LOCKED, Relaxed, Relaxed).is_ok() {
-                slot.reset();
+                slot.hist.reset();
                 slot.epoch.store(epoch, Relaxed);
-                slot.record(v);
+                slot.hist.record(v);
                 return;
             }
         }
@@ -146,7 +110,7 @@ impl WindowedHistogram {
         for slot in &self.slots {
             let e = slot.epoch.load(Relaxed);
             if e != 0 && e != LOCKED && e >= oldest && e <= newest {
-                slot.merge_into(&mut acc);
+                acc = acc.merge(&slot.hist.snapshot());
             }
         }
         acc

@@ -158,9 +158,6 @@ fn main() {
                 report.state,
                 if report.stale_staging { " (stale staging debris)" } else { "" }
             );
-            if !report.has_manifest {
-                println!("note: no MANIFEST (pre-manifest container); structural check only");
-            }
             println!(
                 "files checked: {}, bytes checked: {}",
                 report.files_checked, report.bytes_checked

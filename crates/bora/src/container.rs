@@ -22,7 +22,7 @@ use crate::block::{decode_frame_in_place, BlockMap, BlockParams};
 use crate::bufpool::BufferPool;
 use crate::checksum::Crc32c;
 use crate::error::{BoraError, BoraResult};
-use crate::layout::{meta_path, rel_path, TopicPaths};
+use crate::layout::{meta_path, rel_path, TopicPaths, META_FILE};
 use crate::manifest::Manifest;
 use crate::meta::ContainerMeta;
 use crate::stream::{MessageStream, StreamOptions, TailMessage};
@@ -53,10 +53,10 @@ pub struct BoraBag<S> {
     root: String,
     pub(crate) tags: Arc<TagManager>,
     meta: Arc<ContainerMeta>,
-    /// Commit manifest, when the container has one. Full-file reads are
-    /// verified against it lazily; pre-manifest containers get `None` and
-    /// read unverified.
-    manifest: Arc<Option<Manifest>>,
+    /// The commit record. `.bora` is held to it at open, and full-file
+    /// reads lazily after; a topic directory it does not commit is not
+    /// opened at all.
+    manifest: Arc<Manifest>,
     /// topic → stable connection id, precomputed at open so per-message
     /// reporting is a hash lookup rather than a linear scan of the
     /// metadata topic list.
@@ -111,7 +111,9 @@ pub(crate) enum DataSource {
 
 impl<S: Storage> BoraBag<S> {
     /// BORA-assisted open (Fig. 4b): build the tag hash table from the
-    /// directory listing and load the container metadata.
+    /// directory listing and load the container metadata. Both are held
+    /// to the MANIFEST: `.bora` must match its commit record, and a
+    /// listed directory the MANIFEST does not commit is not a topic.
     pub fn open(storage: S, container_root: &str, ctx: &mut IoCtx) -> BoraResult<Self> {
         // The child spans partition the whole open: summing their virtual
         // charges reproduces the parent's (the paper's Fig. 4b
@@ -119,27 +121,24 @@ impl<S: Storage> BoraBag<S> {
         // plus the commit-manifest load the verification layer adds).
         let sp_open = bora_obs::span("bora.open");
         let virt_open = ctx.elapsed_ns();
-        let tags = {
+        let mut tags = {
             let sp = bora_obs::span("bora.open.tag_rebuild");
             let v0 = ctx.elapsed_ns();
             let tags = TagManager::build(&storage, container_root, ctx)?;
             sp.end_virt(ctx.elapsed_ns() - v0);
             tags
         };
-        let meta = {
+        let meta_bytes = {
             let sp = bora_obs::span("bora.open.meta_read");
             let v0 = ctx.elapsed_ns();
             let meta_bytes = storage
                 .read_all(&meta_path(container_root), ctx)
                 .map_err(|_| BoraError::NotAContainer(container_root.to_owned()))?;
-            let meta = ContainerMeta::decode(&meta_bytes)?;
             sp.end_virt(ctx.elapsed_ns() - v0);
-            meta
+            meta_bytes
         };
-        // The commit manifest, when present, arms lazy read verification.
-        // A container written before the commit protocol has none and
-        // reads unverified; a *damaged* manifest is a hard error — the
-        // container claims to be verifiable but can't be.
+        // A missing or damaged MANIFEST is a hard error: nothing commits
+        // what the root holds.
         let manifest = {
             let sp = bora_obs::span("bora.open.manifest_load");
             let v0 = ctx.elapsed_ns();
@@ -147,6 +146,9 @@ impl<S: Storage> BoraBag<S> {
             sp.end_virt(ctx.elapsed_ns() - v0);
             manifest
         };
+        manifest.verify(META_FILE, &meta_bytes)?;
+        let meta = ContainerMeta::decode(&meta_bytes)?;
+        tags.retain_committed(&manifest);
         bora_obs::counter("bora.open.count").inc();
         sp_open.end_virt(ctx.elapsed_ns() - virt_open);
         let conn_ids = meta
@@ -199,31 +201,27 @@ impl<S: Storage> BoraBag<S> {
     ) -> BoraResult<(Self, Vec<String>)> {
         let bag = Self::open(storage, container_root, ctx)?;
         let mut damaged_topics = Vec::new();
-        if let Some(manifest) = bag.manifest.as_ref() {
-            for topic in bag.topics().into_iter().map(str::to_owned).collect::<Vec<_>>() {
-                let paths = bag.tags.lookup(&topic, ctx)?.clone();
-                let intact =
-                    [&paths.data, &paths.index, &paths.tindex, &paths.blocks].iter().all(|p| {
-                        let rel = match rel_path(&bag.root, p) {
-                            Some(r) => r,
-                            None => return false,
-                        };
-                        match manifest.entry(rel) {
-                            // Unlisted file: nothing to verify against.
-                            None => true,
-                            Some(e) => bag.storage.len(p, ctx).map(|l| l == e.len).unwrap_or(false),
-                        }
-                    });
-                if !intact {
-                    damaged_topics.push(topic);
-                }
-            }
-            damaged_topics.sort();
-            let mut set = bag.damaged.lock();
-            for t in &damaged_topics {
-                set.insert(t.clone());
+        for topic in bag.topics().into_iter().map(str::to_owned).collect::<Vec<_>>() {
+            let paths = bag.tags.lookup(&topic, ctx)?.clone();
+            let intact =
+                [&paths.data, &paths.index, &paths.tindex, &paths.blocks].iter().all(|p| {
+                    let rel = match rel_path(&bag.root, p) {
+                        Some(r) => r,
+                        None => return false,
+                    };
+                    match bag.manifest.entry(rel) {
+                        // A v1 topic has no `blocks` file, so no entry for it;
+                        // any other unlisted file fails when it is read.
+                        None => true,
+                        Some(e) => bag.storage.len(p, ctx).map(|l| l == e.len).unwrap_or(false),
+                    }
+                });
+            if !intact {
+                damaged_topics.push(topic);
             }
         }
+        damaged_topics.sort();
+        bag.damaged.lock().extend(damaged_topics.iter().cloned());
         Ok((bag, damaged_topics))
     }
 
@@ -232,12 +230,6 @@ impl<S: Storage> BoraBag<S> {
         let mut v: Vec<String> = self.damaged.lock().iter().cloned().collect();
         v.sort();
         v
-    }
-
-    /// Whether this container carries a commit manifest (and therefore
-    /// verifies reads).
-    pub fn has_manifest(&self) -> bool {
-        self.manifest.is_some()
     }
 
     pub(crate) fn check_not_damaged(&self, topic: &str) -> BoraResult<()> {
@@ -254,21 +246,22 @@ impl<S: Storage> BoraBag<S> {
     }
 
     /// What the commit manifest expects of `path`, as a ready-to-fold
-    /// running CRC + (len, crc, rel-path) triple — `None` when the
-    /// container has no manifest or doesn't list the file. The streaming
-    /// read path uses this to verify a data file chunk-by-chunk without
-    /// ever holding it whole.
+    /// running CRC + (len, crc, rel-path) triple — `None` for a file the
+    /// MANIFEST does not list, which an open topic's `data` never is
+    /// (the open keeps only committed topics). The streaming read path
+    /// uses this to verify a data file chunk-by-chunk without ever
+    /// holding it whole.
     pub(crate) fn manifest_expectation(&self, path: &str) -> Option<(Crc32c, u64, u32, String)> {
-        let manifest = self.manifest.as_ref().as_ref()?;
         let rel = rel_path(&self.root, path)?;
-        let entry = manifest.entry(rel)?;
+        let entry = self.manifest.entry(rel)?;
         Some((Crc32c::new(), entry.len, entry.crc32c, rel.to_owned()))
     }
 
     /// Full-file read with lazy manifest verification: length + CRC32C
-    /// are checked when the container has a manifest entry for the file.
-    /// On mismatch the owning topic is quarantined and the typed
-    /// [`BoraError::ChecksumMismatch`] surfaces to the caller. Partial
+    /// are checked against the file's entry, and a file without one is
+    /// [`BoraError::Corrupt`]. On mismatch the owning topic is
+    /// quarantined and the typed [`BoraError::ChecksumMismatch`]
+    /// surfaces to the caller. Partial
     /// (`read_at`) paths skip content verification — the time-range read
     /// path trades verification for not touching the whole file, which is
     /// exactly the point of the coarse index.
@@ -279,13 +272,12 @@ impl<S: Storage> BoraBag<S> {
         ctx: &mut IoCtx,
     ) -> BoraResult<Vec<u8>> {
         let bytes = self.storage.read_all(path, ctx)?;
-        if let (Some(manifest), Some(rel)) = (self.manifest.as_ref(), rel_path(&self.root, path)) {
-            manifest.verify(rel, &bytes).inspect_err(|_| {
-                if let Some(t) = topic {
-                    self.quarantine(t);
-                }
-            })?;
-        }
+        let rel = rel_path(&self.root, path).unwrap_or(path);
+        self.manifest.verify(rel, &bytes).inspect_err(|_| {
+            if let Some(t) = topic {
+                self.quarantine(t);
+            }
+        })?;
         Ok(bytes)
     }
 
@@ -726,7 +718,6 @@ mod tests {
         fs.append("/c/imu/data", &bad, &mut ctx).unwrap();
 
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
-        assert!(bag.has_manifest());
         assert!(matches!(
             bag.read_topics(&["/imu"], &mut ctx),
             Err(BoraError::ChecksumMismatch { .. })

@@ -2,13 +2,19 @@
 //!
 //! The commit protocol (see [`crate::writer`]) admits exactly three
 //! observable states for a container root, and the checker classifies
-//! into them:
+//! every root into one of them (or `NotAContainer`, when neither root nor
+//! staging exists):
 //!
 //! ```text
 //!            ┌─ root missing, staging present ──────────▶ Torn
 //!  check ────┼─ root present, every MANIFEST entry ok ──▶ Clean
-//!            └─ root present, any entry mismatched ─────▶ Corrupt
+//!            └─ root present, any entry mismatched, ────▶ Corrupt
+//!               or the MANIFEST missing or damaged
 //! ```
+//!
+//! A committed root always has its MANIFEST — it is written into staging
+//! before the rename that commits — so a root without one is damaged,
+//! never a second kind of container.
 //!
 //! Repair is the state machine's closure back to Clean:
 //!
@@ -64,16 +70,14 @@ pub struct FsckReport {
     pub damages: Vec<FileDamage>,
     /// Root-relative paths present under the container root that the
     /// MANIFEST does not account for — stray `.wal`/`.seg` files from a
-    /// crashed ingest next to the container, for example. Reported, never
-    /// silently skipped, but they don't make a container Corrupt: the
-    /// committed data itself is intact. Empty for pre-manifest containers
-    /// (nothing to compare the tree against).
+    /// crashed ingest next to the container, or a topic directory copied
+    /// in, for example. Reported, never silently skipped, but they don't
+    /// make a container Corrupt: the committed data itself is intact, and
+    /// [`crate::container::BoraBag`] serves none of them. Empty when the
+    /// MANIFEST itself is damaged (nothing to compare the tree against).
     pub unknown_files: Vec<String>,
     pub files_checked: usize,
     pub bytes_checked: u64,
-    /// False for pre-manifest containers, which can only be checked
-    /// structurally.
-    pub has_manifest: bool,
 }
 
 impl FsckReport {
@@ -114,7 +118,6 @@ pub fn check<S: Storage>(storage: &S, root: &str, ctx: &mut IoCtx) -> BoraResult
                 unknown_files: Vec::new(),
                 files_checked: 0,
                 bytes_checked: 0,
-                has_manifest: false,
             });
         }
         return Err(BoraError::NotAContainer(root.to_owned()));
@@ -127,9 +130,8 @@ pub fn check<S: Storage>(storage: &S, root: &str, ctx: &mut IoCtx) -> BoraResult
     let mut unknown_files = Vec::new();
     let mut files_checked = 0usize;
     let mut bytes_checked = 0u64;
-    let mut has_manifest = true;
     match Manifest::load(storage, root, ctx) {
-        Ok(Some(manifest)) => {
+        Ok(manifest) => {
             unknown_files = scan_unknown_files(storage, root, &manifest, ctx);
             for e in manifest.entries() {
                 files_checked += 1;
@@ -167,19 +169,6 @@ pub fn check<S: Storage>(storage: &S, root: &str, ctx: &mut IoCtx) -> BoraResult
                 }
             }
         }
-        Ok(None) => {
-            // Pre-manifest container: the best available check is the
-            // structural one (chronology, tiling, counts).
-            has_manifest = false;
-            let structural =
-                crate::container::BoraBag::open(storage, root, ctx).and_then(|bag| bag.verify(ctx));
-            if let Err(e) = structural {
-                damages.push(FileDamage {
-                    rel_path: String::new(),
-                    reason: format!("structural verify failed: {e}"),
-                });
-            }
-        }
         Err(e) => damages.push(FileDamage {
             rel_path: MANIFEST_FILE.to_owned(),
             reason: format!("manifest damaged: {e}"),
@@ -188,15 +177,7 @@ pub fn check<S: Storage>(storage: &S, root: &str, ctx: &mut IoCtx) -> BoraResult
 
     bora_obs::histogram("verify.latency_ns").record(t0.elapsed().as_nanos() as u64);
     let state = if damages.is_empty() { FsckState::Clean } else { FsckState::Corrupt };
-    Ok(FsckReport {
-        state,
-        stale_staging,
-        damages,
-        unknown_files,
-        files_checked,
-        bytes_checked,
-        has_manifest,
-    })
+    Ok(FsckReport { state, stale_staging, damages, unknown_files, files_checked, bytes_checked })
 }
 
 /// Walk the container tree (root files + one level of topic-dir files)
@@ -284,11 +265,9 @@ pub fn repair<S: Storage, B: Storage>(
                 Some(m) => OrganizerOptions { block: m.block, window_ns: m.window_ns, ..*opts },
                 None => *opts,
             };
-            // MANIFEST/meta damage, a structural-only container, or an
+            // MANIFEST/meta damage (a lost MANIFEST included) or an
             // undecodable path: per-topic repair can't be trusted.
-            if let (Some(meta), Some(topics), true) =
-                (&meta, damaged_topics(&report), report.has_manifest)
-            {
+            if let (Some(meta), Some(topics)) = (&meta, damaged_topics(&report)) {
                 for topic in &topics {
                     rebuild_topic(storage, root, src, src_path, topic, meta, ctx)?;
                 }
@@ -306,7 +285,7 @@ pub fn repair<S: Storage, B: Storage>(
 }
 
 /// Map a Corrupt report's damages to topic names; `None` when any damage
-/// is outside a topic directory (`.bora`, `MANIFEST`, structural).
+/// is outside a topic directory (`.bora`, `MANIFEST`).
 fn damaged_topics(report: &FsckReport) -> Option<Vec<String>> {
     let mut topics = Vec::new();
     for d in &report.damages {
@@ -428,7 +407,6 @@ mod tests {
         let r = check(&fs, "/c", &mut ctx).unwrap();
         assert_eq!(r.state, FsckState::Clean);
         assert!(r.is_clean());
-        assert!(r.has_manifest);
         assert!(r.files_checked >= 4); // 3 topic files + .bora
         assert!(r.bytes_checked > 0);
     }

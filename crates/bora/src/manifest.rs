@@ -4,11 +4,12 @@
 //! atomic rename that commits a container, the MANIFEST lists every file
 //! the organizer produced — path relative to the container root, length,
 //! and CRC32C — and carries a CRC32C of its own encoding so a torn or
-//! bit-flipped MANIFEST is itself detectable. Its presence distinguishes
-//! "this tree is a committed container" from "this tree is whatever a
-//! crash left behind"; its entries let [`crate::container::BoraBag`]
-//! verify file contents lazily on read and let [`crate::fsck`] verify the
-//! whole container without trusting any of it.
+//! bit-flipped MANIFEST is itself detectable. Every container has one:
+//! a root without it is [`BoraError::Corrupt`], and a file it does not
+//! list has no commit record and is never trusted. Its entries let
+//! [`crate::container::BoraBag`] verify file contents lazily on read and
+//! let [`crate::fsck`] verify the whole container without trusting any
+//! of it.
 //!
 //! Paths are stored relative to the container root so a committed
 //! container can be tree-copied (BORA-to-BORA) without invalidating its
@@ -63,14 +64,19 @@ impl Manifest {
             .map(|i| &self.entries[i])
     }
 
+    /// The commit record of `rel_path`; a path the MANIFEST does not list
+    /// has none, and is [`BoraError::Corrupt`].
+    fn committed(&self, rel_path: &str) -> BoraResult<&ManifestEntry> {
+        self.entry(rel_path)
+            .ok_or_else(|| BoraError::Corrupt(format!("{rel_path}: not listed in the MANIFEST")))
+    }
+
     /// Check `bytes`, read from the file at root-relative `rel_path`,
     /// against its commit record: length and CRC32C must both match, or
     /// the read is a typed [`BoraError::ChecksumMismatch`]. A path the
-    /// MANIFEST does not list has nothing to be checked against.
+    /// MANIFEST does not list is [`BoraError::Corrupt`].
     pub fn verify(&self, rel_path: &str, bytes: &[u8]) -> BoraResult<()> {
-        let Some(entry) = self.entry(rel_path) else {
-            return Ok(());
-        };
+        let entry = self.committed(rel_path)?;
         let t0 = std::time::Instant::now();
         let actual = crc32c(bytes);
         bora_obs::histogram("verify.latency_ns").record(t0.elapsed().as_nanos() as u64);
@@ -86,10 +92,9 @@ impl Manifest {
     }
 
     /// Read the whole of the file at root-relative `rel_path` of the
-    /// container at `root` and [`Manifest::verify`] it — for a caller
-    /// that will commit the bytes again under a new MANIFEST, so a path
-    /// this one does not list is [`BoraError::Corrupt`]: bytes without a
-    /// commit record must not acquire one by being copied.
+    /// container at `root` and [`Manifest::verify`] it. The listing is
+    /// checked before the read, so a path without a commit record costs
+    /// no I/O: bytes without one must not acquire one by being copied.
     pub fn read_committed<S: Storage>(
         &self,
         storage: &S,
@@ -97,9 +102,7 @@ impl Manifest {
         rel_path: &str,
         ctx: &mut IoCtx,
     ) -> BoraResult<Vec<u8>> {
-        if self.entry(rel_path).is_none() {
-            return Err(BoraError::Corrupt(format!("{rel_path}: not listed in the MANIFEST")));
-        }
+        self.committed(rel_path)?;
         let bytes = storage.read_all(&format!("{}/{rel_path}", root.trim_end_matches('/')), ctx)?;
         self.verify(rel_path, &bytes)?;
         Ok(bytes)
@@ -140,15 +143,14 @@ impl Manifest {
         Manifest::new(entries)
     }
 
-    /// Load a container's MANIFEST. `Ok(None)` when the file is absent
-    /// (a pre-manifest container — still readable, just unverifiable).
-    pub fn load<S: Storage>(storage: &S, root: &str, ctx: &mut IoCtx) -> BoraResult<Option<Self>> {
+    /// Load a container's MANIFEST. A root without one is
+    /// [`BoraError::Corrupt`]: whatever it holds, nothing commits it.
+    pub fn load<S: Storage>(storage: &S, root: &str, ctx: &mut IoCtx) -> BoraResult<Self> {
         let path = manifest_path(root);
         if !storage.exists(&path, ctx) {
-            return Ok(None);
+            return Err(BoraError::Corrupt(format!("{root}: no MANIFEST")));
         }
-        let bytes = storage.read_all(&path, ctx)?;
-        Ok(Some(Manifest::decode(&bytes)?))
+        Manifest::decode(&storage.read_all(&path, ctx)?)
     }
 
     /// Write the MANIFEST into `root` (normally the staging root).
@@ -211,11 +213,22 @@ mod tests {
     }
 
     #[test]
-    fn load_absent_is_none() {
+    fn load_absent_is_corrupt() {
         let fs = MemStorage::new();
         let mut ctx = IoCtx::new();
         fs.mkdir_all("/c", &mut ctx).unwrap();
-        assert!(Manifest::load(&fs, "/c", &mut ctx).unwrap().is_none());
+        let err = Manifest::load(&fs, "/c", &mut ctx).unwrap_err();
+        assert_eq!(err, BoraError::Corrupt("/c: no MANIFEST".into()));
+    }
+
+    #[test]
+    fn an_unlisted_path_is_corrupt() {
+        let m = sample();
+        assert!(matches!(m.verify("stray/index", b"i"), Err(BoraError::Corrupt(_))));
+        // The listing is checked before the read: no file, and still not
+        // a storage error.
+        let r = m.read_committed(&MemStorage::new(), "/c", "stray/index", &mut IoCtx::new());
+        assert!(matches!(r, Err(BoraError::Corrupt(_))));
     }
 
     #[test]
@@ -225,6 +238,6 @@ mod tests {
         fs.mkdir_all("/c", &mut ctx).unwrap();
         let m = sample();
         m.store(&fs, "/c", &mut ctx).unwrap();
-        assert_eq!(Manifest::load(&fs, "/c", &mut ctx).unwrap().unwrap(), m);
+        assert_eq!(Manifest::load(&fs, "/c", &mut ctx).unwrap(), m);
     }
 }

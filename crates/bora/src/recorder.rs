@@ -239,13 +239,12 @@ mod tests {
         record_imu(&fs, 100, &mut ctx).close(&mut ctx).unwrap();
         assert!(!fs.exists("/c.staging", &mut ctx));
         let report = crate::fsck::check(&fs, "/c", &mut ctx).unwrap();
-        assert!(report.is_clean() && report.has_manifest, "{report:?}");
+        assert!(report.is_clean(), "{report:?}");
 
         // A flipped byte is a typed error on read, not served.
         let byte = fs.read_at("/c/imu/data", 33, 1, &mut ctx).unwrap()[0];
         fs.write_at("/c/imu/data", 33, &[byte ^ 0x08], &mut ctx).unwrap();
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
-        assert!(bag.has_manifest());
         match bag.read_topics(&["/imu"], &mut ctx) {
             Err(BoraError::ChecksumMismatch { path, .. }) => assert_eq!(path, "imu/data"),
             other => panic!("expected ChecksumMismatch, got {:?}", other.map(|m| m.len())),

@@ -835,7 +835,9 @@ mod tests {
     use super::*;
     use crate::block::{encode_frame, BlockCodec, BlockEntry, BlockMap, BlockParams};
     use crate::bufpool::BufferPool;
+    use crate::checksum::crc32c;
     use crate::layout::manifest_path;
+    use crate::manifest::Manifest;
     use crate::meta::TopicMeta;
     use crate::topic_index::{decode_entries, encode_entries};
     use crate::writer::ContainerWriter;
@@ -858,16 +860,19 @@ mod tests {
         w.commit(fs, vec![done], 0, None, ctx).unwrap();
     }
 
-    /// Replace `/c/t/<file>` and drop the MANIFEST that would catch it:
-    /// what is left to notice is the cursor's own checks.
+    /// Replace `/c/t/<file>` and re-pin its MANIFEST entry to the new
+    /// bytes, so the commit record vouches for them: what is left to
+    /// notice is the cursor's own checks.
     fn tamper(fs: &MemStorage, file: &str, bytes: &[u8]) {
         let ctx = &mut IoCtx::new();
-        let path = format!("/c/t/{file}");
-        fs.remove_file(&path, ctx).unwrap();
-        fs.append(&path, bytes, ctx).unwrap();
-        if fs.exists(&manifest_path("/c"), ctx) {
-            fs.remove_file(&manifest_path("/c"), ctx).unwrap();
-        }
+        let rel = format!("t/{file}");
+        fs.remove_file(&format!("/c/{rel}"), ctx).unwrap();
+        fs.append(&format!("/c/{rel}"), bytes, ctx).unwrap();
+        let mut entries = Manifest::load(fs, "/c", ctx).unwrap().entries().to_vec();
+        let entry = entries.iter_mut().find(|e| e.path == rel).unwrap();
+        (entry.len, entry.crc32c) = (bytes.len() as u64, crc32c(bytes));
+        fs.remove_file(&manifest_path("/c"), ctx).unwrap();
+        Manifest::new(entries).unwrap().store(fs, "/c", ctx).unwrap();
     }
 
     /// `/c/t/data` and `/c/t/blocks` rebuilt from `pages`, whatever their

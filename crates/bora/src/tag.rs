@@ -12,7 +12,8 @@ use simfs::device::cpu;
 use simfs::{EntryKind, IoCtx, Storage};
 
 use crate::error::{BoraError, BoraResult};
-use crate::layout::{decode_topic, TopicPaths, META_FILE};
+use crate::layout::{decode_topic, meta_path, rel_path, TopicPaths};
+use crate::manifest::Manifest;
 
 /// Hash table topic → back-end paths for one container.
 ///
@@ -44,10 +45,24 @@ impl TagManager {
             ctx.charge_ns(cpu::HASH_OP_NS);
             map.insert(Arc::from(topic), Arc::new(TopicPaths::from_dir(container_root, &e.name)));
         }
-        if map.is_empty() && !entries_has_meta(storage, container_root, ctx) {
+        // A container with zero topics still has its meta file; anything
+        // else is not a container.
+        if map.is_empty() && !storage.exists(&meta_path(container_root), ctx) {
             return Err(BoraError::NotAContainer(container_root.to_owned()));
         }
         Ok(TagManager { root: container_root.to_owned(), map })
+    }
+
+    /// Keep only the topic directories `manifest` commits: those whose
+    /// `index` and `data` it lists. A directory copied in beside the
+    /// committed ones is not a topic of the container.
+    pub fn retain_committed(&mut self, manifest: &Manifest) {
+        let root = &self.root;
+        self.map.retain(|_, p| {
+            [&p.index, &p.data]
+                .iter()
+                .all(|f| rel_path(root, f).is_some_and(|rel| manifest.entry(rel).is_some()))
+        });
     }
 
     /// Build from an in-memory topic list (used by the organizer right
@@ -113,18 +128,10 @@ impl TagManager {
     }
 }
 
-fn entries_has_meta<S: Storage>(storage: &S, root: &str, ctx: &mut IoCtx) -> bool {
-    storage.exists(&crate::layout::meta_path(root), ctx) || {
-        // A container with zero topics still has its meta file; anything
-        // else is not a container.
-        let _ = META_FILE;
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::ManifestEntry;
     use simfs::MemStorage;
 
     fn make_container(fs: &MemStorage, root: &str, topics: &[&str]) {
@@ -176,6 +183,21 @@ mod tests {
         let mut ctx = IoCtx::new();
         let tm = TagManager::build(&fs, "/c", &mut ctx).unwrap();
         assert_eq!(tm.topics(), vec!["/tf"]);
+    }
+
+    #[test]
+    fn uncommitted_directories_are_not_topics() {
+        let fs = MemStorage::new();
+        make_container(&fs, "/c", &["/imu", "/ghost", "/half"]);
+        let mut ctx = IoCtx::new();
+        let mut tm = TagManager::build(&fs, "/c", &mut ctx).unwrap();
+        let entry = |path: &str| ManifestEntry { path: path.into(), len: 1, crc32c: 0 };
+        let manifest =
+            Manifest::new(vec![entry("imu/data"), entry("imu/index"), entry("half/index")])
+                .unwrap();
+        tm.retain_committed(&manifest);
+        assert_eq!(tm.topics(), vec!["/imu"]);
+        assert!(matches!(tm.lookup("/ghost", &mut ctx), Err(BoraError::UnknownTopic(_))));
     }
 
     #[test]

@@ -516,7 +516,7 @@ mod tests {
     /// the files are left to object.
     fn forge(fs: &MemStorage, rel: &str, bytes: Option<&[u8]>) {
         let ctx = &mut IoCtx::new();
-        let mut entries = Manifest::load(fs, "/old", ctx).unwrap().unwrap().entries().to_vec();
+        let mut entries = Manifest::load(fs, "/old", ctx).unwrap().entries().to_vec();
         let at = entries.iter().position(|e| e.path == rel).unwrap();
         match bytes {
             Some(bytes) => {
@@ -531,7 +531,7 @@ mod tests {
 
     fn resume(fs: &MemStorage, block: Option<BlockParams>) -> BoraResult<TopicWriter> {
         let ctx = &mut IoCtx::new();
-        let manifest = Manifest::load(fs, "/old", ctx).unwrap().unwrap();
+        let manifest = Manifest::load(fs, "/old", ctx).unwrap();
         let meta = TopicMeta { topic: "/t".into(), ..TopicMeta::default() };
         TopicWriter::resume(fs, "/new", meta, block, 1_000, usize::MAX, ("/old", &manifest), ctx)
     }

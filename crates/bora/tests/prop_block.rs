@@ -141,7 +141,7 @@ fn sitting(
     let c = ContainerWriter::begin(fs, root, block, 4, flush_at, ctx).unwrap();
     let mut w = match from {
         Some(old) => {
-            let manifest = Manifest::load(fs, old, ctx).unwrap().unwrap();
+            let manifest = Manifest::load(fs, old, ctx).unwrap();
             c.resume_topic(fs, meta, (old, &manifest), ctx).unwrap()
         }
         None => c.topic(fs, meta, ctx).unwrap(),
@@ -182,8 +182,8 @@ proptest! {
         prop_assert_eq!(&resumed, &whole);
         let ctx = &mut IoCtx::new();
         let (a, b) = (
-            Manifest::load(&fs, "/second", ctx).unwrap().unwrap(),
-            Manifest::load(&fs, "/whole", ctx).unwrap().unwrap(),
+            Manifest::load(&fs, "/second", ctx).unwrap(),
+            Manifest::load(&fs, "/whole", ctx).unwrap(),
         );
         prop_assert_eq!(&a, &b);
         for e in a.entries() {

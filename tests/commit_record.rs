@@ -1,0 +1,131 @@
+//! One commit record: a byte that `BoraBag` serves, `fsck` passes or a
+//! writer adopts is one the container's MANIFEST lists, with matching
+//! length and CRC32C. Each test is a damage the read path once took for
+//! truth — a root that lost its MANIFEST, a topic directory copied in
+//! beside the committed ones, a rotted `.bora` — held to the one rule
+//! through the library, `fsck` and the server.
+
+use std::sync::Arc;
+
+use bora::fsck::{self, FsckState, RepairOutcome};
+use bora::{BoraBag, BoraError, OrganizerOptions};
+use bora_serve::{ErrorCode, Request, Response, Server, ServerConfig};
+use ros_msgs::sensor_msgs::Imu;
+use ros_msgs::Time;
+use rosbag::{BagWriter, BagWriterOptions};
+use simfs::{IoCtx, MemStorage, Storage};
+
+/// Messages of `/imu` in the source bag.
+const N: usize = 300;
+
+/// `/src.bag` of `N` IMU messages, organised into `/c`.
+fn setup() -> MemStorage {
+    let fs = MemStorage::new();
+    let ctx = &mut IoCtx::new();
+    let opts = BagWriterOptions { chunk_size: 4096, ..Default::default() };
+    let mut w = BagWriter::create(&fs, "/src.bag", opts, ctx).unwrap();
+    for tick in 0..N as u32 {
+        let t = Time::from_nanos(tick as u64 * 10_000_000);
+        let mut imu = Imu::default();
+        imu.header.seq = tick;
+        imu.header.stamp = t;
+        w.write_ros_message("/imu", t, &imu, ctx).unwrap();
+    }
+    w.close(ctx).unwrap();
+    bora::duplicate(&fs, "/src.bag", &fs, "/c", &OrganizerOptions::default(), ctx).unwrap();
+    fs
+}
+
+/// Flip one bit of byte `at` of `path`, in place.
+fn flip(fs: &MemStorage, path: &str, at: usize) {
+    let ctx = &mut IoCtx::new();
+    let mut bytes = fs.read_all(path, ctx).unwrap();
+    bytes[at] ^= 0x20;
+    fs.remove_file(path, ctx).unwrap();
+    fs.append(path, &bytes, ctx).unwrap();
+}
+
+/// `/c` with its MANIFEST deleted and one `imu/data` payload byte rotted.
+fn lost_manifest() -> MemStorage {
+    let fs = setup();
+    fs.remove_file("/c/MANIFEST", &mut IoCtx::new()).unwrap();
+    flip(&fs, "/c/imu/data", 100);
+    fs
+}
+
+/// `/c` with the three files of `/imu` copied into `/c/ghost`, which no
+/// commit record lists.
+fn stray_directory() -> MemStorage {
+    let fs = setup();
+    let ctx = &mut IoCtx::new();
+    for file in ["data", "index", "tindex"] {
+        let bytes = fs.read_all(&format!("/c/imu/{file}"), ctx).unwrap();
+        fs.append(&format!("/c/ghost/{file}"), &bytes, ctx).unwrap();
+    }
+    fs
+}
+
+#[test]
+fn a_root_that_lost_its_manifest_is_corrupt_and_repairs_from_source() {
+    let fs = lost_manifest();
+    let ctx = &mut IoCtx::new();
+    match BoraBag::open(&fs, "/c", ctx) {
+        Err(BoraError::Corrupt(m)) => assert!(m.contains("MANIFEST"), "{m}"),
+        other => panic!("expected Corrupt naming the MANIFEST, got {:?}", other.err()),
+    }
+    let report = fsck::check(&fs, "/c", ctx).unwrap();
+    assert_eq!(report.state, FsckState::Corrupt);
+    assert!(report.damages.iter().any(|d| d.rel_path == "MANIFEST"), "{report:?}");
+
+    let source = Some((&fs, "/src.bag"));
+    let out = fsck::repair(&fs, "/c", source, &OrganizerOptions::default(), ctx).unwrap();
+    assert_eq!(out, RepairOutcome::RolledForward);
+    assert_eq!(fsck::check(&fs, "/c", ctx).unwrap().state, FsckState::Clean);
+    let bag = BoraBag::open(&fs, "/c", ctx).unwrap();
+    assert_eq!(bag.read_topics(&["/imu"], ctx).unwrap().len(), N);
+}
+
+#[test]
+fn an_uncommitted_directory_is_not_a_topic() {
+    let fs = stray_directory();
+    let ctx = &mut IoCtx::new();
+    let bag = BoraBag::open(&fs, "/c", ctx).unwrap();
+    assert_eq!(bag.topics(), vec!["/imu"]);
+    assert!(matches!(bag.read_topics(&["/ghost"], ctx), Err(BoraError::UnknownTopic(_))));
+    assert_eq!(bag.read_topics(&["/imu"], ctx).unwrap().len(), N);
+
+    let report = fsck::check(&fs, "/c", ctx).unwrap();
+    assert_eq!(report.state, FsckState::Clean);
+    assert_eq!(report.unknown_files, ["ghost/data", "ghost/index", "ghost/tindex"]);
+}
+
+#[test]
+fn a_rotted_meta_file_fails_the_open() {
+    let fs = setup();
+    // The first byte of `/imu`'s datatype: `sensor_msgs/Imu` turns into
+    // `Sensor_msgs/Imu`, a type no field of a query would resolve in.
+    flip(&fs, "/c/.bora", 56);
+    match BoraBag::open(&fs, "/c", &mut IoCtx::new()) {
+        Err(BoraError::ChecksumMismatch { path, .. }) => assert_eq!(path, ".bora"),
+        other => panic!("expected ChecksumMismatch on .bora, got {:?}", other.err()),
+    }
+}
+
+#[test]
+fn the_server_serves_only_what_the_manifest_commits() {
+    let fs = stray_directory();
+    let server = Server::start(Arc::new(fs), ServerConfig::default());
+    match server.submit(Request::Topics { container: "/c".into() }) {
+        Response::Topics(topics) => assert_eq!(topics, ["/imu"]),
+        other => panic!("expected the committed topics, got {other:?}"),
+    }
+    server.shutdown();
+
+    let server = Server::start(Arc::new(lost_manifest()), ServerConfig::default());
+    let read = Request::Read { container: "/c".into(), topics: vec!["/imu".into()], range: None };
+    match server.submit(read) {
+        Response::Error { code: ErrorCode::Corrupt, .. } => {}
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+    server.shutdown();
+}

@@ -53,7 +53,7 @@ fn fresh_disk(bag_bytes: &[u8]) -> FaultyStorage<MemStorage> {
 /// MD5 over (path, content) in MANIFEST order: equal digests mean the
 /// containers are byte-identical file for file.
 fn container_digest<S: Storage>(storage: &S, root: &str, ctx: &mut IoCtx) -> String {
-    let manifest = Manifest::load(storage, root, ctx).unwrap().expect("committed ⇒ MANIFEST");
+    let manifest = Manifest::load(storage, root, ctx).expect("committed ⇒ MANIFEST");
     let mut acc = Vec::new();
     for e in manifest.entries() {
         acc.extend_from_slice(e.path.as_bytes());
@@ -220,7 +220,6 @@ fn committed_container(messages_per_topic: u32) -> (MemStorage, Vec<String>, Str
     fs.append(SRC, &bytes, &mut ctx).unwrap();
     bora::organizer::duplicate(&fs, SRC, &fs, DST, &OrganizerOptions::default(), &mut ctx).unwrap();
     let paths: Vec<String> = Manifest::load(&fs, DST, &mut ctx)
-        .unwrap()
         .unwrap()
         .entries()
         .iter()

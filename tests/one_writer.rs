@@ -67,7 +67,7 @@ fn messages(fs: &MemStorage) -> Vec<MessageRecord> {
 /// containers are byte-identical file for file.
 fn container_digest<S: Storage>(storage: &S, root: &str) -> String {
     let ctx = &mut IoCtx::new();
-    let manifest = Manifest::load(storage, root, ctx).unwrap().expect("committed ⇒ MANIFEST");
+    let manifest = Manifest::load(storage, root, ctx).expect("committed ⇒ MANIFEST");
     let mut acc = Vec::new();
     for e in manifest.entries() {
         acc.extend_from_slice(e.path.as_bytes());

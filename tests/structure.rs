@@ -103,12 +103,19 @@
 //!     `next_msg`, and `scan` in `server.rs` drains the stream with
 //!     `lend_run`: a lent message goes from its pool page into the open
 //!     chunk, and nothing owns it on the way.
+//! 18. *One commit record*: every container has a MANIFEST, and a byte is
+//!     served, passed or adopted only if it lists it. No non-test source
+//!     under `crates/` names `has_manifest` or `Option<Manifest>`;
+//!     `Manifest::load` returns `BoraResult<Manifest>` (a root without one
+//!     is `Corrupt`); and the body of `fn verify` in `manifest.rs` has no
+//!     `return Ok(())` — an unlisted path is not waved through.
 
 use std::path::Path;
 
 const CHECKSUM: &str = "crates/bora/src/checksum.rs";
 const WIRE: &str = "crates/ros-msgs/src/wire.rs";
 const STREAM: &str = "crates/bora/src/stream.rs";
+const MANIFEST: &str = "crates/bora/src/manifest.rs";
 const PROTO: &str = "crates/bora-serve/src/proto.rs";
 const SERVER: &str = "crates/bora-serve/src/server.rs";
 /// Code lines of `stream.rs` — non-blank, not a `//` comment, before
@@ -245,6 +252,13 @@ const SOURCE_GUARDS: &[SourceGuard] = &[
         exempt: &[],
         non_test_only: true,
         patterns: &["_MAGIC", "shard-", ".seal\""],
+    },
+    SourceGuard {
+        name: "one commit record",
+        under: &["crates/"],
+        exempt: &[],
+        non_test_only: true,
+        patterns: &["has_manifest", "Option<Manifest>"],
     },
 ];
 
@@ -779,6 +793,52 @@ fn one_client_violations(files: &[(&str, &str)]) -> Vec<String> {
     found
 }
 
+/// Guard 18 over `manifest.rs`: what `Manifest::load` returns, and
+/// whether the body of `verify` lets a path through unchecked.
+fn one_commit_record_violations(path: &str, source: &str) -> Vec<String> {
+    let mut found = Vec::new();
+    if path != MANIFEST {
+        return found;
+    }
+    let code = source.lines().take_while(|l| !l.contains("#[cfg(test)]"));
+    let code: Vec<&str> = code.map(|l| l.split("//").next().unwrap_or("")).collect();
+    let mut load_returns = None;
+    for (i, line) in code.iter().enumerate() {
+        let trimmed = line.trim_start();
+        let header =
+            ["fn ", "pub fn ", "pub(crate) fn "].iter().find_map(|p| trimmed.strip_prefix(p));
+        let Some(header) = header else { continue };
+        let open =
+            code[i..].iter().position(|l| l.ends_with('{')).map_or(code.len(), |k| i + k + 1);
+        match header.split(['(', '<']).next().unwrap_or("") {
+            "load" => {
+                let signature = code[i..open].concat();
+                let returns = signature.rsplit_once("->").map_or("", |(_, r)| r);
+                load_returns = Some(returns.trim_end_matches(['{', ' ']).trim().to_owned());
+            }
+            "verify" => {
+                let close = format!("{}}}", &line[..line.len() - trimmed.len()]);
+                let end =
+                    code[open..].iter().position(|l| *l == close).map_or(code.len(), |k| open + k);
+                if code[open..end].iter().any(|l| l.contains("return Ok(())")) {
+                    found.push(format!(
+                        "one commit record: {path}:{}: `verify` waves a path through",
+                        i + 1
+                    ));
+                }
+            }
+            _ => {}
+        }
+    }
+    match load_returns.as_deref() {
+        Some("BoraResult<Self>" | "BoraResult<Manifest>") => {}
+        other => found.push(format!(
+            "one commit record: {path}: `Manifest::load` returns {other:?}, not a manifest"
+        )),
+    }
+    found
+}
+
 /// Guard 7, first half: whether `path` is a source under `crates/`, not
 /// under `crates/bench`, that names `BinaryHeap` before its tests.
 fn names_the_heap(path: &str, source: &str) -> bool {
@@ -882,6 +942,7 @@ fn the_tree_holds_every_guard() {
             found.extend(one_read_answer_violations(&rel, &source));
             found.extend(one_scan_path_violations(&rel, &source));
             found.extend(one_read_surface_violations(&rel, &source));
+            found.extend(one_commit_record_violations(&rel, &source));
             if names_the_heap(&rel, &source) {
                 heap_files.push(rel.clone());
             }
@@ -918,6 +979,7 @@ fn every_source_guard_fires() {
     let tool = "crates/bora-tool/src/main.rs";
     let store = "crates/bora-ingest/src/store.rs";
     let exec = "crates/bora-query/src/exec.rs";
+    let record = "one commit record";
     let cases = [
         (writer, store, "let x = encode_entries(&e);", true),
         (writer, store, "let t = TimeIndex::build(&e, w);", true),
@@ -968,6 +1030,17 @@ fn every_source_guard_fires() {
             false,
         ),
         (codec, tool, "#[cfg(test)]\nconst GEN_MAGIC: u32 = 0;", false),
+        (record, "crates/bora/src/container.rs", "pub fn has_manifest(&self) -> bool {", true),
+        (record, tool, "if !report.has_manifest {", true),
+        (
+            record,
+            "crates/bora/src/fsck.rs",
+            "match Manifest::load(s, r, c) -> Option<Manifest>",
+            true,
+        ),
+        (record, "crates/bora/src/container.rs", "    manifest: Arc<Option<Manifest>>,", true),
+        (record, "crates/bora/src/fsck.rs", "#[cfg(test)]\nfn t() { r.has_manifest; }", false),
+        (record, "tests/commit_record.rs", "assert!(!report.has_manifest);", false),
     ];
     for (guard, path, source, fires) in cases {
         let fired = source_violations(path, source).iter().any(|v| v.starts_with(guard));
@@ -1555,5 +1628,43 @@ fn the_one_resilient_client_guard_fires() {
     ];
     for (i, (fired, fires)) in cases.into_iter().enumerate() {
         assert_eq!(fired, fires, "case {i}");
+    }
+}
+
+#[test]
+fn the_one_commit_record_guard_fires() {
+    let manifest = "impl Manifest {\n    \
+                    fn committed(&self, rel_path: &str) -> BoraResult<&ManifestEntry> {\n    }\n\n    \
+                    pub fn verify(&self, rel_path: &str, bytes: &[u8]) -> BoraResult<()> {\n        \
+                    let entry = self.committed(rel_path)?;\n        \
+                    if bytes.len() as u64 != entry.len {\n            \
+                    return Err(mismatch);\n        }\n        Ok(())\n    }\n\n    \
+                    pub fn load<S: Storage>(storage: &S, root: &str, ctx: &mut IoCtx) -> BoraResult<Self> {\n        \
+                    Manifest::decode(&storage.read_all(&path, ctx)?)\n    }\n\n    \
+                    pub fn store(&self) -> BoraResult<()> {\n        \
+                    if self.entries.is_empty() {\n            return Ok(());\n        }\n        \
+                    Ok(())\n    }\n}\n";
+    let tests = "#[cfg(test)]\nmod tests {\n    fn verify() {\n        return Ok(());\n    }\n}\n";
+    let lenient = "        let Some(entry) = self.entry(rel_path) else {\n            \
+                   return Ok(());\n        };\n";
+    let cases = [
+        (MANIFEST, format!("{manifest}{tests}"), false),
+        ("crates/bora/src/fsck.rs", "fn verify() {\n    return Ok(());\n}\n".to_owned(), false),
+        (MANIFEST, manifest.replace("-> BoraResult<Self> {", "-> BoraResult<Manifest> {"), false),
+        (
+            MANIFEST,
+            manifest.replace("-> BoraResult<Self> {", "-> BoraResult<Option<Self>> {"),
+            true,
+        ),
+        (MANIFEST, manifest.replace("pub fn load<", "pub fn load_or_none<"), true),
+        (
+            MANIFEST,
+            manifest.replace("        let entry = self.committed(rel_path)?;\n", lenient),
+            true,
+        ),
+    ];
+    for (path, source, fires) in cases {
+        let found = one_commit_record_violations(path, &source);
+        assert_eq!(!found.is_empty(), fires, "{path}: {source}\n{found:?}");
     }
 }
