@@ -2,12 +2,15 @@
 //!
 //! A [`Snapshot`] is an epoch-stamped, immutable view: the generation
 //! container that existed when it was taken (pinned via `Arc`, so a
-//! concurrent compaction cannot delete its files), the sealed batches,
-//! and a frozen copy of the memtable. Reads merge all three through
-//! `bora`'s k-way `MessageStream` — the container lane comes from the
-//! topic's `data`/`index` files, and the sealed + memtable messages ride
-//! the same lane as an in-memory tail — so the result is byte-identical
-//! to querying the fully compacted container later.
+//! concurrent compaction cannot delete its files, and read through the
+//! bag the generation was opened into once), the sealed batches, and a
+//! frozen copy of the memtable. Reads merge all three through `bora`'s
+//! k-way `MessageStream` — the container lane comes from the topic's
+//! `data`/`index` files, and the sealed + memtable messages ride the
+//! same lane as an in-memory tail — so the result is byte-identical to
+//! querying the fully compacted container later. A tail is cut to the
+//! read's window where it is held: each chronological sealed and
+//! memtable slice is binary-searched, and only the window is copied.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -23,13 +26,13 @@ use crate::store::GenHandle;
 
 /// An immutable, epoch-stamped view of an ingest root.
 pub struct Snapshot<S: Storage> {
-    /// The pinned generation's container, opened once when the snapshot
-    /// was taken; every stream borrows it. It carries the store's shared
-    /// page pool, so a hot topic stays hot across epochs until compaction
-    /// invalidates its generation.
+    /// The pinned generation's container, a clone of the bag its handle
+    /// opened once for every snapshot; every stream borrows it. It
+    /// carries the store's shared page pool, so a hot topic stays hot
+    /// across epochs until compaction invalidates its generation.
     bag: BoraBag<S>,
     /// Keeps the generation's files alive while `bag` reads them.
-    gen: Arc<GenHandle>,
+    gen: Arc<GenHandle<S>>,
     sealed: Vec<Arc<SealedBatch>>,
     memtable: BTreeMap<String, Vec<IngestMessage>>,
     epoch: u64,
@@ -38,7 +41,7 @@ pub struct Snapshot<S: Storage> {
 impl<S: Storage> Snapshot<S> {
     pub(crate) fn new(
         bag: BoraBag<S>,
-        gen: Arc<GenHandle>,
+        gen: Arc<GenHandle<S>>,
         sealed: Vec<Arc<SealedBatch>>,
         memtable: BTreeMap<String, Vec<IngestMessage>>,
         epoch: u64,
@@ -94,7 +97,7 @@ impl<S: Storage> Snapshot<S> {
         range: Option<(Time, Time)>,
         ctx: &mut IoCtx,
     ) -> BoraResult<MessageStream<'_, S>> {
-        let (topics, tails) = self.known_lanes(topics);
+        let (topics, tails) = self.known_lanes(topics, range);
         self.bag.stream_topics_with_tails(&topics, tails, range, StreamOptions::default(), ctx)
     }
 
@@ -114,12 +117,16 @@ impl<S: Storage> Snapshot<S> {
         out
     }
 
-    /// Keep only lanes this snapshot knows (compacted topic or non-empty
-    /// tail). Relative lane order is preserved, so the `(time, lane)`
-    /// tie-break among surviving lanes — the only ones that can emit —
-    /// is unchanged.
-    fn known_lanes<'t>(&self, topics: &[&'t str]) -> (Vec<&'t str>, Vec<Vec<TailMessage>>) {
-        let tails = self.tails_for(topics);
+    /// Keep only lanes this snapshot knows (compacted topic, or a tail
+    /// message inside `range`). Relative lane order is preserved, so the
+    /// `(time, lane)` tie-break among surviving lanes — the only ones
+    /// that can emit — is unchanged.
+    fn known_lanes<'t>(
+        &self,
+        topics: &[&'t str],
+        range: Option<(Time, Time)>,
+    ) -> (Vec<&'t str>, Vec<Vec<TailMessage>>) {
+        let tails = self.tails_for(topics, range);
         topics
             .iter()
             .zip(tails)
@@ -128,27 +135,26 @@ impl<S: Storage> Snapshot<S> {
             .unzip()
     }
 
-    /// One tail per requested topic: sealed batches in seal order, then
-    /// the frozen memtable — which is exactly append order, so each lane
-    /// stays chronological and the `(time, lane)` merge tie-break gives
-    /// the same bytes as the compacted layout.
-    fn tails_for(&self, topics: &[&str]) -> Vec<Vec<TailMessage>> {
-        topics
-            .iter()
-            .map(|t| {
-                let mut tail = Vec::new();
-                for b in &self.sealed {
-                    if let Some(msgs) = b.topics.get(*t) {
-                        tail.extend(msgs.iter().map(to_tail));
-                    }
-                }
-                if let Some(msgs) = self.memtable.get(*t) {
-                    tail.extend(msgs.iter().map(to_tail));
-                }
-                tail
-            })
-            .collect()
+    /// One tail per requested topic, inside `range`: sealed batches in
+    /// seal order, then the frozen memtable — which is exactly append
+    /// order, so each lane stays chronological and the `(time, lane)`
+    /// merge tie-break gives the same bytes as the compacted layout.
+    fn tails_for(&self, topics: &[&str], range: Option<(Time, Time)>) -> Vec<Vec<TailMessage>> {
+        let tail = |t: &str| {
+            let held =
+                self.sealed.iter().filter_map(|b| b.topics.get(t)).chain(self.memtable.get(t));
+            held.flat_map(|msgs| window(msgs, range)).map(to_tail).collect()
+        };
+        topics.iter().map(|&t| tail(t)).collect()
     }
+}
+
+/// The messages of a chronological slice inside `[start, end)`, found by
+/// binary search (`partition_point`, so an inverted range is empty).
+fn window(msgs: &[IngestMessage], range: Option<(Time, Time)>) -> &[IngestMessage] {
+    let Some((start, end)) = range else { return msgs };
+    let from = msgs.partition_point(|m| m.time < start);
+    &msgs[from..msgs.partition_point(|m| m.time < end).max(from)]
 }
 
 fn to_tail(m: &IngestMessage) -> TailMessage {
@@ -286,6 +292,36 @@ mod tests {
             .read_time_range(&["/new"], Time::from_nanos(0), Time::from_nanos(5), &mut ctx)
             .unwrap();
         assert!(none.is_empty());
+
+        // Every 10 ns: [0, 200) compacted, [200, 400) sealed, [400, 500)
+        // in the memtable. A tail is cut where it is held, so an inverted
+        // or empty range selects nothing and a range across the three
+        // layers what each holds of it.
+        let fs = MemStorage::new();
+        let st = live_store(&fs, &mut ctx);
+        let append = |from: u64, to: u64, ctx: &mut IoCtx| {
+            for t in (from..to).step_by(10) {
+                st.append("/imu", Time::from_nanos(t), &t.to_le_bytes(), ctx).unwrap();
+            }
+            st.seal(ctx).unwrap();
+        };
+        append(0, 200, &mut ctx);
+        st.compact(&mut ctx).unwrap();
+        append(200, 400, &mut ctx);
+        for t in (400..500).step_by(10) {
+            st.append("/imu", Time::from_nanos(t), &t.to_le_bytes(), &mut ctx).unwrap();
+        }
+        let snap = st.snapshot(&mut ctx).unwrap();
+        let times = |start: u64, end: u64, ctx: &mut IoCtx| -> Vec<u64> {
+            let (start, end) = (Time::from_nanos(start), Time::from_nanos(end));
+            let msgs = snap.read_time_range(&["/imu"], start, end, ctx).unwrap();
+            msgs.iter().map(|m| u64::from_le_bytes(m.data[..].try_into().unwrap())).collect()
+        };
+        assert!(times(300, 100, &mut ctx).is_empty(), "inverted");
+        assert!(times(400, 400, &mut ctx).is_empty(), "empty");
+        let across = times(100, 450, &mut ctx);
+        assert_eq!(across.len(), 35, "10 compacted, 20 sealed, 5 in the memtable");
+        assert_eq!(across, (100..450).step_by(10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -46,11 +46,12 @@
 //! The store keeps a single epoch counter, bumped by every append, seal,
 //! and compaction. [`IngestStore::snapshot`] pins the current generation
 //! (via `Arc` — compaction retires old generation directories only when
-//! no snapshot holds them), the sealed batches, and a clone of the
-//! memtable (payloads are `Arc<[u8]>`, so the clone is cheap). Reads off
-//! a snapshot are byte-identical whether a message is currently in the
-//! memtable, a sealed segment, or a compacted container, because all
-//! three feed the same `(time, lane)` k-way merge in `bora::stream`.
+//! no snapshot holds them — and with it the container the generation was
+//! opened into once, `GenHandle::bag`), the sealed batches, and a clone
+//! of the memtable (payloads are `Arc<[u8]>`, so the clone is cheap).
+//! Reads off a snapshot are byte-identical whether a message is currently
+//! in the memtable, a sealed segment, or a compacted container, because
+//! all three feed the same `(time, lane)` k-way merge in `bora::stream`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -60,9 +61,9 @@ use bora::block::{BlockCodec, BlockParams};
 use bora::bufpool::BufferPool;
 use bora::checksum::{crc32c, decode_envelope, encode_envelope};
 use bora::error::{BoraError, BoraResult};
-use bora::layout::{meta_path, TopicPaths, META_FILE};
+use bora::layout::{meta_path, TopicPaths};
 use bora::manifest::Manifest;
-use bora::meta::{ContainerMeta, TopicMeta};
+use bora::meta::TopicMeta;
 use bora::time_index::DEFAULT_WINDOW_NS;
 use bora::topic_index::{TopicIndexEntry, ENTRY_SIZE};
 use bora::writer::ContainerWriter;
@@ -279,13 +280,34 @@ impl Recovery {
 
 /// One committed generation. Snapshots hold an `Arc` to it; compaction
 /// deletes a retired generation's directory only once no snapshot does.
-#[derive(Debug)]
-pub struct GenHandle {
+pub struct GenHandle<S> {
     pub generation: u64,
     /// Container root of this generation (`<root>/gen/C<g>`).
     pub root: String,
     pub last_seal_seq: u64,
     pub last_wal_seq: u64,
+    /// The generation's container, opened by its first reader and shared
+    /// by every later one; see [`GenHandle::bag`].
+    bag: Mutex<Option<BoraBag<S>>>,
+}
+
+impl<S: Storage + Clone> GenHandle<S> {
+    /// The generation's opened container — the one place `bora-ingest`
+    /// opens one. The first caller (recovery, a snapshot or a compaction)
+    /// opens it, holding this handle's mutex and never the state lock,
+    /// and every later one clones it: `.bora`, the MANIFEST and the block
+    /// maps are read once per generation. A bag a read found damage in is
+    /// opened again, so every read of a rotted generation re-verifies and
+    /// answers the `ChecksumMismatch` a static root's reopen does.
+    fn bag(&self, storage: &S, ctx: &mut IoCtx) -> BoraResult<BoraBag<S>> {
+        let mut opened = self.bag.lock();
+        if let Some(bag) = opened.as_ref().filter(|b| b.damaged_topics().is_empty()) {
+            return Ok(bag.clone());
+        }
+        let bag = BoraBag::open(storage.clone(), &self.root, ctx)?;
+        *opened = Some(bag.clone());
+        Ok(bag)
+    }
 }
 
 /// Point-in-time counters for `bora-tool ingest-stat` and the serve tier.
@@ -307,13 +329,13 @@ pub struct IngestStat {
     pub sealed_bytes: u64,
 }
 
-struct IngestState {
+struct IngestState<S> {
     shards: Vec<WalShard>,
     memtable: BTreeMap<String, Vec<IngestMessage>>,
     sealed: Vec<Arc<SealedBatch>>,
-    gen: Arc<GenHandle>,
+    gen: Arc<GenHandle<S>>,
     /// Generations superseded by compaction but possibly still pinned.
-    retired: Vec<Arc<GenHandle>>,
+    retired: Vec<Arc<GenHandle<S>>>,
     /// Next WAL sequence number (first record is 1; 0 means "none").
     next_seq: u64,
     /// Next seal sequence number (first seal is 1; 0 means "none").
@@ -324,12 +346,12 @@ struct IngestState {
     last_time: BTreeMap<String, Time>,
 }
 
-impl IngestState {
+impl<S> IngestState<S> {
     /// Retired generations no snapshot pins any more, taken off the list.
     /// Handles are only ever cloned under the state lock, so what is
     /// returned can never be pinned again and its files can be deleted
     /// after the lock is released.
-    fn take_unpinned(&mut self) -> Vec<Arc<GenHandle>> {
+    fn take_unpinned(&mut self) -> Vec<Arc<GenHandle<S>>> {
         let (unpinned, pinned) =
             std::mem::take(&mut self.retired).into_iter().partition(|h| Arc::strong_count(h) == 1);
         self.retired = pinned;
@@ -345,13 +367,13 @@ pub struct IngestStore<S: Storage> {
     cfg: IngestConfig,
     /// Shared page cache handed to every snapshot's container reads.
     pool: Option<Arc<BufferPool>>,
-    inner: Mutex<IngestState>,
+    inner: Mutex<IngestState<S>>,
     /// Held for the whole of a compaction, so that there is one at a
     /// time; taken before `inner`, never while holding it.
     compacting: Mutex<()>,
 }
 
-impl<S: Storage> IngestStore<S> {
+impl<S: Storage + Clone> IngestStore<S> {
     /// Initialize a fresh ingest root. Commits an empty generation-0
     /// container first (so every snapshot has a container to open), then
     /// the `.boraingest` marker last — a crash mid-create leaves debris
@@ -444,14 +466,21 @@ impl<S: Storage> IngestStore<S> {
         }
 
         // High-water timestamps: container topics' last index entry, then
-        // sealed batches and the replayed memtable.
+        // sealed batches and the replayed memtable. The generation is
+        // opened here, `.bora` held to its MANIFEST, for every later reader.
+        let gen = Arc::new(GenHandle {
+            generation: gmarker.generation,
+            root: groot,
+            last_seal_seq: gmarker.last_seal_seq,
+            last_wal_seq: gmarker.last_wal_seq,
+            bag: Mutex::new(None),
+        });
         let mut last_time: BTreeMap<String, Time> = BTreeMap::new();
-        let meta = ContainerMeta::decode(&storage.read_all(&meta_path(&groot), ctx)?)?;
-        for t in &meta.topics {
+        for t in &gen.bag(&storage, ctx)?.meta().topics {
             if t.message_count == 0 {
                 continue;
             }
-            let paths = TopicPaths::new(&groot, &t.topic);
+            let paths = TopicPaths::new(&gen.root, &t.topic);
             let ilen = storage.len(&paths.index, ctx)?;
             if ilen >= ENTRY_SIZE as u64 {
                 let tail =
@@ -477,12 +506,6 @@ impl<S: Storage> IngestStore<S> {
 
         let next_seal_seq =
             sealed.iter().map(|b| b.seal_seq).fold(gmarker.last_seal_seq, u64::max) + 1;
-        let gen = Arc::new(GenHandle {
-            generation: gmarker.generation,
-            root: groot,
-            last_seal_seq: gmarker.last_seal_seq,
-            last_wal_seq: gmarker.last_wal_seq,
-        });
         sp.end();
         Ok(IngestStore {
             storage,
@@ -522,14 +545,6 @@ impl<S: Storage> IngestStore<S> {
     pub fn with_pool(mut self, pool: Arc<BufferPool>) -> Self {
         self.pool = Some(pool);
         self
-    }
-
-    pub fn pool(&self) -> Option<&Arc<BufferPool>> {
-        self.pool.as_ref()
-    }
-
-    pub fn storage(&self) -> &S {
-        &self.storage
     }
 
     /// Append one timestamped message. Returns its WAL sequence number.
@@ -684,15 +699,11 @@ impl<S: Storage> IngestStore<S> {
         }
         // A damaged byte must stop the compaction, not be copied under a
         // fresh, valid commit record: everything taken from the old
-        // generation is checked against its MANIFEST first.
-        let old_manifest = Manifest::load(&self.storage, &old.root, ctx)?;
-        let from = (old.root.as_str(), &old_manifest);
-        let old_meta = ContainerMeta::decode(&old_manifest.read_committed(
-            &self.storage,
-            &old.root,
-            META_FILE,
-            ctx,
-        )?)?;
+        // generation is checked against the MANIFEST its open verified
+        // `.bora` against.
+        let old_bag = old.bag(&self.storage, ctx)?;
+        let from = (old.root.as_str(), old_bag.manifest());
+        let old_meta = old_bag.meta();
         if old_meta.block != self.cfg.block {
             return Err(BoraError::Corrupt(format!(
                 "{}: written with block {:?}, the root's config says {:?}",
@@ -743,6 +754,7 @@ impl<S: Storage> IngestStore<S> {
             root: new_root,
             last_seal_seq,
             last_wal_seq,
+            bag: Mutex::new(None),
         });
         drop(old);
         let unpinned = {
@@ -772,7 +784,7 @@ impl<S: Storage> IngestStore<S> {
 
     /// Delete retired generations nothing pins any more (see
     /// [`IngestState::take_unpinned`]); without the state lock.
-    fn remove_generations(&self, gens: Vec<Arc<GenHandle>>, ctx: &mut IoCtx) {
+    fn remove_generations(&self, gens: Vec<Arc<GenHandle<S>>>, ctx: &mut IoCtx) {
         for h in gens {
             if self.storage.exists(&h.root, ctx) {
                 let _ = self.storage.remove_dir_all(&h.root, ctx);
@@ -807,9 +819,7 @@ impl<S: Storage> IngestStore<S> {
     pub fn epoch(&self) -> u64 {
         self.inner.lock().epoch
     }
-}
 
-impl<S: Storage + Clone> IngestStore<S> {
     /// Pin an MVCC snapshot: the current generation, sealed batches, and
     /// a frozen copy of the memtable (payloads are shared, not copied).
     /// The snapshot never observes later appends, seals, or compactions,
@@ -822,10 +832,10 @@ impl<S: Storage + Clone> IngestStore<S> {
             (Arc::clone(&st.gen), st.sealed.clone(), st.memtable.clone(), st.epoch, unpinned)
         };
         self.remove_generations(unpinned, ctx);
-        // Opened with the state lock released: `gen` already pins the
-        // generation's files, so appenders never wait on this I/O and a
-        // concurrent compaction cannot delete what is being opened.
-        let bag = BoraBag::open(self.storage.clone(), &gen.root, ctx)?;
+        // Taken with the state lock released: `gen` already pins the
+        // generation's files, so appenders never wait on its first open
+        // and a concurrent compaction cannot delete what is being opened.
+        let bag = gen.bag(&self.storage, ctx)?;
         let bag = match &self.pool {
             Some(p) => bag.with_pool(Arc::clone(p)),
             None => bag,
@@ -861,7 +871,7 @@ mod tests {
     use bora::block::BlockMap;
     use simfs::MemStorage;
 
-    fn store<S: Storage>(fs: S, ctx: &mut IoCtx) -> IngestStore<S> {
+    fn store<S: Storage + Clone>(fs: S, ctx: &mut IoCtx) -> IngestStore<S> {
         IngestStore::create(
             fs,
             "/live",

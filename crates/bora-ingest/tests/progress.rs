@@ -9,7 +9,8 @@
 //! gate before it fails the test — so a store that holds its state lock
 //! across the build fails here, it does not hang. The second is a seeded
 //! stress run of an appender, a sealer / compactor and a reader that must
-//! end equal to the materialised oracle.
+//! end equal to the materialised oracle. The third counts what those
+//! readers share: a generation is opened once, not once per reader.
 
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::atomic::{AtomicBool, AtomicU64};
@@ -54,11 +55,13 @@ fn as_read(script: impl Iterator<Item = u64>) -> Read {
 }
 
 /// `MemStorage` whose next append under `.staging/` — once armed — says it
-/// has arrived and then waits to be released.
+/// has arrived and then waits to be released, and which counts the reads
+/// of a container's `.bora`.
 #[derive(Default)]
 struct Gated {
     inner: MemStorage,
     gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
+    bora_reads: AtomicU64,
 }
 
 impl Gated {
@@ -90,6 +93,9 @@ impl Storage for Gated {
         self.inner.write_at(path, offset, data, ctx)
     }
     fn read_at(&self, path: &str, offset: u64, len: usize, ctx: &mut IoCtx) -> FsResult<Vec<u8>> {
+        if path.ends_with("/.bora") {
+            self.bora_reads.fetch_add(1, SeqCst);
+        }
         self.inner.read_at(path, offset, len, ctx)
     }
     fn len(&self, path: &str, ctx: &mut IoCtx) -> FsResult<u64> {
@@ -295,4 +301,36 @@ fn concurrent_appender_compactor_and_reader_end_equal_to_the_oracle() {
     assert_eq!(read_all(&st), as_read(0..MESSAGES));
     let root = format!("{ROOT}/gen/C{generation:08}");
     assert!(bora::fsck::check(&fs, &root, ctx).unwrap().is_clean());
+}
+
+/// Recovery opens the generation it recovers, and every later reader of
+/// it — ten snapshots, and the compaction that resumes its topics — takes
+/// that opened container: one read of its `.bora` where each snapshot
+/// reopened it and the compaction loaded it once more. The next
+/// generation is opened by its first reader, once.
+#[test]
+fn a_generation_is_opened_once_for_every_reader() {
+    let fs = Gated::default();
+    let ctx = &mut IoCtx::new();
+    let append = |st: &IngestStore<&Gated>, script: std::ops::Range<u64>, ctx: &mut IoCtx| {
+        for (topic, t, data) in script.map(message) {
+            st.append(topic, t, &data, ctx).unwrap();
+        }
+        st.seal(ctx).unwrap();
+    };
+    let st = IngestStore::create(&fs, ROOT, cfg(), ctx).unwrap();
+    append(&st, 0..20, ctx);
+    assert_eq!(st.compact(ctx).unwrap(), 1);
+    append(&st, 20..30, ctx);
+    drop(st);
+
+    fs.bora_reads.store(0, SeqCst);
+    let st = IngestStore::open(&fs, ROOT, ctx).unwrap();
+    for _ in 0..10 {
+        assert_eq!(read_all(&st), as_read(0..30));
+    }
+    assert_eq!(st.compact(ctx).unwrap(), 2);
+    assert_eq!(fs.bora_reads.load(SeqCst), 1, "generation 1 is opened once");
+    assert_eq!(read_all(&st), as_read(0..30));
+    assert_eq!(fs.bora_reads.load(SeqCst), 2, "and generation 2 once, by its first reader");
 }

@@ -56,7 +56,7 @@ fn fresh_disk(block: Option<BlockParams>) -> MemStorage {
 
 /// Run the whole workload: appends interleaved with two seal+compact
 /// cycles, ending with unsealed appends in the WAL + memtable.
-fn run_workload<S: Storage>(fs: S, ctx: &mut IoCtx) -> bora::BoraResult<()> {
+fn run_workload<S: Storage + Clone>(fs: S, ctx: &mut IoCtx) -> bora::BoraResult<()> {
     let st = IngestStore::open(fs, ROOT, ctx)?;
     let script = script();
     for (i, (topic, time, data)) in script.iter().enumerate() {

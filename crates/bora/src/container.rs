@@ -359,6 +359,11 @@ impl<S: Storage> BoraBag<S> {
         &self.meta
     }
 
+    /// The commit record `.bora` was held to at open.
+    pub fn manifest(&self) -> &Manifest {
+        &self.manifest
+    }
+
     pub fn tags(&self) -> &TagManager {
         &self.tags
     }
@@ -446,12 +451,14 @@ impl<S: Storage> BoraBag<S> {
 
     /// Stream `topics` with live-ingest tails merged in: `tails[i]` holds
     /// topic `i`'s in-memory messages (sealed segments + memtable, in
-    /// append order) that are *newer* than the topic's container entries.
-    /// The k-way merge treats a container entry and a tail message
-    /// identically — same lanes, same `(time, lane)` tie-break — so the
-    /// output is byte-identical whether a message has been compacted into
-    /// the container yet or not. A topic the container doesn't know is
-    /// accepted when its tail is non-empty (not yet compacted at all).
+    /// append order) that are *newer* than the topic's container entries
+    /// and lie inside `range` — the caller cuts a tail to the window, the
+    /// stream does not filter it. The k-way merge treats a container entry
+    /// and a tail message identically — same lanes, same `(time, lane)`
+    /// tie-break — so the output is byte-identical whether a message has
+    /// been compacted into the container yet or not. A topic the container
+    /// doesn't know is accepted when its tail is non-empty (not yet
+    /// compacted at all).
     pub fn stream_topics_with_tails<'a>(
         &'a self,
         topics: &[&str],

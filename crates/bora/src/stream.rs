@@ -115,7 +115,10 @@ impl Default for StreamOptions {
 ///
 /// Tail messages of one topic must be chronological and must not predate
 /// the topic's last container entry — the ingest store enforces both by
-/// rejecting out-of-order appends.
+/// rejecting out-of-order appends — and must lie inside the stream's
+/// range: the holder cuts its tails to the window (the ingest snapshot
+/// binary-searches its sorted slices), so the stream never copies or
+/// filters a message it will not deliver.
 #[derive(Debug, Clone)]
 pub struct TailMessage {
     pub time: Time,
@@ -574,8 +577,9 @@ impl<'a, S: Storage> MessageStream<'a, S> {
     /// Build a stream over `topics`; `range` bounds it via the coarse
     /// time index (`None` = whole topics, manifest-verified). `tails` is
     /// either empty or one tail per topic (live-ingest messages merged
-    /// after the topic's container entries); a topic unknown to the
-    /// container is accepted when it brings a non-empty tail.
+    /// after the topic's container entries, already inside `range`); a
+    /// topic unknown to the container is accepted when it brings a
+    /// non-empty tail.
     pub(crate) fn new(
         bag: &'a BoraBag<S>,
         topics: &[&str],
@@ -588,17 +592,11 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         debug_assert!(tails.is_empty() || tails.len() == k, "one tail per topic");
         tails.resize_with(k, Vec::new);
         let mut cursors = Vec::with_capacity(k);
-        for (topic, mut tail) in topics.iter().zip(tails) {
+        for (topic, tail) in topics.iter().zip(tails) {
             bag.check_not_damaged(topic)?;
-            // A tail-only topic stays known even when the range filter
-            // empties its tail — the query legitimately selects nothing.
-            let had_tail = !tail.is_empty();
-            if let Some((start, end)) = range {
-                tail.retain(|m| m.time >= start && m.time < end);
-            }
             let (paths, container_backed) = match bag.tags.lookup_arc(topic, ctx) {
                 Ok(p) => (p, true),
-                Err(BoraError::UnknownTopic(_)) if had_tail => {
+                Err(BoraError::UnknownTopic(_)) if !tail.is_empty() => {
                     // Tail-only lane: every message is in memory; the
                     // (nonexistent) container files are never touched.
                     (Arc::new(TopicPaths::new(bag.root(), topic)), false)

@@ -16,6 +16,7 @@ use crate::storage::{DirEntry, EntryKind, Metadata, Storage};
 /// Host-filesystem backend rooted at a directory.
 ///
 /// Virtual paths (`/bag1/topic/data`) map to `root/bag1/topic/data`.
+#[derive(Clone)]
 pub struct LocalStorage {
     root: PathBuf,
 }

@@ -3,12 +3,16 @@
 //! length and CRC32C. Each test is a damage the read path once took for
 //! truth — a root that lost its MANIFEST, a topic directory copied in
 //! beside the committed ones, a rotted `.bora` — held to the one rule
-//! through the library, `fsck` and the server.
+//! through the library, `fsck` and the server. A live ingest root's
+//! generation is a container like any other: recovery opens it under the
+//! same rule, and a rotted one answers every served read as a static
+//! root does.
 
 use std::sync::Arc;
 
 use bora::fsck::{self, FsckState, RepairOutcome};
 use bora::{BoraBag, BoraError, OrganizerOptions};
+use bora_ingest::{IngestConfig, IngestStore};
 use bora_serve::{ErrorCode, Request, Response, Server, ServerConfig};
 use ros_msgs::sensor_msgs::Imu;
 use ros_msgs::Time;
@@ -126,6 +130,54 @@ fn the_server_serves_only_what_the_manifest_commits() {
     match server.submit(read) {
         Response::Error { code: ErrorCode::Corrupt, .. } => {}
         other => panic!("expected Corrupt, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// `/live`, an ingest root whose generation 1 holds `N` messages of
+/// `/imu`, written through a store that is then dropped.
+fn live_root() -> MemStorage {
+    let fs = MemStorage::new();
+    let ctx = &mut IoCtx::new();
+    let st = IngestStore::create(&fs, "/live", IngestConfig::default(), ctx).unwrap();
+    let payload = [0x42; 48];
+    st.append_batch((0..N as u64).map(|i| ("/imu", Time::from_nanos(i), &payload[..])), ctx)
+        .unwrap();
+    st.seal(ctx).unwrap();
+    assert_eq!(st.compact(ctx).unwrap(), 1);
+    fs
+}
+
+#[test]
+fn recovery_holds_a_live_generations_meta_file_to_its_manifest() {
+    let fs = live_root();
+    // One bit of the topic name: `/imu` turns into `/Imu`, a directory
+    // that does not exist.
+    let meta = "/live/gen/C00000001/.bora";
+    let bytes = fs.read_all(meta, &mut IoCtx::new()).unwrap();
+    let at = bytes.windows(4).position(|w| w == b"/imu").expect("the topic name") + 1;
+    flip(&fs, meta, at);
+    match IngestStore::open(&fs, "/live", &mut IoCtx::new()) {
+        Err(BoraError::ChecksumMismatch { path, .. }) => assert_eq!(path, ".bora"),
+        other => panic!("expected ChecksumMismatch on .bora, got {:?}", other.err()),
+    }
+}
+
+#[test]
+fn a_rotted_live_generation_answers_every_read_with_a_checksum_mismatch() {
+    let fs = live_root();
+    flip(&fs, "/live/gen/C00000001/imu/data", 100);
+    let server = Server::start(Arc::new(fs), ServerConfig::default());
+    // The damage a read finds is not remembered as a quarantine: each
+    // read opens the generation again and finds it again, so a cluster
+    // client keeps failing over instead of being told `Corrupt`.
+    for attempt in 0..3 {
+        let read =
+            Request::Read { container: "/live".into(), topics: vec!["/imu".into()], range: None };
+        match server.submit(read) {
+            Response::Error { code: ErrorCode::ChecksumMismatch, .. } => {}
+            other => panic!("read {attempt}: expected ChecksumMismatch, got {other:?}"),
+        }
     }
     server.shutdown();
 }

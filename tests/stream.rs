@@ -140,9 +140,13 @@ fn drain_four_ways(
 ) -> (bora::StreamStats, usize) {
     let _copies = materialising();
     let open = |ctx: &mut IoCtx| {
+        // A tail is handed over already cut to `range`, as a snapshot cuts it.
         let tail = |lane| {
+            let within = move |t: &Time| range.is_none_or(|(start, end)| (start..end).contains(t));
             let of_lane = live.iter().filter(move |e| e.0 == lane);
-            of_lane.map(|&e| TailMessage { time: Time::from_nanos(e.1), data: payload(e).into() })
+            let tail = of_lane
+                .map(|&e| TailMessage { time: Time::from_nanos(e.1), data: payload(e).into() });
+            tail.filter(move |m| within(&m.time))
         };
         let tails = (0..TOPICS.len()).map(|lane| tail(lane).collect()).collect();
         bag.stream_topics_with_tails(&TOPICS, tails, range, opts.clone(), ctx).unwrap()

@@ -109,6 +109,12 @@
 //!     `Manifest::load` returns `BoraResult<Manifest>` (a root without one
 //!     is `Corrupt`); and the body of `fn verify` in `manifest.rs` has no
 //!     `return Ok(())` — an unlisted path is not waved through.
+//! 19. *One generation open*: a live root opens each generation once, in
+//!     `GenHandle::bag`, and recovery, snapshots and compaction share it.
+//!     Non-test `bora-ingest` source calls `BoraBag::open(` exactly once
+//!     and never decodes `.bora` raw (`ContainerMeta::decode(`); and
+//!     non-test `stream.rs` calls no `.retain(` — a tail comes to the
+//!     stream cut to its window, by the one who holds it.
 
 use std::path::Path;
 
@@ -119,11 +125,11 @@ const MANIFEST: &str = "crates/bora/src/manifest.rs";
 const PROTO: &str = "crates/bora-serve/src/proto.rs";
 const SERVER: &str = "crates/bora-serve/src/server.rs";
 /// Code lines of `stream.rs` — non-blank, not a `//` comment, before
-/// `#[cfg(test)]` — once the stream lent runs: 462 when `Merge` held the
-/// merge for both read paths (466 before the read core lent, 463 after),
-/// and 42 more for `Run`, `Merge::runner_up`, the cursor's run bound and
-/// `lend` as a run of one.
-const STREAM_CODE_LINES: usize = 504;
+/// `#[cfg(test)]`: 462 when `Merge` held the merge for both read paths
+/// (466 before the read core lent, 463 after), 42 more for `Run`,
+/// `Merge::runner_up`, the cursor's run bound and `lend` as a run of one,
+/// and 4 fewer once a tail came cut to its window.
+const STREAM_CODE_LINES: usize = 500;
 const REGISTRY: &str = "crates/bench/src/experiments/mod.rs";
 const EXEC: &str = "crates/bora-query/src/exec.rs";
 /// The row-at-a-time functions of `exec.rs`, which only the oracle runs.
@@ -176,6 +182,7 @@ const CLUSTER_CLIENT: &str = "crates/bora-cluster/src/client.rs";
 /// The `ClusterClient` calls that return messages or streams.
 const CLUSTER_READS: [&str; 3] = ["read", "read_stream", "read_stream_multi"];
 const QUERY_SRC: &str = "crates/bora-query/src/";
+const INGEST_SRC: &str = "crates/bora-ingest/src/";
 /// The query cursor's retired second input.
 const RECORD_FEED: [&str; 3] = ["cursor_records", "Feed::Records", "Pulled::Record"];
 
@@ -839,6 +846,36 @@ fn one_commit_record_violations(path: &str, source: &str) -> Vec<String> {
     found
 }
 
+/// Guard 19 over the non-test sources of `bora-ingest` and `stream.rs`:
+/// how often a generation is opened, whether `.bora` is decoded raw, and
+/// whether the stream filters a tail.
+fn one_generation_open_violations(files: &[(&str, &str)]) -> Vec<String> {
+    let (mut found, mut opens) = (Vec::new(), 0);
+    for &(path, source) in files {
+        let code = source.lines().take_while(|l| !l.contains("#[cfg(test)]"));
+        for (i, line) in code.enumerate() {
+            let code = line.split("//").next().unwrap_or("");
+            let mut flag =
+                |what: &str| found.push(format!("one generation open: {path}:{}: {what}", i + 1));
+            if path.starts_with(INGEST_SRC) {
+                opens += code.matches("BoraBag::open(").count();
+                if code.contains("ContainerMeta::decode(") {
+                    flag("`.bora` is read through the generation's opened bag, not decoded raw");
+                }
+            }
+            if path == STREAM && code.contains(".retain(") {
+                flag("a tail comes cut to the stream's range; the stream filters none");
+            }
+        }
+    }
+    if opens != 1 {
+        found.push(format!(
+            "one generation open: {INGEST_SRC} calls `BoraBag::open(` {opens} times, not once"
+        ));
+    }
+    found
+}
+
 /// Guard 7, first half: whether `path` is a source under `crates/`, not
 /// under `crates/bench`, that names `BinaryHeap` before its tests.
 fn names_the_heap(path: &str, source: &str) -> bool {
@@ -931,6 +968,7 @@ fn the_tree_holds_every_guard() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut found = Vec::new();
     let (mut files, mut heap_files, mut clients) = (0, Vec::new(), Vec::new());
+    let mut generation_readers = Vec::new();
     for dir in ["crates", "tests", "examples"] {
         walk(&root.join(dir), &mut |path| {
             let rel = path.strip_prefix(root).unwrap().to_str().unwrap().replace('\\', "/");
@@ -946,6 +984,9 @@ fn the_tree_holds_every_guard() {
             if names_the_heap(&rel, &source) {
                 heap_files.push(rel.clone());
             }
+            if rel.starts_with(INGEST_SRC) || rel == STREAM {
+                generation_readers.push((rel.clone(), source.clone()));
+            }
             if rel.starts_with(SERVE_SRC) || rel.starts_with(CLUSTER_SRC) {
                 clients.push((rel, source));
             }
@@ -959,6 +1000,9 @@ fn the_tree_holds_every_guard() {
     let clients: Vec<(&str, &str)> =
         clients.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
     found.extend(one_client_violations(&clients));
+    let generation_readers: Vec<(&str, &str)> =
+        generation_readers.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
+    found.extend(one_generation_open_violations(&generation_readers));
     let manifest = std::fs::read_to_string(root.join("crates/bench/Cargo.toml")).unwrap();
     found.extend(ledger_violations(&manifest, |f| std::fs::read_to_string(root.join(f)).ok()));
     let read = |f: &str| std::fs::read_to_string(root.join(f)).unwrap();
@@ -1666,5 +1710,59 @@ fn the_one_commit_record_guard_fires() {
     for (path, source, fires) in cases {
         let found = one_commit_record_violations(path, &source);
         assert_eq!(!found.is_empty(), fires, "{path}: {source}\n{found:?}");
+    }
+}
+
+#[test]
+fn the_one_generation_open_guard_fires() {
+    let store = "crates/bora-ingest/src/store.rs";
+    let snapshot = "crates/bora-ingest/src/snapshot.rs";
+    let handle = "impl<S: Storage + Clone> GenHandle<S> {\n    \
+                  fn bag(&self, storage: &S) -> BoraResult<BoraBag<S>> {\n        \
+                  let bag = BoraBag::open(storage.clone(), &self.root, ctx)?;\n    }\n}\n";
+    let tests = "#[cfg(test)]\nmod tests {\n    fn t() { BoraBag::open(fs, r, c); \
+                 ContainerMeta::decode(&b); tail.retain(|m| m.time < end); }\n}\n";
+    let cut =
+        "fn new() {\n    // Not `tail.retain(..)`: the holder cut it.\n    let t = tail;\n}\n";
+    let fires = |files: &[(&str, &str)]| !one_generation_open_violations(files).is_empty();
+    let cases = [
+        (vec![(store, format!("{handle}{tests}")), (STREAM, format!("{cut}{tests}"))], false),
+        (
+            vec![(store, handle.to_owned()), ("crates/bora-serve/src/server.rs", tests.into())],
+            false,
+        ),
+        (vec![(store, handle.replace("BoraBag::open(", "BoraBag::reopen("))], true),
+        (
+            vec![
+                (store, handle.to_owned()),
+                (snapshot, "fn new() {\n    let bag = BoraBag::open(s, r, c)?;\n}\n".into()),
+            ],
+            true,
+        ),
+        (
+            vec![
+                (store, handle.to_owned()),
+                (store, "fn open() {\n    let m = ContainerMeta::decode(&b)?;\n}\n".into()),
+            ],
+            true,
+        ),
+        (
+            vec![
+                (store, handle.to_owned()),
+                (STREAM, "fn new() {\n    tail.retain(|m| m.time < end);\n}\n".into()),
+            ],
+            true,
+        ),
+        (
+            vec![
+                (store, handle.to_owned()),
+                ("crates/bora/src/container.rs", "fn f() {\n    v.retain(|x| x > 0);\n}\n".into()),
+            ],
+            false,
+        ),
+    ];
+    for (i, (files, want)) in cases.iter().enumerate() {
+        let files: Vec<(&str, &str)> = files.iter().map(|(p, s)| (*p, s.as_str())).collect();
+        assert_eq!(fires(&files), *want, "case {i}: {files:?}");
     }
 }

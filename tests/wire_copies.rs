@@ -13,7 +13,9 @@
 //! plus the payload, and fails here. A cold scan of a block-framed topic
 //! may allocate each stored frame (the storage read) and each page's
 //! logical bytes once; a fill that copies them a second time on the way
-//! into the pool fails here.
+//! into the pool fails here. A time-window read of a live root allocates
+//! for its window, not for the sealed tail around it: a snapshot that
+//! copied the whole tail before cutting it to the window fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,6 +25,7 @@ use std::sync::Arc;
 
 use bora::layout::TopicPaths;
 use bora::{BlockParams, BoraBag, BufferPool, OrganizerOptions, StreamOptions};
+use bora_ingest::{IngestConfig, IngestStore};
 use bora_serve::{
     spawn_tcp_listener, Connection, ServeClient, Server, ServerConfig, TcpConnection, TcpTransport,
     Transport, WireMessage,
@@ -242,5 +245,40 @@ fn a_cold_raw_page_costs_one_copy_of_its_bytes() {
     assert!(
         warm_bytes <= 3 * index + 4096,
         "the warm rescan allocated {warm_bytes} B, more than its {index} B index read and decoded"
+    );
+}
+
+/// Bytes a 10-message window read of a live root may allocate more over a
+/// sealed tail of 32 000 messages than over one of 1 000.
+const WINDOW_SLACK: u64 = 16 << 10;
+
+#[test]
+fn a_live_window_read_costs_its_window_not_its_tail() {
+    // A snapshot of a root whose `tail` 64-byte messages on `/imu` are
+    // sealed, and a read of the ten in the middle, with what it allocated.
+    let window_read = |tail: u64| -> u64 {
+        let fs = MemStorage::new();
+        let ctx = &mut IoCtx::new();
+        let cfg = IngestConfig { group_commit: 1 << 10, ..Default::default() };
+        let st = IngestStore::create(&fs, "/live", cfg, ctx).unwrap();
+        let payload = [0x5A; 64];
+        let batch = (0..tail).map(|i| (TOPIC, Time::from_nanos(i * 1_000), &payload[..]));
+        st.append_batch(batch, ctx).unwrap();
+        st.seal(ctx).unwrap();
+        let (start, end) =
+            (Time::from_nanos(tail / 2 * 1_000), Time::from_nanos((tail / 2 + 10) * 1_000));
+        let (msgs, bytes) = allocated(|| {
+            let snap = st.snapshot(ctx).unwrap();
+            snap.read_time_range(&[TOPIC], start, end, ctx).unwrap()
+        });
+        assert_eq!(msgs.len(), 10);
+        assert!(msgs.iter().all(|m| m.time >= start && m.time < end && m.data == payload));
+        bytes
+    };
+    let (short, long) = (window_read(1_000), window_read(32_000));
+    println!("10-message window read: {short} B over a 1 000-message tail, {long} B over 32 000");
+    assert!(
+        short.abs_diff(long) <= WINDOW_SLACK,
+        "a window read allocated {short} B over 1 000 sealed messages and {long} B over 32 000"
     );
 }
