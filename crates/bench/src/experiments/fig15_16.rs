@@ -98,12 +98,3 @@ pub fn run_fig16(scales: &ScaleConfig) -> Vec<Table> {
     table.note("paper: BORA wins every case — the coarse-grain time index works on parallel file systems too");
     vec![table]
 }
-
-/// Re-exported for tests: the Fig. 15(b) setup at arbitrary scale.
-pub fn camera_info_speedup_on_pvfs(scales: &ScaleConfig, gb: f64) -> f64 {
-    let env = setup_bag(Platform::pvfs(), gb, scales);
-    let topic = spec('C').name;
-    let base = baseline_query(&env, &[topic], 1);
-    let ours = bora_query(&env, &[topic], 1);
-    base.total_ns() as f64 / ours.total_ns() as f64
-}

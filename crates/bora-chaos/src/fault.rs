@@ -250,10 +250,6 @@ impl ChaosState {
         self.inner.lock().unwrap().rules = rules;
     }
 
-    pub fn push_rule(&self, rule: ChaosRule) {
-        self.inner.lock().unwrap().rules.push(rule);
-    }
-
     /// Install (`Some`) or lift (`None`) the partition.
     pub fn set_partition(&self, partition: Option<Partition>) {
         self.inner.lock().unwrap().partition = partition;

@@ -899,13 +899,6 @@ where
             .collect()
     }
 
-    /// One node's full `METRICS` scrape (registry + slow-op tail) — what
-    /// the telemetry poller aggregates across the fleet.
-    pub fn node_metrics(&self, node: NodeId) -> ClientResult<MetricsReport> {
-        let ep = self.nodes.get(&node).ok_or_else(|| no_nodes(&format!("node {node}")))?;
-        ep.attempt(self.cfg.deadline, &mut |c| c.metrics())
-    }
-
     /// Every reachable node's `METRICS` scrape; unreachable nodes report
     /// their error (the poller counts them, it does not fail the sweep).
     /// Each node's scrape is a walk over that node alone: a pooled

@@ -104,16 +104,6 @@ impl LocalCluster<Arc<ClusterStorage>> {
         let storage_cfg = cfg.storage;
         Self::start_with(cfg, move |_| Arc::new(ClusterStorage::new(storage_cfg)))
     }
-
-    /// Kill `id`'s storage servers too (data ops fail with `Io`), on top
-    /// of shutting the serve process down. The strongest failure mode:
-    /// even a stale client that reconnects gets storage-level faults.
-    pub fn kill_with_storage(&self, id: NodeId) {
-        if let Some(node) = self.node(id) {
-            node.storage.fail_all();
-        }
-        self.kill(id);
-    }
 }
 
 impl<S: Storage + Clone + Send + Sync + 'static> LocalCluster<S> {

@@ -53,6 +53,7 @@
 //! in the memtable, a sealed segment, or a compacted container, because
 //! all three feed the same `(time, lane)` k-way merge in `bora::stream`.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::Arc;
@@ -176,13 +177,12 @@ impl GenMarker {
 /// alone: `open` deletes the debris, loads the seals and replays the WAL
 /// above [`Recovery::covered_wal_seq`]; `bora-tool ingest-stat` reports
 /// the same plan without changing a byte.
-#[derive(Debug)]
-pub struct Recovery {
+pub struct Recovery<S> {
     pub cfg: IngestConfig,
-    /// Root of the newest generation whose MANIFEST loads and whose
-    /// `.ingest` marker names the generation of its directory.
-    pub gen_root: String,
-    pub gen: GenMarker,
+    /// The newest generation whose MANIFEST commits an `.ingest` marker
+    /// naming the generation of its directory, opened by recovery for
+    /// every later reader (see `GenHandle::bag`).
+    pub gen: GenHandle<S>,
     /// The seals above the generation's watermark that a valid marker
     /// commits, as `(seal_seq from the file name, marker)`, ascending.
     pub seals: Vec<(u64, SealMarker)>,
@@ -193,8 +193,8 @@ pub struct Recovery {
     pub debris: Vec<(String, EntryKind)>,
 }
 
-impl Recovery {
-    pub fn read<S: Storage>(storage: &S, root: &str, ctx: &mut IoCtx) -> BoraResult<Self> {
+impl<S: Storage + Clone> Recovery<S> {
+    pub fn read(storage: &S, root: &str, ctx: &mut IoCtx) -> BoraResult<Self> {
         let root = root.trim_end_matches('/');
         let mp = marker_path(root);
         if !storage.exists(&mp, ctx) {
@@ -202,36 +202,31 @@ impl Recovery {
         }
         let cfg = IngestConfig::decode(&storage.read_all(&mp, ctx)?)?;
 
-        // The newest committed generation; everything else in gen/ is
-        // debris from crashed compactions.
+        // The newest committed generation, looked for newest first, so
+        // that only the winner and what failed before it are read;
+        // everything else in gen/ is debris from crashed compactions and
+        // superseded generations.
         let gdir = gen_dir(root);
-        let mut best: Option<(u64, String, GenMarker)> = None;
-        let mut debris: Vec<(String, EntryKind)> = Vec::new();
+        let (mut gens, mut debris) = (Vec::new(), Vec::new());
         for e in storage.read_dir(&gdir, ctx)? {
             let path = format!("{gdir}/{}", e.name);
-            let committed = match (parse_gen_name(&e.name), e.kind) {
-                (Some(g), EntryKind::Dir) => load_gen_marker(storage, &path, ctx)
-                    .ok()
-                    .filter(|m| m.generation == g)
-                    .map(|m| (g, m)),
-                _ => None,
-            };
-            match committed {
-                Some((g, marker)) => match best.take() {
-                    Some(prev) if prev.0 > g => {
-                        debris.push((path, EntryKind::Dir));
-                        best = Some(prev);
-                    }
-                    Some(prev) => {
-                        debris.push((prev.1, EntryKind::Dir));
-                        best = Some((g, path, marker));
-                    }
-                    None => best = Some((g, path, marker)),
-                },
-                None => debris.push((path, e.kind)),
+            match (parse_gen_name(&e.name), e.kind) {
+                (Some(g), EntryKind::Dir) => gens.push((g, path)),
+                _ => debris.push((path, e.kind)),
             }
         }
-        let (_, gen_root, gen) = best.ok_or_else(|| {
+        gens.sort_unstable_by_key(|&(g, _)| Reverse(g));
+        let mut gen = None;
+        for (g, path) in gens {
+            match gen {
+                None => match GenHandle::committed(storage, g, &path, ctx) {
+                    Some(handle) => gen = Some(handle),
+                    None => debris.push((path, EntryKind::Dir)),
+                },
+                Some(_) => debris.push((path, EntryKind::Dir)),
+            }
+        }
+        let gen = gen.ok_or_else(|| {
             BoraError::Corrupt(format!("ingest root {root} has no committed generation"))
         })?;
 
@@ -268,7 +263,7 @@ impl Recovery {
             }
             seals.extend(marker.map(|m| (seq, m)));
         }
-        Ok(Recovery { cfg, gen_root, gen, seals, debris })
+        Ok(Recovery { cfg, gen, seals, debris })
     }
 
     /// The highest WAL sequence number the generation and the committed
@@ -292,6 +287,31 @@ pub struct GenHandle<S> {
 }
 
 impl<S: Storage + Clone> GenHandle<S> {
+    /// Generation `g` at `root`, if its MANIFEST commits an `.ingest`
+    /// marker naming `g`. The marker is read through the opened
+    /// container, whose open loaded the MANIFEST: one read of it for
+    /// both. A generation the marker commits but whose container does
+    /// not open is still returned, unopened: its first reader fails on
+    /// it, and recovery does not sweep it as debris.
+    fn committed(storage: &S, g: u64, root: &str, ctx: &mut IoCtx) -> Option<Self> {
+        let mut gen = GenHandle {
+            generation: g,
+            root: root.to_owned(),
+            last_seal_seq: 0,
+            last_wal_seq: 0,
+            bag: Mutex::new(None),
+        };
+        let marker = match gen.bag(storage, ctx) {
+            Ok(bag) => bag.manifest().read_committed(storage, root, GEN_MARKER, ctx),
+            Err(_) => Manifest::load(storage, root, ctx)
+                .and_then(|m| m.read_committed(storage, root, GEN_MARKER, ctx)),
+        };
+        let marker = marker.and_then(|b| GenMarker::decode(&b)).ok();
+        let marker = marker.filter(|m| m.generation == g)?;
+        (gen.last_seal_seq, gen.last_wal_seq) = (marker.last_seal_seq, marker.last_wal_seq);
+        Some(gen)
+    }
+
     /// The generation's opened container — the one place `bora-ingest`
     /// opens one. The first caller (recovery, a snapshot or a compaction)
     /// opens it, holding this handle's mutex and never the state lock,
@@ -419,7 +439,7 @@ impl<S: Storage + Clone> IngestStore<S> {
         let root = root.trim_end_matches('/').to_owned();
         let plan = Recovery::read(&storage, &root, ctx)?;
         let covered = plan.covered_wal_seq();
-        let Recovery { cfg, gen_root: groot, gen: gmarker, seals, debris } = plan;
+        let Recovery { cfg, gen, seals, debris } = plan;
 
         // 1. Sweep what no committed state refers to.
         for (path, kind) in debris {
@@ -466,15 +486,9 @@ impl<S: Storage + Clone> IngestStore<S> {
         }
 
         // High-water timestamps: container topics' last index entry, then
-        // sealed batches and the replayed memtable. The generation is
-        // opened here, `.bora` held to its MANIFEST, for every later reader.
-        let gen = Arc::new(GenHandle {
-            generation: gmarker.generation,
-            root: groot,
-            last_seal_seq: gmarker.last_seal_seq,
-            last_wal_seq: gmarker.last_wal_seq,
-            bag: Mutex::new(None),
-        });
+        // sealed batches and the replayed memtable. Recovery opened the
+        // generation, `.bora` held to its MANIFEST, for every later reader.
+        let gen = Arc::new(gen);
         let mut last_time: BTreeMap<String, Time> = BTreeMap::new();
         for t in &gen.bag(&storage, ctx)?.meta().topics {
             if t.message_count == 0 {
@@ -504,8 +518,7 @@ impl<S: Storage + Clone> IngestStore<S> {
             }
         }
 
-        let next_seal_seq =
-            sealed.iter().map(|b| b.seal_seq).fold(gmarker.last_seal_seq, u64::max) + 1;
+        let next_seal_seq = sealed.iter().map(|b| b.seal_seq).fold(gen.last_seal_seq, u64::max) + 1;
         sp.end();
         Ok(IngestStore {
             storage,
@@ -854,15 +867,6 @@ fn stage_generation<S: Storage>(
     ctx: &mut IoCtx,
 ) -> BoraResult<ContainerWriter> {
     ContainerWriter::begin(storage, gen_root, cfg.block, cfg.window_ns, usize::MAX, ctx)
-}
-
-fn load_gen_marker<S: Storage>(
-    storage: &S,
-    gen_root: &str,
-    ctx: &mut IoCtx,
-) -> BoraResult<GenMarker> {
-    let manifest = Manifest::load(storage, gen_root, ctx)?;
-    GenMarker::decode(&manifest.read_committed(storage, gen_root, GEN_MARKER, ctx)?)
 }
 
 #[cfg(test)]

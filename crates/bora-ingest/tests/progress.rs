@@ -10,8 +10,10 @@
 //! across the build fails here, it does not hang. The second is a seeded
 //! stress run of an appender, a sealer / compactor and a reader that must
 //! end equal to the materialised oracle. The third counts what those
-//! readers share: a generation is opened once, not once per reader.
+//! readers share: a generation is opened once, not once per reader; the
+//! fourth, that recovery reads the generation's MANIFEST once.
 
+use std::collections::HashMap;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::atomic::{AtomicBool, AtomicU64};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -56,12 +58,13 @@ fn as_read(script: impl Iterator<Item = u64>) -> Read {
 
 /// `MemStorage` whose next append under `.staging/` — once armed — says it
 /// has arrived and then waits to be released, and which counts the reads
-/// of a container's `.bora`.
+/// of a container's `.bora` and of every path.
 #[derive(Default)]
 struct Gated {
     inner: MemStorage,
     gate: Mutex<Option<(Sender<()>, Receiver<()>)>>,
     bora_reads: AtomicU64,
+    reads: Mutex<HashMap<String, u64>>,
 }
 
 impl Gated {
@@ -96,6 +99,7 @@ impl Storage for Gated {
         if path.ends_with("/.bora") {
             self.bora_reads.fetch_add(1, SeqCst);
         }
+        *self.reads.lock().unwrap().entry(path.to_owned()).or_default() += 1;
         self.inner.read_at(path, offset, len, ctx)
     }
     fn len(&self, path: &str, ctx: &mut IoCtx) -> FsResult<u64> {
@@ -333,4 +337,29 @@ fn a_generation_is_opened_once_for_every_reader() {
     assert_eq!(fs.bora_reads.load(SeqCst), 1, "generation 1 is opened once");
     assert_eq!(read_all(&st), as_read(0..30));
     assert_eq!(fs.bora_reads.load(SeqCst), 2, "and generation 2 once, by its first reader");
+}
+
+/// Recovery reads the MANIFEST of the generation it recovers once: the
+/// open that every later reader shares loads it, and the `.ingest` marker
+/// it commits is read through that open.
+#[test]
+fn recovery_reads_the_generations_manifest_once() {
+    let fs = Gated::default();
+    let ctx = &mut IoCtx::new();
+    let st = IngestStore::create(&fs, ROOT, cfg(), ctx).unwrap();
+    for (topic, t, data) in (0..20).map(message) {
+        st.append(topic, t, &data, ctx).unwrap();
+    }
+    st.seal(ctx).unwrap();
+    assert_eq!(st.compact(ctx).unwrap(), 1);
+    drop(st);
+    let gens = fs.inner.read_dir(&format!("{ROOT}/gen"), ctx).unwrap();
+    assert_eq!(gens.iter().map(|e| e.name.as_str()).collect::<Vec<_>>(), ["C00000001"]);
+
+    fs.reads.lock().unwrap().clear();
+    let st = IngestStore::open(&fs, ROOT, ctx).unwrap();
+    assert_eq!(st.stat().generation, 1);
+    let manifest = format!("{ROOT}/gen/C00000001/MANIFEST");
+    assert_eq!(fs.reads.lock().unwrap().get(&manifest), Some(&1), "one read of {manifest}");
+    assert_eq!(read_all(&st), as_read(0..20));
 }

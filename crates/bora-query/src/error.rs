@@ -79,11 +79,6 @@ impl QueryError {
         &self.msg
     }
 
-    /// The underlying storage failure, for [`QueryErrorKind::Storage`].
-    pub fn storage_source(&self) -> Option<&BoraError> {
-        self.source.as_ref()
-    }
-
     /// Consume, returning the storage failure if that is what this is.
     pub fn into_storage(self) -> Result<BoraError, QueryError> {
         match self.source {

@@ -10,7 +10,7 @@
 //! syntactic and every rejected query carries a byte position when one
 //! exists (the planner re-uses the AST's recorded positions).
 
-use crate::ast::{AggFunc, Expr, Items, Query, SelectStmt, Side};
+use crate::ast::{AggFunc, Expr, Items, SelectStmt, Side};
 use crate::error::{QueryError, QueryResult};
 
 /// The leaf: which topics to read, over which (pushed) time range, with
@@ -271,16 +271,6 @@ impl Logical {
             limit: stmt.limit,
         })
     }
-
-    /// Whether this plan aggregates (its output rows are group rows).
-    pub fn is_aggregate(&self) -> bool {
-        self.agg.is_some()
-    }
-}
-
-/// Convenience: parse + plan in one step (no optimization).
-pub fn plan_query(q: &Query) -> QueryResult<Logical> {
-    Logical::from_stmt(&q.stmt)
 }
 
 #[cfg(test)]

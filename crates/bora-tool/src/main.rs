@@ -539,7 +539,7 @@ struct IngestStats {
     root: String,
     /// What recovery would open: config, generation, committed seals and
     /// the debris it would sweep.
-    plan: Recovery,
+    plan: Recovery<LocalStorage>,
     seals: usize,
     seg_files: usize,
     durable: u64,

@@ -141,11 +141,6 @@ impl BlockMap {
         (start, len)
     }
 
-    /// Block index covering logical offset `off`.
-    pub fn block_of(&self, off: u64) -> usize {
-        (off / self.block_size as u64) as usize
-    }
-
     /// Total physical bytes of the framed `data` file.
     pub fn phys_len(&self) -> u64 {
         self.entries.iter().map(|e| e.frame_len as u64).sum()

@@ -18,7 +18,7 @@ use rosbag::reader::MessageRecord;
 use simfs::device::cpu;
 use simfs::{IoCtx, Storage};
 
-use crate::block::{decode_frame_in_place, BlockMap, BlockParams};
+use crate::block::{decode_frame_in_place, BlockMap};
 use crate::bufpool::BufferPool;
 use crate::checksum::Crc32c;
 use crate::error::{BoraError, BoraResult};
@@ -181,11 +181,6 @@ impl<S: Storage> BoraBag<S> {
     /// The attached buffer pool, if any.
     pub fn pool(&self) -> Option<&Arc<BufferPool>> {
         self.pool.as_ref()
-    }
-
-    /// Block parameters of a block-framed container (metadata v2).
-    pub fn block_params(&self) -> Option<BlockParams> {
-        self.meta.block
     }
 
     /// Degraded open: like [`BoraBag::open`], but instead of trusting the

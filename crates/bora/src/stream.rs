@@ -1,4 +1,4 @@
-//! Streaming, zero-copy, parallel query pipeline — the primary read path.
+//! Streaming, zero-copy query pipeline — the primary read path.
 //!
 //! The paper's Fig. 7 read is "one contiguous read per topic + a k-way
 //! merge". The materializing implementation of that idea pays three taxes
@@ -44,15 +44,16 @@
 //!   holds it costs that page's bytes until the cursor passes it —
 //!   what the copy of it used to cost always. A v1 topic queues one
 //!   `read_at` buffer per run.
-//! * **Parallel prefetch** — cursor fills run on a small scoped-thread
-//!   pool (the organizer's distributor pattern); each cursor owns an
-//!   `IoCtx` whose declared contention is set per fill pass to the
-//!   number of lanes actually sharing the device in that pass (a lone
-//!   steady-state refill runs uncontended), and the caller is charged
-//!   the *per-thread makespan*: each pass costs the slowest pool
-//!   thread's share of topics (with `prefetch_threads = 1` that degrades
-//!   to the honest sequential sum), mirroring how the organizer charges
-//!   its distributors.
+//! * **Modelled parallel prefetch** — BORA-Lib fills topics in
+//!   parallel; here the fills of a pass run inline, one lane after
+//!   another on the consumer's thread, and the parallelism is the
+//!   model's. Each cursor owns an `IoCtx` whose declared contention is
+//!   set per fill pass to the number of modelled lanes sharing the
+//!   device in that pass (a lone steady-state refill runs uncontended),
+//!   and the caller is charged the pass's makespan: `PREFETCH_LANES`
+//!   lanes take the pass's cursors in equal shares, in order, and the
+//!   pass costs the dearest share — how the organizer charges its
+//!   distributors.
 //!
 //! Per-message bookkeeping is a field or a handle, never a name: the
 //! stream publishes its `stream.merge.heap_ops` and
@@ -93,16 +94,17 @@ pub struct StreamOptions {
     /// data-file bytes queued (one oversized message may exceed it — a
     /// run always covers at least one entry).
     pub readahead_bytes: usize,
-    /// Size of the scoped-thread pool that fills cursors. `1` disables
-    /// parallel prefetch (fills run inline on the consumer thread).
-    pub prefetch_threads: usize,
 }
 
 impl Default for StreamOptions {
     fn default() -> Self {
-        StreamOptions { readahead_bytes: 1 << 20, prefetch_threads: 4 }
+        StreamOptions { readahead_bytes: 1 << 20 }
     }
 }
+
+/// The modelled prefetch parallelism: a fill pass costs the dearest of
+/// this many equal shares of its lanes. No thread runs them.
+const PREFETCH_LANES: usize = 4;
 
 /// One in-memory message appended *after* a topic's container entries —
 /// served from an ingest memtable or a sealed segment instead of the
@@ -364,8 +366,6 @@ struct TopicCursor {
     verify: Option<(Crc32c, u64, u32, String)>,
     /// This cursor's share of the virtual clock (prefetch I/O).
     ctx: IoCtx,
-    /// First error hit by a pool fill; surfaced by the next pull.
-    failed: Option<BoraError>,
 }
 
 impl TopicCursor {
@@ -559,17 +559,18 @@ pub struct MessageStream<'a, S: Storage> {
     merge: Merge,
     opts: StreamOptions,
     /// The consumer's declared process concurrency; each fill pass
-    /// multiplies it by the number of threads active in *that pass*.
+    /// multiplies it by the number of modelled lanes active in *that
+    /// pass*.
     base_concurrency: u32,
     /// `ceil(log2 k)` for the merge's per-message CPU charge (0 for k<=1).
     log_k: u64,
     stats: StreamStats,
-    /// Accumulated prefetch cost: per fill pass, the slowest pool
-    /// thread's sum of cursor-clock deltas (the whole sum when fills ran
-    /// inline). This is what `charge_into` puts on the consumer's clock.
+    /// Accumulated prefetch cost: per fill pass, the dearest modelled
+    /// lane's sum of cursor-clock deltas. This is what `charge_into` puts
+    /// on the consumer's clock.
     io_ns: u64,
-    /// Set once the parallel prefetch clocks have been folded into a
-    /// consumer ctx (idempotence for `charge_into`).
+    /// Set once the prefetch clocks have been folded into a consumer ctx
+    /// (idempotence for `charge_into`).
     charged: bool,
 }
 
@@ -625,17 +626,18 @@ impl<'a, S: Storage> MessageStream<'a, S> {
             io_ns: 0,
             charged: false,
         };
-        // Index load + initial fill for every cursor, on the pool.
-        stream.run_pool(&(0..k).collect::<Vec<_>>(), range, true)?;
+        // Index load + initial fill for every cursor, in one pass.
+        stream.fill_pass(&(0..k).collect::<Vec<_>>(), range, true)?;
         stream.merge = Merge::new(stream.cursors.iter().map(|c| c.peek_time().map(Time::as_nanos)));
         Ok(stream)
     }
 
-    /// Run prepare (optionally) + fill for `lanes` (ascending) on the
-    /// scoped-thread pool, surfacing the first failure, which ends the
-    /// merge. Single-lane batches run inline: no thread is worth spinning
-    /// up for one cursor.
-    fn run_pool(
+    /// Run prepare (optionally) + fill for `lanes` (ascending), one after
+    /// another on the caller's thread. The pass is charged as if
+    /// `PREFETCH_LANES` lanes had filled it in parallel: each takes an
+    /// equal share of the cursors in order, and the pass costs the
+    /// dearest share. The first failure ends the pass and the merge.
+    fn fill_pass(
         &mut self,
         lanes: &[usize],
         range: Option<(Time, Time)>,
@@ -646,68 +648,46 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         }
         self.stats.refills += 1;
         let readahead = self.opts.readahead_bytes.max(1);
-        let pool = self.opts.prefetch_threads.max(1).min(lanes.len());
+        let parallel = PREFETCH_LANES.min(lanes.len());
         // Contention is per pass: only the lanes filled *in this pass*
         // share the device. A lone steady-state refill runs uncontended;
-        // a batched refill divides bandwidth across its active threads
+        // a batched refill divides bandwidth across its modelled lanes
         // (batched lanes are all low-water, so their fetch sizes — and
         // hence their shares — are roughly equal by construction).
-        let contention = self.base_concurrency.saturating_mul(pool as u32).max(1);
-        let bag = self.bag;
+        let contention = self.base_concurrency.saturating_mul(parallel as u32).max(1);
         let sp = bora_obs::span("bora.stream.prefetch");
-        // One thread's share of the pass, and what it cost on its
-        // cursors' clocks.
-        let work = |share: &mut [&mut TopicCursor]| -> u64 {
-            let mut ns = 0;
-            for c in share {
-                c.ctx.concurrency = contention;
-                let t0 = c.ctx.elapsed_ns();
-                c.failed = prepare_and_fill(bag, c, range, readahead, prepare).err();
-                ns += c.ctx.elapsed_ns() - t0;
+        let (mut costs, mut filled) = (Vec::with_capacity(lanes.len()), Ok(()));
+        for &lane in lanes {
+            let c = &mut self.cursors[lane];
+            c.ctx.concurrency = contention;
+            let t0 = c.ctx.elapsed_ns();
+            filled = prepare_and_fill(self.bag, c, range, readahead, prepare);
+            costs.push(c.ctx.elapsed_ns() - t0);
+            if let Err(e) = &filled {
+                if let BoraError::ChecksumMismatch { .. } = e {
+                    self.bag.quarantine(&c.topic);
+                }
+                break;
             }
-            ns
-        };
-        let mut selected: Vec<&mut TopicCursor> = (self.cursors.iter_mut().enumerate())
-            .filter_map(|(l, c)| lanes.contains(&l).then_some(c))
-            .collect();
-        // Cost of this pass = the slowest thread's share (with one
-        // thread, simply the sequential total).
-        let pass_ns = if pool == 1 {
-            work(&mut selected)
-        } else {
-            let per = selected.len().div_ceil(pool);
-            std::thread::scope(|s| {
-                let shares: Vec<_> =
-                    selected.chunks_mut(per).map(|share| s.spawn(|| work(share))).collect();
-                shares.into_iter().map(|t| t.join().expect("a fill does not panic")).max()
-            })
-            .unwrap_or(0)
-        };
+        }
+        let share = lanes.len().div_ceil(parallel);
+        let pass_ns = costs.chunks(share).map(|s| s.iter().sum()).max().unwrap_or(0);
         self.io_ns += pass_ns;
         sp.end_virt(pass_ns);
         let held = self.cursors.iter().flat_map(|c| &c.blocks);
         let resident: usize = held.map(|b| b.data.len()).sum();
         self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(resident);
         self.stats.bytes_fetched = self.cursors.iter().map(|c| c.ctx.stats.bytes_read).sum();
-        for &lane in lanes {
-            if let Some(e) = self.cursors[lane].failed.take() {
-                if let BoraError::ChecksumMismatch { .. } = &e {
-                    self.bag.quarantine(&self.cursors[lane].topic);
-                }
-                self.merge.end();
-                return Err(e);
-            }
-        }
-        Ok(())
+        filled.inspect_err(|_| self.merge.end())
     }
 
     /// Lend the next run in global time order — up to `max` (at least
     /// one) of one lane's messages, views of its front valid until the
     /// next pull — or `None` when the stream is exhausted. The first
-    /// `None` folds the parallel prefetch clocks into `ctx` (makespan over
-    /// topics — see module docs). This is what drives the stream's
-    /// [`Merge`]: one pick per run, and every other way to drain the
-    /// stream goes through it. A run ends at `max`, at the end of its
+    /// `None` folds the prefetch clocks into `ctx` (each fill pass at its
+    /// modelled makespan — see module docs). This is what drives the
+    /// stream's [`Merge`]: one pick per run, and every other way to drain
+    /// the stream goes through it. A run ends at `max`, at the end of its
     /// block or of the fetched entries, and before the runner-up lane's
     /// head, so it costs what as many [`MessageStream::lend`]s would.
     pub fn lend_run(&mut self, ctx: &mut IoCtx, max: usize) -> BoraResult<Option<Run<'_>>> {
@@ -718,13 +698,13 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         let c = &self.cursors[lane];
         if c.next >= c.fetched && c.next < c.entries.len() {
             // The lane is dry. Batch the refill: top up every low cursor
-            // in one pool pass so one dry lane amortizes the others'
+            // in one pass so one dry lane amortizes the others'
             // readahead.
             let half = self.opts.readahead_bytes.max(1) / 2;
             let low = |c: &TopicCursor| c.fetched < c.entries.len() && c.queued_bytes() < half;
             let lanes: Vec<usize> =
                 (0..self.cursors.len()).filter(|&l| l == lane || low(&self.cursors[l])).collect();
-            self.run_pool(&lanes, None, false).inspect_err(|_| self.charge_into(ctx))?;
+            self.fill_pass(&lanes, None, false).inspect_err(|_| self.charge_into(ctx))?;
         }
         // A run of one (`lend`) needs no bound, so it reads none.
         let bound = if max > 1 { self.merge.runner_up() } else { None };
@@ -754,10 +734,11 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         Ok(self.lend(ctx)?.map(|m| m.own()))
     }
 
-    /// Fold the prefetch work into `ctx`: the clock advances by the
-    /// accumulated per-thread makespan of the fill passes, the per-topic
-    /// I/O stats sum, and the merge's heap operations and the bytes it
-    /// stitched join the process-wide `stream.merge.heap_ops` and
+    /// Fold the prefetch work into `ctx`: the clock advances by the fill
+    /// passes' modelled makespans (the fills themselves ran inline, on
+    /// the threads that pulled the stream), the per-topic I/O stats sum,
+    /// and the merge's heap operations and the bytes it stitched join
+    /// the process-wide `stream.merge.heap_ops` and
     /// `stream.bytes_stitched`. Called automatically when the stream
     /// exhausts or fails; call it explicitly if you abandon a stream
     /// early and still want the consumed I/O on your clock.
@@ -803,7 +784,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
 }
 
 /// Load a cursor's index slice (full or time-bounded) and run its first
-/// fill — the unit of work a pool thread executes.
+/// fill — one lane's work in a fill pass.
 fn prepare_and_fill<S: Storage>(
     bag: &BoraBag<S>,
     cursor: &mut TopicCursor,
@@ -858,12 +839,11 @@ mod tests {
         w.commit(fs, vec![done], 0, None, ctx).unwrap();
     }
 
-    /// Replace `/c/t/<file>` and re-pin its MANIFEST entry to the new
-    /// bytes, so the commit record vouches for them: what is left to
-    /// notice is the cursor's own checks.
-    fn tamper(fs: &MemStorage, file: &str, bytes: &[u8]) {
+    /// Replace `/c/<rel>` and re-pin its MANIFEST entry to the new bytes,
+    /// so the commit record vouches for them: what is left to notice is
+    /// the cursor's own checks.
+    fn tamper(fs: &MemStorage, rel: &str, bytes: &[u8]) {
         let ctx = &mut IoCtx::new();
-        let rel = format!("t/{file}");
         fs.remove_file(&format!("/c/{rel}"), ctx).unwrap();
         fs.append(&format!("/c/{rel}"), bytes, ctx).unwrap();
         let mut entries = Manifest::load(fs, "/c", ctx).unwrap().entries().to_vec();
@@ -884,8 +864,8 @@ mod tests {
             .map(|f| BlockEntry { phys_off: 0, frame_len: f.len() as u32, first_time: Time::ZERO })
             .collect();
         let map = BlockMap { codec: BlockCodec::None, block_size: PAGE, logical_len, entries };
-        tamper(fs, "data", &frames.concat());
-        tamper(fs, "blocks", &map.encode());
+        tamper(fs, "t/data", &frames.concat());
+        tamper(fs, "t/blocks", &map.encode());
     }
 
     /// `(seconds, payload)` of every message of `/t`, lent and owned,
@@ -897,7 +877,7 @@ mod tests {
     ) -> BoraResult<Vec<(u32, Vec<u8>)>> {
         let ctx = &mut IoCtx::new();
         let bag = BoraBag::open(fs, "/c", ctx)?;
-        let opts = StreamOptions { readahead_bytes: readahead, prefetch_threads: 1 };
+        let opts = StreamOptions { readahead_bytes: readahead };
         let range = range.map(|(a, b)| (Time::new(a, 0), Time::new(b, 0)));
         let mut lent = Vec::new();
         let mut stream = bag.stream_topics_with_tails(&["/t"], vec![], range, opts.clone(), ctx)?;
@@ -954,7 +934,7 @@ mod tests {
             let ctx = &mut IoCtx::new();
             let pool = BufferPool::new(1 << 20);
             let bag = BoraBag::open(&fs, "/c", ctx).unwrap().with_pool(Arc::clone(&pool));
-            let opts = StreamOptions { readahead_bytes: readahead, prefetch_threads: 1 };
+            let opts = StreamOptions { readahead_bytes: readahead };
             let mut stream = bag.stream_topics(&["/t"], opts, ctx).unwrap();
             let mut i = 0u8;
             while let Some(m) = stream.lend(ctx).unwrap() {
@@ -998,18 +978,65 @@ mod tests {
         let ctx = &mut IoCtx::new();
         let mut entries = decode_entries(&fs.read_all("/c/t/index", ctx).unwrap()).unwrap();
         entries[2].len = 60;
-        tamper(&fs, "index", &encode_entries(&entries));
+        tamper(&fs, "t/index", &encode_entries(&entries));
         corrupt_naming(drain(&fs, None, 1 << 20), "/c/t/data");
         corrupt_naming(drain(&fs, Some((2, 3)), 1), "/c/t/data");
         assert_eq!(drain(&fs, Some((0, 2)), 1).unwrap().len(), 2, "the entries before it read");
         // An entry that starts inside its predecessor.
         entries[2] = TopicIndexEntry { offset: 90, len: 50, ..entries[2] };
-        tamper(&fs, "index", &encode_entries(&entries));
+        tamper(&fs, "t/index", &encode_entries(&entries));
         corrupt_naming(drain(&fs, None, 1 << 20), "/c/t/index");
         // The map logs fewer bytes than the index covers.
         fs.remove_dir_all("/c", ctx).unwrap();
         container(&fs, &payloads);
         reframe(&fs, &[&[7u8; 64], &[8u8; 64], &[9u8; 12]], 140);
         corrupt_naming(drain(&fs, None, 1), "/c/t/data");
+    }
+
+    #[test]
+    fn a_failing_lane_ends_its_pass_and_quarantines_its_topic_alone() {
+        // `/a` and `/b`: three 50-byte messages each, at 0, 1 and 2 s, in
+        // raw frames of 64 | 64 | 22 logical bytes; `/b`'s last frame rots
+        // under a MANIFEST that vouches for it.
+        let (fs, ctx) = (MemStorage::new(), &mut IoCtx::new());
+        let block = Some(BlockParams { codec: BlockCodec::None, block_size: PAGE });
+        let w = ContainerWriter::begin(&fs, "/c", block, 1_000_000_000, usize::MAX, ctx).unwrap();
+        let mut done = Vec::new();
+        for topic in ["/a", "/b"] {
+            let meta = TopicMeta { topic: topic.into(), ..TopicMeta::default() };
+            let mut t = w.topic(&fs, meta, ctx).unwrap();
+            for i in 0..3u8 {
+                t.push(&fs, Time::new(i.into(), 0), &[i; 50], ctx).unwrap();
+            }
+            done.push(t.finish(&fs, ctx).unwrap());
+        }
+        w.commit(&fs, done, 0, None, ctx).unwrap();
+        let mut data = fs.read_all("/c/b/data", ctx).unwrap();
+        *data.last_mut().unwrap() ^= 1;
+        tamper(&fs, "b/data", &data);
+
+        // A 100-byte window queues two messages a lane. `/a`'s third is a
+        // refill that finds `/b` low too: one pass over both lanes, which
+        // fills `/a` and fails on `/b`.
+        let bag = BoraBag::open(&fs, "/c", ctx).unwrap();
+        let opts = StreamOptions { readahead_bytes: 100 };
+        let mut stream = bag.stream_topics(&["/a", "/b"], opts.clone(), ctx).unwrap();
+        for want in ["/a", "/b", "/a", "/b"] {
+            assert_eq!(&**stream.lend(ctx).unwrap().unwrap().topic, want);
+        }
+        match stream.lend(ctx).map(|m| m.map(|m| m.time)) {
+            Err(BoraError::ChecksumMismatch { path, .. }) => assert_eq!(path, "b/data"),
+            other => panic!("expected ChecksumMismatch on b/data, got {other:?}"),
+        }
+        assert_eq!(stream.stats().refills, 2);
+        assert!(stream.lend(ctx).unwrap().is_none(), "the failure ends the merge");
+        assert_eq!(bag.damaged_topics(), ["/b"]);
+        assert!(matches!(
+            bag.stream_topics(&["/b"], opts.clone(), ctx).err(),
+            Some(BoraError::TopicDamaged(t)) if t == "/b"
+        ));
+        let a = bag.stream_topics(&["/a"], opts, ctx).unwrap().collect_records(ctx).unwrap();
+        let a: Vec<Vec<u8>> = a.into_iter().map(|r| r.data).collect();
+        assert_eq!(a, [[0u8; 50], [1; 50], [2; 50]]);
     }
 }

@@ -54,10 +54,6 @@ impl<S: Storage> Wal<S> {
         Ok(())
     }
 
-    pub fn records_appended(&self) -> u64 {
-        self.appended
-    }
-
     /// Replay the log, validating frames; returns the record payloads.
     /// Used by recovery tests to prove the WAL is a real WAL.
     pub fn replay(storage: &S, path: &str, ctx: &mut IoCtx) -> DbResult<Vec<Vec<u8>>> {

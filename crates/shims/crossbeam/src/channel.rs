@@ -286,11 +286,6 @@ impl<T> Receiver<T> {
     pub fn iter(&self) -> Iter<'_, T> {
         Iter { receiver: self }
     }
-
-    /// Non-blocking iterator: yields queued messages, then stops.
-    pub fn try_iter(&self) -> TryIter<'_, T> {
-        TryIter { receiver: self }
-    }
 }
 
 pub struct Iter<'a, T> {
@@ -309,17 +304,6 @@ impl<'a, T> IntoIterator for &'a Receiver<T> {
     type IntoIter = Iter<'a, T>;
     fn into_iter(self) -> Iter<'a, T> {
         self.iter()
-    }
-}
-
-pub struct TryIter<'a, T> {
-    receiver: &'a Receiver<T>,
-}
-
-impl<T> Iterator for TryIter<'_, T> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        self.receiver.try_recv().ok()
     }
 }
 

@@ -183,12 +183,6 @@ impl<S: Storage> FaultyStorage<S> {
         self.dead.store(false, Ordering::SeqCst);
     }
 
-    /// Disarm any power cut and revive the device (counter keeps running).
-    pub fn disarm_power_cut(&self) {
-        *self.cut.lock() = None;
-        self.dead.store(false, Ordering::SeqCst);
-    }
-
     /// Mutating operations observed since construction or the last
     /// [`FaultyStorage::arm_power_cut`]. Run a workload once uncut and
     /// read this to size a [`PowerCutSchedule`].

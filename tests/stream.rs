@@ -240,7 +240,6 @@ proptest! {
     fn streaming_merge_equals_linear_merge(
         events in arb_colliding_events(),
         readahead in 256usize..16384,
-        threads in 1usize..5,
     ) {
         let _copies = materialising();
         let fs = MemStorage::new();
@@ -259,7 +258,7 @@ proptest! {
         prop_assert_eq!(heap.len(), linear.len());
 
         // Streaming path, driven message-by-message.
-        let opts = StreamOptions { readahead_bytes: readahead, prefetch_threads: threads };
+        let opts = StreamOptions { readahead_bytes: readahead };
         let mut stream = bag.stream_topics(&TOPICS, opts, &mut ctx).unwrap();
         let mut streamed = Vec::new();
         while let Some(m) = stream.next_msg(&mut ctx).unwrap() {
@@ -297,7 +296,7 @@ proptest! {
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
 
         let reference = bag.read_topics_time(&TOPICS, start, end, &mut ctx).unwrap();
-        let opts = StreamOptions { readahead_bytes: 1024, prefetch_threads: 2 };
+        let opts = StreamOptions { readahead_bytes: 1024 };
         let range = Some((start, end));
         let mut stream =
             bag.stream_topics_with_tails(&TOPICS, Vec::new(), range, opts, &mut ctx).unwrap();
@@ -318,9 +317,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Page-backed cursors and lent delivery: for every page size from
-    /// "every message straddles" to "none does", any readahead, any
-    /// prefetch pool, with or without a time range, with or without live
-    /// tails, the lent, the owned and the materialised drain are the
+    /// "every message straddles" to "none does", any readahead, with or
+    /// without a time range, with or without live tails, the lent, the
+    /// owned and the materialised drain are the
     /// expected sequence — times, topics, payloads and tie order — and
     /// `remaining()` is exact after every pull. The stitched bytes are
     /// exactly the straddlers', and what the cursors hold stays within
@@ -330,7 +329,6 @@ proptest! {
         events in arb_colliding_events(),
         block_size in prop::sample::select(vec![64u32, 256, 4096, 65536]),
         readahead in 1024usize..16384,
-        threads in 1usize..5,
         (ranged, a, b) in (any::<bool>(), 0u64..45_000_000_000, 0u64..45_000_000_000),
         (tailed, live_from) in (any::<bool>(), 0usize..150),
     ) {
@@ -346,7 +344,7 @@ proptest! {
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
 
         let (want, straddling) = expected(stored, live, range, block_size as u64);
-        let opts = StreamOptions { readahead_bytes: readahead, prefetch_threads: threads };
+        let opts = StreamOptions { readahead_bytes: readahead };
         let (stats, _) = drain_four_ways(&bag, live, range, &opts, &want, block_size as u64);
         prop_assert_eq!(stats.bytes_stitched, straddling);
         // Per lane: a window, the run that may overshoot it by another
@@ -389,7 +387,7 @@ fn long_runs_and_cross_lane_ties_merge_in_heap_order() {
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
         let (want, _) = expected(&events, &[], None, u64::MAX);
         for readahead in [2048, 1 << 20] {
-            let opts = StreamOptions { readahead_bytes: readahead, prefetch_threads: 2 };
+            let opts = StreamOptions { readahead_bytes: readahead };
             let (stats, runs) = drain_four_ways(&bag, &[], None, &opts, &want, page);
             assert!(
                 stats.heap_ops * 2 < stats.delivered,
@@ -483,7 +481,6 @@ proptest! {
         events in arb_colliding_events(),
         page in prop::sample::select(vec![0u32, 64, 128, 512]),
         readahead in 256usize..4096,
-        threads in 1usize..4,
         (ranged, a, b) in (any::<bool>(), 0u64..45_000_000_000, 0u64..45_000_000_000),
         (tailed, live_from) in (any::<bool>(), 0usize..150),
     ) {
@@ -497,7 +494,7 @@ proptest! {
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
         let page = if page > 0 { page as u64 } else { u64::MAX };
         let (want, straddling) = expected(stored, live, range, page);
-        let opts = StreamOptions { readahead_bytes: readahead, prefetch_threads: threads };
+        let opts = StreamOptions { readahead_bytes: readahead };
         let (stats, _) = drain_four_ways(&bag, live, range, &opts, &want, page);
         prop_assert_eq!(stats.bytes_stitched, straddling);
     }
@@ -593,7 +590,7 @@ fn peak_resident_bytes_bounded_by_readahead_window() {
     let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
 
     let readahead = 4096usize;
-    let opts = StreamOptions { readahead_bytes: readahead, prefetch_threads: 2 };
+    let opts = StreamOptions { readahead_bytes: readahead };
     let mut stream = bag.stream_topics(&["/a", "/b"], opts, &mut ctx).unwrap();
     let mut total_bytes = 0usize;
     while let Some(m) = stream.next_msg(&mut ctx).unwrap() {

@@ -115,6 +115,11 @@
 //!     and never decodes `.bora` raw (`ContainerMeta::decode(`); and
 //!     non-test `stream.rs` calls no `.retain(` — a tail comes to the
 //!     stream cut to its window, by the one who holds it.
+//! 20. *One fill path*: a stream refills on its caller's thread, and its
+//!     prefetch parallelism is the cost model's constant. Non-test
+//!     `stream.rs` names no `thread::scope` or `thread::spawn`, and no
+//!     source under `crates/`, `tests/` or `examples/` names the retired
+//!     `prefetch_threads` option.
 
 use std::path::Path;
 
@@ -128,8 +133,10 @@ const SERVER: &str = "crates/bora-serve/src/server.rs";
 /// `#[cfg(test)]`: 462 when `Merge` held the merge for both read paths
 /// (466 before the read core lent, 463 after), 42 more for `Run`,
 /// `Merge::runner_up`, the cursor's run bound and `lend` as a run of one,
-/// and 4 fewer once a tail came cut to its window.
-const STREAM_CODE_LINES: usize = 500;
+/// 4 fewer once a tail came cut to its window, and 19 fewer once a fill
+/// pass ran on the caller's thread (no thread pool, no per-cursor error
+/// slot, no thread-count option).
+const STREAM_CODE_LINES: usize = 481;
 const REGISTRY: &str = "crates/bench/src/experiments/mod.rs";
 const EXEC: &str = "crates/bora-query/src/exec.rs";
 /// The row-at-a-time functions of `exec.rs`, which only the oracle runs.
@@ -266,6 +273,20 @@ const SOURCE_GUARDS: &[SourceGuard] = &[
         exempt: &[],
         non_test_only: true,
         patterns: &["has_manifest", "Option<Manifest>"],
+    },
+    SourceGuard {
+        name: "one fill path",
+        under: &[STREAM],
+        exempt: &[],
+        non_test_only: true,
+        patterns: &["thread::scope", "thread::spawn"],
+    },
+    SourceGuard {
+        name: "one fill path",
+        under: &["crates/", "tests/", "examples/"],
+        exempt: &["tests/structure.rs"],
+        non_test_only: false,
+        patterns: &["prefetch_threads"],
     },
 ];
 
@@ -1024,6 +1045,7 @@ fn every_source_guard_fires() {
     let store = "crates/bora-ingest/src/store.rs";
     let exec = "crates/bora-query/src/exec.rs";
     let record = "one commit record";
+    let fill = "one fill path";
     let cases = [
         (writer, store, "let x = encode_entries(&e);", true),
         (writer, store, "let t = TimeIndex::build(&e, w);", true),
@@ -1085,6 +1107,15 @@ fn every_source_guard_fires() {
         (record, "crates/bora/src/container.rs", "    manifest: Arc<Option<Manifest>>,", true),
         (record, "crates/bora/src/fsck.rs", "#[cfg(test)]\nfn t() { r.has_manifest; }", false),
         (record, "tests/commit_record.rs", "assert!(!report.has_manifest);", false),
+        (fill, STREAM, "let pass = std::thread::scope(|s| fill(s, lanes));", true),
+        (fill, STREAM, "let h = std::thread::spawn(move || c.fill(bag));", true),
+        (fill, STREAM, "#[cfg(test)]\nfn t() { std::thread::spawn(|| drain(s)); }", false),
+        (fill, "crates/bora-serve/src/server.rs", "let w = thread::spawn(work);", false),
+        (fill, "crates/bora-query/src/exec.rs", "StreamOptions { prefetch_threads: 1 }", true),
+        (fill, "tests/stream.rs", "threads in 1usize..5, // prefetch_threads", true),
+        (fill, "examples/quickstart.rs", "#[cfg(test)]\nlet o = o.prefetch_threads;", true),
+        (fill, "tests/structure.rs", "patterns: &[\"prefetch_threads\"],", false),
+        (fill, "benchmark/src/layers.rs", "StreamOptions { prefetch_threads: 4 }", false),
     ];
     for (guard, path, source, fires) in cases {
         let fired = source_violations(path, source).iter().any(|v| v.starts_with(guard));

@@ -203,10 +203,8 @@ fn a_cold_raw_page_costs_one_copy_of_its_bytes() {
     let (frames, index) = (fs.len(&paths.data, ctx).unwrap(), fs.len(&paths.index, ctx).unwrap());
     let pool = BufferPool::new(64 << 20);
     let bag = BoraBag::open(&fs, ROOT, ctx).unwrap().with_pool(Arc::clone(&pool));
-    // On this thread alone: fills run inline on the consumer.
-    let opts = StreamOptions { prefetch_threads: 1, ..Default::default() };
     let scan = |ctx: &mut IoCtx| {
-        let mut stream = bag.stream_topics(&[TOPIC], opts.clone(), ctx).unwrap();
+        let mut stream = bag.stream_topics(&[TOPIC], StreamOptions::default(), ctx).unwrap();
         let (mut msgs, mut digest) = (0u32, bora::Crc32c::new());
         while let Some(m) = stream.lend(ctx).unwrap() {
             msgs += 1;
