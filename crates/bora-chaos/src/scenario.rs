@@ -361,7 +361,7 @@ impl Harness {
                 mid_ran = true;
             }
             match item {
-                Ok(m) => got.push(m),
+                Ok(m) => got.push(WireMessage::from(m)),
                 Err(_) => {
                     failed = true;
                     break;

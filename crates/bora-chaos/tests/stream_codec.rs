@@ -21,8 +21,8 @@ use bora_chaos::ThrottledTransport;
 use bora_cluster::{ClusterClient, ClusterClientConfig, Ring, RingConfig};
 use bora_serve::metrics::STREAM_CODEC_REOPENS;
 use bora_serve::{
-    split_seq, Connection, MemTransport, Response, ServeClient, Server, ServerConfig, Transport,
-    WireMessage,
+    split_seq, ChunkMessage, Connection, MemTransport, Response, ServeClient, Server, ServerConfig,
+    Transport,
 };
 use ros_msgs::sensor_msgs::Imu;
 use ros_msgs::{MessageDescriptor, RosMessage, Time};
@@ -111,7 +111,7 @@ fn a_fast_link_lz_codes_the_probes_alone() {
     // tapped connection's first 201.
     let read = ServeClient::connect(&transport).unwrap().read(ROOT, &["/imu"]).unwrap();
     let (mut c, lz) = tapped(transport.connect().unwrap());
-    let streamed: Vec<WireMessage> =
+    let streamed: Vec<ChunkMessage> =
         c.read_stream(ROOT, &["/imu"]).unwrap().collect::<Result<_, _>>().unwrap();
     assert_eq!(streamed, read);
     let lz = lz.lock().unwrap();
@@ -195,7 +195,7 @@ fn a_connections_second_stream_ships_what_its_first_chose() {
     let twice = |conn| {
         let (mut c, lz) = tapped(conn);
         for _ in 0..2 {
-            let streamed: Vec<WireMessage> =
+            let streamed: Vec<ChunkMessage> =
                 c.read_stream(ROOT, &["/imu"]).unwrap().collect::<Result<_, _>>().unwrap();
             assert_eq!(streamed, read);
         }
@@ -238,7 +238,7 @@ fn a_cluster_stream_over_a_slow_link_decodes_lz_chunks() {
     let read = client.read(ROOT, &["/imu"]).unwrap();
     let lz = bora_obs::counter("serve.stream_chunk_lz");
     let before = lz.get();
-    let streamed: Vec<WireMessage> =
+    let streamed: Vec<ChunkMessage> =
         client.read_stream(ROOT, &["/imu"], None).unwrap().collect::<Result<_, _>>().unwrap();
     assert_eq!(streamed, read);
     // The window blocks behind the cap, so at least the warm-up round's

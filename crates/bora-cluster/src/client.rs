@@ -44,8 +44,8 @@ use std::time::{Duration, Instant};
 use bora::stream::Merge;
 use bora::Crc32c;
 use bora_serve::{
-    ClientError, ClientResult, ErrorCode, MetricsReport, PingInfo, ProtoError, QueryReply,
-    ReadStream, ServeClient, Transport, WireMessage,
+    ChunkMessage, ClientError, ClientResult, ErrorCode, MetricsReport, PingInfo, ProtoError,
+    QueryReply, ReadStream, ServeClient, Transport, WireMessage,
 };
 use crossbeam::channel::{self, RecvTimeoutError};
 use ros_msgs::Time;
@@ -641,10 +641,11 @@ where
         self.on_every_replica(container, |c| c.seal(container, compact))
     }
 
-    /// Every message of `topics`: [`ClusterClient::read_stream`], collected.
+    /// Every message of `topics`: [`ClusterClient::read_stream`], collected,
+    /// each message copied out of its chunk.
     pub fn read(&self, container: &str, topics: &[&str]) -> ClientResult<Vec<WireMessage>> {
         let _sp = bora_obs::span("cluster.read");
-        self.read_stream(container, topics, None)?.collect()
+        self.read_stream(container, topics, None)?.map(|m| m.map(WireMessage::from)).collect()
     }
 
     fn note_first_frame(&self, lat: Duration) {
@@ -959,7 +960,7 @@ pub struct ClusterStream<T: Transport> {
 }
 
 /// Fold `m` into a stream digest.
-fn digest(crc: &mut Crc32c, m: &WireMessage) {
+fn digest(crc: &mut Crc32c, m: &ChunkMessage) {
     crc.update(&m.time.as_nanos().to_le_bytes());
     crc.update(&(m.topic.len() as u64).to_le_bytes());
     crc.update(m.topic.as_bytes());
@@ -989,7 +990,7 @@ impl<T: Transport + Send + Sync + 'static> ClusterStream<T> {
     }
 
     /// The re-issue does not continue what was handed out: end the stream.
-    fn diverged(&mut self) -> Option<ClientResult<WireMessage>> {
+    fn diverged(&mut self) -> Option<ClientResult<ChunkMessage>> {
         self.current = None;
         let what =
             format!("a resumed stream of {} diverges from the messages", self.read.container);
@@ -998,7 +999,7 @@ impl<T: Transport + Send + Sync + 'static> ClusterStream<T> {
 }
 
 impl<T: Transport + Send + Sync + 'static> Iterator for ClusterStream<T> {
-    type Item = ClientResult<WireMessage>;
+    type Item = ClientResult<ChunkMessage>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
@@ -1061,7 +1062,7 @@ impl<T: Transport> Drop for ClusterStream<T> {
 /// the lanes delivered before the failure, then the error, then `None`.
 pub struct MergedStream<T: Transport> {
     lanes: Vec<ClusterStream<T>>,
-    heads: Vec<Option<WireMessage>>,
+    heads: Vec<Option<ChunkMessage>>,
     merge: Merge,
     /// A lane's error, held back until the message it followed is out.
     failed: Option<ClientError>,
@@ -1082,7 +1083,7 @@ impl<T: Transport + Send + Sync + 'static> MergedStream<T> {
 }
 
 impl<T: Transport + Send + Sync + 'static> Iterator for MergedStream<T> {
-    type Item = ClientResult<WireMessage>;
+    type Item = ClientResult<ChunkMessage>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if let Some(e) = self.failed.take() {
@@ -1431,9 +1432,10 @@ mod tests {
         let t = ScriptedTransport::new(script);
         let c = one_node(&t, unbudgeted());
         let read = c.read("/c", &["/imu"]).unwrap();
-        let resumed: Vec<WireMessage> =
+        let resumed: Vec<ChunkMessage> =
             c.read_stream("/c", &["/imu"], None).unwrap().collect::<Result<_, _>>().unwrap();
-        assert_eq!((read.len(), &resumed), (96, &read));
+        assert_eq!(read.len(), 96);
+        assert_eq!(resumed, read);
         // Chunk 0 twice, then a break: 64 messages out, and the re-issue's
         // first 64 are chunks 0 and 1.
         let mut script = vec![chunk(0), chunk(0), Step::Break];

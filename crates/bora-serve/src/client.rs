@@ -9,6 +9,7 @@
 //! one loop — over one node, it is a retrying client of one server.
 
 use std::borrow::BorrowMut;
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::time::Duration;
 
@@ -16,7 +17,8 @@ use ros_msgs::Time;
 
 use crate::metrics::StatsSnapshot;
 use crate::proto::{
-    ContainerStat, ErrorCode, MetricsReport, PingInfo, ProtoError, Request, Response, WireMessage,
+    ChunkMessage, ChunkTopics, ContainerStat, ErrorCode, FromChunk, MetricsReport, PingInfo,
+    ProtoError, Request, Response, WireMessage,
 };
 use crate::transport::{Connection, Transport};
 
@@ -157,17 +159,16 @@ impl<C: Connection> ServeClient<C> {
         Ok(self.conn.send_frame(&[&frame])?)
     }
 
-    /// Hand `read` the body (after its seq) of the next frame answering
-    /// the request in flight, where it lies in the received buffer. Stale
-    /// frames (leftovers of an earlier request that the network
-    /// duplicated or reordered) are discarded; a frame without a seq is
-    /// an error, never the answer.
-    fn recv_with<T>(&mut self, read: impl FnOnce(&[u8]) -> ClientResult<T>) -> ClientResult<T> {
+    /// The next received frame answering the request in flight, its seq
+    /// first. Stale frames (leftovers of an earlier request that the
+    /// network duplicated or reordered) are discarded; a frame without a
+    /// seq is an error, never the answer.
+    fn recv_answer(&mut self) -> ClientResult<Vec<u8>> {
         loop {
             let frame = self.conn.recv_frame()?;
-            let (seq, body) = crate::proto::split_seq(&frame).map_err(ClientError::Proto)?;
+            let (seq, _) = crate::proto::split_seq(&frame).map_err(ClientError::Proto)?;
             if seq == self.seq {
-                return read(body);
+                return Ok(frame);
             }
         }
     }
@@ -175,7 +176,9 @@ impl<C: Connection> ServeClient<C> {
     /// The next response answering the request in flight, with its size
     /// on the wire after the seq.
     fn recv(&mut self) -> ClientResult<(Response, usize)> {
-        self.recv_with(|body| Ok((answer(Response::decode(body))?, body.len())))
+        let frame = self.recv_answer()?;
+        let body = after_seq(&frame);
+        Ok((answer(Response::decode(body))?, body.len()))
     }
 
     fn roundtrip(&mut self, req: &Request) -> ClientResult<Response> {
@@ -209,7 +212,8 @@ impl<C: Connection> ServeClient<C> {
     }
 
     /// Every message of `topics`: a `READ`, collected from its chunks
-    /// (the same receive path as [`ServeClient::read_stream`]).
+    /// (the same receive path as [`ServeClient::read_stream`]), each
+    /// message built owned, its payload copied once out of its chunk.
     pub fn read(&mut self, container: &str, topics: &[&str]) -> ClientResult<Vec<WireMessage>> {
         self.read_inner(container, topics, None)
     }
@@ -237,7 +241,10 @@ impl<C: Connection> ServeClient<C> {
     }
 
     /// Issue a `READ_STREAM2` and iterate messages as chunk frames arrive,
-    /// instead of collecting them all like [`ServeClient::read`].
+    /// instead of collecting them all like [`ServeClient::read`]. Each
+    /// [`ChunkMessage`] is a view into the chunk it arrived in: nothing is
+    /// allocated or copied per message, and a message held keeps its
+    /// chunk's whole frame alive.
     ///
     /// The iterator borrows the client exclusively (the protocol allows
     /// one request in flight per connection). Dropping it mid-stream
@@ -398,6 +405,11 @@ fn unexpected(op: &str, resp: &Response) -> ClientError {
     ClientError::Proto(ProtoError(format!("unexpected response to {op}: {resp:?}")))
 }
 
+/// A frame's body, past the seq that [`ServeClient::recv_answer`] read.
+fn after_seq(frame: &[u8]) -> &[u8] {
+    &frame[4..]
+}
+
 fn owned(topics: &[&str]) -> Vec<String> {
     topics.iter().map(|t| (*t).to_owned()).collect()
 }
@@ -424,14 +436,22 @@ pub struct QueryReply {
 /// them. Created by [`ServeClient::read_stream`], which lends it
 /// the client, or by [`ReadStream::open`] over a client it owns.
 ///
+/// What it yields is `M`, built where each message lies in its received
+/// chunk ([`FromChunk`]): a [`ChunkMessage`] (the default, and what
+/// [`ServeClient::read_stream`] yields) shares the chunk's buffer and
+/// copies nothing; a [`WireMessage`] (what [`ServeClient::read`]
+/// collects) copies its payload out. A stream interns its topics, so a
+/// topic's name is allocated once per stream, not once per message.
+///
 /// The first error is terminal — after yielding `Err` the iterator is
 /// exhausted. On drop, any frames still owed by the server are drained
 /// (and discarded): the next request on this connection does not have to
 /// wade through them, and the worker producing them is not left blocked
 /// on a client that stopped reading.
-pub struct ReadStream<C: Connection, B: BorrowMut<ServeClient<C>>> {
+pub struct ReadStream<C: Connection, B: BorrowMut<ServeClient<C>>, M: FromChunk = ChunkMessage> {
     client: B,
-    buffer: std::collections::VecDeque<WireMessage>,
+    buffer: VecDeque<M>,
+    topics: ChunkTopics,
     done: bool,
     received: u64,
     /// Messages decoded from chunks so far, checked against `StreamEnd`.
@@ -439,7 +459,7 @@ pub struct ReadStream<C: Connection, B: BorrowMut<ServeClient<C>>> {
     _conn: PhantomData<C>,
 }
 
-impl<C: Connection, B: BorrowMut<ServeClient<C>>> ReadStream<C, B> {
+impl<C: Connection, B: BorrowMut<ServeClient<C>>, M: FromChunk> ReadStream<C, B, M> {
     /// Send a `READ_STREAM2` on `client` (no response is read here — the
     /// iterator pulls the answer frames).
     pub fn open(
@@ -458,7 +478,8 @@ impl<C: Connection, B: BorrowMut<ServeClient<C>>> ReadStream<C, B> {
         client.borrow_mut().send(req)?;
         Ok(ReadStream {
             client,
-            buffer: std::collections::VecDeque::new(),
+            buffer: VecDeque::new(),
+            topics: ChunkTopics::default(),
             done: false,
             received: 0,
             decoded: 0,
@@ -488,19 +509,20 @@ impl<C: Connection, B: BorrowMut<ServeClient<C>>> ReadStream<C, B> {
 
     /// Pull the next frame off the connection into `buffer`. A chunk frame
     /// is decoded where it lies in the received buffer
-    /// ([`crate::proto::stream_chunk`]), so its messages are the one copy
-    /// of its bytes. Only a chunk keeps the stream open: `StreamEnd`, an
-    /// error or overload frame, an undecodable frame and a transport
-    /// failure (the connection is desynchronized then — nothing left to
-    /// drain) all flip `done`. A `StreamEnd` whose count is not the
-    /// messages decoded is [`ClientError::StreamCount`].
+    /// ([`crate::proto::stream_chunk`]), which its messages then share.
+    /// Only a chunk keeps the stream open: `StreamEnd`, an error or
+    /// overload frame, an undecodable frame and a transport failure (the
+    /// connection is desynchronized then — nothing left to drain) all flip
+    /// `done`. A `StreamEnd` whose count is not the messages decoded is
+    /// [`ClientError::StreamCount`].
     fn fetch(&mut self) -> ClientResult<()> {
-        let decoded = self.decoded;
-        let chunk = self.client.borrow_mut().recv_with(|body| {
-            if let Some(msgs) = crate::proto::stream_chunk(body).map_err(ClientError::Proto)? {
+        let (decoded, topics, buffer) = (self.decoded, &mut self.topics, &mut self.buffer);
+        let chunk = self.client.borrow_mut().recv_answer().and_then(|mut frame| {
+            let msgs = crate::proto::stream_chunk(&mut frame, topics, buffer);
+            if let Some(msgs) = msgs.map_err(ClientError::Proto)? {
                 return Ok(Some(msgs));
             }
-            match answer(Response::decode(body))? {
+            match answer(Response::decode(after_seq(&frame)))? {
                 Response::StreamEnd { messages } if messages == decoded => Ok(None),
                 Response::StreamEnd { messages } => {
                     Err(ClientError::StreamCount { received: decoded, sent: messages })
@@ -509,10 +531,7 @@ impl<C: Connection, B: BorrowMut<ServeClient<C>>> ReadStream<C, B> {
             }
         });
         match chunk {
-            Ok(Some(msgs)) => {
-                self.decoded += msgs.len() as u64;
-                self.buffer.extend(msgs);
-            }
+            Ok(Some(msgs)) => self.decoded += msgs,
             Ok(None) => self.done = true,
             Err(e) => {
                 self.done = true;
@@ -523,8 +542,8 @@ impl<C: Connection, B: BorrowMut<ServeClient<C>>> ReadStream<C, B> {
     }
 }
 
-impl<C: Connection, B: BorrowMut<ServeClient<C>>> Iterator for ReadStream<C, B> {
-    type Item = ClientResult<WireMessage>;
+impl<C: Connection, B: BorrowMut<ServeClient<C>>, M: FromChunk> Iterator for ReadStream<C, B, M> {
+    type Item = ClientResult<M>;
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
@@ -542,13 +561,14 @@ impl<C: Connection, B: BorrowMut<ServeClient<C>>> Iterator for ReadStream<C, B> 
     }
 }
 
-impl<C: Connection, B: BorrowMut<ServeClient<C>>> Drop for ReadStream<C, B> {
+impl<C: Connection, B: BorrowMut<ServeClient<C>>, M: FromChunk> Drop for ReadStream<C, B, M> {
     fn drop(&mut self) {
         // Abandoned mid-stream: swallow the remaining frames. Bounded by
         // what the server still produces — which is little, because the
         // reply window means the producer stalls as soon as the client
         // stops consuming, and aborts once the connection drops.
         while !self.done {
+            self.buffer.clear();
             if self.fetch().is_err() {
                 return;
             }
@@ -786,7 +806,7 @@ mod tests {
             Step::Reply(Response::StreamEnd { messages: 40 }),
         ]);
         let mut c = ServeClient::new(t.connect().unwrap());
-        let got: Vec<WireMessage> =
+        let got: Vec<ChunkMessage> =
             c.read_stream("/c", &["/imu"]).unwrap().map(|r| r.unwrap()).collect();
         assert_eq!(got, msgs);
     }
@@ -822,7 +842,7 @@ mod tests {
 
         let t = ScriptedTransport::new(vec![Step::Raw(good.clone()), end.clone()]);
         let mut c = ServeClient::new(t.connect().unwrap());
-        let got: Vec<WireMessage> =
+        let got: Vec<ChunkMessage> =
             c.read_stream("/c", &["/imu"]).unwrap().map(|r| r.unwrap()).collect();
         assert_eq!(got, msgs);
         let t = ScriptedTransport::new(vec![Step::Raw(good), end.clone()]);
@@ -945,7 +965,7 @@ mod tests {
         let t = MemTransport::new(Arc::clone(&server));
         let mut c = ServeClient::new(t.connect().unwrap());
         let buffered = c.read("/c", &["/imu"]).unwrap();
-        let streamed: Vec<WireMessage> =
+        let streamed: Vec<ChunkMessage> =
             c.read_stream("/c", &["/imu"]).unwrap().map(|r| r.unwrap()).collect();
         assert_eq!(streamed.len(), 200);
         // Raw or LZ-coded as the stream measured its link; LZ-coded chunks

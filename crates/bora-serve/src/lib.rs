@@ -66,8 +66,9 @@ pub use client::{
 };
 pub use metrics::{Op, OpSummary, StatsSnapshot};
 pub use proto::{
-    compress_chunk, decompress_chunk, split_seq, ContainerStat, ErrorCode, MetricsReport, PingInfo,
-    ProtoError, Request, Response, SlowOpEntry, WireMessage, METRICS_REPORT_VERSION,
+    compress_chunk, decompress_chunk, split_seq, ChunkBytes, ChunkMessage, ContainerStat,
+    ErrorCode, FromChunk, MetricsReport, PingInfo, ProtoError, Request, Response, SlowOpEntry,
+    WireMessage, METRICS_REPORT_VERSION,
 };
 pub use server::{Server, ServerConfig};
 pub use transport::{

@@ -46,17 +46,19 @@
 //! either. [`Response::Read`] and [`Response::StreamChunk`], the owned
 //! message replies, still encode and decode, but no server sends them.
 //!
-//! A raw chunk's payload bytes are copied once on each side. The worker
-//! copies each from its pool page into the open chunk's frame buffer as
-//! the stream lends it (`OpenChunk`, which [`compress_chunk`] fills from
-//! its slice); a raw frame *is* that buffer, and the connection writes it
-//! behind its 9-byte head
-//! ([`Response::encode_parts`]) and the length prefix in one vectored
-//! write. The client's transport
-//! reads the frame into a buffer of its length, with no zero-fill ahead
-//! of it; [`stream_chunk`] checks the chunk where it lies (CRC32C over
-//! the stored bytes, lengths, no trailing byte), and the one copy is into
-//! the owned [`WireMessage`]s the client hands out. An LZ-coded chunk adds
+//! A raw chunk's payload bytes are copied once by the server, and not at
+//! all by a client that streams them. The worker copies each from its
+//! pool page into the open chunk's frame buffer as the stream lends it
+//! (`OpenChunk`, which [`compress_chunk`] fills from its slice); a raw
+//! frame *is* that buffer, and the connection writes it behind its
+//! 9-byte head ([`Response::encode_parts`]) and the length prefix in one
+//! vectored write. The client's transport reads the frame into a buffer
+//! of its length, with no zero-fill ahead of it; [`stream_chunk`] checks the chunk where it lies (CRC32C over
+//! the stored bytes, lengths, no trailing byte) and keeps that buffer: a
+//! streamed read hands out [`ChunkMessage`]s, views into it, so the
+//! client copies no payload and allocates nothing per message. A message
+//! held keeps its whole frame alive. A collected read copies each payload
+//! once, into its own [`WireMessage`]. An LZ-coded chunk adds
 //! the codec's passes: the encoder writes a new frame, the decoder a new
 //! logical buffer. Everything else stays one-request/one-response, and one
 //! outstanding request per connection keeps the backpressure story
@@ -64,6 +66,11 @@
 //! accepts them, and a client that wants parallelism opens more
 //! connections, which the server's bounded queue then sheds explicitly
 //! via [`Response::Overloaded`].
+
+use std::borrow::Cow;
+use std::collections::VecDeque;
+use std::ops::{Deref, Range};
+use std::sync::Arc;
 
 use bora::block::{decode_frame_in_place, encode_frame_in_place};
 use bora::BlockCodec;
@@ -245,13 +252,10 @@ impl OpenChunk {
     }
 }
 
-/// Decode a [`Response::StreamChunkLz`] frame back into its message
-/// batch. The frame's CRC32C is verified over the stored bytes before
-/// any decompression, so a corrupted chunk surfaces as a [`ProtoError`],
-/// never as silently wrong messages. A raw frame's messages are read
-/// where they lie in `frame`; each is copied once, into its own
-/// [`WireMessage`].
-pub fn decompress_chunk(frame: &[u8]) -> ProtoResult<Vec<WireMessage>> {
+/// A read chunk's block frame checked and decoded: its CRC32C over the
+/// stored bytes before any decompression, its lengths, and no byte after
+/// it. A raw frame's logical bytes are its stored bytes, borrowed.
+fn chunk_body(frame: &[u8]) -> ProtoResult<Cow<'_, [u8]>> {
     // Client-side wall-clock work: the virtual-cost model meters the
     // server, so the charge sink here is a throwaway.
     let mut ctx = IoCtx::new();
@@ -263,28 +267,176 @@ pub fn decompress_chunk(frame: &[u8]) -> ProtoResult<Vec<WireMessage>> {
             frame.len() - used
         )));
     }
-    let mut r = &body[..];
-    let messages = r.msgs()?;
-    r.finish()?;
+    Ok(body)
+}
+
+/// The messages of a chunk's logical bytes, walked where they lie: each
+/// is its topic's bytes, its time and its payload's range in the buffer
+/// the walk was given. The count is checked against the bytes left before
+/// anything is reserved for it, and a byte after the last message is a
+/// [`ProtoError`].
+struct ChunkWalk<'a> {
+    buf: &'a [u8],
+    rest: &'a [u8],
+    left: usize,
+}
+
+/// A walked message: its topic's bytes, its time and its payload's range.
+type Walked<'a> = (&'a [u8], Time, Range<usize>);
+
+impl<'a> ChunkWalk<'a> {
+    /// The chunk body that starts at `at` of `buf` and runs to its end.
+    fn new(buf: &'a [u8], at: usize) -> ProtoResult<Self> {
+        let mut rest = &buf[at..];
+        // Topic length, time and payload length: 14 bytes at least.
+        let left = rest.get_count(14)?;
+        Ok(ChunkWalk { buf, rest, left })
+    }
+
+    fn next(&mut self) -> ProtoResult<Option<Walked<'a>>> {
+        if self.left == 0 {
+            return self.rest.finish().map(|()| None);
+        }
+        self.left -= 1;
+        let len = self.rest.get_u16()? as usize;
+        let topic = self.rest.take(len)?;
+        let time = self.rest.get_time()?;
+        let len = self.rest.get_u32()? as usize;
+        let start = self.buf.len() - self.rest.len();
+        self.rest.take(len)?;
+        Ok(Some((topic, time, start..start + len)))
+    }
+}
+
+/// The topics a read's messages have named so far, one shared string
+/// each: a message's topic bytes are compared with these, and only a new
+/// topic is checked for UTF-8 and allocated. Holds at most 64 names; a
+/// stream of more topics than that replaces the last one held.
+#[derive(Debug, Default)]
+pub struct ChunkTopics {
+    seen: Vec<Arc<str>>,
+}
+
+impl ChunkTopics {
+    const MAX: usize = 64;
+
+    fn intern(&mut self, bytes: &[u8]) -> ProtoResult<&Arc<str>> {
+        let at = match self.seen.iter().position(|t| t.as_bytes() == bytes) {
+            Some(at) => at,
+            None => {
+                let topic = std::str::from_utf8(bytes)
+                    .map_err(|_| ProtoError("non-UTF8 string field".into()))?;
+                if self.seen.len() == Self::MAX {
+                    self.seen.pop();
+                }
+                self.seen.push(Arc::from(topic));
+                self.seen.len() - 1
+            }
+        };
+        Ok(&self.seen[at])
+    }
+}
+
+/// What a read's chunk decoder ([`stream_chunk`]) builds from each message
+/// it walks: a [`ChunkMessage`] that points into the chunk, or a
+/// [`WireMessage`] that copies its payload out.
+pub trait FromChunk: Sized {
+    /// The message of `topic` at `time` whose payload is `data` of
+    /// `chunk`, the chunk's logical buffer.
+    fn from_chunk(topic: &Arc<str>, time: Time, chunk: &Arc<Vec<u8>>, data: Range<usize>) -> Self;
+}
+
+impl FromChunk for ChunkMessage {
+    fn from_chunk(topic: &Arc<str>, time: Time, chunk: &Arc<Vec<u8>>, data: Range<usize>) -> Self {
+        let data = ChunkBytes { chunk: Arc::clone(chunk), start: data.start, end: data.end };
+        ChunkMessage { topic: Arc::clone(topic), time, data }
+    }
+}
+
+impl FromChunk for WireMessage {
+    fn from_chunk(topic: &Arc<str>, time: Time, chunk: &Arc<Vec<u8>>, data: Range<usize>) -> Self {
+        WireMessage::copied(topic, time, &chunk[data])
+    }
+}
+
+impl WireMessage {
+    /// A message that owns a copy of `topic` and `data`.
+    fn copied(topic: &str, time: Time, data: &[u8]) -> Self {
+        WireMessage { topic: topic.to_owned(), time, data: data.to_vec() }
+    }
+}
+
+/// Decode a [`Response::StreamChunkLz`] frame back into its message
+/// batch, with [`stream_chunk`]'s checks and walk. Each message is copied
+/// once, into its own [`WireMessage`].
+pub fn decompress_chunk(frame: &[u8]) -> ProtoResult<Vec<WireMessage>> {
+    let body = chunk_body(frame)?;
+    let (mut walk, mut topics) = (ChunkWalk::new(&body, 0)?, ChunkTopics::default());
+    let mut messages = Vec::with_capacity(walk.left);
+    while let Some((topic, time, data)) = walk.next()? {
+        messages.push(WireMessage::copied(topics.intern(topic)?, time, &body[data]));
+    }
     Ok(messages)
 }
 
-/// The messages of a stream chunk, decoded where the chunk lies in a
-/// received frame: `body` is the frame's payload after its seq. `None`
-/// when `body` is not a [`Response::StreamChunkLz`] — decode it with
-/// [`Response::decode`]. The checks are that decoder's and
-/// [`decompress_chunk`]'s: a short length, trailing bytes or a CRC
-/// failure is a [`ProtoError`].
-pub fn stream_chunk(body: &[u8]) -> ProtoResult<Option<Vec<WireMessage>>> {
-    let mut r = body;
+/// The messages of a received read chunk, built by `M` where they lie and
+/// appended to `out`; how many. `frame` is a whole received frame, its seq
+/// first. `None`, and `frame` left as it is, when it is not a
+/// [`Response::StreamChunkLz`] — decode it with [`Response::decode`].
+/// Otherwise `frame` is taken: a raw chunk's logical bytes *are* the
+/// frame's tail, so it moves, uncopied, into the buffer its messages
+/// share, and an LZ chunk's messages share the decoded buffer. A held
+/// [`ChunkMessage`] keeps that whole buffer alive. The checks are
+/// [`Response::decode`]'s and [`decompress_chunk`]'s: a short length,
+/// trailing bytes, a CRC failure or a bad message is a [`ProtoError`],
+/// and appends nothing.
+pub fn stream_chunk<M: FromChunk>(
+    frame: &mut Vec<u8>,
+    topics: &mut ChunkTopics,
+    out: &mut VecDeque<M>,
+) -> ProtoResult<Option<u64>> {
+    let (_, mut r) = split_seq(frame)?;
     if r.first() != Some(&OP_OK_STREAM_CHUNK_LZ) {
         return Ok(None);
     }
     r.get_u8()?;
     let len = r.get_u32()? as usize;
-    let frame = r.take(len)?;
+    let block = r.take(len)?;
     r.finish()?;
-    decompress_chunk(frame).map(Some)
+    // The block frame is the frame's tail; a raw one's logical bytes
+    // follow its header.
+    let stored_at = frame.len() - len + bora::block::FRAME_HEADER_LEN;
+    let decoded = match chunk_body(block)? {
+        Cow::Owned(logical) => Some(logical),
+        Cow::Borrowed(_) => None,
+    };
+    let (chunk, at) = match decoded {
+        Some(logical) => (Arc::new(logical), 0),
+        None => (Arc::new(std::mem::take(frame)), stored_at),
+    };
+    let before = out.len();
+    let walked = walk_into(&chunk, at, topics, out);
+    if walked.is_err() {
+        out.truncate(before);
+    }
+    walked.map(Some)
+}
+
+/// The chunk body at `at` of `chunk`, walked into `out` as `M`s: how
+/// many messages it holds.
+fn walk_into<M: FromChunk>(
+    chunk: &Arc<Vec<u8>>,
+    at: usize,
+    topics: &mut ChunkTopics,
+    out: &mut VecDeque<M>,
+) -> ProtoResult<u64> {
+    let mut walk = ChunkWalk::new(chunk, at)?;
+    let n = walk.left;
+    out.reserve(n);
+    while let Some((topic, time, data)) = walk.next()? {
+        out.push_back(M::from_chunk(topics.intern(topic)?, time, chunk, data));
+    }
+    Ok(n as u64)
 }
 
 // Response opcodes (request opcode | 0x80, errors in 0xE0+).
@@ -394,7 +546,8 @@ pub struct ContainerStat {
     pub end: Time,
 }
 
-/// One message of a read.
+/// One message of a read, owned: what a collected read
+/// ([`crate::ServeClient::read`]) returns and an append sends.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireMessage {
     pub topic: String,
@@ -405,6 +558,66 @@ pub struct WireMessage {
 impl From<MessageRecord> for WireMessage {
     fn from(m: MessageRecord) -> Self {
         WireMessage { topic: m.topic, time: m.time, data: m.data }
+    }
+}
+
+impl From<ChunkMessage> for WireMessage {
+    fn from(m: ChunkMessage) -> Self {
+        WireMessage::copied(&m.topic, m.time, &m.data)
+    }
+}
+
+/// One message of a streamed read ([`crate::ServeClient::read_stream`]),
+/// where it lies in the chunk it arrived in: a view, not a copy. Its
+/// topic is the stream's one shared string for that topic, and its
+/// payload a range of the chunk's buffer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChunkMessage {
+    pub topic: Arc<str>,
+    pub time: Time,
+    pub data: ChunkBytes,
+}
+
+/// A streamed message equals the owned message of the same topic, time
+/// and bytes.
+impl PartialEq<WireMessage> for ChunkMessage {
+    fn eq(&self, other: &WireMessage) -> bool {
+        (&*self.topic, self.time, &*self.data) == (&*other.topic, other.time, &*other.data)
+    }
+}
+
+/// A streamed message's payload: a range of the logical buffer of the
+/// chunk it arrived in — the received frame itself for a raw chunk, the
+/// decoded bytes for an LZ-coded one — which its chunk's messages share.
+/// It derefs to the payload's bytes. While one message is held, the whole
+/// buffer stays alive; copy the bytes out (`to_vec`, or
+/// [`WireMessage::from`]) to keep a payload past its chunk.
+#[derive(Clone)]
+pub struct ChunkBytes {
+    chunk: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
+}
+
+impl Deref for ChunkBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.chunk[self.start..self.end]
+    }
+}
+
+impl PartialEq for ChunkBytes {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for ChunkBytes {}
+
+impl std::fmt::Debug for ChunkBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
     }
 }
 
@@ -1589,12 +1802,153 @@ pub(crate) mod tests {
             assert!(tail.is_empty());
             assert_eq!(head, resp.encode_seq(9).unwrap());
         }
-        // The chunk reads back where it lies; any other reply is not one.
-        let body = chunk.encode();
-        assert_eq!(stream_chunk(&body).unwrap(), Some(msgs));
-        assert_eq!(stream_chunk(&Response::StreamEnd { messages: 1 }.encode()).unwrap(), None);
-        assert_eq!(stream_chunk(&[]).unwrap(), None);
-        assert!(stream_chunk(&body[..body.len() - 1]).is_err());
+        // The chunk reads back where it lies; any other reply is not one,
+        // and is left for `Response::decode`.
+        let frame = chunk.encode_seq(9).unwrap();
+        assert_eq!(chunk_messages::<WireMessage>(frame.clone()), Ok(msgs.clone()));
+        assert_eq!(chunk_messages::<ChunkMessage>(frame.clone()).unwrap(), msgs);
+        let end = Response::StreamEnd { messages: 1 }.encode_seq(9).unwrap();
+        let mut other = end.clone();
+        let mut out = VecDeque::<ChunkMessage>::new();
+        assert_eq!(stream_chunk(&mut other, &mut ChunkTopics::default(), &mut out), Ok(None));
+        assert_eq!((other, out.len()), (end, 0));
+        let mut empty = 9u32.to_le_bytes().to_vec();
+        assert_eq!(stream_chunk(&mut empty, &mut ChunkTopics::default(), &mut out), Ok(None));
+        assert!(chunk_messages::<ChunkMessage>(frame[..frame.len() - 1].to_vec()).is_err());
+        assert!(chunk_messages::<ChunkMessage>(vec![9, 0, 0]).is_err(), "no seq");
+    }
+
+    /// A received frame's messages as `stream_chunk` builds them, or its
+    /// error; a frame that is not a chunk is a test failure.
+    fn chunk_messages<M: FromChunk>(mut frame: Vec<u8>) -> ProtoResult<Vec<M>> {
+        let mut out = VecDeque::new();
+        let n = stream_chunk(&mut frame, &mut ChunkTopics::default(), &mut out)?;
+        assert_eq!(n, Some(out.len() as u64), "a chunk");
+        Ok(out.into())
+    }
+
+    /// A raw chunk frame, as received (seq first), around hand-laid
+    /// logical bytes: a message count, then `entries`.
+    fn raw_chunk(count: u32, entries: &[u8]) -> Vec<u8> {
+        let mut buf = vec![0; bora::block::FRAME_HEADER_LEN];
+        buf.put_u32(count);
+        buf.extend_from_slice(entries);
+        let frame = encode_frame_in_place(BlockCodec::None, buf, &mut IoCtx::new());
+        Response::StreamChunkLz(frame).encode_seq(1).unwrap()
+    }
+
+    /// One chunk entry with a topic of any bytes and a payload length
+    /// that need not be the payload's.
+    fn entry(topic: &[u8], payload_len: u32, payload: &[u8]) -> Vec<u8> {
+        let mut e = Vec::new();
+        e.put_u16(topic.len() as u16);
+        e.put_bytes(topic);
+        e.put_time(Time::new(1, 2));
+        e.put_u32(payload_len);
+        e.put_bytes(payload);
+        e
+    }
+
+    /// A chunk walked with hostile logical bytes under a valid CRC — a bad
+    /// topic after one already interned, a payload past the chunk's end,
+    /// a trailing byte, a count the chunk cannot hold — is a typed error
+    /// from every builder and from `decompress_chunk`, never a panic, and
+    /// appends nothing to what the stream already holds.
+    #[test]
+    fn a_hostile_chunk_body_is_a_proto_error() {
+        let imu = entry(b"/imu", 3, &[7; 3]);
+        let cases = [
+            (
+                "non-UTF-8 topic after an interned one",
+                raw_chunk(2, &[imu.clone(), entry(&[0xC3, 0x28], 0, &[])].concat()),
+                "non-UTF8",
+            ),
+            (
+                "payload past the chunk's end",
+                raw_chunk(2, &[imu.clone(), entry(b"/imu", 4, &[7; 3])].concat()),
+                "needed 4 bytes, had 3",
+            ),
+            ("trailing byte", raw_chunk(1, &[imu.clone(), vec![0]].concat()), "1 trailing"),
+            (
+                "count past the chunk's end",
+                raw_chunk(3, &[imu.clone(), imu.clone()].concat()),
+                "truncated",
+            ),
+            ("count the chunk cannot hold", raw_chunk(u32::MAX, &imu), "implausible"),
+        ];
+        let good = raw_chunk(1, &imu);
+        for (what, frame, says) in cases {
+            let mut topics = ChunkTopics::default();
+            let mut out = VecDeque::<ChunkMessage>::new();
+            let mut held = good.clone();
+            assert_eq!(stream_chunk(&mut held, &mut topics, &mut out), Ok(Some(1)), "{what}");
+            let mut bad = frame.clone();
+            let err = stream_chunk(&mut bad, &mut topics, &mut out).expect_err(what);
+            assert!(err.0.contains(says), "{what}: {err}");
+            assert_eq!(out.len(), 1, "{what}: nothing appended");
+            let mut owned = VecDeque::<WireMessage>::new();
+            let mut bad = frame.clone();
+            let err = stream_chunk(&mut bad, &mut topics, &mut owned).expect_err(what);
+            assert!(err.0.contains(says) && owned.is_empty(), "{what}: {err}");
+            let err = decompress_chunk(&frame[9..]).expect_err(what);
+            assert!(err.0.contains(says), "{what}: {err}");
+        }
+    }
+
+    /// Random message lists — repeated topics, empty payloads, an empty
+    /// topic, a multi-byte one — sent as raw and as LZ-coded chunks decode
+    /// to the same messages through `decompress_chunk` and through both of
+    /// `stream_chunk`'s builders; a stream names each topic with one
+    /// shared string.
+    #[test]
+    fn both_builders_decode_every_chunk_alike() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let names = ["/imu", "", "/kamera/\u{fc}berblick/\u{6df1}\u{5ea6}", "/tf", "/imu/data_raw"];
+        let mut rng = StdRng::seed_from_u64(0xB0BA);
+        let mut lz_coded = 0;
+        for _ in 0..200 {
+            let n = rng.random_range(0..40usize);
+            let msgs: Vec<WireMessage> = (0..n)
+                .map(|i| {
+                    let len = if rng.random_bool(0.2) { 0 } else { rng.random_range(1..300usize) };
+                    let fill = rng.random_range(0..=255u8);
+                    let data = if rng.random_bool(0.5) {
+                        vec![fill; len]
+                    } else {
+                        (0..len).map(|_| rng.random_range(0..=255u8)).collect()
+                    };
+                    let topic = names[rng.random_range(0..names.len())].to_owned();
+                    WireMessage {
+                        topic,
+                        time: Time::new(i as u32, rng.random_range(0..1000)),
+                        data,
+                    }
+                })
+                .collect();
+            let (mut topics, mut streamed) =
+                (ChunkTopics::default(), VecDeque::<ChunkMessage>::new());
+            let mut owned = VecDeque::<WireMessage>::new();
+            for codec in [BlockCodec::None, BlockCodec::Lzss] {
+                let Response::StreamChunkLz(block) = chunk_of(&msgs, codec) else { panic!() };
+                lz_coded += usize::from(block[0] == BlockCodec::Lzss.id());
+                assert_eq!(decompress_chunk(&block).unwrap(), msgs, "{codec:?}");
+                let frame = Response::StreamChunkLz(block).encode_seq(1).unwrap();
+                let got = stream_chunk(&mut frame.clone(), &mut topics, &mut streamed);
+                assert_eq!(got, Ok(Some(n as u64)));
+                assert_eq!(stream_chunk(&mut frame.clone(), &mut topics, &mut owned), got);
+            }
+            let twice = [&msgs[..], &msgs[..]].concat();
+            assert_eq!(Vec::from(owned), twice);
+            assert!(streamed.iter().zip(&twice).all(|(s, w)| s == w));
+            for (a, b) in streamed.iter().zip(streamed.iter().skip(1)) {
+                assert_eq!(
+                    a.topic == b.topic,
+                    Arc::ptr_eq(&a.topic, &b.topic),
+                    "one string a topic"
+                );
+            }
+        }
+        assert!(lz_coded > 50, "{lz_coded} of 200 lists LZ-coded");
     }
 
     #[test]

@@ -110,18 +110,6 @@ impl ClusterStorage {
         self.dead.lock().unwrap().remove(&idx);
     }
 
-    /// Kill every data server — all data *and* metadata ops fail until a
-    /// revive. Models a whole-node (or fabric partition) loss.
-    pub fn fail_all(&self) {
-        let mut dead = self.dead.lock().unwrap();
-        dead.extend(0..self.cfg.data_servers);
-    }
-
-    /// Revive every data server.
-    pub fn revive_all(&self) {
-        self.dead.lock().unwrap().clear();
-    }
-
     /// Currently-dead data server indices (sorted).
     pub fn dead_servers(&self) -> Vec<u32> {
         let mut v: Vec<u32> = self.dead.lock().unwrap().iter().copied().collect();
@@ -415,19 +403,13 @@ mod tests {
 
         fs.revive_server(2);
         assert_eq!(fs.read_all("/f", &mut ctx).unwrap().len(), 450);
-    }
 
-    #[test]
-    fn fail_all_kills_metadata_too() {
-        let fs = ClusterStorage::new(ClusterConfig::pvfs4());
-        let mut ctx = IoCtx::new();
-        fs.append("/f", b"abc", &mut ctx).unwrap();
-        fs.fail_all();
+        // Metadata fails only once every server is gone.
+        (0..4).for_each(|i| fs.kill_server(i));
         assert!(fs.stat("/f", &mut ctx).is_err());
         assert!(!fs.exists("/f", &mut ctx));
-        assert!(fs.read_at("/f", 0, 1, &mut ctx).is_err());
-        fs.revive_all();
+        (0..4).for_each(|i| fs.revive_server(i));
         assert!(fs.dead_servers().is_empty());
-        assert_eq!(fs.read_all("/f", &mut ctx).unwrap(), b"abc");
+        assert_eq!(fs.read_all("/f", &mut ctx).unwrap().len(), 450);
     }
 }

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use bora_serve::{
-    IngestBatching, IngestClient, MemTransport, ServeClient, Server, ServerConfig, WireMessage,
+    ChunkMessage, IngestBatching, IngestClient, MemTransport, ServeClient, Server, ServerConfig,
 };
 use ros_msgs::Time;
 use simfs::{IoCtx, MemStorage};
@@ -72,7 +72,7 @@ fn main() {
 
     // --- 3. A mid-recording query: served from WAL + memtable only. ---
     let mut analyst = ServeClient::connect(&transport).expect("analyst connect");
-    let mid: Vec<WireMessage> = analyst
+    let mid: Vec<ChunkMessage> = analyst
         .read_stream(ROOT, &TOPICS)
         .expect("mid-recording stream")
         .collect::<Result<Vec<_>, _>>()
@@ -92,7 +92,7 @@ fn main() {
 
     // --- 5. Same query again: now served from the compacted container —
     // and the mid-recording answer is a byte-identical prefix of it. ---
-    let full: Vec<WireMessage> = analyst
+    let full: Vec<ChunkMessage> = analyst
         .read_stream(ROOT, &TOPICS)
         .expect("post-compaction stream")
         .collect::<Result<Vec<_>, _>>()

@@ -14,7 +14,7 @@ use bora_cluster::{
     ClusterClient, ClusterClientConfig, ClusterTierConfig, LocalCluster, RetryBudgetConfig,
     RingConfig, RoutePolicy,
 };
-use bora_serve::{ClientError, MemTransport, WireMessage};
+use bora_serve::{ChunkMessage, ClientError, MemTransport, WireMessage};
 use ros_msgs::sensor_msgs::Image;
 use ros_msgs::{RosMessage, Time};
 use rosbag::{BagWriter, BagWriterOptions};
@@ -60,8 +60,8 @@ fn stage_fleet(
 }
 
 /// The robot a staged message came from.
-fn robot_of(m: &WireMessage) -> u32 {
-    Image::from_bytes(&m.data).unwrap().header.seq / 1_000_000
+fn robot_of(data: &[u8]) -> u32 {
+    Image::from_bytes(data).unwrap().header.seq / 1_000_000
 }
 
 fn start_cluster(
@@ -128,15 +128,15 @@ fn fleet_reads_route_through_the_cluster_alone_and_merged() {
     for (robot, root) in refs.iter().enumerate() {
         let read = client.read(root, &["/imu"]).unwrap();
         assert_eq!(read.len(), 60, "robot {robot}");
-        assert!(read.iter().all(|m| robot_of(m) == robot as u32), "robot {robot}'s content");
+        assert!(read.iter().all(|m| robot_of(&m.data) == robot as u32), "robot {robot}'s content");
         let mut alone = client.read_stream_multi(&[root], &["/imu"], None).unwrap();
-        let streamed: Vec<WireMessage> = alone.by_ref().collect::<Result<_, _>>().unwrap();
+        let streamed: Vec<ChunkMessage> = alone.by_ref().collect::<Result<_, _>>().unwrap();
         assert_eq!(streamed, read, "robot {robot} streamed alone");
         assert_eq!(alone.heap_ops(), 0, "one lane never touches the heap");
         reads.push(read);
     }
     let mut merged = client.read_stream_multi(&refs, &["/imu"], None).unwrap();
-    let got: Vec<WireMessage> = merged.by_ref().collect::<Result<_, _>>().unwrap();
+    let got: Vec<ChunkMessage> = merged.by_ref().collect::<Result<_, _>>().unwrap();
     assert_eq!(got, reads.concat(), "staggered missions merge robot after robot");
     assert_eq!(merged.heap_ops(), roots.len() as u64 - 1, "one heap operation per hand-over");
     cluster.shutdown();
@@ -157,7 +157,7 @@ fn merged_stream_is_chronological_and_matches_materialized_reads() {
 
     let refs: Vec<&str> = roots.iter().map(String::as_str).collect();
     let mut stream = client.read_stream_multi(&refs, &TOPICS, None).unwrap();
-    let merged: Vec<WireMessage> = stream.by_ref().collect::<Result<_, _>>().unwrap();
+    let merged: Vec<ChunkMessage> = stream.by_ref().collect::<Result<_, _>>().unwrap();
 
     // Expected: per-lane routed reads, k-way merged by (time, lane).
     let reads: Vec<Vec<WireMessage>> =
@@ -172,7 +172,7 @@ fn merged_stream_is_chronological_and_matches_materialized_reads() {
     // Kill the node holding robot 0: the identical merge keeps answering.
     let victim = client.owner(&roots[0]).unwrap();
     cluster.kill(victim);
-    let after: Vec<WireMessage> =
+    let after: Vec<ChunkMessage> =
         client.read_stream_multi(&refs, &TOPICS, None).unwrap().collect::<Result<_, _>>().unwrap();
     assert_eq!(after, merged, "merged stream after robot 0's owner died");
     cluster.shutdown();
@@ -195,11 +195,11 @@ fn cluster_streams_match_reads_across_a_mid_stream_node_kill() {
     let (merged_expected, _) = merge_reads(&expected);
     let check_streams = |when: &str| {
         for (root, want) in roots.iter().zip(&expected) {
-            let got: Vec<WireMessage> =
+            let got: Vec<ChunkMessage> =
                 client.read_stream(root, &TOPICS, None).unwrap().collect::<Result<_, _>>().unwrap();
             assert_eq!(&got, want, "{root} streamed {when}");
         }
-        let merged: Vec<WireMessage> = client
+        let merged: Vec<ChunkMessage> = client
             .read_stream_multi(&refs, &TOPICS, None)
             .unwrap()
             .collect::<Result<_, _>>()
@@ -215,8 +215,8 @@ fn cluster_streams_match_reads_across_a_mid_stream_node_kill() {
     let failovers = bora_obs::counter("cluster.failover").get();
     let mut stream = client.read_stream(&roots[0], &TOPICS, None).unwrap();
     let mut merged = client.read_stream_multi(&refs, &TOPICS, None).unwrap();
-    let mut got: Vec<WireMessage> = stream.by_ref().take(70).collect::<Result<_, _>>().unwrap();
-    let mut got_merged: Vec<WireMessage> =
+    let mut got: Vec<ChunkMessage> = stream.by_ref().take(70).collect::<Result<_, _>>().unwrap();
+    let mut got_merged: Vec<ChunkMessage> =
         merged.by_ref().take(3 * 70).collect::<Result<_, _>>().unwrap();
     chaos.set_partition(Some(Partition::full([owner])));
     cluster.kill(owner);
@@ -256,7 +256,7 @@ fn a_failed_lane_ends_the_merge_after_what_it_delivered() {
         .expect("some node owns exactly one robot");
     let denied = bora_obs::counter("cluster.retry_budget_denied").get();
     let mut merged = client.read_stream_multi(&refs, &TOPICS, None).unwrap();
-    let mut before: Vec<WireMessage> =
+    let mut before: Vec<ChunkMessage> =
         merged.by_ref().take(3 * 40).collect::<Result<_, _>>().unwrap();
     chaos.set_partition(Some(Partition::full([owners[lane]])));
     let err = loop {
@@ -271,7 +271,11 @@ fn a_failed_lane_ends_the_merge_after_what_it_delivered() {
     assert!(merged.next().is_none(), "a failed merge is over");
     assert!(before.len() < expected.len());
     assert_eq!(before, expected[..before.len()], "a (time, lane)-sorted prefix");
-    assert_eq!(robot_of(before.last().unwrap()), lane as u32, "the failed lane's last message");
+    assert_eq!(
+        robot_of(&before.last().unwrap().data),
+        lane as u32,
+        "the failed lane's last message"
+    );
     chaos.set_partition(None);
     cluster.shutdown();
 }
@@ -294,7 +298,7 @@ fn a_lost_chunk_ends_a_cluster_stream_with_its_count() {
     let mut results: Vec<_> = client.read_stream(&roots[0], &TOPICS, None).unwrap().collect();
     assert_eq!(chaos.faults_injected(), 1);
     let last = results.pop().unwrap();
-    let delivered: Vec<WireMessage> = results.into_iter().map(Result::unwrap).collect();
+    let delivered: Vec<ChunkMessage> = results.into_iter().map(Result::unwrap).collect();
     assert_eq!(delivered.len(), 200 - 32, "no replica filled the gap");
     assert_eq!(delivered[..32], expected[..32]);
     assert_eq!(delivered[32..], expected[64..]);

@@ -161,7 +161,7 @@ fn streamed_scan_counts_one_copy_per_payload_byte() {
         let got: Vec<_> = client.read_stream("/c", topics).unwrap().map(|m| m.unwrap()).collect();
         assert_eq!(got.len(), expected.len());
         for (g, e) in got.iter().zip(&expected) {
-            assert_eq!((&g.topic, g.time, &g.data), (&e.topic, e.time, &e.data));
+            assert_eq!((&*g.topic, g.time, &*g.data), (&*e.topic, e.time, &*e.data));
         }
         let payload: u64 = expected.iter().map(|m| m.data.len() as u64).sum();
         assert_eq!(copied.get() - before, payload, "{topics:?}");

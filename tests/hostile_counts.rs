@@ -6,13 +6,16 @@
 
 use std::sync::Arc;
 
-use bora::block::{BlockCodec, BlockEntry, BlockMap};
+use std::collections::VecDeque;
+
+use bora::block::{encode_frame_in_place, BlockCodec, BlockEntry, BlockMap, FRAME_HEADER_LEN};
 use bora::checksum::crc32c;
 use bora::meta::{ContainerMeta, TopicMeta};
 use bora::{Manifest, ManifestEntry};
 use bora_ingest::segment::SealedFile;
 use bora_ingest::{IngestMessage, SealMarker, Segment};
 use bora_query::{decode_rows, encode_rows, Value};
+use bora_serve::proto::{stream_chunk, ChunkTopics};
 use bora_serve::{MetricsReport, Request, Response, WireMessage};
 use ros_msgs::Time;
 
@@ -22,9 +25,9 @@ struct Case {
     bytes: Vec<u8>,
     /// Offset and width (2 or 4) of the count.
     count_at: (usize, usize),
-    /// The encoding ends in a CRC32C of everything before it, which the
-    /// patched count must not fail first.
-    crc_trailer: bool,
+    /// Re-seals the checksum over the count, which the patched count must
+    /// not fail first.
+    reseal: fn(&mut [u8]),
     decode: fn(&[u8]) -> Result<(), String>,
 }
 
@@ -33,6 +36,35 @@ fn msgs() -> Vec<WireMessage> {
         WireMessage { topic: "/imu".into(), time: Time::new(1, 2), data: vec![7; 9] },
         WireMessage { topic: "/tf".into(), time: Time::new(1, 3), data: vec![] },
     ]
+}
+
+/// No checksum covers the count.
+fn unsealed(_: &mut [u8]) {}
+
+/// The encoding ends in a CRC32C of everything before it.
+fn trailer(bytes: &mut [u8]) {
+    let body = bytes.len() - 4;
+    let crc = crc32c(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// A read chunk reply (opcode, frame length, block frame): the block
+/// frame's CRC32C, in its header, covers the stored bytes after it.
+fn chunk_frame(bytes: &mut [u8]) {
+    let stored = 5 + FRAME_HEADER_LEN;
+    let crc = crc32c(&bytes[stored..]);
+    bytes[stored - 4..stored].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// `msgs()` as a raw read chunk, the reply a server sends.
+fn raw_chunk() -> Vec<u8> {
+    // An owned chunk's body after its opcode is a read chunk's logical
+    // bytes: the count, then the messages.
+    let plain = Response::StreamChunk(msgs()).encode();
+    let mut buf = vec![0; FRAME_HEADER_LEN];
+    buf.extend_from_slice(&plain[1..]);
+    let frame = encode_frame_in_place(BlockCodec::None, buf, &mut simfs::IoCtx::new());
+    Response::StreamChunkLz(frame).encode()
 }
 
 fn cases() -> Vec<Case> {
@@ -73,77 +105,92 @@ fn cases() -> Vec<Case> {
             name: "MANIFEST",
             bytes: manifest.encode(),
             count_at: (8, 4),
-            crc_trailer: true,
+            reseal: trailer,
             decode: |b| Manifest::decode(b).map(drop).map_err(|e| e.to_string()),
         },
         Case {
             name: ".bora metadata",
             bytes: meta.encode(),
             count_at: (40, 4),
-            crc_trailer: false,
+            reseal: unsealed,
             decode: |b| ContainerMeta::decode(b).map(drop).map_err(|e| e.to_string()),
         },
         Case {
             name: "blocks map",
             bytes: map.encode(),
             count_at: (21, 4),
-            crc_trailer: false,
+            reseal: unsealed,
             decode: |b| BlockMap::decode(b).map(drop).map_err(|e| e.to_string()),
         },
         Case {
             name: ".seg segment",
             bytes: segment.encode(),
             count_at: (4 + 8 + 4 + "/imu".len(), 4),
-            crc_trailer: true,
+            reseal: trailer,
             decode: |b| Segment::decode(b).map(drop).map_err(|e| e.to_string()),
         },
         Case {
             name: ".seal marker",
             bytes: seal.encode(),
             count_at: (4 + 8 + 8, 4),
-            crc_trailer: true,
+            reseal: trailer,
             decode: |b| SealMarker::decode(b).map(drop).map_err(|e| e.to_string()),
         },
         Case {
             name: "APPEND request",
             bytes: append.encode_framed(None, None),
             count_at: (2 + 2 + "/live".len(), 4),
-            crc_trailer: false,
+            reseal: unsealed,
             decode: |b| Request::decode_framed(b).map(drop).map_err(|e| e.to_string()),
         },
         Case {
             name: "STREAM_CHUNK response",
             bytes: Response::StreamChunk(msgs()).encode(),
             count_at: (1, 4),
-            crc_trailer: false,
+            reseal: unsealed,
             decode: response,
+        },
+        Case {
+            name: "raw STREAM_CHUNK_LZ, the client's chunk decoder",
+            bytes: raw_chunk(),
+            count_at: (5 + FRAME_HEADER_LEN, 4),
+            reseal: chunk_frame,
+            decode: |b| {
+                let mut frame = [&[0u8; 4][..], b].concat();
+                let mut out = VecDeque::<WireMessage>::new();
+                let walked = stream_chunk(&mut frame, &mut ChunkTopics::default(), &mut out);
+                match walked.map_err(|e| e.to_string())? {
+                    Some(2) => Ok(()),
+                    other => Err(format!("decoded {other:?} messages, not 2")),
+                }
+            },
         },
         Case {
             name: "TOPICS response",
             bytes: Response::Topics(vec!["/imu".into(), "/tf".into()]).encode(),
             count_at: (1, 2),
-            crc_trailer: false,
+            reseal: unsealed,
             decode: response,
         },
         Case {
             name: "METRICS response",
             bytes: Response::Metrics(metrics).encode(),
             count_at: (1 + 4 + 4 + 8, 2),
-            crc_trailer: false,
+            reseal: unsealed,
             decode: response,
         },
         Case {
             name: "query row blob",
             bytes: rows.clone(),
             count_at: (0, 4),
-            crc_trailer: false,
+            reseal: unsealed,
             decode: |b| decode_rows(b).map(drop).map_err(|e| e.to_string()),
         },
         Case {
             name: "query row cells",
             bytes: rows,
             count_at: (4, 2),
-            crc_trailer: false,
+            reseal: unsealed,
             decode: |b| decode_rows(b).map(drop).map_err(|e| e.to_string()),
         },
     ]
@@ -156,11 +203,7 @@ fn every_decoder_rejects_a_count_its_input_cannot_hold() {
         let (at, width) = case.count_at;
         let mut bad = case.bytes.clone();
         bad[at..at + width].fill(0xFF);
-        if case.crc_trailer {
-            let body = bad.len() - 4;
-            let crc = crc32c(&bad[..body]);
-            bad[body..].copy_from_slice(&crc.to_le_bytes());
-        }
+        (case.reseal)(&mut bad);
         let max = if width == 4 { u32::MAX as u64 } else { u16::MAX as u64 };
         let err = (case.decode)(&bad).expect_err(case.name);
         assert!(err.contains(&format!("implausible length prefix: {max}")), "{}: {err}", case.name);

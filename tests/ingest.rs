@@ -10,7 +10,8 @@ use std::sync::Arc;
 
 use bora_ingest::{IngestConfig, IngestStore};
 use bora_serve::{
-    IngestBatching, IngestClient, MemTransport, ServeClient, Server, ServerConfig, WireMessage,
+    ChunkMessage, IngestBatching, IngestClient, MemTransport, ServeClient, Server, ServerConfig,
+    WireMessage,
 };
 use ros_msgs::Time;
 use simfs::{FaultyStorage, IoCtx, MemStorage, PowerCut};
@@ -40,7 +41,8 @@ fn stream_all<C: bora_serve::Connection>(
     client: &mut ServeClient<C>,
     container: &str,
 ) -> Vec<WireMessage> {
-    client.read_stream(container, &TOPICS).unwrap().collect::<Result<Vec<_>, _>>().unwrap()
+    let stream = client.read_stream(container, &TOPICS).unwrap();
+    stream.map(|m| m.map(WireMessage::from)).collect::<Result<_, _>>().unwrap()
 }
 
 /// The one-`Source` contract on a live root, whatever layer the bytes
@@ -56,7 +58,7 @@ fn assert_ranged_reads_agree<C: bora_serve::Connection>(
     let want: Vec<WireMessage> =
         all.iter().filter(|m| m.time >= start && m.time < end).cloned().collect();
     assert!(!want.is_empty() && want.len() < all.len(), "range must cut the script");
-    let streamed: Vec<WireMessage> = client
+    let streamed: Vec<ChunkMessage> = client
         .read_stream_time(ROOT, &TOPICS, start, end)
         .unwrap()
         .collect::<Result<_, _>>()
@@ -64,7 +66,7 @@ fn assert_ranged_reads_agree<C: bora_serve::Connection>(
     assert_eq!(streamed, want, "{state}: streamed range read");
     assert_eq!(client.read_time(ROOT, &TOPICS, start, end).unwrap(), want, "{state}: buffered");
     assert!(client.read(ROOT, &["/never"]).unwrap().is_empty(), "{state}: unseen topic, READ");
-    let unseen: Vec<WireMessage> =
+    let unseen: Vec<ChunkMessage> =
         client.read_stream(ROOT, &["/never"]).unwrap().collect::<Result<_, _>>().unwrap();
     assert!(unseen.is_empty(), "{state}: unseen topic, READ_STREAM2");
 }

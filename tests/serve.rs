@@ -348,9 +348,9 @@ fn streaming_read_is_byte_identical_to_buffered_read() {
         client.read_stream(&roots[0], &refs).unwrap().map(|m| m.unwrap()).collect();
     assert_eq!(streamed.len(), buffered.len());
     for (s, b) in streamed.iter().zip(&buffered) {
-        assert_eq!(s.topic, b.topic);
+        assert_eq!(*s.topic, b.topic);
         assert_eq!(s.time, b.time);
-        assert_eq!(s.data, b.data);
+        assert_eq!(*s.data, b.data);
     }
 
     // Time-windowed query through both framings.
@@ -364,7 +364,7 @@ fn streaming_read_is_byte_identical_to_buffered_read() {
         .collect();
     assert_eq!(streamed.len(), buffered.len());
     for (s, b) in streamed.iter().zip(&buffered) {
-        assert_eq!((&s.topic, s.time, &s.data), (&b.topic, b.time, &b.data));
+        assert_eq!((&*s.topic, s.time, &*s.data), (&*b.topic, b.time, &*b.data));
     }
 
     // The streamed result is chunked on the wire; metrics must have seen
@@ -428,7 +428,7 @@ fn streamed_reads_survive_transient_faults_via_retry() {
         let streamed = client.read(root, &["/imu"]).unwrap();
         assert_eq!(streamed.len(), healthy.len());
         for (s, b) in streamed.iter().zip(&healthy) {
-            assert_eq!((&s.topic, s.time, &s.data), (&b.topic, b.time, &b.data));
+            assert_eq!((&*s.topic, s.time, &*s.data), (&*b.topic, b.time, &*b.data));
         }
     }
     assert!(

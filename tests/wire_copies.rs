@@ -1,16 +1,21 @@
-//! What a stream costs in bytes allocated: a raw chunk's payload is
-//! copied once on the client, into the messages it hands out, and a raw
-//! block frame once on a pool fill, into the page.
+//! What a stream costs in bytes and calls allocated: a raw chunk's
+//! payload is not copied by a client that streams it, and copied once by
+//! one that collects it, into the messages it returns; a raw block frame
+//! is copied once on a pool fill, into the page.
 //!
-//! A counting global allocator tallies the bytes allocated on the thread
-//! that turned it on; the server's threads (acceptor, connection,
-//! workers) allocate uncounted. Receiving a raw stream over TCP — read
-//! as it arrives or collected by `read` — may
-//! allocate each frame's bytes once (the receive buffer), the messages'
-//! own bytes, and a constant per message. A client that copies each frame
-//! twice more — out of the receive buffer into a `Response`, and out of
-//! that into a buffer of logical bytes — allocates about three frames
-//! plus the payload, and fails here. A cold scan of a block-framed topic
+//! A counting global allocator tallies the bytes allocated, and the
+//! allocation calls made, on the thread that turned it on; the server's
+//! threads (acceptor, connection, workers) allocate uncounted. Receiving
+//! a raw stream over TCP by `read_stream` may allocate each frame's bytes
+//! once (the receive buffer) and a constant per frame, and nothing per
+//! message: its messages are views into their frame. A client that built
+//! an owned topic and payload per message makes two allocation calls per
+//! message, and fails here. Collecting the same stream by `read` may
+//! allocate each frame once, the messages' own bytes, and a constant per
+//! message. A client that copies each frame twice more — out of the
+//! receive buffer into a `Response`, and out of that into a buffer of
+//! logical bytes — allocates about three frames plus the payload, and
+//! fails here. A cold scan of a block-framed topic
 //! may allocate each stored frame (the storage read) and each page's
 //! logical bytes once; a fill that copies them a second time on the way
 //! into the pool fails here. A time-window read of a live root allocates
@@ -28,7 +33,7 @@ use bora::{BlockParams, BoraBag, BufferPool, OrganizerOptions, StreamOptions};
 use bora_ingest::{IngestConfig, IngestStore};
 use bora_serve::{
     spawn_tcp_listener, Connection, ServeClient, Server, ServerConfig, TcpConnection, TcpTransport,
-    Transport, WireMessage,
+    Transport,
 };
 use ros_msgs::{MessageDescriptor, Time};
 use simfs::{IoCtx, MemStorage, Storage};
@@ -38,12 +43,14 @@ struct Counting;
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn note(bytes: usize) {
     let _ = COUNTING.try_with(|on| {
         if on.get() {
             let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
+            let _ = CALLS.try_with(|c| c.set(c.get() + 1));
         }
     });
 }
@@ -61,7 +68,7 @@ unsafe impl GlobalAlloc for Counting {
         unsafe { System.alloc_zeroed(layout) }
     }
 
-    /// A grown buffer counts the bytes it grew by.
+    /// A grown buffer counts the bytes it grew by, and one call.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size.saturating_sub(layout.size()));
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -75,13 +82,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-/// `f`'s value and the bytes allocated on this thread while it ran.
-fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64) {
+/// `f`'s value, and the bytes allocated and allocation calls made on
+/// this thread while it ran.
+fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     BYTES.with(|b| b.set(0));
+    CALLS.with(|c| c.set(0));
     COUNTING.with(|on| on.set(true));
     let out = f();
     COUNTING.with(|on| on.set(false));
-    (out, BYTES.with(Cell::get))
+    (out, BYTES.with(Cell::get), CALLS.with(Cell::get))
 }
 
 const ROOT: &str = "/c/noise";
@@ -89,9 +98,19 @@ const TOPIC: &str = "/noise";
 const MESSAGES: u32 = 4000;
 /// 16 KiB messages in the block-framed scan: 4 MiB, 64 pages of 64 KiB.
 const PAGE_MESSAGES: u32 = 256;
-/// Bytes a message may cost the client beyond its own: its slot in the
-/// chunk's `Vec<WireMessage>` and in the caller's.
+/// Bytes a message may cost a collecting client beyond its own: its slot
+/// in the stream's buffer and in the caller's `Vec<WireMessage>`.
 const PER_MESSAGE: u64 = 256;
+/// Bytes a frame may cost a streaming client beyond its own: the handle
+/// its messages share, and the stream's buffer of their views.
+const PER_FRAME: u64 = 512;
+/// Allocation calls a streaming client may make per frame: its receive
+/// buffer and the handle its messages share, with one to spare.
+const CALLS_PER_FRAME: u64 = 3;
+/// What one read may cost whatever it receives: the request and its
+/// topic list.
+const PER_READ: u64 = 1024;
+const CALLS_PER_READ: u64 = 16;
 /// Bytes a pool page may cost a scan beyond its frame and its own bytes.
 const PER_PAGE: u64 = 512;
 
@@ -128,12 +147,26 @@ fn serve() -> Arc<Server<Arc<MemStorage>>> {
     Server::start(fs, ServerConfig::default())
 }
 
-/// A client connection that adds up the frames it receives, and the
-/// stream chunks among them that are LZ-coded.
+/// A client connection that adds up the frames it receives, their bytes,
+/// and the stream chunks among them that are LZ-coded.
 struct Tally {
     inner: TcpConnection,
-    bytes: Arc<AtomicU64>,
-    lz_chunks: Arc<AtomicU64>,
+    counts: Arc<Counts>,
+}
+
+#[derive(Default)]
+struct Counts {
+    frames: AtomicU64,
+    bytes: AtomicU64,
+    lz_chunks: AtomicU64,
+}
+
+impl Counts {
+    /// Frames and their bytes since the last call; LZ-coded chunks ever.
+    fn take(&self) -> (u64, u64, u64) {
+        let frames = self.frames.swap(0, Ordering::Relaxed);
+        (frames, self.bytes.swap(0, Ordering::Relaxed), self.lz_chunks.load(Ordering::Relaxed))
+    }
 }
 
 impl Connection for Tally {
@@ -143,10 +176,11 @@ impl Connection for Tally {
 
     fn recv_frame(&mut self) -> io::Result<Vec<u8>> {
         let frame = self.inner.recv_frame()?;
-        self.bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
+        self.counts.frames.fetch_add(1, Ordering::Relaxed);
+        self.counts.bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
         // seq u32 | opcode u8 | frame length u32 | block frame: codec u8 …
         if frame.get(4) == Some(&0x8F) && frame.get(9) != Some(&bora::BlockCodec::None.id()) {
-            self.lz_chunks.fetch_add(1, Ordering::Relaxed);
+            self.counts.lz_chunks.fetch_add(1, Ordering::Relaxed);
         }
         Ok(frame)
     }
@@ -156,38 +190,60 @@ impl Connection for Tally {
 fn a_raw_stream_costs_the_client_one_copy_of_its_frames() {
     let server = serve();
     let listener = spawn_tcp_listener(Arc::clone(&server), "127.0.0.1:0".parse().unwrap()).unwrap();
-    let (bytes, lz_chunks) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+    let counts = Arc::new(Counts::default());
     let inner = TcpTransport::new(listener.addr()).connect().unwrap();
-    let tally = Tally { inner, bytes: Arc::clone(&bytes), lz_chunks: Arc::clone(&lz_chunks) };
-    let mut client = ServeClient::new(tally);
-    let stream = |c: &mut ServeClient<Tally>| -> Vec<WireMessage> {
-        c.read_stream(ROOT, &[TOPIC]).unwrap().collect::<Result<_, _>>().unwrap()
-    };
-    let read = |c: &mut ServeClient<Tally>| c.read(ROOT, &[TOPIC]).unwrap();
-    // The first stream opens the container and fills the pool.
-    let first = stream(&mut client);
+    let mut client = ServeClient::new(Tally { inner, counts: Arc::clone(&counts) });
+    // The first read opens the container and fills the pool.
+    let first = client.read(ROOT, &[TOPIC]).unwrap();
+    assert_eq!(first.len(), MESSAGES as usize);
 
-    // A read is the same stream, collected: the same bound holds.
-    for (what, receive) in [("read_stream", &stream as &dyn Fn(&mut _) -> _), ("read", &read)] {
-        bytes.store(0, Ordering::Relaxed);
-        let (msgs, allocated) = allocated(|| receive(&mut client));
-        assert_eq!(msgs, first, "{what}");
-        assert_eq!(msgs.len(), MESSAGES as usize);
-        assert_eq!(lz_chunks.load(Ordering::Relaxed), 0, "every chunk is raw");
-        let frames = bytes.load(Ordering::Relaxed);
-        let owned: u64 = msgs.iter().map(|m| (m.data.capacity() + m.topic.capacity()) as u64).sum();
-        let budget = frames + owned + PER_MESSAGE * msgs.len() as u64;
-        println!(
-            "{what}: allocated {allocated} B receiving {frames} B of frames into {owned} B of \
-             messages ({:.2} frames + messages; budget {budget} B)",
-            allocated.saturating_sub(owned) as f64 / frames as f64
-        );
-        assert!(
-            allocated <= budget,
-            "{what}: allocated {allocated} B > {frames} B of frames + {owned} B of messages + \
-             {PER_MESSAGE} B per message"
-        );
-    }
+    // A stream hands out views into its frames: no message allocates.
+    counts.take();
+    let (streamed, bytes, calls) = allocated(|| {
+        let mut n = 0;
+        for m in client.read_stream(ROOT, &[TOPIC]).unwrap() {
+            assert_eq!(m.unwrap(), first[n]);
+            n += 1;
+        }
+        n
+    });
+    let (frames, frame_bytes, lz_chunks) = counts.take();
+    assert_eq!((streamed, lz_chunks), (first.len(), 0), "every chunk is raw");
+    let (budget, call_budget) =
+        (frame_bytes + PER_FRAME * frames + PER_READ, CALLS_PER_FRAME * frames + CALLS_PER_READ);
+    println!(
+        "read_stream: {calls} allocations ({:.3} per message) and {bytes} B receiving {frames} \
+         frames of {frame_bytes} B ({:.2} frames; budget {call_budget} calls, {budget} B)",
+        calls as f64 / streamed as f64,
+        bytes as f64 / frame_bytes as f64
+    );
+    assert!(
+        calls <= call_budget,
+        "read_stream: {calls} allocations > {CALLS_PER_FRAME} per frame of {frames} \
+         + {CALLS_PER_READ}: {streamed} messages allocate"
+    );
+    assert!(
+        bytes <= budget,
+        "read_stream: allocated {bytes} B > {frame_bytes} B of frames + {PER_FRAME} B per \
+         frame + {PER_READ} B"
+    );
+
+    // A read is the same stream, collected into owned messages.
+    let (msgs, bytes, _) = allocated(|| client.read(ROOT, &[TOPIC]).unwrap());
+    let (_, frame_bytes, lz_chunks) = counts.take();
+    assert_eq!((&msgs, lz_chunks), (&first, 0), "every chunk is raw");
+    let owned: u64 = msgs.iter().map(|m| (m.data.capacity() + m.topic.capacity()) as u64).sum();
+    let budget = frame_bytes + owned + PER_MESSAGE * msgs.len() as u64;
+    println!(
+        "read: allocated {bytes} B receiving {frame_bytes} B of frames into {owned} B of \
+         messages ({:.2} frames + messages; budget {budget} B)",
+        bytes.saturating_sub(owned) as f64 / frame_bytes as f64
+    );
+    assert!(
+        bytes <= budget,
+        "read: allocated {bytes} B > {frame_bytes} B of frames + {owned} B of messages + \
+         {PER_MESSAGE} B per message"
+    );
     drop(client);
     server.shutdown();
 }
@@ -213,13 +269,13 @@ fn a_cold_raw_page_costs_one_copy_of_its_bytes() {
         (msgs, digest.finish())
     };
     // The bag reads its block map once; the pool starts cold again.
-    let (warm_up, _) = allocated(|| scan(ctx));
+    let (warm_up, _, _) = allocated(|| scan(ctx));
     pool.invalidate_prefix(ROOT);
     let before = pool.stats();
 
-    let (cold, cold_bytes) = allocated(|| scan(ctx));
+    let (cold, cold_bytes, _) = allocated(|| scan(ctx));
     let filled = pool.stats();
-    let (warm, warm_bytes) = allocated(|| scan(ctx));
+    let (warm, warm_bytes, _) = allocated(|| scan(ctx));
     assert_eq!((warm_up.0, cold, warm), (PAGE_MESSAGES, warm_up, warm_up));
     let (pages, logical) = (filled.misses - before.misses, filled.resident_bytes);
     assert_eq!(pages, 64);
@@ -265,7 +321,7 @@ fn a_live_window_read_costs_its_window_not_its_tail() {
         st.seal(ctx).unwrap();
         let (start, end) =
             (Time::from_nanos(tail / 2 * 1_000), Time::from_nanos((tail / 2 + 10) * 1_000));
-        let (msgs, bytes) = allocated(|| {
+        let (msgs, bytes, _) = allocated(|| {
             let snap = st.snapshot(ctx).unwrap();
             snap.read_time_range(&[TOPIC], start, end, ctx).unwrap()
         });
