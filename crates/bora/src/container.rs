@@ -61,10 +61,10 @@ pub struct BoraBag<S> {
     /// reporting is a hash lookup rather than a linear scan of the
     /// metadata topic list.
     conn_ids: Arc<HashMap<Arc<str>, u32>>,
-    /// Topics whose files failed verification — populated up front by
-    /// [`BoraBag::open_degraded`] and lazily whenever a read catches a
-    /// checksum mismatch. Reads of a damaged topic short-circuit with
-    /// [`BoraError::TopicDamaged`]; the other topics keep serving.
+    /// Topics whose files failed verification, added whenever a read
+    /// catches a checksum mismatch. Reads of a damaged topic
+    /// short-circuit with [`BoraError::TopicDamaged`]; the other topics
+    /// keep serving.
     damaged: Arc<Mutex<HashSet<String>>>,
     /// Shared buffer pool, when the embedding layer attached one
     /// ([`BoraBag::with_pool`]). Block-framed data files page through
@@ -183,44 +183,7 @@ impl<S: Storage> BoraBag<S> {
         self.pool.as_ref()
     }
 
-    /// Degraded open: like [`BoraBag::open`], but instead of trusting the
-    /// tree, pre-screens every topic's files against the manifest (cheap
-    /// length checks; content checksums stay lazy) and quarantines the
-    /// topics that fail. Reads of quarantined topics return
-    /// [`BoraError::TopicDamaged`]; intact topics serve normally. Returns
-    /// the quarantined topic names alongside the handle.
-    pub fn open_degraded(
-        storage: S,
-        container_root: &str,
-        ctx: &mut IoCtx,
-    ) -> BoraResult<(Self, Vec<String>)> {
-        let bag = Self::open(storage, container_root, ctx)?;
-        let mut damaged_topics = Vec::new();
-        for topic in bag.topics().into_iter().map(str::to_owned).collect::<Vec<_>>() {
-            let paths = bag.tags.lookup(&topic, ctx)?.clone();
-            let intact =
-                [&paths.data, &paths.index, &paths.tindex, &paths.blocks].iter().all(|p| {
-                    let rel = match rel_path(&bag.root, p) {
-                        Some(r) => r,
-                        None => return false,
-                    };
-                    match bag.manifest.entry(rel) {
-                        // A v1 topic has no `blocks` file, so no entry for it;
-                        // any other unlisted file fails when it is read.
-                        None => true,
-                        Some(e) => bag.storage.len(p, ctx).map(|l| l == e.len).unwrap_or(false),
-                    }
-                });
-            if !intact {
-                damaged_topics.push(topic);
-            }
-        }
-        damaged_topics.sort();
-        bag.damaged.lock().extend(damaged_topics.iter().cloned());
-        Ok((bag, damaged_topics))
-    }
-
-    /// Topics currently quarantined as damaged (degraded mode).
+    /// Topics quarantined so far: each failed a checksum on a read.
     pub fn damaged_topics(&self) -> Vec<String> {
         let mut v: Vec<String> = self.damaged.lock().iter().cloned().collect();
         v.sort();
@@ -339,9 +302,7 @@ impl<S: Storage> BoraBag<S> {
             Ok(Arc::from(logical))
         };
         match &self.pool {
-            Some(pool) => {
-                Ok(pool.get_or_fill_file(paths.data_id, page as u64, || fill(ctx))?.0.bytes())
-            }
+            Some(pool) => Ok(pool.get_or_fill_file(paths.data_id, page as u64, || fill(ctx))?.0),
             None => fill(ctx),
         }
     }
@@ -728,30 +689,6 @@ mod tests {
         assert!(matches!(bag.read_topics(&["/imu"], &mut ctx), Err(BoraError::TopicDamaged(_))));
         assert!(bag.read_topics(&["/camera/rgb/camera_info"], &mut ctx).is_ok());
         assert_eq!(bag.damaged_topics(), vec!["/imu".to_owned()]);
-    }
-
-    #[test]
-    fn degraded_open_quarantines_truncated_topic() {
-        let (fs, _, n_cam) = setup();
-        let mut ctx = IoCtx::new();
-        let data = fs.read_all("/c/imu/data", &mut ctx).unwrap();
-        fs.remove_file("/c/imu/data", &mut ctx).unwrap();
-        fs.append("/c/imu/data", &data[..data.len() - 10], &mut ctx).unwrap();
-
-        let (bag, damaged) = BoraBag::open_degraded(&fs, "/c", &mut ctx).unwrap();
-        assert_eq!(damaged, vec!["/imu".to_owned()]);
-        assert!(matches!(bag.read_topics(&["/imu"], &mut ctx), Err(BoraError::TopicDamaged(_))));
-        let cam = bag.read_topics(&["/camera/rgb/camera_info"], &mut ctx).unwrap();
-        assert_eq!(cam.len() as u64, n_cam);
-    }
-
-    #[test]
-    fn degraded_open_on_clean_container_quarantines_nothing() {
-        let (fs, n_imu, _) = setup();
-        let mut ctx = IoCtx::new();
-        let (bag, damaged) = BoraBag::open_degraded(&fs, "/c", &mut ctx).unwrap();
-        assert!(damaged.is_empty());
-        assert_eq!(bag.read_topics(&["/imu"], &mut ctx).unwrap().len() as u64, n_imu);
     }
 
     #[test]

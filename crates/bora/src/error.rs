@@ -24,8 +24,8 @@ pub enum BoraError {
         expected: u32,
         actual: u32,
     },
-    /// In degraded-open mode: the topic's files failed verification, but
-    /// the rest of the container is being served.
+    /// An earlier read of the topic failed its checksum, so the topic is
+    /// quarantined; the rest of the container is still served.
     TopicDamaged(String),
     /// Source bag could not be parsed during duplication.
     Bag(BagError),

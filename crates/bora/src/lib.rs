@@ -88,7 +88,7 @@ pub mod writer;
 
 pub use block::{BlockCodec, BlockMap, BlockParams, BlockWriter};
 pub use borafs::{BoraFs, BoraFsOptions};
-pub use bufpool::{file_id, BufferPool, FileId, PageRef, PoolStats};
+pub use bufpool::{file_id, BufferPool, FileId, PoolStats};
 pub use checksum::{crc32c, Crc32c};
 pub use container::BoraBag;
 pub use error::{BoraError, BoraResult};

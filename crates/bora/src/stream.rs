@@ -39,10 +39,10 @@
 //!   the buffer pool's own pages (no copy of them) and a payload is a
 //!   slice of its page; a payload that straddles pages is stitched into
 //!   one buffer of its own length, the one copy left
-//!   (`stream.bytes_stitched`). Held pages are not pinned: the pool's
-//!   budget stays the ceiling it is, and a page evicted while a cursor
-//!   holds it costs that page's bytes until the cursor passes it —
-//!   what the copy of it used to cost always. A v1 topic queues one
+//!   (`stream.bytes_stitched`). A queued page is the pool's `Arc<[u8]>`,
+//!   which the pool may evict at any time: an evicted page then costs
+//!   its bytes until the cursor passes it, and the budget bounds what
+//!   the pool keeps, not what cursors hold. A v1 topic queues one
 //!   `read_at` buffer per run.
 //! * **Modelled parallel prefetch** — BORA-Lib fills topics in
 //!   parallel; here the fills of a pass run inline, one lane after

@@ -81,7 +81,7 @@ fn tree_bytes(fs: &MemStorage, root: &str) -> u64 {
 #[test]
 fn raw_and_lz_scans_are_identical_cold_and_warm() {
     let fs = stage();
-    let pool = BufferPool::with_page_size(64 << 20, BLOCK);
+    let pool = BufferPool::new(64 << 20);
     let [(raw_cold, raw_after), (raw_warm, _)] = scan_twice(&fs, RAW, &pool);
     assert_eq!(raw_cold.len(), MSGS as usize);
     assert_eq!(raw_warm, raw_cold);
@@ -106,7 +106,7 @@ fn the_pool_stays_within_its_budget() {
     let working_set = fs.len(&format!("{RAW}{TOPIC}/data"), &mut IoCtx::new()).unwrap();
     let want = scan_twice(&fs, RAW, &BufferPool::new(1 << 20))[0].0.clone();
 
-    let small = BufferPool::with_page_size(working_set / 4, BLOCK);
+    let small = BufferPool::new(working_set / 4);
     for (msgs, s) in scan_twice(&fs, LZ, &small) {
         assert_eq!(msgs, want);
         assert!(s.resident_bytes <= s.budget_bytes, "{s:?}");
@@ -114,7 +114,7 @@ fn the_pool_stays_within_its_budget() {
     let s = small.stats();
     assert!(s.evictions > 0 && s.misses > s.hits, "a quarter of the set must thrash: {s:?}");
 
-    let roomy = BufferPool::with_page_size(working_set * 2, BLOCK);
+    let roomy = BufferPool::new(working_set * 2);
     let [(_, cold), (_, warm)] = scan_twice(&fs, LZ, &roomy);
     assert_eq!((warm.evictions, warm.misses), (0, cold.misses), "{warm:?}");
 }

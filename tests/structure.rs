@@ -120,6 +120,11 @@
 //!     `stream.rs` names no `thread::scope` or `thread::spawn`, and no
 //!     source under `crates/`, `tests/` or `examples/` names the retired
 //!     `prefetch_threads` option.
+//! 21. *One page lifetime*: a pool page lives as long as its `Arc`. No
+//!     non-test source under `crates/` names the retired lease
+//!     (`PageRef`) or the raw-page knob (`with_page_size`), and non-test
+//!     `bufpool.rs` declares no pin count or epoch (`pins:`, `epoch:`):
+//!     the pool keeps pages, and a reader holds its bytes, not a pin.
 
 use std::path::Path;
 
@@ -127,6 +132,7 @@ const CHECKSUM: &str = "crates/bora/src/checksum.rs";
 const WIRE: &str = "crates/ros-msgs/src/wire.rs";
 const STREAM: &str = "crates/bora/src/stream.rs";
 const MANIFEST: &str = "crates/bora/src/manifest.rs";
+const BUFPOOL: &str = "crates/bora/src/bufpool.rs";
 const PROTO: &str = "crates/bora-serve/src/proto.rs";
 const SERVER: &str = "crates/bora-serve/src/server.rs";
 /// Code lines of `stream.rs` — non-blank, not a `//` comment, before
@@ -287,6 +293,20 @@ const SOURCE_GUARDS: &[SourceGuard] = &[
         exempt: &["tests/structure.rs"],
         non_test_only: false,
         patterns: &["prefetch_threads"],
+    },
+    SourceGuard {
+        name: "one page lifetime",
+        under: &["crates/"],
+        exempt: &[],
+        non_test_only: true,
+        patterns: &["PageRef", "with_page_size"],
+    },
+    SourceGuard {
+        name: "one page lifetime",
+        under: &[BUFPOOL],
+        exempt: &[],
+        non_test_only: true,
+        patterns: &["pins:", "epoch:"],
     },
 ];
 
@@ -1046,6 +1066,7 @@ fn every_source_guard_fires() {
     let exec = "crates/bora-query/src/exec.rs";
     let record = "one commit record";
     let fill = "one fill path";
+    let page = "one page lifetime";
     let cases = [
         (writer, store, "let x = encode_entries(&e);", true),
         (writer, store, "let t = TimeIndex::build(&e, w);", true),
@@ -1116,6 +1137,27 @@ fn every_source_guard_fires() {
         (fill, "examples/quickstart.rs", "#[cfg(test)]\nlet o = o.prefetch_threads;", true),
         (fill, "tests/structure.rs", "patterns: &[\"prefetch_threads\"],", false),
         (fill, "benchmark/src/layers.rs", "StreamOptions { prefetch_threads: 4 }", false),
+        (page, "crates/bora/src/lib.rs", "pub use bufpool::{BufferPool, PageRef};", true),
+        (
+            page,
+            "crates/bora/src/container.rs",
+            "let p: PageRef = pool.get_or_fill_file(f, n, g)?.0;",
+            true,
+        ),
+        (
+            page,
+            "crates/bora/tests/block_pool.rs",
+            "let p = BufferPool::with_page_size(b, 8192);",
+            true,
+        ),
+        (page, BUFPOOL, "pub fn with_page_size(budget: u64, page: usize) -> Arc<Self> {", true),
+        (page, BUFPOOL, "struct Frame {\n    key: Key,\n    pins: u32,\n}", true),
+        (page, BUFPOOL, "    epoch: u64,", true),
+        (page, BUFPOOL, "#[cfg(test)]\nfn t() { let r: PageRef = p; f.pins; epoch: 0 }", false),
+        (page, "crates/bora-serve/src/cache.rs", "struct Entry {\n    pins: u32,\n}", false),
+        (page, "crates/bora-obs/src/window.rs", "struct Slot {\n    epoch: u64,\n}", false),
+        (page, "tests/structure.rs", "patterns: &[\"PageRef\", \"with_page_size\"],", false),
+        (page, "benchmark/src/layers.rs", "let p: bora::PageRef = pool.get(k);", false),
     ];
     for (guard, path, source, fires) in cases {
         let fired = source_violations(path, source).iter().any(|v| v.starts_with(guard));
