@@ -6,12 +6,11 @@
 //! many queries against few containers, so the cache keeps handles open
 //! and amortizes that cost to zero for hot containers.
 //!
-//! Entries are **pinned** while a worker is using them: eviction skips
-//! pinned entries, so a long `READ` keeps its handle even if a burst of
-//! opens for other containers churns the rest of the cache. If every
-//! entry is pinned the cache admits the newcomer anyway (transiently
-//! exceeding capacity) rather than stalling the pool — capacity bounds
-//! the *idle* footprint, pins bound the in-flight one.
+//! A handle, not a lease, is what the cache hands out: `BoraBag` is
+//! `Arc`-backed and closes nothing when it drops, so a worker's clone
+//! keeps its container readable after the cache has evicted or
+//! invalidated the entry. Capacity is therefore a hard bound on the
+//! entries held, and eviction is plain LRU.
 //!
 //! The cache counts into a [`Registry`] — the server's own, so its hits,
 //! misses, evictions, length and capacity are in every `METRICS` scrape
@@ -30,13 +29,8 @@ use crate::metrics::{CACHE_CAPACITY, CACHE_EVICTIONS, CACHE_HITS, CACHE_LEN, CAC
 
 struct Entry<S> {
     bag: BoraBag<S>,
-    pins: u32,
-    /// Last-touch tick; smallest unpinned value is the eviction victim.
+    /// Last-touch tick; the smallest value is the eviction victim.
     touched: u64,
-    /// Distinguishes re-inserted entries from the ones an outstanding pin
-    /// refers to, so a stale pin release cannot unpin a successor entry
-    /// that reused the same root after `invalidate`.
-    generation: u64,
 }
 
 struct Inner<S> {
@@ -47,10 +41,9 @@ struct Inner<S> {
     /// cannot churn the owner's working set out of its own cache.
     preferred: HashSet<String>,
     tick: u64,
-    next_generation: u64,
 }
 
-/// Thread-safe pinned LRU of `BoraBag` handles, keyed by container root.
+/// Thread-safe LRU of `BoraBag` handles, keyed by container root.
 pub struct HandleCache<S> {
     inner: Mutex<Inner<S>>,
     capacity: usize,
@@ -65,35 +58,18 @@ pub struct HandleCache<S> {
     len: Gauge,
 }
 
-/// A cache lease: clones of the bag handle are cheap (`Arc`-backed tag
-/// table and metadata), and the entry stays pinned until this guard drops.
-pub struct PinnedBag<'a, S> {
-    cache: &'a HandleCache<S>,
-    root: String,
-    generation: u64,
+/// A cached handle: a clone of the bag (cheap, `Arc`-backed tag table and
+/// metadata) that stays readable for as long as it is held.
+pub struct PinnedBag<S> {
     bag: BoraBag<S>,
     /// Whether the handle was already cached (metrics want to distinguish
     /// amortized hits from cold opens).
     pub was_hit: bool,
 }
 
-impl<S> PinnedBag<'_, S> {
+impl<S> PinnedBag<S> {
     pub fn bag(&self) -> &BoraBag<S> {
         &self.bag
-    }
-}
-
-impl<S> Drop for PinnedBag<'_, S> {
-    fn drop(&mut self) {
-        let mut inner = self.cache.inner.lock();
-        if let Some(e) = inner.entries.get_mut(&self.root) {
-            if e.generation == self.generation {
-                e.pins -= 1;
-            }
-        }
-        // Entry gone or generation mismatch: `invalidate` removed the
-        // entry this pin referred to (the bag stays alive through this
-        // guard's clone) — nothing to release.
     }
 }
 
@@ -112,7 +88,6 @@ impl<S: Storage + Clone> HandleCache<S> {
                 entries: HashMap::new(),
                 preferred: HashSet::new(),
                 tick: 0,
-                next_generation: 0,
             }),
             capacity,
             pool: None,
@@ -130,42 +105,30 @@ impl<S: Storage + Clone> HandleCache<S> {
         self
     }
 
-    pub fn pool(&self) -> Option<&Arc<BufferPool>> {
-        self.pool.as_ref()
-    }
-
-    /// Fetch `root` from the cache, opening it on miss. The returned guard
-    /// pins the entry until dropped. `ctx` is charged only on miss (a hit
-    /// performs no storage I/O — that is the whole point).
+    /// Fetch `root` from the cache, opening it on miss. `ctx` is charged
+    /// only on miss (a hit performs no storage I/O — that is the whole
+    /// point).
     pub fn get_or_open(
         &self,
         storage: &S,
         root: &str,
         ctx: &mut IoCtx,
-    ) -> BoraResult<PinnedBag<'_, S>> {
+    ) -> BoraResult<PinnedBag<S>> {
         {
             let mut inner = self.inner.lock();
             inner.tick += 1;
             let tick = inner.tick;
             if let Some(e) = inner.entries.get_mut(root) {
-                e.pins += 1;
                 e.touched = tick;
-                let (bag, generation) = (e.bag.clone(), e.generation);
                 self.hits.inc();
-                return Ok(PinnedBag {
-                    cache: self,
-                    root: root.to_owned(),
-                    generation,
-                    bag,
-                    was_hit: true,
-                });
+                return Ok(PinnedBag { bag: e.bag.clone(), was_hit: true });
             }
             self.misses.inc();
         }
         // Open outside the lock: a cold open is the slow path, and other
         // workers must keep hitting the cache while it runs. Two racing
-        // misses for the same root both open; the second insert wins and
-        // the first open is simply dropped when its pin releases — wasted
+        // misses for the same root both open; the first insert stays, and
+        // the later opener's bag is dropped here in favour of it — wasted
         // work, never a wrong answer.
         let mut bag = BoraBag::open(storage.clone(), root, ctx)?;
         if let Some(pool) = &self.pool {
@@ -173,26 +136,19 @@ impl<S: Storage + Clone> HandleCache<S> {
         }
         let mut inner = self.inner.lock();
         inner.tick += 1;
-        inner.next_generation += 1;
-        let (tick, generation) = (inner.tick, inner.next_generation);
-        let entry = inner.entries.entry(root.to_owned()).or_insert(Entry {
-            bag: bag.clone(),
-            pins: 0,
-            touched: tick,
-            generation,
-        });
-        entry.pins += 1;
-        entry.touched = tick;
-        let (bag, generation) = (entry.bag.clone(), entry.generation);
+        let touched = inner.tick;
+        let entry = inner.entries.entry(root.to_owned()).or_insert(Entry { bag, touched });
+        entry.touched = touched;
+        let bag = entry.bag.clone();
         self.evict_excess(&mut inner);
         self.len.set(inner.entries.len() as i64);
-        Ok(PinnedBag { cache: self, root: root.to_owned(), generation, bag, was_hit: false })
+        Ok(PinnedBag { bag, was_hit: false })
     }
 
     /// Drop a container from the cache (e.g. after a backend fault made
-    /// its handle suspect). Pinned users keep their clones; future
-    /// requests re-open. Also drops the container's pages from the shared
-    /// pool — a suspect handle's cached bytes are equally suspect.
+    /// its handle suspect). Workers holding a clone keep reading it;
+    /// future requests re-open. Also drops the container's pages from the
+    /// shared pool — a suspect handle's cached bytes are equally suspect.
     pub fn invalidate(&self, root: &str) -> bool {
         if let Some(pool) = &self.pool {
             pool.invalidate_prefix(root);
@@ -204,39 +160,23 @@ impl<S: Storage + Clone> HandleCache<S> {
     }
 
     /// Replace the preferred (owned) container set. Preferred entries are
-    /// evicted only once every unpinned non-preferred entry is gone.
+    /// evicted only once every non-preferred entry is gone.
     pub fn set_preferred<I: IntoIterator<Item = String>>(&self, roots: I) {
         self.inner.lock().preferred = roots.into_iter().collect();
     }
 
-    /// Outstanding pins on `root` (0 if not cached). Streaming reads hold
-    /// a pin for the whole stream lifetime; tests use this to check the
-    /// pin is released when a client abandons a stream mid-flight.
-    pub fn pins(&self, root: &str) -> u32 {
-        self.inner.lock().entries.get(root).map(|e| e.pins).unwrap_or(0)
-    }
-
-    /// Evict least-recently-touched unpinned entries down to capacity,
-    /// taking non-preferred (replica) entries before preferred (owned)
-    /// ones regardless of recency.
+    /// Evict least-recently-touched entries down to capacity, taking
+    /// non-preferred (replica) entries before preferred (owned) ones
+    /// regardless of recency.
     fn evict_excess(&self, inner: &mut Inner<S>) {
-        while inner.entries.len() > self.capacity {
-            let victim = inner
-                .entries
-                .iter()
-                .filter(|(_, e)| e.pins == 0)
-                .min_by_key(|(k, e)| (inner.preferred.contains(*k), e.touched))
-                .map(|(k, _)| (k.clone(), inner.preferred.contains(k.as_str())));
-            match victim {
-                Some((k, preferred)) => {
-                    inner.entries.remove(&k);
-                    self.evictions.inc();
-                    if !preferred && !inner.preferred.is_empty() {
-                        bora_obs::counter("serve.evict_replica").inc();
-                    }
-                }
-                // Everything is pinned: run over capacity until pins drop.
-                None => break,
+        let Inner { entries, preferred, .. } = inner;
+        while entries.len() > self.capacity {
+            let victim = entries.iter().min_by_key(|(k, e)| (preferred.contains(*k), e.touched));
+            let Some(victim) = victim.map(|(k, _)| k.clone()) else { break };
+            entries.remove(&victim);
+            self.evictions.inc();
+            if !preferred.is_empty() && !preferred.contains(&victim) {
+                bora_obs::counter("serve.evict_replica").inc();
             }
         }
     }
@@ -305,27 +245,18 @@ mod tests {
     }
 
     #[test]
-    fn pinned_entries_survive_eviction_pressure() {
-        let fs = make_containers(3);
+    fn a_held_handle_outlives_its_eviction() {
+        let fs = make_containers(2);
         let registry = Registry::new();
         let cache: HandleCache<Arc<MemStorage>> = HandleCache::in_registry(1, &registry);
         let mut ctx = IoCtx::new();
 
-        let pinned = cache.get_or_open(&fs, "/c/bag0", &mut ctx).unwrap();
-        // Capacity 1 and bag0 pinned: bag1/bag2 run the cache over
-        // capacity transiently but must not evict bag0.
-        let p1 = cache.get_or_open(&fs, "/c/bag1", &mut ctx).unwrap();
-        drop(p1);
-        let p2 = cache.get_or_open(&fs, "/c/bag2", &mut ctx).unwrap();
-        drop(p2);
-        assert!(
-            cache.get_or_open(&fs, "/c/bag0", &mut ctx).unwrap().was_hit,
-            "pinned entry must not be evicted"
-        );
-        drop(pinned);
-        // Unpinned now: the next distinct open can evict it.
-        let _other = cache.get_or_open(&fs, "/c/bag1", &mut ctx).unwrap();
-        assert!(counts(&registry).2 > 0);
+        let bag0 = cache.get_or_open(&fs, "/c/bag0", &mut ctx).unwrap();
+        // Capacity 1 is a hard bound: bag1 evicts bag0 although bag0 is
+        // still held, and the held clone keeps reading its container.
+        let _bag1 = cache.get_or_open(&fs, "/c/bag1", &mut ctx).unwrap();
+        assert_eq!(counts(&registry), (0, 2, 1, 1));
+        assert_eq!(bag0.bag().topics(), vec!["/imu"]);
     }
 
     #[test]
@@ -348,7 +279,7 @@ mod tests {
         assert!(!cache.get_or_open(&fs, "/c/bag1", &mut ctx).unwrap().was_hit);
 
         // With only owned entries left they evict among themselves: the
-        // preferred set degrades to plain LRU rather than pinning forever.
+        // preferred set degrades to plain LRU rather than keeping them forever.
         cache.set_preferred(["/c/bag2".to_owned(), "/c/bag3".to_owned()]);
         cache.get_or_open(&fs, "/c/bag2", &mut ctx).unwrap();
         cache.get_or_open(&fs, "/c/bag3", &mut ctx).unwrap();
@@ -361,13 +292,13 @@ mod tests {
         let registry = Registry::new();
         let cache: HandleCache<Arc<MemStorage>> = HandleCache::in_registry(2, &registry);
         let mut ctx = IoCtx::new();
-        let pinned = cache.get_or_open(&fs, "/c/bag0", &mut ctx).unwrap();
+        let held = cache.get_or_open(&fs, "/c/bag0", &mut ctx).unwrap();
         assert!(cache.invalidate("/c/bag0"));
         assert_eq!(counts(&registry).3, 0, "the length follows an invalidation");
         assert!(!cache.invalidate("/c/bag0"), "second invalidate is a no-op");
-        // The pinned clone still works after invalidation.
-        assert_eq!(pinned.bag().topics(), vec!["/imu"]);
-        drop(pinned);
+        // The held clone still works after invalidation.
+        assert_eq!(held.bag().topics(), vec!["/imu"]);
+        drop(held);
         assert!(!cache.get_or_open(&fs, "/c/bag0", &mut ctx).unwrap().was_hit);
     }
 }

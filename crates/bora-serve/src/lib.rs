@@ -7,7 +7,7 @@
 //! and metadata cost every time; bora-serve amortizes it:
 //!
 //! * a [`cache::HandleCache`] keeps recently used containers open (LRU,
-//!   capacity-bounded, entries pinned while a request uses them);
+//!   capacity-bounded; a request holds its own clone of the handle);
 //! * a [`server::Server`] drains a **bounded** request queue with a pool
 //!   of workers — when the queue fills, requests are shed with an
 //!   explicit [`proto::Response::Overloaded`] instead of queuing without

@@ -480,8 +480,8 @@ pub enum Request {
     /// Read messages of `topics`, optionally restricted to `[start, end)`:
     /// answered with a sequence of [`Response::StreamChunkLz`] frames
     /// written as the server-side merge yields messages, closed by
-    /// [`Response::StreamEnd`]. The worker's cache pin is held for the
-    /// answer's whole lifetime.
+    /// [`Response::StreamEnd`]. The worker holds its clone of the
+    /// container handle for the answer's whole lifetime.
     Read { container: String, topics: Vec<String>, range: Option<(Time, Time)> },
     /// `Read` under the op a client that hands out messages as they
     /// arrive is counted as (`read_stream`); the same answer.

@@ -3,7 +3,7 @@
 //! ```text
 //!  transport ──▶ submit_streamed_framed ──try_send──▶ [bounded queue] ──▶ worker 0..N
 //!                      │  (control ops answered inline)                    │
-//!                      │ full? ◀── Response::Overloaded            Source{pinned handle | snapshot}
+//!                      │ full? ◀── Response::Overloaded            Source{cached handle | snapshot}
 //!                      │                                                   │
 //!                      └──────── reply channel ◀──────────────────── scan / cursor
 //! ```
@@ -17,7 +17,7 @@
 //! `ServeClient::stats`), not an op of its own.
 //!
 //! Every read op reaches the one k-way merge the same way: a worker opens
-//! a `Source` (a static container's pinned cache handle, or a live
+//! a `Source` (a static container's cached handle, or a live
 //! root's MVCC snapshot — "a static container is a snapshot with empty
 //! tails"), builds one `MessageStream` over it, and either `scan`s it —
 //! each run the stream lends goes from its pool page straight into the
@@ -147,6 +147,11 @@ enum Job {
 
 struct Shared<S: Storage> {
     storage: S,
+    /// One byte-budgeted pool for the whole process (sized by
+    /// `BORA_POOL_BYTES`): every handle the cache opens and every ingest
+    /// store's snapshots share it, so total page memory has a single knob
+    /// regardless of how many containers are hot.
+    pool: Arc<BufferPool>,
     cache: HandleCache<S>,
     /// Live ingest roots this server has opened, keyed by root path.
     /// Unlike the handle cache these are never evicted: an `IngestStore`
@@ -180,15 +185,12 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
         let queue_capacity = config.queue_capacity.max(1);
         let (tx, rx) = channel::bounded::<Job>(queue_capacity);
         let metrics = Metrics::new(queue_capacity);
-        // One byte-budgeted pool for the whole process (sized by
-        // `BORA_POOL_BYTES`): every handle the cache opens and every
-        // ingest snapshot shares it, so total page memory has a single
-        // knob regardless of how many containers are hot.
-        let cache = HandleCache::in_registry(config.cache_capacity, metrics.registry())
-            .with_pool(BufferPool::from_env());
+        let pool = BufferPool::from_env();
         let shared = Arc::new(Shared {
             storage,
-            cache,
+            cache: HandleCache::in_registry(config.cache_capacity, metrics.registry())
+                .with_pool(Arc::clone(&pool)),
+            pool,
             ingests: Mutex::new(HashMap::new()),
             metrics,
             gauge: ConcurrencyGauge::new(),
@@ -262,7 +264,7 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
     ///
     /// Returns `false` once `emit` does — the transport lost its client —
     /// at which point the in-flight stream is aborted server-side (the
-    /// worker's next send fails and it drops the cache pin).
+    /// worker's next send fails and it drops its source).
     pub(crate) fn submit_streamed_framed(
         &self,
         req: Request,
@@ -340,8 +342,8 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
             let drain = matches!(resp, Response::StreamChunkLz(_)).then(Instant::now);
             if !emit(resp) {
                 // Client is gone: dropping `reply_rx` makes the worker's
-                // next send fail, aborting the stream and releasing its
-                // cache pin.
+                // next send fail, aborting the stream and freeing the
+                // worker for the next request.
                 return false;
             }
             // A read chunk's drain is its write: the link's price for it.
@@ -406,13 +408,6 @@ impl<S: Storage + Clone + Send + Sync + 'static> Server<S> {
 
     pub fn is_shutting_down(&self) -> bool {
         self.shared.shutting_down.load(Ordering::SeqCst)
-    }
-
-    /// Outstanding cache pins on `container` (0 if not cached). Streaming
-    /// reads hold a pin for the stream's lifetime; this makes that
-    /// observable to tests and debugging tools.
-    pub fn cache_pins(&self, container: &str) -> u32 {
-        self.shared.cache.pins(container)
     }
 }
 
@@ -550,17 +545,15 @@ fn ingest_for<S: Storage + Clone>(
     if !IngestStore::is_ingest_root(&shared.storage, container, ctx) {
         return Ok(None);
     }
-    let mut store = IngestStore::open(shared.storage.clone(), container, ctx)?;
-    if let Some(pool) = shared.cache.pool() {
-        // Ingest snapshot reads draw pages from the same process-wide
-        // pool as plain container handles.
-        store = store.with_pool(Arc::clone(pool));
-    }
-    let opened = Arc::new(store);
-    // Two workers may race the first open; the registry keeps whichever
-    // inserted first and the loser's store is dropped unused.
+    // Recovery sweeps debris and truncates torn WAL tails, so a root is
+    // opened once: the registry stays locked across the open, and a
+    // request that raced this one to the probe finds the store here.
     let mut reg = shared.ingests.lock();
-    Ok(Some(Arc::clone(reg.entry(container.to_owned()).or_insert(opened))))
+    if !reg.contains_key(container) {
+        let store = IngestStore::open(shared.storage.clone(), container, ctx)?;
+        reg.insert(container.to_owned(), Arc::new(store.with_pool(Arc::clone(&shared.pool))));
+    }
+    Ok(reg.get(container).cloned())
 }
 
 /// The live ingest store behind a write op (`APPEND`, `SEAL`).
@@ -573,8 +566,8 @@ fn live_store<S: Storage + Clone>(
         .ok_or_else(|| BoraError::NotAContainer(format!("{container}: not a live ingest root")))
 }
 
-/// What a read op reads from: a static container through its pinned
-/// cache handle, or a live ingest root through an MVCC snapshot. A
+/// What a read op reads from: a static container through its cached
+/// handle, or a live ingest root through an MVCC snapshot. A
 /// static container is a snapshot with empty tails, so both answer the
 /// same questions and feed the same merge. They differ in one place —
 /// what a request for a topic the source lacks gets:
@@ -589,16 +582,17 @@ fn live_store<S: Storage + Clone>(
 /// only in its tail (not yet compacted) has no recorded datatype, so a
 /// query reads its message fields as null.
 ///
-/// The pin (or the snapshot's generation handle) lives as long as the
-/// `Source`, so a burst of opens for other containers — or a compaction —
-/// cannot pull the files out from under an in-flight stream.
-enum Source<'c, S: Storage> {
-    Static(PinnedBag<'c, S>),
+/// The handle's clone (or the snapshot's generation handle) lives as long
+/// as the `Source`, so an eviction by a burst of opens for other
+/// containers — or a compaction — cannot pull the files out from under an
+/// in-flight stream.
+enum Source<S: Storage> {
+    Static(PinnedBag<S>),
     Live(Snapshot<S>),
 }
 
-impl<'c, S: Storage + Clone> Source<'c, S> {
-    fn open(shared: &'c Shared<S>, container: &str, ctx: &mut IoCtx) -> BoraResult<Self> {
+impl<S: Storage + Clone> Source<S> {
+    fn open(shared: &Shared<S>, container: &str, ctx: &mut IoCtx) -> BoraResult<Self> {
         Ok(match ingest_for(shared, container, ctx)? {
             Some(store) => Source::Live(store.snapshot(ctx)?),
             None => Source::Static(shared.cache.get_or_open(&shared.storage, container, ctx)?),
@@ -608,8 +602,8 @@ impl<'c, S: Storage + Clone> Source<'c, S> {
     /// Every topic the source holds, sorted.
     fn topics(&self) -> Vec<String> {
         match self {
-            Source::Static(pinned) => {
-                pinned.bag().topics().into_iter().map(str::to_owned).collect()
+            Source::Static(handle) => {
+                handle.bag().topics().into_iter().map(str::to_owned).collect()
             }
             Source::Live(snap) => snap.topics(),
         }
@@ -618,7 +612,7 @@ impl<'c, S: Storage + Clone> Source<'c, S> {
     /// Topic → ROS datatype, for query field access.
     fn datatypes(&self) -> HashMap<String, String> {
         match self {
-            Source::Static(pinned) => pinned.bag().meta().datatypes(),
+            Source::Static(handle) => handle.bag().meta().datatypes(),
             Source::Live(snap) => snap.datatypes(),
         }
     }
@@ -631,7 +625,7 @@ impl<'c, S: Storage + Clone> Source<'c, S> {
         ctx: &mut IoCtx,
     ) -> BoraResult<MessageStream<'_, S>> {
         match self {
-            Source::Static(pinned) => pinned.bag().stream_topics_with_tails(
+            Source::Static(handle) => handle.bag().stream_topics_with_tails(
                 topics,
                 Vec::new(),
                 range,
@@ -921,11 +915,11 @@ fn handle<S: Storage + Clone>(
             Request::Open { container }
             | Request::Meta { container }
             | Request::Stat { container } => {
-                let pinned = shared.cache.get_or_open(&shared.storage, container, ctx)?;
-                let meta = pinned.bag().meta();
+                let handle = shared.cache.get_or_open(&shared.storage, container, ctx)?;
+                let meta = handle.bag().meta();
                 match req {
                     Request::Open { .. } => {
-                        Response::Opened { stat: stat_of(meta), cached: pinned.was_hit }
+                        Response::Opened { stat: stat_of(meta), cached: handle.was_hit }
                     }
                     Request::Meta { .. } => Response::Meta(meta.encode()),
                     _ => Response::Stat(stat_of(meta)),

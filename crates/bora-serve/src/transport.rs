@@ -112,7 +112,7 @@ where
             // yields, with the transport's own send acting as the final
             // backpressure stage. A failed send drops the emit
             // closure's `true`, which tells the server to abort the
-            // in-flight stream (releasing its cache pin).
+            // in-flight stream (freeing its worker).
             Ok((req, tctx, deadline_ns)) => {
                 let mut final_resp = false;
                 let ok =

@@ -66,10 +66,9 @@ fn main() {
     );
     let transport = MemTransport::new(Arc::clone(&server));
 
-    // --- 3. A cold sweep, one container at a time: nothing is pinned
-    // between requests, so the third open evicts the first. Then
-    // concurrent clients, 90% of traffic on day2 (the hot one); their
-    // reads pin handles, so whether the cold tail evicts is up to timing.
+    // --- 3. A cold sweep, one container at a time: capacity is a hard
+    // bound, so the third open evicts the first. Then concurrent clients,
+    // 90% of traffic on day2 (the hot one).
     let mut sweeper = ServeClient::connect(&transport).expect("connect");
     for day in 0..3 {
         let (_, cached) = sweeper.open(&format!("/missions/day{day}")).expect("open");

@@ -125,6 +125,12 @@
 //!     (`PageRef`) or the raw-page knob (`with_page_size`), and non-test
 //!     `bufpool.rs` declares no pin count or epoch (`pins:`, `epoch:`):
 //!     the pool keeps pages, and a reader holds its bytes, not a pin.
+//! 22. *One handle lifetime*: a served container lives as long as its
+//!     clone. Non-test `bora-serve/src/cache.rs` declares no pin count or
+//!     entry generation (`pins`, `generation`) and implements no `Drop`,
+//!     and no source under `crates/` or `tests/` names the retired
+//!     `cache_pins`: the cache keeps handles, and a worker holds its
+//!     handle, not a pin.
 
 use std::path::Path;
 
@@ -133,6 +139,7 @@ const WIRE: &str = "crates/ros-msgs/src/wire.rs";
 const STREAM: &str = "crates/bora/src/stream.rs";
 const MANIFEST: &str = "crates/bora/src/manifest.rs";
 const BUFPOOL: &str = "crates/bora/src/bufpool.rs";
+const CACHE: &str = "crates/bora-serve/src/cache.rs";
 const PROTO: &str = "crates/bora-serve/src/proto.rs";
 const SERVER: &str = "crates/bora-serve/src/server.rs";
 /// Code lines of `stream.rs` — non-blank, not a `//` comment, before
@@ -307,6 +314,20 @@ const SOURCE_GUARDS: &[SourceGuard] = &[
         exempt: &[],
         non_test_only: true,
         patterns: &["pins:", "epoch:"],
+    },
+    SourceGuard {
+        name: "one handle lifetime",
+        under: &[CACHE],
+        exempt: &[],
+        non_test_only: true,
+        patterns: &["pins", "generation", "Drop for"],
+    },
+    SourceGuard {
+        name: "one handle lifetime",
+        under: &["crates/", "tests/"],
+        exempt: &["tests/structure.rs"],
+        non_test_only: false,
+        patterns: &["cache_pins"],
     },
 ];
 
@@ -1067,6 +1088,7 @@ fn every_source_guard_fires() {
     let record = "one commit record";
     let fill = "one fill path";
     let page = "one page lifetime";
+    let handle = "one handle lifetime";
     let cases = [
         (writer, store, "let x = encode_entries(&e);", true),
         (writer, store, "let t = TimeIndex::build(&e, w);", true),
@@ -1158,6 +1180,20 @@ fn every_source_guard_fires() {
         (page, "crates/bora-obs/src/window.rs", "struct Slot {\n    epoch: u64,\n}", false),
         (page, "tests/structure.rs", "patterns: &[\"PageRef\", \"with_page_size\"],", false),
         (page, "benchmark/src/layers.rs", "let p: bora::PageRef = pool.get(k);", false),
+        (handle, CACHE, "struct Entry<S> {\n    bag: BoraBag<S>,\n    pins: u32,\n}", true),
+        (handle, CACHE, "    generation: u64,", true),
+        (handle, CACHE, "    next_generation: u64,", true),
+        (handle, CACHE, "    pub fn pins(&self, root: &str) -> u32 {", true),
+        (handle, CACHE, "impl<S> Drop for PinnedBag<'_, S> {", true),
+        (handle, CACHE, "#[cfg(test)]\nfn t() { e.pins; e.generation; }", false),
+        (handle, CACHE, "pub struct PinnedBag<S> {\n    bag: BoraBag<S>,\n}", false),
+        (handle, "crates/bora-ingest/src/store.rs", "    generation: u64,", false),
+        (handle, BUFPOOL, "impl Drop for BufferPool {", false),
+        (handle, SERVER, "    pub fn cache_pins(&self, c: &str) -> u32 {", true),
+        (handle, "tests/serve.rs", "while server.cache_pins(&roots[0]) != 0 {", true),
+        (handle, "crates/bora-serve/tests/x.rs", "#[cfg(test)]\nlet n = s.cache_pins(r);", true),
+        (handle, "examples/serve_queries.rs", "let n = server.cache_pins(root);", false),
+        (handle, "tests/structure.rs", "patterns: &[\"cache_pins\"],", false),
     ];
     for (guard, path, source, fires) in cases {
         let fired = source_violations(path, source).iter().any(|v| v.starts_with(guard));
