@@ -316,12 +316,12 @@ impl<S: Storage + Clone> GenHandle<S> {
     /// opens one. The first caller (recovery, a snapshot or a compaction)
     /// opens it, holding this handle's mutex and never the state lock,
     /// and every later one clones it: `.bora`, the MANIFEST and the block
-    /// maps are read once per generation. A bag a read found damage in is
-    /// opened again, so every read of a rotted generation re-verifies and
-    /// answers the `ChecksumMismatch` a static root's reopen does.
+    /// maps are read once per generation. The bag keeps nothing a failed
+    /// read found, so every read of a rotted generation verifies again
+    /// and answers `ChecksumMismatch`, as a static root's does.
     fn bag(&self, storage: &S, ctx: &mut IoCtx) -> BoraResult<BoraBag<S>> {
         let mut opened = self.bag.lock();
-        if let Some(bag) = opened.as_ref().filter(|b| b.damaged_topics().is_empty()) {
+        if let Some(bag) = opened.as_ref() {
             return Ok(bag.clone());
         }
         let bag = BoraBag::open(storage.clone(), &self.root, ctx)?;

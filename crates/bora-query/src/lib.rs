@@ -23,8 +23,8 @@
 //!
 //! Execution is pull-based ([`Cursor`]) over the existing k-way merge
 //! streams, which is what lets the serve layer stream result rows in
-//! bounded chunks, and what makes MVCC snapshots and quarantine checks
-//! apply to queries for free. A cursor has one input, a
+//! bounded chunks, and what makes MVCC snapshots and the read path's
+//! checksum verification apply to queries for free. A cursor has one input, a
 //! `bora::MessageStream`: [`Prepared::cursor_bag`] builds it over a
 //! container, and [`Prepared::cursor_stream`] takes one its caller built
 //! (a live snapshot's, say). Underneath, the cursor gathers, filters

@@ -1014,10 +1014,10 @@ fn handle<S: Storage + Clone>(
         }))
     })();
     result.unwrap_or_else(|e| {
-        // A checksum failure means the cached handle (and its quarantine
-        // state) may be poisoned or the medium changed under us: evict so
-        // the next request reopens and re-verifies from scratch instead
-        // of serving from a suspect handle.
+        // A checksum failure may mean the container was replaced under
+        // the cached handle — a full repair of a damaged `.bora` or a
+        // re-duplication, each writing a new MANIFEST: evict so the next
+        // request opens what the root holds now.
         if matches!(e, BoraError::ChecksumMismatch { .. })
             && req.container().is_some_and(|root| shared.cache.invalidate(root))
         {
@@ -1119,9 +1119,6 @@ fn error_response(e: BoraError) -> Response {
         BoraError::UnknownTopic(_) => ErrorCode::UnknownTopic,
         BoraError::Corrupt(_) | BoraError::Wire(_) | BoraError::Bag(_) => ErrorCode::Corrupt,
         BoraError::ChecksumMismatch { .. } => ErrorCode::ChecksumMismatch,
-        // A damaged topic in a degraded container needs repair, not a
-        // retry: permanent from the client's point of view.
-        BoraError::TopicDamaged(_) => ErrorCode::Corrupt,
         BoraError::Fs(_) => ErrorCode::Io,
     };
     Response::Error { code, message: e.to_string() }

@@ -9,10 +9,8 @@
 //!   narrows each topic to a candidate entry range, one contiguous read
 //!   covers the candidates, and a fine timestamp filter finishes the job.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use ros_msgs::Time;
 use rosbag::reader::MessageRecord;
 use simfs::device::cpu;
@@ -26,7 +24,7 @@ use crate::layout::{meta_path, rel_path, TopicPaths, META_FILE};
 use crate::manifest::Manifest;
 use crate::meta::ContainerMeta;
 use crate::stream::{MessageStream, StreamOptions, TailMessage};
-use crate::tag::TagManager;
+use crate::tag::{OpenTopic, TagManager};
 use crate::time_index::TimeIndex;
 use crate::topic_index::{
     decode_entries, is_chronological, slice_time_range, TopicIndexEntry, ENTRY_SIZE,
@@ -43,52 +41,30 @@ pub const FUSE_DELIVERY_NS: u64 = 60_000;
 
 /// An opened BORA container.
 ///
-/// The tag table and metadata built by [`BoraBag::open`] are immutable for
-/// the handle's lifetime and shared behind `Arc`s, so cloning a handle is
-/// cheap (two reference bumps plus the storage handle's own clone). A
-/// serving layer can therefore open a container once and hand concurrent
-/// workers their own handles.
+/// The tag table, metadata and MANIFEST built by [`BoraBag::open`] are
+/// immutable for the handle's lifetime and shared behind `Arc`s, so a
+/// clone is a reference bump for each, the root path and the storage
+/// handle's own clone, and every clone reads the same open topics. A handle keeps nothing a
+/// failed read found: each read verifies what it reads, so damage
+/// answers [`BoraError::ChecksumMismatch`] through every handle, whenever
+/// it was taken. A serving layer can therefore open a container once and
+/// hand concurrent workers their own handles.
+#[derive(Clone)]
 pub struct BoraBag<S> {
     pub(crate) storage: S,
     root: String,
+    /// One record per committed topic: paths, connection id, block map.
     pub(crate) tags: Arc<TagManager>,
     meta: Arc<ContainerMeta>,
     /// The commit record. `.bora` is held to it at open, and full-file
     /// reads lazily after; a topic directory it does not commit is not
     /// opened at all.
     manifest: Arc<Manifest>,
-    /// topic → stable connection id, precomputed at open so per-message
-    /// reporting is a hash lookup rather than a linear scan of the
-    /// metadata topic list.
-    conn_ids: Arc<HashMap<Arc<str>, u32>>,
-    /// Topics whose files failed verification, added whenever a read
-    /// catches a checksum mismatch. Reads of a damaged topic
-    /// short-circuit with [`BoraError::TopicDamaged`]; the other topics
-    /// keep serving.
-    damaged: Arc<Mutex<HashSet<String>>>,
     /// Shared buffer pool, when the embedding layer attached one
     /// ([`BoraBag::with_pool`]). Block-framed data files page through
     /// it; v1 files always read storage directly (the classic path,
     /// bit-for-bit unchanged — see [`DataSource`] for why).
     pool: Option<Arc<BufferPool>>,
-    /// Lazily loaded per-topic block maps (block-framed containers).
-    block_maps: Arc<Mutex<HashMap<String, Arc<BlockMap>>>>,
-}
-
-impl<S: Clone> Clone for BoraBag<S> {
-    fn clone(&self) -> Self {
-        BoraBag {
-            storage: self.storage.clone(),
-            root: self.root.clone(),
-            tags: Arc::clone(&self.tags),
-            meta: Arc::clone(&self.meta),
-            manifest: Arc::clone(&self.manifest),
-            conn_ids: Arc::clone(&self.conn_ids),
-            damaged: Arc::clone(&self.damaged),
-            pool: self.pool.clone(),
-            block_maps: Arc::clone(&self.block_maps),
-        }
-    }
 }
 
 /// How a topic's `data` file is physically read — resolved once per
@@ -149,24 +125,16 @@ impl<S: Storage> BoraBag<S> {
         manifest.verify(META_FILE, &meta_bytes)?;
         let meta = ContainerMeta::decode(&meta_bytes)?;
         tags.retain_committed(&manifest);
+        tags.assign_connection_ids(&meta);
         bora_obs::counter("bora.open.count").inc();
         sp_open.end_virt(ctx.elapsed_ns() - virt_open);
-        let conn_ids = meta
-            .topics
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (Arc::from(t.topic.as_str()), i as u32))
-            .collect();
         Ok(BoraBag {
             storage,
             root: container_root.to_owned(),
             tags: Arc::new(tags),
             meta: Arc::new(meta),
             manifest: Arc::new(manifest),
-            conn_ids: Arc::new(conn_ids),
-            damaged: Arc::new(Mutex::new(HashSet::new())),
             pool: None,
-            block_maps: Arc::new(Mutex::new(HashMap::new())),
         })
     }
 
@@ -176,31 +144,6 @@ impl<S: Storage> BoraBag<S> {
     pub fn with_pool(mut self, pool: Arc<BufferPool>) -> Self {
         self.pool = Some(pool);
         self
-    }
-
-    /// The attached buffer pool, if any.
-    pub fn pool(&self) -> Option<&Arc<BufferPool>> {
-        self.pool.as_ref()
-    }
-
-    /// Topics quarantined so far: each failed a checksum on a read.
-    pub fn damaged_topics(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.damaged.lock().iter().cloned().collect();
-        v.sort();
-        v
-    }
-
-    pub(crate) fn check_not_damaged(&self, topic: &str) -> BoraResult<()> {
-        if self.damaged.lock().contains(topic) {
-            return Err(BoraError::TopicDamaged(topic.to_owned()));
-        }
-        Ok(())
-    }
-
-    /// Quarantine a topic after a failed verification (streaming cursors
-    /// detect mismatches off the open path and report back through this).
-    pub(crate) fn quarantine(&self, topic: &str) {
-        self.damaged.lock().insert(topic.to_owned());
     }
 
     /// What the commit manifest expects of `path`, as a ready-to-fold
@@ -217,54 +160,37 @@ impl<S: Storage> BoraBag<S> {
 
     /// Full-file read with lazy manifest verification: length + CRC32C
     /// are checked against the file's entry, and a file without one is
-    /// [`BoraError::Corrupt`]. On mismatch the owning topic is
-    /// quarantined and the typed [`BoraError::ChecksumMismatch`]
-    /// surfaces to the caller. Partial
-    /// (`read_at`) paths skip content verification — the time-range read
-    /// path trades verification for not touching the whole file, which is
-    /// exactly the point of the coarse index.
-    pub(crate) fn verified_read_all(
-        &self,
-        path: &str,
-        topic: Option<&str>,
-        ctx: &mut IoCtx,
-    ) -> BoraResult<Vec<u8>> {
+    /// [`BoraError::Corrupt`]. A mismatch is the typed
+    /// [`BoraError::ChecksumMismatch`], and the next read verifies again.
+    /// Partial (`read_at`) paths skip content verification — the
+    /// time-range read path trades verification for not touching the
+    /// whole file, which is exactly the point of the coarse index.
+    pub(crate) fn verified_read_all(&self, path: &str, ctx: &mut IoCtx) -> BoraResult<Vec<u8>> {
         let bytes = self.storage.read_all(path, ctx)?;
         let rel = rel_path(&self.root, path).unwrap_or(path);
-        self.manifest.verify(rel, &bytes).inspect_err(|_| {
-            if let Some(t) = topic {
-                self.quarantine(t);
-            }
-        })?;
+        self.manifest.verify(rel, &bytes)?;
         Ok(bytes)
     }
 
-    /// Load (and cache) one topic's block map.
+    /// One topic's block map: loaded and verified by the first read that
+    /// needs it, kept on the topic's record after.
     pub(crate) fn block_map(
         &self,
-        topic: &str,
-        paths: &TopicPaths,
+        topic: &OpenTopic,
         ctx: &mut IoCtx,
     ) -> BoraResult<Arc<BlockMap>> {
-        if let Some(m) = self.block_maps.lock().get(topic) {
-            return Ok(Arc::clone(m));
+        if let Some(map) = topic.blocks.get() {
+            return Ok(Arc::clone(map));
         }
-        let bytes = self.verified_read_all(&paths.blocks, Some(topic), ctx)?;
-        let map = Arc::new(BlockMap::decode(&bytes)?);
-        self.block_maps.lock().insert(topic.to_owned(), Arc::clone(&map));
-        Ok(map)
+        let map = BlockMap::decode(&self.verified_read_all(&topic.paths.blocks, ctx)?)?;
+        Ok(Arc::clone(topic.blocks.get_or_init(|| Arc::new(map))))
     }
 
     /// Resolve how `topic`'s data file is read: direct, pool-paged, or
     /// block-decoded — see [`DataSource`].
-    pub(crate) fn data_source(
-        &self,
-        topic: &str,
-        paths: &TopicPaths,
-        ctx: &mut IoCtx,
-    ) -> BoraResult<DataSource> {
+    pub(crate) fn data_source(&self, topic: &OpenTopic, ctx: &mut IoCtx) -> BoraResult<DataSource> {
         if self.meta.block.is_some() {
-            return Ok(DataSource::Blocked { map: self.block_map(topic, paths, ctx)? });
+            return Ok(DataSource::Blocked { map: self.block_map(topic, ctx)? });
         }
         // v1 stays direct even when a pool is attached — see [`DataSource`].
         Ok(DataSource::RawDirect)
@@ -320,10 +246,6 @@ impl<S: Storage> BoraBag<S> {
         &self.manifest
     }
 
-    pub fn tags(&self) -> &TagManager {
-        &self.tags
-    }
-
     pub fn topics(&self) -> Vec<&str> {
         self.tags.topics()
     }
@@ -335,51 +257,40 @@ impl<S: Storage> BoraBag<S> {
 
     /// Load one topic's full fine-grain index.
     pub fn load_index(&self, topic: &str, ctx: &mut IoCtx) -> BoraResult<Vec<TopicIndexEntry>> {
-        self.check_not_damaged(topic)?;
-        let paths = self.tags.lookup(topic, ctx)?.clone();
-        self.load_entries(topic, &paths, None, ctx)
+        self.load_entries(&self.tags.lookup(topic, ctx)?.paths, None, ctx)
     }
 
     /// Load one topic's coarse time index.
     pub fn load_time_index(&self, topic: &str, ctx: &mut IoCtx) -> BoraResult<TimeIndex> {
-        self.check_not_damaged(topic)?;
-        let paths = self.tags.lookup(topic, ctx)?.clone();
-        self.time_index_at(topic, &paths, ctx)
+        self.time_index_at(&self.tags.lookup(topic, ctx)?.paths, ctx)
     }
 
-    fn time_index_at(
-        &self,
-        topic: &str,
-        paths: &TopicPaths,
-        ctx: &mut IoCtx,
-    ) -> BoraResult<TimeIndex> {
+    fn time_index_at(&self, paths: &TopicPaths, ctx: &mut IoCtx) -> BoraResult<TimeIndex> {
         let sp = bora_obs::span("bora.tindex.load");
         let v0 = ctx.elapsed_ns();
-        let bytes = self.verified_read_all(&paths.tindex, Some(topic), ctx)?;
+        let bytes = self.verified_read_all(&paths.tindex, ctx)?;
         let tindex = TimeIndex::decode(&bytes)?;
         sp.end_virt(ctx.elapsed_ns() - v0);
         Ok(tindex)
     }
 
-    /// The index entries of `topic` a read needs: all of them (the whole,
-    /// verified `index` file), or those inside `range` — window arithmetic
-    /// on the coarse time index narrows the topic to a candidate entry
-    /// range, one contiguous read covers the candidates, and a fine
-    /// timestamp filter finishes the job.
+    /// The index entries of the topic at `paths` a read needs: all of
+    /// them (the whole, verified `index` file), or those inside `range` —
+    /// window arithmetic on the coarse time index narrows the topic to a
+    /// candidate entry range, one contiguous read covers the candidates,
+    /// and a fine timestamp filter finishes the job.
     pub(crate) fn load_entries(
         &self,
-        topic: &str,
         paths: &TopicPaths,
         range: Option<(Time, Time)>,
         ctx: &mut IoCtx,
     ) -> BoraResult<Vec<TopicIndexEntry>> {
         let Some((start, end)) = range else {
-            let entries =
-                decode_entries(&self.verified_read_all(&paths.index, Some(topic), ctx)?)?;
+            let entries = decode_entries(&self.verified_read_all(&paths.index, ctx)?)?;
             ctx.charge_ns(entries.len() as u64 * cpu::INDEX_ENTRY_NS);
             return Ok(entries);
         };
-        let tindex = self.time_index_at(topic, paths, ctx)?;
+        let tindex = self.time_index_at(paths, ctx)?;
         let Some((first, last)) = tindex.candidate_entries(start, end) else {
             return Ok(Vec::new());
         };
@@ -462,19 +373,19 @@ impl<S: Storage> BoraBag<S> {
     /// entries. Returns the number of messages verified.
     pub fn verify(&self, ctx: &mut IoCtx) -> BoraResult<u64> {
         let mut total = 0u64;
-        for topic in self.topics().into_iter().map(str::to_owned).collect::<Vec<_>>() {
-            let entries = self.load_index(&topic, ctx)?;
+        for topic in self.topics() {
+            let entries = self.load_index(topic, ctx)?;
             if !is_chronological(&entries) {
                 return Err(BoraError::Corrupt(format!("{topic}: index not chronological")));
             }
-            let paths = self.tags.lookup(&topic, ctx)?.clone();
-            let data_len = self.storage.len(&paths.data, ctx)?;
+            let record = self.tags.lookup(topic, ctx)?;
+            let data_len = self.storage.len(&record.paths.data, ctx)?;
             let covered: u64 = entries.iter().map(|e| e.len as u64).sum();
             if self.meta.block.is_some() {
                 // Block-framed topic: the index tiles the *logical*
                 // stream the map describes; the physical file must match
                 // the map's frame lengths.
-                let map = self.block_map(&topic, &paths, ctx)?;
+                let map = self.block_map(record, ctx)?;
                 if covered != map.logical_len {
                     return Err(BoraError::Corrupt(format!(
                         "{topic}: index covers {covered} bytes, block map logs {}",
@@ -492,7 +403,7 @@ impl<S: Storage> BoraBag<S> {
                     "{topic}: index covers {covered} bytes, data file has {data_len}"
                 )));
             }
-            let tindex = self.load_time_index(&topic, ctx)?;
+            let tindex = self.load_time_index(topic, ctx)?;
             let windowed: u64 = tindex.windows.iter().map(|w| w.count as u64).sum();
             if windowed != entries.len() as u64 {
                 return Err(BoraError::Corrupt(format!(
@@ -500,7 +411,7 @@ impl<S: Storage> BoraBag<S> {
                     entries.len()
                 )));
             }
-            if let Some(m) = self.meta.topic(&topic) {
+            if let Some(m) = self.meta.topic(topic) {
                 if m.message_count != entries.len() as u64 {
                     return Err(BoraError::Corrupt(format!(
                         "{topic}: metadata says {} messages, index has {}",
@@ -512,13 +423,6 @@ impl<S: Storage> BoraBag<S> {
             total += entries.len() as u64;
         }
         Ok(total)
-    }
-
-    /// Stable connection id for reporting: position in the metadata topic
-    /// list (containers have no wire-level connections). Hash lookup on a
-    /// table built once at open.
-    pub(crate) fn conn_id_of(&self, topic: &str) -> u32 {
-        self.conn_ids.get(topic).copied().unwrap_or(u32::MAX)
     }
 }
 
@@ -669,8 +573,8 @@ mod tests {
     }
 
     #[test]
-    fn checksum_mismatch_is_typed_and_quarantines_topic() {
-        let (fs, ..) = setup();
+    fn a_checksum_mismatch_answers_every_read_of_its_topic_alone() {
+        let (fs, _, n_cam) = setup();
         let mut ctx = IoCtx::new();
         // Flip one payload byte; lengths stay intact, so only the CRC
         // can catch it.
@@ -680,15 +584,28 @@ mod tests {
         fs.remove_file("/c/imu/data", &mut ctx).unwrap();
         fs.append("/c/imu/data", &bad, &mut ctx).unwrap();
 
+        // Every read verifies again: the second finds the damage as the
+        // first did, and the sibling topic still serves.
         let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
-        assert!(matches!(
-            bag.read_topics(&["/imu"], &mut ctx),
-            Err(BoraError::ChecksumMismatch { .. })
-        ));
-        // The topic is now quarantined; the sibling topic still serves.
-        assert!(matches!(bag.read_topics(&["/imu"], &mut ctx), Err(BoraError::TopicDamaged(_))));
-        assert!(bag.read_topics(&["/camera/rgb/camera_info"], &mut ctx).is_ok());
-        assert_eq!(bag.damaged_topics(), vec!["/imu".to_owned()]);
+        for _ in 0..2 {
+            assert!(matches!(
+                bag.read_topics(&["/imu"], &mut ctx),
+                Err(BoraError::ChecksumMismatch { .. })
+            ));
+            let sibling = bag.read_topics(&["/camera/rgb/camera_info"], &mut ctx).unwrap();
+            assert_eq!(sibling.len() as u64, n_cam);
+        }
+    }
+
+    #[test]
+    fn a_message_carries_its_topics_position_in_the_metadata() {
+        let (fs, ..) = setup();
+        let mut ctx = IoCtx::new();
+        let bag = BoraBag::open(&fs, "/c", &mut ctx).unwrap();
+        let position = |t: &str| bag.meta().topics.iter().position(|m| m.topic == t).unwrap();
+        for m in bag.read_topics(&["/imu", "/camera/rgb/camera_info"], &mut ctx).unwrap() {
+            assert_eq!(m.conn_id as usize, position(&m.topic), "{}", m.topic);
+        }
     }
 
     #[test]

@@ -16,17 +16,15 @@ pub enum BoraError {
     /// Query referenced a topic the container does not hold.
     UnknownTopic(String),
     /// A file's content does not match its MANIFEST record (CRC32C or
-    /// length). The data on the medium is wrong; retrying the read
-    /// through a fresh handle may succeed if the damage was in transit.
+    /// length). The data on the medium is wrong, and every read of it
+    /// says so, through any handle. Nothing remembers the failure: once
+    /// the bytes match their record again, the next read succeeds.
     ChecksumMismatch {
         /// Container-relative path of the damaged file.
         path: String,
         expected: u32,
         actual: u32,
     },
-    /// An earlier read of the topic failed its checksum, so the topic is
-    /// quarantined; the rest of the container is still served.
-    TopicDamaged(String),
     /// Source bag could not be parsed during duplication.
     Bag(BagError),
     Fs(FsError),
@@ -43,7 +41,6 @@ impl fmt::Display for BoraError {
                 f,
                 "checksum mismatch on {path}: expected {expected:#010x}, got {actual:#010x}"
             ),
-            BoraError::TopicDamaged(t) => write!(f, "topic damaged (degraded container): {t}"),
             BoraError::Bag(e) => write!(f, "bag error: {e}"),
             BoraError::Fs(e) => write!(f, "storage error: {e}"),
             BoraError::Wire(e) => write!(f, "wire error: {e}"),

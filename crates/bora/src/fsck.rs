@@ -267,7 +267,7 @@ pub fn repair<S: Storage, B: Storage>(
             };
             // MANIFEST/meta damage (a lost MANIFEST included) or an
             // undecodable path: per-topic repair can't be trusted.
-            if let (Some(meta), Some(topics)) = (&meta, damaged_topics(&report)) {
+            if let (Some(meta), Some(topics)) = (&meta, rebuildable_topics(&report)) {
                 for topic in &topics {
                     rebuild_topic(storage, root, src, src_path, topic, meta, ctx)?;
                 }
@@ -286,7 +286,7 @@ pub fn repair<S: Storage, B: Storage>(
 
 /// Map a Corrupt report's damages to topic names; `None` when any damage
 /// is outside a topic directory (`.bora`, `MANIFEST`).
-fn damaged_topics(report: &FsckReport) -> Option<Vec<String>> {
+fn rebuildable_topics(report: &FsckReport) -> Option<Vec<String>> {
     let mut topics = Vec::new();
     for d in &report.damages {
         let (dir, _file) = d.rel_path.split_once('/')?;

@@ -68,9 +68,10 @@
 //! Full-topic streams still honor the commit manifest: each cursor folds
 //! the chunks it fetches into a running CRC32C and compares against the
 //! manifest entry when the file's last chunk arrives, so a corrupt topic
-//! surfaces as [`BoraError::ChecksumMismatch`] (and is quarantined) before
-//! the stream can complete. Time-range streams skip content verification,
-//! exactly like the materializing time path always has.
+//! surfaces as [`BoraError::ChecksumMismatch`] before the stream can
+//! complete — on every stream of it, as nothing remembers the failure.
+//! Time-range streams skip content verification, exactly like the
+//! materializing time path always has.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -85,6 +86,7 @@ use crate::checksum::Crc32c;
 use crate::container::{BoraBag, DataSource, FUSE_DELIVERY_NS};
 use crate::error::{BoraError, BoraResult};
 use crate::layout::TopicPaths;
+use crate::tag::OpenTopic;
 use crate::topic_index::TopicIndexEntry;
 
 /// Tuning for [`MessageStream`].
@@ -332,9 +334,8 @@ impl Block {
 /// blocks + a private virtual clock charged for this topic's I/O.
 #[derive(Default)]
 struct TopicCursor {
-    topic: Arc<str>,
-    conn_id: u32,
-    paths: Arc<TopicPaths>,
+    /// The open topic's record: name, connection id, paths, block map.
+    topic: Arc<OpenTopic>,
     entries: Vec<TopicIndexEntry>,
     /// Next entry to yield to the merge.
     next: usize,
@@ -405,7 +406,7 @@ impl TopicCursor {
             if self.fetched > 0 && run_start < self.entries[self.fetched - 1].end() {
                 return corrupt(format!(
                     "{}: entry {} starts at {run_start}, inside its predecessor",
-                    self.paths.index, self.fetched
+                    self.topic.paths.index, self.fetched
                 ));
             }
             // A hole between entries (never produced by the organizer,
@@ -425,7 +426,7 @@ impl TopicCursor {
                 // One buffer per run, folded into the whole-file CRC of a
                 // verifying stream, checked when the last chunk lands.
                 DataSource::RawDirect => {
-                    let (path, len) = (&self.paths.data, (run_end - run_start) as usize);
+                    let (path, len) = (&self.topic.paths.data, (run_end - run_start) as usize);
                     let bytes = bag.storage.read_at(path, run_start, len, &mut self.ctx)?;
                     if let Some((crc, expected_len, expected_crc, rel)) = self.verify.as_mut() {
                         crc.update(&bytes);
@@ -450,17 +451,16 @@ impl TopicCursor {
                     if run_end > map.logical_len {
                         return corrupt(format!(
                             "{}: index ends at {run_end}, block map logs {}",
-                            self.paths.data, map.logical_len
+                            self.topic.paths.data, map.logical_len
                         ));
                     }
-                    let page_size = map.block_size as u64;
+                    let (paths, page_size) = (&self.topic.paths, map.block_size as u64);
                     let mut at = self.blocks.back().map_or(run_start, |b| b.end().max(run_start));
                     while at < run_end {
                         let page = at / page_size;
                         let start = page * page_size;
-                        let data =
-                            bag.block_page(&self.paths, map, page as usize, &mut self.ctx)?;
-                        let (path, len) = (&self.paths.data, data.len() as u64);
+                        let data = bag.block_page(paths, map, page as usize, &mut self.ctx)?;
+                        let (path, len) = (&paths.data, data.len() as u64);
                         if len != (map.logical_len - start).min(page_size) {
                             return corrupt(format!("{path}: page {page} holds {len} bytes"));
                         }
@@ -540,8 +540,8 @@ impl TopicCursor {
             (time, block, start, len) = (m.time, &m.data, 0, m.data.len());
         }
         let payload = &block[start..start + len];
-        let first =
-            Lent { time, topic: &self.topic, payload, conn_id: self.conn_id, lane, block, start };
+        let (topic, conn_id) = (&self.topic.name, self.topic.conn_id);
+        let first = Lent { time, topic, payload, conn_id, lane, block, start };
         (self.peek_time(), Run { lane, first, rest, base })
     }
 }
@@ -593,22 +593,18 @@ impl<'a, S: Storage> MessageStream<'a, S> {
         debug_assert!(tails.is_empty() || tails.len() == k, "one tail per topic");
         tails.resize_with(k, Vec::new);
         let mut cursors = Vec::with_capacity(k);
-        for (topic, tail) in topics.iter().zip(tails) {
-            bag.check_not_damaged(topic)?;
-            let (paths, container_backed) = match bag.tags.lookup_arc(topic, ctx) {
-                Ok(p) => (p, true),
+        for (&name, tail) in topics.iter().zip(tails) {
+            let (topic, container_backed) = match bag.tags.lookup(name, ctx) {
+                Ok(topic) => (Arc::clone(topic), true),
                 Err(BoraError::UnknownTopic(_)) if !tail.is_empty() => {
                     // Tail-only lane: every message is in memory; the
                     // (nonexistent) container files are never touched.
-                    (Arc::new(TopicPaths::new(bag.root(), topic)), false)
+                    (OpenTopic::new(name, TopicPaths::default()), false)
                 }
                 Err(e) => return Err(e),
             };
-            let interned = bag.tags.interned_topic(topic).unwrap_or_else(|| Arc::from(*topic));
             cursors.push(TopicCursor {
-                topic: interned,
-                conn_id: bag.conn_id_of(topic),
-                paths,
+                topic,
                 tail,
                 container_backed,
                 ctx: IoCtx::with_concurrency(ctx.concurrency),
@@ -663,10 +659,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
             let t0 = c.ctx.elapsed_ns();
             filled = prepare_and_fill(self.bag, c, range, readahead, prepare);
             costs.push(c.ctx.elapsed_ns() - t0);
-            if let Err(e) = &filled {
-                if let BoraError::ChecksumMismatch { .. } = e {
-                    self.bag.quarantine(&c.topic);
-                }
+            if filled.is_err() {
                 break;
             }
         }
@@ -768,7 +761,7 @@ impl<'a, S: Storage> MessageStream<'a, S> {
 
     /// The topics the stream merges, in lane order.
     pub fn topics(&self) -> impl Iterator<Item = &str> {
-        self.cursors.iter().map(|c| &*c.topic)
+        self.cursors.iter().map(|c| &*c.topic.name)
     }
 
     /// Drain into owned records — the materializing path behind
@@ -797,13 +790,13 @@ fn prepare_and_fill<S: Storage>(
         return Ok(());
     }
     if prepare {
-        cursor.src = bag.data_source(&cursor.topic, &cursor.paths, &mut cursor.ctx)?;
-        cursor.entries = bag.load_entries(&cursor.topic, &cursor.paths, range, &mut cursor.ctx)?;
+        cursor.src = bag.data_source(&cursor.topic, &mut cursor.ctx)?;
+        cursor.entries = bag.load_entries(&cursor.topic.paths, range, &mut cursor.ctx)?;
         // Arm end-to-end verification when the manifest knows the data
         // file and the cursor reads all of it directly; blocked sources
         // verify per frame instead, and a time range skips it.
         if range.is_none() && matches!(cursor.src, DataSource::RawDirect) {
-            cursor.verify = bag.manifest_expectation(&cursor.paths.data);
+            cursor.verify = bag.manifest_expectation(&cursor.topic.paths.data);
         }
     }
     cursor.fill(bag, readahead)
@@ -994,7 +987,7 @@ mod tests {
     }
 
     #[test]
-    fn a_failing_lane_ends_its_pass_and_quarantines_its_topic_alone() {
+    fn a_failing_lane_ends_its_pass_and_every_stream_of_its_topic_alone() {
         // `/a` and `/b`: three 50-byte messages each, at 0, 1 and 2 s, in
         // raw frames of 64 | 64 | 22 logical bytes; `/b`'s last frame rots
         // under a MANIFEST that vouches for it.
@@ -1030,11 +1023,10 @@ mod tests {
         }
         assert_eq!(stream.stats().refills, 2);
         assert!(stream.lend(ctx).unwrap().is_none(), "the failure ends the merge");
-        assert_eq!(bag.damaged_topics(), ["/b"]);
-        assert!(matches!(
-            bag.stream_topics(&["/b"], opts.clone(), ctx).err(),
-            Some(BoraError::TopicDamaged(t)) if t == "/b"
-        ));
+        // Nothing remembers the failure: a new stream of `/b` finds it
+        // again, and `/a` still reads whole.
+        let b = bag.stream_topics(&["/b"], opts.clone(), ctx).unwrap().collect_records(ctx);
+        assert!(matches!(b, Err(BoraError::ChecksumMismatch { path, .. }) if path == "b/data"));
         let a = bag.stream_topics(&["/a"], opts, ctx).unwrap().collect_records(ctx).unwrap();
         let a: Vec<Vec<u8>> = a.into_iter().map(|r| r.data).collect();
         assert_eq!(a, [[0u8; 50], [1; 50], [2; 50]]);

@@ -3,28 +3,46 @@
 //! BORA does **not** persist this table; it is rebuilt from a directory
 //! listing whenever a container is opened (paper §III.B, Table I — the
 //! rebuild stays under ~36 ms even at 100,000 topics, negligible next to
-//! query time). Keys are topic names, values the per-topic path bundle.
+//! query time). Keys are topic names, values the topic's open record.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use simfs::device::cpu;
 use simfs::{EntryKind, IoCtx, Storage};
 
+use crate::block::BlockMap;
 use crate::error::{BoraError, BoraResult};
 use crate::layout::{decode_topic, meta_path, rel_path, TopicPaths};
 use crate::manifest::Manifest;
+use crate::meta::ContainerMeta;
 
-/// Hash table topic → back-end paths for one container.
-///
-/// Values sit behind `Arc` so queries can hold onto a topic's path bundle
-/// (`lookup_arc`) with a reference bump instead of cloning four `String`s
-/// per query, and so interned `Arc<str>` topic keys can be shared with the
-/// streaming read path.
+/// One topic of an open container: all a read needs of it, reached with
+/// one hash lookup and shared by every clone of the handle.
+#[derive(Debug, Default)]
+pub(crate) struct OpenTopic {
+    /// Interned topic name, shared with every streamed message.
+    pub(crate) name: Arc<str>,
+    /// Position in the metadata topic list (`u32::MAX` if it is absent).
+    pub(crate) conn_id: u32,
+    pub(crate) paths: TopicPaths,
+    /// The block map of a block-framed topic, once a read has verified
+    /// it. A read that fails leaves nothing here.
+    pub(crate) blocks: OnceLock<Arc<BlockMap>>,
+}
+
+impl OpenTopic {
+    pub(crate) fn new(name: &str, paths: TopicPaths) -> Arc<Self> {
+        let name = Arc::from(name);
+        Arc::new(OpenTopic { name, conn_id: u32::MAX, paths, blocks: OnceLock::new() })
+    }
+}
+
+/// Hash table topic → open record for one container.
 #[derive(Debug, Clone)]
 pub struct TagManager {
     root: String,
-    map: HashMap<Arc<str>, Arc<TopicPaths>>,
+    map: HashMap<Arc<str>, Arc<OpenTopic>>,
 }
 
 impl TagManager {
@@ -41,9 +59,10 @@ impl TagManager {
             if e.kind != EntryKind::Dir {
                 continue; // `.bora` metadata file and any stray files
             }
-            let topic = decode_topic(&e.name);
+            let paths = TopicPaths::from_dir(container_root, &e.name);
+            let topic = OpenTopic::new(&decode_topic(&e.name), paths);
             ctx.charge_ns(cpu::HASH_OP_NS);
-            map.insert(Arc::from(topic), Arc::new(TopicPaths::from_dir(container_root, &e.name)));
+            map.insert(Arc::clone(&topic.name), topic);
         }
         // A container with zero topics still has its meta file; anything
         // else is not a container.
@@ -58,11 +77,22 @@ impl TagManager {
     /// committed ones is not a topic of the container.
     pub fn retain_committed(&mut self, manifest: &Manifest) {
         let root = &self.root;
-        self.map.retain(|_, p| {
-            [&p.index, &p.data]
+        self.map.retain(|_, t| {
+            [&t.paths.index, &t.paths.data]
                 .iter()
                 .all(|f| rel_path(root, f).is_some_and(|rel| manifest.entry(rel).is_some()))
         });
+    }
+
+    /// Give each topic its connection id, its position in `meta`'s topic
+    /// list: one pass over the list, one hash lookup per entry. Runs on
+    /// a table being opened, before any record is shared.
+    pub(crate) fn assign_connection_ids(&mut self, meta: &ContainerMeta) {
+        for (i, t) in meta.topics.iter().enumerate() {
+            if let Some(topic) = self.map.get_mut(t.topic.as_str()) {
+                Arc::get_mut(topic).expect("an opening table shares no record").conn_id = i as u32;
+            }
+        }
     }
 
     /// Build from an in-memory topic list (used by the organizer right
@@ -70,7 +100,10 @@ impl TagManager {
     pub fn from_topics(container_root: &str, topics: &[String]) -> Self {
         let map = topics
             .iter()
-            .map(|t| (Arc::from(t.as_str()), Arc::new(TopicPaths::new(container_root, t))))
+            .map(|t| {
+                let topic = OpenTopic::new(t, TopicPaths::new(container_root, t));
+                (Arc::clone(&topic.name), topic)
+            })
             .collect();
         TagManager { root: container_root.to_owned(), map }
     }
@@ -79,27 +112,10 @@ impl TagManager {
         &self.root
     }
 
-    /// Hash lookup of a topic's back-end paths (charged like a hash op).
-    pub fn lookup(&self, topic: &str, ctx: &mut IoCtx) -> BoraResult<&TopicPaths> {
+    /// Hash lookup of a topic's record (charged like a hash op).
+    pub(crate) fn lookup(&self, topic: &str, ctx: &mut IoCtx) -> BoraResult<&Arc<OpenTopic>> {
         ctx.charge_ns(cpu::HASH_OP_NS);
-        self.map
-            .get(topic)
-            .map(Arc::as_ref)
-            .ok_or_else(|| BoraError::UnknownTopic(topic.to_owned()))
-    }
-
-    /// Like [`TagManager::lookup`], but hands out a shared handle — a
-    /// reference bump, not four `String` clones. Queries that need the
-    /// paths to outlive the lookup borrow (cursors, streams) use this.
-    pub fn lookup_arc(&self, topic: &str, ctx: &mut IoCtx) -> BoraResult<Arc<TopicPaths>> {
-        ctx.charge_ns(cpu::HASH_OP_NS);
-        self.map.get(topic).cloned().ok_or_else(|| BoraError::UnknownTopic(topic.to_owned()))
-    }
-
-    /// The interned `Arc<str>` key for a topic, shared with every stream
-    /// message so delivery never allocates a topic name.
-    pub fn interned_topic(&self, topic: &str) -> Option<Arc<str>> {
-        self.map.get_key_value(topic).map(|(k, _)| Arc::clone(k))
+        self.map.get(topic).ok_or_else(|| BoraError::UnknownTopic(topic.to_owned()))
     }
 
     pub fn topics(&self) -> Vec<&str> {
@@ -121,8 +137,9 @@ impl TagManager {
     pub fn approx_size_bytes(&self) -> usize {
         self.map
             .iter()
-            .map(|(k, v)| {
-                k.len() + v.dir.len() + v.data.len() + v.index.len() + v.tindex.len() + 48
+            .map(|(k, t)| {
+                let p = &t.paths;
+                k.len() + p.dir.len() + p.data.len() + p.index.len() + p.tindex.len() + 48
             })
             .sum()
     }
@@ -152,8 +169,8 @@ mod tests {
         let tm = TagManager::build(&fs, "/c", &mut ctx).unwrap();
         assert_eq!(tm.len(), 2);
         assert_eq!(tm.topics(), vec!["/camera/rgb/image_color", "/imu"]);
-        let p = tm.lookup("/imu", &mut ctx).unwrap();
-        assert_eq!(p.data, "/c/imu/data");
+        let t = tm.lookup("/imu", &mut ctx).unwrap();
+        assert_eq!(t.paths.data, "/c/imu/data");
     }
 
     #[test]
@@ -208,7 +225,8 @@ mod tests {
         let built = TagManager::build(&fs, "/c", &mut ctx).unwrap();
         let direct = TagManager::from_topics("/c", &["/a".to_owned(), "/b".to_owned()]);
         assert_eq!(built.topics(), direct.topics());
-        assert_eq!(built.lookup("/a", &mut ctx).unwrap(), direct.lookup("/a", &mut ctx).unwrap());
+        let paths = |tm: &TagManager, ctx: &mut IoCtx| tm.lookup("/a", ctx).unwrap().paths.clone();
+        assert_eq!(paths(&built, &mut ctx), paths(&direct, &mut ctx));
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //!   corruption specifically as [`BoraError::ChecksumMismatch`] — never
 //!   a panic and never silently wrong bytes;
 //! * torn (truncated) frames fail typed too;
-//! * at container level, a corrupt block quarantines its topic: the
-//!   first read reports the mismatch, later reads get `TopicDamaged`,
-//!   sibling topics keep serving;
+//! * at container level, a corrupt block fails its topic alone: every
+//!   read of it reports the mismatch, sibling topics keep serving;
 //! * a topic's files are a function of its message sequence, not of how
 //!   many sittings wrote them: `create → push prefix → finish`, then
 //!   `resume → push suffix → finish`, equals one sitting file for file.
@@ -235,8 +234,8 @@ proptest! {
         let pos = flip_pos % frame.len();
         frame[pos] ^= 1 << flip_bit;
         match decode_frame(&frame, "imu/data", &mut ctx) {
-            // Payload corruption must be the *typed* mismatch, so the
-            // read path can quarantine and the tooling can report it.
+            // Payload corruption must be the *typed* mismatch, so a
+            // client can fail over and the tooling can report it.
             Err(BoraError::ChecksumMismatch { path, .. }) if pos >= FRAME_HEADER_LEN => {
                 prop_assert_eq!(path, "imu/data");
             }
@@ -265,11 +264,11 @@ proptest! {
     }
 }
 
-/// Container-level quarantine: a flipped payload byte inside one topic's
-/// block file poisons that topic only — typed error first, `TopicDamaged`
-/// after, sibling topics unaffected.
+/// Container level: a flipped payload byte inside one topic's block file
+/// fails that topic only — the typed error on every read of it, sibling
+/// topics unaffected.
 #[test]
-fn corrupt_block_quarantines_only_its_topic() {
+fn a_corrupt_block_fails_every_read_of_its_topic_alone() {
     use ros_msgs::sensor_msgs::Imu;
     use rosbag::{BagWriter, BagWriterOptions};
     use simfs::{MemStorage, Storage};
@@ -299,14 +298,12 @@ fn corrupt_block_quarantines_only_its_topic() {
     fs.write_at(data, off, &[byte ^ 0x40], &mut ctx).unwrap();
 
     let bag = bora::BoraBag::open(&fs, "/c", &mut ctx).unwrap();
-    match bag.read_topics(&["/imu"], &mut ctx) {
-        Err(BoraError::ChecksumMismatch { .. }) => {}
-        other => panic!("expected ChecksumMismatch, got {:?}", other.map(|_| "Ok(..)")),
+    for read in 0..2 {
+        match bag.read_topics(&["/imu"], &mut ctx) {
+            Err(BoraError::ChecksumMismatch { path, .. }) => assert_eq!(path, "imu/data"),
+            other => panic!("read {read}: expected ChecksumMismatch, got {:?}", other.err()),
+        }
+        let sibling = bag.read_topics(&["/imu2"], &mut ctx).unwrap();
+        assert_eq!(sibling.len(), 50, "sibling topic must keep serving");
     }
-    match bag.read_topics(&["/imu"], &mut ctx) {
-        Err(BoraError::TopicDamaged(t)) => assert_eq!(t, "/imu"),
-        other => panic!("expected TopicDamaged, got {:?}", other.map(|_| "Ok(..)")),
-    }
-    let sibling = bag.read_topics(&["/imu2"], &mut ctx).unwrap();
-    assert_eq!(sibling.len(), 50, "sibling topic must keep serving");
 }

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use bora::fsck::{self, FsckState, RepairOutcome};
-use bora::{BoraBag, BoraError, OrganizerOptions};
+use bora::{BoraBag, BoraError, BoraResult, OrganizerOptions};
 use bora_ingest::{IngestConfig, IngestStore};
 use bora_serve::{ErrorCode, Request, Response, Server, ServerConfig};
 use ros_msgs::sensor_msgs::Imu;
@@ -137,12 +137,20 @@ fn the_server_serves_only_what_the_manifest_commits() {
 /// `/live`, an ingest root whose generation 1 holds `N` messages of
 /// `/imu`, written through a store that is then dropped.
 fn live_root() -> MemStorage {
+    live_root_of(&["/imu"])
+}
+
+/// `/live` as [`live_root`] makes it, with `N` messages of each of
+/// `topics`.
+fn live_root_of(topics: &[&str]) -> MemStorage {
     let fs = MemStorage::new();
     let ctx = &mut IoCtx::new();
     let st = IngestStore::create(&fs, "/live", IngestConfig::default(), ctx).unwrap();
     let payload = [0x42; 48];
-    st.append_batch((0..N as u64).map(|i| ("/imu", Time::from_nanos(i), &payload[..])), ctx)
-        .unwrap();
+    for topic in topics {
+        let batch = (0..N as u64).map(|i| (*topic, Time::from_nanos(i), &payload[..]));
+        st.append_batch(batch, ctx).unwrap();
+    }
     st.seal(ctx).unwrap();
     assert_eq!(st.compact(ctx).unwrap(), 1);
     fs
@@ -180,4 +188,41 @@ fn a_rotted_live_generation_answers_every_read_with_a_checksum_mismatch() {
         }
     }
     server.shutdown();
+}
+
+/// A whole read of a rotted `imu/data`: the typed mismatch, whoever asks.
+fn assert_mismatch<T>(read: BoraResult<T>, who: &str) {
+    match read {
+        Err(BoraError::ChecksumMismatch { path, .. }) => assert_eq!(path, "imu/data", "{who}"),
+        Err(e) => panic!("{who}: expected ChecksumMismatch, got {e}"),
+        Ok(_) => panic!("{who}: a rotted topic read whole"),
+    }
+}
+
+#[test]
+fn a_handle_taken_before_a_read_found_damage_answers_as_one_taken_after() {
+    let fs = live_root_of(&["/imu", "/tf"]);
+    flip(&fs, "/live/gen/C00000001/imu/data", 100);
+    let ctx = &mut IoCtx::new();
+
+    // A static root: two clones of one opened bag, each read in turn.
+    let first = BoraBag::open(&fs, "/live/gen/C00000001", ctx).unwrap();
+    let second = first.clone();
+    for (who, bag) in [("second", &second), ("first", &first), ("second", &second)] {
+        assert_mismatch(bag.read_topics(&["/imu"], ctx), who);
+        assert_eq!(bag.read_topics(&["/tf"], ctx).unwrap().len(), N, "{who}: /tf");
+    }
+
+    // A live root: two snapshots taken before a read found the damage,
+    // one after.
+    let st = IngestStore::open(&fs, "/live", ctx).unwrap();
+    let (s1, s2) = (st.snapshot(ctx).unwrap(), st.snapshot(ctx).unwrap());
+    assert_mismatch(s2.stream(&["/imu"], None, ctx).and_then(|s| s.collect_records(ctx)), "s2");
+    let s3 = st.snapshot(ctx).unwrap();
+    for (who, snap) in [("s1", &s1), ("s2", &s2), ("s3", &s3), ("s1", &s1)] {
+        let imu = snap.stream(&["/imu"], None, ctx).and_then(|s| s.collect_records(ctx));
+        assert_mismatch(imu, who);
+        let tf = snap.stream(&["/tf"], None, ctx).and_then(|s| s.collect_records(ctx));
+        assert_eq!(tf.unwrap().len(), N, "{who}: /tf");
+    }
 }

@@ -590,9 +590,10 @@ fn server_evicts_cached_handle_on_checksum_failure() {
     expect_eviction("QUERY", client.query(&roots[0], "SELECT count() FROM '/imu'").err(), 3);
     assert_eq!(client.stats().unwrap().cache_len, 0, "poisoned handle must be evicted");
 
-    // Restore the medium: the service recovers on a fresh handle. Had the
-    // poisoned handle survived in the cache, it would keep /imu
-    // quarantined and answer Corrupt forever — this read proves eviction.
+    // Restore the medium: the next read opens a fresh handle and serves
+    // the topic whole. A handle keeps nothing a failed read found, so
+    // this read would pass through the old one too: the eviction
+    // counters above, not this read, prove the eviction.
     fs.write_at(&data, 0, &[byte], &mut ctx).unwrap();
     assert_eq!(client.read(&roots[0], &["/imu"]).unwrap().len(), healthy);
 

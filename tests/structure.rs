@@ -131,6 +131,15 @@
 //!     and no source under `crates/` or `tests/` names the retired
 //!     `cache_pins`: the cache keeps handles, and a worker holds its
 //!     handle, not a pin.
+//! 23. *A read finds damage, a handle does not remember it*: every read
+//!     verifies what it reads, so damage answers `ChecksumMismatch`
+//!     through any handle or snapshot, whenever it was taken. No source
+//!     under `crates/`, `tests/` or `examples/` names the retired
+//!     quarantine (`TopicDamaged`, `damaged_topics`, `check_not_damaged`,
+//!     `.quarantine(`), and non-test `bora/src/container.rs` declares no
+//!     `Mutex`, no per-topic side map (`conn_ids`, `block_maps`) and no
+//!     hand-written `Clone for BoraBag`: an open topic is one record of
+//!     the tag table.
 
 use std::path::Path;
 
@@ -142,14 +151,16 @@ const BUFPOOL: &str = "crates/bora/src/bufpool.rs";
 const CACHE: &str = "crates/bora-serve/src/cache.rs";
 const PROTO: &str = "crates/bora-serve/src/proto.rs";
 const SERVER: &str = "crates/bora-serve/src/server.rs";
+const CONTAINER: &str = "crates/bora/src/container.rs";
 /// Code lines of `stream.rs` — non-blank, not a `//` comment, before
 /// `#[cfg(test)]`: 462 when `Merge` held the merge for both read paths
 /// (466 before the read core lent, 463 after), 42 more for `Run`,
 /// `Merge::runner_up`, the cursor's run bound and `lend` as a run of one,
-/// 4 fewer once a tail came cut to its window, and 19 fewer once a fill
+/// 4 fewer once a tail came cut to its window, 19 fewer once a fill
 /// pass ran on the caller's thread (no thread pool, no per-cursor error
-/// slot, no thread-count option).
-const STREAM_CODE_LINES: usize = 481;
+/// slot, no thread-count option), and 9 fewer once a cursor held its
+/// topic's open record (no quarantine, one lookup per topic).
+const STREAM_CODE_LINES: usize = 472;
 const REGISTRY: &str = "crates/bench/src/experiments/mod.rs";
 const EXEC: &str = "crates/bora-query/src/exec.rs";
 /// The row-at-a-time functions of `exec.rs`, which only the oracle runs.
@@ -328,6 +339,20 @@ const SOURCE_GUARDS: &[SourceGuard] = &[
         exempt: &["tests/structure.rs"],
         non_test_only: false,
         patterns: &["cache_pins"],
+    },
+    SourceGuard {
+        name: "a handle does not remember damage",
+        under: &["crates/", "tests/", "examples/"],
+        exempt: &["tests/structure.rs"],
+        non_test_only: false,
+        patterns: &["TopicDamaged", "damaged_topics", "check_not_damaged", ".quarantine("],
+    },
+    SourceGuard {
+        name: "a handle does not remember damage",
+        under: &[CONTAINER],
+        exempt: &[],
+        non_test_only: true,
+        patterns: &["Mutex", "conn_ids", "block_maps", "Clone for BoraBag"],
     },
 ];
 
@@ -1089,6 +1114,7 @@ fn every_source_guard_fires() {
     let fill = "one fill path";
     let page = "one page lifetime";
     let handle = "one handle lifetime";
+    let damage = "a handle does not remember damage";
     let cases = [
         (writer, store, "let x = encode_entries(&e);", true),
         (writer, store, "let t = TimeIndex::build(&e, w);", true),
@@ -1194,6 +1220,23 @@ fn every_source_guard_fires() {
         (handle, "crates/bora-serve/tests/x.rs", "#[cfg(test)]\nlet n = s.cache_pins(r);", true),
         (handle, "examples/serve_queries.rs", "let n = server.cache_pins(root);", false),
         (handle, "tests/structure.rs", "patterns: &[\"cache_pins\"],", false),
+        (damage, "crates/bora/src/error.rs", "    TopicDamaged(String),", true),
+        (damage, SERVER, "BoraError::TopicDamaged(_) => ErrorCode::Corrupt,", true),
+        (damage, "crates/bora-ingest/src/store.rs", "b.damaged_topics().is_empty()", true),
+        (damage, STREAM, "            bag.check_not_damaged(topic)?;", true),
+        (damage, STREAM, "                    self.bag.quarantine(&c.topic);", true),
+        (damage, "tests/commit_record.rs", "assert!(bag.damaged_topics().is_empty());", true),
+        (damage, "examples/quickstart.rs", "#[cfg(test)]\nlet d = bag.damaged_topics();", true),
+        (damage, "crates/bora/src/fsck.rs", "fn rebuildable_topics(r: &FsckReport) {", false),
+        (damage, "tests/structure.rs", "patterns: &[\"TopicDamaged\"],", false),
+        (damage, "benchmark/src/layers.rs", "Err(BoraError::TopicDamaged(_)) => {}", false),
+        (damage, CONTAINER, "use parking_lot::Mutex;", true),
+        (damage, CONTAINER, "    conn_ids: Arc<HashMap<Arc<str>, u32>>,", true),
+        (damage, CONTAINER, "    block_maps: Arc<Mutex<HashMap<String, Arc<BlockMap>>>>,", true),
+        (damage, CONTAINER, "impl<S: Clone> Clone for BoraBag<S> {", true),
+        (damage, CONTAINER, "#[cfg(test)]\nfn t() { let m = Mutex::new(conn_ids); }", false),
+        (damage, CONTAINER, "#[derive(Clone)]\npub struct BoraBag<S> {", false),
+        (damage, "crates/bora-ingest/src/store.rs", "    bag: Mutex<Option<BoraBag<S>>>,", false),
     ];
     for (guard, path, source, fires) in cases {
         let fired = source_violations(path, source).iter().any(|v| v.starts_with(guard));
